@@ -11,48 +11,6 @@ import (
 	"mvdb/internal/audit"
 )
 
-// TestAuditDisabledZeroOverhead is the O2 guard: without Options.Audit
-// the auditor must not exist and the transaction paths must allocate
-// exactly what they did before the audit pipeline was added. The
-// workloads mirror BenchmarkUpdateTxn / BenchmarkViewTxn, whose seed
-// baselines (12 and 2 allocs/op) are recorded in EXPERIMENTS.md.
-func TestAuditDisabledZeroOverhead(t *testing.T) {
-	db, err := Open(Options{Protocol: TwoPhaseLocking})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if db.Audit() != nil {
-		t.Fatal("Options{} created an auditor")
-	}
-	if err := db.Update(func(tx *Tx) error { return tx.Put("k", []byte("v")) }); err != nil {
-		t.Fatal(err)
-	}
-
-	val := []byte("v")
-	update := testing.AllocsPerRun(200, func() {
-		if err := db.Update(func(tx *Tx) error {
-			return tx.Put("k", val)
-		}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if update > 12 {
-		t.Errorf("Update allocs/op = %.1f with audit off, want <= 12 (seed baseline)", update)
-	}
-	view := testing.AllocsPerRun(200, func() {
-		if err := db.View(func(tx *Tx) error {
-			_, err := tx.Get("k")
-			return err
-		}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if view > 2 {
-		t.Errorf("View allocs/op = %.1f with audit off, want <= 2 (seed baseline)", view)
-	}
-}
-
 // TestAuditEndToEnd opens a real database with the auditor and the
 // debug server, runs a workload, and checks the full surface: the
 // auditor snapshot, /debug/mvdb/audit, and the auditor families merged

@@ -173,6 +173,7 @@ func liveTable(addr string, cur, prev *obs.Payload, interval time.Duration) metr
 	counter("  wounded", s.AbortsWounded, p.AbortsWounded)
 	counter("  timeout", s.AbortsTimeout, p.AbortsTimeout)
 	counter("  user", s.AbortsUser, p.AbortsUser)
+	counter("  log", s.AbortsLog, p.AbortsLog)
 	counter("lock waits", s.LockWaits, p.LockWaits)
 	if s.LockWait.Count > 0 {
 		gauge("lock wait p99", metrics.Dur(s.LockWait.P99))
@@ -189,8 +190,10 @@ func liveTable(addr string, cur, prev *obs.Payload, interval time.Duration) metr
 	gauge("vc queue", s.VCQueueLen)
 	gauge("keys / versions", fmt.Sprintf("%d / %d", s.Keys, s.Versions))
 	gauge("version chain max/mean", fmt.Sprintf("%d / %.2f", s.MaxVersionChain, s.MeanVersionChain))
-	for k, v := range s.Extra {
-		gauge(k, v)
+	if a := s.Adaptive; a != nil {
+		gauge("adaptive switches", a.Switches)
+		gauge("adaptive health signals", a.HealthSignals)
+		gauge("adaptive knob actions", a.KnobActions)
 	}
 	if n := len(cur.Trace); n > 0 {
 		last := cur.Trace[n-1]

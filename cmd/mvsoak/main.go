@@ -354,9 +354,11 @@ func runProtocol(proto, mode, base string, budget time.Duration, cfg workload.Co
 			res.TopKeys = res.TopKeys[:8]
 		}
 	}
-	// Knob actions only exist under AdaptiveCC; read the Extra map
-	// defensively so plain soak configs report 0.
-	res.KnobActions = sn.Extra["adaptive.knob_actions"]
+	// Knob actions only exist under AdaptiveCC; plain soak configs
+	// report 0.
+	if sn.Adaptive != nil {
+		res.KnobActions = sn.Adaptive.KnobActions
+	}
 
 	res.Pass = len(res.Reasons) == 0
 	if !res.Pass {

@@ -14,43 +14,6 @@ import (
 	"mvdb/internal/flight"
 )
 
-// TestPhaseTimingDisabledZeroOverhead is the O2-style alloc guard for
-// the attribution layer: with PhaseTiming off (the default), the timing
-// hooks must reduce to nil tests and keep the seed allocation baselines
-// — Update at 12 allocs/op and View at 2.
-func TestPhaseTimingDisabledZeroOverhead(t *testing.T) {
-	db, err := Open(Options{Protocol: TwoPhaseLocking})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if db.Stats().Phases != nil {
-		t.Fatal("Phases non-nil with PhaseTiming off")
-	}
-	val := []byte("v")
-	update := testing.AllocsPerRun(200, func() {
-		if err := db.Update(func(tx *Tx) error {
-			return tx.Put("k", val)
-		}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if update > 12 {
-		t.Errorf("Update allocs/op = %.1f with phase timing off, want <= 12 (seed baseline)", update)
-	}
-	view := testing.AllocsPerRun(200, func() {
-		if err := db.View(func(tx *Tx) error {
-			_, err := tx.Get("k")
-			return err
-		}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if view > 2 {
-		t.Errorf("View allocs/op = %.1f with phase timing off, want <= 2 (seed baseline)", view)
-	}
-}
-
 // TestFlightBundleEndToEnd is the acceptance path: a database with
 // group commit, phase timing, the debug server and the flight recorder;
 // a concurrent workload; then GET /debug/mvdb/dump must produce an

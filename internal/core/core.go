@@ -143,25 +143,13 @@ type Engine struct {
 	vc       vc.Controller
 	locks    *lock.Manager // 2PL only
 	valMu    sync.Mutex    // OCC validation critical section
-	rec      engine.Recorder
+	sinks                  // everything the engine reports to (observe.go)
 
 	ids  atomic.Uint64 // transaction id allocator (diagnostics, lock owner)
 	ages atomic.Uint64 // begin-order sequence for wound-wait
 
 	roActive roRegistry
 
-	// stats is the engine-wide observability registry (internal/obs):
-	// every lifecycle counter lives there, shared with the public
-	// Stats API and the /debug/mvdb endpoint.
-	stats *obs.Stats
-	// phases is the latency-attribution matrix; nil unless
-	// Options.PhaseTiming (nil keeps every timing site to one nil test).
-	phases *obs.PhaseStats
-	// traces is the causal span tracer; nil unless Options.Traces.
-	traces *trace.Tracer
-	// hot is the workload profiler; nil unless Options.Hotspot (nil
-	// keeps every touch/conflict hook to one nil test).
-	hot             *hotspot.Profiler
 	closed          atomic.Bool
 	bootstrapSealed atomic.Bool
 }
@@ -178,101 +166,23 @@ func newController(mode vc.Mode, initial uint64) vc.Controller {
 
 // New creates an engine.
 func New(opts Options) *Engine {
-	var tracerRec engine.Recorder
-	if opts.Trace != nil {
-		tracerRec = obs.Recorder{T: opts.Trace}
-	}
 	e := &Engine{
 		opts:  opts,
 		store: storage.NewStore(opts.Shards),
 		vc:    newController(opts.Visibility, 0),
-		rec:   engine.Multi(opts.Recorder, tracerRec),
-		stats: obs.NewStats(),
+		sinks: newSinks(opts),
 	}
 	// The lock manager exists regardless of the initial protocol so that
-	// SetProtocol can swap to two-phase locking later. Its wait observer
-	// feeds the wait-time histogram and (when tracing) lock-wait events.
+	// SetProtocol can swap to two-phase locking later.
 	e.locks = lock.NewManagerStriped(opts.LockPolicy, opts.LockTimeout, opts.LockStripes)
-	e.traces = opts.Traces
-	e.hot = opts.Hotspot
-	e.locks.SetWaitObserver(func(txID uint64, key string, stripe int, blocker uint64, wait time.Duration) {
-		e.stats.LockWaitNanos.Record(wait.Nanoseconds())
-		// phases.Record, traces.OnLockWait, and hot.RecordStripeWait are
-		// nil-safe; only 2PL transactions reach the lock manager, so the
-		// attribution row is fixed.
-		e.phases.Record(obs.Proto2PL, obs.PhaseLockWait, txID, wait)
-		e.traces.OnLockWait(txID, key, stripe, blocker, wait)
-		e.hot.RecordStripeWait(stripe, wait)
-		opts.Trace.Record(obs.Event{Type: obs.EvLockWait, Tx: txID, Key: key, Dur: wait.Nanoseconds()})
-	})
-	if e.hot != nil {
-		e.hot.BindStripes(e.locks.Stripes())
-		e.bindHotVC()
-	}
-	if opts.PhaseTiming {
-		e.phases = obs.NewPhaseStats(opts.Trace)
-	}
-	if opts.PhaseTiming || opts.Traces != nil {
-		e.observeVC()
-	}
+	e.observeLocks()
+	e.observeVC()
 	e.protocol.Store(int32(opts.Protocol))
 	e.roActive.init()
 	if opts.WAL != nil {
-		e.attachWALObserver(opts.WAL)
+		e.observeWAL(opts.WAL)
 	}
 	return e
-}
-
-// attachWALObserver feeds the log's group-commit batch sizes into the
-// stats registry (a no-op stream unless the log runs under SyncBatch).
-func (e *Engine) attachWALObserver(w *wal.Writer) {
-	w.SetBatchObserver(func(records int) {
-		e.stats.WALBatchSize.Record(int64(records))
-	})
-}
-
-// observeVC wires the version-control module's register→visible lag
-// into the phase matrix and the span tracer. Called at construction and
-// again whenever the controller is replaced (recovery). The entry is
-// attributed to the protocol in force when it becomes visible — exact
-// except across an adaptive protocol switch, where a straggler may land
-// one row over.
-func (e *Engine) observeVC() {
-	if e.phases == nil && e.traces == nil {
-		return
-	}
-	e.vc.SetVisibleObserver(func(tn uint64, d time.Duration) {
-		e.phases.Record(e.protoIdx(), obs.PhaseVisibleWait, tn, d)
-		e.traces.OnVisible(tn, d)
-	})
-}
-
-// bindHotVC points the workload profiler's visibility taps at the
-// current controller. Called at construction and again whenever the
-// controller is replaced (recovery). Lane frontiers exist only under
-// epoch visibility; the watermark tap works in both modes.
-func (e *Engine) bindHotVC() {
-	if e.hot == nil {
-		return
-	}
-	if ec, ok := e.vc.(*epoch.Controller); ok {
-		e.hot.BindVC(ec.LaneFrontiers, ec.Epoch, ec.VTNC)
-	} else {
-		e.hot.BindVC(nil, nil, e.vc.VTNC)
-	}
-}
-
-// protoIdx maps the current protocol onto the phase matrix's row. The
-// first three obs.ProtoIdx values mirror Protocol's ordering, asserted
-// at init below.
-func (e *Engine) protoIdx() obs.ProtoIdx { return obs.ProtoIdx(e.protocol.Load()) }
-
-func init() {
-	if obs.Proto2PL != obs.ProtoIdx(TwoPhaseLocking) ||
-		obs.ProtoTO != obs.ProtoIdx(TimestampOrdering) ||
-		obs.ProtoOCC != obs.ProtoIdx(Optimistic) {
-		panic("core: obs.ProtoIdx ordering diverged from core.Protocol")
-	}
 }
 
 // Name implements engine.Engine.
@@ -324,7 +234,6 @@ func (e *Engine) Begin(class engine.Class) (engine.Tx, error) {
 	if class == engine.ReadOnly {
 		return e.beginReadOnly(id, 0), nil
 	}
-	e.stats.BeginsRW.Inc()
 	switch p := e.Protocol(); p {
 	case TwoPhaseLocking:
 		return e.beginTwoPhase(id), nil
@@ -360,31 +269,10 @@ func (e *Engine) BeginReadOnlyAt(sn uint64) (engine.Tx, error) {
 	}
 	e.bootstrapSealed.Store(true)
 	if e.vc.VTNC() < sn {
-		e.stats.RecencyWaits.Inc()
-		if ph := e.phases; ph != nil {
-			start := time.Now()
-			e.vc.WaitVisible(sn)
-			// The RO row's visible-wait is the Section 6 recency wait:
-			// how long a pinned read-only begin stalled for visibility.
-			ph.Record(obs.ProtoRO, obs.PhaseVisibleWait, 0, time.Since(start))
-		} else {
-			e.vc.WaitVisible(sn)
-		}
+		e.recencyWait(sn)
 	}
 	return e.beginReadOnly(e.ids.Add(1), sn), nil
 }
-
-// Obs exposes the engine's observability registry so wrappers (the
-// public API, the adaptive engine) can count events that happen above
-// this layer — Update retries, GC passes — into the same snapshot.
-func (e *Engine) Obs() *obs.Stats { return e.stats }
-
-// Phases exposes the latency-attribution matrix (nil unless
-// Options.PhaseTiming).
-func (e *Engine) Phases() *obs.PhaseStats { return e.phases }
-
-// Traces exposes the causal span tracer (nil unless Options.Traces).
-func (e *Engine) Traces() *trace.Tracer { return e.traces }
 
 // LockWaitGraph exports the lock manager's current waits-for graph (the
 // flight recorder's postmortem bundles include it).
@@ -471,54 +359,85 @@ func (e *Engine) MinActiveReadOnlySN() (uint64, bool) {
 	return e.roActive.min()
 }
 
-// appendWAL logs a committed write set ahead of installation. A log
-// failure is returned to the caller, whose transaction must abort: a
-// commit that is not durable must not become visible. With phase timing
-// on, the append is split into its two separable costs — getting the
-// record into the log buffer vs waiting for fsync coverage (the
-// group-commit ticket wait under SyncBatch) — attributed to proto/txID.
-func (e *Engine) appendWAL(proto obs.ProtoIdx, txID, tn uint64, buf map[string]bufWrite, tr *trace.Active) error {
-	if e.opts.WAL == nil {
-		return nil
+// bufWrite is one buffered (2PL, OCC) or pending (T/O) write.
+type bufWrite struct {
+	data      []byte
+	tombstone bool
+}
+
+// read is a transaction reading back its own write.
+func (w bufWrite) read() ([]byte, error) {
+	return result(storage.Version{Data: w.data, Tombstone: w.tombstone}, true)
+}
+
+// result maps a read onto Get's return values: an absent object, one
+// with no version the reader may see, and a tombstone all read as not
+// found.
+func result(v storage.Version, ok bool) ([]byte, error) {
+	if !ok || v.Tombstone {
+		return nil, engine.ErrNotFound
 	}
-	rec := wal.Record{TN: tn, Writes: make([]wal.Write, 0, len(buf))}
-	for k, w := range buf {
-		rec.Writes = append(rec.Writes, wal.Write{Key: k, Value: w.data, Tombstone: w.tombstone})
+	return v.Data, nil
+}
+
+// latest returns key's newest committed version; an absent key reads as
+// the zero Version, number 0 — the bootstrap state.
+func (e *Engine) latest(key string) (storage.Version, bool) {
+	if o := e.store.Get(key); o != nil {
+		return o.LatestCommitted()
 	}
-	ph := e.phases
-	if ph == nil && tr == nil {
-		return e.opts.WAL.Append(rec)
-	}
-	ph.PprofEnter(proto, obs.PhaseFsyncWait)
-	var info wal.BatchInfo
-	var enq, syncWait int64
+	return storage.Version{}, false
+}
+
+// commitTail is what the three protocols share once a transaction's
+// serial position is fixed and registered (at the lock-point, at begin,
+// or inside validation): log the write set, put the versions numbered
+// tn(T) in place, give back what concurrency control holds, VCcomplete.
+// A log failure aborts the transaction instead — a commit that is not
+// durable must not become visible — and is returned.
+func (e *Engine) commitTail(o *txObs, entry vc.Handle, writes map[string]bufWrite) error {
+	tn := entry.TN()
 	var err error
-	var start time.Time
-	if tr != nil {
-		start = time.Now()
-		info, enq, syncWait, err = e.opts.WAL.AppendTraced(rec)
-	} else {
-		enq, syncWait, err = e.opts.WAL.AppendTimed(rec)
-	}
-	ph.PprofExit()
-	ph.Record(proto, obs.PhaseWALEnqueue, txID, time.Duration(enq))
-	ph.Record(proto, obs.PhaseFsyncWait, txID, time.Duration(syncWait))
-	if tr != nil {
-		ns := start.UnixNano()
-		tr.SpanAt(obs.PhaseWALEnqueue.String(), -1, ns, enq)
-		tr.SpanAt(obs.PhaseFsyncWait.String(), -1, ns+enq, syncWait)
-		if err == nil && info.Batch != 0 {
-			tr.Blame(trace.Blame{
-				Kind:    trace.BlameJoinedBatch,
-				Phase:   obs.PhaseFsyncWait.String(),
-				Tx:      info.LeaderTN,
-				Batch:   info.Batch,
-				Records: info.Records,
-				DurNS:   syncWait,
-			})
+	if w := e.opts.WAL; w != nil {
+		rec := wal.Record{TN: tn, Writes: make([]wal.Write, 0, len(writes))}
+		for key, bw := range writes {
+			rec.Writes = append(rec.Writes, wal.Write{Key: key, Value: bw.data, Tombstone: bw.tombstone})
 		}
+		err = o.appendLog(w, rec)
 	}
-	return err
+	if err == nil {
+		sp := o.span(phaseInstall)
+		for key, bw := range writes {
+			obj := e.store.GetOrCreate(key)
+			if o.proto == protoTO {
+				obj.ResolvePending(tn, true) // the version is already there, pending
+			} else {
+				obj.InstallCommitted(storage.Version{TN: tn, Data: bw.data, Tombstone: bw.tombstone})
+			}
+			o.wrote(key, tn)
+		}
+		o.end(sp)
+		o.committed(tn)
+	} else {
+		if o.proto == protoTO {
+			e.destroyPending(tn, writes)
+		}
+		e.vc.Discard(entry)
+	}
+	// The protocol's release step: Figure 4's "clear locks", OCC leaving
+	// its validation critical section; timestamp ordering holds nothing.
+	switch o.proto {
+	case proto2PL:
+		e.clearLocks(o, writes)
+	case protoOCC:
+		e.valMu.Unlock()
+	}
+	if err != nil {
+		o.abort(causeLog, "")
+		return fmt.Errorf("core: commit log: %w", err)
+	}
+	o.complete(entry)
+	return nil
 }
 
 // Recover rebuilds an engine from a write-ahead log: every intact commit
@@ -547,50 +466,20 @@ func (e *Engine) SetWAL(w *wal.Writer) error {
 		return errors.New("core: SetWAL after first transaction")
 	}
 	e.opts.WAL = w
-	e.attachWALObserver(w)
+	e.observeWAL(w)
 	return nil
-}
-
-// complete routes a completion through either the correct Figure 1 path
-// or the ablated (A2) eager path. A traced completion observes the VC
-// queue at the completion instant: if an older registered-but-incomplete
-// transaction heads the queue, visibility is deferred to it, and that is
-// the queued-behind blame edge. The eager path bypasses the drain (no
-// visibility callback will ever fire), so its trace finalizes here.
-func (e *Engine) complete(entry vc.Handle, tr *trace.Active) {
-	if e.opts.UnsafeEagerVisibility {
-		e.vc.UnsafeCompleteEager(entry)
-		tr.FinishCommit()
-		return
-	}
-	if tr == nil {
-		e.vc.Complete(entry)
-		return
-	}
-	e.vc.CompleteObserved(entry, func(o vc.Obstruction) {
-		tr.Blame(trace.Blame{
-			Kind:      trace.BlameQueuedBehind,
-			Phase:     obs.PhaseVisibleWait.String(),
-			Tx:        o.HeadTN,
-			Depth:     o.Depth,
-			Watermark: o.Watermark,
-			Epoch:     o.Epoch,
-		})
-	})
 }
 
 // roRegistry tracks active read-only transactions for GC watermarks.
 // It is sharded to keep the (optional) cost off the read-only fast path
 // as much as possible.
 type roRegistry struct {
-	enabled bool
-	shards  [16]roShard
-	ctr     atomic.Uint64
+	shards [16]roShard
 }
 
 type roShard struct {
 	mu sync.Mutex
-	m  map[uint64]uint64 // token -> sn
+	m  map[uint64]uint64 // transaction id -> sn
 }
 
 func (r *roRegistry) init() {
@@ -599,19 +488,17 @@ func (r *roRegistry) init() {
 	}
 }
 
-func (r *roRegistry) add(sn uint64) (token uint64) {
-	token = r.ctr.Add(1)
-	sh := &r.shards[token%uint64(len(r.shards))]
+func (r *roRegistry) add(id, sn uint64) {
+	sh := &r.shards[id%uint64(len(r.shards))]
 	sh.mu.Lock()
-	sh.m[token] = sn
+	sh.m[id] = sn
 	sh.mu.Unlock()
-	return token
 }
 
-func (r *roRegistry) remove(token uint64) {
-	sh := &r.shards[token%uint64(len(r.shards))]
+func (r *roRegistry) remove(id uint64) {
+	sh := &r.shards[id%uint64(len(r.shards))]
 	sh.mu.Lock()
-	delete(sh.m, token)
+	delete(sh.m, id)
 	sh.mu.Unlock()
 }
 

@@ -150,8 +150,7 @@ func RestoreFS(fsys faultfs.FS, base []wal.Record, horizon uint64, path string, 
 		return nil, 0, err
 	}
 	e.vc = newController(e.opts.Visibility, maxTN)
-	e.observeVC() // the replaced controller needs the phase observer rewired
-	e.bindHotVC() // ... and the hotspot profiler's visibility taps
+	e.observeVC() // the replaced controller needs the sinks' taps rewired
 	return e, validLen, nil
 }
 

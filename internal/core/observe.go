@@ -1,0 +1,411 @@
+package core
+
+// This file is the engine core's one observation seam. Everything the
+// core reports — history events (engine.Recorder), lifecycle counters
+// (obs.Stats), the phase matrix (obs.PhaseStats), causal spans
+// (trace.Active) and the workload profile (hotspot.Profiler) — is
+// reported from here and nowhere else in the package: the protocol files
+// (twopl.go, tso.go, occ.go, readonly.go) see only the txObs methods and
+// the cause/phase/protocol names below, and import none of time, obs,
+// trace or hotspot (boundary_test.go holds them to that).
+//
+// There is no interface: every sink has exactly one implementation and
+// each is nil-safe, so fan-out is a fixed sequence of calls and a
+// disabled sink costs one pointer test.
+
+import (
+	"fmt"
+	"time"
+
+	"mvdb/internal/engine"
+	"mvdb/internal/hotspot"
+	"mvdb/internal/obs"
+	"mvdb/internal/trace"
+	"mvdb/internal/vc"
+	"mvdb/internal/vc/epoch"
+	"mvdb/internal/wal"
+)
+
+// The protocol files name their phase-matrix row and the spans they
+// open through these, so they need not import obs.
+const (
+	proto2PL = obs.Proto2PL
+	protoTO  = obs.ProtoTO
+	protoOCC = obs.ProtoOCC
+	protoRO  = obs.ProtoRO
+
+	phaseRead     = obs.PhaseRead
+	phaseValidate = obs.PhaseValidate
+	phaseInstall  = obs.PhaseInstall
+)
+
+// sinks is everything the core reports to. rec and stats always exist;
+// the other three are nil unless their option is on.
+type sinks struct {
+	rec engine.Recorder
+	// stats is the engine-wide registry (internal/obs), shared with the
+	// public Stats API and the /debug/mvdb endpoint.
+	stats  *obs.Stats
+	phases *obs.PhaseStats   // Options.PhaseTiming
+	traces *trace.Tracer     // Options.Traces
+	hot    *hotspot.Profiler // Options.Hotspot
+}
+
+func newSinks(opts Options) sinks {
+	var ring engine.Recorder
+	if opts.Trace != nil {
+		ring = obs.Recorder{T: opts.Trace}
+	}
+	s := sinks{
+		rec:    engine.Multi(opts.Recorder, ring),
+		stats:  obs.NewStats(),
+		traces: opts.Traces,
+		hot:    opts.Hotspot,
+	}
+	if opts.PhaseTiming {
+		s.phases = obs.NewPhaseStats(opts.Trace)
+	}
+	return s
+}
+
+// observeLocks feeds the lock manager's waits to the sinks. Only 2PL
+// transactions reach the lock manager, so the attribution row is fixed.
+func (e *Engine) observeLocks() {
+	e.hot.BindStripes(e.locks.Stripes())
+	e.locks.SetWaitObserver(func(txID uint64, key string, stripe int, blocker uint64, wait time.Duration) {
+		e.stats.LockWaitNanos.Record(wait.Nanoseconds())
+		e.phases.Record(proto2PL, obs.PhaseLockWait, txID, wait)
+		e.traces.OnLockWait(txID, key, stripe, blocker, wait)
+		e.hot.RecordStripeWait(stripe, wait)
+		e.opts.Trace.Record(obs.Event{Type: obs.EvLockWait, Tx: txID, Key: key, Dur: wait.Nanoseconds()})
+	})
+}
+
+// observeVC wires the version-control module's register→visible lag
+// into the phase matrix and the span tracer, and points the profiler's
+// visibility taps at the controller (lane frontiers exist only under
+// epoch visibility). Called at construction and again whenever the
+// controller is replaced (recovery). A lag entry is attributed to the
+// protocol in force when it becomes visible — exact except across an
+// adaptive protocol switch, where a straggler may land one row over.
+func (e *Engine) observeVC() {
+	if e.phases != nil || e.traces != nil {
+		e.vc.SetVisibleObserver(func(tn uint64, d time.Duration) {
+			e.phases.Record(obs.ProtoIdx(e.protocol.Load()), obs.PhaseVisibleWait, tn, d)
+			e.traces.OnVisible(tn, d)
+		})
+	}
+	if ec, ok := e.vc.(*epoch.Controller); ok {
+		e.hot.BindVC(ec.LaneFrontiers, ec.Epoch, ec.VTNC)
+	} else {
+		e.hot.BindVC(nil, nil, e.vc.VTNC)
+	}
+}
+
+// observeWAL feeds the log's group-commit batch sizes into the registry
+// (a no-op stream unless the log runs under SyncBatch).
+func (e *Engine) observeWAL(w *wal.Writer) {
+	w.SetBatchObserver(func(records int) {
+		e.stats.WALBatchSize.Record(int64(records))
+	})
+}
+
+// recencyWait is the Section 6 recency wait of a pinned read-only
+// begin, counted and timed into the RO row's visible-wait cell.
+func (e *Engine) recencyWait(sn uint64) {
+	e.stats.RecencyWaits.Inc()
+	start := time.Now()
+	e.vc.WaitVisible(sn)
+	e.phases.Record(protoRO, obs.PhaseVisibleWait, 0, time.Since(start))
+}
+
+func init() {
+	// The first three phase-matrix rows mirror Protocol's ordering.
+	if proto2PL != obs.ProtoIdx(TwoPhaseLocking) ||
+		protoTO != obs.ProtoIdx(TimestampOrdering) ||
+		protoOCC != obs.ProtoIdx(Optimistic) {
+		panic("core: obs.ProtoIdx ordering diverged from core.Protocol")
+	}
+}
+
+// Obs exposes the engine's observability registry so wrappers (the
+// public API, the adaptive engine) can count events that happen above
+// this layer — Update retries, GC passes — into the same snapshot.
+func (e *Engine) Obs() *obs.Stats { return e.stats }
+
+// Phases exposes the latency-attribution matrix (nil unless
+// Options.PhaseTiming).
+func (e *Engine) Phases() *obs.PhaseStats { return e.phases }
+
+// Traces exposes the causal span tracer (nil unless Options.Traces).
+func (e *Engine) Traces() *trace.Tracer { return e.traces }
+
+// abortCause indexes abortCauses.
+type abortCause uint8
+
+const (
+	causeConflict    abortCause = iota // 2PL: a lock request failed for no listed reason
+	causeDeadlock                      // 2PL: chosen as the deadlock victim
+	causeWounded                       // 2PL: wounded by an older transaction
+	causeTimeout                       // 2PL: lock wait timed out
+	causeTOWrite                       // T/O: a younger transaction already read or wrote the object
+	causeTOWriteByRO                   // ... and that reader was read-only
+	causeOCCRead                       // OCC: an object moved between two reads
+	causeOCCValidate                   // OCC: backward validation failed
+	causeUser                          // an explicit Abort
+	causeLog                           // the commit record could not be made durable
+)
+
+// abortCauses is the one place an abort cause is spelled out: the
+// counter it increments, the error the engine call returns (nil where
+// the caller has its own: Abort returns nothing, a log failure wraps
+// the writer's error), and the profiler's conflict-pair label ("" for
+// causes that name no key).
+var abortCauses = [...]struct {
+	counter func(*obs.Stats) *obs.Counter
+	err     error
+	label   string
+}{
+	causeConflict: {func(s *obs.Stats) *obs.Counter { return &s.AbortsConflict }, engine.ErrConflict, "conflict"},
+	causeDeadlock: {func(s *obs.Stats) *obs.Counter { return &s.AbortsDeadlock }, engine.ErrDeadlock, "deadlock"},
+	causeWounded:  {func(s *obs.Stats) *obs.Counter { return &s.AbortsWounded }, engine.ErrWounded, "wounded"},
+	// Its own counter, still surfaced as ErrDeadlock: a timeout is the
+	// timeout policy's deadlock presumption.
+	causeTimeout: {func(s *obs.Stats) *obs.Counter { return &s.AbortsTimeout },
+		fmt.Errorf("%w (lock wait timeout)", engine.ErrDeadlock), "timeout"},
+	causeTOWrite:     {func(s *obs.Stats) *obs.Counter { return &s.AbortsConflict }, engine.ErrConflict, "to-write"},
+	causeTOWriteByRO: {func(s *obs.Stats) *obs.Counter { return &s.AbortsConflict }, engine.ErrConflict, "to-write"},
+	causeOCCRead:     {func(s *obs.Stats) *obs.Counter { return &s.AbortsConflict }, engine.ErrConflict, "occ-read"},
+	causeOCCValidate: {func(s *obs.Stats) *obs.Counter { return &s.AbortsConflict }, engine.ErrConflict, "occ-validate"},
+	causeUser:        {func(s *obs.Stats) *obs.Counter { return &s.AbortsUser }, nil, ""},
+	causeLog:         {func(s *obs.Stats) *obs.Counter { return &s.AbortsLog }, nil, ""},
+}
+
+// txObs is one transaction's handle on the sinks. Every transaction
+// struct embeds it by value, so observing costs no allocation of its
+// own. It is used from the transaction's goroutine only.
+type txObs struct {
+	e  *Engine
+	id uint64
+	tr *trace.Active // nil unless this transaction was head-sampled
+	// lockedAt is the instant of the first lock acquisition; zero unless
+	// this is a 2PL transaction and the profiler is on.
+	lockedAt instant
+	proto    obs.ProtoIdx
+	// done is set by the protocol code once the transaction has
+	// committed or aborted. It lives here, in the tail padding of what
+	// every transaction struct embeds, to keep those structs a size
+	// class smaller.
+	done bool
+}
+
+// instant is a monotonic clock reading, nanoseconds since epoch0: one
+// word in every transaction struct where a time.Time would be three.
+// Zero — epoch0 itself, which no later reading returns — means "not
+// taken".
+type instant int64
+
+var epoch0 = time.Now()
+
+func now() instant { return instant(time.Since(epoch0)) }
+
+// span is an open timed phase, held (on the stack) by the code that
+// opened it.
+type span struct {
+	start time.Time
+	phase obs.Phase
+	on    bool // false: timing is off, end does nothing
+}
+
+// observe opens the seam for a beginning transaction: counts the begin
+// (before any commit or abort of the transaction can be counted), lets
+// the tracer head-sample it, and records the begin event and, for a
+// read-only transaction, the snapshot position sn it reads at
+// (read-write ones pass 0).
+func (e *Engine) observe(id uint64, proto obs.ProtoIdx, sn uint64) txObs {
+	o := txObs{e: e, id: id, proto: proto}
+	if e.traces != nil {
+		o.tr = e.traces.Start(id, proto.String())
+	}
+	if proto == protoRO {
+		e.stats.BeginsRO.Inc()
+		e.rec.RecordBegin(id, engine.ReadOnly)
+		engine.RecordSnapshot(e.rec, id, sn)
+	} else {
+		e.stats.BeginsRW.Inc()
+		e.rec.RecordBegin(id, engine.ReadWrite)
+	}
+	return o
+}
+
+// ID implements engine.Tx for every transaction type.
+func (o *txObs) ID() uint64 { return o.id }
+
+// Class implements engine.Tx for every transaction type.
+func (o *txObs) Class() engine.Class {
+	if o.proto == protoRO {
+		return engine.ReadOnly
+	}
+	return engine.ReadWrite
+}
+
+// registered reports the transaction number once version control has
+// assigned it; the trace is indexed by it so the visibility observer
+// can find the transaction at drain time.
+func (o *txObs) registered(tn uint64) { o.tr.CommitTN(tn) }
+
+// read reports that the transaction read version tn of key (0 = the
+// bootstrap state, which an absent key also reads as).
+func (o *txObs) read(key string, tn uint64) {
+	o.e.hot.TouchRead(key)
+	o.e.rec.RecordRead(o.id, key, tn)
+}
+
+// write reports that the transaction buffered (2PL, OCC) or placed as
+// pending (T/O) a write of key; wrote, that version tn of it is in.
+func (o *txObs) write(key string) { o.e.hot.TouchWrite(key) }
+
+func (o *txObs) wrote(key string, tn uint64) { o.e.rec.RecordWrite(o.id, key, tn) }
+
+// span opens a timed phase and end closes it: a phase-matrix sample,
+// pprof labels for the stretch, and a trace span. With phase timing and
+// tracing both off, each is one inlined test and no clock is read.
+func (o *txObs) span(ph obs.Phase) span {
+	if o.e.phases == nil && o.tr == nil {
+		return span{}
+	}
+	return o.open(ph)
+}
+
+func (o *txObs) end(sp span) {
+	if sp.on {
+		o.close(sp)
+	}
+}
+
+func (o *txObs) open(ph obs.Phase) span {
+	o.e.phases.PprofEnter(o.proto, ph)
+	return span{time.Now(), ph, true}
+}
+
+func (o *txObs) close(sp span) {
+	d := time.Since(sp.start)
+	o.e.phases.Record(o.proto, sp.phase, o.id, d)
+	o.e.phases.PprofExit()
+	o.tr.Span(sp.phase.String(), sp.start, d)
+}
+
+// locked notes the first lock acquisition; held charges the span from
+// there to now as hold time to the stripe of every key the transaction
+// wrote (read-lock-only keys are not retained and are skipped) — the
+// 2PL growing+shrinking window the stripe heatmap wants. Profiler only.
+func (o *txObs) locked() {
+	if o.e.hot != nil && o.lockedAt == 0 {
+		o.lockedAt = now()
+	}
+}
+
+func (o *txObs) held(writes map[string]bufWrite) {
+	if o.lockedAt == 0 {
+		return
+	}
+	d := time.Duration(now() - o.lockedAt)
+	for key := range writes {
+		o.e.hot.RecordHold(o.e.locks.StripeOf(key), d)
+	}
+}
+
+// appendLog makes rec durable. With phase timing or tracing on, the
+// append is split into its two separable costs — getting the record
+// into the log buffer vs waiting for fsync coverage (the group-commit
+// ticket wait under SyncBatch) — and a traced transaction learns which
+// batch carried it, the joined-batch blame edge.
+func (o *txObs) appendLog(w *wal.Writer, rec wal.Record) error {
+	ph := o.e.phases
+	if ph == nil && o.tr == nil {
+		return w.Append(rec)
+	}
+	ph.PprofEnter(o.proto, obs.PhaseFsyncWait)
+	start := time.Now().UnixNano()
+	info, enq, syncWait, err := w.AppendObserved(rec)
+	ph.PprofExit()
+	ph.Record(o.proto, obs.PhaseWALEnqueue, o.id, time.Duration(enq))
+	ph.Record(o.proto, obs.PhaseFsyncWait, o.id, time.Duration(syncWait))
+	o.tr.SpanAt(obs.PhaseWALEnqueue.String(), -1, start, enq)
+	o.tr.SpanAt(obs.PhaseFsyncWait.String(), -1, start+enq, syncWait)
+	if err == nil && info.Batch != 0 {
+		o.tr.Blame(trace.Blame{
+			Kind:    trace.BlameJoinedBatch,
+			Phase:   obs.PhaseFsyncWait.String(),
+			Tx:      info.LeaderTN,
+			Batch:   info.Batch,
+			Records: info.Records,
+			DurNS:   syncWait,
+		})
+	}
+	return err
+}
+
+// committed reports the commit event. A read-only transaction's end(T)
+// is empty (Figure 2) — it registered nothing, so no VCcomplete follows
+// and no visibility callback will ever name it — and it is counted and
+// its trace finalized here; a read-write one, in complete.
+func (o *txObs) committed(tn uint64) {
+	o.e.rec.RecordCommit(o.id, tn)
+	if o.proto == protoRO {
+		o.e.stats.CommitsRO.Inc()
+		o.tr.FinishCommit()
+	}
+}
+
+// complete is VCcomplete, then the commit count. A traced completion
+// observes the VC queue at the completion instant: if an older
+// registered-but-incomplete transaction heads it, visibility is deferred
+// to that transaction, and that is the queued-behind blame edge. The
+// ablated (A2) eager path bypasses the drain (no visibility callback
+// will ever fire), so its trace finalizes here.
+func (o *txObs) complete(entry vc.Handle) {
+	switch tr := o.tr; {
+	case o.e.opts.UnsafeEagerVisibility:
+		o.e.vc.UnsafeCompleteEager(entry)
+		tr.FinishCommit()
+	case tr == nil:
+		o.e.vc.Complete(entry)
+	default:
+		o.e.vc.CompleteObserved(entry, func(ob vc.Obstruction) {
+			tr.Blame(trace.Blame{
+				Kind:      trace.BlameQueuedBehind,
+				Phase:     obs.PhaseVisibleWait.String(),
+				Tx:        ob.HeadTN,
+				Depth:     ob.Depth,
+				Watermark: ob.Watermark,
+				Epoch:     ob.Epoch,
+			})
+		})
+	}
+	o.e.stats.CommitsRW.Inc()
+}
+
+// abort reports the transaction's abort to every sink and returns the
+// cause's engine error. The caller has already given back whatever the
+// protocol held. key is the object the conflict was noticed on, "" when
+// the cause names none.
+func (o *txObs) abort(c abortCause, key string) error {
+	row := &abortCauses[c]
+	row.counter(o.e.stats).Inc()
+	if c == causeTOWriteByRO {
+		// Structurally unreachable: read-only transactions never raise
+		// r-ts. Counted anyway so the paper's claim is measured, not
+		// assumed (experiment E2).
+		o.e.stats.RWAbortsByRO.Inc()
+	}
+	if row.label != "" {
+		o.e.hot.RecordConflict(row.label, key)
+	}
+	if c == causeWounded && key != "" {
+		o.e.hot.RecordWound(o.e.locks.StripeOf(key))
+	}
+	o.e.rec.RecordAbort(o.id)
+	o.tr.FinishAbort()
+	return row.err
+}

@@ -1,13 +1,7 @@
 package core
 
 import (
-	"fmt"
-	"time"
-
 	"mvdb/internal/engine"
-	"mvdb/internal/obs"
-	"mvdb/internal/storage"
-	"mvdb/internal/trace"
 )
 
 // occTx is a read-write transaction under VC+OCC, the integration the
@@ -23,93 +17,57 @@ import (
 // the write set with the assigned tn, and leaves the critical section.
 // VCcomplete runs after the updates are in place, as in Figures 3 and 4.
 type occTx struct {
-	e       *Engine
-	id      uint64
+	txObs
 	readSet map[string]uint64 // key -> version TN observed
 	buf     map[string]bufWrite
-	done    bool
 	tn      uint64
-	tr      *trace.Active // nil unless head-sampled
 }
 
 func (e *Engine) beginOptimistic(id uint64) *occTx {
-	t := &occTx{e: e, id: id, readSet: make(map[string]uint64), buf: make(map[string]bufWrite)}
-	if e.traces != nil {
-		t.tr = e.traces.Start(id, obs.ProtoOCC.String())
-	}
-	e.rec.RecordBegin(id, engine.ReadWrite)
-	return t
+	return &occTx{txObs: e.observe(id, protoOCC, 0), readSet: make(map[string]uint64), buf: make(map[string]bufWrite)}
 }
 
 // Get implements engine.Tx: optimistic read of the latest committed
 // version, with no synchronization.
 func (t *occTx) Get(key string) ([]byte, error) {
-	ph := t.e.phases
-	if ph == nil && t.tr == nil {
-		return t.get(key)
-	}
-	ph.PprofEnter(obs.ProtoOCC, obs.PhaseRead)
-	start := time.Now()
-	v, err := t.get(key)
-	d := time.Since(start)
-	ph.Record(obs.ProtoOCC, obs.PhaseRead, t.id, d)
-	ph.PprofExit()
-	t.tr.Span(obs.PhaseRead.String(), start, d)
-	return v, err
-}
-
-func (t *occTx) get(key string) ([]byte, error) {
 	if t.done {
 		return nil, engine.ErrTxDone
 	}
+	sp := t.span(phaseRead)
 	if w, ok := t.buf[key]; ok {
-		if w.tombstone {
-			return nil, engine.ErrNotFound
-		}
-		return w.data, nil
+		t.end(sp)
+		return w.read()
 	}
-	var v storage.Version
-	ok := false
-	if o := t.e.store.Get(key); o != nil {
-		v, ok = o.LatestCommitted()
-	}
-	if !ok {
-		v = storage.Version{TN: 0, Tombstone: true}
-	}
+	v, ok := t.e.latest(key)
 	if prev, seen := t.readSet[key]; seen && prev != v.TN {
 		// The object moved under us between two reads; the transaction
 		// can no longer validate, so fail fast.
-		t.e.stats.AbortsConflict.Inc()
-		t.e.hot.RecordConflict("occ-read", key)
-		t.abortInternal()
-		return nil, engine.ErrConflict
+		t.done = true
+		t.end(sp)
+		return nil, t.abort(causeOCCRead, key)
 	}
-	t.e.hot.TouchRead(key)
 	t.readSet[key] = v.TN
-	t.e.rec.RecordRead(t.id, key, v.TN)
-	if v.Tombstone {
-		return nil, engine.ErrNotFound
-	}
-	return v.Data, nil
+	t.read(key, v.TN)
+	t.end(sp)
+	return result(v, ok)
 }
 
 // Put implements engine.Tx: buffer the write until validation.
 func (t *occTx) Put(key string, value []byte) error {
-	if t.done {
-		return engine.ErrTxDone
-	}
-	t.e.hot.TouchWrite(key)
-	t.buf[key] = bufWrite{data: value}
-	return nil
+	return t.put(key, bufWrite{data: value})
 }
 
 // Delete implements engine.Tx: buffer a tombstone.
 func (t *occTx) Delete(key string) error {
+	return t.put(key, bufWrite{tombstone: true})
+}
+
+func (t *occTx) put(key string, w bufWrite) error {
 	if t.done {
 		return engine.ErrTxDone
 	}
-	t.e.hot.TouchWrite(key)
-	t.buf[key] = bufWrite{tombstone: true}
+	t.write(key)
+	t.buf[key] = w
 	return nil
 }
 
@@ -119,18 +77,12 @@ func (t *occTx) Commit() error {
 		return engine.ErrTxDone
 	}
 	t.done = true
-
 	e := t.e
-	ph := e.phases
 	// The validate span covers entering the critical section (waiting
 	// out other validators), the read-set check, and registration — the
 	// serial-order-fixing stretch that Larson et al. identify as OCC's
 	// throughput ceiling.
-	var tVal time.Time
-	if ph != nil || t.tr != nil {
-		ph.PprofEnter(obs.ProtoOCC, obs.PhaseValidate)
-		tVal = time.Now()
-	}
+	sp := t.span(phaseValidate)
 	e.valMu.Lock()
 	for key, seenTN := range t.readSet {
 		cur := uint64(0)
@@ -139,88 +91,25 @@ func (t *occTx) Commit() error {
 		}
 		if cur != seenTN {
 			e.valMu.Unlock()
-			if ph != nil || t.tr != nil {
-				d := time.Since(tVal)
-				ph.Record(obs.ProtoOCC, obs.PhaseValidate, t.id, d)
-				ph.PprofExit()
-				t.tr.Span(obs.PhaseValidate.String(), tVal, d)
-			}
-			e.hot.RecordConflict("occ-validate", key)
-			e.stats.AbortsConflict.Inc()
-			e.rec.RecordAbort(t.id)
-			t.tr.FinishAbort()
-			return engine.ErrConflict
+			t.end(sp)
+			return t.abort(causeOCCValidate, key)
 		}
 	}
 	entry := e.vc.Register()
 	t.tn = entry.TN()
-	t.tr.CommitTN(t.tn)
-	if ph != nil || t.tr != nil {
-		d := time.Since(tVal)
-		ph.Record(obs.ProtoOCC, obs.PhaseValidate, t.id, d)
-		ph.PprofExit()
-		t.tr.Span(obs.PhaseValidate.String(), tVal, d)
-	}
-	if err := e.appendWAL(obs.ProtoOCC, t.id, t.tn, t.buf, t.tr); err != nil {
-		e.vc.Discard(entry)
-		e.valMu.Unlock()
-		e.rec.RecordAbort(t.id)
-		t.tr.FinishAbort()
-		return fmt.Errorf("core: commit log: %w", err)
-	}
-	var tIns time.Time
-	if ph != nil || t.tr != nil {
-		ph.PprofEnter(obs.ProtoOCC, obs.PhaseInstall)
-		tIns = time.Now()
-	}
-	for key, w := range t.buf {
-		o := e.store.GetOrCreate(key)
-		o.InstallCommitted(storage.Version{TN: t.tn, Data: w.data, Tombstone: w.tombstone})
-		e.rec.RecordWrite(t.id, key, t.tn)
-	}
-	if ph != nil || t.tr != nil {
-		d := time.Since(tIns)
-		ph.Record(obs.ProtoOCC, obs.PhaseInstall, t.id, d)
-		ph.PprofExit()
-		t.tr.Span(obs.PhaseInstall.String(), tIns, d)
-	}
-	e.valMu.Unlock()
-
-	e.rec.RecordCommit(t.id, t.tn)
-	e.complete(entry, t.tr)
-	e.stats.CommitsRW.Inc()
-	return nil
+	t.registered(t.tn)
+	t.end(sp)
+	return e.commitTail(&t.txObs, entry, t.buf) // leaves the critical section
 }
 
 // Abort implements engine.Tx. An optimistic transaction holds nothing, so
 // abort is pure bookkeeping.
 func (t *occTx) Abort() {
-	if t.done {
-		return
+	if !t.done {
+		t.done = true
+		t.abort(causeUser, "")
 	}
-	t.e.stats.AbortsUser.Inc()
-	t.abortInternal()
 }
-
-func (t *occTx) abortInternal() {
-	if t.done {
-		return
-	}
-	t.done = true
-	t.e.rec.RecordAbort(t.id)
-	t.tr.FinishAbort()
-}
-
-// ID implements engine.Tx.
-func (t *occTx) ID() uint64 { return t.id }
-
-// Class implements engine.Tx.
-func (t *occTx) Class() engine.Class { return engine.ReadWrite }
 
 // SN implements engine.Tx: assigned at validation.
-func (t *occTx) SN() (uint64, bool) {
-	if t.tn != 0 {
-		return t.tn, true
-	}
-	return 0, false
-}
+func (t *occTx) SN() (uint64, bool) { return t.tn, t.tn != 0 }

@@ -1,12 +1,8 @@
 package core
 
 import (
-	"time"
-
 	"mvdb/internal/engine"
-	"mvdb/internal/obs"
 	"mvdb/internal/storage"
-	"mvdb/internal/trace"
 )
 
 // roTx is a read-only transaction (paper Figure 2). It is shared by all
@@ -15,18 +11,12 @@ import (
 // interacts with the concurrency control component, never blocks, and
 // never aborts.
 type roTx struct {
-	e       *Engine
-	id      uint64
-	sn      uint64
-	token   uint64 // roRegistry token (0 = untracked)
-	done    bool
-	tracked bool
-	tr      *trace.Active // nil unless head-sampled
+	txObs
+	sn uint64
 }
 
 func (e *Engine) beginReadOnly(id, pinSN uint64) *roTx {
-	e.stats.BeginsRO.Inc()
-	var sn uint64
+	sn := pinSN
 	if pinSN > 0 {
 		// Pinned snapshot (BeginReadOnlyAt): read exactly at position
 		// pinSN — time travel into history, or read-your-writes when
@@ -34,20 +24,13 @@ func (e *Engine) beginReadOnly(id, pinSN uint64) *roTx {
 		// already ran in BeginReadOnlyAt; re-check to keep the guarantee
 		// local rather than racy.
 		e.vc.WaitVisible(pinSN)
-		sn = pinSN
 	} else {
 		sn = e.vc.Start()
 	}
-	t := &roTx{e: e, id: id, sn: sn}
-	if e.traces != nil {
-		t.tr = e.traces.Start(id, obs.ProtoRO.String())
-	}
+	t := &roTx{txObs: e.observe(id, protoRO, sn), sn: sn}
 	if e.opts.TrackReadOnly {
-		t.token = e.roActive.add(sn)
-		t.tracked = true
+		e.roActive.add(id, sn)
 	}
-	e.rec.RecordBegin(id, engine.ReadOnly)
-	engine.RecordSnapshot(e.rec, id, sn)
 	return t
 }
 
@@ -55,44 +38,22 @@ func (e *Engine) beginReadOnly(id, pinSN uint64) *roTx {
 // Every version at or below sn is committed (Transaction Visibility
 // Property), so the read requires no synchronization whatsoever. The
 // phase timer's RO read row exists to prove exactly that: its samples
-// should sit at memory-access latency regardless of write load.
+// should sit at memory-access latency regardless of write load. A key
+// that is absent, or was created after our snapshot, reads as the
+// bootstrap state so the checker can order us before the creator.
 func (t *roTx) Get(key string) ([]byte, error) {
-	ph := t.e.phases
-	if ph == nil && t.tr == nil {
-		return t.get(key)
-	}
-	ph.PprofEnter(obs.ProtoRO, obs.PhaseRead)
-	start := time.Now()
-	v, err := t.get(key)
-	d := time.Since(start)
-	ph.Record(obs.ProtoRO, obs.PhaseRead, t.id, d)
-	ph.PprofExit()
-	t.tr.Span(obs.PhaseRead.String(), start, d)
-	return v, err
-}
-
-func (t *roTx) get(key string) ([]byte, error) {
 	if t.done {
 		return nil, engine.ErrTxDone
 	}
-	o := t.e.store.Get(key)
-	if o == nil {
-		return nil, engine.ErrNotFound
+	sp := t.span(phaseRead)
+	var v storage.Version
+	ok := false
+	if o := t.e.store.Get(key); o != nil {
+		v, ok = o.ReadVisible(t.sn)
 	}
-	v, ok := o.ReadVisible(t.sn)
-	if !ok {
-		// The key exists but was created after our snapshot: record a
-		// read of the bootstrap state so the checker can order us before
-		// the creator.
-		t.e.rec.RecordRead(t.id, key, 0)
-		return nil, engine.ErrNotFound
-	}
-	t.e.hot.TouchRead(key)
-	t.e.rec.RecordRead(t.id, key, v.TN)
-	if v.Tombstone {
-		return nil, engine.ErrNotFound
-	}
-	return v.Data, nil
+	t.read(key, v.TN)
+	t.end(sp)
+	return result(v, ok)
 }
 
 // Put implements engine.Tx; read-only transactions cannot write.
@@ -118,38 +79,25 @@ func (t *roTx) Commit() error {
 		return engine.ErrTxDone
 	}
 	t.finish()
-	t.e.rec.RecordCommit(t.id, t.sn)
-	t.e.stats.CommitsRO.Inc()
-	// No visibility callback will ever name a read-only transaction
-	// (it registers nothing), so its trace finalizes here.
-	t.tr.FinishCommit()
+	t.committed(t.sn)
 	return nil
 }
 
 // Abort implements engine.Tx. Aborting a read-only transaction is
 // indistinguishable from committing it, except for bookkeeping.
 func (t *roTx) Abort() {
-	if t.done {
-		return
+	if !t.done {
+		t.finish()
+		t.abort(causeUser, "")
 	}
-	t.finish()
-	t.e.rec.RecordAbort(t.id)
-	t.e.stats.AbortsUser.Inc()
-	t.tr.FinishAbort()
 }
 
 func (t *roTx) finish() {
 	t.done = true
-	if t.tracked {
-		t.e.roActive.remove(t.token)
+	if t.e.opts.TrackReadOnly {
+		t.e.roActive.remove(t.id)
 	}
 }
-
-// ID implements engine.Tx.
-func (t *roTx) ID() uint64 { return t.id }
-
-// Class implements engine.Tx.
-func (t *roTx) Class() engine.Class { return engine.ReadOnly }
 
 // SN implements engine.Tx.
 func (t *roTx) SN() (uint64, bool) { return t.sn, true }
@@ -168,7 +116,7 @@ func (t *roTx) Scan(prefix string, fn func(key string, value []byte) bool) error
 		if !ok {
 			return true
 		}
-		t.e.rec.RecordRead(t.id, key, v.TN)
+		t.read(key, v.TN)
 		if v.Tombstone {
 			return true
 		}

@@ -1,0 +1,323 @@
+package core
+
+import (
+	"errors"
+	"path/filepath"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"mvdb/internal/engine"
+	"mvdb/internal/faultfs"
+	"mvdb/internal/hotspot"
+	"mvdb/internal/lock"
+	"mvdb/internal/obs"
+	"mvdb/internal/trace"
+	"mvdb/internal/wal"
+)
+
+// countingRecorder is the Options.Recorder sink of the agreement test.
+type countingRecorder struct {
+	mu                             sync.Mutex
+	begins, reads, commits, aborts int64
+}
+
+func (r *countingRecorder) add(n *int64) { r.mu.Lock(); *n++; r.mu.Unlock() }
+
+func (r *countingRecorder) RecordBegin(uint64, engine.Class)   { r.add(&r.begins) }
+func (r *countingRecorder) RecordRead(uint64, string, uint64)  { r.add(&r.reads) }
+func (r *countingRecorder) RecordWrite(uint64, string, uint64) {}
+func (r *countingRecorder) RecordCommit(uint64, uint64)        { r.add(&r.commits) }
+func (r *countingRecorder) RecordAbort(uint64)                 { r.add(&r.aborts) }
+
+// sinkScript drives one engine through a known number of commits and of
+// aborts per cause. Every conflict scenario below is forced by the order
+// of calls, never by timing: where a second goroutine is needed (a lock
+// request that must block), the script waits on the lock manager's own
+// counter before its next step.
+type sinkScript struct {
+	t *testing.T
+	e *Engine
+
+	commitsRW, commitsRO, abortsRO int64
+	reads                          int64
+	aborts                         map[string]int64 // by Stats cause
+	pairs                          map[string]int64 // by profiler label
+}
+
+func (s *sinkScript) begin(class engine.Class) engine.Tx {
+	s.t.Helper()
+	tx, err := s.e.Begin(class)
+	if err != nil {
+		s.t.Fatal(err)
+	}
+	return tx
+}
+
+func (s *sinkScript) must(err error) {
+	s.t.Helper()
+	if err != nil {
+		s.t.Fatal(err)
+	}
+}
+
+// get reads a key that exists or not; either way one read is recorded.
+func (s *sinkScript) get(tx engine.Tx, key string) {
+	s.t.Helper()
+	if _, err := tx.Get(key); err != nil && !errors.Is(err, engine.ErrNotFound) {
+		s.t.Fatal(err)
+	}
+	s.reads++
+}
+
+func (s *sinkScript) commit(tx engine.Tx) {
+	s.t.Helper()
+	s.must(tx.Commit())
+	s.commitsRW++
+}
+
+// aborted checks that err is the engine error of an abort the script
+// provoked, and books it under its Stats cause and profiler label.
+func (s *sinkScript) aborted(err, want error, cause, label string) {
+	s.t.Helper()
+	if !errors.Is(err, want) {
+		s.t.Fatalf("%s abort: err = %v, want %v", cause, err, want)
+	}
+	s.aborts[cause]++
+	if label != "" {
+		s.pairs[label]++
+	}
+}
+
+// blockedPut runs tx.Put(key) on a second goroutine and returns once
+// the lock manager's counter (Waits or Wounds) shows the request has
+// reached the state the script needs. join waits for the Put to return.
+func (s *sinkScript) blockedPut(tx engine.Tx, key string, counter func() uint64) (join func()) {
+	before := counter()
+	done := make(chan error, 1)
+	go func() { done <- tx.Put(key, []byte("v")) }()
+	for deadline := time.Now().Add(5 * time.Second); counter() == before; {
+		if time.Now().After(deadline) {
+			s.t.Fatal("lock request never blocked")
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	return func() { s.t.Helper(); s.must(<-done) }
+}
+
+// common is the part of the script every read-write protocol runs.
+func (s *sinkScript) common() {
+	for i := 0; i < 3; i++ {
+		tx := s.begin(engine.ReadWrite)
+		s.get(tx, "a")
+		s.must(tx.Put("a", []byte{byte(i)}))
+		s.must(tx.Put("b", []byte{byte(i)}))
+		s.commit(tx)
+	}
+	for i := 0; i < 2; i++ {
+		tx := s.begin(engine.ReadWrite)
+		s.must(tx.Put("u", []byte("v")))
+		tx.Abort()
+		s.aborts["user"]++
+	}
+}
+
+// logFailures commits twice over the now-failing fsync.
+func (s *sinkScript) logFailures() {
+	for i := 0; i < 2; i++ {
+		tx := s.begin(engine.ReadWrite)
+		s.must(tx.Put("z", []byte("v")))
+		err := tx.Commit()
+		if !strings.Contains(err.Error(), "core: commit log") {
+			s.t.Fatalf("commit over failed fsync: err = %v", err)
+		}
+		s.aborted(err, faultfs.ErrInjected, "log", "")
+	}
+}
+
+var sinkCases = []struct {
+	name      string
+	protocol  Protocol
+	policy    lock.Policy
+	commitsRW int // fsyncs the script will make before the log fails
+	conflicts func(s *sinkScript)
+}{
+	{"2pl/detect", TwoPhaseLocking, lock.Detect, 4, func(s *sinkScript) {
+		t1, t2 := s.begin(engine.ReadWrite), s.begin(engine.ReadWrite)
+		s.must(t1.Put("x", []byte("1")))
+		s.must(t2.Put("y", []byte("2")))
+		join := s.blockedPut(t1, "y", s.e.locks.Waits)
+		s.aborted(t2.Put("x", []byte("2")), engine.ErrDeadlock, "deadlock", "deadlock") // closes the cycle
+		join()
+		s.commit(t1)
+	}},
+	{"2pl/wound-wait", TwoPhaseLocking, lock.WoundWait, 5, func(s *sinkScript) {
+		// The victim notices at its next lock request ...
+		old, young := s.begin(engine.ReadWrite), s.begin(engine.ReadWrite)
+		s.must(young.Put("x", []byte("2")))
+		join := s.blockedPut(old, "x", s.e.locks.Wounds)
+		_, err := young.Get("q")
+		s.aborted(err, engine.ErrWounded, "wounded", "wounded")
+		join()
+		s.commit(old)
+		// ... or, having none left to make, at commit.
+		old, young = s.begin(engine.ReadWrite), s.begin(engine.ReadWrite)
+		s.must(young.Put("x", []byte("2")))
+		join = s.blockedPut(old, "x", s.e.locks.Wounds)
+		s.aborted(young.Commit(), engine.ErrWounded, "wounded", "wounded")
+		join()
+		s.commit(old)
+	}},
+	{"2pl/timeout", TwoPhaseLocking, lock.TimeoutPolicy, 4, func(s *sinkScript) {
+		t1, t2 := s.begin(engine.ReadWrite), s.begin(engine.ReadWrite)
+		s.must(t1.Put("x", []byte("1")))
+		s.aborted(t2.Put("x", []byte("2")), engine.ErrDeadlock, "timeout", "timeout")
+		s.commit(t1)
+	}},
+	{"to", TimestampOrdering, lock.Detect, 5, func(s *sinkScript) {
+		for i := 0; i < 2; i++ {
+			old, young := s.begin(engine.ReadWrite), s.begin(engine.ReadWrite)
+			s.get(young, "a") // raises r-ts(a) past old
+			s.aborted(old.Put("a", []byte("late")), engine.ErrConflict, "conflict", "to-write")
+			s.commit(young)
+		}
+	}},
+	{"occ", Optimistic, lock.Detect, 5, func(s *sinkScript) {
+		overwrite := func() {
+			tx := s.begin(engine.ReadWrite)
+			s.must(tx.Put("a", []byte("moved")))
+			s.commit(tx)
+		}
+		t1 := s.begin(engine.ReadWrite)
+		s.get(t1, "a")
+		overwrite()
+		s.must(t1.Put("b", []byte("stale")))
+		s.aborted(t1.Commit(), engine.ErrConflict, "conflict", "occ-validate")
+		t1 = s.begin(engine.ReadWrite)
+		s.get(t1, "a")
+		overwrite()
+		_, err := t1.Get("a")
+		s.aborted(err, engine.ErrConflict, "conflict", "occ-read")
+	}},
+	{"ro", TwoPhaseLocking, lock.Detect, 3, func(s *sinkScript) {
+		for i := 0; i < 4; i++ {
+			tx := s.begin(engine.ReadOnly)
+			s.get(tx, "a")
+			s.get(tx, "never-written")
+			s.must(tx.Commit())
+			s.commitsRO++
+		}
+		for i := 0; i < 2; i++ {
+			tx := s.begin(engine.ReadOnly)
+			s.get(tx, "b")
+			tx.Abort()
+			s.aborts["user"]++
+			s.abortsRO++
+		}
+	}},
+}
+
+// TestSinkAgreement runs, per protocol, a script with a known number of
+// commits and of aborts per cause against an engine with every sink on
+// — Recorder, the event ring, phase timing, tracing at sample rate 1,
+// the profiler — over a log whose fsync fails (sticky) after the
+// script's last good commit, and requires all of them to report the
+// script's numbers.
+func TestSinkAgreement(t *testing.T) {
+	for _, c := range sinkCases {
+		t.Run(c.name, func(t *testing.T) {
+			// Sync #1 on the log is OpenDurable's; each good commit is one.
+			fs := faultfs.New(faultfs.Plan{Rules: []faultfs.Rule{{
+				Op: faultfs.OpSync, Path: "commit.log", Nth: c.commitsRW + 2,
+				Fault: faultfs.Fault{Err: true, Sticky: true},
+			}}})
+			rec := &countingRecorder{}
+			ring := obs.NewTracer(1 << 12)
+			spans := trace.New(trace.Options{Sample: 1, Recent: 1 << 10, Promoted: 1 << 10})
+			prof := hotspot.New(hotspot.Options{SampleEvery: 1})
+			e, log, err := OpenDurable(filepath.Join(t.TempDir(), "commit.log"), Options{
+				Protocol: c.protocol, LockPolicy: c.policy, LockTimeout: 5 * time.Millisecond,
+				Recorder: rec, Trace: ring, PhaseTiming: true, Traces: spans, Hotspot: prof,
+			}, DurableOptions{FS: fs, WAL: wal.Options{Policy: wal.SyncEveryCommit}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer log.Close()
+			defer e.Close()
+
+			s := &sinkScript{t: t, e: e, aborts: map[string]int64{}, pairs: map[string]int64{}}
+			s.common()
+			c.conflicts(s)
+			if s.commitsRW != int64(c.commitsRW) {
+				t.Fatalf("script made %d read-write commits, case declares %d", s.commitsRW, c.commitsRW)
+			}
+			s.logFailures()
+
+			var abortsTotal int64
+			for _, n := range s.aborts {
+				abortsTotal += n
+			}
+			commits := s.commitsRW + s.commitsRO
+			eq := func(what string, got, want int64) {
+				t.Helper()
+				if got != want {
+					t.Errorf("%s = %d, want %d", what, got, want)
+				}
+			}
+
+			sn := e.Snapshot()
+			eq("Stats.CommitsRW", sn.CommitsRW, s.commitsRW)
+			eq("Stats.CommitsRO", sn.CommitsRO, s.commitsRO)
+			eq("Stats.AbortsConflict", sn.AbortsConflict, s.aborts["conflict"])
+			eq("Stats.AbortsDeadlock", sn.AbortsDeadlock, s.aborts["deadlock"])
+			eq("Stats.AbortsWounded", sn.AbortsWounded, s.aborts["wounded"])
+			eq("Stats.AbortsTimeout", sn.AbortsTimeout, s.aborts["timeout"])
+			eq("Stats.AbortsUser", sn.AbortsUser, s.aborts["user"])
+			eq("Stats.AbortsLog", sn.AbortsLog, s.aborts["log"])
+			eq("Stats.AbortsTotal", sn.AbortsTotal(), abortsTotal)
+			eq("Stats.BeginsRW", sn.BeginsRW, s.commitsRW+abortsTotal-s.abortsRO)
+			eq("Stats.BeginsRO", sn.BeginsRO, s.commitsRO+s.abortsRO)
+
+			eq("recorder begins", rec.begins, commits+abortsTotal)
+			eq("recorder commits", rec.commits, commits)
+			eq("recorder aborts", rec.aborts, abortsTotal)
+			eq("recorder reads", rec.reads, s.reads)
+
+			seen := map[obs.EventType]int64{}
+			for _, ev := range ring.Dump() {
+				seen[ev.Type]++
+			}
+			eq("ring commits", seen[obs.EvCommit], commits)
+			eq("ring aborts", seen[obs.EvAbort], abortsTotal)
+
+			var installs int64
+			for _, ps := range sn.Phases {
+				if ps.Phase == obs.PhaseInstall.String() {
+					installs += int64(ps.Durations.Count)
+				}
+			}
+			eq("install phase samples", installs, s.commitsRW)
+
+			outcomes := map[string]int64{}
+			for _, tr := range append(spans.Recent(), spans.Promoted()...) {
+				outcomes[tr.Outcome]++
+			}
+			eq("traces finished", int64(spans.Stats().Finished), commits+abortsTotal)
+			eq("traces committed", outcomes["commit"], commits)
+			eq("traces aborted", outcomes["abort"], abortsTotal)
+
+			got := map[string]int64{}
+			for _, p := range sn.Hotspot.Conflicts {
+				got[p.Cause] += int64(p.Count)
+			}
+			for label, want := range s.pairs {
+				eq("conflict pairs "+label, got[label], want)
+				delete(got, label)
+			}
+			for label, n := range got {
+				t.Errorf("conflict pairs %s = %d, want none", label, n)
+			}
+		})
+	}
+}

@@ -2,13 +2,9 @@ package core
 
 import (
 	"errors"
-	"fmt"
-	"time"
 
 	"mvdb/internal/engine"
-	"mvdb/internal/obs"
 	"mvdb/internal/storage"
-	"mvdb/internal/trace"
 	"mvdb/internal/vc"
 )
 
@@ -21,112 +17,81 @@ import (
 // (abort + VCdiscard), and otherwise install a pending version that
 // becomes committed at end(T), followed by VCcomplete.
 type tsoTx struct {
-	e       *Engine
-	id      uint64
-	entry   vc.Handle
-	tn      uint64
-	pending map[string]struct{} // keys holding our pending write
-	writes  map[string]bufWrite // retained write set (commit log)
-	done    bool
-	tr      *trace.Active // nil unless head-sampled
+	txObs
+	entry  vc.Handle
+	tn     uint64
+	writes map[string]bufWrite // what our pending versions hold (commit log)
 }
 
 func (e *Engine) beginTimestamp(id uint64) *tsoTx {
 	entry := e.vc.Register()
-	t := &tsoTx{
-		e:       e,
-		id:      id,
-		entry:   entry,
-		tn:      entry.TN(),
-		pending: make(map[string]struct{}),
-		writes:  make(map[string]bufWrite),
-	}
-	if e.traces != nil {
-		// The serial order is fixed at begin, so the TN index is too.
-		t.tr = e.traces.Start(id, obs.ProtoTO.String())
-		t.tr.CommitTN(t.tn)
-	}
-	e.rec.RecordBegin(id, engine.ReadWrite)
+	t := &tsoTx{txObs: e.observe(id, protoTO, 0), entry: entry, tn: entry.TN(), writes: make(map[string]bufWrite)}
+	t.registered(t.tn) // the serial order is fixed at begin
 	return t
 }
 
 // Get implements engine.Tx per Figure 3's read action: raise r-ts(x),
 // then return the version with the largest number <= sn(T), possibly
-// delayed by pending writes of older transactions. With phase timing
-// on the whole read — including the object rule's wait inside TORead —
-// is attributed to the T/O read phase.
+// delayed by pending writes of older transactions. The read span covers
+// the object rule's wait inside TORead. Reading back our own pending
+// write is not a read of the database.
 func (t *tsoTx) Get(key string) ([]byte, error) {
-	ph := t.e.phases
-	if ph == nil && t.tr == nil {
-		return t.get(key)
-	}
-	ph.PprofEnter(obs.ProtoTO, obs.PhaseRead)
-	start := time.Now()
-	v, err := t.get(key)
-	d := time.Since(start)
-	ph.Record(obs.ProtoTO, obs.PhaseRead, t.id, d)
-	ph.PprofExit()
-	t.tr.Span(obs.PhaseRead.String(), start, d)
-	return v, err
-}
-
-func (t *tsoTx) get(key string) ([]byte, error) {
 	if t.done {
 		return nil, engine.ErrTxDone
 	}
-	o := t.e.store.Get(key)
-	if o == nil {
-		t.e.rec.RecordRead(t.id, key, 0)
-		return nil, engine.ErrNotFound
+	sp := t.span(phaseRead)
+	var v storage.Version
+	ok := false
+	if o := t.e.store.Get(key); o != nil {
+		v, ok = o.TORead(t.tn)
 	}
-	v, ok := o.TORead(t.tn)
-	if !ok {
-		t.e.rec.RecordRead(t.id, key, 0)
-		return nil, engine.ErrNotFound
+	if v.TN != t.tn {
+		t.read(key, v.TN)
 	}
-	t.e.hot.TouchRead(key)
-	if _, own := t.pending[key]; !(own && v.TN == t.tn) {
-		t.e.rec.RecordRead(t.id, key, v.TN)
-	}
-	if v.Tombstone {
-		return nil, engine.ErrNotFound
-	}
-	return v.Data, nil
+	t.end(sp)
+	return result(v, ok)
 }
 
 // Put implements engine.Tx per Figure 3's write action: abort if a
 // younger transaction already read or overwrote the object, otherwise
 // create a pending version numbered tn(T).
 func (t *tsoTx) Put(key string, value []byte) error {
-	return t.write(key, value, false)
+	return t.put(key, bufWrite{data: value})
 }
 
 // Delete implements engine.Tx (a tombstone write).
 func (t *tsoTx) Delete(key string) error {
-	return t.write(key, nil, true)
+	return t.put(key, bufWrite{tombstone: true})
 }
 
-func (t *tsoTx) write(key string, value []byte, tombstone bool) error {
+func (t *tsoTx) put(key string, w bufWrite) error {
 	if t.done {
 		return engine.ErrTxDone
 	}
-	o := t.e.store.GetOrCreate(key)
-	if err := o.TOWrite(t.tn, value, tombstone); err != nil {
-		t.e.hot.RecordConflict("to-write", key)
-		t.e.stats.AbortsConflict.Inc()
+	if err := t.e.store.GetOrCreate(key).TOWrite(t.tn, w.data, w.tombstone); err != nil {
+		cause := causeTOWrite
 		if errors.Is(err, storage.ErrConflictRO) {
-			// Structurally unreachable in this engine: read-only
-			// transactions never raise r-ts here. Counted anyway so the
-			// claim is measured, not assumed (experiment E2).
-			t.e.stats.RWAbortsByRO.Inc()
+			cause = causeTOWriteByRO
 		}
-		t.abortInternal()
-		return engine.ErrConflict
+		t.rollback()
+		return t.abort(cause, key)
 	}
-	t.e.hot.TouchWrite(key)
-	t.pending[key] = struct{}{}
-	t.writes[key] = bufWrite{data: value, tombstone: tombstone}
+	t.write(key)
+	t.writes[key] = w
 	return nil
+}
+
+// destroyPending withdraws the pending versions numbered tn.
+func (e *Engine) destroyPending(tn uint64, writes map[string]bufWrite) {
+	for key := range writes {
+		e.store.GetOrCreate(key).ResolvePending(tn, false)
+	}
+}
+
+func (t *tsoTx) rollback() {
+	t.done = true
+	t.e.destroyPending(t.tn, t.writes)
+	t.e.vc.Discard(t.entry)
 }
 
 // Commit implements engine.Tx: perform the database updates (promote
@@ -135,60 +100,17 @@ func (t *tsoTx) Commit() error {
 	if t.done {
 		return engine.ErrTxDone
 	}
-	if err := t.e.appendWAL(obs.ProtoTO, t.id, t.tn, t.writes, t.tr); err != nil {
-		t.abortInternal()
-		return fmt.Errorf("core: commit log: %w", err)
-	}
 	t.done = true
-	ph := t.e.phases
-	var tIns time.Time
-	if ph != nil || t.tr != nil {
-		ph.PprofEnter(obs.ProtoTO, obs.PhaseInstall)
-		tIns = time.Now()
-	}
-	for key := range t.pending {
-		t.e.store.GetOrCreate(key).ResolvePending(t.tn, true)
-		t.e.rec.RecordWrite(t.id, key, t.tn)
-	}
-	if ph != nil || t.tr != nil {
-		d := time.Since(tIns)
-		ph.Record(obs.ProtoTO, obs.PhaseInstall, t.id, d)
-		ph.PprofExit()
-		t.tr.Span(obs.PhaseInstall.String(), tIns, d)
-	}
-	t.e.rec.RecordCommit(t.id, t.tn)
-	t.e.complete(t.entry, t.tr)
-	t.e.stats.CommitsRW.Inc()
-	return nil
+	return t.e.commitTail(&t.txObs, t.entry, t.writes)
 }
 
 // Abort implements engine.Tx: destroy pending versions and VCdiscard.
 func (t *tsoTx) Abort() {
-	if t.done {
-		return
+	if !t.done {
+		t.rollback()
+		t.abort(causeUser, "")
 	}
-	t.e.stats.AbortsUser.Inc()
-	t.abortInternal()
 }
-
-func (t *tsoTx) abortInternal() {
-	if t.done {
-		return
-	}
-	t.done = true
-	for key := range t.pending {
-		t.e.store.GetOrCreate(key).ResolvePending(t.tn, false)
-	}
-	t.e.vc.Discard(t.entry)
-	t.e.rec.RecordAbort(t.id)
-	t.tr.FinishAbort()
-}
-
-// ID implements engine.Tx.
-func (t *tsoTx) ID() uint64 { return t.id }
-
-// Class implements engine.Tx.
-func (t *tsoTx) Class() engine.Class { return engine.ReadWrite }
 
 // SN implements engine.Tx: sn(T) = tn(T) under timestamp ordering.
 func (t *tsoTx) SN() (uint64, bool) { return t.tn, true }

@@ -2,14 +2,9 @@ package core
 
 import (
 	"errors"
-	"fmt"
-	"time"
 
 	"mvdb/internal/engine"
 	"mvdb/internal/lock"
-	"mvdb/internal/obs"
-	"mvdb/internal/storage"
-	"mvdb/internal/trace"
 	"mvdb/internal/vc"
 )
 
@@ -27,147 +22,95 @@ import (
 // therefore only ever sees transactions that can no longer block, which is
 // why (Section 4.4) it is immune to deadlocks.
 type twoPhaseTx struct {
-	e     *Engine
-	id    uint64
+	txObs
 	entry vc.Handle // ablation A1 only: registered at begin
 	buf   map[string]bufWrite
-	done  bool
-	tn    uint64        // assigned at commit
-	tr    *trace.Active // nil unless this transaction was head-sampled
-	// lockedAt is the wall-clock instant of the first lock acquisition;
-	// zero unless the hotspot profiler is on. The release paths charge
-	// the full first-lock→release span to every held key's stripe as
-	// hold time — the 2PL growing+shrinking window the heatmap wants.
-	lockedAt time.Time
-}
-
-type bufWrite struct {
-	data      []byte
-	tombstone bool
+	tn    uint64 // assigned at commit
 }
 
 func (e *Engine) beginTwoPhase(id uint64) *twoPhaseTx {
 	e.locks.Begin(id, e.ages.Add(1))
-	t := &twoPhaseTx{e: e, id: id, buf: make(map[string]bufWrite)}
-	if e.traces != nil {
-		t.tr = e.traces.Start(id, obs.Proto2PL.String())
-	}
+	t := &twoPhaseTx{txObs: e.observe(id, proto2PL, 0), buf: make(map[string]bufWrite)}
 	if e.opts.UnsafeEarlyRegister2PL {
 		t.entry = e.vc.Register() // A1: serial order NOT yet fixed — wrong on purpose
 	}
-	e.rec.RecordBegin(id, engine.ReadWrite)
 	return t
 }
 
 // Get implements engine.Tx: r-lock(x), then read the latest version
-// (sn(T) = infinity in Figure 4).
+// (sn(T) = infinity in Figure 4). For an absent key the shared lock still
+// guards against a concurrent creator.
 func (t *twoPhaseTx) Get(key string) ([]byte, error) {
 	if t.done {
 		return nil, engine.ErrTxDone
 	}
 	if w, ok := t.buf[key]; ok {
-		if w.tombstone {
-			return nil, engine.ErrNotFound
-		}
-		return w.data, nil
+		return w.read()
 	}
 	if err := t.acquire(key, lock.Shared); err != nil {
 		return nil, err
 	}
-	t.e.hot.TouchRead(key)
-	o := t.e.store.Get(key)
-	if o == nil {
-		// Absent key: the shared lock still guards against a concurrent
-		// creator, and the read is recorded against the bootstrap state.
-		t.e.rec.RecordRead(t.id, key, 0)
-		return nil, engine.ErrNotFound
-	}
-	v, ok := o.LatestCommitted()
-	if !ok {
-		t.e.rec.RecordRead(t.id, key, 0)
-		return nil, engine.ErrNotFound
-	}
-	t.e.rec.RecordRead(t.id, key, v.TN)
-	if v.Tombstone {
-		return nil, engine.ErrNotFound
-	}
-	return v.Data, nil
+	v, ok := t.e.latest(key)
+	t.read(key, v.TN)
+	return result(v, ok)
 }
 
 // Put implements engine.Tx: w-lock(y), then buffer the write; the version
 // number is assigned at commit ("create y_j with version phi").
 func (t *twoPhaseTx) Put(key string, value []byte) error {
-	if t.done {
-		return engine.ErrTxDone
-	}
-	if err := t.acquire(key, lock.Exclusive); err != nil {
-		return err
-	}
-	t.e.hot.TouchWrite(key)
-	t.buf[key] = bufWrite{data: value}
-	return nil
+	return t.put(key, bufWrite{data: value})
 }
 
 // Delete implements engine.Tx: an exclusive lock plus a buffered
 // tombstone.
 func (t *twoPhaseTx) Delete(key string) error {
+	return t.put(key, bufWrite{tombstone: true})
+}
+
+func (t *twoPhaseTx) put(key string, w bufWrite) error {
 	if t.done {
 		return engine.ErrTxDone
 	}
 	if err := t.acquire(key, lock.Exclusive); err != nil {
 		return err
 	}
-	t.e.hot.TouchWrite(key)
-	t.buf[key] = bufWrite{tombstone: true}
+	t.write(key)
+	t.buf[key] = w
 	return nil
 }
 
-// acquire maps lock-manager failures to engine errors and aborts the
-// transaction on failure (the victim must release everything it holds).
+// acquire takes a lock; a lock-manager failure aborts the transaction
+// (the victim must release everything it holds).
 func (t *twoPhaseTx) acquire(key string, mode lock.Mode) error {
 	err := t.e.locks.Acquire(t.id, key, mode)
 	if err == nil {
-		if t.e.hot != nil && t.lockedAt.IsZero() {
-			t.lockedAt = time.Now()
-		}
+		t.locked()
 		return nil
 	}
-	var mapped error
-	var cause string
+	cause := causeConflict
 	switch {
 	case errors.Is(err, lock.ErrDeadlock):
-		t.e.stats.AbortsDeadlock.Inc()
-		mapped, cause = engine.ErrDeadlock, "deadlock"
+		cause = causeDeadlock
 	case errors.Is(err, lock.ErrWounded):
-		t.e.stats.AbortsWounded.Inc()
-		mapped, cause = engine.ErrWounded, "wounded"
-		t.e.hot.RecordWound(t.e.locks.StripeOf(key))
+		cause = causeWounded
 	case errors.Is(err, lock.ErrTimeout):
-		// Counted as its own cause; still surfaced as ErrDeadlock because
-		// a timeout is the timeout policy's deadlock presumption.
-		t.e.stats.AbortsTimeout.Inc()
-		mapped = fmt.Errorf("%w (lock wait timeout)", engine.ErrDeadlock)
-		cause = "timeout"
-	default:
-		t.e.stats.AbortsConflict.Inc()
-		mapped, cause = engine.ErrConflict, "conflict"
+		cause = causeTimeout
 	}
-	t.e.hot.RecordConflict(cause, key)
-	t.abortInternal()
-	return mapped
+	t.rollback()
+	return t.abort(cause, key)
 }
 
-// recordHolds charges the first-lock→release span as hold time to every
-// buffered write key's stripe (read-lock-only keys are not retained by
-// the transaction and are skipped). Called on both release paths, only
-// when the profiler is on.
-func (t *twoPhaseTx) recordHolds() {
-	if t.e.hot == nil || t.lockedAt.IsZero() {
-		return
-	}
-	held := time.Since(t.lockedAt)
-	for key := range t.buf {
-		t.e.hot.RecordHold(t.e.locks.StripeOf(key), held)
+// clearLocks is Figure 4's "clear locks", on commit and abort alike.
+func (e *Engine) clearLocks(o *txObs, writes map[string]bufWrite) {
+	o.held(writes)
+	e.locks.ReleaseAll(o.id)
+}
+
+func (t *twoPhaseTx) rollback() {
+	t.done = true
+	t.e.clearLocks(&t.txObs, t.buf)
+	if t.entry != nil {
+		t.e.vc.Discard(t.entry)
 	}
 }
 
@@ -179,89 +122,29 @@ func (t *twoPhaseTx) Commit() error {
 		return engine.ErrTxDone
 	}
 	// Under wound-wait a running transaction may have been wounded while
-	// it held locks; it must not commit.
+	// it held locks; it must not commit. No key is at hand to blame.
 	if t.e.locks.Wounded(t.id) {
-		t.e.stats.AbortsWounded.Inc()
-		t.abortInternal()
-		return engine.ErrWounded
+		t.rollback()
+		return t.abort(causeWounded, "")
 	}
 	t.done = true
-
 	entry := t.entry
 	if entry == nil {
 		entry = t.e.vc.Register() // the lock-point has been passed
 	}
 	t.tn = entry.TN()
-	t.tr.CommitTN(t.tn)
-
-	if err := t.e.appendWAL(obs.Proto2PL, t.id, t.tn, t.buf, t.tr); err != nil {
-		t.e.vc.Discard(entry)
-		t.recordHolds()
-		t.e.locks.ReleaseAll(t.id)
-		t.e.rec.RecordAbort(t.id)
-		t.tr.FinishAbort()
-		return fmt.Errorf("core: commit log: %w", err)
-	}
-	ph := t.e.phases
-	var tIns time.Time
-	if ph != nil || t.tr != nil {
-		ph.PprofEnter(obs.Proto2PL, obs.PhaseInstall)
-		tIns = time.Now()
-	}
-	for key, w := range t.buf {
-		o := t.e.store.GetOrCreate(key)
-		o.InstallCommitted(storage.Version{TN: t.tn, Data: w.data, Tombstone: w.tombstone})
-		t.e.rec.RecordWrite(t.id, key, t.tn)
-	}
-	if ph != nil || t.tr != nil {
-		d := time.Since(tIns)
-		ph.Record(obs.Proto2PL, obs.PhaseInstall, t.id, d)
-		ph.PprofExit()
-		t.tr.Span(obs.PhaseInstall.String(), tIns, d)
-	}
-	t.e.rec.RecordCommit(t.id, t.tn)
-
-	t.recordHolds()
-	t.e.locks.ReleaseAll(t.id)
-	t.e.complete(entry, t.tr)
-	t.e.stats.CommitsRW.Inc()
-	return nil
+	t.registered(t.tn)
+	return t.e.commitTail(&t.txObs, entry, t.buf)
 }
 
 // Abort implements engine.Tx.
 func (t *twoPhaseTx) Abort() {
-	if t.done {
-		return
+	if !t.done {
+		t.rollback()
+		t.abort(causeUser, "")
 	}
-	t.e.stats.AbortsUser.Inc()
-	t.abortInternal()
 }
-
-func (t *twoPhaseTx) abortInternal() {
-	if t.done {
-		return
-	}
-	t.done = true
-	t.recordHolds()
-	t.e.locks.ReleaseAll(t.id)
-	if t.entry != nil {
-		t.e.vc.Discard(t.entry)
-	}
-	t.e.rec.RecordAbort(t.id)
-	t.tr.FinishAbort()
-}
-
-// ID implements engine.Tx.
-func (t *twoPhaseTx) ID() uint64 { return t.id }
-
-// Class implements engine.Tx.
-func (t *twoPhaseTx) Class() engine.Class { return engine.ReadWrite }
 
 // SN implements engine.Tx. A 2PL read-write transaction has no snapshot
 // position until it commits ("sn(T) = infinity for uniformity").
-func (t *twoPhaseTx) SN() (uint64, bool) {
-	if t.tn != 0 {
-		return t.tn, true
-	}
-	return 0, false
-}
+func (t *twoPhaseTx) SN() (uint64, bool) { return t.tn, t.tn != 0 }

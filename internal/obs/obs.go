@@ -72,12 +72,14 @@ type Stats struct {
 	// Aborts by cause. Conflict covers timestamp-ordering rejections
 	// and failed optimistic validation; Deadlock, Wounded and Timeout
 	// are the three 2PL deadlock-policy outcomes; User is an explicit
-	// Abort call.
+	// Abort call; Log is a commit whose log record could not be made
+	// durable (any protocol).
 	AbortsConflict Counter
 	AbortsDeadlock Counter
 	AbortsWounded  Counter
 	AbortsTimeout  Counter
 	AbortsUser     Counter
+	AbortsLog      Counter
 
 	// Paper-claim counters: read-write aborts attributable to read-only
 	// transactions, read-only reads that blocked (both structurally
@@ -168,6 +170,7 @@ type Snapshot struct {
 	AbortsWounded  int64 `json:"aborts_wounded"`
 	AbortsTimeout  int64 `json:"aborts_timeout"`
 	AbortsUser     int64 `json:"aborts_user"`
+	AbortsLog      int64 `json:"aborts_log"`
 	RWAbortsByRO   int64 `json:"rw_aborts_by_ro"`
 	ROBlocked      int64 `json:"ro_blocked"`
 	RecencyWaits   int64 `json:"ro_recency_waits"`
@@ -254,8 +257,7 @@ type Snapshot struct {
 
 	// Adaptive is the adaptive controller's state (nil unless the
 	// database runs under AdaptiveCC): protocol switches, health
-	// signals consumed, knob actions taken, current knob values, and
-	// the recommended stripe count for the next boot.
+	// signals consumed, knob actions taken, and current knob values.
 	Adaptive *AdaptiveInfo `json:"adaptive,omitempty"`
 
 	// Process health: liveness basics for dashboards and the future
@@ -267,16 +269,12 @@ type Snapshot struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	GoVersion     string  `json:"go_version,omitempty"`
 	BuildRevision string  `json:"build_revision,omitempty"`
-
-	// Extra carries engine-specific counters with no typed field
-	// (adaptive switches, distributed bus traffic, ...).
-	Extra map[string]int64 `json:"extra,omitempty"`
 }
 
 // AdaptiveInfo is the adaptive engine's typed snapshot section. It is
 // defined here rather than in internal/adaptive because adaptive sits
 // above core, which sits above obs — the data flows down into the
-// snapshot the same way Extra does, but with structure.
+// snapshot.
 type AdaptiveInfo struct {
 	// Protocol is the concurrency control currently in force.
 	Protocol string `json:"protocol"`
@@ -291,11 +289,6 @@ type AdaptiveInfo struct {
 	BatchMaxRecords int   `json:"batch_max_records,omitempty"`
 	BatchMaxDelayNS int64 `json:"batch_max_delay_ns,omitempty"`
 	PublishEvery    int   `json:"publish_every,omitempty"`
-	// RecommendedStripes is the controller's boot-time advice (0 = no
-	// recommendation): the lock-stripe count it would pick given the
-	// observed per-stripe skew. Stripes are recommend-only because the
-	// stripe table is sized at construction — see DESIGN.md §13.
-	RecommendedStripes int `json:"recommended_stripes,omitempty"`
 }
 
 // Snapshot reads the registry. Reads are ordered so that a snapshot
@@ -314,6 +307,7 @@ func (s *Stats) Snapshot() Snapshot {
 	sn.AbortsWounded = s.AbortsWounded.Load()
 	sn.AbortsTimeout = s.AbortsTimeout.Load()
 	sn.AbortsUser = s.AbortsUser.Load()
+	sn.AbortsLog = s.AbortsLog.Load()
 	sn.RWAbortsByRO = s.RWAbortsByRO.Load()
 	sn.ROBlocked = s.ROBlocked.Load()
 	sn.RecencyWaits = s.RecencyWaits.Load()
@@ -338,12 +332,11 @@ func (s *Stats) Snapshot() Snapshot {
 // AbortsTotal sums every abort cause, user aborts included.
 func (sn Snapshot) AbortsTotal() int64 {
 	return sn.AbortsConflict + sn.AbortsDeadlock + sn.AbortsWounded +
-		sn.AbortsTimeout + sn.AbortsUser
+		sn.AbortsTimeout + sn.AbortsUser + sn.AbortsLog
 }
 
 // Map flattens the snapshot into the legacy flat counter vocabulary
-// used by engine.Engine.Stats and the experiment harness, merging Extra
-// last so engine-specific keys win.
+// used by engine.Engine.Stats and the experiment harness.
 func (sn Snapshot) Map() map[string]int64 {
 	m := map[string]int64{
 		"commits.ro":      sn.CommitsRO,
@@ -356,6 +349,7 @@ func (sn Snapshot) Map() map[string]int64 {
 		"aborts.wounded":  sn.AbortsWounded,
 		"aborts.timeout":  sn.AbortsTimeout,
 		"aborts.user":     sn.AbortsUser,
+		"aborts.log":      sn.AbortsLog,
 		"rw.aborts.by_ro": sn.RWAbortsByRO,
 		"ro.blocked":      sn.ROBlocked,
 		"ro.recency_wait": sn.RecencyWaits,
@@ -388,9 +382,6 @@ func (sn Snapshot) Map() map[string]int64 {
 	for _, ps := range sn.Phases {
 		m["phase."+ps.Protocol+"."+ps.Phase+".count"] = int64(ps.Durations.Count)
 		m["phase."+ps.Protocol+"."+ps.Phase+".total_ns"] = ps.Durations.TotalNanoseconds
-	}
-	for k, v := range sn.Extra {
-		m[k] = v
 	}
 	return m
 }

@@ -79,24 +79,24 @@ func TestMapVocabulary(t *testing.T) {
 	s := NewStats()
 	s.CommitsRW.Add(3)
 	s.AbortsTimeout.Inc()
+	s.AbortsLog.Inc()
 	sn := s.Snapshot()
 	sn.TNC = 7
 	sn.VTNC = 6
-	sn.Extra = map[string]int64{"adaptive.switches": 2}
 	m := sn.Map()
 	for k, want := range map[string]int64{
-		"commits.rw":        3,
-		"aborts.timeout":    1,
-		"vc.tnc":            7,
-		"vc.vtnc":           6,
-		"adaptive.switches": 2,
+		"commits.rw":     3,
+		"aborts.timeout": 1,
+		"aborts.log":     1,
+		"vc.tnc":         7,
+		"vc.vtnc":        6,
 	} {
 		if m[k] != want {
 			t.Errorf("Map()[%q] = %d, want %d", k, m[k], want)
 		}
 	}
-	if sn.AbortsTotal() != 1 {
-		t.Errorf("AbortsTotal = %d, want 1", sn.AbortsTotal())
+	if sn.AbortsTotal() != 2 {
+		t.Errorf("AbortsTotal = %d, want 2", sn.AbortsTotal())
 	}
 }
 

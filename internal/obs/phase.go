@@ -19,7 +19,7 @@ import (
 // The layer is off by default. When off, nothing here is allocated and
 // call sites reduce to one nil pointer test — no time.Now, no atomics —
 // which is what keeps the disabled path at the seed's allocation and
-// latency profile (guarded by TestPhaseTimingDisabledZeroOverhead).
+// latency profile (guarded by TestDisabledZeroOverhead).
 // When on, each sample is a lock-free histogram record plus a CAS race
 // for the slowest-sample exemplar.
 

@@ -118,6 +118,7 @@ func (sn Snapshot) WriteProm(w io.Writer) error {
 	p.Int("mvdb_aborts_total", sn.AbortsWounded, "cause", "wounded")
 	p.Int("mvdb_aborts_total", sn.AbortsTimeout, "cause", "timeout")
 	p.Int("mvdb_aborts_total", sn.AbortsUser, "cause", "user")
+	p.Int("mvdb_aborts_total", sn.AbortsLog, "cause", "log")
 
 	p.Header("mvdb_rw_aborts_by_ro_total", "counter", "Read-write aborts attributable to read-only transactions (structurally zero under the paper's engines).")
 	p.Int("mvdb_rw_aborts_by_ro_total", sn.RWAbortsByRO)
@@ -301,8 +302,6 @@ func (sn Snapshot) WriteProm(w io.Writer) error {
 		p.Value("mvdb_adaptive_batch_max_delay_seconds", float64(a.BatchMaxDelayNS)/1e9)
 		p.Header("mvdb_adaptive_publish_every", "gauge", "Current epoch publish-coalescing factor (0 when the epoch knob is not wired).")
 		p.Int("mvdb_adaptive_publish_every", int64(a.PublishEvery))
-		p.Header("mvdb_adaptive_recommended_stripes", "gauge", "Lock-stripe count the controller recommends for the next boot (0 = no recommendation).")
-		p.Int("mvdb_adaptive_recommended_stripes", int64(a.RecommendedStripes))
 	}
 
 	p.Header("mvdb_build_info", "gauge", "Process build identity (constant 1; identity in labels).")
@@ -314,24 +313,5 @@ func (sn Snapshot) WriteProm(w io.Writer) error {
 	p.Header("mvdb_uptime_seconds", "gauge", "Seconds since the stats registry was created (engine open).")
 	p.Value("mvdb_uptime_seconds", sn.UptimeSeconds)
 
-	if len(sn.Extra) > 0 {
-		p.Header("mvdb_extra", "untyped", "Engine-specific counters without a typed field.")
-		for _, k := range sortedKeys(sn.Extra) {
-			p.Int("mvdb_extra", sn.Extra[k], "name", k)
-		}
-	}
 	return p.Err()
-}
-
-func sortedKeys(m map[string]int64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	return keys
 }

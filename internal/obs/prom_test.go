@@ -60,7 +60,6 @@ func TestSnapshotWriteProm(t *testing.T) {
 	sn := s.Snapshot()
 	sn.Protocol = "vc+2pl"
 	sn.TNC, sn.VTNC, sn.VisibilityLag = 10, 8, 1
-	sn.Extra = map[string]int64{"adaptive.switches": 3, `odd"name`: 1}
 
 	var sb strings.Builder
 	if err := sn.WriteProm(&sb); err != nil {
@@ -78,8 +77,6 @@ func TestSnapshotWriteProm(t *testing.T) {
 		"mvdb_visibility_lag 1",
 		`mvdb_lock_wait_seconds{quantile="0.99"}`,
 		"mvdb_lock_wait_seconds_count 1",
-		`mvdb_extra{name="adaptive.switches"} 3`,
-		`mvdb_extra{name="odd\"name"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
@@ -194,6 +191,7 @@ func TestWritePromCompleteness(t *testing.T) {
 		"AbortsWounded":             "mvdb_aborts_total",
 		"AbortsTimeout":             "mvdb_aborts_total",
 		"AbortsUser":                "mvdb_aborts_total",
+		"AbortsLog":                 "mvdb_aborts_total",
 		"RWAbortsByRO":              "mvdb_rw_aborts_by_ro_total",
 		"ROBlocked":                 "mvdb_ro_blocked_total",
 		"RecencyWaits":              "mvdb_ro_recency_waits_total",
@@ -238,7 +236,6 @@ func TestWritePromCompleteness(t *testing.T) {
 		"UptimeSeconds":             "mvdb_uptime_seconds",
 		"GoVersion":                 "mvdb_build_info",
 		"BuildRevision":             "mvdb_build_info",
-		"Extra":                     "mvdb_extra",
 	}
 
 	// Populate the live registry so no conditional family is skipped.
@@ -267,7 +264,7 @@ func TestWritePromCompleteness(t *testing.T) {
 
 	sn := s.Snapshot()
 	// Fill every remaining Snapshot field nonzero so value-gated
-	// families (summaries, phases, extras) all emit.
+	// families (summaries, phases) all emit.
 	nv := reflect.ValueOf(&sn).Elem()
 	for i := 0; i < nv.NumField(); i++ {
 		f := nv.Type().Field(i)
@@ -288,8 +285,6 @@ func TestWritePromCompleteness(t *testing.T) {
 				Durations: metrics.Summary{Count: 1, P50: 1, P99: 1, Max: 1, TotalNanoseconds: 1},
 				SlowestTx: 42,
 			}}))
-		case f.Type == reflect.TypeOf(map[string]int64(nil)):
-			fv.Set(reflect.ValueOf(map[string]int64{"adaptive.switches": 1}))
 		case f.Type == reflect.TypeOf((*hotspot.Report)(nil)):
 			fv.Set(reflect.ValueOf(&hotspot.Report{
 				Enabled:     true,
@@ -309,14 +304,13 @@ func TestWritePromCompleteness(t *testing.T) {
 			}))
 		case f.Type == reflect.TypeOf((*AdaptiveInfo)(nil)):
 			fv.Set(reflect.ValueOf(&AdaptiveInfo{
-				Protocol:           "vc+2pl",
-				Switches:           1,
-				HealthSignals:      2,
-				KnobActions:        3,
-				BatchMaxRecords:    128,
-				BatchMaxDelayNS:    500_000,
-				PublishEvery:       2,
-				RecommendedStripes: 64,
+				Protocol:        "vc+2pl",
+				Switches:        1,
+				HealthSignals:   2,
+				KnobActions:     3,
+				BatchMaxRecords: 128,
+				BatchMaxDelayNS: 500_000,
+				PublishEvery:    2,
 			}))
 		case fv.CanInt():
 			fv.SetInt(7)
@@ -377,7 +371,6 @@ func TestWritePromCompleteness(t *testing.T) {
 		"mvdb_adaptive_batch_max_records",
 		"mvdb_adaptive_batch_max_delay_seconds",
 		"mvdb_adaptive_publish_every",
-		"mvdb_adaptive_recommended_stripes",
 	} {
 		if !emitted[fam] {
 			t.Errorf("%s missing from exposition", fam)

@@ -18,7 +18,7 @@
 //
 // A nil *Tracer and a nil *Active are both valid and record nothing, so
 // the disabled path in the engine costs one pointer test and zero
-// allocations (guarded by TestTracingDisabledZeroOverhead).
+// allocations (guarded by TestDisabledZeroOverhead).
 package trace
 
 import (

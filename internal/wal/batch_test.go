@@ -92,6 +92,11 @@ func TestSyncBatchAmortizes(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	// The flusher reports a batch after releasing its waiters; Close
+	// waits for the flusher, so the observer has seen every batch.
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
 	appends, fsyncs, _ := w.Counters()
 	if appends != workers*per {
 		t.Fatalf("appends = %d", appends)

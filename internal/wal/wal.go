@@ -136,7 +136,7 @@ type Writer struct {
 	// Group-commit provenance for causal tracing (all under mu): the TN
 	// of the first record enqueued into the currently forming batch (its
 	// leader) and a small ring of completed batches' ticket coverage,
-	// scanned by traced appenders to learn which batch their ticket rode.
+	// scanned by observed appenders to learn which batch their ticket rode.
 	leaderTN   uint64
 	haveLeader bool
 	batchLog   [batchLogSize]batchSpan
@@ -157,7 +157,7 @@ type batchSpan struct {
 	records int
 }
 
-// BatchInfo identifies the fsync coverage a traced append rode: Batch
+// BatchInfo identifies the fsync coverage an observed append rode: Batch
 // is the group-commit batch ordinal (the fsync ordinal under
 // SyncEveryCommit), LeaderTN the transaction number of the record that
 // opened the batch, Records how many records the fsync covered. The
@@ -304,38 +304,32 @@ func OpenAppendWith(path string, validLen int64, opts Options) (*Writer, error) 
 // SyncEveryCommit and SyncBatch; under SyncBatch the caller blocked on a
 // shared fsync ticket rather than issuing its own.
 func (w *Writer) Append(r Record) error {
-	_, _, _, err := w.append(r, false, false)
+	_, _, _, err := w.append(r, false)
 	return err
 }
 
-// AppendTimed is Append reporting where the caller's time went:
-// enqueueNS is the span from entry to the record sitting in the log
-// buffer (including contention on the writer mutex), syncWaitNS the
-// span from there to fsync coverage — the inline flush+sync under
-// SyncEveryCommit, or the wait for the group-commit flusher's ticket
-// under SyncBatch (zero under SyncNever). Both are valid even when err
-// is non-nil. The phase-attribution layer calls this; everyone else
-// uses Append and pays no timestamping.
-func (w *Writer) AppendTimed(r Record) (enqueueNS, syncWaitNS int64, err error) {
-	_, enqueueNS, syncWaitNS, err = w.append(r, true, false)
-	return enqueueNS, syncWaitNS, err
+// AppendObserved is Append reporting where the caller's time went and
+// which fsync covered the record: enqueueNS is the span from entry to
+// the record sitting in the log buffer (including contention on the
+// writer mutex), syncWaitNS the span from there to fsync coverage — the
+// inline flush+sync under SyncEveryCommit, or the wait for the
+// group-commit flusher's ticket under SyncBatch (zero under SyncNever) —
+// and info the batch that carried it (see BatchInfo), the joined-batch
+// blame edge of causal tracing. Both durations are valid even when err
+// is non-nil. The engine's observer calls this when phase timing or
+// tracing is on; everyone else uses Append and pays no timestamping.
+func (w *Writer) AppendObserved(r Record) (info BatchInfo, enqueueNS, syncWaitNS int64, err error) {
+	return w.append(r, true)
 }
 
-// AppendTraced is AppendTimed plus group-commit provenance: it also
-// reports which fsync batch covered the record (see BatchInfo), the
-// joined-batch blame edge of causal tracing.
-func (w *Writer) AppendTraced(r Record) (info BatchInfo, enqueueNS, syncWaitNS int64, err error) {
-	return w.append(r, true, true)
-}
-
-func (w *Writer) append(r Record, timed, traced bool) (info BatchInfo, enqueueNS, syncWaitNS int64, err error) {
+func (w *Writer) append(r Record, observed bool) (info BatchInfo, enqueueNS, syncWaitNS int64, err error) {
 	payload := encodePayload(nil, r)
 	var hdr [8]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
 
 	var t0 time.Time
-	if timed {
+	if observed {
 		t0 = time.Now()
 	}
 	w.mu.Lock()
@@ -355,7 +349,7 @@ func (w *Writer) append(r Record, timed, traced bool) (info BatchInfo, enqueueNS
 	w.appends.Add(1)
 	w.bytes.Add(uint64(len(hdr) + len(payload)))
 	var tEnq time.Time
-	if timed {
+	if observed {
 		tEnq = time.Now()
 		enqueueNS = tEnq.Sub(t0).Nanoseconds()
 	}
@@ -368,12 +362,12 @@ func (w *Writer) append(r Record, timed, traced bool) (info BatchInfo, enqueueNS
 			err = fmt.Errorf("wal: sync: %w", err)
 		} else {
 			w.fsyncs.Add(1)
-			if traced {
+			if observed {
 				// A degenerate "batch" of one: the record led its own fsync.
 				info = BatchInfo{Batch: w.fsyncs.Load(), LeaderTN: r.TN, Records: 1}
 			}
 		}
-		if timed {
+		if observed {
 			syncWaitNS = time.Since(tEnq).Nanoseconds()
 		}
 		return info, enqueueNS, syncWaitNS, err
@@ -388,13 +382,15 @@ func (w *Writer) append(r Record, timed, traced bool) (info BatchInfo, enqueueNS
 		for w.syncSeq < seq && w.syncErr == nil && !w.closed {
 			w.synced.Wait()
 		}
-		if timed {
+		if observed {
 			syncWaitNS = time.Since(tEnq).Nanoseconds()
 		}
 		if w.syncSeq >= seq {
-			if traced {
-				for i := range w.batchLog {
-					if b := &w.batchLog[i]; b.hi != 0 && b.lo <= seq && seq <= b.hi {
+			if observed {
+				// Newest first: a waiter is woken by the batch that covered
+				// it, so the scan almost always ends on its first entry.
+				for i := uint64(1); i <= batchLogSize && i <= w.batchLogN; i++ {
+					if b := &w.batchLog[(w.batchLogN-i)%batchLogSize]; b.lo <= seq && seq <= b.hi {
 						info = BatchInfo{Batch: b.batch, LeaderTN: b.leader, Records: b.records}
 						break
 					}
@@ -511,7 +507,7 @@ func (w *Writer) Flush() error {
 	if w.opts.Policy == SyncBatch && w.enqSeq > w.syncSeq {
 		// The inline fsync covered everything buffered so far; release
 		// any tickets the flusher had not reached yet. No batchLog entry
-		// is recorded — traced stragglers report a zero BatchInfo.
+		// is recorded — observed stragglers report a zero BatchInfo.
 		w.syncSeq = w.enqSeq
 		w.haveLeader = false
 		w.leaderTN = 0

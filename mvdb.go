@@ -515,9 +515,6 @@ func Open(opts Options) (*DB, error) {
 		if ec, ok := eng.VC().(*epoch.Controller); ok {
 			adOpts.Epoch = ec
 		}
-		if prof != nil {
-			adOpts.Hotspot = prof.Report
-		}
 		db.ad = adaptive.Wrap(eng, adOpts)
 		db.rw = db.ad
 	}
@@ -827,11 +824,10 @@ func (db *DB) Stats() Stats {
 	sn := db.eng.Snapshot()
 	if db.ad != nil {
 		info := &obs.AdaptiveInfo{
-			Protocol:           db.eng.Protocol().String(),
-			Switches:           int64(db.ad.Switches()),
-			HealthSignals:      int64(db.ad.HealthSignals()),
-			KnobActions:        int64(db.ad.KnobActions()),
-			RecommendedStripes: db.ad.RecommendedStripes(),
+			Protocol:      db.eng.Protocol().String(),
+			Switches:      int64(db.ad.Switches()),
+			HealthSignals: int64(db.ad.HealthSignals()),
+			KnobActions:   int64(db.ad.KnobActions()),
 		}
 		if db.log != nil {
 			recs, delay := db.log.BatchKnobs()
@@ -842,12 +838,6 @@ func (db *DB) Stats() Stats {
 			info.PublishEvery = ec.PublishEvery()
 		}
 		sn.Adaptive = info
-		sn.Extra = map[string]int64{
-			"adaptive.switches":            int64(db.ad.Switches()),
-			"adaptive.health_signals":      int64(db.ad.HealthSignals()),
-			"adaptive.knob_actions":        int64(db.ad.KnobActions()),
-			"adaptive.recommended_stripes": int64(db.ad.RecommendedStripes()),
-		}
 	}
 	return sn
 }
