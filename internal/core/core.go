@@ -351,8 +351,9 @@ func (e *Engine) Close() error {
 	return nil
 }
 
-// MinActiveReadOnlySN returns the smallest start number among active
-// read-only transactions and whether any are active. Valid only with
+// MinActiveReadOnlySN returns a lower bound on the start numbers of the
+// active read-only transactions (what each published at begin, see
+// beginReadOnly) and whether any are active. Valid only with
 // Options.TrackReadOnly; the garbage collector combines it with vtnc to
 // compute its watermark.
 func (e *Engine) MinActiveReadOnlySN() (uint64, bool) {
@@ -391,19 +392,30 @@ func (e *Engine) latest(key string) (storage.Version, bool) {
 
 // commitTail is what the three protocols share once a transaction's
 // serial position is fixed and registered (at the lock-point, at begin,
-// or inside validation): log the write set, put the versions numbered
-// tn(T) in place, give back what concurrency control holds, VCcomplete.
-// A log failure aborts the transaction instead — a commit that is not
-// durable must not become visible — and is returned.
+// or inside validation). The commit is pipelined: enqueue the commit
+// record, put the versions numbered tn(T) in place, give back what
+// concurrency control holds — and only then wait for the record to be
+// durable, record the commit and VCcomplete. While T waits, a read-write
+// transaction may read its versions; that reader's own record queues
+// behind T's in the one log, which is durable as a prefix or not at all
+// (wal.Writer), so it can never be acknowledged unless T is. Snapshots
+// read at vtnc, which passes tn(T) only at VCcomplete, and never see a
+// version that can still be withdrawn. A log failure — at enqueue or in
+// the wait — withdraws the versions, aborts the transaction and is
+// returned.
 func (e *Engine) commitTail(o *txObs, entry vc.Handle, writes map[string]bufWrite) error {
 	tn := entry.TN()
+	w := e.opts.WAL
+	var ticket wal.Ticket
 	var err error
-	if w := e.opts.WAL; w != nil {
+	if w != nil {
+		// Also with an empty write set: the ticket is what orders this
+		// commit behind the writers of everything it read.
 		rec := wal.Record{TN: tn, Writes: make([]wal.Write, 0, len(writes))}
 		for key, bw := range writes {
 			rec.Writes = append(rec.Writes, wal.Write{Key: key, Value: bw.data, Tombstone: bw.tombstone})
 		}
-		err = o.appendLog(w, rec)
+		ticket, err = o.enqueueLog(w, rec)
 	}
 	if err == nil {
 		sp := o.span(phaseInstall)
@@ -417,25 +429,31 @@ func (e *Engine) commitTail(o *txObs, entry vc.Handle, writes map[string]bufWrit
 			o.wrote(key, tn)
 		}
 		o.end(sp)
-		o.committed(tn)
-	} else {
-		if o.proto == protoTO {
-			e.destroyPending(tn, writes)
-		}
-		e.vc.Discard(entry)
+	} else if o.proto == protoTO {
+		e.destroyPending(tn, writes)
 	}
 	// The protocol's release step: Figure 4's "clear locks", OCC leaving
-	// its validation critical section; timestamp ordering holds nothing.
+	// its validation critical section; timestamp ordering holds nothing
+	// once its pending versions are resolved.
 	switch o.proto {
 	case proto2PL:
 		e.clearLocks(o, writes)
 	case protoOCC:
 		e.valMu.Unlock()
 	}
+	if err == nil && w != nil {
+		if err = o.awaitLog(w, ticket); err != nil {
+			for key := range writes {
+				e.store.Get(key).Withdraw(tn)
+			}
+		}
+	}
 	if err != nil {
+		e.vc.Discard(entry) // after the withdrawal: vtnc may now pass tn
 		o.abort(causeLog, "")
 		return fmt.Errorf("core: commit log: %w", err)
 	}
+	o.committed(tn)
 	o.complete(entry)
 	return nil
 }

@@ -267,9 +267,10 @@ func (o *txObs) write(key string) { o.e.hot.TouchWrite(key) }
 
 func (o *txObs) wrote(key string, tn uint64) { o.e.rec.RecordWrite(o.id, key, tn) }
 
-// span opens a timed phase and end closes it: a phase-matrix sample,
-// pprof labels for the stretch, and a trace span. With phase timing and
-// tracing both off, each is one inlined test and no clock is read.
+// span opens a timed phase and end closes it, returning how long it ran:
+// a phase-matrix sample, pprof labels for the stretch, and a trace span.
+// With phase timing and tracing both off, each is one inlined test and
+// no clock is read.
 func (o *txObs) span(ph obs.Phase) span {
 	if o.e.phases == nil && o.tr == nil {
 		return span{}
@@ -277,10 +278,11 @@ func (o *txObs) span(ph obs.Phase) span {
 	return o.open(ph)
 }
 
-func (o *txObs) end(sp span) {
+func (o *txObs) end(sp span) time.Duration {
 	if sp.on {
-		o.close(sp)
+		return o.close(sp)
 	}
+	return 0
 }
 
 func (o *txObs) open(ph obs.Phase) span {
@@ -288,11 +290,12 @@ func (o *txObs) open(ph obs.Phase) span {
 	return span{time.Now(), ph, true}
 }
 
-func (o *txObs) close(sp span) {
+func (o *txObs) close(sp span) time.Duration {
 	d := time.Since(sp.start)
 	o.e.phases.Record(o.proto, sp.phase, o.id, d)
 	o.e.phases.PprofExit()
 	o.tr.Span(sp.phase.String(), sp.start, d)
+	return d
 }
 
 // locked notes the first lock acquisition; held charges the span from
@@ -315,24 +318,23 @@ func (o *txObs) held(writes map[string]bufWrite) {
 	}
 }
 
-// appendLog makes rec durable. With phase timing or tracing on, the
-// append is split into its two separable costs — getting the record
-// into the log buffer vs waiting for fsync coverage (the group-commit
-// ticket wait under SyncBatch) — and a traced transaction learns which
-// batch carried it, the joined-batch blame edge.
-func (o *txObs) appendLog(w *wal.Writer, rec wal.Record) error {
-	ph := o.e.phases
-	if ph == nil && o.tr == nil {
-		return w.Append(rec)
-	}
-	ph.PprofEnter(o.proto, obs.PhaseFsyncWait)
-	start := time.Now().UnixNano()
-	info, enq, syncWait, err := w.AppendObserved(rec)
-	ph.PprofExit()
-	ph.Record(o.proto, obs.PhaseWALEnqueue, o.id, time.Duration(enq))
-	ph.Record(o.proto, obs.PhaseFsyncWait, o.id, time.Duration(syncWait))
-	o.tr.SpanAt(obs.PhaseWALEnqueue.String(), -1, start, enq)
-	o.tr.SpanAt(obs.PhaseFsyncWait.String(), -1, start+enq, syncWait)
+// enqueueLog and awaitLog are the two halves of logging a commit, timed
+// as its two separable costs: getting the record into the log buffer,
+// and — after the versions are in and concurrency control is given back
+// — waiting for fsync coverage (the group-commit ticket wait under
+// SyncBatch). A traced transaction learns which batch carried it, the
+// joined-batch blame edge.
+func (o *txObs) enqueueLog(w *wal.Writer, rec wal.Record) (wal.Ticket, error) {
+	sp := o.span(obs.PhaseWALEnqueue)
+	t, err := w.Enqueue(rec)
+	o.end(sp)
+	return t, err
+}
+
+func (o *txObs) awaitLog(w *wal.Writer, t wal.Ticket) error {
+	sp := o.span(obs.PhaseFsyncWait)
+	info, err := w.Wait(t)
+	d := o.end(sp)
 	if err == nil && info.Batch != 0 {
 		o.tr.Blame(trace.Blame{
 			Kind:    trace.BlameJoinedBatch,
@@ -340,7 +342,7 @@ func (o *txObs) appendLog(w *wal.Writer, rec wal.Record) error {
 			Tx:      info.LeaderTN,
 			Batch:   info.Batch,
 			Records: info.Records,
-			DurNS:   syncWait,
+			DurNS:   d.Nanoseconds(),
 		})
 	}
 	return err

@@ -16,6 +16,20 @@ type roTx struct {
 }
 
 func (e *Engine) beginReadOnly(id, pinSN uint64) *roTx {
+	if e.opts.TrackReadOnly {
+		// Publish before taking the snapshot, or a collection pass in
+		// between prunes what the snapshot needs. The published number is
+		// a lower bound — vtnc only grows, so the snapshot taken below is
+		// at or above it — and it is the only registry write of the
+		// transaction. A pass that scans the registry too early to see it
+		// read its own vtnc earlier still (gc.Watermark reads vtnc first),
+		// so its watermark is at or below our snapshot either way.
+		pub := pinSN
+		if pub == 0 {
+			pub = e.vc.VTNC()
+		}
+		e.roActive.add(id, pub)
+	}
 	sn := pinSN
 	if pinSN > 0 {
 		// Pinned snapshot (BeginReadOnlyAt): read exactly at position
@@ -27,11 +41,7 @@ func (e *Engine) beginReadOnly(id, pinSN uint64) *roTx {
 	} else {
 		sn = e.vc.Start()
 	}
-	t := &roTx{txObs: e.observe(id, protoRO, sn), sn: sn}
-	if e.opts.TrackReadOnly {
-		e.roActive.add(id, sn)
-	}
-	return t
+	return &roTx{txObs: e.observe(id, protoRO, sn), sn: sn}
 }
 
 // Get implements engine.Tx: "return x_j with largest version <= sn(T)".

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"mvdb/internal/engine"
-	"mvdb/internal/faultfs"
 	"mvdb/internal/hotspot"
 	"mvdb/internal/lock"
 	"mvdb/internal/obs"
@@ -42,6 +41,7 @@ type sinkScript struct {
 
 	commitsRW, commitsRO, abortsRO int64
 	reads                          int64
+	installs                       int64            // commits that got as far as putting their versions in
 	aborts                         map[string]int64 // by Stats cause
 	pairs                          map[string]int64 // by profiler label
 }
@@ -75,6 +75,7 @@ func (s *sinkScript) commit(tx engine.Tx) {
 	s.t.Helper()
 	s.must(tx.Commit())
 	s.commitsRW++
+	s.installs++
 }
 
 // aborted checks that err is the engine error of an abort the script
@@ -97,12 +98,7 @@ func (s *sinkScript) blockedPut(tx engine.Tx, key string, counter func() uint64)
 	before := counter()
 	done := make(chan error, 1)
 	go func() { done <- tx.Put(key, []byte("v")) }()
-	for deadline := time.Now().Add(5 * time.Second); counter() == before; {
-		if time.Now().After(deadline) {
-			s.t.Fatal("lock request never blocked")
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
+	eventually(s.t, "the lock request blocking", func() bool { return counter() != before })
 	return func() { s.t.Helper(); s.must(<-done) }
 }
 
@@ -123,27 +119,46 @@ func (s *sinkScript) common() {
 	}
 }
 
-// logFailures commits twice over the now-failing fsync.
-func (s *sinkScript) logFailures() {
-	for i := 0; i < 2; i++ {
-		tx := s.begin(engine.ReadWrite)
-		s.must(tx.Put("z", []byte("v")))
-		err := tx.Commit()
+// logFailures loses three commits to the log: one whose fsync fails, a
+// dependent that read its value and enqueued behind it while that fsync
+// was in flight, and one that finds the writer already broken.
+func (s *sinkScript) logFailures(fs *gateFS, log *wal.Writer) {
+	logged := func(err error) {
+		s.t.Helper()
 		if !strings.Contains(err.Error(), "core: commit log") {
 			s.t.Fatalf("commit over failed fsync: err = %v", err)
 		}
-		s.aborted(err, faultfs.ErrInjected, "log", "")
+		s.aborted(err, errGate, "log", "")
 	}
+	base, _, _ := log.Counters()
+	fs.armed.Store(true)
+	t1 := s.begin(engine.ReadWrite)
+	s.must(t1.Put("z", []byte("v")))
+	c1 := inFlight(t1)
+	within(s.t, "the doomed commit reaching its fsync", func() { <-fs.entered })
+	awaitInstalled(s.t, s.e, "z", "v")
+	t2 := s.begin(engine.ReadWrite)
+	s.get(t2, "z")
+	s.must(t2.Put("z", []byte("w")))
+	c2 := inFlight(t2)
+	eventually(s.t, "the dependent enqueueing", func() bool { a, _, _ := log.Counters(); return a == base+2 })
+	fs.verdict <- errGate
+	logged(<-c1)
+	logged(<-c2)
+	s.installs += 2 // both had their versions in, and withdrew them
+
+	t3 := s.begin(engine.ReadWrite)
+	s.must(t3.Put("z", []byte("v")))
+	logged(t3.Commit())
 }
 
 var sinkCases = []struct {
 	name      string
 	protocol  Protocol
 	policy    lock.Policy
-	commitsRW int // fsyncs the script will make before the log fails
 	conflicts func(s *sinkScript)
 }{
-	{"2pl/detect", TwoPhaseLocking, lock.Detect, 4, func(s *sinkScript) {
+	{"2pl/detect", TwoPhaseLocking, lock.Detect, func(s *sinkScript) {
 		t1, t2 := s.begin(engine.ReadWrite), s.begin(engine.ReadWrite)
 		s.must(t1.Put("x", []byte("1")))
 		s.must(t2.Put("y", []byte("2")))
@@ -152,7 +167,7 @@ var sinkCases = []struct {
 		join()
 		s.commit(t1)
 	}},
-	{"2pl/wound-wait", TwoPhaseLocking, lock.WoundWait, 5, func(s *sinkScript) {
+	{"2pl/wound-wait", TwoPhaseLocking, lock.WoundWait, func(s *sinkScript) {
 		// The victim notices at its next lock request ...
 		old, young := s.begin(engine.ReadWrite), s.begin(engine.ReadWrite)
 		s.must(young.Put("x", []byte("2")))
@@ -169,13 +184,13 @@ var sinkCases = []struct {
 		join()
 		s.commit(old)
 	}},
-	{"2pl/timeout", TwoPhaseLocking, lock.TimeoutPolicy, 4, func(s *sinkScript) {
+	{"2pl/timeout", TwoPhaseLocking, lock.TimeoutPolicy, func(s *sinkScript) {
 		t1, t2 := s.begin(engine.ReadWrite), s.begin(engine.ReadWrite)
 		s.must(t1.Put("x", []byte("1")))
 		s.aborted(t2.Put("x", []byte("2")), engine.ErrDeadlock, "timeout", "timeout")
 		s.commit(t1)
 	}},
-	{"to", TimestampOrdering, lock.Detect, 5, func(s *sinkScript) {
+	{"to", TimestampOrdering, lock.Detect, func(s *sinkScript) {
 		for i := 0; i < 2; i++ {
 			old, young := s.begin(engine.ReadWrite), s.begin(engine.ReadWrite)
 			s.get(young, "a") // raises r-ts(a) past old
@@ -183,7 +198,7 @@ var sinkCases = []struct {
 			s.commit(young)
 		}
 	}},
-	{"occ", Optimistic, lock.Detect, 5, func(s *sinkScript) {
+	{"occ", Optimistic, lock.Detect, func(s *sinkScript) {
 		overwrite := func() {
 			tx := s.begin(engine.ReadWrite)
 			s.must(tx.Put("a", []byte("moved")))
@@ -200,7 +215,7 @@ var sinkCases = []struct {
 		_, err := t1.Get("a")
 		s.aborted(err, engine.ErrConflict, "conflict", "occ-read")
 	}},
-	{"ro", TwoPhaseLocking, lock.Detect, 3, func(s *sinkScript) {
+	{"ro", TwoPhaseLocking, lock.Detect, func(s *sinkScript) {
 		for i := 0; i < 4; i++ {
 			tx := s.begin(engine.ReadOnly)
 			s.get(tx, "a")
@@ -221,17 +236,12 @@ var sinkCases = []struct {
 // TestSinkAgreement runs, per protocol, a script with a known number of
 // commits and of aborts per cause against an engine with every sink on
 // — Recorder, the event ring, phase timing, tracing at sample rate 1,
-// the profiler — over a log whose fsync fails (sticky) after the
-// script's last good commit, and requires all of them to report the
-// script's numbers.
+// the profiler — over a log whose fsync fails after the script's last
+// good commit, and requires all of them to report the script's numbers.
 func TestSinkAgreement(t *testing.T) {
 	for _, c := range sinkCases {
 		t.Run(c.name, func(t *testing.T) {
-			// Sync #1 on the log is OpenDurable's; each good commit is one.
-			fs := faultfs.New(faultfs.Plan{Rules: []faultfs.Rule{{
-				Op: faultfs.OpSync, Path: "commit.log", Nth: c.commitsRW + 2,
-				Fault: faultfs.Fault{Err: true, Sticky: true},
-			}}})
+			fs := newGateFS()
 			rec := &countingRecorder{}
 			ring := obs.NewTracer(1 << 12)
 			spans := trace.New(trace.Options{Sample: 1, Recent: 1 << 10, Promoted: 1 << 10})
@@ -249,10 +259,7 @@ func TestSinkAgreement(t *testing.T) {
 			s := &sinkScript{t: t, e: e, aborts: map[string]int64{}, pairs: map[string]int64{}}
 			s.common()
 			c.conflicts(s)
-			if s.commitsRW != int64(c.commitsRW) {
-				t.Fatalf("script made %d read-write commits, case declares %d", s.commitsRW, c.commitsRW)
-			}
-			s.logFailures()
+			s.logFailures(fs, log)
 
 			var abortsTotal int64
 			for _, n := range s.aborts {
@@ -297,7 +304,7 @@ func TestSinkAgreement(t *testing.T) {
 					installs += int64(ps.Durations.Count)
 				}
 			}
-			eq("install phase samples", installs, s.commitsRW)
+			eq("install phase samples", installs, s.installs)
 
 			outcomes := map[string]int64{}
 			for _, tr := range append(spans.Recent(), spans.Promoted()...) {

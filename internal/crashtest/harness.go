@@ -76,8 +76,11 @@ func openEngineTraced(fsys faultfs.FS, walPath string, cfg Config, rec engine.Re
 // runScript executes the deterministic scripted scenario the sweep
 // enumerates crash points of: a batch of commits, a checkpoint under
 // load, more commits (including a delete), an offline compaction, then
-// a reopen with further commits. Single-client, so the sequence of
-// filesystem operations is identical on every fault-free run.
+// a reopen with further commits. Every commit also reads and rewrites
+// the key "chain", so each depends on the one before it and the
+// oracle's clause on reads is live at every crash point. Single-client,
+// so the sequence of filesystem operations is identical on every
+// fault-free run.
 //
 // A commit that fails without a power cut (an injected transient error)
 // is simply an unacknowledged attempt: the script keeps going. Once the
@@ -86,15 +89,16 @@ func runScript(fsys *faultfs.FaultFS, walPath string, cfg Config, o *Oracle) err
 	n := 0
 	puts := func(keys ...string) map[string]Mut {
 		n++
-		m := make(map[string]Mut, len(keys))
-		for _, k := range keys {
-			m[k] = Mut{Value: fmt.Sprintf("c%02d.%s", n, k)}
+		m := make(map[string]Mut, len(keys)+1)
+		for _, k := range append(keys, "chain") {
+			m[k] = Mut{Value: fmt.Sprintf("c%02d.%s", n, k), RMW: k == "chain"}
 		}
 		return m
 	}
 	del := func(key string) map[string]Mut {
-		n++
-		return map[string]Mut{key: {Delete: true}}
+		m := puts()
+		m[key] = Mut{Delete: true}
+		return m
 	}
 
 	e, w, err := openEngine(fsys, walPath, cfg, nil)
@@ -188,7 +192,7 @@ func RecoverAndCheck(walPath string, cfg Config, o *Oracle) error {
 			aud.Close()
 			return fmt.Errorf("recovery round %d: %w", round, err)
 		}
-		if err := o.Check(e); err != nil {
+		if err := checkRecovered(walPath, e, o); err != nil {
 			return fail(err)
 		}
 		seedRecovered(rec, e)
@@ -209,6 +213,17 @@ func RecoverAndCheck(walPath string, cfg Config, o *Oracle) error {
 		aud.Close()
 	}
 	return nil
+}
+
+// checkRecovered audits a freshly recovered engine against the oracle,
+// reading the horizon it was restored under back from the snapshot file
+// (intact, or the open would have failed).
+func checkRecovered(walPath string, e *core.Engine, o *Oracle) error {
+	horizon, _, err := core.LoadSnapshot(nil, core.SnapPath(walPath))
+	if err != nil {
+		return err
+	}
+	return o.Check(e, horizon)
 }
 
 // seedRecovered teaches the offline checker the recovered writers:
@@ -251,7 +266,10 @@ func liveWorkload(e *core.Engine, o *Oracle, round int) error {
 		}
 		// A read in the same transaction exercises the reads-from edges
 		// of the post-recovery MVSG.
-		if _, err := tx.Get("a"); err != nil && !errors.Is(err, engine.ErrNotFound) {
+		var reads map[string]string
+		if v, err := tx.Get("a"); err == nil {
+			reads = map[string]string{"a": string(v)}
+		} else if !errors.Is(err, engine.ErrNotFound) {
 			tx.Abort()
 			return err
 		}
@@ -263,7 +281,7 @@ func liveWorkload(e *core.Engine, o *Oracle, round int) error {
 			return err
 		}
 		tn, _ := tx.SN()
-		o.Ack(tn, muts)
+		o.Ack(tn, muts, reads)
 	}
 	ro, err := e.Begin(engine.ReadOnly)
 	if err != nil {

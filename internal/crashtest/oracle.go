@@ -7,7 +7,10 @@
 //  1. Durability — every commit acknowledged to a client is present
 //     after recovery (per key, the latest acknowledged write is covered
 //     by a version at least as new, matching exactly when the TNs are
-//     equal).
+//     equal), and so is every version an acknowledged commit read: the
+//     engine lets a transaction read a version whose commit record is
+//     not yet durable (pipelined commit), so an acknowledged commit must
+//     never turn out to have depended on a lost one.
 //  2. Correctness — the recovered state is a committed prefix: every
 //     version traces back to an attempted commit (nothing fabricated,
 //     no dirty versions), storage invariants hold, the version-control
@@ -23,6 +26,7 @@
 package crashtest
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -37,12 +41,21 @@ import (
 type Mut struct {
 	Value  string
 	Delete bool
+	// RMW makes the attempt read the key before it writes it, so the
+	// commit depends on whichever commit wrote what it read.
+	RMW bool
 }
 
 type ackedWrite struct {
 	tn        uint64
 	value     string
 	tombstone bool
+}
+
+// ackedRead is a value the acknowledged commit numbered reader read.
+type ackedRead struct {
+	reader     uint64
+	key, value string
 }
 
 // Oracle records every commit attempt and acknowledgement so recovery
@@ -52,6 +65,7 @@ type Oracle struct {
 	attempted map[string]map[string]bool // key -> values any attempt wrote
 	deleted   map[string]bool            // keys some attempt deleted
 	acked     map[string]ackedWrite      // key -> acknowledged write with the largest TN
+	reads     []ackedRead                // what acknowledged commits read
 	attempts  int
 	acks      int
 }
@@ -86,12 +100,16 @@ func (o *Oracle) Attempt(muts map[string]Mut) {
 }
 
 // Ack records that a commit attempt was acknowledged to the client with
-// transaction number tn. From this instant the write set must survive
-// any crash.
-func (o *Oracle) Ack(tn uint64, muts map[string]Mut) {
+// transaction number tn, having read the values in reads (key -> value;
+// keys it found absent are left out). From this instant the write set,
+// and every version read, must survive any crash.
+func (o *Oracle) Ack(tn uint64, muts map[string]Mut, reads map[string]string) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.acks++
+	for k, v := range reads {
+		o.reads = append(o.reads, ackedRead{reader: tn, key: k, value: v})
+	}
 	for k, m := range muts {
 		if prev, ok := o.acked[k]; !ok || tn > prev.tn {
 			o.acked[k] = ackedWrite{tn: tn, value: m.Value, tombstone: m.Delete}
@@ -114,9 +132,10 @@ func (o *Oracle) Attempts() int {
 }
 
 // Check audits a freshly recovered engine (no transactions run on it
-// yet) against everything recorded. It returns the first violation of
+// yet) against everything recorded. horizon is that of the snapshot the
+// engine was restored from (0: none). It returns the first violation of
 // the dual oracle, nil if the recovered state is sound.
-func (o *Oracle) Check(e *core.Engine) error {
+func (o *Oracle) Check(e *core.Engine, horizon uint64) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 
@@ -173,6 +192,36 @@ func (o *Oracle) Check(e *core.Engine) error {
 		return fail
 	}
 
+	// Every version an acknowledged commit read is still there. A
+	// checkpoint keeps only the newest version at or below its horizon,
+	// so a version read may be gone once the reader itself is under the
+	// horizon — whatever superseded it was visible, hence durable, when
+	// the snapshot was taken. Above the horizon recovery drops nothing
+	// that was durable: a missing version there was lost with its commit
+	// record, and the acknowledged reader depended on it.
+	values := make(map[string]map[string]uint64) // key -> value -> tn, for keys with reads
+	for _, r := range o.reads {
+		if r.reader <= horizon {
+			continue
+		}
+		byValue, ok := values[r.key]
+		if !ok {
+			byValue = make(map[string]uint64)
+			if obj := e.Store().Get(r.key); obj != nil {
+				for _, v := range obj.Versions() {
+					if !v.Tombstone {
+						byValue[string(v.Data)] = v.TN
+					}
+				}
+			}
+			values[r.key] = byValue
+		}
+		if tn, ok := byValue[r.value]; !ok || tn >= r.reader {
+			return fmt.Errorf("dependency violation: acknowledged commit tn %d read %q = %q, which is absent after recovery (horizon %d)",
+				r.reader, r.key, r.value, horizon)
+		}
+	}
+
 	// Version-control counters must resume exactly at the recovered
 	// horizon: everything recovered is visible (vtnc = max TN) and the
 	// next transaction number is just past it (tnc = max TN + 1), the
@@ -203,17 +252,31 @@ func (o *Oracle) Check(e *core.Engine) error {
 	return nil
 }
 
-// CommitAttempt runs one read-write transaction applying muts,
-// registering the attempt before it starts and the acknowledgement
-// after Commit returns nil. The returned error is the engine's
-// (retryable conflicts included — the caller decides whether to retry).
+// CommitAttempt runs one read-write transaction applying muts (reading
+// first the keys marked RMW), registering the attempt before it starts
+// and the acknowledgement, with what it read, after Commit returns nil.
+// The returned error is the engine's (retryable conflicts included — the
+// caller decides whether to retry).
 func CommitAttempt(e *core.Engine, o *Oracle, muts map[string]Mut) (uint64, error) {
 	o.Attempt(muts)
 	tx, err := e.Begin(engine.ReadWrite)
 	if err != nil {
 		return 0, err
 	}
+	var reads map[string]string
 	for k, m := range muts {
+		if m.RMW {
+			v, err := tx.Get(k)
+			if err == nil {
+				if reads == nil {
+					reads = make(map[string]string)
+				}
+				reads[k] = string(v)
+			} else if !errors.Is(err, engine.ErrNotFound) {
+				tx.Abort()
+				return 0, err
+			}
+		}
 		if m.Delete {
 			err = tx.Delete(k)
 		} else {
@@ -228,6 +291,6 @@ func CommitAttempt(e *core.Engine, o *Oracle, muts map[string]Mut) (uint64, erro
 		return 0, err
 	}
 	tn, _ := tx.SN()
-	o.Ack(tn, muts)
+	o.Ack(tn, muts, reads)
 	return tn, nil
 }

@@ -188,7 +188,7 @@ func Torture(dir string, opts TortureOptions) (TortureReport, error) {
 			return rep, fmt.Errorf("round %d: recovery failed: %w", rep.Rounds, err)
 		}
 		// The dual oracle holds at every recovery, not just the last.
-		if err := o.Check(e); err != nil {
+		if err := checkRecovered(walPath, e, o); err != nil {
 			err = fmt.Errorf("round %d: %w", rep.Rounds, err)
 			capturePostmortem(&rep, opts.FlightDir, e, spans, err.Error(), logf)
 			rep.Traces = len(spans.Promoted())
@@ -215,6 +215,13 @@ func Torture(dir string, opts TortureOptions) (TortureReport, error) {
 							muts[k] = Mut{Value: fmt.Sprintf("s%d.r%d.c%d.i%d.%s",
 								opts.Seed, rep.Rounds, client, i, k)}
 						}
+					}
+					if crng.Intn(2) == 0 {
+						// Half the attempts extend one read-modify-write
+						// chain: dependent commits racing each other into
+						// the log, the oracle's clause on reads under load.
+						muts["chain"] = Mut{RMW: true, Value: fmt.Sprintf("s%d.r%d.c%d.i%d.chain",
+							opts.Seed, rep.Rounds, client, i)}
 					}
 					for try := 0; try < 32; try++ {
 						if _, err := CommitAttempt(e, o, muts); err == nil || !engine.Retryable(err) {

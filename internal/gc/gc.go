@@ -88,6 +88,13 @@ func New(src Source, interval time.Duration) *Collector {
 // read-only start number. For every object the newest version <= the
 // watermark is kept (some snapshot at the watermark may read it);
 // everything older is discarded.
+//
+// vtnc is read BEFORE the registry is scanned, and a read-only begin
+// publishes itself BEFORE it takes its snapshot (core.beginReadOnly).
+// Together: a transaction the scan misses published after the scan, so
+// took its snapshot after it too, at a vtnc no older than the one read
+// here — the watermark never exceeds the snapshot of a transaction it
+// did not see.
 func (c *Collector) Watermark() uint64 {
 	w := c.src.VTNC()
 	if sn, ok := c.src.MinActiveReadOnlySN(); ok && sn < w {

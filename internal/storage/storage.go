@@ -278,6 +278,21 @@ func (o *Object) ResolvePending(tn uint64, commit bool) {
 	o.cond.Broadcast()
 }
 
+// Withdraw removes the committed version numbered tn, if there is one:
+// the engine put it in place before its commit record was durable
+// (pipelined commit) and the log then failed. No snapshot can have read
+// it — vtnc never passed tn — and a read-write transaction that did can
+// no longer commit, its own record queueing behind the failed one. r-ts
+// and w-ts stay where they are; too high is merely conservative.
+func (o *Object) Withdraw(tn uint64) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	i := sort.Search(len(o.versions), func(i int) bool { return o.versions[i].TN >= tn })
+	if i < len(o.versions) && o.versions[i].TN == tn {
+		o.versions = append(o.versions[:i], o.versions[i+1:]...)
+	}
+}
+
 // RTS returns the object's read timestamp.
 func (o *Object) RTS() uint64 { o.mu.Lock(); defer o.mu.Unlock(); return o.rts }
 

@@ -93,51 +93,87 @@ func TestReopenAfterTornBatchTail(t *testing.T) {
 	}
 }
 
-// A transient fsync error — the filesystem recovers immediately — must
-// still permanently break the writer: a failed fsync leaves the kernel's
-// dirty-page state unknowable, so acknowledging any later commit would
-// be a lie (the fsync-gate rule).
+// A transient error — the filesystem recovers immediately — on the
+// log's fsync or on a write to it must still break the writer for good,
+// under every policy: a failed fsync leaves the kernel's dirty-page state
+// unknowable (the fsync-gate rule) and a failed write may have left half
+// a record behind, so reporting any later record durable would let
+// recovery replay a commit whose predecessor in the log was reported
+// lost. Every later Append returns the same error, and what a reopen
+// finds is a prefix of what was appended.
 func TestTransientFsyncErrorIsSticky(t *testing.T) {
-	for _, policy := range []SyncPolicy{SyncEveryCommit, SyncBatch} {
-		name := map[SyncPolicy]string{SyncEveryCommit: "every-commit", SyncBatch: "group-commit"}[policy]
-		t.Run(name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "commit.log")
-			fs := faultfs.New(faultfs.Plan{Rules: []faultfs.Rule{
-				{Op: faultfs.OpSync, Path: "commit.log", Nth: 2, Fault: faultfs.Fault{Err: true}},
-			}})
-			w, err := CreateWith(path, Options{Policy: policy, FS: fs})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := w.Append(Record{TN: 1, Writes: []Write{{Key: "a", Value: []byte("1")}}}); err != nil {
-				t.Fatal(err)
-			}
-			if err := w.Append(Record{TN: 2, Writes: []Write{{Key: "a", Value: []byte("2")}}}); !errors.Is(err, faultfs.ErrInjected) {
-				t.Fatalf("append over failed fsync err = %v, want ErrInjected", err)
-			}
-			if policy == SyncBatch {
-				// The batch writer is explicitly broken from here on even
-				// though the filesystem works again.
-				if err := w.Append(Record{TN: 3, Writes: []Write{{Key: "a", Value: []byte("3")}}}); err == nil {
-					t.Fatal("append after failed fsync acknowledged")
+	policies := []struct {
+		name   string
+		policy SyncPolicy
+	}{{"every-commit", SyncEveryCommit}, {"group-commit", SyncBatch}, {"never", SyncNever}}
+	faults := []struct {
+		name string
+		rule faultfs.Rule
+	}{
+		// Sync #1 of a policy that syncs covers record 1.
+		{"sync", faultfs.Rule{Op: faultfs.OpSync, Path: "commit.log", Nth: 2, Fault: faultfs.Fault{Err: true}}},
+		{"write", faultfs.Rule{Op: faultfs.OpWrite, Path: "commit.log", Nth: 2, Fault: faultfs.Fault{Err: true}}},
+	}
+	// Larger than half the writer's buffer, so under SyncNever the second
+	// record spills to the file from inside Enqueue.
+	big := make([]byte, 40<<10)
+	for _, pc := range policies {
+		t.Run(pc.name, func(t *testing.T) {
+			for _, fc := range faults {
+				if pc.policy == SyncNever && fc.name == "sync" {
+					continue // never syncs before Close
 				}
-			}
-			w.Close()
-			var tns []uint64
-			if _, err := Replay(path, func(r Record) error { tns = append(tns, r.TN); return nil }); err != nil {
-				t.Fatal(err)
-			}
-			for _, tn := range tns {
-				if tn != 1 {
-					// Record 2 may be physically present (the write
-					// preceded the failed fsync) — that is fine; it was
-					// never acknowledged. Nothing after it may be.
-					if tn != 2 {
-						t.Fatalf("unexpected record tn=%d in log", tn)
-					}
-				}
+				t.Run(fc.name, func(t *testing.T) { stickyCase(t, pc.policy, fc.rule, big) })
 			}
 		})
+	}
+}
+
+func stickyCase(t *testing.T, policy SyncPolicy, rule faultfs.Rule, big []byte) {
+	path := filepath.Join(t.TempDir(), "commit.log")
+	fs := faultfs.New(faultfs.Plan{Rules: []faultfs.Rule{rule}})
+	w, err := CreateWith(path, Options{Policy: policy, FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var broken error
+	acked := 0
+	for tn := uint64(1); tn <= 4; tn++ {
+		err := w.Append(Record{TN: tn, Writes: []Write{{Key: "a", Value: big}}})
+		switch {
+		case broken == nil && err == nil:
+			acked++
+		case broken == nil:
+			if !errors.Is(err, faultfs.ErrInjected) {
+				t.Fatalf("append %d: err = %v, want ErrInjected", tn, err)
+			}
+			broken = err
+		case err != broken:
+			t.Fatalf("append %d on the broken writer: err = %v, want the sticky %v", tn, err, broken)
+		}
+	}
+	if broken == nil {
+		t.Fatal("the injected fault never fired")
+	}
+	if err := w.Flush(); err != broken {
+		t.Fatalf("Flush on the broken writer: err = %v, want the sticky %v", err, broken)
+	}
+	if err := w.Close(); err != broken {
+		t.Fatalf("Close on the broken writer: err = %v, want the sticky %v", err, broken)
+	}
+	var tns []uint64
+	if _, err := Replay(path, func(r Record) error { tns = append(tns, r.TN); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	// The record that hit the fault may be physically present — it was
+	// never acknowledged; nothing after it may be.
+	if (policy != SyncNever && len(tns) < acked) || len(tns) > acked+1 {
+		t.Fatalf("reopen found %v, want records 1..%d and at most the one that failed", tns, acked)
+	}
+	for i, tn := range tns {
+		if tn != uint64(i+1) {
+			t.Fatalf("reopen found %v, not a prefix of the log", tns)
+		}
 	}
 }
 

@@ -57,16 +57,17 @@ type Record struct {
 type SyncPolicy int
 
 const (
-	// SyncEveryCommit fsyncs after every Append (durability first).
+	// SyncEveryCommit fsyncs inline: the first committer to Wait on an
+	// uncovered ticket flushes and fsyncs everything enqueued so far
+	// itself; committers that arrive while it does lead the next fsync.
 	SyncEveryCommit SyncPolicy = iota
 	// SyncNever leaves flushing to the OS (benchmarks, tests).
 	SyncNever
-	// SyncBatch is group commit: Append enqueues the record and blocks
-	// until a background flusher's fsync covers it. Durability on return
-	// is identical to SyncEveryCommit — only the fsync count is
-	// amortized across however many commits piled up while the previous
-	// fsync was in flight (plus an optional gathering delay; see
-	// Options).
+	// SyncBatch is group commit: Wait blocks until a background
+	// flusher's fsync covers the ticket. Durability on return is
+	// identical to SyncEveryCommit — only the fsync count is amortized
+	// across however many commits piled up while the previous fsync was
+	// in flight (plus an optional gathering delay; see Options).
 	SyncBatch
 )
 
@@ -99,9 +100,12 @@ const DefaultBatchMaxRecords = 128
 
 // Writer appends commit records to a log file. It is safe for concurrent
 // use; records are appended atomically with respect to one another.
-// Under SyncBatch a background flusher amortizes fsync across concurrent
-// committers (true group commit); under SyncEveryCommit each Append
-// fsyncs inline.
+// Appending is two steps — Enqueue puts the record in the log buffer and
+// hands back a Ticket, Wait blocks until an fsync covers the ticket — so
+// a committer can give back what it holds in between (the engine's
+// pipelined commit). Under SyncBatch a background flusher amortizes
+// fsync across concurrent committers; under SyncEveryCommit the waiters
+// take turns fsyncing inline.
 type Writer struct {
 	mu     sync.Mutex
 	f      faultfs.File
@@ -109,15 +113,20 @@ type Writer struct {
 	opts   Options
 	closed bool
 
-	// Group-commit state, guarded by mu (SyncBatch only). enqSeq counts
-	// records written into bw; syncSeq counts records covered by a
-	// completed fsync; syncErr is sticky — once an fsync fails, the
-	// writer is broken and every waiter and later Append reports it.
+	// Ticket state, guarded by mu. enqSeq counts records written into
+	// bw — a record's ticket is its count; syncSeq counts records
+	// covered by a completed fsync; syncErr is sticky — once a write,
+	// flush or fsync fails the writer is broken for good, and every
+	// waiter and every later Enqueue reports it: records are durable in
+	// log order or not at all, which is what lets a commit depend on an
+	// earlier ticket without checking it. syncing marks a
+	// SyncEveryCommit waiter fsyncing outside mu.
 	enqSeq      uint64
 	syncSeq     uint64
 	syncErr     error
+	syncing     bool
 	synced      *sync.Cond // broadcast when syncSeq advances, syncErr sets, or the writer closes
-	wake        *sync.Cond // wakes the flusher when work arrives or the writer closes
+	wake        *sync.Cond // SyncBatch: wakes the flusher when work arrives, the writer breaks or closes
 	flusherDone chan struct{}
 
 	appends atomic.Uint64
@@ -133,10 +142,10 @@ type Writer struct {
 	// SetBatchObserver.
 	onBatch func(records int)
 
-	// Group-commit provenance for causal tracing (all under mu): the TN
-	// of the first record enqueued into the currently forming batch (its
-	// leader) and a small ring of completed batches' ticket coverage,
-	// scanned by observed appenders to learn which batch their ticket rode.
+	// Batch provenance for causal tracing (all under mu): the TN of the
+	// first record enqueued into the currently forming batch (its leader)
+	// and a small ring of completed batches' ticket coverage, scanned by
+	// Wait to report which batch a ticket rode.
 	leaderTN   uint64
 	haveLeader bool
 	batchLog   [batchLogSize]batchSpan
@@ -149,7 +158,7 @@ type Writer struct {
 // and its scan; 64 is generous.
 const batchLogSize = 64
 
-// batchSpan is one completed group-commit batch's ticket coverage.
+// batchSpan is one completed fsync batch's ticket coverage.
 type batchSpan struct {
 	lo, hi  uint64 // inclusive ticket range the fsync covered
 	batch   uint64 // batch ordinal (Batches() value once completed)
@@ -157,11 +166,10 @@ type batchSpan struct {
 	records int
 }
 
-// BatchInfo identifies the fsync coverage an observed append rode: Batch
-// is the group-commit batch ordinal (the fsync ordinal under
-// SyncEveryCommit), LeaderTN the transaction number of the record that
+// BatchInfo identifies the fsync coverage a ticket rode: Batch is the
+// batch ordinal, LeaderTN the transaction number of the record that
 // opened the batch, Records how many records the fsync covered. The
-// zero BatchInfo means no recorded batch covered the append (SyncNever,
+// zero BatchInfo means no recorded batch covered the ticket (SyncNever,
 // an inline Flush straggler, or coverage already evicted from the ring).
 type BatchInfo struct {
 	Batch    uint64 `json:"batch"`
@@ -176,8 +184,8 @@ func (w *Writer) Counters() (appends, fsyncs, bytes uint64) {
 	return w.appends.Load(), w.fsyncs.Load(), w.bytes.Load()
 }
 
-// Batches reports how many group-commit fsync batches have completed
-// (zero outside SyncBatch). appends/fsyncs is the amortization ratio.
+// Batches reports how many fsync batches have completed (zero under
+// SyncNever). appends/batches is the amortization ratio.
 func (w *Writer) Batches() uint64 { return w.batches.Load() }
 
 // Size reports the log file's current length in bytes: the length at
@@ -186,10 +194,10 @@ func (w *Writer) Batches() uint64 { return w.batches.Load() }
 // log compaction is overdue. Safe to call concurrently with Append.
 func (w *Writer) Size() int64 { return w.base + int64(w.bytes.Load()) }
 
-// SetBatchObserver installs fn, called after each completed group-commit
-// batch with the number of records the fsync covered. It runs on the
-// flusher goroutine outside the writer's mutex. Install it before the
-// writer sees concurrent use.
+// SetBatchObserver installs fn, called after each completed batch with
+// the number of records the fsync covered. It runs on the goroutine that
+// fsynced, outside the writer's mutex. Install it before the writer sees
+// concurrent use.
 func (w *Writer) SetBatchObserver(fn func(records int)) {
 	w.onBatch = fn
 }
@@ -223,8 +231,8 @@ func newWriter(f faultfs.File, opts Options) *Writer {
 		opts.BatchMaxRecords = DefaultBatchMaxRecords
 	}
 	w := &Writer{f: f, bw: bufio.NewWriterSize(f, 1<<16), opts: opts}
+	w.synced = sync.NewCond(&w.mu)
 	if opts.Policy == SyncBatch {
-		w.synced = sync.NewCond(&w.mu)
 		w.wake = sync.NewCond(&w.mu)
 		w.flusherDone = make(chan struct{})
 		go w.flusher()
@@ -299,126 +307,167 @@ func OpenAppendWith(path string, validLen int64, opts Options) (*Writer, error) 
 	return w, nil
 }
 
-// Append encodes and appends one commit record, flushing according to the
-// sync policy. The record is durable when Append returns under
-// SyncEveryCommit and SyncBatch; under SyncBatch the caller blocked on a
-// shared fsync ticket rather than issuing its own.
+// Ticket is an enqueued record's place in the log: Wait(t) returns once
+// an fsync covers every record up to and including it.
+type Ticket uint64
+
+// Append is Enqueue then Wait: the record is durable when it returns nil
+// (under SyncNever, handed to the OS).
 func (w *Writer) Append(r Record) error {
-	_, _, _, err := w.append(r, false)
+	t, err := w.Enqueue(r)
+	if err == nil {
+		_, err = w.Wait(t)
+	}
 	return err
 }
 
-// AppendObserved is Append reporting where the caller's time went and
-// which fsync covered the record: enqueueNS is the span from entry to
-// the record sitting in the log buffer (including contention on the
-// writer mutex), syncWaitNS the span from there to fsync coverage — the
-// inline flush+sync under SyncEveryCommit, or the wait for the
-// group-commit flusher's ticket under SyncBatch (zero under SyncNever) —
-// and info the batch that carried it (see BatchInfo), the joined-batch
-// blame edge of causal tracing. Both durations are valid even when err
-// is non-nil. The engine's observer calls this when phase timing or
-// tracing is on; everyone else uses Append and pays no timestamping.
-func (w *Writer) AppendObserved(r Record) (info BatchInfo, enqueueNS, syncWaitNS int64, err error) {
-	return w.append(r, true)
-}
-
-func (w *Writer) append(r Record, observed bool) (info BatchInfo, enqueueNS, syncWaitNS int64, err error) {
+// Enqueue encodes r into the log buffer and returns its ticket. Nothing
+// waits: the record is not durable until Wait(ticket) returns nil.
+// Tickets are handed out in log order, and a broken writer hands out no
+// more of them.
+func (w *Writer) Enqueue(r Record) (Ticket, error) {
 	payload := encodePayload(nil, r)
 	var hdr [8]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
 
-	var t0 time.Time
-	if observed {
-		t0 = time.Now()
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
-		return info, 0, 0, errors.New("wal: writer closed")
+		return 0, errors.New("wal: writer closed")
 	}
 	if w.syncErr != nil {
-		return info, 0, 0, w.syncErr
+		return 0, w.syncErr
 	}
-	if _, err := w.bw.Write(hdr[:]); err != nil {
-		return info, 0, 0, fmt.Errorf("wal: append: %w", err)
+	_, err := w.bw.Write(hdr[:])
+	if err == nil {
+		_, err = w.bw.Write(payload)
 	}
-	if _, err := w.bw.Write(payload); err != nil {
-		return info, 0, 0, fmt.Errorf("wal: append: %w", err)
+	if err != nil {
+		return 0, w.fail("append", err)
 	}
 	w.appends.Add(1)
 	w.bytes.Add(uint64(len(hdr) + len(payload)))
-	var tEnq time.Time
-	if observed {
-		tEnq = time.Now()
-		enqueueNS = tEnq.Sub(t0).Nanoseconds()
+	if !w.haveLeader {
+		w.haveLeader = true
+		w.leaderTN = r.TN
 	}
-	switch w.opts.Policy {
-	case SyncEveryCommit:
-		err := w.bw.Flush()
-		if err != nil {
-			err = fmt.Errorf("wal: flush: %w", err)
-		} else if err = w.f.Sync(); err != nil {
-			err = fmt.Errorf("wal: sync: %w", err)
-		} else {
-			w.fsyncs.Add(1)
-			if observed {
-				// A degenerate "batch" of one: the record led its own fsync.
-				info = BatchInfo{Batch: w.fsyncs.Load(), LeaderTN: r.TN, Records: 1}
-			}
-		}
-		if observed {
-			syncWaitNS = time.Since(tEnq).Nanoseconds()
-		}
-		return info, enqueueNS, syncWaitNS, err
-	case SyncBatch:
-		if !w.haveLeader {
-			w.haveLeader = true
-			w.leaderTN = r.TN
-		}
-		w.enqSeq++
-		seq := w.enqSeq
+	w.enqSeq++
+	if w.wake != nil {
 		w.wake.Signal()
-		for w.syncSeq < seq && w.syncErr == nil && !w.closed {
-			w.synced.Wait()
-		}
-		if observed {
-			syncWaitNS = time.Since(tEnq).Nanoseconds()
-		}
-		if w.syncSeq >= seq {
-			if observed {
-				// Newest first: a waiter is woken by the batch that covered
-				// it, so the scan almost always ends on its first entry.
-				for i := uint64(1); i <= batchLogSize && i <= w.batchLogN; i++ {
-					if b := &w.batchLog[(w.batchLogN-i)%batchLogSize]; b.lo <= seq && seq <= b.hi {
-						info = BatchInfo{Batch: b.batch, LeaderTN: b.leader, Records: b.records}
-						break
-					}
-				}
-			}
-			return info, enqueueNS, syncWaitNS, nil
-		}
-		if w.syncErr != nil {
-			return info, enqueueNS, syncWaitNS, w.syncErr
-		}
-		return info, enqueueNS, syncWaitNS, errors.New("wal: writer closed before batch fsync")
 	}
-	return info, enqueueNS, syncWaitNS, nil
+	return Ticket(w.enqSeq), nil
 }
 
-// flusher is the SyncBatch background goroutine: it gathers everything
-// appended since the last fsync, flushes the buffer under the mutex,
-// fsyncs outside it (so committers keep enqueueing into the next batch
-// while the disk works), then releases every ticket the fsync covered.
+// Wait blocks until an fsync covers t and reports the batch that carried
+// it (see BatchInfo). Under SyncNever it returns at once. A writer that
+// broke before covering t returns the sticky error — also when the break
+// happened on a later record: the log is durable as a prefix or not at
+// all.
+func (w *Writer) Wait(t Ticket) (BatchInfo, error) {
+	seq := uint64(t)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.opts.Policy == SyncNever {
+		return BatchInfo{}, w.syncErr
+	}
+	for w.syncSeq < seq && w.syncErr == nil && !w.closed {
+		if w.opts.Policy == SyncEveryCommit && !w.syncing {
+			w.syncPending() // nobody is fsyncing: this waiter does
+		} else {
+			w.synced.Wait()
+		}
+	}
+	switch {
+	case w.syncSeq >= seq:
+		// Newest first: a waiter is woken by the batch that covered it, so
+		// the scan almost always ends on its first entry.
+		for i := uint64(1); i <= batchLogSize && i <= w.batchLogN; i++ {
+			b := &w.batchLog[(w.batchLogN-i)%batchLogSize]
+			if b.hi < seq {
+				break
+			}
+			if b.lo <= seq {
+				return BatchInfo{Batch: b.batch, LeaderTN: b.leader, Records: b.records}, nil
+			}
+		}
+		return BatchInfo{}, nil
+	case w.syncErr != nil:
+		return BatchInfo{}, w.syncErr
+	}
+	return BatchInfo{}, errors.New("wal: writer closed before fsync")
+}
+
+// fail breaks the writer for good (mu held) and returns the sticky
+// error. A failed write may have left half a record in the buffer and a
+// failed fsync leaves the kernel's dirty-page state unknowable, so
+// nothing enqueued after either may ever be reported durable.
+func (w *Writer) fail(op string, err error) error {
+	if w.syncErr == nil {
+		w.syncErr = fmt.Errorf("wal: %s: %w", op, err)
+		w.synced.Broadcast()
+		if w.wake != nil {
+			w.wake.Signal()
+		}
+	}
+	return w.syncErr
+}
+
+// syncPending makes everything enqueued so far durable (mu held on entry
+// and return): it flushes the buffer under the mutex, fsyncs outside it —
+// so committers keep enqueueing into the next batch while the disk works
+// — then records the coverage and releases every ticket the fsync
+// covered. A failure breaks the writer.
+func (w *Writer) syncPending() {
+	target := w.enqSeq
+	// The forming batch is sealed at target: whoever enqueues while the
+	// fsync runs below leads the next batch.
+	leader := w.leaderTN
+	w.haveLeader = false
+	w.leaderTN = 0
+	w.syncing = true
+	op, err := "flush", w.bw.Flush()
+	w.mu.Unlock()
+	if err == nil {
+		op, err = "sync", w.f.Sync()
+	}
+	w.mu.Lock()
+	w.syncing = false
+	if err != nil {
+		w.fail(op, err)
+		return
+	}
+	var batch int
+	if target > w.syncSeq { // else an inline Flush got there first
+		batch = int(target - w.syncSeq)
+		w.batchLog[w.batchLogN%batchLogSize] = batchSpan{
+			lo: w.syncSeq + 1, hi: target,
+			batch: w.batches.Load() + 1, leader: leader, records: batch,
+		}
+		w.batchLogN++
+		w.syncSeq = target
+		w.fsyncs.Add(1)
+		w.batches.Add(1)
+	}
+	w.synced.Broadcast()
+	if batch > 0 && w.onBatch != nil {
+		w.mu.Unlock()
+		w.onBatch(batch)
+		w.mu.Lock()
+	}
+}
+
+// flusher is the SyncBatch background goroutine: it waits for work,
+// gathers, and syncs what is pending, until the writer breaks or closes.
 func (w *Writer) flusher() {
 	defer close(w.flusherDone)
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	for {
-		for w.enqSeq == w.syncSeq && !w.closed {
+		for w.enqSeq == w.syncSeq && w.syncErr == nil && !w.closed {
 			w.wake.Wait()
 		}
-		if w.enqSeq == w.syncSeq && w.closed {
-			w.mu.Unlock()
+		if w.syncErr != nil || w.enqSeq == w.syncSeq {
 			return
 		}
 		// Gathering: let every committer that is already runnable join
@@ -453,61 +502,34 @@ func (w *Writer) flusher() {
 				w.mu.Lock()
 			}
 		}
-		target := w.enqSeq
-		// The forming batch is sealed at target: whoever enqueues while
-		// the fsync runs below leads the next batch.
-		leader := w.leaderTN
-		w.haveLeader = false
-		w.leaderTN = 0
-		err := w.bw.Flush()
-		w.mu.Unlock()
-		if err == nil {
-			err = w.f.Sync()
-		}
-		w.mu.Lock()
-		var batch int
-		if err != nil {
-			w.syncErr = fmt.Errorf("wal: batch sync: %w", err)
-		} else if target > w.syncSeq {
-			batch = int(target - w.syncSeq)
-			w.batchLog[w.batchLogN%batchLogSize] = batchSpan{
-				lo: w.syncSeq + 1, hi: target,
-				batch: w.batches.Load() + 1, leader: leader, records: batch,
-			}
-			w.batchLogN++
-			w.syncSeq = target
-			w.fsyncs.Add(1)
-			w.batches.Add(1)
-		}
-		w.synced.Broadcast()
-		if batch > 0 && w.onBatch != nil {
-			ob := w.onBatch
-			w.mu.Unlock()
-			ob(batch)
-			w.mu.Lock()
-		}
-		if w.syncErr != nil {
-			w.mu.Unlock()
-			return
-		}
+		w.syncPending()
 	}
 }
 
-// Flush forces buffered records to the OS and disk.
+// Flush forces buffered records to the OS and disk, releasing every
+// outstanding ticket. It fails on a broken writer, and a failure breaks
+// the writer.
 func (w *Writer) Flush() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	return w.flushLocked()
+}
+
+func (w *Writer) flushLocked() error {
+	if w.syncErr != nil {
+		return w.syncErr
+	}
 	if err := w.bw.Flush(); err != nil {
-		return err
+		return w.fail("flush", err)
 	}
 	if err := w.f.Sync(); err != nil {
-		return err
+		return w.fail("sync", err)
 	}
 	w.fsyncs.Add(1)
-	if w.opts.Policy == SyncBatch && w.enqSeq > w.syncSeq {
+	if w.enqSeq > w.syncSeq {
 		// The inline fsync covered everything buffered so far; release
-		// any tickets the flusher had not reached yet. No batchLog entry
-		// is recorded — observed stragglers report a zero BatchInfo.
+		// any tickets no batch had reached yet. No batchLog entry is
+		// recorded — such stragglers report a zero BatchInfo.
 		w.syncSeq = w.enqSeq
 		w.haveLeader = false
 		w.leaderTN = 0
@@ -516,9 +538,9 @@ func (w *Writer) Flush() error {
 	return nil
 }
 
-// Close flushes and closes the log. Under SyncBatch it first drains the
-// flusher, so every Append that returned nil is durable before the file
-// closes.
+// Close flushes and closes the log. It first lets an fsync in flight
+// finish (under SyncBatch, drains the flusher), so every Append that
+// returned nil is durable before the file closes.
 func (w *Writer) Close() error {
 	w.mu.Lock()
 	if w.closed {
@@ -534,19 +556,13 @@ func (w *Writer) Close() error {
 		w.mu.Lock()
 	}
 	defer w.mu.Unlock()
-	if w.syncErr != nil {
-		w.f.Close()
-		return w.syncErr
+	for w.syncing {
+		w.synced.Wait()
 	}
-	if err := w.bw.Flush(); err != nil {
-		w.f.Close()
-		return err
-	}
-	if err := w.f.Sync(); err != nil {
+	if err := w.flushLocked(); err != nil {
 		w.f.Close()
 		return err
 	}
-	w.fsyncs.Add(1)
 	return w.f.Close()
 }
 

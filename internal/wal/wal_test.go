@@ -189,3 +189,49 @@ func TestPropertyEncodeDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Enqueue hands out tickets in log order without waiting; one fsync
+// covers every ticket up to the one waited on, under both syncing
+// policies, and reports the batch it made.
+func TestEnqueueThenWait(t *testing.T) {
+	for _, policy := range []SyncPolicy{SyncEveryCommit, SyncBatch} {
+		w, err := Create(filepath.Join(t.TempDir(), "wal"), policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tickets [3]Ticket
+		for i := range tickets {
+			if tickets[i], err = w.Enqueue(Record{TN: uint64(10 + i)}); err != nil {
+				t.Fatal(err)
+			}
+			if i > 0 && tickets[i] <= tickets[i-1] {
+				t.Fatalf("policy %d: tickets %v not in log order", policy, tickets)
+			}
+		}
+		if _, fsyncs, _ := w.Counters(); policy == SyncEveryCommit && fsyncs != 0 {
+			t.Fatalf("Enqueue fsynced (%d)", fsyncs)
+		}
+		info, err := w.Wait(tickets[2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Records < 1 || info.Batch == 0 {
+			t.Fatalf("policy %d: Wait reported no batch: %+v", policy, info)
+		}
+		if policy == SyncEveryCommit && (info.Records != 3 || info.LeaderTN != 10) {
+			t.Fatalf("inline fsync covered %+v, want all 3 records led by tn 10", info)
+		}
+		_, before, _ := w.Counters()
+		for _, tk := range tickets[:2] {
+			if _, err := w.Wait(tk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, after, _ := w.Counters(); after != before {
+			t.Fatalf("policy %d: waiting on covered tickets fsynced again (%d -> %d)", policy, before, after)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

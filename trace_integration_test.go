@@ -43,7 +43,8 @@ func TestTraceEndToEndBlameEdges(t *testing.T) {
 
 	// Contended mix: private-key writers keep group-commit batches and
 	// the VC queue busy (fsync waits create registered-but-incomplete
-	// predecessors), hot-key contenders collide on one lock. The run is
+	// predecessors), hot-key contenders collide on one lock, which each
+	// holds while it "computes". The run is
 	// sized to fit the promoted ring (64), so the assertions below are
 	// about every transaction of the run, not whichever ran last.
 	var wg sync.WaitGroup
@@ -64,10 +65,14 @@ func TestTraceEndToEndBlameEdges(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
 				_ = db.Update(func(tx *Tx) error {
-					if _, err := tx.Get("hot"); err != nil && err != ErrNotFound {
+					if err := tx.Put("hot", []byte("v")); err != nil {
 						return err
 					}
-					return tx.Put("hot", []byte("v"))
+					// Commit gives the lock back before its fsync wait, so
+					// only a transaction still executing holds it long
+					// enough for the other contender to run into it.
+					time.Sleep(500 * time.Microsecond)
+					return nil
 				})
 			}
 		}(w)
