@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"mvdb/internal/adaptive"
 	"mvdb/internal/baseline"
 	"mvdb/internal/core"
 	"mvdb/internal/dist"
@@ -557,45 +556,5 @@ func BenchmarkViewTxn(b *testing.B) {
 		}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkA3Adaptive: the adaptive engine vs its fixed-protocol
-// components on a contended read-modify-write workload, reporting
-// protocol switches.
-func BenchmarkA3Adaptive(b *testing.B) {
-	mk := []struct {
-		name string
-		make func() engine.Engine
-	}{
-		{"fixed-occ", func() engine.Engine { return core.New(core.Options{Protocol: core.Optimistic}) }},
-		{"fixed-2pl", func() engine.Engine { return core.New(core.Options{Protocol: core.TwoPhaseLocking}) }},
-		{"adaptive", func() engine.Engine { return adaptive.New(adaptive.Options{Window: 32}) }},
-	}
-	for _, ne := range mk {
-		b.Run(ne.name, func(b *testing.B) {
-			e := ne.make()
-			defer e.Close()
-			wl := workload.Config{Keys: 8, ReadOnlyFraction: 0.2, RWReads: 2, RWWrites: 2, Seed: 23}
-			if err := e.(bencher).Bootstrap(wl.Bootstrap()); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			res, err := harness.Run(harness.Config{
-				Engine: e, Clients: 4, TxnsPerClient: (b.N + 3) / 4, Workload: wl,
-				OpDelay: 10 * time.Microsecond, RetryLimit: 5000,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			total := res.CommittedRO + res.CommittedRW
-			if total > 0 {
-				b.ReportMetric(float64(res.Retries)/float64(total), "retries/txn")
-			}
-			if ad, ok := e.(*adaptive.Engine); ok {
-				b.ReportMetric(float64(ad.Switches()), "switches")
-			}
-		})
 	}
 }

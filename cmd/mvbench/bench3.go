@@ -27,11 +27,6 @@ import (
 // results there in addition to printing tables.
 var jsonOut string
 
-// minSpeedup is set by the -minspeedup flag: when positive, bench3
-// exits nonzero if group commit fails to beat the seed configuration by
-// this factor — the CI regression gate for the commit path.
-var minSpeedup float64
-
 // benchDoc is the top-level JSON document.
 type benchDoc struct {
 	Schema  string        `json:"schema"`
@@ -98,26 +93,25 @@ func runBench3(quick bool) {
 	}
 
 	// Scenario family 2: durable commit path. The "seed" row is the
-	// pre-PR configuration (single-stripe lock table, one fsync per
-	// commit); the "group" row is this PR's (striped table, SyncBatch).
-	// The acceptance bar is group >= 2x seed on the uniform-key update
-	// workload.
+	// single-stripe lock table with committers fsyncing inline
+	// (SyncEveryCommit); the "group" row is the striped table with the
+	// background flusher (SyncBatch). Since the pipelined commit both
+	// batch, so neither row is a floor for the other: they are reported,
+	// not gated (the bench/ rig's dur-* workloads gate the commit path).
 	dir, err := os.MkdirTemp("", "mvbench-wal")
 	if err != nil {
 		panic(err)
 	}
 	defer os.RemoveAll(dir)
 	commitWL := workload.Config{Keys: 512, ReadOnlyFraction: 0, RWReads: 2, RWWrites: 2, Seed: 7}
-	var seedTPS, groupTPS float64
 	for _, sc := range []struct {
 		name    string
 		opts    wal.Options
 		stripes int
 	}{
 		{"commit/2pl-uniform-seed", wal.Options{Policy: wal.SyncEveryCommit}, 1},
-		// Adaptive gathering only (no BatchMaxDelay): the flusher
-		// coalesces every runnable committer, so the batch tracks the
-		// number of clients without a timer on the commit path.
+		// The flusher coalesces every runnable committer, so the batch
+		// tracks the number of clients without a timer on the commit path.
 		{"commit/2pl-uniform-group", wal.Options{Policy: wal.SyncBatch}, 0},
 	} {
 		w, err := wal.CreateWith(filepath.Join(dir, sc.name[len("commit/"):]+".wal"), sc.opts)
@@ -137,10 +131,7 @@ func runBench3(quick bool) {
 			"wal_batches":      float64(sn.WALBatches),
 		}
 		if sc.opts.Policy == wal.SyncBatch {
-			groupTPS = res.Throughput()
 			m["batch_p50_records"] = float64(sn.WALBatchSize.P50)
-		} else {
-			seedTPS = res.Throughput()
 		}
 		doc.Results = append(doc.Results, benchResult{
 			Name: sc.name,
@@ -170,14 +161,6 @@ func runBench3(quick bool) {
 			fpc)
 	}
 	fmt.Print(tb.String())
-	if seedTPS > 0 {
-		speedup := groupTPS / seedTPS
-		fmt.Printf("\ngroup-commit speedup over seed: %.2fx\n", speedup)
-		if minSpeedup > 0 && speedup < minSpeedup {
-			fmt.Fprintf(os.Stderr, "FAIL: group-commit speedup %.2fx below the %.2fx bar\n", speedup, minSpeedup)
-			os.Exit(1)
-		}
-	}
 
 	if jsonOut != "" {
 		data, err := json.MarshalIndent(doc, "", "  ")

@@ -16,6 +16,11 @@ import (
 	"mvdb/internal/workload"
 )
 
+// minSpeedup is set by the -minspeedup flag: when positive, bench4
+// exits nonzero if the epoch watermark fails to beat the strict drain's
+// visible-wait at 16 goroutines by this factor.
+var minSpeedup float64
+
 // This file is the visibility-scaling regression harness behind the
 // bench-scaling CI job: register→visible lag and version-control
 // throughput at 1, 4 and 16 goroutines, strict drain vs epoch

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"mvdb/internal/adaptive"
 	"mvdb/internal/baseline"
 	"mvdb/internal/core"
 	"mvdb/internal/engine"
@@ -523,61 +522,4 @@ func runE8(quick bool) {
 	}
 	fmt.Print(tb.String())
 	fmt.Println("paper Section 6: read-only transactions carry one start number and no 2PC;\nonly read-write transactions pay the vote/commit message cost.")
-}
-
-// --- A3: adaptive concurrency control ---------------------------------------
-
-func runA3(quick bool) {
-	txns := 300
-	if quick {
-		txns = 100
-	}
-	tb := metrics.Table{
-		Title:   "A3 — adaptive concurrency control (a Section 1 'enabled experiment')",
-		Headers: []string{"engine", "calm-phase txn/s", "hot-phase txn/s", "retries (hot)", "switches"},
-	}
-
-	type phase struct {
-		wl workload.Config
-	}
-	calm := workload.Config{Keys: 256, ReadOnlyFraction: 0.3, RWReads: 2, RWWrites: 2, Seed: 23}
-	hot := workload.Config{Keys: 4, ReadOnlyFraction: 0.1, RWReads: 2, RWWrites: 2, Seed: 29}
-
-	run := func(name string, e engine.Engine, switches func() uint64) {
-		boot(e, calm)
-		// Phase 1: large key space, low contention.
-		resCalm, err := harness.Run(harness.Config{
-			Engine: e, Clients: 6, TxnsPerClient: txns, Workload: calm,
-			OpDelay: 10 * time.Microsecond, RetryLimit: 5000,
-		})
-		if err != nil {
-			panic(err)
-		}
-		// Phase 2: four hot keys, heavy write contention.
-		resHot, err := harness.Run(harness.Config{
-			Engine: e, Clients: 6, TxnsPerClient: txns, Workload: hot,
-			OpDelay: 10 * time.Microsecond, RetryLimit: 5000,
-		})
-		if err != nil {
-			panic(err)
-		}
-		sw := "n/a"
-		if switches != nil {
-			sw = fmt.Sprint(switches())
-		}
-		tb.AddRow(name, metrics.F(resCalm.Throughput()), metrics.F(resHot.Throughput()),
-			fmt.Sprint(resHot.Retries), sw)
-		dumpStats("a3 "+name+" calm", resCalm.Stats)
-		dumpStats("a3 "+name+" hot", resHot.Stats)
-		e.Close()
-	}
-
-	occ := core.New(core.Options{Protocol: core.Optimistic})
-	run("fixed vc+occ", occ, nil)
-	tpl := core.New(core.Options{Protocol: core.TwoPhaseLocking})
-	run("fixed vc+2pl", tpl, nil)
-	ad := adaptive.New(adaptive.Options{Window: 32, HighWater: 0.25, LowWater: 0.05})
-	run("adaptive", ad, ad.Switches)
-	fmt.Print(tb.String())
-	fmt.Println("the adaptive engine runs optimistically while conflicts are rare and flips\nto locking when they are not — with version control untouched either way.")
 }

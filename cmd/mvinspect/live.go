@@ -190,11 +190,6 @@ func liveTable(addr string, cur, prev *obs.Payload, interval time.Duration) metr
 	gauge("vc queue", s.VCQueueLen)
 	gauge("keys / versions", fmt.Sprintf("%d / %d", s.Keys, s.Versions))
 	gauge("version chain max/mean", fmt.Sprintf("%d / %.2f", s.MaxVersionChain, s.MeanVersionChain))
-	if a := s.Adaptive; a != nil {
-		gauge("adaptive switches", a.Switches)
-		gauge("adaptive health signals", a.HealthSignals)
-		gauge("adaptive knob actions", a.KnobActions)
-	}
 	if n := len(cur.Trace); n > 0 {
 		last := cur.Trace[n-1]
 		gauge("trace events retained", n)

@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	mvsoak [-duration 60s] [-protocol 2pl|to|occ|adaptive|all] [-vc strict|epoch|all]
+//	mvsoak [-duration 60s] [-protocol 2pl|to|occ|all] [-vc strict|epoch|all]
 //	       [-clients N] [-keys N] [-zipf S] [-ro F] [-rmw] [-group]
 //	       [-checkpoint 10s] [-gc 200ms] [-interval 1s] [-hotspots]
 //	       [-dir D] [-json out.json] [-v]
@@ -70,9 +70,8 @@ type protocolResult struct {
 	Bundle   string               `json:"bundle,omitempty"`
 
 	// With -hotspots: the profiler's ranked hot keys (writes, then reads
-	// when no writes were sampled) and any adaptive knob actions taken.
-	TopKeys     []hotspot.HotKey `json:"top_keys,omitempty"`
-	KnobActions int64            `json:"knob_actions,omitempty"`
+	// when no writes were sampled).
+	TopKeys []hotspot.HotKey `json:"top_keys,omitempty"`
 }
 
 // driftChecks are the soak oracle's "no monotonic creep" bounds:
@@ -88,7 +87,7 @@ var driftChecks = []health.DriftCheck{
 func main() {
 	var (
 		duration   = flag.Duration("duration", 60*time.Second, "total wall-clock budget, split across protocols")
-		protocol   = flag.String("protocol", "all", "2pl, to, occ, adaptive (AdaptiveCC + knob controller), or all")
+		protocol   = flag.String("protocol", "all", "2pl, to, occ, or all")
 		vcFlag     = flag.String("vc", "all", "visibility mode: strict, epoch, or all (both)")
 		clients    = flag.Int("clients", 4, "concurrent workload clients per protocol")
 		keys       = flag.Int("keys", 512, "key-space size")
@@ -180,7 +179,7 @@ func selectProtocols(sel string) []string {
 	switch sel {
 	case "all", "":
 		return []string{"2pl", "to", "occ"}
-	case "2pl", "to", "occ", "adaptive":
+	case "2pl", "to", "occ":
 		return []string{sel}
 	}
 	return nil
@@ -228,7 +227,6 @@ func runProtocol(proto, mode, base string, budget time.Duration, cfg workload.Co
 	}
 	db, err := mvdb.Open(mvdb.Options{
 		Protocol:       mvdbProtocol(proto),
-		AdaptiveCC:     proto == "adaptive",
 		VisibilityMode: mvdbVisibility(mode),
 		WALPath:        filepath.Join(d, "commit.log"),
 		GroupCommit:    group,
@@ -353,11 +351,6 @@ func runProtocol(proto, mode, base string, budget time.Duration, cfg workload.Co
 		if len(res.TopKeys) > 8 {
 			res.TopKeys = res.TopKeys[:8]
 		}
-	}
-	// Knob actions only exist under AdaptiveCC; plain soak configs
-	// report 0.
-	if sn.Adaptive != nil {
-		res.KnobActions = sn.Adaptive.KnobActions
 	}
 
 	res.Pass = len(res.Reasons) == 0

@@ -32,7 +32,6 @@ import (
 	"sync"
 	"time"
 
-	"mvdb/internal/adaptive"
 	"mvdb/internal/audit"
 	"mvdb/internal/baseline"
 	"mvdb/internal/core"
@@ -64,8 +63,6 @@ func mkEngine(name string, rec engine.Recorder) (engine.Engine, error) {
 		return baseline.NewMV2PLCTL(0, lock.Detect, 0, rec), nil
 	case "sv2pl":
 		return baseline.NewSV2PL(0, lock.Detect, 0, rec), nil
-	case "adaptive":
-		return adaptive.New(adaptive.Options{Core: core.Options{Recorder: rec}, Window: 16}), nil
 	case "dist3":
 		return dist.New(dist.Options{Sites: 3, Recorder: rec, LockTimeout: 10 * time.Millisecond})
 	case "broken-early-register":
@@ -79,7 +76,7 @@ func mkEngine(name string, rec engine.Recorder) (engine.Engine, error) {
 
 var allEngineNames = []string{
 	"vc+2pl", "vc+2pl/woundwait", "vc+2pl/timeout", "vc+to", "vc+occ",
-	"mvto", "mv2plctl", "sv2pl", "adaptive", "dist3",
+	"mvto", "mv2plctl", "sv2pl", "dist3",
 }
 
 // brokenEngineNames are the deliberate ablations run under -audit; they

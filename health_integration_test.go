@@ -56,8 +56,8 @@ func BenchmarkHealthMonitor(b *testing.B) {
 // trip the commit-p99 SLO's fast burn window, and the resulting page
 // alarm must flow through every reused pipe — a flight bundle carrying
 // the health timeline, promoted causal traces, an EvHealth event in the
-// trace ring, a health signal observed by the adaptive policy, and the
-// /debug/mvdb/health endpoint reporting the paged SLO.
+// trace ring, and the /debug/mvdb/health endpoint reporting the paged
+// SLO.
 func TestHealthEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	// The first fsync of the commit log (and, sticky, every one after)
@@ -68,7 +68,7 @@ func TestHealthEndToEnd(t *testing.T) {
 		Fault: faultfs.Fault{Delay: 8 * time.Millisecond, Sticky: true},
 	}}})
 	db, err := Open(Options{
-		AdaptiveCC:     true,
+		Protocol:       Optimistic,
 		WALPath:        filepath.Join(dir, "commit.log"),
 		GroupCommit:    true,
 		FS:             fs,
@@ -143,12 +143,6 @@ func TestHealthEndToEnd(t *testing.T) {
 	}
 	if !foundEv {
 		t.Fatal("no EvHealth event for commit-p99 in the trace ring")
-	}
-
-	// The adaptive policy consumed health signals (and only those: the
-	// internal sampler is disabled once the timeline drives it).
-	if a := db.Stats().Adaptive; a == nil || a.HealthSignals == 0 {
-		t.Fatal("adaptive policy observed no health signals")
 	}
 
 	// The page alarm triggered an async flight bundle; it must carry

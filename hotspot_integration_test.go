@@ -7,11 +7,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"mvdb/internal/flight"
 	"mvdb/internal/hotspot"
-	"mvdb/internal/obs"
 )
 
 // BenchmarkHotspotProfiler measures the profiler's cost off and on
@@ -46,30 +44,21 @@ func BenchmarkHotspotProfiler(b *testing.B) {
 	}
 }
 
-// TestHotspotWorkloadShift is the tentpole acceptance path: a durable
-// group-commit adaptive engine under epoch visibility runs a uniform
-// workload, then shifts to hammering four hot keys. The profiler's
-// report must rank the hot keys at the top, the knob controller must
-// record at least one decision (as an EvKnob trace event and in
-// Stats().Adaptive), the flight bundle (schema v3) must carry the hotspot
-// section, and /debug/mvdb/hotspot must serve the live report.
-//
-// Health ticks are driven manually with synthetic timestamps one second
-// apart (HealthInterval is an hour), so the interval rates the knob
-// policy reads are deterministic: each phase commits sequentially, so
-// fsyncs-per-commit sits near 1.0 — fsync-bound at volume, exactly the
-// regime where the group-commit window must step up.
+// TestHotspotWorkloadShift is the profiler's acceptance path: a durable
+// group-commit engine under epoch visibility runs a uniform workload,
+// then shifts to hammering four hot keys. The profiler's report must
+// rank the hot keys at the top, the flight bundle (schema v3) must carry
+// the hotspot section, and /debug/mvdb/hotspot must serve the live
+// report.
 func TestHotspotWorkloadShift(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(Options{
-		AdaptiveCC:         true,
+		Protocol:           Optimistic,
 		VisibilityMode:     VisibilityEpoch,
 		WALPath:            filepath.Join(dir, "commit.log"),
 		GroupCommit:        true,
 		Hotspot:            true,
 		HotspotSampleEvery: 1, // deterministic sketch contents
-		Health:             true,
-		HealthInterval:     time.Hour, // ticks are driven manually below
 		FlightDir:          filepath.Join(dir, "flight"),
 		DebugAddr:          "127.0.0.1:0",
 	})
@@ -77,9 +66,6 @@ func TestHotspotWorkloadShift(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-
-	base := time.Now()
-	db.Health().Tick(base) // prime the differ
 
 	// Phase 1: uniform — 200 commits spread over 100 keys.
 	for i := 0; i < 200; i++ {
@@ -89,9 +75,6 @@ func TestHotspotWorkloadShift(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, ok := db.Health().Tick(base.Add(time.Second)); !ok {
-		t.Fatal("uniform-phase tick produced no point")
-	}
 
 	// Phase 2: the shift — 300 commits hammering four hot keys.
 	for i := 0; i < 300; i++ {
@@ -100,9 +83,6 @@ func TestHotspotWorkloadShift(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if _, ok := db.Health().Tick(base.Add(2 * time.Second)); !ok {
-		t.Fatal("hot-phase tick produced no point")
 	}
 
 	// The report ranks the hot keys at the top of the write sketch.
@@ -130,27 +110,8 @@ func TestHotspotWorkloadShift(t *testing.T) {
 		t.Error("report has no epoch lanes under VisibilityEpoch")
 	}
 
-	// The knob controller acted on the fsync-bound intervals and the
-	// decisions are visible in Stats and the trace ring.
-	sn := db.Stats()
-	if sn.Adaptive == nil || sn.Adaptive.KnobActions == 0 {
-		t.Fatalf("Stats().Adaptive = %+v, want recorded knob actions", sn.Adaptive)
-	}
-	if sn.Adaptive.BatchMaxDelayNS == 0 {
-		t.Errorf("group-commit window never stepped up: %+v", sn.Adaptive)
-	}
-	if sn.Hotspot == nil || !sn.Hotspot.Enabled {
+	if sn := db.Stats(); sn.Hotspot == nil || !sn.Hotspot.Enabled {
 		t.Error("Stats().Hotspot missing the profiler report")
-	}
-	foundKnob := false
-	for _, ev := range db.Trace() {
-		if ev.Type == obs.EvKnob && strings.HasPrefix(ev.Key, "wal.batch_delay=") {
-			foundKnob = true
-			break
-		}
-	}
-	if !foundKnob {
-		t.Fatal("no wal.batch_delay EvKnob event in the trace ring")
 	}
 
 	// The flight bundle (schema v3) carries the hotspot section.

@@ -137,13 +137,12 @@ type Options struct {
 // Engine is a multiversion engine with modular version control. It
 // implements engine.Engine.
 type Engine struct {
-	opts     Options
-	protocol atomic.Int32 // current Protocol; swappable via SetProtocol
-	store    *storage.Store
-	vc       vc.Controller
-	locks    *lock.Manager // 2PL only
-	valMu    sync.Mutex    // OCC validation critical section
-	sinks                  // everything the engine reports to (observe.go)
+	opts  Options
+	store *storage.Store
+	vc    vc.Controller
+	locks *lock.Manager // 2PL only
+	valMu sync.Mutex    // OCC validation critical section
+	sinks               // everything the engine reports to (observe.go)
 
 	ids  atomic.Uint64 // transaction id allocator (diagnostics, lock owner)
 	ages atomic.Uint64 // begin-order sequence for wound-wait
@@ -172,12 +171,11 @@ func New(opts Options) *Engine {
 		vc:    newController(opts.Visibility, 0),
 		sinks: newSinks(opts),
 	}
-	// The lock manager exists regardless of the initial protocol so that
-	// SetProtocol can swap to two-phase locking later.
+	// The lock manager exists under every protocol: LockWaitGraph, the
+	// stripe heatmap and the lock counters read it unconditionally.
 	e.locks = lock.NewManagerStriped(opts.LockPolicy, opts.LockTimeout, opts.LockStripes)
 	e.observeLocks()
 	e.observeVC()
-	e.protocol.Store(int32(opts.Protocol))
 	e.roActive.init()
 	if opts.WAL != nil {
 		e.observeWAL(opts.WAL)
@@ -186,23 +184,7 @@ func New(opts Options) *Engine {
 }
 
 // Name implements engine.Engine.
-func (e *Engine) Name() string { return e.Protocol().String() }
-
-// Protocol returns the concurrency control currently in force for new
-// read-write transactions.
-func (e *Engine) Protocol() Protocol { return Protocol(e.protocol.Load()) }
-
-// SetProtocol swaps the concurrency control used by SUBSEQUENT read-write
-// transactions. The caller must guarantee that no read-write transaction
-// is active (internal/adaptive enforces this with an epoch barrier);
-// read-only transactions need no quiescence at all — their execution is
-// independent of the concurrency control component, which is exactly the
-// modularity the paper advertises (Section 1: "more experimentation ...
-// in areas such as ... adaptive concurrency control schemes without
-// introducing major modifications to the entire protocol").
-func (e *Engine) SetProtocol(p Protocol) {
-	e.protocol.Store(int32(p))
-}
+func (e *Engine) Name() string { return e.opts.Protocol.String() }
 
 // Store exposes the underlying store (garbage collection, tools).
 func (e *Engine) Store() *storage.Store { return e.store }
@@ -234,7 +216,7 @@ func (e *Engine) Begin(class engine.Class) (engine.Tx, error) {
 	if class == engine.ReadOnly {
 		return e.beginReadOnly(id, 0), nil
 	}
-	switch p := e.Protocol(); p {
+	switch p := e.opts.Protocol; p {
 	case TwoPhaseLocking:
 		return e.beginTwoPhase(id), nil
 	case TimestampOrdering:
@@ -286,7 +268,7 @@ func (e *Engine) LockWaitGraph() lock.WaitGraph { return e.locks.WaitGraph() }
 // it is meant for periodic polling, not per-transaction calls.
 func (e *Engine) Snapshot() obs.Snapshot {
 	sn := e.stats.Snapshot()
-	sn.Protocol = e.Protocol().String()
+	sn.Protocol = e.opts.Protocol.String()
 	if e.locks != nil {
 		sn.LockWaits = int64(e.locks.Waits())
 		sn.LockDeadlocks = int64(e.locks.Deadlocks())

@@ -85,13 +85,11 @@ func (e *Engine) observeLocks() {
 // into the phase matrix and the span tracer, and points the profiler's
 // visibility taps at the controller (lane frontiers exist only under
 // epoch visibility). Called at construction and again whenever the
-// controller is replaced (recovery). A lag entry is attributed to the
-// protocol in force when it becomes visible — exact except across an
-// adaptive protocol switch, where a straggler may land one row over.
+// controller is replaced (recovery).
 func (e *Engine) observeVC() {
 	if e.phases != nil || e.traces != nil {
 		e.vc.SetVisibleObserver(func(tn uint64, d time.Duration) {
-			e.phases.Record(obs.ProtoIdx(e.protocol.Load()), obs.PhaseVisibleWait, tn, d)
+			e.phases.Record(obs.ProtoIdx(e.opts.Protocol), obs.PhaseVisibleWait, tn, d)
 			e.traces.OnVisible(tn, d)
 		})
 	}
@@ -128,9 +126,9 @@ func init() {
 	}
 }
 
-// Obs exposes the engine's observability registry so wrappers (the
-// public API, the adaptive engine) can count events that happen above
-// this layer — Update retries, GC passes — into the same snapshot.
+// Obs exposes the engine's observability registry so the public API
+// can count events that happen above this layer — Update retries, GC
+// passes — into the same snapshot.
 func (e *Engine) Obs() *obs.Stats { return e.stats }
 
 // Phases exposes the latency-attribution matrix (nil unless

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"mvdb/internal/adaptive"
 	"mvdb/internal/baseline"
 	"mvdb/internal/core"
 	"mvdb/internal/dist"
@@ -53,9 +52,6 @@ func TestConformance(t *testing.T) {
 		},
 		"sv2pl": func(rec engine.Recorder) Instance {
 			return baseline.NewSV2PL(0, lock.Detect, 0, rec)
-		},
-		"adaptive": func(rec engine.Recorder) Instance {
-			return adaptive.New(adaptive.Options{Core: core.Options{Recorder: rec}, Window: 16})
 		},
 		"dist-1site": func(rec engine.Recorder) Instance {
 			c, err := dist.New(dist.Options{Sites: 1, Recorder: rec, LockTimeout: 10 * time.Millisecond})

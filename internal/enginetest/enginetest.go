@@ -1,7 +1,7 @@
 // Package enginetest is a conformance suite for engine.Engine
 // implementations: one battery of behavioral checks that every engine in
 // the repository — the three version-control engines, the three
-// baselines, the adaptive engine and the distributed cluster — must pass.
+// baselines and the distributed cluster — must pass.
 // Engine-specific guarantees (e.g. "read-only transactions never block")
 // are deliberately NOT here; this suite pins down the common transaction
 // semantics so the comparative experiments compare like with like.

@@ -298,6 +298,28 @@ func TestCaptureOneShot(t *testing.T) {
 	if b.Reason != "oracle-violation" || b.Detail != "details here" {
 		t.Fatalf("unexpected bundle header: %+v", b)
 	}
+
+	// A bundle written before the self-tuning layer was deleted carries
+	// "knob" trace events and an "adaptive" stats section; it must still
+	// load and render (the unknown event name decodes to the zero type).
+	old := filepath.Join(dir, "flight-old.json")
+	if err := os.WriteFile(old, []byte(`{"schema":"mvdb-flight/v3","seq":1,"reason":"slo-commit-p99",
+		"stats":{"protocol":"vc+occ","commits_rw":7,"adaptive":{"protocol":"vc+occ","switches":1,"knob_actions":2,"batch_max_delay_ns":100000}},
+		"trace":[{"seq":1,"at_ns":1,"type":"commit","tx":3,"tn":3},
+		         {"seq":2,"at_ns":2,"type":"knob","key":"wal.batch_delay=100µs","n":100000}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if b, err = flight.Load(old); err != nil {
+		t.Fatal(err)
+	}
+	if b.Stats.CommitsRW != 7 || len(b.Trace) != 2 || b.Trace[1].Key != "wal.batch_delay=100µs" {
+		t.Fatalf("old-shape bundle decoded to %+v", b)
+	}
+	var sb strings.Builder
+	flight.Render(b, &sb)
+	if !strings.Contains(sb.String(), "== trace tail (2 events) ==") {
+		t.Fatalf("old-shape bundle render:\n%s", sb.String())
+	}
 }
 
 // TestCloseSemantics: Trigger fails after Close, TriggerAsync is a

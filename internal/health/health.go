@@ -14,8 +14,7 @@
 // drifting up, is the GC backlog growing without bound, did commit p99
 // degrade when the checkpoint ran. Its alarms reuse the existing
 // plumbing — flight TriggerAsync, trace PromoteRecent, the obs event
-// ring, Prometheus counters — and its Signal feeds internal/adaptive
-// as the protocol switcher's first real decision input.
+// ring, Prometheus counters.
 //
 // Everything here is off the transaction hot path: the only per-commit
 // cost is one histogram Record behind a nil check, and a nil *Monitor
@@ -46,8 +45,7 @@ type Point struct {
 	CommitRateRW float64 `json:"commit_rate_rw"`
 	CommitRateRO float64 `json:"commit_rate_ro"`
 	AbortRate    float64 `json:"abort_rate"`
-	// AbortFrac is aborts/(commits+aborts) within the interval — the
-	// conflict pressure adaptive CC keys off.
+	// AbortFrac is aborts/(commits+aborts) within the interval.
 	AbortFrac float64 `json:"abort_frac"`
 	RetryRate float64 `json:"retry_rate"`
 	// Ops is the interval's completed transactions (commits + aborts,
@@ -274,7 +272,6 @@ type Monitor struct {
 	mu       sync.Mutex
 	levels   []levelState
 	slos     []sloState
-	subs     []func(Signal)
 	havePrev bool
 	prev     obs.Snapshot
 	prevAt   time.Time
@@ -357,18 +354,6 @@ func (m *Monitor) ObserveLatency(ro bool, d time.Duration) {
 	}
 }
 
-// Subscribe registers fn to receive every tick's Signal (the new
-// level-0 point plus any alarms it raised), called synchronously on
-// the ticking goroutine. Register before Start.
-func (m *Monitor) Subscribe(fn func(Signal)) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	m.subs = append(m.subs, fn)
-	m.mu.Unlock()
-}
-
 // Start begins background ticking at the configured interval.
 func (m *Monitor) Start() {
 	if m == nil || !m.started.CompareAndSwap(false, true) {
@@ -428,7 +413,7 @@ func (m *Monitor) sampleCounters() counters {
 
 // Tick takes one sample at now: diff the snapshot against the previous
 // tick into a Point, push it down the resolution ladder, evaluate the
-// SLOs, and deliver the Signal. The first call only establishes the
+// SLOs, and raise their alarms. The first call only establishes the
 // baseline and produces no point. Returns the new point and whether
 // one was produced. Tests drive this directly with synthetic clocks.
 func (m *Monitor) Tick(now time.Time) (Point, bool) {
@@ -447,7 +432,6 @@ func (m *Monitor) Tick(now time.Time) (Point, bool) {
 	m.prev, m.prevAt, m.prevLat, m.prevCtrs = sn, now, lat, ctrs
 	m.push(p)
 	alarms := m.evaluateSLOs(p)
-	subs := m.subs
 	m.mu.Unlock()
 
 	m.points.Add(1)
@@ -466,10 +450,6 @@ func (m *Monitor) Tick(now time.Time) (Point, bool) {
 		if m.opts.OnAlarm != nil {
 			m.opts.OnAlarm(al)
 		}
-	}
-	sig := Signal{Point: p, Alarms: alarms}
-	for _, fn := range subs {
-		fn(sig)
 	}
 	return p, true
 }

@@ -148,8 +148,6 @@ func TestSLOFastBurnPagesAndHysteresis(t *testing.T) {
 		}},
 		OnAlarm: func(a Alarm) { alarms = append(alarms, a) },
 	})
-	var sigs []Signal
-	m.Subscribe(func(s Signal) { sigs = append(sigs, s) })
 
 	base := time.Unix(1_700_000_000, 0)
 	m.Tick(base)
@@ -194,12 +192,8 @@ func TestSLOFastBurnPagesAndHysteresis(t *testing.T) {
 	if len(alarms) != 1 {
 		t.Fatalf("de-escalation alarmed: %+v", alarms)
 	}
-	// The signal stream carried every point and the page alarm.
-	if len(sigs) != 9 {
-		t.Fatalf("got %d signals, want 9", len(sigs))
-	}
-	if len(sigs[2].Alarms) != 1 {
-		t.Fatalf("page alarm missing from its tick's signal")
+	if m.PointsTotal() != 9 {
+		t.Fatalf("got %d points, want 9", m.PointsTotal())
 	}
 	if w, p := m.AlarmCounts(); w != 0 || p != 1 {
 		t.Fatalf("AlarmCounts = %d warn %d page, want 0, 1", w, p)
@@ -257,7 +251,6 @@ func TestNewValidation(t *testing.T) {
 func TestNilMonitorIsSafe(t *testing.T) {
 	var m *Monitor
 	m.ObserveLatency(false, time.Millisecond)
-	m.Subscribe(func(Signal) {})
 	m.Start()
 	m.Stop()
 	if m.Points(0, 1) != nil || m.NumLevels() != 0 || m.PointsTotal() != 0 {

@@ -52,14 +52,6 @@ type Alarm struct {
 	Message   string  `json:"message"`
 }
 
-// Signal is what each tick delivers to subscribers: the new base-
-// resolution point and the alarms it raised (usually none). This is
-// the decision input internal/adaptive consumes.
-type Signal struct {
-	Point  Point   `json:"point"`
-	Alarms []Alarm `json:"alarms,omitempty"`
-}
-
 // sloStateLevel orders severities for hysteresis.
 const (
 	stateOK = iota

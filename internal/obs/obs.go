@@ -152,8 +152,7 @@ var buildRevision = sync.OnceValue(func() string {
 // WAL substrate counters). It is the JSON document served at
 // /debug/mvdb and the value returned by the public db.Stats().
 type Snapshot struct {
-	// Protocol is the concurrency control in force when the snapshot
-	// was taken (it changes only under adaptive CC).
+	// Protocol is the engine's concurrency control, fixed at Open.
 	Protocol string `json:"protocol,omitempty"`
 
 	// Commit counters are read before begin counters, so within one
@@ -255,11 +254,6 @@ type Snapshot struct {
 	// epoch-lane occupancy.
 	Hotspot *hotspot.Report `json:"hotspot,omitempty"`
 
-	// Adaptive is the adaptive controller's state (nil unless the
-	// database runs under AdaptiveCC): protocol switches, health
-	// signals consumed, knob actions taken, and current knob values.
-	Adaptive *AdaptiveInfo `json:"adaptive,omitempty"`
-
 	// Process health: liveness basics for dashboards and the future
 	// server binary. UptimeSeconds counts from the engine's stats
 	// registry creation; GoVersion/BuildRevision identify the build
@@ -269,26 +263,6 @@ type Snapshot struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	GoVersion     string  `json:"go_version,omitempty"`
 	BuildRevision string  `json:"build_revision,omitempty"`
-}
-
-// AdaptiveInfo is the adaptive engine's typed snapshot section. It is
-// defined here rather than in internal/adaptive because adaptive sits
-// above core, which sits above obs — the data flows down into the
-// snapshot.
-type AdaptiveInfo struct {
-	// Protocol is the concurrency control currently in force.
-	Protocol string `json:"protocol"`
-	// Switches counts protocol switches; HealthSignals the health
-	// signals consumed; KnobActions the online knob adjustments taken.
-	Switches      int64 `json:"switches"`
-	HealthSignals int64 `json:"health_signals"`
-	KnobActions   int64 `json:"knob_actions"`
-	// Current knob values (zero when the corresponding target is not
-	// wired): WAL group-commit gather bounds and the epoch
-	// publish-coalescing factor.
-	BatchMaxRecords int   `json:"batch_max_records,omitempty"`
-	BatchMaxDelayNS int64 `json:"batch_max_delay_ns,omitempty"`
-	PublishEvery    int   `json:"publish_every,omitempty"`
 }
 
 // Snapshot reads the registry. Reads are ordered so that a snapshot

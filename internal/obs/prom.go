@@ -287,23 +287,6 @@ func (sn Snapshot) WriteProm(w io.Writer) error {
 		}
 	}
 
-	if a := sn.Adaptive; a != nil {
-		p.Header("mvdb_adaptive_info", "gauge", "Adaptive controller identity; the protocol label is the concurrency control in force.")
-		p.Int("mvdb_adaptive_info", 1, "protocol", a.Protocol)
-		p.Header("mvdb_adaptive_switches_total", "counter", "Protocol switches taken by the adaptive controller.")
-		p.Int("mvdb_adaptive_switches_total", a.Switches)
-		p.Header("mvdb_adaptive_health_signals_total", "counter", "Health signals consumed by the adaptive controller.")
-		p.Int("mvdb_adaptive_health_signals_total", a.HealthSignals)
-		p.Header("mvdb_adaptive_knob_actions_total", "counter", "Online knob adjustments taken by the adaptive controller.")
-		p.Int("mvdb_adaptive_knob_actions_total", a.KnobActions)
-		p.Header("mvdb_adaptive_batch_max_records", "gauge", "Current WAL group-commit gather bound in records (0 when the WAL knob is not wired).")
-		p.Int("mvdb_adaptive_batch_max_records", int64(a.BatchMaxRecords))
-		p.Header("mvdb_adaptive_batch_max_delay_seconds", "gauge", "Current WAL group-commit gather delay (0 when unset).")
-		p.Value("mvdb_adaptive_batch_max_delay_seconds", float64(a.BatchMaxDelayNS)/1e9)
-		p.Header("mvdb_adaptive_publish_every", "gauge", "Current epoch publish-coalescing factor (0 when the epoch knob is not wired).")
-		p.Int("mvdb_adaptive_publish_every", int64(a.PublishEvery))
-	}
-
 	p.Header("mvdb_build_info", "gauge", "Process build identity (constant 1; identity in labels).")
 	p.Int("mvdb_build_info", 1, "go_version", sn.GoVersion, "revision", sn.BuildRevision)
 	p.Header("mvdb_goroutines", "gauge", "Live goroutines in the process.")

@@ -230,7 +230,6 @@ func TestWritePromCompleteness(t *testing.T) {
 		"StoreWaits":                "mvdb_store_waits_total",
 		"Phases":                    "mvdb_phase_seconds",
 		"Hotspot":                   "mvdb_hotspot_touches_total",
-		"Adaptive":                  "mvdb_adaptive_info",
 		"Goroutines":                "mvdb_goroutines",
 		"GOMAXPROCS":                "mvdb_gomaxprocs",
 		"UptimeSeconds":             "mvdb_uptime_seconds",
@@ -302,16 +301,6 @@ func TestWritePromCompleteness(t *testing.T) {
 				Lanes:       []uint64{4, 2},
 				StallLane:   1,
 			}))
-		case f.Type == reflect.TypeOf((*AdaptiveInfo)(nil)):
-			fv.Set(reflect.ValueOf(&AdaptiveInfo{
-				Protocol:        "vc+2pl",
-				Switches:        1,
-				HealthSignals:   2,
-				KnobActions:     3,
-				BatchMaxRecords: 128,
-				BatchMaxDelayNS: 500_000,
-				PublishEvery:    2,
-			}))
 		case fv.CanInt():
 			fv.SetInt(7)
 		case fv.CanUint():
@@ -351,8 +340,8 @@ func TestWritePromCompleteness(t *testing.T) {
 	if !emitted["mvdb_phase_slowest_tx"] {
 		t.Errorf("mvdb_phase_slowest_tx missing from exposition")
 	}
-	// The hotspot and adaptive sections fan out into sub-families that
-	// ride their anchor fields; a populated report must emit them all.
+	// The hotspot section fans out into sub-families that ride its
+	// anchor field; a populated report must emit them all.
 	for _, fam := range []string{
 		"mvdb_hotspot_sample_every",
 		"mvdb_hotspot_key_touches",
@@ -365,12 +354,6 @@ func TestWritePromCompleteness(t *testing.T) {
 		"mvdb_hotspot_snapshot_age",
 		"mvdb_hotspot_lane_frontier",
 		"mvdb_hotspot_stall_lane",
-		"mvdb_adaptive_switches_total",
-		"mvdb_adaptive_health_signals_total",
-		"mvdb_adaptive_knob_actions_total",
-		"mvdb_adaptive_batch_max_records",
-		"mvdb_adaptive_batch_max_delay_seconds",
-		"mvdb_adaptive_publish_every",
 	} {
 		if !emitted[fam] {
 			t.Errorf("%s missing from exposition", fam)

@@ -47,13 +47,9 @@ const (
 	// (e.g. "commit-p99/page"), Dur the observed metric value when it is
 	// a duration, N the breach count inside the fast window.
 	EvHealth
-	// EvKnob is an adaptive knob decision: Key is "knob=value"
-	// (e.g. "wal.batch_delay=500µs"), N the new numeric value, Dur the
-	// previous value when the knob is a duration.
-	EvKnob
 )
 
-var evNames = [...]string{"begin", "read", "write", "commit", "abort", "lock-wait", "gc", "snapshot", "phase", "span", "blame", "health", "knob"}
+var evNames = [...]string{"begin", "read", "write", "commit", "abort", "lock-wait", "gc", "snapshot", "phase", "span", "blame", "health"}
 
 func (t EventType) String() string {
 	if int(t) < len(evNames) {

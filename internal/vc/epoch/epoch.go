@@ -119,14 +119,6 @@ type Controller struct {
 	completions atomic.Uint64
 	discards    atomic.Uint64
 
-	// publishEvery (adaptive knob): when > 1, watermark publish attempts
-	// are coalesced 1-in-n — but only when nobody is waiting on
-	// visibility and other outstanding registrations remain to carry the
-	// next attempt, so the final completion always publishes and
-	// WaitVisible never stalls. pubTick counts the coalesced attempts.
-	publishEvery atomic.Int64
-	pubTick      atomic.Uint64
-
 	// waitMu/cond serve WaitVisible and the Register capacity guard;
 	// waiters gates the publish-side broadcast so the uncontended case
 	// never locks.
@@ -225,17 +217,13 @@ func (c *Controller) Start() uint64 { return c.vtnc.Load() }
 func (c *Controller) Register() vc.Handle {
 	tn := c.tnc.Add(1) - 1
 	if tn > c.capacity && c.vtnc.Load() < tn-c.capacity {
-		// Same recovery protocol as WaitVisible: close the coalescing
-		// gate, then replay any publish skipped before we arrived.
+		c.waitMu.Lock()
 		c.waiters.Add(1)
-		if c.publishNow() < tn-c.capacity {
-			c.waitMu.Lock()
-			for c.vtnc.Load() < tn-c.capacity {
-				c.cond.Wait()
-			}
-			c.waitMu.Unlock()
+		for c.vtnc.Load() < tn-c.capacity {
+			c.cond.Wait()
 		}
 		c.waiters.Add(-1)
+		c.waitMu.Unlock()
 	}
 	s := c.slotOf(tn)
 	if c.observing.Load() {
@@ -314,27 +302,6 @@ func (c *Controller) drainLaneLocked(ln *lane) bool {
 // — and CAS-maxes it into vtnc. A successful raise bumps the epoch,
 // wakes waiters, and fires the observer for the newly visible batch.
 func (c *Controller) publish() uint64 {
-	// Coalescing knob: skip 1-in-n attempts when it is provably safe to
-	// defer — no visibility waiters, and at least one registration still
-	// outstanding (its own resolution will reach here again). Two racing
-	// final completions cannot both skip: each increments its resolution
-	// counter before reading QueueLen, and sequentially consistent
-	// atomics guarantee at least one observes the other's resolution.
-	if n := c.publishEvery.Load(); n > 1 && c.waiters.Load() == 0 && c.QueueLen() > 0 {
-		if c.pubTick.Add(1)%uint64(n) != 0 {
-			return c.vtnc.Load()
-		}
-	}
-	return c.publishNow()
-}
-
-// publishNow is publish without the coalescing gate. Waiters call it
-// directly after registering themselves: once waiters > 0 the gate is
-// closed for every concurrent completion, so one ungated publish here
-// recovers any attempt that was coalesced away before the waiter
-// arrived — without it a late waiter could sleep forever behind a
-// skipped publish that no future completion replays.
-func (c *Controller) publishNow() uint64 {
 	min := c.lanes[0].frontier.Load()
 	for l := 1; l < len(c.lanes); l++ {
 		if f := c.lanes[l].frontier.Load(); f < min {
@@ -455,20 +422,13 @@ func (c *Controller) WaitVisible(n uint64) {
 	if c.vtnc.Load() >= n {
 		return
 	}
-	// Register as a waiter before the recovery publish: from this point
-	// the coalescing gate (waiters == 0) is closed to every concurrent
-	// completion, and the ungated publishNow replays any attempt that
-	// was coalesced away before we arrived. publishNow must run outside
-	// waitMu — its broadcast path takes that lock.
+	c.waitMu.Lock()
 	c.waiters.Add(1)
-	if c.publishNow() < n {
-		c.waitMu.Lock()
-		for c.vtnc.Load() < n {
-			c.cond.Wait()
-		}
-		c.waitMu.Unlock()
+	for c.vtnc.Load() < n {
+		c.cond.Wait()
 	}
 	c.waiters.Add(-1)
+	c.waitMu.Unlock()
 }
 
 // SetVisibleObserver installs fn; see vc.Controller. Install before
@@ -499,26 +459,6 @@ func (c *Controller) Lag() uint64 {
 	v := c.vtnc.Load()
 	t := c.tnc.Load()
 	return t - 1 - v
-}
-
-// SetPublishEvery retunes the publish-coalescing knob online (the
-// adaptive controller's epoch lever). n <= 1 publishes on every lane
-// advance — the default, semantically identical to the pre-knob
-// behavior; larger n trades visibility latency for fewer CAS publishes
-// and observer sweeps under write-heavy load.
-func (c *Controller) SetPublishEvery(n int) {
-	if n < 1 {
-		n = 1
-	}
-	c.publishEvery.Store(int64(n))
-}
-
-// PublishEvery reports the current publish-coalescing factor.
-func (c *Controller) PublishEvery() int {
-	if n := c.publishEvery.Load(); n > 1 {
-		return int(n)
-	}
-	return 1
 }
 
 // LaneFrontiers snapshots every lane's completion frontier — the

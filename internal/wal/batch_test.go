@@ -2,11 +2,14 @@ package wal
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
+
+	"mvdb/internal/faultfs"
 )
 
 func rec(tn uint64, key, val string) Record {
@@ -62,105 +65,129 @@ func TestSyncBatchRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSyncBatchAmortizes drives concurrent committers and requires that
-// group commit actually grouped: strictly fewer fsyncs than appends.
-func TestSyncBatchAmortizes(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal")
-	w, err := CreateWith(path, Options{Policy: SyncBatch, BatchMaxDelay: 200 * time.Microsecond})
+// gateFS is the real filesystem with a log fsync a test can hold: while
+// armed, every Sync announces itself on entered and then blocks until
+// the test sends on release. What is enqueued while an fsync is held is
+// exactly the next batch, so a batch of N is a fact, not a timing.
+type gateFS struct {
+	faultfs.FS
+	armed   atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func newGateFS() *gateFS {
+	g := &gateFS{FS: faultfs.OS, entered: make(chan struct{}), release: make(chan struct{})}
+	g.armed.Store(true)
+	return g
+}
+
+func (g *gateFS) OpenFile(name string, flag int, perm os.FileMode) (faultfs.File, error) {
+	f, err := g.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return &gateFile{File: f, g: g}, nil
+}
+
+type gateFile struct {
+	faultfs.File
+	g *gateFS
+}
+
+func (f *gateFile) Sync() error {
+	if f.g.armed.Load() {
+		f.g.entered <- struct{}{}
+		<-f.g.release
+	}
+	return f.File.Sync()
+}
+
+// openHeld opens a SyncBatch writer, enqueues record 1 and returns once
+// the flusher is inside the fsync that covers it alone. open releases
+// that fsync and lets every later one through.
+func openHeld(t *testing.T) (w *Writer, first Ticket, open func()) {
+	t.Helper()
+	g := newGateFS()
+	w, err := CreateWith(filepath.Join(t.TempDir(), "wal"), Options{Policy: SyncBatch, FS: g})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.Close()
-	var total atomic.Int64
-	var batches atomic.Int64
+	if first, err = w.Enqueue(rec(1, "k", "v")); err != nil {
+		t.Fatal(err)
+	}
+	<-g.entered
+	return w, first, func() {
+		g.armed.Store(false)
+		g.release <- struct{}{}
+	}
+}
+
+// TestSyncBatchAmortizes requires that group commit groups: eight
+// committers that arrive while an fsync is in flight share the next one.
+func TestSyncBatchAmortizes(t *testing.T) {
+	w, _, open := openHeld(t)
+	var total, batches atomic.Int64
 	w.SetBatchObserver(func(n int) {
 		batches.Add(1)
 		total.Add(int64(n))
 	})
-	const workers, per = 8, 25
+	const workers = 8
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < per; i++ {
-				if err := w.Append(rec(uint64(g*per+i+1), "k", "v")); err != nil {
-					t.Error(err)
-					return
-				}
+			if err := w.Append(rec(uint64(g+2), "k", "v")); err != nil {
+				t.Error(err)
 			}
 		}(g)
 	}
+	for {
+		if appends, _, _ := w.Counters(); appends == workers+1 {
+			break
+		}
+		runtime.Gosched()
+	}
+	open()
 	wg.Wait()
 	// The flusher reports a batch after releasing its waiters; Close
 	// waits for the flusher, so the observer has seen every batch.
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	appends, fsyncs, _ := w.Counters()
-	if appends != workers*per {
-		t.Fatalf("appends = %d", appends)
+	// Close's own flush is the third fsync; it covers nothing new.
+	if appends, fsyncs, _ := w.Counters(); appends != workers+1 || fsyncs != 3 {
+		t.Fatalf("appends %d fsyncs %d, want %d and 3", appends, fsyncs, workers+1)
 	}
-	if fsyncs >= appends {
-		t.Fatalf("no amortization: fsyncs %d >= appends %d", fsyncs, appends)
-	}
-	if total.Load() != int64(appends) {
-		t.Fatalf("batch observer saw %d records, want %d", total.Load(), appends)
-	}
-	if batches.Load() != int64(w.Batches()) {
-		t.Fatalf("observer batches %d != counter %d", batches.Load(), w.Batches())
+	if total.Load() != workers+1 || batches.Load() != 2 || w.Batches() != 2 {
+		t.Fatalf("observer saw %d records in %d batches (counter %d), want %d in 2",
+			total.Load(), batches.Load(), w.Batches(), workers+1)
 	}
 }
 
-// TestSyncBatchDelayGathers checks the tunables: with a long gathering
-// delay, sequentially issued concurrent appends land in one batch.
+// TestSyncBatchDelayGathers checks the provenance of a gathered batch:
+// ten records enqueued behind a held fsync all report the one batch that
+// carried them, led by the first of them.
 func TestSyncBatchDelayGathers(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal")
-	w, err := CreateWith(path, Options{Policy: SyncBatch, BatchMaxDelay: 50 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w, first, open := openHeld(t)
 	defer w.Close()
 	const n = 10
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-start
-			if err := w.Append(rec(uint64(i+1), "k", "v")); err != nil {
-				t.Error(err)
-			}
-		}(i)
-	}
-	close(start)
-	wg.Wait()
-	if _, fsyncs, _ := w.Counters(); fsyncs > 3 {
-		t.Fatalf("gathering delay did not gather: %d fsyncs for %d appends", fsyncs, n)
-	}
-}
-
-// TestSyncBatchMaxRecordsCutsDelayShort: with BatchMaxRecords=1 the
-// flusher must not sit out its delay once a record is pending.
-func TestSyncBatchMaxRecordsCutsDelayShort(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal")
-	w, err := CreateWith(path, Options{
-		Policy: SyncBatch, BatchMaxRecords: 1, BatchMaxDelay: 10 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	done := make(chan error, 1)
-	go func() { done <- w.Append(rec(1, "k", "v")) }()
-	select {
-	case err := <-done:
-		if err != nil {
+	var tickets [n]Ticket
+	for i := range tickets {
+		var err error
+		if tickets[i], err = w.Enqueue(rec(uint64(i+2), "k", "v")); err != nil {
 			t.Fatal(err)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Append sat out a 10s gathering delay despite BatchMaxRecords=1")
+	}
+	open()
+	if bi, err := w.Wait(first); err != nil || bi != (BatchInfo{Batch: 1, LeaderTN: 1, Records: 1}) {
+		t.Fatalf("held record rode %+v, %v", bi, err)
+	}
+	for _, tk := range tickets {
+		if bi, err := w.Wait(tk); err != nil || bi != (BatchInfo{Batch: 2, LeaderTN: 2, Records: n}) {
+			t.Fatalf("ticket %d rode %+v, %v; want batch 2 led by tn 2 with %d records", tk, bi, err, n)
+		}
 	}
 }
 

@@ -35,7 +35,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"mvdb/internal/faultfs"
 )
@@ -53,21 +52,27 @@ type Record struct {
 	Writes []Write
 }
 
-// SyncPolicy controls when the writer flushes to stable storage.
+// SyncPolicy selects who fsyncs. Under SyncEveryCommit and SyncBatch a
+// record is durable when Wait returns nil, and both batch: one fsync
+// covers every record enqueued before it started. They differ in which
+// goroutine issues it.
 type SyncPolicy int
 
 const (
 	// SyncEveryCommit fsyncs inline: the first committer to Wait on an
 	// uncovered ticket flushes and fsyncs everything enqueued so far
 	// itself; committers that arrive while it does lead the next fsync.
+	// No extra goroutine and no handoff, so a batch is whatever piled up
+	// behind the previous fsync.
 	SyncEveryCommit SyncPolicy = iota
-	// SyncNever leaves flushing to the OS (benchmarks, tests).
+	// SyncNever leaves flushing to the OS and to Close: Wait returns at
+	// once and a crash may lose acknowledged commits (benchmarks, tests).
 	SyncNever
 	// SyncBatch is group commit: Wait blocks until a background
-	// flusher's fsync covers the ticket. Durability on return is
-	// identical to SyncEveryCommit — only the fsync count is amortized
-	// across however many commits piled up while the previous fsync was
-	// in flight (plus an optional gathering delay; see Options).
+	// flusher's fsync covers the ticket. Before each fsync the flusher
+	// yields the processor until a scheduling round adds no new record,
+	// so committers that are runnable join the batch it is about to pay
+	// for.
 	SyncBatch
 )
 
@@ -75,28 +80,16 @@ const (
 type Options struct {
 	// Policy selects when appended records reach stable storage.
 	Policy SyncPolicy
-	// BatchMaxRecords ends a SyncBatch gathering delay early once this
-	// many records are pending (0 selects DefaultBatchMaxRecords). The
-	// fsync itself always covers everything appended by the time the
-	// flusher runs; this bound only stops it from waiting for more.
-	BatchMaxRecords int
-	// BatchMaxDelay bounds how long the SyncBatch flusher keeps waiting
-	// for *more* committers after every currently-runnable one has
-	// already joined the batch, trading commit latency for larger
-	// batches. Zero (the default) means adaptive gathering only: the
-	// flusher yields the CPU until a scheduling round adds no new
-	// record — so concurrent committers always coalesce — then fsyncs
-	// without any timer wait.
-	BatchMaxDelay time.Duration
 	// FS is the filesystem the writer operates through. Nil selects the
 	// production passthrough (faultfs.OS); the crash-torture harness
 	// injects a faultfs.FaultFS here.
 	FS faultfs.FS
 }
 
-// DefaultBatchMaxRecords bounds the gathering delay of a SyncBatch
-// flusher (see Options.BatchMaxRecords).
-const DefaultBatchMaxRecords = 128
+// gatherLimit ends the SyncBatch flusher's gather once this many
+// records are pending. The fsync always covers everything enqueued by
+// the time it starts; the bound only stops the flusher yielding for more.
+const gatherLimit = 128
 
 // Writer appends commit records to a log file. It is safe for concurrent
 // use; records are appended atomically with respect to one another.
@@ -202,34 +195,7 @@ func (w *Writer) SetBatchObserver(fn func(records int)) {
 	w.onBatch = fn
 }
 
-// SetBatchKnobs retunes the group-commit gather bounds online (the
-// adaptive knob controller's WAL lever). The flusher re-reads both
-// values under the writer mutex on every gather iteration, so the new
-// bounds take effect at the next batch. Zero/negative maxRecords keeps
-// the current value; a negative maxDelay keeps the current value (zero
-// disables the gathering delay).
-func (w *Writer) SetBatchKnobs(maxRecords int, maxDelay time.Duration) {
-	w.mu.Lock()
-	if maxRecords > 0 {
-		w.opts.BatchMaxRecords = maxRecords
-	}
-	if maxDelay >= 0 {
-		w.opts.BatchMaxDelay = maxDelay
-	}
-	w.mu.Unlock()
-}
-
-// BatchKnobs reports the current group-commit gather bounds.
-func (w *Writer) BatchKnobs() (maxRecords int, maxDelay time.Duration) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.opts.BatchMaxRecords, w.opts.BatchMaxDelay
-}
-
 func newWriter(f faultfs.File, opts Options) *Writer {
-	if opts.BatchMaxRecords <= 0 {
-		opts.BatchMaxRecords = DefaultBatchMaxRecords
-	}
 	w := &Writer{f: f, bw: bufio.NewWriterSize(f, 1<<16), opts: opts}
 	w.synced = sync.NewCond(&w.mu)
 	if opts.Policy == SyncBatch {
@@ -477,29 +443,14 @@ func (w *Writer) flusher() {
 		// sleeping matters: timer sleeps have roughly millisecond
 		// granularity on stock kernels — an order of magnitude coarser
 		// than the fsync being amortized — and would dominate commit
-		// latency. BatchMaxDelay, when set, extends the gather past the
-		// first quiet round to wait for stragglers that are not yet
-		// runnable.
-		if !w.closed && w.enqSeq-w.syncSeq < uint64(w.opts.BatchMaxRecords) {
-			var deadline time.Time
-			if d := w.opts.BatchMaxDelay; d > 0 {
-				deadline = time.Now().Add(d)
-			}
-			for !w.closed && w.enqSeq-w.syncSeq < uint64(w.opts.BatchMaxRecords) {
-				before := w.enqSeq
-				w.mu.Unlock()
-				runtime.Gosched()
-				w.mu.Lock()
-				if w.enqSeq > before {
-					continue
-				}
-				now := time.Now()
-				if deadline.IsZero() || !now.Before(deadline) {
-					break
-				}
-				w.mu.Unlock()
-				time.Sleep(deadline.Sub(now))
-				w.mu.Lock()
+		// latency.
+		for !w.closed && w.enqSeq-w.syncSeq < gatherLimit {
+			before := w.enqSeq
+			w.mu.Unlock()
+			runtime.Gosched()
+			w.mu.Lock()
+			if w.enqSeq == before {
+				break
 			}
 		}
 		w.syncPending()

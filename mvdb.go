@@ -37,7 +37,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mvdb/internal/adaptive"
 	"mvdb/internal/audit"
 	"mvdb/internal/core"
 	"mvdb/internal/engine"
@@ -50,7 +49,6 @@ import (
 	"mvdb/internal/obs"
 	"mvdb/internal/trace"
 	"mvdb/internal/vc"
-	"mvdb/internal/vc/epoch"
 	"mvdb/internal/wal"
 )
 
@@ -175,34 +173,25 @@ type Options struct {
 	// they become visible, and Open recovers the store from an existing
 	// log at this path. Empty disables the log.
 	WALPath string
-	// SyncEveryCommit fsyncs the log on every commit (slower, safest).
-	// Without it the log is flushed by the OS and on Close.
+	// SyncEveryCommit makes a commit durable before it is acknowledged,
+	// with the committers fsyncing the log themselves: the first one
+	// waiting on an uncovered record fsyncs everything enqueued so far,
+	// and those that arrive meanwhile share the next fsync. With neither
+	// this nor GroupCommit the log reaches the disk when the OS writes it
+	// back and on Close, so a crash can lose acknowledged commits.
 	SyncEveryCommit bool
-	// GroupCommit enables group commit: commits enqueue their log record
-	// and block until a shared background fsync covers it, so one fsync
-	// acknowledges many concurrent commits. Durability on Commit return is
-	// identical to SyncEveryCommit; only the fsync count differs. Takes
-	// precedence over SyncEveryCommit.
+	// GroupCommit gives the same durability with a background flusher
+	// doing the fsyncs: commits enqueue their record and block until an
+	// fsync of the flusher covers it, and the flusher lets committers
+	// that are runnable join a batch before it pays for it. Both settings
+	// batch; they differ in which goroutine fsyncs. Takes precedence over
+	// SyncEveryCommit.
 	GroupCommit bool
-	// GroupCommitMaxRecords caps how many commit records one fsync batch
-	// gathers (0 = wal.DefaultBatchMaxRecords).
-	GroupCommitMaxRecords int
-	// GroupCommitMaxDelay is how long the flusher lingers for more
-	// committers before fsyncing a non-full batch (0 = fsync as soon as
-	// the flusher wakes; latency-optimal, still amortizes under load).
-	GroupCommitMaxDelay time.Duration
 	// LockStripes sets the 2PL lock table's stripe count, rounded up to a
 	// power of two (0 = default 32, 1 = a single global table).
 	LockStripes int
 	// MaxUpdateRetries bounds Update's automatic retries (default 100).
 	MaxUpdateRetries int
-	// AdaptiveCC, when set, ignores Protocol and runs read-write
-	// transactions under an adaptive scheme: optimistic while conflicts
-	// are rare, two-phase locking when the windowed conflict rate crosses
-	// a high-water mark, switching behind a brief epoch barrier that
-	// never affects read-only transactions. (The kind of experimentation
-	// the paper's modularity enables, Section 1.)
-	AdaptiveCC bool
 	// DebugAddr, when non-empty, serves live observability over HTTP on
 	// that address (e.g. "localhost:6060" or ":0" for an ephemeral port;
 	// DebugAddr() reports the bound address): GET /debug/mvdb returns the
@@ -276,7 +265,6 @@ type Options struct {
 	// with watermark-stall attribution. The report appears in
 	// Stats().Hotspot, /metrics (mvdb_hotspot_*), flight bundles, and
 	// GET /debug/mvdb/hotspot (render live with `mvinspect -hotspots`).
-	// Under AdaptiveCC with Health it also feeds the knob controller.
 	// Off — the default — keeps every hot-path hook at one pointer test.
 	Hotspot bool
 	// HotspotTopK is the heavy-hitter sketch capacity — how many hot
@@ -291,12 +279,12 @@ type Options struct {
 	// multi-resolution rings (hours of history in fixed memory), and
 	// evaluates HealthSLOs over them with fast/slow burn-rate windows.
 	// SLO breaches promote recent traces, trigger a flight bundle (with
-	// FlightDir), append EvHealth events to the trace ring, and — under
-	// AdaptiveCC — drive the protocol switcher. DB.Health() exposes the
-	// monitor; with DebugAddr set, GET /debug/mvdb/health serves the
-	// timeline (add ?format=sparkline for an ASCII dashboard) and
-	// /metrics gains the mvdb_health_* families. Off — the default —
-	// keeps every commit path at a single pointer test.
+	// FlightDir), and append EvHealth events to the trace ring.
+	// DB.Health() exposes the monitor; with DebugAddr set, GET
+	// /debug/mvdb/health serves the timeline (add ?format=sparkline for
+	// an ASCII dashboard) and /metrics gains the mvdb_health_* families.
+	// Off — the default — keeps every commit path at a single pointer
+	// test.
 	Health bool
 	// HealthInterval is the monitor's base sampling period (0 = 1s).
 	HealthInterval time.Duration
@@ -359,15 +347,9 @@ type HealthSLO = health.SLO
 // HealthAlarm is one raised SLO breach.
 type HealthAlarm = health.Alarm
 
-// HealthSignal is what the monitor delivers per tick: the new point
-// plus any alarms it raised.
-type HealthSignal = health.Signal
-
 // DB is an open database.
 type DB struct {
-	eng       *core.Engine     // underlying engine (read-only paths, GC, stats)
-	rw        engine.Engine    // read-write entry point (adaptive wrapper or eng)
-	ad        *adaptive.Engine // non-nil when AdaptiveCC
+	eng       *core.Engine
 	collector *gc.Collector
 	log       *wal.Writer
 	tracer    *obs.Tracer       // nil unless DebugAddr/TraceEvents
@@ -486,8 +468,6 @@ func Open(opts Options) (*DB, error) {
 		switch {
 		case opts.GroupCommit:
 			walOpts.Policy = wal.SyncBatch
-			walOpts.BatchMaxRecords = opts.GroupCommitMaxRecords
-			walOpts.BatchMaxDelay = opts.GroupCommitMaxDelay
 		case opts.SyncEveryCommit:
 			walOpts.Policy = wal.SyncEveryCommit
 		}
@@ -502,22 +482,7 @@ func Open(opts Options) (*DB, error) {
 	engVC := eng.VC()
 	auditVC.Store(&engVC)
 
-	db := &DB{eng: eng, rw: eng, log: log, tracer: tracer, spans: spans, auditor: auditor, hot: prof, fs: opts.FS, walPath: opts.WALPath, retries: retries}
-	if opts.AdaptiveCC {
-		eng.SetProtocol(core.Optimistic)
-		adOpts := adaptive.Options{Ring: tracer}
-		// Knob-controller taps: the group-commit WAL and (under epoch
-		// visibility) the publisher's coalescing factor. Typed-nil care:
-		// an interface holding a nil *wal.Writer is not nil.
-		if log != nil && opts.GroupCommit {
-			adOpts.WAL = log
-		}
-		if ec, ok := eng.VC().(*epoch.Controller); ok {
-			adOpts.Epoch = ec
-		}
-		db.ad = adaptive.Wrap(eng, adOpts)
-		db.rw = db.ad
-	}
+	db := &DB{eng: eng, log: log, tracer: tracer, spans: spans, auditor: auditor, hot: prof, fs: opts.FS, walPath: opts.WALPath, retries: retries}
 	// The collector always exists (CollectGarbage works without background
 	// GC); its pass observer feeds the GC counters and trace events. Only
 	// a positive GCInterval starts the background loop.
@@ -598,12 +563,6 @@ func Open(opts Options) (*DB, error) {
 			return nil, fmt.Errorf("mvdb: health monitor: %w", err)
 		}
 		db.monitor = mon
-		if db.ad != nil {
-			// The health timeline becomes the protocol switcher's policy
-			// input: its interval abort fraction replaces the internal
-			// every-N-completions sampling.
-			mon.Subscribe(db.ad.OnHealth)
-		}
 		mon.Start()
 	}
 	if opts.FlightDir != "" {
@@ -718,16 +677,12 @@ func (db *DB) Bootstrap(data map[string][]byte) error {
 
 // Begin starts a read-write transaction.
 func (db *DB) Begin() (*Tx, error) {
-	t, err := db.rw.Begin(engine.ReadWrite)
+	t, err := db.eng.Begin(engine.ReadWrite)
 	if err != nil {
 		return nil, err
 	}
 	return db.newTx(t), nil
 }
-
-// CurrentProtocol reports the concurrency control currently in force for
-// read-write transactions (it only changes under Options.AdaptiveCC).
-func (db *DB) CurrentProtocol() string { return db.eng.Protocol().String() }
 
 // BeginReadOnly starts a read-only snapshot transaction (paper Figure 2):
 // one counter read, then wait-free reads of the snapshot at that point.
@@ -821,25 +776,7 @@ func (db *DB) Update(fn func(*Tx) error) error {
 // commits never exceed begins, VTNC < TNC — even while transactions run.
 // Use Stats().Map() where the legacy flat counter map is needed.
 func (db *DB) Stats() Stats {
-	sn := db.eng.Snapshot()
-	if db.ad != nil {
-		info := &obs.AdaptiveInfo{
-			Protocol:      db.eng.Protocol().String(),
-			Switches:      int64(db.ad.Switches()),
-			HealthSignals: int64(db.ad.HealthSignals()),
-			KnobActions:   int64(db.ad.KnobActions()),
-		}
-		if db.log != nil {
-			recs, delay := db.log.BatchKnobs()
-			info.BatchMaxRecords = recs
-			info.BatchMaxDelayNS = delay.Nanoseconds()
-		}
-		if ec, ok := db.eng.VC().(*epoch.Controller); ok {
-			info.PublishEvery = ec.PublishEvery()
-		}
-		sn.Adaptive = info
-	}
-	return sn
+	return db.eng.Snapshot()
 }
 
 // Trace returns the retained event trace in order (oldest first), or nil

@@ -3,10 +3,15 @@ package mvdb
 import (
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"mvdb/internal/faultfs"
 )
 
 func allProtocols() []Protocol {
@@ -223,18 +228,72 @@ func TestDurabilityAcrossReopen(t *testing.T) {
 	}
 }
 
+// gateFS is the real filesystem with an fsync a test can hold (the
+// pattern of internal/core/pipeline_test.go): once armed, every Sync
+// announces itself on entered and blocks until the test sends on release.
+// Commit records enqueued while the log's fsync is held share the next
+// one, so a multi-record group-commit batch is a fact, not a timing.
+type gateFS struct {
+	faultfs.FS
+	armed   atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func newGateFS() *gateFS {
+	return &gateFS{FS: faultfs.OS, entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (g *gateFS) OpenFile(name string, flag int, perm os.FileMode) (faultfs.File, error) {
+	f, err := g.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return &gateFile{File: f, g: g}, nil
+}
+
+type gateFile struct {
+	faultfs.File
+	g *gateFS
+}
+
+func (f *gateFile) Sync() error {
+	if f.g.armed.Load() {
+		f.g.entered <- struct{}{}
+		<-f.g.release
+	}
+	return f.File.Sync()
+}
+
+// pileUp waits for the log fsync the armed gate is holding, keeps it held
+// until n commit records are in the log, then lets it and every later
+// fsync through.
+func (g *gateFS) pileUp(db *DB, n uint64) {
+	<-g.entered
+	for {
+		if appends, _, _ := db.log.Counters(); appends >= n {
+			break
+		}
+		runtime.Gosched()
+	}
+	g.armed.Store(false)
+	g.release <- struct{}{}
+}
+
 func TestGroupCommitEndToEnd(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "db.log")
+	gate := newGateFS()
 	db, err := Open(Options{
-		WALPath:             path,
-		GroupCommit:         true,
-		GroupCommitMaxDelay: 200 * time.Microsecond,
-		LockStripes:         8,
+		WALPath:     path,
+		GroupCommit: true,
+		LockStripes: 8,
+		FS:          gate,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const workers, per = 8, 20
+	gate.armed.Store(true)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -251,6 +310,9 @@ func TestGroupCommitEndToEnd(t *testing.T) {
 			}
 		}(w)
 	}
+	// Every worker's first commit is in the log before the first fsync
+	// returns: at most two fsyncs cover those eight records.
+	gate.pileUp(db, workers)
 	wg.Wait()
 	st := db.Stats()
 	if st.WALAppends != workers*per {
@@ -454,52 +516,6 @@ func TestScanSnapshot(t *testing.T) {
 		t.Fatal("rw Scan succeeded")
 	}
 	rw.Abort()
-}
-
-func TestAdaptiveCCOption(t *testing.T) {
-	db, err := Open(Options{AdaptiveCC: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if db.CurrentProtocol() != "vc+occ" {
-		t.Fatalf("initial protocol = %q, want vc+occ", db.CurrentProtocol())
-	}
-	if err := db.Update(func(tx *Tx) error { return tx.PutString("k", "v") }); err != nil {
-		t.Fatal(err)
-	}
-	var got string
-	db.View(func(tx *Tx) error { got, _ = tx.GetString("k"); return nil })
-	if got != "v" {
-		t.Fatalf("got %q", got)
-	}
-	if db.Stats().Adaptive == nil {
-		t.Fatal("adaptive stats missing")
-	}
-
-	// Hammer a single hot key with think time: conflicts should
-	// eventually flip the protocol to locking.
-	var wg sync.WaitGroup
-	for w := 0; w < 6; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 120; i++ {
-				db.Update(func(tx *Tx) error {
-					v, err := tx.Get("hot")
-					if err != nil && !errors.Is(err, ErrNotFound) {
-						return err
-					}
-					time.Sleep(50 * time.Microsecond)
-					return tx.Put("hot", append([]byte{1}, v...))
-				})
-			}
-		}()
-	}
-	wg.Wait()
-	if db.Stats().Adaptive.Switches == 0 {
-		t.Log("note: no switch occurred (policy is rate-based); acceptable but unusual under this load")
-	}
 }
 
 // TestDisabledZeroOverhead is the alloc guard for every optional

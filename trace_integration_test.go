@@ -23,15 +23,16 @@ import (
 // export round trip, the HTTP endpoint, and a flight bundle.
 func TestTraceEndToEndBlameEdges(t *testing.T) {
 	dir := t.TempDir()
+	gate := newGateFS()
 	db, err := Open(Options{
-		Protocol:            TwoPhaseLocking,
-		WALPath:             filepath.Join(dir, "commit.log"),
-		GroupCommit:         true,
-		GroupCommitMaxDelay: 200 * time.Microsecond,
-		TraceSample:         1.0,
-		TraceSlowThreshold:  time.Nanosecond, // promote everything
-		DebugAddr:           "127.0.0.1:0",
-		FlightDir:           filepath.Join(dir, "flight"),
+		Protocol:           TwoPhaseLocking,
+		WALPath:            filepath.Join(dir, "commit.log"),
+		GroupCommit:        true,
+		FS:                 gate,
+		TraceSample:        1.0,
+		TraceSlowThreshold: time.Nanosecond, // promote everything
+		DebugAddr:          "127.0.0.1:0",
+		FlightDir:          filepath.Join(dir, "flight"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -40,6 +41,7 @@ func TestTraceEndToEndBlameEdges(t *testing.T) {
 	if db.TxTraces() == nil {
 		t.Fatal("TxTraces nil with TraceSample set")
 	}
+	gate.armed.Store(true)
 
 	// Contended mix: private-key writers keep group-commit batches and
 	// the VC queue busy (fsync waits create registered-but-incomplete
@@ -77,6 +79,10 @@ func TestTraceEndToEndBlameEdges(t *testing.T) {
 			}
 		}(w)
 	}
+	// The first fsync is held until all eight writers have a record in
+	// the log: they are registered and incomplete together, and the ones
+	// behind the held fsync wake from one batch.
+	gate.pileUp(db, 8)
 	wg.Wait()
 
 	prom := db.TxTraces().Promoted()
