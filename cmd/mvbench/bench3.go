@@ -110,8 +110,8 @@ func runBench3(quick bool) {
 		stripes int
 	}{
 		{"commit/2pl-uniform-seed", wal.Options{Policy: wal.SyncEveryCommit}, 1},
-		// The flusher coalesces every runnable committer, so the batch
-		// tracks the number of clients without a timer on the commit path.
+		// The flusher waits for the committers in flight at the end of
+		// its last fsync, so the batch tracks the number of clients.
 		{"commit/2pl-uniform-group", wal.Options{Policy: wal.SyncBatch}, 0},
 	} {
 		w, err := wal.CreateWith(filepath.Join(dir, sc.name[len("commit/"):]+".wal"), sc.opts)

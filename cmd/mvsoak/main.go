@@ -343,6 +343,10 @@ func runProtocol(proto, mode, base string, budget time.Duration, cfg workload.Co
 	sn := db.Stats()
 	res.CommitsRW, res.CommitsRO = sn.CommitsRW, sn.CommitsRO
 	res.Aborts, res.Retries = sn.AbortsTotal(), sn.Retries
+	if verbose {
+		fmt.Printf("  [%s/%s] log: %d appends in %d batches, %d gathers ended on the backstop\n",
+			proto, mode, sn.WALAppends, sn.WALBatches, sn.WALGatherTimeouts)
+	}
 	if rep := db.Hotspots(); rep != nil {
 		res.TopKeys = rep.HotWrites
 		if len(res.TopKeys) == 0 {

@@ -313,6 +313,7 @@ func (e *Engine) Snapshot() obs.Snapshot {
 		sn.WALFsyncs = int64(f)
 		sn.WALBytes = int64(b)
 		sn.WALBatches = int64(e.opts.WAL.Batches())
+		sn.WALGatherTimeouts = int64(e.opts.WAL.GatherTimeouts())
 		if a > 0 {
 			sn.WALFsyncPerAppend = float64(f) / float64(a)
 		}

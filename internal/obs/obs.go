@@ -190,14 +190,17 @@ type Snapshot struct {
 	LockStripeCollisions int64 `json:"lock_stripe_collisions"`
 
 	// Write-ahead log volume (zero when durability is off). WALBatches
-	// counts group-commit flush batches, WALBatchSize summarizes records
-	// per batch (count-valued, not nanoseconds), and WALFsyncPerAppend is
-	// the amortization ratio fsyncs/appends — 1.0 under SyncEveryCommit,
-	// approaching 1/batch-size under SyncBatch.
+	// counts group-commit flush batches, WALGatherTimeouts the ones the
+	// flusher delayed by its whole backstop for a committer that did not
+	// come back in time (wal.Writer.GatherTimeouts), WALBatchSize
+	// summarizes records per batch (count-valued, not nanoseconds), and
+	// WALFsyncPerAppend is the amortization ratio fsyncs/appends — 1.0
+	// under SyncEveryCommit, approaching 1/batch-size under SyncBatch.
 	WALAppends        int64           `json:"wal_appends"`
 	WALFsyncs         int64           `json:"wal_fsyncs"`
 	WALBytes          int64           `json:"wal_bytes"`
 	WALBatches        int64           `json:"wal_batches"`
+	WALGatherTimeouts int64           `json:"wal_gather_timeouts"`
 	WALBatchSize      metrics.Summary `json:"wal_batch_size"`
 	WALFsyncPerAppend float64         `json:"wal_fsync_per_append"`
 	// WALSizeBytes is the log file's current size: the bytes recovery

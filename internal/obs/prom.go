@@ -152,6 +152,8 @@ func (sn Snapshot) WriteProm(w io.Writer) error {
 	p.Int("mvdb_wal_bytes_total", sn.WALBytes)
 	p.Header("mvdb_wal_batches_total", "counter", "Group-commit flush batches.")
 	p.Int("mvdb_wal_batches_total", sn.WALBatches)
+	p.Header("mvdb_wal_gather_timeouts_total", "counter", "Group-commit gathers that ended on the time backstop, not the expected record count.")
+	p.Int("mvdb_wal_gather_timeouts_total", sn.WALGatherTimeouts)
 	if sn.WALBatchSize.Count > 0 {
 		p.Header("mvdb_wal_batch_records", "summary", "Commit records per group-commit batch.")
 		p.Value("mvdb_wal_batch_records", float64(sn.WALBatchSize.P50), "quantile", "0.5")

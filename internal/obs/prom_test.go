@@ -207,6 +207,7 @@ func TestWritePromCompleteness(t *testing.T) {
 		"WALFsyncs":                 "mvdb_wal_fsyncs_total",
 		"WALBytes":                  "mvdb_wal_bytes_total",
 		"WALBatches":                "mvdb_wal_batches_total",
+		"WALGatherTimeouts":         "mvdb_wal_gather_timeouts_total",
 		"WALBatchSize":              "mvdb_wal_batch_records",
 		"WALFsyncPerAppend":         "mvdb_wal_fsync_per_append",
 		"WALSizeBytes":              "mvdb_wal_size_bytes",

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"mvdb/internal/faultfs"
 )
@@ -103,19 +104,40 @@ func (f *gateFile) Sync() error {
 	return f.File.Sync()
 }
 
+// openGate opens a SyncBatch writer on an armed gate: every fsync waits
+// for the test until it disarms the gate. The writer is closed with the
+// test.
+func openGate(t *testing.T) (*Writer, *gateFS, string) {
+	t.Helper()
+	g := newGateFS()
+	path := filepath.Join(t.TempDir(), "wal")
+	w, err := CreateWith(path, Options{Policy: SyncBatch, FS: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		g.armed.Store(false)
+		w.Close()
+	})
+	return w, g, path
+}
+
+func enqueue(t *testing.T, w *Writer, tn uint64) Ticket {
+	t.Helper()
+	tk, err := w.Enqueue(rec(tn, "k", "v"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tk
+}
+
 // openHeld opens a SyncBatch writer, enqueues record 1 and returns once
 // the flusher is inside the fsync that covers it alone. open releases
 // that fsync and lets every later one through.
 func openHeld(t *testing.T) (w *Writer, first Ticket, open func()) {
 	t.Helper()
-	g := newGateFS()
-	w, err := CreateWith(filepath.Join(t.TempDir(), "wal"), Options{Policy: SyncBatch, FS: g})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first, err = w.Enqueue(rec(1, "k", "v")); err != nil {
-		t.Fatal(err)
-	}
+	w, g, _ := openGate(t)
+	first = enqueue(t, w, 1)
 	<-g.entered
 	return w, first, func() {
 		g.armed.Store(false)
@@ -188,6 +210,246 @@ func TestSyncBatchDelayGathers(t *testing.T) {
 		if bi, err := w.Wait(tk); err != nil || bi != (BatchInfo{Batch: 2, LeaderTN: 2, Records: n}) {
 			t.Fatalf("ticket %d rode %+v, %v; want batch 2 led by tn 2 with %d records", tk, bi, err, n)
 		}
+	}
+}
+
+// gatherHold is how long the gather tests hold the fsync whose measured
+// duration sets the flusher's backstop: an eighth of it (40 ms) is long
+// against a scheduling hiccup of the test goroutine, and a quarter of
+// that is long enough for the flusher to have parked in its gather.
+const (
+	gatherHold  = 320 * time.Millisecond
+	gatherPause = gatherHold / 32
+)
+
+// pass lets the fsync the flusher enters next through.
+func (g *gateFS) pass() {
+	<-g.entered
+	g.release <- struct{}{}
+}
+
+// quiet fails the test if the flusher reaches an fsync within
+// gatherPause: it is parked in its gather, well inside the backstop.
+func (g *gateFS) quiet(t *testing.T, why string) {
+	t.Helper()
+	select {
+	case <-g.entered:
+		g.release <- struct{}{}
+		t.Fatalf("flusher fsynced %s", why)
+	case <-time.After(gatherPause):
+	}
+}
+
+func rode(t *testing.T, w *Writer, tk Ticket, want BatchInfo) {
+	t.Helper()
+	if bi, err := w.Wait(tk); err != nil || bi != want {
+		t.Fatalf("ticket %d rode %+v, %v; want %+v", tk, bi, err, want)
+	}
+}
+
+// openPair returns a writer whose flusher last fsynced two records
+// together (2 and 3, batch 2) and took gatherHold over it: it now
+// expects two committers and waits at least gatherHold/8 for the second.
+// The gather that preceded that fsync expected a third record behind a
+// near-instant fsync, so it may have ended on the backstop; tests
+// compare GatherTimeouts against its value on return.
+func openPair(t *testing.T) (*Writer, *gateFS, string) {
+	t.Helper()
+	w, g, path := openGate(t)
+	first := enqueue(t, w, 1)
+	<-g.entered // a writer's first fsync never waits: it covers record 1 alone
+	pair := [2]Ticket{enqueue(t, w, 2), enqueue(t, w, 3)}
+	g.release <- struct{}{}
+	rode(t, w, first, BatchInfo{Batch: 1, LeaderTN: 1, Records: 1})
+	<-g.entered
+	time.Sleep(gatherHold)
+	g.release <- struct{}{}
+	for _, tk := range pair {
+		rode(t, w, tk, BatchInfo{Batch: 2, LeaderTN: 2, Records: 2})
+	}
+	return w, g, path
+}
+
+// TestGatherWaitsForReleasedCommitter: of two committers that shared an
+// fsync, the first one back does not get the next fsync to itself — the
+// flusher waits for the second.
+func TestGatherWaitsForReleasedCommitter(t *testing.T) {
+	w, g, _ := openPair(t)
+	timeouts := w.GatherTimeouts()
+	a := enqueue(t, w, 4)
+	g.quiet(t, "for the first committer back, without waiting for the second")
+	b := enqueue(t, w, 5)
+	g.pass()
+	rode(t, w, a, BatchInfo{Batch: 3, LeaderTN: 4, Records: 2})
+	rode(t, w, b, BatchInfo{Batch: 3, LeaderTN: 4, Records: 2})
+	if got := w.GatherTimeouts(); got != timeouts {
+		t.Fatalf("gather timeouts %d → %d: the gather ended on the count", timeouts, got)
+	}
+}
+
+// TestGatherHealsAlternation: one record covered and one enqueued while
+// the fsync ran is the alternating regime (every fsync end finds exactly
+// one pending record). The next fsync waits for the committer just
+// released and covers two.
+func TestGatherHealsAlternation(t *testing.T) {
+	w, g, _ := openGate(t)
+	a := enqueue(t, w, 1)
+	<-g.entered
+	b := enqueue(t, w, 2)
+	time.Sleep(gatherHold)
+	g.release <- struct{}{}
+	rode(t, w, a, BatchInfo{Batch: 1, LeaderTN: 1, Records: 1})
+	g.quiet(t, "for the record enqueued behind it, without waiting for the committer it released")
+	a = enqueue(t, w, 3)
+	g.pass()
+	rode(t, w, b, BatchInfo{Batch: 2, LeaderTN: 2, Records: 2})
+	rode(t, w, a, BatchInfo{Batch: 2, LeaderTN: 2, Records: 2})
+	if got := w.GatherTimeouts(); got != 0 {
+		t.Fatalf("gather timeouts = %d, want 0", got)
+	}
+}
+
+// TestGatherMissingCommitterCostsOneBound: a committer that never
+// returns delays one fsync by an eighth of the last one and is then
+// forgotten.
+func TestGatherMissingCommitterCostsOneBound(t *testing.T) {
+	w, g, _ := openPair(t)
+	timeouts := w.GatherTimeouts()
+	start := time.Now()
+	a := enqueue(t, w, 4)
+	<-g.entered
+	waited := time.Since(start)
+	g.release <- struct{}{}
+	if waited < gatherHold/8 || waited > gatherHold/2 {
+		t.Fatalf("lone record fsynced after %v, want the backstop (%v, an eighth of the %v fsync before it)",
+			waited, gatherHold/8, gatherHold)
+	}
+	rode(t, w, a, BatchInfo{Batch: 3, LeaderTN: 4, Records: 1})
+	if got := w.GatherTimeouts(); got != timeouts+1 {
+		t.Fatalf("gather timeouts %d → %d, want one more", timeouts, got)
+	}
+	// The expectation is what arrived: one committer, so no gather.
+	a = enqueue(t, w, 5)
+	g.pass()
+	rode(t, w, a, BatchInfo{Batch: 4, LeaderTN: 5, Records: 1})
+	if got := w.GatherTimeouts(); got != timeouts+1 {
+		t.Fatalf("gather timeouts %d → %d: the next lone record waited too", timeouts+1, got)
+	}
+}
+
+// TestGatherSingleCommitterNeverWaits: a writer's first fsync and a
+// lone closed-loop committer's fsyncs start at once, however long the
+// previous one took — a gather with nobody to arrive could only have
+// ended on the backstop.
+func TestGatherSingleCommitterNeverWaits(t *testing.T) {
+	w, g, _ := openGate(t)
+	for tn := uint64(1); tn <= 4; tn++ {
+		tk := enqueue(t, w, tn)
+		<-g.entered
+		if tn == 1 {
+			time.Sleep(gatherHold) // a backstop of gatherHold/8 for whoever would wait
+		}
+		g.release <- struct{}{}
+		rode(t, w, tk, BatchInfo{Batch: tn, LeaderTN: tn, Records: 1})
+	}
+	if got := w.GatherTimeouts(); got != 0 {
+		t.Fatalf("gather timeouts = %d, want 0", got)
+	}
+}
+
+// TestGatherCloseEndsGather: Close does not sit out a gather's backstop,
+// still drains what is pending, and leaves the timer stopped.
+func TestGatherCloseEndsGather(t *testing.T) {
+	w, g, path := openPair(t)
+	timeouts := w.GatherTimeouts()
+	a := enqueue(t, w, 4)
+	g.quiet(t, "for the first committer back, without waiting for the second")
+	g.armed.Store(false)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.GatherTimeouts(); got != timeouts {
+		t.Fatalf("gather timeouts %d → %d: Close sat out the backstop", timeouts, got)
+	}
+	if w.gatherTimer.Stop() {
+		t.Fatal("Close left the gather timer armed")
+	}
+	rode(t, w, a, BatchInfo{Batch: 3, LeaderTN: 4, Records: 1})
+	var tns []uint64
+	if _, err := Replay(path, func(r Record) error { tns = append(tns, r.TN); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(tns) != "[1 2 3 4]" {
+		t.Fatalf("replayed %v, want [1 2 3 4]", tns)
+	}
+}
+
+// TestGatherStickyErrorEndsGather: a writer that breaks while the
+// flusher is gathering releases the waiter with the error at once, and
+// the flusher exits.
+func TestGatherStickyErrorEndsGather(t *testing.T) {
+	w, g, _ := openPair(t)
+	timeouts := w.GatherTimeouts()
+	a := enqueue(t, w, 4)
+	g.quiet(t, "for the first committer back, without waiting for the second")
+	g.armed.Store(false)
+	w.f.Close() // sabotage, raised by the inline Flush below
+	if err := w.Flush(); err == nil {
+		t.Fatal("Flush succeeded on a closed file")
+	}
+	if _, err := w.Wait(a); err == nil {
+		t.Fatal("Wait acknowledged a record the log could not sync")
+	}
+	<-w.flusherDone
+	if got := w.GatherTimeouts(); got != timeouts {
+		t.Fatalf("gather timeouts %d → %d: the flusher sat out the backstop on a broken writer", timeouts, got)
+	}
+	if w.gatherTimer.Stop() {
+		t.Fatal("the flusher exited with the gather timer armed")
+	}
+}
+
+// TestFsyncsCountsOvertakenSync: Counters' fsyncs are fsyncs issued,
+// Batches the ones that covered something. An inline Flush that
+// overtakes a held flusher fsync leaves the flusher's covering nothing
+// new; it was issued all the same.
+func TestFsyncsCountsOvertakenSync(t *testing.T) {
+	w, g, _ := openGate(t)
+	a := enqueue(t, w, 1)
+	<-g.entered
+	g.armed.Store(false) // only the flusher's fsync is held
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	rode(t, w, a, BatchInfo{}) // the inline fsync covered it: no batch
+	g.release <- struct{}{}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The flusher's, Flush's and Close's.
+	if _, fsyncs, _ := w.Counters(); fsyncs != 3 || w.Batches() != 0 {
+		t.Fatalf("fsyncs %d batches %d, want 3 and 0", fsyncs, w.Batches())
+	}
+}
+
+// TestEnqueueAllocatesOnce pins Enqueue's one exactly-sized buffer, for
+// the two-write record the benchmark's durable workloads log.
+func TestEnqueueAllocatesOnce(t *testing.T) {
+	w, err := Create(filepath.Join(t.TempDir(), "wal"), SyncNever)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	r := Record{TN: 1, Writes: []Write{
+		{Key: "key-00000001", Value: make([]byte, 64)},
+		{Key: "key-00000002", Value: make([]byte, 64)},
+	}}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := w.Enqueue(r); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Fatalf("Enqueue allocates %v times per record, want at most 1", n)
 	}
 }
 

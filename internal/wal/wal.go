@@ -32,9 +32,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"mvdb/internal/faultfs"
 )
@@ -70,9 +70,12 @@ const (
 	SyncNever
 	// SyncBatch is group commit: Wait blocks until a background
 	// flusher's fsync covers the ticket. Before each fsync the flusher
-	// yields the processor until a scheduling round adds no new record,
-	// so committers that are runnable join the batch it is about to pay
-	// for.
+	// waits for the committers it expects: as many records as were in
+	// flight when its last fsync ended (the ones that fsync released plus
+	// the ones enqueued while it ran), so a committer that was just
+	// acknowledged and is on its way back joins the batch instead of
+	// riding the next fsync alone. A committer that does not come back
+	// costs at most an eighth of the last fsync's own duration, once.
 	SyncBatch
 )
 
@@ -86,9 +89,9 @@ type Options struct {
 	FS faultfs.FS
 }
 
-// gatherLimit ends the SyncBatch flusher's gather once this many
-// records are pending. The fsync always covers everything enqueued by
-// the time it starts; the bound only stops the flusher yielding for more.
+// gatherLimit caps how many records the SyncBatch flusher's gather waits
+// for. The fsync always covers everything enqueued by the time it
+// starts; the cap only stops the flusher waiting for more.
 const gatherLimit = 128
 
 // Writer appends commit records to a log file. It is safe for concurrent
@@ -121,11 +124,17 @@ type Writer struct {
 	synced      *sync.Cond // broadcast when syncSeq advances, syncErr sets, or the writer closes
 	wake        *sync.Cond // SyncBatch: wakes the flusher when work arrives, the writer breaks or closes
 	flusherDone chan struct{}
+	// gatherTimer is the SyncBatch gather's backstop, made once and armed
+	// per gather. It only wakes the flusher, which reads the clock itself,
+	// so a callback that outlives its gather is a spurious wake-up and
+	// nothing more.
+	gatherTimer *time.Timer
 
-	appends atomic.Uint64
-	fsyncs  atomic.Uint64
-	bytes   atomic.Uint64
-	batches atomic.Uint64
+	appends        atomic.Uint64
+	fsyncs         atomic.Uint64
+	bytes          atomic.Uint64
+	batches        atomic.Uint64
+	gatherTimeouts atomic.Uint64
 
 	// base is the file length at open time (0 on Create, the recovered
 	// validLen on OpenAppend); base + bytes is the current log size.
@@ -181,6 +190,14 @@ func (w *Writer) Counters() (appends, fsyncs, bytes uint64) {
 // SyncNever). appends/batches is the amortization ratio.
 func (w *Writer) Batches() uint64 { return w.batches.Load() }
 
+// GatherTimeouts reports how many SyncBatch gathers ended on the time
+// backstop rather than on the expected record count: each one is a batch
+// the flusher delayed, by an eighth of its last fsync, for a committer
+// that did not come back in time. Against Batches it is near zero while
+// committers turn around much faster than that; a large share means the
+// anticipation is costing latency without buying a batch.
+func (w *Writer) GatherTimeouts() uint64 { return w.gatherTimeouts.Load() }
+
 // Size reports the log file's current length in bytes: the length at
 // open time plus everything appended since. This is the volume recovery
 // would replay, and — together with checkpoint age — the signal that
@@ -201,6 +218,12 @@ func newWriter(f faultfs.File, opts Options) *Writer {
 	if opts.Policy == SyncBatch {
 		w.wake = sync.NewCond(&w.mu)
 		w.flusherDone = make(chan struct{})
+		w.gatherTimer = time.AfterFunc(time.Hour, func() {
+			w.mu.Lock()
+			w.wake.Signal()
+			w.mu.Unlock()
+		})
+		w.gatherTimer.Stop()
 		go w.flusher()
 	}
 	return w
@@ -292,10 +315,12 @@ func (w *Writer) Append(r Record) error {
 // Tickets are handed out in log order, and a broken writer hands out no
 // more of them.
 func (w *Writer) Enqueue(r Record) (Ticket, error) {
-	payload := encodePayload(nil, r)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
+	// Header and payload in one exactly-sized buffer: one allocation and
+	// one buffered write, outside the mutex.
+	buf := encodePayload(make([]byte, 8, 8+payloadLen(r)), r)
+	payload := buf[8:]
+	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
 
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -305,15 +330,11 @@ func (w *Writer) Enqueue(r Record) (Ticket, error) {
 	if w.syncErr != nil {
 		return 0, w.syncErr
 	}
-	_, err := w.bw.Write(hdr[:])
-	if err == nil {
-		_, err = w.bw.Write(payload)
-	}
-	if err != nil {
+	if _, err := w.bw.Write(buf); err != nil {
 		return 0, w.fail("append", err)
 	}
 	w.appends.Add(1)
-	w.bytes.Add(uint64(len(hdr) + len(payload)))
+	w.bytes.Add(uint64(len(buf)))
 	if !w.haveLeader {
 		w.haveLeader = true
 		w.leaderTN = r.TN
@@ -403,6 +424,7 @@ func (w *Writer) syncPending() {
 		w.fail(op, err)
 		return
 	}
+	w.fsyncs.Add(1)
 	var batch int
 	if target > w.syncSeq { // else an inline Flush got there first
 		batch = int(target - w.syncSeq)
@@ -412,7 +434,6 @@ func (w *Writer) syncPending() {
 		}
 		w.batchLogN++
 		w.syncSeq = target
-		w.fsyncs.Add(1)
 		w.batches.Add(1)
 	}
 	w.synced.Broadcast()
@@ -427,8 +448,13 @@ func (w *Writer) syncPending() {
 // gathers, and syncs what is pending, until the writer breaks or closes.
 func (w *Writer) flusher() {
 	defer close(w.flusherDone)
+	defer w.gatherTimer.Stop()
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	var (
+		expect uint64        // committers in flight when the last sync ended
+		bound  time.Duration // an eighth of what the last sync took
+	)
 	for {
 		for w.enqSeq == w.syncSeq && w.syncErr == nil && !w.closed {
 			w.wake.Wait()
@@ -436,24 +462,36 @@ func (w *Writer) flusher() {
 		if w.syncErr != nil || w.enqSeq == w.syncSeq {
 			return
 		}
-		// Gathering: let every committer that is already runnable join
-		// the batch before paying the fsync. The loop yields the CPU and
-		// re-checks; a round in which no new record arrived means every
-		// runnable committer has enqueued and parked. Yielding instead of
-		// sleeping matters: timer sleeps have roughly millisecond
-		// granularity on stock kernels — an order of magnitude coarser
-		// than the fsync being amortized — and would dominate commit
-		// latency.
-		for !w.closed && w.enqSeq-w.syncSeq < gatherLimit {
-			before := w.enqSeq
-			w.mu.Unlock()
-			runtime.Gosched()
-			w.mu.Lock()
-			if w.enqSeq == before {
-				break
+		// Gathering. The committers the last sync released, and the ones
+		// that enqueued behind it, are closed loops: each is running its
+		// next transaction — on another P, so no scheduling round would
+		// show it — and enqueues again within microseconds. Syncing
+		// before they arrive leaves each of them a sync to itself, and
+		// that alternation sustains itself. So park (every Enqueue
+		// signals wake) until as many records are pending as were in
+		// flight; the wait is the gap between the first and the last of
+		// them. Time is only the backstop for a committer that does not
+		// return: it costs an eighth of the last sync once, because the
+		// next expectation is whatever actually arrived.
+		if w.enqSeq-w.syncSeq < expect && bound > 0 {
+			deadline := time.Now().Add(bound)
+			w.gatherTimer.Reset(bound)
+			for w.enqSeq-w.syncSeq < expect && w.syncErr == nil && !w.closed {
+				if !time.Now().Before(deadline) {
+					w.gatherTimeouts.Add(1)
+					break
+				}
+				w.wake.Wait()
+			}
+			w.gatherTimer.Stop()
+			if w.syncErr != nil {
+				return
 			}
 		}
+		covered, start := w.syncSeq, time.Now()
 		w.syncPending()
+		bound = time.Since(start) / 8
+		expect = min(w.enqSeq-covered, gatherLimit)
 	}
 }
 
@@ -515,6 +553,15 @@ func (w *Writer) Close() error {
 		return err
 	}
 	return w.f.Close()
+}
+
+// payloadLen is len(encodePayload(nil, r)), computed without encoding.
+func payloadLen(r Record) int {
+	n := 12
+	for _, wr := range r.Writes {
+		n += 9 + len(wr.Key) + len(wr.Value)
+	}
+	return n
 }
 
 func encodePayload(dst []byte, r Record) []byte {

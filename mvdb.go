@@ -182,10 +182,13 @@ type Options struct {
 	SyncEveryCommit bool
 	// GroupCommit gives the same durability with a background flusher
 	// doing the fsyncs: commits enqueue their record and block until an
-	// fsync of the flusher covers it, and the flusher lets committers
-	// that are runnable join a batch before it pays for it. Both settings
-	// batch; they differ in which goroutine fsyncs. Takes precedence over
-	// SyncEveryCommit.
+	// fsync of the flusher covers it. Before each fsync the flusher waits
+	// for as many records as were in flight when its last one ended, so a
+	// committer it has just acknowledged joins the batch on its next
+	// commit; one that does not come back delays the batch by at most an
+	// eighth of the last fsync (Stats().WALGatherTimeouts counts those).
+	// Both settings batch; they differ in which goroutine fsyncs. Takes
+	// precedence over SyncEveryCommit.
 	GroupCommit bool
 	// LockStripes sets the 2PL lock table's stripe count, rounded up to a
 	// power of two (0 = default 32, 1 = a single global table).
