@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mvdb/internal/core"
+	"mvdb/internal/harness"
 	"mvdb/internal/metrics"
 	"mvdb/internal/obs"
 	"mvdb/internal/vc"
@@ -21,12 +22,33 @@ import (
 // visible-wait at 16 goroutines by this factor.
 var minSpeedup float64
 
+// jsonOut is set by the -json flag: bench4 writes its results there in
+// addition to printing tables.
+var jsonOut string
+
+// benchDoc is the top-level JSON document (schema "mvdb-bench/v1",
+// documented in EXPERIMENTS.md §O6).
+type benchDoc struct {
+	Schema  string        `json:"schema"`
+	Go      string        `json:"go"`
+	CPUs    int           `json:"cpus"`
+	Quick   bool          `json:"quick"`
+	Results []benchResult `json:"results"`
+}
+
+// benchResult is one scenario's measurements.
+type benchResult struct {
+	Name    string             `json:"name"`
+	Config  map[string]any     `json:"config"`
+	Metrics map[string]float64 `json:"metrics"`
+}
+
 // This file is the visibility-scaling regression harness behind the
 // bench-scaling CI job: register→visible lag and version-control
 // throughput at 1, 4 and 16 goroutines, strict drain vs epoch
-// watermark, written as machine-readable JSON (schema "mvdb-bench/v1",
-// same document shape as bench3). BENCH_4.json at the repository root
-// is this harness's output for the epoch-visibility change.
+// watermark, written as machine-readable JSON (schema "mvdb-bench/v1").
+// BENCH_4.json at the repository root is this harness's output for the
+// epoch-visibility change.
 //
 // Two curve families:
 //
@@ -201,4 +223,20 @@ func benchVCEngine(mode vc.Mode, clients, txns int) benchResult {
 		},
 		Metrics: m,
 	}
+}
+
+func runOne(e *core.Engine, wl workload.Config, clients, txns int) harness.Result {
+	if err := e.Bootstrap(wl.Bootstrap()); err != nil {
+		panic(err)
+	}
+	res, err := harness.Run(harness.Config{
+		Engine:        e,
+		Clients:       clients,
+		TxnsPerClient: txns,
+		Workload:      wl,
+	})
+	if err != nil {
+		panic(err)
+	}
+	return res
 }

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	mvbench [-experiment all|f1|e1..e8|bench3|bench4] [-quick] [-stats]
+//	mvbench [-experiment all|f1|e1..e8|bench4] [-quick] [-stats]
 //	        [-json out.json] [-minspeedup X]
 //
 // With -stats, every harness run is followed by the engine's full
@@ -28,10 +28,10 @@ import (
 
 func main() {
 	var (
-		which   = flag.String("experiment", "all", "experiment id (f1, e1..e8, bench3, bench4) or 'all'")
+		which   = flag.String("experiment", "all", "experiment id (f1, e1..e8, bench4) or 'all'")
 		quick   = flag.Bool("quick", false, "smaller runs (CI-sized)")
 		stats   = flag.Bool("stats", false, "print the engine's full stats snapshot after each run")
-		jsonOpt = flag.String("json", "", "bench3/bench4: also write machine-readable results (mvdb-bench/v1) to this file")
+		jsonOpt = flag.String("json", "", "bench4: also write machine-readable results (mvdb-bench/v1) to this file")
 		minSpd  = flag.Float64("minspeedup", 0, "bench4: gate on epoch-vs-strict visible-wait at 16 goroutines")
 	)
 	flag.Parse()
@@ -53,7 +53,6 @@ func main() {
 		{"e6", "E6: delayed visibility and its rectification", runE6},
 		{"e7", "E7: version garbage collection", runE7},
 		{"e8", "E8: distributed version control", runE8},
-		{"bench3", "bench3: striped lock manager + group-commit WAL regression set", runBench3},
 		{"bench4", "bench4: visibility scaling — strict drain vs epoch watermark", runBench4},
 	}
 

@@ -9,7 +9,7 @@
 // Usage:
 //
 //	mvsoak [-duration 60s] [-protocol 2pl|to|occ|all] [-vc strict|epoch|all]
-//	       [-clients N] [-keys N] [-zipf S] [-ro F] [-rmw] [-group]
+//	       [-clients N] [-keys N] [-zipf S] [-ro F] [-rmw]
 //	       [-checkpoint 10s] [-gc 200ms] [-interval 1s] [-hotspots]
 //	       [-dir D] [-json out.json] [-v]
 //
@@ -94,7 +94,6 @@ func main() {
 		zipf       = flag.Float64("zipf", 0, "Zipf skew parameter (> 1; 0 = uniform)")
 		ro         = flag.Float64("ro", 0.5, "read-only transaction fraction")
 		rmw        = flag.Bool("rmw", false, "read-modify-write transaction shape (most conflict-prone)")
-		group      = flag.Bool("group", true, "group commit (false = fsync every commit)")
 		checkpoint = flag.Duration("checkpoint", 10*time.Second, "online checkpoint period (0 disables)")
 		gcEvery    = flag.Duration("gc", 200*time.Millisecond, "background GC period (0 disables)")
 		interval   = flag.Duration("interval", time.Second, "health monitor base sampling period")
@@ -142,7 +141,7 @@ func main() {
 	per := *duration / time.Duration(len(protocols)*len(modes))
 	for _, p := range protocols {
 		for _, m := range modes {
-			res := runProtocol(p, m, base, per, cfg, *clients, *group, *checkpoint, *gcEvery, *interval, *hotspots, *verbose)
+			res := runProtocol(p, m, base, per, cfg, *clients, *checkpoint, *gcEvery, *interval, *hotspots, *verbose)
 			name := p + "/" + m
 			if res.Pass {
 				fmt.Printf("PASS %-10s: %d rw + %d ro commits, %d aborts, %d retries, %d points, alarms warn=%d page=%d\n",
@@ -214,7 +213,7 @@ func mvdbProtocol(p string) mvdb.Protocol {
 }
 
 func runProtocol(proto, mode, base string, budget time.Duration, cfg workload.Config,
-	clients int, group bool, checkpoint, gcEvery, interval time.Duration, hotspots, verbose bool) protocolResult {
+	clients int, checkpoint, gcEvery, interval time.Duration, hotspots, verbose bool) protocolResult {
 
 	res := protocolResult{Protocol: proto, Visibility: mode}
 	fail := func(format string, args ...any) {
@@ -229,7 +228,7 @@ func runProtocol(proto, mode, base string, budget time.Duration, cfg workload.Co
 		Protocol:       mvdbProtocol(proto),
 		VisibilityMode: mvdbVisibility(mode),
 		WALPath:        filepath.Join(d, "commit.log"),
-		GroupCommit:    group,
+		GroupCommit:    true,
 		GCInterval:     gcEvery,
 		Audit:          true,
 		Health:         true,

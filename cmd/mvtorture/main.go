@@ -7,12 +7,11 @@
 // Usage:
 //
 //	mvtorture [-seed N] [-duration 60s | -rounds N] [-clients N]
-//	          [-protocol 2pl|to|occ|all] [-group auto|on|off]
-//	          [-vc strict|epoch|all] [-dir D] [-hotspots] [-v]
+//	          [-protocol 2pl|to|occ|all] [-vc strict|epoch|all]
+//	          [-dir D] [-hotspots] [-v]
 //
-// The default runs the full engine matrix (three protocols, group
-// commit on and off, both visibility modes) and splits the time budget
-// evenly. Exit status is
+// The default runs the full engine matrix (three protocols, both
+// visibility modes) and splits the time budget evenly. Exit status is
 // 0 only if every configuration completes with zero oracle violations;
 // any violation prints the offending round and config and exits 1. On a
 // violation a flight-recorder postmortem bundle is written next to the
@@ -75,7 +74,6 @@ func main() {
 		rounds   = flag.Int("rounds", 0, "crash rounds per configuration instead of a time budget")
 		clients  = flag.Int("clients", 4, "concurrent committers per round")
 		protocol = flag.String("protocol", "all", "2pl, to, occ, or all")
-		group    = flag.String("group", "auto", "group commit: on, off, or auto (both)")
 		vcFlag   = flag.String("vc", "all", "visibility mode: strict, epoch, or all (both)")
 		dir      = flag.String("dir", "", "working directory (default: a fresh temp dir, removed on success)")
 		sample   = flag.Float64("trace", 0.05, "per-transaction causal-trace sampling rate (0 disables; promoted traces ride the postmortem bundle and the -json verdict)")
@@ -90,16 +88,13 @@ func main() {
 		if !protocolMatch(*protocol, c.Protocol) {
 			continue
 		}
-		if *group == "on" && !c.Group || *group == "off" && c.Group {
-			continue
-		}
 		if !visibilityMatch(*vcFlag, c.Visibility) {
 			continue
 		}
 		configs = append(configs, c)
 	}
 	if len(configs) == 0 {
-		fmt.Fprintf(os.Stderr, "no configuration matches -protocol %q -group %q -vc %q\n", *protocol, *group, *vcFlag)
+		fmt.Fprintf(os.Stderr, "no configuration matches -protocol %q -vc %q\n", *protocol, *vcFlag)
 		os.Exit(2)
 	}
 

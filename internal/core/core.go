@@ -72,9 +72,6 @@ type Options struct {
 	LockPolicy lock.Policy
 	// LockTimeout applies when LockPolicy is lock.TimeoutPolicy.
 	LockTimeout time.Duration
-	// LockStripes sets the lock table's stripe count (rounded up to a
-	// power of two; 0 = lock.DefaultStripes, 1 = a single global table).
-	LockStripes int
 	// Shards is the store shard count (0 = default).
 	Shards int
 	// Visibility selects the version-control implementation: the
@@ -173,7 +170,7 @@ func New(opts Options) *Engine {
 	}
 	// The lock manager exists under every protocol: LockWaitGraph, the
 	// stripe heatmap and the lock counters read it unconditionally.
-	e.locks = lock.NewManagerStriped(opts.LockPolicy, opts.LockTimeout, opts.LockStripes)
+	e.locks = lock.NewManager(opts.LockPolicy, opts.LockTimeout)
 	e.observeLocks()
 	e.observeVC()
 	e.roActive.init()

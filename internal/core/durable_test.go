@@ -16,7 +16,7 @@ func openFS(t *testing.T, fsys faultfs.FS, walPath string, p Protocol) (*Engine,
 	t.Helper()
 	e, w, err := OpenDurable(walPath, Options{Protocol: p}, DurableOptions{
 		FS:  fsys,
-		WAL: wal.Options{Policy: wal.SyncEveryCommit},
+		WAL: wal.Options{Policy: wal.SyncBatch},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -30,7 +30,7 @@ func expectState(t *testing.T, walPath string, p Protocol, want map[string]strin
 	t.Helper()
 	e, w, err := OpenDurable(walPath, Options{Protocol: p}, DurableOptions{
 		FS:  faultfs.New(faultfs.Plan{}),
-		WAL: wal.Options{Policy: wal.SyncEveryCommit},
+		WAL: wal.Options{Policy: wal.SyncBatch},
 	})
 	if err != nil {
 		t.Fatalf("recovery failed: %v", err)

@@ -101,7 +101,7 @@ func (e *Engine) observeVC() {
 }
 
 // observeWAL feeds the log's group-commit batch sizes into the registry
-// (a no-op stream unless the log runs under SyncBatch).
+// (a no-op stream under SyncNever).
 func (e *Engine) observeWAL(w *wal.Writer) {
 	w.SetBatchObserver(func(records int) {
 		e.stats.WALBatchSize.Record(int64(records))
@@ -319,9 +319,9 @@ func (o *txObs) held(writes map[string]bufWrite) {
 // enqueueLog and awaitLog are the two halves of logging a commit, timed
 // as its two separable costs: getting the record into the log buffer,
 // and — after the versions are in and concurrency control is given back
-// — waiting for fsync coverage (the group-commit ticket wait under
-// SyncBatch). A traced transaction learns which batch carried it, the
-// joined-batch blame edge.
+// — waiting for the flusher's fsync to cover the ticket. A traced
+// transaction learns which batch carried it, the joined-batch blame
+// edge.
 func (o *txObs) enqueueLog(w *wal.Writer, rec wal.Record) (wal.Ticket, error) {
 	sp := o.span(obs.PhaseWALEnqueue)
 	t, err := w.Enqueue(rec)

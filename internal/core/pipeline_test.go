@@ -106,14 +106,14 @@ type pipeline struct {
 	seen []uint64 // tn, in the order they became visible
 }
 
-func openPipeline(t *testing.T, p Protocol, policy wal.SyncPolicy) *pipeline {
+func openPipeline(t *testing.T, p Protocol) *pipeline {
 	t.Helper()
 	pl := &pipeline{t: t, fs: newGateFS(), rec: &countingRecorder{},
 		sp: trace.New(trace.Options{Sample: 1, Recent: 64, Promoted: 64})}
 	var err error
 	pl.e, pl.log, err = OpenDurable(filepath.Join(t.TempDir(), "commit.log"),
 		Options{Protocol: p, Recorder: pl.rec, Traces: pl.sp},
-		DurableOptions{FS: pl.fs, WAL: wal.Options{Policy: policy}})
+		DurableOptions{FS: pl.fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,14 +211,10 @@ func (pl *pipeline) script() (c1, c2 <-chan error, t1, t2 engine.Tx) {
 var pipelineCases = []struct {
 	name     string
 	protocol Protocol
-	policy   wal.SyncPolicy
 }{
-	{"2pl/batch", TwoPhaseLocking, wal.SyncBatch},
-	{"2pl/every-commit", TwoPhaseLocking, wal.SyncEveryCommit},
-	{"to/batch", TimestampOrdering, wal.SyncBatch},
-	{"to/every-commit", TimestampOrdering, wal.SyncEveryCommit},
-	{"occ/batch", Optimistic, wal.SyncBatch},
-	{"occ/every-commit", Optimistic, wal.SyncEveryCommit},
+	{"2pl/batch", TwoPhaseLocking},
+	{"to/batch", TimestampOrdering},
+	{"occ/batch", Optimistic},
 }
 
 // Concurrency control is given back at enqueue; acknowledgement and
@@ -226,7 +222,7 @@ var pipelineCases = []struct {
 func TestPipelinedCommit(t *testing.T) {
 	for _, c := range pipelineCases {
 		t.Run(c.name, func(t *testing.T) {
-			pl := openPipeline(t, c.protocol, c.policy)
+			pl := openPipeline(t, c.protocol)
 			// Replaces the engine's own tap (traces are on), which this
 			// test does not read.
 			pl.e.VC().SetVisibleObserver(func(tn uint64, _ time.Duration) {
@@ -271,7 +267,7 @@ func TestPipelinedCommit(t *testing.T) {
 func TestPipelinedCommitLogFailure(t *testing.T) {
 	for _, c := range pipelineCases {
 		t.Run(c.name, func(t *testing.T) {
-			pl := openPipeline(t, c.protocol, c.policy)
+			pl := openPipeline(t, c.protocol)
 			c1, c2, t1, t2 := pl.script()
 			appends := pl.appends()
 
@@ -332,7 +328,7 @@ func TestEmptyWriteSetWaitsForItsDependency(t *testing.T) {
 				name = p.String() + "/lost"
 			}
 			t.Run(name, func(t *testing.T) {
-				pl := openPipeline(t, p, wal.SyncBatch)
+				pl := openPipeline(t, p)
 				mustCommitWrite(t, pl.e, map[string]string{"k": "v0"})
 				base := pl.appends()
 				pl.fs.armed.Store(true)

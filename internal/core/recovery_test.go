@@ -18,7 +18,7 @@ func TestWALRecoveryRoundTrip(t *testing.T) {
 		p := p
 		t.Run(p.String(), func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "commit.log")
-			w, err := wal.Create(path, wal.SyncEveryCommit)
+			w, err := wal.Create(path, wal.SyncBatch)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -50,7 +50,7 @@ func TestWALRecoveryRoundTrip(t *testing.T) {
 			if fi, _ := os.Stat(path); fi.Size() != validLen {
 				t.Fatalf("validLen %d != size %d (log was cleanly flushed)", validLen, fi.Size())
 			}
-			w2, err := wal.OpenAppend(path, validLen, wal.SyncEveryCommit)
+			w2, err := wal.OpenAppend(path, validLen, wal.SyncBatch)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,7 +90,7 @@ func TestWALRecoveryRoundTrip(t *testing.T) {
 // before it survives.
 func TestRecoveryTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "commit.log")
-	w, err := wal.Create(path, wal.SyncEveryCommit)
+	w, err := wal.Create(path, wal.SyncBatch)
 	if err != nil {
 		t.Fatal(err)
 	}

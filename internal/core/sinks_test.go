@@ -249,7 +249,7 @@ func TestSinkAgreement(t *testing.T) {
 			e, log, err := OpenDurable(filepath.Join(t.TempDir(), "commit.log"), Options{
 				Protocol: c.protocol, LockPolicy: c.policy, LockTimeout: 5 * time.Millisecond,
 				Recorder: rec, Trace: ring, PhaseTiming: true, Traces: spans, Hotspot: prof,
-			}, DurableOptions{FS: fs, WAL: wal.Options{Policy: wal.SyncEveryCommit}})
+			}, DurableOptions{FS: fs, WAL: wal.Options{Policy: wal.SyncBatch}})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -18,13 +18,11 @@ import (
 	"mvdb/internal/wal"
 )
 
-// Config selects the engine variant under torture.
+// Config selects the engine variant under torture. The log always runs
+// the durable policy (wal.SyncBatch): durability-on-ack is the promise
+// the harness checks.
 type Config struct {
 	Protocol core.Protocol
-	// Group selects group commit (wal.SyncBatch); false is one fsync
-	// per commit. Durability-on-ack is promised either way — that
-	// promise is exactly what the harness checks.
-	Group bool
 	// Visibility selects the version-control implementation (strict
 	// drain or epoch watermark). Recovery rebuilds the controller from
 	// the WAL either way; the mode must make no difference to what
@@ -32,30 +30,17 @@ type Config struct {
 	Visibility vc.Mode
 }
 
-func (c Config) walOptions() wal.Options {
-	if c.Group {
-		return wal.Options{Policy: wal.SyncBatch}
-	}
-	return wal.Options{Policy: wal.SyncEveryCommit}
-}
-
 func (c Config) String() string {
-	mode := "fsync-per-commit"
-	if c.Group {
-		mode = "group-commit"
-	}
-	return c.Protocol.String() + "/" + mode + "/" + c.Visibility.String()
+	return c.Protocol.String() + "/group-commit/" + c.Visibility.String()
 }
 
-// Configs is the full engine matrix: all three protocols, group commit
-// on and off, both visibility modes.
+// Configs is the full engine matrix: all three protocols, both
+// visibility modes.
 func Configs() []Config {
 	var out []Config
 	for _, p := range []core.Protocol{core.TwoPhaseLocking, core.TimestampOrdering, core.Optimistic} {
-		for _, g := range []bool{false, true} {
-			for _, v := range []vc.Mode{vc.ModeStrict, vc.ModeEpoch} {
-				out = append(out, Config{Protocol: p, Group: g, Visibility: v})
-			}
+		for _, v := range []vc.Mode{vc.ModeStrict, vc.ModeEpoch} {
+			out = append(out, Config{Protocol: p, Visibility: v})
 		}
 	}
 	return out
@@ -70,7 +55,7 @@ func openEngine(fsys faultfs.FS, walPath string, cfg Config, rec engine.Recorder
 // their postmortem bundles and accumulate hot keys across incarnations.
 func openEngineTraced(fsys faultfs.FS, walPath string, cfg Config, rec engine.Recorder, spans *trace.Tracer, prof *hotspot.Profiler) (*core.Engine, *wal.Writer, error) {
 	return core.OpenDurable(walPath, core.Options{Protocol: cfg.Protocol, Visibility: cfg.Visibility, Recorder: rec, Traces: spans, Hotspot: prof},
-		core.DurableOptions{FS: fsys, WAL: cfg.walOptions()})
+		core.DurableOptions{FS: fsys, WAL: wal.Options{Policy: wal.SyncBatch}})
 }
 
 // runScript executes the deterministic scripted scenario the sweep

@@ -95,8 +95,8 @@ type Stats struct {
 
 	// WALBatchSize records the number of commit records covered by each
 	// group-commit fsync (the WAL writer's batch observer feeds it; empty
-	// unless the log runs under wal.SyncBatch). The summary's "nanosecond"
-	// fields hold record counts here — the histogram is unit-agnostic.
+	// under wal.SyncNever). The summary's "nanosecond" fields hold record
+	// counts here — the histogram is unit-agnostic.
 	WALBatchSize *metrics.Histogram
 
 	// Garbage collection: passes run and versions reclaimed.
@@ -195,7 +195,8 @@ type Snapshot struct {
 	// come back in time (wal.Writer.GatherTimeouts), WALBatchSize
 	// summarizes records per batch (count-valued, not nanoseconds), and
 	// WALFsyncPerAppend is the amortization ratio fsyncs/appends — 1.0
-	// under SyncEveryCommit, approaching 1/batch-size under SyncBatch.
+	// for a lone committer, approaching 1/batch-size as committers share
+	// fsyncs.
 	WALAppends        int64           `json:"wal_appends"`
 	WALFsyncs         int64           `json:"wal_fsyncs"`
 	WALBytes          int64           `json:"wal_bytes"`

@@ -40,9 +40,9 @@ const (
 	// PhaseWALEnqueue is time getting the commit record into the log
 	// buffer (including contention on the writer mutex).
 	PhaseWALEnqueue
-	// PhaseFsyncWait is time waiting for fsync coverage: the inline
-	// flush+sync under SyncEveryCommit, or the wait for the
-	// group-commit flusher's ticket under SyncBatch.
+	// PhaseFsyncWait is time waiting for fsync coverage: the wait for
+	// the group-commit flusher's fsync to reach the commit's ticket
+	// (zero under SyncNever).
 	PhaseFsyncWait
 	// PhaseInstall is time installing committed versions into the
 	// store (and resolving pending ones under T/O).

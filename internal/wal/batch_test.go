@@ -17,9 +17,9 @@ func rec(tn uint64, key, val string) Record {
 	return Record{TN: tn, Writes: []Write{{Key: key, Value: []byte(val)}}}
 }
 
-// TestSyncBatchRoundTrip checks that records appended under group commit
-// replay identically to SyncEveryCommit ones, and that every record is
-// durable (fsync-covered) by the time its Append returned.
+// TestSyncBatchRoundTrip checks that records appended concurrently under
+// group commit all replay, and that every record is durable
+// (fsync-covered) by the time its Append returned.
 func TestSyncBatchRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
 	w, err := CreateWith(path, Options{Policy: SyncBatch})
@@ -142,6 +142,37 @@ func openHeld(t *testing.T) (w *Writer, first Ticket, open func()) {
 	return w, first, func() {
 		g.armed.Store(false)
 		g.release <- struct{}{}
+	}
+}
+
+// TestZeroPolicyIsDurable: a writer opened without naming a policy must
+// be a durable one — its Append may not return before the fsync that
+// covers it does.
+func TestZeroPolicyIsDurable(t *testing.T) {
+	g := newGateFS()
+	w, err := CreateWith(filepath.Join(t.TempDir(), "wal"), Options{FS: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		g.armed.Store(false)
+		w.Close()
+	}()
+	done := make(chan error, 1)
+	go func() { done <- w.Append(rec(1, "k", "v")) }()
+	select {
+	case <-g.entered:
+	case err := <-done:
+		t.Fatalf("Append returned (%v) without an fsync: the zero SyncPolicy is not durable", err)
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("Append returned (%v) while its fsync was held", err)
+	case <-time.After(gatherPause):
+	}
+	g.release <- struct{}{}
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -506,7 +537,7 @@ func TestSyncBatchStickyError(t *testing.T) {
 // to a recovered log under SyncBatch and replay the union.
 func TestOpenAppendWithBatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	w, err := Create(path, SyncEveryCommit)
+	w, err := Create(path, SyncBatch)
 	if err != nil {
 		t.Fatal(err)
 	}

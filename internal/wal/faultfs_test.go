@@ -105,7 +105,7 @@ func TestTransientFsyncErrorIsSticky(t *testing.T) {
 	policies := []struct {
 		name   string
 		policy SyncPolicy
-	}{{"every-commit", SyncEveryCommit}, {"group-commit", SyncBatch}, {"never", SyncNever}}
+	}{{"group-commit", SyncBatch}, {"never", SyncNever}}
 	faults := []struct {
 		name string
 		rule faultfs.Rule
@@ -184,7 +184,7 @@ func TestReplayStopsAtCorruptTail(t *testing.T) {
 	fs := faultfs.New(faultfs.Plan{Rules: []faultfs.Rule{
 		{Op: faultfs.OpSync, Path: "commit.log", Nth: 3, Fault: faultfs.Fault{Crash: true, Torn: 1 << 20, Corrupt: true}},
 	}})
-	w, err := CreateWith(path, Options{Policy: SyncEveryCommit, FS: fs})
+	w, err := CreateWith(path, Options{Policy: SyncBatch, FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,31 +52,25 @@ type Record struct {
 	Writes []Write
 }
 
-// SyncPolicy selects who fsyncs. Under SyncEveryCommit and SyncBatch a
-// record is durable when Wait returns nil, and both batch: one fsync
-// covers every record enqueued before it started. They differ in which
-// goroutine issues it.
+// SyncPolicy selects whether anything fsyncs. Under SyncBatch a record is
+// durable when Wait returns nil; one fsync covers every record enqueued
+// before it started.
 type SyncPolicy int
 
 const (
-	// SyncEveryCommit fsyncs inline: the first committer to Wait on an
-	// uncovered ticket flushes and fsyncs everything enqueued so far
-	// itself; committers that arrive while it does lead the next fsync.
-	// No extra goroutine and no handoff, so a batch is whatever piled up
-	// behind the previous fsync.
-	SyncEveryCommit SyncPolicy = iota
-	// SyncNever leaves flushing to the OS and to Close: Wait returns at
-	// once and a crash may lose acknowledged commits (benchmarks, tests).
-	SyncNever
-	// SyncBatch is group commit: Wait blocks until a background
-	// flusher's fsync covers the ticket. Before each fsync the flusher
+	// SyncBatch, the zero value, is group commit: Wait blocks until the
+	// background flusher's fsync covers the ticket — the flusher is the
+	// only goroutine that fsyncs a commit. Before each fsync the flusher
 	// waits for the committers it expects: as many records as were in
 	// flight when its last fsync ended (the ones that fsync released plus
 	// the ones enqueued while it ran), so a committer that was just
 	// acknowledged and is on its way back joins the batch instead of
 	// riding the next fsync alone. A committer that does not come back
 	// costs at most an eighth of the last fsync's own duration, once.
-	SyncBatch
+	SyncBatch SyncPolicy = iota
+	// SyncNever leaves flushing to the OS and to Close: Wait returns at
+	// once and a crash may lose acknowledged commits (benchmarks, tests).
+	SyncNever
 )
 
 // Options configures a Writer beyond the bare sync policy.
@@ -100,8 +94,7 @@ const gatherLimit = 128
 // hands back a Ticket, Wait blocks until an fsync covers the ticket — so
 // a committer can give back what it holds in between (the engine's
 // pipelined commit). Under SyncBatch a background flusher amortizes
-// fsync across concurrent committers; under SyncEveryCommit the waiters
-// take turns fsyncing inline.
+// fsync across concurrent committers.
 type Writer struct {
 	mu     sync.Mutex
 	f      faultfs.File
@@ -115,12 +108,10 @@ type Writer struct {
 	// flush or fsync fails the writer is broken for good, and every
 	// waiter and every later Enqueue reports it: records are durable in
 	// log order or not at all, which is what lets a commit depend on an
-	// earlier ticket without checking it. syncing marks a
-	// SyncEveryCommit waiter fsyncing outside mu.
+	// earlier ticket without checking it.
 	enqSeq      uint64
 	syncSeq     uint64
 	syncErr     error
-	syncing     bool
 	synced      *sync.Cond // broadcast when syncSeq advances, syncErr sets, or the writer closes
 	wake        *sync.Cond // SyncBatch: wakes the flusher when work arrives, the writer breaks or closes
 	flusherDone chan struct{}
@@ -359,11 +350,7 @@ func (w *Writer) Wait(t Ticket) (BatchInfo, error) {
 		return BatchInfo{}, w.syncErr
 	}
 	for w.syncSeq < seq && w.syncErr == nil && !w.closed {
-		if w.opts.Policy == SyncEveryCommit && !w.syncing {
-			w.syncPending() // nobody is fsyncing: this waiter does
-		} else {
-			w.synced.Wait()
-		}
+		w.synced.Wait()
 	}
 	switch {
 	case w.syncSeq >= seq:
@@ -412,14 +399,12 @@ func (w *Writer) syncPending() {
 	leader := w.leaderTN
 	w.haveLeader = false
 	w.leaderTN = 0
-	w.syncing = true
 	op, err := "flush", w.bw.Flush()
 	w.mu.Unlock()
 	if err == nil {
 		op, err = "sync", w.f.Sync()
 	}
 	w.mu.Lock()
-	w.syncing = false
 	if err != nil {
 		w.fail(op, err)
 		return
@@ -527,9 +512,9 @@ func (w *Writer) flushLocked() error {
 	return nil
 }
 
-// Close flushes and closes the log. It first lets an fsync in flight
-// finish (under SyncBatch, drains the flusher), so every Append that
-// returned nil is durable before the file closes.
+// Close flushes and closes the log. Under SyncBatch it first drains the
+// flusher, so every Append that returned nil is durable before the file
+// closes.
 func (w *Writer) Close() error {
 	w.mu.Lock()
 	if w.closed {
@@ -545,9 +530,6 @@ func (w *Writer) Close() error {
 		w.mu.Lock()
 	}
 	defer w.mu.Unlock()
-	for w.syncing {
-		w.synced.Wait()
-	}
 	if err := w.flushLocked(); err != nil {
 		w.f.Close()
 		return err

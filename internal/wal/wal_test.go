@@ -16,7 +16,7 @@ func tmpLog(t *testing.T) string {
 
 func TestRoundTrip(t *testing.T) {
 	path := tmpLog(t)
-	w, err := Create(path, SyncEveryCommit)
+	w, err := Create(path, SyncBatch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestReplayMissingFile(t *testing.T) {
 
 func TestTornTailStopsReplay(t *testing.T) {
 	path := tmpLog(t)
-	w, _ := Create(path, SyncEveryCommit)
+	w, _ := Create(path, SyncBatch)
 	for tn := uint64(1); tn <= 5; tn++ {
 		if err := w.Append(Record{TN: tn, Writes: []Write{{Key: "k", Value: []byte("v")}}}); err != nil {
 			t.Fatal(err)
@@ -99,7 +99,7 @@ func TestTornTailStopsReplay(t *testing.T) {
 		t.Fatalf("replayed %d records, want 4", len(tns))
 	}
 	// Resume appending after truncating the tail.
-	w2, err := OpenAppend(path, validLen, SyncEveryCommit)
+	w2, err := OpenAppend(path, validLen, SyncBatch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestTornTailStopsReplay(t *testing.T) {
 
 func TestCorruptMiddleRecordStopsReplay(t *testing.T) {
 	path := tmpLog(t)
-	w, _ := Create(path, SyncEveryCommit)
+	w, _ := Create(path, SyncBatch)
 	w.Append(Record{TN: 1, Writes: []Write{{Key: "aaaa", Value: []byte("1111")}}})
 	w.Append(Record{TN: 2, Writes: []Write{{Key: "bbbb", Value: []byte("2222")}}})
 	w.Close()
@@ -191,47 +191,34 @@ func TestPropertyEncodeDecode(t *testing.T) {
 }
 
 // Enqueue hands out tickets in log order without waiting; one fsync
-// covers every ticket up to the one waited on, under both syncing
-// policies, and reports the batch it made.
+// covers every ticket up to the one waited on and reports the batch it
+// made.
 func TestEnqueueThenWait(t *testing.T) {
-	for _, policy := range []SyncPolicy{SyncEveryCommit, SyncBatch} {
-		w, err := Create(filepath.Join(t.TempDir(), "wal"), policy)
-		if err != nil {
+	w, first, open := openHeld(t)
+	var tickets [3]Ticket
+	prev := first
+	for i := range tickets {
+		tickets[i] = enqueue(t, w, uint64(10+i))
+		if tickets[i] <= prev {
+			t.Fatalf("tickets %v after %d not in log order", tickets, first)
+		}
+		prev = tickets[i]
+	}
+	if _, fsyncs, _ := w.Counters(); fsyncs != 0 {
+		t.Fatalf("Enqueue fsynced (%d)", fsyncs)
+	}
+	open()
+	rode(t, w, tickets[2], BatchInfo{Batch: 2, LeaderTN: 10, Records: 3})
+	_, before, _ := w.Counters()
+	for _, tk := range tickets[:2] {
+		if _, err := w.Wait(tk); err != nil {
 			t.Fatal(err)
 		}
-		var tickets [3]Ticket
-		for i := range tickets {
-			if tickets[i], err = w.Enqueue(Record{TN: uint64(10 + i)}); err != nil {
-				t.Fatal(err)
-			}
-			if i > 0 && tickets[i] <= tickets[i-1] {
-				t.Fatalf("policy %d: tickets %v not in log order", policy, tickets)
-			}
-		}
-		if _, fsyncs, _ := w.Counters(); policy == SyncEveryCommit && fsyncs != 0 {
-			t.Fatalf("Enqueue fsynced (%d)", fsyncs)
-		}
-		info, err := w.Wait(tickets[2])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info.Records < 1 || info.Batch == 0 {
-			t.Fatalf("policy %d: Wait reported no batch: %+v", policy, info)
-		}
-		if policy == SyncEveryCommit && (info.Records != 3 || info.LeaderTN != 10) {
-			t.Fatalf("inline fsync covered %+v, want all 3 records led by tn 10", info)
-		}
-		_, before, _ := w.Counters()
-		for _, tk := range tickets[:2] {
-			if _, err := w.Wait(tk); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, after, _ := w.Counters(); after != before {
-			t.Fatalf("policy %d: waiting on covered tickets fsynced again (%d -> %d)", policy, before, after)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
+	}
+	if _, after, _ := w.Counters(); after != before {
+		t.Fatalf("waiting on covered tickets fsynced again (%d -> %d)", before, after)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

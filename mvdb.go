@@ -173,26 +173,16 @@ type Options struct {
 	// they become visible, and Open recovers the store from an existing
 	// log at this path. Empty disables the log.
 	WALPath string
-	// SyncEveryCommit makes a commit durable before it is acknowledged,
-	// with the committers fsyncing the log themselves: the first one
-	// waiting on an uncovered record fsyncs everything enqueued so far,
-	// and those that arrive meanwhile share the next fsync. With neither
-	// this nor GroupCommit the log reaches the disk when the OS writes it
-	// back and on Close, so a crash can lose acknowledged commits.
-	SyncEveryCommit bool
-	// GroupCommit gives the same durability with a background flusher
-	// doing the fsyncs: commits enqueue their record and block until an
-	// fsync of the flusher covers it. Before each fsync the flusher waits
+	// GroupCommit makes a commit durable before it is acknowledged: a
+	// commit enqueues its record and blocks until an fsync of the log's
+	// background flusher covers it. Before each fsync the flusher waits
 	// for as many records as were in flight when its last one ended, so a
 	// committer it has just acknowledged joins the batch on its next
 	// commit; one that does not come back delays the batch by at most an
 	// eighth of the last fsync (Stats().WALGatherTimeouts counts those).
-	// Both settings batch; they differ in which goroutine fsyncs. Takes
-	// precedence over SyncEveryCommit.
+	// Without it the log reaches the disk when the OS writes it back and
+	// on Close, so a crash can lose acknowledged commits.
 	GroupCommit bool
-	// LockStripes sets the 2PL lock table's stripe count, rounded up to a
-	// power of two (0 = default 32, 1 = a single global table).
-	LockStripes int
 	// MaxUpdateRetries bounds Update's automatic retries (default 100).
 	MaxUpdateRetries int
 	// DebugAddr, when non-empty, serves live observability over HTTP on
@@ -442,7 +432,6 @@ func Open(opts Options) (*DB, error) {
 		Visibility:    vcMode(opts.VisibilityMode),
 		LockPolicy:    lockPolicy(opts.DeadlockPolicy),
 		LockTimeout:   opts.LockTimeout,
-		LockStripes:   opts.LockStripes,
 		Shards:        opts.Shards,
 		TrackReadOnly: opts.GCInterval > 0,
 		Trace:         tracer,
@@ -468,11 +457,8 @@ func Open(opts Options) (*DB, error) {
 	var log *wal.Writer
 	if opts.WALPath != "" {
 		walOpts := wal.Options{Policy: wal.SyncNever}
-		switch {
-		case opts.GroupCommit:
+		if opts.GroupCommit {
 			walOpts.Policy = wal.SyncBatch
-		case opts.SyncEveryCommit:
-			walOpts.Policy = wal.SyncEveryCommit
 		}
 		recovered, logW, err := core.OpenDurable(opts.WALPath, coreOpts, core.DurableOptions{FS: opts.FS, WAL: walOpts})
 		if err != nil {

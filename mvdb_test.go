@@ -197,7 +197,7 @@ func TestBeginReadOnlyRecent(t *testing.T) {
 
 func TestDurabilityAcrossReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "db.log")
-	db, err := Open(Options{WALPath: path, SyncEveryCommit: true})
+	db, err := Open(Options{WALPath: path, GroupCommit: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,6 @@ func TestGroupCommitEndToEnd(t *testing.T) {
 	db, err := Open(Options{
 		WALPath:     path,
 		GroupCommit: true,
-		LockStripes: 8,
 		FS:          gate,
 	})
 	if err != nil {
@@ -327,8 +326,8 @@ func TestGroupCommitEndToEnd(t *testing.T) {
 	if st.WALFsyncPerAppend <= 0 || st.WALFsyncPerAppend >= 1 {
 		t.Fatalf("fsync/append ratio = %v, want in (0,1)", st.WALFsyncPerAppend)
 	}
-	if st.LockStripes != 8 {
-		t.Fatalf("lock stripes = %d, want 8", st.LockStripes)
+	if st.LockStripes != 32 {
+		t.Fatalf("lock stripes = %d, want the default 32", st.LockStripes)
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
