@@ -340,15 +340,59 @@ func (e *Engine) MinActiveReadOnlySN() (uint64, bool) {
 	return e.roActive.min()
 }
 
-// bufWrite is one buffered (2PL, OCC) or pending (T/O) write.
-type bufWrite struct {
-	data      []byte
-	tombstone bool
+// writeSet is a transaction's buffered (2PL, OCC) or pending (T/O)
+// writes, one entry per key in the order the keys were first written. It
+// is kept in the form the commit record wants, so commitTail hands
+// writes to the log as it stands and installs in the same order.
+type writeSet struct {
+	writes []wal.Write
+	buf    [2]wal.Write   // backs a small set inside the transaction struct
+	index  map[string]int // key → position, kept once the set outgrows a scan
 }
 
-// read is a transaction reading back its own write.
-func (w bufWrite) read() ([]byte, error) {
-	return result(storage.Version{Data: w.data, Tombstone: w.tombstone}, true)
+// writeSetScan is the size up to which a key is found by scanning.
+const writeSetScan = 16
+
+// find returns key's position in the set, -1 if it was not written.
+func (ws *writeSet) find(key string) int {
+	if ws.index != nil {
+		if i, ok := ws.index[key]; ok {
+			return i
+		}
+		return -1
+	}
+	for i := range ws.writes {
+		if ws.writes[i].Key == key {
+			return i
+		}
+	}
+	return -1
+}
+
+// put records w; a key written before keeps its place and takes w's value.
+func (ws *writeSet) put(w wal.Write) {
+	if i := ws.find(w.Key); i >= 0 {
+		ws.writes[i] = w
+		return
+	}
+	if ws.writes == nil {
+		ws.writes = ws.buf[:0]
+	}
+	if ws.index == nil && len(ws.writes) >= writeSetScan {
+		ws.index = make(map[string]int, 2*len(ws.writes))
+		for i := range ws.writes {
+			ws.index[ws.writes[i].Key] = i
+		}
+	}
+	if ws.index != nil {
+		ws.index[w.Key] = len(ws.writes)
+	}
+	ws.writes = append(ws.writes, w)
+}
+
+// readBack is a transaction reading its own write.
+func readBack(w wal.Write) ([]byte, error) {
+	return result(storage.Version{Data: w.Value, Tombstone: w.Tombstone}, true)
 }
 
 // result maps a read onto Get's return values: an absent object, one
@@ -383,7 +427,7 @@ func (e *Engine) latest(key string) (storage.Version, bool) {
 // version that can still be withdrawn. A log failure — at enqueue or in
 // the wait — withdraws the versions, aborts the transaction and is
 // returned.
-func (e *Engine) commitTail(o *txObs, entry vc.Handle, writes map[string]bufWrite) error {
+func (e *Engine) commitTail(o *txObs, entry vc.Handle, writes []wal.Write) error {
 	tn := entry.TN()
 	w := e.opts.WAL
 	var ticket wal.Ticket
@@ -391,22 +435,18 @@ func (e *Engine) commitTail(o *txObs, entry vc.Handle, writes map[string]bufWrit
 	if w != nil {
 		// Also with an empty write set: the ticket is what orders this
 		// commit behind the writers of everything it read.
-		rec := wal.Record{TN: tn, Writes: make([]wal.Write, 0, len(writes))}
-		for key, bw := range writes {
-			rec.Writes = append(rec.Writes, wal.Write{Key: key, Value: bw.data, Tombstone: bw.tombstone})
-		}
-		ticket, err = o.enqueueLog(w, rec)
+		ticket, err = o.enqueueLog(w, wal.Record{TN: tn, Writes: writes})
 	}
 	if err == nil {
 		sp := o.span(phaseInstall)
-		for key, bw := range writes {
-			obj := e.store.GetOrCreate(key)
+		for _, wr := range writes {
+			obj := e.store.GetOrCreate(wr.Key)
 			if o.proto == protoTO {
 				obj.ResolvePending(tn, true) // the version is already there, pending
 			} else {
-				obj.InstallCommitted(storage.Version{TN: tn, Data: bw.data, Tombstone: bw.tombstone})
+				obj.InstallCommitted(storage.Version{TN: tn, Data: wr.Value, Tombstone: wr.Tombstone})
 			}
-			o.wrote(key, tn)
+			o.wrote(wr.Key, tn)
 		}
 		o.end(sp)
 	} else if o.proto == protoTO {
@@ -423,8 +463,8 @@ func (e *Engine) commitTail(o *txObs, entry vc.Handle, writes map[string]bufWrit
 	}
 	if err == nil && w != nil {
 		if err = o.awaitLog(w, ticket); err != nil {
-			for key := range writes {
-				e.store.Get(key).Withdraw(tn)
+			for _, wr := range writes {
+				e.store.Get(wr.Key).Withdraw(tn)
 			}
 		}
 	}

@@ -306,13 +306,13 @@ func (o *txObs) locked() {
 	}
 }
 
-func (o *txObs) held(writes map[string]bufWrite) {
+func (o *txObs) held(writes []wal.Write) {
 	if o.lockedAt == 0 {
 		return
 	}
 	d := time.Duration(now() - o.lockedAt)
-	for key := range writes {
-		o.e.hot.RecordHold(o.e.locks.StripeOf(key), d)
+	for _, wr := range writes {
+		o.e.hot.RecordHold(o.e.locks.StripeOf(wr.Key), d)
 	}
 }
 

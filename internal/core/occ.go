@@ -2,6 +2,7 @@ package core
 
 import (
 	"mvdb/internal/engine"
+	"mvdb/internal/wal"
 )
 
 // occTx is a read-write transaction under VC+OCC, the integration the
@@ -19,12 +20,12 @@ import (
 type occTx struct {
 	txObs
 	readSet map[string]uint64 // key -> version TN observed
-	buf     map[string]bufWrite
+	buf     writeSet
 	tn      uint64
 }
 
 func (e *Engine) beginOptimistic(id uint64) *occTx {
-	return &occTx{txObs: e.observe(id, protoOCC, 0), readSet: make(map[string]uint64), buf: make(map[string]bufWrite)}
+	return &occTx{txObs: e.observe(id, protoOCC, 0), readSet: make(map[string]uint64)}
 }
 
 // Get implements engine.Tx: optimistic read of the latest committed
@@ -34,9 +35,9 @@ func (t *occTx) Get(key string) ([]byte, error) {
 		return nil, engine.ErrTxDone
 	}
 	sp := t.span(phaseRead)
-	if w, ok := t.buf[key]; ok {
+	if i := t.buf.find(key); i >= 0 {
 		t.end(sp)
-		return w.read()
+		return readBack(t.buf.writes[i])
 	}
 	v, ok := t.e.latest(key)
 	if prev, seen := t.readSet[key]; seen && prev != v.TN {
@@ -54,20 +55,20 @@ func (t *occTx) Get(key string) ([]byte, error) {
 
 // Put implements engine.Tx: buffer the write until validation.
 func (t *occTx) Put(key string, value []byte) error {
-	return t.put(key, bufWrite{data: value})
+	return t.put(wal.Write{Key: key, Value: value})
 }
 
 // Delete implements engine.Tx: buffer a tombstone.
 func (t *occTx) Delete(key string) error {
-	return t.put(key, bufWrite{tombstone: true})
+	return t.put(wal.Write{Key: key, Tombstone: true})
 }
 
-func (t *occTx) put(key string, w bufWrite) error {
+func (t *occTx) put(w wal.Write) error {
 	if t.done {
 		return engine.ErrTxDone
 	}
-	t.write(key)
-	t.buf[key] = w
+	t.write(w.Key)
+	t.buf.put(w)
 	return nil
 }
 
@@ -99,7 +100,7 @@ func (t *occTx) Commit() error {
 	t.tn = entry.TN()
 	t.registered(t.tn)
 	t.end(sp)
-	return e.commitTail(&t.txObs, entry, t.buf) // leaves the critical section
+	return e.commitTail(&t.txObs, entry, t.buf.writes) // leaves the critical section
 }
 
 // Abort implements engine.Tx. An optimistic transaction holds nothing, so

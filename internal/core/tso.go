@@ -6,6 +6,7 @@ import (
 	"mvdb/internal/engine"
 	"mvdb/internal/storage"
 	"mvdb/internal/vc"
+	"mvdb/internal/wal"
 )
 
 // tsoTx is a read-write transaction under VC+T/O (paper Figure 3).
@@ -20,12 +21,12 @@ type tsoTx struct {
 	txObs
 	entry  vc.Handle
 	tn     uint64
-	writes map[string]bufWrite // what our pending versions hold (commit log)
+	writes writeSet // what our pending versions hold (commit log)
 }
 
 func (e *Engine) beginTimestamp(id uint64) *tsoTx {
 	entry := e.vc.Register()
-	t := &tsoTx{txObs: e.observe(id, protoTO, 0), entry: entry, tn: entry.TN(), writes: make(map[string]bufWrite)}
+	t := &tsoTx{txObs: e.observe(id, protoTO, 0), entry: entry, tn: entry.TN()}
 	t.registered(t.tn) // the serial order is fixed at begin
 	return t
 }
@@ -56,41 +57,41 @@ func (t *tsoTx) Get(key string) ([]byte, error) {
 // younger transaction already read or overwrote the object, otherwise
 // create a pending version numbered tn(T).
 func (t *tsoTx) Put(key string, value []byte) error {
-	return t.put(key, bufWrite{data: value})
+	return t.put(wal.Write{Key: key, Value: value})
 }
 
 // Delete implements engine.Tx (a tombstone write).
 func (t *tsoTx) Delete(key string) error {
-	return t.put(key, bufWrite{tombstone: true})
+	return t.put(wal.Write{Key: key, Tombstone: true})
 }
 
-func (t *tsoTx) put(key string, w bufWrite) error {
+func (t *tsoTx) put(w wal.Write) error {
 	if t.done {
 		return engine.ErrTxDone
 	}
-	if err := t.e.store.GetOrCreate(key).TOWrite(t.tn, w.data, w.tombstone); err != nil {
+	if err := t.e.store.GetOrCreate(w.Key).TOWrite(t.tn, w.Value, w.Tombstone); err != nil {
 		cause := causeTOWrite
 		if errors.Is(err, storage.ErrConflictRO) {
 			cause = causeTOWriteByRO
 		}
 		t.rollback()
-		return t.abort(cause, key)
+		return t.abort(cause, w.Key)
 	}
-	t.write(key)
-	t.writes[key] = w
+	t.write(w.Key)
+	t.writes.put(w)
 	return nil
 }
 
 // destroyPending withdraws the pending versions numbered tn.
-func (e *Engine) destroyPending(tn uint64, writes map[string]bufWrite) {
-	for key := range writes {
-		e.store.GetOrCreate(key).ResolvePending(tn, false)
+func (e *Engine) destroyPending(tn uint64, writes []wal.Write) {
+	for _, wr := range writes {
+		e.store.GetOrCreate(wr.Key).ResolvePending(tn, false)
 	}
 }
 
 func (t *tsoTx) rollback() {
 	t.done = true
-	t.e.destroyPending(t.tn, t.writes)
+	t.e.destroyPending(t.tn, t.writes.writes)
 	t.e.vc.Discard(t.entry)
 }
 
@@ -101,7 +102,7 @@ func (t *tsoTx) Commit() error {
 		return engine.ErrTxDone
 	}
 	t.done = true
-	return t.e.commitTail(&t.txObs, t.entry, t.writes)
+	return t.e.commitTail(&t.txObs, t.entry, t.writes.writes)
 }
 
 // Abort implements engine.Tx: destroy pending versions and VCdiscard.

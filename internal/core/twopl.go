@@ -6,6 +6,7 @@ import (
 	"mvdb/internal/engine"
 	"mvdb/internal/lock"
 	"mvdb/internal/vc"
+	"mvdb/internal/wal"
 )
 
 // twoPhaseTx is a read-write transaction under VC+2PL (paper Figure 4).
@@ -24,13 +25,13 @@ import (
 type twoPhaseTx struct {
 	txObs
 	entry vc.Handle // ablation A1 only: registered at begin
-	buf   map[string]bufWrite
+	buf   writeSet
 	tn    uint64 // assigned at commit
 }
 
 func (e *Engine) beginTwoPhase(id uint64) *twoPhaseTx {
 	e.locks.Begin(id, e.ages.Add(1))
-	t := &twoPhaseTx{txObs: e.observe(id, proto2PL, 0), buf: make(map[string]bufWrite)}
+	t := &twoPhaseTx{txObs: e.observe(id, proto2PL, 0)}
 	if e.opts.UnsafeEarlyRegister2PL {
 		t.entry = e.vc.Register() // A1: serial order NOT yet fixed — wrong on purpose
 	}
@@ -44,8 +45,8 @@ func (t *twoPhaseTx) Get(key string) ([]byte, error) {
 	if t.done {
 		return nil, engine.ErrTxDone
 	}
-	if w, ok := t.buf[key]; ok {
-		return w.read()
+	if i := t.buf.find(key); i >= 0 {
+		return readBack(t.buf.writes[i])
 	}
 	if err := t.acquire(key, lock.Shared); err != nil {
 		return nil, err
@@ -58,24 +59,24 @@ func (t *twoPhaseTx) Get(key string) ([]byte, error) {
 // Put implements engine.Tx: w-lock(y), then buffer the write; the version
 // number is assigned at commit ("create y_j with version phi").
 func (t *twoPhaseTx) Put(key string, value []byte) error {
-	return t.put(key, bufWrite{data: value})
+	return t.put(wal.Write{Key: key, Value: value})
 }
 
 // Delete implements engine.Tx: an exclusive lock plus a buffered
 // tombstone.
 func (t *twoPhaseTx) Delete(key string) error {
-	return t.put(key, bufWrite{tombstone: true})
+	return t.put(wal.Write{Key: key, Tombstone: true})
 }
 
-func (t *twoPhaseTx) put(key string, w bufWrite) error {
+func (t *twoPhaseTx) put(w wal.Write) error {
 	if t.done {
 		return engine.ErrTxDone
 	}
-	if err := t.acquire(key, lock.Exclusive); err != nil {
+	if err := t.acquire(w.Key, lock.Exclusive); err != nil {
 		return err
 	}
-	t.write(key)
-	t.buf[key] = w
+	t.write(w.Key)
+	t.buf.put(w)
 	return nil
 }
 
@@ -101,14 +102,14 @@ func (t *twoPhaseTx) acquire(key string, mode lock.Mode) error {
 }
 
 // clearLocks is Figure 4's "clear locks", on commit and abort alike.
-func (e *Engine) clearLocks(o *txObs, writes map[string]bufWrite) {
+func (e *Engine) clearLocks(o *txObs, writes []wal.Write) {
 	o.held(writes)
 	e.locks.ReleaseAll(o.id)
 }
 
 func (t *twoPhaseTx) rollback() {
 	t.done = true
-	t.e.clearLocks(&t.txObs, t.buf)
+	t.e.clearLocks(&t.txObs, t.buf.writes)
 	if t.entry != nil {
 		t.e.vc.Discard(t.entry)
 	}
@@ -134,7 +135,7 @@ func (t *twoPhaseTx) Commit() error {
 	}
 	t.tn = entry.TN()
 	t.registered(t.tn)
-	return t.e.commitTail(&t.txObs, entry, t.buf)
+	return t.e.commitTail(&t.txObs, entry, t.buf.writes)
 }
 
 // Abort implements engine.Tx.

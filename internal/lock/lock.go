@@ -25,11 +25,12 @@
 // The lock table is hash-striped: each stripe owns a disjoint slice of
 // the key space under its own mutex, so uncontended acquisitions on
 // unrelated keys never serialize on a shared lock. Per-transaction state
-// (held set, current wait, wound flag) lives under a small per-transaction
-// mutex. The lock order is stripe mutex → transaction mutex, one of each
-// at a time; nothing ever takes a stripe mutex while holding a
-// transaction mutex, which is what makes cross-stripe release and grant
-// safe.
+// (held keys, current wait, wound flag) lives under a small per-transaction
+// mutex; who holds a key, and in which mode, is recorded once, in the
+// key's lockState under its stripe mutex. The lock order is stripe mutex
+// → transaction mutex, one of each at a time; nothing ever takes a stripe
+// mutex while holding a transaction mutex, which is what makes
+// cross-stripe release and grant safe.
 //
 // The slow path — deadlock detection and wound-wait victim selection,
 // which must observe wait-for edges that span stripes — is serialized by
@@ -118,21 +119,101 @@ type txState struct {
 
 	// mu guards the fields below. Lock order: a stripe mutex may be held
 	// while taking mu; never the reverse.
-	mu      sync.Mutex
-	held    map[string]Mode
+	mu sync.Mutex
+	// keys lists each held key once, in grant order (the mode is in the
+	// key's lockState); keyBuf backs the first few.
+	keys    []string
+	keyBuf  [4]string
 	waiting *request
 	wounded bool
 }
 
-type lockState struct {
-	holders map[*txState]Mode
-	queue   []*request
+// holder is one granted lock on a key.
+type holder struct {
+	tx   *txState
+	mode Mode
 }
+
+// lockState is one key's holders and FIFO wait queue. It is reachable
+// only through its stripe's table or free list and touched only under
+// that stripe's mutex; vacated holder and queue slots are cleared, so a
+// parked lockState pins no transaction.
+type lockState struct {
+	holders   []holder
+	holderBuf [2]holder // backs the common cases: one writer, two readers
+	queue     []*request
+}
+
+// holderIdx returns tx's index among the holders, -1 if it holds nothing
+// here. A nil lockState has no holders.
+func (ls *lockState) holderIdx(tx *txState) int {
+	if ls != nil {
+		for i := range ls.holders {
+			if ls.holders[i].tx == tx {
+				return i
+			}
+		}
+	}
+	return -1
+}
+
+// conflict returns the first holder other than tx whose lock rules out
+// granting tx mode, nil if there is none. For an upgrade (tx holds
+// Shared, mode is Exclusive) that is exactly "tx is the sole holder".
+func (ls *lockState) conflict(tx *txState, mode Mode) *txState {
+	for _, h := range ls.holders {
+		if h.tx != tx && (mode == Exclusive || h.mode == Exclusive) {
+			return h.tx
+		}
+	}
+	return nil
+}
+
+// grant makes tx a holder in mode: an upgrade rewrites its Shared entry
+// in place, anything else adds a holder and lists key for ReleaseAll.
+// The caller holds the stripe mutex and tx.mu.
+func (ls *lockState) grant(tx *txState, key string, mode Mode) {
+	if i := ls.holderIdx(tx); i >= 0 {
+		ls.holders[i].mode = mode
+		return
+	}
+	ls.holders = append(ls.holders, holder{tx, mode})
+	tx.keys = append(tx.keys, key)
+}
+
+// unqueue removes queue entry i, shifting the rest down in place: the
+// backing array is reused and the vacated slot pins no request.
+func (ls *lockState) unqueue(i int) {
+	n := len(ls.queue) - 1
+	copy(ls.queue[i:], ls.queue[i+1:])
+	ls.queue[n] = nil
+	ls.queue = ls.queue[:n]
+}
+
+// freeListCap bounds the emptied lockStates a stripe parks for reuse;
+// past it they are left to the collector.
+const freeListCap = 32
 
 // stripe is one hash partition of the lock table.
 type stripe struct {
 	mu    sync.Mutex
 	locks map[string]*lockState
+	free  []*lockState // emptied, at most freeListCap
+}
+
+// newState enters a lockState for key, which has none: a parked one if
+// there is one. The caller holds s.mu.
+func (s *stripe) newState(key string) *lockState {
+	var ls *lockState
+	if n := len(s.free) - 1; n >= 0 {
+		ls, s.free[n] = s.free[n], nil
+		s.free = s.free[:n]
+	} else {
+		ls = new(lockState)
+		ls.holders = ls.holderBuf[:0]
+	}
+	s.locks[key] = ls
+	return ls
 }
 
 const txShardCount = 16
@@ -246,7 +327,12 @@ func (m *Manager) Begin(txID, age uint64) {
 	if _, ok := sh.m[txID]; ok {
 		panic(fmt.Sprintf("lock: duplicate Begin(%d)", txID))
 	}
-	sh.m[txID] = &txState{id: txID, age: age, held: make(map[string]Mode)}
+	// Always a fresh txState: the detector holds *txState outside every
+	// stripe mutex (cycleFrom, woundYounger), and a recycled one could be
+	// wounded as its next incarnation.
+	tx := &txState{id: txID, age: age}
+	tx.keys = tx.keyBuf[:0]
+	sh.m[txID] = tx
 }
 
 // SetWaitObserver installs fn, called once per blocked request when its
@@ -281,76 +367,10 @@ func (m *Manager) Acquire(txID uint64, key string, mode Mode) error {
 	if tx == nil {
 		return ErrUnknown
 	}
-	tx.mu.Lock()
-	if tx.wounded {
-		tx.mu.Unlock()
-		return ErrWounded
+	req, blocker, err := m.grantOrQueue(tx, key, mode)
+	if req == nil {
+		return err
 	}
-	held, hasHeld := tx.held[key]
-	tx.mu.Unlock()
-	if hasHeld && (held == Exclusive || mode == Shared) {
-		return nil
-	}
-	upgrade := hasHeld // held Shared, want Exclusive
-
-	s := m.stripeFor(key)
-	m.lockStripe(s)
-	ls := s.locks[key]
-	if ls == nil {
-		ls = &lockState{holders: make(map[*txState]Mode)}
-		s.locks[key] = ls
-	}
-
-	if grantable(ls, tx, mode, upgrade) {
-		ls.holders[tx] = mode
-		tx.mu.Lock()
-		tx.held[key] = mode
-		tx.mu.Unlock()
-		s.mu.Unlock()
-		return nil
-	}
-
-	// Capture the blame edge while the stripe mutex still pins the
-	// conflict: the first conflicting holder, or failing that the first
-	// conflicting request queued ahead. By the time the wait ends the
-	// blocker may be long gone, so this is the only moment the causal
-	// edge is observable.
-	var blocker uint64
-	for h, hm := range ls.holders {
-		if h == tx {
-			continue
-		}
-		if upgrade || mode == Exclusive || hm == Exclusive {
-			blocker = h.id
-			break
-		}
-	}
-	if blocker == 0 && !upgrade {
-		for _, r := range ls.queue {
-			if r.tx != tx && (mode == Exclusive || r.mode == Exclusive) {
-				blocker = r.tx.id
-				break
-			}
-		}
-	}
-
-	req := &request{tx: tx, key: key, mode: mode, upgrade: upgrade, ready: make(chan error, 1)}
-	tx.mu.Lock()
-	if tx.wounded {
-		// Wounded between the entry check and publishing the wait: the
-		// wounder saw no waiting request to fail, so fail it here.
-		tx.mu.Unlock()
-		s.mu.Unlock()
-		return ErrWounded
-	}
-	if upgrade {
-		ls.queue = append([]*request{req}, ls.queue...)
-	} else {
-		ls.queue = append(ls.queue, req)
-	}
-	tx.waiting = req
-	tx.mu.Unlock()
-	s.mu.Unlock()
 	m.waits.Add(1)
 	if m.onBlock != nil {
 		m.onBlock(txID, key)
@@ -379,11 +399,66 @@ func (m *Manager) Acquire(txID uint64, key string, mode Mode) error {
 	}
 
 	waitStart := time.Now()
-	err := m.await(req)
+	err = m.await(req)
 	if m.onWait != nil {
 		m.onWait(txID, key, m.stripeIdx(key), blocker, time.Since(waitStart))
 	}
 	return err
+}
+
+// grantOrQueue is Acquire's step under the key's stripe mutex and tx.mu:
+// grant the lock (nil request, nil error), refuse a wounded transaction,
+// or queue a request and return it with the blame edge.
+func (m *Manager) grantOrQueue(tx *txState, key string, mode Mode) (*request, uint64, error) {
+	s := m.stripeFor(key)
+	m.lockStripe(s)
+	defer s.mu.Unlock()
+	tx.mu.Lock()
+	defer tx.mu.Unlock()
+	if tx.wounded {
+		return nil, 0, ErrWounded
+	}
+	ls := s.locks[key]
+	held := ls.holderIdx(tx)
+	if held >= 0 && (mode == Shared || ls.holders[held].mode == Exclusive) {
+		return nil, 0, nil
+	}
+	upgrade := held >= 0 // held Shared, want Exclusive
+	if ls == nil {
+		ls = s.newState(key)
+	}
+	// FIFO fairness: a fresh request queues behind existing waiters; an
+	// upgrade goes ahead of them.
+	blocker := ls.conflict(tx, mode)
+	if blocker == nil && (upgrade || len(ls.queue) == 0) {
+		ls.grant(tx, key, mode)
+		return nil, 0, nil
+	}
+
+	// Capture the blame edge while the stripe mutex still pins the
+	// conflict: the first conflicting holder, or failing that the first
+	// conflicting request queued ahead. By the time the wait ends the
+	// blocker may be long gone, so this is the only moment the causal
+	// edge is observable.
+	var blame uint64
+	if blocker != nil {
+		blame = blocker.id
+	} else {
+		for _, r := range ls.queue {
+			if r.tx != tx && (mode == Exclusive || r.mode == Exclusive) {
+				blame = r.tx.id
+				break
+			}
+		}
+	}
+	req := &request{tx: tx, key: key, mode: mode, upgrade: upgrade, ready: make(chan error, 1)}
+	ls.queue = append(ls.queue, req)
+	if upgrade {
+		copy(ls.queue[1:], ls.queue)
+		ls.queue[0] = req
+	}
+	tx.waiting = req
+	return req, blame, nil
 }
 
 // await blocks on a queued request until it is granted or fails under
@@ -444,10 +519,6 @@ func (m *Manager) ReleaseAll(txID uint64) {
 	tx.mu.Lock()
 	w := tx.waiting
 	tx.waiting = nil
-	keys := make([]string, 0, len(tx.held))
-	for key := range tx.held {
-		keys = append(keys, key)
-	}
 	tx.mu.Unlock()
 
 	if w != nil {
@@ -460,14 +531,18 @@ func (m *Manager) ReleaseAll(txID uint64) {
 		}
 		s.mu.Unlock()
 	}
-	for _, key := range keys {
+	// Nothing can add to tx.keys any more: the owner is here, and a grant
+	// on its behalf needs a queued request, which is gone.
+	for _, key := range tx.keys {
 		s := m.stripeFor(key)
 		m.lockStripe(s)
-		if ls := s.locks[key]; ls != nil {
-			if _, holds := ls.holders[tx]; holds {
-				delete(ls.holders, tx)
-				m.grantWaiters(s, key, ls)
-			}
+		ls := s.locks[key]
+		if i := ls.holderIdx(tx); i >= 0 {
+			n := len(ls.holders) - 1
+			ls.holders[i] = ls.holders[n]
+			ls.holders[n] = holder{}
+			ls.holders = ls.holders[:n]
+			m.grantWaiters(s, key, ls)
 		}
 		s.mu.Unlock()
 	}
@@ -481,7 +556,7 @@ func (m *Manager) HeldCount(txID uint64) int {
 	}
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
-	return len(tx.held)
+	return len(tx.keys)
 }
 
 // Wounded reports whether txID has been wounded and must abort.
@@ -580,64 +655,18 @@ func (m *Manager) WaitGraph() WaitGraph {
 	return g
 }
 
-// grantable reports whether tx may be granted mode on ls right now. The
-// caller holds ls's stripe mutex.
-func grantable(ls *lockState, tx *txState, mode Mode, upgrade bool) bool {
-	if upgrade {
-		// Upgrade is granted when tx is the sole holder.
-		if len(ls.holders) != 1 {
-			return false
-		}
-		_, sole := ls.holders[tx]
-		return sole
-	}
-	// FIFO fairness: a fresh request must queue behind existing waiters.
-	if len(ls.queue) > 0 {
-		return false
-	}
-	for h, hm := range ls.holders {
-		if h == tx {
-			continue
-		}
-		if mode == Exclusive || hm == Exclusive {
-			return false
-		}
-	}
-	return true
-}
-
 // grantWaiters grants queued requests from the front while possible, and
 // removes the key's entry once nothing holds or waits on it. The caller
 // holds s.mu.
 func (m *Manager) grantWaiters(s *stripe, key string, ls *lockState) {
 	for len(ls.queue) > 0 {
 		req := ls.queue[0]
-		if req.upgrade {
-			if len(ls.holders) != 1 {
-				break
-			}
-			if _, sole := ls.holders[req.tx]; !sole {
-				break
-			}
-		} else {
-			compatible := true
-			for h, hm := range ls.holders {
-				if h == req.tx {
-					continue
-				}
-				if req.mode == Exclusive || hm == Exclusive {
-					compatible = false
-					break
-				}
-			}
-			if !compatible {
-				break
-			}
+		if ls.conflict(req.tx, req.mode) != nil {
+			break
 		}
-		ls.queue = ls.queue[1:]
-		ls.holders[req.tx] = req.mode
+		ls.unqueue(0)
 		req.tx.mu.Lock()
-		req.tx.held[key] = req.mode
+		ls.grant(req.tx, key, req.mode)
 		if req.tx.waiting == req {
 			req.tx.waiting = nil
 		}
@@ -646,6 +675,9 @@ func (m *Manager) grantWaiters(s *stripe, key string, ls *lockState) {
 	}
 	if len(ls.holders) == 0 && len(ls.queue) == 0 {
 		delete(s.locks, key)
+		if len(s.free) < freeListCap {
+			s.free = append(s.free, ls)
+		}
 	}
 }
 
@@ -654,7 +686,7 @@ func (m *Manager) grantWaiters(s *stripe, key string, ls *lockState) {
 func (m *Manager) removeRequest(s *stripe, ls *lockState, req *request) bool {
 	for i, r := range ls.queue {
 		if r == req {
-			ls.queue = append(ls.queue[:i], ls.queue[i+1:]...)
+			ls.unqueue(i)
 			m.grantWaiters(s, req.key, ls)
 			return true
 		}
@@ -674,12 +706,9 @@ func (m *Manager) blockersFor(req *request) []*txState {
 		return nil
 	}
 	var out []*txState
-	for h, hm := range ls.holders {
-		if h == req.tx {
-			continue
-		}
-		if req.mode == Exclusive || hm == Exclusive {
-			out = append(out, h)
+	for _, h := range ls.holders {
+		if h.tx != req.tx && (req.mode == Exclusive || h.mode == Exclusive) {
+			out = append(out, h.tx)
 		}
 	}
 	for _, r := range ls.queue {

@@ -136,8 +136,9 @@ func TestSlowBlockObserver(t *testing.T) {
 // hot key plus a handful of uniformly distributed keys — under all three
 // deadlock policies. Run under -race (tier-1) this is the data-race net
 // for the striped fast path, the cross-stripe release path, and the
-// detector slow path at once. Mutual exclusion is checked with a counter
-// guarded only by the hot key's exclusive lock.
+// detector slow path at once. Mutual exclusion is checked with a plain
+// counter guarded only by the hot key's exclusive lock, which must end
+// exactly at the number of commits.
 func TestStripedStress(t *testing.T) {
 	policies := map[string]Policy{"detect": Detect, "woundwait": WoundWait, "timeout": TimeoutPolicy}
 	for name, policy := range policies {
@@ -149,6 +150,7 @@ func TestStripedStress(t *testing.T) {
 				keys    = 64
 			)
 			var inHot atomic.Int32
+			var hotCount int64 // guarded by the hot key's X lock alone
 			var commits atomic.Int64
 			var ids atomic.Uint64
 			var wg sync.WaitGroup
@@ -178,6 +180,7 @@ func TestStripedStress(t *testing.T) {
 							if inHot.Add(1) != 1 {
 								t.Error("mutual exclusion violated on hot key")
 							}
+							hotCount++
 							inHot.Add(-1)
 							commits.Add(1)
 						}
@@ -189,16 +192,12 @@ func TestStripedStress(t *testing.T) {
 			if commits.Load() == 0 {
 				t.Fatal("no transaction ever acquired the hot key")
 			}
-			// The table must be empty: every key's lockState is deleted
-			// once nothing holds or waits on it.
-			for i := range m.stripes {
-				s := &m.stripes[i]
-				s.mu.Lock()
-				if len(s.locks) != 0 {
-					t.Errorf("stripe %d leaked %d lock states", i, len(s.locks))
-				}
-				s.mu.Unlock()
+			if hotCount != commits.Load() {
+				t.Errorf("counter under the hot lock = %d after %d commits", hotCount, commits.Load())
 			}
+			// The table must be empty: every key's lockState is deleted,
+			// and parked clean, once nothing holds or waits on it.
+			checkTableEmpty(t, m)
 		})
 	}
 }

@@ -463,9 +463,11 @@ func TestFsyncsCountsOvertakenSync(t *testing.T) {
 	}
 }
 
-// TestEnqueueAllocatesOnce pins Enqueue's one exactly-sized buffer, for
-// the two-write record the benchmark's durable workloads log.
-func TestEnqueueAllocatesOnce(t *testing.T) {
+// TestEnqueueAllocatesNothing: Enqueue encodes into the log buffer's own
+// free space — here the two-write record the benchmark's durable
+// workloads log. (Only a record that does not fit what is left of the
+// 64 KiB buffer gets one of its own; these 200 stay well inside it.)
+func TestEnqueueAllocatesNothing(t *testing.T) {
 	w, err := Create(filepath.Join(t.TempDir(), "wal"), SyncNever)
 	if err != nil {
 		t.Fatal(err)
@@ -475,12 +477,12 @@ func TestEnqueueAllocatesOnce(t *testing.T) {
 		{Key: "key-00000001", Value: make([]byte, 64)},
 		{Key: "key-00000002", Value: make([]byte, 64)},
 	}}
-	if n := testing.AllocsPerRun(100, func() {
+	if n := testing.AllocsPerRun(200, func() {
 		if _, err := w.Enqueue(r); err != nil {
 			t.Fatal(err)
 		}
-	}); n > 1 {
-		t.Fatalf("Enqueue allocates %v times per record, want at most 1", n)
+	}); n > 0 {
+		t.Fatalf("Enqueue allocates %v times per record, want 0", n)
 	}
 }
 

@@ -306,13 +306,6 @@ func (w *Writer) Append(r Record) error {
 // Tickets are handed out in log order, and a broken writer hands out no
 // more of them.
 func (w *Writer) Enqueue(r Record) (Ticket, error) {
-	// Header and payload in one exactly-sized buffer: one allocation and
-	// one buffered write, outside the mutex.
-	buf := encodePayload(make([]byte, 8, 8+payloadLen(r)), r)
-	payload := buf[8:]
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
@@ -321,6 +314,17 @@ func (w *Writer) Enqueue(r Record) (Ticket, error) {
 	if w.syncErr != nil {
 		return 0, w.syncErr
 	}
+	// Header and payload are encoded straight into the log buffer's free
+	// space, so the Write below copies nothing; only a record that does
+	// not fit what is left of it gets a buffer of its own.
+	buf := w.bw.AvailableBuffer()
+	if n := 8 + payloadLen(r); n > cap(buf) {
+		buf = make([]byte, 0, n)
+	}
+	buf = encodePayload(buf[:8], r)
+	payload := buf[8:]
+	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
 	if _, err := w.bw.Write(buf); err != nil {
 		return 0, w.fail("append", err)
 	}

@@ -517,22 +517,69 @@ func TestScanSnapshot(t *testing.T) {
 	rw.Abort()
 }
 
+// TestDurableUpdateAllocations is the allocation budget of the
+// benchmark's transaction shape, a two-key read-modify-write made durable
+// by group commit: beyond the two values it writes, the four of an
+// in-memory Put (TestDisabledZeroOverhead) and what the version chains of
+// its two keys grow by, amortised — nothing per lock, nothing for the
+// write set or its log record. (19 in all before the lock table, the
+// write set and Enqueue stopped allocating per key; 6 measured now.)
+func TestDurableUpdateAllocations(t *testing.T) {
+	db, err := Open(Options{WALPath: filepath.Join(t.TempDir(), "wal"), GroupCommit: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	keys := [2]string{"key-00000001", "key-00000002"}
+	rmw := func(tx *Tx) error {
+		for _, k := range keys {
+			old, err := tx.Get(k)
+			if err != nil && !errors.Is(err, ErrNotFound) {
+				return err
+			}
+			val := make([]byte, 64)
+			copy(val, old)
+			val[0]++
+			if err := tx.Put(k, val); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if err := db.Update(rmw); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 5+2 {
+		t.Errorf("durable 2-key RMW Update allocs/op = %.1f, want <= 5 beyond its 2 values", n)
+	}
+}
+
 // TestDisabledZeroOverhead is the alloc guard for every optional
 // observability layer at once: with phase timing, tracing, health, the
 // auditor and the hotspot profiler all off (the default), each hook in
 // the transaction paths must reduce to one pointer test, every accessor
 // must report the layer absent, and Update/View must allocate no more
-// than they did before any of those layers existed (the seed's 12 and 2
-// under 2PL, recorded in EXPERIMENTS.md; T/O and OCC pinned to the same
-// workload's measured allocations).
+// than this workload measures (EXPERIMENTS.md P4; the seed's 2PL figure
+// was 12 and 2). What a read-write transaction allocates is the public
+// Tx, the protocol's transaction struct and the version-control entry,
+// plus, per protocol, 2PL's lock-manager txState and OCC's read set —
+// nothing per key, so swapping the concurrency control for locking
+// costs one allocation over timestamp ordering, not five.
 func TestDisabledZeroOverhead(t *testing.T) {
+	measured := map[Protocol]float64{}
+	defer func() {
+		if lock, to := measured[TwoPhaseLocking], measured[TimestampOrdering]; lock > to+1 {
+			t.Errorf("2PL Update allocs/op = %.1f, T/O %.1f: want at most one more", lock, to)
+		}
+	}()
 	for _, c := range []struct {
 		protocol     Protocol
 		update, view float64
 	}{
-		{TwoPhaseLocking, 12, 2},
-		{TimestampOrdering, 7, 2},
-		{Optimistic, 6, 2},
+		{TwoPhaseLocking, 4, 2},
+		{TimestampOrdering, 3, 2},
+		{Optimistic, 4, 2},
 	} {
 		t.Run(c.protocol.String(), func(t *testing.T) {
 			db, err := Open(Options{Protocol: c.protocol})
@@ -563,6 +610,7 @@ func TestDisabledZeroOverhead(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
+			measured[c.protocol] = update
 			if update > c.update {
 				t.Errorf("Update allocs/op = %.1f with observability off, want <= %.0f", update, c.update)
 			}
