@@ -56,14 +56,27 @@ func (t *roTx) Get(key string) ([]byte, error) {
 		return nil, engine.ErrTxDone
 	}
 	sp := t.span(phaseRead)
-	var v storage.Version
-	ok := false
-	if o := t.e.store.Get(key); o != nil {
-		v, ok = o.ReadVisible(t.sn)
+	v, ok, err := t.visible(t.e.store.Get(key))
+	if err != nil {
+		t.end(sp)
+		return nil, err
 	}
 	t.read(key, v.TN)
 	t.end(sp)
 	return result(v, ok)
+}
+
+// visible applies the read rule to o (nil: the key was never written).
+// Garbage collection keeps what every snapshot at or above its watermark
+// reads, not what an older, untracked snapshot does: a miss below the
+// object's pruned floor is ErrSnapshotTooOld, never "not found".
+func (t *roTx) visible(o *storage.Object) (v storage.Version, ok bool, err error) {
+	if o != nil {
+		if v, ok = o.ReadVisible(t.sn); !ok && o.Floor() > t.sn {
+			err = engine.ErrSnapshotTooOld
+		}
+	}
+	return v, ok, err
 }
 
 // Put implements engine.Tx; read-only transactions cannot write.
@@ -116,13 +129,20 @@ func (t *roTx) SN() (uint64, bool) { return t.sn, true }
 // transaction's snapshot. Because every version at or below sn is
 // committed and immutable, the scan needs no synchronization — it is the
 // long-running analytical read the paper's introduction motivates,
-// running concurrently with updates at zero interference.
+// running concurrently with updates at zero interference. A key whose
+// versions the snapshot needs were collected stops the scan with
+// ErrSnapshotTooOld.
 func (t *roTx) Scan(prefix string, fn func(key string, value []byte) bool) error {
 	if t.done {
 		return engine.ErrTxDone
 	}
+	var err error
 	t.e.store.RangeOrdered(prefix, func(key string, o *storage.Object) bool {
-		v, ok := o.ReadVisible(t.sn)
+		v, ok, verr := t.visible(o)
+		if verr != nil {
+			err = verr
+			return false
+		}
 		if !ok {
 			return true
 		}
@@ -132,5 +152,5 @@ func (t *roTx) Scan(prefix string, fn func(key string, value []byte) bool) error
 		}
 		return fn(key, v.Data)
 	})
-	return nil
+	return err
 }

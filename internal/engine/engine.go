@@ -48,6 +48,11 @@ var (
 	ErrReadOnly = errors.New("engine: write in read-only transaction")
 	// ErrTxDone reports use of a transaction after Commit or Abort.
 	ErrTxDone = errors.New("engine: transaction already finished")
+	// ErrSnapshotTooOld reports that garbage collection discarded a
+	// version the read-only transaction's snapshot needs: the snapshot is
+	// older than a collection pass's watermark. It is not retryable — the
+	// same snapshot cannot be read again; a new one can.
+	ErrSnapshotTooOld = errors.New("engine: snapshot too old: a version it needs was garbage-collected")
 )
 
 // Retryable reports whether err is a transient abort that the caller may

@@ -15,7 +15,7 @@ func TestRetryable(t *testing.T) {
 			t.Errorf("Retryable(wrapped %v) = false", err)
 		}
 	}
-	for _, err := range []error{ErrNotFound, ErrReadOnly, ErrTxDone, nil, errors.New("other")} {
+	for _, err := range []error{ErrNotFound, ErrReadOnly, ErrTxDone, ErrSnapshotTooOld, nil, errors.New("other")} {
 		if Retryable(err) {
 			t.Errorf("Retryable(%v) = true", err)
 		}

@@ -202,33 +202,47 @@ func TestStripedStress(t *testing.T) {
 	}
 }
 
-// TestStripeCollisionsCounted checks the contention counter moves when
-// two goroutines fight over one stripe and stays still when idle.
+// TestStripeCollisionsCounted checks the contention counter stays still
+// while one goroutine works alone and moves when another goroutine holds
+// the stripe. The collision is forced by holding the stripe mutex from
+// the test, not hoped for from a race, so the check never depends on
+// scheduling.
 func TestStripeCollisionsCounted(t *testing.T) {
 	m := NewManagerStriped(Detect, 0, 1) // one stripe: all keys collide
 	if m.StripeCollisions() != 0 {
 		t.Fatalf("fresh manager reports %d collisions", m.StripeCollisions())
 	}
-	var wg sync.WaitGroup
-	var ids atomic.Uint64
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				id := ids.Add(1)
-				m.Begin(id, id)
-				k := fmt.Sprintf("k%d", id%16)
-				if err := m.Acquire(id, k, Shared); err == nil {
-					m.ReleaseAll(id)
-				} else {
-					m.ReleaseAll(id)
-				}
-			}
-		}()
+	for id := uint64(1); id <= 100; id++ {
+		m.Begin(id, id)
+		if err := m.Acquire(id, fmt.Sprintf("k%d", id%16), Shared); err != nil {
+			t.Fatalf("uncontended acquire: %v", err)
+		}
+		m.ReleaseAll(id)
 	}
-	wg.Wait()
-	if m.StripeCollisions() == 0 {
-		t.Skip("no collision observed (single-core scheduling); counter path covered elsewhere")
+	if c := m.StripeCollisions(); c != 0 {
+		t.Fatalf("uncontended work reports %d collisions", c)
 	}
+
+	s := &m.stripes[0]
+	s.mu.Lock()
+	m.Begin(1000, 1000)
+	done := make(chan error, 1)
+	go func() { done <- m.Acquire(1000, "k", Exclusive) }()
+	deadline := time.Now().Add(5 * time.Second)
+	for m.StripeCollisions() == 0 {
+		if time.Now().After(deadline) {
+			s.mu.Unlock()
+			t.Fatal("acquire on a held stripe was not counted as a collision")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	s.mu.Unlock()
+	if err := <-done; err != nil {
+		t.Fatalf("acquire after the stripe was released: %v", err)
+	}
+	m.ReleaseAll(1000)
+	if c := m.StripeCollisions(); c != 1 {
+		t.Fatalf("one held-stripe acquire reports %d collisions, want 1", c)
+	}
+	checkTableEmpty(t, m)
 }

@@ -136,6 +136,18 @@ func TestTracerNil(t *testing.T) {
 	}
 }
 
+// The lock-wait path records through a nil tracer when tracing is off;
+// that must not allocate the event before the nil test.
+func TestNilTracerRecordAllocatesNothing(t *testing.T) {
+	var tr *Tracer
+	key := "k"
+	if n := testing.AllocsPerRun(100, func() {
+		tr.Record(Event{Type: EvLockWait, Tx: 7, Key: key, Dur: 1})
+	}); n != 0 {
+		t.Fatalf("nil (*Tracer).Record allocates %v times, want 0", n)
+	}
+}
+
 func TestTracerConcurrentRecordDump(t *testing.T) {
 	tr := NewTracer(64)
 	var wg sync.WaitGroup

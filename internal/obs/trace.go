@@ -139,9 +139,12 @@ func (t *Tracer) Record(ev Event) {
 	if t == nil {
 		return
 	}
-	ev.Seq = t.seq.Add(1)
-	ev.At = time.Now().UnixNano()
-	t.slots[ev.Seq&t.mask].Store(&ev)
+	// Not &ev: a parameter whose address escapes moves to the heap on
+	// entry, before the nil test — an allocation with tracing off.
+	e := ev
+	e.Seq = t.seq.Add(1)
+	e.At = time.Now().UnixNano()
+	t.slots[e.Seq&t.mask].Store(&e)
 }
 
 // Cap returns the ring capacity (0 for a nil tracer).

@@ -2,15 +2,17 @@
 // every engine in this repository is built on.
 //
 // Each object (key) carries a chain of committed versions ordered by the
-// transaction number of their creator, plus a set of pending (uncommitted)
-// versions, plus the read/write timestamps used by timestamp-ordering
-// protocols. The paper's read rule — "return x_j with the largest version
-// <= sn(T)" (Figure 2) — is ReadVisible; the timestamp-ordering rules of
-// Figure 3 are TORead/TOWrite.
+// transaction number of their creator (packed records, version.go) and,
+// from its first timestamp-ordering operation on, the pending
+// (uncommitted) versions and read/write timestamps those protocols use.
+// The paper's read rule — "return x_j with the largest version <= sn(T)"
+// (Figure 2) — is ReadVisible; the timestamp-ordering rules of Figure 3
+// are TORead/TOWrite.
 //
 // The store is sharded by key hash so that unrelated objects do not
-// contend; each object has its own mutex and condition variable (used for
-// the pending-write blocking that Figure 3 prescribes).
+// contend; each object has its own mutex, and its timestamp-ordering
+// state a condition variable (the pending-write blocking that Figure 3
+// prescribes).
 package storage
 
 import (
@@ -58,24 +60,35 @@ type Pending struct {
 	Tombstone bool
 }
 
-// Object is one key's synchronization and version state.
+// Object is one key's synchronization and version state: 48 bytes under
+// 2PL and OCC, which never touch the timestamp-ordering state.
 type Object struct {
-	mu   sync.Mutex
-	cond sync.Cond
-
-	versions []Version // ascending TN
-	pending  []Pending // ascending TN
-	rts      uint64    // largest tn that read the most recent version
-	rtsRO    bool      // r-ts was last raised by a read-only transaction
-	wts      uint64    // largest tn that wrote (including pending)
-
-	waits uint64 // number of times a request blocked on a pending write
+	mu       sync.Mutex
+	versions []version // ascending tn
+	to       *toState  // nil until the first timestamp-ordering operation
+	floor    uint64    // tn of the oldest version kept by the last Prune that dropped any
 }
 
-func newObject() *Object {
-	o := &Object{}
-	o.cond.L = &o.mu
-	return o
+// toState is what only timestamp ordering (VC+T/O and the MVTO baseline)
+// keeps per object. It is allocated under Object.mu on first use and
+// never freed; read-only accessors treat nil as zero.
+type toState struct {
+	cond    sync.Cond // L is the object's mu
+	pending []Pending // ascending TN
+	rts     uint64    // largest tn that read the most recent version
+	rtsRO   bool      // r-ts was last raised by a read-only transaction
+	wts     uint64    // largest tn that wrote (including pending)
+	waits   uint64    // number of times a request blocked on a pending write
+}
+
+func newObject() *Object { return &Object{} }
+
+// toLocked returns the timestamp-ordering state, allocating it first.
+func (o *Object) toLocked() *toState {
+	if o.to == nil {
+		o.to = &toState{cond: sync.Cond{L: &o.mu}}
+	}
+	return o.to
 }
 
 // ReadVisible returns the committed version with the largest TN <= sn,
@@ -90,24 +103,35 @@ func (o *Object) ReadVisible(sn uint64) (v Version, ok bool) {
 	return o.readVisibleLocked(sn)
 }
 
-func (o *Object) readVisibleLocked(sn uint64) (Version, bool) {
-	i := sort.Search(len(o.versions), func(i int) bool { return o.versions[i].TN > sn })
+func (o *Object) readVisibleLocked(sn uint64) (v Version, ok bool) {
+	i := sort.Search(len(o.versions), func(i int) bool { return o.versions[i].tn > sn })
 	if i == 0 {
-		return Version{}, false
+		return v, false
 	}
-	return o.versions[i-1], true
+	o.versions[i-1].unpack(&v)
+	return v, true
+}
+
+// Floor returns the number of the oldest version the last pruning pass
+// that dropped any kept, or 0 if none has. A snapshot below it may be
+// missing versions it needs: a miss there is not "not found".
+func (o *Object) Floor() uint64 {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.floor
 }
 
 // LatestCommitted returns the newest committed version. Two-phase-locking
 // read-write transactions use it: under a read lock the latest committed
 // version is guaranteed current (paper Section 4.4, sn(T) = infinity).
-func (o *Object) LatestCommitted() (Version, bool) {
+func (o *Object) LatestCommitted() (v Version, ok bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if len(o.versions) == 0 {
-		return Version{}, false
+		return v, false
 	}
-	return o.versions[len(o.versions)-1], true
+	o.versions[len(o.versions)-1].unpack(&v)
+	return v, true
 }
 
 // LatestTN returns the TN of the newest committed version, or 0 if none.
@@ -118,7 +142,7 @@ func (o *Object) LatestTN() uint64 {
 	if len(o.versions) == 0 {
 		return 0
 	}
-	return o.versions[len(o.versions)-1].TN
+	return o.versions[len(o.versions)-1].tn
 }
 
 // InstallCommitted inserts a committed version. Versions may be installed
@@ -134,20 +158,33 @@ func (o *Object) InstallCommitted(v Version) {
 
 func (o *Object) installCommittedLocked(v Version) {
 	n := len(o.versions)
-	if n == 0 || o.versions[n-1].TN < v.TN {
-		o.versions = append(o.versions, v)
+	if n == 0 || o.versions[n-1].tn < v.TN {
+		o.versions = append(o.versions, pack(v))
 		return
 	}
-	i := sort.Search(n, func(i int) bool { return o.versions[i].TN >= v.TN })
-	if i < n && o.versions[i].TN == v.TN {
+	i := sort.Search(n, func(i int) bool { return o.versions[i].tn >= v.TN })
+	if i < n && o.versions[i].tn == v.TN {
 		panic(fmt.Sprintf("storage: duplicate version tn=%d", v.TN))
 	}
-	o.versions = append(o.versions, Version{})
+	o.versions = append(o.versions, version{})
 	copy(o.versions[i+1:], o.versions[i:])
-	o.versions[i] = v
+	o.versions[i] = pack(v)
 }
 
 // --- Timestamp-ordering operations (paper Figure 3) ---
+
+// noTO is what the read-only accessors see of an object no
+// timestamp-ordering operation has touched. Nothing writes it: every
+// write to a toState follows toLocked, or finds a pending version, which
+// noTO never has.
+var noTO toState
+
+func (o *Object) toView() *toState {
+	if o.to == nil {
+		return &noTO
+	}
+	return o.to
+}
 
 // TORead performs a timestamp-ordering read for a read-write transaction
 // with transaction number tn:
@@ -162,19 +199,21 @@ func (o *Object) installCommittedLocked(v Version) {
 func (o *Object) TORead(tn uint64) (Version, bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if o.rts < tn {
-		o.rts = tn
-		o.rtsRO = false
+	s := o.toLocked()
+	if s.rts < tn {
+		s.rts = tn
+		s.rtsRO = false
 	}
 	for {
-		if p, ok := o.ownPendingLocked(tn); ok {
+		if i, ok := s.pendingIndex(tn); ok {
+			p := s.pending[i]
 			return Version{TN: p.TN, Data: p.Data, Tombstone: p.Tombstone}, true
 		}
-		if !o.hasPendingAtMostLocked(tn) {
+		if !s.hasPendingAtMost(tn) {
 			return o.readVisibleLocked(tn)
 		}
-		o.waits++
-		o.cond.Wait()
+		s.waits++
+		s.cond.Wait()
 	}
 }
 
@@ -187,10 +226,10 @@ func (o *Object) TORead(tn uint64) (Version, bool) {
 func (o *Object) SnapshotReadWait(sn uint64) (v Version, ok, waited bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	for o.hasPendingAtMostLocked(sn) {
-		o.waits++
+	for s := o.toView(); s.hasPendingAtMost(sn); {
+		s.waits++
 		waited = true
-		o.cond.Wait()
+		s.cond.Wait()
 	}
 	v, ok = o.readVisibleLocked(sn)
 	return v, ok, waited
@@ -203,16 +242,17 @@ func (o *Object) SnapshotReadWait(sn uint64) (v Version, ok, waited bool) {
 // transaction, and ensuring that the creator of this version appears in
 // the copy of the completed transaction list". The per-read predicate
 // scan is part of the overhead the paper's version control eliminates.
-func (o *Object) ReadVisibleWhere(sn uint64, admit func(tn uint64) bool) (Version, bool) {
+func (o *Object) ReadVisibleWhere(sn uint64, admit func(tn uint64) bool) (v Version, ok bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	i := sort.Search(len(o.versions), func(i int) bool { return o.versions[i].TN > sn })
+	i := sort.Search(len(o.versions), func(i int) bool { return o.versions[i].tn > sn })
 	for i--; i >= 0; i-- {
-		if admit(o.versions[i].TN) {
-			return o.versions[i], true
+		if admit(o.versions[i].tn) {
+			o.versions[i].unpack(&v)
+			return v, true
 		}
 	}
-	return Version{}, false
+	return v, false
 }
 
 // SetRTS raises r-ts(x) to at least tn. Reed-style MVTO applies it for
@@ -221,9 +261,9 @@ func (o *Object) ReadVisibleWhere(sn uint64, admit func(tn uint64) bool) (Versio
 // abort-attribution statistics of experiment E2.
 func (o *Object) SetRTS(tn uint64, ro bool) {
 	o.mu.Lock()
-	if o.rts < tn {
-		o.rts = tn
-		o.rtsRO = ro
+	if s := o.toLocked(); s.rts < tn {
+		s.rts = tn
+		s.rtsRO = ro
 	}
 	o.mu.Unlock()
 }
@@ -235,27 +275,28 @@ func (o *Object) SetRTS(tn uint64, ro bool) {
 func (o *Object) TOWrite(tn uint64, data []byte, tombstone bool) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
+	s := o.toLocked()
 	for {
-		if o.rts > tn && o.rtsRO {
+		if s.rts > tn && s.rtsRO {
 			return ErrConflictRO
 		}
-		if o.rts > tn || o.wts > tn {
+		if s.rts > tn || s.wts > tn {
 			return ErrConflict
 		}
-		if i, ok := o.pendingIndexLocked(tn); ok {
-			o.pending[i].Data = data
-			o.pending[i].Tombstone = tombstone
+		if i, ok := s.pendingIndex(tn); ok {
+			s.pending[i].Data = data
+			s.pending[i].Tombstone = tombstone
 			return nil
 		}
-		if !o.hasPendingBelowLocked(tn) {
+		if !s.hasPendingBelow(tn) {
 			break
 		}
-		o.waits++
-		o.cond.Wait()
+		s.waits++
+		s.cond.Wait()
 	}
-	o.insertPendingLocked(Pending{TN: tn, Data: data, Tombstone: tombstone})
-	if o.wts < tn {
-		o.wts = tn
+	s.insertPending(Pending{TN: tn, Data: data, Tombstone: tombstone})
+	if s.wts < tn {
+		s.wts = tn
 	}
 	return nil
 }
@@ -266,16 +307,17 @@ func (o *Object) TOWrite(tn uint64, data []byte, tombstone bool) error {
 func (o *Object) ResolvePending(tn uint64, commit bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	i, ok := o.pendingIndexLocked(tn)
+	s := o.toView()
+	i, ok := s.pendingIndex(tn)
 	if !ok {
 		return
 	}
-	p := o.pending[i]
-	o.pending = append(o.pending[:i], o.pending[i+1:]...)
+	p := s.pending[i]
+	s.pending = append(s.pending[:i], s.pending[i+1:]...)
 	if commit {
 		o.installCommittedLocked(Version{TN: p.TN, Data: p.Data, Tombstone: p.Tombstone})
 	}
-	o.cond.Broadcast()
+	s.cond.Broadcast()
 }
 
 // Withdraw removes the committed version numbered tn, if there is one:
@@ -287,21 +329,21 @@ func (o *Object) ResolvePending(tn uint64, commit bool) {
 func (o *Object) Withdraw(tn uint64) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	i := sort.Search(len(o.versions), func(i int) bool { return o.versions[i].TN >= tn })
-	if i < len(o.versions) && o.versions[i].TN == tn {
+	i := sort.Search(len(o.versions), func(i int) bool { return o.versions[i].tn >= tn })
+	if i < len(o.versions) && o.versions[i].tn == tn {
 		o.versions = append(o.versions[:i], o.versions[i+1:]...)
 	}
 }
 
 // RTS returns the object's read timestamp.
-func (o *Object) RTS() uint64 { o.mu.Lock(); defer o.mu.Unlock(); return o.rts }
+func (o *Object) RTS() uint64 { o.mu.Lock(); defer o.mu.Unlock(); return o.toView().rts }
 
 // WTS returns the object's write timestamp (including pending writes).
-func (o *Object) WTS() uint64 { o.mu.Lock(); defer o.mu.Unlock(); return o.wts }
+func (o *Object) WTS() uint64 { o.mu.Lock(); defer o.mu.Unlock(); return o.toView().wts }
 
 // Waits reports how many times a request blocked on this object's pending
 // writes (experiment E3 instrumentation).
-func (o *Object) Waits() uint64 { o.mu.Lock(); defer o.mu.Unlock(); return o.waits }
+func (o *Object) Waits() uint64 { o.mu.Lock(); defer o.mu.Unlock(); return o.toView().waits }
 
 // VersionCount returns the number of committed versions (GC metrics).
 func (o *Object) VersionCount() int {
@@ -314,7 +356,7 @@ func (o *Object) VersionCount() int {
 func (o *Object) PendingCount() int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return len(o.pending)
+	return len(o.toView().pending)
 }
 
 // Versions returns a copy of the committed chain (tests and tools).
@@ -322,7 +364,9 @@ func (o *Object) Versions() []Version {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	out := make([]Version, len(o.versions))
-	copy(out, o.versions)
+	for i, v := range o.versions {
+		v.unpack(&out[i])
+	}
 	return out
 }
 
@@ -331,11 +375,12 @@ func (o *Object) Versions() []Version {
 // TN <= watermark. It returns the number of versions discarded. This is
 // the garbage-collection rule of paper Section 6: never discard a version
 // "as young as or younger than vtnc" (our watermark additionally accounts
-// for older active read-only transactions).
+// for older active read-only transactions). When it drops any, the
+// oldest version kept becomes the object's Floor.
 func (o *Object) Prune(watermark uint64) int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	i := sort.Search(len(o.versions), func(i int) bool { return o.versions[i].TN > watermark })
+	i := sort.Search(len(o.versions), func(i int) bool { return o.versions[i].tn > watermark })
 	// versions[i-1] is the newest version <= watermark; it must survive,
 	// everything before it is unreachable.
 	if i <= 1 {
@@ -343,6 +388,7 @@ func (o *Object) Prune(watermark uint64) int {
 	}
 	drop := i - 1
 	o.versions = append(o.versions[:0], o.versions[drop:]...)
+	o.floor = o.versions[0].tn
 	return drop
 }
 
@@ -351,52 +397,46 @@ func (o *Object) CheckInvariants() error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	for i := 1; i < len(o.versions); i++ {
-		if o.versions[i-1].TN >= o.versions[i].TN {
+		if o.versions[i-1].tn >= o.versions[i].tn {
 			return fmt.Errorf("storage: version chain out of order at %d", i)
 		}
 	}
-	for i := 1; i < len(o.pending); i++ {
-		if o.pending[i-1].TN >= o.pending[i].TN {
+	pending := o.toView().pending
+	for i := 1; i < len(pending); i++ {
+		if pending[i-1].TN >= pending[i].TN {
 			return fmt.Errorf("storage: pending list out of order at %d", i)
 		}
 	}
 	return nil
 }
 
-func (o *Object) ownPendingLocked(tn uint64) (Pending, bool) {
-	if i, ok := o.pendingIndexLocked(tn); ok {
-		return o.pending[i], true
-	}
-	return Pending{}, false
-}
-
-func (o *Object) pendingIndexLocked(tn uint64) (int, bool) {
-	for i := range o.pending {
-		if o.pending[i].TN == tn {
+func (s *toState) pendingIndex(tn uint64) (int, bool) {
+	for i := range s.pending {
+		if s.pending[i].TN == tn {
 			return i, true
 		}
 	}
 	return 0, false
 }
 
-// hasPendingAtMostLocked reports whether a pending write by another
+// hasPendingAtMost reports whether a pending write by another
 // transaction with TN <= tn exists (the Figure 3 read-blocking condition).
-func (o *Object) hasPendingAtMostLocked(tn uint64) bool {
-	return len(o.pending) > 0 && o.pending[0].TN <= tn
+func (s *toState) hasPendingAtMost(tn uint64) bool {
+	return len(s.pending) > 0 && s.pending[0].TN <= tn
 }
 
-// hasPendingBelowLocked reports whether a pending write with TN < tn
-// exists (the Figure 3 write-blocking condition).
-func (o *Object) hasPendingBelowLocked(tn uint64) bool {
-	return len(o.pending) > 0 && o.pending[0].TN < tn
+// hasPendingBelow reports whether a pending write with TN < tn exists
+// (the Figure 3 write-blocking condition).
+func (s *toState) hasPendingBelow(tn uint64) bool {
+	return len(s.pending) > 0 && s.pending[0].TN < tn
 }
 
-func (o *Object) insertPendingLocked(p Pending) {
-	n := len(o.pending)
-	i := sort.Search(n, func(i int) bool { return o.pending[i].TN >= p.TN })
-	o.pending = append(o.pending, Pending{})
-	copy(o.pending[i+1:], o.pending[i:])
-	o.pending[i] = p
+func (s *toState) insertPending(p Pending) {
+	n := len(s.pending)
+	i := sort.Search(n, func(i int) bool { return s.pending[i].TN >= p.TN })
+	s.pending = append(s.pending, Pending{})
+	copy(s.pending[i+1:], s.pending[i:])
+	s.pending[i] = p
 }
 
 // --- Store ---

@@ -137,14 +137,17 @@ func lockPolicy(p DeadlockPolicy) lock.Policy {
 
 // Errors returned by transactions. ErrConflict, ErrDeadlock and
 // ErrWounded mean the transaction aborted and may be retried (IsRetryable
-// reports this; Update retries automatically).
+// reports this; Update retries automatically). ErrSnapshotTooOld means a
+// read-only transaction's snapshot is older than garbage collection kept
+// (see CollectGarbage, BeginReadOnlyAt); it is not retryable.
 var (
-	ErrNotFound = engine.ErrNotFound
-	ErrConflict = engine.ErrConflict
-	ErrDeadlock = engine.ErrDeadlock
-	ErrWounded  = engine.ErrWounded
-	ErrReadOnly = engine.ErrReadOnly
-	ErrTxDone   = engine.ErrTxDone
+	ErrNotFound       = engine.ErrNotFound
+	ErrConflict       = engine.ErrConflict
+	ErrDeadlock       = engine.ErrDeadlock
+	ErrWounded        = engine.ErrWounded
+	ErrReadOnly       = engine.ErrReadOnly
+	ErrTxDone         = engine.ErrTxDone
+	ErrSnapshotTooOld = engine.ErrSnapshotTooOld
 )
 
 // IsRetryable reports whether err is a transient transaction abort.
@@ -699,9 +702,10 @@ func (db *DB) BeginReadOnlyRecent() (*Tx, error) {
 // BeginReadOnlyAt starts a read-only transaction whose snapshot is pinned
 // at exactly serialization position sn (waiting if sn is not yet
 // visible). Pass the TN of one of your own committed transactions (Tx.TN)
-// for read-your-writes, or a historical position for time travel;
-// positions older than the garbage-collection watermark read the oldest
-// retained versions.
+// for read-your-writes, or a historical position for time travel. A
+// position older than a garbage-collection pass's watermark may need
+// versions that pass discarded; a read that does returns
+// ErrSnapshotTooOld.
 func (db *DB) BeginReadOnlyAt(sn uint64) (*Tx, error) {
 	t, err := db.eng.BeginReadOnlyAt(sn)
 	if err != nil {
@@ -840,8 +844,10 @@ func (db *DB) DebugAddr() string {
 
 // CollectGarbage runs one synchronous garbage collection pass and returns
 // the number of versions discarded. It works even when background GC is
-// disabled; without Options.GCInterval's snapshot tracking it
-// conservatively uses only the visibility horizon.
+// disabled, but without Options.GCInterval read-only transactions are not
+// tracked and the pass prunes at the visibility horizon alone: a snapshot
+// still open below it may lose versions it needs, and its reads of those
+// keys return ErrSnapshotTooOld.
 func (db *DB) CollectGarbage() int {
 	return db.collector.Collect()
 }
