@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
+
+	"mvdb/internal/core"
 )
 
 func TestCheckpointRequiresWAL(t *testing.T) {
@@ -172,4 +175,73 @@ func TestCheckpointUnderLoad(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// A checkpoint is a snapshot like a View's: collection racing it — a
+// CollectGarbage loop, and the installs of a writer — must leave it every
+// version it still has to write. Every checkpoint must hold every key, at
+// a version no newer than its horizon.
+func TestCheckpointDuringCollection(t *testing.T) {
+	const keys = 4000
+	path := filepath.Join(t.TempDir(), "db.log")
+	db, err := Open(Options{WALPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	key := func(i int) string { return fmt.Sprintf("k%04d", i%keys) }
+	boot := make(map[string][]byte, keys)
+	for i := range keys {
+		boot[key(i)] = []byte("0")
+	}
+	if err := db.Bootstrap(boot); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i += 7919 {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := db.Update(func(tx *Tx) error { return tx.PutString(key(i), "v") }); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				db.CollectGarbage()
+			}
+		}
+	}()
+	defer wg.Wait()
+	defer close(stop)
+	for c := 0; c < 10; c++ {
+		if err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		horizon, recs, err := core.LoadSnapshot(nil, core.SnapPath(path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != keys {
+			t.Fatalf("checkpoint %d at %d holds %d of %d keys", c, horizon, len(recs), keys)
+		}
+		for _, r := range recs {
+			if r.TN > horizon {
+				t.Fatalf("checkpoint %d at %d holds version %d of %s", c, horizon, r.TN, r.Writes[0].Key)
+			}
+		}
+	}
 }

@@ -10,7 +10,7 @@
 //
 //	mvsoak [-duration 60s] [-protocol 2pl|to|occ|all] [-vc strict|epoch|all]
 //	       [-clients N] [-keys N] [-zipf S] [-ro F] [-rmw]
-//	       [-checkpoint 10s] [-gc 200ms] [-interval 1s] [-hotspots]
+//	       [-checkpoint 10s] [-interval 1s] [-hotspots]
 //	       [-dir D] [-json out.json] [-v]
 //
 // Each selected protocol × visibility-mode pair gets an equal share of
@@ -95,7 +95,6 @@ func main() {
 		ro         = flag.Float64("ro", 0.5, "read-only transaction fraction")
 		rmw        = flag.Bool("rmw", false, "read-modify-write transaction shape (most conflict-prone)")
 		checkpoint = flag.Duration("checkpoint", 10*time.Second, "online checkpoint period (0 disables)")
-		gcEvery    = flag.Duration("gc", 200*time.Millisecond, "background GC period (0 disables)")
 		interval   = flag.Duration("interval", time.Second, "health monitor base sampling period")
 		dir        = flag.String("dir", "", "working directory (default: a fresh temp dir, removed on success)")
 		hotspots   = flag.Bool("hotspots", false, "enable the hotspot profiler; verdicts carry top-K hot keys")
@@ -141,7 +140,7 @@ func main() {
 	per := *duration / time.Duration(len(protocols)*len(modes))
 	for _, p := range protocols {
 		for _, m := range modes {
-			res := runProtocol(p, m, base, per, cfg, *clients, *checkpoint, *gcEvery, *interval, *hotspots, *verbose)
+			res := runProtocol(p, m, base, per, cfg, *clients, *checkpoint, *interval, *hotspots, *verbose)
 			name := p + "/" + m
 			if res.Pass {
 				fmt.Printf("PASS %-10s: %d rw + %d ro commits, %d aborts, %d retries, %d points, alarms warn=%d page=%d\n",
@@ -213,7 +212,7 @@ func mvdbProtocol(p string) mvdb.Protocol {
 }
 
 func runProtocol(proto, mode, base string, budget time.Duration, cfg workload.Config,
-	clients int, checkpoint, gcEvery, interval time.Duration, hotspots, verbose bool) protocolResult {
+	clients int, checkpoint, interval time.Duration, hotspots, verbose bool) protocolResult {
 
 	res := protocolResult{Protocol: proto, Visibility: mode}
 	fail := func(format string, args ...any) {
@@ -229,7 +228,6 @@ func runProtocol(proto, mode, base string, budget time.Duration, cfg workload.Co
 		VisibilityMode: mvdbVisibility(mode),
 		WALPath:        filepath.Join(d, "commit.log"),
 		GroupCommit:    true,
-		GCInterval:     gcEvery,
 		Audit:          true,
 		Health:         true,
 		HealthInterval: interval,

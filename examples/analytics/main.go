@@ -8,13 +8,12 @@
 //
 // The example also demonstrates the Section 6 trade-offs: the default
 // snapshot may be slightly stale (visibility lag is printed), and a
-// "fresh" report can opt into waiting via BeginReadOnlyRecent. With
-// -gc the old versions the reports no longer need are collected
-// concurrently.
+// "fresh" report can opt into waiting via BeginReadOnlyRecent. The old
+// versions no open report needs any more are collected as orders commit.
 //
 // Usage:
 //
-//	analytics [-products 200] [-orders 5000] [-gc]
+//	analytics [-products 200] [-orders 5000]
 package main
 
 import (
@@ -44,15 +43,10 @@ func main() {
 	var (
 		products = flag.Int("products", 200, "number of products")
 		orders   = flag.Int("orders", 5000, "orders to process")
-		useGC    = flag.Bool("gc", false, "collect old versions in the background")
 	)
 	flag.Parse()
 
-	opts := mvdb.Options{Protocol: mvdb.TwoPhaseLocking}
-	if *useGC {
-		opts.GCInterval = 5 * time.Millisecond
-	}
-	db, err := mvdb.Open(opts)
+	db, err := mvdb.Open(mvdb.Options{Protocol: mvdb.TwoPhaseLocking})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -169,9 +163,7 @@ func main() {
 	fmt.Printf("fresh (recency-rectified) report total: %d (expected %d)\n", finalSum, totalStock)
 	fmt.Printf("read-only commits  %d — zero blocking, zero aborts caused (by_ro=%d)\n",
 		st.CommitsRO, st.RWAbortsByRO)
-	if *useGC {
-		fmt.Printf("gc                 %d versions pruned in %d passes\n", st.GCReclaimed, st.GCPasses)
-	}
+	fmt.Printf("gc                 %d versions collected as orders committed\n", st.GCReclaimed)
 	if finalSum != totalStock {
 		log.Fatal("FINAL REPORT INCONSISTENT")
 	}

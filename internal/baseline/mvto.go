@@ -200,7 +200,7 @@ func (t *mvtoTx) Commit() error {
 		return nil
 	}
 	for key := range t.pending {
-		t.e.store.GetOrCreate(key).ResolvePending(t.tn, true)
+		t.e.store.GetOrCreate(key).ResolvePending(t.tn, true, nil)
 		t.e.rec.RecordWrite(t.id, key, t.tn)
 	}
 	t.e.rec.RecordCommit(t.id, t.tn)
@@ -223,7 +223,7 @@ func (t *mvtoTx) abortInternal() {
 	}
 	t.done = true
 	for key := range t.pending {
-		t.e.store.GetOrCreate(key).ResolvePending(t.tn, false)
+		t.e.store.GetOrCreate(key).ResolvePending(t.tn, false, nil)
 	}
 	t.e.rec.RecordAbort(t.id)
 }

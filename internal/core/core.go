@@ -83,10 +83,6 @@ type Options struct {
 	Visibility vc.Mode
 	// Recorder receives history events for offline checking (tests).
 	Recorder engine.Recorder
-	// TrackReadOnly registers active read-only transactions so garbage
-	// collection can compute a safe watermark. It adds a small cost to
-	// the read-only begin/end path and is therefore optional.
-	TrackReadOnly bool
 	// WAL, when non-nil, makes commits durable: each read-write commit
 	// appends one record (transaction number + write set) to the log
 	// before its versions are installed. Use Recover to rebuild an
@@ -173,7 +169,6 @@ func New(opts Options) *Engine {
 	e.locks = lock.NewManager(opts.LockPolicy, opts.LockTimeout)
 	e.observeLocks()
 	e.observeVC()
-	e.roActive.init()
 	if opts.WAL != nil {
 		e.observeWAL(opts.WAL)
 	}
@@ -211,7 +206,7 @@ func (e *Engine) Begin(class engine.Class) (engine.Tx, error) {
 	e.bootstrapSealed.Store(true)
 	id := e.ids.Add(1)
 	if class == engine.ReadOnly {
-		return e.beginReadOnly(id, 0), nil
+		return e.beginReadOnly(id, 0, false), nil
 	}
 	switch p := e.opts.Protocol; p {
 	case TwoPhaseLocking:
@@ -231,7 +226,7 @@ func (e *Engine) Begin(class engine.Class) (engine.Tx, error) {
 // paper: the start number is forced to be at least the most recently
 // assigned transaction number, waiting for visibility to catch up.
 func (e *Engine) BeginReadOnlyRecent() (engine.Tx, error) {
-	return e.BeginReadOnlyAt(e.vc.TNC() - 1)
+	return e.beginPinned(0, true)
 }
 
 // BeginReadOnlyAt starts a read-only transaction whose snapshot is pinned
@@ -243,14 +238,15 @@ func (e *Engine) BeginReadOnlyRecent() (engine.Tx, error) {
 // position whose versions have not been garbage-collected reads
 // consistently.
 func (e *Engine) BeginReadOnlyAt(sn uint64) (engine.Tx, error) {
+	return e.beginPinned(sn, false)
+}
+
+func (e *Engine) beginPinned(sn uint64, recent bool) (engine.Tx, error) {
 	if e.closed.Load() {
 		return nil, errors.New("core: engine closed")
 	}
 	e.bootstrapSealed.Store(true)
-	if e.vc.VTNC() < sn {
-		e.recencyWait(sn)
-	}
-	return e.beginReadOnly(e.ids.Add(1), sn), nil
+	return e.beginReadOnly(e.ids.Add(1), sn, recent), nil
 }
 
 // LockWaitGraph exports the lock manager's current waits-for graph (the
@@ -331,13 +327,29 @@ func (e *Engine) Close() error {
 	return nil
 }
 
-// MinActiveReadOnlySN returns a lower bound on the start numbers of the
-// active read-only transactions (what each published at begin, see
-// beginReadOnly) and whether any are active. Valid only with
-// Options.TrackReadOnly; the garbage collector combines it with vtnc to
-// compute its watermark.
+// MinActiveReadOnlySN returns a lower bound on the snapshots open in the
+// engine — read-only transactions and checkpoints, what each published
+// (see snapshot) — and whether any are open. The garbage collector
+// combines it with vtnc to compute its watermark.
 func (e *Engine) MinActiveReadOnlySN() (uint64, bool) {
 	return e.roActive.min()
+}
+
+// watermark is the collection horizon commitTail's installs prune at,
+// computed afresh by each install that finds its array full:
+// min(vtnc, the registry's minimum), vtnc read first, as in
+// gc.Collector.Watermark. Every snapshot is at or above it, because it
+// publishes before it takes its number (snapshot): the scan saw its slot,
+// which holds a lower bound on that number, or it published after the
+// scan and so read vtnc after vtnc was read here, and vtnc only grows.
+// The only snapshots that can read lower are pinned below vtnc
+// (BeginReadOnlyAt), which is what the pruned floor reports.
+func (e *Engine) watermark() uint64 {
+	w := e.vc.VTNC()
+	if sn, ok := e.roActive.min(); ok && sn < w {
+		w = sn
+	}
+	return w
 }
 
 // writeSet is a transaction's buffered (2PL, OCC) or pending (T/O)
@@ -426,7 +438,10 @@ func (e *Engine) latest(key string) (storage.Version, bool) {
 // read at vtnc, which passes tn(T) only at VCcomplete, and never see a
 // version that can still be withdrawn. A log failure — at enqueue or in
 // the wait — withdraws the versions, aborts the transaction and is
-// returned.
+// returned. An install that finds its chain's array full first drops
+// what no snapshot can reach (storage.Object.Install): the new version
+// is above the watermark, which never passes vtnc, so neither it nor a
+// withdrawal ever touches what that drops.
 func (e *Engine) commitTail(o *txObs, entry vc.Handle, writes []wal.Write) error {
 	tn := entry.TN()
 	w := e.opts.WAL
@@ -439,16 +454,18 @@ func (e *Engine) commitTail(o *txObs, entry vc.Handle, writes []wal.Write) error
 	}
 	if err == nil {
 		sp := o.span(phaseInstall)
+		dropped := 0
 		for _, wr := range writes {
 			obj := e.store.GetOrCreate(wr.Key)
 			if o.proto == protoTO {
-				obj.ResolvePending(tn, true) // the version is already there, pending
+				dropped += obj.ResolvePending(tn, true, e.watermark) // the version is already there, pending
 			} else {
-				obj.InstallCommitted(storage.Version{TN: tn, Data: wr.Value, Tombstone: wr.Tombstone})
+				dropped += obj.Install(storage.Version{TN: tn, Data: wr.Value, Tombstone: wr.Tombstone}, e.watermark)
 			}
 			o.wrote(wr.Key, tn)
 		}
 		o.end(sp)
+		o.collected(dropped)
 	} else if o.proto == protoTO {
 		e.destroyPending(tn, writes)
 	}
@@ -508,50 +525,58 @@ func (e *Engine) SetWAL(w *wal.Writer) error {
 	return nil
 }
 
-// roRegistry tracks active read-only transactions for GC watermarks.
-// It is sharded to keep the (optional) cost off the read-only fast path
-// as much as possible.
+// roRegistry is where every open snapshot publishes the number it reads
+// at, for the collection watermark: a fixed array of slots, each on its
+// own cache line. A publisher takes a free slot with one compare-and-swap
+// and frees it with one store, so it never blocks, never allocates, and
+// shares no line with a publisher in another slot. A publisher that
+// finds every slot taken counts itself in overflow instead, and while
+// any such publisher is open min reports 0: collection stops until it
+// closes, rather than a snapshot losing a version.
 type roRegistry struct {
-	shards [16]roShard
+	slots    [roSlots]roSlot
+	overflow atomic.Int64
 }
 
-type roShard struct {
-	mu sync.Mutex
-	m  map[uint64]uint64 // transaction id -> sn
+type roSlot struct {
+	sn atomic.Uint64 // the published number + 1; 0 is a free slot
+	_  [56]byte
 }
 
-func (r *roRegistry) init() {
-	for i := range r.shards {
-		r.shards[i].m = make(map[uint64]uint64)
+const (
+	roSlots = 64
+	noSlot  = -1 // the slot of an overflow publisher
+)
+
+// add publishes sn, probing from slot hint, and returns the slot taken.
+func (r *roRegistry) add(hint, sn uint64) int8 {
+	for i := range uint64(roSlots) {
+		slot := (hint + i) % roSlots
+		if s := &r.slots[slot].sn; s.Load() == 0 && s.CompareAndSwap(0, sn+1) {
+			return int8(slot)
+		}
 	}
+	r.overflow.Add(1)
+	return noSlot
 }
 
-func (r *roRegistry) add(id, sn uint64) {
-	sh := &r.shards[id%uint64(len(r.shards))]
-	sh.mu.Lock()
-	sh.m[id] = sn
-	sh.mu.Unlock()
-}
-
-func (r *roRegistry) remove(id uint64) {
-	sh := &r.shards[id%uint64(len(r.shards))]
-	sh.mu.Lock()
-	delete(sh.m, id)
-	sh.mu.Unlock()
+func (r *roRegistry) remove(slot int8) {
+	if slot == noSlot {
+		r.overflow.Add(-1)
+		return
+	}
+	r.slots[slot].sn.Store(0)
 }
 
 func (r *roRegistry) min() (uint64, bool) {
-	var m uint64
-	found := false
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		for _, sn := range sh.m {
-			if !found || sn < m {
-				m, found = sn, true
-			}
-		}
-		sh.mu.Unlock()
+	if r.overflow.Load() > 0 {
+		return 0, true
 	}
-	return m, found
+	var m uint64 // + 1, like the slots
+	for i := range r.slots {
+		if sn := r.slots[i].sn.Load(); sn != 0 && (m == 0 || sn < m) {
+			m = sn
+		}
+	}
+	return m - 1, m != 0
 }

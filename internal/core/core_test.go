@@ -453,7 +453,7 @@ func TestBootstrapAfterBeginFails(t *testing.T) {
 }
 
 func TestMinActiveReadOnlySN(t *testing.T) {
-	e := New(Options{Protocol: TwoPhaseLocking, TrackReadOnly: true})
+	e := New(Options{Protocol: TwoPhaseLocking})
 	defer e.Close()
 	if _, ok := e.MinActiveReadOnlySN(); ok {
 		t.Fatal("expected no active read-only txns")

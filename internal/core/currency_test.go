@@ -171,9 +171,12 @@ func TestRecreateAfterDelete(t *testing.T) {
 }
 
 // Deep version chains: binary search must find the right version at every
-// historical snapshot.
+// historical snapshot. An open snapshot keeps the installs from
+// collecting the history.
 func TestDeepVersionChainSnapshots(t *testing.T) {
 	e := newEngine(t, TimestampOrdering, nil)
+	hold, _ := e.Begin(engine.ReadOnly)
+	defer hold.Commit()
 	var tns []uint64
 	for i := 0; i < 200; i++ {
 		tx, _ := e.Begin(engine.ReadWrite)

@@ -175,22 +175,31 @@ func (e *Engine) WriteSnapshot(fsys faultfs.FS, walPath string) error {
 			return err
 		}
 	}
-	sn := e.vc.VTNC()
-	final := SnapPath(walPath)
-	tmp := snapTmpPath(walPath)
+	// The horizon is a snapshot like a View's, and is published the same
+	// way, or a concurrent collection prunes versions it still has to
+	// read. A key it cannot read fails the checkpoint: skipping it would
+	// write a snapshot that silently lacks the key.
+	slot, sn := e.snapshot(0, 0, false)
 	recs := make([]wal.Record, 0, 64)
 	recs = append(recs, wal.Record{TN: sn}) // first record: the horizon
+	var err error
 	e.store.Range(func(key string, o *storage.Object) bool {
-		v, ok := o.ReadVisible(sn)
-		if !ok {
-			return true
+		v, ok, verr := visible(o, sn)
+		if err = verr; !ok {
+			return err == nil
 		}
 		recs = append(recs, wal.Record{TN: v.TN, Writes: []wal.Write{{
 			Key: key, Value: v.Data, Tombstone: v.Tombstone,
 		}}})
 		return true
 	})
-	if err := atomicWriteLog(fsys, tmp, final, recs); err != nil {
+	// recs holds every value it writes: collection may go on while the
+	// file is written.
+	e.roActive.remove(slot)
+	if err != nil {
+		return fmt.Errorf("core: checkpoint at %d: %w", sn, err)
+	}
+	if err := atomicWriteLog(fsys, snapTmpPath(walPath), SnapPath(walPath), recs); err != nil {
 		return err
 	}
 	end := time.Now()

@@ -191,10 +191,11 @@ type txObs struct {
 	lockedAt instant
 	proto    obs.ProtoIdx
 	// done is set by the protocol code once the transaction has
-	// committed or aborted. It lives here, in the tail padding of what
-	// every transaction struct embeds, to keep those structs a size
-	// class smaller.
+	// committed or aborted. It, and a read-only transaction's registry
+	// slot, live here, in the tail padding of what every transaction
+	// struct embeds, to keep those structs a size class smaller.
 	done bool
+	slot int8
 }
 
 // instant is a monotonic clock reading, nanoseconds since epoch0: one
@@ -264,6 +265,14 @@ func (o *txObs) read(key string, tn uint64) {
 func (o *txObs) write(key string) { o.e.hot.TouchWrite(key) }
 
 func (o *txObs) wrote(key string, tn uint64) { o.e.rec.RecordWrite(o.id, key, tn) }
+
+// collected counts the versions the transaction's installs dropped into
+// the same total as a collection pass's.
+func (o *txObs) collected(n int) {
+	if n > 0 {
+		o.e.stats.GCReclaimed.Add(int64(n))
+	}
+}
 
 // span opens a timed phase and end closes it, returning how long it ran:
 // a phase-matrix sample, pprof labels for the stretch, and a trace span.

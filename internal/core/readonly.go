@@ -7,7 +7,8 @@ import (
 
 // roTx is a read-only transaction (paper Figure 2). It is shared by all
 // three engines: begin obtains sn(T) = VCstart(); every read returns the
-// version with the largest number <= sn(T); end is a no-op. It never
+// version with the largest number <= sn(T); end only gives back the
+// registry slot that held collection off the snapshot. It never
 // interacts with the concurrency control component, never blocks, and
 // never aborts.
 type roTx struct {
@@ -15,33 +16,44 @@ type roTx struct {
 	sn uint64
 }
 
-func (e *Engine) beginReadOnly(id, pinSN uint64) *roTx {
-	if e.opts.TrackReadOnly {
-		// Publish before taking the snapshot, or a collection pass in
-		// between prunes what the snapshot needs. The published number is
-		// a lower bound — vtnc only grows, so the snapshot taken below is
-		// at or above it — and it is the only registry write of the
-		// transaction. A pass that scans the registry too early to see it
-		// read its own vtnc earlier still (gc.Watermark reads vtnc first),
-		// so its watermark is at or below our snapshot either way.
-		pub := pinSN
-		if pub == 0 {
-			pub = e.vc.VTNC()
-		}
-		e.roActive.add(id, pub)
+func (e *Engine) beginReadOnly(id, pinSN uint64, recent bool) *roTx {
+	slot, sn := e.snapshot(id, pinSN, recent)
+	t := &roTx{txObs: e.observe(id, protoRO, sn), sn: sn}
+	t.slot = slot
+	return t
+}
+
+// snapshot publishes a snapshot in the registry, then takes it, and
+// returns the slot to free once it is closed. The snapshot is at pinSN if
+// that is nonzero (BeginReadOnlyAt), at the most recently assigned
+// transaction number if recent (BeginReadOnlyRecent), and VCstart's
+// otherwise. Publishing first is what keeps collection from pruning what
+// the snapshot reads: the number published (the pin, or vtnc) is a lower
+// bound — vtnc only grows, and tnc - 1 is never below it — and a
+// watermark whose scan was too early to see it read vtnc earlier still
+// (Engine.watermark reads vtnc first), so it is at or below the snapshot
+// either way. A recency wait comes after the publish for the same
+// reason: commits go on collecting while it waits.
+func (e *Engine) snapshot(hint, pinSN uint64, recent bool) (slot int8, sn uint64) {
+	pub := pinSN
+	if pinSN == 0 {
+		pub = e.vc.VTNC()
 	}
-	sn := pinSN
-	if pinSN > 0 {
-		// Pinned snapshot (BeginReadOnlyAt): read exactly at position
-		// pinSN — time travel into history, or read-your-writes when
-		// pinSN is a just-committed transaction's number. WaitVisible
-		// already ran in BeginReadOnlyAt; re-check to keep the guarantee
-		// local rather than racy.
-		e.vc.WaitVisible(pinSN)
-	} else {
-		sn = e.vc.Start()
+	slot = e.roActive.add(hint, pub)
+	switch {
+	case pinSN > 0:
+		// Time travel into history, or read-your-writes when pinSN is a
+		// just-committed transaction's number.
+		sn = pinSN
+	case recent:
+		sn = e.vc.TNC() - 1
+	default:
+		return slot, e.vc.Start()
 	}
-	return &roTx{txObs: e.observe(id, protoRO, sn), sn: sn}
+	if e.vc.VTNC() < sn {
+		e.recencyWait(sn)
+	}
+	return slot, sn
 }
 
 // Get implements engine.Tx: "return x_j with largest version <= sn(T)".
@@ -56,7 +68,7 @@ func (t *roTx) Get(key string) ([]byte, error) {
 		return nil, engine.ErrTxDone
 	}
 	sp := t.span(phaseRead)
-	v, ok, err := t.visible(t.e.store.Get(key))
+	v, ok, err := visible(t.e.store.Get(key), t.sn)
 	if err != nil {
 		t.end(sp)
 		return nil, err
@@ -66,13 +78,15 @@ func (t *roTx) Get(key string) ([]byte, error) {
 	return result(v, ok)
 }
 
-// visible applies the read rule to o (nil: the key was never written).
-// Garbage collection keeps what every snapshot at or above its watermark
-// reads, not what an older, untracked snapshot does: a miss below the
-// object's pruned floor is ErrSnapshotTooOld, never "not found".
-func (t *roTx) visible(o *storage.Object) (v storage.Version, ok bool, err error) {
+// visible applies the read rule at sn to o (nil: the key was never
+// written). Collection keeps what every snapshot at or above its
+// watermark reads, and every open snapshot holds the watermark at or
+// below itself, except one pinned below a horizon collection had already
+// passed (BeginReadOnlyAt): a miss below the object's pruned floor is
+// ErrSnapshotTooOld, never "not found".
+func visible(o *storage.Object, sn uint64) (v storage.Version, ok bool, err error) {
 	if o != nil {
-		if v, ok = o.ReadVisible(t.sn); !ok && o.Floor() > t.sn {
+		if v, ok = o.ReadVisible(sn); !ok && o.Floor() > sn {
 			err = engine.ErrSnapshotTooOld
 		}
 	}
@@ -117,9 +131,7 @@ func (t *roTx) Abort() {
 
 func (t *roTx) finish() {
 	t.done = true
-	if t.e.opts.TrackReadOnly {
-		t.e.roActive.remove(t.id)
-	}
+	t.e.roActive.remove(t.slot)
 }
 
 // SN implements engine.Tx.
@@ -138,7 +150,7 @@ func (t *roTx) Scan(prefix string, fn func(key string, value []byte) bool) error
 	}
 	var err error
 	t.e.store.RangeOrdered(prefix, func(key string, o *storage.Object) bool {
-		v, ok, verr := t.visible(o)
+		v, ok, verr := visible(o, t.sn)
 		if verr != nil {
 			err = verr
 			return false

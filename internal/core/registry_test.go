@@ -1,0 +1,223 @@
+package core
+
+import (
+	"fmt"
+	"path/filepath"
+	"runtime"
+	"sync"
+	"testing"
+	"unsafe"
+
+	"mvdb/internal/engine"
+	"mvdb/internal/storage"
+	"mvdb/internal/vc"
+	"mvdb/internal/wal"
+)
+
+// The registry slot rides in txObs's tail padding: a read-only
+// transaction stays in the 48-byte size class.
+func TestReadOnlyTxSize(t *testing.T) {
+	if s := unsafe.Sizeof(roTx{}); s > 48 {
+		t.Fatalf("sizeof(roTx) = %d, want <= 48", s)
+	}
+}
+
+// With every slot taken, a further snapshot overflows: it still never
+// blocks, collection holds at 0 until it closes, and no open snapshot
+// loses what it reads.
+func TestRegistryOverflow(t *testing.T) {
+	e := New(Options{})
+	defer e.Close()
+	var open []engine.Tx
+	for i := 0; i < roSlots+3; i++ {
+		mustCommitWrite(t, e, map[string]string{"k": fmt.Sprint(i)})
+		tx, _ := e.Begin(engine.ReadOnly)
+		open = append(open, tx)
+	}
+	if n := e.roActive.overflow.Load(); n != 3 {
+		t.Fatalf("overflow = %d, want 3", n)
+	}
+	if m, ok := e.MinActiveReadOnlySN(); !ok || m != 0 {
+		t.Fatalf("min = (%d, %v) while overflowed, want (0, true)", m, ok)
+	}
+	for i := 0; i < 2*roSlots; i++ {
+		mustCommitWrite(t, e, map[string]string{"k": "later"})
+	}
+	read := func(txs []engine.Tx, from int) {
+		t.Helper()
+		for i, tx := range txs {
+			if v, err := tx.Get("k"); err != nil || string(v) != fmt.Sprint(from+i) {
+				t.Fatalf("snapshot %d read (%q, %v), want %d", from+i, v, err, from+i)
+			}
+		}
+	}
+	read(open, 0)
+	for _, tx := range open[roSlots:] {
+		tx.Commit()
+	}
+	first, _ := open[0].SN()
+	if m, ok := e.MinActiveReadOnlySN(); !ok || m != first {
+		t.Fatalf("min = (%d, %v) after the overflow closed, want (%d, true)", m, ok, first)
+	}
+	mustCommitWrite(t, e, map[string]string{"k": "last"})
+	read(open[:roSlots], 0)
+	for _, tx := range open[:roSlots] {
+		tx.Commit()
+	}
+	if _, ok := e.MinActiveReadOnlySN(); ok {
+		t.Fatal("registry not drained")
+	}
+}
+
+// A pinned snapshot publishes its pin, and holds collection there.
+func TestRegistryPinnedSnapshot(t *testing.T) {
+	e := New(Options{})
+	defer e.Close()
+	hold, _ := e.Begin(engine.ReadOnly) // nothing is collected before the pin
+	for i := 1; i <= 5; i++ {
+		mustCommitWrite(t, e, map[string]string{"k": fmt.Sprint(i)})
+	}
+	tx, err := e.BeginReadOnlyAt(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hold.Commit()
+	if m, ok := e.MinActiveReadOnlySN(); !ok || m != 2 {
+		t.Fatalf("min = (%d, %v), want (2, true)", m, ok)
+	}
+	for i := 0; i < 20; i++ {
+		mustCommitWrite(t, e, map[string]string{"k": "later"})
+	}
+	e.store.Get("k").Prune(e.watermark())
+	if v, err := tx.Get("k"); err != nil || string(v) != "2" {
+		t.Fatalf("pinned read (%q, %v), want 2", v, err)
+	}
+	if f := e.store.Get("k").Floor(); f != 2 {
+		t.Fatalf("floor = %d, want 2", f)
+	}
+	tx.Commit()
+	if _, ok := e.MinActiveReadOnlySN(); ok {
+		t.Fatal("registry not drained")
+	}
+}
+
+// A snapshot publishes before it reads vtnc, so neither a pass nor an
+// install that collects concurrently takes a version it reads — also
+// while more snapshots are open than there are slots.
+func TestRegistryRacesCollection(t *testing.T) {
+	e := New(Options{})
+	defer e.Close()
+	mustCommitWrite(t, e, map[string]string{"k": "0"})
+	stop := make(chan struct{})
+	var bg sync.WaitGroup
+	bg.Add(2)
+	go func() { // every install may collect
+		defer bg.Done()
+		for i := 1; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			tx, _ := e.Begin(engine.ReadWrite)
+			tx.Put("k", []byte(fmt.Sprint(i)))
+			if err := tx.Commit(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() { // passes
+		defer bg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			w := e.watermark()
+			e.store.Range(func(_ string, o *storage.Object) bool { o.Prune(w); return true })
+		}
+	}()
+	var readers sync.WaitGroup
+	for r := 0; r < roSlots+8; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for i := 0; i < 50; i++ {
+				tx, _ := e.Begin(engine.ReadOnly)
+				a, err := tx.Get("k")
+				runtime.Gosched()
+				b, err2 := tx.Get("k")
+				tx.Commit()
+				if err != nil || err2 != nil || string(a) != string(b) {
+					t.Errorf("snapshot read (%q, %v) then (%q, %v)", a, err, b, err2)
+					return
+				}
+			}
+		}()
+	}
+	readers.Wait()
+	close(stop)
+	bg.Wait()
+}
+
+// BeginReadOnlyRecent publishes before it waits for its pin to become
+// visible: under group commit vtnc trails tnc - 1 by a batch, and the
+// commits that finish the wait go on collecting the hot key meanwhile.
+// A reader that waited unpublished would find its pin collected.
+func TestRecentSnapshotRacesCollection(t *testing.T) {
+	for _, p := range []Protocol{TwoPhaseLocking, TimestampOrdering, Optimistic} {
+		for _, mode := range []vc.Mode{vc.ModeStrict, vc.ModeEpoch} {
+			t.Run(fmt.Sprintf("%v/%v", p, mode), func(t *testing.T) {
+				w, err := wal.Create(filepath.Join(t.TempDir(), "commit.log"), wal.SyncBatch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer w.Close()
+				e := New(Options{Protocol: p, Visibility: mode, WAL: w})
+				defer e.Close()
+				mustCommitWrite(t, e, map[string]string{"k": "0"})
+				stop := make(chan struct{})
+				var writers sync.WaitGroup
+				for range 3 {
+					writers.Add(1)
+					go func() {
+						defer writers.Done()
+						for {
+							select {
+							case <-stop:
+								return
+							default:
+							}
+							tx, _ := e.Begin(engine.ReadWrite)
+							tx.Put("k", []byte("v"))
+							tx.Commit() // conflicts abort; only the commits matter
+						}
+					}()
+				}
+				var readers sync.WaitGroup
+				for range 3 {
+					readers.Add(1)
+					go func() {
+						defer readers.Done()
+						for range 40 {
+							tx, err := e.BeginReadOnlyRecent()
+							if err == nil {
+								_, err = tx.Get("k")
+								tx.Commit()
+							}
+							if err != nil {
+								t.Errorf("recent snapshot: %v", err)
+								return
+							}
+						}
+					}()
+				}
+				readers.Wait()
+				close(stop)
+				writers.Wait()
+			})
+		}
+	}
+}

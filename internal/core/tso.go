@@ -85,7 +85,7 @@ func (t *tsoTx) put(w wal.Write) error {
 // destroyPending withdraws the pending versions numbered tn.
 func (e *Engine) destroyPending(tn uint64, writes []wal.Write) {
 	for _, wr := range writes {
-		e.store.GetOrCreate(wr.Key).ResolvePending(tn, false)
+		e.store.GetOrCreate(wr.Key).ResolvePending(tn, false, nil)
 	}
 }
 

@@ -5,6 +5,11 @@
 // the paper suggests, by also keeping everything an active read-only
 // transaction can still reach.
 //
+// Most collection happens at install: an engine commit that finds a
+// version chain's array full first drops what no snapshot can reach
+// (storage.Object.Install). A Collector pass is the sweep for the keys
+// nobody writes again.
+//
 // The collector is deliberately independent of the concurrency control
 // component (it only consults the version control module and the read-only
 // registry), which is exactly the separation the paper calls "quite
@@ -14,7 +19,6 @@
 package gc
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -36,13 +40,7 @@ type Source interface {
 
 // Collector prunes unreachable versions.
 type Collector struct {
-	src      Source
-	interval time.Duration
-
-	mu      sync.Mutex
-	stop    chan struct{}
-	done    chan struct{}
-	running bool
+	src Source
 
 	pruned atomic.Uint64
 	passes atomic.Uint64
@@ -57,8 +55,7 @@ type Collector struct {
 // SetOnPass installs fn, invoked after every collection pass with the
 // number of versions reclaimed, the watermark used, and the pass
 // duration — the observability hook that feeds GC counters and trace
-// events. Set it before Start; it runs on the collector goroutine (or
-// the caller of Collect).
+// events. Set it before the first Collect; it runs on Collect's caller.
 func (c *Collector) SetOnPass(fn func(reclaimed int, watermark uint64, elapsed time.Duration)) {
 	c.onPass = fn
 }
@@ -66,21 +63,17 @@ func (c *Collector) SetOnPass(fn func(reclaimed int, watermark uint64, elapsed t
 // SetChainObserver installs fn, invoked once per object per collection
 // pass with the object's version-chain length as GC found it (before
 // pruning). It feeds the chain-length histogram: the distribution of
-// retained-version depth the collector is actually walking, which is the
-// leading indicator of GC falling behind the update rate. Set it before
-// Start; it runs on the collector goroutine with no store locks beyond
-// the object's own.
+// retained-version depth the collector is actually walking. Set it before
+// the first Collect; it runs on Collect's caller with no store locks
+// beyond the object's own.
 func (c *Collector) SetChainObserver(fn func(depth int)) {
 	c.onChain = fn
 }
 
-// New creates a collector. interval is the background period for Start
-// (zero selects 10ms; Collect can always be called manually).
+// New creates a collector. The interval is unused: there is no
+// background loop, collection runs at install and in Collect.
 func New(src Source, interval time.Duration) *Collector {
-	if interval <= 0 {
-		interval = 10 * time.Millisecond
-	}
-	return &Collector{src: src, interval: interval}
+	return &Collector{src: src}
 }
 
 // Watermark computes the highest transaction number below which old
@@ -90,7 +83,7 @@ func New(src Source, interval time.Duration) *Collector {
 // everything older is discarded.
 //
 // vtnc is read BEFORE the registry is scanned, and a read-only begin
-// publishes itself BEFORE it takes its snapshot (core.beginReadOnly).
+// publishes itself BEFORE it takes its snapshot (core's snapshot).
 // Together: a transaction the scan misses published after the scan, so
 // took its snapshot after it too, at a vtnc no older than the one read
 // here — the watermark never exceeds the snapshot of a transaction it
@@ -122,46 +115,6 @@ func (c *Collector) Collect() int {
 		c.onPass(n, w, time.Since(start))
 	}
 	return n
-}
-
-// Start launches the background collection loop. It is a no-op if the
-// collector is already running.
-func (c *Collector) Start() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.running {
-		return
-	}
-	c.running = true
-	c.stop = make(chan struct{})
-	c.done = make(chan struct{})
-	go func(stop, done chan struct{}) {
-		defer close(done)
-		t := time.NewTicker(c.interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				c.Collect()
-			}
-		}
-	}(c.stop, c.done)
-}
-
-// Stop halts the background loop and waits for it to exit.
-func (c *Collector) Stop() {
-	c.mu.Lock()
-	if !c.running {
-		c.mu.Unlock()
-		return
-	}
-	c.running = false
-	stop, done := c.stop, c.done
-	c.mu.Unlock()
-	close(stop)
-	<-done
 }
 
 // Pruned returns the total number of versions discarded.

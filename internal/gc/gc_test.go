@@ -2,8 +2,8 @@ package gc
 
 import (
 	"fmt"
+	"sync"
 	"testing"
-	"time"
 
 	"mvdb/internal/core"
 	"mvdb/internal/engine"
@@ -26,9 +26,13 @@ func fill(t *testing.T, e *core.Engine, key string, n int) {
 }
 
 func TestCollectPrunesOldVersions(t *testing.T) {
-	e := core.New(core.Options{Protocol: core.TwoPhaseLocking, TrackReadOnly: true})
+	e := core.New(core.Options{Protocol: core.TwoPhaseLocking})
 	defer e.Close()
-	fill(t, e, "k", 50)
+	fill(t, e, "k", 1)
+	// An open snapshot keeps the installs from collecting.
+	held, _ := e.Begin(engine.ReadOnly)
+	fill(t, e, "k", 49)
+	held.Commit()
 	if got := e.Store().TotalVersions(); got != 50 {
 		t.Fatalf("versions before GC = %d, want 50", got)
 	}
@@ -43,8 +47,8 @@ func TestCollectPrunesOldVersions(t *testing.T) {
 	// The surviving version is still readable.
 	ro, _ := e.Begin(engine.ReadOnly)
 	v, err := ro.Get("k")
-	if err != nil || string(v) != "v49" {
-		t.Fatalf("Get = (%q,%v), want v49", v, err)
+	if err != nil || string(v) != "v48" {
+		t.Fatalf("Get = (%q,%v), want v48", v, err)
 	}
 	ro.Commit()
 	if c.Pruned() != 49 || c.Passes() != 1 {
@@ -55,7 +59,7 @@ func TestCollectPrunesOldVersions(t *testing.T) {
 // An active read-only transaction holds the watermark back: versions it
 // can reach must survive (paper Section 6 refined).
 func TestActiveReadOnlyHoldsWatermark(t *testing.T) {
-	e := core.New(core.Options{Protocol: core.TwoPhaseLocking, TrackReadOnly: true})
+	e := core.New(core.Options{Protocol: core.TwoPhaseLocking})
 	defer e.Close()
 	fill(t, e, "k", 10)
 	ro, _ := e.Begin(engine.ReadOnly) // snapshot at version 10
@@ -78,7 +82,7 @@ func TestActiveReadOnlyHoldsWatermark(t *testing.T) {
 }
 
 func TestWatermarkUsesMinOfVTNCAndRO(t *testing.T) {
-	e := core.New(core.Options{Protocol: core.TwoPhaseLocking, TrackReadOnly: true})
+	e := core.New(core.Options{Protocol: core.TwoPhaseLocking})
 	defer e.Close()
 	fill(t, e, "k", 5)
 	c := New(e, 0)
@@ -96,39 +100,28 @@ func TestWatermarkUsesMinOfVTNCAndRO(t *testing.T) {
 	}
 }
 
-func TestBackgroundLoop(t *testing.T) {
-	e := core.New(core.Options{Protocol: core.TimestampOrdering, TrackReadOnly: true})
-	defer e.Close()
-	c := New(e, time.Millisecond)
-	c.Start()
-	c.Start() // idempotent
-	defer c.Stop()
-
-	fill(t, e, "k", 100)
-	deadline := time.Now().Add(5 * time.Second)
-	for e.Store().Get("k").VersionCount() > 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("background GC never caught up: %d versions", e.Store().Get("k").VersionCount())
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	c.Stop()
-	c.Stop() // idempotent
-	if c.Passes() == 0 {
-		t.Fatal("no passes recorded")
-	}
-}
-
-// GC under concurrent load must never break snapshot reads.
+// GC under concurrent load must never break snapshot reads: a pass
+// loop and the installs of a writer both collect while readers begin.
 func TestGCConcurrentWithReaders(t *testing.T) {
-	e := core.New(core.Options{Protocol: core.TwoPhaseLocking, TrackReadOnly: true})
+	e := core.New(core.Options{Protocol: core.TwoPhaseLocking})
 	defer e.Close()
 	fill(t, e, "k", 1)
-	c := New(e, time.Millisecond)
-	c.Start()
-	defer c.Stop()
+	c := New(e, 0)
 
 	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				c.Collect()
+			}
+		}
+	}()
 	go func() {
 		defer close(done)
 		for i := 0; i < 300; i++ {
@@ -137,6 +130,7 @@ func TestGCConcurrentWithReaders(t *testing.T) {
 			tx.Commit()
 		}
 	}()
+	defer wg.Wait()
 	for {
 		select {
 		case <-done:

@@ -99,7 +99,8 @@ type Stats struct {
 	// counts here — the histogram is unit-agnostic.
 	WALBatchSize *metrics.Histogram
 
-	// Garbage collection: passes run and versions reclaimed.
+	// Garbage collection: passes run, and versions reclaimed by passes
+	// and by the installs that collect (core's commitTail).
 	GCPasses    Counter
 	GCReclaimed Counter
 

@@ -45,7 +45,7 @@ func BenchmarkTOReadWrite(b *testing.B) {
 		if err := o.TOWrite(tn, []byte("v"), false); err != nil {
 			b.Fatal(err)
 		}
-		o.ResolvePending(tn, true)
+		o.ResolvePending(tn, true, nil)
 		if _, ok := o.TORead(tn); !ok {
 			b.Fatal("read miss")
 		}

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/maphash"
+	"slices"
 	"sort"
 	"sync"
 
@@ -149,15 +150,34 @@ func (o *Object) LatestTN() uint64 {
 // out of TN order across objects, but for a single object callers must
 // never install a version older than one some snapshot could already have
 // read past; the engines guarantee this by construction. The chain is kept
-// sorted.
-func (o *Object) InstallCommitted(v Version) {
+// sorted. It never collects: see Install.
+func (o *Object) InstallCommitted(v Version) { o.Install(v, nil) }
+
+// Install is InstallCommitted for an engine that collects at install
+// (Hekaton's cooperative collection): when the chain's array is full, it
+// calls watermark once and first drops every version below the newest one
+// at or under it, as Prune does; the new version then reuses the array.
+// It returns the number of versions dropped. An install into an array
+// with room, or with a nil watermark, reads nothing but the object.
+// watermark must return a number no snapshot open then or opened later
+// reads below, other than one pinned below it, which the pruned floor
+// reports.
+//
+// A prune that frees d slots costs one copy of the chain and buys d
+// installs without one; a prune that frees nothing lets the append
+// double the array, so the next one comes twice as late.
+func (o *Object) Install(v Version, watermark func() uint64) int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.installCommittedLocked(v)
+	return o.installCommittedLocked(v, watermark)
 }
 
-func (o *Object) installCommittedLocked(v Version) {
+func (o *Object) installCommittedLocked(v Version, watermark func() uint64) (dropped int) {
 	n := len(o.versions)
+	if watermark != nil && n > 1 && n == cap(o.versions) {
+		dropped = o.pruneLocked(watermark())
+		n = len(o.versions)
+	}
 	if n == 0 || o.versions[n-1].tn < v.TN {
 		o.versions = append(o.versions, pack(v))
 		return
@@ -169,6 +189,7 @@ func (o *Object) installCommittedLocked(v Version) {
 	o.versions = append(o.versions, version{})
 	copy(o.versions[i+1:], o.versions[i:])
 	o.versions[i] = pack(v)
+	return dropped
 }
 
 // --- Timestamp-ordering operations (paper Figure 3) ---
@@ -301,23 +322,25 @@ func (o *Object) TOWrite(tn uint64, data []byte, tombstone bool) error {
 	return nil
 }
 
-// ResolvePending commits (install) or aborts (drop) the pending version
-// created by transaction tn, waking all waiters. It is a no-op if the
-// transaction has no pending version here.
-func (o *Object) ResolvePending(tn uint64, commit bool) {
+// ResolvePending commits (install, collecting at watermark as Install
+// does) or aborts (drop) the pending version created by transaction tn,
+// waking all waiters, and returns the number of versions the install
+// dropped. It is a no-op if the transaction has no pending version here.
+func (o *Object) ResolvePending(tn uint64, commit bool, watermark func() uint64) (dropped int) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	s := o.toView()
 	i, ok := s.pendingIndex(tn)
 	if !ok {
-		return
+		return 0
 	}
 	p := s.pending[i]
-	s.pending = append(s.pending[:i], s.pending[i+1:]...)
+	s.pending = slices.Delete(s.pending, i, i+1)
 	if commit {
-		o.installCommittedLocked(Version{TN: p.TN, Data: p.Data, Tombstone: p.Tombstone})
+		dropped = o.installCommittedLocked(Version{TN: p.TN, Data: p.Data, Tombstone: p.Tombstone}, watermark)
 	}
 	s.cond.Broadcast()
+	return dropped
 }
 
 // Withdraw removes the committed version numbered tn, if there is one:
@@ -331,7 +354,7 @@ func (o *Object) Withdraw(tn uint64) {
 	defer o.mu.Unlock()
 	i := sort.Search(len(o.versions), func(i int) bool { return o.versions[i].tn >= tn })
 	if i < len(o.versions) && o.versions[i].tn == tn {
-		o.versions = append(o.versions[:i], o.versions[i+1:]...)
+		o.versions = slices.Delete(o.versions, i, i+1) // clears the vacated slot
 	}
 }
 
@@ -380,16 +403,21 @@ func (o *Object) Versions() []Version {
 func (o *Object) Prune(watermark uint64) int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
+	return o.pruneLocked(watermark)
+}
+
+func (o *Object) pruneLocked(watermark uint64) int {
 	i := sort.Search(len(o.versions), func(i int) bool { return o.versions[i].tn > watermark })
 	// versions[i-1] is the newest version <= watermark; it must survive,
 	// everything before it is unreachable.
 	if i <= 1 {
 		return 0
 	}
-	drop := i - 1
-	o.versions = append(o.versions[:0], o.versions[drop:]...)
+	// Delete clears the vacated tail, so the array keeps no dropped value
+	// alive behind len.
+	o.versions = slices.Delete(o.versions, 0, i-1)
 	o.floor = o.versions[0].tn
-	return drop
+	return i - 1
 }
 
 // CheckInvariants validates chain ordering; for tests.

@@ -117,7 +117,7 @@ func TestTOReadBlocksOnOlderPendingWrite(t *testing.T) {
 	case <-time.After(20 * time.Millisecond):
 	}
 
-	o.ResolvePending(2, true)
+	o.ResolvePending(2, true, nil)
 	select {
 	case v := <-got:
 		if v.TN != 2 || string(v.Data) != "new" {
@@ -143,7 +143,7 @@ func TestTOReadAfterAbortSeesOldVersion(t *testing.T) {
 		got <- v
 	}()
 	time.Sleep(10 * time.Millisecond)
-	o.ResolvePending(3, false) // abort
+	o.ResolvePending(3, false, nil) // abort
 	select {
 	case v := <-got:
 		if v.TN != 1 {
@@ -200,7 +200,7 @@ func TestTOWriteBlocksOnOlderPending(t *testing.T) {
 		t.Fatalf("TOWrite(5) returned %v before T2 resolved", err)
 	case <-time.After(20 * time.Millisecond):
 	}
-	o.ResolvePending(2, true)
+	o.ResolvePending(2, true, nil)
 	select {
 	case err := <-errc:
 		if err != nil {
@@ -209,7 +209,7 @@ func TestTOWriteBlocksOnOlderPending(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("TOWrite(5) never unblocked")
 	}
-	o.ResolvePending(5, true)
+	o.ResolvePending(5, true, nil)
 	if got := o.LatestTN(); got != 5 {
 		t.Fatalf("latest = %d, want 5", got)
 	}
@@ -226,7 +226,7 @@ func TestTOWriteOverwriteOwnPending(t *testing.T) {
 	if n := o.PendingCount(); n != 1 {
 		t.Fatalf("pending count = %d, want 1", n)
 	}
-	o.ResolvePending(2, true)
+	o.ResolvePending(2, true, nil)
 	v, _ := o.ReadVisible(2)
 	if string(v.Data) != "second" {
 		t.Fatalf("data = %q, want second", v.Data)
@@ -252,7 +252,7 @@ func TestSnapshotReadWait(t *testing.T) {
 		t.Fatal("SnapshotReadWait(4) did not block on pending tn=3")
 	case <-time.After(20 * time.Millisecond):
 	}
-	o.ResolvePending(3, true)
+	o.ResolvePending(3, true, nil)
 	if v := <-done; v.TN != 3 {
 		t.Fatalf("read %d, want 3", v.TN)
 	}

@@ -100,7 +100,7 @@ func TestPackedRecordRoundTrip(t *testing.T) {
 			if err := o.TOWrite(tn, want.Data, want.Tombstone); err != nil {
 				t.Fatal(err)
 			}
-			o.ResolvePending(tn, true)
+			o.ResolvePending(tn, true, nil)
 			check("ResolvePending")(o.ReadVisible(tn))
 		})
 	}
@@ -130,7 +130,7 @@ func TestAccessorsLeaveTOStateUnallocated(t *testing.T) {
 	o.WTS()
 	o.Waits()
 	o.PendingCount()
-	o.ResolvePending(1, true)
+	o.ResolvePending(1, true, nil)
 	o.SnapshotReadWait(1)
 	if err := o.CheckInvariants(); err != nil {
 		t.Fatal(err)

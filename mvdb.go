@@ -167,11 +167,6 @@ type Options struct {
 	LockTimeout time.Duration
 	// Shards sets store sharding (0 = default 64).
 	Shards int
-	// GCInterval enables background garbage collection of unreachable
-	// versions at the given period (0 disables it). When enabled, active
-	// read-only snapshots are tracked so no reachable version is ever
-	// collected.
-	GCInterval time.Duration
 	// WALPath enables durability: committed write sets are logged before
 	// they become visible, and Open recovers the store from an existing
 	// log at this path. Empty disables the log.
@@ -431,16 +426,15 @@ func Open(opts Options) (*DB, error) {
 		})
 	}
 	coreOpts := core.Options{
-		Protocol:      coreProtocol(opts.Protocol),
-		Visibility:    vcMode(opts.VisibilityMode),
-		LockPolicy:    lockPolicy(opts.DeadlockPolicy),
-		LockTimeout:   opts.LockTimeout,
-		Shards:        opts.Shards,
-		TrackReadOnly: opts.GCInterval > 0,
-		Trace:         tracer,
-		PhaseTiming:   opts.PhaseTiming,
-		Traces:        spans,
-		Hotspot:       prof,
+		Protocol:    coreProtocol(opts.Protocol),
+		Visibility:  vcMode(opts.VisibilityMode),
+		LockPolicy:  lockPolicy(opts.DeadlockPolicy),
+		LockTimeout: opts.LockTimeout,
+		Shards:      opts.Shards,
+		Trace:       tracer,
+		PhaseTiming: opts.PhaseTiming,
+		Traces:      spans,
+		Hotspot:     prof,
 	}
 	if auditor != nil {
 		coreOpts.Recorder = auditor
@@ -475,10 +469,10 @@ func Open(opts Options) (*DB, error) {
 	auditVC.Store(&engVC)
 
 	db := &DB{eng: eng, log: log, tracer: tracer, spans: spans, auditor: auditor, hot: prof, fs: opts.FS, walPath: opts.WALPath, retries: retries}
-	// The collector always exists (CollectGarbage works without background
-	// GC); its pass observer feeds the GC counters and trace events. Only
-	// a positive GCInterval starts the background loop.
-	db.collector = gc.New(eng, opts.GCInterval)
+	// Commits collect at install; the collector is CollectGarbage's sweep
+	// for the keys nobody writes again. Its pass observer feeds the GC
+	// counters and trace events.
+	db.collector = gc.New(eng, 0)
 	db.collector.SetOnPass(func(reclaimed int, watermark uint64, elapsed time.Duration) {
 		st := eng.Obs()
 		st.GCPasses.Inc()
@@ -501,9 +495,6 @@ func Open(opts Options) (*DB, error) {
 		eng.Obs().GCChainDepth.Record(int64(depth))
 		prof.RecordChainDepth(depth)
 	})
-	if opts.GCInterval > 0 {
-		db.collector.Start()
-	}
 	if opts.Health {
 		slos := opts.HealthSLOs
 		if len(slos) == 0 {
@@ -637,9 +628,6 @@ func (db *DB) Close() error {
 		// Before the engine: a tick in flight still has valid sources.
 		db.monitor.Stop()
 	}
-	if db.collector != nil {
-		db.collector.Stop()
-	}
 	if db.flightRec != nil {
 		// Before the engine and auditor: no bundle write can then observe
 		// half-torn-down sources.
@@ -702,10 +690,10 @@ func (db *DB) BeginReadOnlyRecent() (*Tx, error) {
 // BeginReadOnlyAt starts a read-only transaction whose snapshot is pinned
 // at exactly serialization position sn (waiting if sn is not yet
 // visible). Pass the TN of one of your own committed transactions (Tx.TN)
-// for read-your-writes, or a historical position for time travel. A
-// position older than a garbage-collection pass's watermark may need
-// versions that pass discarded; a read that does returns
-// ErrSnapshotTooOld.
+// for read-your-writes, or a historical position for time travel. Once
+// open, the snapshot holds collection off like any other, but a position
+// collection had already passed may need versions it discarded; a read
+// that does returns ErrSnapshotTooOld.
 func (db *DB) BeginReadOnlyAt(sn uint64) (*Tx, error) {
 	t, err := db.eng.BeginReadOnlyAt(sn)
 	if err != nil {
@@ -843,11 +831,12 @@ func (db *DB) DebugAddr() string {
 }
 
 // CollectGarbage runs one synchronous garbage collection pass and returns
-// the number of versions discarded. It works even when background GC is
-// disabled, but without Options.GCInterval read-only transactions are not
-// tracked and the pass prunes at the visibility horizon alone: a snapshot
-// still open below it may lose versions it needs, and its reads of those
-// keys return ErrSnapshotTooOld.
+// the number of versions discarded. Commits already collect as they
+// install: a commit that finds a key's version array full first drops
+// what no open snapshot can read (Stats().GCReclaimed counts both). The
+// pass is the sweep for keys nobody writes again. Neither ever takes a
+// version an open snapshot reads; only a snapshot pinned below what was
+// already collected (BeginReadOnlyAt) can read ErrSnapshotTooOld.
 func (db *DB) CollectGarbage() int {
 	return db.collector.Collect()
 }

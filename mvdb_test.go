@@ -9,7 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"mvdb/internal/faultfs"
 )
@@ -348,8 +347,10 @@ func TestGroupCommitEndToEnd(t *testing.T) {
 	}
 }
 
+// Commits collect as they install, without a pass, but never a version
+// an open snapshot reads; what they drop counts as reclaimed.
 func TestGCKeepsSnapshotsReadable(t *testing.T) {
-	db, err := Open(Options{GCInterval: time.Millisecond})
+	db, err := Open(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,53 +361,69 @@ func TestGCKeepsSnapshotsReadable(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		db.Update(func(tx *Tx) error { return tx.PutString("k", fmt.Sprintf("v%d", i)) })
 	}
-	time.Sleep(20 * time.Millisecond) // let GC run
 	if v, err := old.GetString("k"); err != nil || v != "first" {
 		t.Fatalf("old snapshot got (%q,%v), want first", v, err)
 	}
 	old.Commit()
-	db.CollectGarbage()
-	if db.Stats().GCReclaimed == 0 {
-		t.Fatal("GC pruned nothing")
+	for i := 200; i < 400; i++ {
+		db.Update(func(tx *Tx) error { return tx.PutString("k", fmt.Sprintf("v%d", i)) })
 	}
+	st := db.Stats()
+	if st.GCPasses != 0 || st.GCReclaimed < 200 {
+		t.Fatalf("after 400 commits and no pass: %d passes, %d reclaimed; want 0 and >= 200", st.GCPasses, st.GCReclaimed)
+	}
+	if st.Versions > 200 {
+		t.Fatalf("%d versions retained of one key", st.Versions)
+	}
+	db.CollectGarbage()
 	db.View(func(tx *Tx) error {
-		if v, _ := tx.GetString("k"); v != "v199" {
+		if v, _ := tx.GetString("k"); v != "v399" {
 			t.Fatalf("latest = %q", v)
 		}
 		return nil
 	})
 }
 
-// Without GCInterval read-only begins are untracked, so a manual pass
-// prunes at vtnc alone. An open snapshot below it must learn that, not
-// read "not found" for a key that existed at its snapshot.
-func TestUntrackedSnapshotAfterGCIsTooOld(t *testing.T) {
+// An open View holds collection off what it reads, under every protocol:
+// a CollectGarbage pass and the installs of later commits both leave it
+// its old value.
+func TestOpenSnapshotSurvivesCollection(t *testing.T) {
 	for _, p := range allProtocols() {
 		t.Run(p.String(), func(t *testing.T) {
 			db, _ := Open(Options{Protocol: p})
 			defer db.Close()
 			db.Update(func(tx *Tx) error { return tx.PutString("x", "old") })
-			ro, err := db.BeginReadOnly()
+			read := func(tx *Tx, where string) {
+				t.Helper()
+				if v, err := tx.GetString("x"); err != nil || v != "old" {
+					t.Fatalf("Get %s = (%q, %v), want old", where, v, err)
+				}
+				n := 0
+				if err := tx.Scan("", func(string, []byte) bool { n++; return true }); err != nil || n != 1 {
+					t.Fatalf("Scan %s = (%d keys, %v), want 1 key", where, n, err)
+				}
+			}
+			err := db.View(func(tx *Tx) error {
+				db.Update(func(tx *Tx) error { return tx.PutString("x", "new") })
+				if n := db.CollectGarbage(); n != 0 {
+					t.Fatalf("CollectGarbage = %d under an open snapshot, want 0", n)
+				}
+				read(tx, "after CollectGarbage")
+				for i := 0; i < 64; i++ {
+					db.Update(func(tx *Tx) error { return tx.PutString("x", fmt.Sprint(i)) })
+				}
+				read(tx, "after 64 installs")
+				return nil
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			db.Update(func(tx *Tx) error { return tx.PutString("x", "new") })
-			if n := db.CollectGarbage(); n != 1 {
-				t.Fatalf("CollectGarbage = %d, want 1", n)
+			if n := db.CollectGarbage(); n != 65 {
+				t.Fatalf("CollectGarbage after the View = %d, want 65", n)
 			}
-			if v, err := ro.GetString("x"); !errors.Is(err, ErrSnapshotTooOld) {
-				t.Fatalf("Get after GC = (%q, %v), want ErrSnapshotTooOld", v, err)
-			}
-			if err := ro.Scan("", func(string, []byte) bool { return true }); !errors.Is(err, ErrSnapshotTooOld) {
-				t.Fatalf("Scan after GC = %v, want ErrSnapshotTooOld", err)
-			}
-			if IsRetryable(ErrSnapshotTooOld) {
-				t.Fatal("ErrSnapshotTooOld is retryable")
-			}
-			ro.Commit()
 			db.View(func(tx *Tx) error {
-				if v, err := tx.GetString("x"); err != nil || v != "new" {
-					t.Fatalf("fresh snapshot got (%q, %v), want new", v, err)
+				if v, err := tx.GetString("x"); err != nil || v != "63" {
+					t.Fatalf("fresh snapshot got (%q, %v), want 63", v, err)
 				}
 				return nil
 			})
@@ -414,8 +431,9 @@ func TestUntrackedSnapshotAfterGCIsTooOld(t *testing.T) {
 	}
 }
 
-// A pinned snapshot below the pruned horizon reads the same error, while
-// a key GC dropped nothing of still reads at that position.
+// A snapshot pinned below what collection already dropped reads
+// ErrSnapshotTooOld, while a key nothing was dropped of still reads at
+// that position.
 func TestBeginReadOnlyAtBelowPrunedHorizon(t *testing.T) {
 	db, _ := Open(Options{})
 	defer db.Close()
@@ -433,8 +451,13 @@ func TestBeginReadOnlyAtBelowPrunedHorizon(t *testing.T) {
 			first, _ = tx.TN()
 		}
 	}
-	if n := db.CollectGarbage(); n != 2 {
-		t.Fatalf("CollectGarbage = %d, want 2", n)
+	// x's array held two versions when v3 came: that install dropped v1,
+	// and the pass v2.
+	if n := db.CollectGarbage(); n != 1 {
+		t.Fatalf("CollectGarbage = %d, want 1", n)
+	}
+	if n := db.Stats().GCReclaimed; n != 2 {
+		t.Fatalf("GCReclaimed = %d, want 2", n)
 	}
 	ro, err := db.BeginReadOnlyAt(first)
 	if err != nil {
@@ -443,6 +466,12 @@ func TestBeginReadOnlyAtBelowPrunedHorizon(t *testing.T) {
 	defer ro.Commit()
 	if v, err := ro.GetString("x"); !errors.Is(err, ErrSnapshotTooOld) {
 		t.Fatalf("Get(x) at %d = (%q, %v), want ErrSnapshotTooOld", first, v, err)
+	}
+	if err := ro.Scan("", func(string, []byte) bool { return true }); !errors.Is(err, ErrSnapshotTooOld) {
+		t.Fatalf("Scan at %d = %v, want ErrSnapshotTooOld", first, err)
+	}
+	if IsRetryable(ErrSnapshotTooOld) {
+		t.Fatal("ErrSnapshotTooOld is retryable")
 	}
 	if v, err := ro.GetString("y"); err != nil || v != "only" {
 		t.Fatalf("Get(y) at %d = (%q, %v), want only", first, v, err)
@@ -592,9 +621,10 @@ func TestScanSnapshot(t *testing.T) {
 // TestDurableUpdateAllocations is the allocation budget of the
 // benchmark's transaction shape, a two-key read-modify-write made durable
 // by group commit: beyond the two values it writes, the four of an
-// in-memory Put (TestDisabledZeroOverhead) and what the version chains of
-// its two keys grow by, amortised — nothing per lock, nothing for the
-// write set or its log record. (19 in all before the lock table, the
+// in-memory Put (TestDisabledZeroOverhead) — nothing per lock, nothing
+// for the write set or its log record, and nothing for the version
+// chains of its two keys, which collection at install keeps in the
+// arrays they have. (19 in all before the lock table, the
 // write set and Enqueue stopped allocating per key; 6 measured now.)
 func TestDurableUpdateAllocations(t *testing.T) {
 	db, err := Open(Options{WALPath: filepath.Join(t.TempDir(), "wal"), GroupCommit: true})
