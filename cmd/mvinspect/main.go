@@ -22,24 +22,13 @@
 // lock, which group-commit batch it fsynced behind, whom it queued
 // behind in the visibility drain.
 //
-// With -hotspots it polls a running database's /debug/mvdb/hotspot
-// endpoint (enabled by mvdb.Options.Hotspot) and renders the contention
-// cartography: ranked hot keys by read/write, conflict pairs by abort
-// cause, the per-stripe lock heatmap, chain-depth and snapshot-age
-// distributions, and epoch-lane occupancy with the stall lane marked.
-//
-// With -health it polls a running database's /debug/mvdb/health
-// endpoint (enabled by mvdb.Options.Health) and renders the windowed
-// health timeline as sparkline rows per metric and resolution level,
-// plus the SLO burn-rate states. -metric restricts the view to one
-// metric, -level to one resolution. Both -live and -health ride out a
-// restarting process with capped-backoff reconnection.
+// -live rides out a restarting process with capped-backoff
+// reconnection.
 //
 // Usage:
 //
 //	mvinspect [-v] [-key <filter>] <commit.log | commit.log.snap>
 //	mvinspect -live <host:port> [-interval 1s] [-count N]
-//	mvinspect -health <host:port> [-interval 1s] [-count N] [-metric m] [-level L]
 //	mvinspect -bundle <flight-000001-reason.json>
 //	mvinspect -trace <host:port>
 package main
@@ -65,22 +54,10 @@ func main() {
 		count    = flag.Int("count", 0, "number of polls with -live (0 = until interrupted)")
 		bundle   = flag.String("bundle", "", "render a flight-recorder postmortem bundle instead of reading a log")
 		traces   = flag.String("trace", "", "fetch /debug/mvdb/traces from a running database (host:port) and render causal waterfalls")
-		healthAt = flag.String("health", "", "poll a running database's health timeline (host:port) as sparkline dashboards")
-		metric   = flag.String("metric", "", "restrict -health to one metric")
-		level    = flag.Int("level", -1, "restrict -health to one resolution level")
-		hotspots = flag.String("hotspots", "", "poll a running database's hotspot profile (host:port): hot keys, conflict pairs, stripe heatmap")
 	)
 	flag.Parse()
 	if *live != "" {
 		runLive(*live, *interval, *count)
-		return
-	}
-	if *hotspots != "" {
-		runHotspots(*hotspots, *interval, *count)
-		return
-	}
-	if *healthAt != "" {
-		runHealth(*healthAt, *interval, *count, *metric, *level)
 		return
 	}
 	if *traces != "" {

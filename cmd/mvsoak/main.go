@@ -1,27 +1,29 @@
 // Command mvsoak is the long-horizon soak driver: it runs a steady
 // mixed workload against a durable engine for hours (or a CI-sized
-// smoke window), with the windowed health timeline as its pass/fail
-// oracle. Where mvtorture asks "does the engine survive crashes",
-// mvsoak asks "does the engine stay healthy over time" — no paging SLO
-// breach, no audit alarm, and no unbounded drift in heap, version
-// chains, or retained versions across the run.
+// smoke window), with its own sampled series as its pass/fail oracle.
+// Where mvtorture asks "does the engine survive crashes", mvsoak asks
+// "does the engine stay healthy over time" — no sustained breach of the
+// commit-p99, abort-fraction or visibility-lag ceilings, no audit alarm,
+// and no unbounded drift in heap, version chains, or retained versions
+// across the run (oracle.go).
 //
 // Usage:
 //
 //	mvsoak [-duration 60s] [-protocol 2pl|to|occ|all] [-vc strict|epoch|all]
 //	       [-clients N] [-keys N] [-zipf S] [-ro F] [-rmw]
-//	       [-checkpoint 10s] [-interval 1s] [-hotspots]
+//	       [-checkpoint 10s] [-interval 1s]
 //	       [-dir D] [-json out.json] [-v]
 //
 // Each selected protocol × visibility-mode pair gets an equal share of
-// the time budget and a fresh durable store. The health timeline is
-// always written next to the store (health-<config>.json); on failure a
-// flight-recorder postmortem bundle is written too (render with
-// mvinspect -bundle). The timeline's visibility-lag SLO is part of the
-// oracle in both modes: under the epoch watermark a stall in watermark
-// advance shows up as sustained visibility lag and pages, exactly like
-// a stuck strict drain would. Exit status is 0 only if every
-// configuration passes.
+// the time budget and a fresh durable store. Every -interval the soak
+// samples db.Stats(), the process heap, and the p99 of the commits its
+// clients timed; the series is always written next to the store
+// (samples-<config>.json), and on failure a flight-recorder postmortem
+// bundle is written too (render with mvinspect -bundle). The
+// visibility-lag ceiling holds in both modes: under the epoch watermark
+// a stall in watermark advance shows up as sustained visibility lag,
+// exactly like a stuck strict drain would. Exit status is 0 only if
+// every configuration passes.
 package main
 
 import (
@@ -36,8 +38,7 @@ import (
 	"time"
 
 	"mvdb"
-	"mvdb/internal/health"
-	"mvdb/internal/hotspot"
+	"mvdb/internal/metrics"
 	"mvdb/internal/workload"
 )
 
@@ -60,28 +61,11 @@ type protocolResult struct {
 	CommitsRO   int64  `json:"commits_ro"`
 	Aborts      int64  `json:"aborts"`
 	Retries     int64  `json:"retries"`
-	AlarmsWarn  int64  `json:"alarms_warn"`
-	AlarmsPage  int64  `json:"alarms_page"`
 	AuditAlarms uint64 `json:"audit_alarms"`
-	Points      int64  `json:"points"`
+	Points      int    `json:"points"` // samples taken
 
-	Drift    []health.DriftResult `json:"drift,omitempty"`
-	Timeline string               `json:"timeline,omitempty"`
-	Bundle   string               `json:"bundle,omitempty"`
-
-	// With -hotspots: the profiler's ranked hot keys (writes, then reads
-	// when no writes were sampled).
-	TopKeys []hotspot.HotKey `json:"top_keys,omitempty"`
-}
-
-// driftChecks are the soak oracle's "no monotonic creep" bounds:
-// generous enough for CI jitter (GC timing, allocator noise), tight
-// enough that a real leak — heap, version chains, or retained
-// versions growing without bound — fails the run.
-var driftChecks = []health.DriftCheck{
-	{Metric: "heap_bytes", MaxRatio: 3.0, Slack: 64 << 20},
-	{Metric: "max_version_chain", MaxRatio: 4.0, Slack: 64},
-	{Metric: "versions", MaxRatio: 4.0, Slack: 20000},
+	Timeline string `json:"timeline,omitempty"` // the sample series file
+	Bundle   string `json:"bundle,omitempty"`
 }
 
 func main() {
@@ -95,9 +79,8 @@ func main() {
 		ro         = flag.Float64("ro", 0.5, "read-only transaction fraction")
 		rmw        = flag.Bool("rmw", false, "read-modify-write transaction shape (most conflict-prone)")
 		checkpoint = flag.Duration("checkpoint", 10*time.Second, "online checkpoint period (0 disables)")
-		interval   = flag.Duration("interval", time.Second, "health monitor base sampling period")
+		interval   = flag.Duration("interval", time.Second, "oracle sampling period")
 		dir        = flag.String("dir", "", "working directory (default: a fresh temp dir, removed on success)")
-		hotspots   = flag.Bool("hotspots", false, "enable the hotspot profiler; verdicts carry top-K hot keys")
 		seed       = flag.Int64("seed", 1, "workload seed")
 		jsonOut    = flag.String("json", "", "write the machine-readable verdict to this file")
 		verbose    = flag.Bool("v", false, "log progress per protocol")
@@ -140,14 +123,14 @@ func main() {
 	per := *duration / time.Duration(len(protocols)*len(modes))
 	for _, p := range protocols {
 		for _, m := range modes {
-			res := runProtocol(p, m, base, per, cfg, *clients, *checkpoint, *interval, *hotspots, *verbose)
+			res := runProtocol(p, m, base, per, cfg, *clients, *checkpoint, *interval, *verbose)
 			name := p + "/" + m
 			if res.Pass {
-				fmt.Printf("PASS %-10s: %d rw + %d ro commits, %d aborts, %d retries, %d points, alarms warn=%d page=%d\n",
-					name, res.CommitsRW, res.CommitsRO, res.Aborts, res.Retries, res.Points, res.AlarmsWarn, res.AlarmsPage)
+				fmt.Printf("PASS %-10s: %d rw + %d ro commits, %d aborts, %d retries, %d samples\n",
+					name, res.CommitsRW, res.CommitsRO, res.Aborts, res.Retries, res.Points)
 			} else {
 				failed = true
-				fmt.Fprintf(os.Stderr, "FAIL %-10s: %v\n  timeline: %s\n", name, res.Reasons, res.Timeline)
+				fmt.Fprintf(os.Stderr, "FAIL %-10s: %v\n  samples: %s\n", name, res.Reasons, res.Timeline)
 				if res.Bundle != "" {
 					fmt.Fprintf(os.Stderr, "  postmortem: mvinspect -bundle %s\n", res.Bundle)
 				}
@@ -212,7 +195,7 @@ func mvdbProtocol(p string) mvdb.Protocol {
 }
 
 func runProtocol(proto, mode, base string, budget time.Duration, cfg workload.Config,
-	clients int, checkpoint, interval time.Duration, hotspots, verbose bool) protocolResult {
+	clients int, checkpoint, interval time.Duration, verbose bool) protocolResult {
 
 	res := protocolResult{Protocol: proto, Visibility: mode}
 	fail := func(format string, args ...any) {
@@ -229,11 +212,8 @@ func runProtocol(proto, mode, base string, budget time.Duration, cfg workload.Co
 		WALPath:        filepath.Join(d, "commit.log"),
 		GroupCommit:    true,
 		Audit:          true,
-		Health:         true,
-		HealthInterval: interval,
 		FlightDir:      d,
 		TraceSample:    0.02,
-		Hotspot:        hotspots,
 	})
 	if err != nil {
 		fail("open: %v", err)
@@ -249,6 +229,8 @@ func runProtocol(proto, mode, base string, budget time.Duration, cfg workload.Co
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	var firstErr atomic.Value // string
+	var lat atomic.Pointer[metrics.Histogram]
+	lat.Store(metrics.NewHistogram())
 	for c := 0; c < clients; c++ {
 		src, err := workload.NewSource(cfg, c)
 		if err != nil {
@@ -260,15 +242,17 @@ func runProtocol(proto, mode, base string, budget time.Duration, cfg workload.Co
 		go func() {
 			defer wg.Done()
 			for time.Now().Before(deadline) {
-				if err := applySpec(db, src.Next()); err != nil {
+				if err := applySpec(db, src.Next(), &lat); err != nil {
 					firstErr.CompareAndSwap(nil, err.Error())
 					return
 				}
 			}
 		}()
 	}
+	series := make(chan []sample, 1)
+	go func() { series <- sampler(db, &lat, interval, done) }()
 	// Online checkpoints concurrent with the load — one of the paper's
-	// dividends, and exactly what the timeline should show as harmless.
+	// dividends, and exactly what the samples should show as harmless.
 	if checkpoint > 0 {
 		wg.Add(1)
 		go func() {
@@ -291,12 +275,14 @@ func runProtocol(proto, mode, base string, budget time.Duration, cfg workload.Co
 		fmt.Printf("  [%s/%s] %d clients for %v in %s\n", proto, mode, clients, budget, d)
 	}
 
-	// Wait for the workload clients, then release the checkpointer.
+	// Wait for the workload clients, then release the checkpointer and
+	// the sampler.
 	waitClients := make(chan struct{})
 	go func() { wg.Wait(); close(waitClients) }()
 	<-time.After(budget)
 	close(done)
 	<-waitClients
+	samples := <-series
 
 	if e, ok := firstErr.Load().(string); ok && e != "" {
 		fail("workload error: %s", e)
@@ -310,30 +296,16 @@ func runProtocol(proto, mode, base string, budget time.Duration, cfg workload.Co
 		fail("%d audit alarms", res.AuditAlarms)
 	}
 
-	mon := db.Health()
-	res.AlarmsWarn, res.AlarmsPage = mon.AlarmCounts()
-	res.Points = mon.PointsTotal()
-	if res.AlarmsPage > 0 {
-		fail("%d paging SLO alarms", res.AlarmsPage)
-	}
+	// Oracle, part 2: the sampled series.
+	res.Points = len(samples)
+	res.Reasons = append(res.Reasons, judge(samples)...)
 
-	// Oracle, part 2: long-horizon drift over the base-resolution
-	// timeline.
-	pts := mon.Points(0, 0)
-	res.Drift = health.CheckDrift(pts, driftChecks)
-	for _, dr := range res.Drift {
-		if !dr.OK {
-			fail("drift: %s grew %g -> %g (bound %g)", dr.Metric, dr.FirstMean, dr.LastMean, dr.Bound)
-		}
-	}
-
-	// The timeline is always written — a passing soak's shape is the
+	// The series is always written — a passing soak's shape is the
 	// baseline the next failing one is compared against.
-	tl := mon.Timeline(-1, 0)
-	tlPath := filepath.Join(d, "health-"+proto+"-"+mode+".json")
-	if data, err := json.MarshalIndent(tl, "", "  "); err == nil {
-		if err := os.WriteFile(tlPath, append(data, '\n'), 0o644); err == nil {
-			res.Timeline = tlPath
+	spath := filepath.Join(d, "samples-"+proto+"-"+mode+".json")
+	if data, err := json.MarshalIndent(samples, "", "  "); err == nil {
+		if err := os.WriteFile(spath, append(data, '\n'), 0o644); err == nil {
+			res.Timeline = spath
 		}
 	}
 
@@ -343,15 +315,6 @@ func runProtocol(proto, mode, base string, budget time.Duration, cfg workload.Co
 	if verbose {
 		fmt.Printf("  [%s/%s] log: %d appends in %d batches, %d gathers ended on the backstop\n",
 			proto, mode, sn.WALAppends, sn.WALBatches, sn.WALGatherTimeouts)
-	}
-	if rep := db.Hotspots(); rep != nil {
-		res.TopKeys = rep.HotWrites
-		if len(res.TopKeys) == 0 {
-			res.TopKeys = rep.HotReads
-		}
-		if len(res.TopKeys) > 8 {
-			res.TopKeys = res.TopKeys[:8]
-		}
 	}
 
 	res.Pass = len(res.Reasons) == 0
@@ -367,7 +330,9 @@ func runProtocol(proto, mode, base string, budget time.Duration, cfg workload.Co
 	return res
 }
 
-func applySpec(db *mvdb.DB, spec workload.TxnSpec) error {
+// applySpec runs one transaction, recording a read-write one's latency,
+// retries included, into the histogram lat points at.
+func applySpec(db *mvdb.DB, spec workload.TxnSpec, lat *atomic.Pointer[metrics.Histogram]) error {
 	if spec.ReadOnly {
 		return db.View(func(tx *mvdb.Tx) error {
 			for _, op := range spec.Ops {
@@ -378,6 +343,8 @@ func applySpec(db *mvdb.DB, spec workload.TxnSpec) error {
 			return nil
 		})
 	}
+	start := time.Now()
+	defer func() { lat.Load().RecordSince(start) }()
 	return db.Update(func(tx *mvdb.Tx) error {
 		for _, op := range spec.Ops {
 			if op.Write {

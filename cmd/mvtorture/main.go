@@ -8,7 +8,7 @@
 //
 //	mvtorture [-seed N] [-duration 60s | -rounds N] [-clients N]
 //	          [-protocol 2pl|to|occ|all] [-vc strict|epoch|all]
-//	          [-dir D] [-hotspots] [-v]
+//	          [-dir D] [-v]
 //
 // The default runs the full engine matrix (three protocols, both
 // visibility modes) and splits the time budget evenly. Exit status is
@@ -32,7 +32,6 @@ import (
 
 	"mvdb/internal/core"
 	"mvdb/internal/crashtest"
-	"mvdb/internal/hotspot"
 	"mvdb/internal/vc"
 )
 
@@ -62,9 +61,6 @@ type configResult struct {
 	// across the configuration's run; on failure the postmortem bundle
 	// embeds them.
 	Traces int `json:"traces,omitempty"`
-	// HotKeys ranks the configuration's hottest keys across all crash
-	// rounds (present only with -hotspots).
-	HotKeys []hotspot.HotKey `json:"hot_keys,omitempty"`
 }
 
 func main() {
@@ -77,7 +73,6 @@ func main() {
 		vcFlag   = flag.String("vc", "all", "visibility mode: strict, epoch, or all (both)")
 		dir      = flag.String("dir", "", "working directory (default: a fresh temp dir, removed on success)")
 		sample   = flag.Float64("trace", 0.05, "per-transaction causal-trace sampling rate (0 disables; promoted traces ride the postmortem bundle and the -json verdict)")
-		hotspots = flag.Bool("hotspots", false, "profile hot keys across crash rounds; the -json verdict carries each configuration's top keys")
 		jsonOut  = flag.String("json", "", "write the machine-readable verdict to this file")
 		verbose  = flag.Bool("v", false, "log every round")
 	)
@@ -113,7 +108,6 @@ func main() {
 		Rounds:      *rounds,
 		Clients:     *clients,
 		TraceSample: *sample,
-		Hotspots:    *hotspots,
 	}
 	if *rounds <= 0 {
 		perConfig.Duration = *duration / time.Duration(len(configs))
@@ -142,7 +136,6 @@ func main() {
 			Config: cfg.String(), Seed: opts.Seed, Pass: err == nil, Dir: d, Bundle: rep.Bundle,
 			Rounds: rep.Rounds, Crashes: rep.Crashes, CleanRounds: rep.CleanRounds,
 			Acked: rep.Acked, Attempts: rep.Attempts, Traces: rep.Traces,
-			HotKeys: rep.HotKeys,
 		}
 		if err != nil {
 			res.Error = err.Error()

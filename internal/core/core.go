@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"mvdb/internal/engine"
-	"mvdb/internal/hotspot"
 	"mvdb/internal/lock"
 	"mvdb/internal/obs"
 	"mvdb/internal/storage"
@@ -107,13 +106,6 @@ type Options struct {
 	// commit, and the VC drain. Nil keeps the hot path at one pointer
 	// test and zero allocations.
 	Traces *trace.Tracer
-	// Hotspot, when non-nil, enables the workload profiler
-	// (internal/hotspot): sampled per-key read/write touches, a
-	// per-stripe lock-contention heatmap, abort-cause × key conflict
-	// pairs, and epoch-lane occupancy, all surfaced through Snapshot.
-	// Nil keeps every hot-path hook at one pointer test and zero
-	// allocations.
-	Hotspot *hotspot.Profiler
 
 	// UnsafeEarlyRegister2PL is ablation A1: it makes the 2PL engine
 	// register transactions with version control at begin instead of at
@@ -299,7 +291,6 @@ func (e *Engine) Snapshot() obs.Snapshot {
 	}
 	sn.StoreWaits = int64(e.store.TotalWaits())
 	sn.Phases = e.phases.Summaries()
-	sn.Hotspot = e.hot.Report() // nil-safe: nil profiler, nil section
 	if e.opts.WAL != nil {
 		a, f, b := e.opts.WAL.Counters()
 		sn.WALAppends = int64(a)
@@ -474,7 +465,7 @@ func (e *Engine) commitTail(o *txObs, entry vc.Handle, writes []wal.Write) error
 	// once its pending versions are resolved.
 	switch o.proto {
 	case proto2PL:
-		e.clearLocks(o, writes)
+		e.locks.ReleaseAll(o.id)
 	case protoOCC:
 		e.valMu.Unlock()
 	}
@@ -487,7 +478,7 @@ func (e *Engine) commitTail(o *txObs, entry vc.Handle, writes []wal.Write) error
 	}
 	if err != nil {
 		e.vc.Discard(entry) // after the withdrawal: vtnc may now pass tn
-		o.abort(causeLog, "")
+		o.abort(causeLog)
 		return fmt.Errorf("core: commit log: %w", err)
 	}
 	o.committed(tn)

@@ -2,12 +2,12 @@ package core
 
 // This file is the engine core's one observation seam. Everything the
 // core reports — history events (engine.Recorder), lifecycle counters
-// (obs.Stats), the phase matrix (obs.PhaseStats), causal spans
-// (trace.Active) and the workload profile (hotspot.Profiler) — is
-// reported from here and nowhere else in the package: the protocol files
-// (twopl.go, tso.go, occ.go, readonly.go) see only the txObs methods and
-// the cause/phase/protocol names below, and import none of time, obs,
-// trace or hotspot (boundary_test.go holds them to that).
+// (obs.Stats), the phase matrix (obs.PhaseStats) and causal spans
+// (trace.Active) — is reported from here and nowhere else in the
+// package: the protocol files (twopl.go, tso.go, occ.go, readonly.go)
+// see only the txObs methods and the cause/phase/protocol names below,
+// and import none of time, obs or trace (boundary_test.go holds them to
+// that).
 //
 // There is no interface: every sink has exactly one implementation and
 // each is nil-safe, so fan-out is a fixed sequence of calls and a
@@ -18,11 +18,9 @@ import (
 	"time"
 
 	"mvdb/internal/engine"
-	"mvdb/internal/hotspot"
 	"mvdb/internal/obs"
 	"mvdb/internal/trace"
 	"mvdb/internal/vc"
-	"mvdb/internal/vc/epoch"
 	"mvdb/internal/wal"
 )
 
@@ -40,15 +38,14 @@ const (
 )
 
 // sinks is everything the core reports to. rec and stats always exist;
-// the other three are nil unless their option is on.
+// the other two are nil unless their option is on.
 type sinks struct {
 	rec engine.Recorder
 	// stats is the engine-wide registry (internal/obs), shared with the
 	// public Stats API and the /debug/mvdb endpoint.
 	stats  *obs.Stats
-	phases *obs.PhaseStats   // Options.PhaseTiming
-	traces *trace.Tracer     // Options.Traces
-	hot    *hotspot.Profiler // Options.Hotspot
+	phases *obs.PhaseStats // Options.PhaseTiming
+	traces *trace.Tracer   // Options.Traces
 }
 
 func newSinks(opts Options) sinks {
@@ -60,7 +57,6 @@ func newSinks(opts Options) sinks {
 		rec:    engine.Multi(opts.Recorder, ring),
 		stats:  obs.NewStats(),
 		traces: opts.Traces,
-		hot:    opts.Hotspot,
 	}
 	if opts.PhaseTiming {
 		s.phases = obs.NewPhaseStats(opts.Trace)
@@ -71,32 +67,23 @@ func newSinks(opts Options) sinks {
 // observeLocks feeds the lock manager's waits to the sinks. Only 2PL
 // transactions reach the lock manager, so the attribution row is fixed.
 func (e *Engine) observeLocks() {
-	e.hot.BindStripes(e.locks.Stripes())
 	e.locks.SetWaitObserver(func(txID uint64, key string, stripe int, blocker uint64, wait time.Duration) {
 		e.stats.LockWaitNanos.Record(wait.Nanoseconds())
 		e.phases.Record(proto2PL, obs.PhaseLockWait, txID, wait)
 		e.traces.OnLockWait(txID, key, stripe, blocker, wait)
-		e.hot.RecordStripeWait(stripe, wait)
 		e.opts.Trace.Record(obs.Event{Type: obs.EvLockWait, Tx: txID, Key: key, Dur: wait.Nanoseconds()})
 	})
 }
 
 // observeVC wires the version-control module's register→visible lag
-// into the phase matrix and the span tracer, and points the profiler's
-// visibility taps at the controller (lane frontiers exist only under
-// epoch visibility). Called at construction and again whenever the
-// controller is replaced (recovery).
+// into the phase matrix and the span tracer. Called at construction and
+// again whenever the controller is replaced (recovery).
 func (e *Engine) observeVC() {
 	if e.phases != nil || e.traces != nil {
 		e.vc.SetVisibleObserver(func(tn uint64, d time.Duration) {
 			e.phases.Record(obs.ProtoIdx(e.opts.Protocol), obs.PhaseVisibleWait, tn, d)
 			e.traces.OnVisible(tn, d)
 		})
-	}
-	if ec, ok := e.vc.(*epoch.Controller); ok {
-		e.hot.BindVC(ec.LaneFrontiers, ec.Epoch, ec.VTNC)
-	} else {
-		e.hot.BindVC(nil, nil, e.vc.VTNC)
 	}
 }
 
@@ -155,41 +142,36 @@ const (
 )
 
 // abortCauses is the one place an abort cause is spelled out: the
-// counter it increments, the error the engine call returns (nil where
+// counter it increments and the error the engine call returns (nil where
 // the caller has its own: Abort returns nothing, a log failure wraps
-// the writer's error), and the profiler's conflict-pair label ("" for
-// causes that name no key).
+// the writer's error).
 var abortCauses = [...]struct {
 	counter func(*obs.Stats) *obs.Counter
 	err     error
-	label   string
 }{
-	causeConflict: {func(s *obs.Stats) *obs.Counter { return &s.AbortsConflict }, engine.ErrConflict, "conflict"},
-	causeDeadlock: {func(s *obs.Stats) *obs.Counter { return &s.AbortsDeadlock }, engine.ErrDeadlock, "deadlock"},
-	causeWounded:  {func(s *obs.Stats) *obs.Counter { return &s.AbortsWounded }, engine.ErrWounded, "wounded"},
+	causeConflict: {func(s *obs.Stats) *obs.Counter { return &s.AbortsConflict }, engine.ErrConflict},
+	causeDeadlock: {func(s *obs.Stats) *obs.Counter { return &s.AbortsDeadlock }, engine.ErrDeadlock},
+	causeWounded:  {func(s *obs.Stats) *obs.Counter { return &s.AbortsWounded }, engine.ErrWounded},
 	// Its own counter, still surfaced as ErrDeadlock: a timeout is the
 	// timeout policy's deadlock presumption.
 	causeTimeout: {func(s *obs.Stats) *obs.Counter { return &s.AbortsTimeout },
-		fmt.Errorf("%w (lock wait timeout)", engine.ErrDeadlock), "timeout"},
-	causeTOWrite:     {func(s *obs.Stats) *obs.Counter { return &s.AbortsConflict }, engine.ErrConflict, "to-write"},
-	causeTOWriteByRO: {func(s *obs.Stats) *obs.Counter { return &s.AbortsConflict }, engine.ErrConflict, "to-write"},
-	causeOCCRead:     {func(s *obs.Stats) *obs.Counter { return &s.AbortsConflict }, engine.ErrConflict, "occ-read"},
-	causeOCCValidate: {func(s *obs.Stats) *obs.Counter { return &s.AbortsConflict }, engine.ErrConflict, "occ-validate"},
-	causeUser:        {func(s *obs.Stats) *obs.Counter { return &s.AbortsUser }, nil, ""},
-	causeLog:         {func(s *obs.Stats) *obs.Counter { return &s.AbortsLog }, nil, ""},
+		fmt.Errorf("%w (lock wait timeout)", engine.ErrDeadlock)},
+	causeTOWrite:     {func(s *obs.Stats) *obs.Counter { return &s.AbortsConflict }, engine.ErrConflict},
+	causeTOWriteByRO: {func(s *obs.Stats) *obs.Counter { return &s.AbortsConflict }, engine.ErrConflict},
+	causeOCCRead:     {func(s *obs.Stats) *obs.Counter { return &s.AbortsConflict }, engine.ErrConflict},
+	causeOCCValidate: {func(s *obs.Stats) *obs.Counter { return &s.AbortsConflict }, engine.ErrConflict},
+	causeUser:        {func(s *obs.Stats) *obs.Counter { return &s.AbortsUser }, nil},
+	causeLog:         {func(s *obs.Stats) *obs.Counter { return &s.AbortsLog }, nil},
 }
 
 // txObs is one transaction's handle on the sinks. Every transaction
 // struct embeds it by value, so observing costs no allocation of its
 // own. It is used from the transaction's goroutine only.
 type txObs struct {
-	e  *Engine
-	id uint64
-	tr *trace.Active // nil unless this transaction was head-sampled
-	// lockedAt is the instant of the first lock acquisition; zero unless
-	// this is a 2PL transaction and the profiler is on.
-	lockedAt instant
-	proto    obs.ProtoIdx
+	e     *Engine
+	id    uint64
+	tr    *trace.Active // nil unless this transaction was head-sampled
+	proto obs.ProtoIdx
 	// done is set by the protocol code once the transaction has
 	// committed or aborted. It, and a read-only transaction's registry
 	// slot, live here, in the tail padding of what every transaction
@@ -197,16 +179,6 @@ type txObs struct {
 	done bool
 	slot int8
 }
-
-// instant is a monotonic clock reading, nanoseconds since epoch0: one
-// word in every transaction struct where a time.Time would be three.
-// Zero — epoch0 itself, which no later reading returns — means "not
-// taken".
-type instant int64
-
-var epoch0 = time.Now()
-
-func now() instant { return instant(time.Since(epoch0)) }
 
 // span is an open timed phase, held (on the stack) by the code that
 // opened it.
@@ -255,15 +227,9 @@ func (o *txObs) registered(tn uint64) { o.tr.CommitTN(tn) }
 
 // read reports that the transaction read version tn of key (0 = the
 // bootstrap state, which an absent key also reads as).
-func (o *txObs) read(key string, tn uint64) {
-	o.e.hot.TouchRead(key)
-	o.e.rec.RecordRead(o.id, key, tn)
-}
+func (o *txObs) read(key string, tn uint64) { o.e.rec.RecordRead(o.id, key, tn) }
 
-// write reports that the transaction buffered (2PL, OCC) or placed as
-// pending (T/O) a write of key; wrote, that version tn of it is in.
-func (o *txObs) write(key string) { o.e.hot.TouchWrite(key) }
-
+// wrote reports that version tn of key is in.
 func (o *txObs) wrote(key string, tn uint64) { o.e.rec.RecordWrite(o.id, key, tn) }
 
 // collected counts the versions the transaction's installs dropped into
@@ -303,26 +269,6 @@ func (o *txObs) close(sp span) time.Duration {
 	o.e.phases.PprofExit()
 	o.tr.Span(sp.phase.String(), sp.start, d)
 	return d
-}
-
-// locked notes the first lock acquisition; held charges the span from
-// there to now as hold time to the stripe of every key the transaction
-// wrote (read-lock-only keys are not retained and are skipped) — the
-// 2PL growing+shrinking window the stripe heatmap wants. Profiler only.
-func (o *txObs) locked() {
-	if o.e.hot != nil && o.lockedAt == 0 {
-		o.lockedAt = now()
-	}
-}
-
-func (o *txObs) held(writes []wal.Write) {
-	if o.lockedAt == 0 {
-		return
-	}
-	d := time.Duration(now() - o.lockedAt)
-	for _, wr := range writes {
-		o.e.hot.RecordHold(o.e.locks.StripeOf(wr.Key), d)
-	}
 }
 
 // enqueueLog and awaitLog are the two halves of logging a commit, timed
@@ -397,9 +343,8 @@ func (o *txObs) complete(entry vc.Handle) {
 
 // abort reports the transaction's abort to every sink and returns the
 // cause's engine error. The caller has already given back whatever the
-// protocol held. key is the object the conflict was noticed on, "" when
-// the cause names none.
-func (o *txObs) abort(c abortCause, key string) error {
+// protocol held.
+func (o *txObs) abort(c abortCause) error {
 	row := &abortCauses[c]
 	row.counter(o.e.stats).Inc()
 	if c == causeTOWriteByRO {
@@ -407,12 +352,6 @@ func (o *txObs) abort(c abortCause, key string) error {
 		// r-ts. Counted anyway so the paper's claim is measured, not
 		// assumed (experiment E2).
 		o.e.stats.RWAbortsByRO.Inc()
-	}
-	if row.label != "" {
-		o.e.hot.RecordConflict(row.label, key)
-	}
-	if c == causeWounded && key != "" {
-		o.e.hot.RecordWound(o.e.locks.StripeOf(key))
 	}
 	o.e.rec.RecordAbort(o.id)
 	o.tr.FinishAbort()

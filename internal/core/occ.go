@@ -45,7 +45,7 @@ func (t *occTx) Get(key string) ([]byte, error) {
 		// can no longer validate, so fail fast.
 		t.done = true
 		t.end(sp)
-		return nil, t.abort(causeOCCRead, key)
+		return nil, t.abort(causeOCCRead)
 	}
 	t.readSet[key] = v.TN
 	t.read(key, v.TN)
@@ -67,7 +67,6 @@ func (t *occTx) put(w wal.Write) error {
 	if t.done {
 		return engine.ErrTxDone
 	}
-	t.write(w.Key)
 	t.buf.put(w)
 	return nil
 }
@@ -93,7 +92,7 @@ func (t *occTx) Commit() error {
 		if cur != seenTN {
 			e.valMu.Unlock()
 			t.end(sp)
-			return t.abort(causeOCCValidate, key)
+			return t.abort(causeOCCValidate)
 		}
 	}
 	entry := e.vc.Register()
@@ -108,7 +107,7 @@ func (t *occTx) Commit() error {
 func (t *occTx) Abort() {
 	if !t.done {
 		t.done = true
-		t.abort(causeUser, "")
+		t.abort(causeUser)
 	}
 }
 

@@ -125,7 +125,7 @@ func (t *roTx) Commit() error {
 func (t *roTx) Abort() {
 	if !t.done {
 		t.finish()
-		t.abort(causeUser, "")
+		t.abort(causeUser)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"mvdb/internal/engine"
-	"mvdb/internal/hotspot"
 	"mvdb/internal/lock"
 	"mvdb/internal/obs"
 	"mvdb/internal/trace"
@@ -43,7 +42,6 @@ type sinkScript struct {
 	reads                          int64
 	installs                       int64            // commits that got as far as putting their versions in
 	aborts                         map[string]int64 // by Stats cause
-	pairs                          map[string]int64 // by profiler label
 }
 
 func (s *sinkScript) begin(class engine.Class) engine.Tx {
@@ -79,16 +77,13 @@ func (s *sinkScript) commit(tx engine.Tx) {
 }
 
 // aborted checks that err is the engine error of an abort the script
-// provoked, and books it under its Stats cause and profiler label.
-func (s *sinkScript) aborted(err, want error, cause, label string) {
+// provoked, and books it under its Stats cause.
+func (s *sinkScript) aborted(err, want error, cause string) {
 	s.t.Helper()
 	if !errors.Is(err, want) {
 		s.t.Fatalf("%s abort: err = %v, want %v", cause, err, want)
 	}
 	s.aborts[cause]++
-	if label != "" {
-		s.pairs[label]++
-	}
 }
 
 // blockedPut runs tx.Put(key) on a second goroutine and returns once
@@ -128,7 +123,7 @@ func (s *sinkScript) logFailures(fs *gateFS, log *wal.Writer) {
 		if !strings.Contains(err.Error(), "core: commit log") {
 			s.t.Fatalf("commit over failed fsync: err = %v", err)
 		}
-		s.aborted(err, errGate, "log", "")
+		s.aborted(err, errGate, "log")
 	}
 	base, _, _ := log.Counters()
 	fs.armed.Store(true)
@@ -163,7 +158,7 @@ var sinkCases = []struct {
 		s.must(t1.Put("x", []byte("1")))
 		s.must(t2.Put("y", []byte("2")))
 		join := s.blockedPut(t1, "y", s.e.locks.Waits)
-		s.aborted(t2.Put("x", []byte("2")), engine.ErrDeadlock, "deadlock", "deadlock") // closes the cycle
+		s.aborted(t2.Put("x", []byte("2")), engine.ErrDeadlock, "deadlock") // closes the cycle
 		join()
 		s.commit(t1)
 	}},
@@ -173,28 +168,28 @@ var sinkCases = []struct {
 		s.must(young.Put("x", []byte("2")))
 		join := s.blockedPut(old, "x", s.e.locks.Wounds)
 		_, err := young.Get("q")
-		s.aborted(err, engine.ErrWounded, "wounded", "wounded")
+		s.aborted(err, engine.ErrWounded, "wounded")
 		join()
 		s.commit(old)
 		// ... or, having none left to make, at commit.
 		old, young = s.begin(engine.ReadWrite), s.begin(engine.ReadWrite)
 		s.must(young.Put("x", []byte("2")))
 		join = s.blockedPut(old, "x", s.e.locks.Wounds)
-		s.aborted(young.Commit(), engine.ErrWounded, "wounded", "wounded")
+		s.aborted(young.Commit(), engine.ErrWounded, "wounded")
 		join()
 		s.commit(old)
 	}},
 	{"2pl/timeout", TwoPhaseLocking, lock.TimeoutPolicy, func(s *sinkScript) {
 		t1, t2 := s.begin(engine.ReadWrite), s.begin(engine.ReadWrite)
 		s.must(t1.Put("x", []byte("1")))
-		s.aborted(t2.Put("x", []byte("2")), engine.ErrDeadlock, "timeout", "timeout")
+		s.aborted(t2.Put("x", []byte("2")), engine.ErrDeadlock, "timeout")
 		s.commit(t1)
 	}},
 	{"to", TimestampOrdering, lock.Detect, func(s *sinkScript) {
 		for i := 0; i < 2; i++ {
 			old, young := s.begin(engine.ReadWrite), s.begin(engine.ReadWrite)
 			s.get(young, "a") // raises r-ts(a) past old
-			s.aborted(old.Put("a", []byte("late")), engine.ErrConflict, "conflict", "to-write")
+			s.aborted(old.Put("a", []byte("late")), engine.ErrConflict, "conflict")
 			s.commit(young)
 		}
 	}},
@@ -208,12 +203,12 @@ var sinkCases = []struct {
 		s.get(t1, "a")
 		overwrite()
 		s.must(t1.Put("b", []byte("stale")))
-		s.aborted(t1.Commit(), engine.ErrConflict, "conflict", "occ-validate")
+		s.aborted(t1.Commit(), engine.ErrConflict, "conflict")
 		t1 = s.begin(engine.ReadWrite)
 		s.get(t1, "a")
 		overwrite()
 		_, err := t1.Get("a")
-		s.aborted(err, engine.ErrConflict, "conflict", "occ-read")
+		s.aborted(err, engine.ErrConflict, "conflict")
 	}},
 	{"ro", TwoPhaseLocking, lock.Detect, func(s *sinkScript) {
 		for i := 0; i < 4; i++ {
@@ -235,8 +230,8 @@ var sinkCases = []struct {
 
 // TestSinkAgreement runs, per protocol, a script with a known number of
 // commits and of aborts per cause against an engine with every sink on
-// — Recorder, the event ring, phase timing, tracing at sample rate 1,
-// the profiler — over a log whose fsync fails after the script's last
+// — Recorder, the event ring, phase timing, tracing at sample rate 1 —
+// over a log whose fsync fails after the script's last
 // good commit, and requires all of them to report the script's numbers.
 func TestSinkAgreement(t *testing.T) {
 	for _, c := range sinkCases {
@@ -245,10 +240,9 @@ func TestSinkAgreement(t *testing.T) {
 			rec := &countingRecorder{}
 			ring := obs.NewTracer(1 << 12)
 			spans := trace.New(trace.Options{Sample: 1, Recent: 1 << 10, Promoted: 1 << 10})
-			prof := hotspot.New(hotspot.Options{SampleEvery: 1})
 			e, log, err := OpenDurable(filepath.Join(t.TempDir(), "commit.log"), Options{
 				Protocol: c.protocol, LockPolicy: c.policy, LockTimeout: 5 * time.Millisecond,
-				Recorder: rec, Trace: ring, PhaseTiming: true, Traces: spans, Hotspot: prof,
+				Recorder: rec, Trace: ring, PhaseTiming: true, Traces: spans,
 			}, DurableOptions{FS: fs, WAL: wal.Options{Policy: wal.SyncBatch}})
 			if err != nil {
 				t.Fatal(err)
@@ -256,7 +250,7 @@ func TestSinkAgreement(t *testing.T) {
 			defer log.Close()
 			defer e.Close()
 
-			s := &sinkScript{t: t, e: e, aborts: map[string]int64{}, pairs: map[string]int64{}}
+			s := &sinkScript{t: t, e: e, aborts: map[string]int64{}}
 			s.common()
 			c.conflicts(s)
 			s.logFailures(fs, log)
@@ -314,17 +308,6 @@ func TestSinkAgreement(t *testing.T) {
 			eq("traces committed", outcomes["commit"], commits)
 			eq("traces aborted", outcomes["abort"], abortsTotal)
 
-			got := map[string]int64{}
-			for _, p := range sn.Hotspot.Conflicts {
-				got[p.Cause] += int64(p.Count)
-			}
-			for label, want := range s.pairs {
-				eq("conflict pairs "+label, got[label], want)
-				delete(got, label)
-			}
-			for label, n := range got {
-				t.Errorf("conflict pairs %s = %d, want none", label, n)
-			}
 		})
 	}
 }

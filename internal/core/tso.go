@@ -75,9 +75,8 @@ func (t *tsoTx) put(w wal.Write) error {
 			cause = causeTOWriteByRO
 		}
 		t.rollback()
-		return t.abort(cause, w.Key)
+		return t.abort(cause)
 	}
-	t.write(w.Key)
 	t.writes.put(w)
 	return nil
 }
@@ -109,7 +108,7 @@ func (t *tsoTx) Commit() error {
 func (t *tsoTx) Abort() {
 	if !t.done {
 		t.rollback()
-		t.abort(causeUser, "")
+		t.abort(causeUser)
 	}
 }
 

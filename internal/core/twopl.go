@@ -75,7 +75,6 @@ func (t *twoPhaseTx) put(w wal.Write) error {
 	if err := t.acquire(w.Key, lock.Exclusive); err != nil {
 		return err
 	}
-	t.write(w.Key)
 	t.buf.put(w)
 	return nil
 }
@@ -85,7 +84,6 @@ func (t *twoPhaseTx) put(w wal.Write) error {
 func (t *twoPhaseTx) acquire(key string, mode lock.Mode) error {
 	err := t.e.locks.Acquire(t.id, key, mode)
 	if err == nil {
-		t.locked()
 		return nil
 	}
 	cause := causeConflict
@@ -98,18 +96,12 @@ func (t *twoPhaseTx) acquire(key string, mode lock.Mode) error {
 		cause = causeTimeout
 	}
 	t.rollback()
-	return t.abort(cause, key)
-}
-
-// clearLocks is Figure 4's "clear locks", on commit and abort alike.
-func (e *Engine) clearLocks(o *txObs, writes []wal.Write) {
-	o.held(writes)
-	e.locks.ReleaseAll(o.id)
+	return t.abort(cause)
 }
 
 func (t *twoPhaseTx) rollback() {
 	t.done = true
-	t.e.clearLocks(&t.txObs, t.buf.writes)
+	t.e.locks.ReleaseAll(t.id) // Figure 4's "clear locks"
 	if t.entry != nil {
 		t.e.vc.Discard(t.entry)
 	}
@@ -123,10 +115,10 @@ func (t *twoPhaseTx) Commit() error {
 		return engine.ErrTxDone
 	}
 	// Under wound-wait a running transaction may have been wounded while
-	// it held locks; it must not commit. No key is at hand to blame.
+	// it held locks; it must not commit.
 	if t.e.locks.Wounded(t.id) {
 		t.rollback()
-		return t.abort(causeWounded, "")
+		return t.abort(causeWounded)
 	}
 	t.done = true
 	entry := t.entry
@@ -142,7 +134,7 @@ func (t *twoPhaseTx) Commit() error {
 func (t *twoPhaseTx) Abort() {
 	if !t.done {
 		t.rollback()
-		t.abort(causeUser, "")
+		t.abort(causeUser)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"mvdb/internal/engine"
 	"mvdb/internal/faultfs"
 	"mvdb/internal/history"
-	"mvdb/internal/hotspot"
 	"mvdb/internal/storage"
 	"mvdb/internal/trace"
 	"mvdb/internal/vc"
@@ -46,15 +45,10 @@ func Configs() []Config {
 	return out
 }
 
-func openEngine(fsys faultfs.FS, walPath string, cfg Config, rec engine.Recorder) (*core.Engine, *wal.Writer, error) {
-	return openEngineTraced(fsys, walPath, cfg, rec, nil, nil)
-}
-
-// openEngineTraced additionally attaches a per-transaction span tracer
-// and a workload profiler, so torture rounds can ship causal traces in
-// their postmortem bundles and accumulate hot keys across incarnations.
-func openEngineTraced(fsys faultfs.FS, walPath string, cfg Config, rec engine.Recorder, spans *trace.Tracer, prof *hotspot.Profiler) (*core.Engine, *wal.Writer, error) {
-	return core.OpenDurable(walPath, core.Options{Protocol: cfg.Protocol, Visibility: cfg.Visibility, Recorder: rec, Traces: spans, Hotspot: prof},
+// openEngine recovers the engine over fsys. spans, when non-nil, is the
+// per-transaction span tracer torture rounds ship causal traces from.
+func openEngine(fsys faultfs.FS, walPath string, cfg Config, rec engine.Recorder, spans *trace.Tracer) (*core.Engine, *wal.Writer, error) {
+	return core.OpenDurable(walPath, core.Options{Protocol: cfg.Protocol, Visibility: cfg.Visibility, Recorder: rec, Traces: spans},
 		core.DurableOptions{FS: fsys, WAL: wal.Options{Policy: wal.SyncBatch}})
 }
 
@@ -86,7 +80,7 @@ func runScript(fsys *faultfs.FaultFS, walPath string, cfg Config, o *Oracle) err
 		return m
 	}
 
-	e, w, err := openEngine(fsys, walPath, cfg, nil)
+	e, w, err := openEngine(fsys, walPath, cfg, nil, nil)
 	if err != nil {
 		return err
 	}
@@ -136,7 +130,7 @@ func runScript(fsys *faultfs.FaultFS, walPath string, cfg Config, o *Oracle) err
 	}
 
 	// Reopen from the compacted state and keep committing.
-	e, w, err = openEngine(fsys, walPath, cfg, nil)
+	e, w, err = openEngine(fsys, walPath, cfg, nil, nil)
 	if err != nil {
 		if fsys.Crashed() {
 			return err
@@ -166,7 +160,7 @@ func RecoverAndCheck(walPath string, cfg Config, o *Oracle) error {
 	for round := 0; round < 2; round++ {
 		rec := history.NewRecorder()
 		aud := audit.New(audit.Options{})
-		e, w, err := openEngine(faultfs.New(faultfs.Plan{}), walPath, cfg, engine.Multi(rec, aud))
+		e, w, err := openEngine(faultfs.New(faultfs.Plan{}), walPath, cfg, engine.Multi(rec, aud), nil)
 		if err != nil {
 			aud.Close()
 			return fmt.Errorf("recovery round %d failed: %w", round, err)

@@ -11,7 +11,6 @@ import (
 	"mvdb/internal/engine"
 	"mvdb/internal/faultfs"
 	"mvdb/internal/flight"
-	"mvdb/internal/hotspot"
 	"mvdb/internal/trace"
 )
 
@@ -42,10 +41,6 @@ type TortureOptions struct {
 	// an oracle violation flags the freshest ones into the postmortem
 	// bundle (Bundle.Traces).
 	TraceSample float64
-	// Hotspots attaches one workload profiler across every engine
-	// incarnation, so the run's hottest keys accumulate over crash
-	// rounds (TortureReport.HotKeys).
-	Hotspots bool
 }
 
 // TortureReport summarizes a completed torture run.
@@ -61,10 +56,6 @@ type TortureReport struct {
 	// Traces is how many causal traces were promoted across the run
 	// (0 unless TortureOptions.TraceSample > 0).
 	Traces int
-	// HotKeys ranks the run's most-written keys (falling back to
-	// most-read), accumulated across every crash round (nil unless
-	// TortureOptions.Hotspots).
-	HotKeys []hotspot.HotKey
 }
 
 // capturePostmortem photographs a live engine into a flight bundle when
@@ -130,28 +121,7 @@ func Torture(dir string, opts TortureOptions) (TortureReport, error) {
 	if opts.TraceSample > 0 {
 		spans = trace.New(trace.Options{Sample: opts.TraceSample, Seed: uint64(opts.Seed) | 1})
 	}
-	// Likewise one profiler spans every round, so hot keys accumulate
-	// across crash/recover incarnations. Sample every touch: torture
-	// rounds are short and the sketch must see enough to rank keys.
-	var prof *hotspot.Profiler
-	if opts.Hotspots {
-		prof = hotspot.New(hotspot.Options{SampleEvery: 1})
-	}
-
 	var rep TortureReport
-	fillHot := func() {
-		if prof == nil {
-			return
-		}
-		hr := prof.Report()
-		rep.HotKeys = hr.HotWrites
-		if len(rep.HotKeys) == 0 {
-			rep.HotKeys = hr.HotReads
-		}
-		if len(rep.HotKeys) > 8 {
-			rep.HotKeys = rep.HotKeys[:8]
-		}
-	}
 	for {
 		if opts.Rounds > 0 && rep.Rounds >= opts.Rounds {
 			break
@@ -174,7 +144,7 @@ func Torture(dir string, opts TortureOptions) (TortureReport, error) {
 		crashAt := 1 + rng.Intn(40+rng.Intn(400))
 		fs := faultfs.New(faultfs.Plan{Rules: []faultfs.Rule{{AtOp: crashAt, Fault: ft}}})
 
-		e, w, err := openEngineTraced(fs, walPath, opts.Config, nil, spans, prof)
+		e, w, err := openEngine(fs, walPath, opts.Config, nil, spans)
 		if err != nil {
 			if fs.Crashed() {
 				// The cut hit recovery itself; survive it and go again.
@@ -192,7 +162,6 @@ func Torture(dir string, opts TortureOptions) (TortureReport, error) {
 			err = fmt.Errorf("round %d: %w", rep.Rounds, err)
 			capturePostmortem(&rep, opts.FlightDir, e, spans, err.Error(), logf)
 			rep.Traces = len(spans.Promoted())
-			fillHot()
 			w.Close()
 			e.Close()
 			return rep, err
@@ -273,19 +242,17 @@ func Torture(dir string, opts TortureOptions) (TortureReport, error) {
 		// The checking engine is gone; reopen the surviving state cleanly
 		// so the bundle photographs what recovery actually produced.
 		if opts.FlightDir != "" {
-			if e, w, oerr := openEngine(faultfs.New(faultfs.Plan{}), walPath, opts.Config, nil); oerr == nil {
+			if e, w, oerr := openEngine(faultfs.New(faultfs.Plan{}), walPath, opts.Config, nil, nil); oerr == nil {
 				capturePostmortem(&rep, opts.FlightDir, e, spans, err.Error(), logf)
 				w.Close()
 				e.Close()
 			}
 		}
 		rep.Traces = len(spans.Promoted())
-		fillHot()
 		return rep, err
 	}
 	rep.Acked = o.Acks()
 	rep.Attempts = o.Attempts()
 	rep.Traces = len(spans.Promoted())
-	fillHot()
 	return rep, nil
 }

@@ -33,17 +33,15 @@ import (
 	"mvdb/internal/audit"
 	"mvdb/internal/core"
 	"mvdb/internal/faultfs"
-	"mvdb/internal/health"
-	"mvdb/internal/hotspot"
 	"mvdb/internal/lock"
 	"mvdb/internal/obs"
 	"mvdb/internal/trace"
 )
 
 // SchemaVersion identifies the bundle format. Bump on any
-// backwards-incompatible change to Bundle's shape. v2 added the health
-// timeline section; v3 the hotspot report.
-const SchemaVersion = "mvdb-flight/v3"
+// change to Bundle's shape. v4 dropped v2's health timeline and v3's
+// hotspot report; Load still reads those versions, ignoring both keys.
+const SchemaVersion = "mvdb-flight/v4"
 
 // Sources are the read-only taps the recorder samples. Stats is
 // required; every other tap is optional (nil omits its section from
@@ -64,14 +62,6 @@ type Sources struct {
 	// freshest sampled traces ("this bundle is the anomaly — keep the
 	// evidence") before returning.
 	Traces func() []trace.Trace
-	// Health returns the health monitor's recent base-resolution points
-	// (oldest first) — what the rates and percentiles were doing in the
-	// minutes before the trigger.
-	Health func() []health.Point
-	// Hotspot returns the workload profiler's report — which keys and
-	// stripes were hot when the trigger fired (nil report omits the
-	// section).
-	Hotspot func() *hotspot.Report
 }
 
 // Options configures a Recorder.
@@ -119,8 +109,6 @@ type Bundle struct {
 	Audit     *audit.Snapshot `json:"audit,omitempty"`
 	WaitGraph *lock.WaitGraph `json:"wait_graph,omitempty"`
 	Traces    []trace.Trace   `json:"traces,omitempty"`
-	Health    []health.Point  `json:"health,omitempty"`
-	Hotspot   *hotspot.Report `json:"hotspot,omitempty"`
 }
 
 // Recorder is the running black box. Create with New, stop with Close.
@@ -296,12 +284,6 @@ func (r *Recorder) assemble(reason, detail string) Bundle {
 	if r.src.Traces != nil {
 		b.Traces = r.src.Traces()
 	}
-	if r.src.Health != nil {
-		b.Health = r.src.Health()
-	}
-	if r.src.Hotspot != nil {
-		b.Hotspot = r.src.Hotspot()
-	}
 	return b
 }
 
@@ -309,9 +291,8 @@ func (r *Recorder) assemble(reason, detail string) Bundle {
 func (r *Recorder) Bundles() uint64 { return r.seq.Load() }
 
 // RateLimited returns how many TriggerAsync calls the MinGap limiter has
-// suppressed — the health timeline turns this into a per-interval rate
-// (a sustained nonzero rate means alarms are firing faster than bundles
-// can record them).
+// suppressed (a growing count means alarms are firing faster than
+// bundles can record them).
 func (r *Recorder) RateLimited() uint64 { return r.rateLimited.Load() }
 
 // LastBundle returns the most recently written bundle's path ("" if

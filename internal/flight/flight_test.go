@@ -322,6 +322,38 @@ func TestCaptureOneShot(t *testing.T) {
 	}
 }
 
+// TestLoadV3Bundle: a v3 bundle carries the health timeline, the hotspot
+// report (top level and inside stats) and "health" ring events. v4
+// dropped all three; Load and Render (mvinspect -bundle) must still read
+// such a postmortem, keeping every section v4 still has.
+func TestLoadV3Bundle(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "flight-v3.json")
+	if err := os.WriteFile(path, []byte(`{"schema":"mvdb-flight/v3","seq":4,"reason":"slo-commit-p99",
+		"stats":{"protocol":"vc+2pl","commits_rw":9,"hotspot":{"enabled":true,"touches":12}},
+		"trace":[{"seq":1,"at_ns":1,"type":"commit","tx":3,"tn":3},
+		         {"seq":2,"at_ns":2,"type":"health","key":"commit-p99/page","n":6}],
+		"wait_graph":{"waiters":1,"edges":[{"from":5,"to":3,"key":"hot","mode":"exclusive"}]},
+		"health":[{"at_ns":1,"commit_p99_ns":400000000,"abort_frac":0.1}],
+		"hotspot":{"enabled":true,"hot_writes":[{"key":"hot","count":40}],
+		           "stripes":[{"stripe":3,"waits":7}]}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	b, err := flight.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Seq != 4 || b.Stats.CommitsRW != 9 || len(b.Trace) != 2 || b.WaitGraph == nil {
+		t.Fatalf("v3 bundle decoded to %+v", b)
+	}
+	var sb strings.Builder
+	flight.Render(b, &sb)
+	for _, want := range []string{"mvdb-flight/v3", "== waits-for graph (1 waiters) ==", "== trace tail (2 events) =="} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("v3 bundle render lacks %q:\n%s", want, sb.String())
+		}
+	}
+}
+
 // TestCloseSemantics: Trigger fails after Close, TriggerAsync is a
 // no-op, double Close is safe.
 func TestCloseSemantics(t *testing.T) {

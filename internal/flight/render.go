@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"mvdb/internal/hotspot"
 	"mvdb/internal/metrics"
 	"mvdb/internal/trace"
 )
@@ -69,30 +68,6 @@ func Render(b *Bundle, w io.Writer) {
 		fmt.Fprintf(w, "\n== waits-for graph (%d waiters) ==\n", g.Waiters)
 		for _, e := range g.Edges {
 			fmt.Fprintf(w, "  tx %d --[%s %q]--> tx %d\n", e.From, e.Mode, e.Key, e.To)
-		}
-	}
-
-	if h := b.Hotspot; h != nil {
-		fmt.Fprintf(w, "\n== hotspot profile ==\n")
-		fmt.Fprintf(w, "  touches=%d sampled=%d shed=%d (1 in %d)\n",
-			h.Touches, h.Sampled, h.Shed, h.SampleEvery)
-		top := func(label string, keys []hotspot.HotKey) {
-			if len(keys) == 0 {
-				return
-			}
-			fmt.Fprintf(w, "  top %s:\n", label)
-			for _, k := range keys {
-				fmt.Fprintf(w, "    %-24q count>=%d (err %d)\n", k.Key, k.Count-k.Err, k.Err)
-			}
-		}
-		top("writes", h.HotWrites)
-		top("reads", h.HotReads)
-		for _, c := range h.Conflicts {
-			fmt.Fprintf(w, "  conflict %-12s %-24q x%d\n", c.Cause, c.Key, c.Count)
-		}
-		for _, s := range h.Stripes {
-			fmt.Fprintf(w, "  stripe %3d: waits=%d wait=%s wounds=%d hold=%s\n",
-				s.Stripe, s.Waits, metrics.Dur(s.WaitNanos), s.Wounds, metrics.Dur(s.HoldNanos))
 		}
 	}
 

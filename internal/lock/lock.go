@@ -294,10 +294,6 @@ func (m *Manager) stripeFor(key string) *stripe {
 	return &m.stripes[m.stripeIdx(key)]
 }
 
-// StripeOf reports which stripe a key hashes to — the attribution hook
-// for the hotspot profiler's per-stripe contention heatmap.
-func (m *Manager) StripeOf(key string) int { return m.stripeIdx(key) }
-
 // lockStripe takes s.mu, counting the acquisition as a collision when
 // another goroutine already holds it (the stripe contention signal
 // surfaced in obs snapshots).

@@ -176,77 +176,6 @@ func (h *Histogram) Quantiles(ps []float64) []int64 {
 	return out
 }
 
-// BucketCounts is a point-in-time copy of a histogram's raw buckets.
-// Two copies taken at different times can be subtracted to read the
-// distribution of ONLY the samples recorded in between — the interval
-// percentiles a windowed health timeline needs, which the cumulative
-// Summary cannot provide (its percentiles never forget old samples).
-type BucketCounts struct {
-	counts [maxOctaves * subBuckets]uint64
-	total  uint64
-}
-
-// Buckets snapshots the histogram's buckets. The copy is consistent
-// enough for interval math: concurrent records may straddle the walk,
-// but each sample is counted at most once per bucket and the total is
-// read last, so a later snapshot minus an earlier one never goes
-// negative by more than in-flight records (clamped by DeltaQuantiles).
-func (h *Histogram) Buckets() BucketCounts {
-	var b BucketCounts
-	for i := range h.counts {
-		b.counts[i] = h.counts[i].Load()
-	}
-	b.total = h.total.Load()
-	return b
-}
-
-// Total returns the sample count the snapshot saw.
-func (b *BucketCounts) Total() uint64 { return b.total }
-
-// DeltaQuantiles returns upper bounds for the requested percentiles of
-// the samples recorded between prev and b (both from the same
-// histogram, prev taken earlier), aligned with ps. With no samples in
-// the interval every answer is 0.
-func (b *BucketCounts) DeltaQuantiles(prev *BucketCounts, ps []float64) []int64 {
-	out := make([]int64, len(ps))
-	var n uint64
-	if b.total > prev.total {
-		n = b.total - prev.total
-	}
-	if n == 0 || len(ps) == 0 {
-		return out
-	}
-	order := make([]int, len(ps))
-	ranks := make([]uint64, len(ps))
-	for i, p := range ps {
-		order[i] = i
-		ranks[i] = rankOf(p, n)
-	}
-	sort.Slice(order, func(a, c int) bool { return ranks[order[a]] < ranks[order[c]] })
-	var seen uint64
-	next := 0
-	last := int64(0)
-	for i := range b.counts {
-		if next >= len(order) {
-			break
-		}
-		if d := b.counts[i] - prev.counts[i]; b.counts[i] > prev.counts[i] {
-			seen += d
-			last = bucketUpper(i)
-		}
-		for next < len(order) && seen >= ranks[order[next]] {
-			out[order[next]] = bucketUpper(i)
-			next++
-		}
-	}
-	// Records racing the two snapshots can leave trailing ranks
-	// unresolved; bound them by the largest interval bucket seen.
-	for ; next < len(order); next++ {
-		out[order[next]] = last
-	}
-	return out
-}
-
 // Summary is an immutable snapshot of a histogram. All durations are
 // nanoseconds; the JSON field names say so because the same document is
 // served by the /debug/mvdb endpoint and mirrored into harness output.

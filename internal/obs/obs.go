@@ -26,7 +26,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mvdb/internal/hotspot"
 	"mvdb/internal/metrics"
 )
 
@@ -252,12 +251,6 @@ type Snapshot struct {
 	// transaction's time went — CC conflict resolution, WAL enqueue vs
 	// group-commit fsync wait, version install, register→visible lag.
 	Phases []PhaseSummary `json:"phases,omitempty"`
-
-	// Hotspot is the workload profiler's report (nil unless
-	// Options.Hotspot): heavy-hitter keys, per-stripe contention heat,
-	// conflict pairs, chain-depth/snapshot-age distributions, and
-	// epoch-lane occupancy.
-	Hotspot *hotspot.Report `json:"hotspot,omitempty"`
 
 	// Process health: liveness basics for dashboards and the future
 	// server binary. UptimeSeconds counts from the engine's stats

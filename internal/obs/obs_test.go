@@ -206,7 +206,7 @@ func TestEventJSONRoundTrip(t *testing.T) {
 // traces — must survive the JSON round trip, and unknown type names
 // must decode without error.
 func TestEventJSONRoundTripAllTypes(t *testing.T) {
-	for ty := EvBegin; ty <= EvHealth; ty++ {
+	for ty := EvBegin; ty <= EvBlame; ty++ {
 		in := Event{Seq: 1, At: 2, Type: ty, Tx: 3, TN: 4}
 		b, err := json.Marshal(in)
 		if err != nil {

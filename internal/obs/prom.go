@@ -228,67 +228,6 @@ func (sn Snapshot) WriteProm(w io.Writer) error {
 		}
 	}
 
-	if h := sn.Hotspot; h != nil {
-		p.Header("mvdb_hotspot_touches_total", "counter", "Key touches observed by the workload profiler, by outcome (sampled updated a sketch, shed lost the non-blocking race, total counts every touch).")
-		p.Int("mvdb_hotspot_touches_total", int64(h.Touches), "outcome", "total")
-		p.Int("mvdb_hotspot_touches_total", int64(h.Sampled), "outcome", "sampled")
-		p.Int("mvdb_hotspot_touches_total", int64(h.Shed), "outcome", "shed")
-		p.Header("mvdb_hotspot_sample_every", "gauge", "Profiler sampling period (1 in N key touches).")
-		p.Int("mvdb_hotspot_sample_every", int64(h.SampleEvery))
-		if len(h.HotReads) > 0 || len(h.HotWrites) > 0 {
-			p.Header("mvdb_hotspot_key_touches", "gauge", "Space-Saving sketch counts for the hottest keys, by operation (overestimates by at most the sketch error).")
-			for _, hk := range h.HotReads {
-				p.Int("mvdb_hotspot_key_touches", int64(hk.Count), "op", "read", "key", hk.Key)
-			}
-			for _, hk := range h.HotWrites {
-				p.Int("mvdb_hotspot_key_touches", int64(hk.Count), "op", "write", "key", hk.Key)
-			}
-		}
-		if len(h.Conflicts) > 0 {
-			p.Header("mvdb_hotspot_conflicts", "gauge", "Abort-cause × key conflict sketch counts.")
-			for _, c := range h.Conflicts {
-				p.Int("mvdb_hotspot_conflicts", int64(c.Count), "cause", c.Cause, "key", c.Key)
-			}
-		}
-		if len(h.Stripes) > 0 {
-			p.Header("mvdb_hotspot_stripe_waits_total", "counter", "Lock waits attributed to each active stripe.")
-			p.Header("mvdb_hotspot_stripe_wait_seconds_total", "counter", "Lock wait time attributed to each active stripe.")
-			p.Header("mvdb_hotspot_stripe_wounds_total", "counter", "Wound-wait victims attributed to each active stripe.")
-			p.Header("mvdb_hotspot_stripe_hold_seconds_total", "counter", "Lock hold time attributed to each active stripe.")
-			for _, s := range h.Stripes {
-				stripe := strconv.Itoa(s.Stripe)
-				p.Int("mvdb_hotspot_stripe_waits_total", s.Waits, "stripe", stripe)
-				p.Value("mvdb_hotspot_stripe_wait_seconds_total", float64(s.WaitNanos)/1e9, "stripe", stripe)
-				p.Int("mvdb_hotspot_stripe_wounds_total", s.Wounds, "stripe", stripe)
-				p.Value("mvdb_hotspot_stripe_hold_seconds_total", float64(s.HoldNanos)/1e9, "stripe", stripe)
-			}
-		}
-		if h.ChainDepth.Count > 0 {
-			p.Header("mvdb_hotspot_chain_depth", "summary", "Version-chain depth distribution observed at GC passes (count-valued).")
-			p.Value("mvdb_hotspot_chain_depth", float64(h.ChainDepth.P50), "quantile", "0.5")
-			p.Value("mvdb_hotspot_chain_depth", float64(h.ChainDepth.P90), "quantile", "0.9")
-			p.Value("mvdb_hotspot_chain_depth", float64(h.ChainDepth.P99), "quantile", "0.99")
-			p.Int("mvdb_hotspot_chain_depth_sum", h.ChainDepth.TotalNanoseconds)
-			p.Int("mvdb_hotspot_chain_depth_count", int64(h.ChainDepth.Count))
-		}
-		if h.SnapshotAge.Count > 0 {
-			p.Header("mvdb_hotspot_snapshot_age", "summary", "GC watermark distance behind the visibility horizon at each pass, in transactions (count-valued).")
-			p.Value("mvdb_hotspot_snapshot_age", float64(h.SnapshotAge.P50), "quantile", "0.5")
-			p.Value("mvdb_hotspot_snapshot_age", float64(h.SnapshotAge.P90), "quantile", "0.9")
-			p.Value("mvdb_hotspot_snapshot_age", float64(h.SnapshotAge.P99), "quantile", "0.99")
-			p.Int("mvdb_hotspot_snapshot_age_sum", h.SnapshotAge.TotalNanoseconds)
-			p.Int("mvdb_hotspot_snapshot_age_count", int64(h.SnapshotAge.Count))
-		}
-		if len(h.Lanes) > 0 {
-			p.Header("mvdb_hotspot_lane_frontier", "gauge", "Epoch-lane completion frontiers (the minimum lane holds the watermark back).")
-			for i, f := range h.Lanes {
-				p.Int("mvdb_hotspot_lane_frontier", int64(f), "lane", strconv.Itoa(i))
-			}
-			p.Header("mvdb_hotspot_stall_lane", "gauge", "The lane currently stalling the epoch watermark (-1 when unknown).")
-			p.Int("mvdb_hotspot_stall_lane", int64(h.StallLane))
-		}
-	}
-
 	p.Header("mvdb_build_info", "gauge", "Process build identity (constant 1; identity in labels).")
 	p.Int("mvdb_build_info", 1, "go_version", sn.GoVersion, "revision", sn.BuildRevision)
 	p.Header("mvdb_goroutines", "gauge", "Live goroutines in the process.")

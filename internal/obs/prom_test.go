@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"mvdb/internal/hotspot"
 	"mvdb/internal/metrics"
 )
 
@@ -230,7 +229,6 @@ func TestWritePromCompleteness(t *testing.T) {
 		"MeanVersionChain":          "mvdb_version_chain_mean",
 		"StoreWaits":                "mvdb_store_waits_total",
 		"Phases":                    "mvdb_phase_seconds",
-		"Hotspot":                   "mvdb_hotspot_touches_total",
 		"Goroutines":                "mvdb_goroutines",
 		"GOMAXPROCS":                "mvdb_gomaxprocs",
 		"UptimeSeconds":             "mvdb_uptime_seconds",
@@ -285,23 +283,6 @@ func TestWritePromCompleteness(t *testing.T) {
 				Durations: metrics.Summary{Count: 1, P50: 1, P99: 1, Max: 1, TotalNanoseconds: 1},
 				SlowestTx: 42,
 			}}))
-		case f.Type == reflect.TypeOf((*hotspot.Report)(nil)):
-			fv.Set(reflect.ValueOf(&hotspot.Report{
-				Enabled:     true,
-				TopK:        4,
-				SampleEvery: 1,
-				Touches:     10,
-				Sampled:     9,
-				Shed:        1,
-				HotReads:    []hotspot.HotKey{{Key: "r", Count: 5}},
-				HotWrites:   []hotspot.HotKey{{Key: "w", Count: 6, Err: 1}},
-				Conflicts:   []hotspot.HotPair{{Cause: "deadlock", Key: "w", Count: 2}},
-				Stripes:     []hotspot.StripeHeat{{Stripe: 1, Waits: 3, WaitNanos: 1e6, Wounds: 1, HoldNanos: 2e6}},
-				ChainDepth:  metrics.Summary{Count: 1, P50: 2, P99: 2, Max: 2, TotalNanoseconds: 2},
-				SnapshotAge: metrics.Summary{Count: 1, P50: 3, P99: 3, Max: 3, TotalNanoseconds: 3},
-				Lanes:       []uint64{4, 2},
-				StallLane:   1,
-			}))
 		case fv.CanInt():
 			fv.SetInt(7)
 		case fv.CanUint():
@@ -341,23 +322,11 @@ func TestWritePromCompleteness(t *testing.T) {
 	if !emitted["mvdb_phase_slowest_tx"] {
 		t.Errorf("mvdb_phase_slowest_tx missing from exposition")
 	}
-	// The hotspot section fans out into sub-families that ride its
-	// anchor field; a populated report must emit them all.
-	for _, fam := range []string{
-		"mvdb_hotspot_sample_every",
-		"mvdb_hotspot_key_touches",
-		"mvdb_hotspot_conflicts",
-		"mvdb_hotspot_stripe_waits_total",
-		"mvdb_hotspot_stripe_wait_seconds_total",
-		"mvdb_hotspot_stripe_wounds_total",
-		"mvdb_hotspot_stripe_hold_seconds_total",
-		"mvdb_hotspot_chain_depth",
-		"mvdb_hotspot_snapshot_age",
-		"mvdb_hotspot_lane_frontier",
-		"mvdb_hotspot_stall_lane",
-	} {
-		if !emitted[fam] {
-			t.Errorf("%s missing from exposition", fam)
+	// No layer owns these prefixes: a fully populated snapshot emits
+	// neither.
+	for fam := range emitted {
+		if strings.HasPrefix(fam, "mvdb_health_") || strings.HasPrefix(fam, "mvdb_hotspot_") {
+			t.Errorf("deleted family %s emitted", fam)
 		}
 	}
 }

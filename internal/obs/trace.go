@@ -43,13 +43,9 @@ const (
 	// Dur the span the edge explains, N the kind-specific magnitude
 	// (queue depth, batch records, lock stripe).
 	EvBlame
-	// EvHealth is a health-layer SLO alarm: Key is "slo/severity"
-	// (e.g. "commit-p99/page"), Dur the observed metric value when it is
-	// a duration, N the breach count inside the fast window.
-	EvHealth
 )
 
-var evNames = [...]string{"begin", "read", "write", "commit", "abort", "lock-wait", "gc", "snapshot", "phase", "span", "blame", "health"}
+var evNames = [...]string{"begin", "read", "write", "commit", "abort", "lock-wait", "gc", "snapshot", "phase", "span", "blame"}
 
 func (t EventType) String() string {
 	if int(t) < len(evNames) {

@@ -461,9 +461,9 @@ func (c *Controller) Lag() uint64 {
 	return t - 1 - v
 }
 
-// LaneFrontiers snapshots every lane's completion frontier — the
-// hotspot profiler's lane-occupancy tap. The lane with the smallest
-// frontier is the one currently holding the watermark back.
+// LaneFrontiers snapshots every lane's completion frontier. The lane
+// with the smallest frontier is the one currently holding the watermark
+// back.
 func (c *Controller) LaneFrontiers() []uint64 {
 	out := make([]uint64, len(c.lanes))
 	for i := range c.lanes {

@@ -43,8 +43,6 @@ import (
 	"mvdb/internal/faultfs"
 	"mvdb/internal/flight"
 	"mvdb/internal/gc"
-	"mvdb/internal/health"
-	"mvdb/internal/hotspot"
 	"mvdb/internal/lock"
 	"mvdb/internal/obs"
 	"mvdb/internal/trace"
@@ -248,41 +246,6 @@ type Options struct {
 	// FlightInterval is the flight recorder's background sampling
 	// cadence (0 = 1s).
 	FlightInterval time.Duration
-	// Hotspot enables the contention cartographer: a lock-free sampling
-	// profiler that keeps heavy-hitter sketches of hot keys (reads and
-	// writes separately), a per-stripe lock-contention heatmap, conflict
-	// pairs (abort cause × key), version-chain-depth and snapshot-age
-	// distributions, and — under VisibilityEpoch — per-lane occupancy
-	// with watermark-stall attribution. The report appears in
-	// Stats().Hotspot, /metrics (mvdb_hotspot_*), flight bundles, and
-	// GET /debug/mvdb/hotspot (render live with `mvinspect -hotspots`).
-	// Off — the default — keeps every hot-path hook at one pointer test.
-	Hotspot bool
-	// HotspotTopK is the heavy-hitter sketch capacity — how many hot
-	// keys each report ranks (0 = hotspot.DefaultTopK).
-	HotspotTopK int
-	// HotspotSampleEvery samples one in N key touches into the sketches
-	// (0 = hotspot.DefaultSampleEvery; 1 = every touch, for tests).
-	HotspotSampleEvery int
-	// Health enables the windowed health timeline: a background monitor
-	// diffs Stats every HealthInterval into per-interval rates, interval
-	// commit-latency percentiles and gauges, retained in bounded
-	// multi-resolution rings (hours of history in fixed memory), and
-	// evaluates HealthSLOs over them with fast/slow burn-rate windows.
-	// SLO breaches promote recent traces, trigger a flight bundle (with
-	// FlightDir), and append EvHealth events to the trace ring.
-	// DB.Health() exposes the monitor; with DebugAddr set, GET
-	// /debug/mvdb/health serves the timeline (add ?format=sparkline for
-	// an ASCII dashboard) and /metrics gains the mvdb_health_* families.
-	// Off — the default — keeps every commit path at a single pointer
-	// test.
-	Health bool
-	// HealthInterval is the monitor's base sampling period (0 = 1s).
-	HealthInterval time.Duration
-	// HealthSLOs are the objectives the monitor evaluates. Empty selects
-	// a conservative default set (commit p99, abort fraction, visibility
-	// lag) with generous ceilings.
-	HealthSLOs []HealthSLO
 	// FS, when non-nil, routes every durability-path file operation
 	// (WAL, snapshots, compaction) through the given filesystem — the
 	// fault-injection harness's hook. Nil selects the real filesystem.
@@ -326,31 +289,17 @@ type TxTracer = trace.Tracer
 // TxBlame is one causal blame edge within a TxTrace.
 type TxBlame = trace.Blame
 
-// HealthMonitor is the windowed health timeline (see Options.Health).
-type HealthMonitor = health.Monitor
-
-// HealthPoint is one interval's digest of engine health.
-type HealthPoint = health.Point
-
-// HealthSLO is one declarative objective over a HealthPoint metric.
-type HealthSLO = health.SLO
-
-// HealthAlarm is one raised SLO breach.
-type HealthAlarm = health.Alarm
-
 // DB is an open database.
 type DB struct {
 	eng       *core.Engine
 	collector *gc.Collector
 	log       *wal.Writer
-	tracer    *obs.Tracer       // nil unless DebugAddr/TraceEvents
-	spans     *trace.Tracer     // nil unless TraceSample > 0
-	auditor   *audit.Auditor    // nil unless Options.Audit
-	hot       *hotspot.Profiler // nil unless Options.Hotspot
-	flightRec *flight.Recorder  // nil unless Options.FlightDir
-	monitor   *health.Monitor   // nil unless Options.Health
-	dbg       *obs.DebugServer  // nil unless DebugAddr
-	fs        faultfs.FS        // Options.FS (nil = real filesystem)
+	tracer    *obs.Tracer      // nil unless DebugAddr/TraceEvents
+	spans     *trace.Tracer    // nil unless TraceSample > 0
+	auditor   *audit.Auditor   // nil unless Options.Audit
+	flightRec *flight.Recorder // nil unless Options.FlightDir
+	dbg       *obs.DebugServer // nil unless DebugAddr
+	fs        faultfs.FS       // Options.FS (nil = real filesystem)
 	walPath   string
 	retries   int
 	closed    bool
@@ -416,15 +365,6 @@ func Open(opts Options) (*DB, error) {
 			},
 		})
 	}
-	// The hotspot profiler exists before the engine so core.New can hand
-	// it to every transaction path and bind the stripe/VC taps.
-	var prof *hotspot.Profiler
-	if opts.Hotspot {
-		prof = hotspot.New(hotspot.Options{
-			TopK:        opts.HotspotTopK,
-			SampleEvery: opts.HotspotSampleEvery,
-		})
-	}
 	coreOpts := core.Options{
 		Protocol:    coreProtocol(opts.Protocol),
 		Visibility:  vcMode(opts.VisibilityMode),
@@ -434,7 +374,6 @@ func Open(opts Options) (*DB, error) {
 		Trace:       tracer,
 		PhaseTiming: opts.PhaseTiming,
 		Traces:      spans,
-		Hotspot:     prof,
 	}
 	if auditor != nil {
 		coreOpts.Recorder = auditor
@@ -468,7 +407,7 @@ func Open(opts Options) (*DB, error) {
 	engVC := eng.VC()
 	auditVC.Store(&engVC)
 
-	db := &DB{eng: eng, log: log, tracer: tracer, spans: spans, auditor: auditor, hot: prof, fs: opts.FS, walPath: opts.WALPath, retries: retries}
+	db := &DB{eng: eng, log: log, tracer: tracer, spans: spans, auditor: auditor, fs: opts.FS, walPath: opts.WALPath, retries: retries}
 	// Commits collect at install; the collector is CollectGarbage's sweep
 	// for the keys nobody writes again. Its pass observer feeds the GC
 	// counters and trace events.
@@ -478,76 +417,13 @@ func Open(opts Options) (*DB, error) {
 		st.GCPasses.Inc()
 		st.GCReclaimed.Add(int64(reclaimed))
 		st.GCBacklog.Record(int64(reclaimed))
-		if prof != nil {
-			// Snapshot age: how far the GC watermark (the oldest snapshot
-			// still pinning versions) trails the visibility horizon.
-			if vtnc := eng.VC().VTNC(); vtnc > watermark {
-				prof.RecordSnapshotAge(vtnc - watermark)
-			} else {
-				prof.RecordSnapshotAge(0)
-			}
-		}
 		tracer.Record(obs.Event{
 			Type: obs.EvGC, TN: watermark, N: int64(reclaimed), Dur: elapsed.Nanoseconds(),
 		})
 	})
 	db.collector.SetChainObserver(func(depth int) {
 		eng.Obs().GCChainDepth.Record(int64(depth))
-		prof.RecordChainDepth(depth)
 	})
-	if opts.Health {
-		slos := opts.HealthSLOs
-		if len(slos) == 0 {
-			slos = DefaultHealthSLOs()
-		}
-		mon, err := health.New(health.Sources{
-			Stats: db.Stats,
-			AuditAlarms: func() uint64 {
-				if auditor == nil {
-					return 0
-				}
-				return auditor.AlarmsTotal()
-			},
-			TraceDrops: func() uint64 {
-				st := spans.Stats() // nil-safe: zero stats without tracing
-				return st.DroppedRecent + st.DroppedPromoted
-			},
-			TraceDropsRecent:   func() uint64 { return spans.Stats().DroppedRecent },
-			TraceDropsPromoted: func() uint64 { return spans.Stats().DroppedPromoted },
-			AuditQueueDrops: func() uint64 {
-				if auditor == nil {
-					return 0
-				}
-				return auditor.Dropped()
-			},
-			FlightRateLimited: func() uint64 {
-				if r := flightRec.Load(); r != nil {
-					return r.RateLimited()
-				}
-				return 0
-			},
-		}, health.Options{
-			Interval: opts.HealthInterval,
-			SLOs:     slos,
-			Ring:     tracer,
-			OnAlarm: func(al health.Alarm) {
-				// An SLO breach is an anomaly like an audit alarm: keep
-				// the freshest trace evidence and photograph the engine.
-				spans.PromoteRecent("slo-"+al.SLO, 8)
-				if al.Severity == health.SeverityPage {
-					if r := flightRec.Load(); r != nil {
-						r.TriggerAsync("slo-"+al.SLO, al.Message)
-					}
-				}
-			},
-		})
-		if err != nil {
-			db.Close()
-			return nil, fmt.Errorf("mvdb: health monitor: %w", err)
-		}
-		db.monitor = mon
-		mon.Start()
-	}
 	if opts.FlightDir != "" {
 		src := flight.Sources{
 			Stats:     db.Stats,
@@ -566,12 +442,6 @@ func Open(opts Options) (*DB, error) {
 				spans.PromoteRecent("flight-trigger", 8)
 				return spans.Promoted()
 			}
-		}
-		if db.monitor != nil {
-			src.Health = func() []health.Point { return db.monitor.Points(0, 0) }
-		}
-		if prof != nil {
-			src.Hotspot = prof.Report
 		}
 		rec, err := flight.New(src, flight.Options{Dir: opts.FlightDir, Interval: opts.FlightInterval})
 		if err != nil {
@@ -596,15 +466,6 @@ func Open(opts Options) (*DB, error) {
 			serveOpts = append(serveOpts,
 				obs.WithHandler("/debug/mvdb/traces", spans.HTTPHandler()))
 		}
-		if db.monitor != nil {
-			serveOpts = append(serveOpts,
-				obs.WithHandler("/debug/mvdb/health", db.monitor.HTTPHandler()),
-				obs.WithPromExtra(db.monitor.WriteProm))
-		}
-		if prof != nil {
-			serveOpts = append(serveOpts,
-				obs.WithHandler("/debug/mvdb/hotspot", prof.HTTPHandler()))
-		}
 		dbg, err := obs.Serve(opts.DebugAddr, db.Stats, tracer, serveOpts...)
 		if err != nil {
 			db.Close()
@@ -623,10 +484,6 @@ func (db *DB) Close() error {
 	db.closed = true
 	if db.dbg != nil {
 		db.dbg.Close()
-	}
-	if db.monitor != nil {
-		// Before the engine: a tick in flight still has valid sources.
-		db.monitor.Stop()
 	}
 	if db.flightRec != nil {
 		// Before the engine and auditor: no bundle write can then observe
@@ -661,7 +518,7 @@ func (db *DB) Begin() (*Tx, error) {
 	if err != nil {
 		return nil, err
 	}
-	return db.newTx(t), nil
+	return &Tx{t: t}, nil
 }
 
 // BeginReadOnly starts a read-only snapshot transaction (paper Figure 2):
@@ -673,7 +530,7 @@ func (db *DB) BeginReadOnly() (*Tx, error) {
 	if err != nil {
 		return nil, err
 	}
-	return db.newTx(t), nil
+	return &Tx{t: t}, nil
 }
 
 // BeginReadOnlyRecent starts a read-only transaction guaranteed to
@@ -684,7 +541,7 @@ func (db *DB) BeginReadOnlyRecent() (*Tx, error) {
 	if err != nil {
 		return nil, err
 	}
-	return db.newTx(t), nil
+	return &Tx{t: t}, nil
 }
 
 // BeginReadOnlyAt starts a read-only transaction whose snapshot is pinned
@@ -699,7 +556,7 @@ func (db *DB) BeginReadOnlyAt(sn uint64) (*Tx, error) {
 	if err != nil {
 		return nil, err
 	}
-	return db.newTx(t), nil
+	return &Tx{t: t}, nil
 }
 
 // View runs fn in a read-only transaction. The transaction commits when
@@ -781,45 +638,6 @@ func (db *DB) Audit() *Auditor { return db.auditor }
 // bundle on demand; Flight().LastBundle reports the newest bundle path.
 func (db *DB) Flight() *Flight { return db.flightRec }
 
-// Health returns the windowed health monitor, or nil when
-// Options.Health was off. Health().Timeline exports the retained
-// points; Health().SLOStates the objectives' burn-rate state. Render
-// live with `mvinspect -health`.
-func (db *DB) Health() *HealthMonitor { return db.monitor }
-
-// HotspotReport is the workload profiler's point-in-time report (see
-// Options.Hotspot): ranked hot keys, conflict pairs, the per-stripe
-// contention heatmap, chain-depth/snapshot-age distributions, and epoch
-// lane occupancy.
-type HotspotReport = hotspot.Report
-
-// Hotspots returns the profiler's current report, or nil when
-// Options.Hotspot was off. Render live with `mvinspect -hotspots`.
-func (db *DB) Hotspots() *HotspotReport { return db.hot.Report() }
-
-// DefaultHealthSLOs is the objective set Options.Health uses when
-// Options.HealthSLOs is empty: ceilings generous enough that a healthy
-// engine under load never pages, tight enough that a stalled fsync,
-// runaway conflict storm, or wedged visibility advance does. The
-// visibility-lag ceiling applies under either visibility mode: under
-// strict it bounds the drain backlog, under epoch the watermark lag —
-// either way a breach means completed work is not becoming visible.
-//
-// The timeline also carries per-interval observability-loss rates
-// (trace_drops_recent, trace_drops_promoted, audit_queue_drops,
-// flight_rate_limited) that the default set leaves unguarded. To be
-// paged when postmortem evidence is being lost — promoted traces
-// overwritten faster than they are read — append an objective like:
-//
-//	mvdb.HealthSLO{Name: "trace-loss", Metric: "trace_drops_promoted", Max: 0}
-func DefaultHealthSLOs() []HealthSLO {
-	return []HealthSLO{
-		{Name: "commit-p99", Metric: "commit_p99_ns", Max: 250e6},
-		{Name: "abort-frac", Metric: "abort_frac", Max: 0.5},
-		{Name: "visibility-lag", Metric: "visibility_lag", Max: 4096},
-	}
-}
-
 // DebugAddr reports the bound address of the debug HTTP server ("" when
 // Options.DebugAddr was empty). With Options.DebugAddr ":0" this is how
 // the ephemeral port is discovered.
@@ -847,24 +665,7 @@ func (db *DB) CollectGarbage() int {
 func (db *DB) VisibilityLag() uint64 { return db.eng.VC().Lag() }
 
 // Tx is a transaction handle. It is not safe for concurrent use.
-type Tx struct {
-	t engine.Tx
-	// Health latency tap: with Options.Health off, h stays nil and the
-	// commit path costs one pointer test — no clock read, no histogram.
-	h     *health.Monitor
-	start time.Time
-}
-
-// newTx wraps an engine transaction, arming the health latency tap
-// only when the monitor exists.
-func (db *DB) newTx(t engine.Tx) *Tx {
-	tx := &Tx{t: t}
-	if db.monitor != nil {
-		tx.h = db.monitor
-		tx.start = time.Now()
-	}
-	return tx
-}
+type Tx struct{ t engine.Tx }
 
 // Get returns the value of key, or ErrNotFound.
 func (tx *Tx) Get(key string) ([]byte, error) { return tx.t.Get(key) }
@@ -886,13 +687,7 @@ func (tx *Tx) Delete(key string) error { return tx.t.Delete(key) }
 
 // Commit finishes the transaction, making its effects visible in
 // serialization order.
-func (tx *Tx) Commit() error {
-	err := tx.t.Commit()
-	if err == nil && tx.h != nil {
-		tx.h.ObserveLatency(tx.t.Class() == engine.ReadOnly, time.Since(tx.start))
-	}
-	return err
-}
+func (tx *Tx) Commit() error { return tx.t.Commit() }
 
 // Abort discards the transaction. It is safe to call after an operation
 // already aborted the transaction, and after Commit (no-op).

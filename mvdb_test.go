@@ -658,8 +658,8 @@ func TestDurableUpdateAllocations(t *testing.T) {
 }
 
 // TestDisabledZeroOverhead is the alloc guard for every optional
-// observability layer at once: with phase timing, tracing, health, the
-// auditor and the hotspot profiler all off (the default), each hook in
+// observability layer at once: with phase timing, tracing and the
+// auditor all off (the default), each hook in
 // the transaction paths must reduce to one pointer test, every accessor
 // must report the layer absent, and Update/View must allocate no more
 // than this workload measures (EXPERIMENTS.md P4; the seed's 2PL figure
@@ -695,14 +695,8 @@ func TestDisabledZeroOverhead(t *testing.T) {
 			if db.TxTraces() != nil {
 				t.Error("TxTraces non-nil with TraceSample zero")
 			}
-			if db.Health() != nil {
-				t.Error("Health() non-nil with Options.Health off")
-			}
 			if db.Audit() != nil {
 				t.Error("Options{} created an auditor")
-			}
-			if db.Hotspots() != nil {
-				t.Error("Hotspots() non-nil with Options.Hotspot off")
 			}
 			val := []byte("v")
 			update := testing.AllocsPerRun(200, func() {

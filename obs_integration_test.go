@@ -3,6 +3,7 @@ package mvdb
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"testing"
@@ -160,6 +161,45 @@ func TestDebugEndpoint(t *testing.T) {
 	// The in-process dump agrees with the endpoint's trace.
 	if len(db.Trace()) == 0 {
 		t.Fatal("db.Trace() empty with tracing enabled")
+	}
+}
+
+// TestDebugEndpointErrorPaths covers the debug server's degenerate and
+// missing paths at the mvdb level: the chrome export of empty trace
+// rings is a valid, empty document, and a path no layer mounts answers
+// 404.
+func TestDebugEndpointErrorPaths(t *testing.T) {
+	db, err := Open(Options{
+		TraceSample: 1.0, // enabled but unused: empty rings
+		DebugAddr:   "127.0.0.1:0",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	get := func(path string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Get("http://" + db.DebugAddr() + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, body
+	}
+
+	code, body := get("/debug/mvdb/traces?format=chrome")
+	if code != http.StatusOK {
+		t.Fatalf("chrome export of empty rings = %d (%q), want 200", code, body)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(body, &doc); err != nil {
+		t.Fatalf("chrome export of empty rings is not JSON: %v", err)
+	}
+	for _, path := range []string{"/debug/mvdb/health", "/debug/mvdb/hotspot"} {
+		if code, body := get(path); code != http.StatusNotFound {
+			t.Errorf("GET %s = %d (%q), want 404", path, code, body)
+		}
 	}
 }
 
