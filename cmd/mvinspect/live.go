@@ -190,10 +190,5 @@ func liveTable(addr string, cur, prev *obs.Payload, interval time.Duration) metr
 	gauge("vc queue", s.VCQueueLen)
 	gauge("keys / versions", fmt.Sprintf("%d / %d", s.Keys, s.Versions))
 	gauge("version chain max/mean", fmt.Sprintf("%d / %.2f", s.MaxVersionChain, s.MeanVersionChain))
-	if n := len(cur.Trace); n > 0 {
-		last := cur.Trace[n-1]
-		gauge("trace events retained", n)
-		gauge("last event", fmt.Sprintf("seq=%d tx=%d %s", last.Seq, last.Tx, last.Type))
-	}
 	return tb
 }

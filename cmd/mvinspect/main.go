@@ -13,7 +13,7 @@
 // With -bundle it renders a flight-recorder postmortem bundle (written
 // by mvdb.Options.FlightDir on an audit alarm, /debug/mvdb/dump, or a
 // torture-test violation): phase-attribution table, headline counters,
-// last alarms, the waits-for graph, and the trace tail.
+// last alarms, the waits-for graph, and the promoted causal traces.
 //
 // With -trace it fetches a running database's /debug/mvdb/traces
 // endpoint (enabled by mvdb.Options.TraceSample) and renders each

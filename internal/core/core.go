@@ -71,8 +71,6 @@ type Options struct {
 	LockPolicy lock.Policy
 	// LockTimeout applies when LockPolicy is lock.TimeoutPolicy.
 	LockTimeout time.Duration
-	// Shards is the store shard count (0 = default).
-	Shards int
 	// Visibility selects the version-control implementation: the
 	// paper's strict drain queue (default) or the epoch watermark
 	// (internal/vc/epoch), which decentralizes completion tracking and
@@ -84,14 +82,9 @@ type Options struct {
 	Recorder engine.Recorder
 	// WAL, when non-nil, makes commits durable: each read-write commit
 	// appends one record (transaction number + write set) to the log
-	// before its versions are installed. Use Recover to rebuild an
+	// before its versions are installed. Use OpenDurable to rebuild an
 	// engine from such a log.
 	WAL *wal.Writer
-	// Trace, when non-nil, receives begin/read/write/commit/abort
-	// events (via a production obs.Recorder attached alongside any
-	// Recorder above) plus lock-wait events from the lock manager. Nil
-	// disables event tracing at zero cost; counters are always on.
-	Trace *obs.Tracer
 	// PhaseTiming enables per-transaction latency attribution: each
 	// protocol's separable phases (lock wait, reads, validation, WAL
 	// enqueue vs fsync wait, version install, register→visible lag)
@@ -125,7 +118,7 @@ type Engine struct {
 	opts  Options
 	store *storage.Store
 	vc    vc.Controller
-	locks *lock.Manager // 2PL only
+	locks *lock.Manager // exists under every protocol; only 2PL takes locks
 	valMu sync.Mutex    // OCC validation critical section
 	sinks               // everything the engine reports to (observe.go)
 
@@ -152,7 +145,7 @@ func newController(mode vc.Mode, initial uint64) vc.Controller {
 func New(opts Options) *Engine {
 	e := &Engine{
 		opts:  opts,
-		store: storage.NewStore(opts.Shards),
+		store: storage.NewStore(0),
 		vc:    newController(opts.Visibility, 0),
 		sinks: newSinks(opts),
 	}
@@ -254,14 +247,12 @@ func (e *Engine) LockWaitGraph() lock.WaitGraph { return e.locks.WaitGraph() }
 func (e *Engine) Snapshot() obs.Snapshot {
 	sn := e.stats.Snapshot()
 	sn.Protocol = e.opts.Protocol.String()
-	if e.locks != nil {
-		sn.LockWaits = int64(e.locks.Waits())
-		sn.LockDeadlocks = int64(e.locks.Deadlocks())
-		sn.LockWounds = int64(e.locks.Wounds())
-		sn.LockTimeouts = int64(e.locks.Timeouts())
-		sn.LockStripes = e.locks.Stripes()
-		sn.LockStripeCollisions = int64(e.locks.StripeCollisions())
-	}
+	sn.LockWaits = int64(e.locks.Waits())
+	sn.LockDeadlocks = int64(e.locks.Deadlocks())
+	sn.LockWounds = int64(e.locks.Wounds())
+	sn.LockTimeouts = int64(e.locks.Timeouts())
+	sn.LockStripes = e.locks.Stripes()
+	sn.LockStripeCollisions = int64(e.locks.StripeCollisions())
 	// vtnc first, then tnc: both only grow, so vtnc <= tnc-1 holds for
 	// the pair even while commits race the snapshot.
 	vtnc := e.vc.VTNC()
@@ -486,26 +477,7 @@ func (e *Engine) commitTail(o *txObs, entry vc.Handle, writes []wal.Write) error
 	return nil
 }
 
-// Recover rebuilds an engine from a write-ahead log: every intact commit
-// record is replayed into the version store, and the version control
-// module resumes with tnc just past the largest recovered transaction
-// number (everything recovered is immediately visible). It returns the
-// engine and the valid log length to pass to wal.OpenAppend. opts.WAL is
-// typically set afterwards, once the log is reopened for appending.
-func Recover(path string, opts Options) (*Engine, int64, error) {
-	return Restore(nil, 0, path, opts)
-}
-
-// Restore rebuilds an engine from a base state (e.g. a checkpoint
-// snapshot) plus a write-ahead log. Log records with TN <= horizon are
-// skipped: they are already reflected in the base. The base records are
-// installed verbatim (their TNs must not exceed horizon unless horizon is
-// zero).
-func Restore(base []wal.Record, horizon uint64, path string, opts Options) (*Engine, int64, error) {
-	return RestoreFS(nil, base, horizon, path, opts)
-}
-
-// SetWAL attaches a log writer (used after Recover + OpenAppend). It must
+// SetWAL attaches a log writer (OpenDurable, after replay). It must
 // be called before the first transaction.
 func (e *Engine) SetWAL(w *wal.Writer) error {
 	if e.bootstrapSealed.Load() {

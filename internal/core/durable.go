@@ -118,8 +118,14 @@ func LoadSnapshot(fsys faultfs.FS, path string) (horizon uint64, recs []wal.Reco
 	return horizon, recs, nil
 }
 
-// RestoreFS is Restore reading the log through an explicit filesystem —
+// RestoreFS rebuilds an engine from a base state (a checkpoint snapshot)
+// plus the write-ahead log at path, read through fsys (nil = faultfs.OS):
 // crash recovery replays through the same shim the writer wrote through.
+// Log records with TN <= horizon are skipped, since the base already
+// reflects them; base records are installed verbatim. Version control
+// resumes with tnc just past the largest recovered transaction number
+// (everything recovered is immediately visible). It returns the engine
+// and the valid log length to pass to wal.OpenAppendWith.
 func RestoreFS(fsys faultfs.FS, base []wal.Record, horizon uint64, path string, opts Options) (*Engine, int64, error) {
 	if fsys == nil {
 		fsys = faultfs.OS

@@ -7,7 +7,6 @@ import (
 
 	"mvdb/internal/engine"
 	"mvdb/internal/lock"
-	"mvdb/internal/obs"
 )
 
 // TestSnapshotFields checks the engine-level snapshot assembly: counter
@@ -94,38 +93,5 @@ func TestAbortCauseCounters(t *testing.T) {
 	}
 	if sn.AbortsDeadlock != 0 {
 		t.Fatalf("timeout abort leaked into aborts.deadlock (%d)", sn.AbortsDeadlock)
-	}
-}
-
-// TestTraceOptionRecordsEngineEvents wires a tracer through Options and
-// checks lifecycle plus lock-wait events appear.
-func TestTraceOptionRecordsEngineEvents(t *testing.T) {
-	tr := obs.NewTracer(256)
-	e := New(Options{Protocol: TwoPhaseLocking, Trace: tr})
-	defer e.Close()
-
-	tx1, _ := e.Begin(engine.ReadWrite)
-	tx1.Put("x", []byte("1"))
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		tx2, _ := e.Begin(engine.ReadWrite)
-		if tx2.Put("x", []byte("2")) == nil {
-			tx2.Commit()
-		}
-	}()
-	time.Sleep(20 * time.Millisecond)
-	tx1.Commit()
-	wg.Wait()
-
-	seen := map[obs.EventType]int{}
-	for _, ev := range tr.Dump() {
-		seen[ev.Type]++
-	}
-	for _, ty := range []obs.EventType{obs.EvBegin, obs.EvWrite, obs.EvCommit, obs.EvLockWait} {
-		if seen[ty] == 0 {
-			t.Errorf("no %s events traced (saw %v)", ty, seen)
-		}
 	}
 }

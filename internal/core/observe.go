@@ -49,17 +49,16 @@ type sinks struct {
 }
 
 func newSinks(opts Options) sinks {
-	var ring engine.Recorder
-	if opts.Trace != nil {
-		ring = obs.Recorder{T: opts.Trace}
-	}
 	s := sinks{
-		rec:    engine.Multi(opts.Recorder, ring),
+		rec:    opts.Recorder,
 		stats:  obs.NewStats(),
 		traces: opts.Traces,
 	}
+	if s.rec == nil {
+		s.rec = engine.NopRecorder{}
+	}
 	if opts.PhaseTiming {
-		s.phases = obs.NewPhaseStats(opts.Trace)
+		s.phases = obs.NewPhaseStats()
 	}
 	return s
 }
@@ -71,7 +70,6 @@ func (e *Engine) observeLocks() {
 		e.stats.LockWaitNanos.Record(wait.Nanoseconds())
 		e.phases.Record(proto2PL, obs.PhaseLockWait, txID, wait)
 		e.traces.OnLockWait(txID, key, stripe, blocker, wait)
-		e.opts.Trace.Record(obs.Event{Type: obs.EvLockWait, Tx: txID, Key: key, Dur: wait.Nanoseconds()})
 	})
 }
 

@@ -42,20 +42,14 @@ func TestWALRecoveryRoundTrip(t *testing.T) {
 			}
 			// Crash: no Close, engine dropped.
 
-			re, validLen, err := Recover(path, Options{Protocol: p})
+			before, _ := os.Stat(path)
+			re, w2, err := OpenDurable(path, Options{Protocol: p}, DurableOptions{WAL: wal.Options{Policy: wal.SyncBatch}})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer re.Close()
-			if fi, _ := os.Stat(path); fi.Size() != validLen {
-				t.Fatalf("validLen %d != size %d (log was cleanly flushed)", validLen, fi.Size())
-			}
-			w2, err := wal.OpenAppend(path, validLen, wal.SyncBatch)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := re.SetWAL(w2); err != nil {
-				t.Fatal(err)
+			if fi, _ := os.Stat(path); fi.Size() != before.Size() {
+				t.Fatalf("recovery cut the log from %d to %d bytes (it was cleanly flushed)", before.Size(), fi.Size())
 			}
 			ro, _ := re.Begin(engine.ReadOnly)
 			if got, err := ro.Get("k"); err != nil || string(got) != "v9" {
@@ -105,11 +99,15 @@ func TestRecoveryTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, _, err := Recover(path, Options{Protocol: TwoPhaseLocking})
+	re, w2, err := OpenDurable(path, Options{Protocol: TwoPhaseLocking}, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
+	defer w2.Close()
+	if cut, _ := os.Stat(path); cut.Size() >= fi.Size()-2 {
+		t.Fatalf("torn tail kept: log is %d bytes, torn log was %d", cut.Size(), fi.Size()-2)
+	}
 	ro, _ := re.Begin(engine.ReadOnly)
 	got, err := ro.Get("a")
 	if err != nil || string(got) != "2" {

@@ -230,7 +230,7 @@ var sinkCases = []struct {
 
 // TestSinkAgreement runs, per protocol, a script with a known number of
 // commits and of aborts per cause against an engine with every sink on
-// — Recorder, the event ring, phase timing, tracing at sample rate 1 —
+// — Recorder, phase timing, tracing at sample rate 1 —
 // over a log whose fsync fails after the script's last
 // good commit, and requires all of them to report the script's numbers.
 func TestSinkAgreement(t *testing.T) {
@@ -238,11 +238,10 @@ func TestSinkAgreement(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			fs := newGateFS()
 			rec := &countingRecorder{}
-			ring := obs.NewTracer(1 << 12)
 			spans := trace.New(trace.Options{Sample: 1, Recent: 1 << 10, Promoted: 1 << 10})
 			e, log, err := OpenDurable(filepath.Join(t.TempDir(), "commit.log"), Options{
 				Protocol: c.protocol, LockPolicy: c.policy, LockTimeout: 5 * time.Millisecond,
-				Recorder: rec, Trace: ring, PhaseTiming: true, Traces: spans,
+				Recorder: rec, PhaseTiming: true, Traces: spans,
 			}, DurableOptions{FS: fs, WAL: wal.Options{Policy: wal.SyncBatch}})
 			if err != nil {
 				t.Fatal(err)
@@ -285,13 +284,6 @@ func TestSinkAgreement(t *testing.T) {
 			eq("recorder aborts", rec.aborts, abortsTotal)
 			eq("recorder reads", rec.reads, s.reads)
 
-			seen := map[obs.EventType]int64{}
-			for _, ev := range ring.Dump() {
-				seen[ev.Type]++
-			}
-			eq("ring commits", seen[obs.EvCommit], commits)
-			eq("ring aborts", seen[obs.EvAbort], abortsTotal)
-
 			var installs int64
 			for _, ps := range sn.Phases {
 				if ps.Phase == obs.PhaseInstall.String() {
@@ -307,7 +299,6 @@ func TestSinkAgreement(t *testing.T) {
 			eq("traces finished", int64(spans.Stats().Finished), commits+abortsTotal)
 			eq("traces committed", outcomes["commit"], commits)
 			eq("traces aborted", outcomes["abort"], abortsTotal)
-
 		})
 	}
 }

@@ -44,7 +44,6 @@ import (
 
 	"mvdb/internal/engine"
 	"mvdb/internal/lock"
-	"mvdb/internal/obs"
 	"mvdb/internal/storage"
 	"mvdb/internal/trace"
 	"mvdb/internal/vc"
@@ -178,18 +177,12 @@ type Options struct {
 	// Recorder receives history events (global transaction ids and
 	// globally unique version numbers), for the MVSG checker.
 	Recorder engine.Recorder
-	// Trace, when non-nil, receives coordinator-side
-	// begin/read/write/commit/abort events (alongside any Recorder). Nil
-	// disables tracing at zero cost.
-	Trace *obs.Tracer
 	// Traces, when non-nil, samples distributed read-write transactions
 	// into causal span trees: the coordinator mints one trace ID and
 	// every 2PC prepare/commit exchange contributes a span attributed to
 	// its participant site, so a cross-site commit renders as a single
 	// waterfall. Nil disables span tracing at zero cost.
 	Traces *trace.Tracer
-	// Shards per site store.
-	Shards int
 }
 
 // Cluster is a set of sites plus the coordinator-side logic.
@@ -218,11 +211,10 @@ func New(opts Options) (*Cluster, error) {
 		opts.LockTimeout = 50 * time.Millisecond
 	}
 	c := &Cluster{opts: opts, bus: NewBusJitter(opts.Latency, opts.Jitter)}
-	var tracerRec engine.Recorder
-	if opts.Trace != nil {
-		tracerRec = obs.Recorder{T: opts.Trace}
+	c.rec = opts.Recorder
+	if c.rec == nil {
+		c.rec = engine.NopRecorder{}
 	}
-	c.rec = engine.Multi(opts.Recorder, tracerRec)
 	if c.opts.Partition == nil {
 		n := opts.Sites
 		c.opts.Partition = func(key string) int {
@@ -239,7 +231,7 @@ func New(opts Options) (*Cluster, error) {
 	for i := 0; i < opts.Sites; i++ {
 		s := &Site{
 			id:    i,
-			store: storage.NewStore(opts.Shards),
+			store: storage.NewStore(0),
 			vc:    vc.NewStrided(0, uint64(i), uint64(opts.Sites)),
 			locks: lock.NewManager(lock.TimeoutPolicy, opts.LockTimeout),
 		}

@@ -117,7 +117,7 @@ func (c *Cluster) RecoverSite(id int) error {
 	if !s.crashed.Load() {
 		return fmt.Errorf("dist: site %d is not crashed", id)
 	}
-	store := storage.NewStore(c.opts.Shards)
+	store := storage.NewStore(0)
 	var maxTN uint64
 	path := siteLogPath(c.opts.WALDir, id)
 	validLen, err := replaySiteLog(path, func(r wal.Record) {

@@ -9,7 +9,7 @@
 // durability was violated; the bundle captures *why* — which phase the
 // latency lived in (the attribution matrix of internal/obs), which
 // transactions were blocked on whom (the lock manager's waits-for
-// graph), what the last alarms said, and the tail of the event trace.
+// graph), what the last alarms said, and the promoted causal traces.
 //
 // Triggers: an audit alarm (audit.Options.OnAlarm → TriggerAsync), a
 // crashtest oracle violation (Capture), an explicit HTTP dump
@@ -40,8 +40,9 @@ import (
 
 // SchemaVersion identifies the bundle format. Bump on any
 // change to Bundle's shape. v4 dropped v2's health timeline and v3's
-// hotspot report; Load still reads those versions, ignoring both keys.
-const SchemaVersion = "mvdb-flight/v4"
+// hotspot report; v5 dropped the event-ring "trace" tail. Load still
+// reads the older versions, ignoring those keys.
+const SchemaVersion = "mvdb-flight/v5"
 
 // Sources are the read-only taps the recorder samples. Stats is
 // required; every other tap is optional (nil omits its section from
@@ -51,8 +52,6 @@ const SchemaVersion = "mvdb-flight/v4"
 type Sources struct {
 	// Stats returns the engine's observability snapshot.
 	Stats func() obs.Snapshot
-	// Trace returns the recent event-trace ring.
-	Trace func() []obs.Event
 	// Audit returns the audit pipeline's state (alarms, spans, graph).
 	Audit func() audit.Snapshot
 	// WaitGraph exports the lock manager's waits-for graph.
@@ -76,8 +75,6 @@ type Options struct {
 	// Depth is the stats ring size — how many samples of history a
 	// bundle carries (<= 0: 64; at the default cadence ≈ one minute).
 	Depth int
-	// TraceTail bounds the trace events kept in a bundle (<= 0: 256).
-	TraceTail int
 	// MinGap rate-limits TriggerAsync: asynchronous triggers (audit
 	// alarms can fire per-commit on a broken engine) produce at most
 	// one bundle per MinGap (<= 0: 1s). Explicit Trigger calls are
@@ -105,7 +102,6 @@ type Bundle struct {
 	Stats obs.Snapshot `json:"stats"`
 	Ring  []Sample     `json:"stats_ring,omitempty"`
 
-	Trace     []obs.Event     `json:"trace,omitempty"`
 	Audit     *audit.Snapshot `json:"audit,omitempty"`
 	WaitGraph *lock.WaitGraph `json:"wait_graph,omitempty"`
 	Traces    []trace.Trace   `json:"traces,omitempty"`
@@ -149,9 +145,6 @@ func New(src Sources, opts Options) (*Recorder, error) {
 	}
 	if opts.Depth <= 0 {
 		opts.Depth = 64
-	}
-	if opts.TraceTail <= 0 {
-		opts.TraceTail = 256
 	}
 	if opts.MinGap <= 0 {
 		opts.MinGap = time.Second
@@ -266,13 +259,6 @@ func (r *Recorder) assemble(reason, detail string) Bundle {
 		b.Ring = append(b.Ring, r.ring[(start+i)%len(r.ring)])
 	}
 	r.mu.Unlock()
-	if r.src.Trace != nil {
-		tr := r.src.Trace()
-		if len(tr) > r.opts.TraceTail {
-			tr = tr[len(tr)-r.opts.TraceTail:]
-		}
-		b.Trace = tr
-	}
 	if r.src.Audit != nil {
 		a := r.src.Audit()
 		b.Audit = &a

@@ -20,11 +20,9 @@ import (
 )
 
 // newEngineRecorder builds a phase-timed core engine plus a flight
-// recorder tapped into all four sources.
+// recorder tapped into its stats and waits-for graph.
 func newEngineRecorder(t *testing.T, opts core.Options, fopts flight.Options) (*core.Engine, *flight.Recorder) {
 	t.Helper()
-	tracer := obs.NewTracer(512)
-	opts.Trace = tracer
 	opts.PhaseTiming = true
 	e := core.New(opts)
 	t.Cleanup(func() { e.Close() })
@@ -33,7 +31,6 @@ func newEngineRecorder(t *testing.T, opts core.Options, fopts flight.Options) (*
 	}
 	r, err := flight.New(flight.Sources{
 		Stats:     e.Snapshot,
-		Trace:     tracer.Dump,
 		WaitGraph: e.LockWaitGraph,
 	}, fopts)
 	if err != nil {
@@ -155,19 +152,16 @@ func TestAuditAlarmWritesBundle(t *testing.T) {
 	})
 	defer aud.Close()
 
-	tracer := obs.NewTracer(512)
 	e := core.New(core.Options{
 		Protocol:              core.TimestampOrdering,
 		UnsafeEagerVisibility: true,
 		Recorder:              aud,
-		Trace:                 tracer,
 		PhaseTiming:           true,
 	})
 	defer e.Close()
 
 	r, err := flight.New(flight.Sources{
 		Stats: e.Snapshot,
-		Trace: tracer.Dump,
 		Audit: aud.Snapshot,
 	}, flight.Options{Dir: dir, Interval: time.Hour, MinGap: time.Nanosecond})
 	if err != nil {
@@ -298,59 +292,61 @@ func TestCaptureOneShot(t *testing.T) {
 	if b.Reason != "oracle-violation" || b.Detail != "details here" {
 		t.Fatalf("unexpected bundle header: %+v", b)
 	}
-
-	// A bundle written before the self-tuning layer was deleted carries
-	// "knob" trace events and an "adaptive" stats section; it must still
-	// load and render (the unknown event name decodes to the zero type).
-	old := filepath.Join(dir, "flight-old.json")
-	if err := os.WriteFile(old, []byte(`{"schema":"mvdb-flight/v3","seq":1,"reason":"slo-commit-p99",
-		"stats":{"protocol":"vc+occ","commits_rw":7,"adaptive":{"protocol":"vc+occ","switches":1,"knob_actions":2,"batch_max_delay_ns":100000}},
-		"trace":[{"seq":1,"at_ns":1,"type":"commit","tx":3,"tn":3},
-		         {"seq":2,"at_ns":2,"type":"knob","key":"wal.batch_delay=100µs","n":100000}]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if b, err = flight.Load(old); err != nil {
-		t.Fatal(err)
-	}
-	if b.Stats.CommitsRW != 7 || len(b.Trace) != 2 || b.Trace[1].Key != "wal.batch_delay=100µs" {
-		t.Fatalf("old-shape bundle decoded to %+v", b)
-	}
-	var sb strings.Builder
-	flight.Render(b, &sb)
-	if !strings.Contains(sb.String(), "== trace tail (2 events) ==") {
-		t.Fatalf("old-shape bundle render:\n%s", sb.String())
-	}
 }
 
-// TestLoadV3Bundle: a v3 bundle carries the health timeline, the hotspot
-// report (top level and inside stats) and "health" ring events. v4
-// dropped all three; Load and Render (mvinspect -bundle) must still read
-// such a postmortem, keeping every section v4 still has.
+// TestLoadV3Bundle: bundles of older schemas must still load and render
+// (mvinspect -bundle), keeping every section the current schema still
+// has. A v3 bundle carries the health timeline, the hotspot report (top
+// level and inside stats), "health" ring events and, from before the
+// self-tuning layer was deleted, "knob" events and an "adaptive" stats
+// section; v4 dropped the first three. A v4 bundle carries the event
+// ring's "trace" tail, which v5 dropped.
 func TestLoadV3Bundle(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "flight-v3.json")
-	if err := os.WriteFile(path, []byte(`{"schema":"mvdb-flight/v3","seq":4,"reason":"slo-commit-p99",
-		"stats":{"protocol":"vc+2pl","commits_rw":9,"hotspot":{"enabled":true,"touches":12}},
+	for _, c := range []struct {
+		name, doc string
+		want      []string
+	}{
+		{"v3", `{"schema":"mvdb-flight/v3","seq":4,"reason":"slo-commit-p99",
+		"stats":{"protocol":"vc+2pl","commits_rw":9,"hotspot":{"enabled":true,"touches":12},
+		         "adaptive":{"protocol":"vc+occ","switches":1,"knob_actions":2,"batch_max_delay_ns":100000}},
 		"trace":[{"seq":1,"at_ns":1,"type":"commit","tx":3,"tn":3},
-		         {"seq":2,"at_ns":2,"type":"health","key":"commit-p99/page","n":6}],
+		         {"seq":2,"at_ns":2,"type":"health","key":"commit-p99/page","n":6},
+		         {"seq":3,"at_ns":3,"type":"knob","key":"wal.batch_delay=100µs","n":100000}],
 		"wait_graph":{"waiters":1,"edges":[{"from":5,"to":3,"key":"hot","mode":"exclusive"}]},
 		"health":[{"at_ns":1,"commit_p99_ns":400000000,"abort_frac":0.1}],
 		"hotspot":{"enabled":true,"hot_writes":[{"key":"hot","count":40}],
-		           "stripes":[{"stripe":3,"waits":7}]}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	b, err := flight.Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Seq != 4 || b.Stats.CommitsRW != 9 || len(b.Trace) != 2 || b.WaitGraph == nil {
-		t.Fatalf("v3 bundle decoded to %+v", b)
-	}
-	var sb strings.Builder
-	flight.Render(b, &sb)
-	for _, want := range []string{"mvdb-flight/v3", "== waits-for graph (1 waiters) ==", "== trace tail (2 events) =="} {
-		if !strings.Contains(sb.String(), want) {
-			t.Errorf("v3 bundle render lacks %q:\n%s", want, sb.String())
-		}
+		           "stripes":[{"stripe":3,"waits":7}]}}`,
+			[]string{"mvdb-flight/v3", "== waits-for graph (1 waiters) =="}},
+		{"v4", `{"schema":"mvdb-flight/v4","seq":4,"reason":"dump",
+		"stats":{"protocol":"vc+2pl","commits_rw":9},
+		"trace":[{"seq":1,"at_ns":1,"type":"lock-wait","tx":5,"key":"hot","dur_ns":900},
+		         {"seq":2,"at_ns":2,"type":"span","tx":5,"tn":6,"key":"vc+2pl/slow","n":4},
+		         {"seq":3,"at_ns":3,"type":"blame","tx":3,"key":"blocked-on:hot","n":2}],
+		"wait_graph":{"waiters":1,"edges":[{"from":5,"to":3,"key":"hot","mode":"exclusive"}]},
+		"traces":[{"id":1,"site":-1,"tx":5,"tn":6,"proto":"vc+2pl","outcome":"commit","promoted":"slow",
+		           "start_ns":1,"end_ns":901,"total_ns":900,"spans":[{"name":"lock-wait","site":-1,"start_ns":1,"dur_ns":900}]}]}`,
+			[]string{"mvdb-flight/v4", "== waits-for graph (1 waiters) ==", "== causal traces (1 promoted) =="}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "flight-"+c.name+".json")
+			if err := os.WriteFile(path, []byte(c.doc), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			b, err := flight.Load(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b.Seq != 4 || b.Stats.CommitsRW != 9 || b.WaitGraph == nil {
+				t.Fatalf("%s bundle decoded to %+v", c.name, b)
+			}
+			var sb strings.Builder
+			flight.Render(b, &sb)
+			for _, want := range c.want {
+				if !strings.Contains(sb.String(), want) {
+					t.Errorf("%s bundle render lacks %q:\n%s", c.name, want, sb.String())
+				}
+			}
+		})
 	}
 }
 

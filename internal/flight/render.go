@@ -3,7 +3,6 @@ package flight
 import (
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"mvdb/internal/metrics"
@@ -12,9 +11,9 @@ import (
 
 // Render writes a human-readable postmortem report for a bundle:
 // header, per-protocol phase-attribution table, headline counters, the
-// last audit alarms, the waits-for graph, and the trace tail. It is the
-// single renderer behind `mvinspect -bundle` so tests and the CLI agree
-// on what a bundle "looks like".
+// last audit alarms, the waits-for graph, and the promoted causal
+// traces. It is the single renderer behind `mvinspect -bundle` so tests
+// and the CLI agree on what a bundle "looks like".
 func Render(b *Bundle, w io.Writer) {
 	fmt.Fprintf(w, "flight bundle #%d (%s)\n", b.Seq, b.Schema)
 	fmt.Fprintf(w, "  reason:  %s\n", b.Reason)
@@ -75,31 +74,6 @@ func Render(b *Bundle, w io.Writer) {
 		fmt.Fprintf(w, "\n== causal traces (%d promoted) ==\n", len(b.Traces))
 		for i := range b.Traces {
 			trace.Waterfall(w, b.Traces[i])
-		}
-	}
-
-	if len(b.Trace) > 0 {
-		fmt.Fprintf(w, "\n== trace tail (%d events) ==\n", len(b.Trace))
-		byType := map[string]int{}
-		for _, ev := range b.Trace {
-			byType[ev.Type.String()]++
-		}
-		types := make([]string, 0, len(byType))
-		for t := range byType {
-			types = append(types, t)
-		}
-		sort.Strings(types)
-		for _, t := range types {
-			fmt.Fprintf(w, "  %-12s %d\n", t, byType[t])
-		}
-		tail := b.Trace
-		if len(tail) > 10 {
-			tail = tail[len(tail)-10:]
-		}
-		fmt.Fprintf(w, "  last %d:\n", len(tail))
-		for _, ev := range tail {
-			fmt.Fprintf(w, "    %s tx=%d key=%q tn=%d dur=%s\n",
-				ev.Type, ev.Tx, ev.Key, ev.TN, metrics.Dur(ev.Dur))
 		}
 	}
 }

@@ -46,17 +46,17 @@ type Collector struct {
 	passes atomic.Uint64
 
 	// onPass observes completed collection passes; see SetOnPass.
-	onPass func(reclaimed int, watermark uint64, elapsed time.Duration)
+	onPass func(reclaimed int)
 	// onChain observes per-object version-chain lengths; see
 	// SetChainObserver.
 	onChain func(depth int)
 }
 
 // SetOnPass installs fn, invoked after every collection pass with the
-// number of versions reclaimed, the watermark used, and the pass
-// duration — the observability hook that feeds GC counters and trace
-// events. Set it before the first Collect; it runs on Collect's caller.
-func (c *Collector) SetOnPass(fn func(reclaimed int, watermark uint64, elapsed time.Duration)) {
+// number of versions reclaimed — the observability hook that feeds the
+// GC counters. Set it before the first Collect; it runs on Collect's
+// caller.
+func (c *Collector) SetOnPass(fn func(reclaimed int)) {
 	c.onPass = fn
 }
 
@@ -99,7 +99,6 @@ func (c *Collector) Watermark() uint64 {
 // Collect performs one pruning pass and returns the number of versions
 // discarded.
 func (c *Collector) Collect() int {
-	start := time.Now()
 	w := c.Watermark()
 	n := 0
 	c.src.Store().Range(func(_ string, o *storage.Object) bool {
@@ -112,7 +111,7 @@ func (c *Collector) Collect() int {
 	c.pruned.Add(uint64(n))
 	c.passes.Add(1)
 	if c.onPass != nil {
-		c.onPass(n, w, time.Since(start))
+		c.onPass(n)
 	}
 	return n
 }

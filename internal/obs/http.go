@@ -14,10 +14,9 @@ import (
 )
 
 // Payload is the JSON document served at /debug/mvdb: one stats
-// snapshot plus the recent event trace.
+// snapshot, under the "stats" key.
 type Payload struct {
 	Stats Snapshot `json:"stats"`
-	Trace []Event  `json:"trace,omitempty"`
 }
 
 // DebugServer serves engine observability over HTTP. It is created by
@@ -59,7 +58,7 @@ const PromContentType = "text/plain; version=0.0.4; charset=utf-8"
 
 // Serve starts an HTTP server on addr exposing:
 //
-//	/debug/mvdb  — Payload as JSON (stats snapshot + recent trace)
+//	/debug/mvdb  — Payload as JSON (the stats snapshot)
 //	/debug/vars  — the standard expvar registry, which includes an
 //	               "mvdb" variable backed by the same snapshot function
 //	/metrics     — the snapshot in Prometheus text format, plus any
@@ -69,9 +68,8 @@ const PromContentType = "text/plain; version=0.0.4; charset=utf-8"
 //	               phase timing is on
 //
 // addr may use port 0 to let the OS pick a free port; Addr reports the
-// bound address. snap must be safe for concurrent use; tracer may be
-// nil (the trace field is then omitted).
-func Serve(addr string, snap func() Snapshot, tracer *Tracer, opts ...ServeOption) (*DebugServer, error) {
+// bound address. snap must be safe for concurrent use.
+func Serve(addr string, snap func() Snapshot, opts ...ServeOption) (*DebugServer, error) {
 	var cfg serveConfig
 	for _, o := range opts {
 		o(&cfg)
@@ -85,7 +83,7 @@ func Serve(addr string, snap func() Snapshot, tracer *Tracer, opts ...ServeOptio
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		enc.Encode(Payload{Stats: snap(), Trace: tracer.Dump()})
+		enc.Encode(Payload{Stats: snap()})
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		// Render into a buffer first so a mid-render error cannot leave

@@ -2,9 +2,8 @@
 // registry of counters and histograms written by every subsystem, an
 // internally consistent Snapshot of that registry plus the
 // version-control and storage gauges (the payload of the public
-// db.Stats() API and the /debug/mvdb endpoint), a bounded ring-buffer
-// event tracer fed through a production engine.Recorder, and the HTTP
-// debug server that exposes all of it.
+// db.Stats() API and the /debug/mvdb endpoint), the optional phase
+// matrix, and the HTTP debug server that exposes all of it.
 //
 // The paper's whole argument is about where synchronization cost lives:
 // the version control module's visibility lag (tnc - vtnc, Section 6),
@@ -15,8 +14,8 @@
 //
 // Everything on the record path is a single atomic add (Counter) or a
 // lock-free histogram sample, so instrumentation stays on even in
-// production; only the event tracer is optional, and a nil *Tracer
-// reduces every trace call to a pointer test.
+// production; only the phase matrix is optional, and a nil *PhaseStats
+// reduces every phase call to a pointer test.
 package obs
 
 import (

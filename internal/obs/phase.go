@@ -99,13 +99,11 @@ func (p ProtoIdx) String() string {
 
 // phaseCell is one (protocol, phase) cell: the sample histogram, the
 // slowest-sample exemplar (max duration + the transaction that set it),
-// and precomputed identity so the record path never builds strings or
-// label sets.
+// and a prebuilt label set so the record path never builds one.
 type phaseCell struct {
 	h     *metrics.Histogram
 	maxNS atomic.Int64
 	maxTx atomic.Uint64
-	name  string          // "vc+2pl/fsync-wait", for trace exemplars
 	label context.Context // prebuilt pprof label set
 
 	// Pad each cell past a cache line so concurrent committers updating
@@ -118,22 +116,17 @@ type phaseCell struct {
 // *PhaseStats is valid: every method no-ops, so call sites guard only
 // the time.Now stamps, not the calls.
 type PhaseStats struct {
-	cells  [NumProtos][NumPhases]phaseCell
-	tracer *Tracer
-	bg     context.Context
+	cells [NumProtos][NumPhases]phaseCell
+	bg    context.Context
 }
 
-// NewPhaseStats returns an enabled matrix. tracer may be nil; when it
-// is not, a sample that becomes its cell's slowest emits an EvPhase
-// trace event (the exemplar linking the slow commit to the surrounding
-// ring entries).
-func NewPhaseStats(tracer *Tracer) *PhaseStats {
-	ps := &PhaseStats{tracer: tracer, bg: context.Background()}
+// NewPhaseStats returns an enabled matrix.
+func NewPhaseStats() *PhaseStats {
+	ps := &PhaseStats{bg: context.Background()}
 	for pr := 0; pr < NumProtos; pr++ {
 		for ph := 0; ph < NumPhases; ph++ {
 			c := &ps.cells[pr][ph]
 			c.h = metrics.NewHistogram()
-			c.name = protoNames[pr] + "/" + phaseNames[ph]
 			// Prebuilt per-cell label contexts make PprofEnter a single
 			// allocation-free runtime call on the timed path.
 			c.label = pprof.WithLabels(ps.bg, pprof.Labels(
@@ -144,9 +137,7 @@ func NewPhaseStats(tracer *Tracer) *PhaseStats {
 }
 
 // Record adds one sample. If the sample is the slowest its cell has
-// seen, the transaction id is retained as the exemplar and, when
-// tracing, an EvPhase event is emitted so the slow span can be lined up
-// against the trace ring.
+// seen, the transaction id is retained as the exemplar.
 func (ps *PhaseStats) Record(proto ProtoIdx, ph Phase, tx uint64, d time.Duration) {
 	if ps == nil {
 		return
@@ -167,7 +158,6 @@ func (ps *PhaseStats) Record(proto ProtoIdx, ph Phase, tx uint64, d time.Duratio
 			// maxTx after us; the exemplar is "a slowest-ish tx", not a
 			// linearizable maximum.
 			c.maxTx.Store(tx)
-			ps.tracer.Record(Event{Type: EvPhase, Tx: tx, Key: c.name, Dur: ns})
 			return
 		}
 	}
@@ -193,7 +183,7 @@ func (ps *PhaseStats) PprofExit() {
 
 // PhaseSummary is one non-empty cell of the matrix as exported in
 // Snapshot.Phases: the latency summary plus the slowest-sample
-// transaction id (the exemplar to look up in the trace ring).
+// transaction id (the exemplar to look up among the promoted traces).
 type PhaseSummary struct {
 	Protocol  string          `json:"protocol"`
 	Phase     string          `json:"phase"`

@@ -123,7 +123,7 @@ func TestServeMetricsEndpoint(t *testing.T) {
 		sn := s.Snapshot()
 		sn.Protocol = "vc+to"
 		return sn
-	}, nil,
+	},
 		WithPromExtra(func(w io.Writer) {
 			io.WriteString(w, "# TYPE extra_metric gauge\nextra_metric 42\n")
 		}),

@@ -40,7 +40,7 @@ type chromeEvent struct {
 type chromeDoc struct {
 	Schema          string        `json:"schema"`
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
-	TraceEvents     []chromeEvent `json:"traceEvents"`
+	Events          []chromeEvent `json:"traceEvents"`
 }
 
 func ns(v int64) string { return strconv.FormatInt(v, 10) }
@@ -93,7 +93,7 @@ func EncodeChrome(traces []Trace) ([]byte, error) {
 	us := func(nsv int64) float64 { return float64(nsv-base) / 1e3 }
 	for i, tr := range traces {
 		tid := i + 1
-		doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
+		doc.Events = append(doc.Events, chromeEvent{
 			Name: "tx/" + tr.Proto,
 			Cat:  "tx",
 			Ph:   "X",
@@ -117,7 +117,7 @@ func EncodeChrome(traces []Trace) ([]byte, error) {
 			},
 		})
 		for _, sp := range tr.Spans {
-			doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
+			doc.Events = append(doc.Events, chromeEvent{
 				Name: sp.Name,
 				Cat:  "phase",
 				Ph:   "X",
@@ -133,7 +133,7 @@ func EncodeChrome(traces []Trace) ([]byte, error) {
 			})
 		}
 		for _, b := range tr.Blames {
-			doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
+			doc.Events = append(doc.Events, chromeEvent{
 				Name: b.Kind,
 				Cat:  "blame",
 				Ph:   "i",
@@ -169,7 +169,7 @@ func DecodeChrome(data []byte) ([]Trace, error) {
 	}
 	byTID := make(map[int]*Trace)
 	var order []int
-	for _, ev := range doc.TraceEvents {
+	for _, ev := range doc.Events {
 		switch ev.Cat {
 		case "tx":
 			tr := &Trace{

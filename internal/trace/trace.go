@@ -133,10 +133,6 @@ type Options struct {
 	// Site labels traces from this tracer (dist participants); 0 for a
 	// single-site engine.
 	Site int
-	// Ring, when set, receives one EvSpan event per promoted trace and
-	// one EvBlame per blame edge, tying promotions into the flight
-	// recorder's event timeline.
-	Ring *obs.Tracer
 }
 
 const (
@@ -438,10 +434,6 @@ func (t *Tracer) finalize(a *Active, outcome string, visibleNS int64) {
 		t.recentN++
 	}
 	t.mu.Unlock()
-
-	if reason != "" {
-		t.emit(&tr)
-	}
 }
 
 // decide is the tail-retention rule: aborted traces always promote;
@@ -482,39 +474,6 @@ func (t *Tracer) pushPromotedLocked(tr *Trace) {
 	t.promCount.Add(1)
 }
 
-// emit mirrors a promotion into the obs event ring so flight bundles
-// time-correlate promoted traces with the rest of the engine's events.
-func (t *Tracer) emit(tr *Trace) {
-	r := t.opts.Ring
-	if r == nil {
-		return
-	}
-	r.Record(obs.Event{
-		Type: obs.EvSpan,
-		Tx:   tr.Tx,
-		TN:   tr.TN,
-		Key:  tr.Proto + "/" + tr.Promoted,
-		Dur:  tr.TotalNS,
-		N:    int64(len(tr.Spans)),
-	})
-	for _, b := range tr.Blames {
-		n := int64(b.Depth)
-		switch b.Kind {
-		case BlameJoinedBatch:
-			n = int64(b.Records)
-		case BlameBlockedOn:
-			n = int64(b.Stripe)
-		}
-		r.Record(obs.Event{
-			Type: obs.EvBlame,
-			Tx:   b.Tx,
-			Key:  b.Kind + ":" + b.Key,
-			Dur:  b.DurNS,
-			N:    n,
-		})
-	}
-}
-
 // PromoteRecent flags up to n of the most recently finished traces as
 // "flagged:<reason>" and moves them into the promoted ring. Audit
 // alarms and flight triggers call this so the traces leading up to an
@@ -543,9 +502,6 @@ func (t *Tracer) PromoteRecent(reason string, n int) int {
 		moved++
 	}
 	t.mu.Unlock()
-	if moved > 0 && t.opts.Ring != nil {
-		t.opts.Ring.Record(obs.Event{Type: obs.EvSpan, Key: "flagged/" + reason, N: int64(moved)})
-	}
 	return moved
 }
 

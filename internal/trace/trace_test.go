@@ -6,8 +6,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"mvdb/internal/obs"
 )
 
 // TestSamplerDeterminism pins the reproducibility contract: two tracers
@@ -120,10 +118,9 @@ func TestNilSafety(t *testing.T) {
 
 // TestLifecyclePromotionAndExport walks one sampled transaction through
 // the full pipeline: spans, all three blame kinds, commit-visible
-// finalization, slow-promotion, ring export, and the obs event mirror.
+// finalization, slow-promotion and ring export.
 func TestLifecyclePromotionAndExport(t *testing.T) {
-	ring := obs.NewTracer(64)
-	tr := New(Options{Sample: 1, SlowNS: 1, Ring: ring})
+	tr := New(Options{Sample: 1, SlowNS: 1})
 	a := tr.Start(42, "vc+2pl")
 	if a == nil {
 		t.Fatal("sample 1.0 returned nil")
@@ -175,21 +172,6 @@ func TestLifecyclePromotionAndExport(t *testing.T) {
 	a.FinishAbort()
 	if st := tr.Stats(); st.Finished != 1 || st.Promoted != 1 {
 		t.Fatalf("double finalize changed stats: %+v", st)
-	}
-
-	// The promotion was mirrored into the obs ring: one EvSpan plus one
-	// EvBlame per edge.
-	var spans, blames int
-	for _, ev := range ring.Dump() {
-		switch ev.Type {
-		case obs.EvSpan:
-			spans++
-		case obs.EvBlame:
-			blames++
-		}
-	}
-	if spans != 1 || blames != 3 {
-		t.Fatalf("obs mirror: %d EvSpan / %d EvBlame, want 1/3", spans, blames)
 	}
 
 	// Chrome round trip preserves the trace.

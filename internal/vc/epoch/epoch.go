@@ -461,17 +461,6 @@ func (c *Controller) Lag() uint64 {
 	return t - 1 - v
 }
 
-// LaneFrontiers snapshots every lane's completion frontier. The lane
-// with the smallest frontier is the one currently holding the watermark
-// back.
-func (c *Controller) LaneFrontiers() []uint64 {
-	out := make([]uint64, len(c.lanes))
-	for i := range c.lanes {
-		out[i] = c.lanes[i].frontier.Load()
-	}
-	return out
-}
-
 // QueueLen is the number of unresolved registrations. There is no
 // queue; the count is derived from the counters.
 func (c *Controller) QueueLen() int {

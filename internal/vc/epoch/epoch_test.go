@@ -371,35 +371,3 @@ func TestMode(t *testing.T) {
 	}
 	var _ vc.Controller = New(0)
 }
-
-// TestLaneFrontiers: the stalled lane is the one with the minimum
-// frontier.
-func TestLaneFrontiers(t *testing.T) {
-	c := NewWithShape(0, 4, 16)
-	hs := make([]vc.Handle, 8)
-	for i := range hs {
-		hs[i] = c.Register()
-	}
-	// Complete everything except tn=3: its lane's frontier stays behind.
-	var heldLane int
-	for _, h := range hs {
-		if h.TN() == 3 {
-			heldLane = int(h.TN() & 3)
-			continue
-		}
-		c.Complete(h)
-	}
-	fr := c.LaneFrontiers()
-	if len(fr) != 4 {
-		t.Fatalf("frontiers = %v, want 4 lanes", fr)
-	}
-	minLane := 0
-	for i, f := range fr {
-		if f < fr[minLane] {
-			minLane = i
-		}
-	}
-	if minLane != heldLane {
-		t.Fatalf("min-frontier lane = %d, want %d (frontiers %v)", minLane, heldLane, fr)
-	}
-}

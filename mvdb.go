@@ -163,8 +163,6 @@ type Options struct {
 	DeadlockPolicy DeadlockPolicy
 	// LockTimeout applies to DeadlockTimeout (default 50ms).
 	LockTimeout time.Duration
-	// Shards sets store sharding (0 = default 64).
-	Shards int
 	// WALPath enables durability: committed write sets are logged before
 	// they become visible, and Open recovers the store from an existing
 	// log at this path. Empty disables the log.
@@ -184,17 +182,11 @@ type Options struct {
 	// DebugAddr, when non-empty, serves live observability over HTTP on
 	// that address (e.g. "localhost:6060" or ":0" for an ephemeral port;
 	// DebugAddr() reports the bound address): GET /debug/mvdb returns the
-	// full Stats snapshot plus the recent event trace as JSON, and
-	// /debug/vars is the standard expvar endpoint. Setting DebugAddr also
-	// enables event tracing (see TraceEvents). Empty — the default —
-	// starts no listener and allocates no tracer.
+	// Stats snapshot as JSON, /metrics the same in Prometheus text format,
+	// /debug/vars is the standard expvar endpoint and /debug/pprof/ the
+	// runtime profiles. It starts the server and nothing else: no
+	// transaction path changes. Empty — the default — starts no listener.
 	DebugAddr string
-	// TraceEvents enables the in-memory event tracer with a ring buffer
-	// of the given capacity (rounded up to a power of two): every
-	// begin/read/write/commit/abort/lock-wait/gc event overwrites the
-	// oldest. Zero disables tracing unless DebugAddr is set, in which
-	// case a default-sized ring (obs.DefaultTraceEvents) is used.
-	TraceEvents int
 	// Audit enables the online serializability auditor: an asynchronous
 	// pipeline that mirrors the engine's event stream into a windowed
 	// incremental MVSG and per-transaction latency spans, raising alarms
@@ -243,9 +235,6 @@ type Options struct {
 	// Render bundles with `mvinspect -bundle <file>`. Empty — the
 	// default — runs no recorder.
 	FlightDir string
-	// FlightInterval is the flight recorder's background sampling
-	// cadence (0 = 1s).
-	FlightInterval time.Duration
 	// FS, when non-nil, routes every durability-path file operation
 	// (WAL, snapshots, compaction) through the given filesystem — the
 	// fault-injection harness's hook. Nil selects the real filesystem.
@@ -258,10 +247,6 @@ type Options struct {
 // paper's version-control gauges (tnc, vtnc, visibility lag, VCQueue
 // depth). Map() flattens it to the legacy flat counter vocabulary.
 type Stats = obs.Snapshot
-
-// TraceEvent is one entry of the event trace ring (see
-// Options.TraceEvents and DB.Trace).
-type TraceEvent = obs.Event
 
 // Auditor is the online serializability auditor (see Options.Audit).
 type Auditor = audit.Auditor
@@ -294,7 +279,6 @@ type DB struct {
 	eng       *core.Engine
 	collector *gc.Collector
 	log       *wal.Writer
-	tracer    *obs.Tracer      // nil unless DebugAddr/TraceEvents
 	spans     *trace.Tracer    // nil unless TraceSample > 0
 	auditor   *audit.Auditor   // nil unless Options.Audit
 	flightRec *flight.Recorder // nil unless Options.FlightDir
@@ -308,15 +292,6 @@ type DB struct {
 // Open creates (or, when Options.WALPath names an existing log, recovers)
 // a database.
 func Open(opts Options) (*DB, error) {
-	// Tracing is allocated only when asked for: with both DebugAddr and
-	// TraceEvents zero the tracer stays nil and every trace call in the
-	// engine reduces to a nil test.
-	var tracer *obs.Tracer
-	if opts.TraceEvents > 0 {
-		tracer = obs.NewTracer(opts.TraceEvents)
-	} else if opts.DebugAddr != "" {
-		tracer = obs.NewTracer(obs.DefaultTraceEvents)
-	}
 	// The span tracer exists before the auditor so alarm hooks can flag
 	// in-flight traces for tail retention, and before the engine so the
 	// core can hand it to every transaction path.
@@ -325,7 +300,6 @@ func Open(opts Options) (*DB, error) {
 		spans = trace.New(trace.Options{
 			Sample: opts.TraceSample,
 			SlowNS: opts.TraceSlowThreshold.Nanoseconds(),
-			Ring:   tracer,
 		})
 	}
 	// The auditor, when enabled, rides the same recorder plumbing the
@@ -370,8 +344,6 @@ func Open(opts Options) (*DB, error) {
 		Visibility:  vcMode(opts.VisibilityMode),
 		LockPolicy:  lockPolicy(opts.DeadlockPolicy),
 		LockTimeout: opts.LockTimeout,
-		Shards:      opts.Shards,
-		Trace:       tracer,
 		PhaseTiming: opts.PhaseTiming,
 		Traces:      spans,
 	}
@@ -407,19 +379,16 @@ func Open(opts Options) (*DB, error) {
 	engVC := eng.VC()
 	auditVC.Store(&engVC)
 
-	db := &DB{eng: eng, log: log, tracer: tracer, spans: spans, auditor: auditor, fs: opts.FS, walPath: opts.WALPath, retries: retries}
+	db := &DB{eng: eng, log: log, spans: spans, auditor: auditor, fs: opts.FS, walPath: opts.WALPath, retries: retries}
 	// Commits collect at install; the collector is CollectGarbage's sweep
 	// for the keys nobody writes again. Its pass observer feeds the GC
-	// counters and trace events.
+	// counters.
 	db.collector = gc.New(eng, 0)
-	db.collector.SetOnPass(func(reclaimed int, watermark uint64, elapsed time.Duration) {
+	db.collector.SetOnPass(func(reclaimed int) {
 		st := eng.Obs()
 		st.GCPasses.Inc()
 		st.GCReclaimed.Add(int64(reclaimed))
 		st.GCBacklog.Record(int64(reclaimed))
-		tracer.Record(obs.Event{
-			Type: obs.EvGC, TN: watermark, N: int64(reclaimed), Dur: elapsed.Nanoseconds(),
-		})
 	})
 	db.collector.SetChainObserver(func(depth int) {
 		eng.Obs().GCChainDepth.Record(int64(depth))
@@ -428,9 +397,6 @@ func Open(opts Options) (*DB, error) {
 		src := flight.Sources{
 			Stats:     db.Stats,
 			WaitGraph: eng.LockWaitGraph,
-		}
-		if tracer != nil {
-			src.Trace = tracer.Dump
 		}
 		if auditor != nil {
 			src.Audit = auditor.Snapshot
@@ -443,7 +409,7 @@ func Open(opts Options) (*DB, error) {
 				return spans.Promoted()
 			}
 		}
-		rec, err := flight.New(src, flight.Options{Dir: opts.FlightDir, Interval: opts.FlightInterval})
+		rec, err := flight.New(src, flight.Options{Dir: opts.FlightDir})
 		if err != nil {
 			db.Close()
 			return nil, fmt.Errorf("mvdb: flight recorder: %w", err)
@@ -466,7 +432,7 @@ func Open(opts Options) (*DB, error) {
 			serveOpts = append(serveOpts,
 				obs.WithHandler("/debug/mvdb/traces", spans.HTTPHandler()))
 		}
-		dbg, err := obs.Serve(opts.DebugAddr, db.Stats, tracer, serveOpts...)
+		dbg, err := obs.Serve(opts.DebugAddr, db.Stats, serveOpts...)
 		if err != nil {
 			db.Close()
 			return nil, fmt.Errorf("mvdb: debug server: %w", err)
@@ -616,11 +582,6 @@ func (db *DB) Update(fn func(*Tx) error) error {
 func (db *DB) Stats() Stats {
 	return db.eng.Snapshot()
 }
-
-// Trace returns the retained event trace in order (oldest first), or nil
-// when tracing is disabled. The ring holds the most recent
-// Options.TraceEvents events; older ones have been overwritten.
-func (db *DB) Trace() []TraceEvent { return db.tracer.Dump() }
 
 // TxTraces returns the per-transaction causal trace collector, or nil
 // when Options.TraceSample was zero. TxTraces().Promoted() lists the

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 
@@ -12,26 +13,24 @@ import (
 )
 
 // TestNoObservabilityWithoutOptIn is the zero-cost guard: a default
-// Options{} database must start no HTTP listener and allocate no
-// tracer — observability counters are always on, but tracing and the
-// debug endpoint are strictly opt-in.
+// Options{} database must start no HTTP listener and build none of the
+// optional layers — observability counters are always on, but the debug
+// endpoint, phase timing, span tracing, the auditor and the flight
+// recorder are strictly opt-in.
 func TestNoObservabilityWithoutOptIn(t *testing.T) {
 	db, err := Open(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	if db.tracer != nil {
-		t.Fatal("Options{} allocated a tracer")
-	}
 	if db.dbg != nil {
 		t.Fatal("Options{} started a debug server")
 	}
 	if db.DebugAddr() != "" {
 		t.Fatalf("DebugAddr = %q, want empty", db.DebugAddr())
 	}
-	if db.Trace() != nil {
-		t.Fatal("Trace() should be nil when tracing is off")
+	if db.eng.Phases() != nil || db.TxTraces() != nil || db.Audit() != nil || db.Flight() != nil {
+		t.Fatal("Options{} built an optional observability layer")
 	}
 }
 
@@ -113,20 +112,21 @@ func TestVisibilityGaugesInvariant(t *testing.T) {
 }
 
 // TestDebugEndpoint opens a database with a debug address and checks the
-// live endpoint end to end: stats reflect committed work and the trace
-// carries typed events.
+// live endpoint end to end: /debug/mvdb serves the stats snapshot alone,
+// reflecting committed work, /metrics and /debug/vars agree with it, and
+// the address turns on nothing but the server.
 func TestDebugEndpoint(t *testing.T) {
 	db, err := Open(Options{DebugAddr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	if db.tracer == nil {
-		t.Fatal("DebugAddr should enable tracing")
-	}
 	addr := db.DebugAddr()
 	if addr == "" {
 		t.Fatal("no bound debug address")
+	}
+	if db.eng.Phases() != nil || db.TxTraces() != nil || db.Audit() != nil || db.Flight() != nil {
+		t.Fatal("DebugAddr built an optional observability layer")
 	}
 
 	if err := db.Update(func(tx *Tx) error { return tx.PutString("k", "v") }); err != nil {
@@ -134,13 +134,32 @@ func TestDebugEndpoint(t *testing.T) {
 	}
 	db.View(func(tx *Tx) error { _, err := tx.Get("k"); return err })
 
-	resp, err := http.Get("http://" + addr + "/debug/mvdb")
-	if err != nil {
+	get := func(path string) []byte {
+		t.Helper()
+		resp, err := http.Get("http://" + addr + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s = %s", path, resp.Status)
+		}
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	body := get("/debug/mvdb")
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(body, &keys); err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
+	if len(keys) != 1 || keys["stats"] == nil {
+		t.Fatalf("/debug/mvdb keys = %v, want stats alone", keys)
+	}
 	var p obs.Payload
-	if err := json.NewDecoder(resp.Body).Decode(&p); err != nil {
+	if err := json.Unmarshal(body, &p); err != nil {
 		t.Fatal(err)
 	}
 	if p.Stats.CommitsRW != 1 || p.Stats.CommitsRO != 1 {
@@ -149,18 +168,17 @@ func TestDebugEndpoint(t *testing.T) {
 	if p.Stats.Protocol != "vc+2pl" {
 		t.Fatalf("protocol = %q", p.Stats.Protocol)
 	}
-	var sawCommit bool
-	for _, ev := range p.Trace {
-		if ev.Type == obs.EvCommit {
-			sawCommit = true
-		}
+	if prom := string(get("/metrics")); !strings.Contains(prom, `mvdb_commits_total{class="rw"} 1`) {
+		t.Fatalf("/metrics lacks the read-write commit:\n%s", prom)
 	}
-	if !sawCommit {
-		t.Fatalf("trace has no commit event: %+v", p.Trace)
+	var vars struct {
+		Mvdb obs.Snapshot `json:"mvdb"`
 	}
-	// The in-process dump agrees with the endpoint's trace.
-	if len(db.Trace()) == 0 {
-		t.Fatal("db.Trace() empty with tracing enabled")
+	if err := json.Unmarshal(get("/debug/vars"), &vars); err != nil {
+		t.Fatal(err)
+	}
+	if vars.Mvdb.CommitsRW != 1 {
+		t.Fatalf("expvar mvdb = %+v", vars.Mvdb)
 	}
 }
 
@@ -199,34 +217,6 @@ func TestDebugEndpointErrorPaths(t *testing.T) {
 	for _, path := range []string{"/debug/mvdb/health", "/debug/mvdb/hotspot"} {
 		if code, body := get(path); code != http.StatusNotFound {
 			t.Errorf("GET %s = %d (%q), want 404", path, code, body)
-		}
-	}
-}
-
-// TestTraceEventsWithoutEndpoint: tracing alone (no HTTP server).
-func TestTraceEventsWithoutEndpoint(t *testing.T) {
-	db, err := Open(Options{TraceEvents: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if db.dbg != nil {
-		t.Fatal("TraceEvents alone must not start a server")
-	}
-	db.Update(func(tx *Tx) error { return tx.PutString("a", "1") })
-	evs := db.Trace()
-	if len(evs) == 0 {
-		t.Fatal("no events traced")
-	}
-	want := map[obs.EventType]bool{obs.EvBegin: false, obs.EvWrite: false, obs.EvCommit: false}
-	for _, ev := range evs {
-		if _, ok := want[ev.Type]; ok {
-			want[ev.Type] = true
-		}
-	}
-	for ty, seen := range want {
-		if !seen {
-			t.Errorf("no %s event in trace", ty)
 		}
 	}
 }
