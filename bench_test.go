@@ -64,7 +64,7 @@ func BenchmarkVCModule(b *testing.B) {
 	b.Run("register-complete-outoforder", func(b *testing.B) {
 		c := vc.New(0)
 		const window = 32
-		entries := make([]vc.Handle, window)
+		entries := make([]*vc.Entry, window)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i += window {
 			for j := range entries {

@@ -98,7 +98,7 @@ func runF1(quick bool) {
 	// Out-of-order completion: register a window, complete in reverse.
 	const window = 64
 	t0 = time.Now()
-	entries := make([]vc.Handle, window)
+	entries := make([]*vc.Entry, window)
 	for i := 0; i < iters/window; i++ {
 		for j := range entries {
 			entries[j] = c.Register()

@@ -183,12 +183,50 @@ func (e *Engine) Bootstrap(data map[string][]byte) error {
 	return nil
 }
 
-// Begin implements engine.Engine.
-func (e *Engine) Begin(class engine.Class) (engine.Tx, error) {
-	if e.closed.Load() {
-		return nil, errors.New("core: engine closed")
+// Tx is the header of every transaction the engine begins. Each
+// protocol's transaction struct holds it as its first field, so a
+// transaction is one allocation: the header, the protocol's state, 2PL's
+// lock state and the version-control entry. mvdb.Tx is this type under
+// its own name, and converting between the two is free. A header is an
+// engine.Tx: each method forwards to the transaction it heads.
+type Tx struct {
+	self engine.Tx // the protocol struct this header heads
+}
+
+func (h *Tx) Get(key string) ([]byte, error)     { return h.self.Get(key) }
+func (h *Tx) Put(key string, value []byte) error { return h.self.Put(key, value) }
+func (h *Tx) Delete(key string) error            { return h.self.Delete(key) }
+func (h *Tx) Commit() error                      { return h.self.Commit() }
+func (h *Tx) Abort()                             { h.self.Abort() }
+func (h *Tx) SN() (uint64, bool)                 { return h.self.SN() }
+func (h *Tx) ID() uint64                         { return h.self.ID() }
+func (h *Tx) Class() engine.Class                { return h.self.Class() }
+
+// Scan implements engine.Scanner for a read-only transaction; a
+// read-write one cannot scan.
+func (h *Tx) Scan(prefix string, fn func(key string, value []byte) bool) error {
+	if s, ok := h.self.(engine.Scanner); ok {
+		return s.Scan(prefix, fn)
 	}
-	e.bootstrapSealed.Store(true)
+	return fmt.Errorf("%w: Scan requires a read-only transaction", engine.ErrReadOnly)
+}
+
+// Begin implements engine.Engine: BeginTx, returning the transaction the
+// header heads.
+func (e *Engine) Begin(class engine.Class) (engine.Tx, error) {
+	h, err := e.BeginTx(class)
+	if err != nil {
+		return nil, err
+	}
+	return h.self, nil
+}
+
+// BeginTx starts a transaction of class — under the engine's protocol
+// if it is read-write — and returns its header.
+func (e *Engine) BeginTx(class engine.Class) (*Tx, error) {
+	if err := e.admit(); err != nil {
+		return nil, err
+	}
 	id := e.ids.Add(1)
 	if class == engine.ReadOnly {
 		return e.beginReadOnly(id, 0, false), nil
@@ -205,12 +243,26 @@ func (e *Engine) Begin(class engine.Class) (engine.Tx, error) {
 	}
 }
 
+// admit fails once the engine is closed, and otherwise seals Bootstrap
+// and SetWAL off. The flag is written once: a store on every begin
+// would be a shared write on the cache line that holds closed, which
+// every begin reads.
+func (e *Engine) admit() error {
+	if e.closed.Load() {
+		return errors.New("core: engine closed")
+	}
+	if !e.bootstrapSealed.Load() {
+		e.bootstrapSealed.Store(true)
+	}
+	return nil
+}
+
 // BeginReadOnlyRecent starts a read-only transaction that is guaranteed to
 // observe every read-write transaction serialized before the call. This is
 // the first rectification of delayed visibility from Section 6 of the
 // paper: the start number is forced to be at least the most recently
 // assigned transaction number, waiting for visibility to catch up.
-func (e *Engine) BeginReadOnlyRecent() (engine.Tx, error) {
+func (e *Engine) BeginReadOnlyRecent() (*Tx, error) {
 	return e.beginPinned(0, true)
 }
 
@@ -222,15 +274,14 @@ func (e *Engine) BeginReadOnlyRecent() (engine.Tx, error) {
 // for read-your-writes, or a historical position for time travel — any
 // position whose versions have not been garbage-collected reads
 // consistently.
-func (e *Engine) BeginReadOnlyAt(sn uint64) (engine.Tx, error) {
+func (e *Engine) BeginReadOnlyAt(sn uint64) (*Tx, error) {
 	return e.beginPinned(sn, false)
 }
 
-func (e *Engine) beginPinned(sn uint64, recent bool) (engine.Tx, error) {
-	if e.closed.Load() {
-		return nil, errors.New("core: engine closed")
+func (e *Engine) beginPinned(sn uint64, recent bool) (*Tx, error) {
+	if err := e.admit(); err != nil {
+		return nil, err
 	}
-	e.bootstrapSealed.Store(true)
 	return e.beginReadOnly(e.ids.Add(1), sn, recent), nil
 }
 
@@ -424,7 +475,7 @@ func (e *Engine) latest(key string) (storage.Version, bool) {
 // what no snapshot can reach (storage.Object.Install): the new version
 // is above the watermark, which never passes vtnc, so neither it nor a
 // withdrawal ever touches what that drops.
-func (e *Engine) commitTail(o *txObs, entry vc.Handle, writes []wal.Write) error {
+func (e *Engine) commitTail(o *txObs, entry *vc.Entry, writes []wal.Write) error {
 	tn := entry.TN()
 	w := e.opts.WAL
 	var ticket wal.Ticket

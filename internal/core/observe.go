@@ -317,7 +317,7 @@ func (o *txObs) committed(tn uint64) {
 // to that transaction, and that is the queued-behind blame edge. The
 // ablated (A2) eager path bypasses the drain (no visibility callback
 // will ever fire), so its trace finalizes here.
-func (o *txObs) complete(entry vc.Handle) {
+func (o *txObs) complete(entry *vc.Entry) {
 	switch tr := o.tr; {
 	case o.e.opts.UnsafeEagerVisibility:
 		o.e.vc.UnsafeCompleteEager(entry)

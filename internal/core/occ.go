@@ -2,6 +2,7 @@ package core
 
 import (
 	"mvdb/internal/engine"
+	"mvdb/internal/vc"
 	"mvdb/internal/wal"
 )
 
@@ -18,14 +19,65 @@ import (
 // the write set with the assigned tn, and leaves the critical section.
 // VCcomplete runs after the updates are in place, as in Figures 3 and 4.
 type occTx struct {
+	head Tx
 	txObs
-	readSet map[string]uint64 // key -> version TN observed
-	buf     writeSet
-	tn      uint64
+	reads readSet
+	buf   writeSet
+	entry vc.Entry // registered inside validation
 }
 
-func (e *Engine) beginOptimistic(id uint64) *occTx {
-	return &occTx{txObs: e.observe(id, protoOCC, 0), readSet: make(map[string]uint64)}
+func (e *Engine) beginOptimistic(id uint64) *Tx {
+	t := &occTx{txObs: e.observe(id, protoOCC, 0)}
+	t.head.self = t
+	return &t.head
+}
+
+// readSet is what an optimistic transaction read, one entry per key in
+// the order the keys were first read, with the version number it saw.
+// It is kept like writeSet: inside the transaction struct for the first
+// two keys, found by scanning, and indexed past writeSetScan.
+type readSet struct {
+	reads []read
+	buf   [2]read
+	index map[string]int // key → position, kept once the set outgrows a scan
+}
+
+type read struct {
+	key string
+	tn  uint64
+}
+
+// find returns key's position in the set, -1 if it was not read.
+func (rs *readSet) find(key string) int {
+	if rs.index != nil {
+		if i, ok := rs.index[key]; ok {
+			return i
+		}
+		return -1
+	}
+	for i := range rs.reads {
+		if rs.reads[i].key == key {
+			return i
+		}
+	}
+	return -1
+}
+
+// add records the first read of key, which saw version tn.
+func (rs *readSet) add(key string, tn uint64) {
+	if rs.reads == nil {
+		rs.reads = rs.buf[:0]
+	}
+	if rs.index == nil && len(rs.reads) >= writeSetScan {
+		rs.index = make(map[string]int, 2*len(rs.reads))
+		for i := range rs.reads {
+			rs.index[rs.reads[i].key] = i
+		}
+	}
+	if rs.index != nil {
+		rs.index[key] = len(rs.reads)
+	}
+	rs.reads = append(rs.reads, read{key, tn})
 }
 
 // Get implements engine.Tx: optimistic read of the latest committed
@@ -40,14 +92,15 @@ func (t *occTx) Get(key string) ([]byte, error) {
 		return readBack(t.buf.writes[i])
 	}
 	v, ok := t.e.latest(key)
-	if prev, seen := t.readSet[key]; seen && prev != v.TN {
+	if i := t.reads.find(key); i < 0 {
+		t.reads.add(key, v.TN)
+	} else if t.reads.reads[i].tn != v.TN {
 		// The object moved under us between two reads; the transaction
 		// can no longer validate, so fail fast.
 		t.done = true
 		t.end(sp)
 		return nil, t.abort(causeOCCRead)
 	}
-	t.readSet[key] = v.TN
 	t.read(key, v.TN)
 	t.end(sp)
 	return result(v, ok)
@@ -84,22 +137,21 @@ func (t *occTx) Commit() error {
 	// throughput ceiling.
 	sp := t.span(phaseValidate)
 	e.valMu.Lock()
-	for key, seenTN := range t.readSet {
+	for _, r := range t.reads.reads {
 		cur := uint64(0)
-		if o := e.store.Get(key); o != nil {
+		if o := e.store.Get(r.key); o != nil {
 			cur = o.LatestTN()
 		}
-		if cur != seenTN {
+		if cur != r.tn {
 			e.valMu.Unlock()
 			t.end(sp)
 			return t.abort(causeOCCValidate)
 		}
 	}
-	entry := e.vc.Register()
-	t.tn = entry.TN()
-	t.registered(t.tn)
+	e.vc.RegisterEntry(&t.entry)
+	t.registered(t.entry.TN())
 	t.end(sp)
-	return e.commitTail(&t.txObs, entry, t.buf.writes) // leaves the critical section
+	return e.commitTail(&t.txObs, &t.entry, t.buf.writes) // leaves the critical section
 }
 
 // Abort implements engine.Tx. An optimistic transaction holds nothing, so
@@ -112,4 +164,4 @@ func (t *occTx) Abort() {
 }
 
 // SN implements engine.Tx: assigned at validation.
-func (t *occTx) SN() (uint64, bool) { return t.tn, t.tn != 0 }
+func (t *occTx) SN() (uint64, bool) { return t.entry.TN(), t.entry.TN() != 0 }

@@ -12,15 +12,17 @@ import (
 // interacts with the concurrency control component, never blocks, and
 // never aborts.
 type roTx struct {
+	head Tx
 	txObs
 	sn uint64
 }
 
-func (e *Engine) beginReadOnly(id, pinSN uint64, recent bool) *roTx {
+func (e *Engine) beginReadOnly(id, pinSN uint64, recent bool) *Tx {
 	slot, sn := e.snapshot(id, pinSN, recent)
 	t := &roTx{txObs: e.observe(id, protoRO, sn), sn: sn}
+	t.head.self = t
 	t.slot = slot
-	return t
+	return &t.head
 }
 
 // snapshot publishes a snapshot in the registry, then takes it, and

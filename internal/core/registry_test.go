@@ -14,11 +14,25 @@ import (
 	"mvdb/internal/wal"
 )
 
-// The registry slot rides in txObs's tail padding: a read-only
-// transaction stays in the 48-byte size class.
-func TestReadOnlyTxSize(t *testing.T) {
-	if s := unsafe.Sizeof(roTx{}); s > 48 {
-		t.Fatalf("sizeof(roTx) = %d, want <= 48", s)
+// A transaction is one allocation, header and all; each stays in the
+// allocator size class it was measured in, so a field added later cannot
+// silently push it into the next one. A View's is 64 bytes, where it was
+// a 16-byte public handle plus a 48-byte roTx; the registry slot rides in
+// txObs's tail padding to keep it there.
+func TestTxSizeClasses(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		size  uintptr
+		class uintptr
+	}{
+		{"roTx", unsafe.Sizeof(roTx{}), 64},
+		{"tsoTx", unsafe.Sizeof(tsoTx{}), 224},
+		{"occTx", unsafe.Sizeof(occTx{}), 320},
+		{"twoPhaseTx", unsafe.Sizeof(twoPhaseTx{}), 352},
+	} {
+		if c.size > c.class {
+			t.Errorf("sizeof(%s) = %d, want <= %d", c.name, c.size, c.class)
+		}
 	}
 }
 

@@ -18,17 +18,19 @@ import (
 // (abort + VCdiscard), and otherwise install a pending version that
 // becomes committed at end(T), followed by VCcomplete.
 type tsoTx struct {
+	head Tx
 	txObs
-	entry  vc.Handle
-	tn     uint64
+	entry  vc.Entry // registered at begin: tn(T)
 	writes writeSet // what our pending versions hold (commit log)
 }
 
-func (e *Engine) beginTimestamp(id uint64) *tsoTx {
-	entry := e.vc.Register()
-	t := &tsoTx{txObs: e.observe(id, protoTO, 0), entry: entry, tn: entry.TN()}
-	t.registered(t.tn) // the serial order is fixed at begin
-	return t
+func (e *Engine) beginTimestamp(id uint64) *Tx {
+	t := new(tsoTx)
+	t.head.self = t
+	e.vc.RegisterEntry(&t.entry)
+	t.txObs = e.observe(id, protoTO, 0)
+	t.registered(t.entry.TN()) // the serial order is fixed at begin
+	return &t.head
 }
 
 // Get implements engine.Tx per Figure 3's read action: raise r-ts(x),
@@ -44,9 +46,9 @@ func (t *tsoTx) Get(key string) ([]byte, error) {
 	var v storage.Version
 	ok := false
 	if o := t.e.store.Get(key); o != nil {
-		v, ok = o.TORead(t.tn)
+		v, ok = o.TORead(t.entry.TN())
 	}
-	if v.TN != t.tn {
+	if v.TN != t.entry.TN() {
 		t.read(key, v.TN)
 	}
 	t.end(sp)
@@ -69,7 +71,7 @@ func (t *tsoTx) put(w wal.Write) error {
 	if t.done {
 		return engine.ErrTxDone
 	}
-	if err := t.e.store.GetOrCreate(w.Key).TOWrite(t.tn, w.Value, w.Tombstone); err != nil {
+	if err := t.e.store.GetOrCreate(w.Key).TOWrite(t.entry.TN(), w.Value, w.Tombstone); err != nil {
 		cause := causeTOWrite
 		if errors.Is(err, storage.ErrConflictRO) {
 			cause = causeTOWriteByRO
@@ -90,8 +92,8 @@ func (e *Engine) destroyPending(tn uint64, writes []wal.Write) {
 
 func (t *tsoTx) rollback() {
 	t.done = true
-	t.e.destroyPending(t.tn, t.writes.writes)
-	t.e.vc.Discard(t.entry)
+	t.e.destroyPending(t.entry.TN(), t.writes.writes)
+	t.e.vc.Discard(&t.entry)
 }
 
 // Commit implements engine.Tx: perform the database updates (promote
@@ -101,7 +103,7 @@ func (t *tsoTx) Commit() error {
 		return engine.ErrTxDone
 	}
 	t.done = true
-	return t.e.commitTail(&t.txObs, t.entry, t.writes.writes)
+	return t.e.commitTail(&t.txObs, &t.entry, t.writes.writes)
 }
 
 // Abort implements engine.Tx: destroy pending versions and VCdiscard.
@@ -113,4 +115,4 @@ func (t *tsoTx) Abort() {
 }
 
 // SN implements engine.Tx: sn(T) = tn(T) under timestamp ordering.
-func (t *tsoTx) SN() (uint64, bool) { return t.tn, true }
+func (t *tsoTx) SN() (uint64, bool) { return t.entry.TN(), true }

@@ -22,20 +22,26 @@ import (
 // its locks, and finally calls VCcomplete. The version-control module
 // therefore only ever sees transactions that can no longer block, which is
 // why (Section 4.4) it is immune to deadlocks.
+//
+// The lock manager's state and the version-control entry live in the
+// struct: a fresh one per transaction, never recycled, which is what the
+// deadlock detector needs of the lock state (lock.TxState).
 type twoPhaseTx struct {
+	head Tx
 	txObs
-	entry vc.Handle // ablation A1 only: registered at begin
+	locks lock.TxState
+	entry vc.Entry // registered at the lock-point (ablation A1: at begin)
 	buf   writeSet
-	tn    uint64 // assigned at commit
 }
 
-func (e *Engine) beginTwoPhase(id uint64) *twoPhaseTx {
-	e.locks.Begin(id, e.ages.Add(1))
+func (e *Engine) beginTwoPhase(id uint64) *Tx {
 	t := &twoPhaseTx{txObs: e.observe(id, proto2PL, 0)}
+	t.head.self = t
+	e.locks.BeginState(&t.locks, id, e.ages.Add(1))
 	if e.opts.UnsafeEarlyRegister2PL {
-		t.entry = e.vc.Register() // A1: serial order NOT yet fixed — wrong on purpose
+		e.vc.RegisterEntry(&t.entry) // A1: serial order NOT yet fixed — wrong on purpose
 	}
-	return t
+	return &t.head
 }
 
 // Get implements engine.Tx: r-lock(x), then read the latest version
@@ -102,8 +108,8 @@ func (t *twoPhaseTx) acquire(key string, mode lock.Mode) error {
 func (t *twoPhaseTx) rollback() {
 	t.done = true
 	t.e.locks.ReleaseAll(t.id) // Figure 4's "clear locks"
-	if t.entry != nil {
-		t.e.vc.Discard(t.entry)
+	if t.e.opts.UnsafeEarlyRegister2PL {
+		t.e.vc.Discard(&t.entry)
 	}
 }
 
@@ -121,13 +127,11 @@ func (t *twoPhaseTx) Commit() error {
 		return t.abort(causeWounded)
 	}
 	t.done = true
-	entry := t.entry
-	if entry == nil {
-		entry = t.e.vc.Register() // the lock-point has been passed
+	if !t.e.opts.UnsafeEarlyRegister2PL {
+		t.e.vc.RegisterEntry(&t.entry) // the lock-point has been passed
 	}
-	t.tn = entry.TN()
-	t.registered(t.tn)
-	return t.e.commitTail(&t.txObs, entry, t.buf.writes)
+	t.registered(t.entry.TN())
+	return t.e.commitTail(&t.txObs, &t.entry, t.buf.writes)
 }
 
 // Abort implements engine.Tx.
@@ -139,5 +143,6 @@ func (t *twoPhaseTx) Abort() {
 }
 
 // SN implements engine.Tx. A 2PL read-write transaction has no snapshot
-// position until it commits ("sn(T) = infinity for uniformity").
-func (t *twoPhaseTx) SN() (uint64, bool) { return t.tn, t.tn != 0 }
+// position until it registers at commit ("sn(T) = infinity for
+// uniformity"); under ablation A1, from begin.
+func (t *twoPhaseTx) SN() (uint64, bool) { return t.entry.TN(), t.entry.TN() != 0 }

@@ -102,7 +102,7 @@ var (
 const DefaultStripes = 32
 
 type request struct {
-	tx      *txState
+	tx      *TxState
 	key     string
 	mode    Mode
 	upgrade bool
@@ -113,7 +113,12 @@ type request struct {
 	ready chan error
 }
 
-type txState struct {
+// TxState is one transaction's lock-manager state. The caller owns it —
+// the VC+2PL engine keeps it inside its transaction struct — and hands
+// it to BeginState once. It must be fresh: the detector holds a
+// *TxState outside every stripe mutex (cycleFrom, woundYounger), so a
+// recycled one could be wounded as its next incarnation.
+type TxState struct {
 	id  uint64
 	age uint64 // smaller = older; used by WoundWait
 
@@ -130,7 +135,7 @@ type txState struct {
 
 // holder is one granted lock on a key.
 type holder struct {
-	tx   *txState
+	tx   *TxState
 	mode Mode
 }
 
@@ -146,7 +151,7 @@ type lockState struct {
 
 // holderIdx returns tx's index among the holders, -1 if it holds nothing
 // here. A nil lockState has no holders.
-func (ls *lockState) holderIdx(tx *txState) int {
+func (ls *lockState) holderIdx(tx *TxState) int {
 	if ls != nil {
 		for i := range ls.holders {
 			if ls.holders[i].tx == tx {
@@ -160,7 +165,7 @@ func (ls *lockState) holderIdx(tx *txState) int {
 // conflict returns the first holder other than tx whose lock rules out
 // granting tx mode, nil if there is none. For an upgrade (tx holds
 // Shared, mode is Exclusive) that is exactly "tx is the sole holder".
-func (ls *lockState) conflict(tx *txState, mode Mode) *txState {
+func (ls *lockState) conflict(tx *TxState, mode Mode) *TxState {
 	for _, h := range ls.holders {
 		if h.tx != tx && (mode == Exclusive || h.mode == Exclusive) {
 			return h.tx
@@ -172,7 +177,7 @@ func (ls *lockState) conflict(tx *txState, mode Mode) *txState {
 // grant makes tx a holder in mode: an upgrade rewrites its Shared entry
 // in place, anything else adds a holder and lists key for ReleaseAll.
 // The caller holds the stripe mutex and tx.mu.
-func (ls *lockState) grant(tx *txState, key string, mode Mode) {
+func (ls *lockState) grant(tx *TxState, key string, mode Mode) {
 	if i := ls.holderIdx(tx); i >= 0 {
 		ls.holders[i].mode = mode
 		return
@@ -221,7 +226,7 @@ const txShardCount = 16
 // txShard is one partition of the transaction registry.
 type txShard struct {
 	mu sync.Mutex
-	m  map[uint64]*txState
+	m  map[uint64]*TxState
 }
 
 // Manager is a lock manager. It is safe for concurrent use.
@@ -281,7 +286,7 @@ func NewManagerStriped(policy Policy, timeout time.Duration, stripes int) *Manag
 		m.stripes[i].locks = make(map[string]*lockState)
 	}
 	for i := range m.txs {
-		m.txs[i].m = make(map[uint64]*txState)
+		m.txs[i].m = make(map[uint64]*TxState)
 	}
 	return m
 }
@@ -305,7 +310,7 @@ func (m *Manager) lockStripe(s *stripe) {
 	s.mu.Lock()
 }
 
-func (m *Manager) lookup(txID uint64) *txState {
+func (m *Manager) lookup(txID uint64) *TxState {
 	sh := &m.txs[txID%txShardCount]
 	sh.mu.Lock()
 	tx := sh.m[txID]
@@ -313,21 +318,25 @@ func (m *Manager) lookup(txID uint64) *txState {
 	return tx
 }
 
-// Begin registers a transaction. age must be unique and monotonically
-// increasing across Begin calls (the engine uses its begin sequence);
-// WoundWait uses it as the seniority order.
+// Begin is BeginState on a new TxState, for callers with no struct of
+// their own to keep one in.
 func (m *Manager) Begin(txID, age uint64) {
+	m.BeginState(new(TxState), txID, age)
+}
+
+// BeginState registers a transaction with the state it keeps here, which
+// must be fresh (see TxState). age must be unique and monotonically
+// increasing across begins (the engine uses its begin sequence);
+// WoundWait uses it as the seniority order.
+func (m *Manager) BeginState(tx *TxState, txID, age uint64) {
+	tx.id, tx.age = txID, age
+	tx.keys = tx.keyBuf[:0]
 	sh := &m.txs[txID%txShardCount]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if _, ok := sh.m[txID]; ok {
 		panic(fmt.Sprintf("lock: duplicate Begin(%d)", txID))
 	}
-	// Always a fresh txState: the detector holds *txState outside every
-	// stripe mutex (cycleFrom, woundYounger), and a recycled one could be
-	// wounded as its next incarnation.
-	tx := &txState{id: txID, age: age}
-	tx.keys = tx.keyBuf[:0]
 	sh.m[txID] = tx
 }
 
@@ -405,7 +414,7 @@ func (m *Manager) Acquire(txID uint64, key string, mode Mode) error {
 // grantOrQueue is Acquire's step under the key's stripe mutex and tx.mu:
 // grant the lock (nil request, nil error), refuse a wounded transaction,
 // or queue a request and return it with the blame edge.
-func (m *Manager) grantOrQueue(tx *txState, key string, mode Mode) (*request, uint64, error) {
+func (m *Manager) grantOrQueue(tx *TxState, key string, mode Mode) (*request, uint64, error) {
 	s := m.stripeFor(key)
 	m.lockStripe(s)
 	defer s.mu.Unlock()
@@ -586,6 +595,30 @@ func (m *Manager) Stripes() int { return len(m.stripes) }
 // the stripe count is ample for the workload.
 func (m *Manager) StripeCollisions() uint64 { return m.collisions.Load() }
 
+// CheckIdle reports a transaction still registered or a key still in the
+// lock table. It is meant for tests, once every transaction has released.
+func (m *Manager) CheckIdle() error {
+	for i := range m.txs {
+		sh := &m.txs[i]
+		sh.mu.Lock()
+		n := len(sh.m)
+		sh.mu.Unlock()
+		if n != 0 {
+			return fmt.Errorf("lock: %d transactions still registered in shard %d", n, i)
+		}
+	}
+	for i := range m.stripes {
+		s := &m.stripes[i]
+		s.mu.Lock()
+		n := len(s.locks)
+		s.mu.Unlock()
+		if n != 0 {
+			return fmt.Errorf("lock: %d keys still in stripe %d", n, i)
+		}
+	}
+	return nil
+}
+
 // WaitEdge is one waits-for edge of the lock table: From is blocked on
 // Key (requesting Mode) by To, which holds or is queued ahead with a
 // conflicting mode.
@@ -618,7 +651,7 @@ func (m *Manager) WaitGraph() WaitGraph {
 	for i := range m.txs {
 		sh := &m.txs[i]
 		sh.mu.Lock()
-		txs := make([]*txState, 0, len(sh.m))
+		txs := make([]*TxState, 0, len(sh.m))
 		for _, tx := range sh.m {
 			txs = append(txs, tx)
 		}
@@ -693,7 +726,7 @@ func (m *Manager) removeRequest(s *stripe, ls *lockState, req *request) bool {
 // blockersFor returns the transactions req waits for: conflicting
 // holders plus conflicting requests queued ahead of it. It briefly locks
 // the key's stripe; the caller holds detectMu.
-func (m *Manager) blockersFor(req *request) []*txState {
+func (m *Manager) blockersFor(req *request) []*TxState {
 	s := m.stripeFor(req.key)
 	m.lockStripe(s)
 	defer s.mu.Unlock()
@@ -701,7 +734,7 @@ func (m *Manager) blockersFor(req *request) []*txState {
 	if ls == nil {
 		return nil
 	}
-	var out []*txState
+	var out []*TxState
 	for _, h := range ls.holders {
 		if h.tx != req.tx && (req.mode == Exclusive || h.mode == Exclusive) {
 			out = append(out, h.tx)
@@ -725,16 +758,16 @@ func (m *Manager) blockersFor(req *request) []*txState {
 // returning true if start is reachable from itself. The caller holds
 // detectMu; stripes and transactions are locked one at a time along the
 // walk (see the package comment for why this is sound).
-func (m *Manager) cycleFrom(start *txState) bool {
+func (m *Manager) cycleFrom(start *TxState) bool {
 	start.mu.Lock()
 	w := start.waiting
 	start.mu.Unlock()
 	if w == nil {
 		return false
 	}
-	visited := map[*txState]bool{}
-	var stack []*txState
-	push := func(t *txState) {
+	visited := map[*TxState]bool{}
+	var stack []*TxState
+	push := func(t *TxState) {
 		if !visited[t] {
 			visited[t] = true
 			stack = append(stack, t)
@@ -777,7 +810,7 @@ func (m *Manager) woundYounger(req *request) {
 
 // wound marks b wounded and fails its blocked request, if any. The caller
 // holds detectMu.
-func (m *Manager) wound(b *txState) {
+func (m *Manager) wound(b *TxState) {
 	b.mu.Lock()
 	if b.wounded {
 		b.mu.Unlock()

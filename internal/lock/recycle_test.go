@@ -41,15 +41,18 @@ func checkTableEmpty(t *testing.T, m *Manager) {
 	}
 }
 
-// TestSteadyStateAllocations: a transaction's lock traffic costs its
-// txState and nothing per lock — not for a new key, not for an S→X
-// upgrade, not for the release.
+// TestSteadyStateAllocations: with the caller owning its TxState, a
+// transaction's lock traffic allocates nothing — not for a new key, not
+// for an S→X upgrade, not for the release. Each run takes a fresh state,
+// as the engine does.
 func TestSteadyStateAllocations(t *testing.T) {
 	m := NewManager(Detect, 0)
+	const runs = 200
+	states := make([]TxState, runs+1) // AllocsPerRun adds a warm-up run
 	id := uint64(0)
-	if n := testing.AllocsPerRun(200, func() {
+	if n := testing.AllocsPerRun(runs, func() {
 		id++
-		m.Begin(id, id)
+		m.BeginState(&states[id-1], id, id)
 		for _, step := range []struct {
 			key  string
 			mode Mode
@@ -62,10 +65,13 @@ func TestSteadyStateAllocations(t *testing.T) {
 			t.Fatalf("HeldCount = %d after S, upgrade, second key; want 2", got)
 		}
 		m.ReleaseAll(id)
-	}); n > 1 {
-		t.Fatalf("Begin + S + upgrade + second key + ReleaseAll allocates %v times, want at most 1", n)
+	}); n != 0 {
+		t.Fatalf("BeginState + S + upgrade + second key + ReleaseAll allocates %v times, want 0", n)
 	}
 	checkTableEmpty(t, m)
+	if err := m.CheckIdle(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestLockTableHygiene churns many transactions over far more distinct

@@ -68,14 +68,6 @@ func ParseMode(s string) (Mode, error) {
 	return ModeStrict, fmt.Errorf("vc: unknown visibility mode %q (want strict or epoch)", s)
 }
 
-// Handle identifies one registered read-write transaction to the
-// controller that issued it. A handle must be resolved exactly once, by
-// Complete or Discard, on the controller that created it.
-type Handle interface {
-	// TN is the transaction number assigned at registration.
-	TN() uint64
-}
-
 // Obstruction describes why a completing transaction's visibility is
 // deferred: an older registered-but-unresolved transaction still holds
 // the horizon back. It is the evidence behind the queued-behind trace
@@ -105,25 +97,29 @@ type Controller interface {
 	// Start implements VCstart(): the snapshot number for a read-only
 	// transaction. Equal to VTNC; wait-free.
 	Start() uint64
-	// Register implements VCregister(T, "active"): assign the next
+	// RegisterEntry implements VCregister(T, "active"): assign e, which
+	// the caller owns and has not registered before, the next
 	// transaction number. Call only once the transaction's serial order
 	// is fixed (lock-point, begin under T/O, inside OCC validation).
-	Register() Handle
+	RegisterEntry(e *Entry)
+	// Register is RegisterEntry on a new entry, for callers with no
+	// struct of their own to keep one in.
+	Register() *Entry
 	// Complete implements VCcomplete(T). Visibility advances when (and
 	// only when) every older registration has also resolved.
-	Complete(Handle)
+	Complete(*Entry)
 	// CompleteObserved is Complete plus a causal probe: when the
 	// completing transaction's visibility is deferred behind an older
 	// unresolved one, fn receives the obstruction. fn runs inside the
 	// controller's critical section — it must be cheap and must not call
 	// back into the controller.
-	CompleteObserved(Handle, func(Obstruction))
+	CompleteObserved(*Entry, func(Obstruction))
 	// Discard implements VCdiscard(T): remove an aborted registration.
-	Discard(Handle)
+	Discard(*Entry)
 	// UnsafeCompleteEager is ablation A2: advance vtnc in completion
 	// order, deliberately violating the Transaction Visibility Property.
 	// Test-only; see DESIGN.md.
-	UnsafeCompleteEager(Handle)
+	UnsafeCompleteEager(*Entry)
 	// WaitVisible blocks until VTNC() >= n (Section 6 recency
 	// rectification).
 	WaitVisible(n uint64)

@@ -141,15 +141,6 @@ type pending struct {
 	regAt int64
 }
 
-// handle is the vc.Handle issued by this controller. It carries the tn;
-// the slot holds all mutable state.
-type handle struct {
-	c  *Controller
-	tn uint64
-}
-
-func (h *handle) TN() uint64 { return h.tn }
-
 // New returns an epoch controller bootstrapped at snapshot `initial`,
 // with one lane per GOMAXPROCS rounded up to a power of two (clamped to
 // [1, 64]) and DefaultSlots ring slots per lane.
@@ -210,11 +201,19 @@ func (c *Controller) slotOf(tn uint64) *slot {
 // published watermark. One atomic load — non-blocking by construction.
 func (c *Controller) Start() uint64 { return c.vtnc.Load() }
 
-// Register assigns the next transaction number with a wait-free
-// fetch-add and marks its slot outstanding. The capacity guard keeps tn
+// Register is RegisterEntry on a new entry.
+func (c *Controller) Register() *vc.Entry {
+	e := new(vc.Entry)
+	c.RegisterEntry(e)
+	return e
+}
+
+// RegisterEntry assigns e the next transaction number with a wait-free
+// fetch-add and marks its slot outstanding. The entry carries only the
+// number; the slot holds all mutable state. The capacity guard keeps tn
 // within lanes×slots of the watermark so the slot's previous tenant
 // (tn - capacity) has provably drained before the slot is rewritten.
-func (c *Controller) Register() vc.Handle {
+func (c *Controller) RegisterEntry(e *vc.Entry) {
 	tn := c.tnc.Add(1) - 1
 	if tn > c.capacity && c.vtnc.Load() < tn-c.capacity {
 		c.waitMu.Lock()
@@ -234,20 +233,18 @@ func (c *Controller) Register() vc.Handle {
 	if !s.state.CompareAndSwap(slotEmpty, slotOutstanding) {
 		panic("epoch: slot not drained at register (capacity guard broken)")
 	}
-	return &handle{c: c, tn: tn}
+	e.Assign(tn)
 }
 
 // resolve CASes the slot out of outstanding and drains the lane. It
 // returns the published watermark after any advance this resolution
-// unlocked.
-func (c *Controller) resolve(h vc.Handle, to uint32) uint64 {
-	hh, ok := h.(*handle)
-	if !ok || hh.c != c {
-		panic("epoch: handle was not issued by this controller")
-	}
-	s := c.slotOf(hh.tn)
+// unlocked. An entry whose slot is not outstanding — resolved already,
+// or never registered here — panics.
+func (c *Controller) resolve(e *vc.Entry, to uint32) uint64 {
+	tn := e.TN()
+	s := c.slotOf(tn)
 	if !s.state.CompareAndSwap(slotOutstanding, to) {
-		panic("vc: resolve of resolved entry")
+		panic("vc: resolve of an entry not outstanding here")
 	}
 	if to == slotComplete {
 		c.completions.Add(1)
@@ -260,7 +257,7 @@ func (c *Controller) resolve(h vc.Handle, to uint32) uint64 {
 	// the stale read, while we observe the pre-advance frontier and
 	// skip — stranding a completed slot forever. Taking the mutex
 	// serializes the two, so one of us always sees the other's work.
-	ln := c.laneOf(hh.tn)
+	ln := c.laneOf(tn)
 	ln.mu.Lock()
 	advanced := c.drainLaneLocked(ln)
 	ln.mu.Unlock()
@@ -360,18 +357,18 @@ func (c *Controller) sweepVisible(vtnc uint64) {
 }
 
 // Complete implements VCcomplete(T).
-func (c *Controller) Complete(h vc.Handle) { c.resolve(h, slotComplete) }
+func (c *Controller) Complete(e *vc.Entry) { c.resolve(e, slotComplete) }
 
 // Discard implements VCdiscard(T).
-func (c *Controller) Discard(h vc.Handle) { c.resolve(h, slotDiscarded) }
+func (c *Controller) Discard(e *vc.Entry) { c.resolve(e, slotDiscarded) }
 
 // CompleteObserved is Complete plus the queued-behind probe: if the
 // watermark is still below tn after this completion's own drain and
 // publish, an older transaction is holding the horizon back; fn gets the
 // oldest unresolved tn, the watermark distance, and the epoch.
-func (c *Controller) CompleteObserved(h vc.Handle, fn func(vc.Obstruction)) {
-	tn := h.TN()
-	vtnc := c.resolve(h, slotComplete)
+func (c *Controller) CompleteObserved(e *vc.Entry, fn func(vc.Obstruction)) {
+	tn := e.TN()
+	vtnc := c.resolve(e, slotComplete)
 	if fn == nil || vtnc >= tn {
 		return
 	}
@@ -397,8 +394,8 @@ func (c *Controller) CompleteObserved(h vc.Handle, fn func(vc.Obstruction)) {
 // UnsafeCompleteEager is ablation A2: publish tn immediately, in
 // completion order, deliberately violating the Transaction Visibility
 // Property. Invariants are forfeited from the first call. Test-only.
-func (c *Controller) UnsafeCompleteEager(h vc.Handle) {
-	tn := h.TN()
+func (c *Controller) UnsafeCompleteEager(e *vc.Entry) {
+	tn := e.TN()
 	for {
 		cur := c.vtnc.Load()
 		if tn <= cur {
@@ -414,7 +411,7 @@ func (c *Controller) UnsafeCompleteEager(h vc.Handle) {
 			break
 		}
 	}
-	c.resolve(h, slotComplete)
+	c.resolve(e, slotComplete)
 }
 
 // WaitVisible blocks until the watermark reaches n.

@@ -20,7 +20,7 @@ func TestSequentialEquivalenceRandom(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		s := vc.New(0)
 		e := NewWithShape(0, 4, 8)
-		type pair struct{ hs, he vc.Handle }
+		type pair struct{ hs, he *vc.Entry }
 		var live []pair
 		for step := 0; step < 300; step++ {
 			switch rng.Intn(4) {
@@ -93,7 +93,7 @@ func TestBootstrapSnapshot(t *testing.T) {
 func TestWatermarkBatching(t *testing.T) {
 	c := NewWithShape(0, 2, 4)
 	const n = 6
-	hs := make([]vc.Handle, n)
+	hs := make([]*vc.Entry, n)
 	for i := range hs {
 		hs[i] = c.Register()
 	}
@@ -152,7 +152,7 @@ func TestCapacityGuard(t *testing.T) {
 	c := NewWithShape(0, 1, 2) // capacity 2
 	h1 := c.Register()
 	h2 := c.Register()
-	released := make(chan vc.Handle)
+	released := make(chan *vc.Entry)
 	go func() {
 		released <- c.Register() // tn 3 reuses tn 1's slot: must wait
 	}()
@@ -189,13 +189,14 @@ func TestResolveTwicePanics(t *testing.T) {
 	c.Discard(h)
 }
 
+// An entry this controller never registered finds its slot empty.
 func TestForeignHandlePanics(t *testing.T) {
 	c := New(0)
 	s := vc.New(0)
 	h := s.Register()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("foreign handle did not panic")
+			t.Fatal("foreign entry did not panic")
 		}
 	}()
 	c.Complete(h)
@@ -331,7 +332,7 @@ func TestConcurrentHammer(t *testing.T) {
 func TestEpochCountBounded(t *testing.T) {
 	c := NewWithShape(0, 2, 32)
 	const n = 200
-	hs := make([]vc.Handle, n)
+	hs := make([]*vc.Entry, n)
 	for i := range hs {
 		if i >= 32 {
 			c.Complete(hs[i-32])

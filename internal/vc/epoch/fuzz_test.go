@@ -28,7 +28,7 @@ func FuzzVisibilityEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := vc.New(0)
 		e := NewWithShape(0, 2, 4)
-		type pair struct{ hs, he vc.Handle }
+		type pair struct{ hs, he *vc.Entry }
 		var live []pair
 		for i := 0; i < len(data); i++ {
 			op := data[i] % 3

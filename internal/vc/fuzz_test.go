@@ -30,7 +30,7 @@ func FuzzVCLifecycle(f *testing.F) {
 	f.Add([]byte{3, 2, 0, 0, 1, 0, 1, 0})       // number-skipping registration
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := New(0)
-		var live []Handle
+		var live []*Entry
 		lastVTNC := c.VTNC()
 		resolved := uint64(0)
 		registered := 0

@@ -25,11 +25,12 @@
 // order that can never be perturbed by active or future transactions.
 //
 // Since the interface split, this package holds the module's *contract*
-// (the Controller interface, Handle, Mode — see controller.go) plus the
-// paper-literal Strict implementation below. The VCQueue is a Strict
-// detail, not part of the contract: the epoch implementation
+// (the Controller interface and Mode — see controller.go — and Entry)
+// plus the paper-literal Strict implementation below. The VCQueue is a
+// Strict detail, not part of the contract: the epoch implementation
 // (internal/vc/epoch) maintains the same two properties with per-lane
-// completion frontiers and a batched watermark instead of a queue.
+// completion frontiers and a batched watermark instead of a queue, and
+// uses an Entry only for its number.
 package vc
 
 import (
@@ -40,9 +41,12 @@ import (
 	"time"
 )
 
-// Entry is a VCQueue node for one registered read-write transaction.
-// Entries are created by Register and must be resolved exactly once, by
-// either Complete (commit) or Discard (abort).
+// Entry is one registered read-write transaction: for Strict its VCQueue
+// node, for every controller the number it was assigned. The engine keeps
+// it in its own transaction struct and registers it with RegisterEntry;
+// Register is the wrapper that allocates one. An entry is registered
+// once, on one controller, and resolved exactly once there, by either
+// Complete (commit) or Discard (abort).
 type Entry struct {
 	tn       uint64
 	complete bool
@@ -54,6 +58,10 @@ type Entry struct {
 
 // TN returns the transaction number assigned at registration time.
 func (e *Entry) TN() uint64 { return e.tn }
+
+// Assign records the number a controller outside this package assigned
+// at registration (the epoch controller's RegisterEntry).
+func (e *Entry) Assign(tn uint64) { e.tn = tn }
 
 // Strict is the paper's Version Control module, exactly as in Figure 1: a
 // mutex-guarded VCQueue drained one transaction at a time, so vtnc
@@ -138,43 +146,36 @@ func (c *Strict) Start() uint64 {
 	return c.vtnc.Load()
 }
 
-// Register implements VCregister(T, "active"): it assigns the next
-// transaction number and appends the transaction to VCQueue. It must be
-// called at the moment the transaction's serial order becomes fixed —
-// at begin for timestamp ordering, at the lock-point for two-phase
-// locking, during validation for optimistic schemes.
-func (c *Strict) Register() Handle {
+// Register is RegisterEntry on a new entry, for callers with no struct
+// of their own to keep it in.
+func (c *Strict) Register() *Entry {
+	e := new(Entry)
+	c.RegisterEntry(e)
+	return e
+}
+
+// RegisterEntry implements VCregister(T, "active"): it assigns e the next
+// transaction number and appends it to VCQueue. It must be called at the
+// moment the transaction's serial order becomes fixed — at begin for
+// timestamp ordering, at the lock-point for two-phase locking, during
+// validation for optimistic schemes.
+func (c *Strict) RegisterEntry(e *Entry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.registerLocked()
-}
-
-// entry recovers the concrete queue node behind a Handle. Resolving a
-// handle issued by a different implementation is a programming error.
-func entry(h Handle) *Entry {
-	e, ok := h.(*Entry)
-	if !ok || e == nil {
-		panic("vc: handle was not issued by a Strict controller")
-	}
-	return e
-}
-
-func (c *Strict) registerLocked() *Entry {
-	e := c.newEntryLocked(c.tnc)
+	c.enqueueLocked(e, c.tnc)
 	c.tnc += c.step
-	c.pushBack(e)
-	return e
 }
 
-// newEntryLocked builds an entry, stamping the registration time only
-// when someone is watching — the stamp is the one extra cost on the
-// register path and it is skipped entirely when phase timing is off.
-func (c *Strict) newEntryLocked(tn uint64) *Entry {
-	e := &Entry{tn: tn}
+// enqueueLocked numbers e tn and appends it to VCQueue, stamping the
+// registration time only when someone is watching — the stamp is the one
+// extra cost on the register path and it is skipped entirely when phase
+// timing is off.
+func (c *Strict) enqueueLocked(e *Entry, tn uint64) {
+	e.tn = tn
 	if c.onVisible != nil {
 		e.regAt = time.Now().UnixNano()
 	}
-	return e
+	c.pushBack(e)
 }
 
 // SetVisibleObserver installs fn, called once per registered entry when
@@ -200,9 +201,9 @@ func (c *Strict) RegisterExact(tn uint64) (*Entry, error) {
 	if tn < c.tnc {
 		return nil, fmt.Errorf("vc: RegisterExact(%d) behind tnc %d", tn, c.tnc)
 	}
-	e := c.newEntryLocked(tn)
+	e := new(Entry)
+	c.enqueueLocked(e, tn)
 	c.tnc = nextAligned(tn, c.offset, c.step)
-	c.pushBack(e)
 	return e, nil
 }
 
@@ -219,9 +220,9 @@ func (c *Strict) RegisterAtLeast(min uint64) *Entry {
 	if tn < min {
 		tn = min
 	}
-	e := c.newEntryLocked(tn)
+	e := new(Entry)
+	c.enqueueLocked(e, tn)
 	c.tnc = nextAligned(tn, c.offset, c.step)
-	c.pushBack(e)
 	return e
 }
 
@@ -238,8 +239,7 @@ func (c *Strict) Reserve() uint64 {
 // Discard implements VCdiscard(T): it removes an aborted transaction from
 // VCQueue. If the aborted transaction was the only obstacle holding vtnc
 // back, visibility advances over the completed transactions behind it.
-func (c *Strict) Discard(h Handle) {
-	e := entry(h)
+func (c *Strict) Discard(e *Entry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e.resolved {
@@ -259,8 +259,7 @@ func (c *Strict) Discard(h Handle) {
 // advances vtnc to its transaction number. This is the only place vtnc
 // changes, which is exactly how the Transaction Visibility Property is
 // enforced: visibility follows serialization order, not completion order.
-func (c *Strict) Complete(h Handle) {
-	e := entry(h)
+func (c *Strict) Complete(e *Entry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e.resolved {
@@ -280,8 +279,7 @@ func (c *Strict) Complete(h Handle) {
 // the head completes first, the drain can make this very entry visible
 // and fire the visibility observer synchronously), so it must not call
 // back into the controller.
-func (c *Strict) CompleteObserved(h Handle, fn func(Obstruction)) {
-	e := entry(h)
+func (c *Strict) CompleteObserved(e *Entry, fn func(Obstruction)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e.resolved {
@@ -305,8 +303,7 @@ func (c *Strict) CompleteObserved(h Handle, fn func(Obstruction)) {
 // Visibility Property. It exists only so tests can demonstrate that the
 // property is necessary — the history checker finds MVSG cycles when an
 // engine completes through this path. Never use it outside ablations.
-func (c *Strict) UnsafeCompleteEager(h Handle) {
-	e := entry(h)
+func (c *Strict) UnsafeCompleteEager(e *Entry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e.resolved {

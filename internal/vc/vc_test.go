@@ -246,7 +246,7 @@ func TestPropertyRandomSchedules(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		c := New(0)
 		type st struct {
-			e        Handle
+			e        *Entry
 			resolved bool
 			aborted  bool
 		}

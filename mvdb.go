@@ -480,11 +480,7 @@ func (db *DB) Bootstrap(data map[string][]byte) error {
 
 // Begin starts a read-write transaction.
 func (db *DB) Begin() (*Tx, error) {
-	t, err := db.eng.Begin(engine.ReadWrite)
-	if err != nil {
-		return nil, err
-	}
-	return &Tx{t: t}, nil
+	return public(db.eng.BeginTx(engine.ReadWrite))
 }
 
 // BeginReadOnly starts a read-only snapshot transaction (paper Figure 2):
@@ -492,22 +488,14 @@ func (db *DB) Begin() (*Tx, error) {
 // The snapshot may trail the newest commits by the visibility lag; see
 // BeginReadOnlyRecent.
 func (db *DB) BeginReadOnly() (*Tx, error) {
-	t, err := db.eng.Begin(engine.ReadOnly)
-	if err != nil {
-		return nil, err
-	}
-	return &Tx{t: t}, nil
+	return public(db.eng.BeginTx(engine.ReadOnly))
 }
 
 // BeginReadOnlyRecent starts a read-only transaction guaranteed to
 // observe everything serialized before this call, waiting out the
 // visibility lag if necessary (the paper's Section 6 rectification).
 func (db *DB) BeginReadOnlyRecent() (*Tx, error) {
-	t, err := db.eng.BeginReadOnlyRecent()
-	if err != nil {
-		return nil, err
-	}
-	return &Tx{t: t}, nil
+	return public(db.eng.BeginReadOnlyRecent())
 }
 
 // BeginReadOnlyAt starts a read-only transaction whose snapshot is pinned
@@ -518,11 +506,13 @@ func (db *DB) BeginReadOnlyRecent() (*Tx, error) {
 // collection had already passed may need versions it discarded; a read
 // that does returns ErrSnapshotTooOld.
 func (db *DB) BeginReadOnlyAt(sn uint64) (*Tx, error) {
-	t, err := db.eng.BeginReadOnlyAt(sn)
-	if err != nil {
-		return nil, err
-	}
-	return &Tx{t: t}, nil
+	return public(db.eng.BeginReadOnlyAt(sn))
+}
+
+// public converts an engine transaction header to the public handle;
+// the two are one object.
+func public(h *core.Tx, err error) (*Tx, error) {
+	return (*Tx)(h), err
 }
 
 // View runs fn in a read-only transaction. The transaction commits when
@@ -625,50 +615,51 @@ func (db *DB) CollectGarbage() int {
 // between the two counters").
 func (db *DB) VisibilityLag() uint64 { return db.eng.VC().Lag() }
 
-// Tx is a transaction handle. It is not safe for concurrent use.
-type Tx struct{ t engine.Tx }
+// Tx is a transaction handle. It is not safe for concurrent use. It is
+// the engine's own transaction header, so a transaction costs one
+// allocation however many layers handle it.
+type Tx core.Tx
+
+func (tx *Tx) head() *core.Tx { return (*core.Tx)(tx) }
 
 // Get returns the value of key, or ErrNotFound.
-func (tx *Tx) Get(key string) ([]byte, error) { return tx.t.Get(key) }
+func (tx *Tx) Get(key string) ([]byte, error) { return tx.head().Get(key) }
 
 // GetString is a convenience wrapper returning the value as a string.
 func (tx *Tx) GetString(key string) (string, error) {
-	v, err := tx.t.Get(key)
+	v, err := tx.head().Get(key)
 	return string(v), err
 }
 
 // Put sets key to value. The value is retained; do not mutate it after.
-func (tx *Tx) Put(key string, value []byte) error { return tx.t.Put(key, value) }
+func (tx *Tx) Put(key string, value []byte) error { return tx.head().Put(key, value) }
 
 // PutString is a convenience wrapper for string values.
-func (tx *Tx) PutString(key, value string) error { return tx.t.Put(key, []byte(value)) }
+func (tx *Tx) PutString(key, value string) error { return tx.head().Put(key, []byte(value)) }
 
 // Delete removes key.
-func (tx *Tx) Delete(key string) error { return tx.t.Delete(key) }
+func (tx *Tx) Delete(key string) error { return tx.head().Delete(key) }
 
 // Commit finishes the transaction, making its effects visible in
 // serialization order.
-func (tx *Tx) Commit() error { return tx.t.Commit() }
+func (tx *Tx) Commit() error { return tx.head().Commit() }
 
 // Abort discards the transaction. It is safe to call after an operation
 // already aborted the transaction, and after Commit (no-op).
-func (tx *Tx) Abort() { tx.t.Abort() }
+func (tx *Tx) Abort() { tx.head().Abort() }
 
 // Scan iterates over every live key with the given prefix in ascending
 // key order at the transaction's snapshot (read-only transactions only).
 // fn returning false stops the scan early.
 func (tx *Tx) Scan(prefix string, fn func(key string, value []byte) bool) error {
-	if s, ok := tx.t.(engine.Scanner); ok {
-		return s.Scan(prefix, fn)
-	}
-	return fmt.Errorf("%w: Scan requires a read-only transaction", ErrReadOnly)
+	return tx.head().Scan(prefix, fn)
 }
 
 // ReadOnly reports whether this is a read-only transaction.
-func (tx *Tx) ReadOnly() bool { return tx.t.Class() == engine.ReadOnly }
+func (tx *Tx) ReadOnly() bool { return tx.head().Class() == engine.ReadOnly }
 
 // TN returns the transaction's serialization position: for read-only
 // transactions the snapshot number (available immediately); for
 // read-write transactions the assigned transaction number (available
 // after Commit under 2PL/OCC, at begin under timestamp ordering).
-func (tx *Tx) TN() (uint64, bool) { return tx.t.SN() }
+func (tx *Tx) TN() (uint64, bool) { return tx.head().SN() }
