@@ -13,14 +13,8 @@
 // With -bundle it renders a flight-recorder postmortem bundle (written
 // by mvdb.Options.FlightDir on an audit alarm, /debug/mvdb/dump, or a
 // torture-test violation): phase-attribution table, headline counters,
-// last alarms, the waits-for graph, and the promoted causal traces.
-//
-// With -trace it fetches a running database's /debug/mvdb/traces
-// endpoint (enabled by mvdb.Options.TraceSample) and renders each
-// promoted causal trace as an ASCII waterfall: one bar per protocol
-// phase, annotated with the blame edges — which transaction held the
-// lock, which group-commit batch it fsynced behind, whom it queued
-// behind in the visibility drain.
+// last alarms, and the waits-for graph. Older bundles render too, without
+// the sections a later schema dropped.
 //
 // -live rides out a restarting process with capped-backoff
 // reconnection.
@@ -30,7 +24,6 @@
 //	mvinspect [-v] [-key <filter>] <commit.log | commit.log.snap>
 //	mvinspect -live <host:port> [-interval 1s] [-count N]
 //	mvinspect -bundle <flight-000001-reason.json>
-//	mvinspect -trace <host:port>
 package main
 
 import (
@@ -53,18 +46,10 @@ func main() {
 		interval = flag.Duration("interval", time.Second, "poll interval with -live")
 		count    = flag.Int("count", 0, "number of polls with -live (0 = until interrupted)")
 		bundle   = flag.String("bundle", "", "render a flight-recorder postmortem bundle instead of reading a log")
-		traces   = flag.String("trace", "", "fetch /debug/mvdb/traces from a running database (host:port) and render causal waterfalls")
 	)
 	flag.Parse()
 	if *live != "" {
 		runLive(*live, *interval, *count)
-		return
-	}
-	if *traces != "" {
-		if err := runTraces(*traces); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
 		return
 	}
 	if *bundle != "" {

@@ -213,7 +213,6 @@ func runProtocol(proto, mode, base string, budget time.Duration, cfg workload.Co
 		GroupCommit:    true,
 		Audit:          true,
 		FlightDir:      d,
-		TraceSample:    0.02,
 	})
 	if err != nil {
 		fail("open: %v", err)

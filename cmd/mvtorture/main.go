@@ -57,10 +57,6 @@ type configResult struct {
 	CleanRounds int `json:"clean_rounds"`
 	Acked       int `json:"acked"`
 	Attempts    int `json:"attempts"`
-	// Traces is how many causal traces were promoted (tail-retained)
-	// across the configuration's run; on failure the postmortem bundle
-	// embeds them.
-	Traces int `json:"traces,omitempty"`
 }
 
 func main() {
@@ -72,7 +68,6 @@ func main() {
 		protocol = flag.String("protocol", "all", "2pl, to, occ, or all")
 		vcFlag   = flag.String("vc", "all", "visibility mode: strict, epoch, or all (both)")
 		dir      = flag.String("dir", "", "working directory (default: a fresh temp dir, removed on success)")
-		sample   = flag.Float64("trace", 0.05, "per-transaction causal-trace sampling rate (0 disables; promoted traces ride the postmortem bundle and the -json verdict)")
 		jsonOut  = flag.String("json", "", "write the machine-readable verdict to this file")
 		verbose  = flag.Bool("v", false, "log every round")
 	)
@@ -105,9 +100,8 @@ func main() {
 	}
 
 	perConfig := crashtest.TortureOptions{
-		Rounds:      *rounds,
-		Clients:     *clients,
-		TraceSample: *sample,
+		Rounds:  *rounds,
+		Clients: *clients,
 	}
 	if *rounds <= 0 {
 		perConfig.Duration = *duration / time.Duration(len(configs))
@@ -135,7 +129,7 @@ func main() {
 		res := configResult{
 			Config: cfg.String(), Seed: opts.Seed, Pass: err == nil, Dir: d, Bundle: rep.Bundle,
 			Rounds: rep.Rounds, Crashes: rep.Crashes, CleanRounds: rep.CleanRounds,
-			Acked: rep.Acked, Attempts: rep.Attempts, Traces: rep.Traces,
+			Acked: rep.Acked, Attempts: rep.Attempts,
 		}
 		if err != nil {
 			res.Error = err.Error()

@@ -21,9 +21,8 @@ import (
 // installed once before use, so an online knob has to argue its way in.
 func TestProtocolFilesStayBehindTheSeam(t *testing.T) {
 	banned := map[string]bool{
-		"time":                true,
-		"mvdb/internal/obs":   true,
-		"mvdb/internal/trace": true,
+		"time":              true,
+		"mvdb/internal/obs": true,
 	}
 	for _, file := range []string{"twopl.go", "tso.go", "occ.go", "readonly.go"} {
 		f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.ImportsOnly)

@@ -31,7 +31,6 @@ import (
 	"mvdb/internal/lock"
 	"mvdb/internal/obs"
 	"mvdb/internal/storage"
-	"mvdb/internal/trace"
 	"mvdb/internal/vc"
 	"mvdb/internal/vc/epoch"
 	"mvdb/internal/wal"
@@ -93,12 +92,6 @@ type Options struct {
 	// timing site reduces to one nil test — the disabled path keeps
 	// the seed's allocation profile.
 	PhaseTiming bool
-	// Traces, when non-nil, enables causal per-transaction tracing
-	// (internal/trace): sampled transactions record per-phase span
-	// trees with blame edges from the lock manager, the WAL group
-	// commit, and the VC drain. Nil keeps the hot path at one pointer
-	// test and zero allocations.
-	Traces *trace.Tracer
 
 	// UnsafeEarlyRegister2PL is ablation A1: it makes the 2PL engine
 	// register transactions with version control at begin instead of at

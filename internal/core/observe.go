@@ -2,12 +2,11 @@ package core
 
 // This file is the engine core's one observation seam. Everything the
 // core reports — history events (engine.Recorder), lifecycle counters
-// (obs.Stats), the phase matrix (obs.PhaseStats) and causal spans
-// (trace.Active) — is reported from here and nowhere else in the
-// package: the protocol files (twopl.go, tso.go, occ.go, readonly.go)
-// see only the txObs methods and the cause/phase/protocol names below,
-// and import none of time, obs or trace (boundary_test.go holds them to
-// that).
+// (obs.Stats) and the phase matrix (obs.PhaseStats) — is reported from
+// here and nowhere else in the package: the protocol files (twopl.go,
+// tso.go, occ.go, readonly.go) see only the txObs methods and the
+// cause/phase/protocol names below, and import neither time nor obs
+// (boundary_test.go holds them to that).
 //
 // There is no interface: every sink has exactly one implementation and
 // each is nil-safe, so fan-out is a fixed sequence of calls and a
@@ -19,7 +18,6 @@ import (
 
 	"mvdb/internal/engine"
 	"mvdb/internal/obs"
-	"mvdb/internal/trace"
 	"mvdb/internal/vc"
 	"mvdb/internal/wal"
 )
@@ -38,21 +36,19 @@ const (
 )
 
 // sinks is everything the core reports to. rec and stats always exist;
-// the other two are nil unless their option is on.
+// phases is nil unless Options.PhaseTiming is on.
 type sinks struct {
 	rec engine.Recorder
 	// stats is the engine-wide registry (internal/obs), shared with the
 	// public Stats API and the /debug/mvdb endpoint.
 	stats  *obs.Stats
 	phases *obs.PhaseStats // Options.PhaseTiming
-	traces *trace.Tracer   // Options.Traces
 }
 
 func newSinks(opts Options) sinks {
 	s := sinks{
-		rec:    opts.Recorder,
-		stats:  obs.NewStats(),
-		traces: opts.Traces,
+		rec:   opts.Recorder,
+		stats: obs.NewStats(),
 	}
 	if s.rec == nil {
 		s.rec = engine.NopRecorder{}
@@ -66,21 +62,19 @@ func newSinks(opts Options) sinks {
 // observeLocks feeds the lock manager's waits to the sinks. Only 2PL
 // transactions reach the lock manager, so the attribution row is fixed.
 func (e *Engine) observeLocks() {
-	e.locks.SetWaitObserver(func(txID uint64, key string, stripe int, blocker uint64, wait time.Duration) {
+	e.locks.SetWaitObserver(func(txID uint64, wait time.Duration) {
 		e.stats.LockWaitNanos.Record(wait.Nanoseconds())
 		e.phases.Record(proto2PL, obs.PhaseLockWait, txID, wait)
-		e.traces.OnLockWait(txID, key, stripe, blocker, wait)
 	})
 }
 
 // observeVC wires the version-control module's register→visible lag
-// into the phase matrix and the span tracer. Called at construction and
-// again whenever the controller is replaced (recovery).
+// into the phase matrix. Called at construction and again whenever the
+// controller is replaced (recovery).
 func (e *Engine) observeVC() {
-	if e.phases != nil || e.traces != nil {
+	if e.phases != nil {
 		e.vc.SetVisibleObserver(func(tn uint64, d time.Duration) {
 			e.phases.Record(obs.ProtoIdx(e.opts.Protocol), obs.PhaseVisibleWait, tn, d)
-			e.traces.OnVisible(tn, d)
 		})
 	}
 }
@@ -119,9 +113,6 @@ func (e *Engine) Obs() *obs.Stats { return e.stats }
 // Phases exposes the latency-attribution matrix (nil unless
 // Options.PhaseTiming).
 func (e *Engine) Phases() *obs.PhaseStats { return e.phases }
-
-// Traces exposes the causal span tracer (nil unless Options.Traces).
-func (e *Engine) Traces() *trace.Tracer { return e.traces }
 
 // abortCause indexes abortCauses.
 type abortCause uint8
@@ -168,7 +159,6 @@ var abortCauses = [...]struct {
 type txObs struct {
 	e     *Engine
 	id    uint64
-	tr    *trace.Active // nil unless this transaction was head-sampled
 	proto obs.ProtoIdx
 	// done is set by the protocol code once the transaction has
 	// committed or aborted. It, and a read-only transaction's registry
@@ -187,15 +177,11 @@ type span struct {
 }
 
 // observe opens the seam for a beginning transaction: counts the begin
-// (before any commit or abort of the transaction can be counted), lets
-// the tracer head-sample it, and records the begin event and, for a
-// read-only transaction, the snapshot position sn it reads at
-// (read-write ones pass 0).
+// (before any commit or abort of the transaction can be counted) and
+// records the begin event and, for a read-only transaction, the
+// snapshot position sn it reads at (read-write ones pass 0).
 func (e *Engine) observe(id uint64, proto obs.ProtoIdx, sn uint64) txObs {
 	o := txObs{e: e, id: id, proto: proto}
-	if e.traces != nil {
-		o.tr = e.traces.Start(id, proto.String())
-	}
 	if proto == protoRO {
 		e.stats.BeginsRO.Inc()
 		e.rec.RecordBegin(id, engine.ReadOnly)
@@ -218,11 +204,6 @@ func (o *txObs) Class() engine.Class {
 	return engine.ReadWrite
 }
 
-// registered reports the transaction number once version control has
-// assigned it; the trace is indexed by it so the visibility observer
-// can find the transaction at drain time.
-func (o *txObs) registered(tn uint64) { o.tr.CommitTN(tn) }
-
 // read reports that the transaction read version tn of key (0 = the
 // bootstrap state, which an absent key also reads as).
 func (o *txObs) read(key string, tn uint64) { o.e.rec.RecordRead(o.id, key, tn) }
@@ -238,22 +219,20 @@ func (o *txObs) collected(n int) {
 	}
 }
 
-// span opens a timed phase and end closes it, returning how long it ran:
-// a phase-matrix sample, pprof labels for the stretch, and a trace span.
-// With phase timing and tracing both off, each is one inlined test and
-// no clock is read.
+// span opens a timed phase and end closes it: a phase-matrix sample and
+// pprof labels for the stretch. With phase timing off, each is one
+// inlined test and no clock is read.
 func (o *txObs) span(ph obs.Phase) span {
-	if o.e.phases == nil && o.tr == nil {
+	if o.e.phases == nil {
 		return span{}
 	}
 	return o.open(ph)
 }
 
-func (o *txObs) end(sp span) time.Duration {
+func (o *txObs) end(sp span) {
 	if sp.on {
-		return o.close(sp)
+		o.close(sp)
 	}
-	return 0
 }
 
 func (o *txObs) open(ph obs.Phase) span {
@@ -261,20 +240,15 @@ func (o *txObs) open(ph obs.Phase) span {
 	return span{time.Now(), ph, true}
 }
 
-func (o *txObs) close(sp span) time.Duration {
-	d := time.Since(sp.start)
-	o.e.phases.Record(o.proto, sp.phase, o.id, d)
+func (o *txObs) close(sp span) {
+	o.e.phases.Record(o.proto, sp.phase, o.id, time.Since(sp.start))
 	o.e.phases.PprofExit()
-	o.tr.Span(sp.phase.String(), sp.start, d)
-	return d
 }
 
 // enqueueLog and awaitLog are the two halves of logging a commit, timed
 // as its two separable costs: getting the record into the log buffer,
 // and — after the versions are in and concurrency control is given back
-// — waiting for the flusher's fsync to cover the ticket. A traced
-// transaction learns which batch carried it, the joined-batch blame
-// edge.
+// — waiting for the flusher's fsync to cover the ticket.
 func (o *txObs) enqueueLog(w *wal.Writer, rec wal.Record) (wal.Ticket, error) {
 	sp := o.span(obs.PhaseWALEnqueue)
 	t, err := w.Enqueue(rec)
@@ -284,57 +258,28 @@ func (o *txObs) enqueueLog(w *wal.Writer, rec wal.Record) (wal.Ticket, error) {
 
 func (o *txObs) awaitLog(w *wal.Writer, t wal.Ticket) error {
 	sp := o.span(obs.PhaseFsyncWait)
-	info, err := w.Wait(t)
-	d := o.end(sp)
-	if err == nil && info.Batch != 0 {
-		o.tr.Blame(trace.Blame{
-			Kind:    trace.BlameJoinedBatch,
-			Phase:   obs.PhaseFsyncWait.String(),
-			Tx:      info.LeaderTN,
-			Batch:   info.Batch,
-			Records: info.Records,
-			DurNS:   d.Nanoseconds(),
-		})
-	}
+	err := w.Wait(t)
+	o.end(sp)
 	return err
 }
 
 // committed reports the commit event. A read-only transaction's end(T)
 // is empty (Figure 2) — it registered nothing, so no VCcomplete follows
-// and no visibility callback will ever name it — and it is counted and
-// its trace finalized here; a read-write one, in complete.
+// — and it is counted here; a read-write one, in complete.
 func (o *txObs) committed(tn uint64) {
 	o.e.rec.RecordCommit(o.id, tn)
 	if o.proto == protoRO {
 		o.e.stats.CommitsRO.Inc()
-		o.tr.FinishCommit()
 	}
 }
 
-// complete is VCcomplete, then the commit count. A traced completion
-// observes the VC queue at the completion instant: if an older
-// registered-but-incomplete transaction heads it, visibility is deferred
-// to that transaction, and that is the queued-behind blame edge. The
-// ablated (A2) eager path bypasses the drain (no visibility callback
-// will ever fire), so its trace finalizes here.
+// complete is VCcomplete, then the commit count. The ablated (A2) eager
+// path bypasses the drain.
 func (o *txObs) complete(entry *vc.Entry) {
-	switch tr := o.tr; {
-	case o.e.opts.UnsafeEagerVisibility:
+	if o.e.opts.UnsafeEagerVisibility {
 		o.e.vc.UnsafeCompleteEager(entry)
-		tr.FinishCommit()
-	case tr == nil:
+	} else {
 		o.e.vc.Complete(entry)
-	default:
-		o.e.vc.CompleteObserved(entry, func(ob vc.Obstruction) {
-			tr.Blame(trace.Blame{
-				Kind:      trace.BlameQueuedBehind,
-				Phase:     obs.PhaseVisibleWait.String(),
-				Tx:        ob.HeadTN,
-				Depth:     ob.Depth,
-				Watermark: ob.Watermark,
-				Epoch:     ob.Epoch,
-			})
-		})
 	}
 	o.e.stats.CommitsRW.Inc()
 }
@@ -352,6 +297,5 @@ func (o *txObs) abort(c abortCause) error {
 		o.e.stats.RWAbortsByRO.Inc()
 	}
 	o.e.rec.RecordAbort(o.id)
-	o.tr.FinishAbort()
 	return row.err
 }

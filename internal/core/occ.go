@@ -149,7 +149,6 @@ func (t *occTx) Commit() error {
 		}
 	}
 	e.vc.RegisterEntry(&t.entry)
-	t.registered(t.entry.TN())
 	t.end(sp)
 	return e.commitTail(&t.txObs, &t.entry, t.buf.writes) // leaves the critical section
 }

@@ -12,7 +12,6 @@ import (
 
 	"mvdb/internal/engine"
 	"mvdb/internal/faultfs"
-	"mvdb/internal/trace"
 	"mvdb/internal/wal"
 )
 
@@ -101,18 +100,16 @@ type pipeline struct {
 	e    *Engine
 	log  *wal.Writer
 	rec  *countingRecorder
-	sp   *trace.Tracer
 	mu   sync.Mutex
 	seen []uint64 // tn, in the order they became visible
 }
 
 func openPipeline(t *testing.T, p Protocol) *pipeline {
 	t.Helper()
-	pl := &pipeline{t: t, fs: newGateFS(), rec: &countingRecorder{},
-		sp: trace.New(trace.Options{Sample: 1, Recent: 64, Promoted: 64})}
+	pl := &pipeline{t: t, fs: newGateFS(), rec: &countingRecorder{}}
 	var err error
 	pl.e, pl.log, err = OpenDurable(filepath.Join(t.TempDir(), "commit.log"),
-		Options{Protocol: p, Recorder: pl.rec, Traces: pl.sp},
+		Options{Protocol: p, Recorder: pl.rec, PhaseTiming: true},
 		DurableOptions{FS: pl.fs})
 	if err != nil {
 		t.Fatal(err)
@@ -223,8 +220,8 @@ func TestPipelinedCommit(t *testing.T) {
 	for _, c := range pipelineCases {
 		t.Run(c.name, func(t *testing.T) {
 			pl := openPipeline(t, c.protocol)
-			// Replaces the engine's own tap (traces are on), which this
-			// test does not read.
+			// Replaces the engine's own tap (phase timing is on), which
+			// this test does not read.
 			pl.e.VC().SetVisibleObserver(func(tn uint64, _ time.Duration) {
 				pl.mu.Lock()
 				pl.seen = append(pl.seen, tn)
@@ -303,15 +300,9 @@ func TestPipelinedCommitLogFailure(t *testing.T) {
 			}
 
 			sn := pl.e.Snapshot()
-			aborted := 0
-			for _, tr := range append(pl.sp.Recent(), pl.sp.Promoted()...) {
-				if tr.Outcome == "abort" {
-					aborted++
-				}
-			}
-			if sn.AbortsLog != 3 || sn.AbortsTotal() != 3 || pl.rec.aborts != 3 || aborted != 3 || sn.CommitsRW != 1 {
-				t.Fatalf("after three log aborts: AbortsLog %d, AbortsTotal %d, recorder aborts %d, aborted traces %d, CommitsRW %d",
-					sn.AbortsLog, sn.AbortsTotal(), pl.rec.aborts, aborted, sn.CommitsRW)
+			if sn.AbortsLog != 3 || sn.AbortsTotal() != 3 || pl.rec.aborts != 3 || sn.CommitsRW != 1 {
+				t.Fatalf("after three log aborts: AbortsLog %d, AbortsTotal %d, recorder aborts %d, CommitsRW %d",
+					sn.AbortsLog, sn.AbortsTotal(), pl.rec.aborts, sn.CommitsRW)
 			}
 		})
 	}

@@ -16,7 +16,7 @@ import (
 
 // A transaction is one allocation, header and all; each stays in the
 // allocator size class it was measured in, so a field added later cannot
-// silently push it into the next one. A View's is 64 bytes, where it was
+// silently push it into the next one. A View's is 48 bytes, where it was
 // a 16-byte public handle plus a 48-byte roTx; the registry slot rides in
 // txObs's tail padding to keep it there.
 func TestTxSizeClasses(t *testing.T) {
@@ -25,9 +25,9 @@ func TestTxSizeClasses(t *testing.T) {
 		size  uintptr
 		class uintptr
 	}{
-		{"roTx", unsafe.Sizeof(roTx{}), 64},
-		{"tsoTx", unsafe.Sizeof(tsoTx{}), 224},
-		{"occTx", unsafe.Sizeof(occTx{}), 320},
+		{"roTx", unsafe.Sizeof(roTx{}), 48},
+		{"tsoTx", unsafe.Sizeof(tsoTx{}), 208},
+		{"occTx", unsafe.Sizeof(occTx{}), 288},
 		{"twoPhaseTx", unsafe.Sizeof(twoPhaseTx{}), 352},
 	} {
 		if c.size > c.class {

@@ -11,7 +11,6 @@ import (
 	"mvdb/internal/engine"
 	"mvdb/internal/lock"
 	"mvdb/internal/obs"
-	"mvdb/internal/trace"
 	"mvdb/internal/wal"
 )
 
@@ -230,18 +229,17 @@ var sinkCases = []struct {
 
 // TestSinkAgreement runs, per protocol, a script with a known number of
 // commits and of aborts per cause against an engine with every sink on
-// — Recorder, phase timing, tracing at sample rate 1 —
-// over a log whose fsync fails after the script's last
-// good commit, and requires all of them to report the script's numbers.
+// — Recorder, stats, phase timing — over a log whose fsync fails after
+// the script's last good commit, and requires all of them to report the
+// script's numbers.
 func TestSinkAgreement(t *testing.T) {
 	for _, c := range sinkCases {
 		t.Run(c.name, func(t *testing.T) {
 			fs := newGateFS()
 			rec := &countingRecorder{}
-			spans := trace.New(trace.Options{Sample: 1, Recent: 1 << 10, Promoted: 1 << 10})
 			e, log, err := OpenDurable(filepath.Join(t.TempDir(), "commit.log"), Options{
 				Protocol: c.protocol, LockPolicy: c.policy, LockTimeout: 5 * time.Millisecond,
-				Recorder: rec, PhaseTiming: true, Traces: spans,
+				Recorder: rec, PhaseTiming: true,
 			}, DurableOptions{FS: fs, WAL: wal.Options{Policy: wal.SyncBatch}})
 			if err != nil {
 				t.Fatal(err)
@@ -291,14 +289,6 @@ func TestSinkAgreement(t *testing.T) {
 				}
 			}
 			eq("install phase samples", installs, s.installs)
-
-			outcomes := map[string]int64{}
-			for _, tr := range append(spans.Recent(), spans.Promoted()...) {
-				outcomes[tr.Outcome]++
-			}
-			eq("traces finished", int64(spans.Stats().Finished), commits+abortsTotal)
-			eq("traces committed", outcomes["commit"], commits)
-			eq("traces aborted", outcomes["abort"], abortsTotal)
 		})
 	}
 }

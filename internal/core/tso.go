@@ -29,7 +29,6 @@ func (e *Engine) beginTimestamp(id uint64) *Tx {
 	t.head.self = t
 	e.vc.RegisterEntry(&t.entry)
 	t.txObs = e.observe(id, protoTO, 0)
-	t.registered(t.entry.TN()) // the serial order is fixed at begin
 	return &t.head
 }
 

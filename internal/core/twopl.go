@@ -130,7 +130,6 @@ func (t *twoPhaseTx) Commit() error {
 	if !t.e.opts.UnsafeEarlyRegister2PL {
 		t.e.vc.RegisterEntry(&t.entry) // the lock-point has been passed
 	}
-	t.registered(t.entry.TN())
 	return t.e.commitTail(&t.txObs, &t.entry, t.buf.writes)
 }
 

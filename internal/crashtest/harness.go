@@ -12,7 +12,6 @@ import (
 	"mvdb/internal/faultfs"
 	"mvdb/internal/history"
 	"mvdb/internal/storage"
-	"mvdb/internal/trace"
 	"mvdb/internal/vc"
 	"mvdb/internal/wal"
 )
@@ -45,10 +44,9 @@ func Configs() []Config {
 	return out
 }
 
-// openEngine recovers the engine over fsys. spans, when non-nil, is the
-// per-transaction span tracer torture rounds ship causal traces from.
-func openEngine(fsys faultfs.FS, walPath string, cfg Config, rec engine.Recorder, spans *trace.Tracer) (*core.Engine, *wal.Writer, error) {
-	return core.OpenDurable(walPath, core.Options{Protocol: cfg.Protocol, Visibility: cfg.Visibility, Recorder: rec, Traces: spans},
+// openEngine recovers the engine over fsys.
+func openEngine(fsys faultfs.FS, walPath string, cfg Config, rec engine.Recorder) (*core.Engine, *wal.Writer, error) {
+	return core.OpenDurable(walPath, core.Options{Protocol: cfg.Protocol, Visibility: cfg.Visibility, Recorder: rec},
 		core.DurableOptions{FS: fsys, WAL: wal.Options{Policy: wal.SyncBatch}})
 }
 
@@ -80,7 +78,7 @@ func runScript(fsys *faultfs.FaultFS, walPath string, cfg Config, o *Oracle) err
 		return m
 	}
 
-	e, w, err := openEngine(fsys, walPath, cfg, nil, nil)
+	e, w, err := openEngine(fsys, walPath, cfg, nil)
 	if err != nil {
 		return err
 	}
@@ -130,7 +128,7 @@ func runScript(fsys *faultfs.FaultFS, walPath string, cfg Config, o *Oracle) err
 	}
 
 	// Reopen from the compacted state and keep committing.
-	e, w, err = openEngine(fsys, walPath, cfg, nil, nil)
+	e, w, err = openEngine(fsys, walPath, cfg, nil)
 	if err != nil {
 		if fsys.Crashed() {
 			return err
@@ -160,7 +158,7 @@ func RecoverAndCheck(walPath string, cfg Config, o *Oracle) error {
 	for round := 0; round < 2; round++ {
 		rec := history.NewRecorder()
 		aud := audit.New(audit.Options{})
-		e, w, err := openEngine(faultfs.New(faultfs.Plan{}), walPath, cfg, engine.Multi(rec, aud), nil)
+		e, w, err := openEngine(faultfs.New(faultfs.Plan{}), walPath, cfg, engine.Multi(rec, aud))
 		if err != nil {
 			aud.Close()
 			return fmt.Errorf("recovery round %d failed: %w", round, err)

@@ -11,7 +11,6 @@ import (
 	"mvdb/internal/engine"
 	"mvdb/internal/faultfs"
 	"mvdb/internal/flight"
-	"mvdb/internal/trace"
 )
 
 // TortureOptions configures a seeded randomized torture run.
@@ -36,11 +35,6 @@ type TortureOptions struct {
 	// bundle (renderable with mvinspect -bundle) whenever an oracle
 	// violation aborts the run; TortureReport.Bundle names it.
 	FlightDir string
-	// TraceSample, when > 0, head-samples transactions in every round
-	// into causal span traces; aborted and slow traces are retained, and
-	// an oracle violation flags the freshest ones into the postmortem
-	// bundle (Bundle.Traces).
-	TraceSample float64
 }
 
 // TortureReport summarizes a completed torture run.
@@ -53,27 +47,18 @@ type TortureReport struct {
 	// Bundle is the flight postmortem written on an oracle violation
 	// ("" when the run passed or TortureOptions.FlightDir was empty).
 	Bundle string
-	// Traces is how many causal traces were promoted across the run
-	// (0 unless TortureOptions.TraceSample > 0).
-	Traces int
 }
 
 // capturePostmortem photographs a live engine into a flight bundle when
 // an oracle fires. Best-effort: postmortem failures never mask the
 // violation itself.
-func capturePostmortem(rep *TortureReport, dir string, e *core.Engine, spans *trace.Tracer, detail string, logf func(string, ...any)) {
+func capturePostmortem(rep *TortureReport, dir string, e *core.Engine, detail string, logf func(string, ...any)) {
 	if dir == "" || e == nil {
 		return
 	}
 	src := flight.Sources{
 		Stats:     e.Snapshot,
 		WaitGraph: e.LockWaitGraph,
-	}
-	if spans != nil {
-		src.Traces = func() []trace.Trace {
-			spans.PromoteRecent("oracle-violation", 8)
-			return spans.Promoted()
-		}
 	}
 	path, err := flight.Capture(src, nil, dir, "oracle-violation", detail)
 	if err != nil {
@@ -114,13 +99,6 @@ func Torture(dir string, opts TortureOptions) (TortureReport, error) {
 	for i := range keys {
 		keys[i] = fmt.Sprintf("k%02d", i)
 	}
-	// One span tracer spans every round: finalized traces outlive the
-	// engine incarnations that produced them, so the postmortem sees
-	// evidence from before the fatal recovery too.
-	var spans *trace.Tracer
-	if opts.TraceSample > 0 {
-		spans = trace.New(trace.Options{Sample: opts.TraceSample, Seed: uint64(opts.Seed) | 1})
-	}
 	var rep TortureReport
 	for {
 		if opts.Rounds > 0 && rep.Rounds >= opts.Rounds {
@@ -144,7 +122,7 @@ func Torture(dir string, opts TortureOptions) (TortureReport, error) {
 		crashAt := 1 + rng.Intn(40+rng.Intn(400))
 		fs := faultfs.New(faultfs.Plan{Rules: []faultfs.Rule{{AtOp: crashAt, Fault: ft}}})
 
-		e, w, err := openEngine(fs, walPath, opts.Config, nil, spans)
+		e, w, err := openEngine(fs, walPath, opts.Config, nil)
 		if err != nil {
 			if fs.Crashed() {
 				// The cut hit recovery itself; survive it and go again.
@@ -160,8 +138,7 @@ func Torture(dir string, opts TortureOptions) (TortureReport, error) {
 		// The dual oracle holds at every recovery, not just the last.
 		if err := checkRecovered(walPath, e, o); err != nil {
 			err = fmt.Errorf("round %d: %w", rep.Rounds, err)
-			capturePostmortem(&rep, opts.FlightDir, e, spans, err.Error(), logf)
-			rep.Traces = len(spans.Promoted())
+			capturePostmortem(&rep, opts.FlightDir, e, err.Error(), logf)
 			w.Close()
 			e.Close()
 			return rep, err
@@ -242,17 +219,15 @@ func Torture(dir string, opts TortureOptions) (TortureReport, error) {
 		// The checking engine is gone; reopen the surviving state cleanly
 		// so the bundle photographs what recovery actually produced.
 		if opts.FlightDir != "" {
-			if e, w, oerr := openEngine(faultfs.New(faultfs.Plan{}), walPath, opts.Config, nil, nil); oerr == nil {
-				capturePostmortem(&rep, opts.FlightDir, e, spans, err.Error(), logf)
+			if e, w, oerr := openEngine(faultfs.New(faultfs.Plan{}), walPath, opts.Config, nil); oerr == nil {
+				capturePostmortem(&rep, opts.FlightDir, e, err.Error(), logf)
 				w.Close()
 				e.Close()
 			}
 		}
-		rep.Traces = len(spans.Promoted())
 		return rep, err
 	}
 	rep.Acked = o.Acks()
 	rep.Attempts = o.Attempts()
-	rep.Traces = len(spans.Promoted())
 	return rep, nil
 }

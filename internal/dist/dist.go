@@ -45,7 +45,6 @@ import (
 	"mvdb/internal/engine"
 	"mvdb/internal/lock"
 	"mvdb/internal/storage"
-	"mvdb/internal/trace"
 	"mvdb/internal/vc"
 	"mvdb/internal/wal"
 )
@@ -177,12 +176,6 @@ type Options struct {
 	// Recorder receives history events (global transaction ids and
 	// globally unique version numbers), for the MVSG checker.
 	Recorder engine.Recorder
-	// Traces, when non-nil, samples distributed read-write transactions
-	// into causal span trees: the coordinator mints one trace ID and
-	// every 2PC prepare/commit exchange contributes a span attributed to
-	// its participant site, so a cross-site commit renders as a single
-	// waterfall. Nil disables span tracing at zero cost.
-	Traces *trace.Tracer
 }
 
 // Cluster is a set of sites plus the coordinator-side logic.
@@ -361,9 +354,6 @@ func (c *Cluster) Begin(class engine.Class) (engine.Tx, error) {
 		return t, nil
 	}
 	t := &DTx{c: c, id: id, parts: make(map[int]*participant)}
-	if c.opts.Traces != nil {
-		t.tr = c.opts.Traces.Start(id, "dist-2pc")
-	}
 	c.rec.RecordBegin(id, engine.ReadWrite)
 	return t, nil
 }
@@ -406,7 +396,6 @@ type DTx struct {
 	parts map[int]*participant
 	done  bool
 	tn    uint64
-	tr    *trace.Active // nil unless sampled; one trace ID across all sites
 }
 
 func (t *DTx) part(siteID int) *participant {
@@ -508,32 +497,21 @@ func (t *DTx) Commit() error {
 	if len(sids) == 0 { // empty transaction
 		t.c.rec.RecordCommit(t.id, 0)
 		t.c.commitsRW.Add(1)
-		t.tr.FinishCommit()
 		return nil
 	}
 
-	// Phase 1: lock registration gates in order, gather votes. Each
-	// exchange is a span attributed to the participant site, under the
-	// coordinator's single trace ID — cross-site causal propagation.
+	// Phase 1: lock registration gates in order, gather votes.
 	var chosen uint64
 	for _, sid := range sids {
 		s := t.parts[sid].site
-		var tPrep time.Time
-		if t.tr != nil {
-			tPrep = time.Now()
-		}
 		t.c.bus.call(func() {
 			s.regMu.Lock()
 			if v := s.vc.Reserve(); v > chosen {
 				chosen = v
 			}
 		})
-		if t.tr != nil {
-			t.tr.SpanSite("prepare", sid, tPrep)
-		}
 	}
 	t.tn = chosen
-	t.tr.CommitTN(chosen)
 
 	// Phase 2: adopt the chosen number everywhere, install, release.
 	entries := make(map[int]*vc.Entry, len(sids))
@@ -541,17 +519,10 @@ func (t *DTx) Commit() error {
 		p := t.parts[sid]
 		var err error
 		var e *vc.Entry
-		var tAdopt time.Time
-		if t.tr != nil {
-			tAdopt = time.Now()
-		}
 		t.c.bus.call(func() {
 			e, err = p.site.vc.RegisterExact(chosen)
 			p.site.regMu.Unlock()
 		})
-		if t.tr != nil {
-			t.tr.SpanSite("adopt", sid, tAdopt)
-		}
 		if err != nil {
 			// Unreachable by construction (the gate is held); treat as a
 			// fatal protocol error rather than limping on.
@@ -561,10 +532,6 @@ func (t *DTx) Commit() error {
 	}
 	for _, sid := range sids {
 		p := t.parts[sid]
-		var tCommit time.Time
-		if t.tr != nil {
-			tCommit = time.Now()
-		}
 		t.c.bus.call(func() {
 			// Write-ahead: the site's commit record (even if its local
 			// write set is empty — the number consumption is durable
@@ -581,9 +548,6 @@ func (t *DTx) Commit() error {
 			p.site.locks.ReleaseAll(t.id)
 			p.site.vc.Complete(entries[sid])
 		})
-		if t.tr != nil {
-			t.tr.SpanSite("commit", sid, tCommit)
-		}
 	}
 	for {
 		cur := t.c.hwm.Load()
@@ -593,7 +557,6 @@ func (t *DTx) Commit() error {
 	}
 	t.c.rec.RecordCommit(t.id, chosen)
 	t.c.commitsRW.Add(1)
-	t.tr.FinishCommit()
 	return nil
 }
 
@@ -618,7 +581,6 @@ func (t *DTx) abortInternal() {
 		})
 	}
 	t.c.rec.RecordAbort(t.id)
-	t.tr.FinishAbort()
 }
 
 // ID implements engine.Tx.

@@ -157,9 +157,9 @@ func RecordSnapshot(r Recorder, txID, sn uint64) {
 
 // Multi combines recorders: every record call fans out to each non-nil,
 // non-Nop recorder in order. It collapses to NopRecorder or the single
-// remaining recorder when it can, so engines may attach an optional
-// tracer unconditionally without paying for indirection when it is the
-// only (or no) observer.
+// remaining recorder when it can, so a caller may pass an optional
+// recorder (an auditor next to a history, say) unconditionally without
+// paying for indirection when it is the only (or no) observer.
 func Multi(rs ...Recorder) Recorder {
 	var active []Recorder
 	for _, r := range rs {

@@ -9,7 +9,7 @@
 // durability was violated; the bundle captures *why* — which phase the
 // latency lived in (the attribution matrix of internal/obs), which
 // transactions were blocked on whom (the lock manager's waits-for
-// graph), what the last alarms said, and the promoted causal traces.
+// graph), and what the last alarms said.
 //
 // Triggers: an audit alarm (audit.Options.OnAlarm → TriggerAsync), a
 // crashtest oracle violation (Capture), an explicit HTTP dump
@@ -35,14 +35,14 @@ import (
 	"mvdb/internal/faultfs"
 	"mvdb/internal/lock"
 	"mvdb/internal/obs"
-	"mvdb/internal/trace"
 )
 
 // SchemaVersion identifies the bundle format. Bump on any
 // change to Bundle's shape. v4 dropped v2's health timeline and v3's
-// hotspot report; v5 dropped the event-ring "trace" tail. Load still
-// reads the older versions, ignoring those keys.
-const SchemaVersion = "mvdb-flight/v5"
+// hotspot report; v5 dropped the event-ring "trace" tail; v6 dropped the
+// promoted causal "traces". Load still reads the older versions,
+// ignoring those keys.
+const SchemaVersion = "mvdb-flight/v6"
 
 // Sources are the read-only taps the recorder samples. Stats is
 // required; every other tap is optional (nil omits its section from
@@ -56,11 +56,6 @@ type Sources struct {
 	Audit func() audit.Snapshot
 	// WaitGraph exports the lock manager's waits-for graph.
 	WaitGraph func() lock.WaitGraph
-	// Traces returns the promoted per-transaction causal traces. The
-	// tap is called at assembly time, so it may first promote the
-	// freshest sampled traces ("this bundle is the anomaly — keep the
-	// evidence") before returning.
-	Traces func() []trace.Trace
 }
 
 // Options configures a Recorder.
@@ -104,7 +99,6 @@ type Bundle struct {
 
 	Audit     *audit.Snapshot `json:"audit,omitempty"`
 	WaitGraph *lock.WaitGraph `json:"wait_graph,omitempty"`
-	Traces    []trace.Trace   `json:"traces,omitempty"`
 }
 
 // Recorder is the running black box. Create with New, stop with Close.
@@ -119,10 +113,9 @@ type Recorder struct {
 	ringPos int
 	ringN   int
 
-	seq         atomic.Uint64 // bundles written
-	lastAsync   atomic.Int64  // unix ns of the last async-triggered bundle
-	lastPath    atomic.Value  // string: most recent bundle path
-	rateLimited atomic.Uint64 // async triggers suppressed by MinGap
+	seq       atomic.Uint64 // bundles written
+	lastAsync atomic.Int64  // unix ns of the last async-triggered bundle
+	lastPath  atomic.Value  // string: most recent bundle path
 
 	triggers chan trigReq
 	quit     chan struct{}
@@ -231,7 +224,6 @@ func (r *Recorder) TriggerAsync(reason, detail string) {
 	now := time.Now().UnixNano()
 	last := r.lastAsync.Load()
 	if now-last < r.opts.MinGap.Nanoseconds() || !r.lastAsync.CompareAndSwap(last, now) {
-		r.rateLimited.Add(1)
 		return
 	}
 	select {
@@ -267,19 +259,11 @@ func (r *Recorder) assemble(reason, detail string) Bundle {
 		g := r.src.WaitGraph()
 		b.WaitGraph = &g
 	}
-	if r.src.Traces != nil {
-		b.Traces = r.src.Traces()
-	}
 	return b
 }
 
 // Bundles returns how many bundles have been written.
 func (r *Recorder) Bundles() uint64 { return r.seq.Load() }
-
-// RateLimited returns how many TriggerAsync calls the MinGap limiter has
-// suppressed (a growing count means alarms are firing faster than
-// bundles can record them).
-func (r *Recorder) RateLimited() uint64 { return r.rateLimited.Load() }
 
 // LastBundle returns the most recently written bundle's path ("" if
 // none yet).

@@ -300,7 +300,8 @@ func TestCaptureOneShot(t *testing.T) {
 // level and inside stats), "health" ring events and, from before the
 // self-tuning layer was deleted, "knob" events and an "adaptive" stats
 // section; v4 dropped the first three. A v4 bundle carries the event
-// ring's "trace" tail, which v5 dropped.
+// ring's "trace" tail, which v5 dropped. A v5 bundle carries promoted
+// causal "traces", which v6 dropped (v4 could carry them too).
 func TestLoadV3Bundle(t *testing.T) {
 	for _, c := range []struct {
 		name, doc string
@@ -325,7 +326,14 @@ func TestLoadV3Bundle(t *testing.T) {
 		"wait_graph":{"waiters":1,"edges":[{"from":5,"to":3,"key":"hot","mode":"exclusive"}]},
 		"traces":[{"id":1,"site":-1,"tx":5,"tn":6,"proto":"vc+2pl","outcome":"commit","promoted":"slow",
 		           "start_ns":1,"end_ns":901,"total_ns":900,"spans":[{"name":"lock-wait","site":-1,"start_ns":1,"dur_ns":900}]}]}`,
-			[]string{"mvdb-flight/v4", "== waits-for graph (1 waiters) ==", "== causal traces (1 promoted) =="}},
+			[]string{"mvdb-flight/v4", "== waits-for graph (1 waiters) =="}},
+		{"v5", `{"schema":"mvdb-flight/v5","seq":4,"reason":"audit-alarm",
+		"stats":{"protocol":"vc+2pl","commits_rw":9},
+		"wait_graph":{"waiters":1,"edges":[{"from":5,"to":3,"key":"hot","mode":"exclusive"}]},
+		"traces":[{"id":1,"site":-1,"tx":5,"tn":6,"proto":"vc+2pl","outcome":"commit","promoted":"slow",
+		           "start_ns":1,"end_ns":901,"total_ns":900,"spans":[{"name":"lock-wait","site":-1,"start_ns":1,"dur_ns":900}],
+		           "blame":[{"kind":"blocked-on","phase":"lock-wait","tx":3,"key":"hot","dur_ns":900}]}]}`,
+			[]string{"mvdb-flight/v5", "== waits-for graph (1 waiters) ==", "tx 5 --[exclusive \"hot\"]--> tx 3"}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "flight-"+c.name+".json")

@@ -6,13 +6,11 @@ import (
 	"time"
 
 	"mvdb/internal/metrics"
-	"mvdb/internal/trace"
 )
 
 // Render writes a human-readable postmortem report for a bundle:
 // header, per-protocol phase-attribution table, headline counters, the
-// last audit alarms, the waits-for graph, and the promoted causal
-// traces. It is the single renderer behind `mvinspect -bundle` so tests
+// last audit alarms, and the waits-for graph. It is the single renderer behind `mvinspect -bundle` so tests
 // and the CLI agree on what a bundle "looks like".
 func Render(b *Bundle, w io.Writer) {
 	fmt.Fprintf(w, "flight bundle #%d (%s)\n", b.Seq, b.Schema)
@@ -67,13 +65,6 @@ func Render(b *Bundle, w io.Writer) {
 		fmt.Fprintf(w, "\n== waits-for graph (%d waiters) ==\n", g.Waiters)
 		for _, e := range g.Edges {
 			fmt.Fprintf(w, "  tx %d --[%s %q]--> tx %d\n", e.From, e.Mode, e.Key, e.To)
-		}
-	}
-
-	if len(b.Traces) > 0 {
-		fmt.Fprintf(w, "\n== causal traces (%d promoted) ==\n", len(b.Traces))
-		for i := range b.Traces {
-			trace.Waterfall(w, b.Traces[i])
 		}
 	}
 }

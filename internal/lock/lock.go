@@ -162,16 +162,16 @@ func (ls *lockState) holderIdx(tx *TxState) int {
 	return -1
 }
 
-// conflict returns the first holder other than tx whose lock rules out
-// granting tx mode, nil if there is none. For an upgrade (tx holds
-// Shared, mode is Exclusive) that is exactly "tx is the sole holder".
-func (ls *lockState) conflict(tx *TxState, mode Mode) *TxState {
+// conflict reports whether a holder other than tx has a lock that rules
+// out granting tx mode. For an upgrade (tx holds Shared, mode is
+// Exclusive) "no conflict" is exactly "tx is the sole holder".
+func (ls *lockState) conflict(tx *TxState, mode Mode) bool {
 	for _, h := range ls.holders {
 		if h.tx != tx && (mode == Exclusive || h.mode == Exclusive) {
-			return h.tx
+			return true
 		}
 	}
-	return nil
+	return false
 }
 
 // grant makes tx a holder in mode: an upgrade rewrites its Shared entry
@@ -251,7 +251,7 @@ type Manager struct {
 	// onWait observes every blocked request when its wait ends; see
 	// SetWaitObserver. onBlock observes it when the wait begins; see
 	// SetBlockObserver. Both run outside every manager mutex.
-	onWait  func(txID uint64, key string, stripe int, blocker uint64, wait time.Duration)
+	onWait  func(txID uint64, wait time.Duration)
 	onBlock func(txID uint64, key string)
 }
 
@@ -291,12 +291,8 @@ func NewManagerStriped(policy Policy, timeout time.Duration, stripes int) *Manag
 	return m
 }
 
-func (m *Manager) stripeIdx(key string) int {
-	return int(maphash.String(m.seed, key) & uint64(len(m.stripes)-1))
-}
-
 func (m *Manager) stripeFor(key string) *stripe {
-	return &m.stripes[m.stripeIdx(key)]
+	return &m.stripes[maphash.String(m.seed, key)&uint64(len(m.stripes)-1)]
 }
 
 // lockStripe takes s.mu, counting the acquisition as a collision when
@@ -341,16 +337,13 @@ func (m *Manager) BeginState(tx *TxState, txID, age uint64) {
 }
 
 // SetWaitObserver installs fn, called once per blocked request when its
-// wait ends — granted or failed — with the requester, the key, the
-// key's lock-table stripe, the transaction it was first queued behind
-// (the blame edge for causal tracing; 0 if the conflict vanished before
-// it was captured), and the time spent blocked. The callback runs on
-// the waiter's own goroutine with no manager, stripe or transaction
-// mutex held, so a slow observer can never stall lock traffic on any
-// key (TestSlowWaitObserver pins this down). It must be installed
-// before the manager sees concurrent use (engines set it at
-// construction).
-func (m *Manager) SetWaitObserver(fn func(txID uint64, key string, stripe int, blocker uint64, wait time.Duration)) {
+// wait ends — granted or failed — with the requester and the time spent
+// blocked. The callback runs on the waiter's own goroutine with no
+// manager, stripe or transaction mutex held, so a slow observer can
+// never stall lock traffic on any key (TestSlowWaitObserver pins this
+// down). It must be installed before the manager sees concurrent use
+// (engines set it at construction).
+func (m *Manager) SetWaitObserver(fn func(txID uint64, wait time.Duration)) {
 	m.onWait = fn
 }
 
@@ -372,7 +365,7 @@ func (m *Manager) Acquire(txID uint64, key string, mode Mode) error {
 	if tx == nil {
 		return ErrUnknown
 	}
-	req, blocker, err := m.grantOrQueue(tx, key, mode)
+	req, err := m.grantOrQueue(tx, key, mode)
 	if req == nil {
 		return err
 	}
@@ -406,27 +399,27 @@ func (m *Manager) Acquire(txID uint64, key string, mode Mode) error {
 	waitStart := time.Now()
 	err = m.await(req)
 	if m.onWait != nil {
-		m.onWait(txID, key, m.stripeIdx(key), blocker, time.Since(waitStart))
+		m.onWait(txID, time.Since(waitStart))
 	}
 	return err
 }
 
 // grantOrQueue is Acquire's step under the key's stripe mutex and tx.mu:
 // grant the lock (nil request, nil error), refuse a wounded transaction,
-// or queue a request and return it with the blame edge.
-func (m *Manager) grantOrQueue(tx *TxState, key string, mode Mode) (*request, uint64, error) {
+// or queue a request and return it.
+func (m *Manager) grantOrQueue(tx *TxState, key string, mode Mode) (*request, error) {
 	s := m.stripeFor(key)
 	m.lockStripe(s)
 	defer s.mu.Unlock()
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
 	if tx.wounded {
-		return nil, 0, ErrWounded
+		return nil, ErrWounded
 	}
 	ls := s.locks[key]
 	held := ls.holderIdx(tx)
 	if held >= 0 && (mode == Shared || ls.holders[held].mode == Exclusive) {
-		return nil, 0, nil
+		return nil, nil
 	}
 	upgrade := held >= 0 // held Shared, want Exclusive
 	if ls == nil {
@@ -434,27 +427,9 @@ func (m *Manager) grantOrQueue(tx *TxState, key string, mode Mode) (*request, ui
 	}
 	// FIFO fairness: a fresh request queues behind existing waiters; an
 	// upgrade goes ahead of them.
-	blocker := ls.conflict(tx, mode)
-	if blocker == nil && (upgrade || len(ls.queue) == 0) {
+	if !ls.conflict(tx, mode) && (upgrade || len(ls.queue) == 0) {
 		ls.grant(tx, key, mode)
-		return nil, 0, nil
-	}
-
-	// Capture the blame edge while the stripe mutex still pins the
-	// conflict: the first conflicting holder, or failing that the first
-	// conflicting request queued ahead. By the time the wait ends the
-	// blocker may be long gone, so this is the only moment the causal
-	// edge is observable.
-	var blame uint64
-	if blocker != nil {
-		blame = blocker.id
-	} else {
-		for _, r := range ls.queue {
-			if r.tx != tx && (mode == Exclusive || r.mode == Exclusive) {
-				blame = r.tx.id
-				break
-			}
-		}
+		return nil, nil
 	}
 	req := &request{tx: tx, key: key, mode: mode, upgrade: upgrade, ready: make(chan error, 1)}
 	ls.queue = append(ls.queue, req)
@@ -463,7 +438,7 @@ func (m *Manager) grantOrQueue(tx *TxState, key string, mode Mode) (*request, ui
 		ls.queue[0] = req
 	}
 	tx.waiting = req
-	return req, blame, nil
+	return req, nil
 }
 
 // await blocks on a queued request until it is granted or fails under
@@ -690,7 +665,7 @@ func (m *Manager) WaitGraph() WaitGraph {
 func (m *Manager) grantWaiters(s *stripe, key string, ls *lockState) {
 	for len(ls.queue) > 0 {
 		req := ls.queue[0]
-		if ls.conflict(req.tx, req.mode) != nil {
+		if ls.conflict(req.tx, req.mode) {
 			break
 		}
 		ls.unqueue(0)

@@ -29,7 +29,10 @@ func TestSlowWaitObserver(t *testing.T) {
 	m := NewManager(Detect, 0)
 	release := make(chan struct{})
 	var observed atomic.Int32
-	m.SetWaitObserver(func(txID uint64, key string, stripe int, blocker uint64, wait time.Duration) {
+	m.SetWaitObserver(func(txID uint64, wait time.Duration) {
+		if txID != 2 || wait <= 0 {
+			t.Errorf("wait observed as (tx %d, %v), want tx 2 and a positive wait", txID, wait)
+		}
 		observed.Add(1)
 		<-release // hold the observer hostage
 	})

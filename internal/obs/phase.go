@@ -182,8 +182,8 @@ func (ps *PhaseStats) PprofExit() {
 }
 
 // PhaseSummary is one non-empty cell of the matrix as exported in
-// Snapshot.Phases: the latency summary plus the slowest-sample
-// transaction id (the exemplar to look up among the promoted traces).
+// Snapshot.Phases: the latency summary plus the id of the transaction
+// that took the slowest sample (flight bundles print it per cell).
 type PhaseSummary struct {
 	Protocol  string          `json:"protocol"`
 	Phase     string          `json:"phase"`

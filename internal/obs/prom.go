@@ -220,7 +220,7 @@ func (sn Snapshot) WriteProm(w io.Writer) error {
 		for _, ph := range sn.Phases {
 			p.Summary("mvdb_phase_seconds", ph.Durations, "protocol", ph.Protocol, "phase", ph.Phase)
 		}
-		p.Header("mvdb_phase_slowest_tx", "gauge", "Transaction id of the slowest sample per (protocol, phase) — the trace-ring exemplar.")
+		p.Header("mvdb_phase_slowest_tx", "gauge", "Transaction id of the slowest sample per (protocol, phase).")
 		for _, ph := range sn.Phases {
 			if ph.SlowestTx != 0 {
 				p.Int("mvdb_phase_slowest_tx", int64(ph.SlowestTx), "protocol", ph.Protocol, "phase", ph.Phase)

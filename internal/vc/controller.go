@@ -68,27 +68,6 @@ func ParseMode(s string) (Mode, error) {
 	return ModeStrict, fmt.Errorf("vc: unknown visibility mode %q (want strict or epoch)", s)
 }
 
-// Obstruction describes why a completing transaction's visibility is
-// deferred: an older registered-but-unresolved transaction still holds
-// the horizon back. It is the evidence behind the queued-behind trace
-// blame edge.
-type Obstruction struct {
-	// HeadTN is the oldest unresolved transaction number — the one the
-	// completer is queued behind.
-	HeadTN uint64
-	// Depth is how far the completer sits above the visibility horizon:
-	// for Strict the VCQueue length at the completion instant, for the
-	// epoch controller the watermark distance tn - vtnc - 1.
-	Depth int
-	// Watermark is the visibility horizon (vtnc) at the completion
-	// instant.
-	Watermark uint64
-	// Epoch is the visibility-advance generation (0 under Strict, which
-	// has no epochs; under the epoch controller, the number of watermark
-	// publishes so far).
-	Epoch uint64
-}
-
 // Controller is the Version Control module behind an interface. All
 // methods are safe for concurrent use. Start must be wait-free (the
 // read-only begin path is the paper's "almost negligible overhead"
@@ -108,12 +87,6 @@ type Controller interface {
 	// Complete implements VCcomplete(T). Visibility advances when (and
 	// only when) every older registration has also resolved.
 	Complete(*Entry)
-	// CompleteObserved is Complete plus a causal probe: when the
-	// completing transaction's visibility is deferred behind an older
-	// unresolved one, fn receives the obstruction. fn runs inside the
-	// controller's critical section — it must be cheap and must not call
-	// back into the controller.
-	CompleteObserved(*Entry, func(Obstruction))
 	// Discard implements VCdiscard(T): remove an aborted registration.
 	Discard(*Entry)
 	// UnsafeCompleteEager is ablation A2: advance vtnc in completion

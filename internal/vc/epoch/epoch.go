@@ -236,11 +236,11 @@ func (c *Controller) RegisterEntry(e *vc.Entry) {
 	e.Assign(tn)
 }
 
-// resolve CASes the slot out of outstanding and drains the lane. It
-// returns the published watermark after any advance this resolution
-// unlocked. An entry whose slot is not outstanding — resolved already,
-// or never registered here — panics.
-func (c *Controller) resolve(e *vc.Entry, to uint32) uint64 {
+// resolve CASes the slot out of outstanding, drains the lane, and
+// publishes any advance this resolution unlocked. An entry whose slot is
+// not outstanding — resolved already, or never registered here —
+// panics.
+func (c *Controller) resolve(e *vc.Entry, to uint32) {
 	tn := e.TN()
 	s := c.slotOf(tn)
 	if !s.state.CompareAndSwap(slotOutstanding, to) {
@@ -262,9 +262,8 @@ func (c *Controller) resolve(e *vc.Entry, to uint32) uint64 {
 	advanced := c.drainLaneLocked(ln)
 	ln.mu.Unlock()
 	if advanced {
-		return c.publish()
+		c.publish()
 	}
-	return c.vtnc.Load()
 }
 
 // drainLaneLocked walks the lane's frontier over resolved slots,
@@ -298,7 +297,7 @@ func (c *Controller) drainLaneLocked(ln *lane) bool {
 // publish recomputes the watermark — min over lane frontiers, minus one
 // — and CAS-maxes it into vtnc. A successful raise bumps the epoch,
 // wakes waiters, and fires the observer for the newly visible batch.
-func (c *Controller) publish() uint64 {
+func (c *Controller) publish() {
 	min := c.lanes[0].frontier.Load()
 	for l := 1; l < len(c.lanes); l++ {
 		if f := c.lanes[l].frontier.Load(); f < min {
@@ -309,7 +308,7 @@ func (c *Controller) publish() uint64 {
 	for {
 		cur := c.vtnc.Load()
 		if target <= cur {
-			return cur
+			return
 		}
 		if c.vtnc.CompareAndSwap(cur, target) {
 			break
@@ -326,7 +325,6 @@ func (c *Controller) publish() uint64 {
 	if c.observing.Load() {
 		c.sweepVisible(target)
 	}
-	return target
 }
 
 // sweepVisible fires the observer for stashed completions at or below
@@ -361,35 +359,6 @@ func (c *Controller) Complete(e *vc.Entry) { c.resolve(e, slotComplete) }
 
 // Discard implements VCdiscard(T).
 func (c *Controller) Discard(e *vc.Entry) { c.resolve(e, slotDiscarded) }
-
-// CompleteObserved is Complete plus the queued-behind probe: if the
-// watermark is still below tn after this completion's own drain and
-// publish, an older transaction is holding the horizon back; fn gets the
-// oldest unresolved tn, the watermark distance, and the epoch.
-func (c *Controller) CompleteObserved(e *vc.Entry, fn func(vc.Obstruction)) {
-	tn := e.TN()
-	vtnc := c.resolve(e, slotComplete)
-	if fn == nil || vtnc >= tn {
-		return
-	}
-	min := c.lanes[0].frontier.Load()
-	for l := 1; l < len(c.lanes); l++ {
-		if f := c.lanes[l].frontier.Load(); f < min {
-			min = f
-		}
-	}
-	if min > tn {
-		// A concurrent drain already moved the horizon past us between
-		// the publish and this scan — no obstruction left to report.
-		return
-	}
-	fn(vc.Obstruction{
-		HeadTN:    min,
-		Depth:     int(tn - vtnc - 1),
-		Watermark: vtnc,
-		Epoch:     c.epoch.Load(),
-	})
-}
 
 // UnsafeCompleteEager is ablation A2: publish tn immediately, in
 // completion order, deliberately violating the Transaction Visibility

@@ -229,27 +229,6 @@ func TestVisibleObserver(t *testing.T) {
 	}
 }
 
-// CompleteObserved reports the obstruction when an older transaction
-// still holds the horizon, and stays silent when it does not.
-func TestObstruction(t *testing.T) {
-	c := NewWithShape(0, 2, 4)
-	h1 := c.Register()
-	h2 := c.Register()
-	var got *vc.Obstruction
-	c.CompleteObserved(h2, func(o vc.Obstruction) { got = &o })
-	if got == nil {
-		t.Fatal("no obstruction reported with tn 1 outstanding")
-	}
-	if got.HeadTN != 1 || got.Watermark != 0 || got.Depth != 1 {
-		t.Fatalf("obstruction %+v, want head 1 watermark 0 depth 1", *got)
-	}
-	got = nil
-	c.CompleteObserved(h1, func(o vc.Obstruction) { got = &o })
-	if got != nil {
-		t.Fatalf("unexpected obstruction %+v for unobstructed completion", *got)
-	}
-}
-
 func TestWaitVisible(t *testing.T) {
 	c := New(0)
 	h1 := c.Register()

@@ -270,33 +270,6 @@ func (c *Strict) Complete(e *Entry) {
 	c.drainLocked()
 }
 
-// CompleteObserved is Complete plus a causal probe: when the completing
-// transaction is not at the head of VCQueue — its visibility is being
-// deferred behind an older registered-but-incomplete transaction — fn
-// reports the obstruction: the head's transaction number, the queue
-// length, and the visibility horizon at that instant. fn runs under the
-// controller mutex, before the drain (after it the evidence is gone: if
-// the head completes first, the drain can make this very entry visible
-// and fire the visibility observer synchronously), so it must not call
-// back into the controller.
-func (c *Strict) CompleteObserved(e *Entry, fn func(Obstruction)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e.resolved {
-		panic("vc: Complete of resolved entry")
-	}
-	e.complete = true
-	c.completions.Add(1)
-	if fn != nil && c.head != nil && c.head != e {
-		fn(Obstruction{
-			HeadTN:    c.head.tn,
-			Depth:     c.size,
-			Watermark: c.vtnc.Load(),
-		})
-	}
-	c.drainLocked()
-}
-
 // UnsafeCompleteEager is ablation A2 (see DESIGN.md): it advances vtnc to
 // the completing transaction's number immediately, in completion order
 // rather than serialization order, deliberately violating the Transaction

@@ -104,9 +104,37 @@ func (f *gateFile) Sync() error {
 	return f.File.Sync()
 }
 
+// batchSizes is the size of every batch a writer opened by openGate has
+// completed, in order, as its batch observer reported them.
+type batchSizes struct {
+	mu    sync.Mutex
+	cond  sync.Cond
+	sizes []int
+}
+
+var observed sync.Map // *Writer → *batchSizes
+
+func (b *batchSizes) add(n int) {
+	b.mu.Lock()
+	b.sizes = append(b.sizes, n)
+	b.mu.Unlock()
+	b.cond.Broadcast()
+}
+
+// first returns the sizes of the first n batches once the observer has
+// reported them: it runs after the batch's waiters are released.
+func (b *batchSizes) first(n uint64) []int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for uint64(len(b.sizes)) < n {
+		b.cond.Wait()
+	}
+	return append([]int(nil), b.sizes[:n]...)
+}
+
 // openGate opens a SyncBatch writer on an armed gate: every fsync waits
-// for the test until it disarms the gate. The writer is closed with the
-// test.
+// for the test until it disarms the gate. The writer records its batch
+// sizes for rode and is closed with the test.
 func openGate(t *testing.T) (*Writer, *gateFS, string) {
 	t.Helper()
 	g := newGateFS()
@@ -115,7 +143,12 @@ func openGate(t *testing.T) (*Writer, *gateFS, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	bs := new(batchSizes)
+	bs.cond.L = &bs.mu
+	observed.Store(w, bs)
+	w.SetBatchObserver(bs.add)
 	t.Cleanup(func() {
+		observed.Delete(w)
 		g.armed.Store(false)
 		w.Close()
 	})
@@ -220,8 +253,8 @@ func TestSyncBatchAmortizes(t *testing.T) {
 }
 
 // TestSyncBatchDelayGathers checks the provenance of a gathered batch:
-// ten records enqueued behind a held fsync all report the one batch that
-// carried them, led by the first of them.
+// ten records enqueued behind a held fsync all ride the one batch that
+// carried them.
 func TestSyncBatchDelayGathers(t *testing.T) {
 	w, first, open := openHeld(t)
 	defer w.Close()
@@ -234,13 +267,9 @@ func TestSyncBatchDelayGathers(t *testing.T) {
 		}
 	}
 	open()
-	if bi, err := w.Wait(first); err != nil || bi != (BatchInfo{Batch: 1, LeaderTN: 1, Records: 1}) {
-		t.Fatalf("held record rode %+v, %v", bi, err)
-	}
+	rode(t, w, first, 1, 1)
 	for _, tk := range tickets {
-		if bi, err := w.Wait(tk); err != nil || bi != (BatchInfo{Batch: 2, LeaderTN: 2, Records: n}) {
-			t.Fatalf("ticket %d rode %+v, %v; want batch 2 led by tn 2 with %d records", tk, bi, err, n)
-		}
+		rode(t, w, tk, 2, n)
 	}
 }
 
@@ -271,10 +300,28 @@ func (g *gateFS) quiet(t *testing.T, why string) {
 	}
 }
 
-func rode(t *testing.T, w *Writer, tk Ticket, want BatchInfo) {
+// rode waits for ticket tk and checks that batch number batch, of
+// records records, covered it; batch 0 means no batch did (an inline
+// Flush got there first). Tickets count records and each batch covers
+// the ones after the last, so a ticket rode the first batch whose
+// running total of sizes reaches it. A writer opened by openGate only.
+func rode(t *testing.T, w *Writer, tk Ticket, batch uint64, records int) {
 	t.Helper()
-	if bi, err := w.Wait(tk); err != nil || bi != want {
-		t.Fatalf("ticket %d rode %+v, %v; want %+v", tk, bi, err, want)
+	if err := w.Wait(tk); err != nil {
+		t.Fatalf("ticket %d: %v", tk, err)
+	}
+	bs, _ := observed.Load(w)
+	var covered uint64
+	for i, n := range bs.(*batchSizes).first(w.Batches()) {
+		if covered += uint64(n); uint64(tk) <= covered {
+			if uint64(i+1) != batch || n != records {
+				t.Fatalf("ticket %d rode batch %d of %d records; want batch %d of %d", tk, i+1, n, batch, records)
+			}
+			return
+		}
+	}
+	if batch != 0 {
+		t.Fatalf("ticket %d rode no batch; want batch %d of %d records", tk, batch, records)
 	}
 }
 
@@ -291,12 +338,12 @@ func openPair(t *testing.T) (*Writer, *gateFS, string) {
 	<-g.entered // a writer's first fsync never waits: it covers record 1 alone
 	pair := [2]Ticket{enqueue(t, w, 2), enqueue(t, w, 3)}
 	g.release <- struct{}{}
-	rode(t, w, first, BatchInfo{Batch: 1, LeaderTN: 1, Records: 1})
+	rode(t, w, first, 1, 1)
 	<-g.entered
 	time.Sleep(gatherHold)
 	g.release <- struct{}{}
 	for _, tk := range pair {
-		rode(t, w, tk, BatchInfo{Batch: 2, LeaderTN: 2, Records: 2})
+		rode(t, w, tk, 2, 2)
 	}
 	return w, g, path
 }
@@ -311,8 +358,8 @@ func TestGatherWaitsForReleasedCommitter(t *testing.T) {
 	g.quiet(t, "for the first committer back, without waiting for the second")
 	b := enqueue(t, w, 5)
 	g.pass()
-	rode(t, w, a, BatchInfo{Batch: 3, LeaderTN: 4, Records: 2})
-	rode(t, w, b, BatchInfo{Batch: 3, LeaderTN: 4, Records: 2})
+	rode(t, w, a, 3, 2)
+	rode(t, w, b, 3, 2)
 	if got := w.GatherTimeouts(); got != timeouts {
 		t.Fatalf("gather timeouts %d → %d: the gather ended on the count", timeouts, got)
 	}
@@ -329,12 +376,12 @@ func TestGatherHealsAlternation(t *testing.T) {
 	b := enqueue(t, w, 2)
 	time.Sleep(gatherHold)
 	g.release <- struct{}{}
-	rode(t, w, a, BatchInfo{Batch: 1, LeaderTN: 1, Records: 1})
+	rode(t, w, a, 1, 1)
 	g.quiet(t, "for the record enqueued behind it, without waiting for the committer it released")
 	a = enqueue(t, w, 3)
 	g.pass()
-	rode(t, w, b, BatchInfo{Batch: 2, LeaderTN: 2, Records: 2})
-	rode(t, w, a, BatchInfo{Batch: 2, LeaderTN: 2, Records: 2})
+	rode(t, w, b, 2, 2)
+	rode(t, w, a, 2, 2)
 	if got := w.GatherTimeouts(); got != 0 {
 		t.Fatalf("gather timeouts = %d, want 0", got)
 	}
@@ -355,14 +402,14 @@ func TestGatherMissingCommitterCostsOneBound(t *testing.T) {
 		t.Fatalf("lone record fsynced after %v, want the backstop (%v, an eighth of the %v fsync before it)",
 			waited, gatherHold/8, gatherHold)
 	}
-	rode(t, w, a, BatchInfo{Batch: 3, LeaderTN: 4, Records: 1})
+	rode(t, w, a, 3, 1)
 	if got := w.GatherTimeouts(); got != timeouts+1 {
 		t.Fatalf("gather timeouts %d → %d, want one more", timeouts, got)
 	}
 	// The expectation is what arrived: one committer, so no gather.
 	a = enqueue(t, w, 5)
 	g.pass()
-	rode(t, w, a, BatchInfo{Batch: 4, LeaderTN: 5, Records: 1})
+	rode(t, w, a, 4, 1)
 	if got := w.GatherTimeouts(); got != timeouts+1 {
 		t.Fatalf("gather timeouts %d → %d: the next lone record waited too", timeouts+1, got)
 	}
@@ -381,7 +428,7 @@ func TestGatherSingleCommitterNeverWaits(t *testing.T) {
 			time.Sleep(gatherHold) // a backstop of gatherHold/8 for whoever would wait
 		}
 		g.release <- struct{}{}
-		rode(t, w, tk, BatchInfo{Batch: tn, LeaderTN: tn, Records: 1})
+		rode(t, w, tk, tn, 1)
 	}
 	if got := w.GatherTimeouts(); got != 0 {
 		t.Fatalf("gather timeouts = %d, want 0", got)
@@ -405,7 +452,7 @@ func TestGatherCloseEndsGather(t *testing.T) {
 	if w.gatherTimer.Stop() {
 		t.Fatal("Close left the gather timer armed")
 	}
-	rode(t, w, a, BatchInfo{Batch: 3, LeaderTN: 4, Records: 1})
+	rode(t, w, a, 3, 1)
 	var tns []uint64
 	if _, err := Replay(path, func(r Record) error { tns = append(tns, r.TN); return nil }); err != nil {
 		t.Fatal(err)
@@ -428,7 +475,7 @@ func TestGatherStickyErrorEndsGather(t *testing.T) {
 	if err := w.Flush(); err == nil {
 		t.Fatal("Flush succeeded on a closed file")
 	}
-	if _, err := w.Wait(a); err == nil {
+	if err := w.Wait(a); err == nil {
 		t.Fatal("Wait acknowledged a record the log could not sync")
 	}
 	<-w.flusherDone
@@ -452,7 +499,7 @@ func TestFsyncsCountsOvertakenSync(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	rode(t, w, a, BatchInfo{}) // the inline fsync covered it: no batch
+	rode(t, w, a, 0, 0) // the inline fsync covered it: no batch
 	g.release <- struct{}{}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)

@@ -134,40 +134,6 @@ type Writer struct {
 	// onBatch observes each group-commit batch's record count; see
 	// SetBatchObserver.
 	onBatch func(records int)
-
-	// Batch provenance for causal tracing (all under mu): the TN of the
-	// first record enqueued into the currently forming batch (its leader)
-	// and a small ring of completed batches' ticket coverage, scanned by
-	// Wait to report which batch a ticket rode.
-	leaderTN   uint64
-	haveLeader bool
-	batchLog   [batchLogSize]batchSpan
-	batchLogN  uint64
-}
-
-// batchLogSize bounds the completed-batch ring. A waiter learns its
-// batch immediately after being broadcast, so it only needs the ring to
-// outlive the handful of batches that can complete between its wake-up
-// and its scan; 64 is generous.
-const batchLogSize = 64
-
-// batchSpan is one completed fsync batch's ticket coverage.
-type batchSpan struct {
-	lo, hi  uint64 // inclusive ticket range the fsync covered
-	batch   uint64 // batch ordinal (Batches() value once completed)
-	leader  uint64 // TN of the record that opened the batch
-	records int
-}
-
-// BatchInfo identifies the fsync coverage a ticket rode: Batch is the
-// batch ordinal, LeaderTN the transaction number of the record that
-// opened the batch, Records how many records the fsync covered. The
-// zero BatchInfo means no recorded batch covered the ticket (SyncNever,
-// an inline Flush straggler, or coverage already evicted from the ring).
-type BatchInfo struct {
-	Batch    uint64 `json:"batch"`
-	LeaderTN uint64 `json:"leader_tn"`
-	Records  int    `json:"records"`
 }
 
 // Counters reports lifetime log volume: records appended, fsyncs
@@ -296,7 +262,7 @@ type Ticket uint64
 func (w *Writer) Append(r Record) error {
 	t, err := w.Enqueue(r)
 	if err == nil {
-		_, err = w.Wait(t)
+		err = w.Wait(t)
 	}
 	return err
 }
@@ -330,10 +296,6 @@ func (w *Writer) Enqueue(r Record) (Ticket, error) {
 	}
 	w.appends.Add(1)
 	w.bytes.Add(uint64(len(buf)))
-	if !w.haveLeader {
-		w.haveLeader = true
-		w.leaderTN = r.TN
-	}
 	w.enqSeq++
 	if w.wake != nil {
 		w.wake.Signal()
@@ -341,39 +303,27 @@ func (w *Writer) Enqueue(r Record) (Ticket, error) {
 	return Ticket(w.enqSeq), nil
 }
 
-// Wait blocks until an fsync covers t and reports the batch that carried
-// it (see BatchInfo). Under SyncNever it returns at once. A writer that
-// broke before covering t returns the sticky error — also when the break
-// happened on a later record: the log is durable as a prefix or not at
-// all.
-func (w *Writer) Wait(t Ticket) (BatchInfo, error) {
+// Wait blocks until an fsync covers t. Under SyncNever it returns at
+// once. A writer that broke before covering t returns the sticky error —
+// also when the break happened on a later record: the log is durable as
+// a prefix or not at all.
+func (w *Writer) Wait(t Ticket) error {
 	seq := uint64(t)
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.opts.Policy == SyncNever {
-		return BatchInfo{}, w.syncErr
+		return w.syncErr
 	}
 	for w.syncSeq < seq && w.syncErr == nil && !w.closed {
 		w.synced.Wait()
 	}
 	switch {
 	case w.syncSeq >= seq:
-		// Newest first: a waiter is woken by the batch that covered it, so
-		// the scan almost always ends on its first entry.
-		for i := uint64(1); i <= batchLogSize && i <= w.batchLogN; i++ {
-			b := &w.batchLog[(w.batchLogN-i)%batchLogSize]
-			if b.hi < seq {
-				break
-			}
-			if b.lo <= seq {
-				return BatchInfo{Batch: b.batch, LeaderTN: b.leader, Records: b.records}, nil
-			}
-		}
-		return BatchInfo{}, nil
+		return nil
 	case w.syncErr != nil:
-		return BatchInfo{}, w.syncErr
+		return w.syncErr
 	}
-	return BatchInfo{}, errors.New("wal: writer closed before fsync")
+	return errors.New("wal: writer closed before fsync")
 }
 
 // fail breaks the writer for good (mu held) and returns the sticky
@@ -394,15 +344,13 @@ func (w *Writer) fail(op string, err error) error {
 // syncPending makes everything enqueued so far durable (mu held on entry
 // and return): it flushes the buffer under the mutex, fsyncs outside it —
 // so committers keep enqueueing into the next batch while the disk works
-// — then records the coverage and releases every ticket the fsync
-// covered. A failure breaks the writer.
-func (w *Writer) syncPending() {
+// — then releases every ticket the fsync covered and returns how many
+// that was (0 when an inline Flush got there first). A failure breaks
+// the writer.
+func (w *Writer) syncPending() int {
+	// The batch is sealed at target: whatever is enqueued while the fsync
+	// runs below goes into the next one.
 	target := w.enqSeq
-	// The forming batch is sealed at target: whoever enqueues while the
-	// fsync runs below leads the next batch.
-	leader := w.leaderTN
-	w.haveLeader = false
-	w.leaderTN = 0
 	op, err := "flush", w.bw.Flush()
 	w.mu.Unlock()
 	if err == nil {
@@ -411,26 +359,17 @@ func (w *Writer) syncPending() {
 	w.mu.Lock()
 	if err != nil {
 		w.fail(op, err)
-		return
+		return 0
 	}
 	w.fsyncs.Add(1)
 	var batch int
 	if target > w.syncSeq { // else an inline Flush got there first
 		batch = int(target - w.syncSeq)
-		w.batchLog[w.batchLogN%batchLogSize] = batchSpan{
-			lo: w.syncSeq + 1, hi: target,
-			batch: w.batches.Load() + 1, leader: leader, records: batch,
-		}
-		w.batchLogN++
 		w.syncSeq = target
 		w.batches.Add(1)
 	}
 	w.synced.Broadcast()
-	if batch > 0 && w.onBatch != nil {
-		w.mu.Unlock()
-		w.onBatch(batch)
-		w.mu.Lock()
-	}
+	return batch
 }
 
 // flusher is the SyncBatch background goroutine: it waits for work,
@@ -478,9 +417,17 @@ func (w *Writer) flusher() {
 			}
 		}
 		covered, start := w.syncSeq, time.Now()
-		w.syncPending()
+		batch := w.syncPending()
 		bound = time.Since(start) / 8
 		expect = min(w.enqSeq-covered, gatherLimit)
+		// The observer runs once the expectation is taken, so a committer
+		// that enqueues while it runs is the next batch's, as it is with
+		// no observer.
+		if batch > 0 && w.onBatch != nil {
+			w.mu.Unlock()
+			w.onBatch(batch)
+			w.mu.Lock()
+		}
 	}
 }
 
@@ -506,11 +453,9 @@ func (w *Writer) flushLocked() error {
 	w.fsyncs.Add(1)
 	if w.enqSeq > w.syncSeq {
 		// The inline fsync covered everything buffered so far; release
-		// any tickets no batch had reached yet. No batchLog entry is
-		// recorded — such stragglers report a zero BatchInfo.
+		// any tickets no batch had reached yet. It is not counted as a
+		// batch.
 		w.syncSeq = w.enqSeq
-		w.haveLeader = false
-		w.leaderTN = 0
 		w.synced.Broadcast()
 	}
 	return nil

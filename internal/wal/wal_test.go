@@ -191,8 +191,7 @@ func TestPropertyEncodeDecode(t *testing.T) {
 }
 
 // Enqueue hands out tickets in log order without waiting; one fsync
-// covers every ticket up to the one waited on and reports the batch it
-// made.
+// covers every ticket up to the one waited on, as one batch.
 func TestEnqueueThenWait(t *testing.T) {
 	w, first, open := openHeld(t)
 	var tickets [3]Ticket
@@ -208,10 +207,10 @@ func TestEnqueueThenWait(t *testing.T) {
 		t.Fatalf("Enqueue fsynced (%d)", fsyncs)
 	}
 	open()
-	rode(t, w, tickets[2], BatchInfo{Batch: 2, LeaderTN: 10, Records: 3})
+	rode(t, w, tickets[2], 2, 3)
 	_, before, _ := w.Counters()
 	for _, tk := range tickets[:2] {
-		if _, err := w.Wait(tk); err != nil {
+		if err := w.Wait(tk); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -45,7 +45,6 @@ import (
 	"mvdb/internal/gc"
 	"mvdb/internal/lock"
 	"mvdb/internal/obs"
-	"mvdb/internal/trace"
 	"mvdb/internal/vc"
 	"mvdb/internal/wal"
 )
@@ -210,30 +209,16 @@ type Options struct {
 	// Off — the default — leaves the hot paths with a nil test and zero
 	// extra allocations.
 	PhaseTiming bool
-	// TraceSample enables causal per-transaction tracing at the given
-	// head-sampling rate in [0, 1]: each sampled read-write transaction
-	// records a span tree (one child span per protocol phase, reusing the
-	// PhaseTiming taxonomy) plus causal blame edges — which transaction
-	// held the lock it waited on, which group-commit batch and leader it
-	// fsynced behind, which transaction it queued behind in the
-	// version-control drain. Sampled traces land in a bounded recent
-	// ring; slow (per-protocol p99 or TraceSlowThreshold), aborted, and
-	// alarm-flagged traces are promoted to a tail-retention ring served
-	// by DB.TxTraces, /debug/mvdb/traces (JSON or ?format=chrome for
-	// chrome://tracing), and flight bundles. Zero — the default — keeps
-	// every commit path at a single pointer test with no allocation.
-	TraceSample float64
-	// TraceSlowThreshold promotes any sampled transaction slower than
-	// this outright, before the per-protocol p99 estimate has warmed up
-	// (0 = rely on p99 and aborts alone).
-	TraceSlowThreshold time.Duration
 	// FlightDir enables the black-box flight recorder: a background
 	// sampler keeps recent Stats history, and on an audit alarm (when
 	// Audit is on), a GET of /debug/mvdb/dump (when DebugAddr is set),
 	// or an explicit DB.Flight().Trigger call, a self-contained JSON
-	// postmortem bundle is written atomically into this directory.
-	// Render bundles with `mvinspect -bundle <file>`. Empty — the
-	// default — runs no recorder.
+	// postmortem bundle is written atomically into this directory. A
+	// bundle holds the Stats snapshot (with the phase matrix when
+	// PhaseTiming is on) and its sampled history, the auditor's state
+	// when Audit is on, and the lock manager's waits-for graph. Render
+	// bundles with `mvinspect -bundle <file>`. Empty — the default —
+	// runs no recorder.
 	FlightDir string
 	// FS, when non-nil, routes every durability-path file operation
 	// (WAL, snapshots, compaction) through the given filesystem — the
@@ -263,23 +248,11 @@ type Flight = flight.Recorder
 // FlightBundle is one postmortem bundle document.
 type FlightBundle = flight.Bundle
 
-// TxTrace is one recorded causal transaction trace: a span tree over the
-// protocol phases plus blame edges naming what the transaction actually
-// waited on (see Options.TraceSample).
-type TxTrace = trace.Trace
-
-// TxTracer collects, retains and exports TxTraces.
-type TxTracer = trace.Tracer
-
-// TxBlame is one causal blame edge within a TxTrace.
-type TxBlame = trace.Blame
-
 // DB is an open database.
 type DB struct {
 	eng       *core.Engine
 	collector *gc.Collector
 	log       *wal.Writer
-	spans     *trace.Tracer    // nil unless TraceSample > 0
 	auditor   *audit.Auditor   // nil unless Options.Audit
 	flightRec *flight.Recorder // nil unless Options.FlightDir
 	dbg       *obs.DebugServer // nil unless DebugAddr
@@ -292,16 +265,6 @@ type DB struct {
 // Open creates (or, when Options.WALPath names an existing log, recovers)
 // a database.
 func Open(opts Options) (*DB, error) {
-	// The span tracer exists before the auditor so alarm hooks can flag
-	// in-flight traces for tail retention, and before the engine so the
-	// core can hand it to every transaction path.
-	var spans *trace.Tracer
-	if opts.TraceSample > 0 {
-		spans = trace.New(trace.Options{
-			Sample: opts.TraceSample,
-			SlowNS: opts.TraceSlowThreshold.Nanoseconds(),
-		})
-	}
 	// The auditor, when enabled, rides the same recorder plumbing the
 	// offline checker uses. It must exist before the engine so core.New
 	// (and WAL recovery) can attach it; the version-control gauges it
@@ -318,9 +281,6 @@ func Open(opts Options) (*DB, error) {
 		auditor = audit.New(audit.Options{
 			Window: opts.AuditWindow,
 			OnAlarm: func(al audit.Alarm) {
-				// Tail retention: an anomaly promotes the freshest sampled
-				// traces before the ring overwrites the evidence.
-				spans.PromoteRecent("audit-"+al.Kind, 8)
 				if r := flightRec.Load(); r != nil {
 					r.TriggerAsync("audit-alarm", al.Kind+": "+al.Message)
 				}
@@ -345,7 +305,6 @@ func Open(opts Options) (*DB, error) {
 		LockPolicy:  lockPolicy(opts.DeadlockPolicy),
 		LockTimeout: opts.LockTimeout,
 		PhaseTiming: opts.PhaseTiming,
-		Traces:      spans,
 	}
 	if auditor != nil {
 		coreOpts.Recorder = auditor
@@ -379,7 +338,7 @@ func Open(opts Options) (*DB, error) {
 	engVC := eng.VC()
 	auditVC.Store(&engVC)
 
-	db := &DB{eng: eng, log: log, spans: spans, auditor: auditor, fs: opts.FS, walPath: opts.WALPath, retries: retries}
+	db := &DB{eng: eng, log: log, auditor: auditor, fs: opts.FS, walPath: opts.WALPath, retries: retries}
 	// Commits collect at install; the collector is CollectGarbage's sweep
 	// for the keys nobody writes again. Its pass observer feeds the GC
 	// counters.
@@ -401,14 +360,6 @@ func Open(opts Options) (*DB, error) {
 		if auditor != nil {
 			src.Audit = auditor.Snapshot
 		}
-		if spans != nil {
-			src.Traces = func() []trace.Trace {
-				// The bundle itself is the anomaly: flag the freshest
-				// sampled traces into tail retention before exporting.
-				spans.PromoteRecent("flight-trigger", 8)
-				return spans.Promoted()
-			}
-		}
 		rec, err := flight.New(src, flight.Options{Dir: opts.FlightDir})
 		if err != nil {
 			db.Close()
@@ -427,10 +378,6 @@ func Open(opts Options) (*DB, error) {
 		if db.flightRec != nil {
 			serveOpts = append(serveOpts,
 				obs.WithHandler("/debug/mvdb/dump", db.flightRec.HTTPHandler()))
-		}
-		if spans != nil {
-			serveOpts = append(serveOpts,
-				obs.WithHandler("/debug/mvdb/traces", spans.HTTPHandler()))
 		}
 		dbg, err := obs.Serve(opts.DebugAddr, db.Stats, serveOpts...)
 		if err != nil {
@@ -572,12 +519,6 @@ func (db *DB) Update(fn func(*Tx) error) error {
 func (db *DB) Stats() Stats {
 	return db.eng.Snapshot()
 }
-
-// TxTraces returns the per-transaction causal trace collector, or nil
-// when Options.TraceSample was zero. TxTraces().Promoted() lists the
-// tail-retained traces (slow, aborted, flagged); TxTraces().Recent()
-// the head-sampled ring. Render one with `mvinspect -trace`.
-func (db *DB) TxTraces() *TxTracer { return db.spans }
 
 // Audit returns the online serializability auditor, or nil when
 // Options.Audit was off. Auditor.Snapshot() reads the live state;

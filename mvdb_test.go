@@ -698,9 +698,6 @@ func TestDisabledZeroOverhead(t *testing.T) {
 						if db.Stats().Phases != nil {
 							t.Error("Phases non-nil with PhaseTiming off")
 						}
-						if db.TxTraces() != nil {
-							t.Error("TxTraces non-nil with TraceSample zero")
-						}
 						if db.Audit() != nil {
 							t.Error("Options{} created an auditor")
 						}

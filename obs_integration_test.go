@@ -29,7 +29,7 @@ func TestNoObservabilityWithoutOptIn(t *testing.T) {
 	if db.DebugAddr() != "" {
 		t.Fatalf("DebugAddr = %q, want empty", db.DebugAddr())
 	}
-	if db.eng.Phases() != nil || db.TxTraces() != nil || db.Audit() != nil || db.Flight() != nil {
+	if db.eng.Phases() != nil || db.Audit() != nil || db.Flight() != nil {
 		t.Fatal("Options{} built an optional observability layer")
 	}
 }
@@ -125,7 +125,7 @@ func TestDebugEndpoint(t *testing.T) {
 	if addr == "" {
 		t.Fatal("no bound debug address")
 	}
-	if db.eng.Phases() != nil || db.TxTraces() != nil || db.Audit() != nil || db.Flight() != nil {
+	if db.eng.Phases() != nil || db.Audit() != nil || db.Flight() != nil {
 		t.Fatal("DebugAddr built an optional observability layer")
 	}
 
@@ -182,15 +182,11 @@ func TestDebugEndpoint(t *testing.T) {
 	}
 }
 
-// TestDebugEndpointErrorPaths covers the debug server's degenerate and
-// missing paths at the mvdb level: the chrome export of empty trace
-// rings is a valid, empty document, and a path no layer mounts answers
-// 404.
+// TestDebugEndpointErrorPaths covers the debug server's missing paths at
+// the mvdb level: the paths of the deleted health timeline, hotspot
+// profiler and causal tracer answer 404 from a server that is up.
 func TestDebugEndpointErrorPaths(t *testing.T) {
-	db, err := Open(Options{
-		TraceSample: 1.0, // enabled but unused: empty rings
-		DebugAddr:   "127.0.0.1:0",
-	})
+	db, err := Open(Options{DebugAddr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,15 +202,10 @@ func TestDebugEndpointErrorPaths(t *testing.T) {
 		return resp.StatusCode, body
 	}
 
-	code, body := get("/debug/mvdb/traces?format=chrome")
-	if code != http.StatusOK {
-		t.Fatalf("chrome export of empty rings = %d (%q), want 200", code, body)
+	if code, body := get("/debug/mvdb"); code != http.StatusOK {
+		t.Fatalf("GET /debug/mvdb = %d (%q), want 200", code, body)
 	}
-	var doc map[string]any
-	if err := json.Unmarshal(body, &doc); err != nil {
-		t.Fatalf("chrome export of empty rings is not JSON: %v", err)
-	}
-	for _, path := range []string{"/debug/mvdb/health", "/debug/mvdb/hotspot"} {
+	for _, path := range []string{"/debug/mvdb/health", "/debug/mvdb/hotspot", "/debug/mvdb/traces"} {
 		if code, body := get(path); code != http.StatusNotFound {
 			t.Errorf("GET %s = %d (%q), want 404", path, code, body)
 		}
