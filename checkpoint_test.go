@@ -231,7 +231,7 @@ func TestCheckpointDuringCollection(t *testing.T) {
 		if err := db.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-		horizon, recs, err := core.LoadSnapshot(nil, core.SnapPath(path))
+		horizon, recs, _, err := core.LoadSnapshot(nil, core.SnapPath(path))
 		if err != nil {
 			t.Fatal(err)
 		}

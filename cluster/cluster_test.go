@@ -3,10 +3,12 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
 	"sync"
 	"testing"
 
 	"mvdb"
+	"mvdb/internal/wal"
 )
 
 func TestOpenValidation(t *testing.T) {
@@ -159,6 +161,33 @@ func TestScanRequiresReadOnly(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 	tx.Abort()
+}
+
+// A commit the cluster acknowledges is on disk at once: the owning site's
+// log holds its record while the cluster is still open.
+func TestAcknowledgedCommitIsOnDisk(t *testing.T) {
+	dir := t.TempDir()
+	c, err := Open(Options{Sites: 2, WALDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Update(func(tx *Tx) error { return tx.Put("k", []byte("v")) }); err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	path := filepath.Join(dir, fmt.Sprintf("site-%d.log", c.SiteOf("k")))
+	if _, err := wal.Replay(path, func(r wal.Record) error {
+		for _, w := range r.Writes {
+			found = found || (w.Key == "k" && string(w.Value) == "v")
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !found {
+		t.Fatalf("acknowledged commit is not in %s", path)
+	}
 }
 
 func TestDurableClusterCrashRecovery(t *testing.T) {

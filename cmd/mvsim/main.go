@@ -303,8 +303,8 @@ func distScenario() {
 	step("local number, the coordinator picks the max, and BOTH sites register")
 	step("exactly tn=%d — one transaction number per read-write transaction", tn)
 	for s := 0; s < 3; s++ {
-		site := c.Sites()[s]
-		step("  site %d: vtnc=%d tnc=%d", s, site.VC().VTNC(), site.VC().TNC())
+		v := c.Sites()[s].Engine().VC()
+		step("  site %d: vtnc=%d tnc=%d", s, v.VTNC(), v.TNC())
 	}
 
 	ro, _ := c.Begin(engine.ReadOnly)

@@ -124,11 +124,14 @@ func main() {
 				log.Fatal(err)
 			}
 			var total int64
-			tx.Scan("acct/", func(_ string, v []byte) bool {
+			err = tx.Scan("acct/", func(_ string, v []byte) bool {
 				total += bal(v)
 				return true
 			})
 			tx.Commit()
+			if err != nil {
+				log.Fatal(err)
+			}
 			if total != want {
 				log.Fatalf("GLOBAL AUDIT VIOLATION: %d != %d", total, want)
 			}

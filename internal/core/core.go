@@ -103,6 +103,8 @@ type Options struct {
 	// order rather than serialization order, violating the Transaction
 	// Visibility Property. Test-only.
 	UnsafeEagerVisibility bool
+
+	site *site // set by ClusterSite only (site.go)
 }
 
 // Engine is a multiversion engine with modular version control. It
@@ -118,17 +120,21 @@ type Engine struct {
 	ids  atomic.Uint64 // transaction id allocator (diagnostics, lock owner)
 	ages atomic.Uint64 // begin-order sequence for wound-wait
 
-	roActive roRegistry
+	roActive *Registry // the engine's own, or the one its cluster's sites share
 
 	closed          atomic.Bool
 	bootstrapSealed atomic.Bool
 }
 
-// newController builds the version-control module for a mode and
-// bootstrap snapshot. It lives here rather than in package vc because
-// the epoch implementation imports vc for the contract types.
-func newController(mode vc.Mode, initial uint64) vc.Controller {
-	if mode == vc.ModeEpoch {
+// newController builds the version-control module for a mode (or a
+// cluster site's residue class) and bootstrap snapshot. It lives here
+// rather than in package vc because the epoch implementation imports vc
+// for the contract types.
+func newController(opts Options, initial uint64) vc.Controller {
+	switch {
+	case opts.site != nil:
+		return vc.NewStrided(initial, opts.site.offset, opts.site.step)
+	case opts.Visibility == vc.ModeEpoch:
 		return epoch.New(initial)
 	}
 	return vc.New(initial)
@@ -137,10 +143,11 @@ func newController(mode vc.Mode, initial uint64) vc.Controller {
 // New creates an engine.
 func New(opts Options) *Engine {
 	e := &Engine{
-		opts:  opts,
-		store: storage.NewStore(0),
-		vc:    newController(opts.Visibility, 0),
-		sinks: newSinks(opts),
+		opts:     opts,
+		store:    storage.NewStore(0),
+		vc:       newController(opts, 0),
+		sinks:    newSinks(opts),
+		roActive: opts.site.registry(),
 	}
 	// The lock manager exists under every protocol: LockWaitGraph, the
 	// stripe heatmap and the lock counters read it unconditionally.
@@ -532,17 +539,21 @@ func (e *Engine) SetWAL(w *wal.Writer) error {
 	return nil
 }
 
-// roRegistry is where every open snapshot publishes the number it reads
+// Registry is where every open snapshot publishes the number it reads
 // at, for the collection watermark: a fixed array of slots, each on its
 // own cache line. A publisher takes a free slot with one compare-and-swap
 // and frees it with one store, so it never blocks, never allocates, and
 // shares no line with a publisher in another slot. A publisher that
 // finds every slot taken counts itself in overflow instead, and while
 // any such publisher is open min reports 0: collection stops until it
-// closes, rather than a snapshot losing a version.
-type roRegistry struct {
+// closes, rather than a snapshot losing a version. An engine has its own;
+// the sites of a cluster share one (ClusterSite), where the cluster also
+// holds a number for good (Hold). The zero value is empty and ready to
+// use.
+type Registry struct {
 	slots    [roSlots]roSlot
 	overflow atomic.Int64
+	hold     atomic.Uint64 // Hold's number + 1; 0: nothing held
 }
 
 type roSlot struct {
@@ -555,8 +566,10 @@ const (
 	noSlot  = -1 // the slot of an overflow publisher
 )
 
-// add publishes sn, probing from slot hint, and returns the slot taken.
-func (r *roRegistry) add(hint, sn uint64) int8 {
+// Publish publishes sn, probing from slot hint, and returns the slot
+// taken. Until Unpublish gives the slot back, no engine that shares r
+// collects a version a snapshot at sn or above reads.
+func (r *Registry) Publish(hint, sn uint64) int8 {
 	for i := range uint64(roSlots) {
 		slot := (hint + i) % roSlots
 		if s := &r.slots[slot].sn; s.Load() == 0 && s.CompareAndSwap(0, sn+1) {
@@ -567,7 +580,8 @@ func (r *roRegistry) add(hint, sn uint64) int8 {
 	return noSlot
 }
 
-func (r *roRegistry) remove(slot int8) {
+// Unpublish frees a slot Publish returned.
+func (r *Registry) Unpublish(slot int8) {
 	if slot == noSlot {
 		r.overflow.Add(-1)
 		return
@@ -575,11 +589,21 @@ func (r *roRegistry) remove(slot int8) {
 	r.slots[slot].sn.Store(0)
 }
 
-func (r *roRegistry) min() (uint64, bool) {
+// Hold publishes sn for good, in place of what Hold published before:
+// from then on no engine that shares r collects past sn. min reads it
+// before any slot. So a snapshot that publishes, then takes a number at
+// or above everything Hold had published by then, is safe from every
+// watermark: a scan that missed its slot read the held number before
+// the publish, so a number no higher than the snapshot's. A cluster holds
+// the least number a snapshot of it could take: its high-water mark or a
+// site's horizon (internal/dist).
+func (r *Registry) Hold(sn uint64) { r.hold.Store(sn + 1) }
+
+func (r *Registry) min() (uint64, bool) {
 	if r.overflow.Load() > 0 {
 		return 0, true
 	}
-	var m uint64 // + 1, like the slots
+	m := r.hold.Load() // + 1, like the slots
 	for i := range r.slots {
 		if sn := r.slots[i].sn.Load(); sn != 0 && (m == 0 || sn < m) {
 			m = sn

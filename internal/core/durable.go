@@ -66,11 +66,11 @@ func OpenDurable(walPath string, coreOpts Options, d DurableOptions) (*Engine, *
 			}
 		}
 	}
-	horizon, snapRecs, err := LoadSnapshot(fsys, SnapPath(walPath))
+	horizon, snapRecs, snap, err := LoadSnapshot(fsys, SnapPath(walPath))
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: read snapshot: %w", err)
 	}
-	e, validLen, err := RestoreFS(fsys, snapRecs, horizon, walPath, coreOpts)
+	e, validLen, err := RestoreFS(fsys, snapRecs, horizon, snap, walPath, coreOpts)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: recover: %w", err)
 	}
@@ -88,16 +88,16 @@ func OpenDurable(walPath string, coreOpts Options, d DurableOptions) (*Engine, *
 }
 
 // LoadSnapshot reads a snapshot file through fsys (nil = faultfs.OS),
-// returning its horizon and per-key versions, or (0, nil, nil) if none
-// exists.
-func LoadSnapshot(fsys faultfs.FS, path string) (horizon uint64, recs []wal.Record, err error) {
+// returning its horizon and per-key versions with ok set, or ok false if
+// none exists. A snapshot's horizon may be 0, covering version-0
+// (bootstrap) records.
+func LoadSnapshot(fsys faultfs.FS, path string) (horizon uint64, recs []wal.Record, ok bool, err error) {
 	if fsys == nil {
 		fsys = faultfs.OS
 	}
-	first := true
 	validLen, err := wal.ReplayFS(fsys, path, func(r wal.Record) error {
-		if first {
-			first = false
+		if !ok {
+			ok = true
 			horizon = r.TN
 			return nil
 		}
@@ -105,7 +105,7 @@ func LoadSnapshot(fsys faultfs.FS, path string) (horizon uint64, recs []wal.Reco
 		return nil
 	})
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, false, err
 	}
 	// Snapshots are only ever produced whole (temp + fsync + rename +
 	// dir fsync), so a torn tail here means the file is damaged in a way
@@ -113,20 +113,22 @@ func LoadSnapshot(fsys faultfs.FS, path string) (horizon uint64, recs []wal.Reco
 	// answer: silently restoring a partial snapshot would drop keys the
 	// compacted log no longer carries.
 	if fi, serr := fsys.Stat(path); serr == nil && fi.Size() != validLen {
-		return 0, nil, fmt.Errorf("core: snapshot %s torn or corrupt (%d of %d bytes intact)", path, validLen, fi.Size())
+		return 0, nil, false, fmt.Errorf("core: snapshot %s torn or corrupt (%d of %d bytes intact)", path, validLen, fi.Size())
 	}
-	return horizon, recs, nil
+	return horizon, recs, ok, nil
 }
 
-// RestoreFS rebuilds an engine from a base state (a checkpoint snapshot)
-// plus the write-ahead log at path, read through fsys (nil = faultfs.OS):
-// crash recovery replays through the same shim the writer wrote through.
-// Log records with TN <= horizon are skipped, since the base already
-// reflects them; base records are installed verbatim. Version control
-// resumes with tnc just past the largest recovered transaction number
-// (everything recovered is immediately visible). It returns the engine
-// and the valid log length to pass to wal.OpenAppendWith.
-func RestoreFS(fsys faultfs.FS, base []wal.Record, horizon uint64, path string, opts Options) (*Engine, int64, error) {
+// RestoreFS rebuilds an engine from a base state (a checkpoint snapshot,
+// if snap) plus the write-ahead log at path, read through fsys (nil =
+// faultfs.OS): crash recovery replays through the same shim the writer
+// wrote through. With a snapshot, log records with TN <= horizon are
+// skipped, since the base already reflects them; without one, every
+// record is replayed, version-0 ones included. Base records are installed
+// verbatim. Version control resumes with tnc just past the largest
+// recovered transaction number (everything recovered is immediately
+// visible). It returns the engine and the valid log length to pass to
+// wal.OpenAppendWith.
+func RestoreFS(fsys faultfs.FS, base []wal.Record, horizon uint64, snap bool, path string, opts Options) (*Engine, int64, error) {
 	if fsys == nil {
 		fsys = faultfs.OS
 	}
@@ -146,7 +148,7 @@ func RestoreFS(fsys faultfs.FS, base []wal.Record, horizon uint64, path string, 
 		install(r)
 	}
 	validLen, err := wal.ReplayFS(fsys, path, func(r wal.Record) error {
-		if r.TN <= horizon {
+		if snap && r.TN <= horizon {
 			return nil // covered by the base snapshot
 		}
 		install(r)
@@ -155,7 +157,7 @@ func RestoreFS(fsys faultfs.FS, base []wal.Record, horizon uint64, path string, 
 	if err != nil {
 		return nil, 0, err
 	}
-	e.vc = newController(e.opts.Visibility, maxTN)
+	e.vc = newController(e.opts, maxTN)
 	e.observeVC() // the replaced controller needs the sinks' taps rewired
 	return e, validLen, nil
 }
@@ -201,7 +203,7 @@ func (e *Engine) WriteSnapshot(fsys faultfs.FS, walPath string) error {
 	})
 	// recs holds every value it writes: collection may go on while the
 	// file is written.
-	e.roActive.remove(slot)
+	e.roActive.Unpublish(slot)
 	if err != nil {
 		return fmt.Errorf("core: checkpoint at %d: %w", sn, err)
 	}
@@ -225,7 +227,7 @@ func Compact(fsys faultfs.FS, walPath string) error {
 	if fsys == nil {
 		fsys = faultfs.OS
 	}
-	horizon, _, err := LoadSnapshot(fsys, SnapPath(walPath))
+	horizon, _, _, err := LoadSnapshot(fsys, SnapPath(walPath))
 	if err != nil {
 		return fmt.Errorf("core: compact: read snapshot: %w", err)
 	}

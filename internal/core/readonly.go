@@ -41,7 +41,7 @@ func (e *Engine) snapshot(hint, pinSN uint64, recent bool) (slot int8, sn uint64
 	if pinSN == 0 {
 		pub = e.vc.VTNC()
 	}
-	slot = e.roActive.add(hint, pub)
+	slot = e.roActive.Publish(hint, pub)
 	switch {
 	case pinSN > 0:
 		// Time travel into history, or read-your-writes when pinSN is a
@@ -133,7 +133,7 @@ func (t *roTx) Abort() {
 
 func (t *roTx) finish() {
 	t.done = true
-	t.e.roActive.remove(t.slot)
+	t.e.roActive.Unpublish(t.slot)
 }
 
 // SN implements engine.Tx.

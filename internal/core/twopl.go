@@ -30,7 +30,7 @@ type twoPhaseTx struct {
 	head Tx
 	txObs
 	locks lock.TxState
-	entry vc.Entry // registered at the lock-point (ablation A1: at begin)
+	entry vc.Entry // registered at the lock-point (ablation A1: at begin; a cluster site: by Adopt)
 	buf   writeSet
 }
 
@@ -108,7 +108,8 @@ func (t *twoPhaseTx) acquire(key string, mode lock.Mode) error {
 func (t *twoPhaseTx) rollback() {
 	t.done = true
 	t.e.locks.ReleaseAll(t.id) // Figure 4's "clear locks"
-	if t.e.opts.UnsafeEarlyRegister2PL {
+	// Registered before Commit: at begin (A1), or by Adopt.
+	if t.entry.TN() != 0 {
 		t.e.vc.Discard(&t.entry)
 	}
 }
@@ -127,7 +128,8 @@ func (t *twoPhaseTx) Commit() error {
 		return t.abort(causeWounded)
 	}
 	t.done = true
-	if !t.e.opts.UnsafeEarlyRegister2PL {
+	// Not registered yet: neither at begin (A1) nor by Adopt.
+	if t.entry.TN() == 0 {
 		t.e.vc.RegisterEntry(&t.entry) // the lock-point has been passed
 	}
 	return t.e.commitTail(&t.txObs, &t.entry, t.buf.writes)

@@ -196,7 +196,7 @@ func RecoverAndCheck(walPath string, cfg Config, o *Oracle) error {
 // reading the horizon it was restored under back from the snapshot file
 // (intact, or the open would have failed).
 func checkRecovered(walPath string, e *core.Engine, o *Oracle) error {
-	horizon, _, err := core.LoadSnapshot(nil, core.SnapPath(walPath))
+	horizon, _, _, err := core.LoadSnapshot(nil, core.SnapPath(walPath))
 	if err != nil {
 		return err
 	}

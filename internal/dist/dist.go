@@ -3,31 +3,39 @@
 // authors' unavailable report [3]; DESIGN.md documents this
 // reconstruction).
 //
-// Each site keeps its own counters (tnc, vtnc) and its own VCQueue,
-// exactly as the paper prescribes. The two requirements the paper states —
-// "there is only one start number associated with a read-only transaction
-// and only one transaction number for every read-write transaction" — are
-// met as follows:
+// Each site is a core.Engine — two-phase locking with timeout deadlock
+// resolution, the strict controller, the pipelined commit tail,
+// collection at install — built by core.ClusterSite, so it keeps its own
+// counters (tnc, vtnc) and its own VCQueue, exactly as the paper
+// prescribes. This package adds only what is distributed. The two
+// requirements the paper states — "there is only one start number
+// associated with a read-only transaction and only one transaction number
+// for every read-write transaction" — are met as follows:
 //
-//   - Read-write transactions run strict two-phase locking at the sites
-//     they touch and commit with two-phase commit. During the prepare
-//     phase every participant (visited in site order, which makes the
-//     prepare windows deadlock-free) locks its registration gate and votes
-//     its next local transaction number; the coordinator picks the
-//     maximum, and every participant adopts exactly that number
-//     (vc.RegisterExact). Sites hand out local numbers from disjoint
-//     residue classes (vc.NewStrided), so the adopted maximum — and every
-//     local number — is globally unique.
+//   - A read-write transaction runs one part (core.Engine.BeginSite) at
+//     each site it touches, all under its global id, and commits with
+//     two-phase commit. It votes: every participant, visited in site
+//     order (which makes the vote windows deadlock-free), takes its
+//     registration gate and votes its next local transaction number; the
+//     coordinator picks the maximum. It adopts: every participant
+//     registers exactly that number (core.Engine.Adopt) and releases its
+//     gate. Each part then commits through its engine's own commit tail.
+//     Sites hand out local numbers from disjoint residue classes
+//     (vc.NewStrided), so the adopted maximum — and every local number —
+//     is globally unique.
 //
-//   - Read-only transactions take a single start number sn = vtnc at
-//     their home site and read the largest version <= sn everywhere. At a
-//     site whose visibility lags (vtnc < sn), the transaction first waits
-//     for visibility to catch up; if the site simply has not consumed
-//     position sn yet, it registers-and-completes a filler entry to jump
-//     its horizon forward. This gives global one-copy serializability
-//     with NO a-priori knowledge of the read set — the paper's complaint
-//     about the Chan et al. distributed variant — at the price of
-//     occasional read-only waiting.
+//   - Read-only transactions take a single start number sn and read the
+//     largest version <= sn everywhere, through each site's read rule
+//     (core.Engine.ReadAt). At a site whose visibility lags (vtnc < sn),
+//     the transaction first waits for visibility to catch up; if the site
+//     simply has not consumed position sn yet, it registers-and-completes
+//     a filler entry to jump its horizon forward. This gives global
+//     one-copy serializability with NO a-priori knowledge of the read set
+//     — the paper's complaint about the Chan et al. distributed variant —
+//     at the price of occasional read-only waiting. The sites of a
+//     cluster share one snapshot registry, and a read-only transaction
+//     publishes in it once, before it takes sn, so that no site collects
+//     what it reads.
 //
 // Keys are partitioned across sites; the message bus simulates RPC
 // latency so the cost model (messages, waiting) is observable in
@@ -37,14 +45,15 @@ package dist
 import (
 	"errors"
 	"fmt"
+	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"mvdb/internal/core"
 	"mvdb/internal/engine"
 	"mvdb/internal/lock"
-	"mvdb/internal/storage"
 	"mvdb/internal/vc"
 	"mvdb/internal/wal"
 )
@@ -100,21 +109,17 @@ func (b *Bus) call(fn func()) {
 // Messages returns the number of simulated exchanges.
 func (b *Bus) Messages() uint64 { return b.messages.Load() }
 
-// Site is one database node: its own store, version control counters,
-// queue, and lock manager.
+// Site is one database node: a core engine, the registration gate its
+// votes take, and, on a durable cluster, the engine's commit log.
 type Site struct {
-	id    int
-	store *storage.Store
-	vc    *vc.Strict
-	locks *lock.Manager
+	id  int
+	e   atomic.Pointer[core.Engine] // nil while crashed
+	log *wal.Writer                 // the engine's commit log (durable sites only)
 
-	// regMu is the registration gate: held by a distributed transaction
-	// from its prepare vote until it adopts the chosen number, so the
-	// vote cannot be invalidated by an interleaving registration.
-	regMu sync.Mutex
-
-	wal     *wal.Writer // per-site commit log (durable sites only)
-	crashed atomic.Bool
+	// gate is the registration gate: held by a distributed transaction
+	// from its vote until it adopts the chosen number, so the vote cannot
+	// be invalidated by an interleaving registration.
+	gate sync.Mutex
 
 	fillers atomic.Uint64 // visibility filler registrations (RO catch-up)
 }
@@ -122,36 +127,54 @@ type Site struct {
 // ID returns the site's identifier.
 func (s *Site) ID() int { return s.id }
 
-// VC exposes the site's version control module (tests, experiments).
-func (s *Site) VC() *vc.Strict { return s.vc }
-
-// Store exposes the site's store.
-func (s *Site) Store() *storage.Store { return s.store }
+// Engine exposes the site's engine: its store and version control
+// (tests, experiments). It is nil while the site is crashed.
+func (s *Site) Engine() *core.Engine { return s.e.Load() }
 
 // Fillers returns how many filler registrations the site performed to
 // advance visibility for lagging read-only transactions.
 func (s *Site) Fillers() uint64 { return s.fillers.Load() }
 
+// strict is the site's controller: the strict one, in the site's residue
+// class (core.ClusterSite).
+func (s *Site) strict() *vc.Strict { return s.Engine().VC().(*vc.Strict) }
+
 // ensureVisible advances the site's horizon to at least sn and waits for
 // it, implementing the read-only catch-up rule described in the package
 // comment.
 func (s *Site) ensureVisible(sn uint64) {
-	if s.vc.VTNC() >= sn {
+	c := s.strict()
+	if c.VTNC() >= sn {
 		return
 	}
-	s.regMu.Lock()
-	if s.vc.Reserve() <= sn {
-		// Position sn is unconsumed here: burn it (and everything up to
-		// it) with a completed filler so vtnc can reach sn once older
-		// registrations drain.
-		if e, err := s.vc.RegisterExact(sn); err == nil {
-			s.vc.Complete(e)
+	s.gate.Lock()
+	s.fill(sn)
+	s.gate.Unlock()
+	c.WaitVisible(sn)
+}
+
+// fill burns position sn, and everything up to it, with a completed
+// filler if sn is unconsumed here, so vtnc can reach sn once older
+// registrations drain. The caller holds the gate.
+func (s *Site) fill(sn uint64) {
+	c := s.strict()
+	if c.Reserve() <= sn {
+		var filler vc.Entry
+		if c.RegisterExact(&filler, sn) == nil {
+			c.Complete(&filler)
 			s.fillers.Add(1)
 		}
 	}
-	s.regMu.Unlock()
-	s.vc.WaitVisible(sn)
 }
+
+// siteRecorder is what a site reports history to: the reads and writes
+// of its parts, under their global ids. The coordinator records each
+// global transaction's begin and its commit or abort, once.
+type siteRecorder struct{ engine.Recorder }
+
+func (siteRecorder) RecordBegin(uint64, engine.Class) {}
+func (siteRecorder) RecordCommit(uint64, uint64)      {}
+func (siteRecorder) RecordAbort(uint64)               {}
 
 // Options configures a Cluster.
 type Options struct {
@@ -168,10 +191,10 @@ type Options struct {
 	LockTimeout time.Duration
 	// Partition maps a key to a site (default: FNV hash mod Sites).
 	Partition func(key string) int
-	// WALDir, when non-empty, makes every site durable: each appends a
-	// per-site commit log under this directory, and CrashSite/RecoverSite
-	// model fail-stop site failures (see durability.go for the model's
-	// limits).
+	// WALDir, when non-empty, makes every site durable: each commits
+	// through a per-site commit log under this directory, and
+	// CrashSite/RecoverSite model fail-stop site failures (see
+	// durability.go for the model's limits).
 	WALDir string
 	// Recorder receives history events (global transaction ids and
 	// globally unique version numbers), for the MVSG checker.
@@ -182,6 +205,7 @@ type Options struct {
 type Cluster struct {
 	opts  Options
 	sites []*Site
+	reg   core.Registry // the snapshot registry every site shares
 	bus   *Bus
 	rec   engine.Recorder
 	ids   atomic.Uint64
@@ -195,7 +219,8 @@ type Cluster struct {
 	bootSealed atomic.Bool
 }
 
-// New creates a cluster.
+// New creates a cluster. With WALDir set, each site resumes from its log
+// if one exists (cluster restart).
 func New(opts Options) (*Cluster, error) {
 	if opts.Sites < 1 {
 		return nil, errors.New("dist: Sites must be >= 1")
@@ -218,44 +243,68 @@ func New(opts Options) (*Cluster, error) {
 			return int(h % uint32(n))
 		}
 	}
-	if err := ensureWALDir(opts.WALDir); err != nil {
-		return nil, err
+	if opts.WALDir != "" {
+		if err := os.MkdirAll(opts.WALDir, 0o755); err != nil {
+			return nil, err
+		}
 	}
 	for i := 0; i < opts.Sites; i++ {
-		s := &Site{
-			id:    i,
-			store: storage.NewStore(0),
-			vc:    vc.NewStrided(0, uint64(i), uint64(opts.Sites)),
-			locks: lock.NewManager(lock.TimeoutPolicy, opts.LockTimeout),
-		}
-		if opts.WALDir != "" {
-			if err := c.openSiteLog(s); err != nil {
-				return nil, err
-			}
-			// Resume counters from a pre-existing log (cluster restart).
-			var maxTN uint64
-			if _, err := replaySiteLog(siteLogPath(opts.WALDir, i), func(r wal.Record) {
-				for _, w := range r.Writes {
-					s.store.GetOrCreate(w.Key).InstallCommitted(storage.Version{
-						TN: r.TN, Data: w.Value, Tombstone: w.Tombstone,
-					})
-				}
-				if r.TN > maxTN {
-					maxTN = r.TN
-				}
-			}); err != nil {
-				return nil, err
-			}
-			if maxTN > 0 {
-				s.vc = vc.NewStrided(maxTN, uint64(i), uint64(opts.Sites))
-				if maxTN > c.hwm.Load() {
-					c.hwm.Store(maxTN)
-				}
-			}
+		s := &Site{id: i}
+		if err := c.open(s); err != nil {
+			c.Close()
+			return nil, err
 		}
 		c.sites = append(c.sites, s)
+		if v := s.Engine().VTNC(); v > c.hwm.Load() { // the largest number in its log
+			c.hwm.Store(v)
+		}
 	}
+	c.hold()
 	return c, nil
+}
+
+// hold keeps every site from collecting past the least of the high-water
+// mark and every site's horizon (core.Registry.Hold): the numbers a
+// snapshot begun from now on can take. A global snapshot takes the mark;
+// a site's own horizon runs ahead of it while a transaction has completed
+// there but not yet raised it. An anchored snapshot takes its home's
+// horizon, which lags the mark while the home is left untouched. Both
+// publish before they take their number, and the mark and the horizons
+// only grow, so the snapshot is at or above everything held before then.
+// A site that is idle holds collection everywhere at its horizon. While a
+// site is crashed the hold stays where it was; RecoverSite moves it on.
+func (c *Cluster) hold() {
+	h := c.hwm.Load()
+	for _, s := range c.sites {
+		e := s.Engine()
+		if e == nil {
+			return
+		}
+		h = min(h, e.VTNC())
+	}
+	c.reg.Hold(h)
+}
+
+// open builds site s's engine: a fresh one, or, on a durable cluster,
+// the one core.OpenDurable recovers from the site's log.
+func (c *Cluster) open(s *Site) error {
+	opts := core.ClusterSite(core.Options{
+		Protocol:    core.TwoPhaseLocking,
+		LockPolicy:  lock.TimeoutPolicy,
+		LockTimeout: c.opts.LockTimeout,
+		Recorder:    siteRecorder{c.rec},
+	}, uint64(s.id), uint64(c.opts.Sites), &c.reg)
+	if c.opts.WALDir == "" {
+		s.e.Store(core.New(opts))
+		return nil
+	}
+	e, log, err := core.OpenDurable(siteLogPath(c.opts.WALDir, s.id), opts, core.DurableOptions{})
+	if err != nil {
+		return err
+	}
+	s.e.Store(e)
+	s.log = log
+	return nil
 }
 
 // Sites returns the cluster's sites.
@@ -275,10 +324,23 @@ func (c *Cluster) Bootstrap(data map[string][]byte) error {
 	if c.bootSealed.Load() {
 		return errors.New("dist: Bootstrap after transactions started")
 	}
+	perSite := make([]map[string][]byte, len(c.sites))
 	for k, v := range data {
-		s := c.SiteFor(k)
-		s.store.Bootstrap(k, v)
-		if err := s.logBootstrap(k, v); err != nil {
+		sid := c.opts.Partition(k)
+		if perSite[sid] == nil {
+			perSite[sid] = make(map[string][]byte)
+		}
+		perSite[sid][k] = v
+	}
+	for sid, kv := range perSite {
+		if kv == nil {
+			continue
+		}
+		s := c.sites[sid]
+		if err := s.Engine().Bootstrap(kv); err != nil {
+			return err
+		}
+		if err := s.logBootstrap(kv); err != nil {
 			return err
 		}
 	}
@@ -300,12 +362,12 @@ func (c *Cluster) Stats() map[string]int64 {
 	var fillers, lagSum, lagMax, queue int64
 	for _, s := range c.sites {
 		fillers += int64(s.Fillers())
-		lag := int64(s.vc.Lag())
+		lag := int64(s.Engine().VC().Lag())
 		lagSum += lag
 		if lag > lagMax {
 			lagMax = lag
 		}
-		queue += int64(s.vc.QueueLen())
+		queue += int64(s.Engine().VC().QueueLen())
 	}
 	m["ro.fillers"] = fillers
 	m["vc.lag"] = lagSum
@@ -314,16 +376,21 @@ func (c *Cluster) Stats() map[string]int64 {
 	return m
 }
 
-// Close shuts the cluster down, flushing any site logs.
+// Close shuts the cluster down, closing any site logs.
 func (c *Cluster) Close() error {
 	c.closed.Store(true)
 	var err error
 	for _, s := range c.sites {
-		if s.wal != nil {
-			if cerr := s.wal.Close(); err == nil {
+		e := s.Engine()
+		if e == nil { // crashed
+			continue
+		}
+		if s.log != nil {
+			if cerr := s.log.Close(); err == nil {
 				err = cerr
 			}
 		}
+		e.Close()
 	}
 	return err
 }
@@ -348,134 +415,94 @@ func (c *Cluster) Begin(class engine.Class) (engine.Tx, error) {
 	}
 	c.bootSealed.Store(true)
 	id := c.ids.Add(1)
+	c.rec.RecordBegin(id, class)
 	if class == engine.ReadOnly {
-		t := &roTx{c: c, id: id, sn: c.hwm.Load()}
-		c.rec.RecordBegin(id, engine.ReadOnly)
+		// Publish, then take: the high-water mark only grows.
+		t := &roTx{c: c, id: id, slot: c.reg.Publish(id, c.hwm.Load())}
+		t.sn = c.hwm.Load()
 		return t, nil
 	}
-	t := &DTx{c: c, id: id, parts: make(map[int]*participant)}
-	c.rec.RecordBegin(id, engine.ReadWrite)
-	return t, nil
+	return &DTx{c: c, id: id, parts: make([]*core.Tx, len(c.sites))}, nil
 }
 
 // BeginReadOnlyAtHome starts a read-only transaction whose start number
 // is the given site's visibility horizon — "one start number associated
 // with a read-only transaction" (Section 6). The snapshot is as fresh as
-// the home site and never waits there; reads at other sites may observe
-// that same (possibly stale, always consistent) position.
+// the home site and never waits there; reads at other sites observe that
+// same (possibly stale, always consistent) position. No site collects
+// past the home's horizon (Cluster.hold), so every version it reads is
+// still there.
 func (c *Cluster) BeginReadOnlyAtHome(home int) (engine.Tx, error) {
 	if home < 0 || home >= len(c.sites) {
 		return nil, fmt.Errorf("dist: no site %d", home)
 	}
 	c.bootSealed.Store(true)
 	id := c.ids.Add(1)
-	var sn uint64
-	c.bus.call(func() { sn = c.sites[home].vc.Start() })
-	t := &roTx{c: c, id: id, sn: sn}
 	c.rec.RecordBegin(id, engine.ReadOnly)
+	t := &roTx{c: c, id: id}
+	h := c.sites[home].Engine()
+	c.bus.call(func() {
+		t.slot = c.reg.Publish(id, h.VTNC())
+		t.sn = h.VC().Start()
+	})
 	return t, nil
 }
 
-// participant tracks one site's involvement in a distributed read-write
-// transaction.
-type participant struct {
-	site   *Site
-	writes map[string]bufWrite
-}
-
-type bufWrite struct {
-	data      []byte
-	tombstone bool
-}
-
-// DTx is a distributed read-write transaction (strict 2PL + 2PC with
-// max-vote transaction numbers).
+// DTx is a distributed read-write transaction: one part at each site it
+// touches, committed by two-phase commit with max-vote transaction
+// numbers.
 type DTx struct {
 	c     *Cluster
 	id    uint64
-	parts map[int]*participant
+	parts []*core.Tx // by site; nil where the transaction has not been
 	done  bool
 	tn    uint64
 }
 
-func (t *DTx) part(siteID int) *participant {
-	p := t.parts[siteID]
-	if p == nil {
-		s := t.c.sites[siteID]
-		s.locks.Begin(t.id, t.id) // id doubles as age; unused under timeouts
-		p = &participant{site: s, writes: make(map[string]bufWrite)}
-		t.parts[siteID] = p
-	}
-	return p
-}
-
-// Get implements engine.Tx.
-func (t *DTx) Get(key string) ([]byte, error) {
-	if t.done {
-		return nil, engine.ErrTxDone
-	}
-	sid := t.c.opts.Partition(key)
-	p := t.part(sid)
-	if w, ok := p.writes[key]; ok {
-		if w.tombstone {
-			return nil, engine.ErrNotFound
-		}
-		return w.data, nil
-	}
-	var v storage.Version
-	var found bool
-	var lockErr error
-	t.c.bus.call(func() {
-		if lockErr = p.site.locks.Acquire(t.id, key, lock.Shared); lockErr != nil {
-			return
-		}
-		if o := p.site.store.Get(key); o != nil {
-			v, found = o.LatestCommitted()
-		}
-	})
-	if lockErr != nil {
-		t.abortInternal()
-		t.c.aborts.Add(1)
-		return nil, engine.ErrDeadlock
-	}
-	if !found {
-		t.c.rec.RecordRead(t.id, key, 0)
-		return nil, engine.ErrNotFound
-	}
-	t.c.rec.RecordRead(t.id, key, v.TN)
-	if v.Tombstone {
-		return nil, engine.ErrNotFound
-	}
-	return v.Data, nil
-}
-
-// Put implements engine.Tx.
-func (t *DTx) Put(key string, value []byte) error {
-	return t.write(key, bufWrite{data: value})
-}
-
-// Delete implements engine.Tx.
-func (t *DTx) Delete(key string) error {
-	return t.write(key, bufWrite{tombstone: true})
-}
-
-func (t *DTx) write(key string, w bufWrite) error {
+// at runs op on the transaction's part at the site owning key, beginning
+// the part first if need be, as one exchange with the site. An op that
+// fails other than with ErrNotFound has aborted its part, and the whole
+// transaction aborts.
+func (t *DTx) at(key string, op func(*core.Tx) error) error {
 	if t.done {
 		return engine.ErrTxDone
 	}
 	sid := t.c.opts.Partition(key)
-	p := t.part(sid)
-	var lockErr error
+	var err error
 	t.c.bus.call(func() {
-		lockErr = p.site.locks.Acquire(t.id, key, lock.Exclusive)
+		p := t.parts[sid]
+		if p == nil {
+			if p, err = t.c.sites[sid].Engine().BeginSite(t.id); err != nil {
+				return
+			}
+			t.parts[sid] = p
+		}
+		err = op(p)
 	})
-	if lockErr != nil {
-		t.abortInternal()
+	if err != nil && !errors.Is(err, engine.ErrNotFound) {
+		t.abort()
 		t.c.aborts.Add(1)
-		return engine.ErrDeadlock
 	}
-	p.writes[key] = w
-	return nil
+	return err
+}
+
+// Get implements engine.Tx.
+func (t *DTx) Get(key string) (v []byte, err error) {
+	err = t.at(key, func(p *core.Tx) error {
+		v, err = p.Get(key)
+		return err
+	})
+	return v, err
+}
+
+// Put implements engine.Tx.
+func (t *DTx) Put(key string, value []byte) error {
+	return t.at(key, func(p *core.Tx) error { return p.Put(key, value) })
+}
+
+// Delete implements engine.Tx.
+func (t *DTx) Delete(key string) error {
+	return t.at(key, func(p *core.Tx) error { return p.Delete(key) })
 }
 
 // Commit implements engine.Tx: two-phase commit with max-vote transaction
@@ -486,75 +513,62 @@ func (t *DTx) Commit() error {
 	}
 	t.done = true
 
-	// Sorted participant order keeps concurrent prepare phases from
-	// deadlocking on the registration gates.
-	sids := make([]int, 0, len(t.parts))
-	for sid := range t.parts {
-		sids = append(sids, sid)
+	// Vote: take the participants' gates in site order, which keeps
+	// concurrent votes from deadlocking on them, and gather their next
+	// local numbers.
+	var chosen uint64
+	for sid, p := range t.parts {
+		if p == nil {
+			continue
+		}
+		s := t.c.sites[sid]
+		t.c.bus.call(func() {
+			s.gate.Lock()
+			chosen = max(chosen, s.strict().Reserve())
+		})
 	}
-	sort.Ints(sids)
-
-	if len(sids) == 0 { // empty transaction
+	if chosen == 0 { // empty transaction
 		t.c.rec.RecordCommit(t.id, 0)
 		t.c.commitsRW.Add(1)
 		return nil
 	}
 
-	// Phase 1: lock registration gates in order, gather votes.
-	var chosen uint64
-	for _, sid := range sids {
-		s := t.parts[sid].site
+	// Adopt the maximum everywhere; each gate opens the moment its site
+	// has registered it.
+	for sid, p := range t.parts {
+		if p == nil {
+			continue
+		}
+		s := t.c.sites[sid]
+		var err error
 		t.c.bus.call(func() {
-			s.regMu.Lock()
-			if v := s.vc.Reserve(); v > chosen {
-				chosen = v
-			}
+			err = s.Engine().Adopt(p, chosen)
+			s.gate.Unlock()
 		})
+		if err != nil {
+			// Unreachable by construction (the gate was held since the
+			// vote); treat as a fatal protocol error rather than limping on.
+			panic(fmt.Sprintf("dist: vote adoption failed: %v", err))
+		}
 	}
 	t.tn = chosen
 
-	// Phase 2: adopt the chosen number everywhere, install, release.
-	entries := make(map[int]*vc.Entry, len(sids))
-	for _, sid := range sids {
-		p := t.parts[sid]
+	// Each part commits through its site's commit tail: log, install,
+	// release its locks, wait for the log, complete.
+	for sid, p := range t.parts {
+		if p == nil {
+			continue
+		}
 		var err error
-		var e *vc.Entry
-		t.c.bus.call(func() {
-			e, err = p.site.vc.RegisterExact(chosen)
-			p.site.regMu.Unlock()
-		})
+		t.c.bus.call(func() { err = p.Commit() })
 		if err != nil {
-			// Unreachable by construction (the gate is held); treat as a
-			// fatal protocol error rather than limping on.
-			panic(fmt.Sprintf("dist: vote adoption failed: %v", err))
-		}
-		entries[sid] = e
-	}
-	for _, sid := range sids {
-		p := t.parts[sid]
-		t.c.bus.call(func() {
-			// Write-ahead: the site's commit record (even if its local
-			// write set is empty — the number consumption is durable
-			// state) precedes installation.
-			if err := p.site.logCommit(chosen, p.writes); err != nil {
-				panic(fmt.Sprintf("dist: site %d commit log: %v (fail-stop)", sid, err))
-			}
-			for key, w := range p.writes {
-				p.site.store.GetOrCreate(key).InstallCommitted(storage.Version{
-					TN: chosen, Data: w.data, Tombstone: w.tombstone,
-				})
-				t.c.rec.RecordWrite(t.id, key, chosen)
-			}
-			p.site.locks.ReleaseAll(t.id)
-			p.site.vc.Complete(entries[sid])
-		})
-	}
-	for {
-		cur := t.c.hwm.Load()
-		if chosen <= cur || t.c.hwm.CompareAndSwap(cur, chosen) {
-			break
+			// The other parts may have committed (see durability.go).
+			panic(fmt.Sprintf("dist: site %d commit: %v (fail-stop)", sid, err))
 		}
 	}
+	for cur := t.c.hwm.Load(); cur < chosen && !t.c.hwm.CompareAndSwap(cur, chosen); cur = t.c.hwm.Load() {
+	}
+	t.c.hold()
 	t.c.rec.RecordCommit(t.id, chosen)
 	t.c.commitsRW.Add(1)
 	return nil
@@ -566,19 +580,16 @@ func (t *DTx) Abort() {
 		return
 	}
 	t.c.aborts.Add(1)
-	t.abortInternal()
+	t.abort()
 }
 
-func (t *DTx) abortInternal() {
-	if t.done {
-		return
-	}
+// abort aborts every part, giving back what it holds at its site.
+func (t *DTx) abort() {
 	t.done = true
 	for _, p := range t.parts {
-		p := p
-		t.c.bus.call(func() {
-			p.site.locks.ReleaseAll(t.id)
-		})
+		if p != nil {
+			t.c.bus.call(p.Abort)
+		}
 	}
 	t.c.rec.RecordAbort(t.id)
 }
@@ -590,12 +601,7 @@ func (t *DTx) ID() uint64 { return t.id }
 func (t *DTx) Class() engine.Class { return engine.ReadWrite }
 
 // SN implements engine.Tx.
-func (t *DTx) SN() (uint64, bool) {
-	if t.tn != 0 {
-		return t.tn, true
-	}
-	return 0, false
-}
+func (t *DTx) SN() (uint64, bool) { return t.tn, t.tn != 0 }
 
 // roTx is a distributed read-only transaction: one start number, snapshot
 // reads everywhere, no locks, no votes, no two-phase commit — the paper's
@@ -604,35 +610,29 @@ type roTx struct {
 	c    *Cluster
 	id   uint64
 	sn   uint64
+	slot int8 // its place in the sites' shared registry
 	done bool
 }
 
+// catchUp brings site s's horizon up to the snapshot before a read there.
+func (t *roTx) catchUp(s *Site) {
+	if s.Engine().VTNC() < t.sn {
+		t.c.roWaits.Add(1)
+		s.ensureVisible(t.sn)
+	}
+}
+
 // Get implements engine.Tx.
-func (t *roTx) Get(key string) ([]byte, error) {
+func (t *roTx) Get(key string) (v []byte, err error) {
 	if t.done {
 		return nil, engine.ErrTxDone
 	}
 	s := t.c.SiteFor(key)
-	var v storage.Version
-	var ok bool
 	t.c.bus.call(func() {
-		if s.vc.VTNC() < t.sn {
-			t.c.roWaits.Add(1)
-			s.ensureVisible(t.sn)
-		}
-		if o := s.store.Get(key); o != nil {
-			v, ok = o.ReadVisible(t.sn)
-		}
+		t.catchUp(s)
+		v, err = s.Engine().ReadAt(t.id, key, t.sn)
 	})
-	if !ok {
-		t.c.rec.RecordRead(t.id, key, 0)
-		return nil, engine.ErrNotFound
-	}
-	t.c.rec.RecordRead(t.id, key, v.TN)
-	if v.Tombstone {
-		return nil, engine.ErrNotFound
-	}
-	return v.Data, nil
+	return v, err
 }
 
 // Scan implements engine.Scanner: an ordered prefix scan across ALL
@@ -648,25 +648,17 @@ func (t *roTx) Scan(prefix string, fn func(key string, value []byte) bool) error
 	}
 	var hits []hit
 	for _, s := range t.c.sites {
-		s := s
+		var err error
 		t.c.bus.call(func() {
-			if s.vc.VTNC() < t.sn {
-				t.c.roWaits.Add(1)
-				s.ensureVisible(t.sn)
-			}
-			s.store.RangeOrdered(prefix, func(key string, o *storage.Object) bool {
-				v, ok := o.ReadVisible(t.sn)
-				if !ok {
-					return true
-				}
-				t.c.rec.RecordRead(t.id, key, v.TN)
-				if v.Tombstone {
-					return true
-				}
-				hits = append(hits, hit{key, v.Data})
+			t.catchUp(s)
+			err = s.Engine().ScanAt(t.id, prefix, t.sn, func(key string, val []byte) bool {
+				hits = append(hits, hit{key, val})
 				return true
 			})
 		})
+		if err != nil {
+			return err
+		}
 	}
 	sort.Slice(hits, func(i, j int) bool { return hits[i].key < hits[j].key })
 	for _, h := range hits {
@@ -698,7 +690,7 @@ func (t *roTx) Commit() error {
 	if t.done {
 		return engine.ErrTxDone
 	}
-	t.done = true
+	t.finish()
 	t.c.rec.RecordCommit(t.id, t.sn)
 	t.c.commitsRO.Add(1)
 	return nil
@@ -706,11 +698,15 @@ func (t *roTx) Commit() error {
 
 // Abort implements engine.Tx.
 func (t *roTx) Abort() {
-	if t.done {
-		return
+	if !t.done {
+		t.finish()
+		t.c.rec.RecordAbort(t.id)
 	}
+}
+
+func (t *roTx) finish() {
 	t.done = true
-	t.c.rec.RecordAbort(t.id)
+	t.c.reg.Unpublish(t.slot)
 }
 
 // ID implements engine.Tx.

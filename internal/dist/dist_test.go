@@ -10,6 +10,7 @@ import (
 
 	"mvdb/internal/engine"
 	"mvdb/internal/history"
+	"mvdb/internal/vc"
 )
 
 func newCluster(t *testing.T, sites int, rec engine.Recorder) *Cluster {
@@ -68,8 +69,8 @@ func TestCrossSiteTransactionSameTNEverywhere(t *testing.T) {
 	if !ok {
 		t.Fatal("committed DTx has no tn")
 	}
-	vA := c.sites[0].store.Get(kA).Versions()
-	vB := c.sites[2].store.Get(kB).Versions()
+	vA := c.sites[0].Engine().Store().Get(kA).Versions()
+	vB := c.sites[2].Engine().Store().Get(kB).Versions()
 	if len(vA) != 1 || len(vB) != 1 || vA[0].TN != tn || vB[0].TN != tn {
 		t.Fatalf("versions: A=%+v B=%+v, want both tn=%d", vA, vB, tn)
 	}
@@ -117,7 +118,7 @@ func TestReadOnlyNoAPrioriSites(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c.sites[0].vc.VTNC() <= c.sites[2].vc.VTNC() {
+	if c.sites[0].Engine().VTNC() <= c.sites[2].Engine().VTNC() {
 		t.Fatal("test setup: site 0 not ahead")
 	}
 
@@ -150,14 +151,14 @@ func TestReadOnlyWaitsForActiveOlderTxnAtRemoteSite(t *testing.T) {
 	k1 := keyAt(c, 1, "b")
 	c.Bootstrap(map[string][]byte{k0: []byte("0"), k1: []byte("0")})
 
-	// Open a transaction at site 1 and park it mid-commit by holding its
-	// registration gate via a half-done prepare... simpler: start a
-	// cross-site txn that registers at site 1 but delay its completion
-	// using a lock conflict is fragile. Instead: register directly.
+	// Park a transaction at site 1 between registration and completion:
+	// register directly, the way an adopted part is registered.
 	s1 := c.sites[1]
-	s1.regMu.Lock()
-	entry, err := s1.vc.RegisterExact(s1.vc.Reserve())
-	s1.regMu.Unlock()
+	v1 := s1.Engine().VC().(*vc.Strict)
+	var entry vc.Entry
+	s1.gate.Lock()
+	err := v1.RegisterExact(&entry, v1.Reserve())
+	s1.gate.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +184,7 @@ func TestReadOnlyWaitsForActiveOlderTxnAtRemoteSite(t *testing.T) {
 		t.Fatalf("read-only returned %q although an older txn was active at site 1", v)
 	case <-time.After(30 * time.Millisecond):
 	}
-	s1.vc.Complete(entry)
+	v1.Complete(&entry)
 	select {
 	case <-got:
 	case <-time.After(2 * time.Second):
@@ -297,7 +298,16 @@ func TestStressDistributedSerializability(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < nTxns; i++ {
 				if rng.Intn(3) == 0 {
-					ro, err := c.BeginReadOnlyAtHome(rng.Intn(nSites))
+					// Half the audits are anchored at a home site, half are
+					// global snapshots; sites collect meanwhile, and neither
+					// kind may miss a version it reads.
+					var ro engine.Tx
+					var err error
+					if rng.Intn(2) == 0 {
+						ro, err = c.BeginReadOnlyAtHome(rng.Intn(nSites))
+					} else {
+						ro, err = c.Begin(engine.ReadOnly)
+					}
 					if err != nil {
 						t.Error(err)
 						return
@@ -363,9 +373,119 @@ func TestStressDistributedSerializability(t *testing.T) {
 		t.Fatalf("global history not one-copy serializable: %v", err)
 	}
 	for _, s := range c.Sites() {
-		if err := s.VC().CheckInvariants(); err != nil {
+		if err := s.Engine().VC().CheckInvariants(); err != nil {
 			t.Fatalf("site %d: %v", s.ID(), err)
 		}
+	}
+}
+
+// A global snapshot publishes in the registry the sites share before it
+// takes its number: a remote site driven through many commits while it
+// is open collects nothing the snapshot reads, and collects again once
+// it closes. Every commit also writes at the other sites: an idle site
+// holds collection everywhere at its horizon (see the anchored test
+// below), which would keep the chain whether the view published or not.
+func TestGlobalSnapshotHoldsOffSiteCollection(t *testing.T) {
+	c := newCluster(t, 3, nil)
+	k := keyAt(c, 2, "hot")
+	others := []string{keyAt(c, 0, "other"), keyAt(c, 1, "other")}
+	if err := c.Bootstrap(map[string][]byte{k: []byte("v0")}); err != nil {
+		t.Fatal(err)
+	}
+	put := func(v string) {
+		t.Helper()
+		tx, _ := c.Begin(engine.ReadWrite)
+		for _, key := range append(others, k) {
+			if err := tx.Put(key, []byte(v)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	view, _ := c.Begin(engine.ReadOnly)
+	for i := 1; i <= 100; i++ {
+		put(fmt.Sprintf("v%d", i))
+	}
+	if v, err := view.Get(k); err != nil || string(v) != "v0" {
+		t.Fatalf("view Get = (%q, %v), want v0", v, err)
+	}
+	view.Commit()
+	// An install collects when it finds the chain's array full, which is
+	// at most as many commits away as the chain is long.
+	o := c.sites[2].Engine().Store().Get(k)
+	for i, n := 0, o.VersionCount(); i < n && o.VersionCount() > 2; i++ {
+		put("after")
+	}
+	if n := o.VersionCount(); n > 2 {
+		t.Fatalf("chain holds %d versions once the view closed, want <= 2", n)
+	}
+}
+
+// A snapshot anchored at a home site reads at the home's horizon, which
+// stays put while the home is idle. A site driven through many commits
+// meanwhile must still hold the versions at that horizon for a snapshot
+// anchored there later.
+func TestAnchoredSnapshotHoldsOffSiteCollection(t *testing.T) {
+	c := newCluster(t, 3, nil)
+	k := keyAt(c, 2, "hot")
+	if err := c.Bootstrap(map[string][]byte{k: []byte("v0")}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 100; i++ {
+		tx, _ := c.Begin(engine.ReadWrite)
+		if err := tx.Put(k, []byte(fmt.Sprintf("v%d", i))); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ro, _ := c.BeginReadOnlyAtHome(0)
+	defer ro.Commit()
+	if v, err := ro.Get(k); err != nil || string(v) != "v0" {
+		t.Fatalf("anchored Get = (%q, %v), want v0", v, err)
+	}
+}
+
+// A part completes at its site, making its number visible there, before
+// its transaction raises the high-water mark. Sites hold collection at
+// the mark, so a global snapshot that takes the mark meanwhile still
+// finds the versions below such parts. The parts here commit straight
+// through the site's engine and never raise the mark at all, while the
+// hold is taken again before each, as other transactions' commits would.
+// One site, so that no other site's horizon holds collection instead.
+func TestSitesHoldCollectionAtTheMark(t *testing.T) {
+	c := newCluster(t, 1, nil)
+	k := keyAt(c, 0, "k")
+	if err := c.Bootstrap(map[string][]byte{k: []byte("v0")}); err != nil {
+		t.Fatal(err)
+	}
+	s := c.sites[0]
+	for i := uint64(1); i <= 100; i++ {
+		c.hold()
+		p, err := s.Engine().BeginSite(1000 + i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Put(k, []byte("ahead")); err != nil {
+			t.Fatal(err)
+		}
+		s.gate.Lock()
+		err = s.Engine().Adopt(p, s.strict().Reserve())
+		s.gate.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ro, _ := c.Begin(engine.ReadOnly)
+	defer ro.Commit()
+	if v, err := ro.Get(k); err != nil || string(v) != "v0" {
+		t.Fatalf("Get at the mark = (%q, %v), want v0", v, err)
 	}
 }
 
@@ -451,7 +571,7 @@ func TestCustomPartitioner(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if c.sites[0].store.Get("alpha") == nil || c.sites[1].store.Get("beta") == nil {
+	if c.sites[0].Engine().Store().Get("alpha") == nil || c.sites[1].Engine().Store().Get("beta") == nil {
 		t.Fatal("keys landed on wrong sites")
 	}
 }

@@ -60,13 +60,18 @@ func TestSiteCrashRecoveryPreservesState(t *testing.T) {
 		}
 		lastTN, _ = tx.(*DTx).SN()
 	}
-	preVTNC := c.sites[1].VC().VTNC()
+	preVTNC := c.sites[1].Engine().VTNC()
 
 	if err := c.CrashSite(1); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.RecoverSite(1); err != nil {
 		t.Fatal(err)
+	}
+	// Visibility resumed where it stood: recovery makes everything logged
+	// visible at once and catches the site up to the high-water mark.
+	if got := c.sites[1].Engine().VTNC(); got < preVTNC {
+		t.Fatalf("recovered vtnc %d < pre-crash vtnc %d", got, preVTNC)
 	}
 
 	// The recovered site serves the same committed state.
@@ -91,14 +96,13 @@ func TestSiteCrashRecoveryPreservesState(t *testing.T) {
 	if tn <= lastTN {
 		t.Fatalf("post-recovery tn %d <= pre-crash tn %d (number reuse!)", tn, lastTN)
 	}
-	_ = preVTNC
 
 	// The complete cross-crash history is still one-copy serializable.
 	if err := rec.Check(); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range c.Sites() {
-		if err := s.VC().CheckInvariants(); err != nil {
+		if err := s.Engine().VC().CheckInvariants(); err != nil {
 			t.Fatalf("site %d: %v", s.ID(), err)
 		}
 	}
@@ -143,6 +147,88 @@ func TestClusterRestartFromLogs(t *testing.T) {
 	}
 	if tn, _ := tx.(*DTx).SN(); tn <= wantTN {
 		t.Fatalf("restart reused numbers: %d <= %d", tn, wantTN)
+	}
+}
+
+// Bootstrap data is logged as version-0 records, and a key that is never
+// written again must come back from them: after a site crash and after a
+// restart of the whole cluster.
+func TestBootstrapSurvivesCrashAndRestart(t *testing.T) {
+	dir := t.TempDir()
+	c := newDurableCluster(t, 2, dir, nil)
+	boot := map[string][]byte{keyAt(c, 0, "boot"): []byte("b0"), keyAt(c, 1, "boot"): []byte("b1")}
+	if err := c.Bootstrap(boot); err != nil {
+		t.Fatal(err)
+	}
+	other := keyAt(c, 0, "other")
+	tx, _ := c.Begin(engine.ReadWrite)
+	if err := tx.Put(other, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	check := func(c *Cluster, when string) {
+		t.Helper()
+		ro, _ := c.Begin(engine.ReadOnly)
+		defer ro.Commit()
+		for k, want := range boot {
+			if v, err := ro.Get(k); err != nil || string(v) != string(want) {
+				t.Fatalf("%s: Get(%s) = (%q, %v), want %q", when, k, v, err, want)
+			}
+		}
+	}
+	if err := c.CrashSite(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RecoverSite(0); err != nil {
+		t.Fatal(err)
+	}
+	check(c, "after a site crash")
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	check(newDurableCluster(t, 2, dir, nil), "after a restart")
+}
+
+// A filler takes an idle site's horizon past its log, which then lets the
+// other sites collect up to it. The recovered site must not resume below
+// that: a snapshot anchored there would read versions already collected.
+func TestRecoveredSiteResumesAtTheMark(t *testing.T) {
+	c := newDurableCluster(t, 2, t.TempDir(), nil)
+	k, idle := keyAt(c, 0, "hot"), keyAt(c, 1, "idle")
+	if err := c.Bootstrap(map[string][]byte{k: []byte("v0"), idle: []byte("i")}); err != nil {
+		t.Fatal(err)
+	}
+	put := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			tx, _ := c.Begin(engine.ReadWrite)
+			if err := tx.Put(k, []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	put(20)
+	ro, _ := c.Begin(engine.ReadOnly)
+	if _, err := ro.Get(idle); err != nil { // a filler at site 1
+		t.Fatal(err)
+	}
+	ro.Commit()
+	put(100)
+	if err := c.CrashSite(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RecoverSite(1); err != nil {
+		t.Fatal(err)
+	}
+	anchored, _ := c.BeginReadOnlyAtHome(1)
+	defer anchored.Commit()
+	if v, err := anchored.Get(k); err != nil || string(v) != "v" {
+		t.Fatalf("anchored at the recovered site: Get = (%q, %v), want v", v, err)
 	}
 }
 

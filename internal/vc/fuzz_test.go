@@ -62,9 +62,13 @@ func FuzzVCLifecycle(f *testing.F) {
 					discarded++
 				}
 			case 3:
-				// Distributed-style registration that may skip numbers
+				// Distributed-style adoption that may skip numbers
 				// (skipped numbers never hold back visibility).
-				live = append(live, c.RegisterAtLeast(c.Reserve()+uint64(arg%3)))
+				e := new(Entry)
+				if err := c.RegisterExact(e, c.Reserve()+uint64(arg%3)); err != nil {
+					t.Fatalf("step %d: %v", i, err)
+				}
+				live = append(live, e)
 				registered++
 			}
 

@@ -189,47 +189,30 @@ func (c *Strict) SetVisibleObserver(fn func(tn uint64, d time.Duration)) {
 	c.onVisible = fn
 }
 
-// RegisterExact assigns exactly the transaction number tn, which must not
-// precede the next local assignment (otherwise ordering would be
-// violated); the error reports a stale coordinator decision. It is the
-// commit-side half of the distributed max-vote: every participant of a
-// distributed transaction adopts the same globally chosen number. Local
-// assignment resumes at the next stride point past tn.
-func (c *Strict) RegisterExact(tn uint64) (*Entry, error) {
+// RegisterExact is RegisterEntry at exactly the transaction number tn,
+// which must not precede the next local assignment (otherwise ordering
+// would be violated); the error reports a stale coordinator decision. It
+// is the commit-side half of the distributed max-vote: every participant
+// of a distributed transaction adopts the same globally chosen number
+// into the entry its site transaction holds. Local assignment resumes at
+// the next stride point past tn; the numbers skipped never correspond to
+// a transaction, so the Transaction Visibility Property is unaffected.
+func (c *Strict) RegisterExact(e *Entry, tn uint64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if tn < c.tnc {
-		return nil, fmt.Errorf("vc: RegisterExact(%d) behind tnc %d", tn, c.tnc)
+		return fmt.Errorf("vc: RegisterExact(%d) behind tnc %d", tn, c.tnc)
 	}
-	e := new(Entry)
 	c.enqueueLocked(e, tn)
 	c.tnc = nextAligned(tn, c.offset, c.step)
-	return e, nil
-}
-
-// RegisterAtLeast assigns a transaction number >= min, advancing tnc past
-// min if necessary. It is used by the distributed extension, where a
-// coordinator's max-vote may force a site to skip numbers so that one
-// global transaction carries the same number at every participant.
-// Skipped numbers never correspond to a transaction, so the Transaction
-// Visibility Property is unaffected.
-func (c *Strict) RegisterAtLeast(min uint64) *Entry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	tn := c.tnc
-	if tn < min {
-		tn = min
-	}
-	e := new(Entry)
-	c.enqueueLocked(e, tn)
-	c.tnc = nextAligned(tn, c.offset, c.step)
-	return e
+	return nil
 }
 
 // Reserve returns the transaction number the next Register call would
-// assign, without assigning it. It is the "proposal" half of the
-// distributed max-vote: the coordinator gathers Reserve values from all
-// participants and registers the maximum everywhere via RegisterAtLeast.
+// assign, without assigning it. It is the vote of the distributed
+// max-vote: the coordinator gathers Reserve values from all participants,
+// each holding its registration gate, and every participant adopts the
+// maximum via RegisterExact.
 func (c *Strict) Reserve() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -123,34 +123,6 @@ func TestVTNCSkipsDiscardedNumbers(t *testing.T) {
 	}
 }
 
-func TestRegisterAtLeastSkipsNumbers(t *testing.T) {
-	c := New(0)
-	e := c.RegisterAtLeast(10)
-	if e.TN() != 10 {
-		t.Fatalf("tn = %d, want 10", e.TN())
-	}
-	e2 := c.Register()
-	if e2.TN() != 11 {
-		t.Fatalf("tn = %d, want 11", e2.TN())
-	}
-	c.Complete(e)
-	if got := c.VTNC(); got != 10 {
-		t.Fatalf("vtnc = %d, want 10", got)
-	}
-	if err := c.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRegisterAtLeastLowerThanTNC(t *testing.T) {
-	c := New(0)
-	c.Register() // tn 1
-	e := c.RegisterAtLeast(1)
-	if e.TN() != 2 {
-		t.Fatalf("tn = %d, want 2 (must not reuse numbers)", e.TN())
-	}
-}
-
 func TestReserve(t *testing.T) {
 	c := New(5)
 	if got := c.Reserve(); got != 6 {
@@ -473,8 +445,8 @@ func TestStridedOffsetZero(t *testing.T) {
 func TestRegisterExact(t *testing.T) {
 	c := NewStrided(0, 1, 3) // local numbers 1, 4, 7, ...
 	e1 := c.Register()       // 1
-	adopted, err := c.RegisterExact(5)
-	if err != nil {
+	adopted := new(Entry)
+	if err := c.RegisterExact(adopted, 5); err != nil {
 		t.Fatal(err)
 	}
 	if adopted.TN() != 5 {
@@ -486,7 +458,7 @@ func TestRegisterExact(t *testing.T) {
 		t.Fatalf("post-adopt tn = %d, want 7", e2.TN())
 	}
 	// Stale decisions are rejected.
-	if _, err := c.RegisterExact(3); err == nil {
+	if err := c.RegisterExact(new(Entry), 3); err == nil {
 		t.Fatal("RegisterExact(3) accepted behind tnc")
 	}
 	c.Complete(e1)
