@@ -543,3 +543,49 @@ func BenchmarkViewTxn(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkViewTxnParallel is BenchmarkViewTxn from every P at once: every
+// begin adds to the engine's id counter, so it shows whether that line
+// also holds what every View reads (EXPERIMENTS P8; run it with -cpu).
+func BenchmarkViewTxnParallel(b *testing.B) {
+	db, err := Open(Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	db.Update(func(tx *Tx) error { return tx.Put("k", []byte("v")) })
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if err := db.View(func(tx *Tx) error {
+				_, err := tx.Get("k")
+				return err
+			}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkUpdateTxnOCCParallel runs OCC Updates from every P at once,
+// each on a key of its own, so the shared state they meet is the
+// engine's: the id counter and the validation mutex (EXPERIMENTS P8).
+func BenchmarkUpdateTxnOCCParallel(b *testing.B) {
+	db, err := Open(Options{Protocol: Optimistic})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	b.ReportAllocs()
+	var ctr atomic.Int64
+	b.RunParallel(func(pb *testing.PB) {
+		key := fmt.Sprintf("k%d", ctr.Add(1))
+		for pb.Next() {
+			if err := db.Update(func(tx *Tx) error {
+				return tx.Put(key, []byte("v"))
+			}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

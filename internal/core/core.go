@@ -117,13 +117,19 @@ type Engine struct {
 	valMu sync.Mutex    // OCC validation critical section
 	sinks               // everything the engine reports to (observe.go)
 
-	ids  atomic.Uint64 // transaction id allocator (diagnostics, lock owner)
-	ages atomic.Uint64 // begin-order sequence for wound-wait
-
 	roActive *Registry // the engine's own, or the one its cluster's sites share
+	views    sync.Pool // View's recycled read-only transactions (readonly.go)
 
 	closed          atomic.Bool
 	bootstrapSealed atomic.Bool
+
+	// The counters every begin writes come last, a pad away from the
+	// flags and pointers above that every transaction reads, so a begin
+	// does not take the line that holds closed from every other core
+	// (TestEngineCountersOwnTheirLine).
+	_    [64]byte
+	ids  atomic.Uint64 // transaction id allocator (diagnostics, lock owner)
+	ages atomic.Uint64 // begin-order sequence for wound-wait
 }
 
 // newController builds the version-control module for a mode (or a

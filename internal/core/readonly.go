@@ -10,7 +10,8 @@ import (
 // version with the largest number <= sn(T); end only gives back the
 // registry slot that held collection off the snapshot. It never
 // interacts with the concurrency control component, never blocks, and
-// never aborts.
+// never aborts. View recycles the objects it begins; read-write
+// transactions are never recycled (DESIGN.md §18 says why).
 type roTx struct {
 	head Tx
 	txObs
@@ -18,11 +19,49 @@ type roTx struct {
 }
 
 func (e *Engine) beginReadOnly(id, pinSN uint64, recent bool) *Tx {
+	t := new(roTx)
+	t.begin(e, id, pinSN, recent)
+	return &t.head
+}
+
+// begin starts t as read-only transaction id of e. It overwrites all of
+// t, so a recycled object (View) carries nothing over from its last use.
+func (t *roTx) begin(e *Engine, id, pinSN uint64, recent bool) {
 	slot, sn := e.snapshot(id, pinSN, recent)
-	t := &roTx{txObs: e.observe(id, protoRO, sn), sn: sn}
+	*t = roTx{txObs: e.observe(id, protoRO, sn), sn: sn}
 	t.head.self = t
 	t.slot = slot
-	return &t.head
+}
+
+// View runs fn in a read-only transaction at VCstart's snapshot, and
+// commits it if fn returns nil and aborts it otherwise; if fn panics, the
+// transaction is aborted on the panic's way out. It is the one place
+// where the engine owns both a transaction's begin and its end, so the
+// transaction object is recycled (e.views) and a View allocates nothing
+// once the pool is warm: fn must not keep the transaction past its
+// return. Handles from the Begin* methods are never recycled, so a
+// second Commit on one still reads ErrTxDone.
+func (e *Engine) View(fn func(*Tx) error) error {
+	if err := e.admit(); err != nil {
+		return err
+	}
+	t, _ := e.views.Get().(*roTx)
+	if t == nil {
+		t = new(roTx)
+	}
+	t.begin(e, e.ids.Add(1), 0, false)
+	defer func() {
+		if !t.done { // fn panicked
+			t.Abort()
+			return
+		}
+		e.views.Put(t)
+	}()
+	if err := fn(&t.head); err != nil {
+		t.Abort()
+		return err
+	}
+	return t.Commit()
 }
 
 // snapshot publishes a snapshot in the registry, then takes it, and

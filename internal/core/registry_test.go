@@ -36,6 +36,22 @@ func TestTxSizeClasses(t *testing.T) {
 	}
 }
 
+// The counters every begin writes (ids, ages) are the last fields, at
+// least a cache line past the last byte of bootstrapSealed, so wherever
+// the engine is allocated no field a transaction reads shares their
+// line. Before the pad, ids and closed shared a line in most engines
+// built.
+func TestEngineCountersOwnTheirLine(t *testing.T) {
+	var e Engine
+	flags := unsafe.Offsetof(e.bootstrapSealed) + unsafe.Sizeof(e.bootstrapSealed)
+	if ids := unsafe.Offsetof(e.ids); ids < flags+64 {
+		t.Errorf("ids at %d, the flags end at %d: want ids at least 64 bytes past them", ids, flags)
+	}
+	if ages := unsafe.Offsetof(e.ages); ages != unsafe.Offsetof(e.ids)+8 || ages+8 != unsafe.Sizeof(e) {
+		t.Errorf("ages at %d: want it right after ids and last in a %d-byte Engine", ages, unsafe.Sizeof(e))
+	}
+}
+
 // With every slot taken, a further snapshot overflows: it still never
 // blocks, collection holds at 0 until it closes, and no open snapshot
 // loses what it reads.

@@ -464,40 +464,24 @@ func public(h *core.Tx, err error) (*Tx, error) {
 
 // View runs fn in a read-only transaction. The transaction commits when
 // fn returns nil and aborts otherwise; either way reads are wait-free and
-// fn is called exactly once (snapshot reads cannot conflict).
+// fn is called exactly once (snapshot reads cannot conflict). If fn
+// panics, the transaction is aborted and the panic goes on. tx is valid
+// only until fn returns: the database reuses it for a later View, so a
+// View allocates nothing.
 func (db *DB) View(fn func(*Tx) error) error {
-	tx, err := db.BeginReadOnly()
-	if err != nil {
-		return err
-	}
-	if err := fn(tx); err != nil {
-		tx.Abort()
-		return err
-	}
-	return tx.Commit()
+	return db.eng.View(func(h *core.Tx) error { return fn((*Tx)(h)) })
 }
 
 // Update runs fn in a read-write transaction, retrying automatically when
 // the engine aborts it with a retryable conflict (up to
 // Options.MaxUpdateRetries attempts). fn must be idempotent per attempt
-// and must not keep references to data read in failed attempts.
+// and must not keep references to data read in failed attempts. If fn
+// panics, the attempt's transaction is aborted — its locks and pending
+// versions given back — and the panic goes on.
 func (db *DB) Update(fn func(*Tx) error) error {
 	var last error
 	for attempt := 0; attempt < db.retries; attempt++ {
-		tx, err := db.Begin()
-		if err != nil {
-			return err
-		}
-		if err := fn(tx); err != nil {
-			tx.Abort()
-			if IsRetryable(err) {
-				db.eng.Obs().Retries.Inc()
-				last = err
-				continue
-			}
-			return err
-		}
-		err = tx.Commit()
+		err := db.attempt(fn)
 		if err == nil {
 			return nil
 		}
@@ -508,6 +492,21 @@ func (db *DB) Update(fn func(*Tx) error) error {
 		last = err
 	}
 	return fmt.Errorf("mvdb: update retries exhausted: %w", last)
+}
+
+// attempt is one try of Update: fn in a new read-write transaction, then
+// its commit. The deferred abort is here rather than in Update's loop,
+// where a defer would be allocated on the heap.
+func (db *DB) attempt(fn func(*Tx) error) error {
+	tx, err := db.Begin()
+	if err != nil {
+		return err
+	}
+	defer tx.Abort() // a no-op once committed; gives back locks if fn panics
+	if err := fn(tx); err != nil {
+		return err
+	}
+	return tx.Commit()
 }
 
 // Stats returns a point-in-time observability snapshot: transaction

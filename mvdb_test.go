@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"mvdb/internal/faultfs"
 )
@@ -68,6 +69,243 @@ func TestViewErrorAborts(t *testing.T) {
 	sentinel := errors.New("boom")
 	if err := db.View(func(*Tx) error { return sentinel }); !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// A panic in fn aborts the transaction on the panic's way out. Without
+// that, a panicking Update left 2PL's lock or T/O's pending version on
+// the key it wrote, and the next Update of that key waited forever; a
+// panicking View left its snapshot published, holding collection at it
+// for good.
+func TestPanicInFnAbortsTheTransaction(t *testing.T) {
+	for _, p := range allProtocols() {
+		t.Run(p.String(), func(t *testing.T) {
+			db, err := Open(Options{Protocol: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			mustPanic := func(what string, run func()) {
+				t.Helper()
+				defer func() {
+					if r := recover(); r != "boom" {
+						t.Fatalf("%s: recovered %v, want the panic of fn", what, r)
+					}
+				}()
+				run()
+			}
+			mustPanic("Update", func() {
+				db.Update(func(tx *Tx) error {
+					if err := tx.PutString("k", "1"); err != nil {
+						return err
+					}
+					panic("boom")
+				})
+			})
+			mustPanic("View", func() {
+				db.View(func(tx *Tx) error {
+					tx.Get("k")
+					panic("boom")
+				})
+			})
+			done := make(chan error, 1)
+			go func() { done <- db.Update(func(tx *Tx) error { return tx.PutString("k", "2") }) }()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("an Update of the key a panicking Update wrote is still waiting after 5s")
+			}
+			if sn, open := db.eng.MinActiveReadOnlySN(); open {
+				t.Fatalf("a snapshot at %d is still published after the panicking View", sn)
+			}
+		})
+	}
+}
+
+// View recycles its transaction object; the Begin* methods' handles are
+// never recycled, so one that was committed still says so after many
+// Views have come and gone.
+func TestBeginReadOnlyHandleOutlivesRecycledViews(t *testing.T) {
+	db, _ := Open(Options{})
+	defer db.Close()
+	if err := db.Update(func(tx *Tx) error { return tx.PutString("k", "v") }); err != nil {
+		t.Fatal(err)
+	}
+	begins := map[string]func() (*Tx, error){
+		"BeginReadOnly":       db.BeginReadOnly,
+		"BeginReadOnlyRecent": db.BeginReadOnlyRecent,
+		"BeginReadOnlyAt":     func() (*Tx, error) { return db.BeginReadOnlyAt(1) },
+	}
+	for name, begin := range begins {
+		ro, err := begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ro.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		for range 1000 {
+			if err := db.View(func(tx *Tx) error { _, err := tx.Get("k"); return err }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ro.Commit(); !errors.Is(err, ErrTxDone) {
+			t.Errorf("%s: second Commit after 1000 Views = %v, want ErrTxDone", name, err)
+		}
+		if _, err := ro.Get("k"); !errors.Is(err, ErrTxDone) {
+			t.Errorf("%s: Get after Commit and 1000 Views = %v, want ErrTxDone", name, err)
+		}
+	}
+}
+
+// A View whose fn fails is recycled like one that succeeds: were it not,
+// each would allocate its transaction.
+func TestViewRecycledAfterError(t *testing.T) {
+	db, _ := Open(Options{})
+	defer db.Close()
+	sentinel := errors.New("no")
+	if n := testing.AllocsPerRun(200, func() {
+		if err := db.View(func(*Tx) error { return sentinel }); err != sentinel {
+			t.Fatalf("View = %v, want fn's error", err)
+		}
+	}); n != 0 {
+		t.Errorf("failing View allocs/op = %.1f, want 0", n)
+	}
+	if sn, open := db.eng.MinActiveReadOnlySN(); open {
+		t.Fatalf("a snapshot at %d is still published", sn)
+	}
+}
+
+// A recycled View starts afresh: it reads at vtnc as of its begin,
+// publishes that number while it runs, and sees the last commit — never
+// its previous use's snapshot.
+func TestRecycledViewReadsItsOwnSnapshot(t *testing.T) {
+	for _, p := range allProtocols() {
+		t.Run(p.String(), func(t *testing.T) {
+			db, _ := Open(Options{Protocol: p})
+			defer db.Close()
+			for i := range 100 {
+				want := fmt.Sprint(i)
+				if err := db.Update(func(tx *Tx) error { return tx.PutString("k", want) }); err != nil {
+					t.Fatal(err)
+				}
+				vtnc := db.eng.VTNC() // strict: the Update above is visible on return
+				err := db.View(func(tx *Tx) error {
+					if tn, ok := tx.TN(); !ok || tn != vtnc {
+						return fmt.Errorf("TN() = (%d, %v), want vtnc %d", tn, ok, vtnc)
+					}
+					if sn, open := db.eng.MinActiveReadOnlySN(); !open || sn != vtnc {
+						return fmt.Errorf("published (%d, %v), want %d", sn, open, vtnc)
+					}
+					if got, err := tx.GetString("k"); err != nil || got != want {
+						return fmt.Errorf("Get = (%q, %v), want %q", got, err, want)
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatalf("View %d: %v", i, err)
+				}
+			}
+		})
+	}
+}
+
+// Views recycled across goroutines race collection — installs,
+// CollectGarbage passes and checkpoints — and must each read one
+// consistent snapshot no older than the last one their goroutine read.
+func TestViewsRaceCollectionAndCheckpoint(t *testing.T) {
+	db, err := Open(Options{WALPath: filepath.Join(t.TempDir(), "db.log")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	write := func(i int) error {
+		return db.Update(func(tx *Tx) error {
+			if err := tx.PutString("a", fmt.Sprint(i)); err != nil {
+				return err
+			}
+			return tx.PutString("b", fmt.Sprint(i))
+		})
+	}
+	if err := write(0); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var bg sync.WaitGroup
+	var checkpoints atomic.Int64
+	bg.Add(2)
+	go func() {
+		defer bg.Done()
+		for i := 1; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := write(i); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer bg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			db.CollectGarbage()
+			if err := db.Checkpoint(); err != nil {
+				t.Error(err)
+				return
+			}
+			checkpoints.Add(1)
+		}
+	}()
+	var readers sync.WaitGroup
+	for range 4 {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			var last uint64
+			for i := 0; i < 200 || (checkpoints.Load() < 3 && !t.Failed()); i++ {
+				err := db.View(func(tx *Tx) error {
+					sn, _ := tx.TN()
+					if sn < last {
+						return fmt.Errorf("snapshot %d after %d", sn, last)
+					}
+					last = sn
+					a, err := tx.GetString("a")
+					if err != nil {
+						return err
+					}
+					runtime.Gosched()
+					b, err := tx.GetString("b")
+					if err != nil {
+						return err
+					}
+					if a != b {
+						return fmt.Errorf("torn snapshot %d: a=%s b=%s", sn, a, b)
+					}
+					return nil
+				})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	readers.Wait()
+	close(stop)
+	bg.Wait()
+	if sn, open := db.eng.MinActiveReadOnlySN(); open {
+		t.Fatalf("a snapshot at %d is still published", sn)
 	}
 }
 
@@ -663,16 +901,17 @@ func TestDurableUpdateAllocations(t *testing.T) {
 // auditor all off (the default), each hook in the transaction paths must
 // reduce to one pointer test, every accessor must report the layer
 // absent, and Update/View must allocate no more than this workload
-// measures (EXPERIMENTS.md P7; the seed's 2PL figure was 12 and 2). The
-// debug endpoint only serves what the engine already counts, so the
+// measures (EXPERIMENTS.md P7–P8; the seed's 2PL figure was 12 and 2).
+// The debug endpoint only serves what the engine already counts, so the
 // debug/ cases hold a database with DebugAddr set to the same budgets,
-// and every case runs under both visibility modes. A transaction is one
-// object under every protocol — the public Tx is its header, and 2PL's
-// lock state, the version-control entry and OCC's read set live inside
-// it — so swapping the concurrency control for locking costs nothing
-// over timestamp ordering.
+// and every case runs under both visibility modes. A read-write
+// transaction is one object under every protocol — the public Tx is its
+// header, and 2PL's lock state, the version-control entry and OCC's read
+// set live inside it — so swapping the concurrency control for locking
+// costs nothing over timestamp ordering. A View allocates nothing: the
+// engine recycles its read-only transaction when View returns.
 func TestDisabledZeroOverhead(t *testing.T) {
-	const update, view = 1, 1
+	const update, view = 1, 0
 	measured := map[VisibilityMode]map[Protocol]float64{}
 	defer func() {
 		for mode, m := range measured {
