@@ -121,14 +121,15 @@ func (c *Cluster) BeginReadOnlyAtHome(site int) (*Tx, error) {
 	return &Tx{t: t}, nil
 }
 
-// View runs fn in a global read-only transaction.
+// View runs fn in a global read-only transaction. If fn panics, the
+// transaction is aborted and the panic goes on.
 func (c *Cluster) View(fn func(*Tx) error) error {
 	tx, err := c.BeginReadOnly()
 	if err != nil {
 		return err
 	}
+	defer tx.Abort() // a no-op once committed; unpublishes the snapshot if fn panics
 	if err := fn(tx); err != nil {
-		tx.Abort()
 		return err
 	}
 	return tx.Commit()
@@ -136,23 +137,12 @@ func (c *Cluster) View(fn func(*Tx) error) error {
 
 // Update runs fn in a distributed read-write transaction, retrying
 // retryable aborts (lock timeouts standing in for distributed deadlock
-// resolution).
+// resolution). If fn panics, the attempt's transaction is aborted — its
+// locks given back at every site — and the panic goes on.
 func (c *Cluster) Update(fn func(*Tx) error) error {
 	var last error
 	for attempt := 0; attempt < c.retries; attempt++ {
-		tx, err := c.Begin()
-		if err != nil {
-			return err
-		}
-		if err := fn(tx); err != nil {
-			tx.Abort()
-			if mvdb.IsRetryable(err) {
-				last = err
-				continue
-			}
-			return err
-		}
-		err = tx.Commit()
+		err := c.attempt(fn)
 		if err == nil {
 			return nil
 		}
@@ -162,6 +152,19 @@ func (c *Cluster) Update(fn func(*Tx) error) error {
 		last = err
 	}
 	return fmt.Errorf("cluster: update retries exhausted: %w", last)
+}
+
+// attempt runs fn in one read-write transaction and commits it.
+func (c *Cluster) attempt(fn func(*Tx) error) error {
+	tx, err := c.Begin()
+	if err != nil {
+		return err
+	}
+	defer tx.Abort() // a no-op once committed; gives back locks if fn panics
+	if err := fn(tx); err != nil {
+		return err
+	}
+	return tx.Commit()
 }
 
 // Tx is a distributed transaction handle.

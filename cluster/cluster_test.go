@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"mvdb"
 	"mvdb/internal/wal"
@@ -69,6 +70,80 @@ func TestViewErrorPropagates(t *testing.T) {
 	sentinel := errors.New("nope")
 	if err := c.View(func(*Tx) error { return sentinel }); !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// A panic in Update's or View's fn aborts the transaction. A panicking
+// Update must give back its part's X lock, or the next Update of the key
+// times out on it; a panicking View must leave the snapshot registry,
+// or its global snapshot holds collection at every site.
+func TestPanicInFnAbortsTheTransaction(t *testing.T) {
+	c, err := Open(Options{Sites: 2, LockTimeout: 20 * time.Millisecond, MaxUpdateRetries: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var keys []string // one key at each site
+	for i := 0; len(keys) < 2; i++ {
+		if k := fmt.Sprintf("k%d", i); c.SiteOf(k) == len(keys) {
+			keys = append(keys, k)
+		}
+	}
+	put := func(v string) error {
+		return c.Update(func(tx *Tx) error {
+			for _, k := range keys {
+				if err := tx.Put(k, []byte(v)); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+	if err := put("v0"); err != nil {
+		t.Fatal(err)
+	}
+	mustPanic := func(what string, run func()) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Fatalf("%s: recovered %v, want the panic of fn", what, r)
+			}
+		}()
+		run()
+	}
+	mustPanic("Update", func() {
+		c.Update(func(tx *Tx) error {
+			if err := tx.Put(keys[0], []byte("lost")); err != nil {
+				return err
+			}
+			panic("boom")
+		})
+	})
+	if err := put("after-update"); err != nil {
+		t.Fatalf("Update after a panicking Update: %v", err)
+	}
+
+	mustPanic("View", func() {
+		c.View(func(tx *Tx) error {
+			tx.Get(keys[0])
+			panic("boom")
+		})
+	})
+	for i := 1; i <= 100; i++ {
+		if err := put(fmt.Sprintf("v%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// An install collects when it finds the chain's array full, which is
+	// at most as many commits away as the chain is long.
+	o := c.c.Sites()[0].Engine().Store().Get(keys[0])
+	for i, n := 0, o.VersionCount(); i < n && o.VersionCount() > 2; i++ {
+		if err := put("after-view"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := o.VersionCount(); n > 2 {
+		t.Fatalf("chain holds %d versions after a panicking View, want <= 2", n)
 	}
 }
 

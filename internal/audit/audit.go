@@ -277,7 +277,7 @@ func (a *Auditor) Close() error {
 }
 
 // Drain blocks until every event enqueued before the call has been
-// processed — the synchronization point for tests and mvverify, which
+// processed — the synchronization point for tests and soaks, which
 // need the online verdict to cover the full run. No-op after Close.
 func (a *Auditor) Drain() {
 	ack := make(chan struct{})

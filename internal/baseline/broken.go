@@ -9,7 +9,8 @@ import (
 // ablation flags (core.Options). They exist so the online auditor
 // (internal/audit) and the offline checker (internal/history) can be
 // shown to catch real serializability violations, not just pass clean
-// histories: mvverify -audit runs them expecting an MVSG-cycle alarm.
+// histories: schedtest's TestBrokenBaselinesAlarm and audit's
+// TestLiveAlarmOn* run them expecting an MVSG-cycle alarm.
 
 // NewBrokenEarlyRegister returns a 2PL engine with ablation A1: it
 // registers read-write transactions with version control at begin

@@ -31,7 +31,7 @@ func TestSweepExhaustive(t *testing.T) {
 
 // TestTortureQuick is the CI-sized randomized run: a fixed seed matrix
 // of short multi-client torture loops over the full engine matrix. The
-// long version lives in cmd/mvtorture.
+// long version is `mvdb torture`.
 func TestTortureQuick(t *testing.T) {
 	seeds := []int64{1, 2, 3}
 	for _, cfg := range Configs() {

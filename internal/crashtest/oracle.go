@@ -22,7 +22,7 @@
 // Two drivers share the oracle: an exhaustive deterministic sweep that
 // crashes a scripted scenario at every mutating filesystem operation
 // (Sweep), and a seeded randomized torture loop for long runs
-// (Torture, wrapped by cmd/mvtorture).
+// (Torture, wrapped by `mvdb torture`).
 package crashtest
 
 import (

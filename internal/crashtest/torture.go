@@ -32,7 +32,7 @@ type TortureOptions struct {
 	// Log, when non-nil, receives one progress line per round.
 	Log func(format string, args ...any)
 	// FlightDir, when non-empty, receives a flight-recorder postmortem
-	// bundle (renderable with mvinspect -bundle) whenever an oracle
+	// bundle (renderable with mvdb inspect -bundle) whenever an oracle
 	// violation aborts the run; TortureReport.Bundle names it.
 	FlightDir string
 }

@@ -110,7 +110,8 @@ type Engine interface {
 	// "commits.rw", "commits.ro", "aborts.conflict", "aborts.deadlock",
 	// "aborts.wounded", "ro.blocked", "rw.aborts.by_ro".
 	Stats() map[string]int64
-	// Close releases background resources (GC goroutines etc.).
+	// Close shuts the engine down: later begins fail, and a durable
+	// engine closes its commit log.
 	Close() error
 }
 

@@ -10,9 +10,13 @@ package enginetest
 import (
 	"errors"
 	"fmt"
+	"log/slog"
+	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
+	"mvdb/internal/audit"
 	"mvdb/internal/engine"
 	"mvdb/internal/history"
 )
@@ -418,49 +422,103 @@ func testConcurrentCounters(t *testing.T, mk Factory) {
 	}
 }
 
+// testHistorySerializable is a bank round: concurrent transfers and
+// read-only audits over a few accounts, recorded for the offline MVSG
+// checker and the online auditor at once. The history must be one-copy
+// serializable, the two verdicts must agree with nothing dropped, and
+// the money must be conserved.
 func testHistorySerializable(t *testing.T, mk Factory) {
+	const clients, txns, accounts, initBal = 8, 50, 16, 100
 	rec := history.NewRecorder()
-	e := mk(rec)
+	aud := audit.New(audit.Options{
+		Window: clients*txns + 64, // the whole round: the live graph is the offline one
+		Queue:  1 << 17,           // more than the round records: nothing dropped
+		Logger: slog.New(slog.DiscardHandler),
+	})
+	defer aud.Close()
+	e := mk(engine.Multi(rec, aud))
 	defer e.Close()
-	if err := e.Bootstrap(map[string][]byte{"x": {10}, "y": {10}}); err != nil {
+	acct := func(i int) string { return fmt.Sprintf("acct%02d", i) }
+	boot := map[string][]byte{}
+	for i := 0; i < accounts; i++ {
+		boot[acct(i)] = []byte{initBal}
+	}
+	if err := e.Bootstrap(boot); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
+	for w := 0; w < clients; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func(rng *rand.Rand) {
 			defer wg.Done()
-			for i := 0; i < 30; i++ {
-				if i%3 == 0 {
+			for i := 0; i < txns; i++ {
+				if rng.Intn(3) == 0 {
+					keys := []string{acct(rng.Intn(accounts)), acct(rng.Intn(accounts)), acct(rng.Intn(accounts))}
 					retryRO(t, e, func(ro engine.Tx) error {
-						if _, err := ro.Get("x"); err != nil {
-							return err
+						for _, k := range keys {
+							if _, err := ro.Get(k); err != nil {
+								return err
+							}
 						}
-						_, err := ro.Get("y")
-						return err
+						return nil
 					})
 					continue
 				}
+				// Each attempt picks its own pair, so that two transfers
+				// that deadlock do not meet again on the retry.
 				retryRW(t, e, func(tx engine.Tx) error {
-					xv, err := tx.Get("x")
+					from, to := acct(rng.Intn(accounts)), acct(rng.Intn(accounts))
+					if from == to {
+						return nil
+					}
+					fv, err := tx.Get(from)
 					if err != nil {
 						return err
 					}
-					if err := tx.Put("x", []byte{xv[0] + 1}); err != nil {
-						return err
-					}
-					yv, err := tx.Get("y")
+					tv, err := tx.Get(to)
 					if err != nil {
 						return err
 					}
-					return tx.Put("y", []byte{yv[0] - 1})
+					if fv[0] == 0 {
+						return nil // nothing to move
+					}
+					if err := tx.Put(from, []byte{fv[0] - 1}); err != nil {
+						return err
+					}
+					return tx.Put(to, []byte{tv[0] + 1})
 				})
 			}
-		}(w)
+		}(rand.New(rand.NewSource(int64(w))))
 	}
 	wg.Wait()
-	if err := rec.Check(); err != nil {
-		t.Fatalf("history not one-copy serializable: %v", err)
+	total := 0
+	retryRO(t, e, func(ro engine.Tx) error {
+		total = 0
+		for i := 0; i < accounts; i++ {
+			v, err := ro.Get(acct(i))
+			if err != nil {
+				return err
+			}
+			total += int(v[0])
+		}
+		return nil
+	})
+	if total != accounts*initBal {
+		t.Errorf("balances sum to %d, want %d", total, accounts*initBal)
+	}
+	offline := rec.Check()
+	aud.Drain()
+	if n := aud.Dropped(); n > 0 {
+		t.Errorf("auditor dropped %d events; verdicts not comparable", n)
+	}
+	if alarms := aud.AlarmsTotal(); (alarms > 0) != (offline != nil) {
+		t.Errorf("online and offline verdicts disagree: %d alarms, offline %v", alarms, offline)
+	}
+	if offline != nil {
+		var dot strings.Builder
+		rec.WriteDOT(&dot)
+		t.Logf("MVSG:\n%s", dot.String())
+		t.Fatalf("history not one-copy serializable: %v", offline)
 	}
 }
 

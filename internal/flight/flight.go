@@ -13,7 +13,7 @@
 //
 // Triggers: an audit alarm (audit.Options.OnAlarm → TriggerAsync), a
 // crashtest oracle violation (Capture), an explicit HTTP dump
-// (/debug/mvdb/dump → Trigger), or an mvtorture failure. Bundles are
+// (/debug/mvdb/dump → Trigger), or a `mvdb torture` failure. Bundles are
 // written through internal/core's crash-atomic replace path, so a
 // half-written postmortem can never shadow an intact one.
 package flight
@@ -310,7 +310,7 @@ func Capture(src Sources, fsys faultfs.FS, dir, reason, detail string) (string, 
 	return r.Trigger(reason, detail)
 }
 
-// Load reads a bundle back (mvinspect -bundle, tests).
+// Load reads a bundle back (mvdb inspect -bundle, tests).
 func Load(path string) (*Bundle, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -295,7 +295,7 @@ func TestCaptureOneShot(t *testing.T) {
 }
 
 // TestLoadV3Bundle: bundles of older schemas must still load and render
-// (mvinspect -bundle), keeping every section the current schema still
+// (mvdb inspect -bundle), keeping every section the current schema still
 // has. A v3 bundle carries the health timeline, the hotspot report (top
 // level and inside stats), "health" ring events and, from before the
 // self-tuning layer was deleted, "knob" events and an "adaptive" stats

@@ -10,7 +10,7 @@ import (
 
 // Render writes a human-readable postmortem report for a bundle:
 // header, per-protocol phase-attribution table, headline counters, the
-// last audit alarms, and the waits-for graph. It is the single renderer behind `mvinspect -bundle` so tests
+// last audit alarms, and the waits-for graph. It is the single renderer behind `mvdb inspect -bundle` so tests
 // and the CLI agree on what a bundle "looks like".
 func Render(b *Bundle, w io.Writer) {
 	fmt.Fprintf(w, "flight bundle #%d (%s)\n", b.Seq, b.Schema)

@@ -269,8 +269,8 @@ func replaySerial(txs []*txRecord, perm []int) bool {
 
 // WriteDOT renders the MVSG of the committed history in Graphviz DOT
 // format — reads-from edges solid, version-order edges dashed — so a
-// rejected history can be inspected visually (`mvverify -dot` writes one
-// on failure). The rendering reuses the exact edge construction of Check.
+// rejected history can be inspected visually (the enginetest battery
+// logs one on failure). The rendering reuses the exact edge construction of Check.
 func (r *Recorder) WriteDOT(w io.Writer) error {
 	r.mu.Lock()
 	committed := make([]*txRecord, 0, len(r.txs))

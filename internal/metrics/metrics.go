@@ -212,7 +212,7 @@ func (s Summary) String() string {
 
 // MarshalJSON emits the tagged nanosecond fields plus a pre-rendered
 // human-readable form, so every JSON consumer (harness reports, the
-// /debug/mvdb endpoint, mvinspect -live) shares one serialization.
+// /debug/mvdb endpoint, mvdb inspect -live) shares one serialization.
 func (s Summary) MarshalJSON() ([]byte, error) {
 	type plain Summary // shed the method to avoid recursion
 	return json.Marshal(struct {

@@ -217,7 +217,7 @@ type Options struct {
 	// bundle holds the Stats snapshot (with the phase matrix when
 	// PhaseTiming is on) and its sampled history, the auditor's state
 	// when Audit is on, and the lock manager's waits-for graph. Render
-	// bundles with `mvinspect -bundle <file>`. Empty — the default —
+	// bundles with `mvdb inspect -bundle <file>`. Empty — the default —
 	// runs no recorder.
 	FlightDir string
 	// FS, when non-nil, routes every durability-path file operation
