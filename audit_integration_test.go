@@ -17,10 +17,9 @@ import (
 // into /metrics.
 func TestAuditEndToEnd(t *testing.T) {
 	db, err := Open(Options{
-		Protocol:    TimestampOrdering,
-		Audit:       true,
-		AuditWindow: 128,
-		DebugAddr:   "127.0.0.1:0",
+		Protocol:  TimestampOrdering,
+		Audit:     true,
+		DebugAddr: "127.0.0.1:0",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +80,7 @@ func TestAuditEndToEnd(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&httpSn); err != nil {
 		t.Fatal(err)
 	}
-	if httpSn.Window != 128 || httpSn.Processed == 0 {
+	if httpSn.Window != audit.DefaultWindow || httpSn.Processed == 0 {
 		t.Fatalf("audit endpoint snapshot = %+v", httpSn)
 	}
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"mvdb/internal/core"
+	"mvdb/internal/wal"
 )
 
 func TestCheckpointRequiresWAL(t *testing.T) {
@@ -231,7 +232,8 @@ func TestCheckpointDuringCollection(t *testing.T) {
 		if err := db.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-		horizon, recs, _, err := core.LoadSnapshot(nil, core.SnapPath(path))
+		var recs []wal.Record
+		horizon, _, err := core.LoadSnapshot(nil, core.SnapPath(path), func(r wal.Record) { recs = append(recs, r) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,5 +245,42 @@ func TestCheckpointDuringCollection(t *testing.T) {
 				t.Fatalf("checkpoint %d at %d holds version %d of %s", c, horizon, r.TN, r.Writes[0].Key)
 			}
 		}
+	}
+}
+
+// Bootstrap on a durable database is logged like a commit: the data
+// survives a reopen with no checkpoint in between, and the reopened
+// database, which recovered it, refuses a second Bootstrap.
+func TestBootstrapSurvivesReopen(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "db.log")
+	db, err := Open(Options{WALPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Bootstrap(map[string][]byte{"a": []byte("1"), "b": []byte("2")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Update(func(tx *Tx) error { return tx.PutString("b", "3") }); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db2, err := Open(Options{WALPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	db2.View(func(tx *Tx) error {
+		for k, want := range map[string]string{"a": "1", "b": "3"} {
+			if got, err := tx.GetString(k); err != nil || got != want {
+				t.Errorf("%s = (%q, %v) after reopen, want %q", k, got, err, want)
+			}
+		}
+		return nil
+	})
+	if err := db2.Bootstrap(map[string][]byte{"c": []byte("4")}); err == nil {
+		t.Error("Bootstrap accepted on a recovered database")
 	}
 }

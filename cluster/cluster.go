@@ -69,7 +69,8 @@ func Open(opts Options) (*Cluster, error) {
 func (c *Cluster) Close() error { return c.c.Close() }
 
 // Bootstrap loads initial data (version 0) into the owning sites; it must
-// precede the first transaction.
+// precede the first transaction. With WALDir set each site logs its part,
+// so it survives a site crash and a restart.
 func (c *Cluster) Bootstrap(data map[string][]byte) error { return c.c.Bootstrap(data) }
 
 // SiteOf returns the site index owning key (for workload placement).
@@ -137,11 +138,13 @@ func (c *Cluster) View(fn func(*Tx) error) error {
 
 // Update runs fn in a distributed read-write transaction, retrying
 // retryable aborts (lock timeouts standing in for distributed deadlock
-// resolution). If fn panics, the attempt's transaction is aborted — its
-// locks given back at every site — and the panic goes on.
+// resolution), with mvdb.Update's backoff between retries. If fn
+// panics, the attempt's transaction is aborted — its locks given back at
+// every site — and the panic goes on.
 func (c *Cluster) Update(fn func(*Tx) error) error {
 	var last error
 	for attempt := 0; attempt < c.retries; attempt++ {
+		engine.Backoff(attempt)
 		err := c.attempt(fn)
 		if err == nil {
 			return nil

@@ -36,7 +36,7 @@ func TestProtocolFilesStayBehindTheSeam(t *testing.T) {
 		}
 	}
 
-	installed := map[string]bool{"SetBatchObserver": true, "SetVisibleObserver": true, "SetWAL": true}
+	installed := map[string]bool{"SetBatchObserver": true, "SetVisibleObserver": true}
 	for _, v := range []any{(*wal.Writer)(nil), (*epoch.Controller)(nil), (*Engine)(nil)} {
 		typ := reflect.TypeOf(v)
 		for i := 0; i < typ.NumMethod(); i++ {

@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"mvdb/internal/engine"
+	"mvdb/internal/faultfs"
 	"mvdb/internal/lock"
 	"mvdb/internal/obs"
 	"mvdb/internal/storage"
@@ -79,11 +80,6 @@ type Options struct {
 	Visibility vc.Mode
 	// Recorder receives history events for offline checking (tests).
 	Recorder engine.Recorder
-	// WAL, when non-nil, makes commits durable: each read-write commit
-	// appends one record (transaction number + write set) to the log
-	// before its versions are installed. Use OpenDurable to rebuild an
-	// engine from such a log.
-	WAL *wal.Writer
 	// PhaseTiming enables per-transaction latency attribution: each
 	// protocol's separable phases (lock wait, reads, validation, WAL
 	// enqueue vs fsync wait, version install, register→visible lag)
@@ -120,6 +116,14 @@ type Engine struct {
 	roActive *Registry // the engine's own, or the one its cluster's sites share
 	views    sync.Pool // View's recycled read-only transactions (readonly.go)
 
+	// The commit log, and what the engine checkpoints through: a durable
+	// engine (OpenDurable) owns all three, and log is nil on any other.
+	// Each read-write commit appends one record (transaction number and
+	// write set) to log before its versions become visible.
+	log     *wal.Writer
+	fsys    faultfs.FS
+	walPath string
+
 	closed          atomic.Bool
 	bootstrapSealed atomic.Bool
 
@@ -148,10 +152,17 @@ func newController(opts Options, initial uint64) vc.Controller {
 
 // New creates an engine.
 func New(opts Options) *Engine {
+	e := newUnstarted(opts)
+	e.startVC(0)
+	return e
+}
+
+// newUnstarted builds everything but the version-control module, which
+// recovery can only build once it knows the largest recovered number.
+func newUnstarted(opts Options) *Engine {
 	e := &Engine{
 		opts:     opts,
 		store:    storage.NewStore(0),
-		vc:       newController(opts, 0),
 		sinks:    newSinks(opts),
 		roActive: opts.site.registry(),
 	}
@@ -159,11 +170,14 @@ func New(opts Options) *Engine {
 	// stripe heatmap and the lock counters read it unconditionally.
 	e.locks = lock.NewManager(opts.LockPolicy, opts.LockTimeout)
 	e.observeLocks()
-	e.observeVC()
-	if opts.WAL != nil {
-		e.observeWAL(opts.WAL)
-	}
 	return e
+}
+
+// startVC builds the version-control module with everything up to
+// initial already visible, and wires it to the sinks.
+func (e *Engine) startVC(initial uint64) {
+	e.vc = newController(e.opts, initial)
+	e.observeVC()
 }
 
 // Name implements engine.Engine.
@@ -179,9 +193,21 @@ func (e *Engine) VC() vc.Controller { return e.vc }
 func (e *Engine) VTNC() uint64 { return e.vc.VTNC() }
 
 // Bootstrap loads key/value pairs as version 0, before any transactions.
+// A durable engine first logs them, as one version-0 record, so they
+// survive a reopen as every commit does; it refuses a Bootstrap once it
+// has recovered anything, whose version 0 may already be there.
 func (e *Engine) Bootstrap(data map[string][]byte) error {
 	if e.bootstrapSealed.Load() {
-		return errors.New("core: Bootstrap after first transaction")
+		return errors.New("core: Bootstrap after the first transaction or on a recovered engine")
+	}
+	if e.log != nil {
+		rec := wal.Record{Writes: make([]wal.Write, 0, len(data))}
+		for k, v := range data {
+			rec.Writes = append(rec.Writes, wal.Write{Key: k, Value: v})
+		}
+		if err := e.log.Append(rec); err != nil {
+			return fmt.Errorf("core: bootstrap: %w", err)
+		}
 	}
 	for k, v := range data {
 		e.store.Bootstrap(k, v)
@@ -250,9 +276,9 @@ func (e *Engine) BeginTx(class engine.Class) (*Tx, error) {
 }
 
 // admit fails once the engine is closed, and otherwise seals Bootstrap
-// and SetWAL off. The flag is written once: a store on every begin
-// would be a shared write on the cache line that holds closed, which
-// every begin reads.
+// off. The flag is written once: a store on every begin would be a
+// shared write on the cache line that holds closed, which every begin
+// reads.
 func (e *Engine) admit() error {
 	if e.closed.Load() {
 		return errors.New("core: engine closed")
@@ -339,17 +365,17 @@ func (e *Engine) Snapshot() obs.Snapshot {
 	}
 	sn.StoreWaits = int64(e.store.TotalWaits())
 	sn.Phases = e.phases.Summaries()
-	if e.opts.WAL != nil {
-		a, f, b := e.opts.WAL.Counters()
+	if e.log != nil {
+		a, f, b := e.log.Counters()
 		sn.WALAppends = int64(a)
 		sn.WALFsyncs = int64(f)
 		sn.WALBytes = int64(b)
-		sn.WALBatches = int64(e.opts.WAL.Batches())
-		sn.WALGatherTimeouts = int64(e.opts.WAL.GatherTimeouts())
+		sn.WALBatches = int64(e.log.Batches())
+		sn.WALGatherTimeouts = int64(e.log.GatherTimeouts())
 		if a > 0 {
 			sn.WALFsyncPerAppend = float64(f) / float64(a)
 		}
-		sn.WALSizeBytes = e.opts.WAL.Size()
+		sn.WALSizeBytes = e.log.Size()
 	}
 	return sn
 }
@@ -360,10 +386,15 @@ func (e *Engine) Stats() map[string]int64 {
 	return e.Snapshot().Map()
 }
 
-// Close implements engine.Engine.
+// Close implements engine.Engine: the engine refuses new transactions,
+// and a durable one drains and closes its commit log, returning the log's
+// error — the sticky one a failed write or fsync left, too.
 func (e *Engine) Close() error {
 	e.closed.Store(true)
-	return nil
+	if e.log == nil {
+		return nil
+	}
+	return e.log.Close()
 }
 
 // MinActiveReadOnlySN returns a lower bound on the snapshots open in the
@@ -483,7 +514,7 @@ func (e *Engine) latest(key string) (storage.Version, bool) {
 // withdrawal ever touches what that drops.
 func (e *Engine) commitTail(o *txObs, entry *vc.Entry, writes []wal.Write) error {
 	tn := entry.TN()
-	w := e.opts.WAL
+	w := e.log
 	var ticket wal.Ticket
 	var err error
 	if w != nil {
@@ -531,17 +562,6 @@ func (e *Engine) commitTail(o *txObs, entry *vc.Entry, writes []wal.Write) error
 	}
 	o.committed(tn)
 	o.complete(entry)
-	return nil
-}
-
-// SetWAL attaches a log writer (OpenDurable, after replay). It must
-// be called before the first transaction.
-func (e *Engine) SetWAL(w *wal.Writer) error {
-	if e.bootstrapSealed.Load() {
-		return errors.New("core: SetWAL after first transaction")
-	}
-	e.opts.WAL = w
-	e.observeWAL(w)
 	return nil
 }
 

@@ -7,35 +7,27 @@ import (
 	"testing"
 
 	"mvdb/internal/faultfs"
-	"mvdb/internal/wal"
 )
 
 // openFS opens an engine over dir's commit log through fsys, failing the
 // test on error.
-func openFS(t *testing.T, fsys faultfs.FS, walPath string, p Protocol) (*Engine, *wal.Writer) {
+func openFS(t *testing.T, fsys faultfs.FS, walPath string, p Protocol) *Engine {
 	t.Helper()
-	e, w, err := OpenDurable(walPath, Options{Protocol: p}, DurableOptions{
-		FS:  fsys,
-		WAL: wal.Options{Policy: wal.SyncBatch},
-	})
+	e, err := OpenDurable(walPath, Options{Protocol: p}, DurableOptions{FS: fsys})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e, w
+	return e
 }
 
 // expectState recovers from walPath with a clean filesystem and asserts
 // every key maps to its expected latest value.
 func expectState(t *testing.T, walPath string, p Protocol, want map[string]string) {
 	t.Helper()
-	e, w, err := OpenDurable(walPath, Options{Protocol: p}, DurableOptions{
-		FS:  faultfs.New(faultfs.Plan{}),
-		WAL: wal.Options{Policy: wal.SyncBatch},
-	})
+	e, err := OpenDurable(walPath, Options{Protocol: p}, DurableOptions{FS: faultfs.New(faultfs.Plan{})})
 	if err != nil {
 		t.Fatalf("recovery failed: %v", err)
 	}
-	defer w.Close()
 	defer e.Close()
 	for k, v := range want {
 		ver, ok := e.Store().GetOrCreate(k).LatestCommitted()
@@ -62,7 +54,7 @@ func TestWriteSnapshotCrashAtomic(t *testing.T) {
 		{"sync-tmp", faultfs.Rule{Op: faultfs.OpSync, Path: ".snap.tmp", Fault: faultfs.Fault{Crash: true}}},
 		{"rename-lost", faultfs.Rule{Op: faultfs.OpRename, Path: ".snap", Fault: faultfs.Fault{Crash: true}}},
 		{"rename-kept", faultfs.Rule{Op: faultfs.OpRename, Path: ".snap", Fault: faultfs.Fault{Crash: true, KeepRename: true}}},
-		{"syncdir-after-rename", faultfs.Rule{Op: faultfs.OpSyncDir, Nth: 3, Fault: faultfs.Fault{Crash: true}}},
+		{"syncdir-after-rename", faultfs.Rule{Op: faultfs.OpSyncDir, Nth: 2, Fault: faultfs.Fault{Crash: true}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -71,32 +63,27 @@ func TestWriteSnapshotCrashAtomic(t *testing.T) {
 
 			// A first, fully successful checkpoint so the crash in the
 			// second one must also preserve the old snapshot.
-			setup := faultfs.New(faultfs.Plan{})
-			e, w := openFS(t, setup, walPath, TwoPhaseLocking)
+			e := openFS(t, faultfs.New(faultfs.Plan{}), walPath, TwoPhaseLocking)
 			for i := 0; i < 3; i++ {
 				k, v := fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i)
 				mustCommitWrite(t, e, map[string]string{k: v})
 				want[k] = v
 			}
-			if err := e.WriteSnapshot(setup, walPath); err != nil {
+			if err := e.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
 			mustCommitWrite(t, e, map[string]string{"k1": "v1b", "extra": "x"})
 			want["k1"], want["extra"] = "v1b", "x"
-			w.Close()
 			e.Close()
 
-			// The doomed checkpoint. The syncdir rule needs Nth: the
-			// sequence under a FaultFS here is tmp-create syncdir (1),
-			// log-open syncdir (2) from OpenDurable... so count a fresh
-			// trace instead: open + one checkpoint attempt.
+			// The doomed checkpoint, on a fresh filesystem: the open's log
+			// truncation fsyncs the directory (1), the checkpoint's rename
+			// is followed by the second.
 			fs := faultfs.New(faultfs.Plan{Rules: []faultfs.Rule{tc.rule}})
-			e2, w2 := openFS(t, fs, walPath, TwoPhaseLocking)
-			err := e2.WriteSnapshot(fs, walPath)
-			if err == nil {
-				t.Fatal("WriteSnapshot succeeded despite scripted crash")
+			e2 := openFS(t, fs, walPath, TwoPhaseLocking)
+			if err := e2.Checkpoint(); err == nil {
+				t.Fatal("Checkpoint succeeded despite scripted crash")
 			}
-			w2.Close()
 			e2.Close()
 			if err := fs.ApplyCrash(); err != nil {
 				t.Fatal(err)
@@ -115,30 +102,28 @@ func TestCompactCrashAtomic(t *testing.T) {
 		name string
 		rule faultfs.Rule
 	}{
-		{"write-tmp", faultfs.Rule{Op: faultfs.OpWrite, Path: ".compact.tmp", Fault: faultfs.Fault{Crash: true}}},
+		{"write-tmp", faultfs.Rule{Op: faultfs.OpWrite, Path: "commit.log.tmp", Fault: faultfs.Fault{Crash: true}}},
 		{"rename-lost", faultfs.Rule{Op: faultfs.OpRename, Path: "commit.log", Fault: faultfs.Fault{Crash: true}}},
 		{"rename-kept", faultfs.Rule{Op: faultfs.OpRename, Path: "commit.log", Fault: faultfs.Fault{Crash: true, KeepRename: true}}},
-		{"syncdir-after-rename", faultfs.Rule{Op: faultfs.OpSyncDir, Nth: 2, Fault: faultfs.Fault{Crash: true}}},
+		{"syncdir-after-rename", faultfs.Rule{Op: faultfs.OpSyncDir, Nth: 1, Fault: faultfs.Fault{Crash: true}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			walPath := filepath.Join(t.TempDir(), "commit.log")
 			want := map[string]string{}
 
-			setup := faultfs.New(faultfs.Plan{})
-			e, w := openFS(t, setup, walPath, TwoPhaseLocking)
+			e := openFS(t, faultfs.New(faultfs.Plan{}), walPath, TwoPhaseLocking)
 			for i := 0; i < 4; i++ {
 				k, v := fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i)
 				mustCommitWrite(t, e, map[string]string{k: v})
 				want[k] = v
 			}
-			if err := e.WriteSnapshot(setup, walPath); err != nil {
+			if err := e.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
 			// Post-snapshot suffix the compaction must keep.
 			mustCommitWrite(t, e, map[string]string{"k0": "v0b"})
 			want["k0"] = "v0b"
-			w.Close()
 			e.Close()
 
 			fs := faultfs.New(faultfs.Plan{Rules: []faultfs.Rule{tc.rule}})
@@ -161,16 +146,15 @@ func TestCompactAndStaleTempCleanup(t *testing.T) {
 	want := map[string]string{}
 
 	fsys := faultfs.New(faultfs.Plan{})
-	e, w := openFS(t, fsys, walPath, TwoPhaseLocking)
+	e := openFS(t, fsys, walPath, TwoPhaseLocking)
 	for i := 0; i < 5; i++ {
 		k, v := fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i)
 		mustCommitWrite(t, e, map[string]string{k: v})
 		want[k] = v
 	}
-	if err := e.WriteSnapshot(fsys, walPath); err != nil {
+	if err := e.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	w.Close()
 	e.Close()
 	if err := Compact(fsys, walPath); err != nil {
 		t.Fatal(err)
@@ -179,15 +163,14 @@ func TestCompactAndStaleTempCleanup(t *testing.T) {
 
 	// Plant stale temp files as an interrupted checkpoint/compaction
 	// would leave them; the next open must remove both.
-	for _, tmp := range []string{snapTmpPath(walPath), compactTmpPath(walPath)} {
+	stale := []string{tmpPath(SnapPath(walPath)), tmpPath(walPath)}
+	for _, tmp := range stale {
 		if err := os.WriteFile(tmp, []byte("stale"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	e2, w2 := openFS(t, faultfs.New(faultfs.Plan{}), walPath, TwoPhaseLocking)
-	w2.Close()
-	e2.Close()
-	for _, tmp := range []string{snapTmpPath(walPath), compactTmpPath(walPath)} {
+	openFS(t, faultfs.New(faultfs.Plan{}), walPath, TwoPhaseLocking).Close()
+	for _, tmp := range stale {
 		if _, err := os.Stat(tmp); !os.IsNotExist(err) {
 			t.Fatalf("stale temp %s survived open", tmp)
 		}
@@ -199,13 +182,11 @@ func TestCompactAndStaleTempCleanup(t *testing.T) {
 // partial key set.
 func TestTornSnapshotRefused(t *testing.T) {
 	walPath := filepath.Join(t.TempDir(), "commit.log")
-	fsys := faultfs.New(faultfs.Plan{})
-	e, w := openFS(t, fsys, walPath, TwoPhaseLocking)
+	e := openFS(t, faultfs.New(faultfs.Plan{}), walPath, TwoPhaseLocking)
 	mustCommitWrite(t, e, map[string]string{"a": "1", "b": "2"})
-	if err := e.WriteSnapshot(fsys, walPath); err != nil {
+	if err := e.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	w.Close()
 	e.Close()
 
 	snap, err := os.ReadFile(SnapPath(walPath))
@@ -215,7 +196,7 @@ func TestTornSnapshotRefused(t *testing.T) {
 	if err := os.WriteFile(SnapPath(walPath), snap[:len(snap)-3], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = OpenDurable(walPath, Options{}, DurableOptions{FS: faultfs.New(faultfs.Plan{})})
+	_, err = OpenDurable(walPath, Options{}, DurableOptions{FS: faultfs.New(faultfs.Plan{})})
 	if err == nil {
 		t.Fatal("OpenDurable accepted a torn snapshot")
 	}

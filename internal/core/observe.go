@@ -69,8 +69,7 @@ func (e *Engine) observeLocks() {
 }
 
 // observeVC wires the version-control module's register→visible lag
-// into the phase matrix. Called at construction and again whenever the
-// controller is replaced (recovery).
+// into the phase matrix, once, as the module is built (startVC).
 func (e *Engine) observeVC() {
 	if e.phases != nil {
 		e.vc.SetVisibleObserver(func(tn uint64, d time.Duration) {

@@ -12,7 +12,6 @@ import (
 
 	"mvdb/internal/engine"
 	"mvdb/internal/faultfs"
-	"mvdb/internal/wal"
 )
 
 // gateFS is a faultfs.FS over real files whose log fsyncs a test can
@@ -98,7 +97,6 @@ type pipeline struct {
 	t    *testing.T
 	fs   *gateFS
 	e    *Engine
-	log  *wal.Writer
 	rec  *countingRecorder
 	mu   sync.Mutex
 	seen []uint64 // tn, in the order they became visible
@@ -108,13 +106,13 @@ func openPipeline(t *testing.T, p Protocol) *pipeline {
 	t.Helper()
 	pl := &pipeline{t: t, fs: newGateFS(), rec: &countingRecorder{}}
 	var err error
-	pl.e, pl.log, err = OpenDurable(filepath.Join(t.TempDir(), "commit.log"),
+	pl.e, err = OpenDurable(filepath.Join(t.TempDir(), "commit.log"),
 		Options{Protocol: p, Recorder: pl.rec, PhaseTiming: true},
 		DurableOptions{FS: pl.fs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { pl.fs.abandon(); pl.log.Close(); pl.e.Close() })
+	t.Cleanup(func() { pl.fs.abandon(); pl.e.Close() })
 	return pl
 }
 
@@ -133,7 +131,7 @@ func (pl *pipeline) view(key string) string {
 }
 
 func (pl *pipeline) appends() uint64 {
-	a, _, _ := pl.log.Counters()
+	a, _, _ := pl.e.log.Counters()
 	return a
 }
 

@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"mvdb/internal/engine"
-	"mvdb/internal/wal"
+	"mvdb/internal/faultfs"
 )
 
 // Commit through the WAL, "crash" (drop the engine without closing), and
@@ -18,11 +18,10 @@ func TestWALRecoveryRoundTrip(t *testing.T) {
 		p := p
 		t.Run(p.String(), func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "commit.log")
-			w, err := wal.Create(path, wal.SyncBatch)
+			e, err := OpenDurable(path, Options{Protocol: p}, DurableOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			e := New(Options{Protocol: p, WAL: w})
 			for i := 0; i < 10; i++ {
 				mustCommitWrite(t, e, map[string]string{
 					"k":                     fmt.Sprintf("v%d", i),
@@ -37,13 +36,13 @@ func TestWALRecoveryRoundTrip(t *testing.T) {
 			if err := tx.Commit(); err != nil {
 				t.Fatal(err)
 			}
-			if err := w.Flush(); err != nil {
+			if err := e.log.Flush(); err != nil {
 				t.Fatal(err)
 			}
 			// Crash: no Close, engine dropped.
 
 			before, _ := os.Stat(path)
-			re, w2, err := OpenDurable(path, Options{Protocol: p}, DurableOptions{WAL: wal.Options{Policy: wal.SyncBatch}})
+			re, err := OpenDurable(path, Options{Protocol: p}, DurableOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -75,7 +74,6 @@ func TestWALRecoveryRoundTrip(t *testing.T) {
 			if tn <= 11 {
 				t.Fatalf("post-recovery tn = %d, want > 11", tn)
 			}
-			w2.Close()
 		})
 	}
 }
@@ -84,27 +82,27 @@ func TestWALRecoveryRoundTrip(t *testing.T) {
 // before it survives.
 func TestRecoveryTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "commit.log")
-	w, err := wal.Create(path, wal.SyncBatch)
+	e, err := OpenDurable(path, Options{Protocol: TwoPhaseLocking}, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(Options{Protocol: TwoPhaseLocking, WAL: w})
 	mustCommitWrite(t, e, map[string]string{"a": "1"})
 	mustCommitWrite(t, e, map[string]string{"a": "2"})
 	mustCommitWrite(t, e, map[string]string{"a": "torn"})
-	w.Close()
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	fi, _ := os.Stat(path)
 	if err := os.Truncate(path, fi.Size()-2); err != nil {
 		t.Fatal(err)
 	}
 
-	re, w2, err := OpenDurable(path, Options{Protocol: TwoPhaseLocking}, DurableOptions{})
+	re, err := OpenDurable(path, Options{Protocol: TwoPhaseLocking}, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	defer w2.Close()
 	if cut, _ := os.Stat(path); cut.Size() >= fi.Size()-2 {
 		t.Fatalf("torn tail kept: log is %d bytes, torn log was %d", cut.Size(), fi.Size()-2)
 	}
@@ -116,13 +114,27 @@ func TestRecoveryTornTail(t *testing.T) {
 	ro.Commit()
 }
 
-// SetWAL is rejected once transactions have started.
-func TestSetWALAfterBegin(t *testing.T) {
-	e := New(Options{Protocol: TwoPhaseLocking})
-	defer e.Close()
+// A durable engine's Close closes the log it owns and reports the log's
+// error: after an fsync failure broke the writer, Close must not claim a
+// clean shutdown.
+func TestCloseReturnsStickyLogError(t *testing.T) {
+	// The open fsyncs the log once (its truncation); the commit's fsync
+	// is the second.
+	fs := faultfs.New(faultfs.Plan{Rules: []faultfs.Rule{
+		{Op: faultfs.OpSync, Path: "commit.log", Nth: 2, Fault: faultfs.Fault{Err: true}},
+	}})
+	e, err := OpenDurable(filepath.Join(t.TempDir(), "commit.log"), Options{}, DurableOptions{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
 	tx, _ := e.Begin(engine.ReadWrite)
-	tx.Abort()
-	if err := e.SetWAL(nil); err == nil {
-		t.Fatal("SetWAL after Begin succeeded")
+	if err := tx.Put("k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err == nil {
+		t.Fatal("commit succeeded despite the failed fsync")
+	}
+	if err := e.Close(); err == nil {
+		t.Fatal("Close returned nil over a broken log")
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"mvdb/internal/engine"
 	"mvdb/internal/storage"
 	"mvdb/internal/vc"
-	"mvdb/internal/wal"
 )
 
 // A transaction is one allocation, header and all; each stays in the
@@ -200,12 +199,10 @@ func TestRecentSnapshotRacesCollection(t *testing.T) {
 	for _, p := range []Protocol{TwoPhaseLocking, TimestampOrdering, Optimistic} {
 		for _, mode := range []vc.Mode{vc.ModeStrict, vc.ModeEpoch} {
 			t.Run(fmt.Sprintf("%v/%v", p, mode), func(t *testing.T) {
-				w, err := wal.Create(filepath.Join(t.TempDir(), "commit.log"), wal.SyncBatch)
+				e, err := OpenDurable(filepath.Join(t.TempDir(), "commit.log"), Options{Protocol: p, Visibility: mode}, DurableOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer w.Close()
-				e := New(Options{Protocol: p, Visibility: mode, WAL: w})
 				defer e.Close()
 				mustCommitWrite(t, e, map[string]string{"k": "0"})
 				stop := make(chan struct{})

@@ -237,20 +237,19 @@ func TestSinkAgreement(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			fs := newGateFS()
 			rec := &countingRecorder{}
-			e, log, err := OpenDurable(filepath.Join(t.TempDir(), "commit.log"), Options{
+			e, err := OpenDurable(filepath.Join(t.TempDir(), "commit.log"), Options{
 				Protocol: c.protocol, LockPolicy: c.policy, LockTimeout: 5 * time.Millisecond,
 				Recorder: rec, PhaseTiming: true,
-			}, DurableOptions{FS: fs, WAL: wal.Options{Policy: wal.SyncBatch}})
+			}, DurableOptions{FS: fs})
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer log.Close()
 			defer e.Close()
 
 			s := &sinkScript{t: t, e: e, aborts: map[string]int64{}}
 			s.common()
 			c.conflicts(s)
-			s.logFailures(fs, log)
+			s.logFailures(fs, e.log)
 
 			var abortsTotal int64
 			for _, n := range s.aborts {

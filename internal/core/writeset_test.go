@@ -33,11 +33,10 @@ func puts(n int) []wsOp {
 // records.
 func runLogged(t *testing.T, p Protocol, path string, scripts ...[]wsOp) []wal.Record {
 	t.Helper()
-	w, err := wal.Create(path, wal.SyncNever)
+	e, err := OpenDurable(path, Options{Protocol: p}, DurableOptions{Policy: wal.SyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(Options{Protocol: p, WAL: w})
 	for _, ops := range scripts {
 		tx, err := e.Begin(engine.ReadWrite)
 		if err != nil {
@@ -65,8 +64,7 @@ func runLogged(t *testing.T, p Protocol, path string, scripts ...[]wsOp) []wal.R
 			t.Fatal(err)
 		}
 	}
-	e.Close()
-	if err := w.Close(); err != nil {
+	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
 	var recs []wal.Record

@@ -13,7 +13,6 @@ import (
 	"mvdb/internal/history"
 	"mvdb/internal/storage"
 	"mvdb/internal/vc"
-	"mvdb/internal/wal"
 )
 
 // Config selects the engine variant under torture. The log always runs
@@ -44,20 +43,23 @@ func Configs() []Config {
 	return out
 }
 
-// openEngine recovers the engine over fsys.
-func openEngine(fsys faultfs.FS, walPath string, cfg Config, rec engine.Recorder) (*core.Engine, *wal.Writer, error) {
+// openEngine recovers the engine over fsys; the engine owns its log,
+// under group commit (the zero sync policy).
+func openEngine(fsys faultfs.FS, walPath string, cfg Config, rec engine.Recorder) (*core.Engine, error) {
 	return core.OpenDurable(walPath, core.Options{Protocol: cfg.Protocol, Visibility: cfg.Visibility, Recorder: rec},
-		core.DurableOptions{FS: fsys, WAL: wal.Options{Policy: wal.SyncBatch}})
+		core.DurableOptions{FS: fsys})
 }
 
 // runScript executes the deterministic scripted scenario the sweep
-// enumerates crash points of: a batch of commits, a checkpoint under
-// load, more commits (including a delete), an offline compaction, then
-// a reopen with further commits. Every commit also reads and rewrites
-// the key "chain", so each depends on the one before it and the
-// oracle's clause on reads is live at every crash point. Single-client,
-// so the sequence of filesystem operations is identical on every
-// fault-free run.
+// enumerates crash points of: a logged bootstrap, a batch of commits, a
+// checkpoint under load, more commits (including a delete), an offline
+// compaction, then a reopen with further commits. Every commit also reads
+// and rewrites the key "chain", so each depends on the one before it and
+// the oracle's clause on reads is live at every crash point; the
+// bootstrapped "g" is never written again, so it must come back at
+// version 0 through the checkpoint and the compaction. Single-client, so
+// the sequence of filesystem operations is identical on every fault-free
+// run.
 //
 // A commit that fails without a power cut (an injected transient error)
 // is simply an unacknowledged attempt: the script keeps going. Once the
@@ -78,13 +80,9 @@ func runScript(fsys *faultfs.FaultFS, walPath string, cfg Config, o *Oracle) err
 		return m
 	}
 
-	e, w, err := openEngine(fsys, walPath, cfg, nil)
+	e, err := openEngine(fsys, walPath, cfg, nil)
 	if err != nil {
 		return err
-	}
-	closeEng := func() {
-		w.Close()
-		e.Close()
 	}
 	commit := func(muts map[string]Mut) error {
 		if _, err := CommitAttempt(e, o, muts); err != nil && fsys.Crashed() {
@@ -93,18 +91,24 @@ func runScript(fsys *faultfs.FaultFS, walPath string, cfg Config, o *Oracle) err
 		return nil
 	}
 
+	boot := map[string]Mut{"a": {Value: "boot.a"}, "chain": {Value: "boot.chain"}, "g": {Value: "boot.g"}}
+	if err := bootstrap(e, o, boot); err != nil && fsys.Crashed() {
+		e.Close()
+		return err
+	}
+
 	phase1 := []map[string]Mut{
 		puts("a"), puts("b", "c"), puts("a", "b"), puts("d"), puts("c"), puts("a", "d"),
 	}
 	for _, m := range phase1 {
 		if err := commit(m); err != nil {
-			closeEng()
+			e.Close()
 			return err
 		}
 	}
 	// Checkpoint while the engine is open (the production arrangement).
-	if err := e.WriteSnapshot(fsys, walPath); err != nil && fsys.Crashed() {
-		closeEng()
+	if err := e.Checkpoint(); err != nil && fsys.Crashed() {
+		e.Close()
 		return err
 	}
 	phase2 := []map[string]Mut{
@@ -112,15 +116,13 @@ func runScript(fsys *faultfs.FaultFS, walPath string, cfg Config, o *Oracle) err
 	}
 	for _, m := range phase2 {
 		if err := commit(m); err != nil {
-			closeEng()
+			e.Close()
 			return err
 		}
 	}
-	if err := w.Close(); err != nil && fsys.Crashed() {
-		e.Close()
+	if err := e.Close(); err != nil && fsys.Crashed() {
 		return err
 	}
-	e.Close()
 
 	// Offline compaction between incarnations.
 	if err := core.Compact(fsys, walPath); err != nil && fsys.Crashed() {
@@ -128,7 +130,7 @@ func runScript(fsys *faultfs.FaultFS, walPath string, cfg Config, o *Oracle) err
 	}
 
 	// Reopen from the compacted state and keep committing.
-	e, w, err = openEngine(fsys, walPath, cfg, nil)
+	e, err = openEngine(fsys, walPath, cfg, nil)
 	if err != nil {
 		if fsys.Crashed() {
 			return err
@@ -140,11 +142,11 @@ func runScript(fsys *faultfs.FaultFS, walPath string, cfg Config, o *Oracle) err
 	}
 	for _, m := range phase3 {
 		if err := commit(m); err != nil {
-			closeEng()
+			e.Close()
 			return err
 		}
 	}
-	closeEng()
+	e.Close()
 	return nil
 }
 
@@ -158,13 +160,12 @@ func RecoverAndCheck(walPath string, cfg Config, o *Oracle) error {
 	for round := 0; round < 2; round++ {
 		rec := history.NewRecorder()
 		aud := audit.New(audit.Options{})
-		e, w, err := openEngine(faultfs.New(faultfs.Plan{}), walPath, cfg, engine.Multi(rec, aud))
+		e, err := openEngine(faultfs.New(faultfs.Plan{}), walPath, cfg, engine.Multi(rec, aud))
 		if err != nil {
 			aud.Close()
 			return fmt.Errorf("recovery round %d failed: %w", round, err)
 		}
 		fail := func(err error) error {
-			w.Close()
 			e.Close()
 			aud.Close()
 			return fmt.Errorf("recovery round %d: %w", round, err)
@@ -183,10 +184,10 @@ func RecoverAndCheck(walPath string, cfg Config, o *Oracle) error {
 		if err := rec.Check(); err != nil {
 			return fail(fmt.Errorf("post-recovery history not serializable: %w", err))
 		}
-		if err := w.Close(); err != nil {
-			return fail(fmt.Errorf("close log: %w", err))
+		if err := e.Close(); err != nil {
+			aud.Close()
+			return fmt.Errorf("recovery round %d: close log: %w", round, err)
 		}
-		e.Close()
 		aud.Close()
 	}
 	return nil
@@ -196,7 +197,7 @@ func RecoverAndCheck(walPath string, cfg Config, o *Oracle) error {
 // reading the horizon it was restored under back from the snapshot file
 // (intact, or the open would have failed).
 func checkRecovered(walPath string, e *core.Engine, o *Oracle) error {
-	horizon, _, _, err := core.LoadSnapshot(nil, core.SnapPath(walPath))
+	horizon, _, err := core.LoadSnapshot(nil, core.SnapPath(walPath), nil)
 	if err != nil {
 		return err
 	}

@@ -1,5 +1,5 @@
 // Package crashtest is the crash-recovery torture harness: it drives
-// the real engine (every protocol, group commit on and off) through
+// the real engine (every protocol, both visibility modes) through
 // workloads over a fault-injecting filesystem (internal/faultfs), cuts
 // power at injected points, recovers from the surviving bytes, and
 // asserts the dual oracle:
@@ -132,9 +132,10 @@ func (o *Oracle) Attempts() int {
 }
 
 // Check audits a freshly recovered engine (no transactions run on it
-// yet) against everything recorded. horizon is that of the snapshot the
-// engine was restored from (0: none). It returns the first violation of
-// the dual oracle, nil if the recovered state is sound.
+// yet) against everything recorded, version-0 (bootstrap) versions
+// included. horizon is that of the snapshot the engine was restored from
+// (0: none). It returns the first violation of the dual oracle, nil if
+// the recovered state is sound.
 func (o *Oracle) Check(e *core.Engine, horizon uint64) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -152,13 +153,10 @@ func (o *Oracle) Check(e *core.Engine, horizon uint64) error {
 			return false
 		}
 		for _, v := range obj.Versions() {
-			if v.TN == 0 {
-				continue // bootstrap state
+			if v.TN > 0 { // version 0 is the bootstrap state, which no transaction wrote
+				maxTN = max(maxTN, v.TN)
+				byTN[v.TN] = append(byTN[v.TN], history.Op{Key: key, VersionTN: v.TN})
 			}
-			if v.TN > maxTN {
-				maxTN = v.TN
-			}
-			byTN[v.TN] = append(byTN[v.TN], history.Op{Key: key, VersionTN: v.TN})
 			switch {
 			case v.Tombstone:
 				if !o.deleted[key] {
@@ -249,6 +247,22 @@ func (o *Oracle) Check(e *core.Engine, horizon uint64) error {
 	if cyc := g.FindCycle(); cyc != nil {
 		return fmt.Errorf("recovered history has an MVSG cycle: %v", cyc)
 	}
+	return nil
+}
+
+// bootstrap loads muts' values into e as version 0, registered and
+// acknowledged like a commit numbered 0: once it returns nil, each key
+// must come back, at version 0 unless a newer version covers it.
+func bootstrap(e *core.Engine, o *Oracle, muts map[string]Mut) error {
+	o.Attempt(muts)
+	data := make(map[string][]byte, len(muts))
+	for k, m := range muts {
+		data[k] = []byte(m.Value)
+	}
+	if err := e.Bootstrap(data); err != nil {
+		return err
+	}
+	o.Ack(0, muts, nil)
 	return nil
 }
 

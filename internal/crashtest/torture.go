@@ -122,7 +122,7 @@ func Torture(dir string, opts TortureOptions) (TortureReport, error) {
 		crashAt := 1 + rng.Intn(40+rng.Intn(400))
 		fs := faultfs.New(faultfs.Plan{Rules: []faultfs.Rule{{AtOp: crashAt, Fault: ft}}})
 
-		e, w, err := openEngine(fs, walPath, opts.Config, nil)
+		e, err := openEngine(fs, walPath, opts.Config, nil)
 		if err != nil {
 			if fs.Crashed() {
 				// The cut hit recovery itself; survive it and go again.
@@ -139,7 +139,6 @@ func Torture(dir string, opts TortureOptions) (TortureReport, error) {
 		if err := checkRecovered(walPath, e, o); err != nil {
 			err = fmt.Errorf("round %d: %w", rep.Rounds, err)
 			capturePostmortem(&rep, opts.FlightDir, e, err.Error(), logf)
-			w.Close()
 			e.Close()
 			return rep, err
 		}
@@ -189,11 +188,10 @@ func Torture(dir string, opts TortureOptions) (TortureReport, error) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				_ = e.WriteSnapshot(fs, walPath)
+				_ = e.Checkpoint()
 			}()
 		}
 		wg.Wait()
-		w.Close()
 		e.Close()
 
 		if fs.Crashed() {
@@ -219,9 +217,8 @@ func Torture(dir string, opts TortureOptions) (TortureReport, error) {
 		// The checking engine is gone; reopen the surviving state cleanly
 		// so the bundle photographs what recovery actually produced.
 		if opts.FlightDir != "" {
-			if e, w, oerr := openEngine(faultfs.New(faultfs.Plan{}), walPath, opts.Config, nil); oerr == nil {
+			if e, oerr := openEngine(faultfs.New(faultfs.Plan{}), walPath, opts.Config, nil); oerr == nil {
 				capturePostmortem(&rep, opts.FlightDir, e, err.Error(), logf)
-				w.Close()
 				e.Close()
 			}
 		}

@@ -55,7 +55,6 @@ import (
 	"mvdb/internal/engine"
 	"mvdb/internal/lock"
 	"mvdb/internal/vc"
-	"mvdb/internal/wal"
 )
 
 // Bus simulates the network: every inter-site call pays a latency (plus
@@ -69,14 +68,9 @@ type Bus struct {
 	messages atomic.Uint64
 }
 
-// NewBus creates a bus with the given one-way message latency.
-func NewBus(latency time.Duration) *Bus {
-	return NewBusJitter(latency, 0)
-}
-
-// NewBusJitter creates a bus whose per-message delay is latency plus a
-// uniform draw from [0, jitter).
-func NewBusJitter(latency, jitter time.Duration) *Bus {
+// newBus creates a bus whose per-message delay is latency plus a uniform
+// draw from [0, jitter).
+func newBus(latency, jitter time.Duration) *Bus {
 	b := &Bus{latency: latency, jitter: jitter}
 	b.state.Store(0x9E3779B97F4A7C15)
 	return b
@@ -109,12 +103,12 @@ func (b *Bus) call(fn func()) {
 // Messages returns the number of simulated exchanges.
 func (b *Bus) Messages() uint64 { return b.messages.Load() }
 
-// Site is one database node: a core engine, the registration gate its
-// votes take, and, on a durable cluster, the engine's commit log.
+// Site is one database node: a core engine — which, on a durable
+// cluster, owns the site's commit log — and the registration gate its
+// votes take.
 type Site struct {
-	id  int
-	e   atomic.Pointer[core.Engine] // nil while crashed
-	log *wal.Writer                 // the engine's commit log (durable sites only)
+	id int
+	e  atomic.Pointer[core.Engine] // nil while crashed
 
 	// gate is the registration gate: held by a distributed transaction
 	// from its vote until it adopts the chosen number, so the vote cannot
@@ -228,7 +222,7 @@ func New(opts Options) (*Cluster, error) {
 	if opts.LockTimeout <= 0 {
 		opts.LockTimeout = 50 * time.Millisecond
 	}
-	c := &Cluster{opts: opts, bus: NewBusJitter(opts.Latency, opts.Jitter)}
+	c := &Cluster{opts: opts, bus: newBus(opts.Latency, opts.Jitter)}
 	c.rec = opts.Recorder
 	if c.rec == nil {
 		c.rec = engine.NopRecorder{}
@@ -298,12 +292,11 @@ func (c *Cluster) open(s *Site) error {
 		s.e.Store(core.New(opts))
 		return nil
 	}
-	e, log, err := core.OpenDurable(siteLogPath(c.opts.WALDir, s.id), opts, core.DurableOptions{})
+	e, err := core.OpenDurable(siteLogPath(c.opts.WALDir, s.id), opts, core.DurableOptions{})
 	if err != nil {
 		return err
 	}
 	s.e.Store(e)
-	s.log = log
 	return nil
 }
 
@@ -318,8 +311,8 @@ func (c *Cluster) SiteFor(key string) *Site {
 	return c.sites[c.opts.Partition(key)]
 }
 
-// Bootstrap loads initial data (version 0) into the owning sites,
-// logging it when sites are durable.
+// Bootstrap loads initial data (version 0) into the owning sites; a
+// durable site's engine logs its part.
 func (c *Cluster) Bootstrap(data map[string][]byte) error {
 	if c.bootSealed.Load() {
 		return errors.New("dist: Bootstrap after transactions started")
@@ -336,11 +329,7 @@ func (c *Cluster) Bootstrap(data map[string][]byte) error {
 		if kv == nil {
 			continue
 		}
-		s := c.sites[sid]
-		if err := s.Engine().Bootstrap(kv); err != nil {
-			return err
-		}
-		if err := s.logBootstrap(kv); err != nil {
+		if err := c.sites[sid].Engine().Bootstrap(kv); err != nil {
 			return err
 		}
 	}
@@ -376,21 +365,17 @@ func (c *Cluster) Stats() map[string]int64 {
 	return m
 }
 
-// Close shuts the cluster down, closing any site logs.
+// Close shuts the cluster down; each durable site's engine closes its
+// log.
 func (c *Cluster) Close() error {
 	c.closed.Store(true)
 	var err error
 	for _, s := range c.sites {
-		e := s.Engine()
-		if e == nil { // crashed
-			continue
-		}
-		if s.log != nil {
-			if cerr := s.log.Close(); err == nil {
+		if e := s.Engine(); e != nil { // else crashed
+			if cerr := e.Close(); err == nil {
 				err = cerr
 			}
 		}
-		e.Close()
 	}
 	return err
 }

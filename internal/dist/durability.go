@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-
-	"mvdb/internal/wal"
 )
 
 // Per-site durability: with Options.WALDir set, core.OpenDurable opens
@@ -15,9 +13,10 @@ import (
 // only once the record is fsynced. A part that wrote nothing still logs
 // a record: it persists the consumption of the transaction number, which
 // must never be handed out again after a restart. Bootstrap data goes
-// through the same writer, as version-0 records. CrashSite/RecoverSite
-// model a fail-stop site: its engine — store, counters, queue, locks — is
-// discarded, and OpenDurable rebuilds it from the log.
+// through the same log, as a version-0 record (core.Engine.Bootstrap).
+// CrashSite/RecoverSite model a fail-stop site: its engine — store,
+// counters, queue, locks, log — is discarded, and OpenDurable rebuilds it
+// from the log.
 //
 // What is still out of reach: crashes are taken at quiescent points (no
 // transaction in flight at the crashing site). A crash, or a failed log
@@ -31,18 +30,6 @@ import (
 // siteLogPath names a site's commit log.
 func siteLogPath(dir string, site int) string {
 	return filepath.Join(dir, fmt.Sprintf("site-%d.log", site))
-}
-
-// logBootstrap persists a site's bootstrap data as one version-0 record.
-func (s *Site) logBootstrap(data map[string][]byte) error {
-	if s.log == nil {
-		return nil
-	}
-	rec := wal.Record{Writes: make([]wal.Write, 0, len(data))}
-	for k, v := range data {
-		rec.Writes = append(rec.Writes, wal.Write{Key: k, Value: v})
-	}
-	return s.log.Append(rec)
 }
 
 // CrashSite models a fail-stop crash of one site: its engine is
@@ -64,10 +51,8 @@ func (c *Cluster) CrashSite(id int) error {
 	if e == nil {
 		return fmt.Errorf("dist: site %d is already crashed", id)
 	}
-	_ = s.log.Close() // whatever it would report is lost with the site
-	e.Close()
+	_ = e.Close() // whatever its log would report is lost with the site
 	s.e.Store(nil)
-	s.log = nil
 	return nil
 }
 

@@ -6,7 +6,11 @@
 // one experiment sweep every protocol (EXPERIMENTS.md).
 package engine
 
-import "errors"
+import (
+	"errors"
+	"math/rand/v2"
+	"time"
+)
 
 // Class tells the engine whether a transaction will write. The paper
 // (Section 4.1) requires this classification up front; a transaction of
@@ -59,6 +63,30 @@ var (
 // retry with a fresh transaction.
 func Retryable(err error) bool {
 	return errors.Is(err, ErrConflict) || errors.Is(err, ErrDeadlock) || errors.Is(err, ErrWounded)
+}
+
+// Backoff bounds: a retry waits a random time below a bound that starts
+// at backoffBase and doubles with each retry, up to backoffCap.
+const (
+	backoffBase = 16 * time.Microsecond
+	backoffCap  = time.Millisecond
+)
+
+// Backoff is what an automatic retry loop (mvdb's and the cluster's
+// Update) does before attempt number attempt of a transaction, counting
+// the first try as 0: nothing before the first try or the first retry,
+// then a sleep drawn uniformly below a bound that doubles with each
+// retry. A deadlock's victim that retries at once finds its partner
+// still holding the same locks and, under 2PL's shared-to-exclusive
+// upgrades, the two can deadlock again and again until the retry budget
+// is spent; spreading the retries out lets one of them through. It
+// allocates nothing.
+func Backoff(attempt int) {
+	if attempt < 2 {
+		return
+	}
+	bound := min(backoffBase<<min(attempt-2, 16), backoffCap)
+	time.Sleep(rand.N(bound))
 }
 
 // Tx is one transaction. Implementations are not safe for concurrent use

@@ -76,3 +76,13 @@ func TestMultiFansOut(t *testing.T) {
 		}
 	}
 }
+
+// The retry loops call Backoff on every attempt; it must cost no
+// allocation, sleeping or not.
+func TestBackoffAllocatesNothing(t *testing.T) {
+	for _, attempt := range []int{0, 1, 2, 9, 100} {
+		if n := testing.AllocsPerRun(20, func() { Backoff(attempt) }); n != 0 {
+			t.Errorf("Backoff(%d) allocates %.0f times", attempt, n)
+		}
+	}
+}

@@ -19,6 +19,7 @@
 package flight
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -197,14 +198,13 @@ func (r *Recorder) Trigger(reason, detail string) (string, error) {
 		return "", errors.New("flight: recorder closed")
 	}
 	b := r.assemble(reason, detail)
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return "", fmt.Errorf("flight: encode bundle: %w", err)
-	}
-	data = append(data, '\n')
 	path := filepath.Join(r.opts.Dir, fmt.Sprintf("flight-%06d-%s.json", b.Seq, sanitize(reason)))
 	r.mu.Lock()
-	err = core.AtomicReplace(r.fsys, path, data)
+	err := core.AtomicReplace(r.fsys, path, func(bw *bufio.Writer) error {
+		enc := json.NewEncoder(bw)
+		enc.SetIndent("", "  ")
+		return enc.Encode(b)
+	})
 	r.mu.Unlock()
 	if err != nil {
 		return "", fmt.Errorf("flight: write bundle: %w", err)

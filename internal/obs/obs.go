@@ -113,7 +113,7 @@ type Stats struct {
 	GCBacklog *metrics.Histogram
 
 	// Checkpoint gauges, set by the durable engine on each successful
-	// WriteSnapshot: wall-clock completion time (unix nanoseconds) and
+	// Checkpoint: wall-clock completion time (unix nanoseconds) and
 	// the pass duration. Zero until the first checkpoint.
 	CheckpointLastUnixNanos Gauge
 	CheckpointDurationNanos Gauge
@@ -209,7 +209,7 @@ type Snapshot struct {
 	WALSizeBytes int64 `json:"wal_size_bytes"`
 
 	// Checkpoint cadence (zero until the first checkpoint): when the
-	// last WriteSnapshot completed and how long it took.
+	// last Checkpoint completed and how long it took.
 	CheckpointLastUnix        int64   `json:"checkpoint_last_unix,omitempty"`
 	CheckpointDurationSeconds float64 `json:"checkpoint_duration_seconds,omitempty"`
 

@@ -31,10 +31,7 @@
 //     serialization order.
 package vc
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // Mode selects a Controller implementation.
 type Mode int
@@ -55,17 +52,6 @@ func (m Mode) String() string {
 	default:
 		return "strict"
 	}
-}
-
-// ParseMode parses "strict" or "epoch" (the -vc flag vocabulary).
-func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "strict", "":
-		return ModeStrict, nil
-	case "epoch":
-		return ModeEpoch, nil
-	}
-	return ModeStrict, fmt.Errorf("vc: unknown visibility mode %q (want strict or epoch)", s)
 }
 
 // Controller is the Version Control module behind an interface. All

@@ -280,22 +280,12 @@ func (w *Writer) Enqueue(r Record) (Ticket, error) {
 	if w.syncErr != nil {
 		return 0, w.syncErr
 	}
-	// Header and payload are encoded straight into the log buffer's free
-	// space, so the Write below copies nothing; only a record that does
-	// not fit what is left of it gets a buffer of its own.
-	buf := w.bw.AvailableBuffer()
-	if n := 8 + payloadLen(r); n > cap(buf) {
-		buf = make([]byte, 0, n)
-	}
-	buf = encodePayload(buf[:8], r)
-	payload := buf[8:]
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := w.bw.Write(buf); err != nil {
+	n, err := WriteRecord(w.bw, r)
+	if err != nil {
 		return 0, w.fail("append", err)
 	}
 	w.appends.Add(1)
-	w.bytes.Add(uint64(len(buf)))
+	w.bytes.Add(uint64(n))
 	w.enqSeq++
 	if w.wake != nil {
 		w.wake.Signal()
@@ -484,6 +474,24 @@ func (w *Writer) Close() error {
 		return err
 	}
 	return w.f.Close()
+}
+
+// WriteRecord frames r — header and payload, the form Replay reads back —
+// into bw and returns the bytes written. The record is encoded straight
+// into bw's free space, so the write copies nothing; only a record that
+// does not fit what is left of it gets a buffer of its own. The log
+// writer appends through it, and so does whatever streams a file of
+// records (a checkpoint, a compacted log).
+func WriteRecord(bw *bufio.Writer, r Record) (int, error) {
+	buf := bw.AvailableBuffer()
+	if n := 8 + payloadLen(r); n > cap(buf) {
+		buf = make([]byte, 0, n)
+	}
+	buf = encodePayload(buf[:8], r)
+	payload := buf[8:]
+	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
+	return bw.Write(buf)
 }
 
 // payloadLen is len(encodePayload(nil, r)), computed without encoding.

@@ -196,10 +196,6 @@ type Options struct {
 	// GET /debug/mvdb/audit serves it as JSON and /metrics includes the
 	// auditor's families. Off — the default — costs nothing.
 	Audit bool
-	// AuditWindow is the number of committed read-write transactions the
-	// auditor keeps in its live MVSG (0 selects audit.DefaultWindow).
-	// Larger windows catch longer cycles at proportional memory cost.
-	AuditWindow int
 	// PhaseTiming enables per-transaction latency attribution: every
 	// read-write commit is broken into protocol phases (lock-wait,
 	// read, validate, wal-enqueue, fsync-wait, install, visible-wait)
@@ -250,14 +246,11 @@ type FlightBundle = flight.Bundle
 
 // DB is an open database.
 type DB struct {
-	eng       *core.Engine
+	eng       *core.Engine // owns the commit log when Options.WALPath is set
 	collector *gc.Collector
-	log       *wal.Writer
 	auditor   *audit.Auditor   // nil unless Options.Audit
 	flightRec *flight.Recorder // nil unless Options.FlightDir
 	dbg       *obs.DebugServer // nil unless DebugAddr
-	fs        faultfs.FS       // Options.FS (nil = real filesystem)
-	walPath   string
 	retries   int
 	closed    bool
 }
@@ -279,7 +272,6 @@ func Open(opts Options) (*DB, error) {
 	var auditVC atomic.Pointer[vc.Controller]
 	if opts.Audit {
 		auditor = audit.New(audit.Options{
-			Window: opts.AuditWindow,
 			OnAlarm: func(al audit.Alarm) {
 				if r := flightRec.Load(); r != nil {
 					r.TriggerAsync("audit-alarm", al.Kind+": "+al.Message)
@@ -321,24 +313,22 @@ func Open(opts Options) (*DB, error) {
 		return nil, err
 	}
 	var eng *core.Engine
-	var log *wal.Writer
 	if opts.WALPath != "" {
-		walOpts := wal.Options{Policy: wal.SyncNever}
+		d := core.DurableOptions{FS: opts.FS, Policy: wal.SyncNever}
 		if opts.GroupCommit {
-			walOpts.Policy = wal.SyncBatch
+			d.Policy = wal.SyncBatch
 		}
-		recovered, logW, err := core.OpenDurable(opts.WALPath, coreOpts, core.DurableOptions{FS: opts.FS, WAL: walOpts})
-		if err != nil {
+		var err error
+		if eng, err = core.OpenDurable(opts.WALPath, coreOpts, d); err != nil {
 			return fail(fmt.Errorf("mvdb: recover: %w", err))
 		}
-		eng, log = recovered, logW
 	} else {
 		eng = core.New(coreOpts)
 	}
 	engVC := eng.VC()
 	auditVC.Store(&engVC)
 
-	db := &DB{eng: eng, log: log, auditor: auditor, fs: opts.FS, walPath: opts.WALPath, retries: retries}
+	db := &DB{eng: eng, auditor: auditor, retries: retries}
 	// Commits collect at install; the collector is CollectGarbage's sweep
 	// for the keys nobody writes again. Its pass observer feeds the GC
 	// counters.
@@ -389,7 +379,9 @@ func Open(opts Options) (*DB, error) {
 	return db, nil
 }
 
-// Close stops background work and flushes the log.
+// Close stops background work and closes the commit log, returning its
+// error: a write or fsync that failed while the database ran is reported
+// here too.
 func (db *DB) Close() error {
 	if db.closed {
 		return nil
@@ -409,18 +401,14 @@ func (db *DB) Close() error {
 		// auditor's drain-on-close covers the whole run.
 		db.auditor.Close()
 	}
-	if db.log != nil {
-		if cerr := db.log.Close(); err == nil {
-			err = cerr
-		}
-	}
 	return err
 }
 
 // Bootstrap loads initial data as the pre-transactional state (version
-// 0). It must be called before the first transaction. Note that
-// bootstrapped data is NOT logged; for durable initial data, load it with
-// Update instead.
+// 0). It must be called before the first transaction. With WALPath set
+// the data is logged first, as one version-0 record, so it survives a
+// reopen like any commit (durably once Bootstrap returns, under
+// GroupCommit); a database that recovered any data refuses it.
 func (db *DB) Bootstrap(data map[string][]byte) error {
 	return db.eng.Bootstrap(data)
 }
@@ -474,13 +462,15 @@ func (db *DB) View(fn func(*Tx) error) error {
 
 // Update runs fn in a read-write transaction, retrying automatically when
 // the engine aborts it with a retryable conflict (up to
-// Options.MaxUpdateRetries attempts). fn must be idempotent per attempt
-// and must not keep references to data read in failed attempts. If fn
-// panics, the attempt's transaction is aborted — its locks and pending
+// Options.MaxUpdateRetries attempts; from the second retry on, after a
+// short random sleep whose bound doubles with each retry, up to a
+// millisecond). fn must be idempotent per attempt and must not keep
+// references to data read in failed attempts. If fn panics, the attempt's transaction is aborted — its locks and pending
 // versions given back — and the panic goes on.
 func (db *DB) Update(fn func(*Tx) error) error {
 	var last error
 	for attempt := 0; attempt < db.retries; attempt++ {
+		engine.Backoff(attempt)
 		err := db.attempt(fn)
 		if err == nil {
 			return nil

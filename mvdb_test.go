@@ -3,9 +3,11 @@ package mvdb
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -505,10 +507,10 @@ func (f *gateFile) Sync() error {
 // pileUp waits for the log fsync the armed gate is holding, keeps it held
 // until n commit records are in the log, then lets it and every later
 // fsync through.
-func (g *gateFS) pileUp(db *DB, n uint64) {
+func (g *gateFS) pileUp(db *DB, n int64) {
 	<-g.entered
 	for {
-		if appends, _, _ := db.log.Counters(); appends >= n {
+		if db.Stats().WALAppends >= n {
 			break
 		}
 		runtime.Gosched()
@@ -972,5 +974,79 @@ func TestDisabledZeroOverhead(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// Transfers between random accounts, the bank example's shape, under the
+// default options: each reads both accounts, then writes both, so under
+// 2PL two transfers over one pair upgrade their shared locks into a
+// deadlock, and their victims retry into the same cycle unless the
+// retries are spread out. Every transfer must commit within Update's
+// default retry budget, and the money must be conserved.
+func TestContendedTransfersCommit(t *testing.T) {
+	const accounts, workers, transfers, initial = 64, 8, 2000, 1000
+	db, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	acct := func(i int) string { return fmt.Sprintf("acct/%04d", i) }
+	boot := make(map[string][]byte, accounts)
+	for i := range accounts {
+		boot[acct(i)] = []byte(strconv.Itoa(initial))
+	}
+	if err := db.Bootstrap(boot); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for range transfers {
+				from, to, amount := rng.Intn(accounts), rng.Intn(accounts), 1+rng.Intn(10)
+				if from == to {
+					continue
+				}
+				err := db.Update(func(tx *Tx) error {
+					f, err := tx.GetString(acct(from))
+					if err != nil {
+						return err
+					}
+					g, err := tx.GetString(acct(to))
+					if err != nil {
+						return err
+					}
+					fb, _ := strconv.Atoi(f)
+					gb, _ := strconv.Atoi(g)
+					if fb < amount {
+						return nil
+					}
+					if err := tx.PutString(acct(from), strconv.Itoa(fb-amount)); err != nil {
+						return err
+					}
+					return tx.PutString(acct(to), strconv.Itoa(gb+amount))
+				})
+				if err != nil {
+					t.Errorf("transfer: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	total := 0
+	if err := db.View(func(tx *Tx) error {
+		return tx.Scan("acct/", func(_ string, v []byte) bool {
+			b, _ := strconv.Atoi(string(v))
+			total += b
+			return true
+		})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if total != accounts*initial {
+		t.Fatalf("total balance %d, want %d", total, accounts*initial)
 	}
 }
