@@ -17,7 +17,6 @@ import (
 	"mvdb/internal/dist"
 	"mvdb/internal/engine"
 	"mvdb/internal/harness"
-	"mvdb/internal/lock"
 	"mvdb/internal/vc"
 	"mvdb/internal/workload"
 )
@@ -37,9 +36,9 @@ func benchRoster() []struct {
 		{"vc+2pl", func() engine.Engine { return core.New(core.Options{Protocol: core.TwoPhaseLocking}) }},
 		{"vc+to", func() engine.Engine { return core.New(core.Options{Protocol: core.TimestampOrdering}) }},
 		{"vc+occ", func() engine.Engine { return core.New(core.Options{Protocol: core.Optimistic}) }},
-		{"mvto", func() engine.Engine { return baseline.NewMVTO(0, nil) }},
-		{"mv2plctl", func() engine.Engine { return baseline.NewMV2PLCTL(0, lock.Detect, 0, nil) }},
-		{"sv2pl", func() engine.Engine { return baseline.NewSV2PL(0, lock.Detect, 0, nil) }},
+		{"mvto", func() engine.Engine { return baseline.NewMVTO(nil) }},
+		{"mv2plctl", func() engine.Engine { return baseline.NewMV2PLCTL(nil) }},
+		{"sv2pl", func() engine.Engine { return baseline.NewSV2PL(nil) }},
 	}
 }
 
@@ -195,7 +194,7 @@ func BenchmarkE2AbortAttribution(b *testing.B) {
 			if name == "vc+to" {
 				e = core.New(core.Options{Protocol: core.TimestampOrdering})
 			} else {
-				e = baseline.NewMVTO(0, nil)
+				e = baseline.NewMVTO(nil)
 			}
 			defer e.Close()
 			wl := workload.Config{Keys: 24, ReadOnlyFraction: 0.5, ROReads: 4,
@@ -250,7 +249,7 @@ func BenchmarkE3ReadOnlyBlocking(b *testing.B) {
 func BenchmarkE4StartCost(b *testing.B) {
 	for _, window := range []int{0, 64, 1024} {
 		b.Run(fmt.Sprintf("chan/window=%d", window), func(b *testing.B) {
-			e := baseline.NewMV2PLCTL(0, lock.Detect, 0, nil)
+			e := baseline.NewMV2PLCTL(nil)
 			defer e.Close()
 			release := e.HoldNumber()
 			defer release()

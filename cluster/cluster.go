@@ -27,42 +27,28 @@ type Options struct {
 	// Latency simulates one-way message latency between the coordinator
 	// and a site.
 	Latency time.Duration
-	// LockTimeout bounds per-site lock waits; distributed deadlocks are
-	// resolved by timeout (default 50ms).
-	LockTimeout time.Duration
-	// Partition overrides the key→site mapping (default: hash).
-	Partition func(key string) int
 	// WALDir makes every site durable (one commit log per site under
 	// this directory): Open resumes from existing logs, and
 	// CrashSite/RecoverSite model fail-stop site failures.
 	WALDir string
-	// MaxUpdateRetries bounds Update's automatic retries (default 100).
-	MaxUpdateRetries int
 }
 
 // Cluster is an open distributed database.
 type Cluster struct {
-	c       *dist.Cluster
-	retries int
+	c *dist.Cluster
 }
 
 // Open creates a cluster.
 func Open(opts Options) (*Cluster, error) {
 	c, err := dist.New(dist.Options{
-		Sites:       opts.Sites,
-		Latency:     opts.Latency,
-		LockTimeout: opts.LockTimeout,
-		Partition:   opts.Partition,
-		WALDir:      opts.WALDir,
+		Sites:   opts.Sites,
+		Latency: opts.Latency,
+		WALDir:  opts.WALDir,
 	})
 	if err != nil {
 		return nil, err
 	}
-	retries := opts.MaxUpdateRetries
-	if retries <= 0 {
-		retries = 100
-	}
-	return &Cluster{c: c, retries: retries}, nil
+	return &Cluster{c: c}, nil
 }
 
 // Close shuts the cluster down.
@@ -143,8 +129,7 @@ func (c *Cluster) View(fn func(*Tx) error) error {
 // every site — and the panic goes on.
 func (c *Cluster) Update(fn func(*Tx) error) error {
 	var last error
-	for attempt := 0; attempt < c.retries; attempt++ {
-		engine.Backoff(attempt)
+	for attempt := 0; engine.Backoff(attempt); attempt++ {
 		err := c.attempt(fn)
 		if err == nil {
 			return nil

@@ -4,9 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"mvdb"
 	"mvdb/internal/wal"
@@ -78,7 +78,7 @@ func TestViewErrorPropagates(t *testing.T) {
 // times out on it; a panicking View must leave the snapshot registry,
 // or its global snapshot holds collection at every site.
 func TestPanicInFnAbortsTheTransaction(t *testing.T) {
-	c, err := Open(Options{Sites: 2, LockTimeout: 20 * time.Millisecond, MaxUpdateRetries: 5})
+	c, err := Open(Options{Sites: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,5 +291,91 @@ func TestDurableClusterCrashRecovery(t *testing.T) {
 	}
 	if got != "v" {
 		t.Fatalf("got %q", got)
+	}
+}
+
+// A crashed site refuses work until RecoverSite: every call that reaches
+// it fails with an error that is not retryable, and a read-write
+// transaction that fails there gives back its part at the live site.
+// Stats reports on the live sites. A closed cluster refuses an anchored
+// snapshot as it refuses Begin.
+func TestCrashedSiteRefusesWork(t *testing.T) {
+	c, err := Open(Options{Sites: 2, WALDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var keys []string // one key at each site
+	for i := 0; len(keys) < 2; i++ {
+		if k := fmt.Sprintf("k%d", i); c.SiteOf(k) == len(keys) {
+			keys = append(keys, k)
+		}
+	}
+	if err := c.Bootstrap(map[string][]byte{keys[0]: []byte("0"), keys[1]: []byte("1")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CrashSite(1); err != nil {
+		t.Fatal(err)
+	}
+	down := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "site 1 is down") || mvdb.IsRetryable(err) {
+			t.Errorf("%s: err = %v, want a non-retryable \"site 1 is down\"", what, err)
+		}
+	}
+
+	if n := c.Stats()["commits.rw"]; n != 0 {
+		t.Errorf("Stats: %d read-write commits, want 0", n)
+	}
+	down("View Get", c.View(func(tx *Tx) error {
+		_, err := tx.Get(keys[1])
+		return err
+	}))
+	down("View Scan", c.View(func(tx *Tx) error {
+		return tx.Scan("k", func(string, []byte) bool { return true })
+	}))
+	down("Update Put", c.Update(func(tx *Tx) error {
+		if err := tx.Put(keys[0], []byte("lost")); err != nil {
+			return err
+		}
+		return tx.Put(keys[1], []byte("lost"))
+	}))
+	_, err = c.BeginReadOnlyAtHome(1)
+	down("BeginReadOnlyAtHome", err)
+
+	// The failed Update gave back its lock at site 0: a new transaction
+	// takes it without waiting out a lock timeout.
+	tx, err := c.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Put(keys[0], []byte("v")); err != nil {
+		t.Fatalf("Put at the live site after the failed Update: %v", err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := c.RecoverSite(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Update(func(tx *Tx) error { return tx.Put(keys[1], []byte("v")) }); err != nil {
+		t.Fatalf("Update after RecoverSite: %v", err)
+	}
+	if err := c.View(func(tx *Tx) error {
+		for _, k := range keys {
+			if v, err := tx.Get(k); err != nil || string(v) != "v" {
+				return fmt.Errorf("%s = (%q, %v), want v", k, v, err)
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	closed, _ := Open(Options{Sites: 1})
+	closed.Close()
+	if _, err := closed.BeginReadOnlyAtHome(0); err == nil {
+		t.Error("BeginReadOnlyAtHome on a closed cluster succeeded")
 	}
 }

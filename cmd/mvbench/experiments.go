@@ -10,7 +10,6 @@ import (
 	"mvdb/internal/engine"
 	"mvdb/internal/gc"
 	"mvdb/internal/harness"
-	"mvdb/internal/lock"
 	"mvdb/internal/metrics"
 	"mvdb/internal/vc"
 	"mvdb/internal/workload"
@@ -59,9 +58,9 @@ func roster() []namedEngine {
 		{"vc+2pl", func() engine.Engine { return core.New(core.Options{Protocol: core.TwoPhaseLocking}) }},
 		{"vc+to", func() engine.Engine { return core.New(core.Options{Protocol: core.TimestampOrdering}) }},
 		{"vc+occ", func() engine.Engine { return core.New(core.Options{Protocol: core.Optimistic}) }},
-		{"mvto(reed)", func() engine.Engine { return baseline.NewMVTO(0, nil) }},
-		{"mv2pl+ctl(chan)", func() engine.Engine { return baseline.NewMV2PLCTL(0, lock.Detect, 0, nil) }},
-		{"sv2pl", func() engine.Engine { return baseline.NewSV2PL(0, lock.Detect, 0, nil) }},
+		{"mvto(reed)", func() engine.Engine { return baseline.NewMVTO(nil) }},
+		{"mv2pl+ctl(chan)", func() engine.Engine { return baseline.NewMV2PLCTL(nil) }},
+		{"sv2pl", func() engine.Engine { return baseline.NewSV2PL(nil) }},
 	}
 }
 
@@ -251,7 +250,7 @@ func runE4(quick bool) {
 		// allocated) but not committed; `window` later transactions
 		// commit above the hole, growing the out-of-order tail that
 		// every read-only begin must copy.
-		chanEng := baseline.NewMV2PLCTL(0, lock.Detect, 0, nil)
+		chanEng := baseline.NewMV2PLCTL(nil)
 		release := chanEng.HoldNumber()
 		for i := 0; i < window; i++ {
 			tx, _ := chanEng.Begin(engine.ReadWrite)

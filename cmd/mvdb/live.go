@@ -146,7 +146,6 @@ func liveTable(addr string, cur, prev *obs.Payload, interval time.Duration) metr
 	counter("aborts (all causes)", s.AbortsTotal(), p.AbortsTotal())
 	counter("  conflict", s.AbortsConflict, p.AbortsConflict)
 	counter("  deadlock", s.AbortsDeadlock, p.AbortsDeadlock)
-	counter("  wounded", s.AbortsWounded, p.AbortsWounded)
 	counter("  timeout", s.AbortsTimeout, p.AbortsTimeout)
 	counter("  user", s.AbortsUser, p.AbortsUser)
 	counter("  log", s.AbortsLog, p.AbortsLog)

@@ -10,7 +10,6 @@ import (
 	"mvdb/internal/dist"
 	"mvdb/internal/engine"
 	"mvdb/internal/history"
-	"mvdb/internal/lock"
 	"mvdb/internal/vc"
 )
 
@@ -299,7 +298,7 @@ func distScenario() {
 }
 
 func reedScenario() {
-	e := baseline.NewMVTO(0, nil)
+	e := baseline.NewMVTO(nil)
 	defer e.Close()
 	e.Bootstrap(map[string][]byte{"x": []byte("x0")})
 
@@ -335,7 +334,7 @@ func reedScenario() {
 }
 
 func chanScenario() {
-	e := baseline.NewMV2PLCTL(0, lock.Detect, 0, nil)
+	e := baseline.NewMV2PLCTL(nil)
 	defer e.Close()
 	e.Bootstrap(map[string][]byte{"x": []byte("x0")})
 

@@ -165,8 +165,8 @@ func main() {
 		done.Load(), elapsed.Round(time.Millisecond), float64(done.Load())/elapsed.Seconds())
 	fmt.Printf("audits completed    %d (violations: %d)\n", audits.Load(), auditViolations.Load())
 	fmt.Printf("final total         %d (expected %d)\n", total, want)
-	fmt.Printf("engine aborts       conflict=%d deadlock=%d wounded=%d\n",
-		st.AbortsConflict, st.AbortsDeadlock, st.AbortsWounded)
+	fmt.Printf("engine aborts       conflict=%d deadlock=%d\n",
+		st.AbortsConflict, st.AbortsDeadlock)
 	fmt.Printf("rw aborts caused by read-only txns: %d (the paper's guarantee: always 0)\n",
 		st.RWAbortsByRO)
 	if total != want || auditViolations.Load() > 0 {

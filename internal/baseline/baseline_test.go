@@ -11,14 +11,13 @@ import (
 
 	"mvdb/internal/engine"
 	"mvdb/internal/history"
-	"mvdb/internal/lock"
 )
 
 func engines(rec engine.Recorder) map[string]engine.Engine {
 	return map[string]engine.Engine{
-		"mvto":  NewMVTO(0, rec),
-		"mv2pl": NewMV2PLCTL(0, lock.Detect, 0, rec),
-		"sv2pl": NewSV2PL(0, lock.Detect, 0, rec),
+		"mvto":  NewMVTO(rec),
+		"mv2pl": NewMV2PLCTL(rec),
+		"sv2pl": NewSV2PL(rec),
 	}
 }
 
@@ -110,7 +109,7 @@ func TestBasicSemanticsAllBaselines(t *testing.T) {
 // The paper, Section 2, on Reed's MVTO: "read operations issued by
 // read-only transactions ... may be blocked due to a pending write".
 func TestMVTOReadOnlyBlocksOnPendingWrite(t *testing.T) {
-	e := NewMVTO(0, nil)
+	e := NewMVTO(nil)
 	defer e.Close()
 	boot(t, e, map[string]string{"k": "old"})
 
@@ -145,7 +144,7 @@ func TestMVTOReadOnlyBlocksOnPendingWrite(t *testing.T) {
 // in a read-only transaction causing an abort of a read-write
 // transaction". Structural in Reed, impossible in the VC engines.
 func TestMVTOReadOnlyCausesWriteAbort(t *testing.T) {
-	e := NewMVTO(0, nil)
+	e := NewMVTO(nil)
 	defer e.Close()
 	boot(t, e, map[string]string{"k": "0"})
 
@@ -168,7 +167,7 @@ func TestMVTOReadOnlyCausesWriteAbort(t *testing.T) {
 // that committed after the CTL copy was taken, yielding a consistent (if
 // stale) snapshot.
 func TestMV2PLCTLSnapshotSkipsUnlistedCreators(t *testing.T) {
-	e := NewMV2PLCTL(0, lock.Detect, 0, nil)
+	e := NewMV2PLCTL(nil)
 	defer e.Close()
 	boot(t, e, map[string]string{"x": "0"})
 	commitWrite(t, e, map[string]string{"x": "1"})
@@ -191,7 +190,7 @@ func TestMV2PLCTLSnapshotSkipsUnlistedCreators(t *testing.T) {
 // committers pile up out-of-order because the lock-point numbers have a
 // hole (E4's mechanism).
 func TestMV2PLCTLTailGrowsBehindStraggler(t *testing.T) {
-	e := NewMV2PLCTL(0, lock.Detect, 0, nil)
+	e := NewMV2PLCTL(nil)
 	defer e.Close()
 	boot(t, e, map[string]string{"slow": "0"})
 
@@ -231,7 +230,7 @@ func TestMV2PLCTLTailGrowsBehindStraggler(t *testing.T) {
 // Single-version 2PL: a read-only transaction blocks behind a writer —
 // the interference multiversioning removes.
 func TestSV2PLReadOnlyBlocksBehindWriter(t *testing.T) {
-	e := NewSV2PL(0, lock.Detect, 0, nil)
+	e := NewSV2PL(nil)
 	defer e.Close()
 	boot(t, e, map[string]string{"k": "old"})
 
@@ -261,7 +260,7 @@ func TestSV2PLReadOnlyBlocksBehindWriter(t *testing.T) {
 
 // And the dual: a writer blocks behind a read-only transaction.
 func TestSV2PLWriterBlocksBehindReader(t *testing.T) {
-	e := NewSV2PL(0, lock.Detect, 0, nil)
+	e := NewSV2PL(nil)
 	defer e.Close()
 	boot(t, e, map[string]string{"k": "v"})
 
@@ -410,7 +409,7 @@ func TestStressSerializabilityBaselines(t *testing.T) {
 }
 
 func TestMVTOReadOwnPendingWrite(t *testing.T) {
-	e := NewMVTO(0, nil)
+	e := NewMVTO(nil)
 	defer e.Close()
 	boot(t, e, map[string]string{"k": "old"})
 	tx, _ := e.Begin(engine.ReadWrite)
@@ -426,7 +425,7 @@ func TestMVTOReadOwnPendingWrite(t *testing.T) {
 }
 
 func TestMV2PLCTLDeadlockAborts(t *testing.T) {
-	e := NewMV2PLCTL(0, lock.Detect, 0, nil)
+	e := NewMV2PLCTL(nil)
 	defer e.Close()
 	boot(t, e, map[string]string{"a": "0", "b": "0"})
 	t1, _ := e.Begin(engine.ReadWrite)
@@ -456,7 +455,7 @@ func TestMV2PLCTLDeadlockAborts(t *testing.T) {
 }
 
 func TestSV2PLReadOnlyDeadlockVictim(t *testing.T) {
-	e := NewSV2PL(0, lock.Detect, 0, nil)
+	e := NewSV2PL(nil)
 	defer e.Close()
 	boot(t, e, map[string]string{"a": "0", "b": "0"})
 	// rw holds X(a), waits for X(b); ro holds S(b), requests S(a): cycle.
@@ -505,7 +504,7 @@ func TestBaselineDoubleFinish(t *testing.T) {
 }
 
 func TestSV2PLSingleVersionInvariant(t *testing.T) {
-	e := NewSV2PL(0, lock.Detect, 0, nil)
+	e := NewSV2PL(nil)
 	defer e.Close()
 	for i := 0; i < 20; i++ {
 		commitWrite(t, e, map[string]string{"k": fmt.Sprintf("v%d", i)})

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"mvdb/internal/engine"
 	"mvdb/internal/lock"
@@ -96,7 +95,6 @@ type MV2PLCTL struct {
 	list  *ctl
 	tnc   atomic.Uint64 // transaction numbers, assigned at lock-point
 	ids   atomic.Uint64
-	ages  atomic.Uint64
 	rec   engine.Recorder
 
 	commitsRO      atomic.Uint64
@@ -110,13 +108,13 @@ type MV2PLCTL struct {
 }
 
 // NewMV2PLCTL creates the Chan-style baseline engine.
-func NewMV2PLCTL(shards int, policy lock.Policy, timeout time.Duration, rec engine.Recorder) *MV2PLCTL {
+func NewMV2PLCTL(rec engine.Recorder) *MV2PLCTL {
 	if rec == nil {
 		rec = engine.NopRecorder{}
 	}
 	return &MV2PLCTL{
-		store: storage.NewStore(shards),
-		locks: lock.NewManager(policy, timeout),
+		store: storage.NewStore(0),
+		locks: lock.NewManager(lock.Detect, 0),
 		list:  newCTL(),
 		rec:   rec,
 	}
@@ -157,7 +155,7 @@ func (e *MV2PLCTL) Begin(class engine.Class) (engine.Tx, error) {
 		e.rec.RecordBegin(id, engine.ReadOnly)
 		return t, nil
 	}
-	e.locks.Begin(id, e.ages.Add(1))
+	e.locks.Begin(id, 0)
 	t := &ctlRWTx{e: e, id: id, buf: make(map[string]bufWrite)}
 	e.rec.RecordBegin(id, engine.ReadWrite)
 	return t, nil
@@ -361,12 +359,9 @@ func (t *ctlRWTx) acquire(key string, mode lock.Mode) error {
 	}
 	var mapped error
 	switch {
-	case errors.Is(err, lock.ErrDeadlock), errors.Is(err, lock.ErrTimeout):
+	case errors.Is(err, lock.ErrDeadlock):
 		t.e.abortsDeadlock.Add(1)
 		mapped = engine.ErrDeadlock
-	case errors.Is(err, lock.ErrWounded):
-		t.e.abortsDeadlock.Add(1)
-		mapped = engine.ErrWounded
 	default:
 		t.e.abortsConflict.Add(1)
 		mapped = engine.ErrConflict
@@ -380,11 +375,6 @@ func (t *ctlRWTx) acquire(key string, mode lock.Mode) error {
 func (t *ctlRWTx) Commit() error {
 	if t.done {
 		return engine.ErrTxDone
-	}
-	if t.e.locks.Wounded(t.id) {
-		t.e.abortsDeadlock.Add(1)
-		t.abortInternal()
-		return engine.ErrWounded
 	}
 	t.done = true
 	t.tn = t.e.tnc.Add(1)

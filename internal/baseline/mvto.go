@@ -46,11 +46,11 @@ type MVTO struct {
 }
 
 // NewMVTO creates the Reed-style baseline engine.
-func NewMVTO(shards int, rec engine.Recorder) *MVTO {
+func NewMVTO(rec engine.Recorder) *MVTO {
 	if rec == nil {
 		rec = engine.NopRecorder{}
 	}
-	return &MVTO{store: storage.NewStore(shards), rec: rec}
+	return &MVTO{store: storage.NewStore(0), rec: rec}
 }
 
 // Name implements engine.Engine.

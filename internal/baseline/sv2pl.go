@@ -3,7 +3,6 @@ package baseline
 import (
 	"errors"
 	"sync/atomic"
-	"time"
 
 	"mvdb/internal/engine"
 	"mvdb/internal/lock"
@@ -24,7 +23,6 @@ type SV2PL struct {
 	locks *lock.Manager
 	tnc   atomic.Uint64
 	ids   atomic.Uint64
-	ages  atomic.Uint64
 	rec   engine.Recorder
 
 	commitsRO      atomic.Uint64
@@ -37,13 +35,13 @@ type SV2PL struct {
 }
 
 // NewSV2PL creates the single-version baseline engine.
-func NewSV2PL(shards int, policy lock.Policy, timeout time.Duration, rec engine.Recorder) *SV2PL {
+func NewSV2PL(rec engine.Recorder) *SV2PL {
 	if rec == nil {
 		rec = engine.NopRecorder{}
 	}
 	return &SV2PL{
-		store: storage.NewStore(shards),
-		locks: lock.NewManager(policy, timeout),
+		store: storage.NewStore(0),
+		locks: lock.NewManager(lock.Detect, 0),
 		rec:   rec,
 	}
 }
@@ -72,7 +70,7 @@ func (e *SV2PL) Begin(class engine.Class) (engine.Tx, error) {
 		return nil, errors.New("baseline: engine closed")
 	}
 	id := e.ids.Add(1)
-	e.locks.Begin(id, e.ages.Add(1))
+	e.locks.Begin(id, 0)
 	t := &svTx{e: e, id: id, class: class, buf: make(map[string]bufWrite)}
 	e.rec.RecordBegin(id, class)
 	return t, nil
@@ -174,12 +172,9 @@ func (t *svTx) acquire(key string, mode lock.Mode) error {
 	}
 	var mapped error
 	switch {
-	case errors.Is(err, lock.ErrDeadlock), errors.Is(err, lock.ErrTimeout):
+	case errors.Is(err, lock.ErrDeadlock):
 		t.e.abortsDeadlock.Add(1)
 		mapped = engine.ErrDeadlock
-	case errors.Is(err, lock.ErrWounded):
-		t.e.abortsDeadlock.Add(1)
-		mapped = engine.ErrWounded
 	default:
 		t.e.abortsConflict.Add(1)
 		mapped = engine.ErrConflict
@@ -193,11 +188,6 @@ func (t *svTx) acquire(key string, mode lock.Mode) error {
 func (t *svTx) Commit() error {
 	if t.done {
 		return engine.ErrTxDone
-	}
-	if t.e.locks.Wounded(t.id) {
-		t.e.abortsDeadlock.Add(1)
-		t.abortInternal()
-		return engine.ErrWounded
 	}
 	t.done = true
 	if t.class == engine.ReadOnly || len(t.buf) == 0 {

@@ -67,7 +67,9 @@ func (p Protocol) String() string {
 type Options struct {
 	// Protocol selects the read-write concurrency control. Default: 2PL.
 	Protocol Protocol
-	// LockPolicy selects deadlock handling for 2PL (default: Detect).
+	// LockPolicy selects deadlock handling for 2PL: lock.Detect (the
+	// default, a standalone engine's) or lock.TimeoutPolicy (a cluster
+	// site's, whose waits-for relation cannot see a cycle across sites).
 	LockPolicy lock.Policy
 	// LockTimeout applies when LockPolicy is lock.TimeoutPolicy.
 	LockTimeout time.Duration
@@ -127,13 +129,12 @@ type Engine struct {
 	closed          atomic.Bool
 	bootstrapSealed atomic.Bool
 
-	// The counters every begin writes come last, a pad away from the
+	// The counter every begin writes comes last, a pad away from the
 	// flags and pointers above that every transaction reads, so a begin
 	// does not take the line that holds closed from every other core
 	// (TestEngineCountersOwnTheirLine).
-	_    [64]byte
-	ids  atomic.Uint64 // transaction id allocator (diagnostics, lock owner)
-	ages atomic.Uint64 // begin-order sequence for wound-wait
+	_   [64]byte
+	ids atomic.Uint64 // transaction id allocator (diagnostics, lock owner)
 }
 
 // newController builds the version-control module for a mode (or a
@@ -332,7 +333,6 @@ func (e *Engine) Snapshot() obs.Snapshot {
 	sn.Protocol = e.opts.Protocol.String()
 	sn.LockWaits = int64(e.locks.Waits())
 	sn.LockDeadlocks = int64(e.locks.Deadlocks())
-	sn.LockWounds = int64(e.locks.Wounds())
 	sn.LockTimeouts = int64(e.locks.Timeouts())
 	sn.LockStripes = e.locks.Stripes()
 	sn.LockStripeCollisions = int64(e.locks.StripeCollisions())

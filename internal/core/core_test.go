@@ -10,7 +10,6 @@ import (
 
 	"mvdb/internal/engine"
 	"mvdb/internal/history"
-	"mvdb/internal/lock"
 )
 
 func allProtocols() []Protocol {
@@ -407,39 +406,6 @@ func TestOptimisticValidationFailure(t *testing.T) {
 	}
 	if err := reader.Commit(); !errors.Is(err, engine.ErrConflict) {
 		t.Fatalf("Commit err = %v, want ErrConflict", err)
-	}
-}
-
-func TestWoundWaitPolicy(t *testing.T) {
-	e := New(Options{Protocol: TwoPhaseLocking, LockPolicy: lock.WoundWait})
-	defer e.Close()
-	mustCommitWrite(t, e, map[string]string{"k": "0"})
-
-	older, _ := e.Begin(engine.ReadWrite) // begun first => smaller age
-	younger, _ := e.Begin(engine.ReadWrite)
-	if err := younger.Put("k", []byte("y")); err != nil {
-		t.Fatal(err)
-	}
-	// The older transaction requests the lock: it wounds the younger
-	// holder (synchronously, inside Acquire) and waits.
-	errc := make(chan error, 1)
-	go func() { errc <- older.Put("k", []byte("o")) }()
-	// Wait until the wound has landed, then the younger commit must fail.
-	deadline := time.Now().Add(5 * time.Second)
-	for !e.locks.Wounded(younger.ID()) {
-		if time.Now().After(deadline) {
-			t.Fatal("younger transaction never wounded")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if err := younger.Commit(); !errors.Is(err, engine.ErrWounded) {
-		t.Fatalf("younger Commit err = %v, want ErrWounded", err)
-	}
-	if err := <-errc; err != nil {
-		t.Fatal(err)
-	}
-	if err := older.Commit(); err != nil {
-		t.Fatal(err)
 	}
 }
 

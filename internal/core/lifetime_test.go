@@ -6,15 +6,16 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"mvdb/internal/engine"
 	"mvdb/internal/lock"
 )
 
 // TestEmbeddedStateLifetime drives 2PL from eight goroutines over a
-// two-key hot set, under deadlock detection and under wound-wait, so
-// that victims and wounds happen while the detector walks lock states
-// that live inside transaction structs. Every transaction writes both
+// two-key hot set, under deadlock detection and under a millisecond lock
+// timeout, so that victims happen while the detector walks lock states
+// that live inside transaction structs, and while timers race grants. Every transaction writes both
 // keys, in an order that alternates, so two that each hold one key
 // deadlock on the other. Each worker makes a fixed number of attempts,
 // committed or not. Once quiescent, the lock manager holds no
@@ -28,10 +29,10 @@ func TestEmbeddedStateLifetime(t *testing.T) {
 		aborts func(*lock.Manager) uint64
 	}{
 		{"detect", lock.Detect, (*lock.Manager).Deadlocks},
-		{"woundwait", lock.WoundWait, (*lock.Manager).Wounds},
+		{"timeout", lock.TimeoutPolicy, (*lock.Manager).Timeouts},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			e := New(Options{Protocol: TwoPhaseLocking, LockPolicy: c.policy})
+			e := New(Options{Protocol: TwoPhaseLocking, LockPolicy: c.policy, LockTimeout: 2 * time.Millisecond})
 			defer e.Close()
 			keys := [2]string{"a", "b"}
 			const workers, attempts = 8, 100

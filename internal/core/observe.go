@@ -119,7 +119,6 @@ type abortCause uint8
 const (
 	causeConflict    abortCause = iota // 2PL: a lock request failed for no listed reason
 	causeDeadlock                      // 2PL: chosen as the deadlock victim
-	causeWounded                       // 2PL: wounded by an older transaction
 	causeTimeout                       // 2PL: lock wait timed out
 	causeTOWrite                       // T/O: a younger transaction already read or wrote the object
 	causeTOWriteByRO                   // ... and that reader was read-only
@@ -139,7 +138,6 @@ var abortCauses = [...]struct {
 }{
 	causeConflict: {func(s *obs.Stats) *obs.Counter { return &s.AbortsConflict }, engine.ErrConflict},
 	causeDeadlock: {func(s *obs.Stats) *obs.Counter { return &s.AbortsDeadlock }, engine.ErrDeadlock},
-	causeWounded:  {func(s *obs.Stats) *obs.Counter { return &s.AbortsWounded }, engine.ErrWounded},
 	// Its own counter, still surfaced as ErrDeadlock: a timeout is the
 	// timeout policy's deadlock presumption.
 	causeTimeout: {func(s *obs.Stats) *obs.Counter { return &s.AbortsTimeout },

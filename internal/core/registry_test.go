@@ -27,7 +27,7 @@ func TestTxSizeClasses(t *testing.T) {
 		{"roTx", unsafe.Sizeof(roTx{}), 48},
 		{"tsoTx", unsafe.Sizeof(tsoTx{}), 208},
 		{"occTx", unsafe.Sizeof(occTx{}), 288},
-		{"twoPhaseTx", unsafe.Sizeof(twoPhaseTx{}), 352},
+		{"twoPhaseTx", unsafe.Sizeof(twoPhaseTx{}), 320},
 	} {
 		if c.size > c.class {
 			t.Errorf("sizeof(%s) = %d, want <= %d", c.name, c.size, c.class)
@@ -35,19 +35,18 @@ func TestTxSizeClasses(t *testing.T) {
 	}
 }
 
-// The counters every begin writes (ids, ages) are the last fields, at
-// least a cache line past the last byte of bootstrapSealed, so wherever
-// the engine is allocated no field a transaction reads shares their
-// line. Before the pad, ids and closed shared a line in most engines
-// built.
+// The counter every begin writes (ids) is the last field, at least a
+// cache line past the last byte of bootstrapSealed, so wherever the
+// engine is allocated no field a transaction reads shares its line.
+// Before the pad, ids and closed shared a line in most engines built.
 func TestEngineCountersOwnTheirLine(t *testing.T) {
 	var e Engine
 	flags := unsafe.Offsetof(e.bootstrapSealed) + unsafe.Sizeof(e.bootstrapSealed)
 	if ids := unsafe.Offsetof(e.ids); ids < flags+64 {
 		t.Errorf("ids at %d, the flags end at %d: want ids at least 64 bytes past them", ids, flags)
 	}
-	if ages := unsafe.Offsetof(e.ages); ages != unsafe.Offsetof(e.ids)+8 || ages+8 != unsafe.Sizeof(e) {
-		t.Errorf("ages at %d: want it right after ids and last in a %d-byte Engine", ages, unsafe.Sizeof(e))
+	if ids := unsafe.Offsetof(e.ids); ids+8 != unsafe.Sizeof(e) {
+		t.Errorf("ids at %d: want it last in a %d-byte Engine", ids, unsafe.Sizeof(e))
 	}
 }
 

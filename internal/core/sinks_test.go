@@ -86,8 +86,7 @@ func (s *sinkScript) aborted(err, want error, cause string) {
 }
 
 // blockedPut runs tx.Put(key) on a second goroutine and returns once
-// the lock manager's counter (Waits or Wounds) shows the request has
-// reached the state the script needs. join waits for the Put to return.
+// the lock manager's Waits counter shows the request has blocked. join waits for the Put to return.
 func (s *sinkScript) blockedPut(tx engine.Tx, key string, counter func() uint64) (join func()) {
 	before := counter()
 	done := make(chan error, 1)
@@ -160,23 +159,6 @@ var sinkCases = []struct {
 		s.aborted(t2.Put("x", []byte("2")), engine.ErrDeadlock, "deadlock") // closes the cycle
 		join()
 		s.commit(t1)
-	}},
-	{"2pl/wound-wait", TwoPhaseLocking, lock.WoundWait, func(s *sinkScript) {
-		// The victim notices at its next lock request ...
-		old, young := s.begin(engine.ReadWrite), s.begin(engine.ReadWrite)
-		s.must(young.Put("x", []byte("2")))
-		join := s.blockedPut(old, "x", s.e.locks.Wounds)
-		_, err := young.Get("q")
-		s.aborted(err, engine.ErrWounded, "wounded")
-		join()
-		s.commit(old)
-		// ... or, having none left to make, at commit.
-		old, young = s.begin(engine.ReadWrite), s.begin(engine.ReadWrite)
-		s.must(young.Put("x", []byte("2")))
-		join = s.blockedPut(old, "x", s.e.locks.Wounds)
-		s.aborted(young.Commit(), engine.ErrWounded, "wounded")
-		join()
-		s.commit(old)
 	}},
 	{"2pl/timeout", TwoPhaseLocking, lock.TimeoutPolicy, func(s *sinkScript) {
 		t1, t2 := s.begin(engine.ReadWrite), s.begin(engine.ReadWrite)
@@ -268,7 +250,6 @@ func TestSinkAgreement(t *testing.T) {
 			eq("Stats.CommitsRO", sn.CommitsRO, s.commitsRO)
 			eq("Stats.AbortsConflict", sn.AbortsConflict, s.aborts["conflict"])
 			eq("Stats.AbortsDeadlock", sn.AbortsDeadlock, s.aborts["deadlock"])
-			eq("Stats.AbortsWounded", sn.AbortsWounded, s.aborts["wounded"])
 			eq("Stats.AbortsTimeout", sn.AbortsTimeout, s.aborts["timeout"])
 			eq("Stats.AbortsUser", sn.AbortsUser, s.aborts["user"])
 			eq("Stats.AbortsLog", sn.AbortsLog, s.aborts["log"])

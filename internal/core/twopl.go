@@ -37,7 +37,7 @@ type twoPhaseTx struct {
 func (e *Engine) beginTwoPhase(id uint64) *Tx {
 	t := &twoPhaseTx{txObs: e.observe(id, proto2PL, 0)}
 	t.head.self = t
-	e.locks.BeginState(&t.locks, id, e.ages.Add(1))
+	e.locks.BeginState(&t.locks, id)
 	if e.opts.UnsafeEarlyRegister2PL {
 		e.vc.RegisterEntry(&t.entry) // A1: serial order NOT yet fixed — wrong on purpose
 	}
@@ -96,8 +96,6 @@ func (t *twoPhaseTx) acquire(key string, mode lock.Mode) error {
 	switch {
 	case errors.Is(err, lock.ErrDeadlock):
 		cause = causeDeadlock
-	case errors.Is(err, lock.ErrWounded):
-		cause = causeWounded
 	case errors.Is(err, lock.ErrTimeout):
 		cause = causeTimeout
 	}
@@ -120,12 +118,6 @@ func (t *twoPhaseTx) rollback() {
 func (t *twoPhaseTx) Commit() error {
 	if t.done {
 		return engine.ErrTxDone
-	}
-	// Under wound-wait a running transaction may have been wounded while
-	// it held locks; it must not commit.
-	if t.e.locks.Wounded(t.id) {
-		t.rollback()
-		return t.abort(causeWounded)
 	}
 	t.done = true
 	// Not registered yet: neither at begin (A1) nor by Adopt.

@@ -125,6 +125,15 @@ func (s *Site) ID() int { return s.id }
 // (tests, experiments). It is nil while the site is crashed.
 func (s *Site) Engine() *core.Engine { return s.e.Load() }
 
+// live returns the site's engine, or, while the site is crashed, an
+// error that is not retryable: the work fails until RecoverSite.
+func (s *Site) live() (*core.Engine, error) {
+	if e := s.Engine(); e != nil {
+		return e, nil
+	}
+	return nil, fmt.Errorf("dist: site %d is down", s.id)
+}
+
 // Fillers returns how many filler registrations the site performed to
 // advance visibility for lagging read-only transactions.
 func (s *Site) Fillers() uint64 { return s.fillers.Load() }
@@ -329,7 +338,11 @@ func (c *Cluster) Bootstrap(data map[string][]byte) error {
 		if kv == nil {
 			continue
 		}
-		if err := c.sites[sid].Engine().Bootstrap(kv); err != nil {
+		e, err := c.sites[sid].live()
+		if err != nil {
+			return err
+		}
+		if err := e.Bootstrap(kv); err != nil {
 			return err
 		}
 	}
@@ -339,7 +352,8 @@ func (c *Cluster) Bootstrap(data map[string][]byte) error {
 // Stats returns cluster counters, including the aggregate Section 6
 // version-control gauges across sites: total visibility lag and queue
 // depth, and the worst single-site lag (the site a fresh read-only
-// transaction would have to wait for).
+// transaction would have to wait for). The gauges leave out a crashed
+// site.
 func (c *Cluster) Stats() map[string]int64 {
 	m := map[string]int64{
 		"commits.ro":   int64(c.commitsRO.Load()),
@@ -351,12 +365,16 @@ func (c *Cluster) Stats() map[string]int64 {
 	var fillers, lagSum, lagMax, queue int64
 	for _, s := range c.sites {
 		fillers += int64(s.Fillers())
-		lag := int64(s.Engine().VC().Lag())
+		e := s.Engine()
+		if e == nil {
+			continue
+		}
+		lag := int64(e.VC().Lag())
 		lagSum += lag
 		if lag > lagMax {
 			lagMax = lag
 		}
-		queue += int64(s.Engine().VC().QueueLen())
+		queue += int64(e.VC().QueueLen())
 	}
 	m["ro.fillers"] = fillers
 	m["vc.lag"] = lagSum
@@ -418,14 +436,20 @@ func (c *Cluster) Begin(class engine.Class) (engine.Tx, error) {
 // past the home's horizon (Cluster.hold), so every version it reads is
 // still there.
 func (c *Cluster) BeginReadOnlyAtHome(home int) (engine.Tx, error) {
+	if c.closed.Load() {
+		return nil, errors.New("dist: cluster closed")
+	}
 	if home < 0 || home >= len(c.sites) {
 		return nil, fmt.Errorf("dist: no site %d", home)
+	}
+	h, err := c.sites[home].live()
+	if err != nil {
+		return nil, err
 	}
 	c.bootSealed.Store(true)
 	id := c.ids.Add(1)
 	c.rec.RecordBegin(id, engine.ReadOnly)
 	t := &roTx{c: c, id: id}
-	h := c.sites[home].Engine()
 	c.bus.call(func() {
 		t.slot = c.reg.Publish(id, h.VTNC())
 		t.sn = h.VC().Start()
@@ -447,7 +471,7 @@ type DTx struct {
 // at runs op on the transaction's part at the site owning key, beginning
 // the part first if need be, as one exchange with the site. An op that
 // fails other than with ErrNotFound has aborted its part, and the whole
-// transaction aborts.
+// transaction aborts; so does one at a crashed site.
 func (t *DTx) at(key string, op func(*core.Tx) error) error {
 	if t.done {
 		return engine.ErrTxDone
@@ -457,7 +481,11 @@ func (t *DTx) at(key string, op func(*core.Tx) error) error {
 	t.c.bus.call(func() {
 		p := t.parts[sid]
 		if p == nil {
-			if p, err = t.c.sites[sid].Engine().BeginSite(t.id); err != nil {
+			var e *core.Engine
+			if e, err = t.c.sites[sid].live(); err != nil {
+				return
+			}
+			if p, err = e.BeginSite(t.id); err != nil {
 				return
 			}
 			t.parts[sid] = p
@@ -599,12 +627,15 @@ type roTx struct {
 	done bool
 }
 
-// catchUp brings site s's horizon up to the snapshot before a read there.
-func (t *roTx) catchUp(s *Site) {
-	if s.Engine().VTNC() < t.sn {
+// catchUp returns site s's engine, once its horizon is up to the
+// snapshot, for a read there; it fails while s is crashed.
+func (t *roTx) catchUp(s *Site) (*core.Engine, error) {
+	e, err := s.live()
+	if err == nil && e.VTNC() < t.sn {
 		t.c.roWaits.Add(1)
 		s.ensureVisible(t.sn)
 	}
+	return e, err
 }
 
 // Get implements engine.Tx.
@@ -614,8 +645,10 @@ func (t *roTx) Get(key string) (v []byte, err error) {
 	}
 	s := t.c.SiteFor(key)
 	t.c.bus.call(func() {
-		t.catchUp(s)
-		v, err = s.Engine().ReadAt(t.id, key, t.sn)
+		var e *core.Engine
+		if e, err = t.catchUp(s); err == nil {
+			v, err = e.ReadAt(t.id, key, t.sn)
+		}
 	})
 	return v, err
 }
@@ -635,11 +668,13 @@ func (t *roTx) Scan(prefix string, fn func(key string, value []byte) bool) error
 	for _, s := range t.c.sites {
 		var err error
 		t.c.bus.call(func() {
-			t.catchUp(s)
-			err = s.Engine().ScanAt(t.id, prefix, t.sn, func(key string, val []byte) bool {
-				hits = append(hits, hit{key, val})
-				return true
-			})
+			var e *core.Engine
+			if e, err = t.catchUp(s); err == nil {
+				err = e.ScanAt(t.id, prefix, t.sn, func(key string, val []byte) bool {
+					hits = append(hits, hit{key, val})
+					return true
+				})
+			}
 		})
 		if err != nil {
 			return err

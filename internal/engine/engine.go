@@ -33,18 +33,15 @@ func (c Class) String() string {
 	return "read-write"
 }
 
-// Sentinel errors. ErrConflict, ErrDeadlock and ErrWounded mean the
-// transaction was aborted by the engine and may be retried; the harness
-// and the public API's Update helper do exactly that.
+// Sentinel errors. ErrConflict and ErrDeadlock mean the transaction was
+// aborted by the engine and may be retried; the harness and the public
+// API's Update helper do exactly that.
 var (
 	// ErrConflict reports a synchronization conflict (timestamp-ordering
 	// rejection, failed optimistic validation, ...).
 	ErrConflict = errors.New("engine: transaction aborted due to conflict")
 	// ErrDeadlock reports the transaction was chosen as a deadlock victim.
 	ErrDeadlock = errors.New("engine: transaction aborted to break a deadlock")
-	// ErrWounded reports the transaction was aborted by an older one
-	// under the wound-wait policy.
-	ErrWounded = errors.New("engine: transaction wounded by an older transaction")
 	// ErrNotFound reports the key does not exist at the transaction's
 	// read point.
 	ErrNotFound = errors.New("engine: key not found")
@@ -62,31 +59,37 @@ var (
 // Retryable reports whether err is a transient abort that the caller may
 // retry with a fresh transaction.
 func Retryable(err error) bool {
-	return errors.Is(err, ErrConflict) || errors.Is(err, ErrDeadlock) || errors.Is(err, ErrWounded)
+	return errors.Is(err, ErrConflict) || errors.Is(err, ErrDeadlock)
 }
 
 // Backoff bounds: a retry waits a random time below a bound that starts
 // at backoffBase and doubles with each retry, up to backoffCap.
+// maxAttempts is the retry budget: how many times an automatic retry
+// loop runs a transaction before it gives up.
 const (
 	backoffBase = 16 * time.Microsecond
 	backoffCap  = time.Millisecond
+	maxAttempts = 100
 )
 
 // Backoff is what an automatic retry loop (mvdb's and the cluster's
 // Update) does before attempt number attempt of a transaction, counting
-// the first try as 0: nothing before the first try or the first retry,
-// then a sleep drawn uniformly below a bound that doubles with each
-// retry. A deadlock's victim that retries at once finds its partner
-// still holding the same locks and, under 2PL's shared-to-exclusive
-// upgrades, the two can deadlock again and again until the retry budget
-// is spent; spreading the retries out lets one of them through. It
-// allocates nothing.
-func Backoff(attempt int) {
-	if attempt < 2 {
-		return
+// the first try as 0. It reports false, at once, when the retry budget
+// is spent; otherwise it does nothing before the first try or the first
+// retry, and then sleeps for a time drawn uniformly below a bound that
+// doubles with each retry. A deadlock's victim that retries at once
+// finds its partner still holding the same locks and, under 2PL's
+// shared-to-exclusive upgrades, the two can deadlock again and again
+// until the budget is spent; spreading the retries out lets one of them
+// through. It allocates nothing.
+func Backoff(attempt int) bool {
+	if attempt >= maxAttempts {
+		return false
 	}
-	bound := min(backoffBase<<min(attempt-2, 16), backoffCap)
-	time.Sleep(rand.N(bound))
+	if attempt >= 2 {
+		time.Sleep(rand.N(min(backoffBase<<min(attempt-2, 16), backoffCap)))
+	}
+	return true
 }
 
 // Tx is one transaction. Implementations are not safe for concurrent use
@@ -136,7 +139,7 @@ type Engine interface {
 	// Stats returns a snapshot of engine counters. Keys are
 	// engine-specific but the harness understands the common ones:
 	// "commits.rw", "commits.ro", "aborts.conflict", "aborts.deadlock",
-	// "aborts.wounded", "ro.blocked", "rw.aborts.by_ro".
+	// "ro.blocked", "rw.aborts.by_ro".
 	Stats() map[string]int64
 	// Close shuts the engine down: later begins fail, and a durable
 	// engine closes its commit log.

@@ -7,7 +7,7 @@ import (
 )
 
 func TestRetryable(t *testing.T) {
-	for _, err := range []error{ErrConflict, ErrDeadlock, ErrWounded} {
+	for _, err := range []error{ErrConflict, ErrDeadlock} {
 		if !Retryable(err) {
 			t.Errorf("Retryable(%v) = false", err)
 		}
@@ -80,9 +80,18 @@ func TestMultiFansOut(t *testing.T) {
 // The retry loops call Backoff on every attempt; it must cost no
 // allocation, sleeping or not.
 func TestBackoffAllocatesNothing(t *testing.T) {
-	for _, attempt := range []int{0, 1, 2, 9, 100} {
+	for _, attempt := range []int{0, 1, 2, 9, 99, 100} {
 		if n := testing.AllocsPerRun(20, func() { Backoff(attempt) }); n != 0 {
 			t.Errorf("Backoff(%d) allocates %.0f times", attempt, n)
 		}
+	}
+}
+
+// Backoff holds the retry budget both Update loops share: it lets the
+// last attempt of the budget run and refuses the next one.
+func TestBackoffSpendsTheBudget(t *testing.T) {
+	if !Backoff(maxAttempts-1) || Backoff(maxAttempts) {
+		t.Fatalf("Backoff(%d), Backoff(%d) = %v, %v; want true, false",
+			maxAttempts-1, maxAttempts, Backoff(maxAttempts-1), Backoff(maxAttempts))
 	}
 }

@@ -19,9 +19,6 @@ func TestConformance(t *testing.T) {
 		"vc+2pl": func(rec engine.Recorder) Instance {
 			return core.New(core.Options{Protocol: core.TwoPhaseLocking, Recorder: rec})
 		},
-		"vc+2pl/woundwait": func(rec engine.Recorder) Instance {
-			return core.New(core.Options{Protocol: core.TwoPhaseLocking, LockPolicy: lock.WoundWait, Recorder: rec})
-		},
 		"vc+2pl/timeout": func(rec engine.Recorder) Instance {
 			return core.New(core.Options{Protocol: core.TwoPhaseLocking, LockPolicy: lock.TimeoutPolicy,
 				LockTimeout: 5 * time.Millisecond, Recorder: rec})
@@ -45,13 +42,13 @@ func TestConformance(t *testing.T) {
 			return core.New(core.Options{Protocol: core.Optimistic, Visibility: vc.ModeEpoch, Recorder: rec})
 		},
 		"mvto": func(rec engine.Recorder) Instance {
-			return baseline.NewMVTO(0, rec)
+			return baseline.NewMVTO(rec)
 		},
 		"mv2plctl": func(rec engine.Recorder) Instance {
-			return baseline.NewMV2PLCTL(0, lock.Detect, 0, rec)
+			return baseline.NewMV2PLCTL(rec)
 		},
 		"sv2pl": func(rec engine.Recorder) Instance {
-			return baseline.NewSV2PL(0, lock.Detect, 0, rec)
+			return baseline.NewSV2PL(rec)
 		},
 		"dist-1site": func(rec engine.Recorder) Instance {
 			c, err := dist.New(dist.Options{Sites: 1, Recorder: rec, LockTimeout: 10 * time.Millisecond})

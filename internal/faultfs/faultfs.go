@@ -310,14 +310,6 @@ func (f *FaultFS) Crashed() bool {
 	return f.crashed
 }
 
-// CrashNow triggers the power cut directly (the torture harness's
-// external kill switch). Subsequent operations fail with ErrCrashed.
-func (f *FaultFS) CrashNow() {
-	f.mu.Lock()
-	f.crashed = true
-	f.mu.Unlock()
-}
-
 // Ops returns the number of operations performed so far.
 func (f *FaultFS) Ops() int {
 	f.mu.Lock()
@@ -553,7 +545,7 @@ func (f *FaultFS) SyncDir(dir string) error {
 // ApplyCrash materializes the post-crash directory state: files are
 // truncated to their surviving prefix, non-durable renames are rolled
 // back, and non-durable creates vanish. It must be called after the
-// crash fired (or CrashNow); the FaultFS stays crashed — recover with a
+// crash fired; the FaultFS stays crashed — recover with a
 // fresh FS over the same directory.
 func (f *FaultFS) ApplyCrash() error {
 	f.mu.Lock()

@@ -27,8 +27,8 @@ func Render(b *Bundle, w io.Writer) {
 		sn.Protocol, sn.CommitsRW, sn.CommitsRO, sn.Retries)
 	fmt.Fprintf(w, "  aborts conflict=%d deadlock=%d user=%d\n",
 		sn.AbortsConflict, sn.AbortsDeadlock, sn.AbortsUser)
-	fmt.Fprintf(w, "  locks waits=%d deadlocks=%d wounds=%d timeouts=%d\n",
-		sn.LockWaits, sn.LockDeadlocks, sn.LockWounds, sn.LockTimeouts)
+	fmt.Fprintf(w, "  locks waits=%d deadlocks=%d timeouts=%d\n",
+		sn.LockWaits, sn.LockDeadlocks, sn.LockTimeouts)
 	fmt.Fprintf(w, "  wal appends=%d fsyncs=%d batches=%d\n",
 		sn.WALAppends, sn.WALFsyncs, sn.WALBatches)
 	fmt.Fprintf(w, "  vc tnc=%d vtnc=%d queue=%d\n", sn.TNC, sn.VTNC, sn.VCQueueLen)

@@ -7,7 +7,6 @@ import (
 	"mvdb/internal/baseline"
 	"mvdb/internal/core"
 	"mvdb/internal/history"
-	"mvdb/internal/lock"
 	"mvdb/internal/workload"
 )
 
@@ -66,7 +65,7 @@ func TestRunAllCoreEngines(t *testing.T) {
 func TestRunBaselines(t *testing.T) {
 	wl := workload.Config{Keys: 64, ReadOnlyFraction: 0.4, Seed: 11, Zipf: 1.2}
 	rec1 := history.NewRecorder()
-	mvto := baseline.NewMVTO(0, rec1)
+	mvto := baseline.NewMVTO(rec1)
 	defer mvto.Close()
 	mvto.Bootstrap(wl.Bootstrap())
 	res, err := Run(Config{Engine: mvto, Clients: 4, TxnsPerClient: 100, Workload: wl})
@@ -81,7 +80,7 @@ func TestRunBaselines(t *testing.T) {
 	}
 
 	rec2 := history.NewRecorder()
-	ctl := baseline.NewMV2PLCTL(0, lock.Detect, 0, rec2)
+	ctl := baseline.NewMV2PLCTL(rec2)
 	defer ctl.Close()
 	ctl.Bootstrap(wl.Bootstrap())
 	if _, err := Run(Config{Engine: ctl, Clients: 4, TxnsPerClient: 100, Workload: wl}); err != nil {
@@ -92,7 +91,7 @@ func TestRunBaselines(t *testing.T) {
 	}
 
 	rec3 := history.NewRecorder()
-	sv := baseline.NewSV2PL(0, lock.Detect, 0, rec3)
+	sv := baseline.NewSV2PL(rec3)
 	defer sv.Close()
 	sv.Bootstrap(wl.Bootstrap())
 	if _, err := Run(Config{Engine: sv, Clients: 4, TxnsPerClient: 100, Workload: wl}); err != nil {

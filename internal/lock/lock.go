@@ -3,15 +3,15 @@
 // baselines.
 //
 // The manager provides shared/exclusive locks with FIFO queues and lock
-// upgrade, plus three deadlock-handling policies:
+// upgrade, plus two deadlock-handling policies, one per place the
+// engines run:
 //
 //   - Detect: build the waits-for relation lazily and run a cycle check
 //     whenever a request blocks; the requester that would close a cycle
-//     is the victim (ErrDeadlock).
-//   - WoundWait: an older requester wounds conflicting younger holders
-//     and waiters; a younger requester waits. Wait edges then always point
-//     from younger to older, so no cycle can form.
-//   - Timeout: a blocked request fails with ErrTimeout after a bound.
+//     is the victim (ErrDeadlock). A standalone engine uses it.
+//   - Timeout: a blocked request fails with ErrTimeout after a bound. A
+//     cluster site uses it: its local waits-for relation cannot see a
+//     cycle that spans sites.
 //
 // Victims must abort and call ReleaseAll; the engines above retry them.
 // Note the paper's observation (Section 4.4): deadlocks are entirely a
@@ -25,26 +25,27 @@
 // The lock table is hash-striped: each stripe owns a disjoint slice of
 // the key space under its own mutex, so uncontended acquisitions on
 // unrelated keys never serialize on a shared lock. Per-transaction state
-// (held keys, current wait, wound flag) lives under a small per-transaction
+// (held keys, current wait) lives under a small per-transaction
 // mutex; who holds a key, and in which mode, is recorded once, in the
 // key's lockState under its stripe mutex. The lock order is stripe mutex
 // → transaction mutex, one of each at a time; nothing ever takes a stripe
 // mutex while holding a transaction mutex, which is what makes
 // cross-stripe release and grant safe.
 //
-// The slow path — deadlock detection and wound-wait victim selection,
-// which must observe wait-for edges that span stripes — is serialized by
-// a single detector mutex taken only when a request actually blocks.
-// Under that mutex the detector walks the wait-for relation locking one
-// stripe (or one transaction) at a time. This is sound because the edges
-// of a real deadlock cycle are stable: every transaction on the cycle is
-// parked, so none of them can release the lock that would break an edge
-// while the walk is in progress, and the request that closes a cycle
-// always runs a detection pass after its edge is published. The converse
-// does not hold — a concurrent grant outside the detector mutex can, in
-// principle, let the walk observe two edges that never coexisted and
-// abort a requester that was not truly deadlocked. Such spurious victims
-// are safe (the transaction retries) and vanishingly rare; see DESIGN.md.
+// The slow path — deadlock detection, which must observe wait-for
+// edges that span stripes — is serialized by a single detector mutex
+// taken only when a request actually blocks. Under that mutex the
+// detector walks the wait-for relation locking one stripe (or one
+// transaction) at a time. This is sound because the edges of a real
+// deadlock cycle are stable: every transaction on the cycle is
+// parked, so none of them can release the lock that would break an
+// edge while the walk is in progress, and the request that closes a
+// cycle always runs a detection pass after its edge is published. The
+// converse does not hold — a concurrent grant outside the detector
+// mutex can, in principle, let the walk observe two edges that never
+// coexisted and abort a requester that was not truly deadlocked. Such
+// spurious victims are safe (the transaction retries) and vanishingly
+// rare; see DESIGN.md.
 package lock
 
 import (
@@ -81,8 +82,6 @@ const (
 	// Detect runs cycle detection on block and aborts the requester
 	// closing a cycle.
 	Detect Policy = iota
-	// WoundWait wounds younger conflicting transactions.
-	WoundWait
 	// TimeoutPolicy aborts a request that waits longer than the
 	// manager's timeout.
 	TimeoutPolicy
@@ -92,7 +91,6 @@ const (
 // (release its locks) and may be retried by the caller.
 var (
 	ErrDeadlock = errors.New("lock: deadlock detected, requester chosen as victim")
-	ErrWounded  = errors.New("lock: wounded by an older transaction")
 	ErrTimeout  = errors.New("lock: wait timed out")
 	ErrUnknown  = errors.New("lock: unknown transaction")
 )
@@ -116,11 +114,10 @@ type request struct {
 // TxState is one transaction's lock-manager state. The caller owns it —
 // the VC+2PL engine keeps it inside its transaction struct — and hands
 // it to BeginState once. It must be fresh: the detector holds a
-// *TxState outside every stripe mutex (cycleFrom, woundYounger), so a
-// recycled one could be wounded as its next incarnation.
+// *TxState outside every stripe mutex (cycleFrom), so a recycled one
+// could be taken for its next incarnation in a waits-for walk.
 type TxState struct {
-	id  uint64
-	age uint64 // smaller = older; used by WoundWait
+	id uint64
 
 	// mu guards the fields below. Lock order: a stripe mutex may be held
 	// while taking mu; never the reverse.
@@ -130,7 +127,6 @@ type TxState struct {
 	keys    []string
 	keyBuf  [4]string
 	waiting *request
-	wounded bool
 }
 
 // holder is one granted lock on a key.
@@ -237,14 +233,12 @@ type Manager struct {
 	stripes []stripe // len is a power of two
 	txs     [txShardCount]txShard
 
-	// detectMu serializes the blocking slow path: cycle detection
-	// (Detect) and victim selection (WoundWait). Fast-path grants and
-	// releases never touch it.
+	// detectMu serializes the blocking slow path, cycle detection
+	// (Detect). Fast-path grants and releases never touch it.
 	detectMu sync.Mutex
 
 	waits      atomic.Uint64
 	deadlocks  atomic.Uint64
-	wounds     atomic.Uint64
 	timeouts   atomic.Uint64
 	collisions atomic.Uint64
 
@@ -315,17 +309,15 @@ func (m *Manager) lookup(txID uint64) *TxState {
 }
 
 // Begin is BeginState on a new TxState, for callers with no struct of
-// their own to keep one in.
-func (m *Manager) Begin(txID, age uint64) {
-	m.BeginState(new(TxState), txID, age)
+// their own to keep one in. The second argument is ignored.
+func (m *Manager) Begin(txID, _ uint64) {
+	m.BeginState(new(TxState), txID)
 }
 
 // BeginState registers a transaction with the state it keeps here, which
-// must be fresh (see TxState). age must be unique and monotonically
-// increasing across begins (the engine uses its begin sequence);
-// WoundWait uses it as the seniority order.
-func (m *Manager) BeginState(tx *TxState, txID, age uint64) {
-	tx.id, tx.age = txID, age
+// must be fresh (see TxState).
+func (m *Manager) BeginState(tx *TxState, txID uint64) {
+	tx.id = txID
 	tx.keys = tx.keyBuf[:0]
 	sh := &m.txs[txID%txShardCount]
 	sh.mu.Lock()
@@ -357,7 +349,7 @@ func (m *Manager) SetBlockObserver(fn func(txID uint64, key string)) {
 }
 
 // Acquire blocks until the lock is granted or the transaction becomes a
-// deadlock/wound/timeout victim. Re-acquiring a held lock (same or weaker
+// deadlock or timeout victim. Re-acquiring a held lock (same or weaker
 // mode) is a no-op; Shared→Exclusive upgrades are supported and take
 // priority over queued requests.
 func (m *Manager) Acquire(txID uint64, key string, mode Mode) error {
@@ -365,39 +357,29 @@ func (m *Manager) Acquire(txID uint64, key string, mode Mode) error {
 	if tx == nil {
 		return ErrUnknown
 	}
-	req, err := m.grantOrQueue(tx, key, mode)
+	req := m.grantOrQueue(tx, key, mode)
 	if req == nil {
-		return err
+		return nil
 	}
 	m.waits.Add(1)
 	if m.onBlock != nil {
 		m.onBlock(txID, key)
 	}
 
-	switch m.policy {
-	case Detect:
+	if m.policy == Detect {
 		m.detectMu.Lock()
-		cycle := m.cycleFrom(tx)
-		var victim bool
-		if cycle {
-			victim = m.cancelRequest(req)
-		}
+		victim := m.cycleFrom(tx) && m.cancelRequest(req)
 		m.detectMu.Unlock()
 		if victim {
 			m.deadlocks.Add(1)
 			return ErrDeadlock
 		}
-		// If a cycle was seen but the request had already been resolved
-		// (granted or wounded concurrently), the verdict is on the
-		// channel; fall through and take it.
-	case WoundWait:
-		m.detectMu.Lock()
-		m.woundYounger(req)
-		m.detectMu.Unlock()
+		// If a cycle was seen but the request had already been granted
+		// concurrently, the verdict is on the channel; take it below.
 	}
 
 	waitStart := time.Now()
-	err = m.await(req)
+	err := m.await(req)
 	if m.onWait != nil {
 		m.onWait(txID, time.Since(waitStart))
 	}
@@ -405,21 +387,17 @@ func (m *Manager) Acquire(txID uint64, key string, mode Mode) error {
 }
 
 // grantOrQueue is Acquire's step under the key's stripe mutex and tx.mu:
-// grant the lock (nil request, nil error), refuse a wounded transaction,
-// or queue a request and return it.
-func (m *Manager) grantOrQueue(tx *TxState, key string, mode Mode) (*request, error) {
+// grant the lock (nil request), or queue a request and return it.
+func (m *Manager) grantOrQueue(tx *TxState, key string, mode Mode) *request {
 	s := m.stripeFor(key)
 	m.lockStripe(s)
 	defer s.mu.Unlock()
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
-	if tx.wounded {
-		return nil, ErrWounded
-	}
 	ls := s.locks[key]
 	held := ls.holderIdx(tx)
 	if held >= 0 && (mode == Shared || ls.holders[held].mode == Exclusive) {
-		return nil, nil
+		return nil
 	}
 	upgrade := held >= 0 // held Shared, want Exclusive
 	if ls == nil {
@@ -429,7 +407,7 @@ func (m *Manager) grantOrQueue(tx *TxState, key string, mode Mode) (*request, er
 	// upgrade goes ahead of them.
 	if !ls.conflict(tx, mode) && (upgrade || len(ls.queue) == 0) {
 		ls.grant(tx, key, mode)
-		return nil, nil
+		return nil
 	}
 	req := &request{tx: tx, key: key, mode: mode, upgrade: upgrade, ready: make(chan error, 1)}
 	ls.queue = append(ls.queue, req)
@@ -438,7 +416,7 @@ func (m *Manager) grantOrQueue(tx *TxState, key string, mode Mode) (*request, er
 		ls.queue[0] = req
 	}
 	tx.waiting = req
-	return req, nil
+	return req
 }
 
 // await blocks on a queued request until it is granted or fails under
@@ -455,7 +433,7 @@ func (m *Manager) await(req *request) error {
 				m.timeouts.Add(1)
 				return ErrTimeout
 			}
-			// A grant (or wound) raced the timer; its verdict is queued.
+			// A grant raced the timer; its verdict is queued.
 			return <-req.ready
 		}
 	}
@@ -464,7 +442,7 @@ func (m *Manager) await(req *request) error {
 
 // cancelRequest removes req from its key's queue if it is still there,
 // reporting whether it was. Whoever removes a request owns its verdict;
-// a false return means some other path (grant, wound, release) already
+// a false return means some other path (grant, release) already
 // resolved it and has sent — or is about to send — on req.ready.
 func (m *Manager) cancelRequest(req *request) bool {
 	s := m.stripeFor(req.key)
@@ -507,7 +485,7 @@ func (m *Manager) ReleaseAll(txID uint64) {
 		s := m.stripeFor(w.key)
 		m.lockStripe(s)
 		if ls := s.locks[w.key]; ls != nil && m.removeRequest(s, ls, w) {
-			w.ready <- ErrWounded
+			w.ready <- ErrUnknown
 		}
 		s.mu.Unlock()
 	}
@@ -539,25 +517,11 @@ func (m *Manager) HeldCount(txID uint64) int {
 	return len(tx.keys)
 }
 
-// Wounded reports whether txID has been wounded and must abort.
-func (m *Manager) Wounded(txID uint64) bool {
-	tx := m.lookup(txID)
-	if tx == nil {
-		return false
-	}
-	tx.mu.Lock()
-	defer tx.mu.Unlock()
-	return tx.wounded
-}
-
 // Waits returns the number of requests that ever blocked.
 func (m *Manager) Waits() uint64 { return m.waits.Load() }
 
 // Deadlocks returns the number of deadlock victims.
 func (m *Manager) Deadlocks() uint64 { return m.deadlocks.Load() }
-
-// Wounds returns the number of wounded transactions.
-func (m *Manager) Wounds() uint64 { return m.wounds.Load() }
 
 // Timeouts returns the number of timed-out requests.
 func (m *Manager) Timeouts() uint64 { return m.timeouts.Load() }
@@ -768,45 +732,4 @@ func (m *Manager) cycleFrom(start *TxState) bool {
 		}
 	}
 	return false
-}
-
-// woundYounger wounds every conflicting transaction younger than the
-// requester: holders keep running until they notice (next Acquire or an
-// explicit Wounded check); blocked waiters are failed immediately. The
-// caller holds detectMu.
-func (m *Manager) woundYounger(req *request) {
-	for _, b := range m.blockersFor(req) {
-		if b.age <= req.tx.age {
-			continue
-		}
-		m.wound(b)
-	}
-}
-
-// wound marks b wounded and fails its blocked request, if any. The caller
-// holds detectMu.
-func (m *Manager) wound(b *TxState) {
-	b.mu.Lock()
-	if b.wounded {
-		b.mu.Unlock()
-		return
-	}
-	b.wounded = true
-	w := b.waiting
-	b.mu.Unlock()
-	m.wounds.Add(1)
-	if w == nil {
-		return
-	}
-	s := m.stripeFor(w.key)
-	m.lockStripe(s)
-	if ls := s.locks[w.key]; ls != nil && m.removeRequest(s, ls, w) {
-		b.mu.Lock()
-		if b.waiting == w {
-			b.waiting = nil
-		}
-		b.mu.Unlock()
-		w.ready <- ErrWounded
-	}
-	s.mu.Unlock()
 }

@@ -187,79 +187,6 @@ func TestUpgradeUpgradeDeadlock(t *testing.T) {
 	}
 }
 
-func TestWoundWaitOlderWoundsYoungerHolder(t *testing.T) {
-	m := NewManager(WoundWait, 0)
-	m.Begin(1, 1) // older
-	m.Begin(2, 2) // younger
-	if err := m.Acquire(2, "x", Exclusive); err != nil {
-		t.Fatal(err)
-	}
-	t1 := make(chan error)
-	go func() { t1 <- m.Acquire(1, "x", Exclusive) }()
-	time.Sleep(20 * time.Millisecond)
-	if !m.Wounded(2) {
-		t.Fatal("younger holder not wounded")
-	}
-	// The wounded transaction notices on its next acquire.
-	if err := m.Acquire(2, "y", Shared); !errors.Is(err, ErrWounded) {
-		t.Fatalf("err = %v, want ErrWounded", err)
-	}
-	m.ReleaseAll(2)
-	if err := <-t1; err != nil {
-		t.Fatal(err)
-	}
-	if m.Wounds() != 1 {
-		t.Fatalf("Wounds = %d", m.Wounds())
-	}
-}
-
-func TestWoundWaitYoungerWaits(t *testing.T) {
-	m := NewManager(WoundWait, 0)
-	m.Begin(1, 1)
-	m.Begin(2, 2)
-	if err := m.Acquire(1, "x", Exclusive); err != nil {
-		t.Fatal(err)
-	}
-	t2 := make(chan error)
-	go func() { t2 <- m.Acquire(2, "x", Exclusive) }()
-	select {
-	case err := <-t2:
-		t.Fatalf("younger did not wait: %v", err)
-	case <-time.After(20 * time.Millisecond):
-	}
-	if m.Wounded(1) {
-		t.Fatal("older got wounded by younger")
-	}
-	m.ReleaseAll(1)
-	if err := <-t2; err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWoundWaitWoundsBlockedWaiterImmediately(t *testing.T) {
-	m := NewManager(WoundWait, 0)
-	m.Begin(1, 1) // oldest
-	m.Begin(2, 2)
-	m.Begin(3, 3)
-	if err := m.Acquire(2, "x", Exclusive); err != nil {
-		t.Fatal(err)
-	}
-	t3 := make(chan error)
-	go func() { t3 <- m.Acquire(3, "x", Exclusive) }()
-	time.Sleep(20 * time.Millisecond)
-	// T1 arrives: wounds holder T2 and queued T3.
-	t1 := make(chan error)
-	go func() { t1 <- m.Acquire(1, "x", Exclusive) }()
-	if err := <-t3; !errors.Is(err, ErrWounded) {
-		t.Fatalf("t3 err = %v, want ErrWounded", err)
-	}
-	m.ReleaseAll(3)
-	m.ReleaseAll(2)
-	if err := <-t1; err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTimeoutPolicy(t *testing.T) {
 	m := NewManager(TimeoutPolicy, 30*time.Millisecond)
 	m.Begin(1, 1)
@@ -329,11 +256,15 @@ func TestReleaseAllUnknownIsNoop(t *testing.T) {
 
 // Stress: random transactions acquire random locks under each policy;
 // mutual exclusion is asserted via a per-key owner check, and the run must
-// terminate (no undetected deadlock).
+// terminate (no undetected deadlock). The subtest names are fixed so that
+// they do not move when the Policy constants are renumbered.
 func TestStressMutualExclusion(t *testing.T) {
-	for _, pol := range []Policy{Detect, WoundWait, TimeoutPolicy} {
-		pol := pol
-		t.Run(fmt.Sprintf("policy=%d", pol), func(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		pol  Policy
+	}{{"policy=0", Detect}, {"policy=2", TimeoutPolicy}} {
+		pol := tc.pol
+		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			m := NewManager(pol, 20*time.Millisecond)
 			const keys = 8
@@ -341,7 +272,6 @@ func TestStressMutualExclusion(t *testing.T) {
 			const txPerWorker = 150
 
 			var owners [keys]atomic.Int64
-			var ages atomic.Uint64
 			var ids atomic.Uint64
 
 			var wg sync.WaitGroup
@@ -352,7 +282,7 @@ func TestStressMutualExclusion(t *testing.T) {
 					rng := rand.New(rand.NewSource(int64(w)))
 					for i := 0; i < txPerWorker; i++ {
 						id := ids.Add(1)
-						m.Begin(id, ages.Add(1))
+						m.Begin(id, id)
 						locked := make(map[int]Mode)
 						aborted := false
 						n := 1 + rng.Intn(4)
@@ -396,11 +326,8 @@ func TestStressMutualExclusion(t *testing.T) {
 	}
 }
 
-func TestWoundedUnknownTx(t *testing.T) {
+func TestUnknownTxHoldsNothing(t *testing.T) {
 	m := newDetect()
-	if m.Wounded(123) {
-		t.Fatal("unknown tx reported wounded")
-	}
 	if m.HeldCount(123) != 0 {
 		t.Fatal("unknown tx holds locks")
 	}

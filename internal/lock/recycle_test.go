@@ -1,6 +1,7 @@
 package lock
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -52,7 +53,7 @@ func TestSteadyStateAllocations(t *testing.T) {
 	id := uint64(0)
 	if n := testing.AllocsPerRun(runs, func() {
 		id++
-		m.BeginState(&states[id-1], id, id)
+		m.BeginState(&states[id-1], id)
 		for _, step := range []struct {
 			key  string
 			mode Mode
@@ -76,12 +77,21 @@ func TestSteadyStateAllocations(t *testing.T) {
 
 // TestLockTableHygiene churns many transactions over far more distinct
 // keys than there are stripes — so lockStates are made, parked, reused
-// and dropped past the cap — with a few shared keys for waits, wounds and
-// deadlock victims, and then holds the table to checkTableEmpty.
+// and dropped past the cap — with a few shared keys for waits and
+// victims, and then holds the table to checkTableEmpty. Under the
+// timeout policy the millisecond bound fires on deadlocked and merely
+// slow waits alike, so timers race grants (await, cancelRequest).
 func TestLockTableHygiene(t *testing.T) {
-	for name, policy := range map[string]Policy{"detect": Detect, "woundwait": WoundWait} {
-		t.Run(name, func(t *testing.T) {
-			m := NewManagerStriped(policy, 0, 4)
+	for _, c := range []struct {
+		name    string
+		policy  Policy
+		victims func(*Manager) uint64
+	}{
+		{"detect", Detect, (*Manager).Deadlocks},
+		{"timeout", TimeoutPolicy, (*Manager).Timeouts},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := NewManagerStriped(c.policy, 2*time.Millisecond, 4)
 			const (
 				workers = 4
 				rounds  = 300
@@ -113,6 +123,10 @@ func TestLockTableHygiene(t *testing.T) {
 				}(uint64(w + 1))
 			}
 			wg.Wait()
+			t.Logf("%d victims", c.victims(m))
+			if c.victims(m) == 0 {
+				t.Errorf("no %s victim in %d transactions", c.name, workers*rounds)
+			}
 			checkTableEmpty(t, m)
 			parked := 0
 			for i := range m.stripes {
@@ -127,47 +141,71 @@ func TestLockTableHygiene(t *testing.T) {
 
 // TestRecycledLockStateGrantsImmediately: a lockState that served a
 // holder and a waiter on one key carries neither over to the next key
-// that takes it from the free list.
+// that takes it from the free list — whether the waiter was granted the
+// key when the holder released it or, under the timeout policy, gave up
+// first.
 func TestRecycledLockStateGrantsImmediately(t *testing.T) {
-	m := NewManagerStriped(Detect, 0, 1)
-	s := &m.stripes[0]
-	m.Begin(1, 1)
-	m.Begin(2, 2)
-	if err := m.Acquire(1, "a", Exclusive); err != nil {
-		t.Fatal(err)
-	}
-	blocked := make(chan struct{})
-	m.SetBlockObserver(func(uint64, string) { close(blocked) })
-	granted := make(chan error, 1)
-	go func() { granted <- m.Acquire(2, "a", Shared) }()
-	<-blocked
-	m.ReleaseAll(1)
-	if err := <-granted; err != nil {
-		t.Fatal(err)
-	}
-	m.ReleaseAll(2)
-	s.mu.Lock()
-	parked := len(s.free)
-	s.mu.Unlock()
-	if parked != 1 {
-		t.Fatalf("%d lockStates parked after the key emptied, want 1", parked)
-	}
+	for _, c := range []struct {
+		name   string
+		policy Policy
+		want   error // the waiter's verdict
+	}{
+		{"granted", Detect, nil},
+		{"timeout", TimeoutPolicy, ErrTimeout},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := NewManagerStriped(c.policy, time.Millisecond, 1)
+			s := &m.stripes[0]
+			m.Begin(1, 1)
+			m.Begin(2, 2)
+			if err := m.Acquire(1, "a", Exclusive); err != nil {
+				t.Fatal(err)
+			}
+			blocked := make(chan struct{})
+			m.SetBlockObserver(func(uint64, string) { close(blocked) })
+			waited := make(chan error, 1)
+			go func() { waited <- m.Acquire(2, "a", Shared) }()
+			<-blocked
+			if c.want != nil {
+				if err := <-waited; !errors.Is(err, c.want) {
+					t.Fatalf("waiter: err = %v, want %v", err, c.want)
+				}
+				if n := m.Timeouts(); n != 1 {
+					t.Fatalf("%d timeout victims, want 1", n)
+				}
+			}
+			m.ReleaseAll(1)
+			if c.want == nil {
+				if err := <-waited; err != nil {
+					t.Fatal(err)
+				}
+			}
+			m.ReleaseAll(2)
+			s.mu.Lock()
+			parked := len(s.free)
+			s.mu.Unlock()
+			if parked != 1 {
+				t.Fatalf("%d lockStates parked after the key emptied, want 1", parked)
+			}
 
-	m.Begin(3, 3)
-	go func() { granted <- m.Acquire(3, "b", Exclusive) }()
-	select {
-	case err := <-granted:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("a recycled lockState did not grant its next key at once")
+			m.Begin(3, 3)
+			granted := make(chan error, 1)
+			go func() { granted <- m.Acquire(3, "b", Exclusive) }()
+			select {
+			case err := <-granted:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("a recycled lockState did not grant its next key at once")
+			}
+			s.mu.Lock()
+			if len(s.free) != 0 || len(s.locks) != 1 {
+				t.Errorf("free list %d, table %d while b is held; want the parked lockState in use", len(s.free), len(s.locks))
+			}
+			s.mu.Unlock()
+			m.ReleaseAll(3)
+			checkTableEmpty(t, m)
+		})
 	}
-	s.mu.Lock()
-	if len(s.free) != 0 || len(s.locks) != 1 {
-		t.Errorf("free list %d, table %d while b is held; want the parked lockState in use", len(s.free), len(s.locks))
-	}
-	s.mu.Unlock()
-	m.ReleaseAll(3)
-	checkTableEmpty(t, m)
 }

@@ -136,17 +136,23 @@ func TestSlowBlockObserver(t *testing.T) {
 
 // TestStripedStress hammers the striped manager from many goroutines with
 // a deliberately adversarial mix — every transaction touches one global
-// hot key plus a handful of uniformly distributed keys — under all three
-// deadlock policies. Run under -race (tier-1) this is the data-race net
+// hot key, which it now and then holds past the timeout, plus a handful
+// of uniformly distributed keys — under both deadlock policies. Run under -race (tier-1) this is the data-race net
 // for the striped fast path, the cross-stripe release path, and the
 // detector slow path at once. Mutual exclusion is checked with a plain
 // counter guarded only by the hot key's exclusive lock, which must end
 // exactly at the number of commits.
 func TestStripedStress(t *testing.T) {
-	policies := map[string]Policy{"detect": Detect, "woundwait": WoundWait, "timeout": TimeoutPolicy}
-	for name, policy := range policies {
-		t.Run(name, func(t *testing.T) {
-			m := NewManagerStriped(policy, 5*time.Millisecond, 8)
+	for _, c := range []struct {
+		name    string
+		policy  Policy
+		victims func(*Manager) uint64
+	}{
+		{"detect", Detect, (*Manager).Deadlocks},
+		{"timeout", TimeoutPolicy, (*Manager).Timeouts},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := NewManagerStriped(c.policy, time.Millisecond, 8)
 			const (
 				workers = 8
 				rounds  = 200
@@ -184,6 +190,11 @@ func TestStripedStress(t *testing.T) {
 								t.Error("mutual exclusion violated on hot key")
 							}
 							hotCount++
+							if r%50 == 0 {
+								// Outlast the timeout now and then, so
+								// the hot key's waiters become victims.
+								time.Sleep(2 * time.Millisecond)
+							}
 							inHot.Add(-1)
 							commits.Add(1)
 						}
@@ -194,6 +205,10 @@ func TestStripedStress(t *testing.T) {
 			wg.Wait()
 			if commits.Load() == 0 {
 				t.Fatal("no transaction ever acquired the hot key")
+			}
+			t.Logf("%d victims, %d commits", c.victims(m), commits.Load())
+			if c.policy == TimeoutPolicy && c.victims(m) == 0 {
+				t.Error("no timeout victim")
 			}
 			if hotCount != commits.Load() {
 				t.Errorf("counter under the hot lock = %d after %d commits", hotCount, commits.Load())

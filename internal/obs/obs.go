@@ -68,13 +68,12 @@ type Stats struct {
 	Retries Counter
 
 	// Aborts by cause. Conflict covers timestamp-ordering rejections
-	// and failed optimistic validation; Deadlock, Wounded and Timeout
-	// are the three 2PL deadlock-policy outcomes; User is an explicit
+	// and failed optimistic validation; Deadlock and Timeout are the
+	// two 2PL deadlock-policy outcomes; User is an explicit
 	// Abort call; Log is a commit whose log record could not be made
 	// durable (any protocol).
 	AbortsConflict Counter
 	AbortsDeadlock Counter
-	AbortsWounded  Counter
 	AbortsTimeout  Counter
 	AbortsUser     Counter
 	AbortsLog      Counter
@@ -165,7 +164,6 @@ type Snapshot struct {
 
 	AbortsConflict int64 `json:"aborts_conflict"`
 	AbortsDeadlock int64 `json:"aborts_deadlock"`
-	AbortsWounded  int64 `json:"aborts_wounded"`
 	AbortsTimeout  int64 `json:"aborts_timeout"`
 	AbortsUser     int64 `json:"aborts_user"`
 	AbortsLog      int64 `json:"aborts_log"`
@@ -178,7 +176,6 @@ type Snapshot struct {
 	// waits.
 	LockWaits     int64           `json:"lock_waits"`
 	LockDeadlocks int64           `json:"lock_deadlocks"`
-	LockWounds    int64           `json:"lock_wounds"`
 	LockTimeouts  int64           `json:"lock_timeouts"`
 	LockWait      metrics.Summary `json:"lock_wait"`
 	// LockStripes is the lock table's stripe count; LockStripeCollisions
@@ -275,7 +272,6 @@ func (s *Stats) Snapshot() Snapshot {
 	sn.Retries = s.Retries.Load()
 	sn.AbortsConflict = s.AbortsConflict.Load()
 	sn.AbortsDeadlock = s.AbortsDeadlock.Load()
-	sn.AbortsWounded = s.AbortsWounded.Load()
 	sn.AbortsTimeout = s.AbortsTimeout.Load()
 	sn.AbortsUser = s.AbortsUser.Load()
 	sn.AbortsLog = s.AbortsLog.Load()
@@ -302,8 +298,8 @@ func (s *Stats) Snapshot() Snapshot {
 
 // AbortsTotal sums every abort cause, user aborts included.
 func (sn Snapshot) AbortsTotal() int64 {
-	return sn.AbortsConflict + sn.AbortsDeadlock + sn.AbortsWounded +
-		sn.AbortsTimeout + sn.AbortsUser + sn.AbortsLog
+	return sn.AbortsConflict + sn.AbortsDeadlock + sn.AbortsTimeout +
+		sn.AbortsUser + sn.AbortsLog
 }
 
 // Map flattens the snapshot into the legacy flat counter vocabulary
@@ -317,7 +313,6 @@ func (sn Snapshot) Map() map[string]int64 {
 		"retries":         sn.Retries,
 		"aborts.conflict": sn.AbortsConflict,
 		"aborts.deadlock": sn.AbortsDeadlock,
-		"aborts.wounded":  sn.AbortsWounded,
 		"aborts.timeout":  sn.AbortsTimeout,
 		"aborts.user":     sn.AbortsUser,
 		"aborts.log":      sn.AbortsLog,
@@ -326,7 +321,6 @@ func (sn Snapshot) Map() map[string]int64 {
 		"ro.recency_wait": sn.RecencyWaits,
 		"lock.waits":      sn.LockWaits,
 		"lock.deadlocks":  sn.LockDeadlocks,
-		"lock.wounds":     sn.LockWounds,
 		"lock.timeouts":   sn.LockTimeouts,
 		"lock.stripes":    int64(sn.LockStripes),
 		"lock.collisions": sn.LockStripeCollisions,

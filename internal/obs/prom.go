@@ -115,7 +115,6 @@ func (sn Snapshot) WriteProm(w io.Writer) error {
 	p.Header("mvdb_aborts_total", "counter", "Aborted transactions, by cause.")
 	p.Int("mvdb_aborts_total", sn.AbortsConflict, "cause", "conflict")
 	p.Int("mvdb_aborts_total", sn.AbortsDeadlock, "cause", "deadlock")
-	p.Int("mvdb_aborts_total", sn.AbortsWounded, "cause", "wounded")
 	p.Int("mvdb_aborts_total", sn.AbortsTimeout, "cause", "timeout")
 	p.Int("mvdb_aborts_total", sn.AbortsUser, "cause", "user")
 	p.Int("mvdb_aborts_total", sn.AbortsLog, "cause", "log")
@@ -131,8 +130,6 @@ func (sn Snapshot) WriteProm(w io.Writer) error {
 	p.Int("mvdb_lock_waits_total", sn.LockWaits)
 	p.Header("mvdb_lock_deadlocks_total", "counter", "Deadlocks broken by the lock manager.")
 	p.Int("mvdb_lock_deadlocks_total", sn.LockDeadlocks)
-	p.Header("mvdb_lock_wounds_total", "counter", "Transactions wounded under wound-wait.")
-	p.Int("mvdb_lock_wounds_total", sn.LockWounds)
 	p.Header("mvdb_lock_timeouts_total", "counter", "Lock waits abandoned by timeout.")
 	p.Int("mvdb_lock_timeouts_total", sn.LockTimeouts)
 	if sn.LockWait.Count > 0 {

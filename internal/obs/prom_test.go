@@ -187,7 +187,6 @@ func TestWritePromCompleteness(t *testing.T) {
 		"Retries":                   "mvdb_retries_total",
 		"AbortsConflict":            "mvdb_aborts_total",
 		"AbortsDeadlock":            "mvdb_aborts_total",
-		"AbortsWounded":             "mvdb_aborts_total",
 		"AbortsTimeout":             "mvdb_aborts_total",
 		"AbortsUser":                "mvdb_aborts_total",
 		"AbortsLog":                 "mvdb_aborts_total",
@@ -196,7 +195,6 @@ func TestWritePromCompleteness(t *testing.T) {
 		"RecencyWaits":              "mvdb_ro_recency_waits_total",
 		"LockWaits":                 "mvdb_lock_waits_total",
 		"LockDeadlocks":             "mvdb_lock_deadlocks_total",
-		"LockWounds":                "mvdb_lock_wounds_total",
 		"LockTimeouts":              "mvdb_lock_timeouts_total",
 		"LockWait":                  "mvdb_lock_wait_seconds",
 		"LockWaitNanos":             "mvdb_lock_wait_seconds",

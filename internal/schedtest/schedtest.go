@@ -77,7 +77,7 @@ type Outcome struct {
 	Name      string
 	Committed bool
 	// Err is the first operation error (nil for a clean run). Retryable
-	// aborts (deadlock, wound, conflict, timeout) land here; after one,
+	// aborts (deadlock, conflict, timeout) land here; after one,
 	// the script's remaining operations are skipped.
 	Err error
 	// Reads holds the last observed value per key ("" for a miss).

@@ -35,7 +35,6 @@ package mvdb
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"mvdb/internal/audit"
 	"mvdb/internal/core"
@@ -43,7 +42,6 @@ import (
 	"mvdb/internal/faultfs"
 	"mvdb/internal/flight"
 	"mvdb/internal/gc"
-	"mvdb/internal/lock"
 	"mvdb/internal/obs"
 	"mvdb/internal/vc"
 	"mvdb/internal/wal"
@@ -56,7 +54,9 @@ type Protocol int
 
 const (
 	// TwoPhaseLocking is strict 2PL with version-control registration at
-	// the lock-point (paper Figure 4). The default.
+	// the lock-point (paper Figure 4). The default. A lock request that
+	// would close a waits-for cycle fails with ErrDeadlock, and its
+	// transaction aborts.
 	TwoPhaseLocking Protocol = iota
 	// TimestampOrdering assigns the serial order at begin (paper
 	// Figure 3). Writers that arrive too late abort and should retry.
@@ -108,40 +108,15 @@ func vcMode(m VisibilityMode) vc.Mode {
 	return vc.ModeStrict
 }
 
-// DeadlockPolicy selects how the 2PL engine resolves deadlocks.
-type DeadlockPolicy int
-
-const (
-	// DeadlockDetect aborts the requester that would close a waits-for
-	// cycle. The default.
-	DeadlockDetect DeadlockPolicy = iota
-	// DeadlockWoundWait wounds younger conflicting transactions.
-	DeadlockWoundWait
-	// DeadlockTimeout aborts lock waits after Options.LockTimeout.
-	DeadlockTimeout
-)
-
-func lockPolicy(p DeadlockPolicy) lock.Policy {
-	switch p {
-	case DeadlockWoundWait:
-		return lock.WoundWait
-	case DeadlockTimeout:
-		return lock.TimeoutPolicy
-	default:
-		return lock.Detect
-	}
-}
-
-// Errors returned by transactions. ErrConflict, ErrDeadlock and
-// ErrWounded mean the transaction aborted and may be retried (IsRetryable
-// reports this; Update retries automatically). ErrSnapshotTooOld means a
+// Errors returned by transactions. ErrConflict and ErrDeadlock mean the
+// transaction aborted and may be retried (IsRetryable reports this;
+// Update retries automatically). ErrSnapshotTooOld means a
 // read-only transaction's snapshot is older than garbage collection kept
 // (see CollectGarbage, BeginReadOnlyAt); it is not retryable.
 var (
 	ErrNotFound       = engine.ErrNotFound
 	ErrConflict       = engine.ErrConflict
 	ErrDeadlock       = engine.ErrDeadlock
-	ErrWounded        = engine.ErrWounded
 	ErrReadOnly       = engine.ErrReadOnly
 	ErrTxDone         = engine.ErrTxDone
 	ErrSnapshotTooOld = engine.ErrSnapshotTooOld
@@ -158,10 +133,6 @@ type Options struct {
 	// the strict per-transaction drain (default) or the decentralized
 	// epoch watermark. See the VisibilityMode constants.
 	VisibilityMode VisibilityMode
-	// DeadlockPolicy applies to TwoPhaseLocking.
-	DeadlockPolicy DeadlockPolicy
-	// LockTimeout applies to DeadlockTimeout (default 50ms).
-	LockTimeout time.Duration
 	// WALPath enables durability: committed write sets are logged before
 	// they become visible, and Open recovers the store from an existing
 	// log at this path. Empty disables the log.
@@ -176,8 +147,6 @@ type Options struct {
 	// Without it the log reaches the disk when the OS writes it back and
 	// on Close, so a crash can lose acknowledged commits.
 	GroupCommit bool
-	// MaxUpdateRetries bounds Update's automatic retries (default 100).
-	MaxUpdateRetries int
 	// DebugAddr, when non-empty, serves live observability over HTTP on
 	// that address (e.g. "localhost:6060" or ":0" for an ephemeral port;
 	// DebugAddr() reports the bound address): GET /debug/mvdb returns the
@@ -251,7 +220,6 @@ type DB struct {
 	auditor   *audit.Auditor   // nil unless Options.Audit
 	flightRec *flight.Recorder // nil unless Options.FlightDir
 	dbg       *obs.DebugServer // nil unless DebugAddr
-	retries   int
 	closed    bool
 }
 
@@ -294,18 +262,11 @@ func Open(opts Options) (*DB, error) {
 	coreOpts := core.Options{
 		Protocol:    coreProtocol(opts.Protocol),
 		Visibility:  vcMode(opts.VisibilityMode),
-		LockPolicy:  lockPolicy(opts.DeadlockPolicy),
-		LockTimeout: opts.LockTimeout,
 		PhaseTiming: opts.PhaseTiming,
 	}
 	if auditor != nil {
 		coreOpts.Recorder = auditor
 	}
-	retries := opts.MaxUpdateRetries
-	if retries <= 0 {
-		retries = 100
-	}
-
 	fail := func(err error) (*DB, error) {
 		if auditor != nil {
 			auditor.Close()
@@ -328,7 +289,7 @@ func Open(opts Options) (*DB, error) {
 	engVC := eng.VC()
 	auditVC.Store(&engVC)
 
-	db := &DB{eng: eng, auditor: auditor, retries: retries}
+	db := &DB{eng: eng, auditor: auditor}
 	// Commits collect at install; the collector is CollectGarbage's sweep
 	// for the keys nobody writes again. Its pass observer feeds the GC
 	// counters.
@@ -461,16 +422,14 @@ func (db *DB) View(fn func(*Tx) error) error {
 }
 
 // Update runs fn in a read-write transaction, retrying automatically when
-// the engine aborts it with a retryable conflict (up to
-// Options.MaxUpdateRetries attempts; from the second retry on, after a
-// short random sleep whose bound doubles with each retry, up to a
-// millisecond). fn must be idempotent per attempt and must not keep
+// the engine aborts it with a retryable conflict (up to 100 attempts;
+// from the second retry on, after a short random sleep whose bound
+// doubles with each retry, up to a millisecond). fn must be idempotent per attempt and must not keep
 // references to data read in failed attempts. If fn panics, the attempt's transaction is aborted — its locks and pending
 // versions given back — and the panic goes on.
 func (db *DB) Update(fn func(*Tx) error) error {
 	var last error
-	for attempt := 0; attempt < db.retries; attempt++ {
-		engine.Backoff(attempt)
+	for attempt := 0; engine.Backoff(attempt); attempt++ {
 		err := db.attempt(fn)
 		if err == nil {
 			return nil
