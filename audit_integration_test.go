@@ -11,15 +11,17 @@ import (
 	"mvdb/internal/audit"
 )
 
-// TestAuditEndToEnd opens a real database with the auditor and the
-// debug server, runs a workload, and checks the full surface: the
-// auditor snapshot, /debug/mvdb/audit, and the auditor families merged
-// into /metrics.
+// TestAuditEndToEnd opens a real database with the auditor, phase
+// timing and the debug server, runs a workload, and checks the full
+// surface: the auditor snapshot, /debug/mvdb/audit, the phase matrix
+// (the one place commit latency is timed), and the auditor and phase
+// families merged into /metrics.
 func TestAuditEndToEnd(t *testing.T) {
 	db, err := Open(Options{
-		Protocol:  TimestampOrdering,
-		Audit:     true,
-		DebugAddr: "127.0.0.1:0",
+		Protocol:    TimestampOrdering,
+		Audit:       true,
+		PhaseTiming: true,
+		DebugAddr:   "127.0.0.1:0",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -66,8 +68,12 @@ func TestAuditEndToEnd(t *testing.T) {
 	if sn.Processed == 0 || sn.GraphWriters == 0 {
 		t.Fatalf("auditor saw no traffic: %+v", sn)
 	}
-	if sn.Latency["read-write"].Count == 0 || sn.Latency["read-only"].Count == 0 {
-		t.Fatalf("latency summaries missing: %+v", sn.Latency)
+	rows := map[string]uint64{}
+	for _, ps := range db.Stats().Phases {
+		rows[ps.Protocol] += ps.Durations.Count
+	}
+	if rows["vc+to"] == 0 || rows["ro"] == 0 {
+		t.Fatalf("phase matrix rows missing: %+v", db.Stats().Phases)
 	}
 
 	// The audit debug endpoint serves the same snapshot shape.
@@ -104,7 +110,7 @@ func TestAuditEndToEnd(t *testing.T) {
 		"mvdb_visibility_lag",
 		"mvdb_audit_events_total",
 		"mvdb_audit_alarms_total 0",
-		`mvdb_txn_latency_seconds{class="rw",quantile="0.95"}`,
+		`mvdb_phase_seconds{protocol="vc+to",phase="visible-wait",quantile="0.99"}`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, out)

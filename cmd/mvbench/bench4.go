@@ -63,9 +63,10 @@ type benchResult struct {
 //     applies to this family at 16 goroutines.
 //
 //   - engine/*: the same modes under the full vc+2pl engine with phase
-//     timing on, where lock manager and store costs dilute the effect.
-//     Recorded as context, not gated: it shows how much of the
-//     end-to-end profile the visible-wait phase is on this machine.
+//     timing on. Its visible-wait phase is the committer's VCcomplete
+//     (mark complete, drain), not the register→visible lag, so this
+//     family compares what each mode's completion costs a committer.
+//     Recorded as context, not gated.
 func runBench4(quick bool) {
 	opsPerG := 400000
 	txns := 3000
@@ -197,8 +198,9 @@ func benchVCDirect(mode vc.Mode, g, opsPerG int) benchResult {
 }
 
 // benchVCEngine runs an update-only 2PL workload with phase timing on
-// and extracts the visible-wait phase row: the same lag measured
-// end-to-end, where concurrency control and the store dilute it.
+// and extracts the visible-wait phase row: the committer's VCcomplete,
+// timed inside a full commit. The JSON keys keep their visible_wait_
+// names.
 func benchVCEngine(mode vc.Mode, clients, txns int) benchResult {
 	e := core.New(core.Options{Protocol: core.TwoPhaseLocking, Visibility: mode, PhaseTiming: true})
 	wl := workload.Config{Keys: 2048, ReadOnlyFraction: 0, RWReads: 1, RWWrites: 2, Seed: 7}

@@ -73,8 +73,8 @@ func runLive(addr string, interval time.Duration, count int) int {
 	return 0
 }
 
-// addAuditRows appends the online auditor's section: per-class span
-// latency quantiles, alarm totals and the most recent alarm.
+// addAuditRows appends the online auditor's section: graph size, event
+// counts, alarm totals and the most recent alarm.
 func addAuditRows(tb *metrics.Table, sn *audit.Snapshot) {
 	if sn == nil {
 		return
@@ -83,15 +83,6 @@ func addAuditRows(tb *metrics.Table, sn *audit.Snapshot) {
 		fmt.Sprintf("%d / %d / %d", sn.Window, sn.GraphNodes, sn.GraphEdges), "")
 	tb.AddRow("audit events (recv/drop)",
 		fmt.Sprintf("%d / %d", sn.Received, sn.Dropped), "")
-	for _, class := range []string{"read-only", "read-write"} {
-		l, ok := sn.Latency[class]
-		if !ok {
-			continue
-		}
-		tb.AddRow(fmt.Sprintf("audit %s p50/p95/p99", class),
-			fmt.Sprintf("%s / %s / %s",
-				metrics.Dur(l.P50NS), metrics.Dur(l.P95NS), metrics.Dur(l.P99NS)), "")
-	}
 	tb.AddRow("audit alarms", fmt.Sprint(sn.AlarmsTotal), "")
 	if n := len(sn.Alarms); n > 0 {
 		last := sn.Alarms[n-1]
@@ -165,5 +156,10 @@ func liveTable(addr string, cur, prev *obs.Payload, interval time.Duration) metr
 	gauge("vc queue", s.VCQueueLen)
 	gauge("keys / versions", fmt.Sprintf("%d / %d", s.Keys, s.Versions))
 	gauge("version chain max/mean", fmt.Sprintf("%d / %.2f", s.MaxVersionChain, s.MeanVersionChain))
+	// The phase matrix, when the database runs with Options.PhaseTiming.
+	for _, ps := range s.Phases {
+		gauge(fmt.Sprintf("%s %s p50/p99", ps.Protocol, ps.Phase),
+			fmt.Sprintf("%s / %s", metrics.Dur(ps.Durations.P50), metrics.Dur(ps.Durations.P99)))
+	}
 	return tb
 }

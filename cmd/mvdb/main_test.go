@@ -5,11 +5,14 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"mvdb"
 	"mvdb/internal/crashtest"
 	"mvdb/internal/flight"
+	"mvdb/internal/metrics"
 	"mvdb/internal/obs"
 )
 
@@ -143,10 +146,22 @@ func TestInspect(t *testing.T) {
 }
 
 func TestInspectLive(t *testing.T) {
-	db, err := mvdb.Open(mvdb.Options{DebugAddr: "127.0.0.1:0", Audit: true})
+	db, err := mvdb.Open(mvdb.Options{DebugAddr: "127.0.0.1:0", Audit: true, PhaseTiming: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
 	wantStatus(t, 0, "inspect", "-live", db.DebugAddr(), "-count", "2", "-interval", "10ms")
+}
+
+// The live table's latency rows come from the phase matrix, one per
+// non-empty cell.
+func TestLiveTableRendersPhaseRows(t *testing.T) {
+	cur := &obs.Payload{Stats: obs.Snapshot{Phases: []obs.PhaseSummary{
+		{Protocol: "vc+2pl", Phase: "fsync-wait", Durations: metrics.Summary{Count: 3, P50: 1e6, P99: 2e6}},
+	}}}
+	tb := liveTable("addr", cur, nil, time.Second)
+	if out := tb.String(); !strings.Contains(out, "vc+2pl fsync-wait p50/p99") {
+		t.Fatalf("no phase row in the live table:\n%s", out)
+	}
 }

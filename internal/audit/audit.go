@@ -1,13 +1,11 @@
 // Package audit is the online serializability auditor: an opt-in,
 // asynchronous pipeline that subscribes to the engine's event stream
-// (as an engine.Recorder) and maintains, live,
-//
-//   - per-transaction spans — begin → first operation → commit/abort,
-//     with per-class commit-latency quantiles, and
-//   - a windowed incremental multiversion serialization graph (MVSG)
-//     over the last K committed read-write transactions, with the exact
-//     reads-from and version-order edge rules the offline checker
-//     (internal/history) applies after the fact.
+// (as an engine.Recorder) and maintains, live, a windowed incremental
+// multiversion serialization graph (MVSG) over the last K committed
+// read-write transactions, with the exact reads-from and version-order
+// edge rules the offline checker (internal/history) applies after the
+// fact. It checks serializability and times nothing: the phase matrix
+// (Options.PhaseTiming, internal/obs) is where commit latency is taken.
 //
 // A cycle in the windowed MVSG, a history integrity violation (two
 // writers sharing a serialization number, a dirty read, ...), a
@@ -43,7 +41,6 @@ import (
 
 	"mvdb/internal/engine"
 	"mvdb/internal/history"
-	"mvdb/internal/metrics"
 	"mvdb/internal/obs"
 )
 
@@ -52,7 +49,6 @@ const (
 	DefaultWindow = 256
 	DefaultQueue  = 8192
 	DefaultAlarms = 32
-	DefaultSpans  = 32
 
 	// maxOpsPerTx bounds the per-transaction operation log so one
 	// enormous transaction cannot grow the auditor without bound; ops
@@ -87,8 +83,6 @@ type Options struct {
 	Queue int
 	// Alarms is the recent-alarms buffer size (<= 0: DefaultAlarms).
 	Alarms int
-	// Spans is the recent-spans buffer size (<= 0: DefaultSpans).
-	Spans int
 	// Gauges, when set, is sampled after each commit to check the
 	// version-control invariant vtnc <= tnc-1. The implementation must
 	// load vtnc before tnc (both only grow, so that order makes the
@@ -104,36 +98,15 @@ type Options struct {
 	OnAlarm func(Alarm)
 }
 
-// Alarm is one detected anomaly.
+// Alarm is one detected anomaly. At is when the auditor's consumer
+// raised it, which trails the event that triggered it by the queue's
+// delay.
 type Alarm struct {
 	Seq     uint64   `json:"seq"`
 	At      int64    `json:"at_ns"`
 	Kind    string   `json:"kind"`
 	Message string   `json:"message"`
 	Txs     []uint64 `json:"txs,omitempty"`
-}
-
-// Span is one finished transaction's lifecycle timing.
-type Span struct {
-	Tx      uint64 `json:"tx"`
-	Class   string `json:"class"`
-	TN      uint64 `json:"tn,omitempty"`
-	BeginAt int64  `json:"begin_at_ns"`
-	// FirstOpNS is begin → first read/write; 0 if no operation ran.
-	FirstOpNS int64 `json:"first_op_ns,omitempty"`
-	// TotalNS is begin → commit/abort.
-	TotalNS int64  `json:"total_ns"`
-	Outcome string `json:"outcome"` // "commit" or "abort"
-}
-
-// Latency summarizes one class's commit latencies (nanoseconds).
-type Latency struct {
-	Count  uint64  `json:"count"`
-	MeanNS float64 `json:"mean_ns"`
-	P50NS  int64   `json:"p50_ns"`
-	P95NS  int64   `json:"p95_ns"`
-	P99NS  int64   `json:"p99_ns"`
-	MaxNS  int64   `json:"max_ns"`
 }
 
 // Snapshot is the auditor's point-in-time state: the JSON document at
@@ -152,10 +125,6 @@ type Snapshot struct {
 	GraphEvicted   uint64  `json:"graph_evicted"`
 	AlarmsTotal    uint64  `json:"alarms_total"`
 	Alarms         []Alarm `json:"alarms,omitempty"`
-	// Latency maps class name ("read-only"/"read-write") to the commit
-	// latency summary for that class.
-	Latency map[string]Latency `json:"latency,omitempty"`
-	Spans   []Span             `json:"recent_spans,omitempty"`
 }
 
 // Event kinds on the internal channel.
@@ -174,14 +143,11 @@ type event struct {
 	tn    uint64
 	class engine.Class
 	key   string
-	at    int64 // unix nanoseconds, stamped at the producer
 }
 
 // txState is a transaction the auditor has seen begin but not finish.
 type txState struct {
 	class     engine.Class
-	beginAt   int64
-	firstOpAt int64
 	sn        uint64
 	hasSN     bool
 	snAlarmed bool
@@ -218,8 +184,6 @@ type Auditor struct {
 	opsTruncated   uint64
 	alarmSeq       uint64
 	alarms         []Alarm // most recent last, capped at opts.Alarms
-	spans          []Span  // most recent last, capped at opts.Spans
-	latency        map[engine.Class]*metrics.Histogram
 }
 
 // New starts an auditor. Callers must Close it to stop the consumer
@@ -233,9 +197,6 @@ func New(opts Options) *Auditor {
 	}
 	if opts.Alarms <= 0 {
 		opts.Alarms = DefaultAlarms
-	}
-	if opts.Spans <= 0 {
-		opts.Spans = DefaultSpans
 	}
 	logger := opts.Logger
 	if logger == nil {
@@ -256,10 +217,6 @@ func New(opts Options) *Auditor {
 		g:          history.NewGraph(history.Windowed),
 		pending:    make(map[uint64]*txState),
 		pendingCap: pendingCap,
-		latency: map[engine.Class]*metrics.Histogram{
-			engine.ReadOnly:  metrics.NewHistogram(),
-			engine.ReadWrite: metrics.NewHistogram(),
-		},
 	}
 	go a.run()
 	return a
@@ -304,7 +261,7 @@ func (a *Auditor) send(ev event) {
 
 // RecordBegin implements engine.Recorder.
 func (a *Auditor) RecordBegin(txID uint64, class engine.Class) {
-	a.send(event{kind: evBegin, tx: txID, class: class, at: time.Now().UnixNano()})
+	a.send(event{kind: evBegin, tx: txID, class: class})
 }
 
 // RecordSnapshot implements engine.SnapshotRecorder.
@@ -314,22 +271,22 @@ func (a *Auditor) RecordSnapshot(txID, sn uint64) {
 
 // RecordRead implements engine.Recorder.
 func (a *Auditor) RecordRead(txID uint64, key string, versionTN uint64) {
-	a.send(event{kind: evRead, tx: txID, key: key, tn: versionTN, at: time.Now().UnixNano()})
+	a.send(event{kind: evRead, tx: txID, key: key, tn: versionTN})
 }
 
 // RecordWrite implements engine.Recorder.
 func (a *Auditor) RecordWrite(txID uint64, key string, versionTN uint64) {
-	a.send(event{kind: evWrite, tx: txID, key: key, tn: versionTN, at: time.Now().UnixNano()})
+	a.send(event{kind: evWrite, tx: txID, key: key, tn: versionTN})
 }
 
 // RecordCommit implements engine.Recorder.
 func (a *Auditor) RecordCommit(txID, tn uint64) {
-	a.send(event{kind: evCommit, tx: txID, tn: tn, at: time.Now().UnixNano()})
+	a.send(event{kind: evCommit, tx: txID, tn: tn})
 }
 
 // RecordAbort implements engine.Recorder.
 func (a *Auditor) RecordAbort(txID uint64) {
-	a.send(event{kind: evAbort, tx: txID, at: time.Now().UnixNano()})
+	a.send(event{kind: evAbort, tx: txID})
 }
 
 // --- consumer --------------------------------------------------------
@@ -370,7 +327,7 @@ func (a *Auditor) process(ev event) {
 		if _, dup := a.pending[ev.tx]; dup {
 			break
 		}
-		a.pending[ev.tx] = &txState{class: ev.class, beginAt: ev.at}
+		a.pending[ev.tx] = &txState{class: ev.class}
 		a.pendingOrder = append(a.pendingOrder, ev.tx)
 		// A transaction whose finish event was dropped would pin its
 		// state forever; cap the pending set FIFO instead.
@@ -391,12 +348,9 @@ func (a *Auditor) process(ev event) {
 		if t == nil {
 			break
 		}
-		if t.firstOpAt == 0 {
-			t.firstOpAt = ev.at
-		}
 		if t.class == engine.ReadOnly && t.hasSN && ev.tn > t.sn && !t.snAlarmed {
 			t.snAlarmed = true
-			a.alarm(ev.at, KindSnapshotRead, fmt.Sprintf(
+			a.alarm(KindSnapshotRead, fmt.Sprintf(
 				"read-only tx %d pinned snapshot %d but read version %d of %q",
 				ev.tx, t.sn, ev.tn, ev.key), []uint64{ev.tx})
 		}
@@ -410,9 +364,6 @@ func (a *Auditor) process(ev event) {
 		if t == nil {
 			break
 		}
-		if t.firstOpAt == 0 {
-			t.firstOpAt = ev.at
-		}
 		if len(t.writes) >= maxOpsPerTx {
 			a.opsTruncated++
 			break
@@ -424,39 +375,9 @@ func (a *Auditor) process(ev event) {
 			break
 		}
 		delete(a.pending, ev.tx)
-		a.finishSpan(ev, t, "commit")
 		a.audit(ev, t)
 	case evAbort:
-		t := a.pending[ev.tx]
-		if t == nil {
-			break
-		}
 		delete(a.pending, ev.tx)
-		a.finishSpan(ev, t, "abort")
-	}
-}
-
-func (a *Auditor) finishSpan(ev event, t *txState, outcome string) {
-	sp := Span{
-		Tx:      ev.tx,
-		Class:   t.class.String(),
-		BeginAt: t.beginAt,
-		TotalNS: ev.at - t.beginAt,
-		Outcome: outcome,
-	}
-	if outcome == "commit" {
-		sp.TN = ev.tn
-	}
-	if t.firstOpAt != 0 {
-		sp.FirstOpNS = t.firstOpAt - t.beginAt
-	}
-	if len(a.spans) >= a.opts.Spans {
-		copy(a.spans, a.spans[1:])
-		a.spans = a.spans[:len(a.spans)-1]
-	}
-	a.spans = append(a.spans, sp)
-	if outcome == "commit" {
-		a.latency[t.class].Record(sp.TotalNS)
 	}
 }
 
@@ -466,7 +387,7 @@ func (a *Auditor) audit(ev event, t *txState) {
 	h := history.TxHistory{ID: ev.tx, TN: ev.tn, Reads: t.reads, Writes: t.writes}
 	edges, err := a.g.Add(h)
 	if err != nil {
-		a.alarm(ev.at, KindIntegrity, err.Error(), []uint64{ev.tx})
+		a.alarm(KindIntegrity, err.Error(), []uint64{ev.tx})
 	}
 	// Each new edge u->v can close a cycle only through a path v ~> u
 	// that already existed; check exactly that, and report at most one
@@ -478,7 +399,7 @@ func (a *Auditor) audit(ev event, t *txState) {
 			continue
 		}
 		cycle := append(p, e.To)
-		a.alarm(ev.at, KindCycle, "MVSG cycle: "+a.formatCycle(cycle), cycle[:len(cycle)-1])
+		a.alarm(KindCycle, "MVSG cycle: "+a.formatCycle(cycle), cycle[:len(cycle)-1])
 		break
 	}
 	// Evict down to the window: at most K committed read-write
@@ -492,7 +413,7 @@ func (a *Auditor) audit(ev event, t *txState) {
 	if a.opts.Gauges != nil {
 		tnc, vtnc := a.opts.Gauges()
 		if tnc > 0 && vtnc > tnc-1 {
-			a.alarm(ev.at, KindVCInvariant, fmt.Sprintf(
+			a.alarm(KindVCInvariant, fmt.Sprintf(
 				"vtnc %d exceeds tnc-1 (tnc=%d): unassigned serialization positions visible",
 				vtnc, tnc), nil)
 		}
@@ -514,9 +435,9 @@ func (a *Auditor) formatCycle(cycle []uint64) string {
 	return sb.String()
 }
 
-func (a *Auditor) alarm(at int64, kind, msg string, txs []uint64) {
+func (a *Auditor) alarm(kind, msg string, txs []uint64) {
 	a.alarmSeq++
-	al := Alarm{Seq: a.alarmSeq, At: at, Kind: kind, Message: msg, Txs: txs}
+	al := Alarm{Seq: a.alarmSeq, At: time.Now().UnixNano(), Kind: kind, Message: msg, Txs: txs}
 	if len(a.alarms) >= a.opts.Alarms {
 		copy(a.alarms, a.alarms[1:])
 		a.alarms = a.alarms[:len(a.alarms)-1]
@@ -564,22 +485,6 @@ func (a *Auditor) Snapshot() Snapshot {
 		GraphEvicted:   a.g.Evicted(),
 		AlarmsTotal:    a.alarmSeq,
 		Alarms:         append([]Alarm(nil), a.alarms...),
-		Spans:          append([]Span(nil), a.spans...),
-		Latency:        make(map[string]Latency, len(a.latency)),
-	}
-	for class, h := range a.latency {
-		if h.Count() == 0 {
-			continue
-		}
-		qs := h.Quantiles([]float64{50, 95, 99})
-		sn.Latency[class.String()] = Latency{
-			Count:  h.Count(),
-			MeanNS: h.Mean(),
-			P50NS:  qs[0],
-			P95NS:  qs[1],
-			P99NS:  qs[2],
-			MaxNS:  h.Max(),
-		}
 	}
 	return sn
 }
@@ -605,23 +510,6 @@ func (a *Auditor) WriteProm(w io.Writer) {
 	dropped := a.dropped.Load()
 	alarms := a.alarmSeq
 	nodes, writers, edges := a.g.Len(), a.g.Writers(), a.g.Edges()
-	type classLat struct {
-		label string
-		sum   metrics.Summary
-		q     []int64
-	}
-	var lats []classLat
-	for _, class := range []engine.Class{engine.ReadOnly, engine.ReadWrite} {
-		h := a.latency[class]
-		if h.Count() == 0 {
-			continue
-		}
-		label := "ro"
-		if class == engine.ReadWrite {
-			label = "rw"
-		}
-		lats = append(lats, classLat{label, h.Summarize(), h.Quantiles([]float64{50, 95, 99})})
-	}
 	a.mu.Unlock()
 
 	p := obs.NewPromWriter(w)
@@ -639,15 +527,4 @@ func (a *Auditor) WriteProm(w io.Writer) {
 	p.Int("mvdb_audit_graph_writers", int64(writers))
 	p.Header("mvdb_audit_graph_edges", "gauge", "Edges currently in the windowed MVSG.")
 	p.Int("mvdb_audit_graph_edges", int64(edges))
-	if len(lats) > 0 {
-		const nsPerSec = 1e9
-		p.Header("mvdb_txn_latency_seconds", "summary", "Committed transaction latency (begin to commit), by class.")
-		for _, l := range lats {
-			p.Value("mvdb_txn_latency_seconds", float64(l.q[0])/nsPerSec, "class", l.label, "quantile", "0.5")
-			p.Value("mvdb_txn_latency_seconds", float64(l.q[1])/nsPerSec, "class", l.label, "quantile", "0.95")
-			p.Value("mvdb_txn_latency_seconds", float64(l.q[2])/nsPerSec, "class", l.label, "quantile", "0.99")
-			p.Value("mvdb_txn_latency_seconds_sum", float64(l.sum.TotalNanoseconds)/nsPerSec, "class", l.label)
-			p.Int("mvdb_txn_latency_seconds_count", int64(l.sum.Count), "class", l.label)
-		}
-	}
 }

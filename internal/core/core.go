@@ -154,7 +154,7 @@ func newController(opts Options, initial uint64) vc.Controller {
 // New creates an engine.
 func New(opts Options) *Engine {
 	e := newUnstarted(opts)
-	e.startVC(0)
+	e.vc = newController(opts, 0)
 	return e
 }
 
@@ -172,13 +172,6 @@ func newUnstarted(opts Options) *Engine {
 	e.locks = lock.NewManager(opts.LockPolicy, opts.LockTimeout)
 	e.observeLocks()
 	return e
-}
-
-// startVC builds the version-control module with everything up to
-// initial already visible, and wires it to the sinks.
-func (e *Engine) startVC(initial uint64) {
-	e.vc = newController(e.opts, initial)
-	e.observeVC()
 }
 
 // Name implements engine.Engine.

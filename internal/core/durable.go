@@ -97,7 +97,7 @@ func OpenDurable(walPath string, opts Options, d DurableOptions) (*Engine, error
 	if err != nil {
 		return nil, fmt.Errorf("core: recover: %w", err)
 	}
-	e.startVC(maxTN)
+	e.vc = newController(e.opts, maxTN)
 	if e.store.Len() > 0 {
 		e.bootstrapSealed.Store(true)
 	}

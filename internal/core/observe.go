@@ -68,16 +68,6 @@ func (e *Engine) observeLocks() {
 	})
 }
 
-// observeVC wires the version-control module's register→visible lag
-// into the phase matrix, once, as the module is built (startVC).
-func (e *Engine) observeVC() {
-	if e.phases != nil {
-		e.vc.SetVisibleObserver(func(tn uint64, d time.Duration) {
-			e.phases.Record(obs.ProtoIdx(e.opts.Protocol), obs.PhaseVisibleWait, tn, d)
-		})
-	}
-}
-
 // observeWAL feeds the log's group-commit batch sizes into the registry
 // (a no-op stream under SyncNever).
 func (e *Engine) observeWAL(w *wal.Writer) {
@@ -86,13 +76,14 @@ func (e *Engine) observeWAL(w *wal.Writer) {
 	})
 }
 
-// recencyWait is the Section 6 recency wait of a pinned read-only
-// begin, counted and timed into the RO row's visible-wait cell.
-func (e *Engine) recencyWait(sn uint64) {
+// recencyWait is the Section 6 recency wait of read-only transaction
+// id's pinned begin, counted and timed into the RO row's visible-wait
+// cell.
+func (e *Engine) recencyWait(id, sn uint64) {
 	e.stats.RecencyWaits.Inc()
 	start := time.Now()
 	e.vc.WaitVisible(sn)
-	e.phases.Record(protoRO, obs.PhaseVisibleWait, 0, time.Since(start))
+	e.phases.Record(protoRO, obs.PhaseVisibleWait, id, time.Since(start))
 }
 
 func init() {
@@ -270,14 +261,19 @@ func (o *txObs) committed(tn uint64) {
 	}
 }
 
-// complete is VCcomplete, then the commit count. The ablated (A2) eager
-// path bypasses the drain.
+// complete is VCcomplete, timed as the commit's last phase, then the
+// commit count. The ablated (A2) eager path bypasses the drain. The span
+// is the committer's own step only: how long tn then waits behind an
+// older open entry is delayed visibility (Section 6), which no committer
+// waits for; the VisibilityLag and VCQueueLen gauges report it.
 func (o *txObs) complete(entry *vc.Entry) {
+	sp := o.span(obs.PhaseVisibleWait)
 	if o.e.opts.UnsafeEagerVisibility {
 		o.e.vc.UnsafeCompleteEager(entry)
 	} else {
 		o.e.vc.Complete(entry)
 	}
+	o.end(sp)
 	o.e.stats.CommitsRW.Inc()
 }
 

@@ -218,8 +218,8 @@ func TestPipelinedCommit(t *testing.T) {
 	for _, c := range pipelineCases {
 		t.Run(c.name, func(t *testing.T) {
 			pl := openPipeline(t, c.protocol)
-			// Replaces the engine's own tap (phase timing is on), which
-			// this test does not read.
+			// The engine installs no observer of its own; this one
+			// records the order entries become visible in.
 			pl.e.VC().SetVisibleObserver(func(tn uint64, _ time.Duration) {
 				pl.mu.Lock()
 				pl.seen = append(pl.seen, tn)

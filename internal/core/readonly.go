@@ -74,13 +74,15 @@ func (e *Engine) View(fn func(*Tx) error) error {
 // watermark whose scan was too early to see it read vtnc earlier still
 // (Engine.watermark reads vtnc first), so it is at or below the snapshot
 // either way. A recency wait comes after the publish for the same
-// reason: commits go on collecting while it waits.
-func (e *Engine) snapshot(hint, pinSN uint64, recent bool) (slot int8, sn uint64) {
+// reason: commits go on collecting while it waits. id is the read-only
+// transaction's (0 for a checkpoint): the slot probed first, and the
+// recency wait's exemplar.
+func (e *Engine) snapshot(id, pinSN uint64, recent bool) (slot int8, sn uint64) {
 	pub := pinSN
 	if pinSN == 0 {
 		pub = e.vc.VTNC()
 	}
-	slot = e.roActive.Publish(hint, pub)
+	slot = e.roActive.Publish(id, pub)
 	switch {
 	case pinSN > 0:
 		// Time travel into history, or read-your-writes when pinSN is a
@@ -92,7 +94,7 @@ func (e *Engine) snapshot(hint, pinSN uint64, recent bool) (slot int8, sn uint64
 		return slot, e.vc.Start()
 	}
 	if e.vc.VTNC() < sn {
-		e.recencyWait(sn)
+		e.recencyWait(id, sn)
 	}
 	return slot, sn
 }

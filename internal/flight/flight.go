@@ -53,7 +53,7 @@ const SchemaVersion = "mvdb-flight/v6"
 type Sources struct {
 	// Stats returns the engine's observability snapshot.
 	Stats func() obs.Snapshot
-	// Audit returns the audit pipeline's state (alarms, spans, graph).
+	// Audit returns the audit pipeline's state (alarms, graph).
 	Audit func() audit.Snapshot
 	// WaitGraph exports the lock manager's waits-for graph.
 	WaitGraph func() lock.WaitGraph

@@ -14,7 +14,9 @@ import (
 // commit latency into the paper's separable modules — concurrency
 // control (lock waits, T/O object-rule reads, OCC validation), version
 // installation, WAL durability (enqueue vs group-commit fsync wait),
-// and version control's register→visible lag (Section 6).
+// and the committer's VCcomplete. A read-write transaction's phases
+// follow one another without overlap, so together they are at most its
+// Begin→Commit time.
 //
 // The layer is off by default. When off, nothing here is allocated and
 // call sites reduce to one nil pointer test — no time.Now, no atomics —
@@ -47,10 +49,13 @@ const (
 	// PhaseInstall is time installing committed versions into the
 	// store (and resolving pending ones under T/O).
 	PhaseInstall
-	// PhaseVisibleWait is the version-control register→visible lag:
-	// from Register to the drain that advances vtnc past the entry.
-	// For the RO protocol it is instead the recency wait of a pinned
-	// BeginReadOnlyAt.
+	// PhaseVisibleWait is the committer's VCcomplete (paper Figure 1):
+	// marking its entry complete and draining the queue head, the last
+	// step of a read-write commit. The committer never waits for vtnc
+	// to pass its tn; how long tn waits behind an older open entry
+	// (delayed visibility, Section 6) is the VisibilityLag and
+	// VCQueueLen gauges. For the RO protocol it is instead the recency
+	// wait of a pinned BeginReadOnlyAt or BeginReadOnlyRecent.
 	PhaseVisibleWait
 
 	// NumPhases is the number of defined phases.

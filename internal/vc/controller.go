@@ -98,7 +98,9 @@ type Controller interface {
 	// SetVisibleObserver installs fn, called exactly once per completed
 	// registration when its number becomes visible, with the
 	// register→visible lag. Install before concurrent use; nil
-	// uninstalls. fn runs inside a controller critical section.
+	// uninstalls. fn runs inside a controller critical section. The
+	// engine installs none (its phase matrix times the committer's
+	// Complete instead); mvbench's bench4 reads the module through it.
 	SetVisibleObserver(fn func(tn uint64, d time.Duration))
 	// Mode names the implementation ("strict", "epoch") for gauges.
 	Mode() Mode

@@ -157,18 +157,21 @@ type Options struct {
 	DebugAddr string
 	// Audit enables the online serializability auditor: an asynchronous
 	// pipeline that mirrors the engine's event stream into a windowed
-	// incremental MVSG and per-transaction latency spans, raising alarms
-	// on cycles, history integrity violations, snapshot-read anomalies
-	// and version-control counter inversions. The audit path never
-	// blocks the engine — when its queue is full, events are dropped and
-	// counted. DB.Audit() exposes the live state; with DebugAddr set,
-	// GET /debug/mvdb/audit serves it as JSON and /metrics includes the
-	// auditor's families. Off — the default — costs nothing.
+	// incremental MVSG, raising alarms on cycles, history integrity
+	// violations, snapshot-read anomalies and version-control counter
+	// inversions. It times nothing: commit latency is PhaseTiming's.
+	// The audit path never blocks the engine — when its queue is full,
+	// events are dropped and counted. DB.Audit() exposes the live state;
+	// with DebugAddr set, GET /debug/mvdb/audit serves it as JSON and
+	// /metrics includes the auditor's families. Off — the default —
+	// costs nothing.
 	Audit bool
-	// PhaseTiming enables per-transaction latency attribution: every
-	// read-write commit is broken into protocol phases (lock-wait,
-	// read, validate, wal-enqueue, fsync-wait, install, visible-wait)
-	// with per-protocol histograms in Stats().Phases, the Prometheus
+	// PhaseTiming enables per-transaction latency attribution, the
+	// database's one timing source: every read-write commit is broken
+	// into protocol phases (lock-wait, read, validate, wal-enqueue,
+	// fsync-wait, install, and visible-wait — the committer's
+	// VCcomplete), which follow one another without overlap, with
+	// per-protocol histograms in Stats().Phases, the Prometheus
 	// endpoint (mvdb_phase_seconds) and /debug/mvdb, plus pprof
 	// goroutine labels (mvdb_protocol, mvdb_phase) on the timed spans.
 	// Off — the default — leaves the hot paths with a nil test and zero
