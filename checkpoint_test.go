@@ -6,8 +6,10 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"mvdb/internal/core"
+	"mvdb/internal/faultfs"
 	"mvdb/internal/wal"
 )
 
@@ -63,66 +65,174 @@ func TestCheckpointRecovery(t *testing.T) {
 	})
 }
 
-func TestCompactLogShrinksAndPreservesState(t *testing.T) {
+// logOnDisk is the commit log's size on disk: the live file plus the
+// retired prefix a checkpoint has not yet removed.
+func logOnDisk(path string) (n int64) {
+	for _, p := range []string{path, core.OldPath(path)} {
+		if fi, err := os.Stat(p); err == nil {
+			n += fi.Size()
+		}
+	}
+	return n
+}
+
+// Checkpoint is what bounds the log. Two writers write continuously
+// while the test checkpoints each time another MiB has been logged. A
+// checkpoint moves the log aside, or deletes what an earlier one moved
+// once a snapshot covers it — which a commit still in flight can put off
+// to the next one. So after the last checkpoint the log's files hold
+// what was logged since a rotation at most three checkpoints back, not
+// the run's; and the database reopens to the state it was closed in,
+// and keeps numbering past it.
+func TestCheckpointBoundsTheLog(t *testing.T) {
+	const writers, interval, rounds = 2, 1 << 20, 10
 	path := filepath.Join(t.TempDir(), "db.log")
 	db, err := Open(Options{WALPath: path})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 300; i++ {
-		if err := db.Update(func(tx *Tx) error {
-			return tx.PutString("hot", fmt.Sprintf("v%d", i))
-		}); err != nil {
-			t.Fatal(err)
+	stop := make(chan struct{})
+	last := make([]int, writers)
+	var wg sync.WaitGroup
+	for w := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 1; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				v := fmt.Sprintf("%064d", i)
+				if err := db.Update(func(tx *Tx) error { return tx.PutString(fmt.Sprintf("w%d", w), v) }); err != nil {
+					t.Error(err)
+					return
+				}
+				last[w] = i
+			}
+		}()
+	}
+	var marks []int64 // bytes logged when each checkpoint started
+	for mark := int64(0); len(marks) < rounds && !t.Failed(); {
+		logged := db.Stats().WALBytes
+		if logged < mark+interval {
+			time.Sleep(time.Millisecond)
+			continue
+		}
+		mark = logged
+		marks = append(marks, mark)
+		if err := db.Checkpoint(); err != nil {
+			t.Error(err)
 		}
 	}
-	if err := db.Checkpoint(); err != nil {
-		t.Fatal(err)
+	close(stop)
+	wg.Wait()
+	if t.Failed() {
+		db.Close()
+		return
 	}
-	if err := db.Update(func(tx *Tx) error { return tx.PutString("hot", "final") }); err != nil {
-		t.Fatal(err)
+	total, onDisk := db.Stats().WALBytes, logOnDisk(path)
+	if since := total - marks[rounds-4]; onDisk > since {
+		t.Errorf("after %d checkpoints the log holds %d bytes, more than the %d logged since the fourth-to-last began (%d in all)",
+			rounds, onDisk, since, total)
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	before, _ := os.Stat(path)
-	if err := CompactLog(path); err != nil {
-		t.Fatal(err)
-	}
-	after, _ := os.Stat(path)
-	if after.Size() >= before.Size() {
-		t.Fatalf("compaction did not shrink the log: %d -> %d", before.Size(), after.Size())
-	}
-
 	db2, err := Open(Options{WALPath: path})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	var got string
-	db2.View(func(tx *Tx) error { got, _ = tx.GetString("hot"); return nil })
-	if got != "final" {
-		t.Fatalf("post-compaction value = %q, want final", got)
-	}
+	db2.View(func(tx *Tx) error {
+		for w, i := range last {
+			if got, _ := tx.GetString(fmt.Sprintf("w%d", w)); got != fmt.Sprintf("%064d", i) {
+				t.Errorf("w%d = %q after reopen, want its last write %d", w, got, i)
+			}
+		}
+		return nil
+	})
 	// New transaction numbers must still advance past everything.
-	if err := db2.Update(func(tx *Tx) error { return tx.PutString("hot", "newer") }); err != nil {
+	if err := db2.Update(func(tx *Tx) error { return tx.PutString("w0", "newer") }); err != nil {
 		t.Fatal(err)
 	}
+	db2.View(func(tx *Tx) error {
+		if got, _ := tx.GetString("w0"); got != "newer" {
+			t.Errorf("w0 = %q after a write on the reopened database, want newer", got)
+		}
+		return nil
+	})
 }
 
-func TestCompactLogWithoutSnapshotIsNoop(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "db.log")
-	db, _ := Open(Options{WALPath: path})
-	db.Update(func(tx *Tx) error { return tx.PutString("k", "v") })
-	db.Close()
-	before, _ := os.Stat(path)
-	if err := CompactLog(path); err != nil {
-		t.Fatal(err)
-	}
-	after, _ := os.Stat(path)
-	if after.Size() != before.Size() {
-		t.Fatal("no-snapshot compaction modified the log")
+// Concurrent checkpoints take turns: under write load, every one of them
+// succeeds, and each database reopens to the state it was closed in.
+func TestConcurrentCheckpointsUnderLoad(t *testing.T) {
+	const writers, checkpointers, each = 2, 4, 5
+	for round := 0; round < 5 && !t.Failed(); round++ {
+		path := filepath.Join(t.TempDir(), fmt.Sprintf("db%d.log", round))
+		db, err := Open(Options{WALPath: path})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop := make(chan struct{})
+		last := make([]int, writers)
+		var load, ckpt sync.WaitGroup
+		for w := range writers {
+			load.Add(1)
+			go func() {
+				defer load.Done()
+				for i := 1; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if err := db.Update(func(tx *Tx) error {
+						if err := tx.PutString(fmt.Sprintf("a%d", w), fmt.Sprint(i)); err != nil {
+							return err
+						}
+						return tx.PutString(fmt.Sprintf("b%d", w), fmt.Sprint(i))
+					}); err != nil {
+						t.Error(err)
+						return
+					}
+					last[w] = i
+				}
+			}()
+		}
+		for range checkpointers {
+			ckpt.Add(1)
+			go func() {
+				defer ckpt.Done()
+				for range each {
+					if err := db.Checkpoint(); err != nil {
+						t.Errorf("round %d: %v", round, err)
+					}
+				}
+			}()
+		}
+		ckpt.Wait()
+		close(stop)
+		load.Wait()
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		db2, err := Open(Options{WALPath: path})
+		if err != nil {
+			t.Fatalf("round %d: reopen: %v", round, err)
+		}
+		db2.View(func(tx *Tx) error {
+			for w, i := range last {
+				a, _ := tx.GetString(fmt.Sprintf("a%d", w))
+				b, _ := tx.GetString(fmt.Sprintf("b%d", w))
+				if want := fmt.Sprint(i); a != want || b != want {
+					t.Errorf("round %d: writer %d's keys = %q, %q after reopen, want %s", round, w, a, b, want)
+				}
+			}
+			return nil
+		})
+		db2.Close()
 	}
 }
 
@@ -233,7 +343,7 @@ func TestCheckpointDuringCollection(t *testing.T) {
 			t.Fatal(err)
 		}
 		var recs []wal.Record
-		horizon, _, err := core.LoadSnapshot(nil, core.SnapPath(path), func(r wal.Record) { recs = append(recs, r) })
+		horizon, _, err := core.LoadSnapshot(faultfs.OS, core.SnapPath(path), func(r wal.Record) { recs = append(recs, r) })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"mvdb"
+	"mvdb/internal/faultfs"
 	"mvdb/internal/wal"
 )
 
@@ -252,7 +253,7 @@ func TestAcknowledgedCommitIsOnDisk(t *testing.T) {
 	}
 	found := false
 	path := filepath.Join(dir, fmt.Sprintf("site-%d.log", c.SiteOf("k")))
-	if _, err := wal.Replay(path, func(r wal.Record) error {
+	if _, err := wal.ReplayFS(faultfs.OS, path, func(r wal.Record) error {
 		for _, w := range r.Writes {
 			found = found || (w.Key == "k" && string(w.Value) == "v")
 		}

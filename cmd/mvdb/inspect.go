@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"mvdb/internal/faultfs"
 	"mvdb/internal/flight"
 	"mvdb/internal/metrics"
 	"mvdb/internal/wal"
@@ -13,7 +14,8 @@ import (
 
 // inspect is the DBA's view of a database, offline or live.
 //
-// Offline, it decodes a commit log (or checkpoint snapshot, which shares
+// Offline, it decodes a commit log (the live one, the prefix a
+// checkpoint retired to <log>.old, or a checkpoint snapshot: all share
 // the format), validating CRCs, summarizing the transaction-number range
 // and write volume, flagging the torn tail if any (exit 3), and
 // optionally dumping every record.
@@ -30,7 +32,7 @@ import (
 // alarms, and the waits-for graph. Older bundles render too, without the
 // sections a later schema dropped.
 func inspect(args []string) int {
-	fs := flags("inspect", `[-v] [-key substr] <commit.log | commit.log.snap>
+	fs := flags("inspect", `[-v] [-key substr] <commit.log | commit.log.old | commit.log.snap>
        mvdb inspect -live <host:port> [-interval 1s] [-count N]
        mvdb inspect -bundle <flight-000001-reason.json>`)
 	var (
@@ -68,7 +70,7 @@ func inspect(args []string) int {
 		minTN, maxTN                       uint64
 		keys                               = map[string]int{}
 	)
-	validLen, err := wal.Replay(path, func(r wal.Record) error {
+	validLen, err := wal.ReplayFS(faultfs.OS, path, func(r wal.Record) error {
 		if records++; records == 1 || r.TN < minTN {
 			minTN = r.TN
 		}

@@ -21,6 +21,7 @@ type sample struct {
 	CommitP99NS     int64   `json:"commit_p99_ns"`
 	AbortFrac       float64 `json:"abort_frac"` // aborts / (commits + aborts) in the interval
 	VisibilityLag   uint64  `json:"visibility_lag"`
+	LogBytes        int64   `json:"log_bytes"` // Stats().WALSizeBytes: the live log plus the retired one
 }
 
 // metric names one sampled quantity for the checks below.
@@ -40,6 +41,7 @@ var driftChecks = []struct {
 	{metric{"heap_bytes", func(s sample) float64 { return float64(s.HeapBytes) }}, 3, 64 << 20},
 	{metric{"max_version_chain", func(s sample) float64 { return float64(s.MaxVersionChain) }}, 4, 64},
 	{metric{"versions", func(s sample) float64 { return float64(s.Versions) }}, 4, 20000},
+	{metric{"log_bytes", func(s sample) float64 { return float64(s.LogBytes) }}, 3, 256 << 10},
 }
 
 // ceilings bound a sample outright. One breaching sample is a blip; a
@@ -119,6 +121,7 @@ func sampler(db *mvdb.DB, lat *atomic.Pointer[metrics.Histogram], interval time.
 				MaxVersionChain: sn.MaxVersionChain,
 				CommitP99NS:     lat.Swap(metrics.NewHistogram()).Percentile(99),
 				VisibilityLag:   sn.VisibilityLag,
+				LogBytes:        sn.WALSizeBytes,
 			}
 			aborts := sn.AbortsTotal() - prev.AbortsTotal()
 			if ops := aborts + sn.CommitsRW - prev.CommitsRW + sn.CommitsRO - prev.CommitsRO; aborts > 0 {

@@ -9,7 +9,7 @@ import (
 func flat(n int) []sample {
 	ss := make([]sample, n)
 	for i := range ss {
-		ss[i] = sample{HeapBytes: 8 << 20, Versions: 1000, MaxVersionChain: 4, CommitP99NS: 2e6, AbortFrac: 0.01, VisibilityLag: 3}
+		ss[i] = sample{HeapBytes: 8 << 20, Versions: 1000, MaxVersionChain: 4, CommitP99NS: 2e6, AbortFrac: 0.01, VisibilityLag: 3, LogBytes: 2 << 20}
 	}
 	return ss
 }
@@ -46,6 +46,20 @@ func TestJudgeCreepingChainsFailDrift(t *testing.T) {
 		ss[i].Versions = 1000 + 500*int64(i*i)
 	}
 	wantReasons(t, ss, "drift: max_version_chain", "drift: versions")
+}
+
+// A log that only grows fails; one that checkpoints cut back to a
+// sawtooth, every other cut retiring the prefix, passes.
+func TestJudgeLogBytes(t *testing.T) {
+	ss := flat(40)
+	for i := range ss {
+		ss[i].LogBytes = int64(750<<10) * int64(1+i)
+	}
+	wantReasons(t, ss, "drift: log_bytes")
+	for i := range ss {
+		ss[i].LogBytes = int64(750<<10) * int64(1+i%8)
+	}
+	wantReasons(t, ss)
 }
 
 func TestJudgeSingleSpikePasses(t *testing.T) {

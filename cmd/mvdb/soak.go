@@ -40,8 +40,10 @@ type soakResult struct {
 // pass/fail oracle. Where torture asks "does the engine survive
 // crashes", soak asks "does it stay healthy over time": no sustained
 // breach of the commit-p99, abort-fraction or visibility-lag ceilings,
-// no audit alarm, and no unbounded drift in heap, version chains or
-// retained versions across the run (oracle.go).
+// no audit alarm, and no unbounded drift in heap, version chains,
+// retained versions or the log's size across the run (oracle.go). The
+// online checkpoints, several in each configuration, are what keep the
+// log bounded.
 //
 // Each configuration gets an equal share of the time budget and a fresh
 // durable store. Every -interval the soak samples db.Stats(), the
@@ -51,7 +53,7 @@ type soakResult struct {
 // visibility-lag ceiling holds in both modes: a stalled epoch watermark
 // shows up as sustained lag, as a stuck strict drain would.
 func soak(args []string) int {
-	fs := flags("soak", "[-duration 60s] [-protocol 2pl|to|occ|all] [-vc strict|epoch|all] [-clients N] [-keys N] [-zipf S] [-ro F] [-rmw] [-checkpoint 10s] [-interval 1s] [-dir D] [-json out.json] [-v]")
+	fs := flags("soak", "[-duration 60s] [-protocol 2pl|to|occ|all] [-vc strict|epoch|all] [-clients N] [-keys N] [-zipf S] [-ro F] [-rmw] [-checkpoint 1s] [-interval 1s] [-dir D] [-json out.json] [-v]")
 	var (
 		duration   = fs.Duration("duration", 60*time.Second, "total wall-clock budget, split across protocols")
 		m          = matrixFlags(fs)
@@ -60,7 +62,7 @@ func soak(args []string) int {
 		zipf       = fs.Float64("zipf", 0, "Zipf skew parameter (> 1; 0 = uniform)")
 		ro         = fs.Float64("ro", 0.5, "read-only transaction fraction")
 		rmw        = fs.Bool("rmw", false, "read-modify-write transaction shape (most conflict-prone)")
-		checkpoint = fs.Duration("checkpoint", 10*time.Second, "online checkpoint period (0 disables)")
+		checkpoint = fs.Duration("checkpoint", time.Second, "online checkpoint period (0 disables them, and the log then grows until the drift check fails)")
 		interval   = fs.Duration("interval", time.Second, "oracle sampling period")
 		dir        = fs.String("dir", "", "working directory (default: a fresh temp dir, removed on success)")
 		seed       = fs.Int64("seed", 1, "workload seed")

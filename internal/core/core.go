@@ -125,6 +125,10 @@ type Engine struct {
 	log     *wal.Writer
 	fsys    faultfs.FS
 	walPath string
+	// ckptMu runs checkpoints one at a time; oldBound, under it, is the
+	// largest number a record in the retired log (OldPath) can carry.
+	ckptMu   sync.Mutex
+	oldBound uint64
 
 	closed          atomic.Bool
 	bootstrapSealed atomic.Bool
@@ -369,6 +373,9 @@ func (e *Engine) Snapshot() obs.Snapshot {
 			sn.WALFsyncPerAppend = float64(f) / float64(a)
 		}
 		sn.WALSizeBytes = e.log.Size()
+		if fi, err := e.fsys.Stat(OldPath(e.walPath)); err == nil {
+			sn.WALSizeBytes += fi.Size()
+		}
 	}
 	return sn
 }

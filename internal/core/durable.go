@@ -1,12 +1,15 @@
-// Durable open/checkpoint/compaction paths. A durable engine owns its
-// commit log, the filesystem it goes through and the log's path: Close
-// closes the log, Bootstrap and every commit append to it, and Checkpoint
-// writes the snapshot beside it. Everything in this file replaces a
-// precious file only through AtomicReplace:
+// Durable open and checkpoint paths. A durable engine owns its commit
+// log, the filesystem it goes through and the log's path: Close closes
+// the log, Bootstrap and every commit append to it, and Checkpoint
+// writes the snapshot beside it and is the one operation that drops the
+// log's prefix. Everything in this file replaces a precious file only
+// through AtomicReplace:
 //
 //	write <final>.tmp -> fsync it -> rename over <final> -> fsync directory
 //
-// and reads it back through the same faultfs shim it was written
+// retires log records only by renaming the live log aside (wal.Writer
+// Rotate) and removing that file once a durable snapshot covers it, and
+// reads it back through the same faultfs shim it was written
 // through, so the crash-torture harness (internal/crashtest) can cut
 // power at every one of these operations and recovery still satisfies
 // the dual oracle: acknowledged commits survive, recovered state is a
@@ -29,9 +32,14 @@ import (
 // SnapPath returns the snapshot file companion to a commit log.
 func SnapPath(walPath string) string { return walPath + ".snap" }
 
+// OldPath returns the retired log file companion to a commit log: the
+// prefix a checkpoint rotated aside and removes once its snapshot covers
+// it.
+func OldPath(walPath string) string { return walPath + ".old" }
+
 // tmpPath is the scratch file AtomicReplace writes final's new content
 // to. A crash between its creation and the rename leaves it behind;
-// OpenDurable removes the log's and the snapshot's.
+// OpenDurable removes the snapshot's.
 func tmpPath(final string) string { return final + ".tmp" }
 
 // DurableOptions configures OpenDurable beyond the engine options.
@@ -46,19 +54,21 @@ type DurableOptions struct {
 }
 
 // OpenDurable recovers an engine from the commit log at walPath (plus
-// its snapshot, if one exists) and reopens the log for appending; the
-// engine owns the log from then on. This is the one recovery entry
-// point: mvdb.Open, the cluster's sites and the crash harness all use
-// it, so the code path the torture tests exercise is the production one.
+// its snapshot and its retired log, where they exist) and reopens the
+// log for appending; the engine owns the log from then on. This is the
+// one recovery entry point: mvdb.Open, the cluster's sites and the crash
+// harness all use it, so the code path the torture tests exercise is the
+// production one.
 //
-// Recovery is idempotent: stale temp files from an interrupted
-// checkpoint or compaction are removed, the torn log tail (if any) is
-// truncated and the truncation fsynced before the first new append is
-// accepted. The snapshot's versions are installed as they are read, then
-// the log's records above its horizon (all of them, version-0 bootstrap
-// records included, without a snapshot), and only then is the
-// version-control module built, with tnc just past the largest recovered
-// transaction number: everything recovered is immediately visible.
+// Recovery is idempotent: a stale snapshot temp from an interrupted
+// checkpoint is removed, the torn log tail (if any) is truncated and the
+// truncation fsynced before the first new append is accepted. The
+// snapshot's versions are installed as they are read, then the records
+// above its horizon (all of them, version-0 bootstrap records included,
+// without a snapshot) of the retired log and then of the live one, and
+// only then is the version-control module built, with tnc just past the
+// largest recovered transaction number: everything recovered is
+// immediately visible.
 func OpenDurable(walPath string, opts Options, d DurableOptions) (*Engine, error) {
 	fsys := d.FS
 	if fsys == nil {
@@ -66,11 +76,10 @@ func OpenDurable(walPath string, opts Options, d DurableOptions) (*Engine, error
 	}
 	// A leftover temp is garbage by construction: the rename never
 	// happened, so the final file is still authoritative.
-	for _, tmp := range []string{tmpPath(SnapPath(walPath)), tmpPath(walPath)} {
-		if _, err := fsys.Stat(tmp); err == nil {
-			if err := fsys.Remove(tmp); err != nil {
-				return nil, fmt.Errorf("core: remove stale %s: %w", tmp, err)
-			}
+	tmp := tmpPath(SnapPath(walPath))
+	if _, err := fsys.Stat(tmp); err == nil {
+		if err := fsys.Remove(tmp); err != nil {
+			return nil, fmt.Errorf("core: remove stale %s: %w", tmp, err)
 		}
 	}
 	e := newUnstarted(opts)
@@ -88,16 +97,22 @@ func OpenDurable(walPath string, opts Options, d DurableOptions) (*Engine, error
 		return nil, fmt.Errorf("core: read snapshot: %w", err)
 	}
 	maxTN = max(maxTN, horizon)
-	validLen, err := wal.ReplayFS(fsys, walPath, func(r wal.Record) error {
+	replay := func(r wal.Record) error {
 		if !snap || r.TN > horizon { // else the snapshot already holds it
 			install(r)
 		}
 		return nil
-	})
+	}
+	_, err = wal.ReplayFS(fsys, OldPath(walPath), replay)
+	var validLen int64
+	if err == nil {
+		validLen, err = wal.ReplayFS(fsys, walPath, replay)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("core: recover: %w", err)
 	}
 	e.vc = newController(e.opts, maxTN)
+	e.oldBound = maxTN
 	if e.store.Len() > 0 {
 		e.bootstrapSealed.Store(true)
 	}
@@ -109,15 +124,11 @@ func OpenDurable(walPath string, opts Options, d DurableOptions) (*Engine, error
 	return e, nil
 }
 
-// LoadSnapshot reads the snapshot file at path through fsys (nil =
-// faultfs.OS), handing each version it holds to fn (nil: none) as it
+// LoadSnapshot reads the snapshot file at path through fsys, handing each version it holds to fn (nil: none) as it
 // reads it, and returns its horizon with ok set, or ok false if none
 // exists. A snapshot's horizon may be 0, covering version-0 (bootstrap)
 // records.
 func LoadSnapshot(fsys faultfs.FS, path string, fn func(wal.Record)) (horizon uint64, ok bool, err error) {
-	if fsys == nil {
-		fsys = faultfs.OS
-	}
 	validLen, err := wal.ReplayFS(fsys, path, func(r wal.Record) error {
 		switch {
 		case !ok:
@@ -133,8 +144,8 @@ func LoadSnapshot(fsys faultfs.FS, path string, fn func(wal.Record)) (horizon ui
 	// Snapshots are only ever produced whole (AtomicReplace), so a torn
 	// tail here means the file is damaged in a way our own crash windows
 	// cannot produce. Refusing it is the only safe answer: restoring a
-	// partial snapshot would drop keys the compacted log no longer
-	// carries.
+	// partial snapshot would drop keys whose records went with a retired
+	// log.
 	if fi, serr := fsys.Stat(path); serr == nil && fi.Size() != validLen {
 		return 0, false, fmt.Errorf("core: snapshot %s torn or corrupt (%d of %d bytes intact)", path, validLen, fi.Size())
 	}
@@ -144,21 +155,37 @@ func LoadSnapshot(fsys faultfs.FS, path string, fn func(wal.Record)) (horizon ui
 // Checkpoint writes a consistent snapshot of the engine's committed
 // state at the current visibility horizon (vtnc) to SnapPath of its log,
 // through AtomicReplace, so at every instant exactly one intact snapshot
-// (the old or the new) is durable. The horizon is a fully committed
-// prefix of the serial order by the Transaction Visibility Property, so
-// this runs safely under any concurrent transaction load. Each key's
-// version is written as the store walk reaches it; the horizon stays
-// published in the registry until the file is in place, so collection
-// keeps every version the walk has still to write.
+// (the old or the new) is durable, and drops the log prefix the snapshot
+// covers. The horizon is a fully committed prefix of the serial order by
+// the Transaction Visibility Property, so this runs safely under any
+// concurrent transaction load and never waits for a transaction. Each
+// key's version is written as the store walk reaches it; the horizon
+// stays published in the registry until the file is in place, so
+// collection keeps every version the walk has still to write.
+//
+// Checkpoints run one at a time. Unless an earlier one left a retired
+// log (OldPath), this one first rotates the live log into it and takes
+// tnc-1 as its bound: every record in it was enqueued after its
+// transaction registered, so its number is at most that. Once the
+// snapshot is durable, a horizon at or above the bound holds every such
+// record's effect, and the retired log is removed; below it, the file
+// stays for the next checkpoint to retire without rotating again.
 func (e *Engine) Checkpoint() error {
 	if e.log == nil {
 		return errors.New("core: Checkpoint requires a commit log")
 	}
+	e.ckptMu.Lock()
+	defer e.ckptMu.Unlock()
 	start := time.Now()
-	// The log must durably cover everything the snapshot claims (records
-	// <= horizon are skipped on restore only when the snapshot supplies
-	// them).
-	if err := e.log.Flush(); err != nil {
+	// Rotate and Flush both leave the log durable up to here, so the
+	// snapshot never runs ahead of it.
+	old := OldPath(e.walPath)
+	if _, err := e.fsys.Stat(old); errors.Is(err, os.ErrNotExist) {
+		if err := e.log.Rotate(old); err != nil {
+			return err
+		}
+		e.oldBound = e.vc.TNC() - 1
+	} else if err := e.log.Flush(); err != nil {
 		return err
 	}
 	slot, sn := e.snapshot(0, 0, false)
@@ -181,6 +208,11 @@ func (e *Engine) Checkpoint() error {
 		})
 		return err
 	})
+	if err == nil && sn >= e.oldBound {
+		if err = e.fsys.Remove(old); err == nil {
+			err = e.fsys.SyncDir(filepath.Dir(old))
+		}
+	}
 	if err != nil {
 		return fmt.Errorf("core: checkpoint at %d: %w", sn, err)
 	}
@@ -188,36 +220,6 @@ func (e *Engine) Checkpoint() error {
 	e.stats.CheckpointDurationNanos.Set(end.Sub(start).Nanoseconds())
 	e.stats.CheckpointLastUnixNanos.Set(end.UnixNano())
 	return nil
-}
-
-// Compact rewrites the commit log at walPath through fsys (nil =
-// faultfs.OS), dropping every record already covered by its snapshot
-// (TN <= the snapshot horizon) and streaming the rest into the new log.
-// It must run offline — no engine open on the log — and is a no-op
-// without a snapshot. The replacement goes through AtomicReplace: a
-// crash anywhere leaves either the full old log or the compacted one,
-// never a hybrid.
-func Compact(fsys faultfs.FS, walPath string) error {
-	if fsys == nil {
-		fsys = faultfs.OS
-	}
-	horizon, _, err := LoadSnapshot(fsys, SnapPath(walPath), nil)
-	if err != nil {
-		return fmt.Errorf("core: compact: read snapshot: %w", err)
-	}
-	if horizon == 0 {
-		return nil
-	}
-	return AtomicReplace(fsys, walPath, func(bw *bufio.Writer) error {
-		_, err := wal.ReplayFS(fsys, walPath, func(r wal.Record) error {
-			if r.TN <= horizon {
-				return nil
-			}
-			_, err := wal.WriteRecord(bw, r)
-			return err
-		})
-		return err
-	})
 }
 
 // AtomicReplace replaces the file final, through fsys (nil =
@@ -228,8 +230,8 @@ func Compact(fsys faultfs.FS, walPath string) error {
 // under the final name — never a hybrid. Without the directory fsync the
 // rename's entry may not survive a power cut, and the file would
 // silently revert. On any error before the rename the temp file is
-// removed best-effort. Checkpoints, log compaction and the flight
-// recorder's bundles all go through it.
+// removed best-effort. Checkpoints and the flight recorder's bundles
+// both go through it.
 func AtomicReplace(fsys faultfs.FS, final string, write func(*bufio.Writer) error) error {
 	if fsys == nil {
 		fsys = faultfs.OS

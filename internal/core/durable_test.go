@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"mvdb/internal/engine"
 	"mvdb/internal/faultfs"
 )
 
@@ -54,7 +55,7 @@ func TestWriteSnapshotCrashAtomic(t *testing.T) {
 		{"sync-tmp", faultfs.Rule{Op: faultfs.OpSync, Path: ".snap.tmp", Fault: faultfs.Fault{Crash: true}}},
 		{"rename-lost", faultfs.Rule{Op: faultfs.OpRename, Path: ".snap", Fault: faultfs.Fault{Crash: true}}},
 		{"rename-kept", faultfs.Rule{Op: faultfs.OpRename, Path: ".snap", Fault: faultfs.Fault{Crash: true, KeepRename: true}}},
-		{"syncdir-after-rename", faultfs.Rule{Op: faultfs.OpSyncDir, Nth: 2, Fault: faultfs.Fault{Crash: true}}},
+		{"syncdir-after-rename", faultfs.Rule{Op: faultfs.OpSyncDir, Nth: 3, Fault: faultfs.Fault{Crash: true}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -77,8 +78,9 @@ func TestWriteSnapshotCrashAtomic(t *testing.T) {
 			e.Close()
 
 			// The doomed checkpoint, on a fresh filesystem: the open's log
-			// truncation fsyncs the directory (1), the checkpoint's rename
-			// is followed by the second.
+			// truncation fsyncs the directory (1), the checkpoint's log
+			// rotation (2), and its snapshot rename is followed by the
+			// third.
 			fs := faultfs.New(faultfs.Plan{Rules: []faultfs.Rule{tc.rule}})
 			e2 := openFS(t, fs, walPath, TwoPhaseLocking)
 			if err := e2.Checkpoint(); err == nil {
@@ -93,19 +95,22 @@ func TestWriteSnapshotCrashAtomic(t *testing.T) {
 	}
 }
 
-// Crash windows of log compaction: whichever instant the power cut
-// hits, recovery sees either the full old log or the compacted one —
-// both of which, combined with the snapshot, reproduce the complete
-// committed state.
-func TestCompactCrashAtomic(t *testing.T) {
+// Crash windows of the log rotation and the retire: at the rename of
+// the live log to OldPath (with and without the dirent surviving), at
+// the create of the fresh log, at the directory fsync after it, and at
+// the removal of the retired log once the snapshot covers it. In every
+// one, recovery must see the full committed state, and the next
+// checkpoint must leave no retired log behind.
+func TestRotateCrashAtomic(t *testing.T) {
 	cases := []struct {
 		name string
 		rule faultfs.Rule
 	}{
-		{"write-tmp", faultfs.Rule{Op: faultfs.OpWrite, Path: "commit.log.tmp", Fault: faultfs.Fault{Crash: true}}},
-		{"rename-lost", faultfs.Rule{Op: faultfs.OpRename, Path: "commit.log", Fault: faultfs.Fault{Crash: true}}},
-		{"rename-kept", faultfs.Rule{Op: faultfs.OpRename, Path: "commit.log", Fault: faultfs.Fault{Crash: true, KeepRename: true}}},
-		{"syncdir-after-rename", faultfs.Rule{Op: faultfs.OpSyncDir, Nth: 1, Fault: faultfs.Fault{Crash: true}}},
+		{"rename-lost", faultfs.Rule{Op: faultfs.OpRename, Path: ".old", Fault: faultfs.Fault{Crash: true}}},
+		{"rename-kept", faultfs.Rule{Op: faultfs.OpRename, Path: ".old", Fault: faultfs.Fault{Crash: true, KeepRename: true}}},
+		{"create", faultfs.Rule{Op: faultfs.OpCreate, Path: "commit.log", Fault: faultfs.Fault{Crash: true}}},
+		{"syncdir-after-create", faultfs.Rule{Op: faultfs.OpSyncDir, Nth: 2, Fault: faultfs.Fault{Crash: true}}},
+		{"remove", faultfs.Rule{Op: faultfs.OpRemove, Path: ".old", Fault: faultfs.Fault{Crash: true}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -121,59 +126,93 @@ func TestCompactCrashAtomic(t *testing.T) {
 			if err := e.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
-			// Post-snapshot suffix the compaction must keep.
 			mustCommitWrite(t, e, map[string]string{"k0": "v0b"})
 			want["k0"] = "v0b"
 			e.Close()
 
+			// The open's log truncation fsyncs the directory first; the
+			// first create is the rotation's.
 			fs := faultfs.New(faultfs.Plan{Rules: []faultfs.Rule{tc.rule}})
-			if err := Compact(fs, walPath); err == nil {
-				t.Fatal("Compact succeeded despite scripted crash")
+			e2 := openFS(t, fs, walPath, TwoPhaseLocking)
+			mustCommitWrite(t, e2, map[string]string{"k2": "v2b"})
+			want["k2"] = "v2b"
+			if err := e2.Checkpoint(); err == nil {
+				t.Fatal("Checkpoint succeeded despite scripted crash")
 			}
+			e2.Close()
 			if err := fs.ApplyCrash(); err != nil {
 				t.Fatal(err)
+			}
+			expectState(t, walPath, TwoPhaseLocking, want)
+
+			e3 := openFS(t, faultfs.New(faultfs.Plan{}), walPath, TwoPhaseLocking)
+			if err := e3.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			e3.Close()
+			if _, err := os.Stat(OldPath(walPath)); !os.IsNotExist(err) {
+				t.Fatalf("retired log survived a checkpoint after recovery: %v", err)
 			}
 			expectState(t, walPath, TwoPhaseLocking, want)
 		})
 	}
 }
 
-// A completed compaction followed by recovery reproduces the exact
-// pre-compaction state, and a crash mid-compaction leaves a stale temp
-// file that the next open removes.
-func TestCompactAndStaleTempCleanup(t *testing.T) {
+// A checkpoint whose horizon is below the retired log's bound keeps the
+// file: a T/O transaction holds its number from begin, so while it is
+// open vtnc stays below it. The next checkpoint, once it has committed,
+// retires the file without rotating again.
+func TestCheckpointRetiresOnceCovered(t *testing.T) {
 	walPath := filepath.Join(t.TempDir(), "commit.log")
-	want := map[string]string{}
-
-	fsys := faultfs.New(faultfs.Plan{})
-	e := openFS(t, fsys, walPath, TwoPhaseLocking)
-	for i := 0; i < 5; i++ {
-		k, v := fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i)
-		mustCommitWrite(t, e, map[string]string{k: v})
-		want[k] = v
+	e := openFS(t, faultfs.New(faultfs.Plan{}), walPath, TimestampOrdering)
+	defer e.Close()
+	mustCommitWrite(t, e, map[string]string{"a": "1"})
+	held, err := e.Begin(engine.ReadWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := held.Put("b", []byte("2")); err != nil {
+		t.Fatal(err)
 	}
 	if err := e.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	e.Close()
-	if err := Compact(fsys, walPath); err != nil {
+	if _, err := os.Stat(OldPath(walPath)); err != nil {
+		t.Fatalf("checkpoint below its bound retired the log: %v", err)
+	}
+	if err := held.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	expectState(t, walPath, TwoPhaseLocking, want)
-
-	// Plant stale temp files as an interrupted checkpoint/compaction
-	// would leave them; the next open must remove both.
-	stale := []string{tmpPath(SnapPath(walPath)), tmpPath(walPath)}
-	for _, tmp := range stale {
-		if err := os.WriteFile(tmp, []byte("stale"), 0o644); err != nil {
-			t.Fatal(err)
-		}
+	live, err := os.Stat(walPath)
+	if err != nil {
+		t.Fatal(err)
 	}
-	openFS(t, faultfs.New(faultfs.Plan{}), walPath, TwoPhaseLocking).Close()
-	for _, tmp := range stale {
-		if _, err := os.Stat(tmp); !os.IsNotExist(err) {
-			t.Fatalf("stale temp %s survived open", tmp)
-		}
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(OldPath(walPath)); !os.IsNotExist(err) {
+		t.Fatalf("covered retired log survived the next checkpoint: %v", err)
+	}
+	if again, _ := os.Stat(walPath); again.Size() != live.Size() {
+		t.Fatalf("second checkpoint rotated again: live log %d -> %d bytes", live.Size(), again.Size())
+	}
+	expectState(t, walPath, TimestampOrdering, map[string]string{"a": "1", "b": "2"})
+}
+
+// A crash mid-checkpoint can leave the snapshot's temp file behind; the
+// next open removes it and recovers the full state.
+func TestStaleSnapshotTempRemovedAtOpen(t *testing.T) {
+	walPath := filepath.Join(t.TempDir(), "commit.log")
+	e := openFS(t, faultfs.New(faultfs.Plan{}), walPath, TwoPhaseLocking)
+	mustCommitWrite(t, e, map[string]string{"k": "v"})
+	e.Close()
+	stale := tmpPath(SnapPath(walPath))
+	if err := os.WriteFile(stale, []byte("stale"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	expectState(t, walPath, TwoPhaseLocking, map[string]string{"k": "v"})
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Fatalf("stale temp %s survived open", stale)
 	}
 }
 

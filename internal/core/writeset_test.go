@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"mvdb/internal/engine"
+	"mvdb/internal/faultfs"
 	"mvdb/internal/wal"
 )
 
@@ -68,7 +69,7 @@ func runLogged(t *testing.T, p Protocol, path string, scripts ...[]wsOp) []wal.R
 		t.Fatal(err)
 	}
 	var recs []wal.Record
-	if _, err := wal.Replay(path, func(r wal.Record) error { recs = append(recs, r); return nil }); err != nil {
+	if _, err := wal.ReplayFS(faultfs.OS, path, func(r wal.Record) error { recs = append(recs, r); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	return recs

@@ -1,13 +1,19 @@
 package crashtest
 
 import (
+	"path/filepath"
+	"strings"
 	"testing"
+
+	"mvdb/internal/core"
+	"mvdb/internal/faultfs"
 )
 
 // TestSweepExhaustive crashes the scripted scenario at every mutating
-// filesystem operation — WAL appends, batch fsyncs, checkpoint temp
-// writes and renames, compaction, directory fsyncs — for every engine
-// configuration, and audits every recovery against the dual oracle.
+// filesystem operation — WAL appends, batch fsyncs, log rotations and
+// retires, checkpoint temp writes and renames, directory fsyncs — for
+// every engine configuration, and audits every recovery against the dual
+// oracle.
 func TestSweepExhaustive(t *testing.T) {
 	for _, cfg := range Configs() {
 		cfg := cfg
@@ -18,14 +24,41 @@ func TestSweepExhaustive(t *testing.T) {
 				t.Fatal(err)
 			}
 			// The scenario performs well over 40 mutating operations
-			// (13 commits with their fsyncs, checkpoint, compaction,
-			// three opens); a collapse of this count means the sweep
+			// (13 commits with their fsyncs, two checkpoints, three
+			// opens); a collapse of this count means the sweep
 			// silently stopped covering the crash windows.
 			if points < 40 {
 				t.Fatalf("sweep exercised only %d crash points", points)
 			}
 			t.Logf("%s: %d crash points, zero violations", cfg, points)
 		})
+	}
+}
+
+// The sweep's crash points include each checkpoint's log rotation (the
+// rename to OldPath, the fresh log's create and its directory fsync)
+// and its retire (the removal of OldPath and the directory fsync after
+// it): the script checkpoints twice, and both retire what they rotated.
+func TestScriptRotatesAndRetires(t *testing.T) {
+	tracer := faultfs.New(faultfs.Plan{})
+	tracer.EnableTrace()
+	walPath := filepath.Join(t.TempDir(), "commit.log")
+	if err := runScript(tracer, walPath, Configs()[0], NewOracle()); err != nil {
+		t.Fatal(err)
+	}
+	var seq []string
+	for _, op := range tracer.Trace() {
+		switch {
+		case op.Op == faultfs.OpRename && op.Path == core.OldPath(walPath),
+			op.Op == faultfs.OpCreate && op.Path == walPath,
+			op.Op == faultfs.OpRemove && op.Path == core.OldPath(walPath):
+			seq = append(seq, op.Op.String())
+		}
+	}
+	// The first create is the log's own, at the first open.
+	want := "create rename create remove rename create remove"
+	if got := strings.Join(seq, " "); got != want {
+		t.Fatalf("rotate/retire operations = %q, want %q", got, want)
 	}
 }
 

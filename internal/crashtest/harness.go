@@ -52,14 +52,15 @@ func openEngine(fsys faultfs.FS, walPath string, cfg Config, rec engine.Recorder
 
 // runScript executes the deterministic scripted scenario the sweep
 // enumerates crash points of: a logged bootstrap, a batch of commits, a
-// checkpoint under load, more commits (including a delete), an offline
-// compaction, then a reopen with further commits. Every commit also reads
-// and rewrites the key "chain", so each depends on the one before it and
-// the oracle's clause on reads is live at every crash point; the
+// checkpoint under load (which rotates the log aside, snapshots and
+// retires the rotated prefix), more commits (including a delete), then a
+// reopen, a second checkpoint and further commits. Every commit also
+// reads and rewrites the key "chain", so each depends on the one before
+// it and the oracle's clause on reads is live at every crash point; the
 // bootstrapped "g" is never written again, so it must come back at
-// version 0 through the checkpoint and the compaction. Single-client, so
-// the sequence of filesystem operations is identical on every fault-free
-// run.
+// version 0 through both checkpoints, once its record is retired.
+// Single-client, so the sequence of filesystem operations is identical
+// on every fault-free run.
 //
 // A commit that fails without a power cut (an injected transient error)
 // is simply an unacknowledged attempt: the script keeps going. Once the
@@ -124,18 +125,17 @@ func runScript(fsys *faultfs.FaultFS, walPath string, cfg Config, o *Oracle) err
 		return err
 	}
 
-	// Offline compaction between incarnations.
-	if err := core.Compact(fsys, walPath); err != nil && fsys.Crashed() {
-		return err
-	}
-
-	// Reopen from the compacted state and keep committing.
+	// Reopen, checkpoint again and keep committing.
 	e, err = openEngine(fsys, walPath, cfg, nil)
 	if err != nil {
 		if fsys.Crashed() {
 			return err
 		}
 		return nil // transient open failure: scenario over early
+	}
+	if err := e.Checkpoint(); err != nil && fsys.Crashed() {
+		e.Close()
+		return err
 	}
 	phase3 := []map[string]Mut{
 		puts("f"), puts("b", "e"), puts("d"),
@@ -197,7 +197,7 @@ func RecoverAndCheck(walPath string, cfg Config, o *Oracle) error {
 // reading the horizon it was restored under back from the snapshot file
 // (intact, or the open would have failed).
 func checkRecovered(walPath string, e *core.Engine, o *Oracle) error {
-	horizon, _, err := core.LoadSnapshot(nil, core.SnapPath(walPath), nil)
+	horizon, _, err := core.LoadSnapshot(faultfs.OS, core.SnapPath(walPath), nil)
 	if err != nil {
 		return err
 	}

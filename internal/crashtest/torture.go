@@ -203,12 +203,6 @@ func Torture(dir string, opts TortureOptions) (TortureReport, error) {
 				rep.Rounds, crashAt, ft.Torn, ft.Corrupt, o.Acks())
 		} else {
 			rep.CleanRounds++
-			if rng.Intn(3) == 0 {
-				// Offline compaction between clean incarnations.
-				if err := core.Compact(nil, walPath); err != nil {
-					return rep, fmt.Errorf("round %d: compact: %w", rep.Rounds, err)
-				}
-			}
 			logf("round %d: clean shutdown, %d commits acked so far", rep.Rounds, o.Acks())
 		}
 	}

@@ -22,12 +22,14 @@
 //     number of torn bytes (Fault.Torn) of the unsynced tail of the file
 //     the crashing operation targeted, optionally garbled
 //     (Fault.Corrupt) to model a torn sector;
-//   - renames that were not yet made durable by a SyncDir of the parent
-//     directory are rolled back (the destination's old content returns,
-//     the source file reappears), unless the fault says the rename's
-//     dirent happened to be journaled (Fault.KeepRename);
-//   - files created since the last SyncDir of their directory lose
-//     their directory entry and vanish.
+//   - creates and renames that were not yet made durable by a SyncDir
+//     of the parent directory are undone from one journal, newest
+//     first: a created file loses its directory entry and vanishes; a
+//     rename rolls back (the destination's old content returns, the
+//     source file reappears), unless the fault says the rename's dirent
+//     happened to be journaled (Fault.KeepRename). So a file renamed
+//     away and then recreated under its old name comes back whole, and
+//     an atomic replace leaves the old final file and no temp.
 //
 // The model deliberately makes directory-entry durability require an
 // explicit SyncDir, the POSIX-pessimistic reading that production
@@ -247,10 +249,12 @@ type fileState struct {
 	corrupt bool  // garble the torn bytes on ApplyCrash
 }
 
-type renameUndo struct {
-	oldpath, newpath string
-	destExisted      bool
-	destContent      []byte
+// direntOp is a create (from empty) or a rename of from to path that no
+// SyncDir of path's directory has made durable yet.
+type direntOp struct {
+	path, from  string
+	destExisted bool
+	destContent []byte
 }
 
 type ruleState struct {
@@ -262,24 +266,20 @@ type ruleState struct {
 // FaultFS is an FS over real files with scripted fault injection. All
 // methods are safe for concurrent use.
 type FaultFS struct {
-	mu             sync.Mutex
-	rules          []*ruleState
-	opCount        int
-	trace          []OpRecord
-	tracing        bool
-	crashed        bool
-	files          map[string]*fileState
-	pendingRenames []renameUndo
-	pendingCreates map[string]bool
+	mu      sync.Mutex
+	rules   []*ruleState
+	opCount int
+	trace   []OpRecord
+	tracing bool
+	crashed bool
+	files   map[string]*fileState
+	pending []direntOp // oldest first
 }
 
 // New returns a FaultFS executing the given plan. A zero plan injects
 // nothing and behaves like OS plus state tracking.
 func New(plan Plan) *FaultFS {
-	f := &FaultFS{
-		files:          make(map[string]*fileState),
-		pendingCreates: make(map[string]bool),
-	}
+	f := &FaultFS{files: make(map[string]*fileState)}
 	for _, r := range plan.Rules {
 		r := r
 		f.rules = append(f.rules, &ruleState{rule: r})
@@ -415,7 +415,7 @@ func (f *FaultFS) OpenFile(name string, flag int, perm os.FileMode) (File, error
 	switch {
 	case !existed:
 		f.files[name] = &fileState{}
-		f.pendingCreates[name] = true
+		f.pending = append(f.pending, direntOp{path: name})
 	case flag&os.O_TRUNC != 0:
 		// Truncation-on-open is modeled as immediately durable; the old
 		// content is gone (which is why precious files are replaced via
@@ -465,13 +465,12 @@ func (f *FaultFS) Rename(oldpath, newpath string) error {
 				f.files[newpath] = st
 			}
 			delete(f.files, oldpath)
-			delete(f.pendingCreates, oldpath)
+			f.forgetCreate(oldpath)
 		}
 		return err
 	}
 	f.stall(ft.Delay)
-	var undo renameUndo
-	undo.oldpath, undo.newpath = oldpath, newpath
+	undo := direntOp{path: newpath, from: oldpath}
 	if content, rerr := os.ReadFile(newpath); rerr == nil {
 		undo.destExisted = true
 		undo.destContent = content
@@ -479,7 +478,7 @@ func (f *FaultFS) Rename(oldpath, newpath string) error {
 	if err := os.Rename(oldpath, newpath); err != nil {
 		return err
 	}
-	f.pendingRenames = append(f.pendingRenames, undo)
+	f.pending = append(f.pending, undo)
 	if st := f.files[oldpath]; st != nil {
 		f.files[newpath] = st
 	}
@@ -488,8 +487,9 @@ func (f *FaultFS) Rename(oldpath, newpath string) error {
 }
 
 // Remove implements FS. Removal durability is not modeled (removed
-// files never reappear after a crash); the recovery paths only remove
-// disposable temp files.
+// files never reappear after a crash); the durable paths remove only
+// disposable temp files and a retired log that a durable snapshot
+// covers, which are safe to find either way.
 func (f *FaultFS) Remove(name string) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -501,9 +501,21 @@ func (f *FaultFS) Remove(name string) error {
 	err := os.Remove(name)
 	if err == nil || errors.Is(err, os.ErrNotExist) {
 		delete(f.files, name)
-		delete(f.pendingCreates, name)
+		f.forgetCreate(name)
 	}
 	return err
+}
+
+// forgetCreate drops the pending create of path (f.mu held): the file
+// is gone from that name, so a crash has nothing there to undo.
+func (f *FaultFS) forgetCreate(path string) {
+	kept := f.pending[:0]
+	for _, u := range f.pending {
+		if u.from != "" || u.path != path {
+			kept = append(kept, u)
+		}
+	}
+	f.pending = kept
 }
 
 // Stat implements FS.
@@ -527,25 +539,20 @@ func (f *FaultFS) SyncDir(dir string) error {
 		return err
 	}
 	f.stall(ft.Delay)
-	kept := f.pendingRenames[:0]
-	for _, u := range f.pendingRenames {
-		if filepath.Dir(u.newpath) != dir {
+	kept := f.pending[:0]
+	for _, u := range f.pending {
+		if filepath.Dir(u.path) != dir {
 			kept = append(kept, u)
 		}
 	}
-	f.pendingRenames = kept
-	for p := range f.pendingCreates {
-		if filepath.Dir(p) == dir {
-			delete(f.pendingCreates, p)
-		}
-	}
+	f.pending = kept
 	return nil
 }
 
 // ApplyCrash materializes the post-crash directory state: files are
-// truncated to their surviving prefix, non-durable renames are rolled
-// back, and non-durable creates vanish. It must be called after the
-// crash fired; the FaultFS stays crashed — recover with a
+// truncated to their surviving prefix, then non-durable creates vanish
+// and non-durable renames roll back, newest first. It must be called
+// after the crash fired; the FaultFS stays crashed — recover with a
 // fresh FS over the same directory.
 func (f *FaultFS) ApplyCrash() error {
 	f.mu.Lock()
@@ -574,34 +581,32 @@ func (f *FaultFS) ApplyCrash() error {
 			}
 		}
 	}
-	// 2. Roll back pending renames, newest first.
-	for i := len(f.pendingRenames) - 1; i >= 0; i-- {
-		u := f.pendingRenames[i]
-		src, err := os.ReadFile(u.newpath)
-		if err == nil {
-			if err := os.WriteFile(u.oldpath, src, 0o644); err != nil {
+	// 2. Undo pending creates and renames, newest first.
+	for i := len(f.pending) - 1; i >= 0; i-- {
+		u := f.pending[i]
+		if u.from == "" {
+			_ = os.Remove(u.path)
+			delete(f.files, u.path)
+			continue
+		}
+		if src, err := os.ReadFile(u.path); err == nil {
+			if err := os.WriteFile(u.from, src, 0o644); err != nil {
 				return fmt.Errorf("faultfs: apply crash: %w", err)
 			}
 		}
 		if u.destExisted {
-			if err := os.WriteFile(u.newpath, u.destContent, 0o644); err != nil {
+			if err := os.WriteFile(u.path, u.destContent, 0o644); err != nil {
 				return fmt.Errorf("faultfs: apply crash: %w", err)
 			}
 		} else {
-			_ = os.Remove(u.newpath)
+			_ = os.Remove(u.path)
 		}
-		if st, ok := f.files[u.newpath]; ok {
-			f.files[u.oldpath] = st
-			delete(f.files, u.newpath)
+		if st, ok := f.files[u.path]; ok {
+			f.files[u.from] = st
+			delete(f.files, u.path)
 		}
 	}
-	f.pendingRenames = nil
-	// 3. Drop files whose creation was never durabilized.
-	for p := range f.pendingCreates {
-		_ = os.Remove(p)
-		delete(f.files, p)
-	}
-	f.pendingCreates = make(map[string]bool)
+	f.pending = nil
 	return nil
 }
 

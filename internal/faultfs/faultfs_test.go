@@ -213,6 +213,59 @@ func TestCreateNotDurableWithoutSyncDir(t *testing.T) {
 	}
 }
 
+// Pending creates and renames undo from one journal, newest first. An
+// atomic replace cut before its directory fsync leaves the old final
+// file and no temp; a log renamed aside and recreated under its name,
+// cut the same way, comes back whole at its name.
+func TestApplyCrashUndoesDirentsNewestFirst(t *testing.T) {
+	crashAtSyncDir := func(t *testing.T, dir, final, gone string, steps func(fs *FaultFS)) {
+		t.Helper()
+		if err := os.WriteFile(final, []byte("old"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fs := New(Plan{Rules: []Rule{{Op: OpSyncDir, Fault: Fault{Crash: true}}}})
+		steps(fs)
+		if err := fs.SyncDir(dir); !errors.Is(err, ErrCrashed) {
+			t.Fatalf("syncdir err = %v, want ErrCrashed", err)
+		}
+		if err := fs.ApplyCrash(); err != nil {
+			t.Fatal(err)
+		}
+		if got := string(content(t, final)); got != "old" {
+			t.Fatalf("%s = %q after the crash, want old", filepath.Base(final), got)
+		}
+		if _, err := os.Stat(gone); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("%s survived the crash", filepath.Base(gone))
+		}
+	}
+	t.Run("atomic-replace", func(t *testing.T) {
+		dir := t.TempDir()
+		final, tmp := filepath.Join(dir, "snap"), filepath.Join(dir, "snap.tmp")
+		crashAtSyncDir(t, dir, final, tmp, func(fs *FaultFS) {
+			f, _ := fs.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+			writeAll(t, f, []byte("new"))
+			f.Sync()
+			f.Close()
+			if err := fs.Rename(tmp, final); err != nil {
+				t.Fatal(err)
+			}
+		})
+	})
+	t.Run("rename-then-recreate", func(t *testing.T) {
+		dir := t.TempDir()
+		log, old := filepath.Join(dir, "log"), filepath.Join(dir, "log.old")
+		crashAtSyncDir(t, dir, log, old, func(fs *FaultFS) {
+			if err := fs.Rename(log, old); err != nil {
+				t.Fatal(err)
+			}
+			f, _ := fs.OpenFile(log, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+			writeAll(t, f, []byte("new"))
+			f.Sync()
+			f.Close()
+		})
+	})
+}
+
 // Transient injected errors fail one operation; the filesystem keeps
 // working. Sticky errors keep failing.
 func TestInjectedErrors(t *testing.T) {

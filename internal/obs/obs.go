@@ -200,9 +200,10 @@ type Snapshot struct {
 	WALGatherTimeouts int64           `json:"wal_gather_timeouts"`
 	WALBatchSize      metrics.Summary `json:"wal_batch_size"`
 	WALFsyncPerAppend float64         `json:"wal_fsync_per_append"`
-	// WALSizeBytes is the log file's current size: the bytes recovery
-	// would replay, and (with checkpoint age) the signal that log
-	// compaction is overdue. Zero when durability is off.
+	// WALSizeBytes is the log's current size, the bytes recovery would
+	// replay: the live file (buffered records included) plus the
+	// retired prefix a checkpoint rotated aside and has not yet removed.
+	// Checkpoints bound it. Zero when durability is off.
 	WALSizeBytes int64 `json:"wal_size_bytes"`
 
 	// Checkpoint cadence (zero until the first checkpoint): when the

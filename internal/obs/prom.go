@@ -161,7 +161,7 @@ func (sn Snapshot) WriteProm(w io.Writer) error {
 	}
 	p.Header("mvdb_wal_fsync_per_append", "gauge", "Fsync amortization ratio (fsyncs/appends; 1.0 without group commit).")
 	p.Value("mvdb_wal_fsync_per_append", sn.WALFsyncPerAppend)
-	p.Header("mvdb_wal_size_bytes", "gauge", "Current write-ahead log file size (bytes recovery would replay).")
+	p.Header("mvdb_wal_size_bytes", "gauge", "Current write-ahead log size, live and retired files (bytes recovery would replay).")
 	p.Int("mvdb_wal_size_bytes", sn.WALSizeBytes)
 
 	p.Header("mvdb_checkpoint_last_unix", "gauge", "Unix time of the last completed checkpoint (0 before the first).")

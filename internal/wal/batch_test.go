@@ -52,7 +52,7 @@ func TestSyncBatchRoundTrip(t *testing.T) {
 	// Durability contract: everything acknowledged is already on disk,
 	// BEFORE Close. Replay must see all n records.
 	seen := make(map[uint64]bool)
-	if _, err := Replay(path, func(r Record) error { seen[r.TN] = true; return nil }); err != nil {
+	if _, err := ReplayFS(faultfs.OS, path, func(r Record) error { seen[r.TN] = true; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if len(seen) != n {
@@ -454,7 +454,7 @@ func TestGatherCloseEndsGather(t *testing.T) {
 	}
 	rode(t, w, a, 3, 1)
 	var tns []uint64
-	if _, err := Replay(path, func(r Record) error { tns = append(tns, r.TN); return nil }); err != nil {
+	if _, err := ReplayFS(faultfs.OS, path, func(r Record) error { tns = append(tns, r.TN); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(tns) != "[1 2 3 4]" {
@@ -515,7 +515,7 @@ func TestFsyncsCountsOvertakenSync(t *testing.T) {
 // workloads log. (Only a record that does not fit what is left of the
 // 64 KiB buffer gets one of its own; these 200 stay well inside it.)
 func TestEnqueueAllocatesNothing(t *testing.T) {
-	w, err := Create(filepath.Join(t.TempDir(), "wal"), SyncNever)
+	w, err := CreateWith(filepath.Join(t.TempDir(), "wal"), Options{Policy: SyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -553,7 +553,7 @@ func TestSyncBatchCloseDrains(t *testing.T) {
 		t.Fatal("Append after Close succeeded")
 	}
 	count := 0
-	if _, err := Replay(path, func(Record) error { count++; return nil }); err != nil {
+	if _, err := ReplayFS(faultfs.OS, path, func(Record) error { count++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if count != 10 {
@@ -586,7 +586,7 @@ func TestSyncBatchStickyError(t *testing.T) {
 // to a recovered log under SyncBatch and replay the union.
 func TestOpenAppendWithBatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	w, err := Create(path, SyncBatch)
+	w, err := CreateWith(path, Options{Policy: SyncBatch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -596,7 +596,7 @@ func TestOpenAppendWithBatch(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	validLen, err := Replay(path, func(Record) error { return nil })
+	validLen, err := ReplayFS(faultfs.OS, path, func(Record) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -611,7 +611,7 @@ func TestOpenAppendWithBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	var tns []uint64
-	if _, err := Replay(path, func(r Record) error { tns = append(tns, r.TN); return nil }); err != nil {
+	if _, err := ReplayFS(faultfs.OS, path, func(r Record) error { tns = append(tns, r.TN); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if len(tns) != 2 || tns[0] != 1 || tns[1] != 2 {

@@ -3,10 +3,12 @@ package wal
 import (
 	"path/filepath"
 	"testing"
+
+	"mvdb/internal/faultfs"
 )
 
 func BenchmarkAppendNoSync(b *testing.B) {
-	w, err := Create(filepath.Join(b.TempDir(), "bench.log"), SyncNever)
+	w, err := CreateWith(filepath.Join(b.TempDir(), "bench.log"), Options{Policy: SyncNever})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -24,7 +26,7 @@ func BenchmarkAppendNoSync(b *testing.B) {
 
 func BenchmarkReplay(b *testing.B) {
 	path := filepath.Join(b.TempDir(), "bench.log")
-	w, _ := Create(path, SyncNever)
+	w, _ := CreateWith(path, Options{Policy: SyncNever})
 	rec := Record{Writes: []Write{{Key: "some/key", Value: make([]byte, 64)}}}
 	const nRecords = 10000
 	for i := 0; i < nRecords; i++ {
@@ -38,7 +40,7 @@ func BenchmarkReplay(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		if _, err := Replay(path, func(Record) error { n++; return nil }); err != nil {
+		if _, err := ReplayFS(faultfs.OS, path, func(Record) error { n++; return nil }); err != nil {
 			b.Fatal(err)
 		}
 		if n != nRecords {

@@ -57,7 +57,7 @@ func TestReopenAfterTornBatchTail(t *testing.T) {
 	// Phase 2: recovery sees the three durable records, drops the torn
 	// tail, and the reopened writer keeps accepting commits.
 	var recovered []uint64
-	validLen, err := Replay(path, func(r Record) error {
+	validLen, err := ReplayFS(faultfs.OS, path, func(r Record) error {
 		recovered = append(recovered, r.TN)
 		return nil
 	})
@@ -82,7 +82,7 @@ func TestReopenAfterTornBatchTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	recovered = recovered[:0]
-	if _, err := Replay(path, func(r Record) error {
+	if _, err := ReplayFS(faultfs.OS, path, func(r Record) error {
 		recovered = append(recovered, r.TN)
 		return nil
 	}); err != nil {
@@ -162,7 +162,7 @@ func stickyCase(t *testing.T, policy SyncPolicy, rule faultfs.Rule, big []byte) 
 		t.Fatalf("Close on the broken writer: err = %v, want the sticky %v", err, broken)
 	}
 	var tns []uint64
-	if _, err := Replay(path, func(r Record) error { tns = append(tns, r.TN); return nil }); err != nil {
+	if _, err := ReplayFS(faultfs.OS, path, func(r Record) error { tns = append(tns, r.TN); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	// The record that hit the fault may be physically present — it was
@@ -198,7 +198,7 @@ func TestReplayStopsAtCorruptTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	var tns []uint64
-	if _, err := Replay(path, func(r Record) error { tns = append(tns, r.TN); return nil }); err != nil {
+	if _, err := ReplayFS(faultfs.OS, path, func(r Record) error { tns = append(tns, r.TN); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if len(tns) != 2 {

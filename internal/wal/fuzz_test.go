@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"mvdb/internal/faultfs"
 )
 
 // FuzzDecodePayload: arbitrary bytes must never panic the decoder, and a
@@ -66,7 +68,7 @@ func FuzzReplay(f *testing.F) {
 			t.Fatal(err)
 		}
 		n := 0
-		validLen, err := Replay(path, func(Record) error { n++; return nil })
+		validLen, err := ReplayFS(faultfs.OS, path, func(Record) error { n++; return nil })
 		if err != nil {
 			t.Fatalf("Replay errored on corrupt input: %v", err)
 		}

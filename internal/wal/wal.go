@@ -99,8 +99,12 @@ type Writer struct {
 	mu     sync.Mutex
 	f      faultfs.File
 	bw     *bufio.Writer
-	opts   Options
+	opts   Options // FS resolved: never nil
+	path   string
 	closed bool
+	// syncing is set while the flusher fsyncs f outside mu; Rotate waits
+	// it out, so the flusher never syncs a file Rotate has swapped.
+	syncing bool
 
 	// Ticket state, guarded by mu. enqSeq counts records written into
 	// bw — a record's ticket is its count; syncSeq counts records
@@ -127,9 +131,10 @@ type Writer struct {
 	batches        atomic.Uint64
 	gatherTimeouts atomic.Uint64
 
-	// base is the file length at open time (0 on Create, the recovered
-	// validLen on OpenAppend); base + bytes is the current log size.
-	base int64
+	// base + bytes is the live file's length: base is the recovered
+	// length on OpenAppendWith, and minus the bytes then written at each
+	// Rotate.
+	base atomic.Int64
 
 	// onBatch observes each group-commit batch's record count; see
 	// SetBatchObserver.
@@ -155,11 +160,10 @@ func (w *Writer) Batches() uint64 { return w.batches.Load() }
 // anticipation is costing latency without buying a batch.
 func (w *Writer) GatherTimeouts() uint64 { return w.gatherTimeouts.Load() }
 
-// Size reports the log file's current length in bytes: the length at
-// open time plus everything appended since. This is the volume recovery
-// would replay, and — together with checkpoint age — the signal that
-// log compaction is overdue. Safe to call concurrently with Append.
-func (w *Writer) Size() int64 { return w.base + int64(w.bytes.Load()) }
+// Size reports the live log file's length in bytes, buffered records
+// included: what it held at open or at the last Rotate plus everything
+// appended since. Safe to call concurrently with Append.
+func (w *Writer) Size() int64 { return w.base.Load() + int64(w.bytes.Load()) }
 
 // SetBatchObserver installs fn, called after each completed batch with
 // the number of records the fsync covered. It runs on the goroutine that
@@ -169,8 +173,8 @@ func (w *Writer) SetBatchObserver(fn func(records int)) {
 	w.onBatch = fn
 }
 
-func newWriter(f faultfs.File, opts Options) *Writer {
-	w := &Writer{f: f, bw: bufio.NewWriterSize(f, 1<<16), opts: opts}
+func newWriter(f faultfs.File, path string, opts Options) *Writer {
+	w := &Writer{f: f, bw: bufio.NewWriterSize(f, 1<<16), opts: opts, path: path}
 	w.synced = sync.NewCond(&w.mu)
 	if opts.Policy == SyncBatch {
 		w.wake = sync.NewCond(&w.mu)
@@ -186,21 +190,23 @@ func newWriter(f faultfs.File, opts Options) *Writer {
 	return w
 }
 
-// Create opens (or truncates) a log file for writing.
-func Create(path string, policy SyncPolicy) (*Writer, error) {
-	return CreateWith(path, Options{Policy: policy})
+// CreateWith opens (or truncates) a log file for writing. The parent
+// directory is fsynced after the create so the file's directory entry is
+// durable before the first commit is acknowledged — a data fsync alone
+// does not guarantee a freshly created file survives a power cut.
+func CreateWith(path string, opts Options) (*Writer, error) {
+	if opts.FS == nil {
+		opts.FS = faultfs.OS
+	}
+	f, err := create(opts.FS, path)
+	if err != nil {
+		return nil, err
+	}
+	return newWriter(f, path, opts), nil
 }
 
-// CreateWith opens (or truncates) a log file for writing with full
-// options. The parent directory is fsynced after the create so the
-// file's directory entry is durable before the first commit is
-// acknowledged — a data fsync alone does not guarantee a freshly
-// created file survives a power cut.
-func CreateWith(path string, opts Options) (*Writer, error) {
-	fsys := opts.FS
-	if fsys == nil {
-		fsys = faultfs.OS
-	}
+// create makes an empty file at path and fsyncs its directory.
+func create(fsys faultfs.FS, path string) (faultfs.File, error) {
 	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: create: %w", err)
@@ -209,26 +215,19 @@ func CreateWith(path string, opts Options) (*Writer, error) {
 		f.Close()
 		return nil, fmt.Errorf("wal: create: sync dir: %w", err)
 	}
-	return newWriter(f, opts), nil
+	return f, nil
 }
 
-// OpenAppend opens an existing log for appending after recovery. validLen
-// must be the byte offset returned by Replay: any torn tail beyond it is
-// truncated first.
-func OpenAppend(path string, validLen int64, policy SyncPolicy) (*Writer, error) {
-	return OpenAppendWith(path, validLen, Options{Policy: policy})
-}
-
-// OpenAppendWith is OpenAppend with full options. The torn-tail
-// truncation is fsynced (file and parent directory) before the writer
-// accepts new appends, so a second crash cannot resurrect the tail
-// under records appended after it.
+// OpenAppendWith opens an existing log for appending after recovery.
+// validLen must be the byte offset ReplayFS returned: any torn tail
+// beyond it is truncated first, and the truncation is fsynced (file and
+// parent directory) before the writer accepts new appends, so a second
+// crash cannot resurrect the tail under records appended after it.
 func OpenAppendWith(path string, validLen int64, opts Options) (*Writer, error) {
-	fsys := opts.FS
-	if fsys == nil {
-		fsys = faultfs.OS
+	if opts.FS == nil {
+		opts.FS = faultfs.OS
 	}
-	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
+	f, err := opts.FS.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: open: %w", err)
 	}
@@ -240,7 +239,7 @@ func OpenAppendWith(path string, validLen int64, opts Options) (*Writer, error) 
 		f.Close()
 		return nil, fmt.Errorf("wal: sync truncated tail: %w", err)
 	}
-	if err := fsys.SyncDir(filepath.Dir(path)); err != nil {
+	if err := opts.FS.SyncDir(filepath.Dir(path)); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("wal: open: sync dir: %w", err)
 	}
@@ -248,9 +247,46 @@ func OpenAppendWith(path string, validLen int64, opts Options) (*Writer, error) 
 		f.Close()
 		return nil, err
 	}
-	w := newWriter(f, opts)
-	w.base = validLen
+	w := newWriter(f, path, opts)
+	w.base.Store(validLen)
 	return w, nil
+}
+
+// Rotate retires the live log file under the name retired and carries on
+// in a fresh, empty file at the log's path. Under the writer's mutex it
+// waits out an fsync the flusher is running, flushes and fsyncs, so the
+// retired file holds every record enqueued before the call, durably;
+// then it closes the file, renames it to retired, creates the new file
+// and fsyncs the directory. Enqueues resume only after that, so no
+// record in the new file is acknowledged before its directory entry is
+// durable. The counters stay lifetime totals. A failure breaks the
+// writer, as any write or fsync error does.
+func (w *Writer) Rotate(retired string) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for w.syncing && w.syncErr == nil {
+		w.synced.Wait()
+	}
+	if w.closed {
+		return errors.New("wal: writer closed")
+	}
+	if err := w.flushLocked(); err != nil {
+		return err
+	}
+	if err := w.f.Close(); err != nil {
+		return w.fail("rotate", err)
+	}
+	if err := w.opts.FS.Rename(w.path, retired); err != nil {
+		return w.fail("rotate", err)
+	}
+	f, err := create(w.opts.FS, w.path)
+	if err != nil {
+		return w.fail("rotate", err)
+	}
+	w.f = f
+	w.bw.Reset(f)
+	w.base.Store(-int64(w.bytes.Load()))
+	return nil
 }
 
 // Ticket is an enqueued record's place in the log: Wait(t) returns once
@@ -342,11 +378,13 @@ func (w *Writer) syncPending() int {
 	// runs below goes into the next one.
 	target := w.enqSeq
 	op, err := "flush", w.bw.Flush()
+	w.syncing = true
 	w.mu.Unlock()
 	if err == nil {
 		op, err = "sync", w.f.Sync()
 	}
 	w.mu.Lock()
+	w.syncing = false
 	if err != nil {
 		w.fail(op, err)
 		return 0
@@ -476,12 +514,12 @@ func (w *Writer) Close() error {
 	return w.f.Close()
 }
 
-// WriteRecord frames r — header and payload, the form Replay reads back —
-// into bw and returns the bytes written. The record is encoded straight
-// into bw's free space, so the write copies nothing; only a record that
-// does not fit what is left of it gets a buffer of its own. The log
-// writer appends through it, and so does whatever streams a file of
-// records (a checkpoint, a compacted log).
+// WriteRecord frames r — header and payload, the form ReplayFS reads
+// back — into bw and returns the bytes written. The record is encoded
+// straight into bw's free space, so the write copies nothing; only a
+// record that does not fit what is left of it gets a buffer of its own.
+// The log writer appends through it, and so does a checkpoint streaming
+// its snapshot.
 func WriteRecord(bw *bufio.Writer, r Record) (int, error) {
 	buf := bw.AvailableBuffer()
 	if n := 8 + payloadLen(r); n > cap(buf) {
@@ -568,16 +606,12 @@ func decodePayload(p []byte) (Record, error) {
 	return r, nil
 }
 
-// Replay reads the log at path, invoking fn for each intact record in
-// order. It returns the byte offset of the end of the last intact record
-// — the validLen to pass to OpenAppend — and stops silently at a torn or
-// corrupt tail. A missing file replays zero records.
-func Replay(path string, fn func(Record) error) (validLen int64, err error) {
-	return ReplayFS(faultfs.OS, path, fn)
-}
-
-// ReplayFS is Replay through an explicit filesystem (crash-torture
-// recovery reads through the same shim the writer wrote through).
+// ReplayFS reads the log at path through fsys, invoking fn for each
+// intact record in order. It returns the byte offset of the end of the
+// last intact record — the validLen to pass to OpenAppendWith — and
+// stops silently at a torn or corrupt tail. A missing file replays zero
+// records. Recovery reads through the same shim the writer wrote
+// through.
 func ReplayFS(fsys faultfs.FS, path string, fn func(Record) error) (validLen int64, err error) {
 	f, err := fsys.Open(path)
 	if err != nil {

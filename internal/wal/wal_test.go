@@ -2,11 +2,16 @@ package wal
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
+
+	"mvdb/internal/faultfs"
 )
 
 func tmpLog(t *testing.T) string {
@@ -16,7 +21,7 @@ func tmpLog(t *testing.T) string {
 
 func TestRoundTrip(t *testing.T) {
 	path := tmpLog(t)
-	w, err := Create(path, SyncBatch)
+	w, err := CreateWith(path, Options{Policy: SyncBatch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +40,7 @@ func TestRoundTrip(t *testing.T) {
 	}
 
 	var got []Record
-	n, err := Replay(path, func(r Record) error {
+	n, err := ReplayFS(faultfs.OS, path, func(r Record) error {
 		got = append(got, r)
 		return nil
 	})
@@ -62,8 +67,66 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// Rotate under group-commit load: every record appended lands in
+// exactly one file — a retired one or the live one — while committers
+// race the flusher and the rotations; the counters stay lifetime totals
+// and Size is the live file's length.
+func TestRotateUnderLoad(t *testing.T) {
+	const clients, per, rotations = 4, 200, 5
+	path := tmpLog(t)
+	w, err := CreateWith(path, Options{Policy: SyncBatch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				if err := w.Append(Record{TN: uint64(c*per + i + 1)}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(c)
+	}
+	files := []string{path}
+	for r := 0; r < rotations; r++ {
+		for a, _, _ := w.Counters(); a < uint64((r+1)*clients*per/(rotations+1)) && !t.Failed(); a, _, _ = w.Counters() {
+			runtime.Gosched()
+		}
+		retired := fmt.Sprintf("%s.%d", path, r)
+		if err := w.Rotate(retired); err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, retired)
+	}
+	wg.Wait()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if fi, _ := os.Stat(path); w.Size() != fi.Size() {
+		t.Fatalf("Size = %d, live file holds %d bytes", w.Size(), fi.Size())
+	}
+	if appends, _, _ := w.Counters(); appends != clients*per {
+		t.Fatalf("appends = %d, want the lifetime %d", appends, clients*per)
+	}
+	seen := map[uint64]int{}
+	for _, f := range files {
+		if _, err := ReplayFS(faultfs.OS, f, func(r Record) error { seen[r.TN]++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for tn := uint64(1); tn <= clients*per; tn++ {
+		if seen[tn] != 1 {
+			t.Fatalf("record %d is in %d files, want 1", tn, seen[tn])
+		}
+	}
+}
+
 func TestReplayMissingFile(t *testing.T) {
-	n, err := Replay(filepath.Join(t.TempDir(), "absent.log"), func(Record) error {
+	n, err := ReplayFS(faultfs.OS, filepath.Join(t.TempDir(), "absent.log"), func(Record) error {
 		t.Fatal("callback invoked")
 		return nil
 	})
@@ -74,7 +137,7 @@ func TestReplayMissingFile(t *testing.T) {
 
 func TestTornTailStopsReplay(t *testing.T) {
 	path := tmpLog(t)
-	w, _ := Create(path, SyncBatch)
+	w, _ := CreateWith(path, Options{Policy: SyncBatch})
 	for tn := uint64(1); tn <= 5; tn++ {
 		if err := w.Append(Record{TN: tn, Writes: []Write{{Key: "k", Value: []byte("v")}}}); err != nil {
 			t.Fatal(err)
@@ -88,7 +151,7 @@ func TestTornTailStopsReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	var tns []uint64
-	validLen, err := Replay(path, func(r Record) error {
+	validLen, err := ReplayFS(faultfs.OS, path, func(r Record) error {
 		tns = append(tns, r.TN)
 		return nil
 	})
@@ -99,7 +162,7 @@ func TestTornTailStopsReplay(t *testing.T) {
 		t.Fatalf("replayed %d records, want 4", len(tns))
 	}
 	// Resume appending after truncating the tail.
-	w2, err := OpenAppend(path, validLen, SyncBatch)
+	w2, err := OpenAppendWith(path, validLen, Options{Policy: SyncBatch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +171,7 @@ func TestTornTailStopsReplay(t *testing.T) {
 	}
 	w2.Close()
 	tns = nil
-	if _, err := Replay(path, func(r Record) error { tns = append(tns, r.TN); return nil }); err != nil {
+	if _, err := ReplayFS(faultfs.OS, path, func(r Record) error { tns = append(tns, r.TN); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	want := []uint64{1, 2, 3, 4, 5: 0}
@@ -120,7 +183,7 @@ func TestTornTailStopsReplay(t *testing.T) {
 
 func TestCorruptMiddleRecordStopsReplay(t *testing.T) {
 	path := tmpLog(t)
-	w, _ := Create(path, SyncBatch)
+	w, _ := CreateWith(path, Options{Policy: SyncBatch})
 	w.Append(Record{TN: 1, Writes: []Write{{Key: "aaaa", Value: []byte("1111")}}})
 	w.Append(Record{TN: 2, Writes: []Write{{Key: "bbbb", Value: []byte("2222")}}})
 	w.Close()
@@ -132,7 +195,7 @@ func TestCorruptMiddleRecordStopsReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	count := 0
-	n, err := Replay(path, func(Record) error { count++; return nil })
+	n, err := ReplayFS(faultfs.OS, path, func(Record) error { count++; return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +206,7 @@ func TestCorruptMiddleRecordStopsReplay(t *testing.T) {
 
 func TestAppendAfterClose(t *testing.T) {
 	path := tmpLog(t)
-	w, _ := Create(path, SyncNever)
+	w, _ := CreateWith(path, Options{Policy: SyncNever})
 	w.Close()
 	if err := w.Append(Record{TN: 1}); err == nil {
 		t.Fatal("Append after Close succeeded")

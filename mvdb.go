@@ -133,9 +133,12 @@ type Options struct {
 	// the strict per-transaction drain (default) or the decentralized
 	// epoch watermark. See the VisibilityMode constants.
 	VisibilityMode VisibilityMode
-	// WALPath enables durability: committed write sets are logged before
-	// they become visible, and Open recovers the store from an existing
-	// log at this path. Empty disables the log.
+	// WALPath enables the commit log: committed write sets are logged
+	// before they become visible, and Open recovers the store from an
+	// existing log at this path (with its snapshot <WALPath>.snap and
+	// the retired prefix <WALPath>.old, where Checkpoint left them).
+	// Empty disables the log. Without GroupCommit the log is fsynced only
+	// on Close and Checkpoint, so a crash can lose acknowledged commits.
 	WALPath string
 	// GroupCommit makes a commit durable before it is acknowledged: a
 	// commit enqueues its record and blocks until an fsync of the log's
@@ -189,7 +192,7 @@ type Options struct {
 	// runs no recorder.
 	FlightDir string
 	// FS, when non-nil, routes every durability-path file operation
-	// (WAL, snapshots, compaction) through the given filesystem — the
+	// (WAL, its rotation, snapshots) through the given filesystem — the
 	// fault-injection harness's hook. Nil selects the real filesystem.
 	FS faultfs.FS
 }
