@@ -137,7 +137,7 @@ func TestInspect(t *testing.T) {
 	wantStatus(t, 3, "inspect", "-key", "b", log)
 
 	bundle, err := flight.Capture(flight.Sources{Stats: func() obs.Snapshot { return obs.Snapshot{Protocol: "vc+2pl"} }},
-		nil, dir, "oracle-violation", "details")
+		dir, "oracle-violation", "details")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,9 +101,6 @@ func TestFlightBundleEndToEnd(t *testing.T) {
 	if len(b.Stats.Phases) == 0 {
 		t.Fatal("bundle snapshot lost the phase table")
 	}
-	if len(b.Ring) == 0 {
-		t.Fatal("bundle carries no sampled history")
-	}
 	if b.WaitGraph == nil {
 		t.Fatal("bundle missing the waits-for graph export")
 	}

@@ -345,6 +345,7 @@ func (e *Engine) Snapshot() obs.Snapshot {
 	var keys int
 	var versions int64
 	var maxChain int
+	var waits uint64
 	e.store.Range(func(_ string, o *storage.Object) bool {
 		keys++
 		n := o.VersionCount()
@@ -352,6 +353,7 @@ func (e *Engine) Snapshot() obs.Snapshot {
 		if n > maxChain {
 			maxChain = n
 		}
+		waits += o.Waits()
 		return true
 	})
 	sn.Keys = keys
@@ -360,7 +362,7 @@ func (e *Engine) Snapshot() obs.Snapshot {
 	if keys > 0 {
 		sn.MeanVersionChain = float64(versions) / float64(keys)
 	}
-	sn.StoreWaits = int64(e.store.TotalWaits())
+	sn.StoreWaits = int64(waits)
 	sn.Phases = e.phases.Summaries()
 	if e.log != nil {
 		a, f, b := e.log.Counters()

@@ -238,7 +238,9 @@ func TestSnapshotStability(t *testing.T) {
 
 // Delayed visibility (paper Section 6): while an older registered
 // transaction is active, a younger one's commit stays invisible; the
-// recency rectification (BeginReadOnlyAt) waits it out.
+// recency rectification (BeginReadOnlyAt) waits it out. A younger
+// read-write read of the older one's key blocks on its pending write,
+// and the snapshot counts that store wait.
 func TestDelayedVisibilityAndRecencyRectification(t *testing.T) {
 	e := newEngine(t, TimestampOrdering, nil)
 	mustCommitWrite(t, e, map[string]string{"k": "0"})
@@ -267,6 +269,18 @@ func TestDelayedVisibilityAndRecencyRectification(t *testing.T) {
 		t.Fatal("expected a visibility lag while older txn active")
 	}
 
+	// A younger T/O read of "unrelated" waits on older's pending write.
+	blocked := make(chan error, 1)
+	go func() {
+		rw, _ := e.Begin(engine.ReadWrite)
+		_, err := rw.Get("unrelated")
+		if err == nil {
+			err = rw.Commit()
+		}
+		blocked <- err
+	}()
+	eventually(t, "the store wait", func() bool { return e.Snapshot().StoreWaits == 1 })
+
 	// Recency-rectified reader blocks until the older txn resolves.
 	done := make(chan string)
 	go func() {
@@ -294,6 +308,9 @@ func TestDelayedVisibilityAndRecencyRectification(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("recent reader never unblocked")
+	}
+	if err := <-blocked; err != nil {
+		t.Fatalf("blocked read-write transaction: %v", err)
 	}
 }
 

@@ -60,7 +60,7 @@ func capturePostmortem(rep *TortureReport, dir string, e *core.Engine, detail st
 		Stats:     e.Snapshot,
 		WaitGraph: e.LockWaitGraph,
 	}
-	path, err := flight.Capture(src, nil, dir, "oracle-violation", detail)
+	path, err := flight.Capture(src, dir, "oracle-violation", detail)
 	if err != nil {
 		logf("postmortem capture failed: %v", err)
 		return

@@ -1,15 +1,15 @@
-// Package flight is the engine's black-box flight recorder: an
-// always-on, bounded background sampler that keeps the last few minutes
-// of observability state in memory, and — on a trigger — writes a
+// Package flight is the engine's black-box flight recorder: on a
+// trigger it reads the engine's observability state and writes a
 // self-contained JSON postmortem bundle describing what the engine was
-// doing when something went wrong.
+// doing when something went wrong. Between triggers it does nothing: no
+// goroutine, no sampling, no history kept.
 //
-// The motivation mirrors an aircraft's black box: the PR-2 audit
-// pipeline and the PR-4 crash oracle tell us *that* serializability or
-// durability was violated; the bundle captures *why* — which phase the
-// latency lived in (the attribution matrix of internal/obs), which
-// transactions were blocked on whom (the lock manager's waits-for
-// graph), and what the last alarms said.
+// The motivation mirrors an aircraft's black box: the audit pipeline and
+// the crash oracle tell us *that* serializability or durability was
+// violated; the bundle captures *why* — which phase the latency lived in
+// (the attribution matrix of internal/obs), which transactions were
+// blocked on whom (the lock manager's waits-for graph), and what the
+// last alarms said.
 //
 // Triggers: an audit alarm (audit.Options.OnAlarm → TriggerAsync), a
 // crashtest oracle violation (Capture), an explicit HTTP dump
@@ -33,7 +33,6 @@ import (
 
 	"mvdb/internal/audit"
 	"mvdb/internal/core"
-	"mvdb/internal/faultfs"
 	"mvdb/internal/lock"
 	"mvdb/internal/obs"
 )
@@ -41,15 +40,19 @@ import (
 // SchemaVersion identifies the bundle format. Bump on any
 // change to Bundle's shape. v4 dropped v2's health timeline and v3's
 // hotspot report; v5 dropped the event-ring "trace" tail; v6 dropped the
-// promoted causal "traces". Load still reads the older versions,
-// ignoring those keys.
-const SchemaVersion = "mvdb-flight/v6"
+// promoted causal "traces"; v7 dropped the sampled "stats_ring". Load
+// still reads the older versions, ignoring those keys.
+const SchemaVersion = "mvdb-flight/v7"
 
-// Sources are the read-only taps the recorder samples. Stats is
+// asyncGap rate-limits TriggerAsync: asynchronous triggers (audit alarms
+// can fire per-commit on a broken engine) produce at most one bundle per
+// asyncGap. Explicit Trigger calls are never limited.
+const asyncGap = time.Second
+
+// Sources are the read-only taps a bundle is assembled from. Stats is
 // required; every other tap is optional (nil omits its section from
 // bundles). All functions must be safe for concurrent use — they are
-// called from the sampler goroutine and from any goroutine that
-// triggers a bundle.
+// called from whichever goroutine triggers a bundle.
 type Sources struct {
 	// Stats returns the engine's observability snapshot.
 	Stats func() obs.Snapshot
@@ -57,32 +60,6 @@ type Sources struct {
 	Audit func() audit.Snapshot
 	// WaitGraph exports the lock manager's waits-for graph.
 	WaitGraph func() lock.WaitGraph
-}
-
-// Options configures a Recorder.
-type Options struct {
-	// Dir is where bundles are written (created if missing). Required.
-	Dir string
-	// FS is the filesystem bundles are written through (nil =
-	// faultfs.OS; the crash harness passes its shim).
-	FS faultfs.FS
-	// Interval is the background sampling cadence (<= 0: 1s).
-	Interval time.Duration
-	// Depth is the stats ring size — how many samples of history a
-	// bundle carries (<= 0: 64; at the default cadence ≈ one minute).
-	Depth int
-	// MinGap rate-limits TriggerAsync: asynchronous triggers (audit
-	// alarms can fire per-commit on a broken engine) produce at most
-	// one bundle per MinGap (<= 0: 1s). Explicit Trigger calls are
-	// never limited.
-	MinGap time.Duration
-}
-
-// Sample is one background observation: a stats snapshot and when it
-// was taken.
-type Sample struct {
-	At    int64        `json:"at_ns"`
-	Stats obs.Snapshot `json:"stats"`
 }
 
 // Bundle is a self-contained postmortem document.
@@ -93,143 +70,97 @@ type Bundle struct {
 	Reason    string `json:"reason"`
 	Detail    string `json:"detail,omitempty"`
 
-	// Stats is the snapshot at trigger time; Ring the sampled history
-	// leading up to it (oldest first).
+	// Stats is the snapshot at trigger time.
 	Stats obs.Snapshot `json:"stats"`
-	Ring  []Sample     `json:"stats_ring,omitempty"`
 
 	Audit     *audit.Snapshot `json:"audit,omitempty"`
 	WaitGraph *lock.WaitGraph `json:"wait_graph,omitempty"`
 }
 
-// Recorder is the running black box. Create with New, stop with Close.
-// All methods are safe for concurrent use.
+// Recorder writes bundles into one directory. Create with New, stop with
+// Close. All methods are safe for concurrent use.
 type Recorder struct {
-	src  Sources
-	opts Options
-	fsys faultfs.FS
+	src Sources
+	dir string
 
-	mu      sync.Mutex // guards ring state and serializes bundle writes
-	ring    []Sample   // circular, ringN valid entries ending at ringPos-1
-	ringPos int
-	ringN   int
+	mu     sync.Mutex     // guards closed and writes.Add
+	closed bool           // no write starts once set
+	writes sync.WaitGroup // bundle writes in progress; Close waits for them
 
-	seq       atomic.Uint64 // bundles written
+	seq       atomic.Uint64 // bundles assembled
 	lastAsync atomic.Int64  // unix ns of the last async-triggered bundle
 	lastPath  atomic.Value  // string: most recent bundle path
-
-	triggers chan trigReq
-	quit     chan struct{}
-	done     chan struct{}
-	closed   atomic.Bool
 }
 
-type trigReq struct{ reason, detail string }
-
-// New starts a recorder: the sampling goroutine begins immediately.
-func New(src Sources, opts Options) (*Recorder, error) {
+// New returns a recorder writing into dir (created if missing). It
+// starts nothing: bundles are assembled only when triggered.
+func New(src Sources, dir string) (*Recorder, error) {
 	if src.Stats == nil {
 		return nil, errors.New("flight: Sources.Stats is required")
 	}
-	if opts.Dir == "" {
-		return nil, errors.New("flight: Options.Dir is required")
+	if dir == "" {
+		return nil, errors.New("flight: a bundle directory is required")
 	}
-	if opts.Interval <= 0 {
-		opts.Interval = time.Second
-	}
-	if opts.Depth <= 0 {
-		opts.Depth = 64
-	}
-	if opts.MinGap <= 0 {
-		opts.MinGap = time.Second
-	}
-	if opts.FS == nil {
-		opts.FS = faultfs.OS
-	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("flight: %w", err)
 	}
-	r := &Recorder{
-		src:      src,
-		opts:     opts,
-		fsys:     opts.FS,
-		ring:     make([]Sample, opts.Depth),
-		triggers: make(chan trigReq, 1),
-		quit:     make(chan struct{}),
-		done:     make(chan struct{}),
-	}
-	r.sample() // bundles carry at least one pre-trigger sample immediately
-	go r.run()
-	return r, nil
+	return &Recorder{src: src, dir: dir}, nil
 }
 
-func (r *Recorder) run() {
-	defer close(r.done)
-	tick := time.NewTicker(r.opts.Interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-tick.C:
-			r.sample()
-		case tr := <-r.triggers:
-			r.Trigger(tr.reason, tr.detail) // errors already logged by Trigger's caller contract
-		case <-r.quit:
-			return
-		}
-	}
-}
-
-func (r *Recorder) sample() {
-	s := Sample{At: time.Now().UnixNano(), Stats: r.src.Stats()}
+// begin registers a bundle write, or reports false once Close has begun.
+func (r *Recorder) begin() bool {
 	r.mu.Lock()
-	r.ring[r.ringPos] = s
-	r.ringPos = (r.ringPos + 1) % len(r.ring)
-	if r.ringN < len(r.ring) {
-		r.ringN++
+	defer r.mu.Unlock()
+	if r.closed {
+		return false
 	}
-	r.mu.Unlock()
+	r.writes.Add(1)
+	return true
 }
 
 // Trigger assembles and writes a bundle now, returning its path. It is
 // synchronous and never rate-limited: an explicit dump always happens.
-// Concurrent triggers serialize; each writes its own bundle.
+// Concurrent triggers each write their own bundle.
 func (r *Recorder) Trigger(reason, detail string) (string, error) {
-	if r.closed.Load() {
+	if !r.begin() {
 		return "", errors.New("flight: recorder closed")
 	}
+	defer r.writes.Done()
+	return r.write(reason, detail)
+}
+
+// TriggerAsync requests a bundle without blocking the caller: the write
+// happens on a goroutine of its own. At most one bundle per second is
+// produced this way — the path for hooks that can fire per-commit, like
+// the audit pipeline's OnAlarm. Safe to call after Close (no-op).
+func (r *Recorder) TriggerAsync(reason, detail string) {
+	now := time.Now().UnixNano()
+	last := r.lastAsync.Load()
+	if now-last < asyncGap.Nanoseconds() || !r.lastAsync.CompareAndSwap(last, now) {
+		return
+	}
+	if !r.begin() {
+		return
+	}
+	go func() {
+		defer r.writes.Done()
+		r.write(reason, detail) // nobody waits for the result
+	}()
+}
+
+func (r *Recorder) write(reason, detail string) (string, error) {
 	b := r.assemble(reason, detail)
-	path := filepath.Join(r.opts.Dir, fmt.Sprintf("flight-%06d-%s.json", b.Seq, sanitize(reason)))
-	r.mu.Lock()
-	err := core.AtomicReplace(r.fsys, path, func(bw *bufio.Writer) error {
+	path := filepath.Join(r.dir, fmt.Sprintf("flight-%06d-%s.json", b.Seq, sanitize(reason)))
+	err := core.AtomicReplace(nil, path, func(bw *bufio.Writer) error {
 		enc := json.NewEncoder(bw)
 		enc.SetIndent("", "  ")
 		return enc.Encode(b)
 	})
-	r.mu.Unlock()
 	if err != nil {
 		return "", fmt.Errorf("flight: write bundle: %w", err)
 	}
 	r.lastPath.Store(path)
 	return path, nil
-}
-
-// TriggerAsync requests a bundle without blocking the caller: the write
-// happens on the sampler goroutine. At most one bundle per MinGap is
-// produced this way — the path for hooks that can fire per-commit, like
-// the audit pipeline's OnAlarm. Safe to call after Close (no-op).
-func (r *Recorder) TriggerAsync(reason, detail string) {
-	if r.closed.Load() {
-		return
-	}
-	now := time.Now().UnixNano()
-	last := r.lastAsync.Load()
-	if now-last < r.opts.MinGap.Nanoseconds() || !r.lastAsync.CompareAndSwap(last, now) {
-		return
-	}
-	select {
-	case r.triggers <- trigReq{reason, detail}:
-	default: // a trigger is already queued; this one is redundant
-	}
 }
 
 func (r *Recorder) assemble(reason, detail string) Bundle {
@@ -241,16 +172,6 @@ func (r *Recorder) assemble(reason, detail string) Bundle {
 		Detail:    detail,
 		Stats:     r.src.Stats(),
 	}
-	r.mu.Lock()
-	b.Ring = make([]Sample, 0, r.ringN)
-	start := r.ringPos - r.ringN
-	if start < 0 {
-		start += len(r.ring)
-	}
-	for i := 0; i < r.ringN; i++ {
-		b.Ring = append(b.Ring, r.ring[(start+i)%len(r.ring)])
-	}
-	r.mu.Unlock()
 	if r.src.Audit != nil {
 		a := r.src.Audit()
 		b.Audit = &a
@@ -262,7 +183,7 @@ func (r *Recorder) assemble(reason, detail string) Bundle {
 	return b
 }
 
-// Bundles returns how many bundles have been written.
+// Bundles returns how many bundles have been assembled.
 func (r *Recorder) Bundles() uint64 { return r.seq.Load() }
 
 // LastBundle returns the most recently written bundle's path ("" if
@@ -272,14 +193,13 @@ func (r *Recorder) LastBundle() string {
 	return p
 }
 
-// Close stops the sampler. Pending async triggers are dropped; explicit
-// Trigger calls fail afterwards.
+// Close waits for bundle writes in progress; no bundle is written after
+// it returns. Trigger fails afterwards and TriggerAsync does nothing.
 func (r *Recorder) Close() {
-	if !r.closed.CompareAndSwap(false, true) {
-		return
-	}
-	close(r.quit)
-	<-r.done
+	r.mu.Lock()
+	r.closed = true
+	r.mu.Unlock()
+	r.writes.Wait()
 }
 
 // HTTPHandler serves the explicit-dump trigger (/debug/mvdb/dump on the
@@ -298,15 +218,14 @@ func (r *Recorder) HTTPHandler() http.Handler {
 	})
 }
 
-// Capture writes a one-shot bundle from src without a running recorder
-// — the crash-torture harness's path: when an oracle fires there is no
+// Capture writes a one-shot bundle from src into dir — the
+// crash-torture harness's path: when an oracle fires there is no
 // long-lived recorder, just an engine to photograph before teardown.
-func Capture(src Sources, fsys faultfs.FS, dir, reason, detail string) (string, error) {
-	r, err := New(src, Options{Dir: dir, FS: fsys, Interval: time.Hour})
+func Capture(src Sources, dir, reason, detail string) (string, error) {
+	r, err := New(src, dir)
 	if err != nil {
 		return "", err
 	}
-	defer r.Close()
 	return r.Trigger(reason, detail)
 }
 

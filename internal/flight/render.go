@@ -19,7 +19,6 @@ func Render(b *Bundle, w io.Writer) {
 		fmt.Fprintf(w, "  detail:  %s\n", b.Detail)
 	}
 	fmt.Fprintf(w, "  written: %s\n", time.Unix(0, b.WrittenAt).Format(time.RFC3339Nano))
-	fmt.Fprintf(w, "  history: %d samples\n", len(b.Ring))
 
 	fmt.Fprintf(w, "\n== headline counters ==\n")
 	sn := b.Stats

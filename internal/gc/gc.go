@@ -19,7 +19,6 @@
 package gc
 
 import (
-	"sync/atomic"
 	"time"
 
 	"mvdb/internal/storage"
@@ -38,36 +37,10 @@ type Source interface {
 	MinActiveReadOnlySN() (uint64, bool)
 }
 
-// Collector prunes unreachable versions.
+// Collector prunes unreachable versions. It keeps no counters: callers
+// count passes and reclaimed versions from Collect's return value.
 type Collector struct {
 	src Source
-
-	pruned atomic.Uint64
-	passes atomic.Uint64
-
-	// onPass observes completed collection passes; see SetOnPass.
-	onPass func(reclaimed int)
-	// onChain observes per-object version-chain lengths; see
-	// SetChainObserver.
-	onChain func(depth int)
-}
-
-// SetOnPass installs fn, invoked after every collection pass with the
-// number of versions reclaimed — the observability hook that feeds the
-// GC counters. Set it before the first Collect; it runs on Collect's
-// caller.
-func (c *Collector) SetOnPass(fn func(reclaimed int)) {
-	c.onPass = fn
-}
-
-// SetChainObserver installs fn, invoked once per object per collection
-// pass with the object's version-chain length as GC found it (before
-// pruning). It feeds the chain-length histogram: the distribution of
-// retained-version depth the collector is actually walking. Set it before
-// the first Collect; it runs on Collect's caller with no store locks
-// beyond the object's own.
-func (c *Collector) SetChainObserver(fn func(depth int)) {
-	c.onChain = fn
 }
 
 // New creates a collector. The interval is unused: there is no
@@ -102,22 +75,8 @@ func (c *Collector) Collect() int {
 	w := c.Watermark()
 	n := 0
 	c.src.Store().Range(func(_ string, o *storage.Object) bool {
-		if c.onChain != nil {
-			c.onChain(o.VersionCount())
-		}
 		n += o.Prune(w)
 		return true
 	})
-	c.pruned.Add(uint64(n))
-	c.passes.Add(1)
-	if c.onPass != nil {
-		c.onPass(n)
-	}
 	return n
 }
-
-// Pruned returns the total number of versions discarded.
-func (c *Collector) Pruned() uint64 { return c.pruned.Load() }
-
-// Passes returns the number of collection passes performed.
-func (c *Collector) Passes() uint64 { return c.passes.Load() }

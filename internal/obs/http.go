@@ -3,14 +3,11 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
-	"sync/atomic"
 )
 
 // Payload is the JSON document served at /debug/mvdb: one stats
@@ -59,8 +56,6 @@ const PromContentType = "text/plain; version=0.0.4; charset=utf-8"
 // Serve starts an HTTP server on addr exposing:
 //
 //	/debug/mvdb  — Payload as JSON (the stats snapshot)
-//	/debug/vars  — the standard expvar registry, which includes an
-//	               "mvdb" variable backed by the same snapshot function
 //	/metrics     — the snapshot in Prometheus text format, plus any
 //	               extras registered with WithPromExtra
 //	/debug/pprof — the standard runtime profiling endpoints (profile,
@@ -96,7 +91,6 @@ func Serve(addr string, snap func() Snapshot, opts ...ServeOption) (*DebugServer
 		w.Header().Set("Content-Type", PromContentType)
 		w.Write(buf.Bytes())
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	// Standard pprof endpoints on the same mux (not the default one):
 	// with phase timing enabled the engine tags commit goroutines with
 	// mvdb_protocol/mvdb_phase labels, so CPU profiles taken here slice
@@ -109,7 +103,6 @@ func Serve(addr string, snap func() Snapshot, opts ...ServeOption) (*DebugServer
 	for pattern, h := range cfg.handlers {
 		mux.Handle(pattern, h)
 	}
-	publishExpvar(snap)
 	s := &DebugServer{ln: ln, srv: &http.Server{Handler: mux}}
 	go s.srv.Serve(ln)
 	return s, nil
@@ -120,25 +113,3 @@ func (s *DebugServer) Addr() string { return s.ln.Addr().String() }
 
 // Close stops the server immediately.
 func (s *DebugServer) Close() error { return s.srv.Close() }
-
-// expvar's registry is process-global and Publish panics on duplicate
-// names, so the "mvdb" variable is published once and reads through
-// whichever snapshot function was installed most recently (the last
-// database opened with a debug address).
-var (
-	pubOnce sync.Once
-	pubSnap atomic.Value // func() Snapshot
-)
-
-func publishExpvar(snap func() Snapshot) {
-	pubSnap.Store(snap)
-	pubOnce.Do(func() {
-		expvar.Publish("mvdb", expvar.Func(func() any {
-			f, _ := pubSnap.Load().(func() Snapshot)
-			if f == nil {
-				return nil
-			}
-			return f()
-		}))
-	})
-}

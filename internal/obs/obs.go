@@ -101,16 +101,6 @@ type Stats struct {
 	GCPasses    Counter
 	GCReclaimed Counter
 
-	// GCChainDepth records the version-chain length of each object the
-	// collector visits (sampled during GC passes, before pruning): the
-	// chain-shape distribution GC exists to keep short. Count-valued,
-	// like WALBatchSize.
-	GCChainDepth *metrics.Histogram
-	// GCBacklog records the versions reclaimed by each GC pass — the
-	// backlog of prunable garbage that had accumulated between passes.
-	// Count-valued.
-	GCBacklog *metrics.Histogram
-
 	// Checkpoint gauges, set by the durable engine on each successful
 	// Checkpoint: wall-clock completion time (unix nanoseconds) and
 	// the pass duration. Zero until the first checkpoint.
@@ -126,8 +116,6 @@ func NewStats() *Stats {
 	return &Stats{
 		LockWaitNanos: metrics.NewHistogram(),
 		WALBatchSize:  metrics.NewHistogram(),
-		GCChainDepth:  metrics.NewHistogram(),
-		GCBacklog:     metrics.NewHistogram(),
 		start:         time.Now(),
 	}
 }
@@ -213,11 +201,6 @@ type Snapshot struct {
 
 	GCPasses    int64 `json:"gc_passes"`
 	GCReclaimed int64 `json:"gc_reclaimed"`
-	// GCChainDepth summarizes version-chain lengths sampled during GC
-	// passes and GCBacklog the versions reclaimed per pass; both are
-	// count-valued (the summary's nanosecond fields hold counts).
-	GCChainDepth metrics.Summary `json:"gc_chain_depth"`
-	GCBacklog    metrics.Summary `json:"gc_backlog"`
 
 	// Version control gauges (paper Section 6). VTNC is read before
 	// TNC, and both counters only grow, so VTNC < TNC holds in every
@@ -283,8 +266,6 @@ func (s *Stats) Snapshot() Snapshot {
 	sn.WALBatchSize = s.WALBatchSize.Summarize()
 	sn.GCPasses = s.GCPasses.Load()
 	sn.GCReclaimed = s.GCReclaimed.Load()
-	sn.GCChainDepth = s.GCChainDepth.Summarize()
-	sn.GCBacklog = s.GCBacklog.Summarize()
 	if ns := s.CheckpointLastUnixNanos.Load(); ns != 0 {
 		sn.CheckpointLastUnix = ns / 1e9
 		sn.CheckpointDurationSeconds = float64(s.CheckpointDurationNanos.Load()) / 1e9
@@ -334,8 +315,6 @@ func (sn Snapshot) Map() map[string]int64 {
 		"ckpt.dur_ms":     int64(sn.CheckpointDurationSeconds * 1000),
 		"gc.passes":       sn.GCPasses,
 		"gc.pruned":       sn.GCReclaimed,
-		"gc.chain.max":    sn.GCChainDepth.Max,
-		"gc.backlog.max":  sn.GCBacklog.Max,
 		"goroutines":      int64(sn.Goroutines),
 		"vc.tnc":          int64(sn.TNC),
 		"vc.vtnc":         int64(sn.VTNC),

@@ -101,7 +101,7 @@ func TestMapVocabulary(t *testing.T) {
 }
 
 // TestServe spins up the debug server on an ephemeral port and checks
-// both endpoints' JSON shape.
+// the JSON shape of /debug/mvdb.
 func TestServe(t *testing.T) {
 	s := NewStats()
 	s.BeginsRW.Add(5)
@@ -142,59 +142,6 @@ func TestServe(t *testing.T) {
 	}
 	if p.Stats.Protocol != "vc+2pl" || p.Stats.CommitsRW != 5 {
 		t.Fatalf("stats = %+v", p.Stats)
-	}
-
-	// The expvar endpoint must carry the same snapshot under "mvdb".
-	resp2, err := http.Get("http://" + srv.Addr() + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	raw, err := io.ReadAll(resp2.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var vars struct {
-		Mvdb Snapshot `json:"mvdb"`
-	}
-	if err := json.Unmarshal(raw, &vars); err != nil {
-		t.Fatalf("expvar decode: %v\n%s", err, raw)
-	}
-	if vars.Mvdb.CommitsRW != 5 {
-		t.Fatalf("expvar mvdb = %+v", vars.Mvdb)
-	}
-}
-
-// TestServeTwice exercises the expvar duplicate-publish guard: a second
-// server must not panic, and the global "mvdb" variable must follow the
-// most recent snapshot function.
-func TestServeTwice(t *testing.T) {
-	s1, s2 := NewStats(), NewStats()
-	s2.CommitsRW.Add(99)
-	srv1, err := Serve("127.0.0.1:0", s1.Snapshot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv1.Close()
-	srv2, err := Serve("127.0.0.1:0", s2.Snapshot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv2.Close()
-
-	resp, err := http.Get("http://" + srv2.Addr() + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var vars struct {
-		Mvdb Snapshot `json:"mvdb"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
-		t.Fatal(err)
-	}
-	if vars.Mvdb.CommitsRW != 99 {
-		t.Fatalf("expvar should follow the latest server; got %+v", vars.Mvdb)
 	}
 }
 

@@ -173,22 +173,6 @@ func (sn Snapshot) WriteProm(w io.Writer) error {
 	p.Int("mvdb_gc_passes_total", sn.GCPasses)
 	p.Header("mvdb_gc_reclaimed_total", "counter", "Versions reclaimed by garbage collection.")
 	p.Int("mvdb_gc_reclaimed_total", sn.GCReclaimed)
-	if sn.GCChainDepth.Count > 0 {
-		p.Header("mvdb_gc_chain_depth", "summary", "Version-chain length per object as seen by GC passes, before pruning.")
-		p.Value("mvdb_gc_chain_depth", float64(sn.GCChainDepth.P50), "quantile", "0.5")
-		p.Value("mvdb_gc_chain_depth", float64(sn.GCChainDepth.P90), "quantile", "0.9")
-		p.Value("mvdb_gc_chain_depth", float64(sn.GCChainDepth.P99), "quantile", "0.99")
-		p.Int("mvdb_gc_chain_depth_sum", sn.GCChainDepth.TotalNanoseconds)
-		p.Int("mvdb_gc_chain_depth_count", int64(sn.GCChainDepth.Count))
-	}
-	if sn.GCBacklog.Count > 0 {
-		p.Header("mvdb_gc_backlog", "summary", "Versions reclaimed per GC pass (the backlog each pass found).")
-		p.Value("mvdb_gc_backlog", float64(sn.GCBacklog.P50), "quantile", "0.5")
-		p.Value("mvdb_gc_backlog", float64(sn.GCBacklog.P90), "quantile", "0.9")
-		p.Value("mvdb_gc_backlog", float64(sn.GCBacklog.P99), "quantile", "0.99")
-		p.Int("mvdb_gc_backlog_sum", sn.GCBacklog.TotalNanoseconds)
-		p.Int("mvdb_gc_backlog_count", int64(sn.GCBacklog.Count))
-	}
 
 	p.Header("mvdb_tnc", "gauge", "Transaction number counter (next serialization position).")
 	p.Int("mvdb_tnc", int64(sn.TNC))

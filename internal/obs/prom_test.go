@@ -214,8 +214,6 @@ func TestWritePromCompleteness(t *testing.T) {
 		"CheckpointDurationSeconds": "mvdb_checkpoint_duration_seconds",
 		"GCPasses":                  "mvdb_gc_passes_total",
 		"GCReclaimed":               "mvdb_gc_reclaimed_total",
-		"GCChainDepth":              "mvdb_gc_chain_depth",
-		"GCBacklog":                 "mvdb_gc_backlog",
 		"VisibilityMode":            "mvdb_visibility_info",
 		"TNC":                       "mvdb_tnc",
 		"VTNC":                      "mvdb_vtnc",

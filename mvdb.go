@@ -154,9 +154,9 @@ type Options struct {
 	// that address (e.g. "localhost:6060" or ":0" for an ephemeral port;
 	// DebugAddr() reports the bound address): GET /debug/mvdb returns the
 	// Stats snapshot as JSON, /metrics the same in Prometheus text format,
-	// /debug/vars is the standard expvar endpoint and /debug/pprof/ the
-	// runtime profiles. It starts the server and nothing else: no
-	// transaction path changes. Empty — the default — starts no listener.
+	// and /debug/pprof/ the runtime profiles. It starts the server and
+	// nothing else: no transaction path changes. Empty — the default —
+	// starts no listener.
 	DebugAddr string
 	// Audit enables the online serializability auditor: an asynchronous
 	// pipeline that mirrors the engine's event stream into a windowed
@@ -180,16 +180,16 @@ type Options struct {
 	// Off — the default — leaves the hot paths with a nil test and zero
 	// extra allocations.
 	PhaseTiming bool
-	// FlightDir enables the black-box flight recorder: a background
-	// sampler keeps recent Stats history, and on an audit alarm (when
-	// Audit is on), a GET of /debug/mvdb/dump (when DebugAddr is set),
-	// or an explicit DB.Flight().Trigger call, a self-contained JSON
-	// postmortem bundle is written atomically into this directory. A
-	// bundle holds the Stats snapshot (with the phase matrix when
-	// PhaseTiming is on) and its sampled history, the auditor's state
-	// when Audit is on, and the lock manager's waits-for graph. Render
+	// FlightDir enables the black-box flight recorder: on an audit alarm
+	// (when Audit is on), a GET of /debug/mvdb/dump (when DebugAddr is
+	// set), or an explicit DB.Flight().Trigger call, a self-contained
+	// JSON postmortem bundle is written atomically into this directory.
+	// A bundle holds the Stats snapshot taken at the trigger (with the
+	// phase matrix when PhaseTiming is on), the auditor's state when
+	// Audit is on, and the lock manager's waits-for graph. Between
+	// triggers the recorder reads nothing and runs nothing. Render
 	// bundles with `mvdb inspect -bundle <file>`. Empty — the default —
-	// runs no recorder.
+	// creates no recorder.
 	FlightDir string
 	// FS, when non-nil, routes every durability-path file operation
 	// (WAL, its rotation, snapshots) through the given filesystem — the
@@ -237,7 +237,7 @@ func Open(opts Options) (*DB, error) {
 	// (and WAL recovery) can attach it; the version-control gauges it
 	// samples are published through an atomic pointer once the engine
 	// exists, so the consumer goroutine never races engine construction.
-	// The flight recorder is created after the engine (it samples engine
+	// The flight recorder is created after the engine (it reads engine
 	// state), but the auditor's alarm hook is installed now — so the hook
 	// reaches the recorder through an atomic pointer that is published
 	// once both exist.
@@ -297,18 +297,8 @@ func Open(opts Options) (*DB, error) {
 
 	db := &DB{eng: eng, auditor: auditor}
 	// Commits collect at install; the collector is CollectGarbage's sweep
-	// for the keys nobody writes again. Its pass observer feeds the GC
-	// counters.
+	// for the keys nobody writes again.
 	db.collector = gc.New(eng, 0)
-	db.collector.SetOnPass(func(reclaimed int) {
-		st := eng.Obs()
-		st.GCPasses.Inc()
-		st.GCReclaimed.Add(int64(reclaimed))
-		st.GCBacklog.Record(int64(reclaimed))
-	})
-	db.collector.SetChainObserver(func(depth int) {
-		eng.Obs().GCChainDepth.Record(int64(depth))
-	})
 	if opts.FlightDir != "" {
 		src := flight.Sources{
 			Stats:     db.Stats,
@@ -317,7 +307,7 @@ func Open(opts Options) (*DB, error) {
 		if auditor != nil {
 			src.Audit = auditor.Snapshot
 		}
-		rec, err := flight.New(src, flight.Options{Dir: opts.FlightDir})
+		rec, err := flight.New(src, opts.FlightDir)
 		if err != nil {
 			db.Close()
 			return nil, fmt.Errorf("mvdb: flight recorder: %w", err)
@@ -502,7 +492,11 @@ func (db *DB) DebugAddr() string {
 // version an open snapshot reads; only a snapshot pinned below what was
 // already collected (BeginReadOnlyAt) can read ErrSnapshotTooOld.
 func (db *DB) CollectGarbage() int {
-	return db.collector.Collect()
+	n := db.collector.Collect()
+	st := db.eng.Obs()
+	st.GCPasses.Inc()
+	st.GCReclaimed.Add(int64(n))
+	return n
 }
 
 // VisibilityLag returns how many assigned serialization positions are not
