@@ -212,8 +212,8 @@ func BenchmarkE2AbortAttribution(b *testing.B) {
 			}
 			b.StopTimer()
 			st := e.Stats()
-			b.ReportMetric(float64(st["rw.aborts.by_ro"]), "aborts-by-ro")
-			b.ReportMetric(float64(st["aborts.conflict"]), "conflicts")
+			b.ReportMetric(float64(st.RWAbortsByRO), "aborts-by-ro")
+			b.ReportMetric(float64(st.AbortsConflict), "conflicts")
 		})
 	}
 }
@@ -238,7 +238,7 @@ func BenchmarkE3ReadOnlyBlocking(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(res.Stats["ro.blocked"]), "ro-blocked")
+			b.ReportMetric(float64(res.Stats.ROBlocked), "ro-blocked")
 			b.ReportMetric(float64(res.RORetries), "ro-aborted")
 		})
 	}
@@ -399,7 +399,7 @@ func BenchmarkE8Distributed(b *testing.B) {
 			b.StopTimer()
 			total := res.CommittedRO + res.CommittedRW
 			if total > 0 {
-				b.ReportMetric(float64(c.Stats()["bus.messages"])/float64(total), "msgs/txn")
+				b.ReportMetric(float64(c.Bus().Messages())/float64(total), "msgs/txn")
 			}
 		})
 	}

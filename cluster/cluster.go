@@ -62,10 +62,19 @@ func (c *Cluster) Bootstrap(data map[string][]byte) error { return c.c.Bootstrap
 // SiteOf returns the site index owning key (for workload placement).
 func (c *Cluster) SiteOf(key string) int { return c.c.SiteFor(key).ID() }
 
-// Stats returns cluster counters, including "bus.messages" (simulated
-// exchanges), "ro.waits" and "ro.fillers" (read-only visibility catch-up
-// events).
-func (c *Cluster) Stats() map[string]int64 { return c.c.Stats() }
+// Stats returns the cluster's snapshot in the vocabulary a DB's Stats
+// uses: begins, commits and aborts of distributed transactions,
+// RecencyWaits (read-only reads that waited for a site's visibility to
+// catch up), and VisibilityLag and VCQueueLen summed over the sites
+// that are up.
+func (c *Cluster) Stats() mvdb.Stats { return c.c.Stats() }
+
+// Messages returns the number of simulated coordinator–site exchanges.
+func (c *Cluster) Messages() uint64 { return c.c.Bus().Messages() }
+
+// Fillers returns how many filler registrations the sites performed to
+// let lagging read-only transactions' reads become visible.
+func (c *Cluster) Fillers() uint64 { return c.c.Fillers() }
 
 // CrashSite destroys one site's volatile state (fail-stop model;
 // requires Options.WALDir). No transaction may be in flight at the site.

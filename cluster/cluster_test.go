@@ -164,10 +164,10 @@ func TestBootstrapAndStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := c.Stats()
-	if st["commits.ro"] != 1 {
-		t.Fatalf("stats = %v", st)
+	if st.CommitsRO != 1 {
+		t.Fatalf("stats = %+v", st)
 	}
-	if st["bus.messages"] == 0 {
+	if c.Messages() == 0 {
 		t.Fatal("no bus messages counted")
 	}
 }
@@ -298,7 +298,8 @@ func TestDurableClusterCrashRecovery(t *testing.T) {
 // A crashed site refuses work until RecoverSite: every call that reaches
 // it fails with an error that is not retryable, and a read-write
 // transaction that fails there gives back its part at the live site.
-// Stats reports on the live sites. A closed cluster refuses an anchored
+// Stats reports on the live sites and counts the failed Update as one
+// abort. A closed cluster refuses an anchored
 // snapshot as it refuses Begin.
 func TestCrashedSiteRefusesWork(t *testing.T) {
 	c, err := Open(Options{Sites: 2, WALDir: t.TempDir()})
@@ -325,7 +326,7 @@ func TestCrashedSiteRefusesWork(t *testing.T) {
 		}
 	}
 
-	if n := c.Stats()["commits.rw"]; n != 0 {
+	if n := c.Stats().CommitsRW; n != 0 {
 		t.Errorf("Stats: %d read-write commits, want 0", n)
 	}
 	down("View Get", c.View(func(tx *Tx) error {
@@ -343,6 +344,10 @@ func TestCrashedSiteRefusesWork(t *testing.T) {
 	}))
 	_, err = c.BeginReadOnlyAtHome(1)
 	down("BeginReadOnlyAtHome", err)
+	// The Update's failed part is its abort, under the catch-all cause.
+	if st := c.Stats(); st.AbortsConflict != 1 || st.AbortsTotal() != 1 {
+		t.Errorf("aborts: conflict %d, total %d; want 1 and 1", st.AbortsConflict, st.AbortsTotal())
+	}
 
 	// The failed Update gave back its lock at site 0: a new transaction
 	// takes it without waiting out a lock timeout.

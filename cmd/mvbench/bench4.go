@@ -205,7 +205,7 @@ func benchVCEngine(mode vc.Mode, clients, txns int) benchResult {
 	e := core.New(core.Options{Protocol: core.TwoPhaseLocking, Visibility: mode, PhaseTiming: true})
 	wl := workload.Config{Keys: 2048, ReadOnlyFraction: 0, RWReads: 1, RWWrites: 2, Seed: 7}
 	res := runOne(e, wl, clients, txns)
-	sn := e.Snapshot()
+	sn := e.Stats()
 	e.Close()
 
 	m := map[string]float64{"txn_per_sec": res.Throughput()}

@@ -1,44 +1,37 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
-	"sort"
+	"os"
 	"time"
 
 	"mvdb/internal/baseline"
 	"mvdb/internal/core"
+	"mvdb/internal/dist"
 	"mvdb/internal/engine"
 	"mvdb/internal/gc"
 	"mvdb/internal/harness"
 	"mvdb/internal/metrics"
+	"mvdb/internal/obs"
 	"mvdb/internal/vc"
 	"mvdb/internal/workload"
-
-	"mvdb/internal/dist"
 )
 
 // showStats is set by the -stats flag: after each harness run the
-// engine's counter snapshot is printed (nonzero counters only).
+// engine's stats snapshot is printed.
 var showStats bool
 
-// dumpStats renders one run's engine counters as a table, skipping
-// zero-valued counters so the interesting ones stand out.
-func dumpStats(label string, st map[string]int64) {
-	if !showStats || len(st) == 0 {
+// dumpStats prints one run's engine snapshot under a label, as the
+// indented JSON document /debug/mvdb serves.
+func dumpStats(label string, st obs.Snapshot) {
+	if !showStats {
 		return
 	}
-	keys := make([]string, 0, len(st))
-	for k, v := range st {
-		if v != 0 {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	tb := metrics.Table{Title: "stats — " + label, Headers: []string{"counter", "value"}}
-	for _, k := range keys {
-		tb.AddRow(k, fmt.Sprint(st[k]))
-	}
-	fmt.Print(tb.String())
+	fmt.Println("stats — " + label)
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	enc.Encode(st)
 }
 
 // bootstrapper is implemented by every engine in this repository.
@@ -191,8 +184,8 @@ func runE2(quick bool) {
 			}
 			tb.AddRow(ne.name, metrics.F(roFrac),
 				fmt.Sprint(res.CommittedRW),
-				fmt.Sprint(res.Stats["aborts.conflict"]),
-				fmt.Sprint(res.Stats["rw.aborts.by_ro"]))
+				fmt.Sprint(res.Stats.AbortsConflict),
+				fmt.Sprint(res.Stats.RWAbortsByRO))
 			dumpStats(fmt.Sprintf("e2 %s ro=%.2f", ne.name, roFrac), res.Stats)
 			e.Close()
 		}
@@ -223,8 +216,7 @@ func runE3(quick bool) {
 		if err != nil {
 			panic(err)
 		}
-		blocked := res.Stats["ro.blocked"]
-		tb.AddRow(ne.name, fmt.Sprint(res.CommittedRO), fmt.Sprint(blocked),
+		tb.AddRow(ne.name, fmt.Sprint(res.CommittedRO), fmt.Sprint(res.Stats.ROBlocked),
 			fmt.Sprint(res.RORetries),
 			metrics.Dur(res.ROLatency.P99), metrics.Dur(res.RWLatency.P99))
 		dumpStats("e3 "+ne.name, res.Stats)
@@ -265,14 +257,14 @@ func runE4(quick bool) {
 			panic(fmt.Sprintf("E4 setup: tail %d, want %d", got, window))
 		}
 		const probes = 2000
-		before := chanEng.Stats()["ctl.copied"]
+		before := chanEng.CTLCopied()
 		t0 := time.Now()
 		for i := 0; i < probes; i++ {
 			ro, _ := chanEng.Begin(engine.ReadOnly)
 			ro.Commit()
 		}
 		chanNs := float64(time.Since(t0).Nanoseconds()) / probes
-		copied := float64(chanEng.Stats()["ctl.copied"]-before) / probes
+		copied := float64(chanEng.CTLCopied()-before) / probes
 		release()
 		chanEng.Close()
 
@@ -506,10 +498,10 @@ func runE8(quick bool) {
 				panic(err)
 			}
 			total := res.CommittedRO + res.CommittedRW
-			msgs := float64(c.Stats()["bus.messages"]) / float64(total)
+			msgs := float64(c.Bus().Messages()) / float64(total)
 			tb.AddRow(fmt.Sprint(sites), fmt.Sprint(lat), metrics.F(res.Throughput()),
-				metrics.F(msgs), fmt.Sprint(c.Stats()["ro.waits"]), fmt.Sprint(c.Stats()["ro.fillers"]))
-			dumpStats(fmt.Sprintf("e8 sites=%d lat=%v", sites, lat), c.Stats())
+				metrics.F(msgs), fmt.Sprint(res.Stats.RecencyWaits), fmt.Sprint(c.Fillers()))
+			dumpStats(fmt.Sprintf("e8 sites=%d lat=%v", sites, lat), res.Stats)
 			c.Close()
 		}
 	}

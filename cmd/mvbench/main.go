@@ -10,8 +10,9 @@
 //
 // With -stats, every harness run is followed by the engine's full
 // counter snapshot (commits and aborts by cause, lock/WAL/GC substrate,
-// version-control gauges) so a surprising table cell can be explained
-// without re-running under a profiler.
+// version-control gauges), as the indented JSON document /debug/mvdb
+// serves, so a surprising table cell can be explained without
+// re-running under a profiler.
 //
 // Each experiment prints one or more plain-text tables. Absolute numbers
 // depend on the machine (these are CPU-bound simulations, not the paper's

@@ -50,13 +50,13 @@ func runLive(addr string, interval time.Duration, count int) int {
 	}
 	url := "http://" + addr + "/debug/mvdb"
 	client := &http.Client{Timeout: 10 * time.Second}
-	var prev *obs.Payload
+	var prev *obs.Snapshot
 	for i := 0; count == 0 || i < count; i++ {
 		if i > 0 {
 			time.Sleep(interval)
 		}
-		cur, err := retry(url, 15*time.Second, func() (*obs.Payload, error) {
-			return fetch[obs.Payload](client, url)
+		cur, err := retry(url, 15*time.Second, func() (*obs.Snapshot, error) {
+			return fetch[obs.Snapshot](client, url)
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mvdb inspect: giving up: %v\n", err)
@@ -109,15 +109,15 @@ func fetch[T any](client *http.Client, url string) (*T, error) {
 
 // liveTable renders one snapshot. When prev is non-nil, counter rows get
 // a third column with the per-second rate over the poll interval.
-func liveTable(addr string, cur, prev *obs.Payload, interval time.Duration) metrics.Table {
+func liveTable(addr string, cur, prev *obs.Snapshot, interval time.Duration) metrics.Table {
 	tb := metrics.Table{
 		Title:   fmt.Sprintf("%s — %s", addr, time.Now().Format("15:04:05")),
 		Headers: []string{"metric", "value", "delta/s"},
 	}
-	s := cur.Stats
+	s := *cur
 	var p obs.Snapshot
 	if prev != nil {
-		p = prev.Stats
+		p = *prev
 	}
 	counter := func(name string, c, pv int64) {
 		delta := ""

@@ -157,9 +157,9 @@ func TestInspectLive(t *testing.T) {
 // The live table's latency rows come from the phase matrix, one per
 // non-empty cell.
 func TestLiveTableRendersPhaseRows(t *testing.T) {
-	cur := &obs.Payload{Stats: obs.Snapshot{Phases: []obs.PhaseSummary{
+	cur := &obs.Snapshot{Phases: []obs.PhaseSummary{
 		{Protocol: "vc+2pl", Phase: "fsync-wait", Durations: metrics.Summary{Count: 3, P50: 1e6, P99: 2e6}},
-	}}}
+	}}
 	tb := liveTable("addr", cur, nil, time.Second)
 	if out := tb.String(); !strings.Contains(out, "vc+2pl fsync-wait p50/p99") {
 		t.Fatalf("no phase row in the live table:\n%s", out)

@@ -294,7 +294,7 @@ func distScenario() {
 	step("a global read-only txn takes ONE start number (the committed high-water")
 	step("mark, no messages) and reads both sites: %s + %s = 200, consistent;", a, b)
 	step("site 1 was never named in advance — no a-priori site knowledge needed")
-	step("(visibility waits: %d, fillers: %d)", c.Stats()["ro.waits"], c.Stats()["ro.fillers"])
+	step("(visibility waits: %d, fillers: %d)", c.Stats().RecencyWaits, c.Fillers())
 }
 
 func reedScenario() {
@@ -330,7 +330,7 @@ func reedScenario() {
 	rw2.Commit()
 	step("writer commits; reader resumes with %q", <-blocked)
 	st := e.Stats()
-	step("stats: ro.blocked=%d, rw.aborts.by_ro=%d", st["ro.blocked"], st["rw.aborts.by_ro"])
+	step("stats: ro.blocked=%d, rw.aborts.by_ro=%d", st.ROBlocked, st.RWAbortsByRO)
 }
 
 func chanScenario() {
@@ -348,9 +348,9 @@ func chanScenario() {
 	}
 	step("100 transactions commit above the hole: CTL tail = %d entries", e.CTLTail())
 
-	before := e.Stats()["ctl.copied"]
+	before := e.CTLCopied()
 	ro, _ := e.Begin(engine.ReadOnly)
-	copied := e.Stats()["ctl.copied"] - before
+	copied := e.CTLCopied() - before
 	v, _ := ro.Get("x")
 	ro.Commit()
 	step("a read-only txn begins: it must COPY %d CTL entries, then check", copied)

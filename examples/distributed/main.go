@@ -152,14 +152,13 @@ func main() {
 		})
 	})
 
-	st := c.Stats()
 	fmt.Printf("transfers committed %d (%d cross-site) in %v (%.0f tx/s)\n",
 		committed.Load(), crossSite.Load(), elapsed.Round(time.Millisecond),
 		float64(committed.Load())/elapsed.Seconds())
 	fmt.Printf("global audits       %d, all balanced; final total %d (expected %d)\n",
 		audits.Load(), final, want)
 	fmt.Printf("bus messages        %d; read-only visibility waits %d (fillers %d)\n",
-		st["bus.messages"], st["ro.waits"], st["ro.fillers"])
+		c.Messages(), c.Stats().RecencyWaits, c.Fillers())
 	if final != want {
 		log.Fatal("CONSERVATION VIOLATED")
 	}

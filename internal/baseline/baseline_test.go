@@ -135,8 +135,8 @@ func TestMVTOReadOnlyBlocksOnPendingWrite(t *testing.T) {
 	if v := <-done; v != "new" {
 		t.Fatalf("ro read %q, want new", v)
 	}
-	if e.Stats()["ro.blocked"] == 0 {
-		t.Fatal("ro.blocked not counted")
+	if e.Stats().ROBlocked == 0 {
+		t.Fatal("ROBlocked not counted")
 	}
 }
 
@@ -158,8 +158,8 @@ func TestMVTOReadOnlyCausesWriteAbort(t *testing.T) {
 	if !errors.Is(err, engine.ErrConflict) {
 		t.Fatalf("Put err = %v, want ErrConflict", err)
 	}
-	if got := e.Stats()["rw.aborts.by_ro"]; got != 1 {
-		t.Fatalf("rw.aborts.by_ro = %d, want 1", got)
+	if got := e.Stats().RWAbortsByRO; got != 1 {
+		t.Fatalf("RWAbortsByRO = %d, want 1", got)
 	}
 }
 
@@ -178,11 +178,11 @@ func TestMV2PLCTLSnapshotSkipsUnlistedCreators(t *testing.T) {
 		t.Fatalf("Get(x) = (%q,%v), want 1", got, err)
 	}
 	ro.Commit()
-	if e.Stats()["ctl.copied"] == 0 {
-		t.Fatal("ctl.copied not counted")
+	if e.CTLCopied() == 0 {
+		t.Fatal("CTLCopied not counted")
 	}
-	if e.Stats()["ctl.probes"] == 0 {
-		t.Fatal("ctl.probes not counted")
+	if e.CTLProbes() == 0 {
+		t.Fatal("CTLProbes not counted")
 	}
 }
 
@@ -449,8 +449,8 @@ func TestMV2PLCTLDeadlockAborts(t *testing.T) {
 	if err := t1.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Stats()["aborts.deadlock"]; got != 1 {
-		t.Fatalf("aborts.deadlock = %d", got)
+	if got := e.Stats().AbortsDeadlock; got != 1 {
+		t.Fatalf("AbortsDeadlock = %d", got)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"mvdb/internal/engine"
 	"mvdb/internal/lock"
+	"mvdb/internal/obs"
 	"mvdb/internal/storage"
 )
 
@@ -96,15 +97,11 @@ type MV2PLCTL struct {
 	tnc   atomic.Uint64 // transaction numbers, assigned at lock-point
 	ids   atomic.Uint64
 	rec   engine.Recorder
+	stats *obs.Stats
 
-	commitsRO      atomic.Uint64
-	commitsRW      atomic.Uint64
-	abortsConflict atomic.Uint64
-	abortsDeadlock atomic.Uint64
-	abortsUser     atomic.Uint64
-	ctlCopied      atomic.Uint64 // total CTL entries copied by RO begins
-	ctlProbes      atomic.Uint64 // membership probes during RO reads
-	closed         atomic.Bool
+	ctlCopied atomic.Uint64 // total CTL entries copied by RO begins
+	ctlProbes atomic.Uint64 // membership probes during RO reads
+	closed    atomic.Bool
 }
 
 // NewMV2PLCTL creates the Chan-style baseline engine.
@@ -117,6 +114,7 @@ func NewMV2PLCTL(rec engine.Recorder) *MV2PLCTL {
 		locks: lock.NewManager(lock.Detect, 0),
 		list:  newCTL(),
 		rec:   rec,
+		stats: obs.NewStats(),
 	}
 }
 
@@ -143,6 +141,7 @@ func (e *MV2PLCTL) Begin(class engine.Class) (engine.Tx, error) {
 		return nil, errors.New("baseline: engine closed")
 	}
 	id := e.ids.Add(1)
+	countBegin(e.stats, class)
 	if class == engine.ReadOnly {
 		t := &ctlROTx{
 			e:  e,
@@ -161,22 +160,13 @@ func (e *MV2PLCTL) Begin(class engine.Class) (engine.Tx, error) {
 	return t, nil
 }
 
-// Stats implements engine.Engine.
-func (e *MV2PLCTL) Stats() map[string]int64 {
-	return map[string]int64{
-		"commits.ro":      int64(e.commitsRO.Load()),
-		"commits.rw":      int64(e.commitsRW.Load()),
-		"aborts.conflict": int64(e.abortsConflict.Load()),
-		"aborts.deadlock": int64(e.abortsDeadlock.Load()),
-		"aborts.user":     int64(e.abortsUser.Load()),
-		"rw.aborts.by_ro": 0,
-		"ro.blocked":      0,
-		"ctl.copied":      int64(e.ctlCopied.Load()),
-		"ctl.probes":      int64(e.ctlProbes.Load()),
-		"ctl.tail":        int64(e.list.tailLen()),
-		"lock.waits":      int64(e.locks.Waits()),
-		"lock.deadlocks":  int64(e.locks.Deadlocks()),
-	}
+// Stats implements engine.Engine. The list's own costs have no place
+// in the snapshot: CTLCopied, CTLProbes and CTLTail report them.
+func (e *MV2PLCTL) Stats() obs.Snapshot {
+	sn := e.stats.Snapshot()
+	sn.LockWaits = int64(e.locks.Waits())
+	sn.LockDeadlocks = int64(e.locks.Deadlocks())
+	return sn
 }
 
 // Close implements engine.Engine.
@@ -198,6 +188,14 @@ func (e *MV2PLCTL) HoldNumber() (release func()) {
 
 // CTLTail returns the current out-of-order tail length.
 func (e *MV2PLCTL) CTLTail() int { return e.list.tailLen() }
+
+// CTLCopied returns the total number of list entries read-only begins
+// have copied.
+func (e *MV2PLCTL) CTLCopied() uint64 { return e.ctlCopied.Load() }
+
+// CTLProbes returns the total number of list membership probes
+// read-only reads have made.
+func (e *MV2PLCTL) CTLProbes() uint64 { return e.ctlProbes.Load() }
 
 type bufWrite struct {
 	data      []byte
@@ -264,7 +262,7 @@ func (t *ctlROTx) Commit() error {
 	}
 	t.done = true
 	t.e.rec.RecordCommit(t.id, t.st)
-	t.e.commitsRO.Add(1)
+	t.e.stats.CommitsRO.Inc()
 	return nil
 }
 
@@ -274,7 +272,7 @@ func (t *ctlROTx) Abort() {
 		return
 	}
 	t.done = true
-	t.e.abortsUser.Add(1)
+	t.e.stats.AbortsUser.Inc()
 	t.e.rec.RecordAbort(t.id)
 }
 
@@ -357,17 +355,8 @@ func (t *ctlRWTx) acquire(key string, mode lock.Mode) error {
 	if err == nil {
 		return nil
 	}
-	var mapped error
-	switch {
-	case errors.Is(err, lock.ErrDeadlock):
-		t.e.abortsDeadlock.Add(1)
-		mapped = engine.ErrDeadlock
-	default:
-		t.e.abortsConflict.Add(1)
-		mapped = engine.ErrConflict
-	}
 	t.abortInternal()
-	return mapped
+	return lockAbort(t.e.stats, err)
 }
 
 // Commit implements engine.Tx: assign tn at the lock-point, install
@@ -389,7 +378,7 @@ func (t *ctlRWTx) Commit() error {
 	// observed its effects copies a list that already includes it.
 	t.e.list.add(t.tn)
 	t.e.locks.ReleaseAll(t.id)
-	t.e.commitsRW.Add(1)
+	t.e.stats.CommitsRW.Inc()
 	return nil
 }
 
@@ -398,7 +387,7 @@ func (t *ctlRWTx) Abort() {
 	if t.done {
 		return
 	}
-	t.e.abortsUser.Add(1)
+	t.e.stats.AbortsUser.Inc()
 	t.abortInternal()
 }
 

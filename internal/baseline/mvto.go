@@ -13,7 +13,9 @@
 //
 // Each engine implements engine.Engine, so the harness can run identical
 // workloads across the paper's engines and these baselines and measure the
-// differences the paper claims (experiments E1-E5).
+// differences the paper claims (experiments E1-E5). Each counts into the
+// same obs.Stats registry the paper's engines count into, so every
+// comparison reads the same fields.
 package baseline
 
 import (
@@ -21,6 +23,7 @@ import (
 	"sync/atomic"
 
 	"mvdb/internal/engine"
+	"mvdb/internal/obs"
 	"mvdb/internal/storage"
 )
 
@@ -35,14 +38,9 @@ type MVTO struct {
 	ts    atomic.Uint64 // timestamp = transaction number counter
 	ids   atomic.Uint64
 	rec   engine.Recorder
+	stats *obs.Stats
 
-	commitsRO      atomic.Uint64
-	commitsRW      atomic.Uint64
-	abortsConflict atomic.Uint64
-	abortsUser     atomic.Uint64
-	abortsByRO     atomic.Uint64
-	roBlocked      atomic.Uint64
-	closed         atomic.Bool
+	closed atomic.Bool
 }
 
 // NewMVTO creates the Reed-style baseline engine.
@@ -50,7 +48,17 @@ func NewMVTO(rec engine.Recorder) *MVTO {
 	if rec == nil {
 		rec = engine.NopRecorder{}
 	}
-	return &MVTO{store: storage.NewStore(0), rec: rec}
+	return &MVTO{store: storage.NewStore(0), rec: rec, stats: obs.NewStats()}
+}
+
+// countBegin counts a begin of the given class, before the transaction
+// can count a commit or an abort.
+func countBegin(s *obs.Stats, class engine.Class) {
+	if class == engine.ReadOnly {
+		s.BeginsRO.Inc()
+	} else {
+		s.BeginsRW.Inc()
+	}
 }
 
 // Name implements engine.Engine.
@@ -77,6 +85,7 @@ func (e *MVTO) Begin(class engine.Class) (engine.Tx, error) {
 	if e.closed.Load() {
 		return nil, errors.New("baseline: engine closed")
 	}
+	countBegin(e.stats, class)
 	t := &mvtoTx{
 		e:     e,
 		id:    e.ids.Add(1),
@@ -91,16 +100,10 @@ func (e *MVTO) Begin(class engine.Class) (engine.Tx, error) {
 }
 
 // Stats implements engine.Engine.
-func (e *MVTO) Stats() map[string]int64 {
-	return map[string]int64{
-		"commits.ro":      int64(e.commitsRO.Load()),
-		"commits.rw":      int64(e.commitsRW.Load()),
-		"aborts.conflict": int64(e.abortsConflict.Load()),
-		"aborts.user":     int64(e.abortsUser.Load()),
-		"rw.aborts.by_ro": int64(e.abortsByRO.Load()),
-		"ro.blocked":      int64(e.roBlocked.Load()),
-		"store.waits":     int64(e.store.TotalWaits()),
-	}
+func (e *MVTO) Stats() obs.Snapshot {
+	sn := e.stats.Snapshot()
+	sn.StoreWaits = int64(e.store.TotalWaits())
+	return sn
 }
 
 // Close implements engine.Engine.
@@ -138,7 +141,7 @@ func (t *mvtoTx) Get(key string) ([]byte, error) {
 		var waited bool
 		v, ok, waited = o.SnapshotReadWait(t.tn)
 		if waited {
-			t.e.roBlocked.Add(1)
+			t.e.stats.ROBlocked.Inc()
 		}
 	} else {
 		v, ok = o.TORead(t.tn)
@@ -175,11 +178,11 @@ func (t *mvtoTx) write(key string, value []byte, tombstone bool) error {
 	}
 	o := t.e.store.GetOrCreate(key)
 	if err := o.TOWrite(t.tn, value, tombstone); err != nil {
-		t.e.abortsConflict.Add(1)
+		t.e.stats.AbortsConflict.Inc()
 		if errors.Is(err, storage.ErrConflictRO) {
 			// The write was rejected because a read-only transaction had
 			// read the object — the interference the paper eliminates.
-			t.e.abortsByRO.Add(1)
+			t.e.stats.RWAbortsByRO.Inc()
 		}
 		t.abortInternal()
 		return engine.ErrConflict
@@ -196,7 +199,7 @@ func (t *mvtoTx) Commit() error {
 	t.done = true
 	if t.class == engine.ReadOnly {
 		t.e.rec.RecordCommit(t.id, t.tn)
-		t.e.commitsRO.Add(1)
+		t.e.stats.CommitsRO.Inc()
 		return nil
 	}
 	for key := range t.pending {
@@ -204,7 +207,7 @@ func (t *mvtoTx) Commit() error {
 		t.e.rec.RecordWrite(t.id, key, t.tn)
 	}
 	t.e.rec.RecordCommit(t.id, t.tn)
-	t.e.commitsRW.Add(1)
+	t.e.stats.CommitsRW.Inc()
 	return nil
 }
 
@@ -213,7 +216,7 @@ func (t *mvtoTx) Abort() {
 	if t.done {
 		return
 	}
-	t.e.abortsUser.Add(1)
+	t.e.stats.AbortsUser.Inc()
 	t.abortInternal()
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"mvdb/internal/engine"
 	"mvdb/internal/lock"
+	"mvdb/internal/obs"
 	"mvdb/internal/storage"
 )
 
@@ -24,14 +25,9 @@ type SV2PL struct {
 	tnc   atomic.Uint64
 	ids   atomic.Uint64
 	rec   engine.Recorder
+	stats *obs.Stats
 
-	commitsRO      atomic.Uint64
-	commitsRW      atomic.Uint64
-	abortsConflict atomic.Uint64
-	abortsDeadlock atomic.Uint64
-	abortsUser     atomic.Uint64
-	roBlocked      atomic.Uint64
-	closed         atomic.Bool
+	closed atomic.Bool
 }
 
 // NewSV2PL creates the single-version baseline engine.
@@ -43,6 +39,7 @@ func NewSV2PL(rec engine.Recorder) *SV2PL {
 		store: storage.NewStore(0),
 		locks: lock.NewManager(lock.Detect, 0),
 		rec:   rec,
+		stats: obs.NewStats(),
 	}
 }
 
@@ -70,6 +67,7 @@ func (e *SV2PL) Begin(class engine.Class) (engine.Tx, error) {
 		return nil, errors.New("baseline: engine closed")
 	}
 	id := e.ids.Add(1)
+	countBegin(e.stats, class)
 	e.locks.Begin(id, 0)
 	t := &svTx{e: e, id: id, class: class, buf: make(map[string]bufWrite)}
 	e.rec.RecordBegin(id, class)
@@ -77,18 +75,11 @@ func (e *SV2PL) Begin(class engine.Class) (engine.Tx, error) {
 }
 
 // Stats implements engine.Engine.
-func (e *SV2PL) Stats() map[string]int64 {
-	return map[string]int64{
-		"commits.ro":      int64(e.commitsRO.Load()),
-		"commits.rw":      int64(e.commitsRW.Load()),
-		"aborts.conflict": int64(e.abortsConflict.Load()),
-		"aborts.deadlock": int64(e.abortsDeadlock.Load()),
-		"aborts.user":     int64(e.abortsUser.Load()),
-		"rw.aborts.by_ro": 0,
-		"ro.blocked":      int64(e.roBlocked.Load()),
-		"lock.waits":      int64(e.locks.Waits()),
-		"lock.deadlocks":  int64(e.locks.Deadlocks()),
-	}
+func (e *SV2PL) Stats() obs.Snapshot {
+	sn := e.stats.Snapshot()
+	sn.LockWaits = int64(e.locks.Waits())
+	sn.LockDeadlocks = int64(e.locks.Deadlocks())
+	return sn
 }
 
 // Close implements engine.Engine.
@@ -122,7 +113,7 @@ func (t *svTx) Get(key string) ([]byte, error) {
 		return nil, err
 	}
 	if t.class == engine.ReadOnly && t.e.locks.Waits() > waitsBefore {
-		t.e.roBlocked.Add(1)
+		t.e.stats.ROBlocked.Inc()
 	}
 	o := t.e.store.Get(key)
 	if o == nil {
@@ -170,17 +161,19 @@ func (t *svTx) acquire(key string, mode lock.Mode) error {
 	if err == nil {
 		return nil
 	}
-	var mapped error
-	switch {
-	case errors.Is(err, lock.ErrDeadlock):
-		t.e.abortsDeadlock.Add(1)
-		mapped = engine.ErrDeadlock
-	default:
-		t.e.abortsConflict.Add(1)
-		mapped = engine.ErrConflict
-	}
 	t.abortInternal()
-	return mapped
+	return lockAbort(t.e.stats, err)
+}
+
+// lockAbort counts the abort a failed lock request causes in the two
+// locking baselines and returns the engine error it surfaces as.
+func lockAbort(s *obs.Stats, err error) error {
+	if errors.Is(err, lock.ErrDeadlock) {
+		s.AbortsDeadlock.Inc()
+		return engine.ErrDeadlock
+	}
+	s.AbortsConflict.Inc()
+	return engine.ErrConflict
 }
 
 // Commit implements engine.Tx: install in place (pruning old versions to
@@ -194,9 +187,9 @@ func (t *svTx) Commit() error {
 		t.e.rec.RecordCommit(t.id, t.tn)
 		t.e.locks.ReleaseAll(t.id)
 		if t.class == engine.ReadOnly {
-			t.e.commitsRO.Add(1)
+			t.e.stats.CommitsRO.Inc()
 		} else {
-			t.e.commitsRW.Add(1)
+			t.e.stats.CommitsRW.Inc()
 		}
 		return nil
 	}
@@ -209,7 +202,7 @@ func (t *svTx) Commit() error {
 	}
 	t.e.rec.RecordCommit(t.id, t.tn)
 	t.e.locks.ReleaseAll(t.id)
-	t.e.commitsRW.Add(1)
+	t.e.stats.CommitsRW.Inc()
 	return nil
 }
 
@@ -218,7 +211,7 @@ func (t *svTx) Abort() {
 	if t.done {
 		return
 	}
-	t.e.abortsUser.Add(1)
+	t.e.stats.AbortsUser.Inc()
 	t.abortInternal()
 }
 

@@ -84,8 +84,9 @@ type Options struct {
 	Recorder engine.Recorder
 	// PhaseTiming enables per-transaction latency attribution: each
 	// protocol's separable phases (lock wait, reads, validation, WAL
-	// enqueue vs fsync wait, version install, register→visible lag)
-	// are timed into per-protocol histograms exposed via Snapshot.
+	// enqueue vs fsync wait, version install, and the committer's own
+	// VCcomplete step) are timed into per-protocol histograms that
+	// Stats reports in Phases.
 	// When false (the default) no phase state is allocated and every
 	// timing site reduces to one nil test — the disabled path keeps
 	// the seed's allocation profile.
@@ -319,13 +320,14 @@ func (e *Engine) beginPinned(sn uint64, recent bool) (*Tx, error) {
 // flight recorder's postmortem bundles include it).
 func (e *Engine) LockWaitGraph() lock.WaitGraph { return e.locks.WaitGraph() }
 
-// Snapshot assembles the full observability snapshot: registry
-// counters, lock-manager and WAL substrate counters, version-control
-// gauges, and storage-shape gauges. Gauges are read in an order that
-// preserves the paper's invariants within one snapshot (vtnc before
-// tnc, commits before begins); the storage walk makes this O(keys), so
-// it is meant for periodic polling, not per-transaction calls.
-func (e *Engine) Snapshot() obs.Snapshot {
+// Stats implements engine.Engine. It assembles the full observability
+// snapshot: registry counters, lock-manager and WAL substrate counters,
+// version-control gauges, and storage-shape gauges. Gauges are read in
+// an order that preserves the paper's invariants within one snapshot
+// (vtnc before tnc, commits before begins); the storage walk makes this
+// O(keys), so it is meant for periodic polling, not per-transaction
+// calls.
+func (e *Engine) Stats() obs.Snapshot {
 	sn := e.stats.Snapshot()
 	sn.Protocol = e.opts.Protocol.String()
 	sn.LockWaits = int64(e.locks.Waits())
@@ -380,12 +382,6 @@ func (e *Engine) Snapshot() obs.Snapshot {
 		}
 	}
 	return sn
-}
-
-// Stats implements engine.Engine: the snapshot flattened into the
-// legacy counter vocabulary the harness understands.
-func (e *Engine) Stats() map[string]int64 {
-	return e.Snapshot().Map()
 }
 
 // Close implements engine.Engine: the engine refuses new transactions,

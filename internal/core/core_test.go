@@ -279,7 +279,7 @@ func TestDelayedVisibilityAndRecencyRectification(t *testing.T) {
 		}
 		blocked <- err
 	}()
-	eventually(t, "the store wait", func() bool { return e.Snapshot().StoreWaits == 1 })
+	eventually(t, "the store wait", func() bool { return e.Stats().StoreWaits == 1 })
 
 	// Recency-rectified reader blocks until the older txn resolves.
 	done := make(chan string)
@@ -403,8 +403,8 @@ func TestTimestampWriteRejection(t *testing.T) {
 	if err := younger.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if e.Stats()["aborts.conflict"] != 1 {
-		t.Fatalf("aborts.conflict = %d, want 1", e.Stats()["aborts.conflict"])
+	if got := e.Stats().AbortsConflict; got != 1 {
+		t.Fatalf("AbortsConflict = %d, want 1", got)
 	}
 }
 
@@ -677,7 +677,7 @@ func TestStressSerializability(t *testing.T) {
 			if err := rec.Check(); err != nil {
 				t.Fatalf("history not one-copy serializable: %v", err)
 			}
-			if got := e.Stats()["rw.aborts.by_ro"]; got != 0 {
+			if got := e.Stats().RWAbortsByRO; got != 0 {
 				t.Fatalf("VC engine recorded %d rw aborts caused by read-only txns; paper says 0", got)
 			}
 			if n := rec.CommittedCount(); n < nWorkers*nTxns/2 {

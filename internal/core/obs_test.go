@@ -19,7 +19,7 @@ func TestSnapshotFields(t *testing.T) {
 	ro.Get("a")
 	ro.Commit()
 
-	sn := e.Snapshot()
+	sn := e.Stats()
 	if sn.Protocol != "vc+to" {
 		t.Fatalf("protocol = %q", sn.Protocol)
 	}
@@ -34,10 +34,6 @@ func TestSnapshotFields(t *testing.T) {
 	}
 	if sn.MeanVersionChain != 1.5 {
 		t.Fatalf("mean chain = %v", sn.MeanVersionChain)
-	}
-	m := sn.Map()
-	if m["commits.rw"] != 2 || m["vc.tnc"] != int64(sn.TNC) {
-		t.Fatalf("legacy map = %v", m)
 	}
 }
 
@@ -63,7 +59,7 @@ func TestLockWaitHistogram(t *testing.T) {
 	time.Sleep(20 * time.Millisecond) // let tx2 block on x
 	tx1.Commit()
 	wg.Wait()
-	sn := e.Snapshot()
+	sn := e.Stats()
 	if sn.LockWait.Count == 0 {
 		t.Fatal("no lock waits recorded in histogram")
 	}
@@ -87,7 +83,7 @@ func TestAbortCauseCounters(t *testing.T) {
 		t.Fatal("expected a lock timeout")
 	}
 	tx1.Commit()
-	sn := e.Snapshot()
+	sn := e.Stats()
 	if sn.AbortsTimeout != 1 {
 		t.Fatalf("aborts.timeout = %d, want 1", sn.AbortsTimeout)
 	}

@@ -59,7 +59,7 @@ func TestPhasesTileACommit(t *testing.T) {
 
 			var phases time.Duration
 			row := obs.ProtoIdx(p).String()
-			for _, ps := range e.Snapshot().Phases {
+			for _, ps := range e.Stats().Phases {
 				if ps.Protocol == row {
 					phases += time.Duration(ps.Durations.TotalNanoseconds)
 				}
@@ -126,7 +126,7 @@ func TestPhaseExemplarsAreTransactionIDs(t *testing.T) {
 				}
 				pinned <- tx
 			}()
-			eventually(t, "the recency wait", func() bool { return e.Snapshot().RecencyWaits > 0 })
+			eventually(t, "the recency wait", func() bool { return e.Stats().RecencyWaits > 0 })
 			update()
 			tx := <-pinned
 			if tx == nil {
@@ -136,7 +136,7 @@ func TestPhaseExemplarsAreTransactionIDs(t *testing.T) {
 			tx.Commit()
 
 			seen := map[string]bool{}
-			for _, ps := range e.Snapshot().Phases {
+			for _, ps := range e.Stats().Phases {
 				seen[ps.Protocol+"/"+ps.Phase] = true
 				if !ids[ps.Protocol][ps.SlowestTx] {
 					t.Errorf("%s/%s slowest tx %d is no %s transaction", ps.Protocol, ps.Phase, ps.SlowestTx, ps.Protocol)

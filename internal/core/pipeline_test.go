@@ -297,7 +297,7 @@ func TestPipelinedCommitLogFailure(t *testing.T) {
 				t.Fatalf("the broken log accepted a record (%d appends, was %d)", pl.appends(), appends)
 			}
 
-			sn := pl.e.Snapshot()
+			sn := pl.e.Stats()
 			if sn.AbortsLog != 3 || sn.AbortsTotal() != 3 || pl.rec.aborts != 3 || sn.CommitsRW != 1 {
 				t.Fatalf("after three log aborts: AbortsLog %d, AbortsTotal %d, recorder aborts %d, CommitsRW %d",
 					sn.AbortsLog, sn.AbortsTotal(), pl.rec.aborts, sn.CommitsRW)

@@ -245,7 +245,7 @@ func TestSinkAgreement(t *testing.T) {
 				}
 			}
 
-			sn := e.Snapshot()
+			sn := e.Stats()
 			eq("Stats.CommitsRW", sn.CommitsRW, s.commitsRW)
 			eq("Stats.CommitsRO", sn.CommitsRO, s.commitsRO)
 			eq("Stats.AbortsConflict", sn.AbortsConflict, s.aborts["conflict"])

@@ -57,7 +57,7 @@ func capturePostmortem(rep *TortureReport, dir string, e *core.Engine, detail st
 		return
 	}
 	src := flight.Sources{
-		Stats:     e.Snapshot,
+		Stats:     e.Stats,
 		WaitGraph: e.LockWaitGraph,
 	}
 	path, err := flight.Capture(src, dir, "oracle-violation", detail)

@@ -54,6 +54,7 @@ import (
 	"mvdb/internal/core"
 	"mvdb/internal/engine"
 	"mvdb/internal/lock"
+	"mvdb/internal/obs"
 	"mvdb/internal/vc"
 )
 
@@ -213,11 +214,12 @@ type Cluster struct {
 	rec   engine.Recorder
 	ids   atomic.Uint64
 
+	// stats counts global transactions: their begins, commits and
+	// aborts, and the read-only reads that waited for a site's horizon
+	// (RecencyWaits). Each site's engine counts its parts in its own.
+	stats *obs.Stats
+
 	hwm        atomic.Uint64 // highest committed global transaction number
-	commitsRO  atomic.Uint64
-	commitsRW  atomic.Uint64
-	aborts     atomic.Uint64
-	roWaits    atomic.Uint64
 	closed     atomic.Bool
 	bootSealed atomic.Bool
 }
@@ -231,7 +233,7 @@ func New(opts Options) (*Cluster, error) {
 	if opts.LockTimeout <= 0 {
 		opts.LockTimeout = 50 * time.Millisecond
 	}
-	c := &Cluster{opts: opts, bus: newBus(opts.Latency, opts.Jitter)}
+	c := &Cluster{opts: opts, bus: newBus(opts.Latency, opts.Jitter), stats: obs.NewStats()}
 	c.rec = opts.Recorder
 	if c.rec == nil {
 		c.rec = engine.NopRecorder{}
@@ -315,6 +317,16 @@ func (c *Cluster) Sites() []*Site { return c.sites }
 // Bus returns the message bus (stats).
 func (c *Cluster) Bus() *Bus { return c.bus }
 
+// Fillers returns how many filler registrations the sites performed to
+// advance visibility for lagging read-only transactions.
+func (c *Cluster) Fillers() uint64 {
+	var n uint64
+	for _, s := range c.sites {
+		n += s.Fillers()
+	}
+	return n
+}
+
 // SiteFor returns the site owning key.
 func (c *Cluster) SiteFor(key string) *Site {
 	return c.sites[c.opts.Partition(key)]
@@ -349,38 +361,19 @@ func (c *Cluster) Bootstrap(data map[string][]byte) error {
 	return nil
 }
 
-// Stats returns cluster counters, including the aggregate Section 6
-// version-control gauges across sites: total visibility lag and queue
-// depth, and the worst single-site lag (the site a fresh read-only
-// transaction would have to wait for). The gauges leave out a crashed
-// site.
-func (c *Cluster) Stats() map[string]int64 {
-	m := map[string]int64{
-		"commits.ro":   int64(c.commitsRO.Load()),
-		"commits.rw":   int64(c.commitsRW.Load()),
-		"aborts":       int64(c.aborts.Load()),
-		"ro.waits":     int64(c.roWaits.Load()),
-		"bus.messages": int64(c.bus.Messages()),
-	}
-	var fillers, lagSum, lagMax, queue int64
+// Stats implements engine.Engine: the global transactions' counters,
+// with the Section 6 version-control gauges VisibilityLag and
+// VCQueueLen summed over the sites that are up. Bus().Messages() and
+// Fillers() report the cost of the distribution itself.
+func (c *Cluster) Stats() obs.Snapshot {
+	sn := c.stats.Snapshot()
 	for _, s := range c.sites {
-		fillers += int64(s.Fillers())
-		e := s.Engine()
-		if e == nil {
-			continue
+		if e := s.Engine(); e != nil {
+			sn.VisibilityLag += e.VC().Lag()
+			sn.VCQueueLen += e.VC().QueueLen()
 		}
-		lag := int64(e.VC().Lag())
-		lagSum += lag
-		if lag > lagMax {
-			lagMax = lag
-		}
-		queue += int64(e.VC().QueueLen())
 	}
-	m["ro.fillers"] = fillers
-	m["vc.lag"] = lagSum
-	m["vc.lag.max_site"] = lagMax
-	m["vc.queue"] = queue
-	return m
+	return sn
 }
 
 // Close shuts the cluster down; each durable site's engine closes its
@@ -420,11 +413,13 @@ func (c *Cluster) Begin(class engine.Class) (engine.Tx, error) {
 	id := c.ids.Add(1)
 	c.rec.RecordBegin(id, class)
 	if class == engine.ReadOnly {
+		c.stats.BeginsRO.Inc()
 		// Publish, then take: the high-water mark only grows.
 		t := &roTx{c: c, id: id, slot: c.reg.Publish(id, c.hwm.Load())}
 		t.sn = c.hwm.Load()
 		return t, nil
 	}
+	c.stats.BeginsRW.Inc()
 	return &DTx{c: c, id: id, parts: make([]*core.Tx, len(c.sites))}, nil
 }
 
@@ -449,6 +444,7 @@ func (c *Cluster) BeginReadOnlyAtHome(home int) (engine.Tx, error) {
 	c.bootSealed.Store(true)
 	id := c.ids.Add(1)
 	c.rec.RecordBegin(id, engine.ReadOnly)
+	c.stats.BeginsRO.Inc()
 	t := &roTx{c: c, id: id}
 	c.bus.call(func() {
 		t.slot = c.reg.Publish(id, h.VTNC())
@@ -471,7 +467,10 @@ type DTx struct {
 // at runs op on the transaction's part at the site owning key, beginning
 // the part first if need be, as one exchange with the site. An op that
 // fails other than with ErrNotFound has aborted its part, and the whole
-// transaction aborts; so does one at a crashed site.
+// transaction aborts; so does one at a crashed site. The abort counts as
+// a timeout when the part's lock wait timed out (the sites' deadlock
+// rule), and as a conflict otherwise — the lock manager's catch-all,
+// which also takes a site that is down.
 func (t *DTx) at(key string, op func(*core.Tx) error) error {
 	if t.done {
 		return engine.ErrTxDone
@@ -494,7 +493,11 @@ func (t *DTx) at(key string, op func(*core.Tx) error) error {
 	})
 	if err != nil && !errors.Is(err, engine.ErrNotFound) {
 		t.abort()
-		t.c.aborts.Add(1)
+		if errors.Is(err, engine.ErrDeadlock) {
+			t.c.stats.AbortsTimeout.Inc()
+		} else {
+			t.c.stats.AbortsConflict.Inc()
+		}
 	}
 	return err
 }
@@ -542,7 +545,7 @@ func (t *DTx) Commit() error {
 	}
 	if chosen == 0 { // empty transaction
 		t.c.rec.RecordCommit(t.id, 0)
-		t.c.commitsRW.Add(1)
+		t.c.stats.CommitsRW.Inc()
 		return nil
 	}
 
@@ -583,7 +586,7 @@ func (t *DTx) Commit() error {
 	}
 	t.c.hold()
 	t.c.rec.RecordCommit(t.id, chosen)
-	t.c.commitsRW.Add(1)
+	t.c.stats.CommitsRW.Inc()
 	return nil
 }
 
@@ -592,7 +595,7 @@ func (t *DTx) Abort() {
 	if t.done {
 		return
 	}
-	t.c.aborts.Add(1)
+	t.c.stats.AbortsUser.Inc()
 	t.abort()
 }
 
@@ -632,7 +635,7 @@ type roTx struct {
 func (t *roTx) catchUp(s *Site) (*core.Engine, error) {
 	e, err := s.live()
 	if err == nil && e.VTNC() < t.sn {
-		t.c.roWaits.Add(1)
+		t.c.stats.RecencyWaits.Inc()
 		s.ensureVisible(t.sn)
 	}
 	return e, err
@@ -712,7 +715,7 @@ func (t *roTx) Commit() error {
 	}
 	t.finish()
 	t.c.rec.RecordCommit(t.id, t.sn)
-	t.c.commitsRO.Add(1)
+	t.c.stats.CommitsRO.Inc()
 	return nil
 }
 

@@ -138,8 +138,8 @@ func TestReadOnlyNoAPrioriSites(t *testing.T) {
 	if c.sites[2].Fillers() == 0 {
 		t.Fatal("expected a filler registration at the lagging site")
 	}
-	if c.Stats()["ro.waits"] == 0 {
-		t.Fatal("ro.waits not counted")
+	if c.Stats().RecencyWaits == 0 {
+		t.Fatal("RecencyWaits not counted")
 	}
 }
 
@@ -257,6 +257,9 @@ func TestLockConflictTimesOutAndRetries(t *testing.T) {
 	t2, _ := c.Begin(engine.ReadWrite)
 	if err := t2.Put(k, []byte("blocked")); !errors.Is(err, engine.ErrDeadlock) {
 		t.Fatalf("err = %v, want ErrDeadlock (timeout)", err)
+	}
+	if st := c.Stats(); st.AbortsTimeout != 1 || st.AbortsTotal() != 1 {
+		t.Fatalf("aborts: timeout %d, total %d; want 1 and 1", st.AbortsTimeout, st.AbortsTotal())
 	}
 	if err := t1.Commit(); err != nil {
 		t.Fatal(err)

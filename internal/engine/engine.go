@@ -10,6 +10,8 @@ import (
 	"errors"
 	"math/rand/v2"
 	"time"
+
+	"mvdb/internal/obs"
 )
 
 // Class tells the engine whether a transaction will write. The paper
@@ -136,11 +138,12 @@ type Engine interface {
 	Name() string
 	// Begin starts a transaction of the given class.
 	Begin(class Class) (Tx, error)
-	// Stats returns a snapshot of engine counters. Keys are
-	// engine-specific but the harness understands the common ones:
-	// "commits.rw", "commits.ro", "aborts.conflict", "aborts.deadlock",
-	// "ro.blocked", "rw.aborts.by_ro".
-	Stats() map[string]int64
+	// Stats returns a point-in-time snapshot of the engine's counters,
+	// in the vocabulary every engine shares: begins and commits by
+	// class and aborts by cause always, every other field where the
+	// engine has the event or the substrate it counts (zero otherwise).
+	// Commits never exceed begins within one snapshot.
+	Stats() obs.Snapshot
 	// Close shuts the engine down: later begins fail, and a durable
 	// engine closes its commit log.
 	Close() error

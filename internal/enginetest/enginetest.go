@@ -522,17 +522,31 @@ func testHistorySerializable(t *testing.T, mk Factory) {
 	}
 }
 
+// testStatsPresent holds every engine to the one stats vocabulary: one
+// read-write commit, one read-only commit and one explicit Abort show
+// in the snapshot's typed counters, and no class counts more commits
+// than begins (DESIGN §5 decision 8).
 func testStatsPresent(t *testing.T, mk Factory) {
 	e := mk(nil)
 	defer e.Close()
 	retryRW(t, e, func(tx engine.Tx) error { return tx.Put("k", []byte("v")) })
 	retryRO(t, e, func(ro engine.Tx) error { _, err := ro.Get("k"); return err })
-	st := e.Stats()
-	if st["commits.rw"] < 1 {
-		t.Fatalf("commits.rw = %d", st["commits.rw"])
+	tx, err := e.Begin(engine.ReadWrite)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st["commits.ro"] < 1 {
-		t.Fatalf("commits.ro = %d", st["commits.ro"])
+	if err := tx.Put("k2", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	tx.Abort()
+	st := e.Stats()
+	if st.CommitsRW < 1 || st.CommitsRO < 1 || st.AbortsUser < 1 {
+		t.Fatalf("commits rw/ro = %d/%d, user aborts = %d; want each >= 1",
+			st.CommitsRW, st.CommitsRO, st.AbortsUser)
+	}
+	if st.CommitsRW > st.BeginsRW || st.CommitsRO > st.BeginsRO {
+		t.Fatalf("commits rw/ro = %d/%d exceed begins %d/%d",
+			st.CommitsRW, st.CommitsRO, st.BeginsRW, st.BeginsRO)
 	}
 	if e.Name() == "" {
 		t.Fatal("empty engine name")

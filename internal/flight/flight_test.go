@@ -27,7 +27,7 @@ func newEngineRecorder(t *testing.T, opts core.Options, dir string) (*core.Engin
 	e := core.New(opts)
 	t.Cleanup(func() { e.Close() })
 	r, err := flight.New(flight.Sources{
-		Stats:     e.Snapshot,
+		Stats:     e.Stats,
 		WaitGraph: e.LockWaitGraph,
 	}, dir)
 	if err != nil {
@@ -155,7 +155,7 @@ func TestAuditAlarmWritesBundle(t *testing.T) {
 	defer e.Close()
 
 	r, err := flight.New(flight.Sources{
-		Stats: e.Snapshot,
+		Stats: e.Stats,
 		Audit: aud.Snapshot,
 	}, dir)
 	if err != nil {
@@ -397,7 +397,7 @@ func TestTriggerAsyncRacingClose(t *testing.T) {
 	defer e.Close()
 	for i := 0; i < 50; i++ {
 		dir := t.TempDir()
-		r, err := flight.New(flight.Sources{Stats: e.Snapshot}, dir)
+		r, err := flight.New(flight.Sources{Stats: e.Stats}, dir)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,6 +14,7 @@ import (
 
 	"mvdb/internal/engine"
 	"mvdb/internal/metrics"
+	"mvdb/internal/obs"
 	"mvdb/internal/workload"
 )
 
@@ -60,7 +61,7 @@ type Result struct {
 	LagMean float64
 	LagMax  uint64
 
-	Stats map[string]int64 // engine counters after the run
+	Stats obs.Snapshot // engine counters after the run
 }
 
 // Throughput returns committed transactions per second.

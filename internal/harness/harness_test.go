@@ -52,8 +52,8 @@ func TestRunAllCoreEngines(t *testing.T) {
 			if res.Throughput() <= 0 {
 				t.Fatal("zero throughput")
 			}
-			if res.Stats["rw.aborts.by_ro"] != 0 {
-				t.Fatalf("VC engine blamed read-only txns for %d aborts", res.Stats["rw.aborts.by_ro"])
+			if res.Stats.RWAbortsByRO != 0 {
+				t.Fatalf("VC engine blamed read-only txns for %d aborts", res.Stats.RWAbortsByRO)
 			}
 			if err := rec.Check(); err != nil {
 				t.Fatalf("harness workload not 1SR on %s: %v", p, err)
@@ -118,7 +118,7 @@ func TestRetriesCounted(t *testing.T) {
 	if res.Retries == 0 {
 		t.Fatal("expected retries on a 2-key OCC workload")
 	}
-	if res.Stats["aborts.conflict"] == 0 {
+	if res.Stats.AbortsConflict == 0 {
 		t.Fatal("expected conflict aborts in engine stats")
 	}
 }

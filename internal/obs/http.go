@@ -10,12 +10,6 @@ import (
 	"net/http/pprof"
 )
 
-// Payload is the JSON document served at /debug/mvdb: one stats
-// snapshot, under the "stats" key.
-type Payload struct {
-	Stats Snapshot `json:"stats"`
-}
-
 // DebugServer serves engine observability over HTTP. It is created by
 // Serve and stopped with Close.
 type DebugServer struct {
@@ -55,7 +49,7 @@ const PromContentType = "text/plain; version=0.0.4; charset=utf-8"
 
 // Serve starts an HTTP server on addr exposing:
 //
-//	/debug/mvdb  — Payload as JSON (the stats snapshot)
+//	/debug/mvdb  — the Snapshot as indented JSON
 //	/metrics     — the snapshot in Prometheus text format, plus any
 //	               extras registered with WithPromExtra
 //	/debug/pprof — the standard runtime profiling endpoints (profile,
@@ -78,7 +72,7 @@ func Serve(addr string, snap func() Snapshot, opts ...ServeOption) (*DebugServer
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		enc.Encode(Payload{Stats: snap()})
+		enc.Encode(snap())
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		// Render into a buffer first so a mid-render error cannot leave

@@ -1,7 +1,8 @@
 // Package obs is the engine-wide observability layer: a lock-free
 // registry of counters and histograms written by every subsystem, an
 // internally consistent Snapshot of that registry plus the
-// version-control and storage gauges (the payload of the public
+// version-control and storage gauges (the one form in which every
+// engine's counters leave it: engine.Engine.Stats, the public
 // db.Stats() API and the /debug/mvdb endpoint), the optional phase
 // matrix, and the HTTP debug server that exposes all of it.
 //
@@ -135,8 +136,9 @@ var buildRevision = sync.OnceValue(func() string {
 
 // Snapshot is a point-in-time view of the registry plus the gauges the
 // engine fills in (version control counters, storage shape, lock and
-// WAL substrate counters). It is the JSON document served at
-// /debug/mvdb and the value returned by the public db.Stats().
+// WAL substrate counters). It is what every engine's Stats returns
+// (engine.Engine), the JSON document served at /debug/mvdb and the
+// value returned by the public db.Stats().
 type Snapshot struct {
 	// Protocol is the engine's concurrency control, fixed at Open.
 	Protocol string `json:"protocol,omitempty"`
@@ -229,7 +231,8 @@ type Snapshot struct {
 	// Phases is the per-protocol × per-phase latency attribution
 	// matrix (empty unless phase timing is enabled): where each
 	// transaction's time went — CC conflict resolution, WAL enqueue vs
-	// group-commit fsync wait, version install, register→visible lag.
+	// group-commit fsync wait, version install, and the committer's own
+	// VCcomplete step (visible-wait).
 	Phases []PhaseSummary `json:"phases,omitempty"`
 
 	// Process health: liveness basics for dashboards and the future
@@ -282,51 +285,4 @@ func (s *Stats) Snapshot() Snapshot {
 func (sn Snapshot) AbortsTotal() int64 {
 	return sn.AbortsConflict + sn.AbortsDeadlock + sn.AbortsTimeout +
 		sn.AbortsUser + sn.AbortsLog
-}
-
-// Map flattens the snapshot into the legacy flat counter vocabulary
-// used by engine.Engine.Stats and the experiment harness.
-func (sn Snapshot) Map() map[string]int64 {
-	m := map[string]int64{
-		"commits.ro":      sn.CommitsRO,
-		"commits.rw":      sn.CommitsRW,
-		"begins.ro":       sn.BeginsRO,
-		"begins.rw":       sn.BeginsRW,
-		"retries":         sn.Retries,
-		"aborts.conflict": sn.AbortsConflict,
-		"aborts.deadlock": sn.AbortsDeadlock,
-		"aborts.timeout":  sn.AbortsTimeout,
-		"aborts.user":     sn.AbortsUser,
-		"aborts.log":      sn.AbortsLog,
-		"rw.aborts.by_ro": sn.RWAbortsByRO,
-		"ro.blocked":      sn.ROBlocked,
-		"ro.recency_wait": sn.RecencyWaits,
-		"lock.waits":      sn.LockWaits,
-		"lock.deadlocks":  sn.LockDeadlocks,
-		"lock.timeouts":   sn.LockTimeouts,
-		"lock.stripes":    int64(sn.LockStripes),
-		"lock.collisions": sn.LockStripeCollisions,
-		"wal.appends":     sn.WALAppends,
-		"wal.fsyncs":      sn.WALFsyncs,
-		"wal.bytes":       sn.WALBytes,
-		"wal.batches":     sn.WALBatches,
-		"wal.size":        sn.WALSizeBytes,
-		"ckpt.last_unix":  sn.CheckpointLastUnix,
-		"ckpt.dur_ms":     int64(sn.CheckpointDurationSeconds * 1000),
-		"gc.passes":       sn.GCPasses,
-		"gc.pruned":       sn.GCReclaimed,
-		"goroutines":      int64(sn.Goroutines),
-		"vc.tnc":          int64(sn.TNC),
-		"vc.vtnc":         int64(sn.VTNC),
-		"vc.lag":          int64(sn.VisibilityLag),
-		"vc.queue":        int64(sn.VCQueueLen),
-		"store.keys":      int64(sn.Keys),
-		"store.versions":  sn.Versions,
-		"store.waits":     sn.StoreWaits,
-	}
-	for _, ps := range sn.Phases {
-		m["phase."+ps.Protocol+"."+ps.Phase+".count"] = int64(ps.Durations.Count)
-		m["phase."+ps.Protocol+"."+ps.Phase+".total_ns"] = ps.Durations.TotalNanoseconds
-	}
-	return m
 }

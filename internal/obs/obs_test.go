@@ -75,27 +75,12 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
-func TestMapVocabulary(t *testing.T) {
+func TestAbortsTotal(t *testing.T) {
 	s := NewStats()
 	s.CommitsRW.Add(3)
 	s.AbortsTimeout.Inc()
 	s.AbortsLog.Inc()
-	sn := s.Snapshot()
-	sn.TNC = 7
-	sn.VTNC = 6
-	m := sn.Map()
-	for k, want := range map[string]int64{
-		"commits.rw":     3,
-		"aborts.timeout": 1,
-		"aborts.log":     1,
-		"vc.tnc":         7,
-		"vc.vtnc":        6,
-	} {
-		if m[k] != want {
-			t.Errorf("Map()[%q] = %d, want %d", k, m[k], want)
-		}
-	}
-	if sn.AbortsTotal() != 2 {
+	if sn := s.Snapshot(); sn.AbortsTotal() != 2 {
 		t.Errorf("AbortsTotal = %d, want 2", sn.AbortsTotal())
 	}
 }
@@ -133,15 +118,16 @@ func TestServe(t *testing.T) {
 	if err := json.Unmarshal(body, &keys); err != nil {
 		t.Fatal(err)
 	}
-	if len(keys) != 1 || keys["stats"] == nil {
-		t.Fatalf("payload keys = %v, want stats alone", keys)
+	// The document is the snapshot itself, not wrapped under a key.
+	if keys["commits_rw"] == nil || keys["stats"] != nil {
+		t.Fatalf("document keys = %v, want the snapshot's own", keys)
 	}
-	var p Payload
-	if err := json.Unmarshal(body, &p); err != nil {
+	var sn Snapshot
+	if err := json.Unmarshal(body, &sn); err != nil {
 		t.Fatal(err)
 	}
-	if p.Stats.Protocol != "vc+2pl" || p.Stats.CommitsRW != 5 {
-		t.Fatalf("stats = %+v", p.Stats)
+	if sn.Protocol != "vc+2pl" || sn.CommitsRW != 5 {
+		t.Fatalf("stats = %+v", sn)
 	}
 }
 

@@ -48,7 +48,7 @@ func TestOnlyTimestampOrderingAllocatesTOState(t *testing.T) {
 				}(c)
 			}
 			wg.Wait()
-			e.Snapshot()
+			e.Stats()
 			gc.New(e, 0).Collect()
 
 			allocated := 0

@@ -201,7 +201,8 @@ type Options struct {
 // lifecycle counter (commits and begins split by class, aborts by
 // cause, retries), the lock, WAL and GC substrate counters, and the
 // paper's version-control gauges (tnc, vtnc, visibility lag, VCQueue
-// depth). Map() flattens it to the legacy flat counter vocabulary.
+// depth). Every engine in the repository, the baselines and the cluster
+// included, reports its counters in this one form.
 type Stats = obs.Snapshot
 
 // Auditor is the online serializability auditor (see Options.Audit).
@@ -459,9 +460,8 @@ func (db *DB) attempt(fn func(*Tx) error) error {
 // counters, and the paper's version-control gauges (TNC, VTNC,
 // VisibilityLag, VCQueueLen). The snapshot is internally consistent —
 // commits never exceed begins, VTNC < TNC — even while transactions run.
-// Use Stats().Map() where the legacy flat counter map is needed.
 func (db *DB) Stats() Stats {
-	return db.eng.Snapshot()
+	return db.eng.Stats()
 }
 
 // Audit returns the online serializability auditor, or nil when

@@ -793,11 +793,6 @@ func TestStatsVocabulary(t *testing.T) {
 	if st.CommitsRW != 1 || st.CommitsRO != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	// The legacy flat vocabulary survives via Map() (harness, tools).
-	m := st.Map()
-	if m["commits.rw"] != 1 || m["commits.ro"] != 1 {
-		t.Fatalf("stats map = %v", m)
-	}
 }
 
 func TestScanSnapshot(t *testing.T) {

@@ -11,8 +11,6 @@ import (
 	"testing"
 	"time"
 	"weak"
-
-	"mvdb/internal/obs"
 )
 
 // TestNoObservabilityWithoutOptIn is the zero-cost guard: a default
@@ -115,8 +113,8 @@ func TestVisibilityGaugesInvariant(t *testing.T) {
 }
 
 // TestDebugEndpoint opens a database with a debug address and checks the
-// live endpoint end to end: /debug/mvdb serves the stats snapshot alone,
-// reflecting committed work, /metrics agrees with it, and the address
+// live endpoint end to end: /debug/mvdb serves the stats snapshot
+// itself, reflecting committed work, /metrics agrees with it, and the address
 // turns on nothing but the server.
 func TestDebugEndpoint(t *testing.T) {
 	db, err := Open(Options{DebugAddr: "127.0.0.1:0"})
@@ -158,18 +156,19 @@ func TestDebugEndpoint(t *testing.T) {
 	if err := json.Unmarshal(body, &keys); err != nil {
 		t.Fatal(err)
 	}
-	if len(keys) != 1 || keys["stats"] == nil {
-		t.Fatalf("/debug/mvdb keys = %v, want stats alone", keys)
+	// The document is the snapshot itself, not wrapped under a key.
+	if keys["commits_rw"] == nil || keys["stats"] != nil {
+		t.Fatalf("/debug/mvdb keys = %v, want the snapshot's own", keys)
 	}
-	var p obs.Payload
-	if err := json.Unmarshal(body, &p); err != nil {
+	var st Stats
+	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
-	if p.Stats.CommitsRW != 1 || p.Stats.CommitsRO != 1 {
-		t.Fatalf("endpoint stats = %+v", p.Stats)
+	if st.CommitsRW != 1 || st.CommitsRO != 1 {
+		t.Fatalf("endpoint stats = %+v", st)
 	}
-	if p.Stats.Protocol != "vc+2pl" {
-		t.Fatalf("protocol = %q", p.Stats.Protocol)
+	if st.Protocol != "vc+2pl" {
+		t.Fatalf("protocol = %q", st.Protocol)
 	}
 	if prom := string(get("/metrics")); !strings.Contains(prom, `mvdb_commits_total{class="rw"} 1`) {
 		t.Fatalf("/metrics lacks the read-write commit:\n%s", prom)
