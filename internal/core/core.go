@@ -118,6 +118,7 @@ type Engine struct {
 
 	roActive *Registry // the engine's own, or the one its cluster's sites share
 	views    sync.Pool // View's recycled read-only transactions (readonly.go)
+	updates  sync.Pool // Update's recycled read-write transactions
 
 	// The commit log, and what the engine checkpoints through: a durable
 	// engine (OpenDurable) owns all three, and log is nil on any other.
@@ -262,16 +263,101 @@ func (e *Engine) BeginTx(class engine.Class) (*Tx, error) {
 	if class == engine.ReadOnly {
 		return e.beginReadOnly(id, 0, false), nil
 	}
+	return e.beginReadWrite(id, nil)
+}
+
+// beginReadWrite begins read-write transaction id under the engine's
+// protocol, in recycled if that is the protocol's struct (Update: one
+// whose entry has left the controller) and in a new one otherwise.
+func (e *Engine) beginReadWrite(id uint64, recycled any) (*Tx, error) {
 	switch p := e.opts.Protocol; p {
 	case TwoPhaseLocking:
-		return e.beginTwoPhase(id), nil
+		t, _ := recycled.(*twoPhaseTx)
+		return e.beginTwoPhase(id, t), nil
 	case TimestampOrdering:
-		return e.beginTimestamp(id), nil
+		t, _ := recycled.(*tsoTx)
+		return e.beginTimestamp(id, t), nil
 	case Optimistic:
-		return e.beginOptimistic(id), nil
+		t, _ := recycled.(*occTx)
+		return e.beginOptimistic(id, t), nil
 	default:
 		return nil, fmt.Errorf("core: unknown protocol %v", p)
 	}
+}
+
+// pooled takes a struct from e.updates whose version-control entry has
+// left the controller, or returns nil. One still linked — Strict's
+// Complete leaves an entry behind an older open one — is not waited for:
+// the next is tried, and the linked one goes back for a later Update.
+func (e *Engine) pooled() any {
+	p := e.updates.Get()
+	if linked(p) {
+		q := e.updates.Get()
+		e.updates.Put(p)
+		if p = q; linked(p) {
+			e.updates.Put(p)
+			return nil
+		}
+	}
+	return p
+}
+
+// linked reports whether p is a pooled struct whose entry is Linked.
+func linked(p any) bool {
+	switch t := p.(type) {
+	case *twoPhaseTx:
+		return t.entry.Linked()
+	case *tsoTx:
+		return t.entry.Linked()
+	case *occTx:
+		return t.entry.Linked()
+	}
+	return false
+}
+
+// Update runs fn in a read-write transaction under the engine's
+// protocol, and commits it if fn returns nil and aborts it otherwise; if
+// fn panics, the transaction is aborted on the panic's way out and its
+// struct dropped. It is View's read-write twin: the engine owns the
+// transaction's begin and end, so the struct is recycled (e.updates) and
+// an Update allocates nothing of its own once the pool is warm; fn must
+// not keep the transaction past its return. A struct is begun again only
+// once its version-control entry has left the controller (pooled,
+// DESIGN.md §18). Handles from BeginTx, BeginSite and Adopt are never
+// recycled.
+func (e *Engine) Update(fn func(*Tx) error) error {
+	if err := e.admit(); err != nil {
+		return err
+	}
+	h, err := e.beginReadWrite(e.ids.Add(1), e.pooled())
+	if err != nil {
+		return err
+	}
+	ended := false
+	defer func() {
+		if !ended { // fn panicked
+			h.Abort()
+			return
+		}
+		// Drop the keys and values, and an outgrown set, so a pooled
+		// struct pins none of them.
+		switch t := h.self.(type) {
+		case *twoPhaseTx:
+			t.buf = writeSet{}
+		case *tsoTx:
+			t.writes = writeSet{}
+		case *occTx:
+			t.buf, t.reads = writeSet{}, readSet{}
+		}
+		e.updates.Put(h.self)
+	}()
+	if err = fn(h); err != nil {
+		h.Abort()
+	} else {
+		err = h.Commit()
+	}
+	ended = true
+	return err
 }
 
 // admit fails once the engine is closed, and otherwise seals Bootstrap
@@ -404,8 +490,10 @@ func (e *Engine) MinActiveReadOnlySN() (uint64, bool) {
 }
 
 // watermark is the collection horizon commitTail's installs prune at,
-// computed afresh by each install that finds its array full:
-// min(vtnc, the registry's minimum), vtnc read first, as in
+// computed by the first install of a commit that finds its array full
+// and reused for the commit's other keys — a watermark taken earlier is
+// never larger than one taken later (DESIGN.md §17): min(vtnc, the
+// registry's minimum), vtnc read first, as in
 // gc.Collector.Watermark. Every snapshot is at or above it, because it
 // publishes before it takes its number (snapshot): the scan saw its slot,
 // which holds a lower bound on that number, or it published after the
@@ -523,12 +611,19 @@ func (e *Engine) commitTail(o *txObs, entry *vc.Entry, writes []wal.Write) error
 	if err == nil {
 		sp := o.span(phaseInstall)
 		dropped := 0
+		var wm uint64 // the commit's watermark + 1 once an install asked for it
+		watermark := func() uint64 {
+			if wm == 0 {
+				wm = e.watermark() + 1
+			}
+			return wm - 1
+		}
 		for _, wr := range writes {
 			obj := e.store.GetOrCreate(wr.Key)
 			if o.proto == protoTO {
-				dropped += obj.ResolvePending(tn, true, e.watermark) // the version is already there, pending
+				dropped += obj.ResolvePending(tn, true, watermark) // the version is already there, pending
 			} else {
-				dropped += obj.Install(storage.Version{TN: tn, Data: wr.Value, Tombstone: wr.Tombstone}, e.watermark)
+				dropped += obj.Install(storage.Version{TN: tn, Data: wr.Value, Tombstone: wr.Tombstone}, watermark)
 			}
 			o.wrote(wr.Key, tn)
 		}

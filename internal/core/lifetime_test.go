@@ -12,10 +12,11 @@ import (
 	"mvdb/internal/lock"
 )
 
-// TestEmbeddedStateLifetime drives 2PL from eight goroutines over a
-// two-key hot set, under deadlock detection and under a millisecond lock
-// timeout, so that victims happen while the detector walks lock states
-// that live inside transaction structs, and while timers race grants. Every transaction writes both
+// TestEmbeddedStateLifetime drives 2PL Updates from eight goroutines
+// over a two-key hot set, under deadlock detection and under a
+// millisecond lock timeout, so that victims happen while the detector
+// walks lock states that live inside recycled transaction structs, and
+// while timers race grants. Every transaction writes both
 // keys, in an order that alternates, so two that each hold one key
 // deadlock on the other. Each worker makes a fixed number of attempts,
 // committed or not. Once quiescent, the lock manager holds no
@@ -81,22 +82,22 @@ func TestEmbeddedStateLifetime(t *testing.T) {
 	}
 }
 
-// writeBoth writes one value to a and then to b, taking exclusive locks
-// in that order; yield gives the processor up in between.
+// writeBoth writes one value to a and then to b in one Update, taking
+// exclusive locks in that order; yield gives the processor up in
+// between. Update recycles the transaction, victims too, so lock states
+// are begun again while other transactions' detection walks and timers
+// may still hold them.
 func writeBoth(e *Engine, a, b string, yield bool) error {
-	tx, err := e.Begin(engine.ReadWrite)
-	if err != nil {
-		return err
-	}
-	val := []byte(strconv.FormatUint(tx.ID(), 10))
-	for i, k := range []string{a, b} {
-		if i == 1 && yield {
-			runtime.Gosched() // let another transaction take the other key
+	return e.Update(func(tx *Tx) error {
+		val := []byte(strconv.FormatUint(tx.ID(), 10))
+		for i, k := range []string{a, b} {
+			if i == 1 && yield {
+				runtime.Gosched() // let another transaction take the other key
+			}
+			if err := tx.Put(k, val); err != nil {
+				return err
+			}
 		}
-		if err := tx.Put(k, val); err != nil {
-			tx.Abort()
-			return err
-		}
-	}
-	return tx.Commit()
+		return nil
+	})
 }

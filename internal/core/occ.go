@@ -26,8 +26,12 @@ type occTx struct {
 	entry vc.Entry // registered inside validation
 }
 
-func (e *Engine) beginOptimistic(id uint64) *Tx {
-	t := &occTx{txObs: e.observe(id, protoOCC, 0)}
+// beginOptimistic is beginTwoPhase for optimistic execution.
+func (e *Engine) beginOptimistic(id uint64, t *occTx) *Tx {
+	if t == nil {
+		t = new(occTx)
+	}
+	t.txObs, t.entry = e.observe(id, protoOCC, 0), vc.Entry{}
 	t.head.self = t
 	return &t.head
 }

@@ -10,8 +10,8 @@ import (
 // version with the largest number <= sn(T); end only gives back the
 // registry slot that held collection off the snapshot. It never
 // interacts with the concurrency control component, never blocks, and
-// never aborts. View recycles the objects it begins; read-write
-// transactions are never recycled (DESIGN.md §18 says why).
+// never aborts. View recycles the objects it begins, as Update does its
+// read-write twins (DESIGN.md §18).
 type roTx struct {
 	head Tx
 	txObs

@@ -46,7 +46,7 @@ func (e *Engine) BeginSite(id uint64) (*Tx, error) {
 	if err := e.admit(); err != nil {
 		return nil, err
 	}
-	return e.beginTwoPhase(id), nil
+	return e.beginTwoPhase(id, nil), nil
 }
 
 // Adopt registers tx, begun by BeginSite, at exactly tn, the number the

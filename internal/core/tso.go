@@ -24,8 +24,12 @@ type tsoTx struct {
 	writes writeSet // what our pending versions hold (commit log)
 }
 
-func (e *Engine) beginTimestamp(id uint64) *Tx {
-	t := new(tsoTx)
+// beginTimestamp is beginTwoPhase for timestamp ordering.
+func (e *Engine) beginTimestamp(id uint64, t *tsoTx) *Tx {
+	if t == nil {
+		t = new(tsoTx)
+	}
+	t.entry = vc.Entry{}
 	t.head.self = t
 	e.vc.RegisterEntry(&t.entry)
 	t.txObs = e.observe(id, protoTO, 0)

@@ -24,8 +24,9 @@ import (
 // why (Section 4.4) it is immune to deadlocks.
 //
 // The lock manager's state and the version-control entry live in the
-// struct: a fresh one per transaction, never recycled, which is what the
-// deadlock detector needs of the lock state (lock.TxState).
+// struct. Update recycles it (DESIGN.md §18): the lock state is begun
+// again in place, field by field (lock.Manager.BeginState), because a
+// deadlock walk may still hold it from its last use.
 type twoPhaseTx struct {
 	head Tx
 	txObs
@@ -34,8 +35,13 @@ type twoPhaseTx struct {
 	buf   writeSet
 }
 
-func (e *Engine) beginTwoPhase(id uint64) *Tx {
-	t := &twoPhaseTx{txObs: e.observe(id, proto2PL, 0)}
+// beginTwoPhase begins transaction id in t, a struct Update pooled, or
+// in a new one if t is nil.
+func (e *Engine) beginTwoPhase(id uint64, t *twoPhaseTx) *Tx {
+	if t == nil {
+		t = new(twoPhaseTx)
+	}
+	t.txObs, t.entry = e.observe(id, proto2PL, 0), vc.Entry{}
 	t.head.self = t
 	e.locks.BeginState(&t.locks, id)
 	if e.opts.UnsafeEarlyRegister2PL {

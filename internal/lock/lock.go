@@ -99,24 +99,30 @@ var (
 // sized so that a few dozen hot worker goroutines rarely collide.
 const DefaultStripes = 32
 
+// request is a transaction state's one wait request, made at its first
+// wait and queued again for every later one: tx is fixed, and key and
+// mode are rewritten under tx.mu for each wait.
 type request struct {
-	tx      *TxState
-	key     string
-	mode    Mode
-	upgrade bool
-	// ready receives the request's verdict exactly once. The invariant
-	// that makes this safe across stripes: only the goroutine that
-	// removes the request from its queue (under the stripe mutex) may
-	// send.
+	tx   *TxState
+	key  string
+	mode Mode
+	// ready receives the request's verdict exactly once a wait. The
+	// invariant that makes this safe across stripes: only the goroutine
+	// that removes the request from its queue (under the stripe mutex)
+	// may send.
 	ready chan error
 }
 
 // TxState is one transaction's lock-manager state. The caller owns it —
 // the VC+2PL engine keeps it inside its transaction struct — and hands
-// it to BeginState once. It must be fresh: the detector holds a
-// *TxState outside every stripe mutex (cycleFrom), so a recycled one
-// could be taken for its next incarnation in a waits-for walk.
+// it to BeginState at each begin; it may be begun again once ReleaseAll
+// has returned. The detector holds a *TxState outside every mutex
+// between two steps of a walk, so it records the id beside the pointer
+// and follows the state only while the id still matches (walk).
 type TxState struct {
+	// id is written under mu (BeginState) and read under mu or under the
+	// mutex of a stripe where the state holds or waits for a key: its
+	// next BeginState comes after ReleaseAll has left every stripe.
 	id uint64
 
 	// mu guards the fields below. Lock order: a stripe mutex may be held
@@ -125,8 +131,9 @@ type TxState struct {
 	// keys lists each held key once, in grant order (the mode is in the
 	// key's lockState); keyBuf backs the first few.
 	keys    []string
-	keyBuf  [4]string
-	waiting *request
+	keyBuf  [3]string
+	waiting *request // req while it is queued
+	req     *request // made at the first wait
 }
 
 // holder is one granted lock on a key.
@@ -234,8 +241,11 @@ type Manager struct {
 	txs     [txShardCount]txShard
 
 	// detectMu serializes the blocking slow path, cycle detection
-	// (Detect). Fast-path grants and releases never touch it.
+	// (Detect). Fast-path grants and releases never touch it. It guards
+	// the walk's scratch, reused so that a wait allocates nothing.
 	detectMu sync.Mutex
+	visited  map[*TxState]struct{}
+	stack    []blocker
 
 	waits      atomic.Uint64
 	deadlocks  atomic.Uint64
@@ -275,6 +285,7 @@ func NewManagerStriped(policy Policy, timeout time.Duration, stripes int) *Manag
 		timeout: timeout,
 		seed:    maphash.MakeSeed(),
 		stripes: make([]stripe, n),
+		visited: make(map[*TxState]struct{}),
 	}
 	for i := range m.stripes {
 		m.stripes[i].locks = make(map[string]*lockState)
@@ -314,11 +325,14 @@ func (m *Manager) Begin(txID, _ uint64) {
 	m.BeginState(new(TxState), txID)
 }
 
-// BeginState registers a transaction with the state it keeps here, which
-// must be fresh (see TxState).
+// BeginState registers a transaction with the state it keeps here: a new
+// one, or one whose last transaction ReleaseAll has released. Its fields
+// are reset one by one under its mutex, never overwritten whole: a walk
+// that holds the state from its last use may be holding the mutex too.
 func (m *Manager) BeginState(tx *TxState, txID uint64) {
-	tx.id = txID
-	tx.keys = tx.keyBuf[:0]
+	tx.mu.Lock()
+	tx.id, tx.keys, tx.waiting = txID, tx.keyBuf[:0], nil
+	tx.mu.Unlock()
 	sh := &m.txs[txID%txShardCount]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -409,7 +423,16 @@ func (m *Manager) grantOrQueue(tx *TxState, key string, mode Mode) *request {
 		ls.grant(tx, key, mode)
 		return nil
 	}
-	req := &request{tx: tx, key: key, mode: mode, upgrade: upgrade, ready: make(chan error, 1)}
+	req := tx.req
+	if req == nil {
+		req = &request{tx: tx, ready: make(chan error, 1)}
+		tx.req = req
+	}
+	select {
+	case <-req.ready: // a verdict ReleaseAll sent that no wait took
+	default:
+	}
+	req.key, req.mode = key, mode
 	ls.queue = append(ls.queue, req)
 	if upgrade {
 		copy(ls.queue[1:], ls.queue)
@@ -482,6 +505,8 @@ func (m *Manager) ReleaseAll(txID uint64) {
 	if w != nil {
 		// Defensive: a transaction should never release while blocked,
 		// but if the engine aborts it from another goroutine, clean up.
+		// The blocked owner takes the verdict; one no wait took is
+		// drained when the request is next queued (grantOrQueue).
 		s := m.stripeFor(w.key)
 		m.lockStripe(s)
 		if ls := s.locks[w.key]; ls != nil && m.removeRequest(s, ls, w) {
@@ -504,6 +529,7 @@ func (m *Manager) ReleaseAll(txID uint64) {
 		}
 		s.mu.Unlock()
 	}
+	clear(tx.keys) // a state kept for its next transaction pins no key
 }
 
 // HeldCount returns how many locks txID currently holds.
@@ -596,16 +622,14 @@ func (m *Manager) WaitGraph() WaitGraph {
 		}
 		sh.mu.Unlock()
 		for _, tx := range txs {
-			tx.mu.Lock()
-			w := tx.waiting
-			tx.mu.Unlock()
-			if w == nil {
+			w := tx.wait()
+			if w.req == nil {
 				continue
 			}
 			g.Waiters++
-			for _, b := range m.blockersFor(w) {
+			for _, b := range m.blockersFor(nil, w) {
 				g.Edges = append(g.Edges, WaitEdge{
-					From: tx.id, To: b.id, Key: w.key, Mode: w.mode.String(),
+					From: w.id, To: b.id, Key: w.key, Mode: w.mode.String(),
 				})
 			}
 		}
@@ -662,32 +686,56 @@ func (m *Manager) removeRequest(s *stripe, ls *lockState, req *request) bool {
 	return false
 }
 
-// blockersFor returns the transactions req waits for: conflicting
+// wait is a transaction's current wait as read under its mutex: its
+// queued request (nil if none), and the id, key and mode it waits under.
+// Once the mutex is released the owner may be granted and reuse the
+// request for its next wait, so the walk reads the copies.
+type wait struct {
+	req  *request
+	id   uint64
+	key  string
+	mode Mode
+}
+
+func (tx *TxState) wait() wait {
+	tx.mu.Lock()
+	defer tx.mu.Unlock()
+	if w := tx.waiting; w != nil {
+		return wait{w, tx.id, w.key, w.mode}
+	}
+	return wait{id: tx.id}
+}
+
+// blocker is a transaction found blocking a wait, with the id it had
+// then, read under the key's stripe mutex.
+type blocker struct {
+	tx *TxState
+	id uint64
+}
+
+// blockersFor appends to out the transactions w waits for: conflicting
 // holders plus conflicting requests queued ahead of it. It briefly locks
 // the key's stripe; the caller holds detectMu.
-func (m *Manager) blockersFor(req *request) []*TxState {
-	s := m.stripeFor(req.key)
+func (m *Manager) blockersFor(out []blocker, w wait) []blocker {
+	s := m.stripeFor(w.key)
 	m.lockStripe(s)
 	defer s.mu.Unlock()
-	ls := s.locks[req.key]
+	ls := s.locks[w.key]
 	if ls == nil {
-		return nil
+		return out
 	}
-	var out []*TxState
+	self := w.req.tx
 	for _, h := range ls.holders {
-		if h.tx != req.tx && (req.mode == Exclusive || h.mode == Exclusive) {
-			out = append(out, h.tx)
+		if h.tx != self && (w.mode == Exclusive || h.mode == Exclusive) {
+			out = append(out, blocker{h.tx, h.tx.id})
 		}
 	}
 	for _, r := range ls.queue {
-		if r == req {
+		if r == w.req {
 			break
 		}
-		if r.tx == req.tx {
-			continue
-		}
-		if req.mode == Exclusive || r.mode == Exclusive {
-			out = append(out, r.tx)
+		if r.tx != self && (w.mode == Exclusive || r.mode == Exclusive) {
+			out = append(out, blocker{r.tx, r.tx.id})
 		}
 	}
 	return out
@@ -698,37 +746,37 @@ func (m *Manager) blockersFor(req *request) []*TxState {
 // detectMu; stripes and transactions are locked one at a time along the
 // walk (see the package comment for why this is sound).
 func (m *Manager) cycleFrom(start *TxState) bool {
-	start.mu.Lock()
-	w := start.waiting
-	start.mu.Unlock()
-	if w == nil {
+	w := start.wait()
+	if w.req == nil {
 		return false
 	}
-	visited := map[*TxState]bool{}
-	var stack []*TxState
-	push := func(t *TxState) {
-		if !visited[t] {
-			visited[t] = true
-			stack = append(stack, t)
-		}
-	}
-	for _, b := range m.blockersFor(w) {
-		push(b)
-	}
-	for len(stack) > 0 {
-		t := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if t == start {
+	m.stack = m.blockersFor(m.stack[:0], w)
+	return m.walk(start)
+}
+
+// walk pops the blockers on m.stack depth first, pushing each one's own
+// blockers, and reports whether it reaches start. A state whose id no
+// longer matches the one recorded beside it has released everything
+// since and been begun again: it blocks no one, and its new
+// transaction's edges are not followed (DESIGN.md §7.2). The scratch is
+// cleared on the way out, so it pins no transaction between walks.
+func (m *Manager) walk(start *TxState) bool {
+	defer func() {
+		clear(m.visited)
+		clear(m.stack[:cap(m.stack)])
+	}()
+	for len(m.stack) > 0 {
+		b := m.stack[len(m.stack)-1]
+		m.stack = m.stack[:len(m.stack)-1]
+		if b.tx == start {
 			return true
 		}
-		t.mu.Lock()
-		tw := t.waiting
-		t.mu.Unlock()
-		if tw == nil {
+		if _, ok := m.visited[b.tx]; ok {
 			continue
 		}
-		for _, b := range m.blockersFor(tw) {
-			push(b)
+		m.visited[b.tx] = struct{}{}
+		if w := b.tx.wait(); w.req != nil && w.id == b.id {
+			m.stack = m.blockersFor(m.stack, w)
 		}
 	}
 	return false

@@ -209,3 +209,182 @@ func TestRecycledLockStateGrantsImmediately(t *testing.T) {
 		})
 	}
 }
+
+// TestDetectWaitAllocatesNothing: once a TxState has waited once, a wait
+// allocates nothing — neither the request and its channel, which live in
+// the state, nor a detection pass, whose visited set and stack are the
+// manager's. Each run blocks one transaction behind another's exclusive
+// lock, runs a detection pass over the wait (the waiter's own may find it
+// already granted) and grants it; the waiter's state is begun again for
+// the next run, as Update's are. The scratch pins no state between walks.
+func TestDetectWaitAllocatesNothing(t *testing.T) {
+	m := NewManager(Detect, 0)
+	var holder, waiter TxState
+	blocked := make(chan struct{})
+	m.SetBlockObserver(func(uint64, string) { blocked <- struct{}{} })
+	ids := make(chan uint64)
+	defer close(ids)
+	verdicts := make(chan error)
+	go func() {
+		for id := range ids {
+			verdicts <- m.Acquire(id, "k", Exclusive)
+		}
+	}()
+	id := uint64(0)
+	const runs = 200
+	if n := testing.AllocsPerRun(runs, func() {
+		h, w := id+1, id+2
+		id += 2
+		m.BeginState(&holder, h)
+		m.BeginState(&waiter, w)
+		if err := m.Acquire(h, "k", Exclusive); err != nil {
+			t.Fatal(err)
+		}
+		ids <- w
+		<-blocked
+		m.detectMu.Lock()
+		if m.cycleFrom(&waiter) {
+			t.Fatal("a wait behind a holder that waits for nothing read as a cycle")
+		}
+		m.detectMu.Unlock()
+		m.ReleaseAll(h)
+		if err := <-verdicts; err != nil {
+			t.Fatal(err)
+		}
+		m.ReleaseAll(w)
+	}); n != 0 {
+		t.Fatalf("a blocked, detected and granted Acquire allocates %v times, want 0", n)
+	}
+	if got := m.Waits(); got != runs+1 {
+		t.Fatalf("%d waits in %d runs", got, runs+1)
+	}
+	m.detectMu.Lock()
+	if len(m.visited) != 0 {
+		t.Errorf("the visited set holds %d states between walks", len(m.visited))
+	}
+	for _, b := range m.stack[:cap(m.stack)] {
+		if b.tx != nil {
+			t.Errorf("the walk's stack pins transaction %d between walks", b.id)
+		}
+	}
+	m.detectMu.Unlock()
+	checkTableEmpty(t, m)
+	if err := m.CheckIdle(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWalkSkipsAReincarnatedState: a walk that recorded a state as a
+// blocker under one transaction's id, and reaches it once the state was
+// released and begun again for another, does not follow the new
+// transaction's wait — here a wait on the walk's own start, which would
+// read as a cycle — and still finds a real two-transaction cycle beside
+// it. The stale record is put on the walk's stack by hand: it is what a
+// walk holds when the state is recycled between two of its steps.
+func TestWalkSkipsAReincarnatedState(t *testing.T) {
+	m := NewManager(Detect, 0)
+	var start, b, recycled TxState
+	blocked := make(chan uint64, 1)
+	m.SetBlockObserver(func(id uint64, _ string) { blocked <- id })
+	wait := func(id uint64, key string) <-chan error {
+		c := make(chan error, 1)
+		go func() { c <- m.Acquire(id, key, Exclusive) }()
+		if got := <-blocked; got != id {
+			t.Fatalf("transaction %d blocked, want %d", got, id)
+		}
+		return c
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.BeginState(&recycled, 1)
+	must(m.Acquire(1, "x", Exclusive))
+	m.ReleaseAll(1)
+	m.BeginState(&recycled, 3) // the same state, now transaction 3's
+	m.BeginState(&start, 10)
+	m.BeginState(&b, 20)
+	must(m.Acquire(10, "y", Exclusive))
+	must(m.Acquire(20, "x", Exclusive))
+	startDone := wait(10, "x") // 10 waits for 20, which waits for nothing
+	threeDone := wait(3, "y")  // 3 waits for 10: no cycle
+
+	m.detectMu.Lock()
+	m.stack = append(m.stack[:0], blocker{&recycled, 1})
+	if m.walk(&start) {
+		t.Error("the walk followed transaction 3's wait through a state it recorded for transaction 1")
+	}
+	// 20 now waits for 10 (and for 3, queued ahead of it on y), and 10
+	// for 20. Its own detection pass waits for detectMu, held here.
+	bDone := make(chan error, 1)
+	go func() { bDone <- m.Acquire(20, "y", Exclusive) }()
+	if got := <-blocked; got != 20 {
+		t.Fatalf("transaction %d blocked, want 20", got)
+	}
+	m.stack = append(m.stack[:0], blocker{&recycled, 1}, blocker{&b, 20})
+	if !m.walk(&start) {
+		t.Error("the walk missed the cycle 10 → 20 → 10 beside a stale record")
+	}
+	m.detectMu.Unlock()
+
+	if err := <-bDone; !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("transaction 20 closing the cycle: err = %v, want ErrDeadlock", err)
+	}
+	m.ReleaseAll(20)
+	must(<-startDone)
+	m.ReleaseAll(10)
+	must(<-threeDone)
+	m.ReleaseAll(3)
+	checkTableEmpty(t, m)
+	if err := m.CheckIdle(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReleaseAllOfAWaiter reaches ReleaseAll's defensive path: a
+// transaction released from another goroutine while it waits gets
+// ErrUnknown. Its state, begun again, then waits afresh: a verdict left
+// on the request's channel — as the defensive send's would be if no wait
+// took it — is drained, not taken for the next wait's.
+func TestReleaseAllOfAWaiter(t *testing.T) {
+	m := NewManager(Detect, 0)
+	var s TxState
+	blocked := make(chan struct{}, 1)
+	m.SetBlockObserver(func(uint64, string) { blocked <- struct{}{} })
+	m.Begin(1, 1)
+	if err := m.Acquire(1, "k", Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	m.BeginState(&s, 2)
+	waited := make(chan error, 1)
+	go func() { waited <- m.Acquire(2, "k", Exclusive) }()
+	<-blocked
+	m.ReleaseAll(2)
+	if err := <-waited; !errors.Is(err, ErrUnknown) {
+		t.Fatalf("a waiter released from outside: err = %v, want ErrUnknown", err)
+	}
+	if n := len(s.req.ready); n != 0 {
+		t.Fatalf("%d verdicts left on the request after its wait", n)
+	}
+
+	s.req.ready <- ErrUnknown
+	m.BeginState(&s, 3)
+	go func() { waited <- m.Acquire(3, "k", Exclusive) }()
+	<-blocked
+	select {
+	case err := <-waited:
+		t.Fatalf("the next wait ended (%v) while k was still held", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	m.ReleaseAll(1)
+	if err := <-waited; err != nil {
+		t.Fatalf("the next wait: err = %v, want the grant", err)
+	}
+	m.ReleaseAll(3)
+	checkTableEmpty(t, m)
+	if err := m.CheckIdle(); err != nil {
+		t.Fatal(err)
+	}
+}

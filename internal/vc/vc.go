@@ -46,18 +46,26 @@ import (
 // it in its own transaction struct and registers it with RegisterEntry;
 // Register is the wrapper that allocates one. An entry is registered
 // once, on one controller, and resolved exactly once there, by either
-// Complete (commit) or Discard (abort).
+// Complete (commit) or Discard (abort). Its zero value is unregistered,
+// and an entry that is not Linked may be zeroed and registered again.
 type Entry struct {
 	tn       uint64
 	complete bool
-	resolved bool  // fully removed from the queue (or discarded)
-	regAt    int64 // registration time (unix ns); stamped only when a visible observer is installed
+	linked   atomic.Bool // in a Strict VCQueue; cleared as the unlink's last write
+	regAt    int64       // registration time (unix ns); stamped only when a visible observer is installed
 	prev     *Entry
 	next     *Entry
 }
 
 // TN returns the transaction number assigned at registration time.
 func (e *Entry) TN() uint64 { return e.tn }
+
+// Linked reports whether a controller still holds e: a Strict entry from
+// RegisterEntry until Discard or the drain unlinks it, which Complete
+// leaves to a later call while an older entry is open. The epoch
+// controller holds no entry, so there e is free once Complete or Discard
+// returns.
+func (e *Entry) Linked() bool { return e.linked.Load() }
 
 // Assign records the number a controller outside this package assigned
 // at registration (the epoch controller's RegisterEntry).
@@ -225,12 +233,11 @@ func (c *Strict) Reserve() uint64 {
 func (c *Strict) Discard(e *Entry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e.resolved {
+	if !e.linked.Load() {
 		panic("vc: Discard of resolved entry")
 	}
 	atHead := e == c.head
 	c.unlink(e)
-	e.resolved = true
 	c.discards.Add(1)
 	if atHead {
 		c.drainLocked()
@@ -245,7 +252,7 @@ func (c *Strict) Discard(e *Entry) {
 func (c *Strict) Complete(e *Entry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e.resolved {
+	if !e.linked.Load() {
 		panic("vc: Complete of resolved entry")
 	}
 	e.complete = true
@@ -262,7 +269,7 @@ func (c *Strict) Complete(e *Entry) {
 func (c *Strict) UnsafeCompleteEager(e *Entry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e.resolved {
+	if !e.linked.Load() {
 		panic("vc: Complete of resolved entry")
 	}
 	e.complete = true
@@ -271,7 +278,6 @@ func (c *Strict) UnsafeCompleteEager(e *Entry) {
 		c.vtnc.Store(e.tn)
 		c.cond.Broadcast()
 	}
-	e.resolved = true
 	c.unlink(e)
 	// Entries stranded behind an eagerly-advanced vtnc are drained so the
 	// queue does not leak; correctness is already forfeited.
@@ -298,12 +304,11 @@ func (c *Strict) drainLocked() {
 		if h.tn > c.vtnc.Load() { // the guard only matters after UnsafeCompleteEager
 			c.vtnc.Store(h.tn)
 		}
-		h.resolved = true
-		c.unlink(h)
-		advanced = true
 		if h.regAt != 0 && c.onVisible != nil {
 			c.onVisible(h.tn, time.Duration(nowNS-h.regAt))
 		}
+		c.unlink(h) // last: h's owner may reuse it once it is unlinked
+		advanced = true
 	}
 	target := c.tnc - 1
 	if c.head != nil {
@@ -393,8 +398,8 @@ func (c *Strict) CheckInvariants() error {
 		if e.tn <= last {
 			return fmt.Errorf("vc: queue out of order: %d after %d", e.tn, last)
 		}
-		if e.resolved {
-			return errors.New("vc: resolved entry still queued")
+		if !e.linked.Load() {
+			return errors.New("vc: unlinked entry still queued")
 		}
 		last = e.tn
 	}
@@ -418,6 +423,7 @@ func (c *Strict) pushBack(e *Entry) {
 		e.prev = c.tail
 		c.tail = e
 	}
+	e.linked.Store(true)
 	c.size++
 }
 
@@ -434,4 +440,5 @@ func (c *Strict) unlink(e *Entry) {
 	}
 	e.prev, e.next = nil, nil
 	c.size--
+	e.linked.Store(false) // last: the owner may reuse e once it reads false
 }

@@ -423,7 +423,9 @@ func (db *DB) View(fn func(*Tx) error) error {
 // from the second retry on, after a short random sleep whose bound
 // doubles with each retry, up to a millisecond). fn must be idempotent per attempt and must not keep
 // references to data read in failed attempts. If fn panics, the attempt's transaction is aborted — its locks and pending
-// versions given back — and the panic goes on.
+// versions given back — and the panic goes on. tx is valid only until fn
+// returns: the database reuses it for a later Update, so an Update
+// allocates nothing of its own.
 func (db *DB) Update(fn func(*Tx) error) error {
 	var last error
 	for attempt := 0; engine.Backoff(attempt); attempt++ {
@@ -440,19 +442,10 @@ func (db *DB) Update(fn func(*Tx) error) error {
 	return fmt.Errorf("mvdb: update retries exhausted: %w", last)
 }
 
-// attempt is one try of Update: fn in a new read-write transaction, then
-// its commit. The deferred abort is here rather than in Update's loop,
-// where a defer would be allocated on the heap.
+// attempt is one try of Update: fn in a read-write transaction the
+// engine recycles, then its commit (core.Engine.Update).
 func (db *DB) attempt(fn func(*Tx) error) error {
-	tx, err := db.Begin()
-	if err != nil {
-		return err
-	}
-	defer tx.Abort() // a no-op once committed; gives back locks if fn panics
-	if err := fn(tx); err != nil {
-		return err
-	}
-	return tx.Commit()
+	return db.eng.Update(func(h *core.Tx) error { return fn((*Tx)(h)) })
 }
 
 // Stats returns a point-in-time observability snapshot: transaction
