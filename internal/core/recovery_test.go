@@ -118,10 +118,10 @@ func TestRecoveryTornTail(t *testing.T) {
 // error: after an fsync failure broke the writer, Close must not claim a
 // clean shutdown.
 func TestCloseReturnsStickyLogError(t *testing.T) {
-	// The open fsyncs the log once (its truncation); the commit's fsync
-	// is the second.
+	// The open of an empty log issues no fsync; the commit's is the
+	// first.
 	fs := faultfs.New(faultfs.Plan{Rules: []faultfs.Rule{
-		{Op: faultfs.OpSync, Path: "commit.log", Nth: 2, Fault: faultfs.Fault{Err: true}},
+		{Op: faultfs.OpSync, Path: "commit.log", Nth: 1, Fault: faultfs.Fault{Err: true}},
 	}})
 	e, err := OpenDurable(filepath.Join(t.TempDir(), "commit.log"), Options{}, DurableOptions{FS: fs})
 	if err != nil {

@@ -8,6 +8,15 @@
 // RWMutex suffices — insertions are rare relative to scans, the critical
 // sections are tiny, and scans batch keys so user callbacks run outside
 // the lock.
+//
+// The list keeps a finger on its tail: the last node of every level,
+// maintained under the write lock. A key that sorts after every key
+// present links in after those nodes without a search, so a bulk load or
+// a log replay in key order inserts in O(height); any other key pays one
+// comparison before the usual search from the head. A node with a tower
+// of one or two levels — 15 of every 16 at a promotion probability of
+// 1/4 — is allocated together with its tower, as one object; taller
+// towers get a slice of their own.
 package index
 
 import (
@@ -26,6 +35,31 @@ type node struct {
 	next []*node
 }
 
+// node1 and node2 are a node and its tower in one allocation.
+type node1 struct {
+	n     node
+	tower [1]*node
+}
+
+type node2 struct {
+	n     node
+	tower [2]*node
+}
+
+func newNode(key string, h int) *node {
+	switch h {
+	case 1:
+		a := &node1{n: node{key: key}}
+		a.n.next = a.tower[:]
+		return &a.n
+	case 2:
+		a := &node2{n: node{key: key}}
+		a.n.next = a.tower[:]
+		return &a.n
+	}
+	return &node{key: key, next: make([]*node, h)}
+}
+
 // SkipList is an ordered set of string keys, safe for concurrent use.
 type SkipList struct {
 	mu     sync.RWMutex
@@ -33,16 +67,22 @@ type SkipList struct {
 	height int
 	length int
 	rng    *rand.Rand
+	// tail[lvl] is the last node of level lvl, head while it is empty.
+	tail [maxHeight]*node
 }
 
 // New creates an empty skip list. seed fixes the tower-height sequence
 // (useful for deterministic tests; pass any value otherwise).
 func New(seed int64) *SkipList {
-	return &SkipList{
+	s := &SkipList{
 		head:   &node{next: make([]*node, maxHeight)},
 		height: 1,
 		rng:    rand.New(rand.NewSource(seed)),
 	}
+	for lvl := range s.tail {
+		s.tail[lvl] = s.head
+	}
+	return s
 }
 
 // Len returns the number of keys.
@@ -78,22 +118,25 @@ func (s *SkipList) findPredecessors(key string, prev *[maxHeight]*node) {
 func (s *SkipList) Insert(key string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var prev [maxHeight]*node
-	s.findPredecessors(key, &prev)
-	if nxt := prev[0].next[0]; nxt != nil && nxt.key == key {
-		return false
+	// A key after every key present (the head's "" sorts first) follows
+	// each level's last node, and on a level above the list's height
+	// that is the head, whatever the key.
+	prev := s.tail
+	if s.tail[0].key >= key {
+		s.findPredecessors(key, &prev)
+		if nxt := prev[0].next[0]; nxt != nil && nxt.key == key {
+			return false
+		}
 	}
 	h := s.randomHeight()
-	if h > s.height {
-		for lvl := s.height; lvl < h; lvl++ {
-			prev[lvl] = s.head
-		}
-		s.height = h
-	}
-	n := &node{key: key, next: make([]*node, h)}
+	s.height = max(s.height, h)
+	n := newNode(key, h)
 	for lvl := 0; lvl < h; lvl++ {
 		n.next[lvl] = prev[lvl].next[lvl]
 		prev[lvl].next[lvl] = n
+		if n.next[lvl] == nil {
+			s.tail[lvl] = n
+		}
 	}
 	s.length++
 	return true
@@ -195,18 +238,21 @@ func (s *SkipList) Keys() []string {
 	return out
 }
 
-// CheckInvariants validates level ordering and reachability (tests).
+// CheckInvariants validates level ordering, reachability and the tail
+// finger (tests).
 func (s *SkipList) CheckInvariants() error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	for lvl := 0; lvl < s.height; lvl++ {
-		prev := ""
-		first := true
+	for lvl := 0; lvl < maxHeight; lvl++ {
+		last := s.head
 		for n := s.head.next[lvl]; n != nil; n = n.next[lvl] {
-			if !first && n.key <= prev {
-				return fmt.Errorf("index: level %d out of order: %q !< %q", lvl, prev, n.key)
+			if last != s.head && n.key <= last.key {
+				return fmt.Errorf("index: level %d out of order: %q !< %q", lvl, last.key, n.key)
 			}
-			prev, first = n.key, false
+			last = n
+		}
+		if s.tail[lvl] != last {
+			return fmt.Errorf("index: level %d tail finger %q is not its last node %q", lvl, s.tail[lvl].key, last.key)
 		}
 	}
 	n0 := 0

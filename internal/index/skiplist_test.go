@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -104,36 +105,88 @@ func TestPrefixUpperBound(t *testing.T) {
 	}
 }
 
-// Property: the skip list agrees with a sorted, deduplicated slice.
+// Property: the skip list agrees with a sorted, deduplicated slice,
+// whatever order the keys arrive in — ascending (every insert takes the
+// tail finger), descending (none does), as generated, and ascending runs
+// interleaved with keys below the tail — with duplicates re-inserted.
+// Range, Contains and Len agree, and the invariants, the tail finger's
+// included, hold after every insert.
 func TestPropertyMatchesSortedSet(t *testing.T) {
-	f := func(raw []string) bool {
-		s := New(99)
-		set := map[string]bool{}
-		for _, k := range raw {
-			if len(k) > 12 {
-				k = k[:12]
+	orders := []struct {
+		name  string
+		order func(raw []string, rng *rand.Rand) []string
+	}{
+		{"ascending", func(raw []string, _ *rand.Rand) []string {
+			sort.Strings(raw)
+			return raw
+		}},
+		{"descending", func(raw []string, _ *rand.Rand) []string {
+			sort.Sort(sort.Reverse(sort.StringSlice(raw)))
+			return raw
+		}},
+		{"random", func(raw []string, _ *rand.Rand) []string { return raw }},
+		{"interleaved", func(raw []string, rng *rand.Rand) []string {
+			// The upper half ascending, in runs of up to four, each run
+			// followed by a key of the lower half: below the tail.
+			sort.Strings(raw)
+			lo, hi := raw[:len(raw)/2], raw[len(raw)/2:]
+			rng.Shuffle(len(lo), func(i, j int) { lo[i], lo[j] = lo[j], lo[i] })
+			out := make([]string, 0, len(raw))
+			for len(hi) > 0 || len(lo) > 0 {
+				run := min(1+rng.Intn(4), len(hi))
+				out = append(out, hi[:run]...)
+				hi = hi[run:]
+				if len(lo) > 0 {
+					out = append(out, lo[0])
+					lo = lo[1:]
+				}
 			}
-			s.Insert(k)
-			set[k] = true
-		}
-		var want []string
-		for k := range set {
-			want = append(want, k)
-		}
-		sort.Strings(want)
-		got := s.Keys()
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return s.CheckInvariants() == nil
+			return out
+		}},
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
+	for _, o := range orders {
+		t.Run(o.name, func(t *testing.T) {
+			f := func(raw []string, seed int64) bool {
+				rng := rand.New(rand.NewSource(seed))
+				set := map[string]bool{}
+				for i, k := range raw {
+					if len(k) > 12 {
+						raw[i] = k[:12]
+					}
+					set[raw[i]] = true
+				}
+				for i := 0; i < len(raw)/4; i++ { // duplicates
+					raw = append(raw, raw[rng.Intn(len(raw))])
+				}
+				s := New(99)
+				for _, k := range o.order(raw, rng) {
+					s.Insert(k)
+					if err := s.CheckInvariants(); err != nil {
+						t.Log(err)
+						return false
+					}
+				}
+				want := make([]string, 0, len(set))
+				for k := range set {
+					want = append(want, k)
+				}
+				sort.Strings(want)
+				if got := s.Keys(); s.Len() != len(want) || !slices.Equal(got, want) {
+					t.Logf("Keys %q Len %d, want %q", got, s.Len(), want)
+					return false
+				}
+				for _, k := range want {
+					if !s.Contains(k) || s.Contains(k+"\x00") != set[k+"\x00"] {
+						t.Logf("Contains disagrees around %q", k)
+						return false
+					}
+				}
+				return true
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -190,11 +243,24 @@ func TestConcurrentInsertAndScan(t *testing.T) {
 	}
 }
 
+// BenchmarkInsert inserts fresh keys in key order — a bulk load or a
+// log replay, which links at the tail finger — and in a scattered order,
+// which searches from the head.
 func BenchmarkInsert(b *testing.B) {
-	s := New(1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.Insert(fmt.Sprintf("key%09d", i*2654435761%1000000007))
+	for _, bc := range []struct {
+		name string
+		key  func(i int) string
+	}{
+		{"ascending", func(i int) string { return fmt.Sprintf("key%09d", i) }},
+		{"random", func(i int) string { return fmt.Sprintf("key%09d", i*2654435761%1000000007) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			s := New(1)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s.Insert(bc.key(i))
+			}
+		})
 	}
 }
 

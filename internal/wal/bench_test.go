@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -24,27 +25,41 @@ func BenchmarkAppendNoSync(b *testing.B) {
 	}
 }
 
+// BenchmarkReplay replays a log of one-write records, and one of
+// 500-write records — a bulk load's batches.
 func BenchmarkReplay(b *testing.B) {
-	path := filepath.Join(b.TempDir(), "bench.log")
-	w, _ := CreateWith(path, Options{Policy: SyncNever})
-	rec := Record{Writes: []Write{{Key: "some/key", Value: make([]byte, 64)}}}
-	const nRecords = 10000
-	for i := 0; i < nRecords; i++ {
-		rec.TN = uint64(i + 1)
-		if err := w.Append(rec); err != nil {
-			b.Fatal(err)
-		}
-	}
-	w.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := 0
-		if _, err := ReplayFS(faultfs.OS, path, func(Record) error { n++; return nil }); err != nil {
-			b.Fatal(err)
-		}
-		if n != nRecords {
-			b.Fatalf("replayed %d", n)
-		}
+	for _, bc := range []struct {
+		name            string
+		records, writes int
+	}{
+		{"1-write", 10000, 1},
+		{"500-writes", 8, 500},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			path := filepath.Join(b.TempDir(), "bench.log")
+			w, _ := CreateWith(path, Options{Policy: SyncNever})
+			rec := Record{Writes: make([]Write, bc.writes)}
+			for i := 0; i < bc.records; i++ {
+				rec.TN = uint64(i + 1)
+				for j := range rec.Writes {
+					rec.Writes[j] = Write{Key: fmt.Sprintf("k%04d", i*bc.writes+j), Value: make([]byte, 64)}
+				}
+				if err := w.Append(rec); err != nil {
+					b.Fatal(err)
+				}
+			}
+			w.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				n := 0
+				if _, err := ReplayFS(faultfs.OS, path, func(Record) error { n++; return nil }); err != nil {
+					b.Fatal(err)
+				}
+				if n != bc.records {
+					b.Fatalf("replayed %d", n)
+				}
+			}
+		})
 	}
 }

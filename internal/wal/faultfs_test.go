@@ -205,3 +205,195 @@ func TestReplayStopsAtCorruptTail(t *testing.T) {
 		t.Fatalf("recovered %v, want the 2 intact records (corrupt tail cut)", tns)
 	}
 }
+
+// logSyncs counts the fsyncs issued on the file at path.
+func logSyncs(fs *faultfs.FaultFS, path string) int {
+	n := 0
+	for _, op := range fs.Trace() {
+		if op.Op == faultfs.OpSync && op.Path == path {
+			n++
+		}
+	}
+	return n
+}
+
+// TestFlushSyncsOnlyWhatIsUncovered: an fsync covers an enqueued record
+// or nothing is issued. Close, Flush and Rotate over a log whose every
+// ticket an fsync already covers issue none; over one uncovered record,
+// exactly one. A broken writer still reports its sticky error, also when
+// the failed record never got a ticket.
+func TestFlushSyncsOnlyWhatIsUncovered(t *testing.T) {
+	ops := []struct {
+		name string
+		do   func(w *Writer, path string) error
+	}{
+		{"Close", func(w *Writer, _ string) error { return w.Close() }},
+		{"Flush", func(w *Writer, _ string) error { return w.Flush() }},
+		{"Rotate", func(w *Writer, path string) error { return w.Rotate(path + ".old") }},
+	}
+	open := func(t *testing.T, policy SyncPolicy, plan faultfs.Plan) (*Writer, *faultfs.FaultFS, string) {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), "commit.log")
+		fs := faultfs.New(plan)
+		fs.EnableTrace()
+		w, err := CreateWith(path, Options{Policy: policy, FS: fs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { w.Close() })
+		return w, fs, path
+	}
+	for _, op := range ops {
+		t.Run(op.name, func(t *testing.T) {
+			t.Run("covered", func(t *testing.T) {
+				w, fs, path := open(t, SyncBatch, faultfs.Plan{})
+				if err := w.Append(rec(1, "k", "v")); err != nil {
+					t.Fatal(err)
+				}
+				if err := op.do(w, path); err != nil {
+					t.Fatal(err)
+				}
+				if n := logSyncs(fs, path); n != 1 {
+					t.Fatalf("%d fsyncs, want 1: the flusher's, and none from %s", n, op.name)
+				}
+			})
+			t.Run("uncovered", func(t *testing.T) {
+				w, fs, path := open(t, SyncNever, faultfs.Plan{})
+				if _, err := w.Enqueue(rec(1, "k", "v")); err != nil {
+					t.Fatal(err)
+				}
+				if err := op.do(w, path); err != nil {
+					t.Fatal(err)
+				}
+				if n := logSyncs(fs, path); n != 1 {
+					t.Fatalf("%d fsyncs, want 1 from %s", n, op.name)
+				}
+				if err := w.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if n := logSyncs(fs, path); n != 1 {
+					t.Fatalf("%d fsyncs after Close, want still 1", n)
+				}
+			})
+			t.Run("broken", func(t *testing.T) {
+				// A record too big for the buffer goes straight to the
+				// file, and the write fails inside Enqueue: the writer is
+				// broken with every ticket it handed out covered.
+				w, _, path := open(t, SyncNever, faultfs.Plan{Rules: []faultfs.Rule{
+					{Op: faultfs.OpWrite, Path: "commit.log", Fault: faultfs.Fault{Err: true}},
+				}})
+				_, broken := w.Enqueue(Record{TN: 1, Writes: []Write{{Key: "k", Value: make([]byte, 80<<10)}}})
+				if !errors.Is(broken, faultfs.ErrInjected) {
+					t.Fatalf("Enqueue: err = %v, want ErrInjected", broken)
+				}
+				if err := op.do(w, path); err != broken {
+					t.Fatalf("%s on the broken writer: err = %v, want the sticky %v", op.name, err, broken)
+				}
+			})
+		})
+	}
+}
+
+// TestOpenAppendSyncsWhatItReplayed: reopening the log fsyncs it unless
+// it is empty with nothing replayed. An intact non-empty log is still
+// fsynced once before the first append, because its records may never
+// have reached the disk and recovery makes them visible; a torn tail is
+// cut and the cut fsynced. The directory is fsynced in every case.
+func TestOpenAppendSyncsWhatItReplayed(t *testing.T) {
+	cases := []struct {
+		name string
+		// prepare leaves the log at path and returns the length to open at.
+		prepare  func(t *testing.T, path string) int64
+		syncs    int
+		truncate bool
+	}{
+		{"missing", func(*testing.T, string) int64 { return 0 }, 0, false},
+		{"empty", func(t *testing.T, path string) int64 {
+			if err := os.WriteFile(path, nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return 0
+		}, 0, false},
+		{"intact", func(t *testing.T, path string) int64 {
+			writeLog(t, path, 2)
+			fi, _ := os.Stat(path)
+			return fi.Size()
+		}, 1, true},
+		{"torn", func(t *testing.T, path string) int64 {
+			writeLog(t, path, 2)
+			fi, _ := os.Stat(path)
+			if err := os.Truncate(path, fi.Size()-3); err != nil {
+				t.Fatal(err)
+			}
+			validLen, err := ReplayFS(faultfs.OS, path, func(Record) error { return nil })
+			if err != nil || validLen >= fi.Size()-3 {
+				t.Fatalf("replay of the torn log: validLen %d, err %v", validLen, err)
+			}
+			return validLen
+		}, 1, true},
+		{"garbage-only", func(t *testing.T, path string) int64 {
+			if err := os.WriteFile(path, []byte{1, 2, 3}, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return 0
+		}, 1, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "commit.log")
+			validLen := tc.prepare(t, path)
+			fs := faultfs.New(faultfs.Plan{})
+			fs.EnableTrace()
+			w, err := OpenAppendWith(path, validLen, Options{Policy: SyncBatch, FS: fs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Append(rec(9, "k", "v")); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			var syncs, syncDirs int
+			truncated := false
+			for _, op := range fs.Trace() {
+				switch {
+				case op.Op == faultfs.OpWrite:
+					if syncs != tc.syncs || syncDirs != 1 || truncated != tc.truncate {
+						t.Fatalf("before the first append: %d log fsyncs, %d directory fsyncs, truncated %v; want %d, 1, %v",
+							syncs, syncDirs, truncated, tc.syncs, tc.truncate)
+					}
+					return
+				case op.Op == faultfs.OpSync && op.Path == path:
+					syncs++
+				case op.Op == faultfs.OpSyncDir && op.Path == dir:
+					syncDirs++
+				case op.Op == faultfs.OpTruncate && op.Path == path:
+					if int64(op.N) != validLen {
+						t.Fatalf("truncated the log to %d bytes, want %d", op.N, validLen)
+					}
+					truncated = true
+				}
+			}
+			t.Fatal("the append never wrote")
+		})
+	}
+}
+
+// writeLog writes n one-write records to a fresh log at path.
+func writeLog(t *testing.T, path string, n int) {
+	t.Helper()
+	w, err := CreateWith(path, Options{Policy: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= n; i++ {
+		if _, err := w.Enqueue(rec(uint64(i), "k", "v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -223,6 +223,14 @@ func create(fsys faultfs.FS, path string) (faultfs.File, error) {
 // beyond it is truncated first, and the truncation is fsynced (file and
 // parent directory) before the writer accepts new appends, so a second
 // crash cannot resurrect the tail under records appended after it.
+//
+// A non-empty log is fsynced even when it is intact: the records just
+// replayed may still sit in the page cache of the process that wrote
+// them, and they are visible — readers and new commits may depend on
+// them — as soon as recovery returns. Only an empty file with nothing
+// replayed skips the truncation and its fsync; there is nothing in it
+// to cover. The directory fsync, which makes a new file's entry
+// durable, is never skipped.
 func OpenAppendWith(path string, validLen int64, opts Options) (*Writer, error) {
 	if opts.FS == nil {
 		opts.FS = faultfs.OS
@@ -231,13 +239,20 @@ func OpenAppendWith(path string, validLen int64, opts Options) (*Writer, error) 
 	if err != nil {
 		return nil, fmt.Errorf("wal: open: %w", err)
 	}
-	if err := f.Truncate(validLen); err != nil {
+	fi, err := f.Stat()
+	if err != nil {
 		f.Close()
-		return nil, fmt.Errorf("wal: truncate torn tail: %w", err)
+		return nil, fmt.Errorf("wal: open: %w", err)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: sync truncated tail: %w", err)
+	if fi.Size() != 0 || validLen != 0 {
+		if err := f.Truncate(validLen); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("wal: truncate torn tail: %w", err)
+		}
+		if err := f.Sync(); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("wal: sync truncated tail: %w", err)
+		}
 	}
 	if err := opts.FS.SyncDir(filepath.Dir(path)); err != nil {
 		f.Close()
@@ -254,10 +269,10 @@ func OpenAppendWith(path string, validLen int64, opts Options) (*Writer, error) 
 
 // Rotate retires the live log file under the name retired and carries on
 // in a fresh, empty file at the log's path. Under the writer's mutex it
-// waits out an fsync the flusher is running, flushes and fsyncs, so the
-// retired file holds every record enqueued before the call, durably;
-// then it closes the file, renames it to retired, creates the new file
-// and fsyncs the directory. Enqueues resume only after that, so no
+// waits out an fsync the flusher is running, flushes, and fsyncs if a
+// record is still uncovered, so the retired file holds every record
+// enqueued before the call, durably; then it closes the file, renames it
+// to retired, creates the new file and fsyncs the directory. Enqueues resume only after that, so no
 // record in the new file is acknowledged before its directory entry is
 // durable. The counters stay lifetime totals. A failure breaks the
 // writer, as any write or fsync error does.
@@ -468,6 +483,12 @@ func (w *Writer) Flush() error {
 	return w.flushLocked()
 }
 
+// flushLocked (mu held) makes every enqueued record durable. A broken
+// writer reports its sticky error first. An fsync covers an enqueued
+// record or a truncation, nothing else: the file holds only records, so
+// once the buffer is flushed and every ticket is covered (enqSeq ==
+// syncSeq), a completed fsync already covers the whole file and another
+// would cover nothing.
 func (w *Writer) flushLocked() error {
 	if w.syncErr != nil {
 		return w.syncErr
@@ -475,23 +496,25 @@ func (w *Writer) flushLocked() error {
 	if err := w.bw.Flush(); err != nil {
 		return w.fail("flush", err)
 	}
+	if w.enqSeq == w.syncSeq {
+		return nil
+	}
 	if err := w.f.Sync(); err != nil {
 		return w.fail("sync", err)
 	}
 	w.fsyncs.Add(1)
-	if w.enqSeq > w.syncSeq {
-		// The inline fsync covered everything buffered so far; release
-		// any tickets no batch had reached yet. It is not counted as a
-		// batch.
-		w.syncSeq = w.enqSeq
-		w.synced.Broadcast()
-	}
+	// The inline fsync covered everything buffered so far; release any
+	// tickets no batch had reached yet. It is not counted as a batch.
+	w.syncSeq = w.enqSeq
+	w.synced.Broadcast()
 	return nil
 }
 
 // Close flushes and closes the log. Under SyncBatch it first drains the
 // flusher, so every Append that returned nil is durable before the file
-// closes.
+// closes. Its flush fsyncs only when a record is still uncovered: after
+// a drained flusher that is none, since the flusher syncs until
+// everything enqueued is covered, and the file holds nothing else.
 func (w *Writer) Close() error {
 	w.mu.Lock()
 	if w.closed {
@@ -611,7 +634,9 @@ func decodePayload(p []byte) (Record, error) {
 // last intact record — the validLen to pass to OpenAppendWith — and
 // stops silently at a torn or corrupt tail. A missing file replays zero
 // records. Recovery reads through the same shim the writer wrote
-// through.
+// through. A record is decoded where it lies in the read buffer, so
+// replay allocates only what the records it hands to fn hold (and a
+// buffer for a record larger than the reader's).
 func ReplayFS(fsys faultfs.FS, path string, fn func(Record) error) (validLen int64, err error) {
 	f, err := fsys.Open(path)
 	if err != nil {
@@ -642,8 +667,17 @@ func ReplayFS(fsys faultfs.FS, path string, fn func(Record) error) (validLen int
 		if int64(plen) > size-off-8 {
 			return off, nil
 		}
-		payload := make([]byte, plen)
-		if _, err := io.ReadFull(br, payload); err != nil {
+		// A record that fits the reader's buffer is checked and decoded
+		// where it lies; decodePayload copies every key and value out,
+		// so nothing handed to fn aliases the buffer the next read
+		// overwrites. Only a larger record gets a buffer of its own.
+		payload, err := br.Peek(int(plen))
+		own := err == bufio.ErrBufferFull
+		if own {
+			payload = make([]byte, plen)
+			_, err = io.ReadFull(br, payload)
+		}
+		if err != nil {
 			return off, nil // torn payload
 		}
 		if crc32.ChecksumIEEE(payload) != crc {
@@ -652,6 +686,9 @@ func ReplayFS(fsys faultfs.FS, path string, fn func(Record) error) (validLen int
 		rec, derr := decodePayload(payload)
 		if derr != nil {
 			return off, nil // structurally invalid despite CRC: treat as tail
+		}
+		if !own {
+			br.Discard(len(payload))
 		}
 		if err := fn(rec); err != nil {
 			return off, err
