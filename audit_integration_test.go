@@ -2,9 +2,7 @@ package mvdb
 
 import (
 	"encoding/json"
-	"io"
 	"net/http"
-	"strings"
 	"sync"
 	"testing"
 
@@ -14,8 +12,8 @@ import (
 // TestAuditEndToEnd opens a real database with the auditor, phase
 // timing and the debug server, runs a workload, and checks the full
 // surface: the auditor snapshot, /debug/mvdb/audit, the phase matrix
-// (the one place commit latency is timed), and the auditor and phase
-// families merged into /metrics.
+// (the one place commit latency is timed), and the commits and phase
+// rows /debug/mvdb serves.
 func TestAuditEndToEnd(t *testing.T) {
 	db, err := Open(Options{
 		Protocol:    TimestampOrdering,
@@ -86,35 +84,32 @@ func TestAuditEndToEnd(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&httpSn); err != nil {
 		t.Fatal(err)
 	}
-	if httpSn.Window != audit.DefaultWindow || httpSn.Processed == 0 {
+	if httpSn.Window != audit.DefaultWindow || httpSn.Processed == 0 ||
+		httpSn.Received == 0 || httpSn.AlarmsTotal != 0 {
 		t.Fatalf("audit endpoint snapshot = %+v", httpSn)
 	}
 
-	// /metrics carries both the engine families and the auditor's.
-	resp2, err := http.Get("http://" + db.DebugAddr() + "/metrics")
+	// /debug/mvdb carries the commits and the phase matrix.
+	resp2, err := http.Get("http://" + db.DebugAddr() + "/debug/mvdb")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp2.Body.Close()
-	if ct := resp2.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
-		t.Fatalf("metrics content type = %q", ct)
-	}
-	body, err := io.ReadAll(resp2.Body)
-	if err != nil {
+	var st Stats
+	if err := json.NewDecoder(resp2.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	out := string(body)
-	for _, want := range []string{
-		`mvdb_commits_total{class="rw"}`,
-		`mvdb_commits_total{class="ro"}`,
-		"mvdb_visibility_lag",
-		"mvdb_audit_events_total",
-		"mvdb_audit_alarms_total 0",
-		`mvdb_phase_seconds{protocol="vc+to",phase="visible-wait",quantile="0.99"}`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("/metrics missing %q:\n%s", want, out)
+	if st.CommitsRW == 0 || st.CommitsRO == 0 {
+		t.Fatalf("/debug/mvdb commits = %d rw, %d ro", st.CommitsRW, st.CommitsRO)
+	}
+	var visibleWait bool
+	for _, ps := range st.Phases {
+		if ps.Protocol == "vc+to" && ps.Phase == "visible-wait" && ps.Durations.Count > 0 {
+			visibleWait = true
 		}
+	}
+	if !visibleWait {
+		t.Fatalf("/debug/mvdb has no vc+to visible-wait row: %+v", st.Phases)
 	}
 }
 

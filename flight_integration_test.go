@@ -111,17 +111,6 @@ func TestFlightBundleEndToEnd(t *testing.T) {
 			t.Fatalf("render missing %q:\n%s", want, sb.String())
 		}
 	}
-
-	// The Prometheus endpoint carries the per-phase families.
-	mresp, err := http.Get("http://" + db.DebugAddr() + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mresp.Body.Close()
-	body, _ := io.ReadAll(mresp.Body)
-	if !strings.Contains(string(body), `mvdb_phase_seconds{protocol="vc+2pl",phase="fsync-wait"`) {
-		t.Fatalf("/metrics missing phase families:\n%s", body)
-	}
 }
 
 // TestDebugEndpointsSmoke drives the pprof mux and the dump endpoint

@@ -31,7 +31,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"strings"
@@ -41,7 +40,6 @@ import (
 
 	"mvdb/internal/engine"
 	"mvdb/internal/history"
-	"mvdb/internal/obs"
 )
 
 // Defaults for Options fields left zero.
@@ -500,31 +498,4 @@ func (a *Auditor) HTTPHandler() http.Handler {
 		enc.Encode(a.Snapshot())
 		w.Write(buf.Bytes())
 	})
-}
-
-// WriteProm appends the auditor's metric families in Prometheus text
-// format; obs.Serve's WithPromExtra hooks it into /metrics.
-func (a *Auditor) WriteProm(w io.Writer) {
-	a.mu.Lock()
-	received := a.received.Load()
-	dropped := a.dropped.Load()
-	alarms := a.alarmSeq
-	nodes, writers, edges := a.g.Len(), a.g.Writers(), a.g.Edges()
-	a.mu.Unlock()
-
-	p := obs.NewPromWriter(w)
-	p.Header("mvdb_audit_events_total", "counter", "Events accepted onto the audit queue.")
-	p.Int("mvdb_audit_events_total", int64(received))
-	p.Header("mvdb_audit_dropped_total", "counter", "Events dropped because the audit queue was full.")
-	p.Int("mvdb_audit_dropped_total", int64(dropped))
-	p.Header("mvdb_audit_alarms_total", "counter", "Serializability and invariant alarms raised.")
-	p.Int("mvdb_audit_alarms_total", int64(alarms))
-	p.Header("mvdb_audit_window", "gauge", "Configured MVSG window (committed read-write transactions).")
-	p.Int("mvdb_audit_window", int64(a.window))
-	p.Header("mvdb_audit_graph_nodes", "gauge", "Transactions currently in the windowed MVSG.")
-	p.Int("mvdb_audit_graph_nodes", int64(nodes))
-	p.Header("mvdb_audit_graph_writers", "gauge", "Read-write transactions currently in the windowed MVSG.")
-	p.Int("mvdb_audit_graph_writers", int64(writers))
-	p.Header("mvdb_audit_graph_edges", "gauge", "Edges currently in the windowed MVSG.")
-	p.Int("mvdb_audit_graph_edges", int64(edges))
 }

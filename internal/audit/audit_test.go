@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"log/slog"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -348,39 +347,5 @@ func TestHTTPHandlerServesSnapshot(t *testing.T) {
 	}
 	if sn.Received != 3 || sn.Processed != 3 {
 		t.Fatalf("snapshot over HTTP = %+v", sn)
-	}
-}
-
-func TestWriteProm(t *testing.T) {
-	a := newQuiet(t, Options{})
-	a.RecordBegin(1, engine.ReadWrite)
-	a.RecordWrite(1, "x", 1)
-	a.RecordCommit(1, 1)
-	a.Drain()
-
-	var sb strings.Builder
-	a.WriteProm(&sb)
-	out := sb.String()
-	for _, want := range []string{
-		"# TYPE mvdb_audit_events_total counter",
-		"mvdb_audit_events_total 3",
-		"mvdb_audit_dropped_total 0",
-		"mvdb_audit_alarms_total 0",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("prom output missing %q:\n%s", want, out)
-		}
-	}
-	if strings.Contains(out, "latency") {
-		t.Fatalf("the auditor times nothing, yet exports a latency family:\n%s", out)
-	}
-	// Every non-comment line must be "name[{labels}] value".
-	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
-		if strings.HasPrefix(line, "#") {
-			continue
-		}
-		if len(strings.Fields(line)) != 2 {
-			t.Fatalf("malformed exposition line %q", line)
-		}
 	}
 }

@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"sync"
 	"testing"
+
+	"mvdb/internal/metrics"
 )
 
 // TestSnapshotNeverOvercounts drives begins and commits concurrently with
@@ -86,7 +89,7 @@ func TestAbortsTotal(t *testing.T) {
 }
 
 // TestServe spins up the debug server on an ephemeral port and checks
-// the JSON shape of /debug/mvdb.
+// the JSON shape of /debug/mvdb and that an extra route is mounted.
 func TestServe(t *testing.T) {
 	s := NewStats()
 	s.BeginsRW.Add(5)
@@ -96,6 +99,10 @@ func TestServe(t *testing.T) {
 		sn := s.Snapshot()
 		sn.Protocol = "vc+2pl"
 		return sn
+	}, map[string]http.Handler{
+		"/debug/mvdb/custom": http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			io.WriteString(w, "custom-ok")
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -128,6 +135,63 @@ func TestServe(t *testing.T) {
 	}
 	if sn.Protocol != "vc+2pl" || sn.CommitsRW != 5 {
 		t.Fatalf("stats = %+v", sn)
+	}
+
+	resp2, err := http.Get("http://" + srv.Addr() + "/debug/mvdb/custom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp2.Body.Close()
+	if got, _ := io.ReadAll(resp2.Body); string(got) != "custom-ok" {
+		t.Fatalf("custom route = %q", got)
+	}
+}
+
+// TestSnapshotCarriesEveryCounter sets every field of the live registry
+// and checks that Snapshot copies each one into the document: a field
+// added to Stats but not read by Snapshot fails by name.
+func TestSnapshotCarriesEveryCounter(t *testing.T) {
+	// Registry fields whose Snapshot field is named differently.
+	renamed := map[string]string{
+		"LockWaitNanos":           "LockWait",
+		"CheckpointLastUnixNanos": "CheckpointLastUnix",
+		"CheckpointDurationNanos": "CheckpointDurationSeconds",
+	}
+	s := NewStats()
+	sv := reflect.ValueOf(s).Elem()
+	var fields []string
+	for i := 0; i < sv.NumField(); i++ {
+		f := sv.Type().Field(i)
+		if !f.IsExported() {
+			continue // internal plumbing (the uptime epoch), not a counter
+		}
+		// 3e9 survives the nanoseconds-to-seconds conversions.
+		switch v := sv.Field(i).Addr().Interface().(type) {
+		case *Counter:
+			v.Add(3e9)
+		case *Gauge:
+			v.Set(3e9)
+		case **metrics.Histogram:
+			(*v).Record(3e9)
+		default:
+			t.Fatalf("Stats.%s: unhandled field type %s", f.Name, f.Type)
+		}
+		fields = append(fields, f.Name)
+	}
+	sn := reflect.ValueOf(s.Snapshot())
+	for _, name := range fields {
+		want := name
+		if r, ok := renamed[name]; ok {
+			want = r
+		}
+		fv := sn.FieldByName(want)
+		if !fv.IsValid() {
+			t.Errorf("Stats.%s has no Snapshot field %s; name it the same or map it here", name, want)
+			continue
+		}
+		if fv.IsZero() {
+			t.Errorf("Snapshot.%s is zero: Snapshot does not copy Stats.%s", want, name)
+		}
 	}
 }
 

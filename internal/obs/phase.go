@@ -67,8 +67,8 @@ var phaseNames = [NumPhases]string{
 	"install", "visible-wait",
 }
 
-// String returns the phase's wire name (stable: used as a Prometheus
-// label value and in flight bundles).
+// String returns the phase's wire name (stable: used in the /debug/mvdb
+// document, as a pprof label value and in flight bundles).
 func (p Phase) String() string {
 	if int(p) < NumPhases {
 		return phaseNames[p]

@@ -34,6 +34,7 @@ package mvdb
 
 import (
 	"fmt"
+	"net/http"
 	"sync/atomic"
 
 	"mvdb/internal/audit"
@@ -153,10 +154,9 @@ type Options struct {
 	// DebugAddr, when non-empty, serves live observability over HTTP on
 	// that address (e.g. "localhost:6060" or ":0" for an ephemeral port;
 	// DebugAddr() reports the bound address): GET /debug/mvdb returns the
-	// Stats snapshot as JSON, /metrics the same in Prometheus text format,
-	// and /debug/pprof/ the runtime profiles. It starts the server and
-	// nothing else: no transaction path changes. Empty — the default —
-	// starts no listener.
+	// Stats snapshot as JSON and /debug/pprof/ the runtime profiles. It
+	// starts the server and nothing else: no transaction path changes.
+	// Empty — the default — starts no listener.
 	DebugAddr string
 	// Audit enables the online serializability auditor: an asynchronous
 	// pipeline that mirrors the engine's event stream into a windowed
@@ -165,20 +165,18 @@ type Options struct {
 	// inversions. It times nothing: commit latency is PhaseTiming's.
 	// The audit path never blocks the engine — when its queue is full,
 	// events are dropped and counted. DB.Audit() exposes the live state;
-	// with DebugAddr set, GET /debug/mvdb/audit serves it as JSON and
-	// /metrics includes the auditor's families. Off — the default —
-	// costs nothing.
+	// with DebugAddr set, GET /debug/mvdb/audit serves it as JSON. Off —
+	// the default — costs nothing.
 	Audit bool
 	// PhaseTiming enables per-transaction latency attribution, the
 	// database's one timing source: every read-write commit is broken
 	// into protocol phases (lock-wait, read, validate, wal-enqueue,
 	// fsync-wait, install, and visible-wait — the committer's
 	// VCcomplete), which follow one another without overlap, with
-	// per-protocol histograms in Stats().Phases, the Prometheus
-	// endpoint (mvdb_phase_seconds) and /debug/mvdb, plus pprof
-	// goroutine labels (mvdb_protocol, mvdb_phase) on the timed spans.
-	// Off — the default — leaves the hot paths with a nil test and zero
-	// extra allocations.
+	// per-protocol histograms in Stats().Phases (and so in /debug/mvdb),
+	// plus pprof goroutine labels (mvdb_protocol, mvdb_phase) on the
+	// timed spans. Off — the default — leaves the hot paths with a nil
+	// test and zero extra allocations.
 	PhaseTiming bool
 	// FlightDir enables the black-box flight recorder: on an audit alarm
 	// (when Audit is on), a GET of /debug/mvdb/dump (when DebugAddr is
@@ -317,17 +315,14 @@ func Open(opts Options) (*DB, error) {
 		flightRec.Store(rec)
 	}
 	if opts.DebugAddr != "" {
-		var serveOpts []obs.ServeOption
+		routes := make(map[string]http.Handler)
 		if auditor != nil {
-			serveOpts = append(serveOpts,
-				obs.WithHandler("/debug/mvdb/audit", auditor.HTTPHandler()),
-				obs.WithPromExtra(auditor.WriteProm))
+			routes["/debug/mvdb/audit"] = auditor.HTTPHandler()
 		}
 		if db.flightRec != nil {
-			serveOpts = append(serveOpts,
-				obs.WithHandler("/debug/mvdb/dump", db.flightRec.HTTPHandler()))
+			routes["/debug/mvdb/dump"] = db.flightRec.HTTPHandler()
 		}
-		dbg, err := obs.Serve(opts.DebugAddr, db.Stats, serveOpts...)
+		dbg, err := obs.Serve(opts.DebugAddr, db.Stats, routes)
 		if err != nil {
 			db.Close()
 			return nil, fmt.Errorf("mvdb: debug server: %w", err)
