@@ -502,7 +502,6 @@ func benchDurableGroup(b *testing.B, phased bool) {
 	db, err := Open(Options{
 		Protocol:    TwoPhaseLocking,
 		WALPath:     filepath.Join(b.TempDir(), "commit.log"),
-		GroupCommit: true,
 		PhaseTiming: phased,
 	})
 	if err != nil {

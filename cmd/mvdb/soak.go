@@ -120,7 +120,6 @@ func (s soaker) run(c crashtest.Config, base string) soakResult {
 		Protocol:       mvdb.Protocol(c.Protocol),
 		VisibilityMode: mvdb.VisibilityMode(c.Visibility),
 		WALPath:        filepath.Join(d, "commit.log"),
-		GroupCommit:    true,
 		Audit:          true,
 		FlightDir:      d,
 	})

@@ -44,11 +44,10 @@ func main() {
 	walPath := filepath.Join(*dir, "commit.log")
 
 	// --- Life 1: write and crash. -------------------------------------
-	// GroupCommit is what makes the log durable: an Update returns only
-	// after an fsync has covered its commit record, so every order
-	// acknowledged below survives a power cut. With WALPath alone the
-	// log is written but fsynced only on Close.
-	db, err := mvdb.Open(mvdb.Options{WALPath: walPath, GroupCommit: true})
+	// The log is durable: an Update returns only after an fsync has
+	// covered its commit record (group commit), so every order
+	// acknowledged below survives a power cut.
+	db, err := mvdb.Open(mvdb.Options{WALPath: walPath})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -69,7 +68,7 @@ func main() {
 	fmt.Printf("life 1: %d orders committed; log is %d bytes; process dies\n", *orders, logged)
 
 	// --- Life 2: recover, checkpoint, write more. ---------------------
-	db2, err := mvdb.Open(mvdb.Options{WALPath: walPath, GroupCommit: true})
+	db2, err := mvdb.Open(mvdb.Options{WALPath: walPath})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -24,7 +24,6 @@ func TestFlightBundleEndToEnd(t *testing.T) {
 	db, err := Open(Options{
 		Protocol:    TwoPhaseLocking,
 		WALPath:     filepath.Join(dir, "commit.log"),
-		GroupCommit: true,
 		PhaseTiming: true,
 		DebugAddr:   "127.0.0.1:0",
 		FlightDir:   filepath.Join(dir, "flight"),

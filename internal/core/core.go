@@ -289,6 +289,9 @@ func (e *Engine) beginReadWrite(id uint64, recycled any) (*Tx, error) {
 // left the controller, or returns nil. One still linked — Strict's
 // Complete leaves an entry behind an older open one — is not waited for:
 // the next is tried, and the linked one goes back for a later Update.
+// A struct whose last commit left its prune to this begin (collectWritten)
+// first prunes the keys it kept, at the watermark now, and empties its
+// write set.
 func (e *Engine) pooled() any {
 	p := e.updates.Get()
 	if linked(p) {
@@ -299,20 +302,37 @@ func (e *Engine) pooled() any {
 			return nil
 		}
 	}
+	if _, ws, o := parts(p); ws != nil && len(ws.writes) > 0 {
+		w, n := e.watermark(), 0
+		for _, wr := range ws.writes {
+			if obj := e.store.Get(wr.Key); obj != nil {
+				n += obj.Prune(w)
+			}
+		}
+		o.collected(n)
+		*ws = writeSet{}
+	}
 	return p
+}
+
+// parts returns a pooled struct's version-control entry, write set and
+// seam; nil for anything else.
+func parts(p any) (*vc.Entry, *writeSet, *txObs) {
+	switch t := p.(type) {
+	case *twoPhaseTx:
+		return &t.entry, &t.buf, &t.txObs
+	case *tsoTx:
+		return &t.entry, &t.writes, &t.txObs
+	case *occTx:
+		return &t.entry, &t.buf, &t.txObs
+	}
+	return nil, nil, nil
 }
 
 // linked reports whether p is a pooled struct whose entry is Linked.
 func linked(p any) bool {
-	switch t := p.(type) {
-	case *twoPhaseTx:
-		return t.entry.Linked()
-	case *tsoTx:
-		return t.entry.Linked()
-	case *occTx:
-		return t.entry.Linked()
-	}
-	return false
+	entry, _, _ := parts(p)
+	return entry != nil && entry.Linked()
 }
 
 // Update runs fn in a read-write transaction under the engine's
@@ -339,15 +359,13 @@ func (e *Engine) Update(fn func(*Tx) error) error {
 			h.Abort()
 			return
 		}
-		// Drop the keys and values, and an outgrown set, so a pooled
-		// struct pins none of them.
-		switch t := h.self.(type) {
-		case *twoPhaseTx:
-			t.buf = writeSet{}
-		case *tsoTx:
-			t.writes = writeSet{}
-		case *occTx:
-			t.buf, t.reads = writeSet{}, readSet{}
+		// Drop the values, and the keys and an outgrown set unless the
+		// commit left its prune to the struct's next begin, so a pooled
+		// struct pins no value and at most the keys it must prune.
+		_, ws, o := parts(h.self)
+		ws.recycle(o.pruneLater)
+		if t, ok := h.self.(*occTx); ok {
+			t.reads = readSet{}
 		}
 		e.updates.Put(h.self)
 	}()
@@ -489,12 +507,12 @@ func (e *Engine) MinActiveReadOnlySN() (uint64, bool) {
 	return e.roActive.min()
 }
 
-// watermark is the collection horizon commitTail's installs prune at,
-// computed by the first install of a commit that finds its array full
-// and reused for the commit's other keys — a watermark taken earlier is
-// never larger than one taken later (DESIGN.md §17): min(vtnc, the
-// registry's minimum), vtnc read first, as in
-// gc.Collector.Watermark. Every snapshot is at or above it, because it
+// watermark is the collection horizon commitTail prunes at: at the
+// first install of a commit that finds its array full, reused for the
+// commit's other keys — a watermark taken earlier is never larger than
+// one taken later — and, for a logged commit, once more after VCcomplete
+// (collectWritten, DESIGN.md §17): min(vtnc, the registry's minimum),
+// vtnc read first, as in gc.Collector.Watermark. Every snapshot is at or above it, because it
 // publishes before it takes its number (snapshot): the scan saw its slot,
 // which holds a lower bound on that number, or it published after the
 // scan and so read vtnc after vtnc was read here, and vtnc only grows.
@@ -558,6 +576,21 @@ func (ws *writeSet) put(w wal.Write) {
 	ws.writes = append(ws.writes, w)
 }
 
+// recycle empties the set for a pooled struct, or, if keep, drops only
+// its values: the keys are what the struct's next begin prunes (pooled).
+func (ws *writeSet) recycle(keep bool) {
+	if !keep {
+		*ws = writeSet{}
+		return
+	}
+	for i := range ws.writes {
+		ws.writes[i].Value = nil
+	}
+	for i := range ws.buf { // an outgrown set left copies behind
+		ws.buf[i].Value = nil
+	}
+}
+
 // readBack is a transaction reading its own write.
 func readBack(w wal.Write) ([]byte, error) {
 	return result(storage.Version{Data: w.Value, Tombstone: w.Tombstone}, true)
@@ -597,7 +630,8 @@ func (e *Engine) latest(key string) (storage.Version, bool) {
 // returned. An install that finds its chain's array full first drops
 // what no snapshot can reach (storage.Object.Install): the new version
 // is above the watermark, which never passes vtnc, so neither it nor a
-// withdrawal ever touches what that drops.
+// withdrawal ever touches what that drops. A logged commit prunes the
+// chains that kept an older version once it is complete (collectWritten).
 func (e *Engine) commitTail(o *txObs, entry *vc.Entry, writes []wal.Write) error {
 	tn := entry.TN()
 	w := e.log
@@ -608,6 +642,10 @@ func (e *Engine) commitTail(o *txObs, entry *vc.Entry, writes []wal.Write) error
 		// commit behind the writers of everything it read.
 		ticket, err = o.enqueueLog(w, wal.Record{TN: tn, Writes: writes})
 	}
+	// The objects whose installs left an older version, for a logged
+	// commit to prune once it completes; a write set larger than
+	// writeSetScan keys spills them to the heap.
+	older := make([]*storage.Object, 0, writeSetScan)
 	if err == nil {
 		sp := o.span(phaseInstall)
 		dropped := 0
@@ -620,10 +658,15 @@ func (e *Engine) commitTail(o *txObs, entry *vc.Entry, writes []wal.Write) error
 		}
 		for _, wr := range writes {
 			obj := e.store.GetOrCreate(wr.Key)
+			d, old := 0, false
 			if o.proto == protoTO {
-				dropped += obj.ResolvePending(tn, true, watermark) // the version is already there, pending
+				d, old = obj.ResolvePending(tn, true, watermark) // the version is already there, pending
 			} else {
-				dropped += obj.Install(storage.Version{TN: tn, Data: wr.Value, Tombstone: wr.Tombstone}, watermark)
+				d, old = obj.Install(storage.Version{TN: tn, Data: wr.Value, Tombstone: wr.Tombstone}, watermark)
+			}
+			dropped += d
+			if old && w != nil {
+				older = append(older, obj)
 			}
 			o.wrote(wr.Key, tn)
 		}
@@ -655,7 +698,34 @@ func (e *Engine) commitTail(o *txObs, entry *vc.Entry, writes []wal.Write) error
 	}
 	o.committed(tn)
 	o.complete(entry)
+	if len(older) > 0 {
+		e.collectWritten(o, tn, older)
+	}
 	return nil
+}
+
+// collectWritten is collection at completion (DESIGN.md §17): once tn is
+// complete, the chains its installs left an older version in drop what
+// no snapshot reaches, at a watermark read after VCcomplete. When that
+// watermark is below tn — the entry completed behind an older open one,
+// or a snapshot published below tn — the prune would drop nothing the
+// commit left, so it is left to the struct's next begin (pooled), when
+// Update recycles it: a strict entry has left the controller by then, so
+// vtnc has passed tn. Only a logged commit runs it: under group commit
+// it has just waited a device sync, beside which the prune costs
+// nothing measurable. An in-memory commit would pay for it in throughput
+// (EXPERIMENTS.md P10), and leaves its chains to install-time collection.
+func (e *Engine) collectWritten(o *txObs, tn uint64, objs []*storage.Object) {
+	w := e.watermark()
+	if w < tn {
+		o.pruneLater = true
+		return
+	}
+	n := 0
+	for _, obj := range objs {
+		n += obj.Prune(w)
+	}
+	o.collected(n)
 }
 
 // Registry is where every open snapshot publishes the number it reads

@@ -149,11 +149,14 @@ type txObs struct {
 	id    uint64
 	proto obs.ProtoIdx
 	// done is set by the protocol code once the transaction has
-	// committed or aborted. It, and a read-only transaction's registry
-	// slot, live here, in the tail padding of what every transaction
-	// struct embeds, to keep those structs a size class smaller.
-	done bool
-	slot int8
+	// committed or aborted, and pruneLater by a commit that left its
+	// prune to the struct's next begin (collectWritten). They, and a
+	// read-only transaction's registry slot, live here, in the tail
+	// padding of what every transaction struct embeds, to keep those
+	// structs a size class smaller.
+	done       bool
+	slot       int8
+	pruneLater bool
 }
 
 // span is an open timed phase, held (on the stack) by the code that

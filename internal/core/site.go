@@ -2,7 +2,7 @@ package core
 
 // A site of a distributed cluster (internal/dist, paper Section 6) is an
 // engine like any other: 2PL, the strict controller, the pipelined commit
-// tail, collection at install. What the cluster needs beyond the
+// tail, collection by commits. What the cluster needs beyond the
 // single-site API reaches the engine through this file only: the site's
 // numbering and the snapshot registry its sites share, at construction
 // (ClusterSite); a read-write transaction begun under the coordinator's

@@ -5,7 +5,7 @@
 //
 // Each site is a core.Engine — two-phase locking with timeout deadlock
 // resolution, the strict controller, the pipelined commit tail,
-// collection at install — built by core.ClusterSite, so it keeps its own
+// collection by commits — built by core.ClusterSite, so it keeps its own
 // counters (tnc, vtnc) and its own VCQueue, exactly as the paper
 // prescribes. This package adds only what is distributed. The two
 // requirements the paper states — "there is only one start number

@@ -5,10 +5,11 @@
 // the paper suggests, by also keeping everything an active read-only
 // transaction can still reach.
 //
-// Most collection happens at install: an engine commit that finds a
-// version chain's array full first drops what no snapshot can reach
-// (storage.Object.Install). A Collector pass is the sweep for the keys
-// nobody writes again.
+// Most collection happens in commits: once a logged engine commit
+// completes it drops the versions it superseded that no snapshot can
+// reach, and any commit that finds a version chain's array full first
+// drops them too (storage.Object.Install). A Collector pass is the sweep
+// for what those leave: keys nobody writes again.
 //
 // The collector is deliberately independent of the concurrency control
 // component (it only consults the version control module and the read-only
@@ -44,7 +45,7 @@ type Collector struct {
 }
 
 // New creates a collector. The interval is unused: there is no
-// background loop, collection runs at install and in Collect.
+// background loop, collection runs in commits and in Collect.
 func New(src Source, interval time.Duration) *Collector {
 	return &Collector{src: src}
 }

@@ -36,42 +36,48 @@ func TestInstallCollects(t *testing.T) {
 		dropped   int
 		floor     uint64
 		asked     bool // whether the install computes the watermark
+		older     bool // whether a version older than tn is left
 	}{
 		{name: "room in the array: no collection",
 			o:         func() *Object { o := full(1, 2, 3); o.versions = slices.Grow(o.versions, 1); return o }(),
-			watermark: 3, tn: 9, want: []uint64{1, 2, 3, 9}},
+			watermark: 3, tn: 9, want: []uint64{1, 2, 3, 9}, older: true},
 		{name: "keeps the newest version at or below the watermark",
-			o: full(1, 2, 3, 4), watermark: 3, tn: 9, want: []uint64{3, 4, 9}, dropped: 2, floor: 3, asked: true},
+			o: full(1, 2, 3, 4), watermark: 3, tn: 9, want: []uint64{3, 4, 9}, dropped: 2, floor: 3, asked: true, older: true},
 		{name: "a watermark between versions keeps the one below it",
-			o: full(1, 2, 5, 6), watermark: 4, tn: 9, want: []uint64{2, 5, 6, 9}, dropped: 1, floor: 2, asked: true},
+			o: full(1, 2, 5, 6), watermark: 4, tn: 9, want: []uint64{2, 5, 6, 9}, dropped: 1, floor: 2, asked: true, older: true},
 		{name: "never touches versions above it; the array grows",
-			o: full(1, 5, 6, 7), watermark: 4, tn: 9, want: []uint64{1, 5, 6, 7, 9}, asked: true},
+			o: full(1, 5, 6, 7), watermark: 4, tn: 9, want: []uint64{1, 5, 6, 7, 9}, asked: true, older: true},
 		{name: "an out-of-order install lands among the kept versions",
-			o: full(1, 2, 3, 8), watermark: 3, tn: 5, want: []uint64{3, 5, 8}, dropped: 2, floor: 3, asked: true},
+			o: full(1, 2, 3, 8), watermark: 3, tn: 5, want: []uint64{3, 5, 8}, dropped: 2, floor: 3, asked: true, older: true},
 		{name: "a T/O commit collects like an install",
-			o: full(1, 2, 3, 4), watermark: 3, tn: 9, pending: true, want: []uint64{3, 4, 9}, dropped: 2, floor: 3, asked: true},
+			o: full(1, 2, 3, 4), watermark: 3, tn: 9, pending: true, want: []uint64{3, 4, 9}, dropped: 2, floor: 3, asked: true, older: true},
 		{name: "a lone version is never collected",
-			o: full(1), watermark: 1, tn: 9, want: []uint64{1, 9}},
+			o: full(1), watermark: 1, tn: 9, want: []uint64{1, 9}, older: true},
+		{name: "a first version leaves nothing older",
+			o: &Object{}, watermark: 1, tn: 9, want: []uint64{9}},
+		{name: "an out-of-order install below every version leaves nothing older",
+			o: full(5), watermark: 1, tn: 3, want: []uint64{3, 5}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			asked := false
 			watermark := func() uint64 { asked = true; return c.watermark }
 			var dropped int
+			var older bool
 			if c.pending {
 				if err := c.o.TOWrite(c.tn, []byte{byte(c.tn)}, false); err != nil {
 					t.Fatal(err)
 				}
-				dropped = c.o.ResolvePending(c.tn, true, watermark)
+				dropped, older = c.o.ResolvePending(c.tn, true, watermark)
 			} else {
-				dropped = c.o.Install(Version{TN: c.tn, Data: []byte{byte(c.tn)}}, watermark)
+				dropped, older = c.o.Install(Version{TN: c.tn, Data: []byte{byte(c.tn)}}, watermark)
 			}
 			if got := chainTNs(c.o); !slices.Equal(got, c.want) {
 				t.Fatalf("chain = %v, want %v", got, c.want)
 			}
-			if dropped != c.dropped || c.o.Floor() != c.floor || asked != c.asked {
-				t.Fatalf("dropped %d, floor %d, asked %v; want %d, %d, %v",
-					dropped, c.o.Floor(), asked, c.dropped, c.floor, c.asked)
+			if dropped != c.dropped || c.o.Floor() != c.floor || asked != c.asked || older != c.older {
+				t.Fatalf("dropped %d, floor %d, asked %v, older %v; want %d, %d, %v, %v",
+					dropped, c.o.Floor(), asked, older, c.dropped, c.floor, c.asked, c.older)
 			}
 			for _, v := range c.o.versions[len(c.o.versions):cap(c.o.versions)] {
 				if v != (version{}) {

@@ -157,22 +157,23 @@ func (o *Object) InstallCommitted(v Version) { o.Install(v, nil) }
 // (Hekaton's cooperative collection): when the chain's array is full, it
 // calls watermark once and first drops every version below the newest one
 // at or under it, as Prune does; the new version then reuses the array.
-// It returns the number of versions dropped. An install into an array
-// with room, or with a nil watermark, reads nothing but the object.
-// watermark must return a number no snapshot open then or opened later
-// reads below, other than one pinned below it, which the pruned floor
-// reports.
+// It returns the number of versions dropped, and whether a version older
+// than v is left, which a Prune at v's number or above would drop. An
+// install into an array with room, or with a nil watermark, reads nothing
+// but the object. watermark must return a number no snapshot open then or
+// opened later reads below, other than one pinned below it, which the
+// pruned floor reports.
 //
 // A prune that frees d slots costs one copy of the chain and buys d
 // installs without one; a prune that frees nothing lets the append
 // double the array, so the next one comes twice as late.
-func (o *Object) Install(v Version, watermark func() uint64) int {
+func (o *Object) Install(v Version, watermark func() uint64) (dropped int, older bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return o.installCommittedLocked(v, watermark)
 }
 
-func (o *Object) installCommittedLocked(v Version, watermark func() uint64) (dropped int) {
+func (o *Object) installCommittedLocked(v Version, watermark func() uint64) (dropped int, older bool) {
 	n := len(o.versions)
 	if watermark != nil && n > 1 && n == cap(o.versions) {
 		dropped = o.pruneLocked(watermark())
@@ -180,7 +181,7 @@ func (o *Object) installCommittedLocked(v Version, watermark func() uint64) (dro
 	}
 	if n == 0 || o.versions[n-1].tn < v.TN {
 		o.versions = append(o.versions, pack(v))
-		return
+		return dropped, n > 0
 	}
 	i := sort.Search(n, func(i int) bool { return o.versions[i].tn >= v.TN })
 	if i < n && o.versions[i].tn == v.TN {
@@ -189,7 +190,7 @@ func (o *Object) installCommittedLocked(v Version, watermark func() uint64) (dro
 	o.versions = append(o.versions, version{})
 	copy(o.versions[i+1:], o.versions[i:])
 	o.versions[i] = pack(v)
-	return dropped
+	return dropped, i > 0
 }
 
 // --- Timestamp-ordering operations (paper Figure 3) ---
@@ -324,23 +325,23 @@ func (o *Object) TOWrite(tn uint64, data []byte, tombstone bool) error {
 
 // ResolvePending commits (install, collecting at watermark as Install
 // does) or aborts (drop) the pending version created by transaction tn,
-// waking all waiters, and returns the number of versions the install
-// dropped. It is a no-op if the transaction has no pending version here.
-func (o *Object) ResolvePending(tn uint64, commit bool, watermark func() uint64) (dropped int) {
+// waking all waiters, and returns what the install returns. It is a no-op
+// if the transaction has no pending version here.
+func (o *Object) ResolvePending(tn uint64, commit bool, watermark func() uint64) (dropped int, older bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	s := o.toView()
 	i, ok := s.pendingIndex(tn)
 	if !ok {
-		return 0
+		return 0, false
 	}
 	p := s.pending[i]
 	s.pending = slices.Delete(s.pending, i, i+1)
 	if commit {
-		dropped = o.installCommittedLocked(Version{TN: p.TN, Data: p.Data, Tombstone: p.Tombstone}, watermark)
+		dropped, older = o.installCommittedLocked(Version{TN: p.TN, Data: p.Data, Tombstone: p.Tombstone}, watermark)
 	}
 	s.cond.Broadcast()
-	return dropped
+	return dropped, older
 }
 
 // Withdraw removes the committed version numbered tn, if there is one:

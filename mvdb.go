@@ -45,7 +45,6 @@ import (
 	"mvdb/internal/gc"
 	"mvdb/internal/obs"
 	"mvdb/internal/vc"
-	"mvdb/internal/wal"
 )
 
 // Protocol selects the concurrency control used for read-write
@@ -138,18 +137,18 @@ type Options struct {
 	// before they become visible, and Open recovers the store from an
 	// existing log at this path (with its snapshot <WALPath>.snap and
 	// the retired prefix <WALPath>.old, where Checkpoint left them).
-	// Empty disables the log. Without GroupCommit the log is fsynced only
-	// on Close and Checkpoint, so a crash can lose acknowledged commits.
+	// Empty disables the log. A commit is durable before it is
+	// acknowledged (group commit): it enqueues its record and blocks
+	// until an fsync of the log's background flusher covers it. Before
+	// each fsync the flusher waits for as many records as were in flight
+	// when its last one ended, so a committer it has just acknowledged
+	// joins the batch on its next commit; one that does not come back
+	// delays the batch by at most an eighth of the last fsync
+	// (Stats().WALGatherTimeouts counts those).
 	WALPath string
-	// GroupCommit makes a commit durable before it is acknowledged: a
-	// commit enqueues its record and blocks until an fsync of the log's
-	// background flusher covers it. Before each fsync the flusher waits
-	// for as many records as were in flight when its last one ended, so a
-	// committer it has just acknowledged joins the batch on its next
-	// commit; one that does not come back delays the batch by at most an
-	// eighth of the last fsync (Stats().WALGatherTimeouts counts those).
-	// Without it the log reaches the disk when the OS writes it back and
-	// on Close, so a crash can lose acknowledged commits.
+	// GroupCommit is ignored: every database with a WALPath commits as
+	// WALPath describes. It stays until the benchmark, which sets it,
+	// stops doing so.
 	GroupCommit bool
 	// DebugAddr, when non-empty, serves live observability over HTTP on
 	// that address (e.g. "localhost:6060" or ":0" for an ephemeral port;
@@ -280,12 +279,8 @@ func Open(opts Options) (*DB, error) {
 	}
 	var eng *core.Engine
 	if opts.WALPath != "" {
-		d := core.DurableOptions{FS: opts.FS, Policy: wal.SyncNever}
-		if opts.GroupCommit {
-			d.Policy = wal.SyncBatch
-		}
 		var err error
-		if eng, err = core.OpenDurable(opts.WALPath, coreOpts, d); err != nil {
+		if eng, err = core.OpenDurable(opts.WALPath, coreOpts, core.DurableOptions{FS: opts.FS}); err != nil {
 			return fail(fmt.Errorf("mvdb: recover: %w", err))
 		}
 	} else {
@@ -295,8 +290,8 @@ func Open(opts Options) (*DB, error) {
 	auditVC.Store(&engVC)
 
 	db := &DB{eng: eng, auditor: auditor}
-	// Commits collect at install; the collector is CollectGarbage's sweep
-	// for the keys nobody writes again.
+	// Commits collect (CollectGarbage says how); the collector is its
+	// sweep for what they leave.
 	db.collector = gc.New(eng, 0)
 	if opts.FlightDir != "" {
 		src := flight.Sources{
@@ -360,8 +355,8 @@ func (db *DB) Close() error {
 // Bootstrap loads initial data as the pre-transactional state (version
 // 0). It must be called before the first transaction. With WALPath set
 // the data is logged first, as one version-0 record, so it survives a
-// reopen like any commit (durably once Bootstrap returns, under
-// GroupCommit); a database that recovered any data refuses it.
+// reopen like any commit (durably once Bootstrap returns); a database
+// that recovered any data refuses it.
 func (db *DB) Bootstrap(data map[string][]byte) error {
 	return db.eng.Bootstrap(data)
 }
@@ -473,12 +468,18 @@ func (db *DB) DebugAddr() string {
 }
 
 // CollectGarbage runs one synchronous garbage collection pass and returns
-// the number of versions discarded. Commits already collect as they
-// install: a commit that finds a key's version array full first drops
-// what no open snapshot can read (Stats().GCReclaimed counts both). The
-// pass is the sweep for keys nobody writes again. Neither ever takes a
-// version an open snapshot reads; only a snapshot pinned below what was
-// already collected (BeginReadOnlyAt) can read ErrSnapshotTooOld.
+// the number of versions discarded. Commits already collect. With a
+// WALPath, a commit drops the versions it superseded that no open
+// snapshot can read once it completes, so with no snapshot open a written
+// key rests at one version; one that a snapshot, or an older commit still
+// in flight, kept from that leaves it to the next begin of its recycled
+// Update. Without one, and as a backstop, a commit that finds a key's
+// version array full drops them first, so a key rests at two
+// (Stats().GCReclaimed counts all of these). The pass is the sweep for
+// what those leave: keys nobody writes again.
+// None ever takes a version an open snapshot reads; only a snapshot
+// pinned below what was already collected (BeginReadOnlyAt) can read
+// ErrSnapshotTooOld.
 func (db *DB) CollectGarbage() int {
 	n := db.collector.Collect()
 	st := db.eng.Obs()

@@ -525,7 +525,7 @@ func TestBeginReadOnlyRecent(t *testing.T) {
 
 func TestDurabilityAcrossReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "db.log")
-	db, err := Open(Options{WALPath: path, GroupCommit: true})
+	db, err := Open(Options{WALPath: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -552,6 +552,46 @@ func TestDurabilityAcrossReopen(t *testing.T) {
 	}
 	// And it keeps accepting writes.
 	if err := db2.Update(func(tx *Tx) error { return tx.PutString("k", "v5") }); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A database with a WALPath acknowledges a commit only once an fsync
+// covers its record: a power cut right after Update returns loses
+// nothing. Before, a WALPath alone logged under wal.SyncNever, and the
+// cut took every commit with it.
+func TestWALPathAloneIsDurable(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "commit.log")
+	cut := filepath.Join(dir, "power-cut")
+	fs := faultfs.New(faultfs.Plan{Rules: []faultfs.Rule{{Op: faultfs.OpCreate, Path: cut, Fault: faultfs.Fault{Crash: true}}}})
+	db, err := Open(Options{WALPath: path, FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 3 {
+		if err := db.Update(func(tx *Tx) error { return tx.PutString("k", fmt.Sprint(i)) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := fs.OpenFile(cut, os.O_CREATE|os.O_WRONLY, 0o644); !errors.Is(err, faultfs.ErrCrashed) {
+		t.Fatalf("power cut: %v, want ErrCrashed", err)
+	}
+	db.Close() // the log fails: the filesystem is gone
+	if err := fs.ApplyCrash(); err != nil {
+		t.Fatal(err)
+	}
+	db, err = Open(Options{WALPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.View(func(tx *Tx) error {
+		if v, err := tx.GetString("k"); err != nil || v != "2" {
+			t.Fatalf("after the power cut k = (%q, %v), want the last acknowledged 2", v, err)
+		}
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -612,9 +652,8 @@ func TestGroupCommitEndToEnd(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "db.log")
 	gate := newGateFS()
 	db, err := Open(Options{
-		WALPath:     path,
-		GroupCommit: true,
-		FS:          gate,
+		WALPath: path,
+		FS:      gate,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -952,7 +991,7 @@ func TestScanSnapshot(t *testing.T) {
 // set and Enqueue stopped allocating per key; 6 before a transaction
 // became one object; 3 before Update recycled it; 2 measured now.)
 func TestDurableUpdateAllocations(t *testing.T) {
-	db, err := Open(Options{WALPath: filepath.Join(t.TempDir(), "wal"), GroupCommit: true})
+	db, err := Open(Options{WALPath: filepath.Join(t.TempDir(), "wal")})
 	if err != nil {
 		t.Fatal(err)
 	}
