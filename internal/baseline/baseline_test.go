@@ -256,6 +256,70 @@ func TestSV2PLReadOnlyBlocksBehindWriter(t *testing.T) {
 	if v := <-done; v != "new" {
 		t.Fatalf("reader got %q, want new", v)
 	}
+	if got := e.Stats().ROBlocked; got != 1 {
+		t.Fatalf("ROBlocked = %d, want 1", got)
+	}
+}
+
+// A read-only read counts as blocked only when its own lock request
+// waited: writers queueing on a key no reader touches must not show up
+// in ROBlocked.
+func TestSV2PLROBlockedCountsOnlyTheReadersWaits(t *testing.T) {
+	e := NewSV2PL(nil)
+	defer e.Close()
+	boot(t, e, map[string]string{"hot": "0", "r0": "0", "r1": "0", "r2": "0", "r3": "0"})
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	stopWriters := sync.OnceFunc(func() { close(stop); wg.Wait() })
+	defer stopWriters()
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				tx, err := e.Begin(engine.ReadWrite)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if err := tx.Put("hot", []byte("w")); err != nil {
+					continue // a deadlock victim has already aborted
+				}
+				if err := tx.Commit(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 2000; i++ {
+		ro, err := e.Begin(engine.ReadOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 4; k++ {
+			if _, err := ro.Get(fmt.Sprintf("r%d", k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ro.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stopWriters()
+	st := e.Stats()
+	if st.ROBlocked != 0 {
+		t.Fatalf("ROBlocked = %d, want 0 (lock waits %d, all writers')", st.ROBlocked, st.LockWaits)
+	}
+	if st.LockWaits == 0 {
+		t.Fatal("the writers never waited: the test shows nothing")
+	}
 }
 
 // And the dual: a writer blocks behind a read-only transaction.

@@ -1,14 +1,11 @@
 package baseline
 
 import (
-	"errors"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"mvdb/internal/engine"
-	"mvdb/internal/lock"
-	"mvdb/internal/obs"
 	"mvdb/internal/storage"
 )
 
@@ -89,90 +86,53 @@ func (c *ctlCopy) size() int { return len(c.extras) + 1 }
 // transaction number at the lock-point; read-only transactions carry a
 // start timestamp and a copy of the completed transaction list, and every
 // read scans for the largest version that is both below the start
-// timestamp and created by a listed transaction.
+// timestamp and created by a listed transaction. The list's own costs
+// have no place in the stats snapshot: CTLCopied, CTLProbes and CTLTail
+// report them.
 type MV2PLCTL struct {
-	store *storage.Store
-	locks *lock.Manager
-	list  *ctl
-	tnc   atomic.Uint64 // transaction numbers, assigned at lock-point
-	ids   atomic.Uint64
-	rec   engine.Recorder
-	stats *obs.Stats
+	locking
+	list *ctl
 
 	ctlCopied atomic.Uint64 // total CTL entries copied by RO begins
 	ctlProbes atomic.Uint64 // membership probes during RO reads
-	closed    atomic.Bool
 }
 
 // NewMV2PLCTL creates the Chan-style baseline engine.
 func NewMV2PLCTL(rec engine.Recorder) *MV2PLCTL {
-	if rec == nil {
-		rec = engine.NopRecorder{}
-	}
-	return &MV2PLCTL{
-		store: storage.NewStore(0),
-		locks: lock.NewManager(lock.Detect, 0),
-		list:  newCTL(),
-		rec:   rec,
-		stats: obs.NewStats(),
-	}
+	e := &MV2PLCTL{list: newCTL()}
+	e.init(rec, e.enlist)
+	return e
 }
+
+// enlist is MV2PL-CTL's installed step. The transaction enters the CTL
+// only after its updates are in place, and before its locks are
+// released — so any transaction that can have observed its effects
+// copies a list that already includes it.
+func (e *MV2PLCTL) enlist(t *lockTx) { e.list.add(t.tn) }
 
 // Name implements engine.Engine.
 func (e *MV2PLCTL) Name() string { return "mv2pl+ctl(chan)" }
 
-// Store exposes the underlying store.
-func (e *MV2PLCTL) Store() *storage.Store { return e.store }
-
-// Bootstrap loads initial data as version 0.
-func (e *MV2PLCTL) Bootstrap(data map[string][]byte) error {
-	if e.ids.Load() != 0 {
-		return errors.New("baseline: Bootstrap after transactions started")
-	}
-	for k, v := range data {
-		e.store.Bootstrap(k, v)
-	}
-	return nil
-}
-
-// Begin implements engine.Engine.
+// Begin implements engine.Engine: a read-write transaction runs the
+// locking protocol, a read-only one takes a start timestamp and a copy
+// of the list.
 func (e *MV2PLCTL) Begin(class engine.Class) (engine.Tx, error) {
-	if e.closed.Load() {
-		return nil, errors.New("baseline: engine closed")
+	if class == engine.ReadWrite {
+		return e.locking.Begin(class)
 	}
-	id := e.ids.Add(1)
-	countBegin(e.stats, class)
-	if class == engine.ReadOnly {
-		t := &ctlROTx{
-			e:  e,
-			id: id,
-			// Start timestamp: everything assigned so far is "before" us.
-			st:   e.tnc.Load(),
-			list: e.list.snapshot(),
-		}
-		e.ctlCopied.Add(uint64(t.list.size()))
-		e.rec.RecordBegin(id, engine.ReadOnly)
-		return t, nil
+	id, err := e.begin(class)
+	if err != nil {
+		return nil, err
 	}
-	e.locks.Begin(id, 0)
-	t := &ctlRWTx{e: e, id: id, buf: make(map[string]bufWrite)}
-	e.rec.RecordBegin(id, engine.ReadWrite)
+	t := &ctlROTx{
+		e:  e,
+		id: id,
+		// Start timestamp: everything assigned so far is "before" us.
+		st:   e.tnc.Load(),
+		list: e.list.snapshot(),
+	}
+	e.ctlCopied.Add(uint64(t.list.size()))
 	return t, nil
-}
-
-// Stats implements engine.Engine. The list's own costs have no place
-// in the snapshot: CTLCopied, CTLProbes and CTLTail report them.
-func (e *MV2PLCTL) Stats() obs.Snapshot {
-	sn := e.stats.Snapshot()
-	sn.LockWaits = int64(e.locks.Waits())
-	sn.LockDeadlocks = int64(e.locks.Deadlocks())
-	return sn
-}
-
-// Close implements engine.Engine.
-func (e *MV2PLCTL) Close() error {
-	e.closed.Store(true)
-	return nil
 }
 
 // HoldNumber simulates a transaction that has passed its lock point —
@@ -197,11 +157,6 @@ func (e *MV2PLCTL) CTLCopied() uint64 { return e.ctlCopied.Load() }
 // read-only reads have made.
 func (e *MV2PLCTL) CTLProbes() uint64 { return e.ctlProbes.Load() }
 
-type bufWrite struct {
-	data      []byte
-	tombstone bool
-}
-
 // ctlROTx is a Chan-style read-only transaction.
 type ctlROTx struct {
 	e    *MV2PLCTL
@@ -217,26 +172,17 @@ func (t *ctlROTx) Get(key string) ([]byte, error) {
 	if t.done {
 		return nil, engine.ErrTxDone
 	}
-	o := t.e.store.Get(key)
-	if o == nil {
-		t.e.rec.RecordRead(t.id, key, 0)
-		return nil, engine.ErrNotFound
+	var v storage.Version
+	ok := false
+	if o := t.e.store.Get(key); o != nil {
+		probes := 0
+		v, ok = o.ReadVisibleWhere(t.st, func(tn uint64) bool {
+			probes++
+			return t.list.contains(tn)
+		})
+		t.e.ctlProbes.Add(uint64(probes))
 	}
-	probes := 0
-	v, ok := o.ReadVisibleWhere(t.st, func(tn uint64) bool {
-		probes++
-		return t.list.contains(tn)
-	})
-	t.e.ctlProbes.Add(uint64(probes))
-	if !ok {
-		t.e.rec.RecordRead(t.id, key, 0)
-		return nil, engine.ErrNotFound
-	}
-	t.e.rec.RecordRead(t.id, key, v.TN)
-	if v.Tombstone {
-		return nil, engine.ErrNotFound
-	}
-	return v.Data, nil
+	return t.e.read(t.id, key, v, ok)
 }
 
 // Put implements engine.Tx.
@@ -284,132 +230,3 @@ func (t *ctlROTx) Class() engine.Class { return engine.ReadOnly }
 
 // SN implements engine.Tx.
 func (t *ctlROTx) SN() (uint64, bool) { return t.st, true }
-
-// ctlRWTx is a strict-2PL read-write transaction with lock-point
-// transaction numbers.
-type ctlRWTx struct {
-	e    *MV2PLCTL
-	id   uint64
-	buf  map[string]bufWrite
-	done bool
-	tn   uint64
-}
-
-// Get implements engine.Tx.
-func (t *ctlRWTx) Get(key string) ([]byte, error) {
-	if t.done {
-		return nil, engine.ErrTxDone
-	}
-	if w, ok := t.buf[key]; ok {
-		if w.tombstone {
-			return nil, engine.ErrNotFound
-		}
-		return w.data, nil
-	}
-	if err := t.acquire(key, lock.Shared); err != nil {
-		return nil, err
-	}
-	o := t.e.store.Get(key)
-	if o == nil {
-		t.e.rec.RecordRead(t.id, key, 0)
-		return nil, engine.ErrNotFound
-	}
-	v, ok := o.LatestCommitted()
-	if !ok {
-		t.e.rec.RecordRead(t.id, key, 0)
-		return nil, engine.ErrNotFound
-	}
-	t.e.rec.RecordRead(t.id, key, v.TN)
-	if v.Tombstone {
-		return nil, engine.ErrNotFound
-	}
-	return v.Data, nil
-}
-
-// Put implements engine.Tx.
-func (t *ctlRWTx) Put(key string, value []byte) error {
-	if t.done {
-		return engine.ErrTxDone
-	}
-	if err := t.acquire(key, lock.Exclusive); err != nil {
-		return err
-	}
-	t.buf[key] = bufWrite{data: value}
-	return nil
-}
-
-// Delete implements engine.Tx.
-func (t *ctlRWTx) Delete(key string) error {
-	if t.done {
-		return engine.ErrTxDone
-	}
-	if err := t.acquire(key, lock.Exclusive); err != nil {
-		return err
-	}
-	t.buf[key] = bufWrite{tombstone: true}
-	return nil
-}
-
-func (t *ctlRWTx) acquire(key string, mode lock.Mode) error {
-	err := t.e.locks.Acquire(t.id, key, mode)
-	if err == nil {
-		return nil
-	}
-	t.abortInternal()
-	return lockAbort(t.e.stats, err)
-}
-
-// Commit implements engine.Tx: assign tn at the lock-point, install
-// versions, enter the completed transaction list, release locks.
-func (t *ctlRWTx) Commit() error {
-	if t.done {
-		return engine.ErrTxDone
-	}
-	t.done = true
-	t.tn = t.e.tnc.Add(1)
-	for key, w := range t.buf {
-		o := t.e.store.GetOrCreate(key)
-		o.InstallCommitted(storage.Version{TN: t.tn, Data: w.data, Tombstone: w.tombstone})
-		t.e.rec.RecordWrite(t.id, key, t.tn)
-	}
-	t.e.rec.RecordCommit(t.id, t.tn)
-	// The transaction enters the CTL only after its updates are in place,
-	// and before its locks are released — so any transaction that can have
-	// observed its effects copies a list that already includes it.
-	t.e.list.add(t.tn)
-	t.e.locks.ReleaseAll(t.id)
-	t.e.stats.CommitsRW.Inc()
-	return nil
-}
-
-// Abort implements engine.Tx.
-func (t *ctlRWTx) Abort() {
-	if t.done {
-		return
-	}
-	t.e.stats.AbortsUser.Inc()
-	t.abortInternal()
-}
-
-func (t *ctlRWTx) abortInternal() {
-	if t.done {
-		return
-	}
-	t.done = true
-	t.e.locks.ReleaseAll(t.id)
-	t.e.rec.RecordAbort(t.id)
-}
-
-// ID implements engine.Tx.
-func (t *ctlRWTx) ID() uint64 { return t.id }
-
-// Class implements engine.Tx.
-func (t *ctlRWTx) Class() engine.Class { return engine.ReadWrite }
-
-// SN implements engine.Tx.
-func (t *ctlRWTx) SN() (uint64, bool) {
-	if t.tn != 0 {
-		return t.tn, true
-	}
-	return 0, false
-}

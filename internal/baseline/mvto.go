@@ -1,26 +1,7 @@
-// Package baseline implements the three comparator protocols the paper
-// discusses in Section 2, re-created from the paper's own descriptions:
-//
-//   - MVTO: Reed's multiversion timestamp ordering [14], in which
-//     read-only transactions are synchronized like everyone else — they
-//     raise r-ts, block on pending writes, and can abort read-write
-//     transactions.
-//   - MV2PLCTL: the Chan et al. multiversion two-phase locking [7], in
-//     which every read-only transaction carries a start timestamp and a
-//     copy of the completed transaction list (CTL).
-//   - SV2PL: single-version strict two-phase locking, the non-multiversion
-//     baseline in which readers and writers block each other.
-//
-// Each engine implements engine.Engine, so the harness can run identical
-// workloads across the paper's engines and these baselines and measure the
-// differences the paper claims (experiments E1-E5). Each counts into the
-// same obs.Stats registry the paper's engines count into, so every
-// comparison reads the same fields.
 package baseline
 
 import (
 	"errors"
-	"sync/atomic"
 
 	"mvdb/internal/engine"
 	"mvdb/internal/obs"
@@ -33,69 +14,30 @@ import (
 // (Section 2): reads by read-only transactions "must be synchronized with
 // the operations of read-write transactions", they update r-ts, and they
 // can cause write-rejection aborts of read-write transactions.
-type MVTO struct {
-	store *storage.Store
-	ts    atomic.Uint64 // timestamp = transaction number counter
-	ids   atomic.Uint64
-	rec   engine.Recorder
-	stats *obs.Stats
-
-	closed atomic.Bool
-}
+type MVTO struct{ shell }
 
 // NewMVTO creates the Reed-style baseline engine.
 func NewMVTO(rec engine.Recorder) *MVTO {
-	if rec == nil {
-		rec = engine.NopRecorder{}
-	}
-	return &MVTO{store: storage.NewStore(0), rec: rec, stats: obs.NewStats()}
-}
-
-// countBegin counts a begin of the given class, before the transaction
-// can count a commit or an abort.
-func countBegin(s *obs.Stats, class engine.Class) {
-	if class == engine.ReadOnly {
-		s.BeginsRO.Inc()
-	} else {
-		s.BeginsRW.Inc()
-	}
+	e := &MVTO{}
+	e.init(rec)
+	return e
 }
 
 // Name implements engine.Engine.
 func (e *MVTO) Name() string { return "mvto(reed)" }
 
-// Store exposes the underlying store.
-func (e *MVTO) Store() *storage.Store { return e.store }
-
-// Bootstrap loads initial data as version 0.
-func (e *MVTO) Bootstrap(data map[string][]byte) error {
-	if e.ts.Load() != 0 {
-		return errors.New("baseline: Bootstrap after transactions started")
-	}
-	for k, v := range data {
-		e.store.Bootstrap(k, v)
-	}
-	return nil
-}
-
-// Begin implements engine.Engine. Both classes receive a timestamp from
-// the same counter: in Reed's protocol read-only transactions are ordinary
+// Begin implements engine.Engine. Both classes take their id as their
+// timestamp: in Reed's protocol read-only transactions are ordinary
 // timestamped transactions that happen not to write.
 func (e *MVTO) Begin(class engine.Class) (engine.Tx, error) {
-	if e.closed.Load() {
-		return nil, errors.New("baseline: engine closed")
+	id, err := e.begin(class)
+	if err != nil {
+		return nil, err
 	}
-	countBegin(e.stats, class)
-	t := &mvtoTx{
-		e:     e,
-		id:    e.ids.Add(1),
-		tn:    e.ts.Add(1),
-		class: class,
-	}
+	t := &mvtoTx{e: e, id: id, tn: id, class: class}
 	if class == engine.ReadWrite {
 		t.pending = make(map[string]struct{})
 	}
-	e.rec.RecordBegin(t.id, class)
 	return t, nil
 }
 
@@ -104,12 +46,6 @@ func (e *MVTO) Stats() obs.Snapshot {
 	sn := e.stats.Snapshot()
 	sn.StoreWaits = int64(e.store.TotalWaits())
 	return sn
-}
-
-// Close implements engine.Engine.
-func (e *MVTO) Close() error {
-	e.closed.Store(true)
-	return nil
 }
 
 type mvtoTx struct {
@@ -129,34 +65,24 @@ func (t *mvtoTx) Get(key string) ([]byte, error) {
 	if t.done {
 		return nil, engine.ErrTxDone
 	}
-	o := t.e.store.Get(key)
-	if o == nil {
-		t.e.rec.RecordRead(t.id, key, 0)
-		return nil, engine.ErrNotFound
-	}
 	var v storage.Version
-	var ok bool
-	if t.class == engine.ReadOnly {
+	ok := false
+	switch o := t.e.store.Get(key); {
+	case o == nil:
+	case t.class == engine.ReadOnly:
 		o.SetRTS(t.tn, true)
 		var waited bool
 		v, ok, waited = o.SnapshotReadWait(t.tn)
 		if waited {
 			t.e.stats.ROBlocked.Inc()
 		}
-	} else {
+	default:
 		v, ok = o.TORead(t.tn)
 	}
-	if !ok {
-		t.e.rec.RecordRead(t.id, key, 0)
-		return nil, engine.ErrNotFound
+	if _, own := t.pending[key]; own && ok && v.TN == t.tn {
+		return value(v) // its own pending write: no dependency to record
 	}
-	if _, own := t.pending[key]; !(own && v.TN == t.tn) {
-		t.e.rec.RecordRead(t.id, key, v.TN)
-	}
-	if v.Tombstone {
-		return nil, engine.ErrNotFound
-	}
-	return v.Data, nil
+	return t.e.read(t.id, key, v, ok)
 }
 
 // Put implements engine.Tx (read-write only).

@@ -50,6 +50,7 @@ func Run(t *testing.T, mk Factory) {
 		{"ConcurrentCountersConverge", testConcurrentCounters},
 		{"HistorySerializable", testHistorySerializable},
 		{"StatsPresent", testStatsPresent},
+		{"Lifecycle", testLifecycle},
 	}
 	for _, tc := range tests {
 		tc := tc
@@ -57,11 +58,12 @@ func Run(t *testing.T, mk Factory) {
 	}
 }
 
-// retryRW runs fn inside a read-write transaction, retrying aborts.
-func retryRW(t *testing.T, e engine.Engine, fn func(tx engine.Tx) error) {
+// retry runs fn inside a transaction of the given class, retrying
+// aborts (the single-version baseline can abort its readers too).
+func retry(t *testing.T, e engine.Engine, class engine.Class, fn func(tx engine.Tx) error) {
 	t.Helper()
 	for attempt := 0; attempt < 500; attempt++ {
-		tx, err := e.Begin(engine.ReadWrite)
+		tx, err := e.Begin(class)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,34 +82,7 @@ func retryRW(t *testing.T, e engine.Engine, fn func(tx engine.Tx) error) {
 		}
 		return
 	}
-	t.Fatal("transaction starved after 500 attempts")
-}
-
-// retryRO runs fn inside a read-only transaction, retrying aborts (the
-// single-version baseline can abort its readers).
-func retryRO(t *testing.T, e engine.Engine, fn func(tx engine.Tx) error) {
-	t.Helper()
-	for attempt := 0; attempt < 500; attempt++ {
-		tx, err := e.Begin(engine.ReadOnly)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := fn(tx); err != nil {
-			tx.Abort()
-			if engine.Retryable(err) {
-				continue
-			}
-			t.Fatal(err)
-		}
-		if err := tx.Commit(); err != nil {
-			if engine.Retryable(err) {
-				continue
-			}
-			t.Fatal(err)
-		}
-		return
-	}
-	t.Fatal("read-only transaction starved after 500 attempts")
+	t.Fatalf("%v transaction starved after 500 attempts", class)
 }
 
 func testReadYourOwnWrites(t *testing.T, mk Factory) {
@@ -116,7 +91,7 @@ func testReadYourOwnWrites(t *testing.T, mk Factory) {
 	if err := e.Bootstrap(map[string][]byte{"k": []byte("old")}); err != nil {
 		t.Fatal(err)
 	}
-	retryRW(t, e, func(tx engine.Tx) error {
+	retry(t, e, engine.ReadWrite, func(tx engine.Tx) error {
 		if err := tx.Put("k", []byte("new")); err != nil {
 			return err
 		}
@@ -140,11 +115,11 @@ func testReadYourOwnWrites(t *testing.T, mk Factory) {
 func testCommitMakesVisible(t *testing.T, mk Factory) {
 	e := mk(nil)
 	defer e.Close()
-	retryRW(t, e, func(tx engine.Tx) error { return tx.Put("k", []byte("v")) })
+	retry(t, e, engine.ReadWrite, func(tx engine.Tx) error { return tx.Put("k", []byte("v")) })
 	// A read-write reader always sees it; a snapshot reader may need a
 	// fresh snapshot but must see it eventually (here: immediately, since
 	// nothing is in flight).
-	retryRW(t, e, func(tx engine.Tx) error {
+	retry(t, e, engine.ReadWrite, func(tx engine.Tx) error {
 		v, err := tx.Get("k")
 		if err != nil {
 			return err
@@ -154,7 +129,7 @@ func testCommitMakesVisible(t *testing.T, mk Factory) {
 		}
 		return nil
 	})
-	retryRO(t, e, func(tx engine.Tx) error {
+	retry(t, e, engine.ReadOnly, func(tx engine.Tx) error {
 		v, err := tx.Get("k")
 		if err != nil {
 			return err
@@ -178,7 +153,7 @@ func testAbortDiscards(t *testing.T, mk Factory) {
 	} else {
 		tx.Abort()
 	}
-	retryRO(t, e, func(ro engine.Tx) error {
+	retry(t, e, engine.ReadOnly, func(ro engine.Tx) error {
 		v, err := ro.Get("k")
 		if err != nil {
 			return err
@@ -193,17 +168,17 @@ func testAbortDiscards(t *testing.T, mk Factory) {
 func testDeleteTombstone(t *testing.T, mk Factory) {
 	e := mk(nil)
 	defer e.Close()
-	retryRW(t, e, func(tx engine.Tx) error { return tx.Put("k", []byte("v")) })
-	retryRW(t, e, func(tx engine.Tx) error { return tx.Delete("k") })
-	retryRO(t, e, func(ro engine.Tx) error {
+	retry(t, e, engine.ReadWrite, func(tx engine.Tx) error { return tx.Put("k", []byte("v")) })
+	retry(t, e, engine.ReadWrite, func(tx engine.Tx) error { return tx.Delete("k") })
+	retry(t, e, engine.ReadOnly, func(ro engine.Tx) error {
 		if _, err := ro.Get("k"); !errors.Is(err, engine.ErrNotFound) {
 			t.Fatalf("post-delete err = %v", err)
 		}
 		return nil
 	})
 	// Recreate after delete.
-	retryRW(t, e, func(tx engine.Tx) error { return tx.Put("k", []byte("again")) })
-	retryRO(t, e, func(ro engine.Tx) error {
+	retry(t, e, engine.ReadWrite, func(tx engine.Tx) error { return tx.Put("k", []byte("again")) })
+	retry(t, e, engine.ReadOnly, func(ro engine.Tx) error {
 		v, err := ro.Get("k")
 		if err != nil {
 			return err
@@ -218,13 +193,13 @@ func testDeleteTombstone(t *testing.T, mk Factory) {
 func testAbsentKey(t *testing.T, mk Factory) {
 	e := mk(nil)
 	defer e.Close()
-	retryRO(t, e, func(ro engine.Tx) error {
+	retry(t, e, engine.ReadOnly, func(ro engine.Tx) error {
 		if _, err := ro.Get("ghost"); !errors.Is(err, engine.ErrNotFound) {
 			t.Fatalf("ro absent err = %v", err)
 		}
 		return nil
 	})
-	retryRW(t, e, func(tx engine.Tx) error {
+	retry(t, e, engine.ReadWrite, func(tx engine.Tx) error {
 		_, err := tx.Get("ghost")
 		if errors.Is(err, engine.ErrNotFound) {
 			return nil
@@ -328,7 +303,7 @@ func testSnapshotConsistency(t *testing.T, mk Factory) {
 		}
 	}()
 	for i := 0; i < 100; i++ {
-		retryRO(t, e, func(ro engine.Tx) error {
+		retry(t, e, engine.ReadOnly, func(ro engine.Tx) error {
 			a, err := ro.Get("a")
 			if err != nil {
 				return err
@@ -350,7 +325,7 @@ func testSnapshotConsistency(t *testing.T, mk Factory) {
 func testAtomicMultiKeyCommit(t *testing.T, mk Factory) {
 	e := mk(nil)
 	defer e.Close()
-	retryRW(t, e, func(tx engine.Tx) error {
+	retry(t, e, engine.ReadWrite, func(tx engine.Tx) error {
 		for i := 0; i < 8; i++ {
 			if err := tx.Put(fmt.Sprintf("mk%d", i), []byte{1}); err != nil {
 				return err
@@ -358,7 +333,7 @@ func testAtomicMultiKeyCommit(t *testing.T, mk Factory) {
 		}
 		return nil
 	})
-	retryRO(t, e, func(ro engine.Tx) error {
+	retry(t, e, engine.ReadOnly, func(ro engine.Tx) error {
 		n := 0
 		for i := 0; i < 8; i++ {
 			if _, err := ro.Get(fmt.Sprintf("mk%d", i)); err == nil {
@@ -394,7 +369,7 @@ func testConcurrentCounters(t *testing.T, mk Factory) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				key := fmt.Sprintf("ctr%d", (w+i)%nCtr)
-				retryRW(t, e, func(tx engine.Tx) error {
+				retry(t, e, engine.ReadWrite, func(tx engine.Tx) error {
 					v, err := tx.Get(key)
 					if err != nil {
 						return err
@@ -406,7 +381,7 @@ func testConcurrentCounters(t *testing.T, mk Factory) {
 	}
 	wg.Wait()
 	total := 0
-	retryRO(t, e, func(ro engine.Tx) error {
+	retry(t, e, engine.ReadOnly, func(ro engine.Tx) error {
 		total = 0
 		for i := 0; i < nCtr; i++ {
 			v, err := ro.Get(fmt.Sprintf("ctr%d", i))
@@ -454,7 +429,7 @@ func testHistorySerializable(t *testing.T, mk Factory) {
 			for i := 0; i < txns; i++ {
 				if rng.Intn(3) == 0 {
 					keys := []string{acct(rng.Intn(accounts)), acct(rng.Intn(accounts)), acct(rng.Intn(accounts))}
-					retryRO(t, e, func(ro engine.Tx) error {
+					retry(t, e, engine.ReadOnly, func(ro engine.Tx) error {
 						for _, k := range keys {
 							if _, err := ro.Get(k); err != nil {
 								return err
@@ -466,7 +441,7 @@ func testHistorySerializable(t *testing.T, mk Factory) {
 				}
 				// Each attempt picks its own pair, so that two transfers
 				// that deadlock do not meet again on the retry.
-				retryRW(t, e, func(tx engine.Tx) error {
+				retry(t, e, engine.ReadWrite, func(tx engine.Tx) error {
 					from, to := acct(rng.Intn(accounts)), acct(rng.Intn(accounts))
 					if from == to {
 						return nil
@@ -492,7 +467,7 @@ func testHistorySerializable(t *testing.T, mk Factory) {
 	}
 	wg.Wait()
 	total := 0
-	retryRO(t, e, func(ro engine.Tx) error {
+	retry(t, e, engine.ReadOnly, func(ro engine.Tx) error {
 		total = 0
 		for i := 0; i < accounts; i++ {
 			v, err := ro.Get(acct(i))
@@ -529,8 +504,8 @@ func testHistorySerializable(t *testing.T, mk Factory) {
 func testStatsPresent(t *testing.T, mk Factory) {
 	e := mk(nil)
 	defer e.Close()
-	retryRW(t, e, func(tx engine.Tx) error { return tx.Put("k", []byte("v")) })
-	retryRO(t, e, func(ro engine.Tx) error { _, err := ro.Get("k"); return err })
+	retry(t, e, engine.ReadWrite, func(tx engine.Tx) error { return tx.Put("k", []byte("v")) })
+	retry(t, e, engine.ReadOnly, func(ro engine.Tx) error { _, err := ro.Get("k"); return err })
 	tx, err := e.Begin(engine.ReadWrite)
 	if err != nil {
 		t.Fatal(err)
@@ -550,5 +525,31 @@ func testStatsPresent(t *testing.T, mk Factory) {
 	}
 	if e.Name() == "" {
 		t.Fatal("empty engine name")
+	}
+}
+
+// testLifecycle holds every engine to the rules around its transactions,
+// for both classes: the first Begin seals Bootstrap, and Close refuses
+// every later Begin.
+func testLifecycle(t *testing.T, mk Factory) {
+	for _, class := range []engine.Class{engine.ReadWrite, engine.ReadOnly} {
+		e := mk(nil)
+		tx, err := e.Begin(class)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Bootstrap(map[string][]byte{"k": []byte("v")}); err == nil {
+			t.Errorf("Bootstrap after a %v Begin succeeded", class)
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if tx, err := e.Begin(class); err == nil {
+			tx.Abort()
+			t.Errorf("%v Begin after Close succeeded", class)
+		}
 	}
 }

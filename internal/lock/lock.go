@@ -356,8 +356,8 @@ func (m *Manager) SetWaitObserver(fn func(txID uint64, wait time.Duration)) {
 // SetBlockObserver installs fn, called once per request at the moment it
 // begins to wait (its entry is queued and visible to other transactions).
 // Like the wait observer it runs on the requester's goroutine outside
-// every mutex. The deterministic schedule-exploration harness
-// (internal/schedtest) uses it to learn that a step has parked.
+// every mutex. This package's tests use it to learn that a request has
+// parked; internal/schedtest does not (it tells a parked step by timing).
 func (m *Manager) SetBlockObserver(fn func(txID uint64, key string)) {
 	m.onBlock = fn
 }
