@@ -1,8 +1,8 @@
-// Benchmarks regenerating the experiment measurements of EXPERIMENTS.md
-// as `go test -bench` targets: one benchmark (family) per table. Custom
-// metrics (aborts/op, lag, messages/op) are attached via b.ReportMetric,
-// so the qualitative comparisons survive even where ns/op is dominated by
-// the simulated workload.
+// Benchmarks of EXPERIMENTS.md that no verdict rests on: the version
+// control module (F1), the three integrations (F2–F4), the throughput
+// sweep (E5), the register-point ablation (A1) and the public API's
+// Update and View paths. The experiments whose verdicts are asserted,
+// E1–E4 and E6–E8, live in paper_test.go.
 package mvdb
 
 import (
@@ -10,37 +10,13 @@ import (
 	"path/filepath"
 	"sync/atomic"
 	"testing"
-	"time"
 
-	"mvdb/internal/baseline"
 	"mvdb/internal/core"
-	"mvdb/internal/dist"
 	"mvdb/internal/engine"
 	"mvdb/internal/harness"
 	"mvdb/internal/vc"
 	"mvdb/internal/workload"
 )
-
-type bencher interface {
-	Bootstrap(map[string][]byte) error
-}
-
-func benchRoster() []struct {
-	name string
-	make func() engine.Engine
-} {
-	return []struct {
-		name string
-		make func() engine.Engine
-	}{
-		{"vc+2pl", func() engine.Engine { return core.New(core.Options{Protocol: core.TwoPhaseLocking}) }},
-		{"vc+to", func() engine.Engine { return core.New(core.Options{Protocol: core.TimestampOrdering}) }},
-		{"vc+occ", func() engine.Engine { return core.New(core.Options{Protocol: core.Optimistic}) }},
-		{"mvto", func() engine.Engine { return baseline.NewMVTO(nil) }},
-		{"mv2plctl", func() engine.Engine { return baseline.NewMV2PLCTL(nil) }},
-		{"sv2pl", func() engine.Engine { return baseline.NewSV2PL(nil) }},
-	}
-}
 
 // BenchmarkVCModule is experiment F1: the paper's Figure 1 module itself.
 func BenchmarkVCModule(b *testing.B) {
@@ -116,16 +92,9 @@ func BenchmarkReadOnlyPath(b *testing.B) {
 func benchMixed(b *testing.B, e engine.Engine, roFrac float64, zipf float64) {
 	wl := workload.Config{Keys: 64, ReadOnlyFraction: roFrac, ROReads: 4,
 		RWReads: 2, RWWrites: 2, Zipf: zipf, Seed: 3}
-	if err := e.(bencher).Bootstrap(wl.Bootstrap()); err != nil {
-		b.Fatal(err)
-	}
+	boot(b, e, wl)
 	b.ResetTimer()
-	res, err := harness.Run(harness.Config{
-		Engine: e, Clients: 4, TxnsPerClient: (b.N + 3) / 4, Workload: wl,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	res := run(b, harness.Config{Engine: e, Clients: 4, TxnsPerClient: (b.N + 3) / 4, Workload: wl})
 	b.StopTimer()
 	total := res.CommittedRO + res.CommittedRW
 	if total > 0 {
@@ -155,145 +124,10 @@ func BenchmarkVCOCC(b *testing.B) {
 	benchMixed(b, e, 0.5, 0)
 }
 
-// BenchmarkE1ReadOnlyOverhead: the cost of one read-only transaction (4
-// reads) per engine, no writers — Section 1's "no concurrency control
-// overhead" claim.
-func BenchmarkE1ReadOnlyOverhead(b *testing.B) {
-	for _, ne := range benchRoster() {
-		b.Run(ne.name, func(b *testing.B) {
-			e := ne.make()
-			defer e.Close()
-			wl := workload.Config{Keys: 256, Seed: 1}
-			if err := e.(bencher).Bootstrap(wl.Bootstrap()); err != nil {
-				b.Fatal(err)
-			}
-			keys := []string{"key000001", "key000050", "key000100", "key000200"}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tx, _ := e.Begin(engine.ReadOnly)
-				for _, k := range keys {
-					if _, err := tx.Get(k); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if err := tx.Commit(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkE2AbortAttribution: read-write aborts caused by read-only
-// transactions (always 0 for the paper's engines; positive for MVTO).
-func BenchmarkE2AbortAttribution(b *testing.B) {
-	for _, name := range []string{"vc+to", "mvto"} {
-		b.Run(name, func(b *testing.B) {
-			var e engine.Engine
-			if name == "vc+to" {
-				e = core.New(core.Options{Protocol: core.TimestampOrdering})
-			} else {
-				e = baseline.NewMVTO(nil)
-			}
-			defer e.Close()
-			wl := workload.Config{Keys: 24, ReadOnlyFraction: 0.5, ROReads: 4,
-				RWReads: 1, RWWrites: 2, Seed: 7}
-			if err := e.(bencher).Bootstrap(wl.Bootstrap()); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			_, err := harness.Run(harness.Config{
-				Engine: e, Clients: 8, TxnsPerClient: (b.N + 7) / 8, Workload: wl,
-				OpDelay: 20 * time.Microsecond,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			st := e.Stats()
-			b.ReportMetric(float64(st.RWAbortsByRO), "aborts-by-ro")
-			b.ReportMetric(float64(st.AbortsConflict), "conflicts")
-		})
-	}
-}
-
-// BenchmarkE3ReadOnlyBlocking: read-only blocking events behind writers.
-func BenchmarkE3ReadOnlyBlocking(b *testing.B) {
-	for _, ne := range benchRoster() {
-		b.Run(ne.name, func(b *testing.B) {
-			e := ne.make()
-			defer e.Close()
-			wl := workload.Config{Keys: 24, ReadOnlyFraction: 0.5, ROReads: 4,
-				RWReads: 1, RWWrites: 3, Seed: 11}
-			if err := e.(bencher).Bootstrap(wl.Bootstrap()); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			res, err := harness.Run(harness.Config{
-				Engine: e, Clients: 8, TxnsPerClient: (b.N + 7) / 8, Workload: wl,
-				OpDelay: 20 * time.Microsecond,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(res.Stats.ROBlocked), "ro-blocked")
-			b.ReportMetric(float64(res.RORetries), "ro-aborted")
-		})
-	}
-}
-
-// BenchmarkE4StartCost: read-only begin cost as the out-of-order commit
-// window grows — CTL copy (Chan) vs VCstart.
-func BenchmarkE4StartCost(b *testing.B) {
-	for _, window := range []int{0, 64, 1024} {
-		b.Run(fmt.Sprintf("chan/window=%d", window), func(b *testing.B) {
-			e := baseline.NewMV2PLCTL(nil)
-			defer e.Close()
-			release := e.HoldNumber()
-			defer release()
-			for i := 0; i < window; i++ {
-				tx, _ := e.Begin(engine.ReadWrite)
-				tx.Put(fmt.Sprintf("k%d", i), []byte("v"))
-				if err := tx.Commit(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ro, _ := e.Begin(engine.ReadOnly)
-				ro.Commit()
-			}
-		})
-	}
-	b.Run("vc/any-window", func(b *testing.B) {
-		e := core.New(core.Options{Protocol: core.TimestampOrdering})
-		defer e.Close()
-		strag, _ := e.Begin(engine.ReadWrite)
-		strag.Put("s", []byte("x"))
-		defer strag.Commit()
-		for i := 0; i < 1024; i++ {
-			tx, _ := e.Begin(engine.ReadWrite)
-			tx.Put(fmt.Sprintf("k%d", i), []byte("v"))
-			if err := tx.Commit(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ro, _ := e.Begin(engine.ReadOnly)
-			ro.Commit()
-		}
-	})
-}
-
 // BenchmarkE5Throughput: mixed-workload throughput per engine at two
 // read-only shares and one contended (Zipf) configuration.
 func BenchmarkE5Throughput(b *testing.B) {
-	for _, ne := range benchRoster() {
+	for _, ne := range roster() {
 		for _, cfg := range []struct {
 			label string
 			ro    float64
@@ -309,99 +143,6 @@ func BenchmarkE5Throughput(b *testing.B) {
 				benchMixed(b, e, cfg.ro, cfg.zipf)
 			})
 		}
-	}
-}
-
-// BenchmarkE6VisibilityLag: cost and lag of the straggler scenario, with
-// the recency-rectified begin as a separate measurement.
-func BenchmarkE6VisibilityLag(b *testing.B) {
-	b.Run("plain-ro-under-lag", func(b *testing.B) {
-		e := core.New(core.Options{Protocol: core.TimestampOrdering})
-		defer e.Close()
-		e.Bootstrap(map[string][]byte{"k": []byte("v")})
-		strag, _ := e.Begin(engine.ReadWrite)
-		strag.Put("s", []byte("x"))
-		for i := 0; i < 16; i++ {
-			tx, _ := e.Begin(engine.ReadWrite)
-			tx.Put("k", []byte("v2"))
-			if err := tx.Commit(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ro, _ := e.Begin(engine.ReadOnly)
-			if _, err := ro.Get("k"); err != nil {
-				b.Fatal(err)
-			}
-			ro.Commit()
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(e.VC().Lag()), "lag-positions")
-		strag.Commit()
-	})
-	b.Run("recent-ro-no-lag", func(b *testing.B) {
-		e := core.New(core.Options{Protocol: core.TimestampOrdering})
-		defer e.Close()
-		e.Bootstrap(map[string][]byte{"k": []byte("v")})
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ro, err := e.BeginReadOnlyRecent()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := ro.Get("k"); err != nil {
-				b.Fatal(err)
-			}
-			ro.Commit()
-		}
-	})
-}
-
-// BenchmarkE7GC: update throughput on one hot key, whose chain
-// collection at install keeps short, reporting retained versions.
-func BenchmarkE7GC(b *testing.B) {
-	e := core.New(core.Options{Protocol: core.TwoPhaseLocking})
-	defer e.Close()
-	e.Bootstrap(map[string][]byte{"hot": []byte("v")})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tx, _ := e.Begin(engine.ReadWrite)
-		tx.Put("hot", []byte("v"))
-		if err := tx.Commit(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(e.Store().TotalVersions()), "versions-retained")
-}
-
-// BenchmarkE8Distributed: distributed commit cost by site count,
-// reporting messages per transaction.
-func BenchmarkE8Distributed(b *testing.B) {
-	for _, sites := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("sites=%d", sites), func(b *testing.B) {
-			c, err := dist.New(dist.Options{Sites: sites})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer c.Close()
-			wl := workload.Config{Keys: 48, ReadOnlyFraction: 0.5, ROReads: 3,
-				RWReads: 1, RWWrites: 2, Seed: 17}
-			c.Bootstrap(wl.Bootstrap())
-			b.ResetTimer()
-			res, err := harness.Run(harness.Config{
-				Engine: c, Clients: 4, TxnsPerClient: (b.N + 3) / 4, Workload: wl,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			total := res.CommittedRO + res.CommittedRW
-			if total > 0 {
-				b.ReportMetric(float64(c.Bus().Messages())/float64(total), "msgs/txn")
-			}
-		})
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -263,8 +264,12 @@ func TestSV2PLReadOnlyBlocksBehindWriter(t *testing.T) {
 
 // A read-only read counts as blocked only when its own lock request
 // waited: writers queueing on a key no reader touches must not show up
-// in ROBlocked.
+// in ROBlocked. Each writer holds the hot lock across a yield, so the
+// others queue behind it, and the readers keep going until the writers
+// have waited minWaits times: the writers' waits overlap the readers'
+// requests by construction, not by the scheduler's leave.
 func TestSV2PLROBlockedCountsOnlyTheReadersWaits(t *testing.T) {
+	const minWaits = 100
 	e := NewSV2PL(nil)
 	defer e.Close()
 	boot(t, e, map[string]string{"hot": "0", "r0": "0", "r1": "0", "r2": "0", "r3": "0"})
@@ -291,6 +296,7 @@ func TestSV2PLROBlockedCountsOnlyTheReadersWaits(t *testing.T) {
 				if err := tx.Put("hot", []byte("w")); err != nil {
 					continue // a deadlock victim has already aborted
 				}
+				runtime.Gosched()
 				if err := tx.Commit(); err != nil {
 					t.Error(err)
 					return
@@ -298,7 +304,11 @@ func TestSV2PLROBlockedCountsOnlyTheReadersWaits(t *testing.T) {
 			}
 		}()
 	}
-	for i := 0; i < 2000; i++ {
+	deadline := time.Now().Add(30 * time.Second)
+	for i := 0; i < 2000 || e.locks.Waits() < minWaits; i++ {
+		if time.Now().After(deadline) {
+			t.Fatalf("the writers waited %d times in 30 s, want %d: the test shows nothing", e.locks.Waits(), minWaits)
+		}
 		ro, err := e.Begin(engine.ReadOnly)
 		if err != nil {
 			t.Fatal(err)
@@ -317,8 +327,8 @@ func TestSV2PLROBlockedCountsOnlyTheReadersWaits(t *testing.T) {
 	if st.ROBlocked != 0 {
 		t.Fatalf("ROBlocked = %d, want 0 (lock waits %d, all writers')", st.ROBlocked, st.LockWaits)
 	}
-	if st.LockWaits == 0 {
-		t.Fatal("the writers never waited: the test shows nothing")
+	if st.LockWaits < minWaits {
+		t.Fatalf("the writers waited %d times, want at least %d: the test shows nothing", st.LockWaits, minWaits)
 	}
 }
 

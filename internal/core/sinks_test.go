@@ -32,7 +32,8 @@ func (r *countingRecorder) RecordAbort(uint64)                 { r.add(&r.aborts
 // aborts per cause. Every conflict scenario below is forced by the order
 // of calls, never by timing: where a second goroutine is needed (a lock
 // request that must block), the script waits on the lock manager's own
-// counter before its next step.
+// counter before its next step. Where timing picks which transaction a
+// conflict aborts (a deadlock's victim), the counts do not depend on it.
 type sinkScript struct {
 	t *testing.T
 	e *Engine
@@ -86,13 +87,14 @@ func (s *sinkScript) aborted(err, want error, cause string) {
 }
 
 // blockedPut runs tx.Put(key) on a second goroutine and returns once
-// the lock manager's Waits counter shows the request has blocked. join waits for the Put to return.
-func (s *sinkScript) blockedPut(tx engine.Tx, key string, counter func() uint64) (join func()) {
+// the lock manager's Waits counter shows the request has blocked. The
+// channel delivers the Put's result.
+func (s *sinkScript) blockedPut(tx engine.Tx, key string, counter func() uint64) <-chan error {
 	before := counter()
 	done := make(chan error, 1)
 	go func() { done <- tx.Put(key, []byte("v")) }()
 	eventually(s.t, "the lock request blocking", func() bool { return counter() != before })
-	return func() { s.t.Helper(); s.must(<-done) }
+	return done
 }
 
 // common is the part of the script every read-write protocol runs.
@@ -155,10 +157,18 @@ var sinkCases = []struct {
 		t1, t2 := s.begin(engine.ReadWrite), s.begin(engine.ReadWrite)
 		s.must(t1.Put("x", []byte("1")))
 		s.must(t2.Put("y", []byte("2")))
-		join := s.blockedPut(t1, "y", s.e.locks.Waits)
-		s.aborted(t2.Put("x", []byte("2")), engine.ErrDeadlock, "deadlock") // closes the cycle
-		join()
-		s.commit(t1)
+		t1Put := s.blockedPut(t1, "y", s.e.locks.Waits)
+		// t2's request closes the cycle. The victim is the request whose
+		// detection walk sees it: t1 counts its wait before it walks, so
+		// its walk may come after t2 has queued and pick t1 instead.
+		if err := t2.Put("x", []byte("2")); err != nil {
+			s.aborted(err, engine.ErrDeadlock, "deadlock")
+			s.must(<-t1Put)
+			s.commit(t1)
+		} else {
+			s.aborted(<-t1Put, engine.ErrDeadlock, "deadlock")
+			s.commit(t2)
+		}
 	}},
 	{"2pl/timeout", TwoPhaseLocking, lock.TimeoutPolicy, func(s *sinkScript) {
 		t1, t2 := s.begin(engine.ReadWrite), s.begin(engine.ReadWrite)

@@ -1,8 +1,9 @@
 // Package harness drives identical workloads against any engine.Engine
 // and measures what the paper claims qualitatively: per-class throughput
-// and latency, abort counts by cause, read-only blocking, and visibility
-// lag. Every table in EXPERIMENTS.md is produced by a Run of this harness
-// under a different Config (see cmd/mvbench and bench_test.go).
+// and latency, abort counts by cause, and read-only blocking and
+// retries. The load-driven experiments of EXPERIMENTS.md (E2, E3, E5,
+// E8 in the root paper_test.go and bench_test.go) and cmd/mvbench's
+// bench4 are Runs of this harness under different Configs.
 package harness
 
 import (
@@ -32,9 +33,6 @@ type Config struct {
 	// RetryLimit bounds retries of an aborted read-write transaction
 	// before it is abandoned (default 50).
 	RetryLimit int
-	// LagSample, if non-nil, is sampled every millisecond into the
-	// result's visibility-lag summary (e.g. engine.VC().Lag).
-	LagSample func() uint64
 	// OpDelay injects think time before every operation. Besides modeling
 	// clients that compute between accesses, it forces transaction
 	// interleaving on machines with few cores, where back-to-back
@@ -57,9 +55,6 @@ type Result struct {
 
 	ROLatency metrics.Summary // per committed read-only txn
 	RWLatency metrics.Summary // per committed read-write txn (incl. retries)
-
-	LagMean float64
-	LagMax  uint64
 
 	Stats obs.Snapshot // engine counters after the run
 }
@@ -93,32 +88,6 @@ func Run(cfg Config) (Result, error) {
 	roLat := metrics.NewHistogram()
 	rwLat := metrics.NewHistogram()
 	var committedRO, committedRW, retries, roRetries, roAbandoned, abandoned atomic.Uint64
-
-	// Optional visibility-lag sampler.
-	var lagSum, lagN, lagMax uint64
-	stopLag := make(chan struct{})
-	var lagWG sync.WaitGroup
-	if cfg.LagSample != nil {
-		lagWG.Add(1)
-		go func() {
-			defer lagWG.Done()
-			t := time.NewTicker(time.Millisecond)
-			defer t.Stop()
-			for {
-				select {
-				case <-stopLag:
-					return
-				case <-t.C:
-					l := cfg.LagSample()
-					lagSum += l
-					lagN++
-					if l > lagMax {
-						lagMax = l
-					}
-				}
-			}
-		}()
-	}
 
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -167,15 +136,13 @@ func Run(cfg Config) (Result, error) {
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	close(stopLag)
-	lagWG.Wait()
 	select {
 	case err := <-errc:
 		return Result{}, err
 	default:
 	}
 
-	res := Result{
+	return Result{
 		Engine:      cfg.Engine.Name(),
 		Elapsed:     elapsed,
 		CommittedRO: committedRO.Load(),
@@ -187,12 +154,7 @@ func Run(cfg Config) (Result, error) {
 		ROLatency:   roLat.Summarize(),
 		RWLatency:   rwLat.Summarize(),
 		Stats:       cfg.Engine.Stats(),
-		LagMax:      lagMax,
-	}
-	if lagN > 0 {
-		res.LagMean = float64(lagSum) / float64(lagN)
-	}
-	return res, nil
+	}, nil
 }
 
 // runRO executes a read-only spec. Under the paper's engines this can

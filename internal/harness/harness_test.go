@@ -38,7 +38,6 @@ func TestRunAllCoreEngines(t *testing.T) {
 				Clients:       6,
 				TxnsPerClient: 150,
 				Workload:      wl,
-				LagSample:     e.VC().Lag,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -235,8 +235,8 @@ func Dur(ns int64) string {
 	}
 }
 
-// Table renders rows as an aligned plain-text table (the output format of
-// cmd/mvbench, mirrored into EXPERIMENTS.md).
+// Table renders rows as an aligned plain-text table: the experiment
+// tables the root tests log, and cmd/mvdb's and cmd/mvbench's output.
 type Table struct {
 	Title   string     `json:"title,omitempty"`
 	Headers []string   `json:"headers"`
@@ -266,18 +266,4 @@ func (t *Table) String() string {
 	}
 	tw.Flush()
 	return sb.String()
-}
-
-// F formats a float with sensible precision for table cells.
-func F(v float64) string {
-	switch {
-	case v == 0:
-		return "0"
-	case math.Abs(v) >= 1000:
-		return fmt.Sprintf("%.0f", v)
-	case math.Abs(v) >= 10:
-		return fmt.Sprintf("%.1f", v)
-	default:
-		return fmt.Sprintf("%.3f", v)
-	}
 }

@@ -142,21 +142,6 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-func TestF(t *testing.T) {
-	if F(0) != "0" {
-		t.Fatal(F(0))
-	}
-	if F(12345.6) != "12346" {
-		t.Fatal(F(12345.6))
-	}
-	if F(12.34) != "12.3" {
-		t.Fatal(F(12.34))
-	}
-	if F(1.2345) != "1.234" && F(1.2345) != "1.235" {
-		t.Fatal(F(1.2345))
-	}
-}
-
 func TestBucketClampAtMaxOctave(t *testing.T) {
 	h := NewHistogram()
 	h.Record(1 << 62) // far beyond the covered range: must clamp, not panic
