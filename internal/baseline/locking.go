@@ -39,6 +39,8 @@ func (e *locking) init(rec engine.Recorder, installed func(t *lockTx)) {
 			e.stats.ROBlocked.Inc()
 		}
 	})
+	e.locks.SetBlockObserver(func(id uint64, _ string) { engine.RecordParked(e.rec, id&^readerLock, true) },
+		func(id uint64) { engine.RecordParked(e.rec, id&^readerLock, false) })
 }
 
 // Begin implements engine.Engine. Both classes run the same locking

@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"mvdb/internal/engine"
-	"mvdb/internal/obs"
 	"mvdb/internal/storage"
 )
 
@@ -41,13 +40,6 @@ func (e *MVTO) Begin(class engine.Class) (engine.Tx, error) {
 	return t, nil
 }
 
-// Stats implements engine.Engine.
-func (e *MVTO) Stats() obs.Snapshot {
-	sn := e.stats.Snapshot()
-	sn.StoreWaits = int64(e.store.TotalWaits())
-	return sn
-}
-
 type mvtoTx struct {
 	e       *MVTO
 	id      uint64
@@ -71,13 +63,9 @@ func (t *mvtoTx) Get(key string) ([]byte, error) {
 	case o == nil:
 	case t.class == engine.ReadOnly:
 		o.SetRTS(t.tn, true)
-		var waited bool
-		v, ok, waited = o.SnapshotReadWait(t.tn)
-		if waited {
-			t.e.stats.ROBlocked.Inc()
-		}
+		v, ok = o.SnapshotReadWait(t.tn, t)
 	default:
-		v, ok = o.TORead(t.tn)
+		v, ok = o.TORead(t.tn, t)
 	}
 	if _, own := t.pending[key]; own && ok && v.TN == t.tn {
 		return value(v) // its own pending write: no dependency to record
@@ -103,7 +91,7 @@ func (t *mvtoTx) write(key string, value []byte, tombstone bool) error {
 		return engine.ErrReadOnly
 	}
 	o := t.e.store.GetOrCreate(key)
-	if err := o.TOWrite(t.tn, value, tombstone); err != nil {
+	if err := o.TOWrite(t.tn, value, tombstone, t); err != nil {
 		t.e.stats.AbortsConflict.Inc()
 		if errors.Is(err, storage.ErrConflictRO) {
 			// The write was rejected because a read-only transaction had
@@ -155,6 +143,19 @@ func (t *mvtoTx) abortInternal() {
 		t.e.store.GetOrCreate(key).ResolvePending(t.tn, false, nil)
 	}
 	t.e.rec.RecordAbort(t.id)
+}
+
+// Parked implements storage.Waiter: a park counts a store wait — and,
+// for a read-only transaction, a blocked read-only read — and both it
+// and the wake go to the recorder.
+func (t *mvtoTx) Parked(parked bool) {
+	if parked {
+		t.e.stats.StoreWaits.Inc()
+		if t.class == engine.ReadOnly {
+			t.e.stats.ROBlocked.Inc()
+		}
+	}
+	engine.RecordParked(t.e.rec, t.id, parked)
 }
 
 // ID implements engine.Tx.

@@ -62,6 +62,9 @@ func (s *shell) Bootstrap(data map[string][]byte) error {
 	return nil
 }
 
+// Stats implements engine.Engine.
+func (s *shell) Stats() obs.Snapshot { return s.stats.Snapshot() }
+
 // Close implements engine.Engine.
 func (s *shell) Close() error {
 	s.closed.Store(true)

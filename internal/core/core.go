@@ -68,8 +68,9 @@ type Options struct {
 	// Protocol selects the read-write concurrency control. Default: 2PL.
 	Protocol Protocol
 	// LockPolicy selects deadlock handling for 2PL: lock.Detect (the
-	// default, a standalone engine's) or lock.TimeoutPolicy (a cluster
-	// site's, whose waits-for relation cannot see a cycle across sites).
+	// default, a standalone engine's and a one-site cluster's) or
+	// lock.TimeoutPolicy (a site's of a larger cluster, whose waits-for
+	// relation cannot see a cycle across sites).
 	LockPolicy lock.Policy
 	// LockTimeout applies when LockPolicy is lock.TimeoutPolicy.
 	LockTimeout time.Duration
@@ -451,7 +452,6 @@ func (e *Engine) Stats() obs.Snapshot {
 	var keys int
 	var versions int64
 	var maxChain int
-	var waits uint64
 	e.store.Range(func(_ string, o *storage.Object) bool {
 		keys++
 		n := o.VersionCount()
@@ -459,7 +459,6 @@ func (e *Engine) Stats() obs.Snapshot {
 		if n > maxChain {
 			maxChain = n
 		}
-		waits += o.Waits()
 		return true
 	})
 	sn.Keys = keys
@@ -468,7 +467,6 @@ func (e *Engine) Stats() obs.Snapshot {
 	if keys > 0 {
 		sn.MeanVersionChain = float64(versions) / float64(keys)
 	}
-	sn.StoreWaits = int64(waits)
 	sn.Phases = e.phases.Summaries()
 	if e.log != nil {
 		a, f, b := e.log.Counters()

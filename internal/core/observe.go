@@ -59,13 +59,16 @@ func newSinks(opts Options) sinks {
 	return s
 }
 
-// observeLocks feeds the lock manager's waits to the sinks. Only 2PL
-// transactions reach the lock manager, so the attribution row is fixed.
+// observeLocks feeds the lock manager's waits to the sinks, and its
+// parks and wakes to the recorder. Only 2PL transactions reach the lock
+// manager, so the attribution row is fixed.
 func (e *Engine) observeLocks() {
 	e.locks.SetWaitObserver(func(txID uint64, wait time.Duration) {
 		e.stats.LockWaitNanos.Record(wait.Nanoseconds())
 		e.phases.Record(proto2PL, obs.PhaseLockWait, txID, wait)
 	})
+	e.locks.SetBlockObserver(func(txID uint64, _ string) { engine.RecordParked(e.rec, txID, true) },
+		func(txID uint64) { engine.RecordParked(e.rec, txID, false) })
 }
 
 // observeWAL feeds the log's group-commit batch sizes into the registry
@@ -201,6 +204,16 @@ func (o *txObs) read(key string, tn uint64) { o.e.rec.RecordRead(o.id, key, tn) 
 
 // wrote reports that version tn of key is in.
 func (o *txObs) wrote(key string, tn uint64) { o.e.rec.RecordWrite(o.id, key, tn) }
+
+// Parked makes the transaction the storage.Waiter of its
+// timestamp-ordering requests: a park on an older pending write counts
+// a store wait, and both it and the wake go to the recorder.
+func (o *txObs) Parked(parked bool) {
+	if parked {
+		o.e.stats.StoreWaits.Inc()
+	}
+	engine.RecordParked(o.e.rec, o.id, parked)
+}
 
 // collected counts the versions the transaction's installs dropped into
 // the same total as a collection pass's.

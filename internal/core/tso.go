@@ -49,7 +49,7 @@ func (t *tsoTx) Get(key string) ([]byte, error) {
 	var v storage.Version
 	ok := false
 	if o := t.e.store.Get(key); o != nil {
-		v, ok = o.TORead(t.entry.TN())
+		v, ok = o.TORead(t.entry.TN(), &t.txObs)
 	}
 	if v.TN != t.entry.TN() {
 		t.read(key, v.TN)
@@ -74,7 +74,7 @@ func (t *tsoTx) put(w wal.Write) error {
 	if t.done {
 		return engine.ErrTxDone
 	}
-	if err := t.e.store.GetOrCreate(w.Key).TOWrite(t.entry.TN(), w.Value, w.Tombstone); err != nil {
+	if err := t.e.store.GetOrCreate(w.Key).TOWrite(t.entry.TN(), w.Value, w.Tombstone, &t.txObs); err != nil {
 		cause := causeTOWrite
 		if errors.Is(err, storage.ErrConflictRO) {
 			cause = causeTOWriteByRO

@@ -191,7 +191,9 @@ type Options struct {
 	Jitter time.Duration
 	// LockTimeout bounds lock waits at each site. Distributed deadlocks
 	// span sites, where a local waits-for graph cannot see the cycle, so
-	// sites use timeout-based resolution (default 50ms).
+	// sites use timeout-based resolution (default 50ms). A one-site
+	// cluster's one waits-for graph sees every cycle: it detects
+	// deadlocks instead, and LockTimeout does not apply.
 	LockTimeout time.Duration
 	// Partition maps a key to a site (default: FNV hash mod Sites).
 	Partition func(key string) int
@@ -293,9 +295,13 @@ func (c *Cluster) hold() {
 // open builds site s's engine: a fresh one, or, on a durable cluster,
 // the one core.OpenDurable recovers from the site's log.
 func (c *Cluster) open(s *Site) error {
+	policy := lock.TimeoutPolicy
+	if c.opts.Sites == 1 {
+		policy = lock.Detect // the one site sees every cycle
+	}
 	opts := core.ClusterSite(core.Options{
 		Protocol:    core.TwoPhaseLocking,
-		LockPolicy:  lock.TimeoutPolicy,
+		LockPolicy:  policy,
 		LockTimeout: c.opts.LockTimeout,
 		Recorder:    siteRecorder{c.rec},
 	}, uint64(s.id), uint64(c.opts.Sites), &c.reg)

@@ -266,6 +266,52 @@ func TestLockConflictTimesOutAndRetries(t *testing.T) {
 	}
 }
 
+// TestOneSiteDetectsDeadlocks: a one-site cluster's waits-for graph
+// sees every cycle, so an opposite-order pair loses one transaction to
+// deadlock detection at once, not to the lock timeout.
+func TestOneSiteDetectsDeadlocks(t *testing.T) {
+	const timeout = 2 * time.Second
+	c, err := New(Options{Sites: 1, LockTimeout: timeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	start := time.Now()
+	t1, _ := c.Begin(engine.ReadWrite)
+	t2, _ := c.Begin(engine.ReadWrite)
+	if err := t1.Put("a", []byte("1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := t2.Put("b", []byte("2")); err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, 2)
+	for _, put := range []func() error{
+		func() error { return t1.Put("b", []byte("1")) },
+		func() error { return t2.Put("a", []byte("2")) },
+	} {
+		go func() { errs <- put() }()
+	}
+	var victims int
+	for range 2 {
+		switch err := <-errs; {
+		case errors.Is(err, engine.ErrDeadlock):
+			victims++
+		case err != nil:
+			t.Fatalf("err = %v, want nil or ErrDeadlock", err)
+		}
+	}
+	if elapsed := time.Since(start); victims != 1 || elapsed >= timeout/2 {
+		t.Fatalf("%d victims after %v, want 1 well under the %v timeout", victims, elapsed, timeout)
+	}
+	st := c.Sites()[0].Engine().Stats()
+	if st.LockDeadlocks != 1 || st.LockTimeouts != 0 {
+		t.Fatalf("site: %d deadlocks, %d timeouts; want 1 and 0", st.LockDeadlocks, st.LockTimeouts)
+	}
+	t1.Abort()
+	t2.Abort()
+}
+
 // Distributed bank: transfers across sites with concurrent global
 // read-only audits; conservation plus global one-copy serializability.
 func TestStressDistributedSerializability(t *testing.T) {

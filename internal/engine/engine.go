@@ -190,6 +190,27 @@ func RecordSnapshot(r Recorder, txID, sn uint64) {
 	}
 }
 
+// ParkRecorder is an optional extension of Recorder: recorders that
+// implement it learn when a transaction's step parks — waits for
+// another transaction to release a lock or resolve a pending write —
+// and when it is woken. The engine reports a park (parked true) on the
+// waiter's goroutine before it waits, and a wake (parked false) on the
+// goroutine whose step released it, before that step returns; a lock
+// wait that times out wakes itself. A woken step that must wait again
+// parks again, so parks and wakes pair up. internal/schedtest paces its
+// schedules by these events.
+type ParkRecorder interface {
+	RecordParked(txID uint64, parked bool)
+}
+
+// RecordParked forwards a park or a wake to r if (and only if) it
+// implements ParkRecorder: one type test when nothing listens.
+func RecordParked(r Recorder, txID uint64, parked bool) {
+	if pr, ok := r.(ParkRecorder); ok {
+		pr.RecordParked(txID, parked)
+	}
+}
+
 // Multi combines recorders: every record call fans out to each non-nil,
 // non-Nop recorder in order. It collapses to NopRecorder or the single
 // remaining recorder when it can, so a caller may pass an optional
@@ -259,6 +280,14 @@ func (m multiRecorder) RecordSnapshot(txID, sn uint64) {
 		if sr, ok := r.(SnapshotRecorder); ok {
 			sr.RecordSnapshot(txID, sn)
 		}
+	}
+}
+
+// RecordParked implements ParkRecorder, forwarding to the members that
+// implement it.
+func (m multiRecorder) RecordParked(txID uint64, parked bool) {
+	for _, r := range m {
+		RecordParked(r, txID, parked)
 	}
 }
 

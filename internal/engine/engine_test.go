@@ -38,13 +38,14 @@ func TestNopRecorderIsInert(t *testing.T) {
 }
 
 // countingRecorder counts calls for Multi fan-out checks.
-type countingRecorder struct{ begins, reads, writes, commits, aborts int }
+type countingRecorder struct{ begins, reads, writes, commits, aborts, parks int }
 
 func (c *countingRecorder) RecordBegin(uint64, Class)          { c.begins++ }
 func (c *countingRecorder) RecordRead(uint64, string, uint64)  { c.reads++ }
 func (c *countingRecorder) RecordWrite(uint64, string, uint64) { c.writes++ }
 func (c *countingRecorder) RecordCommit(uint64, uint64)        { c.commits++ }
 func (c *countingRecorder) RecordAbort(uint64)                 { c.aborts++ }
+func (c *countingRecorder) RecordParked(uint64, bool)          { c.parks++ }
 
 func TestMultiCollapses(t *testing.T) {
 	if _, ok := Multi().(NopRecorder); !ok {
@@ -70,11 +71,14 @@ func TestMultiFansOut(t *testing.T) {
 	m.RecordWrite(1, "k", 2)
 	m.RecordCommit(1, 2)
 	m.RecordAbort(3)
+	RecordParked(m, 1, true)
+	RecordParked(m, 1, false)
 	for i, r := range []*countingRecorder{a, b} {
-		if r.begins != 1 || r.reads != 1 || r.writes != 1 || r.commits != 1 || r.aborts != 1 {
+		if r.begins != 1 || r.reads != 1 || r.writes != 1 || r.commits != 1 || r.aborts != 1 || r.parks != 2 {
 			t.Fatalf("recorder %d saw %+v", i, *r)
 		}
 	}
+	RecordParked(NopRecorder{}, 1, true) // a recorder that does not listen
 }
 
 // The retry loops call Backoff on every attempt; it must cost no

@@ -10,8 +10,8 @@
 //     whenever a request blocks; the requester that would close a cycle
 //     is the victim (ErrDeadlock). A standalone engine uses it.
 //   - Timeout: a blocked request fails with ErrTimeout after a bound. A
-//     cluster site uses it: its local waits-for relation cannot see a
-//     cycle that spans sites.
+//     site of a multi-site cluster uses it: its local waits-for relation
+//     cannot see a cycle that spans sites.
 //
 // Victims must abort and call ReleaseAll; the engines above retry them.
 // Note the paper's observation (Section 4.4): deadlocks are entirely a
@@ -252,11 +252,13 @@ type Manager struct {
 	timeouts   atomic.Uint64
 	collisions atomic.Uint64
 
-	// onWait observes every blocked request when its wait ends; see
-	// SetWaitObserver. onBlock observes it when the wait begins; see
-	// SetBlockObserver. Both run outside every manager mutex.
+	// onWait observes every blocked request when its wait ends (see
+	// SetWaitObserver), onBlock when it parks and onWake when it is woken
+	// (see SetBlockObserver). onWait and onBlock run outside every
+	// manager mutex, onWake under the key's stripe mutex.
 	onWait  func(txID uint64, wait time.Duration)
 	onBlock func(txID uint64, key string)
+	onWake  func(txID uint64)
 }
 
 // NewManager creates a manager with the given policy and DefaultStripes
@@ -353,13 +355,29 @@ func (m *Manager) SetWaitObserver(fn func(txID uint64, wait time.Duration)) {
 	m.onWait = fn
 }
 
-// SetBlockObserver installs fn, called once per request at the moment it
-// begins to wait (its entry is queued and visible to other transactions).
-// Like the wait observer it runs on the requester's goroutine outside
-// every mutex. This package's tests use it to learn that a request has
-// parked; internal/schedtest does not (it tells a parked step by timing).
-func (m *Manager) SetBlockObserver(fn func(txID uint64, key string)) {
-	m.onBlock = fn
+// SetBlockObserver installs block, called once per request at the
+// moment it parks: its entry is queued and visible to other
+// transactions and, under Detect, its detection pass found no cycle (the
+// request that closes one is refused at once and never parks). Like the
+// wait observer it runs on the requester's goroutine outside every
+// mutex. wake, if not nil, is called once per parked request when its
+// wait is resolved: by the goroutine whose ReleaseAll, or whose
+// cancelled request, granted or refused it, before that call returns;
+// or by the waiter itself when it times out. A releaser calls it under
+// the key's stripe mutex, so wake must not call into the manager. A
+// wake can overtake the block report of the same request. The engines
+// feed both to their recorder as park events (engine.ParkRecorder),
+// which internal/schedtest paces its schedules by; this package's tests
+// use block to learn that a request has parked.
+func (m *Manager) SetBlockObserver(block func(txID uint64, key string), wake func(txID uint64)) {
+	m.onBlock, m.onWake = block, wake
+}
+
+// woke reports that a parked request of txID was resolved.
+func (m *Manager) woke(txID uint64) {
+	if m.onWake != nil {
+		m.onWake(txID)
+	}
 }
 
 // Acquire blocks until the lock is granted or the transaction becomes a
@@ -376,10 +394,6 @@ func (m *Manager) Acquire(txID uint64, key string, mode Mode) error {
 		return nil
 	}
 	m.waits.Add(1)
-	if m.onBlock != nil {
-		m.onBlock(txID, key)
-	}
-
 	if m.policy == Detect {
 		m.detectMu.Lock()
 		victim := m.cycleFrom(tx) && m.cancelRequest(req)
@@ -391,9 +405,15 @@ func (m *Manager) Acquire(txID uint64, key string, mode Mode) error {
 		// If a cycle was seen but the request had already been granted
 		// concurrently, the verdict is on the channel; take it below.
 	}
+	// Parked only now: a step whose own detection pass is still to run
+	// could yet be the victim. Taken for parked, it would let a rival's
+	// request into the graph first, and timing would pick the victim.
+	if m.onBlock != nil {
+		m.onBlock(txID, key)
+	}
 
 	waitStart := time.Now()
-	err := m.await(req)
+	err := m.await(txID, req)
 	if m.onWait != nil {
 		m.onWait(txID, time.Since(waitStart))
 	}
@@ -442,9 +462,9 @@ func (m *Manager) grantOrQueue(tx *TxState, key string, mode Mode) *request {
 	return req
 }
 
-// await blocks on a queued request until it is granted or fails under
-// the manager's policy.
-func (m *Manager) await(req *request) error {
+// await blocks on txID's queued request until it is granted or fails
+// under the manager's policy.
+func (m *Manager) await(txID uint64, req *request) error {
 	if m.policy == TimeoutPolicy {
 		timer := time.NewTimer(m.timeout)
 		defer timer.Stop()
@@ -454,6 +474,7 @@ func (m *Manager) await(req *request) error {
 		case <-timer.C:
 			if m.cancelRequest(req) {
 				m.timeouts.Add(1)
+				m.woke(txID)
 				return ErrTimeout
 			}
 			// A grant raced the timer; its verdict is queued.
@@ -511,6 +532,7 @@ func (m *Manager) ReleaseAll(txID uint64) {
 		m.lockStripe(s)
 		if ls := s.locks[w.key]; ls != nil && m.removeRequest(s, ls, w) {
 			w.ready <- ErrUnknown
+			m.woke(txID)
 		}
 		s.mu.Unlock()
 	}
@@ -662,8 +684,10 @@ func (m *Manager) grantWaiters(s *stripe, key string, ls *lockState) {
 		if req.tx.waiting == req {
 			req.tx.waiting = nil
 		}
+		id := req.tx.id
 		req.tx.mu.Unlock()
 		req.ready <- nil
+		m.woke(id)
 	}
 	if len(ls.holders) == 0 && len(ls.queue) == 0 {
 		delete(s.locks, key)

@@ -377,3 +377,102 @@ func TestThreeWayDeadlock(t *testing.T) {
 	}
 	m.ReleaseAll(1)
 }
+
+// parkLog records the block and wake hooks' calls in order.
+type parkLog struct {
+	mu     sync.Mutex
+	events []string
+	parked chan uint64
+}
+
+func watchParks(m *Manager) *parkLog {
+	p := &parkLog{parked: make(chan uint64, 4)}
+	m.SetBlockObserver(func(id uint64, _ string) {
+		p.add(fmt.Sprintf("park %d", id))
+		p.parked <- id
+	}, func(id uint64) { p.add(fmt.Sprintf("wake %d", id)) })
+	return p
+}
+
+func (p *parkLog) add(ev string) {
+	p.mu.Lock()
+	p.events = append(p.events, ev)
+	p.mu.Unlock()
+}
+
+func (p *parkLog) String() string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return fmt.Sprint(p.events)
+}
+
+// TestReleaseReportsTheWake: a parked request's wake is reported by the
+// ReleaseAll that grants it, before ReleaseAll returns.
+func TestReleaseReportsTheWake(t *testing.T) {
+	m := newDetect()
+	p := watchParks(m)
+	m.Begin(1, 1)
+	m.Begin(2, 2)
+	if err := m.Acquire(1, "k", Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	granted := make(chan error, 1)
+	go func() { granted <- m.Acquire(2, "k", Shared) }()
+	<-p.parked
+	m.ReleaseAll(1)
+	if got := p.String(); got != "[park 2 wake 2]" {
+		t.Fatalf("after ReleaseAll: %s, want [park 2 wake 2]", got)
+	}
+	if err := <-granted; err != nil {
+		t.Fatal(err)
+	}
+	m.ReleaseAll(2)
+}
+
+// TestVictimDoesNotPark: the request that closes a cycle is refused at
+// once and reports no park; its abort wakes the transaction it blocked.
+func TestVictimDoesNotPark(t *testing.T) {
+	m := newDetect()
+	p := watchParks(m)
+	m.Begin(1, 1)
+	m.Begin(2, 2)
+	if err := m.Acquire(1, "a", Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Acquire(2, "b", Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	granted := make(chan error, 1)
+	go func() { granted <- m.Acquire(1, "b", Exclusive) }()
+	<-p.parked
+	if err := m.Acquire(2, "a", Exclusive); !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("err = %v, want ErrDeadlock", err)
+	}
+	m.ReleaseAll(2)
+	if err := <-granted; err != nil {
+		t.Fatal(err)
+	}
+	if got := p.String(); got != "[park 1 wake 1]" {
+		t.Fatalf("events %s, want [park 1 wake 1]", got)
+	}
+	m.ReleaseAll(1)
+}
+
+// TestTimeoutWakesItself: a request that times out reports its own wake.
+func TestTimeoutWakesItself(t *testing.T) {
+	m := NewManager(TimeoutPolicy, time.Millisecond)
+	p := watchParks(m)
+	m.Begin(1, 1)
+	m.Begin(2, 2)
+	if err := m.Acquire(1, "k", Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Acquire(2, "k", Exclusive); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("err = %v, want ErrTimeout", err)
+	}
+	if got := p.String(); got != "[park 2 wake 2]" {
+		t.Fatalf("events %s, want [park 2 wake 2]", got)
+	}
+	m.ReleaseAll(1)
+	m.ReleaseAll(2)
+}

@@ -162,7 +162,7 @@ func TestRecycledLockStateGrantsImmediately(t *testing.T) {
 				t.Fatal(err)
 			}
 			blocked := make(chan struct{})
-			m.SetBlockObserver(func(uint64, string) { close(blocked) })
+			m.SetBlockObserver(func(uint64, string) { close(blocked) }, nil)
 			waited := make(chan error, 1)
 			go func() { waited <- m.Acquire(2, "a", Shared) }()
 			<-blocked
@@ -221,7 +221,7 @@ func TestDetectWaitAllocatesNothing(t *testing.T) {
 	m := NewManager(Detect, 0)
 	var holder, waiter TxState
 	blocked := make(chan struct{})
-	m.SetBlockObserver(func(uint64, string) { blocked <- struct{}{} })
+	m.SetBlockObserver(func(uint64, string) { blocked <- struct{}{} }, nil)
 	ids := make(chan uint64)
 	defer close(ids)
 	verdicts := make(chan error)
@@ -285,7 +285,7 @@ func TestWalkSkipsAReincarnatedState(t *testing.T) {
 	m := NewManager(Detect, 0)
 	var start, b, recycled TxState
 	blocked := make(chan uint64, 1)
-	m.SetBlockObserver(func(id uint64, _ string) { blocked <- id })
+	m.SetBlockObserver(func(id uint64, _ string) { blocked <- id }, nil)
 	wait := func(id uint64, key string) <-chan error {
 		c := make(chan error, 1)
 		go func() { c <- m.Acquire(id, key, Exclusive) }()
@@ -320,8 +320,10 @@ func TestWalkSkipsAReincarnatedState(t *testing.T) {
 	// for 20. Its own detection pass waits for detectMu, held here.
 	bDone := make(chan error, 1)
 	go func() { bDone <- m.Acquire(20, "y", Exclusive) }()
-	if got := <-blocked; got != 20 {
-		t.Fatalf("transaction %d blocked, want 20", got)
+	// Its request is queued once the waits counter counts it. The block
+	// hook would fire only after its detection pass, which waits here.
+	for m.Waits() < 3 {
+		time.Sleep(time.Millisecond)
 	}
 	m.stack = append(m.stack[:0], blocker{&recycled, 1}, blocker{&b, 20})
 	if !m.walk(&start) {
@@ -352,7 +354,7 @@ func TestReleaseAllOfAWaiter(t *testing.T) {
 	m := NewManager(Detect, 0)
 	var s TxState
 	blocked := make(chan struct{}, 1)
-	m.SetBlockObserver(func(uint64, string) { blocked <- struct{}{} })
+	m.SetBlockObserver(func(uint64, string) { blocked <- struct{}{} }, nil)
 	m.Begin(1, 1)
 	if err := m.Acquire(1, "k", Exclusive); err != nil {
 		t.Fatal(err)

@@ -98,7 +98,7 @@ func TestSlowBlockObserver(t *testing.T) {
 	m.SetBlockObserver(func(txID uint64, key string) {
 		fired.Add(1)
 		<-release
-	})
+	}, nil)
 
 	m.Begin(1, 1)
 	m.Begin(2, 2)

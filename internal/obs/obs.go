@@ -80,12 +80,16 @@ type Stats struct {
 	AbortsLog      Counter
 
 	// Paper-claim counters: read-write aborts attributable to read-only
-	// transactions, read-only reads that blocked (both structurally
-	// zero under the paper's engines — counted so the claim is measured,
-	// not assumed), and Section 6 recency waits.
+	// transactions, read-only parks (both structurally zero under the
+	// paper's engines — counted so the claim is measured, not assumed),
+	// and Section 6 recency waits.
 	RWAbortsByRO Counter
 	ROBlocked    Counter
 	RecencyWaits Counter
+	// StoreWaits counts the parks of timestamp-ordering requests on an
+	// older transaction's pending write (a woken request that must wait
+	// again counts again).
+	StoreWaits Counter
 
 	// LockWaitNanos records how long each blocked lock request waited
 	// (granted or not); the lock manager's wait observer feeds it.
@@ -265,6 +269,7 @@ func (s *Stats) Snapshot() Snapshot {
 	sn.RWAbortsByRO = s.RWAbortsByRO.Load()
 	sn.ROBlocked = s.ROBlocked.Load()
 	sn.RecencyWaits = s.RecencyWaits.Load()
+	sn.StoreWaits = s.StoreWaits.Load()
 	sn.LockWait = s.LockWaitNanos.Summarize()
 	sn.WALBatchSize = s.WALBatchSize.Summarize()
 	sn.GCPasses = s.GCPasses.Load()

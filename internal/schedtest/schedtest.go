@@ -11,21 +11,29 @@
 // and for the deliberately broken baselines (internal/baseline) at least
 // one interleaving must trip both oracles.
 //
-// Execution model: one goroutine per script, lock-stepped by the
-// scheduler. The scheduler dispatches exactly one operation per schedule
-// slot and waits briefly for it to finish; an operation that does not
-// finish is *blocked* (a 2PL lock wait, a T/O read waiting on an older
-// pending write) and the scheduler moves on — the op completes
-// asynchronously once another script unblocks it. The realized
-// interleaving may therefore locally reorder around blocked operations,
-// exactly as a real scheduler would; every realized execution is still a
-// legal concurrent history, so the oracles apply unconditionally.
+// Execution model: one goroutine per script, paced by a scheduler that
+// is itself a recorder on the engine (engine.ParkRecorder). The engines
+// report a park when a step starts to wait for another transaction (a
+// 2PL lock wait, a T/O request waiting on an older pending write), and
+// the step that releases it reports the wake before it returns. The
+// scheduler hands out one step at a time, and the next only once every
+// step handed out has finished or parked. A slot whose script is parked
+// is deferred: each time nothing runs, the earliest slot left whose
+// script has no step out goes next. The realized interleaving is the
+// nominal one with parked suffixes shifted later, exactly as a real
+// scheduler would run it; every realized execution is a legal
+// concurrent history, so the oracles apply unconditionally. It is
+// decided by the engine's events, not by timing, so replaying a
+// schedule gives the same run: the same outcomes, the same parked steps
+// and the same verdicts. No timer paces the steps; drainGrace only
+// bounds a run that stops making progress.
 package schedtest
 
 import (
 	"errors"
 	"log/slog"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
@@ -64,8 +72,8 @@ type Op struct {
 }
 
 // Script is one transaction: a name (for failure messages), a class, and
-// the ordered operations. A read-write script that does not end in
-// Commit/Abort is aborted by the harness at the end of the run.
+// the ordered operations. A script that does not end in Commit/Abort is
+// aborted by the harness as part of its last step.
 type Script struct {
 	Name  string
 	Class engine.Class
@@ -82,6 +90,9 @@ type Outcome struct {
 	Err error
 	// Reads holds the last observed value per key ("" for a miss).
 	Reads map[string]string
+	// Parked lists, ascending, the indices of the operations that parked
+	// (waited for another transaction) at least once.
+	Parked []int
 }
 
 // RunResult is the verdict of one schedule replay.
@@ -97,9 +108,10 @@ type RunResult struct {
 	HistoryErr error
 	// Alarms is the online auditor's alarm count for the run.
 	Alarms uint64
-	// Stalled reports that the run was abandoned because an operation
-	// stayed blocked past the drain deadline. It indicates a harness or
-	// engine bug, never a legal outcome; Explore fails the test on it.
+	// Stalled reports that the run was abandoned because it had not
+	// finished by drainGrace: a parked step nothing could wake. It
+	// indicates a harness or engine bug, never a legal outcome; Explore
+	// fails the test on it.
 	Stalled bool
 }
 
@@ -114,14 +126,9 @@ type Suite struct {
 	NewEngine func(rec engine.Recorder) engine.Engine
 }
 
-const (
-	// opGrace is how long the scheduler waits for a dispatched operation
-	// before declaring it blocked and moving to the next slot.
-	opGrace = 10 * time.Millisecond
-	// drainGrace bounds the end-of-run drain; exceeding it marks the
-	// run Stalled.
-	drainGrace = 10 * time.Second
-)
+// drainGrace bounds a run; exceeding it marks the run Stalled. It is a
+// stall detector only: no step waits on it.
+const drainGrace = 10 * time.Second
 
 // Interleavings enumerates every interleaving of n scripts with the
 // given operation counts, as schedules of script indices. The count is
@@ -166,102 +173,51 @@ func (s *Suite) Lengths() []int {
 
 // Keys returns the sorted union of keys the suite can touch.
 func (s *Suite) Keys() []string {
-	set := map[string]struct{}{}
+	set := map[string]bool{}
 	for k := range s.Bootstrap {
-		set[k] = struct{}{}
+		set[k] = true
 	}
 	for _, sc := range s.Scripts {
 		for _, op := range sc.Ops {
-			if op.Key != "" {
-				set[op.Key] = struct{}{}
-			}
+			set[op.Key] = true
 		}
 	}
-	keys := make([]string, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	delete(set, "")
+	return slices.Sorted(maps.Keys(set))
 }
 
 // Run replays one schedule (a sequence of script indices; index i must
 // appear exactly len(Scripts[i].Ops) times) against a fresh engine and
 // returns the oracles' verdicts.
 func (s *Suite) Run(schedule []int) RunResult {
+	sched := &scheduler{scripts: make([]scriptState, len(s.Scripts))}
+	sched.cond.L = &sched.mu
 	rec := history.NewRecorder()
 	aud := audit.New(audit.Options{
 		Window: 256,
+		Queue:  256, // far more than a run's events
 		Logger: slog.New(slog.DiscardHandler),
 	})
-	eng := s.NewEngine(engine.Multi(rec, aud))
+	eng := s.NewEngine(engine.Multi(rec, aud, sched))
 	defer eng.Close()
 	defer aud.Close()
 
-	if len(s.Bootstrap) > 0 {
-		data := make(map[string][]byte, len(s.Bootstrap))
-		for k, v := range s.Bootstrap {
-			data[k] = []byte(v)
-		}
-		// Both core engines and the baseline wrappers expose Bootstrap.
-		if b, ok := eng.(interface{ Bootstrap(map[string][]byte) error }); ok {
-			if err := b.Bootstrap(data); err != nil {
-				panic("schedtest: bootstrap: " + err.Error())
-			}
-		} else {
-			panic("schedtest: engine does not support Bootstrap")
-		}
+	data := make(map[string][]byte, len(s.Bootstrap))
+	for k, v := range s.Bootstrap {
+		data[k] = []byte(v)
+	}
+	// Both core engines and the baselines expose Bootstrap.
+	if err := eng.(interface{ Bootstrap(map[string][]byte) error }).Bootstrap(data); err != nil {
+		panic("schedtest: bootstrap: " + err.Error())
 	}
 
 	res := RunResult{Schedule: schedule, Outcomes: make([]Outcome, len(s.Scripts))}
-	n := len(s.Scripts)
-	start := make([]chan struct{}, n)
-	done := make([]chan struct{}, n)
-	var wg sync.WaitGroup
 	for i := range s.Scripts {
-		// start is buffered to the script length so tokens for a script
-		// whose current operation is blocked queue up instead of
-		// stalling the scheduler; the worker still consumes them
-		// strictly one operation at a time, in program order.
-		start[i] = make(chan struct{}, len(s.Scripts[i].Ops))
-		done[i] = make(chan struct{}, len(s.Scripts[i].Ops))
 		res.Outcomes[i] = Outcome{Name: s.Scripts[i].Name, Reads: map[string]string{}}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			runScript(eng, s.Scripts[i], start[i], done[i], &res.Outcomes[i])
-		}(i)
+		sched.scripts[i] = scriptState{start: make(chan struct{}, 1), out: &res.Outcomes[i]}
+		go runScript(eng, s.Scripts[i], sched, i)
 	}
-
-	// Lock-step dispatch: one start token per schedule slot, then a
-	// short wait for its completion. A blocked operation (lock wait,
-	// pending-version wait) does not finish inside its slot; its start —
-	// and any later tokens for the same script — queue in the buffered
-	// channel and the worker consumes them in program order once the op
-	// unblocks. A schedule slot that lands while its script is blocked is
-	// therefore *deferred*, never executed out of order: the realized
-	// interleaving is the nominal one with blocked suffixes shifted
-	// later, which is exactly what a real scheduler would produce.
-	for _, i := range schedule {
-		start[i] <- struct{}{}
-		select {
-		case <-done[i]:
-		case <-time.After(opGrace):
-			// Blocked (or merely slow): it completes asynchronously and
-			// its done token is consumed by a later slot's wait or by
-			// the final drain.
-		}
-	}
-
-	// Drain: every start token is out; wait for the workers to finish.
-	// Blocked operations resolve as rival scripts commit, abort, or are
-	// cleaned up (the end-of-script auto-abort releases their locks).
-	finished := make(chan struct{})
-	go func() { wg.Wait(); close(finished) }()
-	select {
-	case <-finished:
-	case <-time.After(drainGrace):
-		res.Stalled = true
+	if res.Stalled = !sched.run(schedule); res.Stalled {
 		return res
 	}
 
@@ -284,83 +240,138 @@ func (s *Suite) Run(schedule []int) RunResult {
 	return res
 }
 
-// runScript executes one script in lock-step: one operation per start
-// token, one done token per finished operation. After a failed operation
-// the transaction is dead and the remaining slots are consumed as no-ops
-// so schedules keep their nominal length.
-func runScript(eng engine.Engine, sc Script, start <-chan struct{}, done chan<- struct{}, out *Outcome) {
+// scheduler paces one run. It is a recorder on the engine: the park
+// events tell it which step handed out is waiting on another
+// transaction, and it hands out the next step only once every step
+// handed out has finished or parked.
+type scheduler struct {
+	engine.NopRecorder
+	mu      sync.Mutex
+	cond    sync.Cond // L is mu; broadcast on every change below
+	scripts []scriptState
+	stalled bool
+}
+
+// scriptState is one script's progress.
+type scriptState struct {
+	start  chan struct{} // the token for its next step
+	out    *Outcome      // its Parked is written under the mutex
+	tx     uint64        // its transaction's id, once it has begun
+	handed int           // steps handed out
+	done   int           // steps finished
+	// parks is the current step's parks minus its wakes: positive while
+	// the step is parked. A wake can overtake the park it answers, so it
+	// can dip below zero for a moment.
+	parks int
+}
+
+// locked runs f under the scheduler's mutex and wakes run.
+func (sched *scheduler) locked(f func()) {
+	sched.mu.Lock()
+	defer sched.mu.Unlock()
+	f()
+	sched.cond.Broadcast()
+}
+
+// RecordParked implements engine.ParkRecorder. A transaction of no
+// script (the final read) is ignored.
+func (sched *scheduler) RecordParked(txID uint64, parked bool) {
+	sched.locked(func() {
+		for i := range sched.scripts {
+			st := &sched.scripts[i]
+			if st.tx != txID {
+				continue
+			}
+			if !parked {
+				st.parks--
+				continue
+			}
+			st.parks++
+			if p := st.out.Parked; len(p) == 0 || p[len(p)-1] != st.done {
+				st.out.Parked = append(p, st.done)
+			}
+		}
+	})
+}
+
+// run hands out the schedule's steps and waits for the last to finish,
+// reporting false if the run stalled. Each time no step handed out is
+// running, it hands out the earliest slot left whose script has no step
+// out; it waits on the engine's events for everything else.
+func (sched *scheduler) run(schedule []int) bool {
+	watchdog := time.AfterFunc(drainGrace, func() { sched.locked(func() { sched.stalled = true }) })
+	defer watchdog.Stop()
+	left := slices.Clone(schedule)
+	sched.mu.Lock()
+	defer sched.mu.Unlock()
+	for !sched.stalled {
+		running, idle := false, true
+		for _, st := range sched.scripts {
+			running = running || st.handed > st.done && st.parks <= 0
+			idle = idle && st.handed == st.done
+		}
+		k := slices.IndexFunc(left, func(i int) bool { return sched.scripts[i].handed == sched.scripts[i].done })
+		switch {
+		case !running && k >= 0:
+			// The script has no step out, so its token channel is
+			// empty and the send does not block.
+			st := &sched.scripts[left[k]]
+			left = slices.Delete(left, k, k+1)
+			st.handed++
+			st.start <- struct{}{}
+		case !running && len(left) == 0 && idle:
+			return true
+		default: // a step runs, or every script with a slot left is parked
+			sched.cond.Wait()
+		}
+	}
+	return false
+}
+
+// runScript executes script i one step per token from the scheduler.
+// Its transaction begins at its first step (an explicit Begin, or the
+// first operation). After a failed operation the transaction is dead
+// and the remaining steps are no-ops, so schedules keep their nominal
+// length.
+func runScript(eng engine.Engine, sc Script, sched *scheduler, i int) {
+	st, out := &sched.scripts[i], sched.scripts[i].out
 	var tx engine.Tx
+	var err error
 	dead := false
-	fail := func(err error) {
-		if out.Err == nil {
-			out.Err = err
+	for k, op := range sc.Ops {
+		<-st.start
+		if !dead && tx == nil && op.Kind != Abort {
+			if tx, err = eng.Begin(sc.Class); err == nil {
+				sched.locked(func() { st.tx = tx.ID() })
+			}
 		}
-		if tx != nil {
-			tx.Abort()
-		}
-		dead = true
-	}
-	begin := func() {
-		if tx != nil || dead {
-			return
-		}
-		t, err := eng.Begin(sc.Class)
-		if err != nil {
-			fail(err)
-			return
-		}
-		tx = t
-	}
-	for _, op := range sc.Ops {
-		<-start
-		if !dead {
+		if !dead && err == nil {
 			switch op.Kind {
-			case Begin:
-				begin()
 			case Get:
-				if begin(); !dead {
-					v, err := tx.Get(op.Key)
-					switch {
-					case err == nil:
-						out.Reads[op.Key] = string(v)
-					case errors.Is(err, engine.ErrNotFound):
-						out.Reads[op.Key] = ""
-					default:
-						fail(err)
-					}
+				var v []byte
+				if v, err = tx.Get(op.Key); err == nil || errors.Is(err, engine.ErrNotFound) {
+					out.Reads[op.Key], err = string(v), nil
 				}
 			case Put:
-				if begin(); !dead {
-					if err := tx.Put(op.Key, []byte(op.Value)); err != nil {
-						fail(err)
-					}
-				}
+				err = tx.Put(op.Key, []byte(op.Value))
 			case Delete:
-				if begin(); !dead {
-					if err := tx.Delete(op.Key); err != nil {
-						fail(err)
-					}
-				}
+				err = tx.Delete(op.Key)
 			case Commit:
-				if begin(); !dead {
-					if err := tx.Commit(); err != nil {
-						fail(err)
-					} else {
-						out.Committed = true
-						dead = true
-					}
+				if err = tx.Commit(); err == nil {
+					out.Committed, dead, tx = true, true, nil
 				}
 			case Abort:
-				if tx != nil {
-					tx.Abort()
-				}
 				dead = true
 			}
 		}
-		done <- struct{}{}
-	}
-	if tx != nil && !dead {
-		tx.Abort()
+		if err != nil && !dead {
+			out.Err, dead = err, true
+		}
+		if tx != nil && (dead || k == len(sc.Ops)-1) {
+			tx.Abort()
+			tx = nil
+		}
+		sched.locked(func() { st.done++ })
 	}
 }
 

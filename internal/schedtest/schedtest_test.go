@@ -2,6 +2,9 @@ package schedtest
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"mvdb/internal/baseline"
@@ -72,8 +75,9 @@ func protocols() map[string]core.Options {
 
 func realEngine(opts core.Options) func(rec engine.Recorder) engine.Engine {
 	return func(rec engine.Recorder) engine.Engine {
-		opts.Recorder = rec
-		return core.New(opts)
+		o := opts // runs may build engines concurrently
+		o.Recorder = rec
+		return core.New(o)
 	}
 }
 
@@ -81,20 +85,47 @@ func realEngine(opts core.Options) func(rec engine.Recorder) engine.Engine {
 // serializable history, a silent auditor, and no non-retryable errors.
 func requireClean(t *testing.T, r RunResult) {
 	t.Helper()
+	if msg := unclean(r); msg != "" {
+		t.Errorf("schedule %v: %s", r.Schedule, msg)
+	}
+}
+
+// unclean says how r falls short of requireClean's baseline ("" if it
+// does not).
+func unclean(r RunResult) string {
 	if r.HistoryErr != nil {
-		t.Errorf("schedule %v: checker rejected: %v", r.Schedule, r.HistoryErr)
+		return fmt.Sprintf("checker rejected: %v", r.HistoryErr)
 	}
 	if r.Alarms != 0 {
-		t.Errorf("schedule %v: auditor raised %d alarms", r.Schedule, r.Alarms)
+		return fmt.Sprintf("auditor raised %d alarms", r.Alarms)
 	}
 	for _, o := range r.Outcomes {
 		if o.Err != nil && !engine.Retryable(o.Err) {
-			t.Errorf("schedule %v: %s failed non-retryably: %v", r.Schedule, o.Name, o.Err)
+			return fmt.Sprintf("%s failed non-retryably: %v", o.Name, o.Err)
 		}
 		if o.Committed && o.Err != nil {
-			t.Errorf("schedule %v: %s both committed and errored (%v)", r.Schedule, o.Name, o.Err)
+			return fmt.Sprintf("%s both committed and errored (%v)", o.Name, o.Err)
 		}
 	}
+	return ""
+}
+
+// parallel calls f(i) for every i in [0, n) on a few goroutines. Runs
+// are independent, and one run alone leaves the CPUs idle while its
+// goroutines hand steps to each other.
+func parallel(n int, f func(i int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range 2 * runtime.GOMAXPROCS(0) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				f(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestWriteWriteConflict explores every interleaving of two transactions
@@ -164,18 +195,11 @@ func TestWriteSkew(t *testing.T) {
 // TestDeadlockPair explores opposite-order lock acquisition under 2PL
 // with deadlock detection: in the interleavings that close the waits-for
 // cycle exactly one transaction is chosen as victim, the other commits,
-// and the oracles stay silent throughout.
+// and the oracles stay silent throughout. The survivor parked on the
+// victim's lock, and the victim's abort woke it.
 func TestDeadlockPair(t *testing.T) {
-	suite := &Suite{
-		Bootstrap: map[string]string{"a": "0", "b": "0"},
-		Scripts: []Script{
-			{Name: "T1", Ops: []Op{{Kind: Put, Key: "a", Value: "1"}, {Kind: Put, Key: "b", Value: "1"}, {Kind: Commit}}},
-			{Name: "T2", Ops: []Op{{Kind: Put, Key: "b", Value: "2"}, {Kind: Put, Key: "a", Value: "2"}, {Kind: Commit}}},
-		},
-		NewEngine: realEngine(core.Options{Protocol: core.TwoPhaseLocking}),
-	}
 	deadlocked := 0
-	n := suite.Explore(t.Fatalf, func(r RunResult) {
+	n := deadlockSuite().Explore(t.Fatalf, func(r RunResult) {
 		requireClean(t, r)
 		victims, commits := 0, 0
 		for _, o := range r.Outcomes {
@@ -184,6 +208,11 @@ func TestDeadlockPair(t *testing.T) {
 			}
 			if o.Committed {
 				commits++
+			}
+		}
+		for _, o := range r.Outcomes {
+			if victims == 1 && o.Err == nil && len(o.Parked) == 0 {
+				t.Errorf("schedule %v: %s survived a deadlock without parking", r.Schedule, o.Name)
 			}
 		}
 		if victims > 1 {
@@ -205,13 +234,31 @@ func TestDeadlockPair(t *testing.T) {
 	t.Logf("deadlock victim chosen in %d/%d schedules", deadlocked, n)
 }
 
+func deadlockSuite() *Suite {
+	return &Suite{
+		Bootstrap: map[string]string{"a": "0", "b": "0"},
+		Scripts: []Script{
+			{Name: "T1", Ops: []Op{{Kind: Put, Key: "a", Value: "1"}, {Kind: Put, Key: "b", Value: "1"}, {Kind: Commit}}},
+			{Name: "T2", Ops: []Op{{Kind: Put, Key: "b", Value: "2"}, {Kind: Put, Key: "a", Value: "2"}, {Kind: Commit}}},
+		},
+		NewEngine: realEngine(core.Options{Protocol: core.TwoPhaseLocking}),
+	}
+}
+
 // TestReadOnlyIndependence runs two conflicting writers plus a read-only
 // observer under every protocol: the observer must commit cleanly in
-// every interleaving — it never blocks, never aborts, never alarms.
+// every interleaving — it never parks, never aborts, never alarms.
 // (Three scripts: this is the 90-schedule tier above the 2-transaction
-// suites.)
+// suites.) Reed's MVTO is the positive control: its read-only reads
+// wait for older pending writes, so some schedule must park one.
 func TestReadOnlyIndependence(t *testing.T) {
+	engines := map[string]func(engine.Recorder) engine.Engine{
+		"mvto": func(rec engine.Recorder) engine.Engine { return baseline.NewMVTO(rec) },
+	}
 	for name, p := range protocols() {
+		engines[name] = realEngine(p)
+	}
+	for name, newEngine := range engines {
 		t.Run(name, func(t *testing.T) {
 			suite := &Suite{
 				Bootstrap: map[string]string{"x": "0"},
@@ -220,8 +267,9 @@ func TestReadOnlyIndependence(t *testing.T) {
 					{Name: "W2", Ops: []Op{{Kind: Put, Key: "x", Value: "2"}, {Kind: Commit}}},
 					{Name: "RO", Class: engine.ReadOnly, Ops: []Op{{Kind: Get, Key: "x"}, {Kind: Commit}}},
 				},
-				NewEngine: realEngine(p),
+				NewEngine: newEngine,
 			}
+			roParked := 0
 			n := suite.Explore(t.Fatalf, func(r RunResult) {
 				requireClean(t, r)
 				ro := r.Outcomes[2]
@@ -231,10 +279,20 @@ func TestReadOnlyIndependence(t *testing.T) {
 				if got := ro.Reads["x"]; got != "0" && got != "1" && got != "2" {
 					t.Errorf("schedule %v: read-only tx saw impossible x=%q", r.Schedule, got)
 				}
+				if len(ro.Parked) > 0 {
+					roParked++
+				}
 			})
 			if n != 90 {
 				t.Fatalf("explored %d schedules, want all 90", n)
 			}
+			switch {
+			case name == "mvto" && roParked == 0:
+				t.Fatal("the read-only script never parked: the control shows nothing")
+			case name != "mvto" && roParked > 0:
+				t.Fatalf("the read-only script parked in %d/%d schedules", roParked, n)
+			}
+			t.Logf("the read-only script parked in %d/%d schedules", roParked, n)
 		})
 	}
 }
@@ -328,16 +386,16 @@ func TestBrokenBaselinesAlarm(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			caught := 0
+			var checker, auditor, caught int
 			n := c.broken().Explore(t.Fatalf, func(r RunResult) {
-				if r.HistoryErr != nil || r.Alarms > 0 {
-					caught++
-				}
+				checker += b2i(r.HistoryErr != nil)
+				auditor += b2i(r.Alarms > 0)
+				caught += b2i(r.HistoryErr != nil || r.Alarms > 0)
 			})
 			if caught == 0 {
 				t.Fatalf("broken engine survived all %d schedules with both oracles silent", n)
 			}
-			t.Logf("oracles caught the broken engine in %d/%d schedules", caught, n)
+			t.Logf("oracles caught the broken engine in %d/%d schedules (checker %d, auditor %d)", caught, n, checker, auditor)
 
 			c.control().Explore(t.Fatalf, func(r RunResult) {
 				if r.HistoryErr != nil {
@@ -349,4 +407,46 @@ func TestBrokenBaselinesAlarm(t *testing.T) {
 			})
 		})
 	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// TestReplayIsExact replays every schedule of the deadlock pair and of
+// both A2 suites 20 times: each replay must give the RunResult the first
+// run gave — every outcome with its parked steps, the final state and
+// both oracles' verdicts. The scheduler is paced by the engine's park
+// events, not by timing, so nothing else is allowed to vary.
+func TestReplayIsExact(t *testing.T) {
+	const replays = 20
+	suites := map[string]*Suite{
+		"deadlock-pair": deadlockSuite(),
+		"a2-broken":     a2Suite(baseline.NewBrokenEagerVisibility),
+		"a2-control":    a2Suite(realEngine(core.Options{Protocol: core.TimestampOrdering})),
+	}
+	for name, suite := range suites {
+		t.Run(name, func(t *testing.T) {
+			schedules := Interleavings(suite.Lengths())
+			parallel(len(schedules), func(i int) {
+				want := replayed(suite.Run(schedules[i]))
+				for n := 1; n < replays; n++ {
+					if got := replayed(suite.Run(schedules[i])); got != want {
+						t.Errorf("schedule %v, replay %d:\n got %s\nwant %s", schedules[i], n, got, want)
+						return
+					}
+				}
+			})
+		})
+	}
+}
+
+// replayed is what a replay must reproduce of r. The checker's verdict
+// is whether it rejected; its message may name any cycle it found.
+func replayed(r RunResult) string {
+	return fmt.Sprintf("%+v final=%v serializable=%v alarms=%d stalled=%v",
+		r.Outcomes, r.Final, r.HistoryErr == nil, r.Alarms, r.Stalled)
 }

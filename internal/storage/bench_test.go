@@ -42,11 +42,11 @@ func BenchmarkTOReadWrite(b *testing.B) {
 	b.ReportAllocs()
 	tn := uint64(1)
 	for i := 0; i < b.N; i++ {
-		if err := o.TOWrite(tn, []byte("v"), false); err != nil {
+		if err := o.TOWrite(tn, []byte("v"), false, nil); err != nil {
 			b.Fatal(err)
 		}
 		o.ResolvePending(tn, true, nil)
-		if _, ok := o.TORead(tn); !ok {
+		if _, ok := o.TORead(tn, nil); !ok {
 			b.Fatal("read miss")
 		}
 		tn++

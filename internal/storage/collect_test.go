@@ -65,7 +65,7 @@ func TestInstallCollects(t *testing.T) {
 			var dropped int
 			var older bool
 			if c.pending {
-				if err := c.o.TOWrite(c.tn, []byte{byte(c.tn)}, false); err != nil {
+				if err := c.o.TOWrite(c.tn, []byte{byte(c.tn)}, false, nil); err != nil {
 					t.Fatal(err)
 				}
 				dropped, older = c.o.ResolvePending(c.tn, true, watermark)

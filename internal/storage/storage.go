@@ -76,10 +76,31 @@ type Object struct {
 type toState struct {
 	cond    sync.Cond // L is the object's mu
 	pending []Pending // ascending TN
+	parked  []Waiter  // waiting on cond; the next ResolvePending wakes them
 	rts     uint64    // largest tn that read the most recent version
 	rtsRO   bool      // r-ts was last raised by a read-only transaction
 	wts     uint64    // largest tn that wrote (including pending)
-	waits   uint64    // number of times a request blocked on a pending write
+}
+
+// Waiter is the transaction a timestamp-ordering request is made for.
+// A request that has to wait for an older pending write calls
+// Parked(true) on its own goroutine before it waits, and the
+// ResolvePending that ends the wait calls Parked(false) on the
+// resolver's goroutine before it returns; a woken request that must
+// wait again parks again. The calls are made under the object's mutex.
+// A nil Waiter waits unreported.
+type Waiter interface {
+	Parked(parked bool)
+}
+
+// wait parks w until the next resolution on the object. The caller holds
+// the object's mutex.
+func (s *toState) wait(w Waiter) {
+	if w != nil {
+		s.parked = append(s.parked, w)
+		w.Parked(true)
+	}
+	s.cond.Wait()
 }
 
 func newObject() *Object { return &Object{} }
@@ -217,8 +238,8 @@ func (o *Object) toView() *toState {
 //
 // If the transaction itself has a pending write on the object, that write
 // is returned (read-own-write; the paper's model forbids r after w but the
-// library supports it).
-func (o *Object) TORead(tn uint64) (Version, bool) {
+// library supports it). w is told of each wait.
+func (o *Object) TORead(tn uint64, w Waiter) (Version, bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	s := o.toLocked()
@@ -234,8 +255,7 @@ func (o *Object) TORead(tn uint64) (Version, bool) {
 		if !s.hasPendingAtMost(tn) {
 			return o.readVisibleLocked(tn)
 		}
-		s.waits++
-		s.cond.Wait()
+		s.wait(w)
 	}
 }
 
@@ -243,18 +263,15 @@ func (o *Object) TORead(tn uint64) (Version, bool) {
 // writes with TN <= sn to resolve. Reed-style multiversion timestamp
 // ordering uses this for its (synchronized) read-only transactions; the
 // paper's own read-only transactions never need it because sn <= vtnc
-// implies every version <= sn is already committed. waited reports
-// whether the read blocked (experiment E3 instrumentation).
-func (o *Object) SnapshotReadWait(sn uint64) (v Version, ok, waited bool) {
+// implies every version <= sn is already committed. w is told of each
+// wait (experiment E3 instrumentation).
+func (o *Object) SnapshotReadWait(sn uint64, w Waiter) (Version, bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	for s := o.toView(); s.hasPendingAtMost(sn); {
-		s.waits++
-		waited = true
-		s.cond.Wait()
+		s.wait(w)
 	}
-	v, ok = o.readVisibleLocked(sn)
-	return v, ok, waited
+	return o.readVisibleLocked(sn)
 }
 
 // ReadVisibleWhere returns the version with the largest TN <= sn whose
@@ -293,8 +310,9 @@ func (o *Object) SetRTS(tn uint64, ro bool) {
 // TOWrite performs a timestamp-ordering write: reject if a younger
 // transaction already read or wrote the object; otherwise wait for older
 // pending writes and install a pending version. A second write by the
-// same transaction overwrites its pending version in place.
-func (o *Object) TOWrite(tn uint64, data []byte, tombstone bool) error {
+// same transaction overwrites its pending version in place. w is told of
+// each wait.
+func (o *Object) TOWrite(tn uint64, data []byte, tombstone bool, w Waiter) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	s := o.toLocked()
@@ -313,8 +331,7 @@ func (o *Object) TOWrite(tn uint64, data []byte, tombstone bool) error {
 		if !s.hasPendingBelow(tn) {
 			break
 		}
-		s.waits++
-		s.cond.Wait()
+		s.wait(w)
 	}
 	s.insertPending(Pending{TN: tn, Data: data, Tombstone: tombstone})
 	if s.wts < tn {
@@ -325,8 +342,9 @@ func (o *Object) TOWrite(tn uint64, data []byte, tombstone bool) error {
 
 // ResolvePending commits (install, collecting at watermark as Install
 // does) or aborts (drop) the pending version created by transaction tn,
-// waking all waiters, and returns what the install returns. It is a no-op
-// if the transaction has no pending version here.
+// waking all waiters — each parked Waiter is told before it returns —
+// and returns what the install returns. It is a no-op if the transaction
+// has no pending version here.
 func (o *Object) ResolvePending(tn uint64, commit bool, watermark func() uint64) (dropped int, older bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -340,6 +358,11 @@ func (o *Object) ResolvePending(tn uint64, commit bool, watermark func() uint64)
 	if commit {
 		dropped, older = o.installCommittedLocked(Version{TN: p.TN, Data: p.Data, Tombstone: p.Tombstone}, watermark)
 	}
+	for _, w := range s.parked {
+		w.Parked(false)
+	}
+	clear(s.parked)
+	s.parked = s.parked[:0]
 	s.cond.Broadcast()
 	return dropped, older
 }
@@ -364,10 +387,6 @@ func (o *Object) RTS() uint64 { o.mu.Lock(); defer o.mu.Unlock(); return o.toVie
 
 // WTS returns the object's write timestamp (including pending writes).
 func (o *Object) WTS() uint64 { o.mu.Lock(); defer o.mu.Unlock(); return o.toView().wts }
-
-// Waits reports how many times a request blocked on this object's pending
-// writes (experiment E3 instrumentation).
-func (o *Object) Waits() uint64 { o.mu.Lock(); defer o.mu.Unlock(); return o.toView().waits }
 
 // VersionCount returns the number of committed versions (GC metrics).
 func (o *Object) VersionCount() int {
@@ -595,16 +614,6 @@ func (s *Store) TotalVersions() int {
 	n := 0
 	s.Range(func(_ string, o *Object) bool {
 		n += o.VersionCount()
-		return true
-	})
-	return n
-}
-
-// TotalWaits sums Object.Waits across the store.
-func (s *Store) TotalWaits() uint64 {
-	var n uint64
-	s.Range(func(_ string, o *Object) bool {
-		n += o.Waits()
 		return true
 	})
 	return n

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -82,19 +83,19 @@ func TestTOWriteRejectsStaleWriter(t *testing.T) {
 	o := newObject()
 	o.InstallCommitted(Version{TN: 0})
 	// A read by tn=5 raises r-ts.
-	if _, ok := o.TORead(5); !ok {
+	if _, ok := o.TORead(5, nil); !ok {
 		t.Fatal("TORead(5) found nothing")
 	}
 	// Writer tn=3 < r-ts must be rejected (Figure 3 write rule).
-	if err := o.TOWrite(3, nil, false); err != ErrConflict {
+	if err := o.TOWrite(3, nil, false, nil); err != ErrConflict {
 		t.Fatalf("TOWrite(3) err = %v, want ErrConflict", err)
 	}
 	// Writer tn=5 is allowed (>= r-ts).
-	if err := o.TOWrite(5, []byte("x"), false); err != nil {
+	if err := o.TOWrite(5, []byte("x"), false, nil); err != nil {
 		t.Fatalf("TOWrite(5) err = %v", err)
 	}
 	// Writer tn=4 < w-ts(5) rejected.
-	if err := o.TOWrite(4, nil, false); err != ErrConflict {
+	if err := o.TOWrite(4, nil, false, nil); err != ErrConflict {
 		t.Fatalf("TOWrite(4) err = %v, want ErrConflict", err)
 	}
 }
@@ -102,22 +103,21 @@ func TestTOWriteRejectsStaleWriter(t *testing.T) {
 func TestTOReadBlocksOnOlderPendingWrite(t *testing.T) {
 	o := newObject()
 	o.InstallCommitted(Version{TN: 0, Data: []byte("old")})
-	if err := o.TOWrite(2, []byte("new"), false); err != nil {
+	if err := o.TOWrite(2, []byte("new"), false, nil); err != nil {
 		t.Fatal(err)
 	}
 
 	got := make(chan Version)
+	w := newParkLog()
 	go func() {
-		v, _ := o.TORead(5) // must wait for T2's pending write
+		v, _ := o.TORead(5, w) // must wait for T2's pending write
 		got <- v
 	}()
-	select {
-	case v := <-got:
-		t.Fatalf("TORead(5) returned %+v before pending write resolved", v)
-	case <-time.After(20 * time.Millisecond):
-	}
-
+	<-w.parks
 	o.ResolvePending(2, true, nil)
+	if n := w.wakes.Load(); n != 1 {
+		t.Fatalf("ResolvePending returned having woken the parked reader %d times, want 1", n)
+	}
 	select {
 	case v := <-got:
 		if v.TN != 2 || string(v.Data) != "new" {
@@ -126,20 +126,59 @@ func TestTOReadBlocksOnOlderPendingWrite(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("TORead never woke after commit")
 	}
-	if o.Waits() == 0 {
-		t.Fatal("expected at least one recorded wait")
+}
+
+// parkLog is a Waiter that hands each park to the test and counts the
+// wakes.
+type parkLog struct {
+	parks chan struct{}
+	wakes atomic.Int32
+}
+
+func newParkLog() *parkLog { return &parkLog{parks: make(chan struct{}, 8)} }
+
+func (p *parkLog) Parked(parked bool) {
+	if parked {
+		p.parks <- struct{}{}
+	} else {
+		p.wakes.Add(1)
+	}
+}
+
+// TestResolveWakesEveryParkedWaiter: a timestamp-ordering read and a
+// snapshot read both wait for one pending write; the resolution tells
+// both before it returns.
+func TestResolveWakesEveryParkedWaiter(t *testing.T) {
+	o := newObject()
+	if err := o.TOWrite(2, []byte("v2"), false, nil); err != nil {
+		t.Fatal(err)
+	}
+	r, ro := newParkLog(), newParkLog()
+	got := make(chan Version, 2)
+	go func() { v, _ := o.TORead(5, r); got <- v }()
+	go func() { v, _ := o.SnapshotReadWait(4, ro); got <- v }()
+	<-r.parks
+	<-ro.parks
+	o.ResolvePending(2, true, nil)
+	if r.wakes.Load() != 1 || ro.wakes.Load() != 1 {
+		t.Fatalf("ResolvePending returned having told %d and %d of the parked waiters, want 1 and 1", r.wakes.Load(), ro.wakes.Load())
+	}
+	for range 2 {
+		if v := <-got; v.TN != 2 {
+			t.Fatalf("read version %d, want 2", v.TN)
+		}
 	}
 }
 
 func TestTOReadAfterAbortSeesOldVersion(t *testing.T) {
 	o := newObject()
 	o.InstallCommitted(Version{TN: 1, Data: []byte("keep")})
-	if err := o.TOWrite(3, []byte("drop"), false); err != nil {
+	if err := o.TOWrite(3, []byte("drop"), false, nil); err != nil {
 		t.Fatal(err)
 	}
 	got := make(chan Version)
 	go func() {
-		v, _ := o.TORead(4)
+		v, _ := o.TORead(4, nil)
 		got <- v
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -157,12 +196,12 @@ func TestTOReadAfterAbortSeesOldVersion(t *testing.T) {
 func TestTOReadDoesNotBlockOnYoungerPending(t *testing.T) {
 	o := newObject()
 	o.InstallCommitted(Version{TN: 1, Data: []byte("v1")})
-	if err := o.TOWrite(9, []byte("future"), false); err != nil {
+	if err := o.TOWrite(9, []byte("future"), false, nil); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan Version)
 	go func() {
-		v, _ := o.TORead(5)
+		v, _ := o.TORead(5, nil)
 		done <- v
 	}()
 	select {
@@ -178,10 +217,10 @@ func TestTOReadDoesNotBlockOnYoungerPending(t *testing.T) {
 func TestTOReadOwnPending(t *testing.T) {
 	o := newObject()
 	o.InstallCommitted(Version{TN: 0, Data: []byte("base")})
-	if err := o.TOWrite(4, []byte("mine"), false); err != nil {
+	if err := o.TOWrite(4, []byte("mine"), false, nil); err != nil {
 		t.Fatal(err)
 	}
-	v, ok := o.TORead(4)
+	v, ok := o.TORead(4, nil)
 	if !ok || string(v.Data) != "mine" {
 		t.Fatalf("read-own-write = (%q,%v), want mine", v.Data, ok)
 	}
@@ -190,11 +229,11 @@ func TestTOReadOwnPending(t *testing.T) {
 func TestTOWriteBlocksOnOlderPending(t *testing.T) {
 	o := newObject()
 	o.InstallCommitted(Version{TN: 0})
-	if err := o.TOWrite(2, []byte("a"), false); err != nil {
+	if err := o.TOWrite(2, []byte("a"), false, nil); err != nil {
 		t.Fatal(err)
 	}
 	errc := make(chan error)
-	go func() { errc <- o.TOWrite(5, []byte("b"), false) }()
+	go func() { errc <- o.TOWrite(5, []byte("b"), false, nil) }()
 	select {
 	case err := <-errc:
 		t.Fatalf("TOWrite(5) returned %v before T2 resolved", err)
@@ -217,10 +256,10 @@ func TestTOWriteBlocksOnOlderPending(t *testing.T) {
 
 func TestTOWriteOverwriteOwnPending(t *testing.T) {
 	o := newObject()
-	if err := o.TOWrite(2, []byte("first"), false); err != nil {
+	if err := o.TOWrite(2, []byte("first"), false, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := o.TOWrite(2, []byte("second"), false); err != nil {
+	if err := o.TOWrite(2, []byte("second"), false, nil); err != nil {
 		t.Fatal(err)
 	}
 	if n := o.PendingCount(); n != 1 {
@@ -236,22 +275,16 @@ func TestTOWriteOverwriteOwnPending(t *testing.T) {
 func TestSnapshotReadWait(t *testing.T) {
 	o := newObject()
 	o.InstallCommitted(Version{TN: 1, Data: []byte("v1")})
-	if err := o.TOWrite(3, []byte("v3"), false); err != nil {
+	if err := o.TOWrite(3, []byte("v3"), false, nil); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan Version)
+	w := newParkLog()
 	go func() {
-		v, _, waited := o.SnapshotReadWait(4)
-		if !waited {
-			t.Error("SnapshotReadWait did not report waiting")
-		}
+		v, _ := o.SnapshotReadWait(4, w)
 		done <- v
 	}()
-	select {
-	case <-done:
-		t.Fatal("SnapshotReadWait(4) did not block on pending tn=3")
-	case <-time.After(20 * time.Millisecond):
-	}
+	<-w.parks // it waits for pending tn=3
 	o.ResolvePending(3, true, nil)
 	if v := <-done; v.TN != 3 {
 		t.Fatalf("read %d, want 3", v.TN)

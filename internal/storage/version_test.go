@@ -97,7 +97,7 @@ func TestPackedRecordRoundTrip(t *testing.T) {
 			// A T/O pending version becomes the same record on commit.
 			o = newObject()
 			o.InstallCommitted(filler(2))
-			if err := o.TOWrite(tn, want.Data, want.Tombstone); err != nil {
+			if err := o.TOWrite(tn, want.Data, want.Tombstone, nil); err != nil {
 				t.Fatal(err)
 			}
 			o.ResolvePending(tn, true, nil)
@@ -128,10 +128,9 @@ func TestAccessorsLeaveTOStateUnallocated(t *testing.T) {
 	o.InstallCommitted(Version{TN: 1})
 	o.RTS()
 	o.WTS()
-	o.Waits()
 	o.PendingCount()
 	o.ResolvePending(1, true, nil)
-	o.SnapshotReadWait(1)
+	o.SnapshotReadWait(1, nil)
 	if err := o.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
