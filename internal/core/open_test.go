@@ -98,6 +98,17 @@ func TestDurableLifecycleSyncs(t *testing.T) {
 	}
 }
 
+// BenchmarkNew builds and closes an in-memory engine: what each store,
+// baseline and cluster site pays before its first transaction.
+func BenchmarkNew(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := New(Options{}).Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkOpenDurable reopens a 4 000-key log written as 8 records of
 // 500 writes — a bulk load's shape — with fsyncs free, so it measures
 // the CPU of recovery: replay, the store and the index.

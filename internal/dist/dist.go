@@ -172,13 +172,21 @@ func (s *Site) fill(sn uint64) {
 }
 
 // siteRecorder is what a site reports history to: the reads and writes
-// of its parts, under their global ids. The coordinator records each
-// global transaction's begin and its commit or abort, once.
+// of its parts, and their lock parks and wakes, under their global ids.
+// The coordinator records each global transaction's begin and its commit
+// or abort, once.
 type siteRecorder struct{ engine.Recorder }
 
 func (siteRecorder) RecordBegin(uint64, engine.Class) {}
 func (siteRecorder) RecordCommit(uint64, uint64)      {}
 func (siteRecorder) RecordAbort(uint64)               {}
+
+// RecordParked forwards a site's lock park or wake to the cluster's
+// recorder. A part locks under its global id (BeginSite), so the event
+// goes on unchanged.
+func (r siteRecorder) RecordParked(txID uint64, parked bool) {
+	engine.RecordParked(r.Recorder, txID, parked)
+}
 
 // Options configures a Cluster.
 type Options struct {

@@ -266,6 +266,69 @@ func TestLockConflictTimesOutAndRetries(t *testing.T) {
 	}
 }
 
+// parkLog is a recorder that hears only park events.
+type parkLog struct {
+	engine.NopRecorder
+	events chan parkEvent
+}
+
+type parkEvent struct {
+	id     uint64
+	parked bool
+}
+
+func (p parkLog) RecordParked(id uint64, parked bool) { p.events <- parkEvent{id, parked} }
+
+// TestSiteParksReachTheClusterRecorder: two transactions conflict on one
+// key at one site. The cluster's recorder hears the waiter park and,
+// once the holder commits, wake, both under the waiter's global id.
+func TestSiteParksReachTheClusterRecorder(t *testing.T) {
+	// Room for the park and the wake, and for any stray event the test
+	// then reports, so a site never blocks in RecordParked.
+	rec := parkLog{events: make(chan parkEvent, 4)}
+	c, err := New(Options{Sites: 2, LockTimeout: time.Minute, Recorder: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	k := keyAt(c, 1, "hot")
+
+	t1, _ := c.Begin(engine.ReadWrite)
+	if err := t1.Put(k, []byte("held")); err != nil {
+		t.Fatal(err)
+	}
+	t2, _ := c.Begin(engine.ReadWrite)
+	put := make(chan error, 1)
+	go func() { put <- t2.Put(k, []byte("waited")) }()
+	hear := func(want parkEvent) {
+		t.Helper()
+		select {
+		case got := <-rec.events:
+			if got != want {
+				t.Fatalf("recorder heard %+v, want %+v", got, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("recorder never heard %+v", want)
+		}
+	}
+	hear(parkEvent{t2.ID(), true})
+	if err := t1.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	hear(parkEvent{t2.ID(), false})
+	if err := <-put; err != nil {
+		t.Fatal(err)
+	}
+	if err := t2.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case ev := <-rec.events:
+		t.Fatalf("recorder heard %+v after the wake", ev)
+	default:
+	}
+}
+
 // TestOneSiteDetectsDeadlocks: a one-site cluster's waits-for graph
 // sees every cycle, so an opposite-order pair loses one transaction to
 // deadlock detection at once, not to the lock timeout.

@@ -497,7 +497,7 @@ type Store struct {
 	seed   maphash.Seed
 	shards []shard
 	mask   uint64
-	idx    *index.SkipList
+	idx    *index.Index
 }
 
 type shard struct {
