@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"mvdb/internal/core"
 	"mvdb/internal/engine"
@@ -327,4 +328,87 @@ func BenchmarkUpdateTxnOCCParallel(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkUpdateBesideView measures what a reader costs a writer: one
+// goroutine runs b.N Updates over 64 keys while another loops
+// single-Get Views over the same keys — on no database, on a second
+// database, or on the writer's own. It reports the writer's ns/op, the
+// reader's Views/s and the versions a key holds at the end; the
+// other-DB control separates what the two share in memory from what
+// they share in CPU (EXPERIMENTS E1; run it with -cpu 2).
+func BenchmarkUpdateBesideView(b *testing.B) {
+	keys := make([]string, 64)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%02d", i)
+	}
+	val := []byte("v")
+	open := func(b *testing.B, p Protocol) *DB {
+		db, err := Open(Options{Protocol: p})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, k := range keys {
+			if err := db.Update(func(tx *Tx) error { return tx.Put(k, val) }); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return db
+	}
+	for _, p := range []struct {
+		name  string
+		proto Protocol
+	}{{"2pl", TwoPhaseLocking}, {"to", TimestampOrdering}, {"occ", Optimistic}} {
+		for _, where := range []string{"none", "otherdb", "samedb"} {
+			b.Run(p.name+"/"+where, func(b *testing.B) {
+				db := open(b, p.proto)
+				defer db.Close()
+				var reader *DB
+				switch where {
+				case "otherdb":
+					reader = open(b, p.proto)
+					defer reader.Close()
+				case "samedb":
+					reader = db
+				}
+				var stop atomic.Bool
+				var views atomic.Int64
+				done := make(chan struct{})
+				if reader == nil {
+					close(done)
+				} else {
+					go func() {
+						defer close(done)
+						for i := 0; !stop.Load(); i++ {
+							if err := reader.View(func(tx *Tx) error {
+								_, err := tx.Get(keys[i%len(keys)])
+								return err
+							}); err != nil {
+								b.Error(err)
+								return
+							}
+							views.Add(1)
+						}
+					}()
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				start := time.Now()
+				for i := 0; i < b.N; i++ {
+					if err := db.Update(func(tx *Tx) error { return tx.Put(keys[i%len(keys)], val) }); err != nil {
+						b.Fatal(err)
+					}
+				}
+				elapsed := time.Since(start)
+				b.StopTimer()
+				stop.Store(true)
+				<-done
+				b.ReportMetric(float64(views.Load())/elapsed.Seconds(), "views/s")
+				// What collection left: a reader preempted inside a View
+				// holds the watermark, and a chain whose array doubled
+				// meanwhile collects again only once it is full.
+				b.ReportMetric(float64(db.Stats().Versions)/float64(len(keys)), "versions/key")
+			})
+		}
+	}
 }

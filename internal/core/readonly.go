@@ -129,7 +129,8 @@ func (t *roTx) Get(key string) ([]byte, error) {
 // ErrSnapshotTooOld, never "not found".
 func visible(o *storage.Object, sn uint64) (v storage.Version, ok bool, err error) {
 	if o != nil {
-		if v, ok = o.ReadVisible(sn); !ok && o.Floor() > sn {
+		var floor uint64
+		if v, ok, floor = o.ReadAt(sn); !ok && floor > sn {
 			err = engine.ErrSnapshotTooOld
 		}
 	}

@@ -120,7 +120,7 @@ func TestRegistryPinnedSnapshot(t *testing.T) {
 	if v, err := tx.Get("k"); err != nil || string(v) != "2" {
 		t.Fatalf("pinned read (%q, %v), want 2", v, err)
 	}
-	if f := e.store.Get("k").Floor(); f != 2 {
+	if _, _, f := e.store.Get("k").ReadAt(0); f != 2 {
 		t.Fatalf("floor = %d, want 2", f)
 	}
 	tx.Commit()

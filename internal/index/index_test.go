@@ -106,45 +106,11 @@ func TestPrefixUpperBound(t *testing.T) {
 }
 
 // Property: the index agrees with a sorted, deduplicated slice,
-// whatever order the keys arrive in — ascending (every insert appends to
-// the last leaf), descending (none does), as generated, and ascending
-// runs interleaved with keys below the last — with duplicates
+// whatever order the keys arrive in (insertOrders), with duplicates
 // re-inserted. Range, Contains and Len agree, and the invariants hold
 // after every insert.
 func TestPropertyMatchesSortedSet(t *testing.T) {
-	orders := []struct {
-		name  string
-		order func(raw []string, rng *rand.Rand) []string
-	}{
-		{"ascending", func(raw []string, _ *rand.Rand) []string {
-			sort.Strings(raw)
-			return raw
-		}},
-		{"descending", func(raw []string, _ *rand.Rand) []string {
-			sort.Sort(sort.Reverse(sort.StringSlice(raw)))
-			return raw
-		}},
-		{"random", func(raw []string, _ *rand.Rand) []string { return raw }},
-		{"interleaved", func(raw []string, rng *rand.Rand) []string {
-			// The upper half ascending, in runs of up to four, each run
-			// followed by a key of the lower half: below the tail.
-			sort.Strings(raw)
-			lo, hi := raw[:len(raw)/2], raw[len(raw)/2:]
-			rng.Shuffle(len(lo), func(i, j int) { lo[i], lo[j] = lo[j], lo[i] })
-			out := make([]string, 0, len(raw))
-			for len(hi) > 0 || len(lo) > 0 {
-				run := min(1+rng.Intn(4), len(hi))
-				out = append(out, hi[:run]...)
-				hi = hi[run:]
-				if len(lo) > 0 {
-					out = append(out, lo[0])
-					lo = lo[1:]
-				}
-			}
-			return out
-		}},
-	}
-	for _, o := range orders {
+	for _, o := range insertOrders {
 		t.Run(o.name, func(t *testing.T) {
 			f := func(raw []string, seed int64) bool {
 				rng := rand.New(rand.NewSource(seed))

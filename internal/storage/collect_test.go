@@ -1,20 +1,67 @@
 package storage
 
 import (
+	"fmt"
 	"runtime"
 	"slices"
 	"testing"
 	"weak"
 )
 
-// full returns an object whose chain holds tns in an array with no room
-// left, so that the next install collects.
+// full returns an object whose chain holds tns with no room left, so
+// that the next install collects: in the slots up to two versions, else
+// in an extension array of exactly len(tns).
 func full(tns ...uint64) *Object {
-	o := &Object{versions: make([]version, 0, len(tns))}
+	o := newObject()
+	c := make([]version, 0, len(tns))
 	for _, tn := range tns {
-		o.InstallCommitted(Version{TN: tn, Data: []byte{byte(tn)}})
+		c = append(c, pack(Version{TN: tn, Data: []byte{byte(tn)}}))
 	}
+	w := uint32(len(c)) << lenShift
+	if len(c) <= len(o.slots) {
+		copy(o.slots[:], c)
+	} else {
+		o.ext = &extension{chain: c}
+		w |= spilled
+	}
+	o.meta = w
 	return o
+}
+
+// vacated returns the record positions the chain does not use: the
+// slots beyond it, or all of them and the array's tail while it is
+// spilled.
+func vacated(o *Object) []version {
+	w := o.lock()
+	defer o.unlock(w)
+	return vacatedLocked(o, w)
+}
+
+func vacatedLocked(o *Object, w uint32) []version {
+	if w&spilled == 0 {
+		return slices.Clone(o.slots[w>>lenShift:])
+	}
+	return append(slices.Clone(o.slots[:]), o.ext.chain[w>>lenShift:]...)
+}
+
+// checkLayout is CheckInvariants plus the layout: the chain is where the
+// meta says — at most two versions in the slots, or at least two in the
+// extension's array — and nothing is left where it is not.
+func checkLayout(o *Object) error {
+	if err := o.CheckInvariants(); err != nil {
+		return err
+	}
+	w := o.lock()
+	defer o.unlock(w)
+	x := o.ext
+	n, inArray := int(w>>lenShift), x != nil && x.chain != nil
+	if sp := w&spilled != 0; sp != inArray || sp && (n < 2 || len(x.chain) < n || len(x.chain) != cap(x.chain)) || !sp && n > len(o.slots) {
+		return fmt.Errorf("storage: a chain of %d versions is in the wrong place (spilled %v, array %v)", n, sp, inArray)
+	}
+	if slices.ContainsFunc(vacatedLocked(o, w), func(v version) bool { return v != version{} }) {
+		return fmt.Errorf("storage: a slot or array position beyond the chain is not clear")
+	}
+	return nil
 }
 
 func chainTNs(o *Object) []uint64 {
@@ -39,7 +86,13 @@ func TestInstallCollects(t *testing.T) {
 		older     bool // whether a version older than tn is left
 	}{
 		{name: "room in the array: no collection",
-			o:         func() *Object { o := full(1, 2, 3); o.versions = slices.Grow(o.versions, 1); return o }(),
+			o: func() *Object {
+				o := full(1, 2, 3)
+				x := o.ext
+				x.chain = slices.Grow(x.chain, 1)
+				x.chain = x.chain[:cap(x.chain)]
+				return o
+			}(),
 			watermark: 3, tn: 9, want: []uint64{1, 2, 3, 9}, older: true},
 		{name: "keeps the newest version at or below the watermark",
 			o: full(1, 2, 3, 4), watermark: 3, tn: 9, want: []uint64{3, 4, 9}, dropped: 2, floor: 3, asked: true, older: true},
@@ -54,7 +107,13 @@ func TestInstallCollects(t *testing.T) {
 		{name: "a lone version is never collected",
 			o: full(1), watermark: 1, tn: 9, want: []uint64{1, 9}, older: true},
 		{name: "a first version leaves nothing older",
-			o: &Object{}, watermark: 1, tn: 9, want: []uint64{9}},
+			o: newObject(), watermark: 1, tn: 9, want: []uint64{9}},
+		{name: "full slots collect",
+			o: full(1, 2), watermark: 2, tn: 9, want: []uint64{2, 9}, dropped: 1, floor: 2, asked: true, older: true},
+		{name: "full slots a snapshot holds spill to the extension",
+			o: full(1, 2), watermark: 1, tn: 9, want: []uint64{1, 2, 9}, asked: true, older: true},
+		{name: "a spilled chain stays in its array until it is at rest",
+			o: full(1, 2, 3), watermark: 3, tn: 9, want: []uint64{3, 9}, dropped: 2, floor: 3, asked: true, older: true},
 		{name: "an out-of-order install below every version leaves nothing older",
 			o: full(5), watermark: 1, tn: 3, want: []uint64{3, 5}},
 	}
@@ -75,24 +134,25 @@ func TestInstallCollects(t *testing.T) {
 			if got := chainTNs(c.o); !slices.Equal(got, c.want) {
 				t.Fatalf("chain = %v, want %v", got, c.want)
 			}
-			if dropped != c.dropped || c.o.Floor() != c.floor || asked != c.asked || older != c.older {
+			if _, _, floor := c.o.ReadAt(0); dropped != c.dropped || floor != c.floor || asked != c.asked || older != c.older {
 				t.Fatalf("dropped %d, floor %d, asked %v, older %v; want %d, %d, %v, %v",
-					dropped, c.o.Floor(), asked, older, c.dropped, c.floor, c.asked, c.older)
+					dropped, floor, asked, older, c.dropped, c.floor, c.asked, c.older)
 			}
-			for _, v := range c.o.versions[len(c.o.versions):cap(c.o.versions)] {
+			for _, v := range vacated(c.o) {
 				if v != (version{}) {
 					t.Fatalf("vacated slot still holds version %d", v.tn)
 				}
 			}
-			if err := c.o.CheckInvariants(); err != nil {
+			if err := checkLayout(c.o); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
 }
 
-// An install that frees a slot reuses the array: a chain the watermark
-// keeps up with costs no allocation.
+// An install that frees a slot reuses the room it frees: a chain the
+// watermark keeps up with costs no allocation. A spilled one keeps its
+// array until a prune brings it to rest.
 func TestInstallThatCollectsAllocatesNothing(t *testing.T) {
 	o := full(1, 2, 3, 4)
 	tn := uint64(4)
@@ -104,50 +164,75 @@ func TestInstallThatCollectsAllocatesNothing(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("Install allocs/op = %.1f, want 0", n)
 	}
-	if c := cap(o.versions); c != 4 {
-		t.Fatalf("array grew to %d", c)
+	if c := cap(o.ext.chain); c != 4 {
+		t.Fatalf("the array grew to %d", c)
+	}
+	o.Prune(tn) // at rest: back to the slots, and the array and the extension go
+	if o.VersionCount() != 1 || o.ext != nil || checkLayout(o) != nil {
+		t.Fatalf("after a prune to one version: %d versions, extension %p, %v", o.VersionCount(), o.ext, checkLayout(o))
 	}
 }
 
-// What Prune, a collecting install and Withdraw drop is garbage at once:
-// no stale record behind len keeps a dropped value alive.
+// What Prune, a collecting install and Withdraw drop is garbage at once,
+// from the slots and from an extension array alike: no stale record
+// keeps a dropped value alive.
 func TestDroppedVersionsFreeTheirValues(t *testing.T) {
-	var handles []weak.Pointer[byte]
-	value := func() []byte {
+	handles := map[uint64]weak.Pointer[byte]{}
+	o := newObject()
+	put := func(tn uint64) Version {
 		b := make([]byte, 64<<10)
-		handles = append(handles, weak.Make(&b[0]))
-		return b
+		handles[tn] = weak.Make(&b[0])
+		return Version{TN: tn, Data: b}
 	}
-	freed := func(where string, first, n int) {
+	freed := func(where string, tns ...uint64) {
 		t.Helper()
 		runtime.GC()
-		for i, h := range handles[first : first+n] {
-			if h.Value() != nil {
-				t.Fatalf("%s: dropped value %d is still reachable", where, first+i)
+		for _, tn := range tns {
+			if handles[tn].Value() != nil {
+				t.Fatalf("%s: dropped value %d is still reachable", where, tn)
 			}
+		}
+		if err := checkLayout(o); err != nil {
+			t.Fatalf("%s: %v", where, err)
 		}
 	}
 
-	o := newObject()
 	for tn := range uint64(64) {
-		o.InstallCommitted(Version{TN: tn, Data: value()})
+		o.InstallCommitted(put(tn))
 	}
 	if n := o.Prune(63); n != 63 {
 		t.Fatalf("Prune = %d, want 63", n)
 	}
-	freed("Prune", 0, 63)
-
-	o = &Object{versions: make([]version, 0, 4)}
-	first := len(handles)
-	for tn := range uint64(4) {
-		o.InstallCommitted(Version{TN: 100 + tn, Data: value()})
+	var dropped []uint64
+	for tn := range uint64(63) {
+		dropped = append(dropped, tn)
 	}
-	o.Install(Version{TN: 200, Data: value()}, func() uint64 { return 103 })
-	freed("Install", first, 3)
+	freed("Prune of a spilled chain", dropped...)
 
-	first = len(handles)
-	o.InstallCommitted(Version{TN: 300, Data: value()})
+	o.InstallCommitted(put(64))
+	o.Install(put(65), func() uint64 { return 64 })
+	freed("a collecting install into the slots", 63)
+	o.Withdraw(65)
+	freed("Withdraw from the slots", 65)
+	o.InstallCommitted(put(66))
+	o.Prune(66)
+	freed("Prune of the slots", 64)
+
+	o.InstallCommitted(put(67))
+	o.InstallCommitted(put(68))
+	o.Withdraw(68)
+	freed("Withdraw from a spilled chain", 68)
+	o.Prune(67)
+	freed("Prune of a spilled chain back to the slots", 66)
+
+	o = newObject()
+	for tn := range uint64(4) {
+		o.InstallCommitted(put(100 + tn))
+	}
+	o.Install(put(200), func() uint64 { return 103 })
+	freed("a collecting install into an extension array", 100, 101, 102)
+	o.InstallCommitted(put(300))
 	o.Withdraw(300)
-	freed("Withdraw", first, 1)
+	freed("Withdraw from an extension array", 300)
 	runtime.KeepAlive(o) // the object itself stays: only what it dropped may go
 }

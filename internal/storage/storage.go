@@ -10,18 +10,20 @@
 // are TORead/TOWrite.
 //
 // The store is sharded by key hash so that unrelated objects do not
-// contend; each object has its own mutex, and its timestamp-ordering
-// state a condition variable (the pending-write blocking that Figure 3
-// prescribes).
+// contend; each object has its own latch word, and its timestamp-ordering
+// state a mutex and condition variable (the pending-write blocking that
+// Figure 3 prescribes).
 package storage
 
 import (
 	"errors"
 	"fmt"
 	"hash/maphash"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"mvdb/internal/index"
 )
@@ -61,25 +63,48 @@ type Pending struct {
 	Tombstone bool
 }
 
-// Object is one key's synchronization and version state: 48 bytes under
-// 2PL and OCC, which never touch the timestamp-ordering state.
+// Object is one key's version chain and synchronization state in one
+// 64-byte allocation (DESIGN.md §16). A durable key rests at one version
+// and an in-memory key at two, in the slots; only a longer chain or
+// timestamp ordering allocates the extension.
 type Object struct {
-	mu       sync.Mutex
-	versions []version // ascending tn
-	to       *toState  // nil until the first timestamp-ordering operation
-	floor    uint64    // tn of the oldest version kept by the last Prune that dropped any
+	latch atomic.Uint32 // the lock bit
+	meta  uint32        // pruned | spilled | the chain's length << lenShift
+	slots [2]version    // the chain, ascending, unless spilled; zero beyond it
+	ext   *extension
 }
 
-// toState is what only timestamp ordering (VC+T/O and the MVTO baseline)
-// keeps per object. It is allocated under Object.mu on first use and
-// never freed; read-only accessors treat nil as zero.
+// The bits of meta. meta, the slots, ext, and an extension's chain and
+// to are read and written only under the lock bit.
+const (
+	pruned   = 1 << iota // a prune dropped versions: the oldest kept one is the floor
+	spilled              // the chain is in the extension's array
+	lenShift = iota
+)
+
+// extension holds the chain while it outgrows the slots (a snapshot, or
+// a commit not yet pruned, holds old versions), and what only timestamp
+// ordering (VC+T/O and the MVTO baseline) keeps. It goes when the chain
+// is at rest (settle), unless timestamp ordering has used it.
+type extension struct {
+	// The spilled chain's array, whole: meta holds the chain's length,
+	// so an install stores here only when it moves the chain to a new
+	// array, and a reader's line stays clean. nil while not spilled.
+	chain []version
+	to    *toState // set once, never freed or replaced
+}
+
+// toState is what timestamp ordering keeps, apart from the chain so that
+// its writes never touch a line a chain reader loads. Lock order is mu,
+// then the lock bit: cond waits and Waiter.Parked calls hold mu alone.
 type toState struct {
-	cond    sync.Cond // L is the object's mu
+	mu      sync.Mutex
+	cond    sync.Cond // L is mu
 	pending []Pending // ascending TN
 	parked  []Waiter  // waiting on cond; the next ResolvePending wakes them
 	rts     uint64    // largest tn that read the most recent version
-	rtsRO   bool      // r-ts was last raised by a read-only transaction
 	wts     uint64    // largest tn that wrote (including pending)
+	rtsRO   bool      // r-ts was last raised by a read-only transaction
 }
 
 // Waiter is the transaction a timestamp-ordering request is made for.
@@ -87,30 +112,147 @@ type toState struct {
 // Parked(true) on its own goroutine before it waits, and the
 // ResolvePending that ends the wait calls Parked(false) on the
 // resolver's goroutine before it returns; a woken request that must
-// wait again parks again. The calls are made under the object's mutex.
-// A nil Waiter waits unreported.
+// wait again parks again. The calls are made under the T/O state's
+// mutex, never under the lock bit. A nil Waiter waits unreported.
 type Waiter interface {
 	Parked(parked bool)
 }
 
 // wait parks w until the next resolution on the object. The caller holds
-// the object's mutex.
-func (s *toState) wait(w Waiter) {
+// x.mu.
+func (x *toState) wait(w Waiter) {
 	if w != nil {
-		s.parked = append(s.parked, w)
+		x.parked = append(x.parked, w)
 		w.Parked(true)
 	}
-	s.cond.Wait()
+	x.cond.Wait()
 }
 
 func newObject() *Object { return &Object{} }
 
-// toLocked returns the timestamp-ordering state, allocating it first.
-func (o *Object) toLocked() *toState {
-	if o.to == nil {
-		o.to = &toState{cond: sync.Cond{L: &o.mu}}
+// lock takes the lock bit with a compare-and-swap from 0, inlined, and
+// returns meta; a waiter spins on loads a little and then yields. A
+// swap from a loaded value cost ≈ 5 ns more a lock than this, which is
+// what sync.Mutex pays (DESIGN.md §16).
+func (o *Object) lock() uint32 {
+	if !o.latch.CompareAndSwap(0, 1) {
+		o.wait()
 	}
-	return o.to
+	return o.meta
+}
+
+func (o *Object) wait() {
+	for spins := 0; o.latch.Load() != 0 || !o.latch.CompareAndSwap(0, 1); spins++ {
+		if spins >= 16 {
+			runtime.Gosched()
+		}
+	}
+}
+
+// unlock stores w, meta as edited, and releases the lock bit.
+func (o *Object) unlock(w uint32) {
+	o.meta = w
+	o.latch.Store(0)
+}
+
+// chain returns the chain meta w describes.
+func (o *Object) chain(w uint32) []version {
+	if w&spilled != 0 {
+		return o.ext.chain[:w>>lenShift]
+	}
+	return o.slots[:w>>lenShift]
+}
+
+// spill moves c, the chain of full slots, into a new array of twice
+// their number in the extension, and clears the slots.
+func (o *Object) spill(w uint32, c []version) (uint32, []version) {
+	x := o.ensureExt()
+	x.chain = make([]version, 2*len(o.slots))
+	c = append(x.chain[:0], c...)
+	clear(o.slots[:])
+	return w | spilled, c
+}
+
+// settle stores c, the chain after an edit of o.chain(w), and returns w
+// with its length. A spilled chain stays in its array until it is at
+// rest, one version or none: under pipelined commit a written key's next
+// install often comes before the prune that follows its last one, and
+// an array of four collects at every other install where full slots
+// collect at every one. At rest it goes back to the slots, and the
+// array, with the extension unless timestamp ordering uses it, goes.
+func (o *Object) settle(w uint32, c []version) uint32 {
+	if x := o.ext; w&spilled != 0 && len(c) > 1 {
+		if cap(c) != len(x.chain) { // the append moved it
+			x.chain = c[:cap(c)]
+		}
+	} else if w&spilled != 0 {
+		copy(o.slots[:], c)
+		w &^= spilled
+		if x.chain = nil; x.to == nil {
+			o.ext = nil
+		}
+	}
+	return w&(1<<lenShift-1) | uint32(len(c))<<lenShift
+}
+
+// after returns the index of the first version in c numbered above tn.
+// The common answer, past the newest, needs no search.
+func after(c []version, tn uint64) int {
+	if n := len(c); n == 0 || c[n-1].tn <= tn {
+		return n
+	}
+	return sort.Search(len(c), func(i int) bool { return c[i].tn > tn })
+}
+
+// ensureExt returns the extension, allocated if need be. The caller
+// holds the lock bit.
+func (o *Object) ensureExt() *extension {
+	if o.ext == nil {
+		o.ext = &extension{}
+	}
+	return o.ext
+}
+
+// toView returns the T/O state with its mutex held, or noTO if timestamp
+// ordering never used the object, so the getters and the paths that act
+// only on an existing pending version never allocate. Nothing writes or
+// locks noTO: every write follows to or finds a pending version. done
+// releases what toView took.
+func (o *Object) toView() *toState {
+	if x := o.to(false); x != nil {
+		x.mu.Lock()
+		return x
+	}
+	return &noTO
+}
+
+var noTO toState
+
+func (x *toState) done() {
+	if x != &noTO {
+		x.mu.Unlock()
+	}
+}
+
+// to returns the object's T/O state: with use set, allocated if need
+// be; without, nil if timestamp ordering never used the object. It is
+// never freed or replaced, nor is an extension that holds it, so it is
+// still the object's after the lock bit is released.
+func (o *Object) to(use bool) *toState {
+	w := o.lock()
+	var t *toState
+	if use {
+		x := o.ensureExt()
+		if x.to == nil {
+			x.to = &toState{}
+			x.to.cond.L = &x.to.mu
+		}
+		t = x.to
+	} else if o.ext != nil {
+		t = o.ext.to
+	}
+	o.unlock(w)
+	return t
 }
 
 // ReadVisible returns the committed version with the largest TN <= sn,
@@ -120,51 +262,50 @@ func (o *Object) toLocked() *toState {
 // to "not found" while still learning the version identity for history
 // checking.
 func (o *Object) ReadVisible(sn uint64) (v Version, ok bool) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.readVisibleLocked(sn)
+	v, ok, _ = o.ReadAt(sn)
+	return v, ok
 }
 
-func (o *Object) readVisibleLocked(sn uint64) (v Version, ok bool) {
-	i := sort.Search(len(o.versions), func(i int) bool { return o.versions[i].tn > sn })
-	if i == 0 {
-		return v, false
+// ReadAt is ReadVisible that also reports, from the same critical
+// section, the object's pruned floor: the number of the oldest version
+// kept once a prune has dropped any, or 0 before. A snapshot below it
+// may be missing versions it needs: a miss there is not "not found".
+func (o *Object) ReadAt(sn uint64) (v Version, ok bool, floor uint64) {
+	w := o.lock()
+	c := o.chain(w)
+	if i := after(c, sn); i > 0 {
+		c[i-1].unpack(&v)
+		ok = true
 	}
-	o.versions[i-1].unpack(&v)
-	return v, true
-}
-
-// Floor returns the number of the oldest version the last pruning pass
-// that dropped any kept, or 0 if none has. A snapshot below it may be
-// missing versions it needs: a miss there is not "not found".
-func (o *Object) Floor() uint64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.floor
+	if w&pruned != 0 && len(c) > 0 { // a withdrawal may empty a pruned chain
+		floor = c[0].tn
+	}
+	o.unlock(w)
+	return v, ok, floor
 }
 
 // LatestCommitted returns the newest committed version. Two-phase-locking
 // read-write transactions use it: under a read lock the latest committed
 // version is guaranteed current (paper Section 4.4, sn(T) = infinity).
 func (o *Object) LatestCommitted() (v Version, ok bool) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if len(o.versions) == 0 {
-		return v, false
+	w := o.lock()
+	if c := o.chain(w); len(c) > 0 {
+		c[len(c)-1].unpack(&v)
+		ok = true
 	}
-	o.versions[len(o.versions)-1].unpack(&v)
-	return v, true
+	o.unlock(w)
+	return v, ok
 }
 
 // LatestTN returns the TN of the newest committed version, or 0 if none.
 // Optimistic validation compares it against the TN observed at read time.
-func (o *Object) LatestTN() uint64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if len(o.versions) == 0 {
-		return 0
+func (o *Object) LatestTN() (tn uint64) {
+	w := o.lock()
+	if c := o.chain(w); len(c) > 0 {
+		tn = c[len(c)-1].tn
 	}
-	return o.versions[len(o.versions)-1].tn
+	o.unlock(w)
+	return tn
 }
 
 // InstallCommitted inserts a committed version. Versions may be installed
@@ -175,59 +316,43 @@ func (o *Object) LatestTN() uint64 {
 func (o *Object) InstallCommitted(v Version) { o.Install(v, nil) }
 
 // Install is InstallCommitted for an engine that collects at install
-// (Hekaton's cooperative collection): when the chain's array is full, it
-// calls watermark once and first drops every version below the newest one
-// at or under it, as Prune does; the new version then reuses the array.
-// It returns the number of versions dropped, and whether a version older
-// than v is left, which a Prune at v's number or above would drop. An
-// install into an array with room, or with a nil watermark, reads nothing
-// but the object. watermark must return a number no snapshot open then or
-// opened later reads below, other than one pinned below it, which the
-// pruned floor reports.
+// (Hekaton's cooperative collection): when the chain has no room — both
+// slots taken, or its extension's array full — it calls watermark once
+// and first drops every version below the newest one at or under it, as
+// Prune does; the new version then reuses the room. It returns the
+// number of versions dropped, and whether a version older than v is
+// left, which a Prune at v's number or above would drop. An install with
+// room, or with a nil watermark, reads nothing but the object. watermark
+// must return a number no snapshot open then or opened later reads
+// below, other than one pinned below it, which the pruned floor reports.
 //
 // A prune that frees d slots costs one copy of the chain and buys d
 // installs without one; a prune that frees nothing lets the append
 // double the array, so the next one comes twice as late.
 func (o *Object) Install(v Version, watermark func() uint64) (dropped int, older bool) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.installCommittedLocked(v, watermark)
-}
-
-func (o *Object) installCommittedLocked(v Version, watermark func() uint64) (dropped int, older bool) {
-	n := len(o.versions)
-	if watermark != nil && n > 1 && n == cap(o.versions) {
-		dropped = o.pruneLocked(watermark())
-		n = len(o.versions)
+	w := o.lock()
+	c := o.chain(w)
+	if watermark != nil && len(c) > 1 && len(c) == cap(c) {
+		if c, dropped = prune(c, watermark()); dropped > 0 {
+			w |= pruned
+		}
 	}
-	if n == 0 || o.versions[n-1].tn < v.TN {
-		o.versions = append(o.versions, pack(v))
-		return dropped, n > 0
-	}
-	i := sort.Search(n, func(i int) bool { return o.versions[i].tn >= v.TN })
-	if i < n && o.versions[i].tn == v.TN {
+	i := after(c, v.TN)
+	if i > 0 && c[i-1].tn == v.TN {
+		o.unlock(o.settle(w, c))
 		panic(fmt.Sprintf("storage: duplicate version tn=%d", v.TN))
 	}
-	o.versions = append(o.versions, version{})
-	copy(o.versions[i+1:], o.versions[i:])
-	o.versions[i] = pack(v)
+	if w&spilled == 0 && len(c) == len(o.slots) {
+		w, c = o.spill(w, c)
+	}
+	c = append(c, version{})
+	copy(c[i+1:], c[i:])
+	c[i] = pack(v)
+	o.unlock(o.settle(w, c))
 	return dropped, i > 0
 }
 
 // --- Timestamp-ordering operations (paper Figure 3) ---
-
-// noTO is what the read-only accessors see of an object no
-// timestamp-ordering operation has touched. Nothing writes it: every
-// write to a toState follows toLocked, or finds a pending version, which
-// noTO never has.
-var noTO toState
-
-func (o *Object) toView() *toState {
-	if o.to == nil {
-		return &noTO
-	}
-	return o.to
-}
 
 // TORead performs a timestamp-ordering read for a read-write transaction
 // with transaction number tn:
@@ -240,22 +365,22 @@ func (o *Object) toView() *toState {
 // is returned (read-own-write; the paper's model forbids r after w but the
 // library supports it). w is told of each wait.
 func (o *Object) TORead(tn uint64, w Waiter) (Version, bool) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	s := o.toLocked()
-	if s.rts < tn {
-		s.rts = tn
-		s.rtsRO = false
+	x := o.to(true)
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if x.rts < tn {
+		x.rts = tn
+		x.rtsRO = false
 	}
 	for {
-		if i, ok := s.pendingIndex(tn); ok {
-			p := s.pending[i]
+		if i, ok := x.pendingIndex(tn); ok {
+			p := x.pending[i]
 			return Version{TN: p.TN, Data: p.Data, Tombstone: p.Tombstone}, true
 		}
-		if !s.hasPendingAtMost(tn) {
-			return o.readVisibleLocked(tn)
+		if !x.hasPendingAtMost(tn) {
+			return o.ReadVisible(tn)
 		}
-		s.wait(w)
+		x.wait(w)
 	}
 }
 
@@ -266,12 +391,12 @@ func (o *Object) TORead(tn uint64, w Waiter) (Version, bool) {
 // implies every version <= sn is already committed. w is told of each
 // wait (experiment E3 instrumentation).
 func (o *Object) SnapshotReadWait(sn uint64, w Waiter) (Version, bool) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	for s := o.toView(); s.hasPendingAtMost(sn); {
-		s.wait(w)
+	x := o.toView()
+	defer x.done()
+	for x.hasPendingAtMost(sn) {
+		x.wait(w)
 	}
-	return o.readVisibleLocked(sn)
+	return o.ReadVisible(sn)
 }
 
 // ReadVisibleWhere returns the version with the largest TN <= sn whose
@@ -281,17 +406,19 @@ func (o *Object) SnapshotReadWait(sn uint64, w Waiter) (Version, bool) {
 // transaction, and ensuring that the creator of this version appears in
 // the copy of the completed transaction list". The per-read predicate
 // scan is part of the overhead the paper's version control eliminates.
+// admit runs under the lock bit.
 func (o *Object) ReadVisibleWhere(sn uint64, admit func(tn uint64) bool) (v Version, ok bool) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	i := sort.Search(len(o.versions), func(i int) bool { return o.versions[i].tn > sn })
-	for i--; i >= 0; i-- {
-		if admit(o.versions[i].tn) {
-			o.versions[i].unpack(&v)
-			return v, true
+	w := o.lock()
+	c := o.chain(w)
+	for i := after(c, sn) - 1; i >= 0; i-- {
+		if admit(c[i].tn) {
+			c[i].unpack(&v)
+			ok = true
+			break
 		}
 	}
-	return v, false
+	o.unlock(w)
+	return v, ok
 }
 
 // SetRTS raises r-ts(x) to at least tn. Reed-style MVTO applies it for
@@ -299,12 +426,13 @@ func (o *Object) ReadVisibleWhere(sn uint64, admit func(tn uint64) bool) (v Vers
 // marks whether the reader is a read-only transaction; the flag feeds the
 // abort-attribution statistics of experiment E2.
 func (o *Object) SetRTS(tn uint64, ro bool) {
-	o.mu.Lock()
-	if s := o.toLocked(); s.rts < tn {
-		s.rts = tn
-		s.rtsRO = ro
+	x := o.to(true)
+	x.mu.Lock()
+	if x.rts < tn {
+		x.rts = tn
+		x.rtsRO = ro
 	}
-	o.mu.Unlock()
+	x.mu.Unlock()
 }
 
 // TOWrite performs a timestamp-ordering write: reject if a younger
@@ -313,29 +441,29 @@ func (o *Object) SetRTS(tn uint64, ro bool) {
 // same transaction overwrites its pending version in place. w is told of
 // each wait.
 func (o *Object) TOWrite(tn uint64, data []byte, tombstone bool, w Waiter) error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	s := o.toLocked()
+	x := o.to(true)
+	x.mu.Lock()
+	defer x.mu.Unlock()
 	for {
-		if s.rts > tn && s.rtsRO {
+		if x.rts > tn && x.rtsRO {
 			return ErrConflictRO
 		}
-		if s.rts > tn || s.wts > tn {
+		if x.rts > tn || x.wts > tn {
 			return ErrConflict
 		}
-		if i, ok := s.pendingIndex(tn); ok {
-			s.pending[i].Data = data
-			s.pending[i].Tombstone = tombstone
+		if i, ok := x.pendingIndex(tn); ok {
+			x.pending[i].Data = data
+			x.pending[i].Tombstone = tombstone
 			return nil
 		}
-		if !s.hasPendingBelow(tn) {
+		if !x.hasPendingBelow(tn) {
 			break
 		}
-		s.wait(w)
+		x.wait(w)
 	}
-	s.insertPending(Pending{TN: tn, Data: data, Tombstone: tombstone})
-	if s.wts < tn {
-		s.wts = tn
+	x.insertPending(Pending{TN: tn, Data: data, Tombstone: tombstone})
+	if x.wts < tn {
+		x.wts = tn
 	}
 	return nil
 }
@@ -346,24 +474,23 @@ func (o *Object) TOWrite(tn uint64, data []byte, tombstone bool, w Waiter) error
 // and returns what the install returns. It is a no-op if the transaction
 // has no pending version here.
 func (o *Object) ResolvePending(tn uint64, commit bool, watermark func() uint64) (dropped int, older bool) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	s := o.toView()
-	i, ok := s.pendingIndex(tn)
+	x := o.toView()
+	defer x.done()
+	i, ok := x.pendingIndex(tn)
 	if !ok {
 		return 0, false
 	}
-	p := s.pending[i]
-	s.pending = slices.Delete(s.pending, i, i+1)
+	p := x.pending[i]
+	x.pending = slices.Delete(x.pending, i, i+1)
 	if commit {
-		dropped, older = o.installCommittedLocked(Version{TN: p.TN, Data: p.Data, Tombstone: p.Tombstone}, watermark)
+		dropped, older = o.Install(Version{TN: p.TN, Data: p.Data, Tombstone: p.Tombstone}, watermark)
 	}
-	for _, w := range s.parked {
+	for _, w := range x.parked {
 		w.Parked(false)
 	}
-	clear(s.parked)
-	s.parked = s.parked[:0]
-	s.cond.Broadcast()
+	clear(x.parked)
+	x.parked = x.parked[:0]
+	x.cond.Broadcast()
 	return dropped, older
 }
 
@@ -374,42 +501,43 @@ func (o *Object) ResolvePending(tn uint64, commit bool, watermark func() uint64)
 // no longer commit, its own record queueing behind the failed one. r-ts
 // and w-ts stay where they are; too high is merely conservative.
 func (o *Object) Withdraw(tn uint64) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	i := sort.Search(len(o.versions), func(i int) bool { return o.versions[i].tn >= tn })
-	if i < len(o.versions) && o.versions[i].tn == tn {
-		o.versions = slices.Delete(o.versions, i, i+1) // clears the vacated slot
+	w := o.lock()
+	c := o.chain(w)
+	if i := after(c, tn); i > 0 && c[i-1].tn == tn {
+		w = o.settle(w, slices.Delete(c, i-1, i)) // clears the vacated slot
 	}
+	o.unlock(w)
 }
 
 // RTS returns the object's read timestamp.
-func (o *Object) RTS() uint64 { o.mu.Lock(); defer o.mu.Unlock(); return o.toView().rts }
+func (o *Object) RTS() uint64 { x := o.toView(); defer x.done(); return x.rts }
 
 // WTS returns the object's write timestamp (including pending writes).
-func (o *Object) WTS() uint64 { o.mu.Lock(); defer o.mu.Unlock(); return o.toView().wts }
+func (o *Object) WTS() uint64 { x := o.toView(); defer x.done(); return x.wts }
 
 // VersionCount returns the number of committed versions (GC metrics).
 func (o *Object) VersionCount() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return len(o.versions)
+	w := o.lock()
+	o.unlock(w)
+	return int(w >> lenShift)
 }
 
 // PendingCount returns the number of pending versions.
 func (o *Object) PendingCount() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return len(o.toView().pending)
+	x := o.toView()
+	defer x.done()
+	return len(x.pending)
 }
 
 // Versions returns a copy of the committed chain (tests and tools).
 func (o *Object) Versions() []Version {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	out := make([]Version, len(o.versions))
-	for i, v := range o.versions {
+	w := o.lock()
+	c := o.chain(w)
+	out := make([]Version, len(c))
+	for i, v := range c {
 		v.unpack(&out[i])
 	}
+	o.unlock(w)
 	return out
 }
 
@@ -419,48 +547,51 @@ func (o *Object) Versions() []Version {
 // the garbage-collection rule of paper Section 6: never discard a version
 // "as young as or younger than vtnc" (our watermark additionally accounts
 // for older active read-only transactions). When it drops any, the
-// oldest version kept becomes the object's Floor.
+// oldest version kept becomes the object's floor (ReadAt).
 func (o *Object) Prune(watermark uint64) int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.pruneLocked(watermark)
-}
-
-func (o *Object) pruneLocked(watermark uint64) int {
-	i := sort.Search(len(o.versions), func(i int) bool { return o.versions[i].tn > watermark })
-	// versions[i-1] is the newest version <= watermark; it must survive,
-	// everything before it is unreachable.
-	if i <= 1 {
-		return 0
+	w := o.lock()
+	c, n := prune(o.chain(w), watermark)
+	if n > 0 {
+		w = o.settle(w|pruned, c)
 	}
-	// Delete clears the vacated tail, so the array keeps no dropped value
-	// alive behind len.
-	o.versions = slices.Delete(o.versions, 0, i-1)
-	o.floor = o.versions[0].tn
-	return i - 1
+	o.unlock(w)
+	return n
 }
 
-// CheckInvariants validates chain ordering; for tests.
+// prune drops from c, in place, every version older than the newest one
+// at or under watermark, and returns the rest and the number dropped.
+// Delete clears the vacated tail: no dropped value stays reachable.
+func prune(c []version, watermark uint64) ([]version, int) {
+	i := after(c, watermark)
+	if i <= 1 {
+		return c, 0
+	}
+	return slices.Delete(c, 0, i-1), i - 1
+}
+
+// CheckInvariants validates chain and pending order; for tests.
 func (o *Object) CheckInvariants() error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	for i := 1; i < len(o.versions); i++ {
-		if o.versions[i-1].tn >= o.versions[i].tn {
-			return fmt.Errorf("storage: version chain out of order at %d", i)
+	x := o.toView()
+	defer x.done()
+	for i := 1; i < len(x.pending); i++ {
+		if x.pending[i-1].TN >= x.pending[i].TN {
+			return fmt.Errorf("storage: pending list out of order at %d", i)
 		}
 	}
-	pending := o.toView().pending
-	for i := 1; i < len(pending); i++ {
-		if pending[i-1].TN >= pending[i].TN {
-			return fmt.Errorf("storage: pending list out of order at %d", i)
+	w := o.lock()
+	defer o.unlock(w)
+	c := o.chain(w)
+	for i := 1; i < len(c); i++ {
+		if c[i-1].tn >= c[i].tn {
+			return fmt.Errorf("storage: version chain out of order at %d", i)
 		}
 	}
 	return nil
 }
 
-func (s *toState) pendingIndex(tn uint64) (int, bool) {
-	for i := range s.pending {
-		if s.pending[i].TN == tn {
+func (x *toState) pendingIndex(tn uint64) (int, bool) {
+	for i := range x.pending {
+		if x.pending[i].TN == tn {
 			return i, true
 		}
 	}
@@ -469,22 +600,22 @@ func (s *toState) pendingIndex(tn uint64) (int, bool) {
 
 // hasPendingAtMost reports whether a pending write by another
 // transaction with TN <= tn exists (the Figure 3 read-blocking condition).
-func (s *toState) hasPendingAtMost(tn uint64) bool {
-	return len(s.pending) > 0 && s.pending[0].TN <= tn
+func (x *toState) hasPendingAtMost(tn uint64) bool {
+	return len(x.pending) > 0 && x.pending[0].TN <= tn
 }
 
 // hasPendingBelow reports whether a pending write with TN < tn exists
 // (the Figure 3 write-blocking condition).
-func (s *toState) hasPendingBelow(tn uint64) bool {
-	return len(s.pending) > 0 && s.pending[0].TN < tn
+func (x *toState) hasPendingBelow(tn uint64) bool {
+	return len(x.pending) > 0 && x.pending[0].TN < tn
 }
 
-func (s *toState) insertPending(p Pending) {
-	n := len(s.pending)
-	i := sort.Search(n, func(i int) bool { return s.pending[i].TN >= p.TN })
-	s.pending = append(s.pending, Pending{})
-	copy(s.pending[i+1:], s.pending[i:])
-	s.pending[i] = p
+func (x *toState) insertPending(p Pending) {
+	n := len(x.pending)
+	i := sort.Search(n, func(i int) bool { return x.pending[i].TN >= p.TN })
+	x.pending = append(x.pending, Pending{})
+	copy(x.pending[i+1:], x.pending[i:])
+	x.pending[i] = p
 }
 
 // --- Store ---

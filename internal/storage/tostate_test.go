@@ -14,8 +14,8 @@ import (
 
 // Under 2PL and OCC no object ever allocates the timestamp-ordering
 // state: concurrent read-modify-writes, deletes, snapshot reads, a scan,
-// stats and a collection pass leave every Object at its 48 bytes. T/O is
-// the control: the same workload must allocate it.
+// stats and a collection pass leave it unallocated on every Object. T/O
+// is the control: the same workload must allocate it.
 func TestOnlyTimestampOrderingAllocatesTOState(t *testing.T) {
 	for _, p := range []core.Protocol{core.TwoPhaseLocking, core.Optimistic, core.TimestampOrdering} {
 		t.Run(p.String(), func(t *testing.T) {

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"testing"
 	"unsafe"
 )
@@ -9,8 +10,28 @@ func TestRecordSizes(t *testing.T) {
 	if s := unsafe.Sizeof(version{}); s != 24 {
 		t.Errorf("sizeof(version) = %d, want 24", s)
 	}
-	if s := unsafe.Sizeof(Object{}); s > 48 {
-		t.Errorf("sizeof(Object) = %d, want <= 48", s)
+	if s := unsafe.Sizeof(Object{}); s != 64 {
+		t.Errorf("sizeof(Object) = %d, want 64", s)
+	}
+	// A key whose chain keeps to the slots costs its Object alone: map
+	// and index growth amortise below one allocation a key, and
+	// AllocsPerRun rounds down.
+	s := NewStore(0)
+	keys := make([]string, 4097)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key%06d", i)
+	}
+	i := 0
+	if n := testing.AllocsPerRun(len(keys)-1, func() {
+		o := s.GetOrCreate(keys[i])
+		i++
+		for tn := range uint64(4) {
+			o.Install(Version{TN: tn}, func() uint64 { return tn })
+		}
+		o.Prune(3)
+		o.Withdraw(3)
+	}); n != 1 {
+		t.Errorf("GetOrCreate and installs, prunes and a withdrawal within the slots: %v allocations, want 1", n)
 	}
 }
 
@@ -111,14 +132,23 @@ func TestPruneSetsFloor(t *testing.T) {
 	for _, tn := range []uint64{2, 5, 9} {
 		o.InstallCommitted(Version{TN: tn})
 	}
-	if o.Prune(4); o.Floor() != 0 {
-		t.Fatalf("floor = %d after a pass that dropped nothing, want 0", o.Floor())
+	floor := func() uint64 { _, _, f := o.ReadAt(0); return f }
+	if o.Prune(4); floor() != 0 {
+		t.Fatalf("floor = %d after a pass that dropped nothing, want 0", floor())
 	}
-	if o.Prune(6); o.Floor() != 5 {
-		t.Fatalf("floor = %d, want 5 (the oldest version kept)", o.Floor())
+	if o.Prune(6); floor() != 5 {
+		t.Fatalf("floor = %d, want 5 (the oldest version kept)", floor())
 	}
 	if _, ok := o.ReadVisible(3); ok {
 		t.Fatal("version 2 survived the prune")
+	}
+	// A withdrawal can empty a pruned chain (the engines never withdraw
+	// at or below the watermark, but the API allows it): then there is
+	// nothing to read and no floor.
+	o.Withdraw(5)
+	o.Withdraw(9)
+	if _, ok, f := o.ReadAt(10); ok || f != 0 {
+		t.Fatalf("ReadAt on an emptied pruned chain = %v, floor %d; want a miss, floor 0", ok, f)
 	}
 }
 
@@ -134,11 +164,11 @@ func TestAccessorsLeaveTOStateUnallocated(t *testing.T) {
 	if err := o.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if o.to != nil {
+	if TOStateAllocated(o) {
 		t.Fatal("a read-only accessor allocated the T/O state")
 	}
 	o.SetRTS(3, false)
-	if o.to == nil || o.RTS() != 3 {
+	if !TOStateAllocated(o) || o.RTS() != 3 {
 		t.Fatal("SetRTS did not allocate the T/O state")
 	}
 }
