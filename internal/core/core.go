@@ -23,6 +23,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -193,7 +195,8 @@ func (e *Engine) VC() vc.Controller { return e.vc }
 // VTNC returns the current visibility horizon (it satisfies gc.Source).
 func (e *Engine) VTNC() uint64 { return e.vc.VTNC() }
 
-// Bootstrap loads key/value pairs as version 0, before any transactions.
+// Bootstrap loads key/value pairs as version 0, before any transactions,
+// in key order.
 // A durable engine first logs them, as one version-0 record, so they
 // survive a reopen as every commit does; it refuses a Bootstrap once it
 // has recovered anything, whose version 0 may already be there.
@@ -201,17 +204,18 @@ func (e *Engine) Bootstrap(data map[string][]byte) error {
 	if e.bootstrapSealed.Load() {
 		return errors.New("core: Bootstrap after the first transaction or on a recovered engine")
 	}
+	keys := slices.Sorted(maps.Keys(data)) // the store appends; the record is the same every run
 	if e.log != nil {
 		rec := wal.Record{Writes: make([]wal.Write, 0, len(data))}
-		for k, v := range data {
-			rec.Writes = append(rec.Writes, wal.Write{Key: k, Value: v})
+		for _, k := range keys {
+			rec.Writes = append(rec.Writes, wal.Write{Key: k, Value: data[k]})
 		}
 		if err := e.log.Append(rec); err != nil {
 			return fmt.Errorf("core: bootstrap: %w", err)
 		}
 	}
-	for k, v := range data {
-		e.store.Bootstrap(k, v)
+	for _, k := range keys {
+		e.store.Bootstrap(k, data[k])
 	}
 	return nil
 }

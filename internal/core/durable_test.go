@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"testing"
@@ -239,4 +241,80 @@ func TestTornSnapshotRefused(t *testing.T) {
 	if err == nil {
 		t.Fatal("OpenDurable accepted a torn snapshot")
 	}
+}
+
+// leafFill is the share of the key table's leaf capacity (128 keys a
+// leaf) that e's keys use.
+func leafFill(e *Engine) float64 {
+	return float64(e.Store().Len()) / float64(e.Store().Leaves()*128)
+}
+
+// Bootstrap inserts, and logs, its keys in key order: its record is the
+// same bytes every run, and the key table fills its leaves by appends,
+// at the first open and at a reopen alike.
+func TestBootstrapInKeyOrder(t *testing.T) {
+	data := make(map[string][]byte)
+	for i := range 4000 {
+		data[fmt.Sprintf("key%06d", i)] = []byte(fmt.Sprint(i))
+	}
+	var logs [2][]byte
+	for run := range logs {
+		walPath := filepath.Join(t.TempDir(), "commit.log")
+		e := openFS(t, nil, walPath, TwoPhaseLocking)
+		if err := e.Bootstrap(data); err != nil {
+			t.Fatal(err)
+		}
+		if fill := leafFill(e); fill < 0.9 {
+			t.Fatalf("run %d: leaves %.2f full after Bootstrap, want >= 0.9", run, fill)
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		e = openFS(t, nil, walPath, TwoPhaseLocking)
+		if fill := leafFill(e); e.Store().Len() != len(data) || fill < 0.9 {
+			t.Fatalf("run %d: %d keys, leaves %.2f full after a reopen, want %d and >= 0.9", run, e.Store().Len(), fill, len(data))
+		}
+		e.Close()
+		var err error
+		if logs[run], err = os.ReadFile(walPath); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(logs[0], logs[1]) {
+		t.Fatal("two Bootstraps of the same data logged different bytes")
+	}
+}
+
+// A checkpoint writes its snapshot in key order, so a reopen replays it
+// by appends and fills the leaves that inserts in random order left
+// about two-thirds full.
+func TestCheckpointReopenFillsLeaves(t *testing.T) {
+	walPath := filepath.Join(t.TempDir(), "commit.log")
+	e := openFS(t, nil, walPath, TwoPhaseLocking)
+	keys := rand.New(rand.NewPCG(1, 1)).Perm(4000)
+	for len(keys) > 0 {
+		kv := make(map[string]string)
+		for _, k := range keys[:100] {
+			kv[fmt.Sprintf("key%06d", k)] = "v"
+		}
+		keys = keys[100:]
+		mustCommitWrite(t, e, kv)
+	}
+	before := leafFill(e)
+	if before >= 0.9 {
+		t.Fatalf("leaves %.2f full after inserts in random order: the test shows nothing", before)
+	}
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e = openFS(t, nil, walPath, TwoPhaseLocking)
+	defer e.Close()
+	fill := leafFill(e)
+	if e.Store().Len() != 4000 || fill < 0.9 {
+		t.Fatalf("%d keys, leaves %.2f full after a reopen from the checkpoint, want 4000 and >= 0.9", e.Store().Len(), fill)
+	}
+	t.Logf("leaves %.2f full after inserts in random order, %.2f after the reopen", before, fill)
 }

@@ -27,16 +27,17 @@ func FuzzPrefixUpperBound(f *testing.F) {
 	})
 }
 
-// FuzzIndex runs a byte-coded program against an Index and a sorted
-// slice, and fails when they disagree or an invariant breaks. Each step
-// is three bytes: an opcode, a and b.
+// FuzzIndex runs a byte-coded program against a Map and a sorted slice
+// of key/value pairs, and fails when they disagree or an invariant
+// breaks. A key's value is the number of the step that inserted it.
+// Each step is three bytes: an opcode, a and b.
 //
-//	op%4 == 0  Insert(fkey(a, b))
-//	op%4 == 1  Contains(fkey(a, b))
+//	op%4 == 0  LoadOrInsert(fkey(a, b))
+//	op%4 == 1  Get(fkey(a, b))
 //	op%4 == 2  Range(fkey(a, 0), fkey(b, 0)), or unbounded above when b is
 //	           0, stopping after op/4 keys when op/4 is not 0
-//	op%4 == 3  Insert fkey(a, i) for i < b: ascending, or descending when
-//	           op/4 is odd — a run that fills and splits leaves
+//	op%4 == 3  LoadOrInsert fkey(a, i) for i < b: ascending, or descending
+//	           when op/4 is odd — a run that fills and splits leaves
 //
 // fkey(a, b) is the one byte a when b is 0, else the two bytes a b.
 func FuzzIndex(f *testing.F) {
@@ -49,48 +50,63 @@ func FuzzIndex(f *testing.F) {
 			}
 			return string([]byte{a, b})
 		}
-		x := New(0)
-		var model []string
+		type kv struct {
+			k string
+			v int
+		}
+		cmp := func(e kv, k string) int { return strings.Compare(e.k, k) }
+		var x Map[int]
+		var model []kv
+		step := 0
 		insert := func(k string) {
-			i, present := slices.BinarySearch(model, k)
-			if got := x.Insert(k); got == present {
-				t.Fatalf("Insert(%q) = %t with the key present: %t", k, got, present)
+			i, present := slices.BinarySearchFunc(model, k, cmp)
+			want := kv{k, step}
+			if present {
+				want = model[i]
+			}
+			if v, inserted := x.LoadOrInsert(k, func() int { return step }); inserted == present || v != want.v {
+				t.Fatalf("LoadOrInsert(%q) = %d, %t; want %d, %t", k, v, inserted, want.v, !present)
 			}
 			if !present {
-				model = slices.Insert(model, i, k)
+				model = slices.Insert(model, i, want)
 			}
 		}
-		for ; len(prog) >= 3; prog = prog[3:] {
+		for ; len(prog) >= 3; prog, step = prog[3:], step+1 {
 			op, a, b := prog[0], prog[1], prog[2]
 			switch op % 4 {
 			case 0:
 				insert(fkey(a, b))
 			case 1:
 				k := fkey(a, b)
-				if _, present := slices.BinarySearch(model, k); x.Contains(k) != present {
-					t.Fatalf("Contains(%q) = %t, want %t", k, !present, present)
+				var want kv
+				i, present := slices.BinarySearchFunc(model, k, cmp)
+				if present {
+					want = model[i]
+				}
+				if v, ok := x.Get(k); ok != present || v != want.v {
+					t.Fatalf("Get(%q) = %d, %t; want %d, %t", k, v, ok, want.v, present)
 				}
 			case 2:
 				from, to, limit := fkey(a, 0), "", int(op/4)
 				if b != 0 {
 					to = fkey(b, 0)
 				}
-				lo, _ := slices.BinarySearch(model, from)
+				lo, _ := slices.BinarySearchFunc(model, from, cmp)
 				hi := len(model)
 				if to != "" {
-					hi, _ = slices.BinarySearch(model, to)
+					hi, _ = slices.BinarySearchFunc(model, to, cmp)
 				}
 				want := model[lo:max(lo, hi)]
 				if limit > 0 && limit < len(want) {
 					want = want[:limit]
 				}
-				var got []string
-				x.Range(from, to, func(k string) bool {
-					got = append(got, k)
+				var got []kv
+				x.Range(from, to, func(k string, v int) bool {
+					got = append(got, kv{k, v})
 					return limit == 0 || len(got) < limit
 				})
 				if !slices.Equal(got, want) {
-					t.Fatalf("Range(%q, %q) stopping at %d = %q, want %q", from, to, limit, got, want)
+					t.Fatalf("Range(%q, %q) stopping at %d = %v, want %v", from, to, limit, got, want)
 				}
 			case 3:
 				for i := range int(b) {
@@ -107,8 +123,13 @@ func FuzzIndex(f *testing.F) {
 				t.Fatalf("Len = %d, want %d", x.Len(), len(model))
 			}
 		}
-		if got := x.Keys(); !slices.Equal(got, model) {
-			t.Fatalf("Keys = %q, want %q", got, model)
+		var got []kv
+		x.Range("", "", func(k string, v int) bool {
+			got = append(got, kv{k, v})
+			return true
+		})
+		if !slices.Equal(got, model) {
+			t.Fatalf("Range = %v, want %v", got, model)
 		}
 	})
 }

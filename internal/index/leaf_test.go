@@ -90,9 +90,21 @@ func agree(t *testing.T, x *Index, want []string) {
 	}
 }
 
+// leaves returns the keys of each leaf of x's current directory.
+func leaves(x *Index) [][]string {
+	var out [][]string
+	if d := x.m.dir.Load(); d != nil {
+		for i := range *d {
+			l := (*d)[i].leaf.Load()
+			out = append(out, l.keys[:l.n.Load()])
+		}
+	}
+	return out
+}
+
 func leafLens(x *Index) []int {
 	var lens []int
-	for _, l := range x.leaves {
+	for _, l := range leaves(x) {
 		lens = append(lens, len(l))
 	}
 	return lens
@@ -110,7 +122,7 @@ func TestLeafCapBoundaries(t *testing.T) {
 				if x.Insert(keys[n/2]) || x.Insert(keys[0]) || x.Insert(keys[n-1]) {
 					t.Fatal("a duplicate insert reported new")
 				}
-				if wantLeaves := 1 + n/(leafCap+1); len(x.leaves) != wantLeaves {
+				if wantLeaves := 1 + n/(leafCap+1); len(leaves(x)) != wantLeaves {
 					t.Fatalf("%d keys in leaves %v, want %d leaves", n, leafLens(x), wantLeaves)
 				}
 			})
@@ -151,7 +163,7 @@ func TestInsertIntoFullLeaf(t *testing.T) {
 				if lens := leafLens(x); !slices.Equal(lens, at.wantLens) {
 					t.Fatalf("after the insert: leaves %v, want %v", lens, at.wantLens)
 				}
-				if !slices.Contains(x.leaves[at.wantIndex], at.key) {
+				if !slices.Contains(leaves(x)[at.wantIndex], at.key) {
 					t.Fatalf("%q is not in leaf %d", at.key, at.wantIndex)
 				}
 				want := append(slices.Clone(keys), at.key)
@@ -162,8 +174,8 @@ func TestInsertIntoFullLeaf(t *testing.T) {
 	}
 }
 
-// TestRangeCursorLeafSplits: between two batches of a scan, the leaf
-// holding the cursor splits. The scan still delivers each key once, in
+// TestRangeCursorLeafSplits: between two keys of a scan, inside fn, the
+// leaf holding the cursor splits. The scan still delivers each key once, in
 // order, with the keys inserted ahead of the cursor and without the one
 // inserted behind it.
 func TestRangeCursorLeafSplits(t *testing.T) {
@@ -171,19 +183,19 @@ func TestRangeCursorLeafSplits(t *testing.T) {
 		t.Run(o.name, func(t *testing.T) {
 			keys := oddKeys(leafCap)
 			x := load(t, o.order, keys)
-			behind, ahead := key(0), []string{key(2 * scanBatch), key(2*leafCap - 4)}
+			const cursor = leafCap / 2 // keys delivered before the split
+			behind, ahead := key(0), []string{key(2 * cursor), key(2*leafCap - 4)}
 			var got []string
 			x.Range("", "", func(k string) bool {
 				got = append(got, k)
-				if len(got) == scanBatch {
-					// The first batch is delivered: the cursor is its last key.
-					if len(x.leaves) != 1 {
+				if len(got) == cursor {
+					if len(leaves(x)) != 1 {
 						t.Fatalf("leaves %v before the split", leafLens(x))
 					}
 					for _, k := range append([]string{behind}, ahead...) {
 						x.Insert(k)
 					}
-					if len(x.leaves) != 2 {
+					if len(leaves(x)) != 2 {
 						t.Fatalf("leaves %v: the cursor's leaf did not split", leafLens(x))
 					}
 				}
@@ -206,7 +218,7 @@ func TestAscendingLoadFillsLeaves(t *testing.T) {
 	for i := range 4000 {
 		x.Insert(fmt.Sprintf("key%06d", i))
 	}
-	if fill := float64(x.Len()) / float64(len(x.leaves)*leafCap); fill < 0.9 {
-		t.Fatalf("%d keys in %d leaves of %d: fill %.2f, want >= 0.9", x.Len(), len(x.leaves), leafCap, fill)
+	if fill := float64(x.Len()) / float64(x.m.Leaves()*leafCap); fill < 0.9 {
+		t.Fatalf("%d keys in %d leaves of %d: fill %.2f, want >= 0.9", x.Len(), x.m.Leaves(), leafCap, fill)
 	}
 }

@@ -173,6 +173,39 @@ func TestInstallThatCollectsAllocatesNothing(t *testing.T) {
 	}
 }
 
+// A chain that grew while a snapshot held the watermark gives its large
+// array up at the first install that collects once the snapshot is gone.
+func TestHeldChainShrinksOnceCollected(t *testing.T) {
+	o := newObject()
+	tn := uint64(0)
+	watermark := func() uint64 { return 0 } // a snapshot pinned at 0
+	for range 1000 {
+		tn++
+		if d, _ := o.Install(Version{TN: tn}, watermark); d != 0 {
+			t.Fatalf("install %d dropped %d below a pinned snapshot", tn, d)
+		}
+	}
+	if c := cap(o.ext.chain); c < 1000 {
+		t.Fatalf("the array holds %d while the snapshot is pinned", c)
+	}
+	watermark = func() uint64 { return tn - 1 } // unpinned
+	for {
+		tn++
+		if d, _ := o.Install(Version{TN: tn}, watermark); d > 0 {
+			break
+		}
+	}
+	w := o.lock()
+	room := len(o.slots)
+	if w&spilled != 0 {
+		room = cap(o.ext.chain)
+	}
+	o.unlock(w)
+	if room > 8 || o.VersionCount() > 2 || checkLayout(o) != nil {
+		t.Fatalf("after the collecting install: %d versions in room for %d, %v", o.VersionCount(), room, checkLayout(o))
+	}
+}
+
 // What Prune, a collecting install and Withdraw drop is garbage at once,
 // from the slots and from an extension array alike: no stale record
 // keeps a dropped value alive.

@@ -9,16 +9,15 @@
 // (Figure 2) — is ReadVisible; the timestamp-ordering rules of Figure 3
 // are TORead/TOWrite.
 //
-// The store is sharded by key hash so that unrelated objects do not
-// contend; each object has its own latch word, and its timestamp-ordering
-// state a mutex and condition variable (the pending-write blocking that
-// Figure 3 prescribes).
+// The store is one ordered key table whose lookups take no lock; each
+// object has its own latch word, and its timestamp-ordering state a mutex
+// and condition variable (the pending-write blocking that Figure 3
+// prescribes).
 package storage
 
 import (
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"runtime"
 	"slices"
 	"sort"
@@ -328,13 +327,25 @@ func (o *Object) InstallCommitted(v Version) { o.Install(v, nil) }
 //
 // A prune that frees d slots costs one copy of the chain and buys d
 // installs without one; a prune that frees nothing lets the append
-// double the array, so the next one comes twice as late.
+// double the array, so the next one comes twice as late. A prune that
+// leaves an array larger than spill's at a quarter full or less gives it
+// up, so a chain that grew while a snapshot held the watermark collects
+// at the pace it did before.
 func (o *Object) Install(v Version, watermark func() uint64) (dropped int, older bool) {
 	w := o.lock()
 	c := o.chain(w)
 	if watermark != nil && len(c) > 1 && len(c) == cap(c) {
 		if c, dropped = prune(c, watermark()); dropped > 0 {
 			w |= pruned
+			if w&spilled != 0 && cap(c) > 2*len(o.slots) && len(c) <= cap(c)/4 {
+				// An array a held watermark grew: the chain goes to
+				// the slots, or to an array of twice its length.
+				if len(c) > 1 {
+					c = append(make([]version, 0, 2*len(c)), c...)
+				}
+				w = o.settle(w, c)
+				c = o.chain(w)
+			}
 		}
 	}
 	i := after(c, v.TN)
@@ -620,124 +631,50 @@ func (x *toState) insertPending(p Pending) {
 
 // --- Store ---
 
-const defaultShards = 64
-
-// Store is a sharded map from key to Object, plus an ordered key index
-// for prefix scans.
+// Store maps each key to its Object in one ordered key table
+// (index.Map): a point lookup and a scan take no lock, and a scan finds
+// each object beside its key.
 type Store struct {
-	seed   maphash.Seed
-	shards []shard
-	mask   uint64
-	idx    *index.Index
+	m index.Map[*Object]
 }
 
-type shard struct {
-	mu sync.RWMutex
-	m  map[string]*Object
-}
-
-// NewStore creates a store with the given shard count (rounded up to a
-// power of two; 0 selects the default).
-func NewStore(shards int) *Store {
-	if shards <= 0 {
-		shards = defaultShards
-	}
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
-	s := &Store{seed: maphash.MakeSeed(), shards: make([]shard, n), mask: uint64(n - 1), idx: index.New(1)}
-	for i := range s.shards {
-		s.shards[i].m = make(map[string]*Object)
-	}
-	return s
-}
-
-func (s *Store) shardFor(key string) *shard {
-	h := maphash.String(s.seed, key)
-	return &s.shards[h&s.mask]
-}
+// NewStore creates an empty store. The argument is ignored: it was the
+// shard count of the hash-sharded store this table replaced.
+func NewStore(int) *Store { return &Store{} }
 
 // Get returns the object for key, or nil if the key has never been
 // written.
 func (s *Store) Get(key string) *Object {
-	sh := s.shardFor(key)
-	sh.mu.RLock()
-	o := sh.m[key]
-	sh.mu.RUnlock()
+	o, _ := s.m.Get(key)
 	return o
 }
 
 // GetOrCreate returns the object for key, creating an empty one if
 // needed.
 func (s *Store) GetOrCreate(key string) *Object {
-	sh := s.shardFor(key)
-	sh.mu.RLock()
-	o := sh.m[key]
-	sh.mu.RUnlock()
-	if o != nil {
+	if o, ok := s.m.Get(key); ok {
 		return o
 	}
-	sh.mu.Lock()
-	if o = sh.m[key]; o == nil {
-		o = newObject()
-		sh.m[key] = o
-	}
-	sh.mu.Unlock()
-	s.idx.Insert(key)
+	o, _ := s.m.LoadOrInsert(key, newObject)
 	return o
 }
 
-// Range calls fn for every key until fn returns false. The iteration
-// order is unspecified and the snapshot is loose (keys created during
-// iteration may or may not appear).
-func (s *Store) Range(fn func(key string, o *Object) bool) {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		keys := make([]string, 0, len(sh.m))
-		for k := range sh.m {
-			keys = append(keys, k)
-		}
-		sh.mu.RUnlock()
-		for _, k := range keys {
-			sh.mu.RLock()
-			o := sh.m[k]
-			sh.mu.RUnlock()
-			if o == nil {
-				continue
-			}
-			if !fn(k, o) {
-				return
-			}
-		}
-	}
-}
+// Range calls fn for every key in ascending order until fn returns
+// false. The snapshot is loose: a key created during the iteration
+// appears if it sorts after the cursor.
+func (s *Store) Range(fn func(key string, o *Object) bool) { s.m.Range("", "", fn) }
 
 // RangeOrdered calls fn for every key with the given prefix in ascending
-// key order, until fn returns false. Unlike Range, iteration order is
-// guaranteed; snapshot scans are built on it.
+// key order, until fn returns false; snapshot scans are built on it.
 func (s *Store) RangeOrdered(prefix string, fn func(key string, o *Object) bool) {
-	s.idx.RangePrefix(prefix, func(key string) bool {
-		o := s.Get(key)
-		if o == nil {
-			return true // index insert raced ahead of the map insert
-		}
-		return fn(key, o)
-	})
+	s.m.RangePrefix(prefix, fn)
 }
 
 // Len returns the number of keys.
-func (s *Store) Len() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		n += len(sh.m)
-		sh.mu.RUnlock()
-	}
-	return n
-}
+func (s *Store) Len() int { return s.m.Len() }
+
+// Leaves returns the number of leaves of the key table (tests and tools).
+func (s *Store) Leaves() int { return s.m.Leaves() }
 
 // TotalVersions returns the number of committed versions across all
 // objects (GC experiment instrumentation).
