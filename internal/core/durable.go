@@ -61,14 +61,16 @@ type DurableOptions struct {
 // production one.
 //
 // Recovery is idempotent: a stale snapshot temp from an interrupted
-// checkpoint is removed, the torn log tail (if any) is truncated and the
-// truncation fsynced before the first new append is accepted. The
+// checkpoint is removed, then the live log is opened and, if it holds
+// anything, fsynced while the rest runs (wal.OpenAppendWith). The
 // snapshot's versions are installed as they are read, then the records
 // above its horizon (all of them, version-0 bootstrap records included,
-// without a snapshot) of the retired log and then of the live one, and
-// only then is the version-control module built, with tnc just past the
-// largest recovered transaction number: everything recovered is
-// immediately visible.
+// without a snapshot) of the retired log and then of the live one. Once
+// that fsync has returned, a torn tail of the live log (if any) is
+// truncated and the truncation fsynced; only then is the version-control
+// module built, with tnc just past the largest recovered transaction
+// number, and the first append accepted: everything recovered is
+// immediately visible, and durable.
 func OpenDurable(walPath string, opts Options, d DurableOptions) (*Engine, error) {
 	fsys := d.FS
 	if fsys == nil {
@@ -92,22 +94,24 @@ func OpenDurable(walPath string, opts Options, d DurableOptions) (*Engine, error
 		}
 		maxTN = max(maxTN, r.TN)
 	}
-	horizon, snap, err := LoadSnapshot(fsys, SnapPath(walPath), install)
-	if err != nil {
-		return nil, fmt.Errorf("core: read snapshot: %w", err)
-	}
-	maxTN = max(maxTN, horizon)
-	replay := func(r wal.Record) error {
-		if !snap || r.TN > horizon { // else the snapshot already holds it
-			install(r)
+	var err error
+	e.log, err = wal.OpenAppendWith(walPath, wal.Options{Policy: d.Policy, FS: fsys}, func() (int64, error) {
+		horizon, snap, err := LoadSnapshot(fsys, SnapPath(walPath), install)
+		maxTN = max(maxTN, horizon)
+		replay := func(r wal.Record) error {
+			if !snap || r.TN > horizon { // else the snapshot already holds it
+				install(r)
+			}
+			return nil
 		}
-		return nil
-	}
-	_, err = wal.ReplayFS(fsys, OldPath(walPath), replay)
-	var validLen int64
-	if err == nil {
-		validLen, err = wal.ReplayFS(fsys, walPath, replay)
-	}
+		if err == nil {
+			_, err = wal.ReplayFS(fsys, OldPath(walPath), replay)
+		}
+		if err != nil {
+			return 0, err
+		}
+		return wal.ReplayFS(fsys, walPath, replay)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("core: recover: %w", err)
 	}
@@ -115,9 +119,6 @@ func OpenDurable(walPath string, opts Options, d DurableOptions) (*Engine, error
 	e.oldBound = maxTN
 	if e.store.Len() > 0 {
 		e.bootstrapSealed.Store(true)
-	}
-	if e.log, err = wal.OpenAppendWith(walPath, validLen, wal.Options{Policy: d.Policy, FS: fsys}); err != nil {
-		return nil, fmt.Errorf("core: open log: %w", err)
 	}
 	e.fsys, e.walPath = fsys, walPath
 	e.observeWAL(e.log)
@@ -169,7 +170,11 @@ func LoadSnapshot(fsys faultfs.FS, path string, fn func(wal.Record)) (horizon ui
 // transaction registered, so its number is at most that. Once the
 // snapshot is durable, a horizon at or above the bound holds every such
 // record's effect, and the retired log is removed; below it, the file
-// stays for the next checkpoint to retire without rotating again.
+// stays for the next checkpoint to retire. A checkpoint that retires a
+// file it did not rotate then rotates the live log into its place, with
+// a new bound, unless the live log is empty: so the next checkpoint can
+// retire it in turn, and the log never holds more than what was logged
+// since the checkpoint before last ended (DESIGN §8.2).
 func (e *Engine) Checkpoint() error {
 	if e.log == nil {
 		return errors.New("core: Checkpoint requires a commit log")
@@ -180,17 +185,25 @@ func (e *Engine) Checkpoint() error {
 	// Rotate and Flush both leave the log durable up to here, so the
 	// snapshot never runs ahead of it.
 	old := OldPath(e.walPath)
-	if _, err := e.fsys.Stat(old); errors.Is(err, os.ErrNotExist) {
-		if err := e.log.Rotate(old); err != nil {
-			return err
+	rotate := func() (err error) {
+		if err = e.log.Rotate(old); err == nil {
+			e.oldBound = e.vc.TNC() - 1
 		}
-		e.oldBound = e.vc.TNC() - 1
-	} else if err := e.log.Flush(); err != nil {
+		return err
+	}
+	_, err := e.fsys.Stat(old)
+	rotated := errors.Is(err, os.ErrNotExist)
+	if rotated {
+		err = rotate()
+	} else {
+		err = e.log.Flush()
+	}
+	if err != nil {
 		return err
 	}
 	slot, sn := e.snapshot(0, 0, false)
 	defer e.roActive.Unpublish(slot)
-	err := AtomicReplace(e.fsys, SnapPath(e.walPath), func(bw *bufio.Writer) error {
+	err = AtomicReplace(e.fsys, SnapPath(e.walPath), func(bw *bufio.Writer) error {
 		_, err := wal.WriteRecord(bw, wal.Record{TN: sn}) // first record: the horizon
 		var w [1]wal.Write
 		e.store.Range(func(key string, o *storage.Object) bool {
@@ -211,6 +224,9 @@ func (e *Engine) Checkpoint() error {
 	if err == nil && sn >= e.oldBound {
 		if err = e.fsys.Remove(old); err == nil {
 			err = e.fsys.SyncDir(filepath.Dir(old))
+		}
+		if err == nil && !rotated && e.log.Size() > 0 {
+			err = rotate()
 		}
 	}
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"mvdb/internal/engine"
@@ -100,46 +101,89 @@ func TestWriteSnapshotCrashAtomic(t *testing.T) {
 // Crash windows of the log rotation and the retire: at the rename of
 // the live log to OldPath (with and without the dirent surviving), at
 // the create of the fresh log, at the directory fsync after it, and at
-// the removal of the retired log once the snapshot covers it. In every
-// one, recovery must see the full committed state, and the next
-// checkpoint must leave no retired log behind.
+// the removal of the retired log once the snapshot covers it. The
+// after-retire cases crash the same operations of a checkpoint that
+// retires a log an earlier one left (a T/O transaction held that one's
+// horizon below its bound) and then rotates the live log aside. In
+// every one, recovery must see the full committed state, and two
+// checkpoints after it must leave no retired log behind: the first
+// retires what the crash left and rotates what the live log holds, the
+// second retires that.
 func TestRotateCrashAtomic(t *testing.T) {
 	cases := []struct {
 		name string
 		rule faultfs.Rule
+		// afterRetire: the first engine leaves a retired log, so the
+		// crashed checkpoint retires it and rotates after.
+		afterRetire bool
 	}{
-		{"rename-lost", faultfs.Rule{Op: faultfs.OpRename, Path: ".old", Fault: faultfs.Fault{Crash: true}}},
-		{"rename-kept", faultfs.Rule{Op: faultfs.OpRename, Path: ".old", Fault: faultfs.Fault{Crash: true, KeepRename: true}}},
-		{"create", faultfs.Rule{Op: faultfs.OpCreate, Path: "commit.log", Fault: faultfs.Fault{Crash: true}}},
-		{"syncdir-after-create", faultfs.Rule{Op: faultfs.OpSyncDir, Nth: 2, Fault: faultfs.Fault{Crash: true}}},
-		{"remove", faultfs.Rule{Op: faultfs.OpRemove, Path: ".old", Fault: faultfs.Fault{Crash: true}}},
+		{"rename-lost", faultfs.Rule{Op: faultfs.OpRename, Path: ".old", Fault: faultfs.Fault{Crash: true}}, false},
+		{"rename-kept", faultfs.Rule{Op: faultfs.OpRename, Path: ".old", Fault: faultfs.Fault{Crash: true, KeepRename: true}}, false},
+		{"create", faultfs.Rule{Op: faultfs.OpCreate, Path: "commit.log", Fault: faultfs.Fault{Crash: true}}, false},
+		{"syncdir-after-create", faultfs.Rule{Op: faultfs.OpSyncDir, Nth: 2, Fault: faultfs.Fault{Crash: true}}, false},
+		{"remove", faultfs.Rule{Op: faultfs.OpRemove, Path: ".old", Fault: faultfs.Fault{Crash: true}}, false},
+		// The checkpoint creates its snapshot temp, fsyncs the directory
+		// after the snapshot's rename and after the retire, then rotates.
+		{"after-retire/remove", faultfs.Rule{Op: faultfs.OpRemove, Path: ".old", Fault: faultfs.Fault{Crash: true}}, true},
+		{"after-retire/rename-lost", faultfs.Rule{Op: faultfs.OpRename, Path: ".old", Fault: faultfs.Fault{Crash: true}}, true},
+		{"after-retire/rename-kept", faultfs.Rule{Op: faultfs.OpRename, Path: ".old", Fault: faultfs.Fault{Crash: true, KeepRename: true}}, true},
+		{"after-retire/create", faultfs.Rule{Op: faultfs.OpCreate, Path: "commit.log", Nth: 2, Fault: faultfs.Fault{Crash: true}}, true},
+		{"after-retire/syncdir-after-create", faultfs.Rule{Op: faultfs.OpSyncDir, Nth: 4, Fault: faultfs.Fault{Crash: true}}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			walPath := filepath.Join(t.TempDir(), "commit.log")
 			want := map[string]string{}
 
-			e := openFS(t, faultfs.New(faultfs.Plan{}), walPath, TwoPhaseLocking)
+			p := TwoPhaseLocking
+			if tc.afterRetire {
+				p = TimestampOrdering
+			}
+			e := openFS(t, faultfs.New(faultfs.Plan{}), walPath, p)
 			for i := 0; i < 4; i++ {
 				k, v := fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i)
 				mustCommitWrite(t, e, map[string]string{k: v})
 				want[k] = v
 			}
+			var held engine.Tx
+			if tc.afterRetire {
+				var err error
+				if held, err = e.Begin(engine.ReadWrite); err != nil {
+					t.Fatal(err)
+				}
+			}
 			if err := e.Checkpoint(); err != nil {
 				t.Fatal(err)
+			}
+			if held != nil {
+				held.Abort()
+				if _, err := os.Stat(OldPath(walPath)); err != nil {
+					t.Fatalf("a held horizon did not keep the retired log: %v", err)
+				}
 			}
 			mustCommitWrite(t, e, map[string]string{"k0": "v0b"})
 			want["k0"] = "v0b"
 			e.Close()
 
-			// The open's log truncation fsyncs the directory first; the
-			// first create is the rotation's.
+			// The open fsyncs the directory first; without a retired log
+			// the first create is the rotation's.
 			fs := faultfs.New(faultfs.Plan{Rules: []faultfs.Rule{tc.rule}})
+			fs.EnableTrace()
 			e2 := openFS(t, fs, walPath, TwoPhaseLocking)
 			mustCommitWrite(t, e2, map[string]string{"k2": "v2b"})
 			want["k2"] = "v2b"
 			if err := e2.Checkpoint(); err == nil {
 				t.Fatal("Checkpoint succeeded despite scripted crash")
+			}
+			// The crash hit the rule's operation, and an after-retire
+			// rotation's only once the retire was done.
+			trace := fs.Trace()
+			last := trace[len(trace)-1]
+			retired := slices.ContainsFunc(trace[:len(trace)-1], func(op faultfs.OpRecord) bool {
+				return op.Op == faultfs.OpRemove && op.Path == OldPath(walPath)
+			})
+			if last.Op != tc.rule.Op || retired != (tc.afterRetire && tc.rule.Op != faultfs.OpRemove) {
+				t.Fatalf("crashed at %s %s with the retire done %v", last.Op, last.Path, retired)
 			}
 			e2.Close()
 			if err := fs.ApplyCrash(); err != nil {
@@ -148,12 +192,14 @@ func TestRotateCrashAtomic(t *testing.T) {
 			expectState(t, walPath, TwoPhaseLocking, want)
 
 			e3 := openFS(t, faultfs.New(faultfs.Plan{}), walPath, TwoPhaseLocking)
-			if err := e3.Checkpoint(); err != nil {
-				t.Fatal(err)
+			for range 2 {
+				if err := e3.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
 			}
 			e3.Close()
 			if _, err := os.Stat(OldPath(walPath)); !os.IsNotExist(err) {
-				t.Fatalf("retired log survived a checkpoint after recovery: %v", err)
+				t.Fatalf("retired log survived two checkpoints after recovery: %v", err)
 			}
 			expectState(t, walPath, TwoPhaseLocking, want)
 		})
@@ -163,7 +209,9 @@ func TestRotateCrashAtomic(t *testing.T) {
 // A checkpoint whose horizon is below the retired log's bound keeps the
 // file: a T/O transaction holds its number from begin, so while it is
 // open vtnc stays below it. The next checkpoint, once it has committed,
-// retires the file without rotating again.
+// retires the file and, having not rotated at its start, rotates the
+// live log into its place. A third retires that one and, with the live
+// log empty, leaves no retired log.
 func TestCheckpointRetiresOnceCovered(t *testing.T) {
 	walPath := filepath.Join(t.TempDir(), "commit.log")
 	e := openFS(t, faultfs.New(faultfs.Plan{}), walPath, TimestampOrdering)
@@ -192,11 +240,18 @@ func TestCheckpointRetiresOnceCovered(t *testing.T) {
 	if err := e.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(OldPath(walPath)); !os.IsNotExist(err) {
-		t.Fatalf("covered retired log survived the next checkpoint: %v", err)
+	old, err := os.Stat(OldPath(walPath))
+	if err != nil || old.Size() != live.Size() {
+		t.Fatalf("second checkpoint: retired log %v (err %v), want the %d-byte live log rotated into its place", old, err, live.Size())
 	}
-	if again, _ := os.Stat(walPath); again.Size() != live.Size() {
-		t.Fatalf("second checkpoint rotated again: live log %d -> %d bytes", live.Size(), again.Size())
+	if again, _ := os.Stat(walPath); again.Size() != 0 {
+		t.Fatalf("second checkpoint left %d bytes in the live log, want 0", again.Size())
+	}
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(OldPath(walPath)); !os.IsNotExist(err) {
+		t.Fatalf("third checkpoint over an empty live log left a retired log: %v", err)
 	}
 	expectState(t, walPath, TimestampOrdering, map[string]string{"a": "1", "b": "2"})
 }

@@ -38,27 +38,39 @@ func TestSweepExhaustive(t *testing.T) {
 // The sweep's crash points include each checkpoint's log rotation (the
 // rename to OldPath, the fresh log's create and its directory fsync)
 // and its retire (the removal of OldPath and the directory fsync after
-// it): the script checkpoints twice, and both retire what they rotated.
+// it). The script checkpoints twice. Under 2PL both retire what they
+// rotated at their start; under T/O the first keeps its rotated log (a
+// held transaction's horizon is below its bound), and the second
+// retires it and rotates after.
 func TestScriptRotatesAndRetires(t *testing.T) {
-	tracer := faultfs.New(faultfs.Plan{})
-	tracer.EnableTrace()
-	walPath := filepath.Join(t.TempDir(), "commit.log")
-	if err := runScript(tracer, walPath, Configs()[0], NewOracle()); err != nil {
-		t.Fatal(err)
-	}
-	var seq []string
-	for _, op := range tracer.Trace() {
-		switch {
-		case op.Op == faultfs.OpRename && op.Path == core.OldPath(walPath),
-			op.Op == faultfs.OpCreate && op.Path == walPath,
-			op.Op == faultfs.OpRemove && op.Path == core.OldPath(walPath):
-			seq = append(seq, op.Op.String())
-		}
-	}
-	// The first create is the log's own, at the first open.
-	want := "create rename create remove rename create remove"
-	if got := strings.Join(seq, " "); got != want {
-		t.Fatalf("rotate/retire operations = %q, want %q", got, want)
+	for _, tc := range []struct {
+		cfg  Config
+		want string
+	}{
+		// The first create is the log's own, at the first open.
+		{Configs()[0], "create rename create remove rename create remove"},
+		{Config{Protocol: core.TimestampOrdering}, "create rename create remove rename create"},
+	} {
+		t.Run(tc.cfg.String(), func(t *testing.T) {
+			tracer := faultfs.New(faultfs.Plan{})
+			tracer.EnableTrace()
+			walPath := filepath.Join(t.TempDir(), "commit.log")
+			if err := runScript(tracer, walPath, tc.cfg, NewOracle()); err != nil {
+				t.Fatal(err)
+			}
+			var seq []string
+			for _, op := range tracer.Trace() {
+				switch {
+				case op.Op == faultfs.OpRename && op.Path == core.OldPath(walPath),
+					op.Op == faultfs.OpCreate && op.Path == walPath,
+					op.Op == faultfs.OpRemove && op.Path == core.OldPath(walPath):
+					seq = append(seq, op.Op.String())
+				}
+			}
+			if got := strings.Join(seq, " "); got != tc.want {
+				t.Fatalf("rotate/retire operations = %q, want %q", got, tc.want)
+			}
+		})
 	}
 }
 

@@ -54,11 +54,15 @@ func openEngine(fsys faultfs.FS, walPath string, cfg Config, rec engine.Recorder
 // enumerates crash points of: a logged bootstrap, a batch of commits, a
 // checkpoint under load (which rotates the log aside, snapshots and
 // retires the rotated prefix), more commits (including a delete), then a
-// reopen, a second checkpoint and further commits. Every commit also
-// reads and rewrites the key "chain", so each depends on the one before
-// it and the oracle's clause on reads is live at every crash point; the
-// bootstrapped "g" is never written again, so it must come back at
-// version 0 through both checkpoints, once its record is retired.
+// reopen, a second checkpoint and further commits. Under T/O, whose
+// transactions hold their number from begin, a transaction held open
+// across the first checkpoint keeps that prefix past it, so the second
+// checkpoint retires it and then rotates the live log aside. Every
+// commit also reads and rewrites the key "chain", so each depends on the
+// one before it and the oracle's clause on reads is live at every crash
+// point; the bootstrapped "g" is never written again, so it must come
+// back at version 0 through both checkpoints, once its record is
+// retired.
 // Single-client, so the sequence of filesystem operations is identical
 // on every fault-free run.
 //
@@ -108,9 +112,19 @@ func runScript(fsys *faultfs.FaultFS, walPath string, cfg Config, o *Oracle) err
 		}
 	}
 	// Checkpoint while the engine is open (the production arrangement).
+	var held engine.Tx
+	if cfg.Protocol == core.TimestampOrdering {
+		if held, err = e.Begin(engine.ReadWrite); err != nil {
+			e.Close()
+			return err
+		}
+	}
 	if err := e.Checkpoint(); err != nil && fsys.Crashed() {
 		e.Close()
 		return err
+	}
+	if held != nil {
+		held.Abort()
 	}
 	phase2 := []map[string]Mut{
 		puts("b"), del("c"), puts("e"), puts("a", "c"),

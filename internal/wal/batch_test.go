@@ -17,6 +17,12 @@ func rec(tn uint64, key, val string) Record {
 	return Record{TN: tn, Writes: []Write{{Key: key, Value: []byte(val)}}}
 }
 
+// replayed is OpenAppendWith's replay for a log the test already
+// replayed to validLen.
+func replayed(validLen int64) func() (int64, error) {
+	return func() (int64, error) { return validLen, nil }
+}
+
 // TestSyncBatchRoundTrip checks that records appended concurrently under
 // group commit all replay, and that every record is durable
 // (fsync-covered) by the time its Append returned.
@@ -511,26 +517,63 @@ func TestFsyncsCountsOvertakenSync(t *testing.T) {
 	}
 }
 
-// TestEnqueueAllocatesNothing: Enqueue encodes into the log buffer's own
-// free space — here the two-write record the benchmark's durable
-// workloads log. (Only a record that does not fit what is left of the
-// 64 KiB buffer gets one of its own; these 200 stay well inside it.)
+// TestEnqueueAllocatesNothing: Enqueue encodes into the open batch's
+// buffer — here the two-write record the benchmark's durable workloads
+// log. Under SyncNever the buffer grows past maxBuffered and stays; under
+// SyncBatch each Append is a batch of its own, and once the first has
+// sized the buffer every later one reuses it, the flusher's write and
+// fsync included.
 func TestEnqueueAllocatesNothing(t *testing.T) {
-	w, err := CreateWith(filepath.Join(t.TempDir(), "wal"), Options{Policy: SyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
 	r := Record{TN: 1, Writes: []Write{
 		{Key: "key-00000001", Value: make([]byte, 64)},
 		{Key: "key-00000002", Value: make([]byte, 64)},
 	}}
-	if n := testing.AllocsPerRun(200, func() {
-		if _, err := w.Enqueue(r); err != nil {
+	for _, tc := range []struct {
+		name   string
+		policy SyncPolicy
+	}{{"SyncNever", SyncNever}, {"SyncBatch", SyncBatch}} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, err := CreateWith(filepath.Join(t.TempDir(), "wal"), Options{Policy: tc.policy})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			// Past the buffer's growth: under SyncNever, two writes of it.
+			for tc.policy == SyncNever && w.Size() < 2*maxBuffered {
+				if err := w.Append(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if n := testing.AllocsPerRun(200, func() {
+				if err := w.Append(r); err != nil {
+					t.Fatal(err)
+				}
+			}); n > 0 {
+				t.Fatalf("Append allocates %v times per record, want 0", n)
+			}
+		})
+	}
+}
+
+// TestBufferFollowsTheBatch: the writer keeps a buffer only as large as
+// the batches it writes. A bulk load's 40 kB record grows it; the small
+// batches after it let it go, and it settles at their size.
+func TestBufferFollowsTheBatch(t *testing.T) {
+	w, err := CreateWith(filepath.Join(t.TempDir(), "wal"), Options{Policy: SyncBatch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if err := w.Append(Record{TN: 1, Writes: []Write{{Key: "bulk", Value: make([]byte, 40<<10)}}}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range 100 {
+		if err := w.Append(rec(uint64(i+2), "k", "v")); err != nil {
 			t.Fatal(err)
 		}
-	}); n > 0 {
-		t.Fatalf("Enqueue allocates %v times per record, want 0", n)
+	}
+	if c := w.bufferCap(); c > 4<<10 {
+		t.Fatalf("after 100 small batches the writer holds a %d-byte buffer, want at most 4 KiB", c)
 	}
 }
 
@@ -597,11 +640,9 @@ func TestOpenAppendWithBatch(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	validLen, err := ReplayFS(faultfs.OS, path, func(Record) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	w2, err := OpenAppendWith(path, validLen, Options{Policy: SyncBatch})
+	w2, err := OpenAppendWith(path, Options{Policy: SyncBatch}, func() (int64, error) {
+		return ReplayFS(faultfs.OS, path, func(Record) error { return nil })
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

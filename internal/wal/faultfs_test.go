@@ -71,7 +71,7 @@ func TestReopenAfterTornBatchTail(t *testing.T) {
 	if fi.Size() <= validLen {
 		t.Fatalf("no torn tail survived to truncate (size %d, validLen %d)", fi.Size(), validLen)
 	}
-	w2, err := OpenAppendWith(path, validLen, Options{Policy: SyncBatch})
+	w2, err := OpenAppendWith(path, Options{Policy: SyncBatch}, replayed(validLen))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,16 +295,18 @@ func TestFlushSyncsOnlyWhatIsUncovered(t *testing.T) {
 }
 
 // TestOpenAppendSyncsWhatItReplayed: reopening the log fsyncs it unless
-// it is empty with nothing replayed. An intact non-empty log is still
-// fsynced once before the first append, because its records may never
-// have reached the disk and recovery makes them visible; a torn tail is
-// cut and the cut fsynced. The directory is fsynced in every case.
+// it is empty. An intact non-empty log is fsynced once before the first
+// append, because its records may never have reached the disk and
+// recovery makes them visible; a torn tail is then cut and the cut
+// fsynced too. The directory is fsynced in every case.
 func TestOpenAppendSyncsWhatItReplayed(t *testing.T) {
 	cases := []struct {
 		name string
 		// prepare leaves the log at path and returns the length to open at.
-		prepare  func(t *testing.T, path string) int64
-		syncs    int
+		prepare func(t *testing.T, path string) int64
+		syncs   int
+		// truncate: the log is cut to the replayed length, and an fsync
+		// follows the cut.
 		truncate bool
 	}{
 		{"missing", func(*testing.T, string) int64 { return 0 }, 0, false},
@@ -318,7 +320,7 @@ func TestOpenAppendSyncsWhatItReplayed(t *testing.T) {
 			writeLog(t, path, 2)
 			fi, _ := os.Stat(path)
 			return fi.Size()
-		}, 1, true},
+		}, 1, false},
 		{"torn", func(t *testing.T, path string) int64 {
 			writeLog(t, path, 2)
 			fi, _ := os.Stat(path)
@@ -330,13 +332,13 @@ func TestOpenAppendSyncsWhatItReplayed(t *testing.T) {
 				t.Fatalf("replay of the torn log: validLen %d, err %v", validLen, err)
 			}
 			return validLen
-		}, 1, true},
+		}, 2, true},
 		{"garbage-only", func(t *testing.T, path string) int64 {
 			if err := os.WriteFile(path, []byte{1, 2, 3}, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			return 0
-		}, 1, true},
+		}, 2, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -345,7 +347,7 @@ func TestOpenAppendSyncsWhatItReplayed(t *testing.T) {
 			validLen := tc.prepare(t, path)
 			fs := faultfs.New(faultfs.Plan{})
 			fs.EnableTrace()
-			w, err := OpenAppendWith(path, validLen, Options{Policy: SyncBatch, FS: fs})
+			w, err := OpenAppendWith(path, Options{Policy: SyncBatch, FS: fs}, replayed(validLen))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -356,17 +358,18 @@ func TestOpenAppendSyncsWhatItReplayed(t *testing.T) {
 				t.Fatal(err)
 			}
 			var syncs, syncDirs int
-			truncated := false
+			truncated, syncedCut := false, false
 			for _, op := range fs.Trace() {
 				switch {
 				case op.Op == faultfs.OpWrite:
-					if syncs != tc.syncs || syncDirs != 1 || truncated != tc.truncate {
-						t.Fatalf("before the first append: %d log fsyncs, %d directory fsyncs, truncated %v; want %d, 1, %v",
-							syncs, syncDirs, truncated, tc.syncs, tc.truncate)
+					if syncs != tc.syncs || syncDirs != 1 || truncated != tc.truncate || syncedCut != tc.truncate {
+						t.Fatalf("before the first append: %d log fsyncs, %d directory fsyncs, truncated %v, cut fsynced %v; want %d, 1, %v, %v",
+							syncs, syncDirs, truncated, syncedCut, tc.syncs, tc.truncate, tc.truncate)
 					}
 					return
 				case op.Op == faultfs.OpSync && op.Path == path:
 					syncs++
+					syncedCut = truncated
 				case op.Op == faultfs.OpSyncDir && op.Path == dir:
 					syncDirs++
 				case op.Op == faultfs.OpTruncate && op.Path == path:

@@ -32,6 +32,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -83,6 +84,9 @@ type Options struct {
 	FS faultfs.FS
 }
 
+// maxBuffered is the open batch a SyncNever writer writes unasked.
+const maxBuffered = 1 << 16
+
 // gatherLimit caps how many records the SyncBatch flusher's gather waits
 // for. The fsync always covers everything enqueued by the time it
 // starts; the cap only stops the flusher waiting for more.
@@ -90,24 +94,26 @@ const gatherLimit = 128
 
 // Writer appends commit records to a log file. It is safe for concurrent
 // use; records are appended atomically with respect to one another.
-// Appending is two steps — Enqueue puts the record in the log buffer and
-// hands back a Ticket, Wait blocks until an fsync covers the ticket — so
-// a committer can give back what it holds in between (the engine's
-// pipelined commit). Under SyncBatch a background flusher amortizes
+// Appending is two steps — Enqueue appends the record to the open
+// batch and hands back a Ticket, Wait blocks until an fsync covers the
+// ticket — so a committer can give back what it holds in between (the
+// engine's pipelined commit). Under SyncBatch a background flusher amortizes
 // fsync across concurrent committers.
 type Writer struct {
 	mu     sync.Mutex
 	f      faultfs.File
-	bw     *bufio.Writer
 	opts   Options // FS resolved: never nil
 	path   string
 	closed bool
+	// buf is the open batch: the framed records enqueued since the last
+	// write to f, in a buffer sized to what batches hold (see write).
+	buf []byte
 	// syncing is set while the flusher fsyncs f outside mu; Rotate waits
 	// it out, so the flusher never syncs a file Rotate has swapped.
 	syncing bool
 
-	// Ticket state, guarded by mu. enqSeq counts records written into
-	// bw — a record's ticket is its count; syncSeq counts records
+	// Ticket state, guarded by mu. enqSeq counts records appended to
+	// buf — a record's ticket is its count; syncSeq counts records
 	// covered by a completed fsync; syncErr is sticky — once a write,
 	// flush or fsync fails the writer is broken for good, and every
 	// waiter and every later Enqueue reports it: records are durable in
@@ -174,7 +180,7 @@ func (w *Writer) SetBatchObserver(fn func(records int)) {
 }
 
 func newWriter(f faultfs.File, path string, opts Options) *Writer {
-	w := &Writer{f: f, bw: bufio.NewWriterSize(f, 1<<16), opts: opts, path: path}
+	w := &Writer{f: f, opts: opts, path: path}
 	w.synced = sync.NewCond(&w.mu)
 	if opts.Policy == SyncBatch {
 		w.wake = sync.NewCond(&w.mu)
@@ -218,20 +224,19 @@ func create(fsys faultfs.FS, path string) (faultfs.File, error) {
 	return f, nil
 }
 
-// OpenAppendWith opens an existing log for appending after recovery.
-// validLen must be the byte offset ReplayFS returned: any torn tail
-// beyond it is truncated first, and the truncation is fsynced (file and
-// parent directory) before the writer accepts new appends, so a second
-// crash cannot resurrect the tail under records appended after it.
-//
-// A non-empty log is fsynced even when it is intact: the records just
-// replayed may still sit in the page cache of the process that wrote
-// them, and they are visible — readers and new commits may depend on
-// them — as soon as recovery returns. Only an empty file with nothing
-// replayed skips the truncation and its fsync; there is nothing in it
-// to cover. The directory fsync, which makes a new file's entry
-// durable, is never skipped.
-func OpenAppendWith(path string, validLen int64, opts Options) (*Writer, error) {
+// OpenAppendWith opens the log at path for appending after recovery.
+// replay reads the log (ReplayFS) and returns the length of its intact
+// prefix; it runs after the open, while a non-empty log is fsynced on
+// another goroutine. The records replayed may still sit in the page
+// cache of the process that wrote them, and they are visible — readers
+// and new commits may depend on them — as soon as recovery returns, so
+// the writer is built only once that fsync has returned. A torn tail
+// beyond the prefix is then truncated and the truncation fsynced, so a
+// second crash cannot resurrect the tail under records appended after
+// it. An empty file is not fsynced; there is nothing in it to cover. The
+// directory fsync, which makes a new file's entry durable, is never
+// skipped.
+func OpenAppendWith(path string, opts Options, replay func() (validLen int64, err error)) (w *Writer, err error) {
 	if opts.FS == nil {
 		opts.FS = faultfs.OS
 	}
@@ -239,30 +244,43 @@ func OpenAppendWith(path string, validLen int64, opts Options) (*Writer, error) 
 	if err != nil {
 		return nil, fmt.Errorf("wal: open: %w", err)
 	}
+	defer func() {
+		if err != nil {
+			f.Close()
+		}
+	}()
 	fi, err := f.Stat()
 	if err != nil {
-		f.Close()
 		return nil, fmt.Errorf("wal: open: %w", err)
 	}
-	if fi.Size() != 0 || validLen != 0 {
-		if err := f.Truncate(validLen); err != nil {
-			f.Close()
+	synced := make(chan error, 1)
+	if fi.Size() == 0 {
+		synced <- nil
+	} else {
+		go func() { synced <- f.Sync() }()
+	}
+	validLen, err := replay()
+	if serr := <-synced; err == nil && serr != nil {
+		err = fmt.Errorf("wal: sync replayed log: %w", serr)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if validLen < fi.Size() {
+		if err = f.Truncate(validLen); err != nil {
 			return nil, fmt.Errorf("wal: truncate torn tail: %w", err)
 		}
-		if err := f.Sync(); err != nil {
-			f.Close()
+		if err = f.Sync(); err != nil {
 			return nil, fmt.Errorf("wal: sync truncated tail: %w", err)
 		}
 	}
-	if err := opts.FS.SyncDir(filepath.Dir(path)); err != nil {
-		f.Close()
+	if err = opts.FS.SyncDir(filepath.Dir(path)); err != nil {
 		return nil, fmt.Errorf("wal: open: sync dir: %w", err)
 	}
-	if _, err := f.Seek(validLen, io.SeekStart); err != nil {
-		f.Close()
+	if _, err = f.Seek(validLen, io.SeekStart); err != nil {
 		return nil, err
 	}
-	w := newWriter(f, path, opts)
+	w = newWriter(f, path, opts)
 	w.base.Store(validLen)
 	return w, nil
 }
@@ -299,7 +317,6 @@ func (w *Writer) Rotate(retired string) error {
 		return w.fail("rotate", err)
 	}
 	w.f = f
-	w.bw.Reset(f)
 	w.base.Store(-int64(w.bytes.Load()))
 	return nil
 }
@@ -318,10 +335,11 @@ func (w *Writer) Append(r Record) error {
 	return err
 }
 
-// Enqueue encodes r into the log buffer and returns its ticket. Nothing
-// waits: the record is not durable until Wait(ticket) returns nil.
-// Tickets are handed out in log order, and a broken writer hands out no
-// more of them.
+// Enqueue appends r, framed, to the open batch and returns its ticket.
+// Nothing waits: the record is not durable until Wait(ticket) returns
+// nil. Tickets are handed out in log order, and a broken writer hands out
+// no more of them. Under SyncNever a batch that reaches maxBuffered is
+// written to the file here.
 func (w *Writer) Enqueue(r Record) (Ticket, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -331,9 +349,13 @@ func (w *Writer) Enqueue(r Record) (Ticket, error) {
 	if w.syncErr != nil {
 		return 0, w.syncErr
 	}
-	n, err := WriteRecord(w.bw, r)
-	if err != nil {
-		return 0, w.fail("append", err)
+	n := len(w.buf)
+	w.buf = appendRecord(w.buf, r)
+	n = len(w.buf) - n
+	if w.opts.Policy == SyncNever && len(w.buf) >= maxBuffered {
+		if err := w.write(); err != nil {
+			return 0, w.fail("append", err)
+		}
 	}
 	w.appends.Add(1)
 	w.bytes.Add(uint64(n))
@@ -382,8 +404,25 @@ func (w *Writer) fail(op string, err error) error {
 	return w.syncErr
 }
 
+// write hands the open batch to the file (mu held). The buffer is kept
+// for the next batch only if this one filled at least a quarter of it:
+// steady batches reuse one buffer of their own size and allocate
+// nothing, and a single large record does not stay resident after it.
+func (w *Writer) write() error {
+	if len(w.buf) == 0 {
+		return nil
+	}
+	_, err := w.f.Write(w.buf)
+	if len(w.buf) < cap(w.buf)/4 {
+		w.buf = nil
+	} else {
+		w.buf = w.buf[:0]
+	}
+	return err
+}
+
 // syncPending makes everything enqueued so far durable (mu held on entry
-// and return): it flushes the buffer under the mutex, fsyncs outside it —
+// and return): it writes the open batch under the mutex, fsyncs outside it —
 // so committers keep enqueueing into the next batch while the disk works
 // — then releases every ticket the fsync covered and returns how many
 // that was (0 when an inline Flush got there first). A failure breaks
@@ -392,7 +431,7 @@ func (w *Writer) syncPending() int {
 	// The batch is sealed at target: whatever is enqueued while the fsync
 	// runs below goes into the next one.
 	target := w.enqSeq
-	op, err := "flush", w.bw.Flush()
+	op, err := "flush", w.write()
 	w.syncing = true
 	w.mu.Unlock()
 	if err == nil {
@@ -493,7 +532,7 @@ func (w *Writer) flushLocked() error {
 	if w.syncErr != nil {
 		return w.syncErr
 	}
-	if err := w.bw.Flush(); err != nil {
+	if err := w.write(); err != nil {
 		return w.fail("flush", err)
 	}
 	if w.enqSeq == w.syncSeq {
@@ -541,18 +580,20 @@ func (w *Writer) Close() error {
 // back — into bw and returns the bytes written. The record is encoded
 // straight into bw's free space, so the write copies nothing; only a
 // record that does not fit what is left of it gets a buffer of its own.
-// The log writer appends through it, and so does a checkpoint streaming
-// its snapshot.
+// A checkpoint streams its snapshot through it.
 func WriteRecord(bw *bufio.Writer, r Record) (int, error) {
-	buf := bw.AvailableBuffer()
-	if n := 8 + payloadLen(r); n > cap(buf) {
-		buf = make([]byte, 0, n)
-	}
-	buf = encodePayload(buf[:8], r)
-	payload := buf[8:]
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	return bw.Write(buf)
+	return bw.Write(appendRecord(bw.AvailableBuffer(), r))
+}
+
+// appendRecord appends r, framed, to dst, growing dst at most once.
+func appendRecord(dst []byte, r Record) []byte {
+	start := len(dst)
+	dst = slices.Grow(dst, 8+payloadLen(r))[:start+8]
+	dst = encodePayload(dst, r)
+	payload := dst[start+8:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(payload))
+	return dst
 }
 
 // payloadLen is len(encodePayload(nil, r)), computed without encoding.

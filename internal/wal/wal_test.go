@@ -162,7 +162,7 @@ func TestTornTailStopsReplay(t *testing.T) {
 		t.Fatalf("replayed %d records, want 4", len(tns))
 	}
 	// Resume appending after truncating the tail.
-	w2, err := OpenAppendWith(path, validLen, Options{Policy: SyncBatch})
+	w2, err := OpenAppendWith(path, Options{Policy: SyncBatch}, replayed(validLen))
 	if err != nil {
 		t.Fatal(err)
 	}
