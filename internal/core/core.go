@@ -205,6 +205,11 @@ func (e *Engine) Bootstrap(data map[string][]byte) error {
 		return errors.New("core: Bootstrap after the first transaction or on a recovered engine")
 	}
 	keys := slices.Sorted(maps.Keys(data)) // the store appends; the record is the same every run
+	for _, k := range keys {
+		if err := checkKey(k); err != nil {
+			return err
+		}
+	}
 	if e.log != nil {
 		rec := wal.Record{Writes: make([]wal.Write, 0, len(data))}
 		for _, k := range keys {
@@ -216,6 +221,15 @@ func (e *Engine) Bootstrap(data map[string][]byte) error {
 	}
 	for _, k := range keys {
 		e.store.Bootstrap(k, data[k])
+	}
+	return nil
+}
+
+// checkKey refuses a key longer than the store holds, before a write
+// buffers it, logs it or installs it.
+func checkKey(key string) error {
+	if len(key) > storage.MaxKey {
+		return fmt.Errorf("core: key of %d bytes, longer than %d", len(key), storage.MaxKey)
 	}
 	return nil
 }

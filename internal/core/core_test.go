@@ -10,6 +10,7 @@ import (
 
 	"mvdb/internal/engine"
 	"mvdb/internal/history"
+	"mvdb/internal/storage"
 )
 
 func allProtocols() []Protocol {
@@ -687,5 +688,38 @@ func TestStressSerializability(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestKeyLongerThanTheStoreHoldsIsRefused: a write or a Bootstrap of a
+// key longer than storage.MaxKey returns an error before the key reaches
+// the log or the store (whose key table panics on it), under every
+// protocol.
+func TestKeyLongerThanTheStoreHoldsIsRefused(t *testing.T) {
+	long := string(make([]byte, storage.MaxKey+1))
+	for _, p := range allProtocols() {
+		e := newEngine(t, p, nil)
+		if err := e.Bootstrap(map[string][]byte{"a": nil, long: nil}); err == nil {
+			t.Errorf("%v: Bootstrap took a key longer than MaxKey", p)
+		}
+		tx, err := e.Begin(engine.ReadWrite)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Put(long, []byte("v")); err == nil || engine.Retryable(err) {
+			t.Errorf("%v: Put of a long key = %v; want a non-retryable error", p, err)
+		}
+		if err := tx.Delete(long); err == nil {
+			t.Errorf("%v: Delete of a long key took it", p)
+		}
+		if err := tx.Put("a", []byte("v")); err != nil {
+			t.Fatalf("%v: %v", p, err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatalf("%v: %v", p, err)
+		}
+		if n := e.Store().Len(); n != 1 {
+			t.Errorf("%v: the store holds %d keys; want 1", p, n)
+		}
 	}
 }

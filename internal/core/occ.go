@@ -124,6 +124,9 @@ func (t *occTx) put(w wal.Write) error {
 	if t.done {
 		return engine.ErrTxDone
 	}
+	if err := checkKey(w.Key); err != nil {
+		return err
+	}
 	t.buf.put(w)
 	return nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -50,14 +51,19 @@ func (fs *freeSyncFS) Open(name string) (faultfs.File, error) {
 func (*freeSyncFS) SyncDir(string) error { return nil }
 
 // loadDurable commits n Updates of per ascending keys each through e:
-// the shape of a bulk load.
-func loadDurable(tb testing.TB, e *Engine, n, per int) {
+// the shape of a bulk load. Given a permutation of the n*per key
+// numbers, it writes them in that order instead.
+func loadDurable(tb testing.TB, e *Engine, n, per int, order ...int) {
 	tb.Helper()
 	val := make([]byte, 64)
 	for i := 0; i < n; i++ {
 		err := e.Update(func(tx *Tx) error {
 			for j := 0; j < per; j++ {
-				if err := tx.Put(fmt.Sprintf("k%05d", i*per+j), val); err != nil {
+				k := i*per + j
+				if order != nil {
+					k = order[k]
+				}
+				if err := tx.Put(fmt.Sprintf("k%05d", k), val); err != nil {
 					return err
 				}
 			}
@@ -118,12 +124,15 @@ func BenchmarkNew(b *testing.B) {
 // of recovery: replay, the store and the index. With each file fsync
 // stalled 1 ms, like the benchmark rig's modelled device, it measures
 // what a reopen waits: the log's fsync runs beside the replay, so about
-// the larger of the two rather than their sum.
+// the larger of the two rather than their sum. random-keys is free-sync
+// over a log whose keys were first written in random order, so the
+// replay inserts them into the key table out of order.
 func BenchmarkOpenDurable(b *testing.B) {
 	for _, bc := range []struct {
-		name  string
-		stall time.Duration
-	}{{"free-sync", 0}, {"1ms-sync", time.Millisecond}} {
+		name   string
+		stall  time.Duration
+		random bool
+	}{{"free-sync", 0, false}, {"1ms-sync", time.Millisecond, false}, {"random-keys", 0, true}} {
 		b.Run(bc.name, func(b *testing.B) {
 			fs := newFreeSyncFS()
 			path := filepath.Join(b.TempDir(), "commit.log")
@@ -131,7 +140,11 @@ func BenchmarkOpenDurable(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			loadDurable(b, e, 8, 500)
+			var order []int
+			if bc.random {
+				order = rand.New(rand.NewSource(1)).Perm(8 * 500)
+			}
+			loadDurable(b, e, 8, 500, order...)
 			if err := e.Close(); err != nil {
 				b.Fatal(err)
 			}

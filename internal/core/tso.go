@@ -74,6 +74,9 @@ func (t *tsoTx) put(w wal.Write) error {
 	if t.done {
 		return engine.ErrTxDone
 	}
+	if err := checkKey(w.Key); err != nil {
+		return err
+	}
 	if err := t.e.store.GetOrCreate(w.Key).TOWrite(t.entry.TN(), w.Value, w.Tombstone, &t.txObs); err != nil {
 		cause := causeTOWrite
 		if errors.Is(err, storage.ErrConflictRO) {

@@ -84,6 +84,9 @@ func (t *twoPhaseTx) put(w wal.Write) error {
 	if t.done {
 		return engine.ErrTxDone
 	}
+	if err := checkKey(w.Key); err != nil {
+		return err
+	}
 	if err := t.acquire(w.Key, lock.Exclusive); err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -43,6 +44,29 @@ func FuzzPrefixUpperBound(f *testing.F) {
 func FuzzIndex(f *testing.F) {
 	f.Add([]byte{3, 'm', 200, 7, 'a', 255, 0, 'm', 100, 2, 'a', 'z', 1, 'm', 5})
 	f.Add([]byte{3, 2, 255, 3, 1, 255, 0, 2, 0, 10, 1, 0, 2, 0, 0})
+	// Random order: single inserts scattered over four prefixes, each
+	// range full enough to split, with lookups and bounded scans between.
+	rng := rand.New(rand.NewSource(1))
+	var random []byte
+	for i := range 400 {
+		random = append(random, byte(4*rng.Intn(4)), 'a'+byte(rng.Intn(4)), byte(rng.Intn(256)))
+		if i%50 == 0 {
+			random = append(random, 1, 'b', byte(rng.Intn(256)), 6, 'a', 'c')
+		}
+	}
+	f.Add(random)
+	// Split-heavy: eight descending runs, every insert in front of a full
+	// leaf's keys, then eight ascending runs that fill new last leaves.
+	// (TestDirectoryNodesSplitAndGrow covers inner nodes that split: a
+	// seed that large slows every exec the fuzzer derives from it.)
+	var splits []byte
+	for a := byte('A'); a <= 'H'; a++ {
+		splits = append(splits, 7, a, 255)
+	}
+	for a := byte('a'); a <= 'h'; a++ {
+		splits = append(splits, 3, a, 255)
+	}
+	f.Add(append(splits, 2, 'M', 'c', 0, 'N', 7))
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		fkey := func(a, b byte) string {
 			if b == 0 {

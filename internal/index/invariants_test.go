@@ -1,44 +1,71 @@
 package index
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
-// CheckInvariants validates that every leaf is non-empty, that the keys
-// ascend strictly within and across leaves, that the directory holds
-// each leaf's first key, that each key's hash entry finds it and no
-// other entry is there, and that the keys number Len.
+// CheckInvariants validates that every inner node holds 1 to fanout
+// leaves and the root its first key; that every leaf reachable is live
+// and non-empty, and the directory holds its first key; that each
+// leaf's order lists every written slot once, and its hash finds each
+// slot's key there and holds no other entry; that the keys ascend
+// strictly within and across leaves; and that they number Len.
 func (m *Map[V]) CheckInvariants() error {
-	d := m.dir.Load()
-	if d == nil {
+	r := m.root.Load()
+	if r == nil {
 		return nil
 	}
 	n, last := 0, ""
-	for i := range *d {
-		e := &(*d)[i]
-		l := e.leaf.Load()
-		ln := int(l.n.Load())
-		if ln == 0 && m.Len() > 0 {
-			return fmt.Errorf("index: leaf %d is empty", i)
+	for i := range *r {
+		in := *(*r)[i].ptr.Load()
+		if len(in) == 0 || len(in) > fanout {
+			return fmt.Errorf("index: inner node %d holds %d leaves", i, len(in))
 		}
-		if i > 0 && (e.first != l.keys[0] || e.pre != prefix(l.keys[0])) {
-			return fmt.Errorf("index: directory entry %d holds %q, its leaf starts at %q", i, e.first, l.keys[0])
+		if re := &(*r)[i]; i > 0 && (re.first != in[0].first || re.pre != in[0].pre) {
+			return fmt.Errorf("index: root entry %d holds %q, its node starts at %q", i, re.first, in[0].first)
 		}
-		entries := 0
-		for s := range hashSlots {
-			if uint8(l.hash[s/8].Load()>>(s%8*8)) != 0 {
-				entries++
+		for k := range in {
+			e := &in[k]
+			l := e.ptr
+			p := l.order.Load()
+			if p == nil {
+				return fmt.Errorf("index: leaf %d/%d is retired", i, k)
 			}
-		}
-		if entries != ln {
-			return fmt.Errorf("index: leaf %d hashes %d positions for %d keys", i, entries, ln)
-		}
-		for p, k := range l.keys[:ln] {
-			if n > 0 && k <= last {
-				return fmt.Errorf("index: leaf %d out of order: %q !< %q", i, last, k)
+			if l.n == 0 && m.Len() > 0 {
+				return fmt.Errorf("index: leaf %d/%d is empty", i, k)
 			}
-			if l.find(k) != p {
-				return fmt.Errorf("index: leaf %d hashes %q away from position %d", i, k, p)
+			if c := sort.Search(leafCap, func(j int) bool { return p.at(j) < 0 }); c != l.n {
+				return fmt.Errorf("index: leaf %d/%d orders %d of %d slots", i, k, c, l.n)
 			}
-			n, last = n+1, k
+			if (i > 0 || k > 0) && (e.first != l.low() || e.pre != prefix(e.first)) {
+				return fmt.Errorf("index: directory entry %d/%d holds %q, its leaf starts at %q", i, k, e.first, l.low())
+			}
+			entries := 0
+			for h := range hashSlots {
+				if uint8(l.hash[h/8].Load()>>(h%8*8)) != 0 {
+					entries++
+				}
+			}
+			if entries != l.n {
+				return fmt.Errorf("index: leaf %d/%d hashes %d slots for %d keys", i, k, entries, l.n)
+			}
+			var listed [leafCap]bool
+			for j := range l.n {
+				s := p.at(j)
+				if s < 0 || s >= l.n || listed[s] {
+					return fmt.Errorf("index: leaf %d/%d orders slot %d at %d twice or out of range", i, k, s, j)
+				}
+				listed[s] = true
+				key := l.key(s)
+				if n > 0 && key <= last {
+					return fmt.Errorf("index: leaf %d/%d out of order: %q !< %q", i, k, last, key)
+				}
+				if l.find(key, prefix(key)) != s {
+					return fmt.Errorf("index: leaf %d/%d hashes %q away from slot %d", i, k, key, s)
+				}
+				n, last = n+1, key
+			}
 		}
 	}
 	if n != m.Len() {

@@ -3,8 +3,11 @@ package index
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -90,13 +93,21 @@ func agree(t *testing.T, x *Index, want []string) {
 	}
 }
 
-// leaves returns the keys of each leaf of x's current directory.
+// leaves returns the keys of each leaf of x's current directory, in
+// order.
 func leaves(x *Index) [][]string {
 	var out [][]string
-	if d := x.m.dir.Load(); d != nil {
-		for i := range *d {
-			l := (*d)[i].leaf.Load()
-			out = append(out, l.keys[:l.n.Load()])
+	if r := x.m.root.Load(); r != nil {
+		for i := range *r {
+			in := *(*r)[i].ptr.Load()
+			for k := range in {
+				l := in[k].ptr
+				var keys []string
+				for p, j := l.order.Load(), 0; j < leafCap && p.at(j) >= 0; j++ {
+					keys = append(keys, l.key(p.at(j)))
+				}
+				out = append(out, keys)
+			}
 		}
 	}
 	return out
@@ -220,5 +231,283 @@ func TestAscendingLoadFillsLeaves(t *testing.T) {
 	}
 	if fill := float64(x.Len()) / float64(x.m.Leaves()*leafCap); fill < 0.9 {
 		t.Fatalf("%d keys in %d leaves of %d: fill %.2f, want >= 0.9", x.Len(), x.m.Leaves(), leafCap, fill)
+	}
+}
+
+// TestDirectoryNodesSplitAndGrow: 20 000 keys in every arrival order
+// outgrow one inner node. Full nodes split in half, a key order load
+// starts new last nodes and leaves every node but the last full, and the
+// table agrees with its keys.
+func TestDirectoryNodesSplitAndGrow(t *testing.T) {
+	keys := make([]string, 20_000)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key%06d", i)
+	}
+	for _, o := range insertOrders {
+		t.Run(o.name, func(t *testing.T) {
+			x := New(0)
+			for _, k := range o.order(slices.Clone(keys), rand.New(rand.NewSource(1))) {
+				x.Insert(k)
+			}
+			agree(t, x, keys)
+			r := *x.m.root.Load()
+			if len(r) < 2 {
+				t.Fatalf("%d leaves in %d inner node", x.m.Leaves(), len(r))
+			}
+			if o.name == "ascending" {
+				for i := range r[:len(r)-1] {
+					if n := len(*r[i].ptr.Load()); n != fanout {
+						t.Fatalf("inner node %d of %d holds %d leaves, want %d", i, len(r), n, fanout)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestRandomInsertCostIsFlat: the heap bytes one insert in random key
+// order allocates, on average over a fixed batch, at 10⁴, 10⁵ and 4·10⁵
+// keys. An insert writes into its leaf in place and copies at most the
+// leaf's 128-byte order; a split copies one leaf into two and one inner
+// node: so the figure does not grow with the table. A table that copies
+// the leaf at every insert and the whole directory at every split reads
+// ≈ 3 kB rising to ≈ 4 kB.
+func TestRandomInsertCostIsFlat(t *testing.T) {
+	const batch = 20_000
+	sizes := []int{10_000, 100_000, 400_000}
+	keys := make([]string, sizes[len(sizes)-1]+batch)
+	for i, v := range rand.New(rand.NewSource(1)).Perm(len(keys)) {
+		keys[i] = fmt.Sprintf("key%09d", v)
+	}
+	x := New(0)
+	var per []float64
+	for _, n := range sizes {
+		for _, k := range keys[x.Len():n] {
+			x.Insert(k)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, k := range keys[n : n+batch] {
+			x.Insert(k)
+		}
+		runtime.ReadMemStats(&after)
+		per = append(per, float64(after.TotalAlloc-before.TotalAlloc)/batch)
+	}
+	t.Logf("bytes an insert allocates at %v keys: %.0f", sizes, per)
+	if lo, hi := slices.Min(per), slices.Max(per); hi > 1.5*lo || hi > 250 {
+		t.Fatalf("bytes an insert allocates at %v keys: %.0f; want within 1.5× of each other and <= 250", sizes, per)
+	}
+}
+
+// TestHandedOutKeysStayIntact: a key a scan hands out, and a directory
+// entry's first key, is a view of a leaf's arena. Taken while inserts go
+// on into the same leaves — in place, through copied orders, grown
+// arenas and splits — each must stay byte-identical and keep finding
+// its own value.
+func TestHandedOutKeysStayIntact(t *testing.T) {
+	// Keys of 1 to 40 bytes in random order: a later key often outgrows
+	// an arena sized for the keys before it.
+	rng := rand.New(rand.NewSource(7))
+	keys := make([]string, 3000)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("%0*d", 1+rng.Intn(40), i)
+	}
+	var m Map[int]
+	type held struct {
+		key  string
+		want []byte
+		v    int
+	}
+	check := func(h []held) {
+		for _, h := range h {
+			if h.key != string(h.want) {
+				t.Errorf("a handed-out key changed: %q, was %q", h.key, h.want)
+				return
+			}
+			if v, ok := m.Get(h.key); !ok || v != h.v {
+				t.Errorf("Get(%q) = %d, %t; want %d", h.key, v, ok, h.v)
+				return
+			}
+		}
+	}
+	// take hands out every key once, by a scan, and every directory
+	// entry's first key, and keeps one key in five.
+	take := func(rng *rand.Rand) (kept []held) {
+		m.Range("", "", func(k string, v int) bool {
+			if k != keys[v] {
+				t.Errorf("scan handed out %q for %q", k, keys[v])
+			}
+			if rng.Intn(5) == 0 {
+				kept = append(kept, held{k, []byte(k), v})
+			}
+			return true
+		})
+		if r := m.root.Load(); r != nil {
+			for i := range *r {
+				in := *(*r)[i].ptr.Load()
+				for k := range in[1:] {
+					f := in[k+1].first
+					if v, ok := m.Get(f); ok {
+						kept = append(kept, held{f, []byte(f), v})
+					}
+				}
+			}
+		}
+		return kept
+	}
+	order := rng.Perm(len(keys))
+	for _, i := range order[:300] { // the readers start with keys to keep
+		m.LoadOrInsert(keys[i], func() int { return i })
+	}
+	done := make(chan struct{})
+	var wg, started sync.WaitGroup
+	var final [][]held
+	var mu sync.Mutex
+	for r := range 2 {
+		wg.Add(1)
+		started.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
+			kept := take(rng)
+			started.Done()
+			for {
+				select {
+				case <-done:
+					mu.Lock()
+					final = append(final, kept)
+					mu.Unlock()
+					return
+				default:
+				}
+				kept = append(kept, take(rng)...)
+				check(kept)
+				if len(kept) > 4000 {
+					kept = kept[len(kept)-2000:]
+				}
+			}
+		}()
+	}
+	started.Wait() // the inserts race scans that have already kept keys
+	for _, i := range order[300:] {
+		m.LoadOrInsert(keys[i], func() int { return i })
+	}
+	close(done)
+	wg.Wait()
+	for _, kept := range final {
+		check(kept)
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLongKeysAreNotMultiplied: a leaf's arena is sized for a full leaf
+// of keys like the ones it holds, but a long key must not be multiplied
+// by the leaf's capacity. A 1 MB key into an empty table, and one that
+// starts a new last leaf, each allocate a small multiple of the key.
+func TestLongKeysAreNotMultiplied(t *testing.T) {
+	const size = 1 << 20
+	for _, small := range []int{0, leafCap} { // the long key goes into the first leaf; into a new last leaf
+		var m Map[int]
+		for i := range small {
+			m.LoadOrInsert(fmt.Sprintf("a%03d", i), func() int { return i })
+		}
+		key := "b" + string(make([]byte, size))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m.LoadOrInsert(key, func() int { return -1 })
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > 3*size {
+			t.Errorf("after %d keys, inserting a %d-byte key allocated %d bytes; want <= %d", small, len(key), got, 3*size)
+		}
+		if v, ok := m.Get(key); !ok || v != -1 || m.Leaves() != 1+small/leafCap {
+			t.Errorf("after %d keys: Get(long key) = %d, %t; %d leaves", small, v, ok, m.Leaves())
+		}
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestKeyLongerThanMaxKeyPanics: with keys of at most MaxKey bytes a
+// full leaf's arena fits its 32-bit offsets; a longer key is refused
+// before anything is written.
+func TestKeyLongerThanMaxKeyPanics(t *testing.T) {
+	var m Map[int]
+	m.LoadOrInsert("a", func() int { return 1 })
+	defer func() {
+		if recover() == nil {
+			t.Fatal("LoadOrInsert took a key longer than MaxKey")
+		}
+		if m.Len() != 1 {
+			t.Fatalf("Len() = %d after a refused key; want 1", m.Len())
+		}
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	m.LoadOrInsert(string(make([]byte, MaxKey+1)), func() int { return 2 })
+}
+
+// TestScansRaceInnerNodeSplits: scans cross from one inner node to the
+// next while inserts split leaves and inner nodes. Every key inserted
+// before a scan began must be visited, in ascending order.
+func TestScansRaceInnerNodeSplits(t *testing.T) {
+	const n = 12_000 // even keys loaded in order fill ≈ 1.5 inner nodes
+	var m Map[int]
+	key := func(i int) string { return fmt.Sprintf("k%06d", i) }
+	for i := range n {
+		m.LoadOrInsert(key(2*i), func() int { return 2 * i })
+	}
+	perm := rand.New(rand.NewSource(3)).Perm(n)
+	var done atomic.Int64 // perm[:done] are inserted
+	stop := make(chan struct{})
+	var scanners sync.WaitGroup
+	for range 2 {
+		scanners.Add(1)
+		go func() {
+			defer scanners.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				before := perm[:done.Load()]
+				var seen []string
+				m.Range("", "", func(k string, v int) bool {
+					if k != key(v) || len(seen) > 0 && k <= seen[len(seen)-1] {
+						t.Errorf("scan visited %q (value %d) after %d keys", k, v, len(seen))
+					}
+					seen = append(seen, k)
+					return true
+				})
+				for i := range n {
+					if _, ok := slices.BinarySearch(seen, key(2*i)); !ok {
+						t.Errorf("a scan missed %s, loaded before it began", key(2*i))
+						return
+					}
+				}
+				for _, i := range before {
+					if _, ok := slices.BinarySearch(seen, key(2*i+1)); !ok {
+						t.Errorf("a scan missed %s, inserted before it began", key(2*i+1))
+						return
+					}
+				}
+			}
+		}()
+	}
+	for _, i := range perm {
+		m.LoadOrInsert(key(2*i+1), func() int { return 2*i + 1 })
+		done.Add(1)
+	}
+	close(stop)
+	scanners.Wait()
+	if r := *m.root.Load(); len(r) < 3 {
+		t.Fatalf("%d inner nodes; want inner nodes to have split", len(r))
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -638,6 +638,10 @@ type Store struct {
 	m index.Map[*Object]
 }
 
+// MaxKey is the longest key the store holds (32 MiB less a byte);
+// GetOrCreate panics on a longer one.
+const MaxKey = index.MaxKey
+
 // NewStore creates an empty store. The argument is ignored: it was the
 // shard count of the hash-sharded store this table replaced.
 func NewStore(int) *Store { return &Store{} }
@@ -661,7 +665,8 @@ func (s *Store) GetOrCreate(key string) *Object {
 
 // Range calls fn for every key in ascending order until fn returns
 // false. The snapshot is loose: a key created during the iteration
-// appears if it sorts after the cursor.
+// appears if it sorts after the cursor. A key passed to fn shares the key
+// table's bytes, which never change: it may be kept.
 func (s *Store) Range(fn func(key string, o *Object) bool) { s.m.Range("", "", fn) }
 
 // RangeOrdered calls fn for every key with the given prefix in ascending

@@ -9,8 +9,8 @@ import (
 )
 
 // TestLookupRacesInserts runs Get, Range and RangeOrdered readers with no
-// lock against inserts that append in place (ascending keys), copy
-// leaves and split them (keys between those), and against two
+// lock against inserts that append in place (ascending keys), copy a
+// leaf's order and split leaves (keys between those), and against two
 // GetOrCreate calls on each of a run of fresh keys. Every key inserted
 // before a reader began must be found, with its object; keys must
 // ascend; the two racing calls must return one object.
@@ -52,7 +52,7 @@ func TestLookupRacesInserts(t *testing.T) {
 			insert(fmt.Sprintf("k%05d", 4*i))
 		}
 	}()
-	go func() { // between them, shuffled: leaf copies and splits
+	go func() { // between them, shuffled: order copies and splits
 		defer writers.Done()
 		for _, i := range rand.New(rand.NewPCG(1, 2)).Perm(n) {
 			insert(fmt.Sprintf("k%05d", 4*i+1))
@@ -147,4 +147,78 @@ func TestLookupRacesInserts(t *testing.T) {
 	if want := 2*n + n/4; s.Len() != want {
 		t.Fatalf("Len = %d, want %d", s.Len(), want)
 	}
+}
+
+// TestRangeKeysStayIntact: a key Range or RangeOrdered hands out is a
+// view of the key table's bytes. Kept by the caller while inserts go on
+// into the same leaves — in place, through copied orders, grown arenas
+// and splits — it must stay byte-identical and keep finding its object.
+func TestRangeKeysStayIntact(t *testing.T) {
+	s := NewStore(0)
+	rng := rand.New(rand.NewPCG(7, 8))
+	keys := make([]string, 1500)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%0*d", 1+rng.IntN(30), i) // lengths vary: arenas grow
+	}
+	type held struct {
+		key  string
+		want []byte
+		o    *Object
+	}
+	check := func(kept []held) {
+		for _, h := range kept {
+			if h.key != string(h.want) {
+				t.Errorf("a handed-out key changed: %q, was %q", h.key, h.want)
+				return
+			}
+			if o := s.Get(h.key); o != h.o {
+				t.Errorf("Get(%q) = %p, want %p", h.key, o, h.o)
+				return
+			}
+		}
+	}
+	var wg, started sync.WaitGroup
+	done := make(chan struct{})
+	for _, k := range keys[:100] { // the readers start with keys to keep
+		s.GetOrCreate(k)
+	}
+	for r := range 2 {
+		wg.Add(1)
+		started.Add(1)
+		go func() {
+			defer wg.Done()
+			var kept []held
+			keep := func(k string, o *Object) bool {
+				if len(kept) < 3000 {
+					kept = append(kept, held{k, []byte(k), o})
+				}
+				return true
+			}
+			scan := func() {
+				if r == 0 {
+					s.Range(keep)
+				} else {
+					s.RangeOrdered("k0", keep)
+				}
+				check(kept)
+			}
+			scan()
+			started.Done()
+			for {
+				select {
+				case <-done:
+					check(kept)
+					return
+				default:
+					scan()
+				}
+			}
+		}()
+	}
+	started.Wait() // the inserts race scans that have already kept keys
+	for _, i := range rng.Perm(len(keys)) {
+		s.GetOrCreate(keys[i])
+	}
+	close(done)
+	wg.Wait()
 }
