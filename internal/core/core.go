@@ -119,9 +119,10 @@ type Engine struct {
 	valMu sync.Mutex    // OCC validation critical section
 	sinks               // everything the engine reports to (observe.go)
 
-	roActive *Registry // the engine's own, or the one its cluster's sites share
-	views    sync.Pool // View's recycled read-only transactions (readonly.go)
-	updates  sync.Pool // Update's recycled read-write transactions
+	roActive *Registry    // the engine's own, or the one its cluster's sites share
+	recent   recentParked // read-only transactions in a recency wait (observe.go)
+	views    sync.Pool    // View's recycled read-only transactions (readonly.go)
+	updates  sync.Pool    // Update's recycled read-write transactions
 
 	// The commit log, and what the engine checkpoints through: a durable
 	// engine (OpenDurable) owns all three, and log is nil on any other.
@@ -145,6 +146,16 @@ type Engine struct {
 	_   [64]byte
 	ids atomic.Uint64 // transaction id allocator (diagnostics, lock owner)
 }
+
+// recentParked is the read-only transactions parked in a recency wait
+// (observe.go), each with the number it waits to see visible.
+type recentParked struct {
+	n       atomic.Int32 // len(waiting), which every commit and abort reads
+	mu      sync.Mutex
+	waiting []recentWait
+}
+
+type recentWait struct{ id, sn uint64 }
 
 // newController builds the version-control module for a mode (or a
 // cluster site's residue class) and bootstrap snapshot. It lives here

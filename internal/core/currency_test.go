@@ -2,10 +2,13 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
 
 	"mvdb/internal/engine"
 	"mvdb/internal/history"
+	"mvdb/internal/vc"
 )
 
 // Section 6: "some applications may not be willing to sacrifice currency
@@ -199,5 +202,70 @@ func TestDeepVersionChainSnapshots(t *testing.T) {
 			t.Fatalf("snapshot %d: got (%q,%v), want v%d", tn, got, err, i)
 		}
 		ro.Commit()
+	}
+}
+
+// parkLog is a recorder that keeps the park events, and the order of
+// each against the test's own marks.
+type parkLog struct {
+	engine.NopRecorder
+	mu     sync.Mutex
+	events []string
+}
+
+func (p *parkLog) RecordParked(id uint64, parked bool) {
+	p.mark(fmt.Sprintf("%d parked %v", id, parked))
+}
+
+func (p *parkLog) mark(s string) {
+	p.mu.Lock()
+	p.events = append(p.events, s)
+	p.mu.Unlock()
+}
+
+func (p *parkLog) log() []string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return slices.Clone(p.events)
+}
+
+// A BeginReadOnlyRecent that waits for an older transaction parks in the
+// recorder's eyes, and the commit or abort that lets it through tells it
+// before it returns, as a lock's or a pending version's resolver does.
+func TestRecencyWaitIsAPark(t *testing.T) {
+	for _, mode := range []vc.Mode{vc.ModeStrict, vc.ModeEpoch} {
+		for _, commit := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%v/commit=%v", mode, commit), func(t *testing.T) {
+				rec := &parkLog{}
+				e := New(Options{Protocol: TimestampOrdering, Visibility: mode, Recorder: rec})
+				older, _ := e.Begin(engine.ReadWrite) // registered at begin: tnc passes it
+				if err := older.Put("k", []byte("v")); err != nil {
+					t.Fatal(err)
+				}
+				got := make(chan uint64)
+				go func() {
+					ro, err := e.BeginReadOnlyRecent()
+					if err != nil {
+						t.Error(err)
+					}
+					got <- ro.ID()
+					ro.Commit()
+				}()
+				eventually(t, "the recency wait's park", func() bool { return len(rec.log()) > 0 })
+				if commit {
+					if err := older.Commit(); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					older.Abort()
+				}
+				rec.mark("resolved")
+				id := <-got
+				want := []string{fmt.Sprintf("%d parked true", id), fmt.Sprintf("%d parked false", id), "resolved"}
+				if got := rec.log(); !slices.Equal(got, want) {
+					t.Fatalf("events %q, want %q", got, want)
+				}
+			})
+		}
 	}
 }

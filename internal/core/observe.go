@@ -81,12 +81,46 @@ func (e *Engine) observeWAL(w *wal.Writer) {
 
 // recencyWait is the Section 6 recency wait of read-only transaction
 // id's pinned begin, counted and timed into the RO row's visible-wait
-// cell.
+// cell. The transaction parks in the recorder's eyes unless sn is
+// visible by then, and the completion that makes it visible tells it.
 func (e *Engine) recencyWait(id, sn uint64) {
 	e.stats.RecencyWaits.Inc()
 	start := time.Now()
+	r := &e.recent
+	r.mu.Lock()
+	if r.n.Add(1); e.vc.VTNC() < sn { // the count, then vtnc: see tellRecent
+		r.waiting = append(r.waiting, recentWait{id, sn})
+		engine.RecordParked(e.rec, id, true)
+	} else {
+		r.n.Add(-1)
+	}
+	r.mu.Unlock()
 	e.vc.WaitVisible(sn)
 	e.phases.Record(protoRO, obs.PhaseVisibleWait, id, time.Since(start))
+}
+
+// tellRecent tells each transaction parked in a recency wait whose
+// number is now visible that it is let through. A commit calls it after
+// VCcomplete (complete) and an abort after VCdiscard, if it registered
+// (abort), so the step that makes a number visible tells its waiters
+// before it returns, as a lock's or a pending version's resolver does.
+// It reads the count after the controller moved vtnc, and recencyWait
+// reads vtnc after it raised the count: one of the two sees the other.
+func (e *Engine) tellRecent() {
+	if r := &e.recent; r.n.Load() > 0 {
+		r.mu.Lock()
+		vtnc, left := e.vc.VTNC(), r.waiting[:0]
+		for _, w := range r.waiting {
+			if w.sn > vtnc {
+				left = append(left, w)
+			} else {
+				engine.RecordParked(e.rec, w.id, false)
+			}
+		}
+		r.waiting = left
+		r.n.Store(int32(len(left)))
+		r.mu.Unlock()
+	}
 }
 
 func init() {
@@ -289,13 +323,15 @@ func (o *txObs) complete(entry *vc.Entry) {
 	} else {
 		o.e.vc.Complete(entry)
 	}
+	o.e.tellRecent()
 	o.end(sp)
 	o.e.stats.CommitsRW.Inc()
 }
 
 // abort reports the transaction's abort to every sink and returns the
 // cause's engine error. The caller has already given back whatever the
-// protocol held.
+// protocol held, its version-control entry included, so abort tells the
+// recency waiters that discard let through.
 func (o *txObs) abort(c abortCause) error {
 	row := &abortCauses[c]
 	row.counter(o.e.stats).Inc()
@@ -306,5 +342,6 @@ func (o *txObs) abort(c abortCause) error {
 		o.e.stats.RWAbortsByRO.Inc()
 	}
 	o.e.rec.RecordAbort(o.id)
+	o.e.tellRecent()
 	return row.err
 }

@@ -192,13 +192,16 @@ func RecordSnapshot(r Recorder, txID, sn uint64) {
 
 // ParkRecorder is an optional extension of Recorder: recorders that
 // implement it learn when a transaction's step parks — waits for
-// another transaction to release a lock or resolve a pending write —
-// and when it is woken. The engine reports a park (parked true) on the
-// waiter's goroutine before it waits, and a wake (parked false) on the
-// goroutine whose step released it, before that step returns; a lock
-// wait that times out wakes itself. A woken step that must wait again
-// parks again, so parks and wakes pair up. internal/schedtest paces its
-// schedules by these events.
+// another transaction to release a lock, resolve a pending write, or
+// become visible to a recency read — and when it is woken. The engine
+// reports a park (parked true) on the waiter's goroutine before it
+// waits, and a wake (parked false) on the goroutine whose step released
+// it, before that step returns; a lock wait that times out wakes
+// itself. A lock or timestamp-ordering wait reports its park once it
+// has entered the wait and let go of the lock it entered it under, so a
+// wake can overtake the park it answers. A woken step that must wait
+// again parks again, so parks and wakes pair up.
+// internal/schedtest paces its schedules by these events.
 type ParkRecorder interface {
 	RecordParked(txID uint64, parked bool)
 }

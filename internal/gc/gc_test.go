@@ -33,7 +33,7 @@ func TestCollectPrunesOldVersions(t *testing.T) {
 	held, _ := e.Begin(engine.ReadOnly)
 	fill(t, e, "k", 49)
 	held.Commit()
-	if got := e.Store().TotalVersions(); got != 50 {
+	if got := e.Stats().Versions; got != 50 {
 		t.Fatalf("versions before GC = %d, want 50", got)
 	}
 	c := New(e, 0)
@@ -41,7 +41,7 @@ func TestCollectPrunesOldVersions(t *testing.T) {
 	if pruned != 49 {
 		t.Fatalf("pruned = %d, want 49", pruned)
 	}
-	if got := e.Store().TotalVersions(); got != 1 {
+	if got := e.Stats().Versions; got != 1 {
 		t.Fatalf("versions after GC = %d, want 1", got)
 	}
 	// The surviving version is still readable.

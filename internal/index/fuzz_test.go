@@ -7,9 +7,25 @@ import (
 	"testing"
 )
 
+// prefixUpperBound returns the smallest string greater than every string
+// with the given prefix, or "" if none exists (prefix is all 0xFF). The
+// keys with a prefix are the window [prefix, bound): RangePrefix, which
+// stops at the first key without the prefix, must scan exactly it.
+func prefixUpperBound(prefix string) string {
+	b := []byte(prefix)
+	for i := len(b) - 1; i >= 0; i-- {
+		if b[i] != 0xFF {
+			b[i]++
+			return string(b[:i+1])
+		}
+	}
+	return ""
+}
+
 // FuzzPrefixUpperBound: for any prefix and key, key having the prefix
 // implies prefix <= key < upperBound (when a bound exists), and keys
-// outside that window never have the prefix.
+// outside that window never have the prefix. RangePrefix over the key,
+// the window's ends and their neighbours returns exactly the ones in it.
 func FuzzPrefixUpperBound(f *testing.F) {
 	f.Add("a", "abc")
 	f.Add("", "anything")
@@ -24,6 +40,19 @@ func FuzzPrefixUpperBound(f *testing.F) {
 		}
 		if !has && inWindow && prefix != "" {
 			t.Fatalf("key %q lacks prefix %q but inside window [%q,%q)", key, prefix, prefix, ub)
+		}
+		var m Map[int]
+		var want []string
+		for _, k := range []string{key, key + "\xff", prefix, prefix + "\x00", ub, ub + "\x00", prefix[:len(prefix)/2]} {
+			if _, inserted := m.LoadOrInsert(k, func() int { return 0 }); inserted && k >= prefix && (ub == "" || k < ub) {
+				want = append(want, k)
+			}
+		}
+		slices.Sort(want)
+		var got []string
+		m.RangePrefix(prefix, func(k string, _ int) bool { got = append(got, k); return true })
+		if !slices.Equal(got, want) {
+			t.Fatalf("RangePrefix(%q) = %q, want %q", prefix, got, want)
 		}
 	})
 }

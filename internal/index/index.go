@@ -40,6 +40,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -390,7 +391,16 @@ func slot(key string, p uint64) uint {
 // ahead of the scan's cursor is visited, one behind it is not. A key
 // passed to fn is a view of the table's bytes, which never change: it
 // stays valid, and the same, for as long as fn's caller keeps it.
-func (m *Map[V]) Range(from, to string, fn func(key string, v V) bool) {
+func (m *Map[V]) Range(from, to string, fn func(key string, v V) bool) { m.scan(from, to, "", fn) }
+
+// RangePrefix calls fn for every key with the given prefix, ascending:
+// from the prefix to the first key without it.
+func (m *Map[V]) RangePrefix(prefix string, fn func(key string, v V) bool) {
+	m.scan(prefix, "", prefix, fn)
+}
+
+// scan is Range that also stops at the first key without the prefix.
+func (m *Map[V]) scan(from, to, prefix string, fn func(key string, v V) bool) {
 	var c cursor[V]
 	for m.seek(&c, from, false); c.l != nil; {
 		s := int(c.o[c.j]) - 1
@@ -403,7 +413,7 @@ func (m *Map[V]) Range(from, to string, fn func(key string, v V) bool) {
 			continue
 		}
 		k := view(c.a, c.l.ends[s], c.l.ends[s+1])
-		if to != "" && k >= to || !fn(k, c.l.vals[s]) {
+		if to != "" && k >= to || !strings.HasPrefix(k, prefix) || !fn(k, c.l.vals[s]) {
 			return
 		}
 		if from = k; c.l.order.Load() != c.p { // an insert copied the order, or split the leaf
@@ -486,28 +496,6 @@ func (c *cursor[V]) next() bool {
 	}
 	c.read()
 	return true
-}
-
-// RangePrefix calls fn for every key with the given prefix, ascending.
-func (m *Map[V]) RangePrefix(prefix string, fn func(key string, v V) bool) {
-	if prefix == "" {
-		m.Range("", "", fn)
-		return
-	}
-	m.Range(prefix, prefixUpperBound(prefix), fn)
-}
-
-// prefixUpperBound returns the smallest string greater than every string
-// with the given prefix, or "" if none exists (prefix is all 0xFF).
-func prefixUpperBound(prefix string) string {
-	b := []byte(prefix)
-	for i := len(b) - 1; i >= 0; i-- {
-		if b[i] != 0xFF {
-			b[i]++
-			return string(b[:i+1])
-		}
-	}
-	return ""
 }
 
 // Leaves returns the number of leaves (tests and tools).

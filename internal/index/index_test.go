@@ -212,19 +212,29 @@ func TestConcurrentInsertAndScan(t *testing.T) {
 // BenchmarkInsert inserts fresh keys in key order — a bulk load or a
 // log replay, which appends to the last leaf — and in a scattered order,
 // which searches the leaves and splits full ones.
+// BenchmarkInsert inserts b.N keys in ascending order, and in a random
+// one: a shuffled permutation, as TestRandomInsertCostIsFlat inserts.
 func BenchmarkInsert(b *testing.B) {
 	for _, bc := range []struct {
-		name string
-		key  func(i int) string
+		name  string
+		order func(n int) []int
 	}{
-		{"ascending", func(i int) string { return fmt.Sprintf("key%09d", i) }},
-		{"random", func(i int) string { return fmt.Sprintf("key%09d", i*2654435761%1000000007) }},
+		{"ascending", func(n int) []int {
+			p := make([]int, n)
+			for i := range p {
+				p[i] = i
+			}
+			return p
+		}},
+		{"random", func(n int) []int { return rand.New(rand.NewSource(1)).Perm(n) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
+			order := bc.order(b.N)
 			s := New(1)
 			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s.Insert(bc.key(i))
+			b.ResetTimer()
+			for _, k := range order {
+				s.Insert(fmt.Sprintf("key%09d", k))
 			}
 		})
 	}

@@ -88,8 +88,25 @@ func describe(scripts []Script) string {
 //     a read-only script in at least one schedule.
 //
 // For 2PL and T/O it also holds that some read-write step parks, so the
-// read-only scripts' zero is measured, not vacuous.
+// read-only scripts' zero is measured, not vacuous. Every configuration's
+// tallies are pinned: the schedules the scheduler paces by park events,
+// the verdicts, and how many schedules park a script of each class, so a
+// change to how an engine waits or tells of its waits shows here.
 func TestGrammarScope(t *testing.T) {
+	// schedules, checker rejections, auditor alarms, read-only and
+	// read-write schedules that parked.
+	type counts [5]int64
+	pinned := map[string]counts{
+		"broken-early-register":   {3040, 4, 4, 0, 1558},
+		"broken-eager-visibility": {3040, 11, 11, 0, 840},
+		"mvto":                    {3040, 0, 0, 892, 760},
+		"2pl/strict":              {3040, 0, 0, 0, 1558},
+		"2pl/epoch":               {3040, 0, 0, 0, 1558},
+		"tso/strict":              {3040, 0, 0, 0, 840},
+		"tso/epoch":               {3040, 0, 0, 0, 840},
+		"occ/strict":              {3040, 0, 0, 0, 0},
+		"occ/epoch":               {3040, 0, 0, 0, 0},
+	}
 	type config struct {
 		name      string
 		newEngine func(engine.Recorder) engine.Engine
@@ -153,6 +170,9 @@ func TestGrammarScope(t *testing.T) {
 		total += n
 		t.Logf("%-24s %d schedules: checker rejected %d, auditor alarmed %d, read-only parked %d, read-write parked %d",
 			c.name, n, tl.checker.Load(), tl.auditor.Load(), tl.roParked.Load(), tl.rwParked.Load())
+		if got, want := (counts{n, tl.checker.Load(), tl.auditor.Load(), tl.roParked.Load(), tl.rwParked.Load()}), pinned[c.name]; got != want {
+			t.Errorf("%s: schedules, checker, auditor, read-only parked, read-write parked = %v, want %v", c.name, got, want)
+		}
 		switch {
 		case c.broken && tl.checker.Load()+tl.auditor.Load() == 0:
 			t.Errorf("%s survived all %d schedules with both oracles silent", c.name, n)

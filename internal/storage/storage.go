@@ -4,15 +4,16 @@
 // Each object (key) carries a chain of committed versions ordered by the
 // transaction number of their creator (packed records, version.go) and,
 // from its first timestamp-ordering operation on, the pending
-// (uncommitted) versions and read/write timestamps those protocols use.
+// (uncommitted) version and read/write timestamps those protocols use.
 // The paper's read rule — "return x_j with the largest version <= sn(T)"
 // (Figure 2) — is ReadVisible; the timestamp-ordering rules of Figure 3
 // are TORead/TOWrite.
 //
-// The store is one ordered key table whose lookups take no lock; each
-// object has its own latch word, and its timestamp-ordering state a mutex
-// and condition variable (the pending-write blocking that Figure 3
-// prescribes).
+// The store is one ordered key table whose lookups take no lock. Each
+// object has one lock, its latch word's lock bit, which guards the chain
+// and the timestamp-ordering state alike; a request that Figure 3 makes
+// wait for an older pending write parks on a pooled request's channel,
+// in that version's wait list.
 package storage
 
 import (
@@ -54,14 +55,6 @@ type Version struct {
 	Tombstone bool
 }
 
-// Pending is an uncommitted version installed by a granted-but-uncommitted
-// write (timestamp ordering calls these "pending writes").
-type Pending struct {
-	TN        uint64
-	Data      []byte
-	Tombstone bool
-}
-
 // Object is one key's version chain and synchronization state in one
 // 64-byte allocation (DESIGN.md §16). A durable key rests at one version
 // and an in-memory key at two, in the slots; only a longer chain or
@@ -94,16 +87,20 @@ type extension struct {
 }
 
 // toState is what timestamp ordering keeps, apart from the chain so that
-// its writes never touch a line a chain reader loads. Lock order is mu,
-// then the lock bit: cond waits and Waiter.Parked calls hold mu alone.
+// its writes never touch a line a chain reader loads. Like the chain, it
+// is read and written only under the lock bit. An object has one pending
+// version at most: a write waits for an older one, and a younger one's
+// number in w-ts rejects it.
 type toState struct {
-	mu      sync.Mutex
-	cond    sync.Cond // L is mu
-	pending []Pending // ascending TN
-	parked  []Waiter  // waiting on cond; the next ResolvePending wakes them
-	rts     uint64    // largest tn that read the most recent version
-	wts     uint64    // largest tn that wrote (including pending)
-	rtsRO   bool      // r-ts was last raised by a read-only transaction
+	// pending is the uncommitted version a granted write installed
+	// (timestamp ordering's "pending write"), numbered 0 when there is
+	// none: no transaction writes as 0. waiters are the requests parked
+	// until it resolves, newest first.
+	pending Version
+	waiters *request
+	rts     uint64 // largest tn that read the most recent version
+	wts     uint64 // largest tn that wrote (including pending)
+	rtsRO   bool   // r-ts was last raised by a read-only transaction
 }
 
 // Waiter is the transaction a timestamp-ordering request is made for.
@@ -111,20 +108,36 @@ type toState struct {
 // Parked(true) on its own goroutine before it waits, and the
 // ResolvePending that ends the wait calls Parked(false) on the
 // resolver's goroutine before it returns; a woken request that must
-// wait again parks again. The calls are made under the T/O state's
-// mutex, never under the lock bit. A nil Waiter waits unreported.
+// wait again parks again. Neither call holds the lock bit, so a wake can
+// overtake the park it answers. A nil Waiter waits unreported.
 type Waiter interface {
 	Parked(parked bool)
 }
 
-// wait parks w until the next resolution on the object. The caller holds
-// x.mu.
-func (x *toState) wait(w Waiter) {
+// request is one wait for a pending version: an entry in its wait list
+// and the channel its resolver wakes it on. Requests are pooled: one is
+// back in the pool, its channel empty, once its wait is over.
+type request struct {
+	w    Waiter
+	next *request
+	wake chan struct{}
+}
+
+var requests = sync.Pool{New: func() any { return &request{wake: make(chan struct{}, 1)} }}
+
+// park enters a request for w in the pending version's wait list,
+// releases the lock bit (m is meta), and waits until the version is
+// resolved. It returns holding the bit again, with the new meta.
+func (o *Object) park(m uint32, x *toState, w Waiter) uint32 {
+	r := requests.Get().(*request)
+	r.w, r.next, x.waiters = w, x.waiters, r
+	o.unlock(m)
 	if w != nil {
-		x.parked = append(x.parked, w)
 		w.Parked(true)
 	}
-	x.cond.Wait()
+	<-r.wake
+	requests.Put(r)
+	return o.lock()
 }
 
 func newObject() *Object { return &Object{} }
@@ -212,46 +225,22 @@ func (o *Object) ensureExt() *extension {
 	return o.ext
 }
 
-// toView returns the T/O state with its mutex held, or noTO if timestamp
-// ordering never used the object, so the getters and the paths that act
-// only on an existing pending version never allocate. Nothing writes or
-// locks noTO: every write follows to or finds a pending version. done
-// releases what toView took.
-func (o *Object) toView() *toState {
-	if x := o.to(false); x != nil {
-		x.mu.Lock()
-		return x
-	}
-	return &noTO
-}
-
-var noTO toState
-
-func (x *toState) done() {
-	if x != &noTO {
-		x.mu.Unlock()
-	}
-}
-
 // to returns the object's T/O state: with use set, allocated if need
-// be; without, nil if timestamp ordering never used the object. It is
-// never freed or replaced, nor is an extension that holds it, so it is
-// still the object's after the lock bit is released.
+// be; without, nil if timestamp ordering never used the object, so the
+// getters and the paths that act only on an existing pending version
+// never allocate. The caller holds the lock bit.
 func (o *Object) to(use bool) *toState {
-	w := o.lock()
-	var t *toState
 	if use {
 		x := o.ensureExt()
 		if x.to == nil {
-			x.to = &toState{}
-			x.to.cond.L = &x.to.mu
+			x.to = new(toState)
 		}
-		t = x.to
-	} else if o.ext != nil {
-		t = o.ext.to
+		return x.to
 	}
-	o.unlock(w)
-	return t
+	if o.ext == nil {
+		return nil
+	}
+	return o.ext.to
 }
 
 // ReadVisible returns the committed version with the largest TN <= sn,
@@ -281,6 +270,16 @@ func (o *Object) ReadAt(sn uint64) (v Version, ok bool, floor uint64) {
 	}
 	o.unlock(w)
 	return v, ok, floor
+}
+
+// visible returns the version in c with the largest TN <= sn: ReadAt's
+// rule, for the timestamp-ordering reads.
+func visible(c []version, sn uint64) (v Version, ok bool) {
+	if i := after(c, sn); i > 0 {
+		c[i-1].unpack(&v)
+		ok = true
+	}
+	return v, ok
 }
 
 // LatestCommitted returns the newest committed version. Two-phase-locking
@@ -332,7 +331,15 @@ func (o *Object) InstallCommitted(v Version) { o.Install(v, nil) }
 // up, so a chain that grew while a snapshot held the watermark collects
 // at the pace it did before.
 func (o *Object) Install(v Version, watermark func() uint64) (dropped int, older bool) {
-	w := o.lock()
+	w, dropped, older := o.install(o.lock(), v, watermark)
+	o.unlock(w)
+	return dropped, older
+}
+
+// install is Install under the lock bit: it takes meta and returns it
+// as edited.
+func (o *Object) install(w uint32, v Version, watermark func() uint64) (uint32, int, bool) {
+	dropped := 0
 	c := o.chain(w)
 	if watermark != nil && len(c) > 1 && len(c) == cap(c) {
 		if c, dropped = prune(c, watermark()); dropped > 0 {
@@ -359,8 +366,7 @@ func (o *Object) Install(v Version, watermark func() uint64) (dropped int, older
 	c = append(c, version{})
 	copy(c[i+1:], c[i:])
 	c[i] = pack(v)
-	o.unlock(o.settle(w, c))
-	return dropped, i > 0
+	return o.settle(w, c), dropped, i > 0
 }
 
 // --- Timestamp-ordering operations (paper Figure 3) ---
@@ -375,24 +381,22 @@ func (o *Object) Install(v Version, watermark func() uint64) (dropped int, older
 // If the transaction itself has a pending write on the object, that write
 // is returned (read-own-write; the paper's model forbids r after w but the
 // library supports it). w is told of each wait.
-func (o *Object) TORead(tn uint64, w Waiter) (Version, bool) {
+func (o *Object) TORead(tn uint64, w Waiter) (v Version, ok bool) {
+	m := o.lock()
 	x := o.to(true)
-	x.mu.Lock()
-	defer x.mu.Unlock()
 	if x.rts < tn {
-		x.rts = tn
-		x.rtsRO = false
+		x.rts, x.rtsRO = tn, false
 	}
-	for {
-		if i, ok := x.pendingIndex(tn); ok {
-			p := x.pending[i]
-			return Version{TN: p.TN, Data: p.Data, Tombstone: p.Tombstone}, true
-		}
-		if !x.hasPendingAtMost(tn) {
-			return o.ReadVisible(tn)
-		}
-		x.wait(w)
+	for p := x.upTo(tn); p != 0 && p < tn; p = x.upTo(tn) {
+		m = o.park(m, x, w)
 	}
+	if x.pending.TN == tn { // our own
+		v, ok = x.pending, true
+	} else {
+		v, ok = visible(o.chain(m), tn)
+	}
+	o.unlock(m)
+	return v, ok
 }
 
 // SnapshotReadWait performs a read at snapshot sn that waits for pending
@@ -402,12 +406,14 @@ func (o *Object) TORead(tn uint64, w Waiter) (Version, bool) {
 // implies every version <= sn is already committed. w is told of each
 // wait (experiment E3 instrumentation).
 func (o *Object) SnapshotReadWait(sn uint64, w Waiter) (Version, bool) {
-	x := o.toView()
-	defer x.done()
-	for x.hasPendingAtMost(sn) {
-		x.wait(w)
+	m := o.lock()
+	x := o.to(false)
+	for x.upTo(sn) != 0 {
+		m = o.park(m, x, w)
 	}
-	return o.ReadVisible(sn)
+	v, ok := visible(o.chain(m), sn)
+	o.unlock(m)
+	return v, ok
 }
 
 // ReadVisibleWhere returns the version with the largest TN <= sn whose
@@ -437,13 +443,11 @@ func (o *Object) ReadVisibleWhere(sn uint64, admit func(tn uint64) bool) (v Vers
 // marks whether the reader is a read-only transaction; the flag feeds the
 // abort-attribution statistics of experiment E2.
 func (o *Object) SetRTS(tn uint64, ro bool) {
-	x := o.to(true)
-	x.mu.Lock()
-	if x.rts < tn {
-		x.rts = tn
-		x.rtsRO = ro
+	m := o.lock()
+	if x := o.to(true); x.rts < tn {
+		x.rts, x.rtsRO = tn, ro
 	}
-	x.mu.Unlock()
+	o.unlock(m)
 }
 
 // TOWrite performs a timestamp-ordering write: reject if a younger
@@ -451,57 +455,52 @@ func (o *Object) SetRTS(tn uint64, ro bool) {
 // pending writes and install a pending version. A second write by the
 // same transaction overwrites its pending version in place. w is told of
 // each wait.
-func (o *Object) TOWrite(tn uint64, data []byte, tombstone bool, w Waiter) error {
+func (o *Object) TOWrite(tn uint64, data []byte, tombstone bool, w Waiter) (err error) {
+	m := o.lock()
 	x := o.to(true)
-	x.mu.Lock()
-	defer x.mu.Unlock()
 	for {
-		if x.rts > tn && x.rtsRO {
-			return ErrConflictRO
+		switch p := x.upTo(tn); {
+		case x.rts > tn && x.rtsRO:
+			err = ErrConflictRO
+		case x.rts > tn || x.wts > tn:
+			err = ErrConflict
+		case p != 0 && p < tn:
+			m = o.park(m, x, w)
+			continue
+		default: // a new pending version, or ours again
+			x.pending, x.wts = Version{TN: tn, Data: data, Tombstone: tombstone}, tn
 		}
-		if x.rts > tn || x.wts > tn {
-			return ErrConflict
-		}
-		if i, ok := x.pendingIndex(tn); ok {
-			x.pending[i].Data = data
-			x.pending[i].Tombstone = tombstone
-			return nil
-		}
-		if !x.hasPendingBelow(tn) {
-			break
-		}
-		x.wait(w)
+		o.unlock(m)
+		return err
 	}
-	x.insertPending(Pending{TN: tn, Data: data, Tombstone: tombstone})
-	if x.wts < tn {
-		x.wts = tn
-	}
-	return nil
 }
 
 // ResolvePending commits (install, collecting at watermark as Install
 // does) or aborts (drop) the pending version created by transaction tn,
-// waking all waiters — each parked Waiter is told before it returns —
-// and returns what the install returns. It is a no-op if the transaction
-// has no pending version here.
+// and returns what the install returns. Each request parked on the
+// version is told and woken before it returns. It is a no-op if the
+// transaction has no pending version here.
 func (o *Object) ResolvePending(tn uint64, commit bool, watermark func() uint64) (dropped int, older bool) {
-	x := o.toView()
-	defer x.done()
-	i, ok := x.pendingIndex(tn)
-	if !ok {
+	m := o.lock()
+	x := o.to(false)
+	if x == nil || x.pending.TN != tn {
+		o.unlock(m)
 		return 0, false
 	}
-	p := x.pending[i]
-	x.pending = slices.Delete(x.pending, i, i+1)
+	v, waiters := x.pending, x.waiters
+	x.pending, x.waiters = Version{}, nil
 	if commit {
-		dropped, older = o.Install(Version{TN: p.TN, Data: p.Data, Tombstone: p.Tombstone}, watermark)
+		m, dropped, older = o.install(m, v, watermark)
 	}
-	for _, w := range x.parked {
-		w.Parked(false)
+	o.unlock(m)
+	for r := waiters; r != nil; {
+		w, next := r.w, r.next // once woken, r is its waiter's again
+		if w != nil {
+			w.Parked(false)
+		}
+		r.wake <- struct{}{}
+		r = next
 	}
-	clear(x.parked)
-	x.parked = x.parked[:0]
-	x.cond.Broadcast()
 	return dropped, older
 }
 
@@ -520,12 +519,6 @@ func (o *Object) Withdraw(tn uint64) {
 	o.unlock(w)
 }
 
-// RTS returns the object's read timestamp.
-func (o *Object) RTS() uint64 { x := o.toView(); defer x.done(); return x.rts }
-
-// WTS returns the object's write timestamp (including pending writes).
-func (o *Object) WTS() uint64 { x := o.toView(); defer x.done(); return x.wts }
-
 // VersionCount returns the number of committed versions (GC metrics).
 func (o *Object) VersionCount() int {
 	w := o.lock()
@@ -533,11 +526,14 @@ func (o *Object) VersionCount() int {
 	return int(w >> lenShift)
 }
 
-// PendingCount returns the number of pending versions.
-func (o *Object) PendingCount() int {
-	x := o.toView()
-	defer x.done()
-	return len(x.pending)
+// PendingCount returns the number of pending versions: 0 or 1.
+func (o *Object) PendingCount() (n int) {
+	m := o.lock()
+	if x := o.to(false); x != nil && x.pending.TN != 0 {
+		n = 1
+	}
+	o.unlock(m)
+	return n
 }
 
 // Versions returns a copy of the committed chain (tests and tools).
@@ -580,15 +576,8 @@ func prune(c []version, watermark uint64) ([]version, int) {
 	return slices.Delete(c, 0, i-1), i - 1
 }
 
-// CheckInvariants validates chain and pending order; for tests.
+// CheckInvariants validates chain order; for tests.
 func (o *Object) CheckInvariants() error {
-	x := o.toView()
-	defer x.done()
-	for i := 1; i < len(x.pending); i++ {
-		if x.pending[i-1].TN >= x.pending[i].TN {
-			return fmt.Errorf("storage: pending list out of order at %d", i)
-		}
-	}
 	w := o.lock()
 	defer o.unlock(w)
 	c := o.chain(w)
@@ -600,33 +589,14 @@ func (o *Object) CheckInvariants() error {
 	return nil
 }
 
-func (x *toState) pendingIndex(tn uint64) (int, bool) {
-	for i := range x.pending {
-		if x.pending[i].TN == tn {
-			return i, true
-		}
+// upTo returns the pending version's number if it is at or below tn,
+// else 0; x may be nil. A request by tn waits for that version unless it
+// is tn's own (Figure 3's blocking condition, for reads and writes alike).
+func (x *toState) upTo(tn uint64) uint64 {
+	if x == nil || x.pending.TN > tn {
+		return 0
 	}
-	return 0, false
-}
-
-// hasPendingAtMost reports whether a pending write by another
-// transaction with TN <= tn exists (the Figure 3 read-blocking condition).
-func (x *toState) hasPendingAtMost(tn uint64) bool {
-	return len(x.pending) > 0 && x.pending[0].TN <= tn
-}
-
-// hasPendingBelow reports whether a pending write with TN < tn exists
-// (the Figure 3 write-blocking condition).
-func (x *toState) hasPendingBelow(tn uint64) bool {
-	return len(x.pending) > 0 && x.pending[0].TN < tn
-}
-
-func (x *toState) insertPending(p Pending) {
-	n := len(x.pending)
-	i := sort.Search(n, func(i int) bool { return x.pending[i].TN >= p.TN })
-	x.pending = append(x.pending, Pending{})
-	copy(x.pending[i+1:], x.pending[i:])
-	x.pending[i] = p
+	return x.pending.TN
 }
 
 // --- Store ---
@@ -680,17 +650,6 @@ func (s *Store) Len() int { return s.m.Len() }
 
 // Leaves returns the number of leaves of the key table (tests and tools).
 func (s *Store) Leaves() int { return s.m.Leaves() }
-
-// TotalVersions returns the number of committed versions across all
-// objects (GC experiment instrumentation).
-func (s *Store) TotalVersions() int {
-	n := 0
-	s.Range(func(_ string, o *Object) bool {
-		n += o.VersionCount()
-		return true
-	})
-	return n
-}
 
 // Bootstrap installs an initial committed version (TN 0 by convention)
 // for key. It is used to load data before transaction processing starts.

@@ -156,8 +156,6 @@ func TestPruneSetsFloor(t *testing.T) {
 func TestAccessorsLeaveTOStateUnallocated(t *testing.T) {
 	o := newObject()
 	o.InstallCommitted(Version{TN: 1})
-	o.RTS()
-	o.WTS()
 	o.PendingCount()
 	o.ResolvePending(1, true, nil)
 	o.SnapshotReadWait(1, nil)
@@ -168,7 +166,7 @@ func TestAccessorsLeaveTOStateUnallocated(t *testing.T) {
 		t.Fatal("a read-only accessor allocated the T/O state")
 	}
 	o.SetRTS(3, false)
-	if !TOStateAllocated(o) || o.RTS() != 3 {
-		t.Fatal("SetRTS did not allocate the T/O state")
+	if !TOStateAllocated(o) || o.TOWrite(2, nil, false, nil) != ErrConflict {
+		t.Fatal("SetRTS did not allocate the T/O state and raise r-ts to 3")
 	}
 }

@@ -490,7 +490,7 @@ func runE7(tb testing.TB, full bool) []e7Row {
 		if r.pass {
 			r.byPass = gc.New(e, 0).Collect()
 		}
-		r.versions = e.Store().TotalVersions()
+		r.versions = int(e.Stats().Versions)
 		e.Close()
 	}
 	return configs
