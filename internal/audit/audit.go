@@ -153,10 +153,9 @@ type txState struct {
 	writes    []history.Op
 }
 
-// Auditor is the online audit pipeline. It implements engine.Recorder
-// (and engine.SnapshotRecorder), so it attaches to any engine through
-// the ordinary recorder plumbing; all Record* methods are non-blocking
-// and safe for concurrent use.
+// Auditor is the online audit pipeline. It implements engine.Recorder,
+// so it attaches to any engine through the ordinary recorder plumbing;
+// all Record* methods are non-blocking and safe for concurrent use.
 type Auditor struct {
 	opts   Options
 	log    *slog.Logger
@@ -262,7 +261,7 @@ func (a *Auditor) RecordBegin(txID uint64, class engine.Class) {
 	a.send(event{kind: evBegin, tx: txID, class: class})
 }
 
-// RecordSnapshot implements engine.SnapshotRecorder.
+// RecordSnapshot implements engine.Recorder.
 func (a *Auditor) RecordSnapshot(txID, sn uint64) {
 	a.send(event{kind: evSnapshot, tx: txID, tn: sn})
 }
@@ -286,6 +285,10 @@ func (a *Auditor) RecordCommit(txID, tn uint64) {
 func (a *Auditor) RecordAbort(txID uint64) {
 	a.send(event{kind: evAbort, tx: txID})
 }
+
+// RecordParked implements engine.Recorder. A wait tells the auditor
+// nothing about the history's order.
+func (*Auditor) RecordParked(uint64, bool) {}
 
 // --- consumer --------------------------------------------------------
 

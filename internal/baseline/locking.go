@@ -39,8 +39,8 @@ func (e *locking) init(rec engine.Recorder, installed func(t *lockTx)) {
 			e.stats.ROBlocked.Inc()
 		}
 	})
-	e.locks.SetBlockObserver(func(id uint64, _ string) { engine.RecordParked(e.rec, id&^readerLock, true) },
-		func(id uint64) { engine.RecordParked(e.rec, id&^readerLock, false) })
+	e.locks.SetBlockObserver(func(id uint64, _ string) { e.rec.RecordParked(id&^readerLock, true) },
+		func(id uint64) { e.rec.RecordParked(id&^readerLock, false) })
 }
 
 // Begin implements engine.Engine. Both classes run the same locking
@@ -117,6 +117,9 @@ func (t *lockTx) write(key string, w storage.Version) error {
 	}
 	if t.class == engine.ReadOnly {
 		return engine.ErrReadOnly
+	}
+	if err := storage.CheckKey(key); err != nil {
+		return err
 	}
 	if err := t.acquire(key, lock.Exclusive); err != nil {
 		return err

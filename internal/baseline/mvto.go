@@ -90,6 +90,9 @@ func (t *mvtoTx) write(key string, value []byte, tombstone bool) error {
 	if t.class == engine.ReadOnly {
 		return engine.ErrReadOnly
 	}
+	if err := storage.CheckKey(key); err != nil {
+		return err
+	}
 	o := t.e.store.GetOrCreate(key)
 	if err := o.TOWrite(t.tn, value, tombstone, t); err != nil {
 		t.e.stats.AbortsConflict.Inc()
@@ -155,7 +158,7 @@ func (t *mvtoTx) Parked(parked bool) {
 			t.e.stats.ROBlocked.Inc()
 		}
 	}
-	engine.RecordParked(t.e.rec, t.id, parked)
+	t.e.rec.RecordParked(t.id, parked)
 }
 
 // ID implements engine.Tx.

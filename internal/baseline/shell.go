@@ -56,6 +56,11 @@ func (s *shell) Bootstrap(data map[string][]byte) error {
 	if s.ids.Load() != 0 {
 		return errors.New("baseline: Bootstrap after transactions started")
 	}
+	for k := range data {
+		if err := storage.CheckKey(k); err != nil {
+			return err
+		}
+	}
 	for k, v := range data {
 		s.store.Bootstrap(k, v)
 	}

@@ -148,14 +148,18 @@ type Engine struct {
 }
 
 // recentParked is the read-only transactions parked in a recency wait
-// (observe.go), each with the number it waits to see visible.
+// (observe.go), each with the number it waits to see visible and the
+// channel that wakes it.
 type recentParked struct {
-	n       atomic.Int32 // len(waiting), which every commit and abort reads
+	n       atomic.Int32 // len(waiting), which every step that moves vtnc reads
 	mu      sync.Mutex
 	waiting []recentWait
 }
 
-type recentWait struct{ id, sn uint64 }
+type recentWait struct {
+	id, sn uint64
+	wake   chan struct{}
+}
 
 // newController builds the version-control module for a mode (or a
 // cluster site's residue class) and bootstrap snapshot. It lives here
@@ -217,7 +221,7 @@ func (e *Engine) Bootstrap(data map[string][]byte) error {
 	}
 	keys := slices.Sorted(maps.Keys(data)) // the store appends; the record is the same every run
 	for _, k := range keys {
-		if err := checkKey(k); err != nil {
+		if err := storage.CheckKey(k); err != nil {
 			return err
 		}
 	}
@@ -232,15 +236,6 @@ func (e *Engine) Bootstrap(data map[string][]byte) error {
 	}
 	for _, k := range keys {
 		e.store.Bootstrap(k, data[k])
-	}
-	return nil
-}
-
-// checkKey refuses a key longer than the store holds, before a write
-// buffers it, logs it or installs it.
-func checkKey(key string) error {
-	if len(key) > storage.MaxKey {
-		return fmt.Errorf("core: key of %d bytes, longer than %d", len(key), storage.MaxKey)
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"mvdb/internal/engine"
 	"mvdb/internal/history"
@@ -230,9 +231,14 @@ func (p *parkLog) log() []string {
 }
 
 // A BeginReadOnlyRecent that waits for an older transaction parks in the
-// recorder's eyes, and the commit or abort that lets it through tells it
+// recorder's eyes, and the commit or abort that lets it through wakes it
 // before it returns, as a lock's or a pending version's resolver does.
+// Several readers wait for the same number; a younger commit, which
+// leaves vtnc behind the older transaction, wakes none of them; the
+// resolution of the older one wakes all of them; and a reader whose
+// number is already visible does not park.
 func TestRecencyWaitIsAPark(t *testing.T) {
+	const readers = 4
 	for _, mode := range []vc.Mode{vc.ModeStrict, vc.ModeEpoch} {
 		for _, commit := range []bool{true, false} {
 			t.Run(fmt.Sprintf("%v/commit=%v", mode, commit), func(t *testing.T) {
@@ -242,16 +248,31 @@ func TestRecencyWaitIsAPark(t *testing.T) {
 				if err := older.Put("k", []byte("v")); err != nil {
 					t.Fatal(err)
 				}
-				got := make(chan uint64)
-				go func() {
-					ro, err := e.BeginReadOnlyRecent()
-					if err != nil {
-						t.Error(err)
-					}
-					got <- ro.ID()
-					ro.Commit()
-				}()
-				eventually(t, "the recency wait's park", func() bool { return len(rec.log()) > 0 })
+				younger, _ := e.Begin(engine.ReadWrite)
+				if err := younger.Put("j", []byte("v")); err != nil {
+					t.Fatal(err)
+				}
+				want, _ := younger.SN()
+				type begun struct{ id, sn uint64 }
+				got := make(chan begun, readers)
+				for range readers {
+					go func() {
+						ro, err := e.BeginReadOnlyRecent()
+						if err != nil {
+							t.Error(err)
+							got <- begun{}
+							return
+						}
+						sn, _ := ro.SN()
+						got <- begun{ro.ID(), sn}
+						ro.Commit()
+					}()
+				}
+				eventually(t, "every recency wait's park", func() bool { return len(rec.log()) == readers })
+				if err := younger.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				rec.mark("younger")
 				if commit {
 					if err := older.Commit(); err != nil {
 						t.Fatal(err)
@@ -260,12 +281,205 @@ func TestRecencyWaitIsAPark(t *testing.T) {
 					older.Abort()
 				}
 				rec.mark("resolved")
-				id := <-got
-				want := []string{fmt.Sprintf("%d parked true", id), fmt.Sprintf("%d parked false", id), "resolved"}
-				if got := rec.log(); !slices.Equal(got, want) {
-					t.Fatalf("events %q, want %q", got, want)
+				var parks, wakes []string
+				for range readers {
+					var b begun
+					select {
+					case b = <-got:
+					case <-time.After(10 * time.Second):
+						t.Fatalf("a reader was never woken; events %q", rec.log())
+					}
+					if b.sn != want {
+						t.Fatalf("reader %d read at %d, want %d", b.id, b.sn, want)
+					}
+					parks = append(parks, fmt.Sprintf("%d parked true", b.id))
+					wakes = append(wakes, fmt.Sprintf("%d parked false", b.id))
+				}
+				ro, err := e.BeginReadOnlyRecent() // nothing is open: no wait
+				if err != nil {
+					t.Fatal(err)
+				}
+				ro.Commit()
+				log := rec.log()
+				if len(log) != 2*readers+2 || log[readers] != "younger" || log[len(log)-1] != "resolved" ||
+					!sameSet(log[:readers], parks) || !sameSet(log[readers+1:2*readers+1], wakes) {
+					t.Fatalf("events %q; want parks %q, younger, wakes %q, resolved", log, parks, wakes)
 				}
 			})
 		}
+	}
+}
+
+// sameSet reports whether a and b hold the same strings, in any order.
+func sameSet(a, b []string) bool {
+	a, b = slices.Clone(a), slices.Clone(b)
+	slices.Sort(a)
+	slices.Sort(b)
+	return slices.Equal(a, b)
+}
+
+// recentRead begins a BeginReadOnlyRecent in its own goroutine, reads key
+// there, and sends what it saw once the transaction has committed.
+func recentRead(t *testing.T, e *Engine, key string) <-chan recentSaw {
+	saw := make(chan recentSaw, 1)
+	go func() {
+		ro, err := e.BeginReadOnlyRecent()
+		if err != nil {
+			t.Error(err)
+			saw <- recentSaw{}
+			return
+		}
+		sn, _ := ro.SN()
+		val, _ := ro.Get(key)
+		ro.Commit()
+		saw <- recentSaw{ro.ID(), sn, string(val)}
+	}()
+	return saw
+}
+
+type recentSaw struct {
+	id, sn uint64
+	val    string
+}
+
+// awaitSaw returns what a recentRead saw, or fails the test if the
+// reader is not let through in time.
+func awaitSaw(t *testing.T, saw <-chan recentSaw, rec *parkLog) recentSaw {
+	t.Helper()
+	select {
+	case s := <-saw:
+		return s
+	case <-time.After(10 * time.Second):
+		t.Fatalf("a recency reader was never woken; events %q", rec.log())
+		return recentSaw{}
+	}
+}
+
+// A reader that waits for an older writer is let through by its commit
+// and reads at the writer's number, so it sees the write.
+func TestRecencyWaitReadsTheOlderWrite(t *testing.T) {
+	for _, mode := range []vc.Mode{vc.ModeStrict, vc.ModeEpoch} {
+		t.Run(mode.String(), func(t *testing.T) {
+			rec := &parkLog{}
+			e := New(Options{Protocol: TimestampOrdering, Visibility: mode, Recorder: rec})
+			mustCommitWrite(t, e, map[string]string{"k": "old"})
+			older, _ := e.Begin(engine.ReadWrite)
+			if err := older.Put("k", []byte("new")); err != nil {
+				t.Fatal(err)
+			}
+			saw := recentRead(t, e, "k")
+			eventually(t, "the reader's park", func() bool { return len(rec.log()) == 1 })
+			if err := older.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			want, _ := older.SN()
+			if s := awaitSaw(t, saw, rec); s.sn != want || s.val != "new" {
+				t.Fatalf("reader saw %q at %d, want %q at %d", s.val, s.sn, "new", want)
+			}
+		})
+	}
+}
+
+// A reader whose number is already visible does not park, after commits
+// and an abort alike, and reads the latest commit.
+func TestRecencyWaitAlreadyVisible(t *testing.T) {
+	for _, mode := range []vc.Mode{vc.ModeStrict, vc.ModeEpoch} {
+		t.Run(mode.String(), func(t *testing.T) {
+			rec := &parkLog{}
+			e := New(Options{Protocol: TimestampOrdering, Visibility: mode, Recorder: rec})
+			mustCommitWrite(t, e, map[string]string{"k": "a"})
+			mustCommitWrite(t, e, map[string]string{"k": "b"})
+			aborted, _ := e.Begin(engine.ReadWrite)
+			if err := aborted.Put("k", []byte("c")); err != nil {
+				t.Fatal(err)
+			}
+			aborted.Abort()
+			if s := awaitSaw(t, recentRead(t, e, "k"), rec); s.val != "b" {
+				t.Fatalf("reader saw %q, want %q", s.val, "b")
+			}
+			if log := rec.log(); len(log) != 0 {
+				t.Fatalf("events %q, want none", log)
+			}
+		})
+	}
+}
+
+// Many readers waiting for one older transaction are all woken by its
+// commit before the commit returns, each parked and woken once.
+func TestRecencyWaitManyWaiters(t *testing.T) {
+	const readers = 16
+	for _, mode := range []vc.Mode{vc.ModeStrict, vc.ModeEpoch} {
+		t.Run(mode.String(), func(t *testing.T) {
+			rec := &parkLog{}
+			e := New(Options{Protocol: TimestampOrdering, Visibility: mode, Recorder: rec})
+			older, _ := e.Begin(engine.ReadWrite)
+			if err := older.Put("k", []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+			var saws []<-chan recentSaw
+			for range readers {
+				saws = append(saws, recentRead(t, e, "k"))
+			}
+			eventually(t, "every reader's park", func() bool { return len(rec.log()) == readers })
+			if err := older.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			rec.mark("committed")
+			var parks, wakes []string
+			for _, saw := range saws {
+				s := awaitSaw(t, saw, rec)
+				if s.val != "v" {
+					t.Fatalf("reader %d saw %q, want %q", s.id, s.val, "v")
+				}
+				parks = append(parks, fmt.Sprintf("%d parked true", s.id))
+				wakes = append(wakes, fmt.Sprintf("%d parked false", s.id))
+			}
+			log := rec.log()
+			if len(log) != 2*readers+1 || log[2*readers] != "committed" ||
+				!sameSet(log[:readers], parks) || !sameSet(log[readers:2*readers], wakes) {
+				t.Fatalf("events %q; want parks %q, wakes %q, committed", log, parks, wakes)
+			}
+		})
+	}
+}
+
+// Younger transactions that complete first, youngest first, leave vtnc
+// behind the oldest open one and wake nobody; the oldest's commit lets the
+// reader through at the youngest number.
+func TestRecencyWaitBehindAnOlderNumber(t *testing.T) {
+	for _, mode := range []vc.Mode{vc.ModeStrict, vc.ModeEpoch} {
+		t.Run(mode.String(), func(t *testing.T) {
+			rec := &parkLog{}
+			e := New(Options{Protocol: TimestampOrdering, Visibility: mode, Recorder: rec})
+			var txs []engine.Tx
+			for _, k := range []string{"a", "b", "c"} {
+				tx, _ := e.Begin(engine.ReadWrite)
+				if err := tx.Put(k, []byte(k)); err != nil {
+					t.Fatal(err)
+				}
+				txs = append(txs, tx)
+			}
+			saw := recentRead(t, e, "c")
+			eventually(t, "the reader's park", func() bool { return len(rec.log()) == 1 })
+			for _, tx := range []engine.Tx{txs[2], txs[1]} {
+				if err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rec.mark("younger")
+			if err := txs[0].Commit(); err != nil {
+				t.Fatal(err)
+			}
+			rec.mark("oldest")
+			s := awaitSaw(t, saw, rec)
+			want, _ := txs[2].SN()
+			if s.sn != want || s.val != "c" {
+				t.Fatalf("reader saw %q at %d, want %q at %d", s.val, s.sn, "c", want)
+			}
+			wantLog := []string{fmt.Sprintf("%d parked true", s.id), "younger", fmt.Sprintf("%d parked false", s.id), "oldest"}
+			if log := rec.log(); !slices.Equal(log, wantLog) {
+				t.Fatalf("events %q, want %q", log, wantLog)
+			}
+		})
 	}
 }

@@ -67,8 +67,8 @@ func (e *Engine) observeLocks() {
 		e.stats.LockWaitNanos.Record(wait.Nanoseconds())
 		e.phases.Record(proto2PL, obs.PhaseLockWait, txID, wait)
 	})
-	e.locks.SetBlockObserver(func(txID uint64, _ string) { engine.RecordParked(e.rec, txID, true) },
-		func(txID uint64) { engine.RecordParked(e.rec, txID, false) })
+	e.locks.SetBlockObserver(func(txID uint64, _ string) { e.rec.RecordParked(txID, true) },
+		func(txID uint64) { e.rec.RecordParked(txID, false) })
 }
 
 // observeWAL feeds the log's group-commit batch sizes into the registry
@@ -80,30 +80,38 @@ func (e *Engine) observeWAL(w *wal.Writer) {
 }
 
 // recencyWait is the Section 6 recency wait of read-only transaction
-// id's pinned begin, counted and timed into the RO row's visible-wait
-// cell. The transaction parks in the recorder's eyes unless sn is
-// visible by then, and the completion that makes it visible tells it.
+// id: it returns once sn is visible, counted and timed into the RO row's
+// visible-wait cell. Unless sn is visible by then, the transaction
+// parks on its own channel, and the step that makes sn visible wakes
+// it (tellRecent).
 func (e *Engine) recencyWait(id, sn uint64) {
 	e.stats.RecencyWaits.Inc()
 	start := time.Now()
 	r := &e.recent
+	var wake chan struct{}
 	r.mu.Lock()
 	if r.n.Add(1); e.vc.VTNC() < sn { // the count, then vtnc: see tellRecent
-		r.waiting = append(r.waiting, recentWait{id, sn})
-		engine.RecordParked(e.rec, id, true)
+		wake = make(chan struct{})
+		r.waiting = append(r.waiting, recentWait{id, sn, wake})
+		e.rec.RecordParked(id, true)
 	} else {
 		r.n.Add(-1)
 	}
 	r.mu.Unlock()
-	e.vc.WaitVisible(sn)
+	if wake != nil {
+		<-wake
+	}
 	e.phases.Record(protoRO, obs.PhaseVisibleWait, id, time.Since(start))
 }
 
-// tellRecent tells each transaction parked in a recency wait whose
-// number is now visible that it is let through. A commit calls it after
-// VCcomplete (complete) and an abort after VCdiscard, if it registered
-// (abort), so the step that makes a number visible tells its waiters
-// before it returns, as a lock's or a pending version's resolver does.
+// tellRecent wakes each transaction parked in a recency wait whose
+// number is now visible: it records the wake, then closes the channel,
+// so the step that lets a waiter through tells it before it returns, as
+// a lock's or a pending version's resolver does. The rule that makes
+// the list the only wait for visibility: every step that moves the
+// engine's vtnc calls tellRecent after the controller has moved it.
+// Those steps are a commit's VCcomplete (txObs.complete), an abort
+// after its VCdiscard (txObs.abort) and a cluster site's filler (Fill).
 // It reads the count after the controller moved vtnc, and recencyWait
 // reads vtnc after it raised the count: one of the two sees the other.
 func (e *Engine) tellRecent() {
@@ -114,9 +122,11 @@ func (e *Engine) tellRecent() {
 			if w.sn > vtnc {
 				left = append(left, w)
 			} else {
-				engine.RecordParked(e.rec, w.id, false)
+				e.rec.RecordParked(w.id, false)
+				close(w.wake)
 			}
 		}
+		clear(r.waiting[len(left):])
 		r.waiting = left
 		r.n.Store(int32(len(left)))
 		r.mu.Unlock()
@@ -213,7 +223,7 @@ func (e *Engine) observe(id uint64, proto obs.ProtoIdx, sn uint64) txObs {
 	if proto == protoRO {
 		e.stats.BeginsRO.Inc()
 		e.rec.RecordBegin(id, engine.ReadOnly)
-		engine.RecordSnapshot(e.rec, id, sn)
+		e.rec.RecordSnapshot(id, sn)
 	} else {
 		e.stats.BeginsRW.Inc()
 		e.rec.RecordBegin(id, engine.ReadWrite)
@@ -246,7 +256,7 @@ func (o *txObs) Parked(parked bool) {
 	if parked {
 		o.e.stats.StoreWaits.Inc()
 	}
-	engine.RecordParked(o.e.rec, o.id, parked)
+	o.e.rec.RecordParked(o.id, parked)
 }
 
 // collected counts the versions the transaction's installs dropped into

@@ -2,6 +2,7 @@ package core
 
 import (
 	"mvdb/internal/engine"
+	"mvdb/internal/storage"
 	"mvdb/internal/vc"
 	"mvdb/internal/wal"
 )
@@ -124,7 +125,7 @@ func (t *occTx) put(w wal.Write) error {
 	if t.done {
 		return engine.ErrTxDone
 	}
-	if err := checkKey(w.Key); err != nil {
+	if err := storage.CheckKey(w.Key); err != nil {
 		return err
 	}
 	t.buf.put(w)

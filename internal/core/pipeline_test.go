@@ -242,7 +242,11 @@ func TestPipelinedCommit(t *testing.T) {
 			if tn1 >= tn2 {
 				t.Fatalf("tn(T1) = %d, tn(T2) = %d: the dependent is not serialized after its writer", tn1, tn2)
 			}
-			pl.e.VC().WaitVisible(tn2)
+			ro, err := pl.e.BeginReadOnlyAt(tn2) // returns once tn2 is visible
+			if err != nil {
+				t.Fatal(err)
+			}
+			ro.Abort()
 			pl.mu.Lock()
 			seen := append([]uint64(nil), pl.seen...)
 			pl.mu.Unlock()

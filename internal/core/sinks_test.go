@@ -16,17 +16,17 @@ import (
 
 // countingRecorder is the Options.Recorder sink of the agreement test.
 type countingRecorder struct {
+	engine.NopRecorder
 	mu                             sync.Mutex
 	begins, reads, commits, aborts int64
 }
 
 func (r *countingRecorder) add(n *int64) { r.mu.Lock(); *n++; r.mu.Unlock() }
 
-func (r *countingRecorder) RecordBegin(uint64, engine.Class)   { r.add(&r.begins) }
-func (r *countingRecorder) RecordRead(uint64, string, uint64)  { r.add(&r.reads) }
-func (r *countingRecorder) RecordWrite(uint64, string, uint64) {}
-func (r *countingRecorder) RecordCommit(uint64, uint64)        { r.add(&r.commits) }
-func (r *countingRecorder) RecordAbort(uint64)                 { r.add(&r.aborts) }
+func (r *countingRecorder) RecordBegin(uint64, engine.Class)  { r.add(&r.begins) }
+func (r *countingRecorder) RecordRead(uint64, string, uint64) { r.add(&r.reads) }
+func (r *countingRecorder) RecordCommit(uint64, uint64)       { r.add(&r.commits) }
+func (r *countingRecorder) RecordAbort(uint64)                { r.add(&r.aborts) }
 
 // sinkScript drives one engine through a known number of commits and of
 // aborts per cause. Every conflict scenario below is forced by the order

@@ -6,8 +6,9 @@ package core
 // single-site API reaches the engine through this file only: the site's
 // numbering and the snapshot registry its sites share, at construction
 // (ClusterSite); a read-write transaction begun under the coordinator's
-// global id whose number a vote fixes (BeginSite, Adopt); and snapshot
-// reads at a number the coordinator chose (ReadAt, ScanAt).
+// global id whose number a vote fixes (BeginSite, Adopt); the catch-up
+// of a site whose horizon lags a snapshot (Fill, AwaitVisible); and
+// snapshot reads at a number the coordinator chose (ReadAt, ScanAt).
 
 import "mvdb/internal/vc"
 
@@ -58,6 +59,30 @@ func (e *Engine) BeginSite(id uint64) (*Tx, error) {
 func (e *Engine) Adopt(tx *Tx, tn uint64) error {
 	return e.vc.(*vc.Strict).RegisterExact(&tx.self.(*twoPhaseTx).entry, tn)
 }
+
+// Fill burns position sn, and everything up to it, with a completed
+// filler entry if sn is unconsumed here, so vtnc can reach sn once the
+// older registrations resolve, and wakes the recency waits that lets
+// through (tellRecent). It reports whether it registered a filler. The
+// caller holds the site's registration gate, as a vote does.
+func (e *Engine) Fill(sn uint64) bool {
+	c := e.vc.(*vc.Strict)
+	if c.Reserve() > sn {
+		return false
+	}
+	var filler vc.Entry
+	if c.RegisterExact(&filler, sn) != nil {
+		return false
+	}
+	c.Complete(&filler)
+	e.tellRecent()
+	return true
+}
+
+// AwaitVisible returns once sn is visible here: the recency wait of a
+// cluster read-only transaction, which parks and is woken under its
+// global id. It is how a site catches up to a snapshot taken elsewhere.
+func (e *Engine) AwaitVisible(id, sn uint64) { e.recencyWait(id, sn) }
 
 // ReadAt reads key under the read-only rule (Figure 2) at sn, recording
 // the read under id. The caller has made sn visible here, and published in

@@ -74,7 +74,7 @@ func (t *tsoTx) put(w wal.Write) error {
 	if t.done {
 		return engine.ErrTxDone
 	}
-	if err := checkKey(w.Key); err != nil {
+	if err := storage.CheckKey(w.Key); err != nil {
 		return err
 	}
 	if err := t.e.store.GetOrCreate(w.Key).TOWrite(t.entry.TN(), w.Value, w.Tombstone, &t.txObs); err != nil {

@@ -5,6 +5,7 @@ import (
 
 	"mvdb/internal/engine"
 	"mvdb/internal/lock"
+	"mvdb/internal/storage"
 	"mvdb/internal/vc"
 	"mvdb/internal/wal"
 )
@@ -84,7 +85,7 @@ func (t *twoPhaseTx) put(w wal.Write) error {
 	if t.done {
 		return engine.ErrTxDone
 	}
-	if err := checkKey(w.Key); err != nil {
+	if err := storage.CheckKey(w.Key); err != nil {
 		return err
 	}
 	if err := t.acquire(w.Key, lock.Exclusive); err != nil {

@@ -27,9 +27,11 @@
 //   - Read-only transactions take a single start number sn and read the
 //     largest version <= sn everywhere, through each site's read rule
 //     (core.Engine.ReadAt). At a site whose visibility lags (vtnc < sn),
-//     the transaction first waits for visibility to catch up; if the site
-//     simply has not consumed position sn yet, it registers-and-completes
-//     a filler entry to jump its horizon forward. This gives global
+//     the transaction first catches up through the site's engine: if the
+//     site simply has not consumed position sn yet, it registers and
+//     completes a filler entry to jump its horizon forward
+//     (core.Engine.Fill), then waits for visibility there, a park under
+//     its global id (core.Engine.AwaitVisible). This gives global
 //     one-copy serializability with NO a-priori knowledge of the read set
 //     — the paper's complaint about the Chan et al. distributed variant —
 //     at the price of occasional read-only waiting. The sites of a
@@ -45,6 +47,7 @@ package dist
 import (
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"os"
 	"sort"
 	"sync"
@@ -59,22 +62,13 @@ import (
 )
 
 // Bus simulates the network: every inter-site call pays a latency (plus
-// optional random jitter, which perturbs interleavings the way a real
-// network would) and is counted. Zero latency degenerates to function
-// calls (unit tests).
+// optional jitter, a uniform draw from [0, jitter), which perturbs
+// interleavings the way a real network would) and is counted. Zero
+// latency degenerates to function calls (unit tests).
 type Bus struct {
 	latency  time.Duration
 	jitter   time.Duration
-	state    atomic.Uint64 // xorshift state for lock-free jitter draws
 	messages atomic.Uint64
-}
-
-// newBus creates a bus whose per-message delay is latency plus a uniform
-// draw from [0, jitter).
-func newBus(latency, jitter time.Duration) *Bus {
-	b := &Bus{latency: latency, jitter: jitter}
-	b.state.Store(0x9E3779B97F4A7C15)
-	return b
 }
 
 // call simulates one request/response exchange with a site.
@@ -82,18 +76,7 @@ func (b *Bus) call(fn func()) {
 	b.messages.Add(1)
 	d := b.latency
 	if b.jitter > 0 {
-		// xorshift64*: cheap thread-safe pseudo-randomness.
-		for {
-			old := b.state.Load()
-			x := old
-			x ^= x << 13
-			x ^= x >> 7
-			x ^= x << 17
-			if b.state.CompareAndSwap(old, x) {
-				d += time.Duration(x % uint64(b.jitter))
-				break
-			}
-		}
+		d += rand.N(b.jitter) // the global source is safe for concurrent use
 	}
 	if d > 0 {
 		time.Sleep(d)
@@ -143,50 +126,25 @@ func (s *Site) Fillers() uint64 { return s.fillers.Load() }
 // class (core.ClusterSite).
 func (s *Site) strict() *vc.Strict { return s.Engine().VC().(*vc.Strict) }
 
-// ensureVisible advances the site's horizon to at least sn and waits for
-// it, implementing the read-only catch-up rule described in the package
-// comment.
-func (s *Site) ensureVisible(sn uint64) {
-	c := s.strict()
-	if c.VTNC() >= sn {
-		return
-	}
-	s.gate.Lock()
-	s.fill(sn)
-	s.gate.Unlock()
-	c.WaitVisible(sn)
-}
-
-// fill burns position sn, and everything up to it, with a completed
-// filler if sn is unconsumed here, so vtnc can reach sn once older
-// registrations drain. The caller holds the gate.
-func (s *Site) fill(sn uint64) {
-	c := s.strict()
-	if c.Reserve() <= sn {
-		var filler vc.Entry
-		if c.RegisterExact(&filler, sn) == nil {
-			c.Complete(&filler)
-			s.fillers.Add(1)
-		}
+// fill burns position sn at the site's engine e (core.Engine.Fill),
+// counting the filler if it registered one. The caller holds the gate.
+func (s *Site) fill(e *core.Engine, sn uint64) {
+	if e.Fill(sn) {
+		s.fillers.Add(1)
 	}
 }
 
 // siteRecorder is what a site reports history to: the reads and writes
-// of its parts, and their lock parks and wakes, under their global ids.
-// The coordinator records each global transaction's begin and its commit
-// or abort, once.
+// of its parts, and their parks and wakes — a part's lock waits, a
+// read's catch-up — under their global ids, which the cluster's recorder
+// hears unchanged. The coordinator records each global transaction's
+// begin and its commit or abort, once.
 type siteRecorder struct{ engine.Recorder }
 
 func (siteRecorder) RecordBegin(uint64, engine.Class) {}
+func (siteRecorder) RecordSnapshot(uint64, uint64)    {}
 func (siteRecorder) RecordCommit(uint64, uint64)      {}
 func (siteRecorder) RecordAbort(uint64)               {}
-
-// RecordParked forwards a site's lock park or wake to the cluster's
-// recorder. A part locks under its global id (BeginSite), so the event
-// goes on unchanged.
-func (r siteRecorder) RecordParked(txID uint64, parked bool) {
-	engine.RecordParked(r.Recorder, txID, parked)
-}
 
 // Options configures a Cluster.
 type Options struct {
@@ -243,7 +201,7 @@ func New(opts Options) (*Cluster, error) {
 	if opts.LockTimeout <= 0 {
 		opts.LockTimeout = 50 * time.Millisecond
 	}
-	c := &Cluster{opts: opts, bus: newBus(opts.Latency, opts.Jitter), stats: obs.NewStats()}
+	c := &Cluster{opts: opts, bus: &Bus{latency: opts.Latency, jitter: opts.Jitter}, stats: obs.NewStats()}
 	c.rec = opts.Recorder
 	if c.rec == nil {
 		c.rec = engine.NopRecorder{}
@@ -415,7 +373,7 @@ func (c *Cluster) Name() string {
 // start number: the coordinator remembers the largest committed global
 // transaction number, so the snapshot observes every transaction that
 // committed before Begin — read-after-commit freshness with zero
-// messages. Lagging sites catch up on first contact (ensureVisible),
+// messages. Lagging sites catch up on first contact (roTx.catchUp),
 // which is the waiting trade-off Section 6 describes; for the cheapest
 // possible (possibly stale) snapshot, anchor at a site instead with
 // BeginReadOnlyAtHome.
@@ -645,12 +603,19 @@ type roTx struct {
 }
 
 // catchUp returns site s's engine, once its horizon is up to the
-// snapshot, for a read there; it fails while s is crashed.
+// snapshot, for a read there; it fails while s is crashed. A lagging
+// site catches up by the rule the package comment states: a filler if
+// it has not consumed sn, then a recency wait there under the
+// transaction's id, which parks until the site's older registrations
+// resolve.
 func (t *roTx) catchUp(s *Site) (*core.Engine, error) {
 	e, err := s.live()
 	if err == nil && e.VTNC() < t.sn {
 		t.c.stats.RecencyWaits.Inc()
-		s.ensureVisible(t.sn)
+		s.gate.Lock()
+		s.fill(e, t.sn)
+		s.gate.Unlock()
+		e.AwaitVisible(t.id, t.sn)
 	}
 	return e, err
 }

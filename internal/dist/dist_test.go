@@ -10,7 +10,6 @@ import (
 
 	"mvdb/internal/engine"
 	"mvdb/internal/history"
-	"mvdb/internal/vc"
 )
 
 func newCluster(t *testing.T, sites int, rec engine.Recorder) *Cluster {
@@ -144,20 +143,30 @@ func TestReadOnlyNoAPrioriSites(t *testing.T) {
 }
 
 // A lagging site with an ACTIVE older transaction makes the read-only
-// transaction wait (not skip): visibility must not jump over it.
+// transaction wait (not skip): visibility must not jump over it. The
+// wait is a park at the site under the reader's global id, which the
+// cluster's recorder hears, and the older part's commit wakes it.
 func TestReadOnlyWaitsForActiveOlderTxnAtRemoteSite(t *testing.T) {
-	c := newCluster(t, 2, nil)
+	// Room for the park and the wake, and for any stray event the test
+	// then reports, so a site never blocks in RecordParked.
+	rec := parkLog{events: make(chan parkEvent, 4)}
+	c := newCluster(t, 2, rec)
 	k0 := keyAt(c, 0, "a")
 	k1 := keyAt(c, 1, "b")
 	c.Bootstrap(map[string][]byte{k0: []byte("0"), k1: []byte("0")})
 
-	// Park a transaction at site 1 between registration and completion:
-	// register directly, the way an adopted part is registered.
+	// Hold a part at site 1 between its adoption and its commit, the way
+	// a distributed transaction's part waits for its coordinator.
 	s1 := c.sites[1]
-	v1 := s1.Engine().VC().(*vc.Strict)
-	var entry vc.Entry
+	older, err := s1.Engine().BeginSite(c.ids.Add(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := older.Put(k1, []byte("older")); err != nil {
+		t.Fatal(err)
+	}
 	s1.gate.Lock()
-	err := v1.RegisterExact(&entry, v1.Reserve())
+	err = s1.Engine().Adopt(older, s1.strict().Reserve())
 	s1.gate.Unlock()
 	if err != nil {
 		t.Fatal(err)
@@ -179,17 +188,25 @@ func TestReadOnlyWaitsForActiveOlderTxnAtRemoteSite(t *testing.T) {
 		ro.Commit()
 		got <- string(v)
 	}()
+	rec.hear(t, parkEvent{ro.ID(), true})
 	select {
 	case v := <-got:
 		t.Fatalf("read-only returned %q although an older txn was active at site 1", v)
-	case <-time.After(30 * time.Millisecond):
+	default:
 	}
-	v1.Complete(&entry)
+	if err := older.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	rec.hear(t, parkEvent{ro.ID(), false})
 	select {
-	case <-got:
+	case v := <-got:
+		if v != "older" {
+			t.Fatalf("read-only read %q, want the older transaction's write", v)
+		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("read-only never unblocked")
 	}
+	rec.heardAll(t)
 }
 
 func TestBusLatencyAndMessages(t *testing.T) {
@@ -279,6 +296,29 @@ type parkEvent struct {
 
 func (p parkLog) RecordParked(id uint64, parked bool) { p.events <- parkEvent{id, parked} }
 
+// hear fails t unless the next event is want.
+func (p parkLog) hear(t *testing.T, want parkEvent) {
+	t.Helper()
+	select {
+	case got := <-p.events:
+		if got != want {
+			t.Fatalf("recorder heard %+v, want %+v", got, want)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("recorder never heard %+v", want)
+	}
+}
+
+// heardAll fails t if an event is left.
+func (p parkLog) heardAll(t *testing.T) {
+	t.Helper()
+	select {
+	case ev := <-p.events:
+		t.Fatalf("recorder heard %+v after the wake", ev)
+	default:
+	}
+}
+
 // TestSiteParksReachTheClusterRecorder: two transactions conflict on one
 // key at one site. The cluster's recorder hears the waiter park and,
 // once the holder commits, wake, both under the waiter's global id.
@@ -300,33 +340,18 @@ func TestSiteParksReachTheClusterRecorder(t *testing.T) {
 	t2, _ := c.Begin(engine.ReadWrite)
 	put := make(chan error, 1)
 	go func() { put <- t2.Put(k, []byte("waited")) }()
-	hear := func(want parkEvent) {
-		t.Helper()
-		select {
-		case got := <-rec.events:
-			if got != want {
-				t.Fatalf("recorder heard %+v, want %+v", got, want)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("recorder never heard %+v", want)
-		}
-	}
-	hear(parkEvent{t2.ID(), true})
+	rec.hear(t, parkEvent{t2.ID(), true})
 	if err := t1.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	hear(parkEvent{t2.ID(), false})
+	rec.hear(t, parkEvent{t2.ID(), false})
 	if err := <-put; err != nil {
 		t.Fatal(err)
 	}
 	if err := t2.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case ev := <-rec.events:
-		t.Fatalf("recorder heard %+v after the wake", ev)
-	default:
-	}
+	rec.heardAll(t)
 }
 
 // TestOneSiteDetectsDeadlocks: a one-site cluster's waits-for graph

@@ -77,7 +77,7 @@ func (c *Cluster) RecoverSite(id int) error {
 	if err := c.open(s); err != nil {
 		return err
 	}
-	s.fill(max(c.hwm.Load(), s.strict().Reserve()))
+	s.fill(s.Engine(), max(c.hwm.Load(), s.strict().Reserve()))
 	c.hold()
 	return nil
 }

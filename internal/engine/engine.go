@@ -149,9 +149,11 @@ type Engine interface {
 	Close() error
 }
 
-// Recorder observes committed operations for offline correctness
-// checking. Engines call it only when one is attached (tests); a nil
-// Recorder must be tolerated by using NopRecorder instead.
+// Recorder observes a transaction's steps for correctness checking and
+// for the tools that pace or audit an engine. Engines call it only when
+// one is attached (tests, the auditor, schedtest); a nil Recorder must be
+// tolerated by using NopRecorder instead, and a recorder that does not
+// care for an event embeds NopRecorder for it.
 type Recorder interface {
 	// RecordBegin notes a transaction's class and, for snapshot readers,
 	// its start number.
@@ -168,50 +170,25 @@ type Recorder interface {
 	RecordCommit(txID uint64, tn uint64)
 	// RecordAbort notes txID aborted; its writes must be disregarded.
 	RecordAbort(txID uint64)
-}
-
-// SnapshotRecorder is an optional extension of Recorder: recorders that
-// implement it additionally receive the snapshot position a read-only
-// transaction pinned at begin (its start number sn). The online auditor
-// uses it to check the snapshot-read invariant — a read-only transaction
-// must never observe a version newer than its start number — which the
-// commit-time history alone cannot express.
-type SnapshotRecorder interface {
 	// RecordSnapshot notes that read-only transaction txID will read at
 	// snapshot position sn. Called after RecordBegin, before any read.
+	// The online auditor uses it to check the snapshot-read invariant —
+	// a read-only transaction must never observe a version newer than
+	// its start number — which the commit-time history alone cannot
+	// express.
 	RecordSnapshot(txID uint64, sn uint64)
-}
-
-// RecordSnapshot forwards a snapshot position to r if (and only if) it
-// implements SnapshotRecorder; plain recorders are unaffected.
-func RecordSnapshot(r Recorder, txID, sn uint64) {
-	if sr, ok := r.(SnapshotRecorder); ok {
-		sr.RecordSnapshot(txID, sn)
-	}
-}
-
-// ParkRecorder is an optional extension of Recorder: recorders that
-// implement it learn when a transaction's step parks — waits for
-// another transaction to release a lock, resolve a pending write, or
-// become visible to a recency read — and when it is woken. The engine
-// reports a park (parked true) on the waiter's goroutine before it
-// waits, and a wake (parked false) on the goroutine whose step released
-// it, before that step returns; a lock wait that times out wakes
-// itself. A lock or timestamp-ordering wait reports its park once it
-// has entered the wait and let go of the lock it entered it under, so a
-// wake can overtake the park it answers. A woken step that must wait
-// again parks again, so parks and wakes pair up.
-// internal/schedtest paces its schedules by these events.
-type ParkRecorder interface {
+	// RecordParked notes that a transaction's step parks — waits for
+	// another transaction to release a lock, resolve a pending write, or
+	// become visible to a recency read — (parked true) or is woken
+	// (parked false). The engine reports a park on the waiter's
+	// goroutine before it waits, and a wake on the goroutine whose step
+	// released it, before that step returns; a lock wait that times out
+	// wakes itself. A lock or timestamp-ordering wait reports its park
+	// once it has entered the wait and let go of the lock it entered it
+	// under, so a wake can overtake the park it answers. A woken step
+	// that must wait again parks again, so parks and wakes pair up.
+	// internal/schedtest paces its schedules by these events.
 	RecordParked(txID uint64, parked bool)
-}
-
-// RecordParked forwards a park or a wake to r if (and only if) it
-// implements ParkRecorder: one type test when nothing listens.
-func RecordParked(r Recorder, txID uint64, parked bool) {
-	if pr, ok := r.(ParkRecorder); ok {
-		pr.RecordParked(txID, parked)
-	}
 }
 
 // Multi combines recorders: every record call fans out to each non-nil,
@@ -276,21 +253,17 @@ func (m multiRecorder) RecordAbort(txID uint64) {
 	}
 }
 
-// RecordSnapshot implements SnapshotRecorder, forwarding to the members
-// that implement it.
+// RecordSnapshot implements Recorder.
 func (m multiRecorder) RecordSnapshot(txID, sn uint64) {
 	for _, r := range m {
-		if sr, ok := r.(SnapshotRecorder); ok {
-			sr.RecordSnapshot(txID, sn)
-		}
+		r.RecordSnapshot(txID, sn)
 	}
 }
 
-// RecordParked implements ParkRecorder, forwarding to the members that
-// implement it.
+// RecordParked implements Recorder.
 func (m multiRecorder) RecordParked(txID uint64, parked bool) {
 	for _, r := range m {
-		RecordParked(r, txID, parked)
+		r.RecordParked(txID, parked)
 	}
 }
 
@@ -311,3 +284,9 @@ func (NopRecorder) RecordCommit(uint64, uint64) {}
 
 // RecordAbort implements Recorder.
 func (NopRecorder) RecordAbort(uint64) {}
+
+// RecordSnapshot implements Recorder.
+func (NopRecorder) RecordSnapshot(uint64, uint64) {}
+
+// RecordParked implements Recorder.
+func (NopRecorder) RecordParked(uint64, bool) {}

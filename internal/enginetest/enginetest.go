@@ -19,6 +19,7 @@ import (
 	"mvdb/internal/audit"
 	"mvdb/internal/engine"
 	"mvdb/internal/history"
+	"mvdb/internal/storage"
 )
 
 // Factory builds a fresh engine wired to the given recorder. Bootstrap
@@ -44,6 +45,7 @@ func Run(t *testing.T, mk Factory) {
 		{"DeleteTombstone", testDeleteTombstone},
 		{"AbsentKey", testAbsentKey},
 		{"ReadOnlyRejectsWrites", testReadOnlyRejectsWrites},
+		{"LongKeyRefused", testLongKeyRefused},
 		{"UseAfterFinish", testUseAfterFinish},
 		{"SnapshotOrLatestConsistency", testSnapshotConsistency},
 		{"AtomicMultiKeyCommit", testAtomicMultiKeyCommit},
@@ -231,6 +233,39 @@ func testReadOnlyRejectsWrites(t *testing.T, mk Factory) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// A key longer than the store holds (storage.MaxKey) is refused with an
+// error that is not retryable, by Bootstrap and by a write, before it
+// reaches the store, whose key table would panic on it; the engine goes
+// on working.
+func testLongKeyRefused(t *testing.T, mk Factory) {
+	e := mk(nil)
+	defer e.Close()
+	long := strings.Repeat("k", storage.MaxKey+1)
+	if err := e.Bootstrap(map[string][]byte{long: nil}); err == nil {
+		t.Fatal("Bootstrap took a key longer than MaxKey")
+	}
+	for _, write := range []func(engine.Tx) error{
+		func(tx engine.Tx) error { return tx.Put(long, []byte("v")) },
+		func(tx engine.Tx) error { return tx.Delete(long) },
+	} {
+		tx, err := e.Begin(engine.ReadWrite)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := write(tx); err == nil || engine.Retryable(err) {
+			t.Fatalf("write of a long key = %v; want an error that is not retryable", err)
+		}
+		tx.Abort()
+	}
+	retry(t, e, engine.ReadWrite, func(tx engine.Tx) error { return tx.Put("a", []byte("v")) })
+	retry(t, e, engine.ReadOnly, func(ro engine.Tx) error {
+		if v, err := ro.Get("a"); err != nil || string(v) != "v" {
+			t.Fatalf("Get after the refused writes = (%q, %v)", v, err)
+		}
+		return nil
+	})
 }
 
 func testUseAfterFinish(t *testing.T, mk Factory) {

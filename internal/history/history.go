@@ -111,6 +111,15 @@ func (r *Recorder) RecordAbort(txID uint64) {
 	}
 }
 
+// RecordSnapshot implements engine.Recorder. The checker orders a
+// read-only transaction by its commit's number, which is its start
+// number.
+func (*Recorder) RecordSnapshot(uint64, uint64) {}
+
+// RecordParked implements engine.Recorder. Waits do not enter the
+// history.
+func (*Recorder) RecordParked(uint64, bool) {}
+
 // CommittedCount returns the number of committed transactions recorded.
 func (r *Recorder) CommittedCount() int {
 	r.mu.Lock()

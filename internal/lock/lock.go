@@ -366,7 +366,7 @@ func (m *Manager) SetWaitObserver(fn func(txID uint64, wait time.Duration)) {
 // or by the waiter itself when it times out. A releaser calls it under
 // the key's stripe mutex, so wake must not call into the manager. A
 // wake can overtake the block report of the same request. The engines
-// feed both to their recorder as park events (engine.ParkRecorder),
+// feed both to their recorder as park events (Recorder.RecordParked),
 // which internal/schedtest paces its schedules by; this package's tests
 // use block to learn that a request has parked.
 func (m *Manager) SetBlockObserver(block func(txID uint64, key string), wake func(txID uint64)) {

@@ -12,7 +12,7 @@
 // one interleaving must trip both oracles.
 //
 // Execution model: one goroutine per script, paced by a scheduler that
-// is itself a recorder on the engine (engine.ParkRecorder). The engines
+// is itself a recorder on the engine (engine.Recorder.RecordParked). The engines
 // report a park when a step starts to wait for another transaction (a
 // 2PL lock wait, a T/O request waiting on an older pending write), and
 // the step that releases it reports the wake before it returns. The
@@ -273,7 +273,7 @@ func (sched *scheduler) locked(f func()) {
 	sched.cond.Broadcast()
 }
 
-// RecordParked implements engine.ParkRecorder. A transaction of no
+// RecordParked implements engine.Recorder. A transaction of no
 // script (the final read) is ignored.
 func (sched *scheduler) RecordParked(txID uint64, parked bool) {
 	sched.locked(func() {

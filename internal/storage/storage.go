@@ -612,6 +612,16 @@ type Store struct {
 // GetOrCreate panics on a longer one.
 const MaxKey = index.MaxKey
 
+// CheckKey refuses a key longer than the store holds. Every engine's
+// write path and Bootstrap call it before a write buffers the key, logs
+// it or installs it.
+func CheckKey(key string) error {
+	if len(key) > MaxKey {
+		return fmt.Errorf("storage: key of %d bytes, longer than %d", len(key), MaxKey)
+	}
+	return nil
+}
+
 // NewStore creates an empty store. The argument is ignored: it was the
 // shard count of the hash-sharded store this table replaced.
 func NewStore(int) *Store { return &Store{} }

@@ -57,7 +57,9 @@ func (m Mode) String() string {
 // Controller is the Version Control module behind an interface. All
 // methods are safe for concurrent use. Start must be wait-free (the
 // read-only begin path is the paper's "almost negligible overhead"
-// claim), and WaitVisible(n) must return once VTNC() >= n.
+// claim). The module holds no wait: a read-only transaction that must
+// see a number become visible (Section 6) waits in the engine, which
+// the Complete or Discard call that moves vtnc past it wakes.
 type Controller interface {
 	// Start implements VCstart(): the snapshot number for a read-only
 	// transaction. Equal to VTNC; wait-free.
@@ -79,9 +81,6 @@ type Controller interface {
 	// order, deliberately violating the Transaction Visibility Property.
 	// Test-only; see DESIGN.md.
 	UnsafeCompleteEager(*Entry)
-	// WaitVisible blocks until VTNC() >= n (Section 6 recency
-	// rectification).
-	WaitVisible(n uint64)
 	// TNC is the next transaction number to be assigned.
 	TNC() uint64
 	// VTNC is the visibility horizon: the largest n with every tn <= n

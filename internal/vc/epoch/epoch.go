@@ -5,10 +5,10 @@
 // Multiversion Concurrency Control by Leveraging Visibility".
 //
 // The strict controller funnels every register, complete, and discard
-// through one mutex, one ordered queue, and one condition-variable
-// broadcast — the paper's Figure 1, and (per EXPERIMENTS O3) the hard
-// ceiling on multi-core commit throughput. This implementation keeps the
-// module's two properties while removing that funnel:
+// through one mutex and one ordered queue — the paper's Figure 1, and
+// (per EXPERIMENTS O3) the hard ceiling on multi-core commit
+// throughput. This implementation keeps the module's two properties
+// while removing that funnel:
 //
 //   - Assignment stays *globally ordered* through a single wait-free
 //     atomic fetch-add on tnc. This is deliberate, and weaker than the
@@ -119,9 +119,8 @@ type Controller struct {
 	completions atomic.Uint64
 	discards    atomic.Uint64
 
-	// waitMu/cond serve WaitVisible and the Register capacity guard;
-	// waiters gates the publish-side broadcast so the uncontended case
-	// never locks.
+	// waitMu/cond serve the Register capacity guard; waiters gates the
+	// publish-side broadcast so the uncontended case never locks.
 	waitMu  sync.Mutex
 	cond    *sync.Cond
 	waiters atomic.Int64
@@ -296,7 +295,8 @@ func (c *Controller) drainLaneLocked(ln *lane) bool {
 
 // publish recomputes the watermark — min over lane frontiers, minus one
 // — and CAS-maxes it into vtnc. A successful raise bumps the epoch,
-// wakes waiters, and fires the observer for the newly visible batch.
+// wakes capacity waiters, and fires the observer for the newly visible
+// batch.
 func (c *Controller) publish() {
 	min := c.lanes[0].frontier.Load()
 	for l := 1; l < len(c.lanes); l++ {
@@ -381,20 +381,6 @@ func (c *Controller) UnsafeCompleteEager(e *vc.Entry) {
 		}
 	}
 	c.resolve(e, slotComplete)
-}
-
-// WaitVisible blocks until the watermark reaches n.
-func (c *Controller) WaitVisible(n uint64) {
-	if c.vtnc.Load() >= n {
-		return
-	}
-	c.waitMu.Lock()
-	c.waiters.Add(1)
-	for c.vtnc.Load() < n {
-		c.cond.Wait()
-	}
-	c.waiters.Add(-1)
-	c.waitMu.Unlock()
 }
 
 // SetVisibleObserver installs fn; see vc.Controller. Install before

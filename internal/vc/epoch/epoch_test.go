@@ -229,29 +229,6 @@ func TestVisibleObserver(t *testing.T) {
 	}
 }
 
-func TestWaitVisible(t *testing.T) {
-	c := New(0)
-	h1 := c.Register()
-	h2 := c.Register()
-	done := make(chan struct{})
-	go func() {
-		c.WaitVisible(2)
-		close(done)
-	}()
-	c.Complete(h2)
-	select {
-	case <-done:
-		t.Fatal("WaitVisible(2) returned with tn 1 outstanding")
-	case <-time.After(20 * time.Millisecond):
-	}
-	c.Complete(h1)
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("WaitVisible(2) stuck after both completed")
-	}
-}
-
 // Concurrent hammer: many goroutines register/complete/discard; the
 // watermark must end at tnc-1 with invariants intact, and every
 // mid-flight Start must be a resolved prefix position.

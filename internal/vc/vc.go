@@ -83,8 +83,7 @@ func (e *Entry) Assign(tn uint64) { e.tn = tn }
 // have "almost negligible overhead": they interact with this module once,
 // and that interaction does not contend with read-write registration.
 type Strict struct {
-	mu   sync.Mutex
-	cond *sync.Cond
+	mu sync.Mutex
 
 	// vtnc is stored atomically so Start never takes the mutex.
 	vtnc atomic.Uint64
@@ -130,7 +129,6 @@ func NewStrided(initial, offset, step uint64) *Strict {
 	c := &Strict{step: step, offset: offset}
 	c.tnc = nextAligned(initial, offset, step)
 	c.vtnc.Store(initial)
-	c.cond = sync.NewCond(&c.mu)
 	return c
 }
 
@@ -276,7 +274,6 @@ func (c *Strict) UnsafeCompleteEager(e *Entry) {
 	c.completions.Add(1)
 	if c.vtnc.Load() < e.tn {
 		c.vtnc.Store(e.tn)
-		c.cond.Broadcast()
 	}
 	c.unlink(e)
 	// Entries stranded behind an eagerly-advanced vtnc are drained so the
@@ -294,7 +291,6 @@ func (c *Strict) UnsafeCompleteEager(e *Entry) {
 // keeps per-site visibility from stranding below a remote snapshot in the
 // distributed extension, where the stride and max-vote rules leave gaps.
 func (c *Strict) drainLocked() {
-	advanced := false
 	var nowNS int64
 	if c.onVisible != nil {
 		nowNS = time.Now().UnixNano()
@@ -308,7 +304,6 @@ func (c *Strict) drainLocked() {
 			c.onVisible(h.tn, time.Duration(nowNS-h.regAt))
 		}
 		c.unlink(h) // last: h's owner may reuse it once it is unlinked
-		advanced = true
 	}
 	target := c.tnc - 1
 	if c.head != nil {
@@ -316,25 +311,6 @@ func (c *Strict) drainLocked() {
 	}
 	if target > c.vtnc.Load() {
 		c.vtnc.Store(target)
-		advanced = true
-	}
-	if advanced {
-		c.cond.Broadcast()
-	}
-}
-
-// WaitVisible blocks until vtnc >= n. It implements the Section 6
-// rectification of delayed visibility: a read-only transaction that must
-// observe a particular read-write transaction T waits until tn(T) is
-// visible before taking its start number.
-func (c *Strict) WaitVisible(n uint64) {
-	if c.vtnc.Load() >= n {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for c.vtnc.Load() < n {
-		c.cond.Wait()
 	}
 }
 

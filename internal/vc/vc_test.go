@@ -150,41 +150,6 @@ func TestLag(t *testing.T) {
 	}
 }
 
-func TestWaitVisible(t *testing.T) {
-	c := New(0)
-	e1 := c.Register()
-	done := make(chan uint64)
-	go func() {
-		c.WaitVisible(1)
-		done <- c.Start()
-	}()
-	select {
-	case <-done:
-		t.Fatal("WaitVisible returned before completion")
-	case <-time.After(10 * time.Millisecond):
-	}
-	c.Complete(e1)
-	select {
-	case sn := <-done:
-		if sn != 1 {
-			t.Fatalf("start after WaitVisible = %d, want 1", sn)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("WaitVisible never woke")
-	}
-}
-
-func TestWaitVisibleAlreadyVisible(t *testing.T) {
-	c := New(7)
-	donec := make(chan struct{})
-	go func() { c.WaitVisible(3); close(donec) }()
-	select {
-	case <-donec:
-	case <-time.After(2 * time.Second):
-		t.Fatal("WaitVisible(3) blocked although vtnc=7")
-	}
-}
-
 func TestResolveTwicePanics(t *testing.T) {
 	c := New(0)
 	e := c.Register()
@@ -522,29 +487,6 @@ func TestNewStridedValidation(t *testing.T) {
 			}()
 			NewStrided(0, tc.off, tc.step)
 		}()
-	}
-}
-
-func TestWaitVisibleManyWaiters(t *testing.T) {
-	c := New(0)
-	e := c.Register()
-	const n = 16
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c.WaitVisible(1)
-		}()
-	}
-	time.Sleep(5 * time.Millisecond)
-	c.Complete(e)
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("waiters not all released")
 	}
 }
 
