@@ -198,7 +198,7 @@ func lag() {
 	young.Put("k", []byte("v-new"))
 	young.Commit()
 	youngTN, _ := young.SN()
-	step("younger txn tn=%d commits 'v-new'   %s  <- lag=%d", youngTN, vcState(e.VC()), e.VC().Lag())
+	step("younger txn tn=%d commits 'v-new'   %s  <- lag=%d", youngTN, vcState(e.VC()), e.VisibilityLag())
 
 	ro, _ := e.Begin(engine.ReadOnly)
 	v, _ := ro.Get("k")

@@ -27,7 +27,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"mvdb/internal/engine"
 	"mvdb/internal/faultfs"
@@ -69,13 +68,6 @@ func (p Protocol) String() string {
 type Options struct {
 	// Protocol selects the read-write concurrency control. Default: 2PL.
 	Protocol Protocol
-	// LockPolicy selects deadlock handling for 2PL: lock.Detect (the
-	// default, a standalone engine's and a one-site cluster's) or
-	// lock.TimeoutPolicy (a site's of a larger cluster, whose waits-for
-	// relation cannot see a cycle across sites).
-	LockPolicy lock.Policy
-	// LockTimeout applies when LockPolicy is lock.TimeoutPolicy.
-	LockTimeout time.Duration
 	// Visibility selects the version-control implementation: the
 	// paper's strict drain queue (default) or the epoch watermark
 	// (internal/vc/epoch), which decentralizes completion tracking and
@@ -193,7 +185,7 @@ func newUnstarted(opts Options) *Engine {
 	}
 	// The lock manager exists under every protocol: LockWaitGraph, the
 	// stripe heatmap and the lock counters read it unconditionally.
-	e.locks = lock.NewManager(opts.LockPolicy, opts.LockTimeout)
+	e.locks = opts.site.locks()
 	e.observeLocks()
 	return e
 }
@@ -209,6 +201,18 @@ func (e *Engine) VC() vc.Controller { return e.vc }
 
 // VTNC returns the current visibility horizon (it satisfies gc.Source).
 func (e *Engine) VTNC() uint64 { return e.vc.VTNC() }
+
+// VisibilityLag is tnc-1-vtnc: the assigned serialization positions not
+// yet visible, the staleness a new snapshot can see (Section 6).
+func (e *Engine) VisibilityLag() uint64 { _, _, lag := e.counters(); return lag }
+
+// counters reads vtnc, then tnc (calls run left to right): both only
+// grow, so vtnc <= tnc-1 holds for the pair, and lag does not underflow,
+// while commits race the read.
+func (e *Engine) counters() (vtnc, tnc, lag uint64) {
+	vtnc, tnc = e.vc.VTNC(), e.vc.TNC()
+	return vtnc, tnc, tnc - 1 - vtnc
+}
 
 // Bootstrap loads key/value pairs as version 0, before any transactions,
 // in key order.
@@ -464,14 +468,8 @@ func (e *Engine) Stats() obs.Snapshot {
 	sn.LockTimeouts = int64(e.locks.Timeouts())
 	sn.LockStripes = e.locks.Stripes()
 	sn.LockStripeCollisions = int64(e.locks.StripeCollisions())
-	// vtnc first, then tnc: both only grow, so vtnc <= tnc-1 holds for
-	// the pair even while commits race the snapshot.
-	vtnc := e.vc.VTNC()
-	tnc := e.vc.TNC()
 	sn.VisibilityMode = e.vc.Mode().String()
-	sn.VTNC = vtnc
-	sn.TNC = tnc
-	sn.VisibilityLag = tnc - 1 - vtnc
+	sn.VTNC, sn.TNC, sn.VisibilityLag = e.counters()
 	sn.VCQueueLen = e.vc.QueueLen()
 	var keys int
 	var versions int64

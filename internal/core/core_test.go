@@ -266,7 +266,7 @@ func TestDelayedVisibilityAndRecencyRectification(t *testing.T) {
 		t.Fatalf("delayed visibility broken: got %q, want 0", got)
 	}
 	ro.Commit()
-	if lag := e.VC().Lag(); lag == 0 {
+	if lag := e.VisibilityLag(); lag == 0 {
 		t.Fatal("expected a visibility lag while older txn active")
 	}
 

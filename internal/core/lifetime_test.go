@@ -21,19 +21,20 @@ import (
 // deadlock on the other. Each worker makes a fixed number of attempts,
 // committed or not. Once quiescent, the lock manager holds no
 // transaction and no key, the strict controller's queue is empty and
-// consistent and completed exactly the commits, and both keys hold the
-// last committer's value.
+// consistent, the engine counted exactly the commits, and both keys hold
+// the last committer's value. The timeout rule is a cluster site's, so
+// that engine is built as site 0 of two.
 func TestEmbeddedStateLifetime(t *testing.T) {
 	for _, c := range []struct {
 		name   string
-		policy lock.Policy
+		opts   Options
 		aborts func(*lock.Manager) uint64
 	}{
-		{"detect", lock.Detect, (*lock.Manager).Deadlocks},
-		{"timeout", lock.TimeoutPolicy, (*lock.Manager).Timeouts},
+		{"detect", Options{Protocol: TwoPhaseLocking}, (*lock.Manager).Deadlocks},
+		{"timeout", ClusterSite(Options{Protocol: TwoPhaseLocking}, 0, 2, new(Registry), 2*time.Millisecond), (*lock.Manager).Timeouts},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			e := New(Options{Protocol: TwoPhaseLocking, LockPolicy: c.policy, LockTimeout: 2 * time.Millisecond})
+			e := New(c.opts)
 			defer e.Close()
 			keys := [2]string{"a", "b"}
 			const workers, attempts = 8, 100
@@ -70,8 +71,8 @@ func TestEmbeddedStateLifetime(t *testing.T) {
 			if n := e.vc.QueueLen(); n != 0 {
 				t.Errorf("VCQueue holds %d entries at rest", n)
 			}
-			if n := e.vc.Completions(); n != uint64(commits.Load()) {
-				t.Errorf("%d completions for %d commits", n, commits.Load())
+			if n := e.Stats().CommitsRW; n != commits.Load() {
+				t.Errorf("%d commits counted for %d made", n, commits.Load())
 			}
 			a, _ := e.latest(keys[0])
 			b, _ := e.latest(keys[1])

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"mvdb/internal/engine"
-	"mvdb/internal/lock"
 )
 
 // TestSnapshotFields checks the engine-level snapshot assembly: counter
@@ -72,9 +71,10 @@ func TestLockWaitHistogram(t *testing.T) {
 }
 
 // TestAbortCauseCounters: each abort cause increments its own counter —
-// including the timeout split (previously folded into deadlocks).
+// including the timeout split (previously folded into deadlocks), which
+// a cluster site's lock timeout makes.
 func TestAbortCauseCounters(t *testing.T) {
-	e := New(Options{Protocol: TwoPhaseLocking, LockPolicy: lock.TimeoutPolicy, LockTimeout: 5 * time.Millisecond})
+	e := New(ClusterSite(Options{Protocol: TwoPhaseLocking}, 0, 2, new(Registry), 5*time.Millisecond))
 	defer e.Close()
 	tx1, _ := e.Begin(engine.ReadWrite)
 	tx1.Put("x", []byte("1"))

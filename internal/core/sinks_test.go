@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"mvdb/internal/engine"
-	"mvdb/internal/lock"
 	"mvdb/internal/obs"
 	"mvdb/internal/wal"
 )
@@ -150,10 +149,10 @@ func (s *sinkScript) logFailures(fs *gateFS, log *wal.Writer) {
 var sinkCases = []struct {
 	name      string
 	protocol  Protocol
-	policy    lock.Policy
+	site      bool // a site of a two-site cluster: its deadlock rule is the lock timeout
 	conflicts func(s *sinkScript)
 }{
-	{"2pl/detect", TwoPhaseLocking, lock.Detect, func(s *sinkScript) {
+	{"2pl/detect", TwoPhaseLocking, false, func(s *sinkScript) {
 		t1, t2 := s.begin(engine.ReadWrite), s.begin(engine.ReadWrite)
 		s.must(t1.Put("x", []byte("1")))
 		s.must(t2.Put("y", []byte("2")))
@@ -170,13 +169,13 @@ var sinkCases = []struct {
 			s.commit(t2)
 		}
 	}},
-	{"2pl/timeout", TwoPhaseLocking, lock.TimeoutPolicy, func(s *sinkScript) {
+	{"2pl/timeout", TwoPhaseLocking, true, func(s *sinkScript) {
 		t1, t2 := s.begin(engine.ReadWrite), s.begin(engine.ReadWrite)
 		s.must(t1.Put("x", []byte("1")))
 		s.aborted(t2.Put("x", []byte("2")), engine.ErrDeadlock, "timeout")
 		s.commit(t1)
 	}},
-	{"to", TimestampOrdering, lock.Detect, func(s *sinkScript) {
+	{"to", TimestampOrdering, false, func(s *sinkScript) {
 		for i := 0; i < 2; i++ {
 			old, young := s.begin(engine.ReadWrite), s.begin(engine.ReadWrite)
 			s.get(young, "a") // raises r-ts(a) past old
@@ -184,7 +183,7 @@ var sinkCases = []struct {
 			s.commit(young)
 		}
 	}},
-	{"occ", Optimistic, lock.Detect, func(s *sinkScript) {
+	{"occ", Optimistic, false, func(s *sinkScript) {
 		overwrite := func() {
 			tx := s.begin(engine.ReadWrite)
 			s.must(tx.Put("a", []byte("moved")))
@@ -201,7 +200,7 @@ var sinkCases = []struct {
 		_, err := t1.Get("a")
 		s.aborted(err, engine.ErrConflict, "conflict")
 	}},
-	{"ro", TwoPhaseLocking, lock.Detect, func(s *sinkScript) {
+	{"ro", TwoPhaseLocking, false, func(s *sinkScript) {
 		for i := 0; i < 4; i++ {
 			tx := s.begin(engine.ReadOnly)
 			s.get(tx, "a")
@@ -229,10 +228,11 @@ func TestSinkAgreement(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			fs := newGateFS()
 			rec := &countingRecorder{}
-			e, err := OpenDurable(filepath.Join(t.TempDir(), "commit.log"), Options{
-				Protocol: c.protocol, LockPolicy: c.policy, LockTimeout: 5 * time.Millisecond,
-				Recorder: rec, PhaseTiming: true,
-			}, DurableOptions{FS: fs})
+			opts := Options{Protocol: c.protocol, Recorder: rec, PhaseTiming: true}
+			if c.site {
+				opts = ClusterSite(opts, 0, 2, new(Registry), 5*time.Millisecond)
+			}
+			e, err := OpenDurable(filepath.Join(t.TempDir(), "commit.log"), opts, DurableOptions{FS: fs})
 			if err != nil {
 				t.Fatal(err)
 			}

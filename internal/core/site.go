@@ -4,18 +4,25 @@ package core
 // engine like any other: 2PL, the strict controller, the pipelined commit
 // tail, collection by commits. What the cluster needs beyond the
 // single-site API reaches the engine through this file only: the site's
-// numbering and the snapshot registry its sites share, at construction
-// (ClusterSite); a read-write transaction begun under the coordinator's
-// global id whose number a vote fixes (BeginSite, Adopt); the catch-up
-// of a site whose horizon lags a snapshot (Fill, AwaitVisible); and
-// snapshot reads at a number the coordinator chose (ReadAt, ScanAt).
+// numbering, its lock timeout and the snapshot registry its sites share,
+// at construction (ClusterSite); a read-write transaction begun under the
+// coordinator's global id whose number a vote fixes (BeginSite, Vote,
+// Adopt); the catch-up of a site whose horizon lags a snapshot (Fill,
+// AwaitVisible); and snapshot reads at a number the coordinator chose
+// (ReadAt, ScanAt).
 
-import "mvdb/internal/vc"
+import (
+	"time"
+
+	"mvdb/internal/lock"
+	"mvdb/internal/vc"
+)
 
 // site is what ClusterSite puts in Options.
 type site struct {
 	offset, step uint64
 	reg          *Registry
+	lockTimeout  time.Duration
 }
 
 // ClusterSite returns opts for site offset of a step-site cluster whose
@@ -23,10 +30,12 @@ type site struct {
 // numbers in the residue class offset mod step (vc.NewStrided), so no two
 // sites assign the same one; the engine publishes its snapshots in reg
 // and collects against it, so a snapshot published there once holds
-// collection off at every site. New and OpenDurable build the site from
-// the result; Adopt needs its protocol to be TwoPhaseLocking.
-func ClusterSite(opts Options, offset, step uint64, reg *Registry) Options {
-	opts.site = &site{offset: offset, step: step, reg: reg}
+// collection off at every site. A site of two or more times its lock
+// waits out after lockTimeout (zero: the lock manager's default). New
+// and OpenDurable build the site from the result; Adopt needs its
+// protocol to be TwoPhaseLocking.
+func ClusterSite(opts Options, offset, step uint64, reg *Registry, lockTimeout time.Duration) Options {
+	opts.site = &site{offset: offset, step: step, reg: reg, lockTimeout: lockTimeout}
 	return opts
 }
 
@@ -36,6 +45,18 @@ func (s *site) registry() *Registry {
 		return s.reg
 	}
 	return new(Registry)
+}
+
+// locks is an engine's lock manager, under the one deadlock rule that
+// sees every deadlock it can meet: a standalone engine's waits-for graph,
+// and a one-site cluster's, holds every cycle, so it detects them; a
+// cycle of a larger cluster can span sites, where no site's graph sees
+// it, so the site times its lock waits out.
+func (s *site) locks() *lock.Manager {
+	if s != nil && s.step > 1 {
+		return lock.NewManager(lock.TimeoutPolicy, s.lockTimeout)
+	}
+	return lock.NewManager(lock.Detect, 0)
 }
 
 // BeginSite begins a 2PL read-write transaction under id, the
@@ -50,12 +71,17 @@ func (e *Engine) BeginSite(id uint64) (*Tx, error) {
 	return e.beginTwoPhase(id, nil), nil
 }
 
+// Vote is the site's vote in the coordinator's max-vote: the number the
+// next registration here would take (vc.Strict.Reserve), assigned to
+// nothing yet. The caller holds the site's registration gate from the
+// vote until Adopt returns, so no registration here overtakes it.
+func (e *Engine) Vote() uint64 { return e.vc.(*vc.Strict).Reserve() }
+
 // Adopt registers tx, begun by BeginSite, at exactly tn, the number the
 // coordinator's max-vote chose (vc.Strict.RegisterExact), in the entry tx
 // holds. Its Commit then finds it registered and runs the commit tail a
 // local commit runs. The caller holds the site's registration gate from
-// its vote (vc.Strict.Reserve) until this returns, so tn is not behind
-// tnc.
+// its Vote until this returns, so tn is not behind tnc.
 func (e *Engine) Adopt(tx *Tx, tn uint64) error {
 	return e.vc.(*vc.Strict).RegisterExact(&tx.self.(*twoPhaseTx).entry, tn)
 }

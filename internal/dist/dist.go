@@ -3,9 +3,9 @@
 // authors' unavailable report [3]; DESIGN.md documents this
 // reconstruction).
 //
-// Each site is a core.Engine — two-phase locking with timeout deadlock
-// resolution, the strict controller, the pipelined commit tail,
-// collection by commits — built by core.ClusterSite, so it keeps its own
+// Each site is a core.Engine — two-phase locking, the strict controller,
+// the pipelined commit tail, collection by commits — built by
+// core.ClusterSite, which also fixes its deadlock rule, so it keeps its own
 // counters (tnc, vtnc) and its own VCQueue, exactly as the paper
 // prescribes. This package adds only what is distributed. The two
 // requirements the paper states — "there is only one start number
@@ -16,13 +16,13 @@
 //     each site it touches, all under its global id, and commits with
 //     two-phase commit. It votes: every participant, visited in site
 //     order (which makes the vote windows deadlock-free), takes its
-//     registration gate and votes its next local transaction number; the
-//     coordinator picks the maximum. It adopts: every participant
-//     registers exactly that number (core.Engine.Adopt) and releases its
-//     gate. Each part then commits through its engine's own commit tail.
-//     Sites hand out local numbers from disjoint residue classes
-//     (vc.NewStrided), so the adopted maximum — and every local number —
-//     is globally unique.
+//     registration gate and votes its next local transaction number
+//     (core.Engine.Vote); the coordinator picks the maximum. It adopts:
+//     every participant registers exactly that number
+//     (core.Engine.Adopt) and releases its gate. Each part then commits
+//     through its engine's own commit tail. Sites hand out local numbers
+//     from disjoint residue classes (core.ClusterSite), so the adopted
+//     maximum — and every local number — is globally unique.
 //
 //   - Read-only transactions take a single start number sn and read the
 //     largest version <= sn everywhere, through each site's read rule
@@ -56,9 +56,7 @@ import (
 
 	"mvdb/internal/core"
 	"mvdb/internal/engine"
-	"mvdb/internal/lock"
 	"mvdb/internal/obs"
-	"mvdb/internal/vc"
 )
 
 // Bus simulates the network: every inter-site call pays a latency (plus
@@ -122,10 +120,6 @@ func (s *Site) live() (*core.Engine, error) {
 // advance visibility for lagging read-only transactions.
 func (s *Site) Fillers() uint64 { return s.fillers.Load() }
 
-// strict is the site's controller: the strict one, in the site's residue
-// class (core.ClusterSite).
-func (s *Site) strict() *vc.Strict { return s.Engine().VC().(*vc.Strict) }
-
 // fill burns position sn at the site's engine e (core.Engine.Fill),
 // counting the filler if it registered one. The caller holds the gate.
 func (s *Site) fill(e *core.Engine, sn uint64) {
@@ -155,11 +149,10 @@ type Options struct {
 	// Jitter adds a uniform random delay in [0, Jitter) per message,
 	// perturbing interleavings (poor-man's network failure injection).
 	Jitter time.Duration
-	// LockTimeout bounds lock waits at each site. Distributed deadlocks
-	// span sites, where a local waits-for graph cannot see the cycle, so
-	// sites use timeout-based resolution (default 50ms). A one-site
-	// cluster's one waits-for graph sees every cycle: it detects
-	// deadlocks instead, and LockTimeout does not apply.
+	// LockTimeout bounds lock waits at each site of a cluster of two or
+	// more, whose deadlocks can span sites, where no site's waits-for
+	// graph sees the cycle (zero: the lock manager's default). A one-site
+	// cluster detects its deadlocks instead (core.ClusterSite).
 	LockTimeout time.Duration
 	// Partition maps a key to a site (default: FNV hash mod Sites).
 	Partition func(key string) int
@@ -197,9 +190,6 @@ type Cluster struct {
 func New(opts Options) (*Cluster, error) {
 	if opts.Sites < 1 {
 		return nil, errors.New("dist: Sites must be >= 1")
-	}
-	if opts.LockTimeout <= 0 {
-		opts.LockTimeout = 50 * time.Millisecond
 	}
 	c := &Cluster{opts: opts, bus: &Bus{latency: opts.Latency, jitter: opts.Jitter}, stats: obs.NewStats()}
 	c.rec = opts.Recorder
@@ -261,16 +251,10 @@ func (c *Cluster) hold() {
 // open builds site s's engine: a fresh one, or, on a durable cluster,
 // the one core.OpenDurable recovers from the site's log.
 func (c *Cluster) open(s *Site) error {
-	policy := lock.TimeoutPolicy
-	if c.opts.Sites == 1 {
-		policy = lock.Detect // the one site sees every cycle
-	}
 	opts := core.ClusterSite(core.Options{
-		Protocol:    core.TwoPhaseLocking,
-		LockPolicy:  policy,
-		LockTimeout: c.opts.LockTimeout,
-		Recorder:    siteRecorder{c.rec},
-	}, uint64(s.id), uint64(c.opts.Sites), &c.reg)
+		Protocol: core.TwoPhaseLocking,
+		Recorder: siteRecorder{c.rec},
+	}, uint64(s.id), uint64(c.opts.Sites), &c.reg, c.opts.LockTimeout)
 	if c.opts.WALDir == "" {
 		s.e.Store(core.New(opts))
 		return nil
@@ -341,7 +325,7 @@ func (c *Cluster) Stats() obs.Snapshot {
 	sn := c.stats.Snapshot()
 	for _, s := range c.sites {
 		if e := s.Engine(); e != nil {
-			sn.VisibilityLag += e.VC().Lag()
+			sn.VisibilityLag += e.VisibilityLag()
 			sn.VCQueueLen += e.VC().QueueLen()
 		}
 	}
@@ -512,7 +496,7 @@ func (t *DTx) Commit() error {
 		s := t.c.sites[sid]
 		t.c.bus.call(func() {
 			s.gate.Lock()
-			chosen = max(chosen, s.strict().Reserve())
+			chosen = max(chosen, s.Engine().Vote())
 		})
 	}
 	if chosen == 0 { // empty transaction

@@ -166,7 +166,7 @@ func TestReadOnlyWaitsForActiveOlderTxnAtRemoteSite(t *testing.T) {
 		t.Fatal(err)
 	}
 	s1.gate.Lock()
-	err = s1.Engine().Adopt(older, s1.strict().Reserve())
+	err = s1.Engine().Adopt(older, s1.Engine().Vote())
 	s1.gate.Unlock()
 	if err != nil {
 		t.Fatal(err)
@@ -610,7 +610,7 @@ func TestSitesHoldCollectionAtTheMark(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.gate.Lock()
-		err = s.Engine().Adopt(p, s.strict().Reserve())
+		err = s.Engine().Adopt(p, s.Engine().Vote())
 		s.gate.Unlock()
 		if err != nil {
 			t.Fatal(err)

@@ -8,7 +8,6 @@ import (
 	"mvdb/internal/core"
 	"mvdb/internal/dist"
 	"mvdb/internal/engine"
-	"mvdb/internal/lock"
 	"mvdb/internal/vc"
 )
 
@@ -19,9 +18,10 @@ func TestConformance(t *testing.T) {
 		"vc+2pl": func(rec engine.Recorder) Instance {
 			return core.New(core.Options{Protocol: core.TwoPhaseLocking, Recorder: rec})
 		},
+		// The timeout rule is a cluster site's: site 0 of two.
 		"vc+2pl/timeout": func(rec engine.Recorder) Instance {
-			return core.New(core.Options{Protocol: core.TwoPhaseLocking, LockPolicy: lock.TimeoutPolicy,
-				LockTimeout: 5 * time.Millisecond, Recorder: rec})
+			return core.New(core.ClusterSite(core.Options{Protocol: core.TwoPhaseLocking, Recorder: rec},
+				0, 2, new(core.Registry), 5*time.Millisecond))
 		},
 		"vc+to": func(rec engine.Recorder) Instance {
 			return core.New(core.Options{Protocol: core.TimestampOrdering, Recorder: rec})

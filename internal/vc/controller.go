@@ -59,7 +59,12 @@ func (m Mode) String() string {
 // read-only begin path is the paper's "almost negligible overhead"
 // claim). The module holds no wait: a read-only transaction that must
 // see a number become visible (Section 6) waits in the engine, which
-// the Complete or Discard call that moves vtnc past it wakes.
+// the Complete or Discard call that moves vtnc past it wakes. Nor does
+// it derive what its counters give: the visibility lag tnc-1-vtnc is
+// the engine's to read (core.Engine.VisibilityLag). Its members are
+// what the engine calls, plus Register (the isolation benchmarks),
+// SetVisibleObserver (mvbench's bench4), UnsafeCompleteEager (ablation
+// A2), and Mode and CheckInvariants (gauges and tests).
 type Controller interface {
 	// Start implements VCstart(): the snapshot number for a read-only
 	// transaction. Equal to VTNC; wait-free.
@@ -86,14 +91,9 @@ type Controller interface {
 	// VTNC is the visibility horizon: the largest n with every tn <= n
 	// resolved. Wait-free.
 	VTNC() uint64
-	// Lag is tnc-1-vtnc: assigned positions not yet visible.
-	Lag() uint64
 	// QueueLen is the number of unresolved registrations (for the epoch
 	// controller, the outstanding count — there is no queue).
 	QueueLen() int
-	// Completions and Discards count resolutions by kind.
-	Completions() uint64
-	Discards() uint64
 	// SetVisibleObserver installs fn, called exactly once per completed
 	// registration when its number becomes visible, with the
 	// register→visible lag. Install before concurrent use; nil

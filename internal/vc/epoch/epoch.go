@@ -25,18 +25,19 @@
 //
 //   - Completion tracking is per-lane. tn space is interleaved across P
 //     lanes (lane = tn mod P, P a power of two); each lane owns a fixed
-//     ring of slots and a *frontier*, the smallest tn in its residue
-//     class not yet known resolved. Completing or discarding flips one
-//     slot and drains only its own lane under that lane's short mutex —
-//     completions in different lanes never touch the same cache lines.
+//     ring of slots, a *frontier* — the smallest tn in its residue class
+//     not yet known resolved — and a count of its resolutions. Completing
+//     or discarding flips one slot, counts itself and drains only its own
+//     lane under that lane's short mutex — completions in different lanes
+//     write no common cache line unless one moves its frontier and
+//     publishes.
 //
 //   - Visibility advances by watermark. The visible horizon is
 //     min(lane frontiers) - 1: every transaction at or below it has
 //     resolved, which is precisely the Transaction Visibility Property.
 //     A lane that advances its frontier recomputes the minimum and
 //     publishes it to vtnc with a CAS-max; one publish can make a whole
-//     batch of transactions visible at once (the "epoch" — the publish
-//     generation counter — counts these batches). Read-only
+//     batch of transactions visible at once (an "epoch"). Read-only
 //     transactions anchor on the published watermark with a single
 //     atomic load, exactly as strict's Start does, so snapshot reads
 //     stay non-blocking.
@@ -95,6 +96,8 @@ type lane struct {
 	// frontier is the smallest tn ≡ lane (mod P) not yet known
 	// resolved; written only under mu, read lock-free by publishers.
 	frontier atomic.Uint64
+	// resolved counts the lane's completions and discards, under mu.
+	resolved uint64
 	slots    []slot
 	// pad keeps hot per-lane state off shared cache lines.
 	_ [64]byte
@@ -104,10 +107,9 @@ type lane struct {
 // Call New; the zero value is not usable.
 type Controller struct {
 	// tnc is the next transaction number to assign; vtnc the published
-	// watermark; epoch the publish generation.
-	tnc   atomic.Uint64
-	vtnc  atomic.Uint64
-	epoch atomic.Uint64
+	// watermark.
+	tnc  atomic.Uint64
+	vtnc atomic.Uint64
 
 	lanes    []lane
 	laneMask uint64 // P-1
@@ -115,9 +117,6 @@ type Controller struct {
 	slotMask uint64 // R-1
 	capacity uint64 // P*R: max distance tn may run ahead of vtnc
 	initial  uint64 // bootstrap snapshot; tns start at initial+1
-
-	completions atomic.Uint64
-	discards    atomic.Uint64
 
 	// waitMu/cond serve the Register capacity guard; waiters gates the
 	// publish-side broadcast so the uncontended case never locks.
@@ -235,20 +234,15 @@ func (c *Controller) RegisterEntry(e *vc.Entry) {
 	e.Assign(tn)
 }
 
-// resolve CASes the slot out of outstanding, drains the lane, and
-// publishes any advance this resolution unlocked. An entry whose slot is
-// not outstanding — resolved already, or never registered here —
-// panics.
+// resolve CASes the slot out of outstanding, counts it and drains the
+// lane, and publishes any advance this resolution unlocked. An entry
+// whose slot is not outstanding — resolved already, or never registered
+// here — panics.
 func (c *Controller) resolve(e *vc.Entry, to uint32) {
 	tn := e.TN()
 	s := c.slotOf(tn)
 	if !s.state.CompareAndSwap(slotOutstanding, to) {
 		panic("vc: resolve of an entry not outstanding here")
-	}
-	if to == slotComplete {
-		c.completions.Add(1)
-	} else {
-		c.discards.Add(1)
 	}
 	// Drain unconditionally under the lane mutex. A cheaper "only if tn
 	// == frontier" check is unsound: a concurrent drainer can scan our
@@ -258,6 +252,7 @@ func (c *Controller) resolve(e *vc.Entry, to uint32) {
 	// serializes the two, so one of us always sees the other's work.
 	ln := c.laneOf(tn)
 	ln.mu.Lock()
+	ln.resolved++
 	advanced := c.drainLaneLocked(ln)
 	ln.mu.Unlock()
 	if advanced {
@@ -294,9 +289,8 @@ func (c *Controller) drainLaneLocked(ln *lane) bool {
 }
 
 // publish recomputes the watermark — min over lane frontiers, minus one
-// — and CAS-maxes it into vtnc. A successful raise bumps the epoch,
-// wakes capacity waiters, and fires the observer for the newly visible
-// batch.
+// — and CAS-maxes it into vtnc. A successful raise wakes capacity
+// waiters and fires the observer for the newly visible batch.
 func (c *Controller) publish() {
 	min := c.lanes[0].frontier.Load()
 	for l := 1; l < len(c.lanes); l++ {
@@ -314,7 +308,6 @@ func (c *Controller) publish() {
 			break
 		}
 	}
-	c.epoch.Add(1)
 	if c.waiters.Load() > 0 {
 		// Empty critical section: serializes with waiters between their
 		// vtnc check and cond.Wait, so the broadcast cannot be lost.
@@ -371,7 +364,6 @@ func (c *Controller) UnsafeCompleteEager(e *vc.Entry) {
 			break
 		}
 		if c.vtnc.CompareAndSwap(cur, tn) {
-			c.epoch.Add(1)
 			if c.waiters.Load() > 0 {
 				c.waitMu.Lock()
 				c.waitMu.Unlock() //nolint:staticcheck
@@ -398,39 +390,30 @@ func (c *Controller) TNC() uint64 { return c.tnc.Load() }
 // VTNC is the published watermark.
 func (c *Controller) VTNC() uint64 { return c.vtnc.Load() }
 
-// Epoch is the publish generation: how many watermark advances have
-// been published. Each publish makes a batch of >= 1 transactions
-// visible at once.
-func (c *Controller) Epoch() uint64 { return c.epoch.Load() }
-
-// Lag is tnc-1-vtnc: assigned positions not yet visible — the watermark
-// lag surfaced by the obs gauges.
-func (c *Controller) Lag() uint64 {
-	// vtnc before tnc: both only grow, so the difference can only be
-	// over-reported, never negative.
-	v := c.vtnc.Load()
-	t := c.tnc.Load()
-	return t - 1 - v
-}
-
 // QueueLen is the number of unresolved registrations. There is no
-// queue; the count is derived from the counters.
+// queue: the count is registrations less the lanes' resolutions.
 func (c *Controller) QueueLen() int {
 	// Resolutions before registrations: a racing Register can only make
 	// the outstanding count read high, never negative.
-	res := c.completions.Load() + c.discards.Load()
+	res := c.resolved()
 	reg := c.tnc.Load() - 1 - c.initial
 	return int(reg - res)
 }
 
+// resolved sums the lanes' resolution counts, each under its lane's
+// mutex.
+func (c *Controller) resolved() (n uint64) {
+	for l := range c.lanes {
+		ln := &c.lanes[l]
+		ln.mu.Lock()
+		n += ln.resolved
+		ln.mu.Unlock()
+	}
+	return n
+}
+
 // Mode identifies this implementation.
 func (c *Controller) Mode() vc.Mode { return vc.ModeEpoch }
-
-// Completions returns the number of Complete calls observed.
-func (c *Controller) Completions() uint64 { return c.completions.Load() }
-
-// Discards returns the number of Discard calls observed.
-func (c *Controller) Discards() uint64 { return c.discards.Load() }
 
 // CheckInvariants validates: vtnc < tnc; the watermark never passes any
 // lane frontier; every frontier stays in its residue class with its
@@ -458,7 +441,7 @@ func (c *Controller) CheckInvariants() error {
 			}
 		}
 	}
-	if res, reg := c.completions.Load()+c.discards.Load(), tnc-1-c.initial; res > reg {
+	if res, reg := c.resolved(), tnc-1-c.initial; res > reg {
 		return fmt.Errorf("epoch: %d resolutions exceed %d registrations", res, reg)
 	}
 	return nil

@@ -28,7 +28,7 @@ func TestSequentialEquivalenceRandom(t *testing.T) {
 				// Keep the watermark distance inside the ring capacity:
 				// a sequential driver that lets a register block on the
 				// capacity guard would deadlock.
-				if e.Lag() >= e.capacity {
+				if e.TNC()-1-e.VTNC() >= e.capacity {
 					continue
 				}
 				live = append(live, pair{s.Register(), e.Register()})
@@ -89,7 +89,7 @@ func TestBootstrapSnapshot(t *testing.T) {
 }
 
 // Out-of-order completion: nothing becomes visible until the oldest
-// completes, and then the whole batch publishes in one epoch.
+// completes, and then the whole batch publishes at once.
 func TestWatermarkBatching(t *testing.T) {
 	c := NewWithShape(0, 2, 4)
 	const n = 6
@@ -103,13 +103,9 @@ func TestWatermarkBatching(t *testing.T) {
 			t.Fatalf("vtnc %d with tn 1 outstanding", c.VTNC())
 		}
 	}
-	before := c.Epoch()
 	c.Complete(hs[0])
 	if c.VTNC() != n {
 		t.Fatalf("vtnc %d after full drain, want %d", c.VTNC(), n)
-	}
-	if got := c.Epoch() - before; got != 1 {
-		t.Fatalf("final completion published %d epochs, want 1 batch", got)
 	}
 }
 
@@ -117,17 +113,23 @@ func TestDiscardUnblocksVisibility(t *testing.T) {
 	c := NewWithShape(0, 2, 4)
 	h1 := c.Register()
 	h2 := c.Register()
+	if n := c.QueueLen(); n != 2 {
+		t.Fatalf("outstanding %d, want 2", n)
+	}
 	c.Complete(h2)
 	if c.VTNC() != 0 {
 		t.Fatalf("vtnc %d, want 0", c.VTNC())
+	}
+	if n := c.QueueLen(); n != 1 {
+		t.Fatalf("outstanding %d after a completion, want 1", n)
 	}
 	c.Discard(h1)
 	// The discarded tn 1 no longer holds the horizon; tn 2 is visible.
 	if c.VTNC() != 2 {
 		t.Fatalf("vtnc %d after discard, want 2", c.VTNC())
 	}
-	if c.Completions() != 1 || c.Discards() != 1 {
-		t.Fatalf("counters %d/%d, want 1/1", c.Completions(), c.Discards())
+	if n := c.QueueLen(); n != 0 {
+		t.Fatalf("outstanding %d after a discard, want 0", n)
 	}
 }
 
@@ -230,8 +232,9 @@ func TestVisibleObserver(t *testing.T) {
 }
 
 // Concurrent hammer: many goroutines register/complete/discard; the
-// watermark must end at tnc-1 with invariants intact, and every
-// mid-flight Start must be a resolved prefix position.
+// watermark must end at tnc-1 with invariants intact, every mid-flight
+// Start must be a resolved prefix position, and the outstanding count
+// must see a worker's own open registration and never go negative.
 func TestConcurrentHammer(t *testing.T) {
 	c := NewWithShape(0, 4, 64)
 	var observed atomic.Uint64
@@ -247,11 +250,19 @@ func TestConcurrentHammer(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < perWorker; i++ {
 				h := c.Register()
+				if n := c.QueueLen(); n < 1 {
+					t.Errorf("outstanding %d with tn %d open", n, h.TN())
+					return
+				}
 				if rng.Intn(8) == 0 {
 					c.Discard(h)
 				} else {
 					c.Complete(h)
 					completes.Add(1)
+				}
+				if n := c.QueueLen(); n < 0 {
+					t.Errorf("outstanding %d after resolving tn %d", n, h.TN())
+					return
 				}
 				if s, v := c.Start(), c.VTNC(); s > v {
 					t.Errorf("Start %d above vtnc %d", s, v)
@@ -268,9 +279,6 @@ func TestConcurrentHammer(t *testing.T) {
 	if vtnc := c.VTNC(); vtnc != total {
 		t.Fatalf("vtnc %d, want %d", vtnc, total)
 	}
-	if got := c.Completions() + c.Discards(); got != total {
-		t.Fatalf("resolutions %d, want %d", got, total)
-	}
 	if got := observed.Load(); got != completes.Load() {
 		t.Fatalf("observer fired %d times, want %d", got, completes.Load())
 	}
@@ -282,24 +290,60 @@ func TestConcurrentHammer(t *testing.T) {
 	}
 }
 
-// Epoch batches under concurrency: with contended lanes the number of
-// publishes must not exceed the number of resolutions (and usually sits
-// far below it — each epoch covers a batch).
-func TestEpochCountBounded(t *testing.T) {
-	c := NewWithShape(0, 2, 32)
-	const n = 200
-	hs := make([]*vc.Entry, n)
-	for i := range hs {
-		if i >= 32 {
-			c.Complete(hs[i-32])
-		}
-		hs[i] = c.Register()
+// Each lane counts its own resolutions: goroutines whose entries fall in
+// different lanes resolve them at once, and at rest the outstanding count
+// is exact — every registration still open, none of those resolved.
+func TestQueueLenExactAcrossLanes(t *testing.T) {
+	const lanes, workers, held = 4, 4, 8
+	c := NewWithShape(0, lanes, 16)
+	hs := make([][]*vc.Entry, workers)
+	for i := 0; i < workers*held; i++ {
+		// Worker i%workers takes tn i+1: each worker's entries lie in
+		// one lane, a different lane from every other worker's.
+		hs[i%workers] = append(hs[i%workers], c.Register())
 	}
-	for i := n - 32; i < n; i++ {
-		c.Complete(hs[i])
+	if n := c.QueueLen(); n != workers*held {
+		t.Fatalf("outstanding %d, want %d", n, workers*held)
 	}
-	if e := c.Epoch(); e == 0 || e > n {
-		t.Fatalf("epoch count %d outside (0, %d]", e, n)
+	var wg sync.WaitGroup
+	for w := range hs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, h := range hs[w] {
+				if i < held/2 {
+					c.Complete(h)
+				} else if i%2 == 0 {
+					c.Discard(h)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	open := workers * (held/2 - held/4) // the odd half of each worker's second half
+	if n := c.QueueLen(); n != open {
+		t.Fatalf("outstanding %d at rest, want %d", n, open)
+	}
+	for w := range hs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, h := range hs[w] {
+				if i >= held/2 && i%2 == 1 {
+					c.Complete(h)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := c.QueueLen(); n != 0 {
+		t.Fatalf("outstanding %d after every resolution, want 0", n)
+	}
+	if c.VTNC() != workers*held {
+		t.Fatalf("vtnc %d, want %d", c.VTNC(), workers*held)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

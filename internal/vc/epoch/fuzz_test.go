@@ -44,7 +44,7 @@ func FuzzVisibilityEquivalence(f *testing.F) {
 				// ring; with everything sequential that would deadlock,
 				// so stop accepting registers at the window edge —
 				// exactly where a real client would block in Register.
-				if e.Lag() >= e.capacity {
+				if e.TNC()-1-e.VTNC() >= e.capacity {
 					continue
 				}
 				live = append(live, pair{s.Register(), e.Register()})

@@ -32,7 +32,6 @@ func FuzzVCLifecycle(f *testing.F) {
 		c := New(0)
 		var live []*Entry
 		lastVTNC := c.VTNC()
-		resolved := uint64(0)
 		registered := 0
 		discarded := 0
 		for i := 0; i < len(data); i++ {
@@ -51,14 +50,12 @@ func FuzzVCLifecycle(f *testing.F) {
 					j := arg % len(live)
 					c.Complete(live[j])
 					live = append(live[:j], live[j+1:]...)
-					resolved++
 				}
 			case 2:
 				if len(live) > 0 {
 					j := arg % len(live)
 					c.Discard(live[j])
 					live = append(live[:j], live[j+1:]...)
-					resolved++
 					discarded++
 				}
 			case 3:
@@ -92,9 +89,6 @@ func FuzzVCLifecycle(f *testing.F) {
 			// yet drained past the head; discarded entries leave at once.
 			if got := c.QueueLen(); got < len(live) || got > registered-discarded {
 				t.Fatalf("step %d: queue length %d outside [%d, %d]", i, got, len(live), registered-discarded)
-			}
-			if got := c.Completions() + c.Discards(); got != resolved {
-				t.Fatalf("step %d: completions+discards %d, resolved %d", i, got, resolved)
 			}
 		}
 

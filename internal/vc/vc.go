@@ -95,10 +95,6 @@ type Strict struct {
 	tail   *Entry
 	size   int
 
-	// completions counts Complete calls; discards counts Discard calls.
-	completions atomic.Uint64
-	discards    atomic.Uint64
-
 	// onVisible, when set, observes each entry's register→visible lag
 	// (paper Section 6's delayed visibility, measured per transaction).
 	// Guarded by mu; see SetVisibleObserver.
@@ -215,10 +211,10 @@ func (c *Strict) RegisterExact(e *Entry, tn uint64) error {
 }
 
 // Reserve returns the transaction number the next Register call would
-// assign, without assigning it. It is the vote of the distributed
-// max-vote: the coordinator gathers Reserve values from all participants,
-// each holding its registration gate, and every participant adopts the
-// maximum via RegisterExact.
+// assign, without assigning it. It is a cluster site's vote in the
+// distributed max-vote (core.Engine.Vote): the coordinator gathers the
+// votes of all participants, each holding its registration gate, and
+// every participant adopts the maximum via RegisterExact.
 func (c *Strict) Reserve() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -236,7 +232,6 @@ func (c *Strict) Discard(e *Entry) {
 	}
 	atHead := e == c.head
 	c.unlink(e)
-	c.discards.Add(1)
 	if atHead {
 		c.drainLocked()
 	}
@@ -254,7 +249,6 @@ func (c *Strict) Complete(e *Entry) {
 		panic("vc: Complete of resolved entry")
 	}
 	e.complete = true
-	c.completions.Add(1)
 	c.drainLocked()
 }
 
@@ -271,7 +265,6 @@ func (c *Strict) UnsafeCompleteEager(e *Entry) {
 		panic("vc: Complete of resolved entry")
 	}
 	e.complete = true
-	c.completions.Add(1)
 	if c.vtnc.Load() < e.tn {
 		c.vtnc.Store(e.tn)
 	}
@@ -325,15 +318,6 @@ func (c *Strict) TNC() uint64 {
 // VTNC returns the current visible transaction number counter.
 func (c *Strict) VTNC() uint64 { return c.vtnc.Load() }
 
-// Lag returns tnc-1-vtnc: how many assigned serialization positions are
-// not yet visible. Under the paper's delayed-visibility discussion this
-// is the staleness bound observed by read-only transactions.
-func (c *Strict) Lag() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.tnc - 1 - c.vtnc.Load()
-}
-
 // QueueLen returns the number of unresolved entries in VCQueue.
 func (c *Strict) QueueLen() int {
 	c.mu.Lock()
@@ -343,12 +327,6 @@ func (c *Strict) QueueLen() int {
 
 // Mode identifies this implementation for gauges and matrices.
 func (c *Strict) Mode() Mode { return ModeStrict }
-
-// Completions returns the number of Complete calls observed.
-func (c *Strict) Completions() uint64 { return c.completions.Load() }
-
-// Discards returns the number of Discard calls observed.
-func (c *Strict) Discards() uint64 { return c.discards.Load() }
 
 // CheckInvariants verifies the module's internal consistency. It is meant
 // for tests: it validates vtnc < tnc, queue ordering, and that the queue

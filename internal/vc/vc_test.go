@@ -133,20 +133,24 @@ func TestReserve(t *testing.T) {
 	}
 }
 
+// TestLag: the positions assigned but not yet visible, tnc-1-vtnc (the
+// engine's VisibilityLag), count every number an older open entry holds
+// back.
 func TestLag(t *testing.T) {
 	c := New(0)
-	if got := c.Lag(); got != 0 {
-		t.Fatalf("Lag() = %d, want 0", got)
+	lag := func() uint64 { return c.TNC() - 1 - c.VTNC() }
+	if got := lag(); got != 0 {
+		t.Fatalf("lag = %d, want 0", got)
 	}
 	e1 := c.Register()
 	e2 := c.Register()
 	c.Complete(e2)
-	if got := c.Lag(); got != 2 {
-		t.Fatalf("Lag() = %d, want 2 (positions 1,2 invisible)", got)
+	if got := lag(); got != 2 {
+		t.Fatalf("lag = %d, want 2 (positions 1,2 invisible)", got)
 	}
 	c.Complete(e1)
-	if got := c.Lag(); got != 0 {
-		t.Fatalf("Lag() = %d, want 0", got)
+	if got := lag(); got != 0 {
+		t.Fatalf("lag = %d, want 0", got)
 	}
 }
 
@@ -162,16 +166,25 @@ func TestResolveTwicePanics(t *testing.T) {
 	c.Discard(e)
 }
 
-func TestCompletionsAndDiscardsCounters(t *testing.T) {
+// TestResolutionsLeaveTheQueue: an entry stays in VCQueue until it
+// resolves at the head, and a discard leaves at once.
+func TestResolutionsLeaveTheQueue(t *testing.T) {
 	c := New(0)
-	e1, e2 := c.Register(), c.Register()
-	c.Complete(e1)
-	c.Discard(e2)
-	if got := c.Completions(); got != 1 {
-		t.Fatalf("Completions = %d, want 1", got)
+	e1, e2, e3 := c.Register(), c.Register(), c.Register()
+	if got := c.QueueLen(); got != 3 {
+		t.Fatalf("QueueLen = %d after three registrations, want 3", got)
 	}
-	if got := c.Discards(); got != 1 {
-		t.Fatalf("Discards = %d, want 1", got)
+	c.Complete(e2) // behind the open e1: stays queued
+	if got := c.QueueLen(); got != 3 {
+		t.Fatalf("QueueLen = %d after a completion behind the head, want 3", got)
+	}
+	c.Discard(e3)
+	if got := c.QueueLen(); got != 2 {
+		t.Fatalf("QueueLen = %d after a discard, want 2", got)
+	}
+	c.Complete(e1) // drains e1 and e2
+	if got := c.QueueLen(); got != 0 {
+		t.Fatalf("QueueLen = %d after the head completed, want 0", got)
 	}
 }
 

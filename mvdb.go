@@ -491,7 +491,7 @@ func (db *DB) CollectGarbage() int {
 // VisibilityLag returns how many assigned serialization positions are not
 // yet visible to new read-only transactions (paper Section 6's "lag
 // between the two counters").
-func (db *DB) VisibilityLag() uint64 { return db.eng.VC().Lag() }
+func (db *DB) VisibilityLag() uint64 { return db.eng.VisibilityLag() }
 
 // Tx is a transaction handle. It is not safe for concurrent use. It is
 // the engine's own transaction header, so a transaction costs one

@@ -375,7 +375,7 @@ func runE6(tb testing.TB, full bool) []e6Row {
 					tb.Fatal(err)
 				}
 			}
-			lag := e.VC().Lag()
+			lag := e.VisibilityLag()
 			lagSum += lag
 			r.lagMin, r.lagMax = min(r.lagMin, lag), max(r.lagMax, lag)
 
